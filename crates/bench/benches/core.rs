@@ -1,13 +1,15 @@
 //! The `core` bench group: the algorithm-core hot paths the speed campaign
 //! targets — ε-archive insertion (indexed vs the retained linear-scan
-//! oracle), the steady-state tournament + replacement step, batch problem
-//! evaluation over the flat objective matrix, and incremental hypervolume
-//! insertion. Tracked by `cargo xtask bench` as the `core` trajectory
-//! group.
+//! oracle), the steady-state tournament + replacement step, the population
+//! replacement scan and tournament at paper scale (12k members, 5-D), batch
+//! problem evaluation over the flat objective matrix, and incremental
+//! hypervolume insertion. Tracked by `cargo xtask bench` as the `core`
+//! trajectory group.
 
 use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::archive::{EpsilonArchive, LinearScanArchive};
 use borg_core::matrix::ObjectiveMatrix;
+use borg_core::population::Population;
 use borg_core::problem::Problem;
 use borg_core::rng::rng_from_seed;
 use borg_core::solution::Solution;
@@ -89,6 +91,42 @@ fn bench_core(c: &mut Criterion) {
             engine.consume(sol);
             engine.nfe()
         })
+    });
+
+    // The paper-scale population (`serial-dtlz2-5` ends at 12 372 members):
+    // 12 288 mutually nondominated 5-D rows — points of the positive unit
+    // sphere, DTLZ2's front — so every offer scans the whole population and
+    // replaces a random member, and every tournament comparison is between
+    // nondominated rows. `steady_state_step` above runs a 100-member
+    // population and cannot see this regime. The displaced member is the
+    // next offspring, so the loop allocates nothing.
+    let mut rng = rng_from_seed(17);
+    let mut sphere_point = || {
+        let mut objs: Vec<f64> = (0..5).map(|_| rng.gen_range(0.05..1.0)).collect();
+        let norm = objs.iter().map(|x| x * x).sum::<f64>().sqrt();
+        objs.iter_mut().for_each(|x| *x /= norm);
+        Solution::from_parts(vec![], objs, vec![])
+    };
+    let mut population = Population::new(12_288);
+    while population.fill(sphere_point()) {}
+    let mut offspring = Some(sphere_point());
+    let mut rng = rng_from_seed(19);
+    group.bench_function("population_offer_12k_5d", |b| {
+        b.iter(|| {
+            let next = offspring.take().expect("an offer returns a member");
+            let (verdict, displaced) = population.offer_replacing(next, &mut rng);
+            offspring = displaced;
+            verdict
+        })
+    });
+    // Warm the row-major rows into cache first, where the steady-state loop
+    // (a thousand random rows an evaluation) keeps most of them; ten cold
+    // calls would time first touches of a 490 KB matrix instead.
+    for _ in 0..4_096 {
+        black_box(population.tournament_select(248, &mut rng));
+    }
+    group.bench_function("tournament_k248_12k_5d", |b| {
+        b.iter(|| population.tournament_select(black_box(248), &mut rng))
     });
 
     // Batch evaluation over the flat matrix: 256 DTLZ2 rows behind a single

@@ -570,8 +570,7 @@ impl BorgEngine {
         self.stats.restarts += 1;
         let target = ((self.config.injection_rate * self.archive.len() as f64).ceil() as usize)
             .max(self.config.initial_population_size);
-        self.population.resize(target, &mut self.rng);
-        self.population.clear();
+        self.population.reset(target, &mut self.rng);
         for i in 0..self.archive.len() {
             if self.population.is_full() {
                 break;

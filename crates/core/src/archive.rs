@@ -34,7 +34,7 @@
 //! final member ordering. Keys visited by the walks are counted in
 //! [`EpsilonArchive::box_probes`] (exported as `archive.box_probes`).
 //!
-//! Member objectives additionally mirror into a flat structure-of-arrays
+//! Member objectives additionally mirror into a flat row-major
 //! [`ObjectiveMatrix`] so metrics consume contiguous rows without per-call
 //! `Vec<Vec<f64>>` re-materialization.
 
@@ -149,7 +149,7 @@ pub struct EpsilonArchive {
     solutions: Vec<Solution>,
     /// Cached ε-box key per member, row-parallel with `solutions`.
     boxes: FlatMatrix<i64>,
-    /// Flat SoA mirror of member objective vectors, row-parallel with
+    /// Flat row-major mirror of member objective vectors, row-parallel with
     /// `solutions` (borrowed by metrics instead of cloning `Vec<Vec<f64>>`).
     objectives: ObjectiveMatrix,
     /// ε-grid spatial index: box key → slot in `solutions`.
@@ -302,8 +302,8 @@ impl EpsilonArchive {
         self.operator_credits.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// Flat structure-of-arrays view of member objective vectors: row `i`
-    /// holds member `i`'s objectives. Borrow this instead of
+    /// Flat row-major view of member objective vectors: row `i` holds
+    /// member `i`'s objectives. Borrow this instead of
     /// [`objective_vectors`](Self::objective_vectors) on hot paths.
     pub fn objective_rows(&self) -> &ObjectiveMatrix {
         &self.objectives

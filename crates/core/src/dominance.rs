@@ -11,9 +11,19 @@
 //!   everything in dominated boxes, and within a box the solution closest to
 //!   the ideal box corner wins. This bounds archive size and guarantees
 //!   convergence + diversity.
+//!
+//! The population's two hot loops — the replacement scan and the tournament
+//! — compare mutually nondominated rows almost all of the time, where a
+//! comparator that branches on every objective mispredicts most of its
+//! branches. They use the branch-free forms here instead:
+//! [`constrained_dominance_rows`] for one pair of rows and
+//! [`constrained_dominance_block`] for one row against eight members at
+//! once. Both gather the same four comparison bits and hand them to one
+//! private rule, so constrained dominance is written down once.
 
 use crate::matrix::ObjectiveMatrix;
 use crate::solution::Solution;
+use std::hint::black_box;
 
 /// Result of a dominance comparison between `a` and `b`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,7 +76,7 @@ pub fn pareto_dominance(a: &Solution, b: &Solution) -> Dominance {
 
 /// Pareto dominance between rows `i` and `j` of a flat objective matrix.
 ///
-/// Row slices come straight out of the SoA backing store, so the comparison
+/// Row slices come straight out of the flat backing store, so the comparison
 /// runs over contiguous memory with no per-call allocation.
 // borg-lint: hot-path
 pub fn pareto_dominance_rows(matrix: &ObjectiveMatrix, i: usize, j: usize) -> Dominance {
@@ -80,15 +90,106 @@ pub fn pareto_dominance_rows(matrix: &ObjectiveMatrix, i: usize, j: usize) -> Do
 /// Pareto dominance on objectives. This matches the comparator used by Borg
 /// (and NSGA-II's constrained tournament).
 pub fn constrained_dominance(a: &Solution, b: &Solution) -> Dominance {
-    let va = a.constraint_violation();
-    let vb = b.constraint_violation();
-    if va < vb {
+    constrained_dominance_rows(
+        a.objectives(),
+        a.constraint_violation(),
+        b.objectives(),
+        b.constraint_violation(),
+    )
+}
+
+/// Constrained dominance of `a` over `b` from four comparison bits: `lt` /
+/// `gt` — `a` is strictly better / worse in at least one objective — and
+/// `vlt` / `vgt` — `a`'s aggregate violation is strictly smaller / larger.
+/// A NaN compares false both ways, so a NaN violation falls through to the
+/// objectives and a NaN objective decides nothing, exactly as in the
+/// branching comparators above.
+#[inline]
+fn verdict(lt: bool, gt: bool, vlt: bool, vgt: bool) -> Dominance {
+    if vlt | (!vgt & lt & !gt) {
         Dominance::Dominates
-    } else if vb < va {
+    } else if vgt | (!vlt & gt & !lt) {
         Dominance::DominatedBy
     } else {
-        pareto_dominance(a, b)
+        Dominance::NonDominated
     }
+}
+
+/// [`constrained_dominance`] on borrowed rows and precomputed violations,
+/// with no data-dependent branch in the objective loop: the comparison bits
+/// are OR-ed together and resolved once at the end. Testing the result
+/// against one variant compiles to the corresponding bit expression.
+// borg-lint: hot-path
+#[inline]
+pub fn constrained_dominance_rows(
+    a: &[f64],
+    a_violation: f64,
+    b: &[f64],
+    b_violation: f64,
+) -> Dominance {
+    debug_assert_eq!(a.len(), b.len());
+    let mut lt = false;
+    let mut gt = false;
+    for (&x, &y) in a.iter().zip(b) {
+        lt |= x < y;
+        gt |= y < x;
+    }
+    verdict(lt, gt, a_violation < b_violation, b_violation < a_violation)
+}
+
+/// Members per block of a blocked objective mirror (see
+/// [`crate::population`]): the width of one [`constrained_dominance_block`]
+/// call.
+pub const BLOCK_LANES: usize = 8;
+
+/// Constrained dominance of one row over the [`BLOCK_LANES`] members of a
+/// block, or `None` when it is mutually nondominated with all of them (the
+/// common case, resolved with one test).
+///
+/// `block` holds one lane array per objective — lane `l` of array `j` is
+/// member `l`'s objective `j` — followed by one lane array of aggregate
+/// violations. Unoccupied lanes must be NaN throughout: they compare false
+/// both ways and so are never decided.
+// borg-lint: hot-path
+#[inline]
+pub fn constrained_dominance_block(
+    objectives: &[f64],
+    violation: f64,
+    block: &[[f64; BLOCK_LANES]],
+) -> Option<[Dominance; BLOCK_LANES]> {
+    debug_assert_eq!(block.len(), objectives.len() + 1);
+    let (violations, lanes) = block.split_last()?;
+    let mut lt = [false; BLOCK_LANES];
+    let mut gt = [false; BLOCK_LANES];
+    for (&x, ys) in objectives.iter().zip(lanes) {
+        // Optimisation barrier, not semantics. Without it LLVM vectorises
+        // *this* loop — across objectives, gathering one lane from each of
+        // two lane arrays — and the scan runs at half speed; with it the
+        // loop stays scalar and the eight lanes below become packed
+        // compares (41 → 21 µs per 12 288-member scan, DESIGN.md §16).
+        let x = black_box(x);
+        for l in 0..BLOCK_LANES {
+            lt[l] |= x < ys[l];
+            gt[l] |= ys[l] < x;
+        }
+    }
+    // A lane is decided when the violations differ or exactly one of its
+    // two objective bits is set.
+    let mut decided = false;
+    for l in 0..BLOCK_LANES {
+        decided |= (violation < violations[l]) | (violations[l] < violation) | (lt[l] ^ gt[l]);
+    }
+    if !decided {
+        return None;
+    }
+    Some(std::array::from_fn(|l| {
+        verdict(
+            lt[l],
+            gt[l],
+            violation < violations[l],
+            violations[l] < violation,
+        )
+    }))
 }
 
 /// Computes the ε-box index vector of an objective vector, in place.
@@ -278,6 +379,83 @@ mod tests {
         let c = sol(&[0.0, 0.0]);
         let d = sol(&[1.0, 1.0]);
         assert_eq!(constrained_dominance(&c, &d), Dominance::Dominates);
+    }
+
+    /// Every pairing of a small palette of rows and violations, NaN and
+    /// infinities included: the branch-free row comparator agrees with the
+    /// branching one it sits beside.
+    #[test]
+    fn branch_free_rows_match_the_branching_comparator() {
+        let values = [0.0, 0.5, 1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+        let violations = [0.0, 0.5, f64::NAN, f64::INFINITY];
+        for &a0 in &values {
+            for &a1 in &values {
+                for &b0 in &values {
+                    for &b1 in &values {
+                        for &va in &violations {
+                            for &vb in &violations {
+                                let expected = if va < vb {
+                                    Dominance::Dominates
+                                } else if vb < va {
+                                    Dominance::DominatedBy
+                                } else {
+                                    pareto_dominance_objectives(&[a0, a1], &[b0, b1])
+                                };
+                                assert_eq!(
+                                    constrained_dominance_rows(&[a0, a1], va, &[b0, b1], vb),
+                                    expected,
+                                    "[{a0}, {a1}] / {va} against [{b0}, {b1}] / {vb}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn block_comparator_matches_the_row_comparator_lane_by_lane() {
+        // Five members in an eight-lane block: three lanes of NaN padding.
+        let members: [([f64; 2], f64); 5] = [
+            ([0.0, 1.0], 0.0), // nondominated with the row
+            ([0.6, 0.6], 0.0), // dominated by the row
+            ([0.1, 0.1], 0.0), // dominates the row
+            ([9.0, 9.0], 2.0), // more violating: dominated whatever its objectives
+            ([0.5, 0.5], 0.0), // equal: nondominated
+        ];
+        let mut block = [[f64::NAN; BLOCK_LANES]; 3];
+        for (l, (objectives, violation)) in members.iter().enumerate() {
+            block[0][l] = objectives[0];
+            block[1][l] = objectives[1];
+            block[2][l] = *violation;
+        }
+        let row = [0.5, 0.5];
+        let lanes = constrained_dominance_block(&row, 0.0, &block).expect("lanes 1-3 are decided");
+        for (l, (objectives, violation)) in members.iter().enumerate() {
+            assert_eq!(
+                lanes[l],
+                constrained_dominance_rows(&row, 0.0, objectives, *violation),
+                "lane {l}"
+            );
+        }
+        assert!(lanes[members.len()..]
+            .iter()
+            .all(|&lane| lane == Dominance::NonDominated));
+        // A row nondominated with every occupied lane decides nothing, and
+        // neither does a block of padding alone.
+        let mut front = [[f64::NAN; BLOCK_LANES]; 3];
+        for l in 0..2 {
+            front[l][l] = 1.0;
+            front[1 - l][l] = 0.0;
+            front[2][l] = 0.0;
+        }
+        assert_eq!(constrained_dominance_block(&row, 0.0, &front), None);
+        let padding = [[f64::NAN; BLOCK_LANES]; 3];
+        assert_eq!(
+            constrained_dominance_block(&[0.0, 0.0], 0.0, &padding),
+            None
+        );
     }
 
     #[test]

@@ -1,13 +1,20 @@
-//! Flat structure-of-arrays row matrices for hot-path numeric data.
+//! Flat row-major matrices for hot-path numeric data.
 //!
-//! The steady-state hot paths (archive insertion, population replacement,
-//! batch evaluation) spend their time streaming over per-solution numeric
-//! rows: objective vectors, cached ε-box coordinates, decision variables.
-//! Storing those rows in a `Vec<Vec<f64>>` costs one heap allocation and one
-//! pointer chase per row; a [`FlatMatrix`] packs them into a single flat
-//! buffer with a fixed stride so row scans are contiguous, cache-friendly,
-//! and visible to the autovectorizer (the workspace forbids `unsafe`, so
-//! contiguity is the only lever we have).
+//! The steady-state hot paths (archive insertion, tournament selection,
+//! batch evaluation) read per-solution numeric rows: objective vectors,
+//! cached ε-box coordinates, decision variables. Storing those rows in a
+//! `Vec<Vec<f64>>` costs one heap allocation and one pointer chase per row;
+//! a [`FlatMatrix`] packs them into a single flat buffer with a fixed
+//! stride, an array of rows: one row is contiguous (for five objectives,
+//! one cache line), and consecutive rows follow each other.
+//!
+//! That is the layout for reading *a* row — a random tournament draw, a
+//! metric walking the archive. It is not a structure of arrays: a loop that
+//! compares one vector with *every* row finds each objective `stride`
+//! elements apart, so comparing several rows at once would take a gather
+//! per objective. The population's replacement scan therefore keeps a second,
+//! blocked mirror (eight members a block, one lane array per objective,
+//! NaN-padded; see [`crate::population`]) beside its [`ObjectiveMatrix`].
 //!
 //! [`ObjectiveMatrix`] is the `f64` instantiation used by
 //! [`crate::population::Population`] and [`crate::archive::EpsilonArchive`];

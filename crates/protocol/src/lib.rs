@@ -28,7 +28,7 @@
 //! allocates on the arrival hot path beyond its bookkeeping maps — same
 //! seed and same event stream give bit-identical decisions on every
 //! machine, which is what the workspace's determinism gate (and the
-//! golden Table II / faults cells under `results/golden/`) enforce.
+//! golden Table II / faults cells under `crates/xtask/golden/`) enforce.
 //!
 //! [`FaultPlan`]: borg_desim::fault::FaultPlan
 

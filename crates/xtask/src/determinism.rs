@@ -195,7 +195,7 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
 /// Runs the same-seed-twice check — a fault-free arm and a fault-replay arm
 /// (crashes + message loss) — demanding bit-identical archives, virtual
 /// clocks, and fault ledgers, then diffs the golden Table II / faults cells
-/// under `results/golden/` against the current engine. `Err` carries a
+/// under `crates/xtask/golden/` against the current engine. `Err` carries a
 /// human-readable diff.
 pub fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
     let seed = 0xB0C4_2026u64;

@@ -1,5 +1,5 @@
 //! Golden-cell regression gate: one Table II cell and one faults-sweep
-//! cell, pinned to checked-in CSVs under `results/golden/`.
+//! cell, pinned to a checked-in CSV under `crates/xtask/golden/`.
 //!
 //! The same-seed-twice arm in [`crate::determinism`] proves a build agrees
 //! with *itself*; this gate proves it agrees with the build that generated
@@ -25,7 +25,7 @@ use borg_parallel::virtual_exec::{
 use std::path::Path;
 
 /// Golden CSV location, relative to the workspace root.
-pub const GOLDEN_REL: &str = "results/golden/protocol_cells.csv";
+pub const GOLDEN_REL: &str = "crates/xtask/golden/protocol_cells.csv";
 
 /// Root seed shared with `Table2Config::default` / `FaultsConfig::default`,
 /// so these cells pin the same replicate streams the experiments consume.

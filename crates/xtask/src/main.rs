@@ -75,7 +75,7 @@ fn print_help() {
          \x20                   cells\n\
          \x20   --self-test     run only the annotated-fixture self-test\n\
          \x20   --list          print the rule catalog and exit\n\
-         \x20   --bless         (golden) regenerate results/golden CSVs\n\
+         \x20   --bless         (golden) regenerate the crates/xtask/golden CSV\n\
          \n\
          SUBCOMMANDS:\n\
          \x20   bench           run the smoke criterion groups (protocol,\n\

@@ -84,7 +84,7 @@
 //!   `// borg-lint: hot-path` (`crates/core` library code). Those functions
 //!   sit on the produce/consume path the paper's `T_A` measures; the speed
 //!   campaign removed their allocations (arena buffers, in-place outputs,
-//!   SoA rows), and this rule keeps them out. A justified allocation
+//!   flat rows), and this rule keeps them out. A justified allocation
 //!   carries the usual `// borg-lint: allow(BORG-L015)` escape.
 //!
 //! A violation is suppressed by a `// borg-lint: allow(BORG-Lxxx)` comment

@@ -109,6 +109,39 @@ fn parallel_execution_preserves_search_quality() {
     );
 }
 
+/// Bit-exact trajectory pin for the algorithm core: FNV-1a over the variable
+/// and objective bits of every archive member, then every population
+/// member, in storage order. Nine restarts grow the population to 3 820
+/// slots, so the replacement scan and the tournament run over hundreds of
+/// members per evaluation — any change to a dominance decision, to the
+/// order dominated members are collected in, or to the RNG stream lands in
+/// a different fingerprint.
+#[test]
+fn dtlz2_5_trajectory_fingerprint_is_pinned() {
+    // Computed on commit 014d872 (the scalar replacement scan). Regenerate
+    // only for a diff you can explain.
+    const PINNED: u64 = 0x3093_b552_0f9b_4d35;
+    let engine = run_serial(
+        &Dtlz::dtlz2_5(),
+        BorgConfig::new(5, 0.06),
+        7,
+        10_000,
+        |_| {},
+    );
+    assert_eq!(engine.stats().restarts, 9);
+    assert_eq!(engine.population().capacity(), 3_820);
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let members = engine.archive().solutions().iter();
+    for s in members.chain(engine.population().members()) {
+        for value in s.variables().iter().chain(s.objectives()) {
+            for byte in value.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    assert_eq!(h, PINNED, "trajectory fingerprint is {h:#018x}");
+}
+
 #[test]
 fn dtlz34_and_uf_problems_are_solvable_end_to_end() {
     // Broad smoke across the suites: Borg must not crash and must build a
