@@ -14,7 +14,7 @@ use borg_models::dist::Dist;
 use borg_obs::NoopRecorder;
 use borg_parallel::islands::{run_islands, IslandConfig};
 use borg_parallel::virtual_exec::{
-    run_virtual_async, run_virtual_async_faulty, TaMode, VirtualConfig,
+    run_virtual_async, run_virtual_async_with, FaultyRun, TaMode, VirtualConfig,
 };
 use borg_problems::dtlz::Dtlz;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -86,11 +86,10 @@ fn bench_faults(c: &mut Criterion) {
             &faults,
             |b, faults| {
                 b.iter(|| {
-                    run_virtual_async_faulty(
+                    run_virtual_async_with(
                         &problem,
                         BorgConfig::new(5, 0.1),
-                        &cfg,
-                        faults,
+                        &FaultyRun::new(&cfg, faults),
                         &NoopRecorder,
                         |_, _| {},
                     )

@@ -8,7 +8,7 @@
 //! and duplicate suppression cost when nothing goes wrong.
 
 use borg_desim::fault::{FaultConfig, FaultLog, FaultPlan};
-use borg_models::queueing::{run_async, run_async_faulty, FaultTolerantHooks, MasterSlaveHooks};
+use borg_models::queueing::{run_async, run_async_with, MasterSlaveHooks};
 use borg_obs::NoopRecorder;
 use borg_protocol::{Clock, EngineConfig, Event, MasterEngine, RecoveryPolicy, Transport};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -80,21 +80,6 @@ struct ConstHooks {
 }
 
 impl MasterSlaveHooks for ConstHooks {
-    fn produce(&mut self, _worker: usize, _now: f64) -> f64 {
-        self.ta
-    }
-    fn evaluation_time(&mut self, _worker: usize) -> f64 {
-        self.tf
-    }
-    fn consume(&mut self, _worker: usize, _now: f64) -> f64 {
-        self.ta
-    }
-    fn comm_time(&mut self) -> f64 {
-        self.tc
-    }
-}
-
-impl FaultTolerantHooks for ConstHooks {
     fn produce(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
         self.ta
     }
@@ -149,14 +134,8 @@ fn bench_protocol(c: &mut Criterion) {
     group.bench_function("des_async_recovery_quiet_w32_2k", |b| {
         b.iter(|| {
             let mut hooks = HOOKS;
-            run_async_faulty(
-                &mut hooks,
-                black_box(workers),
-                n,
-                &plan,
-                policy,
-                &NoopRecorder,
-            )
+            let config = EngineConfig::fault_tolerant_async(black_box(workers), n, policy);
+            run_async_with(&mut hooks, config, &plan, false, &NoopRecorder)
         })
     });
 

@@ -216,6 +216,7 @@ impl FaultPlan {
 
     /// The fate of the `dispatch`-th evaluation dispatched to `worker`
     /// (0-based, counted per worker).
+    #[inline]
     pub fn dispatch_fate(&self, worker: usize, dispatch: u64) -> DispatchFate {
         if self.crash_at.get(worker).copied().flatten() == Some(dispatch) {
             let frac =
@@ -224,6 +225,10 @@ impl FaultPlan {
         }
         if self.hang_at.get(worker).copied().flatten() == Some(dispatch) {
             return DispatchFate::HangDuring;
+        }
+        // A zero rate decides without the hash (`unit(h) < 0` never holds).
+        if self.config.straggler_rate <= 0.0 {
+            return DispatchFate::Normal;
         }
         let h = mix64(self.seed ^ TAG_STRAGGLE ^ ((worker as u64) << 40) ^ dispatch);
         if unit(h) < self.config.straggler_rate {
@@ -236,7 +241,13 @@ impl FaultPlan {
 
     /// The fate of the result message for evaluation `eval_id`, on its
     /// `attempt`-th transmission (reissues are re-rolled independently).
+    #[inline]
     pub fn message_fate(&self, eval_id: u64, attempt: u32) -> MessageFate {
+        // Zero rates decide without the hash, as above.
+        if self.config.drop_rate <= 0.0 && self.config.drop_rate + self.config.duplicate_rate <= 0.0
+        {
+            return MessageFate::Deliver;
+        }
         let h = mix64(self.seed ^ TAG_MESSAGE ^ (eval_id << 8) ^ u64::from(attempt));
         let r = unit(h);
         if r < self.config.drop_rate {

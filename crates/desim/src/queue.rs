@@ -115,10 +115,13 @@ impl<E> EventQueue<E> {
         self.heap.peek().map(|e| e.time)
     }
 
-    /// Counts pending events with timestamps `<= t` (O(n); used for
-    /// sampled queue-length statistics).
-    pub fn count_at_or_before(&self, t: Time) -> usize {
-        self.heap.iter().filter(|e| e.time <= t).count()
+    /// Counts pending events with timestamps `<= t` that satisfy `pred`
+    /// (O(n); used for sampled queue-length statistics).
+    pub fn count_at_or_before(&self, t: Time, pred: impl Fn(&E) -> bool) -> usize {
+        self.heap
+            .iter()
+            .filter(|e| e.time <= t && pred(&e.event))
+            .count()
     }
 }
 

@@ -26,7 +26,7 @@ use borg_models::analytical::{
 use borg_models::dist::Dist;
 use borg_obs::NoopRecorder;
 use borg_parallel::virtual_exec::{
-    run_virtual_async, run_virtual_async_faulty, TaMode, VirtualConfig,
+    run_virtual_async, run_virtual_async_with, FaultyRun, TaMode, VirtualConfig,
 };
 
 /// Configuration of the failure-rate × processor-count sweep.
@@ -205,11 +205,10 @@ fn run_replicate(config: &FaultsConfig, f: f64, p: u32, seed: u64) -> ReplicateO
     let result = if faults.is_quiet() {
         run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, |_, _| {})
     } else {
-        run_virtual_async_faulty(
+        run_virtual_async_with(
             problem.as_ref(),
             borg,
-            &vcfg,
-            &faults,
+            &FaultyRun::new(&vcfg, &faults),
             &NoopRecorder,
             |_, _| {},
         )

@@ -64,5 +64,7 @@ pub mod prelude {
         simulate_async, simulate_async_mean, simulate_sync, PerfPrediction, PerfSimConfig,
         TimingModel,
     };
-    pub use crate::queueing::{run_async, run_sync, MasterSlaveHooks, RunOutcome};
+    pub use crate::queueing::{
+        run_async, run_async_with, run_sync, AsyncRun, MasterSlaveHooks, RunOutcome,
+    };
 }

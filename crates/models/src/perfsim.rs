@@ -65,41 +65,42 @@ pub struct PerfSimConfig {
 }
 
 /// Sampling hooks implementing the paper's SimPy structure: one `T_A` per
-/// master interaction (charged on consume; initial production also costs a
-/// `T_A` draw), `T_C` per message, `T_F` per evaluation.
+/// master interaction (charged on consume), `T_C` per message, `T_F` per
+/// evaluation.
 struct SamplingHooks {
     timing: TimingModel,
     rng: StdRng,
-    /// Production cost is folded into `consume` except during initial
-    /// seeding, mirroring `hold(T_C + T_A + T_C)` in the paper's snippet.
-    seeded: Vec<bool>,
+    /// Production cost is folded into `consume` except for the first
+    /// `width` productions (the initial seeding, evaluation ids
+    /// `0..width`), mirroring `hold(T_C + T_A + T_C)` in the paper's
+    /// snippet.
+    width: u64,
 }
 
 impl SamplingHooks {
-    fn new(timing: TimingModel, workers: usize, seed: u64) -> Self {
+    fn new(timing: TimingModel, width: usize, seed: u64) -> Self {
         Self {
             timing,
             rng: SplitMix64::new(seed).derive("perfsim"),
-            seeded: vec![false; workers + 1],
+            width: width as u64,
         }
     }
 }
 
 impl MasterSlaveHooks for SamplingHooks {
-    fn produce(&mut self, worker: usize, _now: f64) -> f64 {
-        if worker < self.seeded.len() && !self.seeded[worker] {
-            self.seeded[worker] = true;
+    fn produce(&mut self, _worker: usize, eval_id: u64, _now: f64) -> f64 {
+        if eval_id < self.width {
             self.timing.t_a.sample(&mut self.rng)
         } else {
             0.0
         }
     }
 
-    fn evaluation_time(&mut self, _worker: usize) -> f64 {
+    fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
         self.timing.t_f.sample(&mut self.rng)
     }
 
-    fn consume(&mut self, _worker: usize, _now: f64) -> f64 {
+    fn consume(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
         self.timing.t_a.sample(&mut self.rng)
     }
 
@@ -167,7 +168,8 @@ pub fn simulate_sync_traced<R: Recorder + ?Sized>(
 ) -> PerfPrediction {
     assert!(config.processors >= 2);
     let workers = (config.processors - 1) as usize;
-    let mut hooks = SamplingHooks::new(config.timing, workers, config.seed);
+    // Generation width: the workers plus the self-evaluating master.
+    let mut hooks = SamplingHooks::new(config.timing, workers + 1, config.seed);
     let outcome = run_sync(&mut hooks, workers, config.evaluations, rec);
     let means = config.timing.means();
     let serial = crate::analytical::serial_time(config.evaluations, means);

@@ -13,40 +13,58 @@
 //! The *protocol* itself — dispatch bookkeeping, deadline reissue,
 //! duplicate suppression, liveness beliefs — is not implemented here: it
 //! lives in the executor-agnostic [`borg_protocol::MasterEngine`]. This
-//! module contributes the DES-time adapters: [`Transport`]
-//! implementations that map the engine's decisions onto an
-//! [`EventQueue`], charging simulated master/worker time through the
-//! hooks and consulting the [`FaultPlan`] for injected fates.
+//! module contributes the DES-time adapters: one [`Transport`] per
+//! topology (asynchronous, generational synchronous) that maps the
+//! engine's decisions onto an [`EventQueue`], charging simulated
+//! master/worker time through the hooks and consulting the [`FaultPlan`]
+//! for injected fates. A fault-free run is the asynchronous adapter under
+//! a quiet plan and [`EngineConfig::fault_free_async`] — there is no
+//! second code path.
 
-use borg_desim::fault::{DispatchFate, FaultKind, FaultLog, FaultPlan, MessageFate};
+use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
 use borg_desim::queue::EventQueue;
 use borg_desim::trace::{Activity, Actor};
 use borg_obs::Recorder;
-use borg_protocol::{Clock, Command, EngineConfig, Event, MasterEngine, Transport};
+use borg_protocol::{Clock, Command, Event, MasterEngine, PoolDiscipline, ProtocolMode, Transport};
 
-pub use borg_protocol::RecoveryPolicy;
+pub use borg_protocol::{EngineConfig, RecoveryPolicy};
 
 /// Problem-specific behaviour plugged into the queueing engine.
 ///
-/// The engine calls, per interaction: `consume(w)` (master absorbs `w`'s
-/// result), `produce(w)` (master creates `w`'s next work item),
-/// `evaluation_time(w)` (how long `w`'s new evaluation takes) and
-/// `comm_time()` for each one-way message. Each returns the simulated
-/// duration of that step.
+/// Work items are identified by a stable `eval_id` (issued consecutively
+/// from 0), so the master can reissue a lost evaluation to a different
+/// worker and suppress duplicate results. The engine calls, per
+/// interaction: `consume` (master absorbs a result), `produce` (master
+/// creates the worker's next work item), `evaluation_time` (how long the
+/// new evaluation takes) and `comm_time` for each one-way message. Each
+/// returns the simulated duration of that step.
 pub trait MasterSlaveHooks {
-    /// Master-side time to produce the next work item for `worker`.
-    /// `now` is the simulated time at which production starts.
-    fn produce(&mut self, worker: usize, now: f64) -> f64;
+    /// Master-side time to produce the *fresh* work item `eval_id` for
+    /// `worker`, starting at simulated time `now`.
+    fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64;
 
-    /// Worker-side time to evaluate the most recently produced work item.
-    fn evaluation_time(&mut self, worker: usize) -> f64;
+    /// Master-side time to resend existing work item `eval_id` to
+    /// `worker` — the candidate must not change, only the bookkeeping
+    /// cost may differ. Defaults to free: the candidate already exists,
+    /// only the message must be rebuilt (charged separately as
+    /// `comm_time`).
+    fn reissue(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
+        0.0
+    }
 
-    /// Master-side time to process the result returned by `worker`.
-    /// `now` is the simulated time at which processing starts.
-    fn consume(&mut self, worker: usize, now: f64) -> f64;
+    /// Worker-side time to evaluate work item `eval_id` on `worker`.
+    fn evaluation_time(&mut self, worker: usize, eval_id: u64) -> f64;
+
+    /// Master-side time to process the result of `eval_id` returned by
+    /// `worker`, starting at `now`.
+    fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64;
 
     /// One-way master↔worker message time.
     fn comm_time(&mut self) -> f64;
+
+    /// `eval_id` exhausted its reissue budget: it will never be consumed,
+    /// so whatever was kept for it can go.
+    fn abandon(&mut self, _eval_id: u64) {}
 }
 
 /// Aggregate outcome of one simulated run.
@@ -79,184 +97,6 @@ struct ResultReady {
     eval_id: u64,
 }
 
-/// DES adapter for the fault-free asynchronous topology: simulated
-/// latencies, no deadlines, no fault plan. The master's consume and the
-/// follow-up produce form one contiguous hold, so the open `Algorithm`
-/// span started by [`Transport::consume`] is closed by the next
-/// [`Transport::dispatch`] (or flushed at run end after the final
-/// consume, which has no follow-up).
-struct AsyncTransport<'a, H: MasterSlaveHooks, R: Recorder + ?Sized> {
-    hooks: &'a mut H,
-    rec: &'a R,
-    queue: EventQueue<ResultReady>,
-    master_free_at: f64,
-    master_busy: f64,
-    completed: u64,
-    wait_sum: f64,
-    wait_max: f64,
-    max_queue: usize,
-    pending_algo: Option<f64>,
-}
-
-impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Clock for AsyncTransport<'_, H, R> {
-    fn now(&self) -> f64 {
-        self.queue.now()
-    }
-}
-
-impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for AsyncTransport<'_, H, R> {
-    fn dispatch(
-        &mut self,
-        worker: usize,
-        eval_id: u64,
-        _attempt: u32,
-        _seq: u64,
-        _log: &mut FaultLog,
-    ) -> f64 {
-        let start = self.master_free_at;
-        let ta = self.hooks.produce(worker, start);
-        let tc = self.hooks.comm_time();
-        let algo_start = self.pending_algo.take().unwrap_or(start);
-        self.rec
-            .span(Actor::Master, Activity::Algorithm, algo_start, start + ta);
-        self.rec.span(
-            Actor::Master,
-            Activity::Communication,
-            start + ta,
-            start + ta + tc,
-        );
-        let start_eval = start + ta + tc;
-        self.master_busy += ta + tc;
-        self.master_free_at = start_eval;
-        let tf = self.hooks.evaluation_time(worker);
-        self.rec.span(
-            Actor::Worker(worker),
-            Activity::Evaluation,
-            start_eval,
-            start_eval + tf,
-        );
-        self.queue
-            .schedule_at(start_eval + tf, ResultReady { worker, eval_id });
-        f64::INFINITY
-    }
-
-    fn consume(&mut self, worker: usize, _eval_id: u64, ready_at: f64) -> f64 {
-        let grant = self.master_free_at.max(ready_at);
-        let wait = grant - ready_at;
-        self.wait_sum += wait;
-        self.wait_max = self.wait_max.max(wait);
-
-        // Queue length at grant time: every result ready at or before the
-        // grant is necessarily already in the event heap (time only moves
-        // forward), so counting them is exact. Sampled to bound the O(W)
-        // scan cost on large topologies.
-        if self.completed.is_multiple_of(32) {
-            self.max_queue = self.max_queue.max(1 + self.queue.count_at_or_before(grant));
-        }
-
-        let tc_in = self.hooks.comm_time();
-        self.rec
-            .span(Actor::Worker(worker), Activity::Idle, ready_at, grant);
-        self.rec
-            .span(Actor::Master, Activity::Communication, grant, grant + tc_in);
-        let ta_c = self.hooks.consume(worker, grant + tc_in);
-        self.completed += 1;
-        self.pending_algo = Some(grant + tc_in);
-        self.master_busy += tc_in + ta_c;
-        self.master_free_at = grant + tc_in + ta_c;
-        self.master_free_at
-    }
-
-    fn absorb_duplicate(&mut self, _worker: usize, _eval_id: u64, _ready_at: f64) -> f64 {
-        unreachable!("the fault-free transport never duplicates messages")
-    }
-
-    fn ping(&mut self, _worker: usize) -> (f64, f64) {
-        unreachable!("the fault-free transport never watches deadlines")
-    }
-
-    fn rearm_heartbeat(&mut self, _at: f64) {
-        unreachable!("the fault-free policy has no heartbeat")
-    }
-
-    fn abandon(&mut self, _eval_id: u64) {
-        unreachable!("the fault-free transport never abandons work")
-    }
-}
-
-/// Runs the asynchronous master-slave simulation until `n` results have
-/// been consumed.
-///
-/// `workers` is `P − 1`; the master does not evaluate in the asynchronous
-/// topology (it is saturated with bookkeeping, matching the paper's
-/// implementation). Activity spans and engine metrics are emitted through
-/// `rec`; pass [`borg_obs::NoopRecorder`] for an uninstrumented run.
-pub fn run_async<H: MasterSlaveHooks, R: Recorder + ?Sized>(
-    hooks: &mut H,
-    workers: usize,
-    n: u64,
-    rec: &R,
-) -> RunOutcome {
-    assert!(workers >= 1, "need at least one worker");
-    assert!(n >= 1, "need at least one evaluation");
-
-    let mut transport = AsyncTransport {
-        hooks,
-        rec,
-        queue: EventQueue::new(),
-        master_free_at: 0.0,
-        master_busy: 0.0,
-        completed: 0,
-        wait_sum: 0.0,
-        wait_max: 0.0,
-        max_queue: 0,
-        pending_algo: None,
-    };
-    let mut engine = MasterEngine::new(EngineConfig::fault_free_async(workers, n));
-    engine.seed(&mut transport, rec);
-
-    while let Some((ready_at, ev)) = transport.queue.pop() {
-        engine.handle(
-            Event::ResultArrived {
-                worker: ev.worker,
-                eval_id: ev.eval_id,
-                at: ready_at,
-            },
-            &mut transport,
-            rec,
-        );
-        if engine.finished() {
-            break;
-        }
-    }
-    assert!(
-        engine.finished(),
-        "event queue drained before N results were consumed"
-    );
-    // The final consume has no follow-up produce: close its span here.
-    if let Some(algo_start) = transport.pending_algo.take() {
-        transport.rec.span(
-            Actor::Master,
-            Activity::Algorithm,
-            algo_start,
-            transport.master_free_at,
-        );
-    }
-    let elapsed = transport.master_free_at;
-    rec.gauge("master.busy_seconds", transport.master_busy);
-    rec.gauge("master.utilization", transport.master_busy / elapsed);
-    RunOutcome {
-        elapsed,
-        completed: engine.completed(),
-        master_busy: transport.master_busy,
-        master_utilization: transport.master_busy / elapsed,
-        mean_wait: transport.wait_sum / engine.completed() as f64,
-        max_wait: transport.wait_max,
-        max_queue: transport.max_queue,
-        wasted_nfe: 0,
-    }
-}
-
 /// DES adapter for the generational synchronous topology. Slot indices
 /// `0..workers` are real workers (produce + send + remote evaluation);
 /// slot `workers` is the master's own offspring (produced and evaluated
@@ -272,6 +112,8 @@ struct SyncTransport<'a, H: MasterSlaveHooks, R: Recorder + ?Sized> {
     now: f64,
     master_busy: f64,
     arrivals_in_gen: usize,
+    /// The evaluation each slot carries in the running generation.
+    slot_eval: Vec<u64>,
 }
 
 impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Clock for SyncTransport<'_, H, R> {
@@ -289,8 +131,9 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
         _seq: u64,
         _log: &mut FaultLog,
     ) -> f64 {
+        self.slot_eval[worker] = eval_id;
         if worker < self.workers {
-            let ta = self.hooks.produce(worker, self.now);
+            let ta = self.hooks.produce(worker, eval_id, self.now);
             let tc = self.hooks.comm_time();
             self.rec
                 .span(Actor::Master, Activity::Algorithm, self.now, self.now + ta);
@@ -302,7 +145,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
             );
             self.master_busy += ta + tc;
             self.now += ta + tc;
-            let tf = self.hooks.evaluation_time(worker);
+            let tf = self.hooks.evaluation_time(worker, eval_id);
             self.rec.span(
                 Actor::Worker(worker),
                 Activity::Evaluation,
@@ -313,8 +156,8 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
                 .schedule_at(self.now + tf, ResultReady { worker, eval_id });
         } else {
             // Master's own offspring (produced and evaluated locally).
-            let ta = self.hooks.produce(worker, self.now);
-            let tf = self.hooks.evaluation_time(worker);
+            let ta = self.hooks.produce(worker, eval_id, self.now);
+            let tf = self.hooks.evaluation_time(worker, eval_id);
             self.rec
                 .span(Actor::Master, Activity::Algorithm, self.now, self.now + ta);
             self.rec.span(
@@ -349,7 +192,7 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for SyncTransport<'_, 
             self.arrivals_in_gen = 0;
             // Synchronous processing of the whole generation.
             for w in 0..=self.workers {
-                let ta = self.hooks.consume(w, self.now);
+                let ta = self.hooks.consume(w, self.slot_eval[w], self.now);
                 self.rec
                     .span(Actor::Master, Activity::Algorithm, self.now, self.now + ta);
                 self.master_busy += ta;
@@ -399,6 +242,7 @@ pub fn run_sync<H: MasterSlaveHooks, R: Recorder + ?Sized>(
         now: 0.0,
         master_busy: 0.0,
         arrivals_in_gen: 0,
+        slot_eval: vec![0; workers + 1],
     };
     // Generation width = workers + the self-evaluating master.
     let mut engine = MasterEngine::new(EngineConfig::sync_generational(workers + 1, n));
@@ -436,88 +280,66 @@ pub fn run_sync<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Fault-tolerant asynchronous adapter
-// ---------------------------------------------------------------------------
-
-/// Problem-specific behaviour for the *fault-tolerant* asynchronous engine.
-///
-/// Unlike [`MasterSlaveHooks`], work items are identified by a stable
-/// `eval_id` so the master can reissue a lost evaluation to a different
-/// worker and suppress duplicate results. Implementations must treat
-/// `reissue` as "resend the work item produced for `eval_id`" — the
-/// candidate must not change, only the bookkeeping cost may differ.
-pub trait FaultTolerantHooks {
-    /// Master-side time to produce the *fresh* work item `eval_id` for
-    /// `worker`, starting at simulated time `now`.
-    fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64;
-
-    /// Master-side time to resend existing work item `eval_id` to
-    /// `worker`. Defaults to free: the candidate already exists, only the
-    /// message must be rebuilt (charged separately as `comm_time`).
-    fn reissue(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
-        0.0
-    }
-
-    /// Worker-side time to evaluate work item `eval_id` on `worker`.
-    fn evaluation_time(&mut self, worker: usize, eval_id: u64) -> f64;
-
-    /// Master-side time to process the result of `eval_id` returned by
-    /// `worker`, starting at `now`.
-    fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64;
-
-    /// One-way master↔worker message time.
-    fn comm_time(&mut self) -> f64;
-}
-
-/// Outcome of a fault-injected run: the ordinary [`RunOutcome`] plus the
-/// recovery ledger.
+/// Everything one asynchronous run produced: the timing aggregates, the
+/// recovery ledger (empty under a quiet plan) and, when asked for, the
+/// protocol transcript.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultyRunOutcome {
+pub struct AsyncRun {
     /// Timing/throughput aggregates (with `wasted_nfe` populated).
     pub outcome: RunOutcome,
     /// Injected vs detected vs recovered faults.
     pub fault_log: FaultLog,
+    /// Every protocol [`Command`] in decision order — the
+    /// executor-independent transcript the differential equivalence tests
+    /// compare across adapters. Empty unless recording was requested.
+    pub commands: Vec<Command>,
 }
 
+/// What the asynchronous adapter keeps in the event heap. Worker indices
+/// are `u32` so an entry stays as small as a bare arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
-enum FaultEvent {
+enum DesEvent {
     /// A result message reaches the master.
-    Arrival { worker: usize, eval_id: u64 },
+    Arrival { worker: u32, eval_id: u64 },
     /// A worker physically dies (crash or hang strike).
-    Death { worker: usize, respawn: bool },
-    /// Deadline check for an outstanding evaluation. `deadline_bits`
-    /// fingerprints the deadline this event was scheduled for; a reissue
-    /// moves the deadline, turning the old event into a stale no-op.
-    Timeout {
-        eval_id: u64,
-        worker: usize,
-        deadline_bits: u64,
-    },
+    Death { worker: u32, respawn: bool },
+    /// Deadline check for an outstanding evaluation. The event's own time
+    /// fingerprints the deadline it was scheduled for; a reissue moves the
+    /// deadline, turning the old event into a stale no-op.
+    Timeout { worker: u32, eval_id: u64 },
     /// Background liveness sweep.
     Heartbeat,
     /// A crashed worker rejoins the pool.
-    Respawn { worker: usize },
+    Respawn { worker: u32 },
 }
 
-/// DES adapter for the fault-tolerant asynchronous topology: the engine's
-/// dispatches consult the [`FaultPlan`] for the evaluation's fate (crash,
-/// hang, straggle) and the result message's fate (deliver, drop,
-/// duplicate), turning each into first-class DES events; deadlines become
-/// [`FaultEvent::Timeout`] entries carrying the deadline fingerprint.
-struct FaultyTransport<'a, H: FaultTolerantHooks, R: Recorder + ?Sized> {
+// The heap entry of a fault-free run must not outgrow a bare arrival.
+const _: () = assert!(std::mem::size_of::<DesEvent>() == 16);
+
+/// DES adapter for the asynchronous topology: the engine's dispatches
+/// consult the [`FaultPlan`] for the evaluation's fate (crash, hang,
+/// straggle) and the result message's fate (deliver, drop, duplicate),
+/// turning each into first-class DES events; finite deadlines become
+/// [`DesEvent::Timeout`] entries. The master's consume and the follow-up
+/// produce form one contiguous hold, so the open `Algorithm` span started
+/// by [`Transport::consume`] is closed by the next
+/// [`Transport::dispatch`], or by the event loop when no dispatch follows.
+struct AsyncDesTransport<'a, H: MasterSlaveHooks, R: Recorder + ?Sized> {
     hooks: &'a mut H,
     plan: &'a FaultPlan,
     timeout: f64,
     rec: &'a R,
-    queue: EventQueue<FaultEvent>,
+    queue: EventQueue<DesEvent>,
     master_free_at: f64,
     master_busy: f64,
+    consumed: u64,
     wait_sum: f64,
     wait_max: f64,
+    max_queue: usize,
+    pending_algo: Option<f64>,
 }
 
-impl<H: FaultTolerantHooks, R: Recorder + ?Sized> FaultyTransport<'_, H, R> {
+impl<H: MasterSlaveHooks, R: Recorder + ?Sized> AsyncDesTransport<'_, H, R> {
     /// The evaluation ran to completion on the worker; decide the fate of
     /// the result message.
     fn finish_evaluation(
@@ -536,33 +358,44 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> FaultyTransport<'_, H, R> {
             start_eval,
             finish,
         );
+        let arrival = DesEvent::Arrival {
+            worker: worker as u32,
+            eval_id,
+        };
         match self.plan.message_fate(eval_id, attempts) {
-            MessageFate::Deliver => {
-                self.queue
-                    .schedule_at(finish, FaultEvent::Arrival { worker, eval_id });
-            }
+            MessageFate::Deliver => self.queue.schedule_at(finish, arrival),
             MessageFate::Drop => {
                 log.inject(FaultKind::MessageDrop, worker, eval_id, finish);
                 log.wasted_nfe += 1;
             }
             MessageFate::Duplicate => {
                 log.inject(FaultKind::MessageDuplicate, worker, eval_id, finish);
-                self.queue
-                    .schedule_at(finish, FaultEvent::Arrival { worker, eval_id });
-                self.queue
-                    .schedule_at(finish, FaultEvent::Arrival { worker, eval_id });
+                self.queue.schedule_at(finish, arrival);
+                self.queue.schedule_at(finish, arrival);
             }
+        }
+    }
+
+    /// Closes the `Algorithm` span of a consume no dispatch followed.
+    fn flush_algorithm_span(&mut self) {
+        if let Some(algo_start) = self.pending_algo.take() {
+            self.rec.span(
+                Actor::Master,
+                Activity::Algorithm,
+                algo_start,
+                self.master_free_at,
+            );
         }
     }
 }
 
-impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Clock for FaultyTransport<'_, H, R> {
+impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Clock for AsyncDesTransport<'_, H, R> {
     fn now(&self) -> f64 {
         self.queue.now()
     }
 }
 
-impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<'_, H, R> {
+impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for AsyncDesTransport<'_, H, R> {
     fn dispatch(
         &mut self,
         worker: usize,
@@ -578,8 +411,9 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<
             self.hooks.reissue(worker, eval_id, start)
         };
         let tc = self.hooks.comm_time();
+        let algo_start = self.pending_algo.take().unwrap_or(start);
         self.rec
-            .span(Actor::Master, Activity::Algorithm, start, start + ta);
+            .span(Actor::Master, Activity::Algorithm, algo_start, start + ta);
         self.rec.span(
             Actor::Master,
             Activity::Communication,
@@ -591,15 +425,18 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<
         let start_eval = self.master_free_at;
         let tf = self.hooks.evaluation_time(worker, eval_id);
 
+        // An infinite timeout means no deadline is watched: nothing to
+        // schedule, and the engine is told so.
         let deadline = start_eval + self.timeout;
-        self.queue.schedule_at(
-            deadline,
-            FaultEvent::Timeout {
-                eval_id,
-                worker,
-                deadline_bits: deadline.to_bits(),
-            },
-        );
+        if deadline.is_finite() {
+            self.queue.schedule_at(
+                deadline,
+                DesEvent::Timeout {
+                    worker: worker as u32,
+                    eval_id,
+                },
+            );
+        }
 
         match self.plan.dispatch_fate(worker, seq) {
             DispatchFate::Normal => {
@@ -614,8 +451,13 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<
                 log.inject(FaultKind::Crash, worker, eval_id, at);
                 log.wasted_nfe += 1;
                 let respawn = self.plan.respawn_after().is_some();
-                self.queue
-                    .schedule_at(at, FaultEvent::Death { worker, respawn });
+                self.queue.schedule_at(
+                    at,
+                    DesEvent::Death {
+                        worker: worker as u32,
+                        respawn,
+                    },
+                );
             }
             DispatchFate::HangDuring => {
                 // A hang looks like a crash that never recovers: the
@@ -626,8 +468,8 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<
                 log.wasted_nfe += 1;
                 self.queue.schedule_at(
                     at,
-                    FaultEvent::Death {
-                        worker,
+                    DesEvent::Death {
+                        worker: worker as u32,
                         respawn: false,
                     },
                 );
@@ -641,18 +483,26 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<
         let wait = grant - ready_at;
         self.wait_sum += wait;
         self.wait_max = self.wait_max.max(wait);
+
+        // Queue length at grant time: every result ready at or before the
+        // grant is necessarily already in the event heap (time only moves
+        // forward), so counting the pending arrivals is exact. Sampled to
+        // bound the O(W) scan cost on large topologies.
+        if self.consumed.is_multiple_of(32) {
+            let waiting = self
+                .queue
+                .count_at_or_before(grant, |e| matches!(e, DesEvent::Arrival { .. }));
+            self.max_queue = self.max_queue.max(1 + waiting);
+        }
+        self.consumed += 1;
+
         self.rec
             .span(Actor::Worker(worker), Activity::Idle, ready_at, grant);
         let tc_in = self.hooks.comm_time();
         self.rec
             .span(Actor::Master, Activity::Communication, grant, grant + tc_in);
         let ta = self.hooks.consume(worker, eval_id, grant + tc_in);
-        self.rec.span(
-            Actor::Master,
-            Activity::Algorithm,
-            grant + tc_in,
-            grant + tc_in + ta,
-        );
+        self.pending_algo = Some(grant + tc_in);
         self.master_busy += tc_in + ta;
         self.master_free_at = grant + tc_in + ta;
         self.master_free_at
@@ -680,86 +530,94 @@ impl<H: FaultTolerantHooks, R: Recorder + ?Sized> Transport for FaultyTransport<
     }
 
     fn rearm_heartbeat(&mut self, at: f64) {
-        self.queue.schedule_at(at, FaultEvent::Heartbeat);
+        self.queue.schedule_at(at, DesEvent::Heartbeat);
     }
 
-    fn abandon(&mut self, _eval_id: u64) {}
+    fn abandon(&mut self, eval_id: u64) {
+        self.hooks.abandon(eval_id);
+    }
 }
 
-/// Runs the asynchronous master-slave simulation under fault injection
-/// until `n` results have been consumed (or every worker is lost).
+/// Runs the fault-free asynchronous master-slave simulation until `n`
+/// results have been consumed: [`run_async_with`] under a quiet plan and
+/// [`EngineConfig::fault_free_async`].
+///
+/// `workers` is `P − 1`; the master does not evaluate in the asynchronous
+/// topology (it is saturated with bookkeeping, matching the paper's
+/// implementation). Activity spans and engine metrics are emitted through
+/// `rec`; pass [`borg_obs::NoopRecorder`] for an uninstrumented run.
+pub fn run_async<H: MasterSlaveHooks, R: Recorder + ?Sized>(
+    hooks: &mut H,
+    workers: usize,
+    n: u64,
+    rec: &R,
+) -> RunOutcome {
+    let quiet = FaultPlan::new(FaultConfig::default(), workers, n, 0);
+    let config = EngineConfig::fault_free_async(workers, n);
+    let outcome = run_async_with(hooks, config, &quiet, false, rec).outcome;
+    assert_eq!(
+        outcome.completed, n,
+        "event queue drained before N results were consumed"
+    );
+    outcome
+}
+
+/// Runs the asynchronous master-slave simulation described by `config`
+/// under `plan` until the budget is consumed (or every worker is lost).
 ///
 /// The master survives worker crashes, hangs, stragglers, and message
 /// drop/duplication per `plan`: it tracks a deadline per outstanding
 /// evaluation, pings and reissues on timeout, quarantines dead workers
 /// (heartbeat sweep), suppresses duplicate results by evaluation id, and
 /// re-admits respawned workers — all decided by the shared
-/// [`MasterEngine`]. With a quiet plan this engine follows the same event
-/// structure as [`run_async`] (timeouts never fire as long as
-/// `policy.timeout` exceeds the worst evaluation time).
-pub fn run_async_faulty<H: FaultTolerantHooks, R: Recorder + ?Sized>(
+/// [`MasterEngine`]. An infinite `config.policy.timeout` watches no
+/// deadline and schedules no deadline event, so under a quiet plan the
+/// heap holds exactly the result arrivals. `record_commands` additionally
+/// returns the engine's command transcript in [`AsyncRun::commands`].
+pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     hooks: &mut H,
-    workers: usize,
-    n: u64,
+    config: EngineConfig,
     plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    rec: &R,
-) -> FaultyRunOutcome {
-    run_async_faulty_inner(hooks, workers, n, plan, policy, rec, false).0
-}
-
-/// [`run_async_faulty`] with the engine's command trace enabled: also
-/// returns every protocol [`Command`] in decision order. The trace is the
-/// executor-independent transcript the differential equivalence tests
-/// compare across adapters.
-pub fn run_async_faulty_traced<H: FaultTolerantHooks, R: Recorder + ?Sized>(
-    hooks: &mut H,
-    workers: usize,
-    n: u64,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    rec: &R,
-) -> (FaultyRunOutcome, Vec<Command>) {
-    run_async_faulty_inner(hooks, workers, n, plan, policy, rec, true)
-}
-
-fn run_async_faulty_inner<H: FaultTolerantHooks, R: Recorder + ?Sized>(
-    hooks: &mut H,
-    workers: usize,
-    n: u64,
-    plan: &FaultPlan,
-    policy: RecoveryPolicy,
-    rec: &R,
     record_commands: bool,
-) -> (FaultyRunOutcome, Vec<Command>) {
-    assert!(workers >= 1, "need at least one worker");
-    assert!(n >= 1, "need at least one evaluation");
+    rec: &R,
+) -> AsyncRun {
     assert!(
-        policy.timeout.is_finite() && policy.timeout > 0.0,
-        "recovery timeout must be positive and finite"
+        config.mode == ProtocolMode::Async && config.discipline == PoolDiscipline::Assigned,
+        "the asynchronous DES drives an assigned pool in pipeline mode"
     );
     assert!(
-        policy.heartbeat_interval.is_finite() && policy.heartbeat_interval > 0.0,
-        "heartbeat interval must be positive and finite"
+        config.policy.timeout > 0.0,
+        "recovery timeout must be positive"
+    );
+    assert!(
+        config.policy.heartbeat_interval > 0.0,
+        "heartbeat interval must be positive"
     );
     assert_eq!(
         plan.workers(),
-        workers,
+        config.workers,
         "fault plan sized for a different worker pool"
     );
+    assert!(
+        u32::try_from(config.workers).is_ok(),
+        "worker indices must fit the event payload"
+    );
 
-    let mut transport = FaultyTransport {
+    let mut transport = AsyncDesTransport {
         hooks,
         plan,
-        timeout: policy.timeout,
+        timeout: config.policy.timeout,
         rec,
         queue: EventQueue::new(),
         master_free_at: 0.0,
         master_busy: 0.0,
+        consumed: 0,
         wait_sum: 0.0,
         wait_max: 0.0,
+        max_queue: 0,
+        pending_algo: None,
     };
-    let mut engine = MasterEngine::new(EngineConfig::fault_tolerant_async(workers, n, policy));
+    let mut engine = MasterEngine::new(config);
     if record_commands {
         engine.record_commands();
     }
@@ -767,39 +625,39 @@ fn run_async_faulty_inner<H: FaultTolerantHooks, R: Recorder + ?Sized>(
 
     while let Some((at, ev)) = transport.queue.pop() {
         let event = match ev {
-            FaultEvent::Arrival { worker, eval_id } => Event::ResultArrived {
-                worker,
+            DesEvent::Arrival { worker, eval_id } => Event::ResultArrived {
+                worker: worker as usize,
                 eval_id,
                 at,
             },
-            FaultEvent::Death { worker, respawn } => {
+            DesEvent::Death { worker, respawn } => {
                 if respawn {
                     let downtime = transport.plan.respawn_after().unwrap_or(0.0);
                     transport
                         .queue
-                        .schedule_at(at + downtime, FaultEvent::Respawn { worker });
+                        .schedule_at(at + downtime, DesEvent::Respawn { worker });
                 }
                 Event::WorkerDied {
-                    worker,
+                    worker: worker as usize,
                     at,
                     will_respawn: respawn,
                     lost_eval: None,
                 }
             }
-            FaultEvent::Timeout {
+            DesEvent::Timeout { worker, eval_id } => Event::DeadlineFired {
                 eval_id,
-                worker,
-                deadline_bits,
-            } => Event::DeadlineFired {
-                eval_id,
-                worker,
-                deadline_bits,
+                worker: worker as usize,
+                deadline_bits: at.to_bits(),
                 at,
             },
-            FaultEvent::Heartbeat => Event::HeartbeatTick { at },
-            FaultEvent::Respawn { worker } => Event::WorkerRespawned { worker, at },
+            DesEvent::Heartbeat => Event::HeartbeatTick { at },
+            DesEvent::Respawn { worker } => Event::WorkerRespawned {
+                worker: worker as usize,
+                at,
+            },
         };
         engine.handle(event, &mut transport, rec);
+        transport.flush_algorithm_span();
         if engine.finished() {
             break;
         }
@@ -816,13 +674,14 @@ fn run_async_faulty_inner<H: FaultTolerantHooks, R: Recorder + ?Sized>(
     let master_busy = transport.master_busy;
     let wait_sum = transport.wait_sum;
     let wait_max = transport.wait_max;
+    let max_queue = transport.max_queue;
     let commands = engine.take_commands();
     let mut log = engine.into_log();
     log.finalize(end);
     let elapsed = if end > 0.0 { end } else { f64::MIN_POSITIVE };
     rec.gauge("master.busy_seconds", master_busy);
     rec.gauge("master.utilization", master_busy / elapsed);
-    let outcome = FaultyRunOutcome {
+    AsyncRun {
         outcome: RunOutcome {
             elapsed: end,
             completed,
@@ -830,12 +689,12 @@ fn run_async_faulty_inner<H: FaultTolerantHooks, R: Recorder + ?Sized>(
             master_utilization: master_busy / elapsed,
             mean_wait: wait_sum / completed.max(1) as f64,
             max_wait: wait_max,
-            max_queue: 0, // not tracked under fault injection
+            max_queue,
             wasted_nfe: log.wasted_nfe,
         },
         fault_log: log,
-    };
-    (outcome, commands)
+        commands,
+    }
 }
 
 #[cfg(test)]
@@ -850,15 +709,14 @@ mod tests {
     }
 
     impl MasterSlaveHooks for ConstHooks {
-        fn produce(&mut self, _w: usize, _now: f64) -> f64 {
-            // Per-interaction T_A is charged on consume; production of the
-            // *initial* work items still costs T_A each.
+        fn produce(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
+            // Per-interaction T_A is charged on consume.
             0.0
         }
-        fn evaluation_time(&mut self, _w: usize) -> f64 {
+        fn evaluation_time(&mut self, _w: usize, _id: u64) -> f64 {
             self.t.t_f
         }
-        fn consume(&mut self, _w: usize, _now: f64) -> f64 {
+        fn consume(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
             self.t.t_a
         }
         fn comm_time(&mut self) -> f64 {
@@ -976,13 +834,13 @@ mod tests {
             rng: rand::rngs::StdRng,
         }
         impl MasterSlaveHooks for NoisyHooks {
-            fn produce(&mut self, _w: usize, _now: f64) -> f64 {
+            fn produce(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
                 0.0
             }
-            fn evaluation_time(&mut self, _w: usize) -> f64 {
+            fn evaluation_time(&mut self, _w: usize, _id: u64) -> f64 {
                 self.tf.sample(&mut self.rng)
             }
-            fn consume(&mut self, _w: usize, _now: f64) -> f64 {
+            fn consume(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
                 self.t.t_a
             }
             fn comm_time(&mut self) -> f64 {
@@ -1043,60 +901,201 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    // --- fault-tolerant engine ---
+    // --- pinned bits of the fault-free run, recorded on the two-loop tree ---
 
-    use borg_desim::fault::{FaultConfig, FaultPlan, ForcedCrash};
+    use crate::perfsim::{simulate_async_traced, PerfSimConfig, TimingModel};
 
-    /// Constant-time hooks for the fault-tolerant engine.
-    struct ConstFtHooks {
-        t: TimingParams,
+    /// `[elapsed, master_busy, master_utilization, mean_wait, max_wait]`
+    /// bits plus `(completed, max_queue, wasted_nfe)`.
+    fn outcome_bits(o: &RunOutcome) -> ([u64; 5], (u64, usize, u64)) {
+        (
+            [
+                o.elapsed.to_bits(),
+                o.master_busy.to_bits(),
+                o.master_utilization.to_bits(),
+                o.mean_wait.to_bits(),
+                o.max_wait.to_bits(),
+            ],
+            (o.completed, o.max_queue, o.wasted_nfe),
+        )
     }
 
-    impl FaultTolerantHooks for ConstFtHooks {
-        fn produce(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
-            0.0
-        }
-        fn evaluation_time(&mut self, _w: usize, _id: u64) -> f64 {
-            self.t.t_f
-        }
-        fn consume(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
-            self.t.t_a
-        }
-        fn comm_time(&mut self) -> f64 {
-            self.t.t_c
+    fn sampling_config(workers: u32, n: u64) -> PerfSimConfig {
+        PerfSimConfig {
+            processors: workers + 1,
+            evaluations: n,
+            timing: TimingModel::controlled_delay(0.001, 0.1, 0.000_006, 0.000_03),
+            seed: 42,
         }
     }
+
+    #[test]
+    fn const_hooks_run_outcome_bits_are_pinned() {
+        let t = TimingParams::new(0.001, 0.000_006, 0.000_03);
+        let pins = [
+            (
+                (1, 50),
+                [
+                    0x3faa_acd9_e83e_425b,
+                    0x3f61_3404_ea4a_8c12,
+                    0x3fa4_a321_e76e_8e7b,
+                    0,
+                    0,
+                ],
+                1,
+            ),
+            (
+                (15, 2_000),
+                [
+                    0x3fc1_e4d5_d80e_4999,
+                    0x3fb5_8687_6e1d_eaf9,
+                    0x3fe3_3f4b_8354_4609,
+                    0x3ebf_b57c_f9fb_bb19,
+                    0x3f40_83db_c233_15ce,
+                ],
+                1,
+            ),
+            (
+                (255, 20_000),
+                [
+                    0x3fea_edc3_bd59_6e06,
+                    0x3fea_edc3_bd59_8d18,
+                    0x3ff0_0000_0000_1276,
+                    0x3f83_ae41_0a50_0f47,
+                    0x3f83_ccd0_fe8a_bd20,
+                ],
+                231,
+            ),
+        ];
+        for ((w, n), floats, max_queue) in pins {
+            let out = run_async(&mut ConstHooks { t }, w, n, &NoopRecorder);
+            assert_eq!(outcome_bits(&out), (floats, (n, max_queue, 0)), "W={w}");
+        }
+    }
+
+    #[test]
+    fn sampling_hooks_run_outcome_bits_are_pinned() {
+        let pins = [
+            (
+                (1, 50),
+                [
+                    0x3faa_8144_ccfa_cd15,
+                    0x3f61_72ef_0ae5_364d,
+                    0x3fa5_1106_4cc5_c701,
+                    0,
+                    0,
+                ],
+                1,
+            ),
+            (
+                (15, 2_000),
+                [
+                    0x3fc2_3414_f385_8800,
+                    0x3fb5_a405_2d66_6ac5,
+                    0x3fe3_056d_0284_4a0f,
+                    0x3ef6_1f27_e7e6_c79a,
+                    0x3f24_ff89_0770_d400,
+                ],
+                3,
+            ),
+            (
+                (255, 20_000),
+                [
+                    0x3feb_2c6e_f3d3_7cca,
+                    0x3feb_2c6e_f3d3_9c92,
+                    0x3ff0_0000_0000_12b7,
+                    0x3f83_c747_cbc4_72ad,
+                    0x3f84_2e40_364f_bd42,
+                ],
+                234,
+            ),
+        ];
+        for ((w, n), floats, max_queue) in pins {
+            let out = simulate_async_traced(&sampling_config(w, n), &NoopRecorder).outcome;
+            assert_eq!(outcome_bits(&out), (floats, (n, max_queue, 0)), "W={w}");
+        }
+    }
+
+    #[test]
+    fn recorded_span_stream_is_pinned() {
+        // The W = 15 sampling cell with a recorder attached: the outcome
+        // does not move, and the span stream keeps its shape (one
+        // `Algorithm` span per master hold).
+        let rec = InMemoryRecorder::new();
+        let out = simulate_async_traced(&sampling_config(15, 2_000), &rec).outcome;
+        assert_eq!(out.elapsed.to_bits(), 0x3fc2_3414_f385_8800);
+        assert_eq!(rec.span_trace().spans().len(), 9_139);
+        let snap = rec.snapshot();
+        let hist = |name: &str| {
+            let h = &snap.histograms[name];
+            (h.count(), h.sum().to_bits())
+        };
+        assert_eq!(hist("t_a_seconds"), (2_015, 0x3fae_f34d_6a16_202a));
+        assert_eq!(hist("t_c_seconds"), (4_014, 0x3f98_a979_e16d_7bcc));
+        assert_eq!(hist("idle_seconds"), (1_096, 0x3fa5_9a6c_f877_5eec));
+    }
+
+    // --- fault injection and recovery ---
+
+    use borg_desim::fault::ForcedCrash;
 
     fn ft_policy(t: TimingParams) -> RecoveryPolicy {
         RecoveryPolicy::from_expected_eval_time(t.t_f, 4.0)
     }
 
+    /// The fault-tolerant protocol on `plan` with constant timings.
+    fn run_faulty(t: TimingParams, workers: usize, n: u64, plan: &FaultPlan) -> AsyncRun {
+        let config = EngineConfig::fault_tolerant_async(workers, n, ft_policy(t));
+        run_async_with(&mut ConstHooks { t }, config, plan, false, &NoopRecorder)
+    }
+
     #[test]
-    fn faulty_engine_with_quiet_plan_matches_run_async() {
+    fn disabled_policy_watches_no_deadline() {
+        // An infinite timeout is legal: no deadline event is scheduled
+        // (one at t = ∞ would be rejected by the event queue).
         let t = TimingParams::new(0.01, 0.000_006, 0.000_03);
         let n = 5_000;
-        let plan = FaultPlan::new(FaultConfig::default(), 16, n, 77);
+        let quiet = FaultPlan::new(FaultConfig::default(), 16, n, 77);
+        let run = |config| {
+            let run = run_async_with(&mut ConstHooks { t }, config, &quiet, false, &NoopRecorder);
+            assert_eq!(run.fault_log, FaultLog::default());
+            assert_eq!(run.outcome.completed, n);
+            run.outcome
+        };
+        // Quiet plan + disabled policy + eager dispatch *is* `run_async`.
+        let disabled = RecoveryPolicy::disabled();
         let base = run_async(&mut ConstHooks { t }, 16, n, &NoopRecorder);
-        let faulty = run_async_faulty(
-            &mut ConstFtHooks { t },
-            16,
-            n,
-            &plan,
-            ft_policy(t),
-            &NoopRecorder,
-        );
-        assert_eq!(faulty.outcome.completed, n);
-        assert_eq!(faulty.fault_log.injected(), 0);
-        assert_eq!(faulty.fault_log.reissues, 0);
-        assert_eq!(faulty.outcome.wasted_nfe, 0);
-        // Identical event structure up to floating noise: the same serial
-        // seeding and consume-then-produce master holds.
-        let err = (faulty.outcome.elapsed - base.elapsed).abs() / base.elapsed;
+        assert_eq!(base, run(EngineConfig::fault_free_async(16, n)));
+        // On the budgeted protocol the deadlines a quiet run never misses
+        // cost nothing: watching them or not gives the same bits.
+        let unwatched = run(EngineConfig::fault_tolerant_async(16, n, disabled));
+        let watched = run(EngineConfig::fault_tolerant_async(16, n, ft_policy(t)));
+        assert_eq!(unwatched, watched);
+        // Budgeted dispatch only skips the tail productions eager dispatch
+        // leaves in flight; the N-th result lands at the same instant.
+        assert_eq!(unwatched.elapsed.to_bits(), base.elapsed.to_bits());
+    }
+
+    #[test]
+    fn saturated_faulty_run_tracks_the_master_queue() {
+        // Tiny T_F, many workers, faults on: results pile up at the master
+        // and the queue statistic sees them (pending arrivals only —
+        // deadline and heartbeat events never count).
+        let t = TimingParams::new(0.000_1, 0.000_006, 0.000_03);
+        let n = 4_000;
+        let cfg = FaultConfig {
+            drop_rate: 0.02,
+            duplicate_rate: 0.02,
+            ..FaultConfig::default()
+        };
+        let plan = FaultPlan::new(cfg, 64, n, 9);
+        let out = run_faulty(t, 64, n, &plan);
+        assert_eq!(out.outcome.completed, n);
+        assert!(out.fault_log.injected() > 0);
         assert!(
-            err < 0.01,
-            "quiet faulty {} vs base {}",
-            faulty.outcome.elapsed,
-            base.elapsed
+            out.outcome.max_queue > 1 && out.outcome.max_queue <= 2 * 64,
+            "max_queue = {}",
+            out.outcome.max_queue
         );
     }
 
@@ -1113,14 +1112,7 @@ mod tests {
         };
         let plan = FaultPlan::new(cfg, 16, n, 1234);
         assert!(plan.doomed_workers() > 0, "seed should doom someone");
-        let out = run_async_faulty(
-            &mut ConstFtHooks { t },
-            16,
-            n,
-            &plan,
-            ft_policy(t),
-            &NoopRecorder,
-        );
+        let out = run_faulty(t, 16, n, &plan);
         assert_eq!(out.outcome.completed, n);
         assert!(out.fault_log.injected() > 0);
         assert!(out.fault_log.all_recovered());
@@ -1142,14 +1134,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let plan = FaultPlan::new(cfg, 4, n, 5);
-        let out = run_async_faulty(
-            &mut ConstFtHooks { t },
-            4,
-            n,
-            &plan,
-            ft_policy(t),
-            &NoopRecorder,
-        );
+        let out = run_faulty(t, 4, n, &plan);
         // No deadlock, no panic: the run ends early with what it had.
         assert!(out.outcome.completed < n);
         assert_eq!(out.fault_log.injected_of(FaultKind::Crash), 4);
@@ -1171,14 +1156,7 @@ mod tests {
             ..FaultConfig::default()
         };
         let plan = FaultPlan::new(cfg, 4, n, 5);
-        let out = run_async_faulty(
-            &mut ConstFtHooks { t },
-            4,
-            n,
-            &plan,
-            ft_policy(t),
-            &NoopRecorder,
-        );
+        let out = run_faulty(t, 4, n, &plan);
         assert_eq!(out.outcome.completed, n);
         assert_eq!(out.fault_log.respawns, 4);
         assert!(out.fault_log.all_recovered());
@@ -1199,14 +1177,7 @@ mod tests {
         };
         let run = || {
             let plan = FaultPlan::new(cfg.clone(), 12, n, 99);
-            run_async_faulty(
-                &mut ConstFtHooks { t },
-                12,
-                n,
-                &plan,
-                ft_policy(t),
-                &NoopRecorder,
-            )
+            run_faulty(t, 12, n, &plan)
         };
         let a = run();
         let b = run();
@@ -1225,14 +1196,7 @@ mod tests {
         };
         let plan = FaultPlan::new(cfg, 6, 100_000, 21);
         assert_eq!(plan.doomed_workers(), 6);
-        let out = run_async_faulty(
-            &mut ConstFtHooks { t },
-            6,
-            n,
-            &plan,
-            ft_policy(t),
-            &NoopRecorder,
-        );
+        let out = run_faulty(t, 6, n, &plan);
         // Hang points are drawn over ~100k/6 dispatches; with n = 800 most
         // workers hang late enough that the budget completes first — the
         // point is that hung workers never respawn and never deadlock us.
@@ -1252,14 +1216,9 @@ mod tests {
             ..FaultConfig::default()
         };
         let plan = FaultPlan::new(cfg, 8, n, 4242);
-        let (out, commands) = run_async_faulty_traced(
-            &mut ConstFtHooks { t },
-            8,
-            n,
-            &plan,
-            ft_policy(t),
-            &NoopRecorder,
-        );
+        let config = EngineConfig::fault_tolerant_async(8, n, ft_policy(t));
+        let out = run_async_with(&mut ConstHooks { t }, config, &plan, true, &NoopRecorder);
+        let commands = &out.commands;
         assert!(!commands.is_empty());
         // The command trace and the ledger agree on every counter.
         let reissues = commands
@@ -1283,14 +1242,9 @@ mod tests {
         assert_eq!(dups, out.fault_log.duplicates_suppressed);
         assert_eq!(retired, out.fault_log.deaths_detected);
         // And an untraced run is bit-identical.
-        let untraced = run_async_faulty(
-            &mut ConstFtHooks { t },
-            8,
-            n,
-            &plan,
-            ft_policy(t),
-            &NoopRecorder,
-        );
-        assert_eq!(untraced, out);
+        let untraced = run_faulty(t, 8, n, &plan);
+        assert!(untraced.commands.is_empty());
+        assert_eq!(untraced.outcome, out.outcome);
+        assert_eq!(untraced.fault_log, out.fault_log);
     }
 }

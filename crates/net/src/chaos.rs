@@ -6,15 +6,15 @@
 //! worker ⇄ chaos proxy ⇄ pinned master (DES fault engine + wire hooks)
 //! ```
 //!
-//! The master runs `borg_models::queueing::run_async_faulty` — the same
-//! DES fault oracle the determinism gate replays — with hooks that
-//! mirror the virtual executor's `FtBorgHooks` RNG conventions *exactly*
-//! (same seed derivations, same `SplitMix64` call order, same sampled
-//! `T_A` charging), except that `produce`/`reissue` physically send the
-//! candidate over the wire and `consume` physically blocks until the
-//! worker's result frame arrives, feeding the remote objective bits into
-//! the engine. All fate decisions and ledger writes stay in the shared
-//! `FaultyTransport`, so the fault ledger, recovery actions, and final
+//! The master runs `borg_models::queueing::run_async_with` — the same DES
+//! the determinism gate replays as the fault oracle — with the virtual
+//! executor's own `BorgHooks` (same seed derivations, same `SplitMix64`
+//! call order, same sampled `T_A` charging, because it is the same code),
+//! except that its [`ObjectiveSource`] physically sends the candidate
+//! over the wire on produce/reissue and physically blocks on consume
+//! until the worker's result frame arrives, feeding the remote objective
+//! bits into the engine. All fate decisions and ledger writes stay in the
+//! shared DES transport, so the fault ledger, recovery actions, and final
 //! archive are bit-identical to the DES oracle by construction — while
 //! the wire stays load-bearing: every consumed objective travelled
 //! through two real sockets and an interposing proxy.
@@ -36,17 +36,16 @@ use crate::transport::{
     connect_with_backoff, Backoff, Conn, NetAddr, NetError, NetListener, NetStream,
 };
 use crate::worker::{run_worker, WorkerOptions};
-use borg_core::algorithm::{BorgConfig, BorgEngine, Candidate};
+use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
-use borg_core::rng::SplitMix64;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
-use borg_models::dist::Dist;
-use borg_models::queueing::{run_async_faulty, FaultTolerantHooks, RunOutcome};
+use borg_models::queueing::{run_async_with, RunOutcome};
 use borg_obs::{Recorder, TraceEdge, TraceEdgeKind};
-use borg_parallel::virtual_exec::{default_recovery_policy, fault_plan_for, TaMode, VirtualConfig};
+use borg_parallel::virtual_exec::{
+    BorgHooks, FaultyRun, ObjectiveSource, TaMode, VirtualConfig, VirtualRunResult,
+};
 use crossbeam::channel;
 use parking_lot::Mutex;
-use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -122,7 +121,7 @@ pub struct ChaosRunResult {
 }
 
 // ---------------------------------------------------------------------------
-// Pinned-mode hooks: FtBorgHooks with the evaluation moved onto the wire
+// Pinned mode: the virtual executor's hooks with the evaluation on the wire
 // ---------------------------------------------------------------------------
 
 /// A decoded result frame waiting for its `consume`.
@@ -139,17 +138,13 @@ enum MasterNote {
     Dead,
 }
 
-/// `FaultTolerantHooks` whose RNG stream is call-for-call identical to
-/// the virtual executor's `FtBorgHooks` (seed derivations
-/// `virtual-engine`/`virtual-delays`, sampled-`T_A` charging on the
-/// first `workers` productions and on every consume, `T_F` draw per
-/// `evaluation_time`, `T_C` draw per `comm_time`, reissues free) — but
-/// `produce`/`reissue` send the candidate over a real socket and
-/// `consume` blocks until the result frame returns.
-struct NetFtHooks<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
-    engine: BorgEngine,
+/// The [`ObjectiveSource`] of the pinned master: `send` ships the
+/// candidate over a real socket, `receive` blocks until the result frame
+/// returns. It draws nothing from the run's RNG streams — timing and
+/// `T_A` charging stay in the shared `BorgHooks`.
+struct WireSource<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
+    /// Local fallback once an error is latched, so the run terminates.
     problem: &'p P,
-    pending: BTreeMap<u64, Candidate>,
     /// Mirror of the engine's per-eval attempt counter (carried in
     /// `Work.attempt` so the proxy can key `message_fate`).
     attempts: BTreeMap<u64, u32>,
@@ -159,16 +154,6 @@ struct NetFtHooks<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
     writers: Vec<NetStream>,
     rx: channel::Receiver<MasterNote>,
     buffered: BTreeMap<u64, Vec<WireOutcome>>,
-    t_f: Dist,
-    t_c: Dist,
-    t_a: Dist,
-    rng: StdRng,
-    ta_samples: Vec<f64>,
-    tf_samples: Vec<f64>,
-    objs_buf: Vec<f64>,
-    cons_buf: Vec<f64>,
-    initial_productions: usize,
-    workers: usize,
     result_wait: Duration,
     error: Option<NetError>,
     wire_results: u64,
@@ -176,102 +161,7 @@ struct NetFtHooks<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
     rec: &'w R,
 }
 
-impl<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> NetFtHooks<'p, 'w, P, R> {
-    fn new(
-        problem: &'p P,
-        config: &VirtualConfig,
-        borg: BorgConfig,
-        writers: Vec<NetStream>,
-        rx: channel::Receiver<MasterNote>,
-        result_wait: Duration,
-        rec: &'w R,
-    ) -> Self {
-        let TaMode::Sampled(t_a) = config.t_a else {
-            panic!("chaos loopback requires pinned timing (TaMode::Sampled)");
-        };
-        let mut split = SplitMix64::new(config.seed);
-        let engine_seed = split.derive_seed("virtual-engine");
-        let rng = split.derive("virtual-delays");
-        let workers = (config.processors - 1) as usize;
-        NetFtHooks {
-            engine: BorgEngine::new(problem, borg, engine_seed),
-            problem,
-            pending: BTreeMap::new(),
-            attempts: BTreeMap::new(),
-            dispatch_seq: vec![0; workers],
-            writers,
-            rx,
-            buffered: BTreeMap::new(),
-            t_f: config.t_f,
-            t_c: config.t_c,
-            t_a,
-            rng,
-            ta_samples: Vec::new(),
-            tf_samples: Vec::new(),
-            objs_buf: vec![0.0; problem.num_objectives()],
-            cons_buf: vec![0.0; problem.num_constraints()],
-            initial_productions: 0,
-            workers,
-            result_wait,
-            error: None,
-            wire_results: 0,
-            wire_duplicates: 0,
-            rec,
-        }
-    }
-
-    fn charge_ta(&mut self) -> f64 {
-        let t = self.t_a.sample(&mut self.rng);
-        self.ta_samples.push(t);
-        t
-    }
-
-    /// `now` is the DES virtual clock: trace stamps and flight events on
-    /// the pinned master stay deterministic for a fixed seed.
-    fn send_work(
-        &mut self,
-        worker: usize,
-        eval_id: u64,
-        attempt: u32,
-        variables: Vec<f64>,
-        now: f64,
-    ) {
-        let seq = self.dispatch_seq[worker];
-        self.dispatch_seq[worker] += 1;
-        let frame = codec::encode(&Msg::Work {
-            eval_id,
-            attempt,
-            seq,
-            variables,
-            ctx: Some(TraceCtx {
-                trace_id: eval_id,
-                parent_span: codec::span_id(eval_id, attempt, 0),
-                sent_at: now,
-            }),
-        });
-        if self.writers[worker].write_all(&frame).is_ok() {
-            self.rec.counter(metrics::DISPATCHES, 1);
-            self.rec.counter(metrics::FRAMES_SENT, 1);
-            self.rec.counter(metrics::BYTES_SENT, frame.len() as u64);
-            self.rec.counter(metrics::TRACE_CTX_SENT, 1);
-            self.rec.trace_edge(TraceEdge {
-                kind: TraceEdgeKind::DispatchSent,
-                trace_id: eval_id,
-                eval_id,
-                attempt,
-                worker: worker as u64,
-                local_t: now,
-                remote_t: 0.0,
-            });
-            self.rec
-                .flight("net.work_sent", now, eval_id, worker as u64, attempt.into());
-        } else if self.error.is_none() {
-            self.error = Some(NetError::Disconnected {
-                context: "chaos dispatch write",
-            });
-        }
-    }
-
+impl<P: Problem + ?Sized, R: Recorder + ?Sized> WireSource<'_, '_, P, R> {
     /// Blocks until the result frame for `eval_id` arrives (buffering
     /// out-of-order arrivals for their own consumes). Once an error is
     /// latched the wait is skipped entirely: the caller falls back to
@@ -328,66 +218,70 @@ impl<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> NetFtHooks<'p, 'w, P, R>
     }
 }
 
-impl<P: Problem + ?Sized, R: Recorder + ?Sized> FaultTolerantHooks for NetFtHooks<'_, '_, P, R> {
-    fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
-        let candidate = self.engine.produce();
-        self.attempts.insert(eval_id, 0);
-        self.send_work(worker, eval_id, 0, candidate.variables.clone(), now);
-        self.pending.insert(eval_id, candidate);
-        // Sampled-T_A charging convention shared with FtBorgHooks: the
-        // initial per-worker seeding productions each draw a sample,
-        // every later produce is free (consume draws instead).
-        if self.initial_productions < self.workers {
-            self.initial_productions += 1;
-            self.charge_ta()
-        } else {
-            0.0
-        }
-    }
-
-    fn reissue(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
-        let attempt = self
+impl<P: Problem + ?Sized, R: Recorder + ?Sized> ObjectiveSource for WireSource<'_, '_, P, R> {
+    /// `now` is the DES virtual clock: trace stamps and flight events on
+    /// the pinned master stay deterministic for a fixed seed.
+    fn send(&mut self, worker: usize, eval_id: u64, variables: &[f64], now: f64) {
+        // First send of an id is attempt 0, every resend one more.
+        let attempt = *self
             .attempts
             .entry(eval_id)
             .and_modify(|a| *a += 1)
-            .or_insert(1);
-        let attempt = *attempt;
-        match self.pending.get(&eval_id) {
-            Some(candidate) => {
-                let variables = candidate.variables.clone();
-                self.send_work(worker, eval_id, attempt, variables, now);
-            }
-            None => {
-                if self.error.is_none() {
-                    self.error = Some(NetError::Protocol(format!(
-                        "reissue of eval {eval_id} with no pending candidate"
-                    )));
-                }
-            }
+            .or_insert(0);
+        let seq = self.dispatch_seq[worker];
+        self.dispatch_seq[worker] += 1;
+        let frame = codec::encode(&Msg::Work {
+            eval_id,
+            attempt,
+            seq,
+            variables: variables.to_vec(),
+            ctx: Some(TraceCtx {
+                trace_id: eval_id,
+                parent_span: codec::span_id(eval_id, attempt, 0),
+                sent_at: now,
+            }),
+        });
+        if self.writers[worker].write_all(&frame).is_ok() {
+            self.rec.counter(metrics::DISPATCHES, 1);
+            self.rec.counter(metrics::FRAMES_SENT, 1);
+            self.rec.counter(metrics::BYTES_SENT, frame.len() as u64);
+            self.rec.counter(metrics::TRACE_CTX_SENT, 1);
+            self.rec.trace_edge(TraceEdge {
+                kind: TraceEdgeKind::DispatchSent,
+                trace_id: eval_id,
+                eval_id,
+                attempt,
+                worker: worker as u64,
+                local_t: now,
+                remote_t: 0.0,
+            });
+            self.rec
+                .flight("net.work_sent", now, eval_id, worker as u64, attempt.into());
+        } else if self.error.is_none() {
+            self.error = Some(NetError::Disconnected {
+                context: "chaos dispatch write",
+            });
         }
-        // Reissues are free, like the FaultTolerantHooks default: the
-        // candidate already exists, only comm_time is charged (by the
-        // transport). No RNG draw.
-        0.0
     }
 
-    fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
-        let t = self.t_f.sample(&mut self.rng);
-        self.tf_samples.push(t);
-        t
-    }
-
-    fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
-        let Some(candidate) = self.pending.remove(&eval_id) else {
-            if self.error.is_none() {
-                self.error = Some(NetError::Protocol(format!(
-                    "consume of eval {eval_id} with no pending candidate"
-                )));
-            }
-            return self.charge_ta();
-        };
-        let (objectives, constraints) = match self.await_outcome(eval_id) {
-            Ok(outcome) => {
+    fn receive(
+        &mut self,
+        worker: usize,
+        eval_id: u64,
+        variables: &[f64],
+        now: f64,
+        objectives: &mut [f64],
+        constraints: &mut [f64],
+    ) {
+        self.attempts.remove(&eval_id);
+        // The frame came from outside the process: its lengths are checked
+        // before a single value is used.
+        let fits = |got: &[f64], want: &[f64]| got.len() == want.len();
+        let err = match self.await_outcome(eval_id) {
+            Ok(outcome)
+                if fits(&outcome.objectives, objectives)
+                    && fits(&outcome.constraints, constraints) =>
+            {
                 self.wire_results += 1;
                 // Only consumed wire results close a trace chain (the
                 // local-fallback path below is a degraded run, not a
@@ -403,28 +297,17 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> FaultTolerantHooks for NetFtHook
                 });
                 self.rec
                     .flight("net.result_received", now, eval_id, worker as u64, 0.0);
-                (outcome.objectives, outcome.constraints)
+                objectives.copy_from_slice(&outcome.objectives);
+                constraints.copy_from_slice(&outcome.constraints);
+                return;
             }
-            Err(err) => {
-                // Keep the run alive on a local evaluation; the latched
-                // error marks the result non-oracle-comparable.
-                if self.error.is_none() {
-                    self.error = Some(err);
-                }
-                self.problem
-                    .evaluate(&candidate.variables, &mut self.objs_buf, &mut self.cons_buf);
-                (self.objs_buf.clone(), self.cons_buf.clone())
-            }
+            Ok(_) => NetError::Protocol(format!("result of eval {eval_id} has the wrong shape")),
+            Err(err) => err,
         };
-        let solution = self
-            .engine
-            .make_solution(candidate, objectives, constraints);
-        self.engine.consume(solution);
-        self.charge_ta()
-    }
-
-    fn comm_time(&mut self) -> f64 {
-        self.t_c.sample(&mut self.rng)
+        // Keep the run alive on a local evaluation; the latched error
+        // marks the result non-oracle-comparable.
+        self.error.get_or_insert(err);
+        self.problem.evaluate(variables, objectives, constraints);
     }
 }
 
@@ -805,9 +688,13 @@ where
         config.processors >= 2,
         "need a master and at least one worker"
     );
+    assert!(
+        matches!(config.t_a, TaMode::Sampled(_)),
+        "chaos loopback requires pinned timing (TaMode::Sampled)"
+    );
     let workers = (config.processors - 1) as usize;
-    let plan = fault_plan_for(config, faults);
-    let policy = default_recovery_policy(config);
+    let run = FaultyRun::new(config, faults);
+    let plan = run.plan();
 
     let master_listener = NetListener::bind(&chaos.master_listen)?;
     let master_addr = master_listener.local_addr()?;
@@ -838,7 +725,7 @@ where
     };
     let reader_stop = AtomicBool::new(false);
 
-    let run = std::thread::scope(|scope| -> Result<RunBundle, NetError> {
+    let bundle = std::thread::scope(|scope| -> Result<RunBundle, NetError> {
         scope.spawn(|| proxy_accept_loop(scope, &shared, &public_listener, &master_addr));
 
         let mut worker_handles = Vec::new();
@@ -867,8 +754,22 @@ where
         }
         drop(tx);
 
-        let mut hooks = NetFtHooks::new(problem, config, borg, writers, rx, chaos.result_wait, rec);
-        let faulty = run_async_faulty(&mut hooks, workers, config.max_nfe, &plan, policy, rec);
+        let source = WireSource {
+            problem,
+            attempts: BTreeMap::new(),
+            dispatch_seq: vec![0; workers],
+            writers,
+            rx,
+            buffered: BTreeMap::new(),
+            result_wait: chaos.result_wait,
+            error: None,
+            wire_results: 0,
+            wire_duplicates: 0,
+            rec,
+        };
+        let mut hooks = BorgHooks::new(problem, source, config, borg, workers, |_, _| {});
+        let outcome = run_async_with(&mut hooks, run.engine_config(), &plan, false, rec);
+        let (result, mut wire) = hooks.finish(outcome);
 
         // Teardown: tell workers the run is over, then sever everything
         // so every blocked thread unblocks and the scope join is prompt.
@@ -878,18 +779,18 @@ where
         }
         shared.stop.store(true, Ordering::SeqCst);
         reader_stop.store(true, Ordering::SeqCst);
-        for writer in &hooks.writers {
+        for writer in &wire.writers {
             writer.shutdown();
         }
 
         // Drain late frames (second copies of duplicated results).
-        while let Ok(note) = hooks.rx.try_recv() {
+        while let Ok(note) = wire.rx.try_recv() {
             if let MasterNote::Outcome(_) = note {
-                hooks.wire_duplicates += 1;
+                wire.wire_duplicates += 1;
             }
         }
-        for list in hooks.buffered.values() {
-            hooks.wire_duplicates += list.len() as u64;
+        for list in wire.buffered.values() {
+            wire.wire_duplicates += list.len() as u64;
         }
 
         let mut worker_reconnects = 0u64;
@@ -901,18 +802,14 @@ where
         }
 
         Ok(RunBundle {
-            faulty_outcome: faulty.outcome,
-            fault_log: faulty.fault_log,
-            engine: hooks.engine,
-            ta_samples: hooks.ta_samples,
-            tf_samples: hooks.tf_samples,
-            wire_results: hooks.wire_results,
-            wire_duplicates: hooks.wire_duplicates,
+            result,
+            wire_results: wire.wire_results,
+            wire_duplicates: wire.wire_duplicates,
             worker_reconnects,
-            degraded: hooks.error.map(|e| e.to_string()),
+            degraded: wire.error.map(|e| e.to_string()),
         })
     });
-    let bundle = run?;
+    let bundle = bundle?;
 
     // Remove Unix socket files; harmless if already gone.
     for addr in [&chaos.listen, &chaos.master_listen] {
@@ -922,12 +819,12 @@ where
     }
 
     Ok(ChaosRunResult {
-        outcome: bundle.faulty_outcome,
-        engine: bundle.engine,
-        fault_log: bundle.fault_log,
+        outcome: bundle.result.outcome,
+        engine: bundle.result.engine,
+        fault_log: bundle.result.fault_log,
         wire_log: shared.wire_log.into_inner(),
-        ta_samples: bundle.ta_samples,
-        tf_samples: bundle.tf_samples,
+        ta_samples: bundle.result.ta_samples,
+        tf_samples: bundle.result.tf_samples,
         wire_results: bundle.wire_results,
         wire_duplicates: bundle.wire_duplicates,
         worker_reconnects: bundle.worker_reconnects,
@@ -937,11 +834,7 @@ where
 
 /// Intermediate carrier across the scope boundary.
 struct RunBundle {
-    faulty_outcome: RunOutcome,
-    fault_log: FaultLog,
-    engine: BorgEngine,
-    ta_samples: Vec<f64>,
-    tf_samples: Vec<f64>,
+    result: VirtualRunResult,
     wire_results: u64,
     wire_duplicates: u64,
     worker_reconnects: u64,

@@ -11,7 +11,7 @@ use borg_desim::fault::{FaultConfig, FaultKind};
 use borg_models::dist::Dist;
 use borg_net::chaos::{run_chaos_loopback, ChaosConfig};
 use borg_obs::NoopRecorder;
-use borg_parallel::virtual_exec::{run_virtual_async_faulty, TaMode, VirtualConfig};
+use borg_parallel::virtual_exec::{run_virtual_async_with, FaultyRun, TaMode, VirtualConfig};
 use borg_problems::dtlz::Dtlz;
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
@@ -49,8 +49,13 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
     let borg = BorgConfig::new(5, 0.06);
     let rec = NoopRecorder;
 
-    let oracle =
-        run_virtual_async_faulty(&problem, borg.clone(), &config, &faults, &rec, |_, _| {});
+    let oracle = run_virtual_async_with(
+        &problem,
+        borg.clone(),
+        &FaultyRun::new(&config, &faults),
+        &rec,
+        |_, _| {},
+    );
     assert!(
         oracle.fault_log.injected() > 0,
         "fault config must actually inject for the comparison to mean anything"
@@ -146,8 +151,13 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
     let borg = BorgConfig::new(5, 0.06);
     let rec = NoopRecorder;
 
-    let oracle =
-        run_virtual_async_faulty(&problem, borg.clone(), &config, &faults, &rec, |_, _| {});
+    let oracle = run_virtual_async_with(
+        &problem,
+        borg.clone(),
+        &FaultyRun::new(&config, &faults),
+        &rec,
+        |_, _| {},
+    );
     assert_eq!(oracle.fault_log.injected(), 0);
 
     let chaos = ChaosConfig::loopback(&std::env::temp_dir(), "quiet-test", 7);

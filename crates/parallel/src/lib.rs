@@ -57,12 +57,11 @@ pub mod prelude {
     pub use crate::islands::{run_islands, IslandConfig, IslandRunResult};
     pub use crate::sync_nsga2::{run_virtual_sync_nsga2, SyncNsga2Config, SyncNsga2Result};
     pub use crate::threads::{
-        estimate_comm_time, run_threaded, run_threaded_observed, run_threaded_traced,
-        ThreadedConfig, ThreadedError, ThreadedRunResult,
+        estimate_comm_time, run_threaded, run_threaded_observed, ThreadedConfig, ThreadedError,
+        ThreadedRunResult,
     };
     pub use crate::virtual_exec::{
-        default_recovery_policy, fault_plan_for, run_virtual_async, run_virtual_async_faulty,
-        run_virtual_async_faulty_traced, run_virtual_async_faulty_with, run_virtual_serial,
-        run_virtual_sync, TaMode, VirtualConfig, VirtualRunResult,
+        run_virtual_async, run_virtual_async_with, run_virtual_serial, run_virtual_sync, FaultyRun,
+        TaMode, VirtualConfig, VirtualRunResult,
     };
 }

@@ -47,6 +47,11 @@ pub struct ThreadedConfig {
     /// knob the master *never* blocks unboundedly: all waits are
     /// `recv_timeout` ticks.
     pub reissue_timeout: Option<f64>,
+    /// Return the [`MasterEngine`]'s [`Command`] trace in
+    /// [`ThreadedRunResult::commands`] — the wall-clock executor's
+    /// protocol transcript, for event-ordering assertions that do not
+    /// depend on machine load.
+    pub record_commands: bool,
 }
 
 impl ThreadedConfig {
@@ -59,6 +64,7 @@ impl ThreadedConfig {
             seed,
             faults: None,
             reissue_timeout: None,
+            record_commands: false,
         }
     }
 
@@ -98,6 +104,9 @@ pub struct ThreadedRunResult {
     pub tf_samples: Vec<f64>,
     /// Fault-injection/recovery ledger (empty without fault injection).
     pub fault_log: FaultLog,
+    /// The protocol transcript; empty unless
+    /// [`ThreadedConfig::record_commands`] asked for it.
+    pub commands: Vec<Command>,
 }
 
 /// Objective value substituted for evaluations that panicked: finite (so
@@ -374,7 +383,7 @@ pub fn run_threaded<P: Problem + ?Sized>(
     borg: BorgConfig,
     config: &ThreadedConfig,
 ) -> Result<ThreadedRunResult, ThreadedError> {
-    run_threaded_inner(problem, borg, config, &NoopRecorder, false).map(|(result, _)| result)
+    run_threaded_observed(problem, borg, config, &NoopRecorder)
 }
 
 /// [`run_threaded`] emitting telemetry through `rec`: master `Algorithm`
@@ -391,30 +400,6 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     config: &ThreadedConfig,
     rec: &R,
 ) -> Result<ThreadedRunResult, ThreadedError> {
-    run_threaded_inner(problem, borg, config, rec, false).map(|(result, _)| result)
-}
-
-/// [`run_threaded`] with the [`MasterEngine`]'s [`Command`] trace recorded
-/// — the wall-clock executor's protocol transcript, for event-ordering
-/// assertions that do not depend on machine load.
-///
-/// # Errors
-/// As [`run_threaded`].
-pub fn run_threaded_traced<P: Problem + ?Sized>(
-    problem: &P,
-    borg: BorgConfig,
-    config: &ThreadedConfig,
-) -> Result<(ThreadedRunResult, Vec<Command>), ThreadedError> {
-    run_threaded_inner(problem, borg, config, &NoopRecorder, true)
-}
-
-fn run_threaded_inner<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
-    problem: &P,
-    borg: BorgConfig,
-    config: &ThreadedConfig,
-    rec: &R,
-    record: bool,
-) -> Result<(ThreadedRunResult, Vec<Command>), ThreadedError> {
     assert!(config.workers >= 1, "need at least one worker");
     assert!(config.max_nfe >= 1);
 
@@ -454,7 +439,7 @@ fn run_threaded_inner<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
             max_reissues: MAX_REISSUES,
         },
     ));
-    if record {
+    if config.record_commands {
         proto.record_commands();
     }
 
@@ -729,16 +714,14 @@ fn run_threaded_inner<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     }
     fault_log.finalize(elapsed);
 
-    Ok((
-        ThreadedRunResult {
-            elapsed,
-            engine,
-            ta_samples,
-            tf_samples,
-            fault_log,
-        },
+    Ok(ThreadedRunResult {
+        elapsed,
+        engine,
+        ta_samples,
+        tf_samples,
+        fault_log,
         commands,
-    ))
+    })
 }
 
 /// Estimates the one-way message time `T_C` between two threads on this
@@ -802,6 +785,7 @@ mod tests {
             seed: 1,
             faults: None,
             reissue_timeout: None,
+            record_commands: false,
         };
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         assert_eq!(result.engine.nfe(), 2_000);
@@ -821,6 +805,7 @@ mod tests {
             seed: 2,
             faults: None,
             reissue_timeout: None,
+            record_commands: false,
         };
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         // Archive close to the true front f2 = 1 − √f1.
@@ -847,9 +832,10 @@ mod tests {
             seed: 3,
             faults: None,
             reissue_timeout: None,
+            record_commands: true,
         };
-        let (result, commands) =
-            run_threaded_traced(&problem, BorgConfig::new(5, 0.06), &cfg).expect("run");
+        let result = run_threaded(&problem, BorgConfig::new(5, 0.06), &cfg).expect("run");
+        let commands = &result.commands;
         let ideal = nfe as f64 * t_f / workers as f64;
         assert!(
             result.elapsed >= ideal * 0.9,
@@ -931,6 +917,7 @@ mod tests {
             seed: 11,
             faults: None,
             reissue_timeout: None,
+            record_commands: false,
         };
         let result = run_threaded(&Flaky, BorgConfig::new(2, 0.01), &cfg).expect("run");
         std::panic::set_hook(prev_hook);
@@ -1044,6 +1031,7 @@ mod tests {
             seed: 4,
             faults: None,
             reissue_timeout: None,
+            record_commands: false,
         };
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         assert!(result.ta_samples.len() as u64 >= 500);

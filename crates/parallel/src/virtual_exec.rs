@@ -13,17 +13,15 @@
 use borg_core::algorithm::{BorgConfig, BorgEngine, Candidate};
 use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
-use borg_core::solution::Solution;
 use borg_desim::fault::{FaultConfig, FaultLog, FaultPlan};
 use borg_models::dist::Dist;
 use borg_models::queueing::{
-    run_async, run_async_faulty, run_async_faulty_traced, run_sync, FaultTolerantHooks,
-    MasterSlaveHooks, RecoveryPolicy, RunOutcome,
+    run_async_with, run_sync, AsyncRun, MasterSlaveHooks, RecoveryPolicy, RunOutcome,
 };
 use borg_obs::Recorder;
-use borg_protocol::Command;
+use borg_protocol::{Command, EngineConfig};
 use rand::rngs::StdRng;
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use std::time::Instant;
 
 /// How the executor charges master algorithm time `T_A`.
@@ -66,6 +64,15 @@ impl VirtualConfig {
             seed,
         }
     }
+
+    /// The worker pool `P − 1`.
+    fn workers(&self) -> usize {
+        assert!(
+            self.processors >= 2,
+            "need a master and at least one worker"
+        );
+        (self.processors - 1) as usize
+    }
 }
 
 /// Result of a virtual-time parallel run.
@@ -79,34 +86,86 @@ pub struct VirtualRunResult {
     pub ta_samples: Vec<f64>,
     /// Sampled `T_F` values.
     pub tf_samples: Vec<f64>,
-    /// Fault-injection/recovery ledger. Empty (default) for the
-    /// fault-free executors.
+    /// Fault-injection/recovery ledger. Empty (default) without fault
+    /// injection.
     pub fault_log: FaultLog,
+    /// The protocol engine's command transcript in decision order; empty
+    /// unless [`FaultyRun::record_commands`] asked for it.
+    pub commands: Vec<Command>,
 }
 
-/// A produced candidate with its eagerly computed objectives/constraints,
-/// awaiting its virtual evaluation delay.
-type PendingResult = Option<(Candidate, Vec<f64>, Vec<f64>)>;
+/// Where a produced candidate's objectives come from — the one thing that
+/// differs between the virtual executor (evaluates in-process) and the
+/// networked chaos harness in `borg-net` (ships the candidate over a real
+/// socket and waits for the worker's result frame).
+pub trait ObjectiveSource {
+    /// Work item `eval_id` leaves the master for `worker` at virtual time
+    /// `now`: once when it is produced, again on every reissue (same
+    /// `variables`).
+    fn send(&mut self, worker: usize, eval_id: u64, variables: &[f64], now: f64);
 
-/// The hooks wiring a [`BorgEngine`] + [`Problem`] into the queueing engine.
-struct BorgHooks<'p, P: Problem + ?Sized, F> {
+    /// The result of `eval_id`, delivered by `worker`, is being consumed
+    /// at `now`: write its objectives and constraints.
+    fn receive(
+        &mut self,
+        worker: usize,
+        eval_id: u64,
+        variables: &[f64],
+        now: f64,
+        objectives: &mut [f64],
+        constraints: &mut [f64],
+    );
+}
+
+/// In-process evaluation: nothing to send, and the result is computed when
+/// the master consumes it (we are single-threaded; the evaluation's
+/// *virtual* duration is the sampled `T_F`, matching the paper's
+/// controlled delays).
+impl<P: Problem + ?Sized> ObjectiveSource for &P {
+    fn send(&mut self, _worker: usize, _eval_id: u64, _variables: &[f64], _now: f64) {}
+
+    fn receive(
+        &mut self,
+        _worker: usize,
+        _eval_id: u64,
+        variables: &[f64],
+        _now: f64,
+        objectives: &mut [f64],
+        constraints: &mut [f64],
+    ) {
+        self.evaluate(variables, objectives, constraints);
+    }
+}
+
+/// The hooks wiring a [`BorgEngine`] and an [`ObjectiveSource`] into the
+/// queueing engine — the one hook set behind every executor that runs the
+/// real algorithm on the DES clock. Work items are keyed by evaluation id,
+/// so a reissued evaluation re-sends the same candidate and the
+/// first-arriving copy wins.
+pub struct BorgHooks<S, F> {
     engine: BorgEngine,
-    problem: &'p P,
-    pending: Vec<PendingResult>,
+    source: S,
+    /// Candidates awaiting their result, indexed by `eval_id −
+    /// window_base`. Ids are issued consecutively, so a fresh production
+    /// is a `push_back` and consumed entries are trimmed off the front.
+    window: VecDeque<Option<Candidate>>,
+    window_base: u64,
+    objs_buf: Vec<f64>,
+    cons_buf: Vec<f64>,
     t_f: Dist,
     t_c: Dist,
     t_a: TaMode,
     rng: StdRng,
     ta_samples: Vec<f64>,
     tf_samples: Vec<f64>,
-    objs_buf: Vec<f64>,
-    cons_buf: Vec<f64>,
     observer: F,
     /// In `Sampled` mode the per-interaction `T_A` is charged once, on
     /// consume (matching the paper's `hold(T_C + T_A + T_C)` and the
-    /// performance model); only the *initial* productions draw their own
-    /// sample. `Measured` mode charges each call's real cost.
-    seeded: Vec<bool>,
+    /// performance model); only the first `width` productions — the
+    /// initial seeding, evaluation ids `0..width` — draw their own sample.
+    /// `Measured` mode charges each call's real cost (reissues are free:
+    /// the candidate already exists).
+    width: u64,
     /// `Measured` mode: the consume that just pushed a sample expects the
     /// immediately-following produce (same master hold) to merge into it,
     /// so `ta_samples` holds *per-interaction* sums — the quantity the
@@ -114,28 +173,59 @@ struct BorgHooks<'p, P: Problem + ?Sized, F> {
     merge_next_produce: bool,
 }
 
-impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> BorgHooks<'p, P, F> {
-    fn new(problem: &'p P, config: &VirtualConfig, borg: BorgConfig, observer: F) -> Self {
+impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
+    /// Hooks for `problem` under `config`'s timing and seed. `width` is
+    /// the number of initial productions: the worker pool for the
+    /// asynchronous topology, one more (the self-evaluating master) for
+    /// the synchronous one.
+    pub fn new<P: Problem + ?Sized>(
+        problem: &P,
+        source: S,
+        config: &VirtualConfig,
+        borg: BorgConfig,
+        width: usize,
+        observer: F,
+    ) -> Self {
         let mut split = SplitMix64::new(config.seed);
         let engine_seed = split.derive_seed("virtual-engine");
         let rng = split.derive("virtual-delays");
-        let workers = (config.processors - 1) as usize;
         Self {
             engine: BorgEngine::new(problem, borg, engine_seed),
-            problem,
-            pending: (0..workers + 1).map(|_| None).collect(),
+            source,
+            window: VecDeque::new(),
+            window_base: 0,
+            objs_buf: vec![0.0; problem.num_objectives()],
+            cons_buf: vec![0.0; problem.num_constraints()],
             t_f: config.t_f,
             t_c: config.t_c,
             t_a: config.t_a,
             rng,
             ta_samples: Vec::new(),
             tf_samples: Vec::new(),
-            objs_buf: vec![0.0; problem.num_objectives()],
-            cons_buf: vec![0.0; problem.num_constraints()],
             observer,
-            seeded: vec![false; workers + 1],
+            width: width as u64,
             merge_next_produce: false,
         }
+    }
+
+    /// Packages the finished `run` with the engine and samples these
+    /// hooks accumulated, handing the objective source back.
+    pub fn finish(self, run: AsyncRun) -> (VirtualRunResult, S) {
+        let result = VirtualRunResult {
+            outcome: run.outcome,
+            engine: self.engine,
+            ta_samples: self.ta_samples,
+            tf_samples: self.tf_samples,
+            fault_log: run.fault_log,
+            commands: run.commands,
+        };
+        (result, self.source)
+    }
+
+    /// Starts timing an engine call — only when the measurement is used:
+    /// `Sampled` mode charges a drawn `T_A` and never reads the clock.
+    fn stopwatch(&self) -> Option<Instant> {
+        matches!(self.t_a, TaMode::Measured).then(Instant::now)
     }
 
     fn charge_ta(&mut self, real: f64) -> f64 {
@@ -146,19 +236,41 @@ impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> BorgHooks<'p, P, F> {
         self.ta_samples.push(t);
         t
     }
+
+    fn window_index(&self, eval_id: u64) -> Option<usize> {
+        usize::try_from(eval_id.checked_sub(self.window_base)?).ok()
+    }
+
+    /// Removes `eval_id` from the window, trimming the consumed prefix.
+    fn take_pending(&mut self, eval_id: u64) -> Option<Candidate> {
+        let index = self.window_index(eval_id)?;
+        let candidate = self.window.get_mut(index)?.take();
+        while let Some(None) = self.window.front() {
+            self.window.pop_front();
+            self.window_base += 1;
+        }
+        candidate
+    }
 }
 
-impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHooks<'p, P, F> {
-    fn produce(&mut self, worker: usize, _now: f64) -> f64 {
-        let start = Instant::now();
+/// Wall-clock seconds since [`BorgHooks::stopwatch`] started (0 when it
+/// did not).
+fn seconds_since(stopwatch: Option<Instant>) -> f64 {
+    stopwatch.map_or(0.0, |start| start.elapsed().as_secs_f64())
+}
+
+impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHooks<S, F> {
+    fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
+        assert_eq!(
+            eval_id,
+            self.window_base + self.window.len() as u64,
+            "evaluation ids are issued consecutively"
+        );
+        let stopwatch = self.stopwatch();
         let candidate = self.engine.produce();
-        let real = start.elapsed().as_secs_f64();
-        // The evaluation itself runs eagerly (we are single-threaded); its
-        // *virtual* duration is the sampled T_F charged in
-        // `evaluation_time`, matching the paper's controlled delays.
-        self.problem
-            .evaluate(&candidate.variables, &mut self.objs_buf, &mut self.cons_buf);
-        self.pending[worker] = Some((candidate, self.objs_buf.clone(), self.cons_buf.clone()));
+        let real = seconds_since(stopwatch);
+        self.source.send(worker, eval_id, &candidate.variables, now);
+        self.window.push_back(Some(candidate));
         match self.t_a {
             TaMode::Measured => {
                 if self.merge_next_produce {
@@ -168,42 +280,57 @@ impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for B
                     if let Some(last) = self.ta_samples.last_mut() {
                         *last += real;
                     }
-                    real
                 } else {
                     self.ta_samples.push(real);
-                    real
                 }
+                real
             }
-            TaMode::Sampled(_) => {
-                // Sampled T_A is per *interaction* and charged on consume;
-                // only the initial seeding production draws its own sample.
-                if worker < self.seeded.len() && !self.seeded[worker] {
-                    self.seeded[worker] = true;
-                    self.charge_ta(real)
-                } else {
-                    0.0
-                }
-            }
+            // Sampled T_A is per *interaction* and charged on consume;
+            // only the initial seeding productions draw their own sample.
+            TaMode::Sampled(_) if eval_id < self.width => self.charge_ta(real),
+            TaMode::Sampled(_) => 0.0,
         }
     }
 
-    fn evaluation_time(&mut self, _worker: usize) -> f64 {
+    fn reissue(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
+        // The protocol engine only reissues outstanding evaluations; a
+        // missing entry means the simulation itself is corrupted and
+        // panicking immediately is the correct response.
+        let candidate = self
+            .window_index(eval_id)
+            .and_then(|index| self.window.get(index)?.as_ref()) // borg-lint: allow(BORG-L001)
+            .expect("reissue without a pending candidate");
+        self.source.send(worker, eval_id, &candidate.variables, now);
+        0.0
+    }
+
+    fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
         let t = self.t_f.sample(&mut self.rng);
         self.tf_samples.push(t);
         t
     }
 
-    fn consume(&mut self, worker: usize, now: f64) -> f64 {
-        // The queueing engine only issues consume() after the matching
-        // produce(); an empty slot means the simulation itself is corrupted
-        // and panicking immediately is the correct response.
-        let (candidate, objs, cons) = self.pending[worker]
-            .take() // borg-lint: allow(BORG-L001)
+    fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
+        // Each evaluation id is consumed exactly once, after its produce
+        // (duplicates are suppressed upstream); as above, a missing entry
+        // is corruption.
+        let candidate = self
+            .take_pending(eval_id) // borg-lint: allow(BORG-L001)
             .expect("consume without a pending result");
-        let start = Instant::now();
-        let solution: Solution = self.engine.make_solution(candidate, objs, cons);
+        self.source.receive(
+            worker,
+            eval_id,
+            &candidate.variables,
+            now,
+            &mut self.objs_buf,
+            &mut self.cons_buf,
+        );
+        let stopwatch = self.stopwatch();
+        let solution =
+            self.engine
+                .make_solution_recycled(candidate, &self.objs_buf, &self.cons_buf);
         self.engine.consume(solution);
-        let real = start.elapsed().as_secs_f64();
+        let real = seconds_since(stopwatch);
         (self.observer)(now, &self.engine);
         let charged = self.charge_ta(real);
         if matches!(self.t_a, TaMode::Measured) {
@@ -215,9 +342,14 @@ impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for B
     fn comm_time(&mut self) -> f64 {
         self.t_c.sample(&mut self.rng)
     }
+
+    fn abandon(&mut self, eval_id: u64) {
+        self.take_pending(eval_id);
+    }
 }
 
-/// Runs the asynchronous master-slave Borg MOEA in virtual time.
+/// Runs the fault-free asynchronous master-slave Borg MOEA in virtual
+/// time: a quiet plan under [`EngineConfig::fault_free_async`].
 ///
 /// `observer` fires after every consumed evaluation with the current
 /// virtual time and engine state (use it for hypervolume trajectories).
@@ -233,20 +365,95 @@ where
     F: FnMut(f64, &BorgEngine),
     R: Recorder + ?Sized,
 {
-    assert!(
-        config.processors >= 2,
-        "need a master and at least one worker"
-    );
-    let workers = (config.processors - 1) as usize;
-    let mut hooks = BorgHooks::new(problem, config, borg, observer);
-    let outcome = run_async(&mut hooks, workers, config.max_nfe, rec);
-    VirtualRunResult {
-        outcome,
-        engine: hooks.engine,
-        ta_samples: hooks.ta_samples,
-        tf_samples: hooks.tf_samples,
-        fault_log: FaultLog::default(),
+    let workers = config.workers();
+    let quiet = FaultPlan::new(FaultConfig::default(), workers, config.max_nfe, 0);
+    let engine = EngineConfig::fault_free_async(workers, config.max_nfe);
+    let mut hooks = BorgHooks::new(problem, problem, config, borg, workers, observer);
+    let run = run_async_with(&mut hooks, engine, &quiet, false, rec);
+    hooks.finish(run).0
+}
+
+/// A fault-injected asynchronous virtual-time run in full: what
+/// [`run_virtual_async`] fixes (no faults, no deadlines, no transcript)
+/// made explicit.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultyRun<'a> {
+    /// Topology, budget, timing and seed.
+    pub config: &'a VirtualConfig,
+    /// Fault rates the [`FaultPlan`] is drawn from.
+    pub faults: &'a FaultConfig,
+    /// Master-side deadline / heartbeat / reissue-cap policy.
+    pub policy: RecoveryPolicy,
+    /// Return the protocol engine's command transcript in
+    /// [`VirtualRunResult::commands`].
+    pub record_commands: bool,
+}
+
+impl<'a> FaultyRun<'a> {
+    /// `config` under `faults` with the default recovery policy — timeout
+    /// `k · E[T_F]` with `k = 4` (a `straggler_factor` above that needs a
+    /// larger `k`: set [`FaultyRun::policy`]) — and no transcript.
+    pub fn new(config: &'a VirtualConfig, faults: &'a FaultConfig) -> Self {
+        Self {
+            config,
+            faults,
+            policy: RecoveryPolicy::from_expected_eval_time(config.t_f.mean(), 4.0),
+            record_commands: false,
+        }
     }
+
+    /// The [`FaultPlan`] this run uses (exposed so replay checks can
+    /// inspect the plan).
+    pub fn plan(&self) -> FaultPlan {
+        let plan_seed = SplitMix64::new(self.config.seed).derive_seed("fault-plan");
+        FaultPlan::new(
+            self.faults.clone(),
+            self.config.workers(),
+            self.config.max_nfe,
+            plan_seed,
+        )
+    }
+
+    /// The fault-tolerant protocol this run's master follows.
+    pub fn engine_config(&self) -> EngineConfig {
+        EngineConfig::fault_tolerant_async(self.config.workers(), self.config.max_nfe, self.policy)
+    }
+}
+
+/// Runs the asynchronous master-slave Borg MOEA in virtual time under
+/// fault injection.
+///
+/// The master survives worker crashes, hangs, stragglers and message
+/// drop/duplication per `run.faults`: timed-out evaluations are reissued
+/// to live workers, dead workers are quarantined (and optionally
+/// respawned), duplicate results are suppressed by evaluation id. The full
+/// ledger is returned in [`VirtualRunResult::fault_log`]; with
+/// [`FaultyRun::record_commands`] the differential equivalence tests
+/// compare [`VirtualRunResult::commands`] against the performance-model
+/// adapter's under identical timing to prove both executors run the same
+/// protocol.
+pub fn run_virtual_async_with<P, F, R>(
+    problem: &P,
+    borg: BorgConfig,
+    run: &FaultyRun<'_>,
+    rec: &R,
+    observer: F,
+) -> VirtualRunResult
+where
+    P: Problem + ?Sized,
+    F: FnMut(f64, &BorgEngine),
+    R: Recorder + ?Sized,
+{
+    let workers = run.config.workers();
+    let mut hooks = BorgHooks::new(problem, problem, run.config, borg, workers, observer);
+    let outcome = run_async_with(
+        &mut hooks,
+        run.engine_config(),
+        &run.plan(),
+        run.record_commands,
+        rec,
+    );
+    hooks.finish(outcome).0
 }
 
 /// Runs a *generational synchronous* master-slave Borg MOEA in virtual
@@ -263,17 +470,16 @@ where
     F: FnMut(f64, &BorgEngine),
     R: Recorder + ?Sized,
 {
-    assert!(config.processors >= 2);
-    let workers = (config.processors - 1) as usize;
-    let mut hooks = BorgHooks::new(problem, config, borg, observer);
+    let workers = config.workers();
+    // Generation width: the workers plus the self-evaluating master.
+    let mut hooks = BorgHooks::new(problem, problem, config, borg, workers + 1, observer);
     let outcome = run_sync(&mut hooks, workers, config.max_nfe, rec);
-    VirtualRunResult {
+    let run = AsyncRun {
         outcome,
-        engine: hooks.engine,
-        ta_samples: hooks.ta_samples,
-        tf_samples: hooks.tf_samples,
         fault_log: FaultLog::default(),
-    }
+        commands: Vec::new(),
+    };
+    hooks.finish(run).0
 }
 
 /// Runs the Borg MOEA *serially* while charging the same virtual clock
@@ -336,257 +542,8 @@ where
         ta_samples,
         tf_samples,
         fault_log: FaultLog::default(),
+        commands: Vec::new(),
     }
-}
-
-/// The hooks wiring a [`BorgEngine`] + [`Problem`] into the
-/// *fault-tolerant* queueing engine. Work items are keyed by evaluation
-/// id so a reissued evaluation re-sends the same candidate and the
-/// first-arriving copy wins.
-struct FtBorgHooks<'p, P: Problem + ?Sized, F> {
-    engine: BorgEngine,
-    problem: &'p P,
-    pending: BTreeMap<u64, (Candidate, Vec<f64>, Vec<f64>)>,
-    t_f: Dist,
-    t_c: Dist,
-    t_a: TaMode,
-    rng: StdRng,
-    ta_samples: Vec<f64>,
-    tf_samples: Vec<f64>,
-    objs_buf: Vec<f64>,
-    cons_buf: Vec<f64>,
-    observer: F,
-    /// Same `T_A` charging convention as [`BorgHooks`]: in `Sampled` mode
-    /// each *consume* draws the per-interaction sample and the initial
-    /// per-worker seeding productions draw their own; in `Measured` mode
-    /// every call charges its real wall-clock cost (reissues are free —
-    /// the candidate already exists).
-    initial_productions: usize,
-    workers: usize,
-    merge_next_produce: bool,
-}
-
-impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> FtBorgHooks<'p, P, F> {
-    fn new(problem: &'p P, config: &VirtualConfig, borg: BorgConfig, observer: F) -> Self {
-        let mut split = SplitMix64::new(config.seed);
-        let engine_seed = split.derive_seed("virtual-engine");
-        let rng = split.derive("virtual-delays");
-        let workers = (config.processors - 1) as usize;
-        Self {
-            engine: BorgEngine::new(problem, borg, engine_seed),
-            problem,
-            pending: BTreeMap::new(),
-            t_f: config.t_f,
-            t_c: config.t_c,
-            t_a: config.t_a,
-            rng,
-            ta_samples: Vec::new(),
-            tf_samples: Vec::new(),
-            objs_buf: vec![0.0; problem.num_objectives()],
-            cons_buf: vec![0.0; problem.num_constraints()],
-            observer,
-            initial_productions: 0,
-            workers,
-            merge_next_produce: false,
-        }
-    }
-
-    fn charge_ta(&mut self, real: f64) -> f64 {
-        let t = match self.t_a {
-            TaMode::Measured => real,
-            TaMode::Sampled(d) => d.sample(&mut self.rng),
-        };
-        self.ta_samples.push(t);
-        t
-    }
-}
-
-impl<'p, P: Problem + ?Sized, F: FnMut(f64, &BorgEngine)> FaultTolerantHooks
-    for FtBorgHooks<'p, P, F>
-{
-    fn produce(&mut self, _worker: usize, eval_id: u64, _now: f64) -> f64 {
-        let start = Instant::now();
-        let candidate = self.engine.produce();
-        let real = start.elapsed().as_secs_f64();
-        // Evaluate eagerly (single-threaded); the virtual duration is the
-        // T_F sample charged in `evaluation_time`.
-        self.problem
-            .evaluate(&candidate.variables, &mut self.objs_buf, &mut self.cons_buf);
-        self.pending.insert(
-            eval_id,
-            (candidate, self.objs_buf.clone(), self.cons_buf.clone()),
-        );
-        match self.t_a {
-            TaMode::Measured => {
-                if self.merge_next_produce {
-                    self.merge_next_produce = false;
-                    if let Some(last) = self.ta_samples.last_mut() {
-                        *last += real;
-                    }
-                    real
-                } else {
-                    self.ta_samples.push(real);
-                    real
-                }
-            }
-            TaMode::Sampled(_) => {
-                if self.initial_productions < self.workers {
-                    self.initial_productions += 1;
-                    self.charge_ta(real)
-                } else {
-                    0.0
-                }
-            }
-        }
-    }
-
-    fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
-        let t = self.t_f.sample(&mut self.rng);
-        self.tf_samples.push(t);
-        t
-    }
-
-    fn consume(&mut self, _worker: usize, eval_id: u64, now: f64) -> f64 {
-        // The fault-tolerant engine consumes each evaluation id exactly
-        // once (duplicates are suppressed upstream); a missing entry means
-        // the simulation itself is corrupted.
-        let (candidate, objs, cons) = self
-            .pending
-            .remove(&eval_id) // borg-lint: allow(BORG-L001)
-            .expect("consume without a pending result");
-        let start = Instant::now();
-        let solution: Solution = self.engine.make_solution(candidate, objs, cons);
-        self.engine.consume(solution);
-        let real = start.elapsed().as_secs_f64();
-        (self.observer)(now, &self.engine);
-        let charged = self.charge_ta(real);
-        if matches!(self.t_a, TaMode::Measured) {
-            self.merge_next_produce = true;
-        }
-        charged
-    }
-
-    fn comm_time(&mut self) -> f64 {
-        self.t_c.sample(&mut self.rng)
-    }
-}
-
-/// Derives the [`FaultPlan`] a faulty virtual run with this configuration
-/// will use (exposed so replay checks can inspect the plan).
-pub fn fault_plan_for(config: &VirtualConfig, faults: &FaultConfig) -> FaultPlan {
-    let plan_seed = SplitMix64::new(config.seed).derive_seed("fault-plan");
-    FaultPlan::new(
-        faults.clone(),
-        (config.processors - 1) as usize,
-        config.max_nfe,
-        plan_seed,
-    )
-}
-
-/// The default recovery policy for a virtual configuration: timeout
-/// `k · E[T_F]` with `k = 4` (comfortably above the `straggler_factor`
-/// would require a larger `k`; callers needing that pass their own
-/// [`RecoveryPolicy`] to [`run_virtual_async_faulty_with`]).
-pub fn default_recovery_policy(config: &VirtualConfig) -> RecoveryPolicy {
-    RecoveryPolicy::from_expected_eval_time(config.t_f.mean(), 4.0)
-}
-
-/// Runs the asynchronous master-slave Borg MOEA in virtual time under
-/// fault injection, with the default recovery policy.
-///
-/// The master survives worker crashes, hangs, stragglers and message
-/// drop/duplication per `faults`: timed-out evaluations are reissued to
-/// live workers, dead workers are quarantined (and optionally respawned),
-/// duplicate results are suppressed by evaluation id. The full ledger is
-/// returned in [`VirtualRunResult::fault_log`].
-pub fn run_virtual_async_faulty<P, F, R>(
-    problem: &P,
-    borg: BorgConfig,
-    config: &VirtualConfig,
-    faults: &FaultConfig,
-    rec: &R,
-    observer: F,
-) -> VirtualRunResult
-where
-    P: Problem + ?Sized,
-    F: FnMut(f64, &BorgEngine),
-    R: Recorder + ?Sized,
-{
-    let policy = default_recovery_policy(config);
-    run_virtual_async_faulty_with(problem, borg, config, faults, policy, rec, observer)
-}
-
-/// [`run_virtual_async_faulty`] with an explicit [`RecoveryPolicy`].
-pub fn run_virtual_async_faulty_with<P, F, R>(
-    problem: &P,
-    borg: BorgConfig,
-    config: &VirtualConfig,
-    faults: &FaultConfig,
-    policy: RecoveryPolicy,
-    rec: &R,
-    observer: F,
-) -> VirtualRunResult
-where
-    P: Problem + ?Sized,
-    F: FnMut(f64, &BorgEngine),
-    R: Recorder + ?Sized,
-{
-    assert!(
-        config.processors >= 2,
-        "need a master and at least one worker"
-    );
-    let workers = (config.processors - 1) as usize;
-    let plan = fault_plan_for(config, faults);
-    let mut hooks = FtBorgHooks::new(problem, config, borg, observer);
-    let faulty = run_async_faulty(&mut hooks, workers, config.max_nfe, &plan, policy, rec);
-    VirtualRunResult {
-        outcome: faulty.outcome,
-        engine: hooks.engine,
-        ta_samples: hooks.ta_samples,
-        tf_samples: hooks.tf_samples,
-        fault_log: faulty.fault_log,
-    }
-}
-
-/// [`run_virtual_async_faulty_with`] with the protocol engine's command
-/// trace enabled: also returns every [`Command`] the shared
-/// [`MasterEngine`](borg_protocol::MasterEngine) issued, in decision
-/// order. The differential equivalence tests compare this transcript
-/// against the performance-model adapter's under identical timing to
-/// prove both executors run the same protocol.
-pub fn run_virtual_async_faulty_traced<P, F, R>(
-    problem: &P,
-    borg: BorgConfig,
-    config: &VirtualConfig,
-    faults: &FaultConfig,
-    policy: RecoveryPolicy,
-    rec: &R,
-    observer: F,
-) -> (VirtualRunResult, Vec<Command>)
-where
-    P: Problem + ?Sized,
-    F: FnMut(f64, &BorgEngine),
-    R: Recorder + ?Sized,
-{
-    assert!(
-        config.processors >= 2,
-        "need a master and at least one worker"
-    );
-    let workers = (config.processors - 1) as usize;
-    let plan = fault_plan_for(config, faults);
-    let mut hooks = FtBorgHooks::new(problem, config, borg, observer);
-    let (faulty, commands) =
-        run_async_faulty_traced(&mut hooks, workers, config.max_nfe, &plan, policy, rec);
-    (
-        VirtualRunResult {
-            outcome: faulty.outcome,
-            engine: hooks.engine,
-            ta_samples: hooks.ta_samples,
-            tf_samples: hooks.tf_samples,
-            fault_log: faulty.fault_log,
-        },
-        commands,
-    )
 }
 
 #[cfg(test)]
@@ -715,11 +672,10 @@ mod tests {
         let problem = Dtlz::dtlz2_5();
         let cfg = sampled_config(16, 3_000, 0.01, 0.000_03);
         let faults = FaultConfig::degraded(0.1);
-        let result = run_virtual_async_faulty(
+        let result = run_virtual_async_with(
             &problem,
             borg_cfg(),
-            &cfg,
-            &faults,
+            &FaultyRun::new(&cfg, &faults),
             &NoopRecorder,
             |_, _| {},
         );
@@ -744,11 +700,10 @@ mod tests {
             ..FaultConfig::default()
         };
         let run = || {
-            run_virtual_async_faulty(
+            run_virtual_async_with(
                 &problem,
                 borg_cfg(),
-                &cfg,
-                &faults,
+                &FaultyRun::new(&cfg, &faults),
                 &NoopRecorder,
                 |_, _| {},
             )
@@ -779,11 +734,10 @@ mod tests {
                 .collect(),
             ..FaultConfig::default()
         };
-        let result = run_virtual_async_faulty(
+        let result = run_virtual_async_with(
             &problem,
             borg_cfg(),
-            &cfg,
-            &faults,
+            &FaultyRun::new(&cfg, &faults),
             &NoopRecorder,
             |_, _| {},
         );
@@ -804,11 +758,10 @@ mod tests {
         let problem = Dtlz::dtlz2_5();
         let cfg = sampled_config(8, 2_000, 0.01, 0.000_03);
         let base = run_virtual_async(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {});
-        let quiet = run_virtual_async_faulty(
+        let quiet = run_virtual_async_with(
             &problem,
             borg_cfg(),
-            &cfg,
-            &FaultConfig::default(),
+            &FaultyRun::new(&cfg, &FaultConfig::default()),
             &NoopRecorder,
             |_, _| {},
         );
@@ -820,6 +773,28 @@ mod tests {
             quiet.outcome.elapsed,
             base.outcome.elapsed
         );
+    }
+
+    #[test]
+    fn pending_window_trims_consumed_and_abandoned_ids() {
+        // Results come back out of order and one evaluation is given up:
+        // the window keeps exactly the ids still owed a result.
+        let problem = Dtlz::dtlz2_5();
+        let cfg = sampled_config(4, 10, 0.01, 0.000_03);
+        let mut hooks = BorgHooks::new(&problem, &problem, &cfg, borg_cfg(), 3, |_, _| {});
+        for id in 0..3 {
+            hooks.produce(id as usize, id, 0.0);
+        }
+        hooks.consume(1, 1, 0.1);
+        assert_eq!((hooks.window_base, hooks.window.len()), (0, 3));
+        hooks.abandon(0);
+        assert_eq!((hooks.window_base, hooks.window.len()), (2, 1));
+        hooks.reissue(0, 2, 0.2);
+        hooks.produce(1, 3, 0.2);
+        hooks.consume(0, 2, 0.3);
+        hooks.consume(1, 3, 0.4);
+        assert_eq!((hooks.window_base, hooks.window.len()), (4, 0));
+        assert_eq!(hooks.engine.nfe(), 3);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 use borg_core::algorithm::BorgConfig;
 use borg_desim::fault::FaultConfig;
 use borg_models::dist::Dist;
-use borg_models::queueing::{run_async_faulty_traced, FaultTolerantHooks};
+use borg_models::queueing::{run_async_with, MasterSlaveHooks};
 use borg_obs::NoopRecorder;
 use borg_parallel::prelude::*;
 use borg_parallel::virtual_exec::VirtualConfig;
@@ -23,20 +23,19 @@ use proptest::prelude::*;
 
 /// Constant-time hooks mirroring the virtual adapter's
 /// `TaMode::Sampled(Dist::Constant(..))` semantics: the first `workers`
-/// fresh productions charge `T_A` (pipeline seeding); later productions
-/// are folded into the preceding consume and charge nothing extra.
+/// fresh productions (evaluation ids `0..workers`) charge `T_A` (pipeline
+/// seeding); later productions are folded into the preceding consume and
+/// charge nothing extra.
 struct ConstHooks {
     ta: f64,
     tf: f64,
     tc: f64,
-    produced: usize,
-    workers: usize,
+    workers: u64,
 }
 
-impl FaultTolerantHooks for ConstHooks {
-    fn produce(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
-        if self.produced < self.workers {
-            self.produced += 1;
+impl MasterSlaveHooks for ConstHooks {
+    fn produce(&mut self, _worker: usize, eval_id: u64, _now: f64) -> f64 {
+        if eval_id < self.workers {
             self.ta
         } else {
             0.0
@@ -96,40 +95,39 @@ proptest! {
             t_a: TaMode::Sampled(Dist::Constant(ta)),
             seed,
         };
-        let policy = default_recovery_policy(&vcfg);
+        let run = FaultyRun {
+            record_commands: true,
+            ..FaultyRun::new(&vcfg, &faults)
+        };
 
         // Arm 1: the virtual-time executor (real Borg algorithm payload).
-        let (virt, virt_cmds) = run_virtual_async_faulty_traced(
+        let virt = run_virtual_async_with(
             &Zdt::new(ZdtVariant::Zdt1),
             BorgConfig::new(2, 0.01),
-            &vcfg,
-            &faults,
-            policy,
+            &run,
             &NoopRecorder,
             |_, _| {},
         );
 
         // Arm 2: the bare DES adapter (no algorithm, constant hooks), fed
         // the same fault plan and policy.
-        let plan = fault_plan_for(&vcfg, &faults);
         let mut hooks = ConstHooks {
             ta,
             tf,
             tc,
-            produced: 0,
-            workers,
+            workers: workers as u64,
         };
-        let (des, des_cmds) = run_async_faulty_traced(
+        let des = run_async_with(
             &mut hooks,
-            workers,
-            n,
-            &plan,
-            policy,
+            run.engine_config(),
+            &run.plan(),
+            true,
             &NoopRecorder,
         );
 
         // The protocol transcript is executor-independent.
-        prop_assert_eq!(&virt_cmds, &des_cmds);
+        prop_assert!(!virt.commands.is_empty());
+        prop_assert_eq!(&virt.commands, &des.commands);
         // So is the recovery ledger, record for record...
         prop_assert_eq!(&virt.fault_log, &des.fault_log);
         // ...and the queueing outcome, to the bit.

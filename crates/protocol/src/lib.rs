@@ -20,9 +20,10 @@
 //!
 //! | executor | crate | clock | transport |
 //! |---|---|---|---|
-//! | queueing DES (`run_async*`) | `borg-models` | event-queue virtual time | simulated latencies + [`FaultPlan`] fates |
-//! | virtual Borg (`run_virtual_*`) | `borg-parallel` | event-queue virtual time | same DES, hooks run the real MOEA |
+//! | queueing DES, async (`run_async`, `run_async_with`) | `borg-models` | event-queue virtual time | simulated latencies + [`FaultPlan`] fates (quiet plan = fault-free); `run_virtual_async*` in `borg-parallel` plugs the real MOEA in as hooks |
+//! | queueing DES, sync (`run_sync`) | `borg-models` | event-queue virtual time | generational barrier |
 //! | real threads (`run_threaded`) | `borg-parallel` | wall clock (seconds since start) | crossbeam channels |
+//! | sockets (`serve`) | `borg-net` | wall clock (seconds since start) | framed TCP / Unix-socket messages |
 //!
 //! The engine never reads a wall clock, never samples an RNG, and never
 //! allocates on the arrival hot path beyond its bookkeeping maps — same

@@ -3,11 +3,13 @@
 //! Runs the smoke criterion groups (`core`, `protocol`, `faults`, `obs`,
 //! `runner`, `mc`, `net`) through the vendored criterion stand-in with
 //! `CRITERION_JSON` set, then
-//! aggregates the per-bench medians into `BENCH_runner.json` at the
-//! workspace root: one median ns/op per group (the median of the group's
-//! per-bench medians) plus every bench that contributed. The file is a
-//! trajectory point — commit-over-commit diffs show where protocol,
-//! fault-handling, observability, or runner-dispatch cost moved.
+//! aggregates the per-bench medians into a trajectory point: one median
+//! ns/op per group (the median of the group's per-bench medians) plus
+//! every bench that contributed. `--bless` writes the point to
+//! `BENCH_runner.json` at the workspace root — commit-over-commit diffs
+//! show where protocol, fault-handling, observability, or runner-dispatch
+//! cost moved; without it (in particular under `--compare`, whose baseline
+//! is usually that very file) nothing is written.
 
 use std::path::Path;
 use std::process::Command;
@@ -38,11 +40,23 @@ struct Sample {
 pub struct BenchReport {
     /// `(group, median ns/op, benches contributing)`, in [`GROUPS`] order.
     pub groups: Vec<(&'static str, u128, usize)>,
-    /// Where the JSON report was written.
-    pub out_path: std::path::PathBuf,
+    /// The trajectory point (`borg-bench-trajectory/v1`).
+    json: String,
 }
 
-/// Runs the tracked bench targets and writes [`BENCH_OUT_REL`].
+impl BenchReport {
+    /// Writes the trajectory point to [`BENCH_OUT_REL`] under `root` (the
+    /// `--bless` step) and returns the path.
+    pub fn bless(&self, root: &Path) -> Result<std::path::PathBuf, String> {
+        let out_path = root.join(BENCH_OUT_REL);
+        std::fs::write(&out_path, &self.json)
+            .map_err(|e| format!("write {}: {e}", out_path.display()))?;
+        Ok(out_path)
+    }
+}
+
+/// Runs the tracked bench targets and summarises them. Writes nothing but
+/// the sample stream under `target/`.
 pub fn run(root: &Path) -> Result<BenchReport, String> {
     let samples_path = root.join("target").join("criterion-samples.jsonl");
     let _ = std::fs::remove_file(&samples_path);
@@ -71,8 +85,11 @@ pub fn run(root: &Path) -> Result<BenchReport, String> {
             samples_path.display()
         )
     })?;
-    let samples = parse_samples(&text)?;
+    summarize(&parse_samples(&text)?)
+}
 
+/// Aggregates parsed samples into the per-group trajectory point.
+fn summarize(samples: &[Sample]) -> Result<BenchReport, String> {
     let mut groups = Vec::new();
     let mut json =
         String::from("{\n  \"schema\": \"borg-bench-trajectory/v1\",\n  \"groups\": {\n");
@@ -98,10 +115,7 @@ pub fn run(root: &Path) -> Result<BenchReport, String> {
         groups.push((group, group_median, mine.len()));
     }
     json.push_str("  }\n}\n");
-
-    let out_path = root.join(BENCH_OUT_REL);
-    std::fs::write(&out_path, json).map_err(|e| format!("write {}: {e}", out_path.display()))?;
-    Ok(BenchReport { groups, out_path })
+    Ok(BenchReport { groups, json })
 }
 
 /// One group's baseline-vs-current comparison (`--compare`).
@@ -245,7 +259,7 @@ mod tests {
     fn report(groups: Vec<(&'static str, u128, usize)>) -> BenchReport {
         BenchReport {
             groups,
-            out_path: std::path::PathBuf::from("BENCH_runner.json"),
+            json: String::new(),
         }
     }
 
@@ -285,6 +299,33 @@ mod tests {
         keep_faster(&mut rows, &retry);
         assert!(rows[0].regressed);
         assert_eq!(rows[0].current_ns, 1250);
+    }
+
+    #[test]
+    fn only_bless_writes_the_trajectory_file() {
+        let dir = std::env::temp_dir().join(format!("borg-xtask-bench-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let out = dir.join(BENCH_OUT_REL);
+        let samples: Vec<Sample> = GROUPS
+            .iter()
+            .map(|&(group, _)| Sample {
+                id: format!("{group}/only"),
+                group: group.to_string(),
+                median_ns: 1_000,
+            })
+            .collect();
+
+        // Summarising and comparing leave the directory untouched...
+        let report = summarize(&samples).expect("summarize");
+        assert!(!out.exists());
+        // ...blessing writes the point, which then serves as a baseline a
+        // later compare reads without rewriting.
+        assert_eq!(report.bless(&dir).expect("bless"), out);
+        let blessed = std::fs::read_to_string(&out).expect("read back");
+        let rows = compare(&blessed, &report, 10.0).expect("compare");
+        assert!(rows.iter().all(|r| r.delta_pct == 0.0 && !r.regressed));
+        assert_eq!(std::fs::read_to_string(&out).expect("reread"), blessed);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 
     #[test]

@@ -54,7 +54,7 @@ use borg_net::{connect_with_backoff, Backoff, Conn, Msg, NetAddr, NetListener};
 use borg_obs::export::metrics_jsonl;
 use borg_obs::{FlightRecorder, InMemoryRecorder, NoopRecorder, Recorder, WithFlight};
 use borg_parallel::virtual_exec::{
-    run_virtual_async, run_virtual_async_faulty, TaMode, VirtualConfig, VirtualRunResult,
+    run_virtual_async, run_virtual_async_with, FaultyRun, TaMode, VirtualConfig, VirtualRunResult,
 };
 use borg_problems::dtlz::Dtlz;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -135,11 +135,10 @@ fn run_once_faulty(seed: u64) -> VirtualRunResult {
 
 fn run_once_faulty_observed(seed: u64, rec: &dyn Recorder) -> VirtualRunResult {
     let problem = Dtlz::dtlz2_5();
-    run_virtual_async_faulty(
+    run_virtual_async_with(
         &problem,
         BorgConfig::new(5, 0.06),
-        &gate_config(seed),
-        &gate_faults(),
+        &FaultyRun::new(&gate_config(seed), &gate_faults()),
         rec,
         |_, _| {},
     )

@@ -20,7 +20,7 @@ use borg_experiments::table2::replicate_seeds;
 use borg_models::dist::Dist;
 use borg_obs::NoopRecorder;
 use borg_parallel::virtual_exec::{
-    run_virtual_async, run_virtual_async_faulty, TaMode, VirtualConfig, VirtualRunResult,
+    run_virtual_async, run_virtual_async_with, FaultyRun, TaMode, VirtualConfig, VirtualRunResult,
 };
 use std::path::Path;
 
@@ -129,11 +129,10 @@ pub fn compute() -> String {
 
     let faults = FaultConfig::degraded(FAILURE_RATE);
     for (i, &seed) in seeds.iter().enumerate() {
-        let r = run_virtual_async_faulty(
+        let r = run_virtual_async_with(
             problem.as_ref(),
             borg.clone(),
-            &cell_config(seed),
-            &faults,
+            &FaultyRun::new(&cell_config(seed), &faults),
             &NoopRecorder,
             |_, _| {},
         );

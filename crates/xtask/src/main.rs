@@ -63,7 +63,7 @@ fn print_help() {
          USAGE:\n\
          \x20   cargo xtask check [--json] [--determinism] [--self-test] [--list]\n\
          \x20   cargo xtask golden --bless\n\
-         \x20   cargo xtask bench [--compare FILE [--max-regress PCT]]\n\
+         \x20   cargo xtask bench [--bless] [--compare FILE [--max-regress PCT]]\n\
          \x20   cargo xtask mc [--smoke] [--depth N] [--json]\n\
          \n\
          FLAGS:\n\
@@ -79,8 +79,9 @@ fn print_help() {
          \n\
          SUBCOMMANDS:\n\
          \x20   bench           run the smoke criterion groups (protocol,\n\
-         \x20                   faults, obs, runner, mc, net) and write\n\
-         \x20                   BENCH_runner.json with median ns/op per group;\n\
+         \x20                   faults, obs, runner, mc, net) and print median\n\
+         \x20                   ns/op per group; --bless writes them to\n\
+         \x20                   BENCH_runner.json (nothing else does);\n\
          \x20                   --compare diffs against a blessed trajectory\n\
          \x20                   file and fails on > --max-regress % slowdowns\n\
          \x20                   (a suspected regression is re-measured once)\n\
@@ -96,12 +97,14 @@ fn print_help() {
 }
 
 fn bench_command(args: &[String]) -> Result<ExitCode, String> {
-    let usage = "usage: cargo xtask bench [--compare FILE [--max-regress PCT]]";
+    let usage = "usage: cargo xtask bench [--bless] [--compare FILE [--max-regress PCT]]";
+    let mut bless = false;
     let mut compare_path: Option<std::path::PathBuf> = None;
     let mut max_regress = 10.0f64;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
+            "--bless" => bless = true,
             "--compare" => {
                 compare_path = Some(std::path::PathBuf::from(
                     it.next().ok_or("--compare needs a baseline file")?,
@@ -119,7 +122,7 @@ fn bench_command(args: &[String]) -> Result<ExitCode, String> {
     }
     let root = files::workspace_root()?;
     // Read the baseline up front: the committed trajectory file is the
-    // usual baseline, and the run below overwrites it.
+    // usual baseline, and `--bless` below overwrites it.
     let baseline = match &compare_path {
         Some(path) => Some(
             std::fs::read_to_string(root.join(path))
@@ -131,7 +134,9 @@ fn bench_command(args: &[String]) -> Result<ExitCode, String> {
     for (group, median_ns, benches) in &report.groups {
         println!("bench trajectory: {group:<10} median {median_ns:>12} ns/op ({benches} benches)");
     }
-    println!("wrote {}", report.out_path.display());
+    if bless {
+        println!("wrote {}", report.bless(&root)?.display());
+    }
     let Some(baseline) = baseline else {
         return Ok(ExitCode::SUCCESS);
     };

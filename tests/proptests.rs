@@ -16,11 +16,12 @@ use borg_repro::metrics::hypervolume::hypervolume;
 use borg_repro::metrics::nds::nondominated_filter;
 use borg_repro::models::dist::Dist;
 use borg_repro::models::queueing::{
-    run_async, run_async_faulty, run_sync, FaultTolerantHooks, MasterSlaveHooks, RecoveryPolicy,
+    run_async, run_async_with, run_sync, EngineConfig, MasterSlaveHooks, RecoveryPolicy,
 };
 use proptest::prelude::*;
 
-/// Constant-time hooks for the queueing property tests.
+/// Constant-time hooks for the queueing property tests: every interaction
+/// has a fixed cost, so only the fault plan perturbs the schedule.
 struct ConstHooks {
     t_f: f64,
     t_c: f64,
@@ -28,31 +29,8 @@ struct ConstHooks {
 }
 
 impl MasterSlaveHooks for ConstHooks {
-    fn produce(&mut self, _w: usize, _now: f64) -> f64 {
-        0.0
-    }
-    fn evaluation_time(&mut self, _w: usize) -> f64 {
-        self.t_f
-    }
-    fn consume(&mut self, _w: usize, _now: f64) -> f64 {
-        self.t_a
-    }
-    fn comm_time(&mut self) -> f64 {
-        self.t_c
-    }
-}
-
-/// Constant-time fault-tolerant hooks: every interaction has a fixed cost,
-/// so only the fault plan perturbs the schedule.
-struct ConstFaultHooks {
-    t_f: f64,
-    t_c: f64,
-    t_a: f64,
-}
-
-impl FaultTolerantHooks for ConstFaultHooks {
     fn produce(&mut self, _w: usize, _eval_id: u64, _now: f64) -> f64 {
-        self.t_a
+        0.0
     }
     fn evaluation_time(&mut self, _w: usize, _eval_id: u64) -> f64 {
         self.t_f
@@ -350,13 +328,12 @@ proptest! {
             n,
             seed,
         );
-        let mut hooks = ConstFaultHooks { t_f, t_c, t_a };
-        let run = run_async_faulty(
-            &mut hooks,
-            workers,
-            n,
+        let policy = RecoveryPolicy::from_expected_eval_time(t_f, 4.0);
+        let run = run_async_with(
+            &mut ConstHooks { t_f, t_c, t_a },
+            EngineConfig::fault_tolerant_async(workers, n, policy),
             &plan,
-            RecoveryPolicy::from_expected_eval_time(t_f, 4.0),
+            false,
             &borg_obs::NoopRecorder,
         );
         prop_assert_eq!(run.outcome.completed, n, "budget not exactly met");
