@@ -1,11 +1,19 @@
 //! Wire-transport benches: codec encode/decode ns/op for the frames the
-//! hot path actually carries (`Work` out, `Outcome` back), and a full
+//! hot path actually carries (`Work` out, `Outcome` back), a full
 //! Unix-socket loopback round trip through the framed [`Conn`] — the
 //! per-evaluation wire overhead a networked deployment adds on top of
-//! the evaluation itself.
+//! the evaluation itself — and the real `serve` against in-process
+//! workers at zero evaluation delay, where the master is saturated and
+//! evaluations per second *is* the observed `1/(2T_C + T_A)`.
 
+use borg_core::algorithm::BorgConfig;
+use borg_core::problem::Problem;
 use borg_net::codec::{decode_complete, encode, Msg, TraceCtx};
-use borg_net::Conn;
+use borg_net::serve::{serve, ServeConfig};
+use borg_net::worker::{run_worker, WorkerOptions};
+use borg_net::{Conn, NetAddr};
+use borg_obs::NoopRecorder;
+use borg_problems::dtlz::{Dtlz, DtlzVariant};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::os::unix::net::UnixStream;
 use std::time::Duration;
@@ -39,6 +47,41 @@ fn outcome_msg() -> Msg {
         constraints: Vec::new(),
         ctx: ctx(),
     }
+}
+
+/// Evaluations per saturated `serve` run (one bench iteration).
+const SERVE_EVALUATIONS: u64 = 20_000;
+
+fn saturated_problem(name: &str) -> Option<Box<dyn Problem>> {
+    (name == "dtlz2-2").then(|| Box::new(Dtlz::new(DtlzVariant::Dtlz2, 2)) as Box<dyn Problem>)
+}
+
+/// One master-saturated run: `serve` on this thread, `workers` in-process
+/// `run_worker` threads, a Unix socket, zero evaluation delay. Returns
+/// evaluations per second over the master's own timed region.
+fn serve_saturated(workers: usize) -> f64 {
+    let path = std::env::temp_dir().join(format!(
+        "borg-bench-serve-{}-p{workers}.sock",
+        std::process::id()
+    ));
+    let cfg = ServeConfig {
+        problem_name: "dtlz2-2".to_string(),
+        ..ServeConfig::new(NetAddr::Unix(path), workers, SERVE_EVALUATIONS, 42)
+    };
+    let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            let opts = WorkerOptions {
+                connect: cfg.listen.clone(),
+                ..WorkerOptions::default()
+            };
+            scope.spawn(move || run_worker(&opts, &saturated_problem, &NoopRecorder));
+        }
+        let report = serve(&problem, BorgConfig::new(2, 0.01), &cfg, &NoopRecorder)
+            .expect("saturated serve run");
+        assert_eq!(report.wire_results, SERVE_EVALUATIONS);
+        SERVE_EVALUATIONS as f64 / report.elapsed
+    })
 }
 
 fn bench_net(c: &mut Criterion) {
@@ -82,6 +125,28 @@ fn bench_net(c: &mut Criterion) {
             black_box((got, back))
         })
     });
+
+    group.finish();
+
+    // A group of their own: whole runs of hundreds of milliseconds would
+    // drag the `net` group's median-of-medians (what `cargo xtask bench`
+    // tracks) away from the per-frame costs above. The time per iteration
+    // includes registration and teardown; the evaluations per second
+    // printed after each id do not.
+    let mut group = c.benchmark_group("net_serve");
+    group.sample_size(10);
+    for workers in [2usize, 8, 32] {
+        let id = format!("serve_saturated_p{workers}");
+        let mut rates = Vec::new();
+        group.bench_function(&id, |b| b.iter(|| rates.push(serve_saturated(workers))));
+        rates.sort_by(f64::total_cmp);
+        println!(
+            "net_serve/{id}: {:.0} evals/s median, {:.0} best ({} runs of {SERVE_EVALUATIONS})",
+            rates[rates.len() / 2],
+            rates[rates.len() - 1],
+            rates.len()
+        );
+    }
 
     group.finish();
 }

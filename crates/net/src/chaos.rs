@@ -152,6 +152,8 @@ struct WireSource<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
     /// `Work.seq` so the proxy can key `dispatch_fate`).
     dispatch_seq: Vec<u64>,
     writers: Vec<NetStream>,
+    /// The outgoing frame, re-encoded in place by every `send`.
+    frame: Vec<u8>,
     rx: channel::Receiver<MasterNote>,
     buffered: BTreeMap<u64, Vec<WireOutcome>>,
     result_wait: Duration,
@@ -230,21 +232,17 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> ObjectiveSource for WireSource<'
             .or_insert(0);
         let seq = self.dispatch_seq[worker];
         self.dispatch_seq[worker] += 1;
-        let frame = codec::encode(&Msg::Work {
-            eval_id,
-            attempt,
-            seq,
-            variables: variables.to_vec(),
-            ctx: Some(TraceCtx {
-                trace_id: eval_id,
-                parent_span: codec::span_id(eval_id, attempt, 0),
-                sent_at: now,
-            }),
-        });
-        if self.writers[worker].write_all(&frame).is_ok() {
+        let ctx = TraceCtx {
+            trace_id: eval_id,
+            parent_span: codec::span_id(eval_id, attempt, 0),
+            sent_at: now,
+        };
+        codec::encode_work_into(&mut self.frame, eval_id, attempt, seq, variables, Some(ctx));
+        if self.writers[worker].write_all(&self.frame).is_ok() {
             self.rec.counter(metrics::DISPATCHES, 1);
             self.rec.counter(metrics::FRAMES_SENT, 1);
-            self.rec.counter(metrics::BYTES_SENT, frame.len() as u64);
+            self.rec
+                .counter(metrics::BYTES_SENT, self.frame.len() as u64);
             self.rec.counter(metrics::TRACE_CTX_SENT, 1);
             self.rec.trace_edge(TraceEdge {
                 kind: TraceEdgeKind::DispatchSent,
@@ -759,6 +757,7 @@ where
             attempts: BTreeMap::new(),
             dispatch_seq: vec![0; workers],
             writers,
+            frame: Vec::new(),
             rx,
             buffered: BTreeMap::new(),
             result_wait: chaos.result_wait,

@@ -18,6 +18,12 @@
 //! the payload length is validated against [`MAX_PAYLOAD`] before any
 //! allocation, and every vector length inside the payload is validated
 //! against the remaining payload bytes before reserving capacity.
+//!
+//! Neither direction allocates per frame on a connection: [`encode_into`]
+//! writes the header with length and checksum left blank, the payload
+//! straight behind it, and patches the two fields in place, all in a
+//! buffer the caller reuses; a [`FrameReader`] fills `f64` vectors handed
+//! back to it with [`FrameReader::recycle`] instead of fresh ones.
 
 use borg_protocol::{Command, Event};
 use std::fmt;
@@ -223,11 +229,13 @@ fn put_bool(buf: &mut Vec<u8>, v: bool) {
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Retired vectors to fill before allocating new ones.
+    spare: &'a mut Vec<Vec<f64>>,
 }
 
 impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+    fn new(buf: &'a [u8], spare: &'a mut Vec<Vec<f64>>) -> Self {
+        Reader { buf, pos: 0, spare }
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
@@ -262,16 +270,25 @@ impl<'a> Reader<'a> {
 
     fn f64s(&mut self) -> Result<Vec<f64>, DecodeError> {
         let n = self.u32()? as usize;
-        // Validate against the bytes actually present *before* reserving
-        // capacity: a corrupt count cannot make us over-allocate.
-        let bytes = n.checked_mul(8).ok_or(DecodeError::BadLength)?;
-        if self.pos.checked_add(bytes).ok_or(DecodeError::BadLength)? > self.buf.len() {
-            return Err(DecodeError::BadLength);
+        // `take` checks the count against the bytes actually present
+        // *before* anything is reserved: a corrupt count cannot make us
+        // over-allocate.
+        let raw = self.take(n.checked_mul(8).ok_or(DecodeError::BadLength)?)?;
+        if n == 0 {
+            return Ok(Vec::new());
         }
-        let mut out = Vec::with_capacity(n);
-        for _ in 0..n {
-            out.push(self.f64()?);
-        }
+        let mut out = match self.spare.pop() {
+            Some(mut retired) => {
+                retired.clear();
+                retired
+            }
+            None => Vec::with_capacity(n),
+        };
+        out.extend(raw.chunks_exact(8).map(|chunk| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(chunk);
+            f64::from_bits(u64::from_le_bytes(b))
+        }));
         Ok(out)
     }
 
@@ -502,6 +519,22 @@ fn decode_event(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
     }
 }
 
+fn put_work(
+    buf: &mut Vec<u8>,
+    eval_id: u64,
+    attempt: u32,
+    seq: u64,
+    variables: &[f64],
+    ctx: &Option<TraceCtx>,
+) {
+    put_u8(buf, TAG_WORK);
+    put_u64(buf, eval_id);
+    put_u32(buf, attempt);
+    put_u64(buf, seq);
+    put_f64s(buf, variables);
+    put_ctx(buf, ctx);
+}
+
 fn encode_payload(buf: &mut Vec<u8>, msg: &Msg) {
     match *msg {
         Msg::Hello { worker } => {
@@ -524,14 +557,7 @@ fn encode_payload(buf: &mut Vec<u8>, msg: &Msg) {
             seq,
             ref variables,
             ref ctx,
-        } => {
-            put_u8(buf, TAG_WORK);
-            put_u64(buf, eval_id);
-            put_u32(buf, attempt);
-            put_u64(buf, seq);
-            put_f64s(buf, variables);
-            put_ctx(buf, ctx);
-        }
+        } => put_work(buf, eval_id, attempt, seq, variables, ctx),
         Msg::Outcome {
             worker,
             eval_id,
@@ -571,8 +597,8 @@ fn encode_payload(buf: &mut Vec<u8>, msg: &Msg) {
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<Msg, DecodeError> {
-    let mut r = Reader::new(payload);
+fn decode_payload(payload: &[u8], spare: &mut Vec<Vec<f64>>) -> Result<Msg, DecodeError> {
+    let mut r = Reader::new(payload, spare);
     let msg = match r.u8()? {
         TAG_HELLO => Msg::Hello { worker: r.u64()? },
         TAG_WELCOME => Msg::Welcome {
@@ -617,17 +643,61 @@ fn decode_payload(payload: &[u8]) -> Result<Msg, DecodeError> {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Encodes `msg` into a complete frame (header + payload).
-pub fn encode(msg: &Msg) -> Vec<u8> {
-    let mut payload = Vec::new();
-    encode_payload(&mut payload, msg);
-    debug_assert!(payload.len() <= MAX_PAYLOAD, "frame payload exceeds cap");
-    let mut frame = Vec::with_capacity(HEADER_LEN + payload.len());
+/// Replaces the contents of `frame` with one complete frame whose payload
+/// `write_payload` appends: the header goes in with length and checksum
+/// blank, both are patched once the payload is there.
+fn frame_into(frame: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+    frame.clear();
     frame.extend_from_slice(&MAGIC.to_le_bytes());
     frame.push(VERSION);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    frame.extend_from_slice(&[0u8; HEADER_LEN - 5]);
+    write_payload(frame);
+    let len = frame.len() - HEADER_LEN;
+    debug_assert!(len <= MAX_PAYLOAD, "frame payload exceeds cap");
+    let sum = fnv1a(&frame[HEADER_LEN..]);
+    frame[5..9].copy_from_slice(&(len as u32).to_le_bytes());
+    frame[9..HEADER_LEN].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Encodes `msg` as a complete frame (header + payload) into `frame`,
+/// replacing what it held and keeping its capacity: a connection that
+/// reuses one buffer stops allocating after its largest frame.
+pub fn encode_into(frame: &mut Vec<u8>, msg: &Msg) {
+    frame_into(frame, |buf| encode_payload(buf, msg));
+}
+
+/// [`encode_into`] for a [`Msg::Work`] whose variables the caller only
+/// borrows (the master keeps the candidate until its result returns).
+pub fn encode_work_into(
+    frame: &mut Vec<u8>,
+    eval_id: u64,
+    attempt: u32,
+    seq: u64,
+    variables: &[f64],
+    ctx: Option<TraceCtx>,
+) {
+    frame_into(frame, |buf| {
+        put_work(buf, eval_id, attempt, seq, variables, &ctx);
+    });
+}
+
+/// Encodes `msg` into a complete frame of its own.
+pub fn encode(msg: &Msg) -> Vec<u8> {
+    // Sized for the variable-length part plus the widest fixed fields, so
+    // the one allocation is not followed by a regrowth.
+    let body = match msg {
+        Msg::Work { variables, .. } => 8 * variables.len(),
+        Msg::Outcome {
+            objectives,
+            constraints,
+            ..
+        } => 8 * (objectives.len() + constraints.len()),
+        Msg::Welcome { problem, .. } => problem.len(),
+        Msg::Tap { jsonl, .. } => jsonl.len(),
+        _ => 0,
+    };
+    let mut frame = Vec::with_capacity(HEADER_LEN + 64 + body);
+    encode_into(&mut frame, msg);
     frame
 }
 
@@ -639,6 +709,14 @@ pub fn encode(msg: &Msg) -> Vec<u8> {
 /// present — a bad magic, version, or oversized length is reported
 /// before the rest of the frame arrives.
 pub fn decode(buf: &[u8]) -> Result<Option<(Msg, usize)>, DecodeError> {
+    decode_reusing(buf, &mut Vec::new())
+}
+
+/// [`decode`], filling `f64` vectors popped off `spare` before allocating.
+fn decode_reusing(
+    buf: &[u8],
+    spare: &mut Vec<Vec<f64>>,
+) -> Result<Option<(Msg, usize)>, DecodeError> {
     if buf.len() >= 4 {
         let mut m = [0u8; 4];
         m.copy_from_slice(&buf[..4]);
@@ -670,7 +748,7 @@ pub fn decode(buf: &[u8]) -> Result<Option<(Msg, usize)>, DecodeError> {
     if found != expected {
         return Err(DecodeError::BadChecksum { expected, found });
     }
-    let msg = decode_payload(payload)?;
+    let msg = decode_payload(payload, spare)?;
     Ok(Some((msg, total)))
 }
 
@@ -694,6 +772,8 @@ pub fn decode_complete(buf: &[u8]) -> Result<Msg, DecodeError> {
 pub struct FrameReader {
     buf: Vec<u8>,
     start: usize,
+    /// Vectors of messages the caller is done with (see `recycle`).
+    spare: Vec<Vec<f64>>,
 }
 
 impl FrameReader {
@@ -714,12 +794,23 @@ impl FrameReader {
 
     /// Extracts the next complete message, if one is buffered.
     pub fn next_msg(&mut self) -> Result<Option<Msg>, DecodeError> {
-        match decode(&self.buf[self.start..])? {
+        match decode_reusing(&self.buf[self.start..], &mut self.spare)? {
             None => Ok(None),
             Some((msg, n)) => {
                 self.start += n;
                 Ok(Some(msg))
             }
+        }
+    }
+
+    /// Takes back the `f64` vector of a message the caller is done with;
+    /// the next decode fills it instead of allocating. Optional — a vector
+    /// never handed back just costs its allocation.
+    pub fn recycle(&mut self, retired: Vec<f64>) {
+        // One `Outcome`'s worth is all a decode can use, and only of
+        // vectors that own memory.
+        if retired.capacity() > 0 && self.spare.len() < 2 {
+            self.spare.push(retired);
         }
     }
 

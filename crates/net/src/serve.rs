@@ -2,14 +2,32 @@
 //! `borg_protocol::MasterEngine` over live sockets.
 //!
 //! Mirrors the real-thread executor (`borg_parallel::threads`) with the
-//! channel pair replaced by framed socket connections: per-connection
-//! reader threads translate wire frames into notes, the master loop
-//! translates notes into protocol [`Event`]s, and the engine decides
+//! channel pair replaced by framed socket connections. One master
+//! interaction — result in, archive update, next dispatch out — runs on
+//! the connection thread that read the result: it decodes the frame
+//! outside any lock, takes the one master lock ([`Master`]: the protocol
+//! engine, the transport with the Borg engine and every socket's write
+//! half, the liveness tables), feeds the engine the [`Event`] and writes
+//! the follow-up dispatch before releasing it. The engine decides
 //! everything else (deadline reissue, duplicate suppression by eval id,
-//! worker retirement). Worker death is detected two ways — connection
-//! EOF (a `SIGKILL`ed process closes its socket) and wire-heartbeat
-//! staleness (a hung-but-connected peer) — and both feed the engine's
-//! existing recovery machinery via [`Event::WorkerDied`].
+//! worker retirement). The thread that called [`serve`] keeps the clock:
+//! it wakes every tick to sweep expired deadlines and stale heartbeats,
+//! is unparked once when the run ends, and tears the connections down.
+//! Worker death is detected two ways — connection EOF (a `SIGKILL`ed
+//! process closes its socket), seen by the connection thread, and
+//! wire-heartbeat staleness (a hung-but-connected peer), seen by the
+//! tick — and both feed the engine's existing recovery machinery via
+//! [`Event::WorkerDied`].
+//!
+//! All socket writes happen under the master lock, so frames never
+//! interleave. Holding it across a blocking `write_all` cannot deadlock:
+//! a worker holds at most one work item, so at most one frame of a few
+//! KiB is in flight per direction per connection, far below a socket
+//! buffer, and no write waits for a peer to drain; reads and decoding
+//! happen before the lock is taken, so a slow sender delays only its own
+//! thread. A peer that stops reading altogether runs into the write
+//! timeout every stream carries (`transport.rs`) and is then handled like
+//! any failed write.
 
 use crate::codec::{self, Msg, TraceCtx};
 use crate::metrics;
@@ -20,10 +38,11 @@ use borg_core::rng::SplitMix64;
 use borg_desim::fault::{FaultKind, FaultLog};
 use borg_obs::{Recorder, TraceEdge, TraceEdgeKind};
 use borg_protocol::{Clock, Event, MasterEngine, RecoveryPolicy, Transport};
-use crossbeam::channel;
+use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Reissue cap before an evaluation is abandoned (matches the
@@ -101,30 +120,24 @@ struct WireResult {
     ctx: Option<TraceCtx>,
 }
 
-/// What a reader thread tells the master loop.
-enum Note {
-    Result(WireResult),
-    Beat {
-        worker: usize,
-        ctx: Option<TraceCtx>,
-    },
-    Dead {
-        worker: usize,
-    },
-}
-
 /// The engine's executor half over live sockets.
 struct NetTransport<'a, R: Recorder + ?Sized> {
     start: Instant,
     engine: BorgEngine,
+    /// Objective and constraint counts every result frame must match.
+    shape: (usize, usize),
     writers: Vec<Option<NetStream>>,
-    candidates: BTreeMap<u64, Candidate>,
-    dispatched_at: BTreeMap<u64, f64>,
+    /// The outgoing frame, re-encoded in place by every write.
+    frame: Vec<u8>,
+    /// Every evaluation out on the wire: its candidate (kept for reissue
+    /// and for the consume) and when it was last dispatched.
+    in_flight: BTreeMap<u64, (Candidate, f64)>,
     /// The evaluation each worker currently holds (shared-pool mode
     /// dispatches one at a time), for fast `lost_eval` reporting on EOF.
     current_eval: Vec<Option<u64>>,
     /// Per-worker dispatch counters, carried in `Work.seq`.
     dispatch_seq: Vec<u64>,
+    /// The result the event being handled is about.
     pending: Option<WireResult>,
     timeout: Option<f64>,
     latched: Option<NetError>,
@@ -134,6 +147,25 @@ struct NetTransport<'a, R: Recorder + ?Sized> {
 }
 
 impl<R: Recorder + ?Sized> NetTransport<'_, R> {
+    /// Writes the frame in `self.frame` to `target`'s socket. A failed
+    /// (or timed-out) write drops the write half: the connection thread
+    /// will surface the death, and until then the deadline machinery
+    /// covers the loss.
+    fn write_frame(&mut self, target: usize) -> bool {
+        let Some(stream) = self.writers[target].as_mut() else {
+            return false;
+        };
+        if stream.write_all(&self.frame).is_ok() {
+            self.rec.counter(metrics::FRAMES_SENT, 1);
+            self.rec
+                .counter(metrics::BYTES_SENT, self.frame.len() as u64);
+            true
+        } else {
+            self.writers[target] = None;
+            false
+        }
+    }
+
     /// Sends a work item toward `worker`'s socket — or any live socket
     /// if that one is gone. The engine's shared-pool discipline treats
     /// dispatch indices as notional (it reissues a dead worker's lost
@@ -147,7 +179,7 @@ impl<R: Recorder + ?Sized> NetTransport<'_, R> {
         worker: usize,
         eval_id: u64,
         attempt: u32,
-        variables: Vec<f64>,
+        variables: &[f64],
     ) -> Option<usize> {
         let target = if self.writers[worker].is_some() {
             worker
@@ -156,42 +188,30 @@ impl<R: Recorder + ?Sized> NetTransport<'_, R> {
         };
         let seq = self.dispatch_seq[target];
         self.dispatch_seq[target] += 1;
-        let now = self.start.elapsed().as_secs_f64();
-        let frame = codec::encode(&Msg::Work {
+        let now = self.now();
+        let ctx = TraceCtx {
+            trace_id: eval_id,
+            parent_span: codec::span_id(eval_id, attempt, 0),
+            sent_at: now,
+        };
+        codec::encode_work_into(&mut self.frame, eval_id, attempt, seq, variables, Some(ctx));
+        if !self.write_frame(target) {
+            return None;
+        }
+        self.rec.counter(metrics::DISPATCHES, 1);
+        self.rec.counter(metrics::TRACE_CTX_SENT, 1);
+        self.rec.trace_edge(TraceEdge {
+            kind: TraceEdgeKind::DispatchSent,
+            trace_id: eval_id,
             eval_id,
             attempt,
-            seq,
-            variables,
-            ctx: Some(TraceCtx {
-                trace_id: eval_id,
-                parent_span: codec::span_id(eval_id, attempt, 0),
-                sent_at: now,
-            }),
+            worker: target as u64,
+            local_t: now,
+            remote_t: 0.0,
         });
-        let stream = self.writers[target].as_mut()?;
-        if stream.write_all(&frame).is_ok() {
-            self.rec.counter(metrics::DISPATCHES, 1);
-            self.rec.counter(metrics::FRAMES_SENT, 1);
-            self.rec.counter(metrics::BYTES_SENT, frame.len() as u64);
-            self.rec.counter(metrics::TRACE_CTX_SENT, 1);
-            self.rec.trace_edge(TraceEdge {
-                kind: TraceEdgeKind::DispatchSent,
-                trace_id: eval_id,
-                eval_id,
-                attempt,
-                worker: target as u64,
-                local_t: now,
-                remote_t: 0.0,
-            });
-            self.rec
-                .flight("net.work_sent", now, eval_id, target as u64, attempt.into());
-            Some(target)
-        } else {
-            // The reader thread on this connection will surface the
-            // death; until then the deadline machinery covers us.
-            self.writers[target] = None;
-            None
-        }
+        self.rec
+            .flight("net.work_sent", now, eval_id, target as u64, attempt.into());
+        Some(target)
     }
 }
 
@@ -210,55 +230,58 @@ impl<R: Recorder + ?Sized> Transport for NetTransport<'_, R> {
         _seq: u64,
         _log: &mut FaultLog,
     ) -> f64 {
-        let variables = if attempt == 0 {
-            let cand = self.engine.produce();
-            let vars = cand.variables.clone();
-            self.candidates.insert(eval_id, cand);
-            vars
+        let candidate = if attempt == 0 {
+            self.engine.produce()
         } else {
-            match self.candidates.get(&eval_id) {
-                Some(cand) => cand.variables.clone(),
+            match self.in_flight.remove(&eval_id) {
+                Some((candidate, _)) => candidate,
                 // Abandoned and re-dispatched? Should not happen; fail
                 // open with no deadline rather than panic.
                 None => return f64::INFINITY,
             }
         };
-        if let Some(target) = self.send_work(worker, eval_id, attempt, variables) {
+        if let Some(target) = self.send_work(worker, eval_id, attempt, &candidate.variables) {
             // Track the eval on the socket that physically carries it
             // (may differ from the notional index after a death), so a
             // later EOF on that connection reports the right lost eval.
             self.current_eval[target] = Some(eval_id);
         }
         let now = self.now();
-        self.dispatched_at.insert(eval_id, now);
+        self.in_flight.insert(eval_id, (candidate, now));
         self.timeout.map_or(f64::INFINITY, |t| now + t)
     }
 
     fn consume(&mut self, worker: usize, eval_id: u64, _ready_at: f64) -> f64 {
-        let Some(result) = self.pending.take() else {
+        let Some(result) = &self.pending else {
             self.latched = Some(NetError::Protocol(format!(
                 "engine consumed eval {eval_id} with no wire result staged"
             )));
             return self.now();
         };
-        let Some(candidate) = self.candidates.remove(&eval_id) else {
+        let Some((candidate, dispatched_at)) = self.in_flight.remove(&eval_id) else {
             self.latched = Some(NetError::Protocol(format!(
                 "wire result for eval {eval_id} has no produced candidate"
             )));
             return self.now();
         };
+        // The frame came from outside the process: its shape is checked
+        // before a value is used.
+        if (result.objectives.len(), result.constraints.len()) != self.shape {
+            self.latched = Some(NetError::Protocol(format!(
+                "result of eval {eval_id} has the wrong shape"
+            )));
+            return self.now();
+        }
         let (attempt, ctx) = (result.attempt, result.ctx);
-        let solution = self
-            .engine
-            .make_solution(candidate, result.objectives, result.constraints);
+        let solution =
+            self.engine
+                .make_solution_recycled(candidate, &result.objectives, &result.constraints);
         self.engine.consume(solution);
         self.current_eval[worker] = None;
         self.wire_results += 1;
         self.rec.counter(metrics::RESULTS, 1);
         let now = self.now();
-        if let Some(at) = self.dispatched_at.remove(&eval_id) {
-            self.rec.observe(metrics::RTT_SECONDS, now - at);
-        }
+        self.rec.observe(metrics::RTT_SECONDS, now - dispatched_at);
         // Only *consumed* results close a trace chain: duplicates and
         // late frames never reach here, so the merged trace has exactly
         // one master-consume leg per completed evaluation.
@@ -277,7 +300,6 @@ impl<R: Recorder + ?Sized> Transport for NetTransport<'_, R> {
     }
 
     fn absorb_duplicate(&mut self, _worker: usize, _eval_id: u64, _ready_at: f64) -> f64 {
-        self.pending = None;
         self.wire_duplicates += 1;
         self.rec.counter(metrics::DUPLICATES, 1);
         self.now()
@@ -291,7 +313,7 @@ impl<R: Recorder + ?Sized> Transport for NetTransport<'_, R> {
     fn rearm_heartbeat(&mut self, _at: f64) {}
 
     fn abandon(&mut self, eval_id: u64) {
-        self.candidates.remove(&eval_id);
+        self.in_flight.remove(&eval_id);
         self.latched = Some(NetError::Protocol(format!(
             "eval {eval_id} exhausted its {MAX_REISSUES} reissues"
         )));
@@ -300,9 +322,176 @@ impl<R: Recorder + ?Sized> Transport for NetTransport<'_, R> {
     fn unknown_result(&mut self, _worker: usize, _eval_id: u64) {
         // A result for an id the engine no longer tracks (late duplicate
         // after abandonment): absorb and count, don't fail the run.
-        self.pending = None;
         self.wire_duplicates += 1;
         self.rec.counter(metrics::DUPLICATES, 1);
+    }
+}
+
+/// Everything one master interaction touches, behind the one master lock:
+/// connection threads take it per frame, the calling thread per tick.
+struct Master<'a, R: Recorder + ?Sized> {
+    proto: MasterEngine,
+    transport: NetTransport<'a, R>,
+    alive: Vec<bool>,
+    last_seen: Vec<f64>,
+    wire_heartbeats: u64,
+    cfg: &'a ServeConfig,
+    /// How the run ended — its end time or the error that stopped it.
+    /// Set once; every later frame or tick finds it and stands down.
+    verdict: Option<Result<f64, NetError>>,
+    /// The thread that called `serve`, unparked when the verdict is set.
+    caller: Thread,
+}
+
+impl<R: Recorder + ?Sized> Master<'_, R> {
+    /// Ends the run, once, and wakes the calling thread.
+    fn end(&mut self, verdict: Result<f64, NetError>) -> bool {
+        self.verdict = Some(verdict);
+        self.caller.unpark();
+        true
+    }
+
+    /// Whether the run is over. Called after every engine event: a
+    /// latched transport error or a completed budget ends it.
+    fn settle(&mut self) -> bool {
+        if self.verdict.is_some() {
+            true
+        } else if let Some(err) = self.transport.latched.take() {
+            self.end(Err(err))
+        } else if self.proto.finished() {
+            let now = self.transport.now();
+            self.end(Ok(now))
+        } else {
+            false
+        }
+    }
+
+    fn handle(&mut self, event: Event) -> bool {
+        let rec = self.transport.rec;
+        self.proto.handle(event, &mut self.transport, rec);
+        self.settle()
+    }
+
+    /// One master interaction. Hands the result back so its vectors can
+    /// be recycled once the lock is released.
+    fn on_result(&mut self, result: WireResult) -> (bool, Option<WireResult>) {
+        let (worker, eval_id) = (result.worker, result.eval_id);
+        // A result after the end of the run, or from a worker already
+        // declared dead (stale by definition: its eval was reissued).
+        if self.verdict.is_some() || !self.alive[worker] {
+            return (self.verdict.is_some(), Some(result));
+        }
+        let at = self.transport.now();
+        self.last_seen[worker] = at;
+        self.transport.pending = Some(result);
+        let over = self.handle(Event::ResultArrived {
+            worker,
+            eval_id,
+            at,
+        });
+        (over, self.transport.pending.take())
+    }
+
+    fn on_beat(&mut self, worker: usize, ctx: Option<TraceCtx>) -> bool {
+        if self.verdict.is_some() {
+            return true;
+        }
+        self.wire_heartbeats += 1;
+        self.last_seen[worker] = self.transport.now();
+        // A heartbeat carrying a context is a clock probe: echo it back
+        // with the probe's send time preserved in `parent_span` (bit
+        // pattern) plus our own clock, so the worker can compute RTT and
+        // clock offset.
+        if let Some(probe) = ctx {
+            let echo = Msg::Heartbeat {
+                worker: worker as u64,
+                ctx: Some(TraceCtx {
+                    trace_id: probe.trace_id,
+                    parent_span: probe.sent_at.to_bits(),
+                    sent_at: self.transport.now(),
+                }),
+            };
+            codec::encode_into(&mut self.transport.frame, &echo);
+            if self.transport.write_frame(worker) {
+                self.transport.rec.counter(metrics::TRACE_PROBE_ECHOES, 1);
+            }
+        }
+        false
+    }
+
+    /// Records a physically observed death in the ledger and lets the
+    /// engine's recovery machinery (retire + immediate reissue of the
+    /// lost evaluation) act on it.
+    fn on_death(&mut self, worker: usize, kind: FaultKind) -> bool {
+        if self.verdict.is_some() {
+            return true;
+        }
+        if !self.alive[worker] {
+            return false;
+        }
+        self.alive[worker] = false;
+        let at = self.transport.now();
+        let lost_eval = self.transport.current_eval[worker];
+        self.proto
+            .log_mut()
+            .inject(kind, worker, lost_eval.unwrap_or(0), at);
+        self.transport.writers[worker] = None;
+        let rec = self.transport.rec;
+        rec.counter(metrics::WORKER_DEATHS, 1);
+        rec.flight(
+            "net.worker_death",
+            at,
+            worker as u64,
+            lost_eval.unwrap_or(u64::MAX),
+            match kind {
+                FaultKind::Hang => 1.0,
+                _ => 0.0,
+            },
+        );
+        if self.handle(Event::WorkerDied {
+            worker,
+            at,
+            will_respawn: false,
+            lost_eval,
+        }) {
+            return true;
+        }
+        if self.alive.iter().any(|a| *a) {
+            return false;
+        }
+        let lost = NetError::AllWorkersLost {
+            completed: self.transport.engine.nfe(),
+            target: self.cfg.max_nfe,
+        };
+        self.end(Err(lost))
+    }
+
+    /// The clock duties: expired deadlines, then stale heartbeats.
+    fn on_tick(&mut self) -> bool {
+        if self.verdict.is_some() {
+            return true;
+        }
+        let now = self.transport.now();
+        for (eval_id, worker, deadline_bits) in self.proto.expired_deadlines(now) {
+            if self.handle(Event::DeadlineFired {
+                eval_id,
+                worker,
+                deadline_bits,
+                at: now,
+            }) {
+                return true;
+            }
+        }
+        if self.cfg.heartbeat_timeout.is_finite() {
+            for worker in 0..self.alive.len() {
+                if now - self.last_seen[worker] > self.cfg.heartbeat_timeout
+                    && self.on_death(worker, FaultKind::Hang)
+                {
+                    return true;
+                }
+            }
+        }
+        false
     }
 }
 
@@ -362,20 +551,40 @@ pub(crate) fn register_pool(
     Ok(conns)
 }
 
-/// One connection's reader loop: frames in, notes out. Exits on EOF,
-/// decode error, or the stop flag.
-fn reader_loop<R: Recorder + ?Sized>(
+/// Takes the master lock for one interaction. The holder is out again
+/// within a few microseconds (one engine event and one small write), so a
+/// contending connection thread polls for about that long before it
+/// blocks: going to sleep and being woken costs more than the wait, and
+/// with every connection thread doing so the lock turns into a convoy.
+/// Measured with in-process workers on two CPUs (`serve_saturated_p*` in
+/// `crates/bench/benches/net.rs`, thousand evaluations per second, plain
+/// `lock()` → polling first): P = 8: 64–65 → 69–82, P = 32: 66–67 →
+/// 82–89; pinned to one CPU, where the holder cannot run while another
+/// thread polls, nothing moves (150 → 151).
+fn lock_master<'m, 'a, R: Recorder + ?Sized>(
+    master: &'m Mutex<Master<'a, R>>,
+) -> parking_lot::MutexGuard<'m, Master<'a, R>> {
+    for _ in 0..200 {
+        if let Some(guard) = master.try_lock() {
+            return guard;
+        }
+        std::hint::spin_loop();
+    }
+    master.lock()
+}
+
+/// One connection's thread: reads and decodes frames, then handles each
+/// under the master lock. Exits on EOF, decode error, the stop flag, or
+/// the end of the run.
+fn connection_loop<R: Recorder + ?Sized>(
     mut conn: Conn,
     worker: usize,
-    tx: &channel::Sender<Note>,
+    master: &Mutex<Master<'_, R>>,
     stop: &AtomicBool,
     rec: &R,
 ) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match conn.recv() {
+    while !stop.load(Ordering::SeqCst) {
+        let over = match conn.recv() {
             Ok(Some(Msg::Outcome {
                 eval_id,
                 attempt,
@@ -389,7 +598,7 @@ fn reader_loop<R: Recorder + ?Sized>(
                     rec.counter(metrics::TRACE_CTX_RECEIVED, 1);
                 }
                 // Trust the connection index, not the frame's claim.
-                let note = Note::Result(WireResult {
+                let (over, spent) = lock_master(master).on_result(WireResult {
                     worker,
                     eval_id,
                     attempt,
@@ -397,28 +606,34 @@ fn reader_loop<R: Recorder + ?Sized>(
                     constraints,
                     ctx,
                 });
-                if tx.send(note).is_err() {
-                    return;
+                if let Some(spent) = spent {
+                    conn.recycle(spent.objectives);
+                    conn.recycle(spent.constraints);
                 }
+                over
             }
             Ok(Some(Msg::Heartbeat { ctx, .. })) => {
                 rec.counter(metrics::HEARTBEATS, 1);
                 if ctx.is_some() {
                     rec.counter(metrics::TRACE_CTX_RECEIVED, 1);
                 }
-                if tx.send(Note::Beat { worker, ctx }).is_err() {
-                    return;
-                }
+                lock_master(master).on_beat(worker, ctx)
             }
-            Ok(Some(_)) => rec.counter(metrics::FRAMES_RECEIVED, 1),
-            Ok(None) => {} // read timeout: poll the stop flag again
+            Ok(Some(_)) => {
+                rec.counter(metrics::FRAMES_RECEIVED, 1);
+                false
+            }
+            Ok(None) => false, // read timeout: poll the stop flag again
             Err(e) => {
                 if matches!(e, NetError::Decode(_)) {
                     rec.counter(metrics::DECODE_ERRORS, 1);
                 }
-                let _ = tx.send(Note::Dead { worker });
-                return;
+                master.lock().on_death(worker, FaultKind::Crash);
+                true
             }
+        };
+        if over {
+            return;
         }
     }
 }
@@ -438,35 +653,19 @@ where
     assert!(cfg.max_nfe >= 1, "need at least one evaluation");
     let listener = NetListener::bind(&cfg.listen)?;
     let conns = register_pool(&listener, cfg)?;
-    serve_registered(problem, borg, cfg, conns, rec)
-}
-
-/// [`serve`] with an already-registered pool (the chaos harness
-/// registers through its proxy and hands the master-side connections
-/// over directly).
-pub(crate) fn serve_registered<P, R>(
-    problem: &P,
-    borg: BorgConfig,
-    cfg: &ServeConfig,
-    conns: Vec<Conn>,
-    rec: &R,
-) -> Result<ServeReport, NetError>
-where
-    P: Problem + ?Sized,
-    R: Recorder + Sync + ?Sized,
-{
     let workers = conns.len();
     let engine_seed = SplitMix64::new(cfg.seed).derive_seed("net-serve-engine");
     let mut writers = Vec::with_capacity(workers);
     for conn in &conns {
         writers.push(Some(conn.stream().try_clone()?));
     }
-    let mut transport = NetTransport {
+    let transport = NetTransport {
         start: Instant::now(),
         engine: BorgEngine::new(problem, borg, engine_seed),
+        shape: (problem.num_objectives(), problem.num_constraints()),
         writers,
-        candidates: BTreeMap::new(),
-        dispatched_at: BTreeMap::new(),
+        frame: Vec::new(),
+        in_flight: BTreeMap::new(),
         current_eval: vec![None; workers],
         dispatch_seq: vec![0; workers],
         pending: None,
@@ -476,7 +675,7 @@ where
         wire_duplicates: 0,
         rec,
     };
-    let mut proto = MasterEngine::new(borg_protocol::EngineConfig::shared_pool_async(
+    let proto = MasterEngine::new(borg_protocol::EngineConfig::shared_pool_async(
         workers,
         cfg.max_nfe,
         RecoveryPolicy {
@@ -485,36 +684,63 @@ where
             max_reissues: MAX_REISSUES,
         },
     ));
-    let (tx, rx) = channel::unbounded::<Note>();
+    let mut master = Master {
+        proto,
+        last_seen: vec![transport.now(); workers],
+        transport,
+        alive: vec![true; workers],
+        wire_heartbeats: 0,
+        cfg,
+        verdict: None,
+        caller: std::thread::current(),
+    };
+    master.proto.seed(&mut master.transport, rec);
+    master.settle();
+    let master = Mutex::new(master);
     let stop = AtomicBool::new(false);
     let tick = cfg.reissue_timeout.map_or(Duration::from_millis(50), |t| {
         Duration::from_secs_f64((t / 4.0).clamp(0.001, 0.1))
     });
 
-    let run = std::thread::scope(|scope| -> Result<(f64, u64), NetError> {
+    std::thread::scope(|scope| {
         for (worker, conn) in conns.into_iter().enumerate() {
-            let tx = tx.clone();
-            let stop = &stop;
-            scope.spawn(move || reader_loop(conn, worker, &tx, stop, rec));
+            let (master, stop) = (&master, &stop);
+            scope.spawn(move || connection_loop(conn, worker, master, stop, rec));
         }
-        drop(tx);
-
-        let result = drive_master(&mut proto, &mut transport, &rx, cfg, workers, tick, rec);
-
+        // The clock: tick until a connection thread (or a tick) ends the
+        // run. `settle` unparks this thread, so the end is seen at once;
+        // a spurious wake-up only ticks early.
+        loop {
+            std::thread::park_timeout(tick);
+            if master.lock().on_tick() {
+                break;
+            }
+        }
         // Orderly teardown regardless of outcome: tell live workers the
-        // run is over, then sever every connection so blocked reader
-        // threads return immediately and the scope join cannot hang.
-        let shutdown_frame = codec::encode(&Msg::Shutdown);
-        for writer in transport.writers.iter_mut().flatten() {
-            let _ = writer.write_all(&shutdown_frame);
+        // run is over, then sever every connection so blocked reads
+        // return immediately and the scope join cannot hang.
+        let m = &mut *master.lock();
+        codec::encode_into(&mut m.transport.frame, &Msg::Shutdown);
+        for writer in m.transport.writers.iter_mut().flatten() {
+            let _ = writer.write_all(&m.transport.frame);
         }
         stop.store(true, Ordering::SeqCst);
-        for writer in transport.writers.iter().flatten() {
+        for writer in m.transport.writers.iter().flatten() {
             writer.shutdown();
         }
-        result
     });
-    let (elapsed, wire_heartbeats) = run?;
+    let Master {
+        proto,
+        transport,
+        wire_heartbeats,
+        verdict,
+        ..
+    } = master.into_inner();
+    let elapsed = verdict.unwrap_or_else(|| {
+        Err(NetError::Protocol(
+            "the master stopped without a verdict".to_string(),
+        ))
+    })?;
 
     let mut fault_log = proto.into_log();
     fault_log.finalize(elapsed);
@@ -532,177 +758,4 @@ where
         wire_duplicates: transport.wire_duplicates,
         wire_heartbeats,
     })
-}
-
-/// The note→event pump. Split out so teardown runs on every exit path.
-#[allow(clippy::too_many_arguments)]
-fn drive_master<R: Recorder + Sync + ?Sized>(
-    proto: &mut MasterEngine,
-    transport: &mut NetTransport<'_, R>,
-    rx: &channel::Receiver<Note>,
-    cfg: &ServeConfig,
-    workers: usize,
-    tick: Duration,
-    rec: &R,
-) -> Result<(f64, u64), NetError> {
-    let mut alive = vec![true; workers];
-    let mut last_seen = vec![transport.now(); workers];
-    let mut wire_heartbeats = 0u64;
-
-    proto.seed(transport, rec);
-    if let Some(err) = transport.latched.take() {
-        return Err(err);
-    }
-
-    while !proto.finished() {
-        if alive.iter().all(|a| !*a) {
-            return Err(NetError::AllWorkersLost {
-                completed: transport.engine.nfe(),
-                target: cfg.max_nfe,
-            });
-        }
-        let note = match rx.recv_timeout(tick) {
-            Ok(note) => note,
-            Err(channel::RecvTimeoutError::Timeout) => {
-                let now = transport.now();
-                for (eval_id, worker, deadline_bits) in proto.expired_deadlines(now) {
-                    proto.handle(
-                        Event::DeadlineFired {
-                            eval_id,
-                            worker,
-                            deadline_bits,
-                            at: now,
-                        },
-                        transport,
-                        rec,
-                    );
-                    if let Some(err) = transport.latched.take() {
-                        return Err(err);
-                    }
-                }
-                if cfg.heartbeat_timeout.is_finite() {
-                    for worker in 0..workers {
-                        if alive[worker] && now - last_seen[worker] > cfg.heartbeat_timeout {
-                            alive[worker] = false;
-                            declare_dead(proto, transport, worker, FaultKind::Hang, rec);
-                            if let Some(err) = transport.latched.take() {
-                                return Err(err);
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            Err(channel::RecvTimeoutError::Disconnected) => {
-                return Err(NetError::AllWorkersLost {
-                    completed: transport.engine.nfe(),
-                    target: cfg.max_nfe,
-                });
-            }
-        };
-        match note {
-            Note::Result(result) => {
-                let (worker, eval_id) = (result.worker, result.eval_id);
-                if !alive[worker] {
-                    // A result from a worker already declared dead:
-                    // stale by definition (its eval was reissued).
-                    continue;
-                }
-                let at = transport.now();
-                last_seen[worker] = at;
-                transport.pending = Some(result);
-                proto.handle(
-                    Event::ResultArrived {
-                        worker,
-                        eval_id,
-                        at,
-                    },
-                    transport,
-                    rec,
-                );
-                transport.pending = None;
-                if let Some(err) = transport.latched.take() {
-                    return Err(err);
-                }
-            }
-            Note::Beat { worker, ctx } => {
-                wire_heartbeats += 1;
-                last_seen[worker] = transport.now();
-                // A heartbeat carrying a context is a clock probe: echo
-                // it back with the probe's send time preserved in
-                // `parent_span` (bit pattern) plus our own clock, so the
-                // worker can compute RTT and clock offset. Written from
-                // this thread only — the single-writer discipline keeps
-                // frames from interleaving with dispatches.
-                if let Some(probe) = ctx {
-                    let echo = codec::encode(&Msg::Heartbeat {
-                        worker: worker as u64,
-                        ctx: Some(TraceCtx {
-                            trace_id: probe.trace_id,
-                            parent_span: probe.sent_at.to_bits(),
-                            sent_at: transport.now(),
-                        }),
-                    });
-                    if let Some(stream) = transport.writers[worker].as_mut() {
-                        if stream.write_all(&echo).is_ok() {
-                            rec.counter(metrics::TRACE_PROBE_ECHOES, 1);
-                            rec.counter(metrics::FRAMES_SENT, 1);
-                            rec.counter(metrics::BYTES_SENT, echo.len() as u64);
-                        } else {
-                            transport.writers[worker] = None;
-                        }
-                    }
-                }
-            }
-            Note::Dead { worker } => {
-                if alive[worker] {
-                    alive[worker] = false;
-                    declare_dead(proto, transport, worker, FaultKind::Crash, rec);
-                    if let Some(err) = transport.latched.take() {
-                        return Err(err);
-                    }
-                }
-            }
-        }
-    }
-    Ok((transport.now(), wire_heartbeats))
-}
-
-/// Records a physically observed death in the ledger and lets the
-/// engine's recovery machinery (retire + immediate reissue of the lost
-/// evaluation) act on it.
-fn declare_dead<R: Recorder + Sync + ?Sized>(
-    proto: &mut MasterEngine,
-    transport: &mut NetTransport<'_, R>,
-    worker: usize,
-    kind: FaultKind,
-    rec: &R,
-) {
-    let at = transport.now();
-    let lost_eval = transport.current_eval[worker];
-    proto
-        .log_mut()
-        .inject(kind, worker, lost_eval.unwrap_or(0), at);
-    transport.writers[worker] = None;
-    rec.counter(metrics::WORKER_DEATHS, 1);
-    rec.flight(
-        "net.worker_death",
-        at,
-        worker as u64,
-        lost_eval.unwrap_or(u64::MAX),
-        match kind {
-            FaultKind::Hang => 1.0,
-            _ => 0.0,
-        },
-    );
-    proto.handle(
-        Event::WorkerDied {
-            worker,
-            at,
-            will_respawn: false,
-            lost_eval,
-        },
-        transport,
-        rec,
-    );
 }

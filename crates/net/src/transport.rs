@@ -2,9 +2,9 @@
 //! bounded-exponential reconnect backoff, and the framed [`Conn`].
 //!
 //! This module is the only place in the crate that opens raw sockets —
-//! every connection acquired here has a read timeout installed before it
-//! is handed out, so no blocking read in the crate can stall forever
-//! (the wire half of rule BORG-L013).
+//! every connection acquired here has a read timeout and a write timeout
+//! installed before it is handed out, so no blocking read or write in the
+//! crate can stall forever (the wire half of rule BORG-L013).
 
 use crate::codec::{self, DecodeError, FrameReader, Msg};
 use std::fmt;
@@ -127,6 +127,13 @@ impl fmt::Display for NetAddr {
     }
 }
 
+/// How long a blocking frame write may stall before it fails. A peer that
+/// stops reading fills its socket buffer; the master writes dispatches
+/// while holding its state lock, so an unbounded write would stop the
+/// whole run. A frame is at most a few KiB against socket buffers of tens
+/// of KiB, so a healthy peer never comes near this.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+
 /// A bound listener over either address family.
 pub enum NetListener {
     Tcp(TcpListener),
@@ -182,8 +189,9 @@ impl NetListener {
         .map_err(|e| NetError::io("set_nonblocking", &e))
     }
 
-    /// Accepts one connection and installs `read_timeout` on it before
-    /// returning. In non-blocking mode `Ok(None)` means "nobody there".
+    /// Accepts one connection and installs `read_timeout` (and the write
+    /// timeout) on it before returning. In non-blocking mode `Ok(None)`
+    /// means "nobody there".
     pub fn accept(&self, read_timeout: Duration) -> Result<Option<NetStream>, NetError> {
         let stream = match self {
             NetListener::Tcp(l) => match l.accept() {
@@ -199,6 +207,7 @@ impl NetListener {
         };
         stream.set_nonblocking(false)?;
         stream.set_read_timeout(Some(read_timeout))?;
+        stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
         Ok(Some(stream))
     }
 }
@@ -217,6 +226,14 @@ impl NetStream {
             NetStream::Unix(s) => s.set_read_timeout(timeout),
         }
         .map_err(|e| NetError::io("set_read_timeout", &e))
+    }
+
+    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> Result<(), NetError> {
+        match self {
+            NetStream::Tcp(s) => s.set_write_timeout(timeout),
+            NetStream::Unix(s) => s.set_write_timeout(timeout),
+        }
+        .map_err(|e| NetError::io("set_write_timeout", &e))
     }
 
     pub fn set_nonblocking(&self, nonblocking: bool) -> Result<(), NetError> {
@@ -327,17 +344,23 @@ impl Backoff {
     }
 }
 
-/// One connect attempt with the read deadline installed before the
-/// stream is handed anywhere (the BORG-L013 contract: acquisition and
-/// timeout guard live in the same place).
+/// One connect attempt with the read and write deadlines installed before
+/// the stream is handed anywhere (the BORG-L013 contract: acquisition and
+/// timeout guards live in the same place).
 fn connect_once(addr: &NetAddr, read_timeout: Duration) -> std::io::Result<NetStream> {
     let stream = match addr {
         NetAddr::Tcp(hp) => TcpStream::connect(hp.as_str()).map(NetStream::Tcp)?,
         NetAddr::Unix(path) => UnixStream::connect(path).map(NetStream::Unix)?,
     };
     match &stream {
-        NetStream::Tcp(s) => s.set_read_timeout(Some(read_timeout))?,
-        NetStream::Unix(s) => s.set_read_timeout(Some(read_timeout))?,
+        NetStream::Tcp(s) => {
+            s.set_read_timeout(Some(read_timeout))?;
+            s.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        }
+        NetStream::Unix(s) => {
+            s.set_read_timeout(Some(read_timeout))?;
+            s.set_write_timeout(Some(WRITE_TIMEOUT))?;
+        }
     }
     Ok(stream)
 }
@@ -373,6 +396,8 @@ pub struct Conn {
     stream: NetStream,
     reader: FrameReader,
     scratch: [u8; 4096],
+    /// The outgoing frame, re-encoded in place by every `send`.
+    out: Vec<u8>,
 }
 
 impl Conn {
@@ -383,6 +408,7 @@ impl Conn {
             stream,
             reader: FrameReader::new(),
             scratch: [0u8; 4096],
+            out: Vec::new(),
         }
     }
 
@@ -392,11 +418,18 @@ impl Conn {
 
     /// Encodes and writes one frame. Returns the frame size in bytes.
     pub fn send(&mut self, msg: &Msg) -> Result<usize, NetError> {
-        let frame = codec::encode(msg);
+        codec::encode_into(&mut self.out, msg);
         self.stream
-            .write_all(&frame)
+            .write_all(&self.out)
             .map_err(|e| NetError::io("frame write", &e))?;
-        Ok(frame.len())
+        Ok(self.out.len())
+    }
+
+    /// Hands back the `f64` vector of a received message the caller is
+    /// done with, so the next `recv` refills it instead of allocating (see
+    /// [`FrameReader::recycle`]).
+    pub fn recycle(&mut self, retired: Vec<f64>) {
+        self.reader.recycle(retired);
     }
 
     /// Reads until one complete message is available or the read timeout
@@ -466,6 +499,28 @@ mod tests {
             err,
             Err(NetError::ConnectFailed { attempts: 3, .. })
         ));
+    }
+
+    #[test]
+    fn acquired_streams_carry_both_deadlines() {
+        let path = std::env::temp_dir().join(format!(
+            "borg-net-transport-{}-deadlines.sock",
+            std::process::id()
+        ));
+        let listener = NetListener::bind(&NetAddr::Unix(path.clone())).unwrap();
+        let read_timeout = Duration::from_millis(40);
+        let mut backoff = Backoff::default_schedule();
+        let dialled =
+            connect_with_backoff(&NetAddr::Unix(path.clone()), &mut backoff, read_timeout).unwrap();
+        let accepted = listener.accept(read_timeout).unwrap().unwrap();
+        for stream in [dialled, accepted] {
+            let NetStream::Unix(s) = stream else {
+                panic!("unix endpoints yield unix streams");
+            };
+            assert_eq!(s.read_timeout().unwrap(), Some(read_timeout));
+            assert_eq!(s.write_timeout().unwrap(), Some(WRITE_TIMEOUT));
+        }
+        let _ = std::fs::remove_file(path);
     }
 
     #[test]

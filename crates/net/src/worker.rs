@@ -102,28 +102,35 @@ pub fn run_worker<R: Recorder + ?Sized>(
     let problem = resolve(&problem_name)
         .ok_or_else(|| NetError::Protocol(format!("cannot resolve problem {problem_name:?}")))?;
     let eval_delay = Duration::from_micros(eval_delay_us);
-    let mut objs = vec![0.0; problem.num_objectives()];
-    let mut cons = vec![0.0; problem.num_constraints()];
     // The worker's own trace clock: seconds on its private epoch. The
     // merge aligns it to the master clock from heartbeat-probe samples.
     let epoch = Instant::now();
     let mut last_beat = Instant::now();
     let mut probe_seq = 0u64;
-    // A result that could not be written before the connection dropped;
-    // re-sent after re-registration (the master suppresses duplicates by
-    // eval id, so re-sending is always safe).
-    let mut unsent: Option<Msg> = None;
+    // The one result message of this worker: every evaluation writes its
+    // objectives straight into it. `unsent` marks a result that has not
+    // been written yet, or could not be before the connection dropped;
+    // it is re-sent after re-registration (the master suppresses
+    // duplicates by eval id, so re-sending is always safe).
+    let mut outcome = Msg::Outcome {
+        worker,
+        eval_id: 0,
+        attempt: 0,
+        objectives: vec![0.0; problem.num_objectives()],
+        constraints: vec![0.0; problem.num_constraints()],
+        ctx: None,
+    };
+    let mut unsent = false;
 
     'session: loop {
-        if let Some(mut msg) = unsent.take() {
+        if unsent {
             // Stamp the context at the moment the frame actually goes to
             // the wire (resends after a reconnect get a fresh stamp).
             let send_at = epoch.elapsed().as_secs_f64();
-            if let Msg::Outcome { ctx: Some(c), .. } = &mut msg {
+            if let Msg::Outcome { ctx: Some(c), .. } = &mut outcome {
                 c.sent_at = send_at;
             }
-            if conn.send(&msg).is_err() {
-                unsent = Some(msg);
+            if conn.send(&outcome).is_err() {
                 match reconnect(opts, worker, &mut report) {
                     Some(c) => {
                         conn = c;
@@ -133,10 +140,11 @@ pub fn run_worker<R: Recorder + ?Sized>(
                     None => return Ok(report),
                 }
             }
+            unsent = false;
             rec.counter(metrics::FRAMES_SENT, 1);
             if let Msg::Outcome {
                 eval_id, attempt, ..
-            } = &msg
+            } = &outcome
             {
                 rec.counter(metrics::TRACE_CTX_SENT, 1);
                 rec.trace_edge(TraceEdge {
@@ -184,27 +192,34 @@ pub fn run_worker<R: Recorder + ?Sized>(
                         problem.num_variables()
                     )));
                 }
-                problem.evaluate(&variables, &mut objs, &mut cons);
+                let mut done_at = received_at;
+                if let Msg::Outcome {
+                    eval_id: sent_id,
+                    attempt: sent_attempt,
+                    objectives,
+                    constraints,
+                    ctx: sent_ctx,
+                    ..
+                } = &mut outcome
+                {
+                    problem.evaluate(&variables, objectives, constraints);
+                    done_at = epoch.elapsed().as_secs_f64();
+                    (*sent_id, *sent_attempt) = (eval_id, attempt);
+                    *sent_ctx = Some(TraceCtx {
+                        trace_id: eval_id,
+                        parent_span: codec::span_id(eval_id, attempt, 2),
+                        sent_at: done_at,
+                    });
+                }
+                conn.recycle(variables);
+                unsent = true;
                 report.evaluated += 1;
-                let done_at = epoch.elapsed().as_secs_f64();
                 rec.span(
                     Actor::Worker(worker as usize),
                     Activity::Evaluation,
                     received_at,
                     done_at,
                 );
-                unsent = Some(Msg::Outcome {
-                    worker,
-                    eval_id,
-                    attempt,
-                    objectives: objs.clone(),
-                    constraints: cons.clone(),
-                    ctx: Some(TraceCtx {
-                        trace_id: eval_id,
-                        parent_span: codec::span_id(eval_id, attempt, 2),
-                        sent_at: done_at,
-                    }),
-                });
             }
             Ok(Some(Msg::Shutdown)) => {
                 rec.counter(metrics::FRAMES_RECEIVED, 1);

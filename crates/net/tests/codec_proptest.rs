@@ -1,7 +1,10 @@
 //! Codec robustness properties: every message round-trips bit-exactly,
 //! and *no* malformed input — truncation, single-bit corruption,
 //! oversized length fields, random garbage — ever panics or decodes to
-//! a message. Decode is total.
+//! a message. Decode is total. Every suite also runs the reusing forms —
+//! `encode_into` over a dirty buffer, a `FrameReader` refilling recycled
+//! vectors — which must agree with the allocating ones byte for byte and
+//! error for error.
 //!
 //! The single-bit-flip property leans on FNV-1a's per-step bijectivity:
 //! XOR-with-a-byte and multiply-by-an-odd-prime are both bijections on
@@ -9,8 +12,8 @@
 //! to the same checksum.
 
 use borg_net::codec::{
-    decode, decode_complete, encode, DecodeError, Msg, TraceCtx, HEADER_LEN, MAGIC, MAX_PAYLOAD,
-    UNASSIGNED, VERSION,
+    decode, decode_complete, encode, encode_into, encode_work_into, DecodeError, FrameReader, Msg,
+    TraceCtx, HEADER_LEN, MAGIC, MAX_PAYLOAD, UNASSIGNED, VERSION,
 };
 use borg_protocol::{Command, Event};
 use proptest::prelude::*;
@@ -152,13 +155,41 @@ fn msg_strategy() -> Union<Msg> {
     ]
 }
 
+/// Streaming decode of `bytes` by a `FrameReader` that was handed used
+/// vectors (one larger than any in `msg_strategy`, one smaller, both
+/// dirty): what `decode` says, minus the consumed length.
+fn decode_recycled(bytes: &[u8]) -> Result<Option<Msg>, DecodeError> {
+    let mut reader = FrameReader::new();
+    reader.recycle(vec![f64::NAN; 40]);
+    reader.recycle(vec![-1.0; 3]);
+    reader.feed(bytes);
+    reader.next_msg()
+}
+
+fn decode_fresh(bytes: &[u8]) -> Result<Option<Msg>, DecodeError> {
+    decode(bytes).map(|found| found.map(|(msg, _)| msg))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
     #[test]
-    fn round_trip_is_identity(msg in msg_strategy()) {
+    fn round_trip_is_identity(
+        msg in msg_strategy(),
+        dirt in prop::collection::vec(0u8..=255u8, 0..400),
+    ) {
         let frame = encode(&msg);
         prop_assert!(frame.len() >= HEADER_LEN);
+        // A reused buffer — dirty, shorter or longer than the frame —
+        // ends up holding exactly the frame.
+        let mut reused = dirt;
+        encode_into(&mut reused, &msg);
+        prop_assert_eq!(&reused, &frame);
+        if let Msg::Work { eval_id, attempt, seq, variables, ctx } = &msg {
+            encode_work_into(&mut reused, *eval_id, *attempt, *seq, variables, *ctx);
+            prop_assert_eq!(&reused, &frame);
+        }
+        prop_assert_eq!(decode_recycled(&frame), Ok(Some(msg.clone())));
         // Streaming decode consumes exactly the frame...
         prop_assert_eq!(decode(&frame), Ok(Some((msg.clone(), frame.len()))));
         // ...and the at-EOF form agrees.
@@ -182,6 +213,7 @@ proptest! {
                 !matches!(decode(prefix), Ok(Some(_))),
                 "streaming decode yielded a message from a {cut}-byte prefix"
             );
+            prop_assert_eq!(decode_recycled(prefix), decode_fresh(prefix));
         }
     }
 
@@ -200,6 +232,7 @@ proptest! {
             !matches!(decode(&corrupted), Ok(Some(_))),
             "streaming decode yielded a message from a corrupted frame (bit {bit})"
         );
+        prop_assert_eq!(decode_recycled(&corrupted), decode_fresh(&corrupted));
     }
 
     #[test]
@@ -218,12 +251,13 @@ proptest! {
         // length.
         prop_assert_eq!(decode(&buf), Err(DecodeError::Oversized(declared)));
         prop_assert_eq!(decode_complete(&buf), Err(DecodeError::Oversized(declared)));
+        prop_assert_eq!(decode_recycled(&buf), Err(DecodeError::Oversized(declared)));
     }
 
     #[test]
     fn random_garbage_never_panics(bytes in prop::collection::vec(0u8..=255u8, 0..64)) {
-        let _ = decode(&bytes);
         let _ = decode_complete(&bytes);
+        prop_assert_eq!(decode_recycled(&bytes), decode_fresh(&bytes));
     }
 }
 
@@ -251,4 +285,8 @@ fn non_finite_payloads_round_trip_at_the_bit_level() {
     let frame = encode(&msg);
     let back = decode_complete(&frame).expect("non-finite frame must decode");
     assert_eq!(encode(&back), frame, "re-encode changed the bit pattern");
+    let refilled = decode_recycled(&frame)
+        .expect("non-finite frame must decode")
+        .expect("the frame is complete");
+    assert_eq!(encode(&refilled), frame, "a refilled vector kept old bits");
 }

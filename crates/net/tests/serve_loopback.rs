@@ -1,0 +1,196 @@
+//! The real `serve` against in-process `run_worker`s over a Unix socket:
+//! the saturated loop where every result is handled on the connection
+//! thread that read it, the EOF path (a connection thread declares its
+//! worker dead) and the tick path (the calling thread reissues a missed
+//! deadline and retires a silent peer).
+
+use borg_core::algorithm::BorgConfig;
+use borg_core::problem::Problem;
+use borg_desim::fault::FaultKind;
+use borg_net::serve::{serve, ServeConfig, ServeReport};
+use borg_net::transport::{connect_with_backoff, Backoff};
+use borg_net::worker::{run_worker, WorkerOptions, WorkerReport};
+use borg_net::{Conn, Msg, NetAddr, NetError};
+use borg_obs::NoopRecorder;
+use borg_problems::dtlz::{Dtlz, DtlzVariant};
+use std::time::Duration;
+
+const PROBLEM: &str = "dtlz2-2";
+
+fn problem() -> Dtlz {
+    Dtlz::new(DtlzVariant::Dtlz2, 2)
+}
+
+fn resolve(name: &str) -> Option<Box<dyn Problem>> {
+    (name == PROBLEM).then(|| Box::new(problem()) as Box<dyn Problem>)
+}
+
+/// A socket path of this test's own (tests run on parallel threads).
+fn config(tag: &str, workers: usize, max_nfe: u64) -> ServeConfig {
+    let path = std::env::temp_dir().join(format!(
+        "borg-serve-loopback-{}-{tag}.sock",
+        std::process::id()
+    ));
+    ServeConfig {
+        problem_name: PROBLEM.to_string(),
+        ..ServeConfig::new(NetAddr::Unix(path), workers, max_nfe, 0x5E12_7E57)
+    }
+}
+
+fn worker_options(cfg: &ServeConfig) -> WorkerOptions {
+    WorkerOptions {
+        connect: cfg.listen.clone(),
+        ..WorkerOptions::default()
+    }
+}
+
+/// Registers like a worker and returns the connection — for the peers
+/// below that stop playing along after their first work item.
+fn register_raw(cfg: &ServeConfig) -> Result<Conn, NetError> {
+    let mut backoff = Backoff::default_schedule();
+    let stream = connect_with_backoff(&cfg.listen, &mut backoff, Duration::from_millis(50))?;
+    let mut conn = Conn::new(stream);
+    conn.send(&Msg::Hello { worker: u64::MAX })?;
+    loop {
+        match conn.recv()? {
+            Some(Msg::Welcome { .. }) => return Ok(conn),
+            Some(other) => return Err(NetError::Protocol(format!("got {other:?}"))),
+            None => {}
+        }
+    }
+}
+
+/// Blocks until the master's first work item arrives on `conn`.
+fn await_work(conn: &mut Conn) -> Result<u64, NetError> {
+    loop {
+        if let Some(Msg::Work { eval_id, .. }) = conn.recv()? {
+            return Ok(eval_id);
+        }
+    }
+}
+
+/// Runs `serve` with `real` well-behaved workers and `peer` on a thread of
+/// its own; returns the master's report and the real workers' reports.
+fn run_with(
+    cfg: &ServeConfig,
+    real: usize,
+    peer: impl FnOnce() + Send,
+) -> (ServeReport, Vec<WorkerReport>) {
+    let problem = problem();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..real)
+            .map(|_| {
+                let opts = worker_options(cfg);
+                scope.spawn(move || run_worker(&opts, &resolve, &NoopRecorder))
+            })
+            .collect();
+        scope.spawn(peer);
+        let report =
+            serve(&problem, BorgConfig::new(2, 0.05), cfg, &NoopRecorder).expect("serve failed");
+        let workers = workers
+            .into_iter()
+            .map(|w| {
+                w.join()
+                    .expect("worker thread panicked")
+                    .expect("worker errored")
+            })
+            .collect();
+        (report, workers)
+    })
+}
+
+fn assert_complete(report: &ServeReport, n: u64) {
+    assert_eq!(report.wire_results, n);
+    assert_eq!(report.wire_duplicates, 0);
+    assert_eq!(report.engine.nfe(), n);
+    report
+        .engine
+        .archive()
+        .check_invariants()
+        .expect("archive invariants");
+}
+
+#[test]
+fn saturated_run_consumes_every_result_exactly_once() {
+    const N: u64 = 20_000;
+    for p in [1usize, 2, 8] {
+        let cfg = config(&format!("saturated-p{p}"), p, N);
+        let (report, workers) = run_with(&cfg, p, || {});
+        assert_complete(&report, N);
+        let evaluated: u64 = workers.iter().map(|w| w.evaluated).sum();
+        assert_eq!(evaluated, N, "P = {p}");
+        assert!(report.fault_log.records.is_empty(), "P = {p}");
+        assert_eq!(report.fault_log.reissues, 0, "P = {p}");
+    }
+}
+
+#[test]
+fn eof_from_a_connection_thread_reissues_to_the_survivor() {
+    const N: u64 = 2_000;
+    let cfg = config("eof", 2, N);
+    // Takes its first work item and hangs up without answering: the
+    // budget cannot complete until the master sees the EOF.
+    let (report, workers) = run_with(&cfg, 1, || {
+        let mut conn = register_raw(&cfg).expect("quitter registration");
+        await_work(&mut conn).expect("quitter's work item");
+    });
+    assert_complete(&report, N);
+    // The quitter evaluated nothing, so the survivor did everything,
+    // the reissued evaluation included.
+    assert_eq!(workers[0].evaluated, N);
+    let log = &report.fault_log;
+    assert_eq!(log.deaths_detected, 1);
+    assert_eq!(log.reissues, 1);
+    assert_eq!(log.records.len(), 1);
+    assert_eq!(log.records[0].kind, FaultKind::Crash);
+}
+
+#[test]
+fn tick_reissues_a_missed_deadline_and_retires_a_silent_peer() {
+    const N: u64 = 2_000;
+    let cfg = ServeConfig {
+        reissue_timeout: Some(0.4),
+        heartbeat_timeout: 1.0,
+        ..config("mute", 2, N)
+    };
+    // Takes its first work item, then reads on without ever answering,
+    // heartbeating or hanging up, until the master closes the socket.
+    let (report, workers) = run_with(&cfg, 1, || {
+        let mut conn = register_raw(&cfg).expect("mute registration");
+        await_work(&mut conn).expect("mute's work item");
+        while conn.recv().is_ok() {}
+    });
+    assert_complete(&report, N);
+    assert_eq!(workers[0].evaluated, N);
+    let log = &report.fault_log;
+    // The deadline tick re-sent the evaluation (to the mute peer, whose
+    // socket was still up); the staleness tick then declared it hung and
+    // moved the evaluation to the survivor.
+    assert!(log.reissues >= 2, "reissues = {}", log.reissues);
+    assert_eq!(log.deaths_detected, 1);
+    assert_eq!(log.records.len(), 1);
+    assert_eq!(log.records[0].kind, FaultKind::Hang);
+}
+
+#[test]
+fn losing_the_last_worker_ends_the_run_with_an_error() {
+    let cfg = config("lost", 1, 100);
+    let problem = problem();
+    let err = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut conn = register_raw(&cfg).expect("quitter registration");
+            await_work(&mut conn).expect("quitter's work item");
+        });
+        serve(&problem, BorgConfig::new(2, 0.05), &cfg, &NoopRecorder).err()
+    });
+    assert!(
+        matches!(
+            err,
+            Some(NetError::AllWorkersLost {
+                completed: 0,
+                target: 100
+            })
+        ),
+        "{err:?}"
+    );
+}

@@ -246,11 +246,17 @@ struct Outstanding {
 /// The pure, deterministic master state machine.
 ///
 /// Feed it [`Event`]s via [`MasterEngine::handle`]; it updates its
-/// beliefs (outstanding deadlines, seen eval ids, per-worker liveness),
-/// writes the recovery ledger, and drives the [`Transport`]. It holds
-/// every piece of state the three executors used to triplicate:
-/// the deadline map, the seen-eval-id set, the reissue queue, attempt
-/// counters, and the alive/believed-alive distinction.
+/// beliefs (outstanding deadlines, per-worker liveness), writes the
+/// recovery ledger, and drives the [`Transport`]. It holds every piece of
+/// state the three executors used to triplicate: the deadline map, the
+/// reissue queue, attempt counters, the alive/believed-alive distinction,
+/// and which eval ids were already consumed.
+///
+/// Memory is O(in flight), not O(evaluations): ids are issued
+/// consecutively from `next_eval`, and an issued id leaves `outstanding`
+/// only by being consumed or abandoned, so "already consumed" is
+/// `id < next_eval`, not outstanding, not abandoned — no set of completed
+/// ids is kept.
 ///
 /// `Clone` exists for the model checker (`borg-mc`): exhaustive
 /// schedule exploration forks the engine at every branch point.
@@ -260,10 +266,11 @@ pub struct MasterEngine {
     // Identity of work.
     next_eval: u64,
     completed: u64,
-    abandoned: u64,
+    // Ids given up past the reissue cap (a late result for one of these
+    // is unknown, not a duplicate).
+    abandoned: BTreeSet<u64>,
     // Recovery state (the formerly triplicated core).
     outstanding: BTreeMap<u64, Outstanding>,
-    done: BTreeSet<u64>,
     reissue_queue: VecDeque<u64>,
     idle: BTreeSet<usize>,
     // Physical truth vs the master's beliefs.
@@ -300,9 +307,8 @@ impl MasterEngine {
             config,
             next_eval: 0,
             completed: 0,
-            abandoned: 0,
+            abandoned: BTreeSet::new(),
             outstanding: BTreeMap::new(),
-            done: BTreeSet::new(),
             reissue_queue: VecDeque::new(),
             idle: BTreeSet::new(),
             alive: vec![true; w],
@@ -366,7 +372,7 @@ impl MasterEngine {
 
     /// Evaluations given up past the reissue cap.
     pub fn abandoned(&self) -> u64 {
-        self.abandoned
+        self.abandoned.len() as u64
     }
 
     /// Whether the budget is complete.
@@ -426,7 +432,6 @@ impl MasterEngine {
         let mut h = 0x243F_6A88_85A3_08D3u64;
         h = fold(h, self.next_eval);
         h = fold(h, self.completed);
-        h = fold(h, self.abandoned);
         h = fold(h, u64::from(self.finished));
         h = fold(h, self.gen_remaining as u64);
         h = fold(h, self.pending_respawns as u64);
@@ -438,8 +443,10 @@ impl MasterEngine {
             h = fold(h, o.deadline.to_bits());
             h = fold(h, u64::from(o.attempts));
         }
-        h = fold(h, self.done.len() as u64);
-        for &id in &self.done {
+        // With `next_eval` and `outstanding` above, this fixes the set of
+        // consumed ids too.
+        h = fold(h, self.abandoned.len() as u64);
+        for &id in &self.abandoned {
             h = fold(h, id);
         }
         h = fold(h, self.reissue_queue.len() as u64);
@@ -612,7 +619,8 @@ impl MasterEngine {
         let fresh_ok = match self.config.dispatch_policy {
             DispatchPolicy::Eager => true,
             DispatchPolicy::Budgeted => {
-                self.completed + self.outstanding.len() as u64 + self.abandoned < self.config.budget
+                self.completed + self.outstanding.len() as u64 + self.abandoned()
+                    < self.config.budget
             }
         };
         if fresh_ok {
@@ -632,23 +640,26 @@ impl MasterEngine {
         worker: usize,
         eval_id: u64,
     ) {
-        if self.suppress_duplicates && self.done.contains(&eval_id) {
-            // Duplicate or superseded copy: absorb the message, count the
-            // wasted work, free the worker if it was still pinned on it.
-            self.emit(rec, Command::SuppressDuplicate { worker, eval_id });
-            let end = t.absorb_duplicate(worker, eval_id, ready_at);
-            self.log.duplicates_suppressed += 1;
-            self.log.wasted_nfe += 1;
-            self.log.recover_eval(eval_id, end);
-            if self.current_eval[worker] == Some(eval_id) {
-                self.assign_next(t, rec, worker);
-            }
-            return;
-        }
         let Some(o) = self.outstanding.remove(&eval_id) else {
-            // Neither done nor outstanding: abandoned past max_reissues
-            // (simulated transports) or corruption (real ones decide).
-            t.unknown_result(worker, eval_id);
+            // Issued, not in flight, not abandoned: it was consumed.
+            let consumed = eval_id < self.next_eval && !self.abandoned.contains(&eval_id);
+            if self.suppress_duplicates && consumed {
+                // Duplicate or superseded copy: absorb the message, count
+                // the wasted work, free the worker if it was still pinned
+                // on it.
+                self.emit(rec, Command::SuppressDuplicate { worker, eval_id });
+                let end = t.absorb_duplicate(worker, eval_id, ready_at);
+                self.log.duplicates_suppressed += 1;
+                self.log.wasted_nfe += 1;
+                self.log.recover_eval(eval_id, end);
+                if self.current_eval[worker] == Some(eval_id) {
+                    self.assign_next(t, rec, worker);
+                }
+            } else {
+                // Abandoned past max_reissues or never issued (simulated
+                // transports: stale; real ones: corruption, they decide).
+                t.unknown_result(worker, eval_id);
+            }
             return;
         };
         // How much headroom the deadline had left when the result arrived
@@ -667,7 +678,6 @@ impl MasterEngine {
         let end = t.consume(worker, eval_id, ready_at);
         rec.observe("engine.consume_seconds", end - ready_at);
         self.completed += 1;
-        self.done.insert(eval_id);
         self.log.recover_eval(eval_id, end);
         // Results prove liveness: a quarantined worker that speaks again
         // (e.g. a straggler mistaken for dead) rejoins the pool.
@@ -738,10 +748,7 @@ impl MasterEngine {
             self.current_eval[w] = None;
         }
         if o.attempts >= self.config.policy.max_reissues {
-            self.outstanding.remove(&eval_id);
-            self.abandoned += 1;
-            self.emit(rec, Command::Abandon { eval_id });
-            t.abandon(eval_id);
+            self.abandon(t, rec, eval_id);
             return;
         }
         match self.config.discipline {
@@ -763,6 +770,14 @@ impl MasterEngine {
                 }
             }
         }
+    }
+
+    /// Give up on `eval_id`: it exhausted its reissue budget.
+    fn abandon<T: Transport, R: Recorder + ?Sized>(&mut self, t: &mut T, rec: &R, eval_id: u64) {
+        self.outstanding.remove(&eval_id);
+        self.abandoned.insert(eval_id);
+        self.emit(rec, Command::Abandon { eval_id });
+        t.abandon(eval_id);
     }
 
     /// Queue `eval_id` for reissue when a worker frees up, neutralising
@@ -797,10 +812,7 @@ impl MasterEngine {
                         self.idle.remove(&v);
                         let attempts = self.outstanding[&id].attempts;
                         if attempts >= self.config.policy.max_reissues {
-                            self.outstanding.remove(&id);
-                            self.abandoned += 1;
-                            self.emit(rec, Command::Abandon { eval_id: id });
-                            t.abandon(id);
+                            self.abandon(t, rec, id);
                         } else {
                             self.dispatch(t, rec, v, id, attempts + 1);
                         }
@@ -814,7 +826,7 @@ impl MasterEngine {
         // worker is (or will be) alive and the target is still reachable
         // despite abandoned evaluations.
         if !self.finished
-            && self.completed + self.abandoned < self.config.budget
+            && self.completed + self.abandoned() < self.config.budget
             && (self.alive.iter().any(|&a| a) || self.pending_respawns > 0)
         {
             self.emit(rec, Command::RearmHeartbeat);
@@ -850,10 +862,7 @@ impl MasterEngine {
                 if let Some(o) = self.outstanding.get(&id).copied() {
                     self.log.wasted_nfe += 1;
                     if o.attempts >= self.config.policy.max_reissues {
-                        self.outstanding.remove(&id);
-                        self.abandoned += 1;
-                        self.emit(rec, Command::Abandon { eval_id: id });
-                        t.abandon(id);
+                        self.abandon(t, rec, id);
                     } else {
                         self.dispatch(t, rec, worker, id, o.attempts + 1);
                     }
@@ -935,6 +944,9 @@ mod tests {
         fn abandon(&mut self, eval_id: u64) {
             self.calls.push(format!("abandon {eval_id}"));
         }
+        fn unknown_result(&mut self, worker: usize, eval_id: u64) {
+            self.calls.push(format!("unknown {worker} {eval_id}"));
+        }
     }
 
     fn arrival(worker: usize, eval_id: u64, at: f64) -> Event {
@@ -982,6 +994,92 @@ mod tests {
         assert_eq!(e.completed(), 1);
         assert_eq!(e.log().duplicates_suppressed, 1);
         assert_eq!(e.log().wasted_nfe, 1);
+    }
+
+    #[test]
+    fn results_for_abandoned_or_never_issued_ids_are_unknown() {
+        let mut t = NullTransport::new(10.0);
+        let policy = RecoveryPolicy {
+            timeout: 10.0,
+            heartbeat_interval: f64::INFINITY,
+            max_reissues: 0,
+        };
+        let mut e = MasterEngine::new(EngineConfig::shared_pool_async(2, 4, policy));
+        e.seed(&mut t, &NoopRecorder);
+        // Eval 0 misses its deadline with no reissues allowed: abandoned.
+        t.now += 10.0;
+        let (id, w, bits) = e.expired_deadlines(t.now)[0];
+        assert_eq!(id, 0);
+        e.handle(
+            Event::DeadlineFired {
+                eval_id: id,
+                worker: w,
+                deadline_bits: bits,
+                at: t.now,
+            },
+            &mut t,
+            &NoopRecorder,
+        );
+        assert_eq!(e.abandoned(), 1);
+        // Its late result is not a duplicate of anything consumed.
+        e.handle(arrival(0, 0, 11.0), &mut t, &NoopRecorder);
+        // Neither is a result for an id not issued yet (ids 0 and 1 are).
+        e.handle(arrival(1, 2, 11.0), &mut t, &NoopRecorder);
+        e.handle(arrival(1, u64::MAX, 11.0), &mut t, &NoopRecorder);
+        assert_eq!(e.completed(), 0);
+        assert_eq!(e.log().duplicates_suppressed, 0);
+        let unknown: Vec<_> = t
+            .calls
+            .iter()
+            .filter(|c| c.starts_with("unknown"))
+            .collect();
+        assert_eq!(
+            unknown,
+            [
+                "unknown 0 0",
+                "unknown 1 2",
+                &format!("unknown 1 {}", u64::MAX)
+            ]
+        );
+        // Eval 1 is still in flight and still consumable.
+        e.handle(arrival(1, 1, 12.0), &mut t, &NoopRecorder);
+        assert_eq!(e.completed(), 1);
+    }
+
+    #[test]
+    fn second_copy_of_a_reissued_eval_is_a_duplicate() {
+        let mut t = NullTransport::new(10.0);
+        let policy = RecoveryPolicy {
+            timeout: 10.0,
+            heartbeat_interval: f64::INFINITY,
+            max_reissues: 8,
+        };
+        let mut e = MasterEngine::new(EngineConfig::shared_pool_async(2, 4, policy));
+        e.seed(&mut t, &NoopRecorder);
+        t.now += 10.0;
+        let (id, w, bits) = e.expired_deadlines(t.now)[0];
+        e.handle(
+            Event::DeadlineFired {
+                eval_id: id,
+                worker: w,
+                deadline_bits: bits,
+                at: t.now,
+            },
+            &mut t,
+            &NoopRecorder,
+        );
+        assert_eq!(e.log().reissues, 1);
+        // The straggling first copy wins the race, the reissue's copy
+        // arrives after it: consumed once, absorbed once.
+        e.handle(arrival(0, id, 10.5), &mut t, &NoopRecorder);
+        e.handle(arrival(1, id, 10.6), &mut t, &NoopRecorder);
+        assert_eq!(e.completed(), 1);
+        assert_eq!(e.log().duplicates_suppressed, 1);
+        assert_eq!(
+            t.calls.iter().filter(|c| c.starts_with("consume")).count(),
+            1
+        );
+        assert!(t.calls.iter().any(|c| c == &format!("dup 1 {id}")));
     }
 
     #[test]

@@ -125,6 +125,18 @@ fn drop_the_read_deadline(stream: &TcpStream) -> std::io::Result<()> {
     stream.set_read_timeout(None) //~ BORG-L013
 }
 
+// The master writes dispatches while holding its state lock: a peer that
+// stops draining must fail the write, not stall the run.
+fn dial_with_unbounded_writes(addr: &str) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect(addr)?; //~ BORG-L013
+    stream.set_read_timeout(Some(read_timeout))?;
+    Ok(stream)
+}
+
+fn drop_the_write_deadline(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_write_timeout(None) //~ BORG-L013
+}
+
 // BORG-L014: recorder metric names are 'static lowercase dotted literals.
 fn dynamic_metric_names(rec: &dyn Recorder, worker: usize) {
     rec.counter(&format!("net.worker{worker}.frames"), 1); //~ BORG-L014
@@ -264,12 +276,13 @@ pub fn hot_path_pair(table: &[u64], i: usize, j: usize) -> u64 {
     table[i] ^ table[j]
 }
 
-// BORG-L013 escapes: an acquisition whose body installs the deadline is
-// the sanctioned shape, and the workspace accept wrapper carries the
-// timeout as an argument (it installs it before returning).
+// BORG-L013 escapes: an acquisition whose body installs both deadlines
+// is the sanctioned shape, and the workspace accept wrapper carries the
+// read timeout as an argument (it installs both before returning).
 fn guarded_dial(addr: &str) -> std::io::Result<TcpStream> {
     let stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(read_timeout))?;
+    stream.set_write_timeout(Some(write_timeout))?;
     Ok(stream)
 }
 

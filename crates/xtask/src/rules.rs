@@ -64,12 +64,15 @@
 //!   must not `.unwrap()` / `.expect()`: wire errors (peer death,
 //!   connection resets, read timeouts) are routine there and must reach
 //!   the reconnect/reissue machinery as values. Additionally, every
-//!   blocking `connect` / `accept` acquisition installs a read deadline
-//!   (`set_read_timeout(Some(..))`) in the same function body before the
-//!   stream escapes, and `set_read_timeout(None)` never removes one — an
+//!   blocking `connect` / `accept` acquisition installs a read and a
+//!   write deadline (`set_read_timeout(Some(..))`,
+//!   `set_write_timeout(Some(..))`) in the same function body before the
+//!   stream escapes, and neither setter is ever called with `None` — an
 //!   unguarded read blocks forever when the peer hangs, which is exactly
-//!   the fault the chaos proxy injects. Extends BORG-L006's
-//!   no-unbounded-wait contract to the wire.
+//!   the fault the chaos proxy injects, and an unguarded write blocks
+//!   forever on a peer that stops draining, while the networked master
+//!   holds its state lock. Extends BORG-L006's no-unbounded-wait
+//!   contract to the wire.
 //! * **BORG-L014** — metric names fed to the `borg_obs::Recorder` hooks
 //!   (`.counter(..)`, `.gauge(..)`, `.observe(..)`, `.flight(..)`) in
 //!   library code must be `'static` lowercase dotted literals (or
@@ -162,8 +165,9 @@ pub const RULES: [Rule; 15] = [
     Rule {
         id: "BORG-L013",
         summary: "socket I/O in borg-net must not unwrap()/expect(); blocking \
-                  connect/accept installs set_read_timeout(Some(..)) before the stream \
-                  escapes, and set_read_timeout(None) never removes a deadline",
+                  connect/accept installs set_read_timeout(Some(..)) and \
+                  set_write_timeout(Some(..)) before the stream escapes, and neither is \
+                  ever set to None",
     },
     Rule {
         id: "BORG-L014",
@@ -1031,6 +1035,7 @@ const L013_SOCKET_TOKENS: &[&str] = &[
     "read_exact",
     "write_all",
     "set_read_timeout",
+    "set_write_timeout",
     "set_nonblocking",
     "shutdown",
 ];
@@ -1059,11 +1064,12 @@ fn rule_l013(
 
             // One scan of the body collects everything the three checks
             // need: socket evidence, consuming unwraps, blocking
-            // acquisitions, and the timeout guard.
+            // acquisitions, and the two timeout guards.
             let mut socket_fn = false;
             let mut unwraps: Vec<(u32, String)> = Vec::new();
             let mut acquires: Vec<(u32, String)> = Vec::new();
-            let mut has_timeout_guard = false;
+            let mut has_read_guard = false;
+            let mut has_write_guard = false;
             for i in (open + 1)..=close {
                 let t = &tokens[i];
                 if t.kind != TokenKind::Ident {
@@ -1072,21 +1078,27 @@ fn rule_l013(
                 match t.text.as_str() {
                     s if L013_SOCKET_TOKENS.contains(&s) => {
                         socket_fn = true;
-                        if s == "set_read_timeout" && is_punct(tokens, i + 1, "(") {
-                            if is_ident(tokens, i + 2, "Some") {
-                                has_timeout_guard = true;
-                            } else if is_ident(tokens, i + 2, "None") && !in_test(t.line) {
-                                out.push(Violation {
-                                    rule: "BORG-L013",
-                                    file: rel_path.to_string(),
-                                    line: t.line,
-                                    message: format!(
-                                        "`set_read_timeout(None)` in `{name}` removes the read \
-                                         deadline; a blocking socket read with no timeout hangs \
-                                         forever when the peer dies mid-frame"
-                                    ),
-                                });
-                            }
+                        let (guard, verb) = match s {
+                            "set_read_timeout" => (&mut has_read_guard, "read"),
+                            "set_write_timeout" => (&mut has_write_guard, "write"),
+                            _ => continue,
+                        };
+                        if !is_punct(tokens, i + 1, "(") {
+                            continue;
+                        }
+                        if is_ident(tokens, i + 2, "Some") {
+                            *guard = true;
+                        } else if is_ident(tokens, i + 2, "None") && !in_test(t.line) {
+                            out.push(Violation {
+                                rule: "BORG-L013",
+                                file: rel_path.to_string(),
+                                line: t.line,
+                                message: format!(
+                                    "`{s}(None)` in `{name}` removes the {verb} deadline; a \
+                                     blocking socket {verb} with no timeout hangs forever when \
+                                     the peer dies or stops draining mid-frame"
+                                ),
+                            });
                         }
                     }
                     // `TcpStream::connect(..)` / `stream.connect(..)` —
@@ -1135,7 +1147,7 @@ fn rule_l013(
                     }
                 }
             }
-            if !has_timeout_guard {
+            if !(has_read_guard && has_write_guard) {
                 for (line, which) in &acquires {
                     if !in_test(*line) {
                         out.push(Violation {
@@ -1143,10 +1155,10 @@ fn rule_l013(
                             file: rel_path.to_string(),
                             line: *line,
                             message: format!(
-                                "blocking `{which}` in `{name}` without \
-                                 `set_read_timeout(Some(..))` in the same body; install the \
-                                 read deadline before the stream escapes so no read can \
-                                 block forever"
+                                "blocking `{which}` in `{name}` without both \
+                                 `set_read_timeout(Some(..))` and `set_write_timeout(Some(..))` \
+                                 in the same body; install the deadlines before the stream \
+                                 escapes so no read or write can block forever"
                             ),
                         });
                     }
@@ -1646,10 +1658,17 @@ mod tests {
         // A raw zero-arg accept with no deadline.
         let acc = "fn admit(l: &TcpListener) { let (s, _) = l.accept()?; }";
         assert_eq!(rules_at(&in_net(acc)), [("BORG-L013", 1)]);
-        // Installing the deadline in the same body is the sanctioned shape.
+        // A read deadline alone leaves writes unbounded.
+        let half = "fn dial(a: &str) -> std::io::Result<TcpStream> {\n\
+                    let s = TcpStream::connect(a)?;\n\
+                    s.set_read_timeout(Some(t))?;\n\
+                    Ok(s)\n}";
+        assert_eq!(rules_at(&in_net(half)), [("BORG-L013", 2)]);
+        // Installing both deadlines in the same body is the sanctioned shape.
         let guarded = "fn dial(a: &str) -> std::io::Result<TcpStream> {\n\
                        let s = TcpStream::connect(a)?;\n\
                        s.set_read_timeout(Some(t))?;\n\
+                       s.set_write_timeout(Some(t))?;\n\
                        Ok(s)\n}";
         assert!(in_net(guarded).is_empty());
         // The workspace wrapper form carries the timeout as an argument.
@@ -1657,6 +1676,8 @@ mod tests {
         assert!(in_net(wrapper).is_empty());
         // Removing a deadline is flagged wherever it happens.
         let none = "fn unguard(s: &NetStream) { s.set_read_timeout(None).ok(); }";
+        assert_eq!(rules_at(&in_net(none)), [("BORG-L013", 1)]);
+        let none = "fn unguard(s: &NetStream) { s.set_write_timeout(None).ok(); }";
         assert_eq!(rules_at(&in_net(none)), [("BORG-L013", 1)]);
         // A field access or wrapper named `connect` is not an acquisition.
         let field = "fn go(o: &Opts) { connect_with_backoff(&o.connect, &mut b, t); }";
