@@ -22,8 +22,8 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --release
 
-echo "==> cargo xtask bench --compare (perf-trajectory regression gate)"
-cargo xtask bench --compare BENCH_runner.json --max-regress 10
+echo "==> benchmark/run.sh --smoke (every workload's output checks)"
+benchmark/run.sh --smoke
 
 echo "==> borg-exp faults --smoke"
 ./target/release/borg-exp faults --smoke --out target/ci-results

@@ -128,9 +128,8 @@ fn bench_net(c: &mut Criterion) {
 
     group.finish();
 
-    // A group of their own: whole runs of hundreds of milliseconds would
-    // drag the `net` group's median-of-medians (what `cargo xtask bench`
-    // tracks) away from the per-frame costs above. The time per iteration
+    // A group of their own: whole runs of hundreds of milliseconds beside
+    // the per-frame costs above. The time per iteration
     // includes registration and teardown; the evaluations per second
     // printed after each id do not.
     let mut group = c.benchmark_group("net_serve");

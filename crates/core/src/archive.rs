@@ -7,42 +7,73 @@
 //! insertions that opened a *new* ε-box — which Borg uses to detect search
 //! stagnation and trigger restarts.
 //!
-//! # The ε-grid index
+//! # Insertion: one blocked scan, no index
 //!
-//! Insertion used to scan every resident's cached box key (O(n) per
-//! candidate, the dominant term of the paper's `T_A`). The archive now keeps
-//! a `BTreeMap<Vec<i64>, usize>` from ε-box key to member slot (a `BTreeMap`
-//! rather than a `HashMap` so iteration order is deterministic, per
-//! BORG-L010) and resolves a candidate in three steps:
-//!
-//! 1. **Same box** — one O(log n) lookup of the candidate's own key.
-//! 2. **Dominating member** — a member box dominating the candidate's box is
-//!    componentwise ≤ and therefore lexicographically *smaller*, so the
-//!    search walks `range(..sbox)` backwards. When a visited key fails at
-//!    coordinate `j` (its `j`-th index exceeds the candidate's), every key
-//!    sharing that prefix also fails, and the walk re-seeks to
-//!    `prefix ++ sbox[j] ++ [i64::MAX…]` — a "staircase" skip that jumps the
-//!    whole failing subtree in one O(log n) seek.
-//! 3. **Dominated members** — symmetric forward walk over `range(sbox..)`
-//!    with `[i64::MIN…]` padding, collecting every member to evict.
+//! A candidate's fate is decided by its ε-box key against every resident's:
+//! a resident in the same box (the two are compared as solutions), a
+//! resident whose box dominates the candidate's (reject), or residents in
+//! boxes the candidate's dominates (evict them, then insert). The archive
+//! keeps each member's key in a [`BlockedRows`] mirror — eight members a
+//! block, one `[f64; 8]` lane array per objective, NaN padding — and
+//! [`EpsilonArchive::offer`] makes a single forward pass over the blocks
+//! with the branch-free kernel [`box_key_block`], which answers "all eight
+//! boxes are mutually nondominated with the candidate's" with one test and
+//! otherwise hands back the eight lanes' comparison bits as two masks. The
+//! pass stops at the first block holding a dominating or same-box resident.
 //!
 //! Because the residents form an antichain under box dominance (invariant 2
-//! below), at most one of steps 1–3 can produce a result, so the decision is
-//! independent of scan order and *bit-identical* to the linear scan — the
-//! retained [`LinearScanArchive`] oracle and the differential property tests
-//! hold the two implementations to the same decisions, eviction order, and
-//! final member ordering. Keys visited by the walks are counted in
+//! below), at most one of the three outcomes exists, so the decision does
+//! not depend on scan order and is *bit-identical* to a member-by-member
+//! scan over integer keys: the differential tests in
+//! `tests/archive_differential.rs` hold the archive to that oracle's
+//! decisions, eviction order and final member ordering. Member boxes
+//! compared — eight per block visited — are counted in
 //! [`EpsilonArchive::box_probes`] (exported as `archive.box_probes`).
+//!
+//! ## The lanes are exact
+//!
+//! A key coordinate is `floor(o / ε) as i64`. `floor` returns an
+//! integer-valued double, NaN or ±∞, and the cast maps
+//!
+//! * an integer-valued double in [−2⁶³, 2⁶³) to that integer, exactly;
+//! * anything at or above 2⁶³ (and +∞) to `i64::MAX`, anything below −2⁶³
+//!   (and −∞) to `i64::MIN`;
+//! * NaN to 0.
+//!
+//! So every key that can occur is either an integer that *is* a double, or
+//! `i64::MAX`. Casting back, `k as f64` returns the first kind unchanged and
+//! sends `i64::MAX` to 2⁶³, which no key of the first kind reaches. On the
+//! reachable keys the cast is therefore injective and strictly increasing:
+//! `a < b` as integers exactly when `a as f64 < b as f64`, and comparing
+//! lanes is comparing keys. (It would not be for arbitrary `i64`s — 2⁵³ and
+//! 2⁵³ + 1 share a double — but 2⁵³ + 1 is not the floor of any double.) A
+//! lane is never NaN, so NaN is free to mean "no member here".
+//!
+//! ## Why no index
+//!
+//! Until PR 16 an ordered map from integer key to slot resolved a
+//! candidate with "staircase" range walks that re-seek past failing
+//! subtrees. On a curve that is sublinear; on the paper's 5-objective
+//! problems it prunes little — 88 re-seeks at ~130 ns each against 3 825
+//! boxes on `serial-dtlz2-5` — while the blocked compare costs under 2 ns a
+//! member. Measured per `offer`, tree → scan: 5-D, 3 825 members 11.9 →
+//! 2.0 µs; 2-D with ε = 10⁻⁴, 633 members 0.28–0.42 → 0.29–0.33 µs, 5 482
+//! members 0.46–0.62 → 2.0–2.1 µs, 7 833 members 0.39–0.44 → 2.8 µs; 2-D,
+//! 11 members 62 → 48 ns. The loss on a long curve is bounded by design: a
+//! steady-state `consume` already runs the same kind of scan over a
+//! population of γ = 4 × the archive with `m + 1` lane arrays a block, so
+//! this pass cannot exceed about a quarter of the one beside it. Dropping
+//! the tree also dropped a heap-allocated key per accepted member and one
+//! of four copies of the archive's state (DESIGN.md §16 has the tables).
 //!
 //! Member objectives additionally mirror into a flat row-major
 //! [`ObjectiveMatrix`] so metrics consume contiguous rows without per-call
 //! `Vec<Vec<f64>>` re-materialization.
 
-use std::collections::BTreeMap;
-use std::ops::Bound;
-
-use crate::dominance::{constrained_dominance, epsilon_box, epsilon_box_into, Dominance};
-use crate::matrix::{FlatMatrix, ObjectiveMatrix};
+use crate::dominance::{
+    box_key_block, constrained_dominance, epsilon_box_lanes, Dominance, BLOCK_LANES,
+};
+use crate::matrix::{BlockedRows, ObjectiveMatrix};
 use crate::solution::Solution;
 
 /// Outcome of attempting to add a solution to the archive.
@@ -141,19 +172,16 @@ impl ArchiveStamp {
 /// 3. All members are mutually Pareto-nondominated... *per box*; exact
 ///    Pareto-nondominance of representatives follows from 1 + 2 only up to
 ///    the box discretization, which is the ε-dominance guarantee.
-/// 4. The ε-grid index maps every member's box key to its slot, and nothing
-///    else.
 #[derive(Debug, Clone)]
 pub struct EpsilonArchive {
     epsilons: Vec<f64>,
     solutions: Vec<Solution>,
-    /// Cached ε-box key per member, row-parallel with `solutions`.
-    boxes: FlatMatrix<i64>,
+    /// ε-box key per member as exact `f64` lanes, row-parallel with
+    /// `solutions`: the insertion scan's view.
+    keys: BlockedRows,
     /// Flat row-major mirror of member objective vectors, row-parallel with
     /// `solutions` (borrowed by metrics instead of cloning `Vec<Vec<f64>>`).
     objectives: ObjectiveMatrix,
-    /// ε-grid spatial index: box key → slot in `solutions`.
-    index: BTreeMap<Vec<i64>, usize>,
     /// Number of insertions that opened a new ε-box (ε-progress counter).
     improvements: u64,
     /// Total accepted insertions (new box + same-box replacements).
@@ -166,14 +194,13 @@ pub struct EpsilonArchive {
     evictions: u64,
     /// In-place replacements (same-box wins and placeholder upgrades).
     replacements: u64,
-    /// Index keys consulted while deciding insertions (`archive.box_probes`).
+    /// Member boxes compared while deciding insertions
+    /// (`archive.box_probes`).
     box_probes: u64,
     /// Archive contributions per operator index (drives operator adaptation).
     operator_credits: Vec<u64>,
-    /// Reusable candidate box key (no `Vec<i64>` born per insertion).
-    scratch_box: Vec<i64>,
-    /// Reusable skip-scan re-seek bound.
-    scratch_bound: Vec<i64>,
+    /// Reusable candidate box key, as lane values.
+    scratch_key: Vec<f64>,
     /// Reusable eviction slot list.
     scratch_dominated: Vec<usize>,
 }
@@ -193,9 +220,8 @@ impl EpsilonArchive {
         Self {
             epsilons,
             solutions: Vec::new(),
-            boxes: FlatMatrix::new(m),
+            keys: BlockedRows::default(),
             objectives: ObjectiveMatrix::new(m),
-            index: BTreeMap::new(),
             improvements: 0,
             accepts: 0,
             rejects: 0,
@@ -204,8 +230,7 @@ impl EpsilonArchive {
             replacements: 0,
             box_probes: 0,
             operator_credits: Vec::new(),
-            scratch_box: vec![0; m],
-            scratch_bound: vec![0; m],
+            scratch_key: Vec::with_capacity(m),
             scratch_dominated: Vec::new(),
         }
     }
@@ -260,10 +285,12 @@ impl EpsilonArchive {
         self.replacements
     }
 
-    /// ε-grid index keys consulted while deciding insertions. The linear
-    /// scan this index replaced consulted every resident per candidate; the
-    /// ratio `box_probes / (accepts + rejects)` is the measured per-candidate
-    /// probe cost (exported in the metric catalogue as `archive.box_probes`).
+    /// Member boxes compared while deciding insertions: eight per block of
+    /// the key mirror visited, so at most `len()` rounded up to a block per
+    /// candidate and less when a dominating or same-box resident ends the
+    /// scan early. `box_probes / (accepts + rejects)` is the measured
+    /// per-candidate scan length (exported in the metric catalogue as
+    /// `archive.box_probes`).
     pub fn box_probes(&self) -> u64 {
         self.box_probes
     }
@@ -389,127 +416,49 @@ impl EpsilonArchive {
         let Self {
             epsilons,
             solutions,
-            index,
+            keys,
             box_probes,
-            scratch_box,
-            scratch_bound,
+            scratch_key,
             scratch_dominated,
             ..
         } = self;
-        epsilon_box_into(solution.objectives(), epsilons, scratch_box);
-        let sbox: &[i64] = scratch_box;
-        // In 2-D the resident antichain makes both staircase walks monotone:
-        // keys sort by rising first coordinate, so the antichain invariant
-        // (no resident box dominates another) forces the second coordinate
-        // to fall strictly as the walk advances. The first key that fails a
-        // walk therefore proves every remaining key fails the same way, and
-        // the walk stops after one miss. In ≥3 dimensions no lex ordering
-        // linearizes box dominance, so those walks re-seek instead.
-        let biobjective = sbox.len() == 2;
-        let mut probes = 1u64; // the same-box lookup below
-
-        // Step 1: same box — one O(log n) lookup.
-        if let Some(&slot) = index.get(sbox) {
-            // Same box: prefer the dominating solution; if nondominated,
-            // prefer the one closest to the box's ideal corner.
-            let incumbent = &solutions[slot];
-            let better = match constrained_dominance(solution, incumbent) {
-                Dominance::Dominates => true,
-                Dominance::DominatedBy => false,
-                Dominance::NonDominated => {
-                    let corner_dist = |objs: &[f64]| {
-                        let mut d = 0.0;
-                        for (j, &o) in objs.iter().enumerate() {
-                            let corner = sbox[j] as f64 * epsilons[j];
-                            d += (o - corner) * (o - corner);
-                        }
-                        d
-                    };
-                    corner_dist(solution.objectives()) < corner_dist(incumbent.objectives())
-                }
-            };
-            *box_probes += probes;
-            return if better {
-                Decision::ReplaceInBox(slot)
-            } else {
-                Decision::Reject
-            };
-        }
-
-        // Step 2: dominating member — backward staircase walk below `sbox`.
-        // A dominating box is componentwise ≤ (and ≠), hence lex-smaller.
-        let mut dominated_by_member = false;
-        let mut down = index.range::<[i64], _>((Bound::Unbounded, Bound::Excluded(sbox)));
-        while let Some((key, _)) = down.next_back() {
-            probes += 1;
-            match key.iter().zip(sbox).position(|(&k, &s)| k > s) {
-                None => {
-                    // Every coordinate ≤ and the key differs: dominator.
-                    dominated_by_member = true;
-                    break;
-                }
-                Some(j) => {
-                    if biobjective {
-                        // 2-D: this key has the smallest second coordinate
-                        // of any resident at-or-left of the candidate (the
-                        // antichain falls monotonically leftwards), and it
-                        // is still too high — nothing below dominates.
-                        break;
-                    }
-                    // All keys sharing `key[..j]` with j-th coordinate
-                    // > sbox[j] fail the same way; re-seek past them to the
-                    // greatest key ≤ prefix ++ sbox[j] ++ [MAX…].
-                    scratch_bound[..j].copy_from_slice(&key[..j]);
-                    scratch_bound[j] = sbox[j];
-                    for b in &mut scratch_bound[j + 1..] {
-                        *b = i64::MAX;
-                    }
-                    down = index
-                        .range::<[i64], _>((Bound::Unbounded, Bound::Included(&scratch_bound[..])));
-                }
-            }
-        }
-        if dominated_by_member {
-            *box_probes += probes;
-            return Decision::Reject;
-        }
-
-        // Step 3: dominated members — forward staircase walk above `sbox`.
-        // Dominated boxes are componentwise ≥ (and ≠), hence lex-greater.
+        scratch_key.clear();
+        scratch_key.extend(epsilon_box_lanes(solution.objectives(), epsilons));
         scratch_dominated.clear();
-        let mut up = index.range::<[i64], _>((Bound::Excluded(sbox), Bound::Unbounded));
-        while let Some((key, &slot)) = up.next() {
-            probes += 1;
-            match key.iter().zip(sbox).position(|(&k, &s)| k < s) {
-                None => scratch_dominated.push(slot),
-                Some(j) => {
-                    if biobjective {
-                        // 2-D: dominated residents form a contiguous lex
-                        // run right after `sbox` (second coordinates fall
-                        // strictly rightwards), so the first miss ends it.
-                        break;
-                    }
-                    // Skip the failing subtree: smallest key ≥
-                    // prefix ++ sbox[j] ++ [MIN…].
-                    scratch_bound[..j].copy_from_slice(&key[..j]);
-                    scratch_bound[j] = sbox[j];
-                    for b in &mut scratch_bound[j + 1..] {
-                        *b = i64::MIN;
-                    }
-                    up = index
-                        .range::<[i64], _>((Bound::Included(&scratch_bound[..]), Bound::Unbounded));
-                }
+        for (b, block) in keys.blocks().enumerate() {
+            *box_probes += BLOCK_LANES as u64;
+            let Some((lt, gt)) = box_key_block(scratch_key, block) else {
+                continue;
+            };
+            if !lt & gt != 0 {
+                return Decision::Reject;
+            }
+            let first = b * BLOCK_LANES;
+            // Padding lanes compare false both ways, like a shared box.
+            let occupied = u8::MAX >> (BLOCK_LANES - (solutions.len() - first).min(BLOCK_LANES));
+            let same_box = !(lt | gt) & occupied;
+            if same_box != 0 {
+                let slot = first + same_box.trailing_zeros() as usize;
+                return if wins_box(solution, &solutions[slot], scratch_key, epsilons) {
+                    Decision::ReplaceInBox(slot)
+                } else {
+                    Decision::Reject
+                };
+            }
+            let mut dominated = lt & !gt;
+            while dominated != 0 {
+                scratch_dominated.push(first + dominated.trailing_zeros() as usize);
+                dominated &= dominated - 1;
             }
         }
         // Evict in descending slot order so `swap_remove` leaves the same
-        // final member ordering as the linear-scan reference.
-        scratch_dominated.sort_unstable_by(|a, b| b.cmp(a));
-        *box_probes += probes;
+        // final member ordering as the member-by-member reference.
+        scratch_dominated.reverse();
         Decision::AddNewBox
     }
 
     /// Applies a [`Decision`], taking ownership of the (possibly cloned)
-    /// accepted solution and keeping all mirrors and the index in sync.
+    /// accepted solution and keeping both mirrors in sync.
     // borg-lint: hot-path
     fn commit(&mut self, decision: Decision, solution: Solution) -> ArchiveInsert {
         match decision {
@@ -521,9 +470,8 @@ impl EpsilonArchive {
                 // First feasible solution evicts all infeasible content.
                 self.evictions += self.solutions.len() as u64;
                 self.solutions.clear();
-                self.boxes.clear();
+                self.keys.clear();
                 self.objectives.clear();
-                self.index.clear();
                 let op = solution.operator;
                 self.push_member(solution);
                 self.improvements += 1;
@@ -540,10 +488,8 @@ impl EpsilonArchive {
             }
             Decision::ReplaceInfeasiblePlaceholder => {
                 // Slot 0 is the only member; its box key may move.
-                epsilon_box_into(solution.objectives(), &self.epsilons, &mut self.scratch_box);
-                self.index.remove(self.boxes.row(0));
-                self.index.insert(self.scratch_box.clone(), 0);
-                self.boxes.set_row(0, &self.scratch_box);
+                self.keys
+                    .set(0, epsilon_box_lanes(solution.objectives(), &self.epsilons));
                 self.objectives.set_row(0, solution.objectives());
                 self.solutions[0] = solution;
                 self.accepts += 1;
@@ -551,7 +497,7 @@ impl EpsilonArchive {
                 ArchiveInsert::ReplacedInBox
             }
             Decision::ReplaceInBox(slot) => {
-                // Same box key: the index and box row are already correct.
+                // Same box: the key lanes are already correct.
                 let op = solution.operator;
                 self.objectives.set_row(slot, solution.objectives());
                 self.solutions[slot] = solution;
@@ -566,18 +512,9 @@ impl EpsilonArchive {
                 let dominated = std::mem::take(&mut self.scratch_dominated);
                 self.evictions += dominated.len() as u64;
                 for &slot in &dominated {
-                    self.index.remove(self.boxes.row(slot));
-                    let last = self.solutions.len() - 1;
                     self.solutions.swap_remove(slot);
-                    self.boxes.swap_remove_row(slot);
+                    self.keys.swap_remove(slot);
                     self.objectives.swap_remove_row(slot);
-                    if slot != last {
-                        // The former tail member moved into `slot`; its key
-                        // is indexed by invariant (every member's is).
-                        let moved = self.index.get_mut(self.boxes.row(slot));
-                        // borg-lint: allow(BORG-L001)
-                        *moved.expect("moved member's box key must be indexed") = slot;
-                    }
                 }
                 self.scratch_dominated = dominated;
                 self.scratch_dominated.clear();
@@ -591,266 +528,94 @@ impl EpsilonArchive {
         }
     }
 
-    /// Appends a member, refreshing every mirror and the index.
+    /// Appends a member and its mirror rows.
     // borg-lint: hot-path
     fn push_member(&mut self, solution: Solution) {
-        epsilon_box_into(solution.objectives(), &self.epsilons, &mut self.scratch_box);
-        let slot = self.solutions.len();
-        self.boxes.push_row(&self.scratch_box);
+        self.keys
+            .push(epsilon_box_lanes(solution.objectives(), &self.epsilons));
         self.objectives.push_row(solution.objectives());
-        self.index.insert(self.scratch_box.clone(), slot);
         self.solutions.push(solution);
     }
 
     /// Empties the archive content but keeps statistics and credits.
     pub fn clear_solutions(&mut self) {
         self.solutions.clear();
-        self.boxes.clear();
+        self.keys.clear();
         self.objectives.clear();
-        self.index.clear();
         self.clears += 1;
     }
 
-    /// Verifies the archive invariants; used in tests and `debug_assert!`s.
+    /// Verifies the archive invariants and that both mirrors agree with the
+    /// members: every key lane against the key recomputed from the member's
+    /// objectives, bit for bit, and every padding lane NaN. Invariants 1–2
+    /// are then read off the verified lanes pair by pair.
     pub fn check_invariants(&self) -> Result<(), String> {
-        for i in 0..self.boxes.rows() {
-            for j in (i + 1)..self.boxes.rows() {
-                let a = self.boxes.row(i);
-                let b = self.boxes.row(j);
-                if a == b {
-                    return Err(format!("members {i} and {j} share box {a:?}"));
-                }
-                let mut a_better = false;
-                let mut b_better = false;
-                for (&x, &y) in a.iter().zip(b) {
-                    if x < y {
-                        a_better = true;
-                    } else if y < x {
-                        b_better = true;
-                    }
-                }
-                if a_better != b_better {
-                    return Err(format!(
-                        "member boxes {i} ({a:?}) and {j} ({b:?}) are not mutually nondominating"
-                    ));
-                }
-            }
+        let n = self.solutions.len();
+        self.keys.check(n, self.epsilons.len())?;
+        let mirrored = self.objectives.rows();
+        if mirrored != n {
+            return Err(format!(
+                "objective mirror holds {mirrored} rows for {n} members"
+            ));
         }
         for (i, s) in self.solutions.iter().enumerate() {
-            let expect = epsilon_box(s.objectives(), &self.epsilons);
-            if expect != self.boxes.row(i) {
-                return Err(format!("cached box of member {i} is stale"));
+            let expect = epsilon_box_lanes(s.objectives(), &self.epsilons);
+            if !self
+                .keys
+                .row(i)
+                .map(f64::to_bits)
+                .eq(expect.map(f64::to_bits))
+            {
+                return Err(format!("key lanes of member {i} are stale"));
             }
-            // Mirror integrity is exact copy equality, not dominance.
-            // borg-lint: allow(BORG-L005)
-            if self.objectives.row(i) != s.objectives() {
+            let mirrored = self.objectives.row(i).iter().map(|v| v.to_bits());
+            if !mirrored.eq(s.objectives().iter().map(|v| v.to_bits())) {
                 return Err(format!("objective mirror row {i} is stale"));
             }
         }
-        if self.index.len() != self.solutions.len() {
-            return Err(format!(
-                "index holds {} keys for {} members",
-                self.index.len(),
-                self.solutions.len()
-            ));
-        }
-        for (key, &slot) in &self.index {
-            if slot >= self.solutions.len() {
-                return Err(format!("index key {key:?} points past the members"));
-            }
-            if key.as_slice() != self.boxes.row(slot) {
-                return Err(format!(
-                    "index key {key:?} disagrees with member {slot}'s box"
-                ));
+        let mut a = Vec::with_capacity(self.epsilons.len());
+        for i in 0..n {
+            a.clear();
+            a.extend(self.keys.row(i));
+            for j in (i + 1)..n {
+                let mut a_better = false;
+                let mut b_better = false;
+                for (&x, y) in a.iter().zip(self.keys.row(j)) {
+                    a_better |= x < y;
+                    b_better |= y < x;
+                }
+                if !a_better && !b_better {
+                    return Err(format!("members {i} and {j} share box {a:?}"));
+                }
+                if a_better != b_better {
+                    return Err(format!(
+                        "boxes of members {i} and {j} are not mutually nondominating"
+                    ));
+                }
             }
         }
         Ok(())
     }
 }
 
-/// The pre-index linear-scan ε-archive, retained as a reference oracle.
-///
-/// Byte-for-byte the decision procedure [`EpsilonArchive`] used before the
-/// ε-grid index: every candidate compares against every resident's cached
-/// box. The differential property tests drive both implementations with the
-/// same insertion streams and require identical decisions, counters, and
-/// final member ordering; the `core` bench group and the layout ablation use
-/// it as the "before" arm.
-#[derive(Debug, Clone)]
-pub struct LinearScanArchive {
-    epsilons: Vec<f64>,
-    solutions: Vec<Solution>,
-    boxes: Vec<Vec<i64>>,
-    improvements: u64,
-    accepts: u64,
-    rejects: u64,
-}
-
-impl LinearScanArchive {
-    /// Creates an empty linear-scan archive with per-objective ε values.
-    pub fn new(epsilons: Vec<f64>) -> Self {
-        assert!(!epsilons.is_empty(), "need at least one epsilon");
-        assert!(
-            epsilons.iter().all(|&e| e > 0.0 && e.is_finite()),
-            "epsilons must be positive and finite"
-        );
-        Self {
-            epsilons,
-            solutions: Vec::new(),
-            boxes: Vec::new(),
-            improvements: 0,
-            accepts: 0,
-            rejects: 0,
-        }
-    }
-
-    /// Creates an archive with a uniform ε for `m` objectives.
-    pub fn uniform(m: usize, epsilon: f64) -> Self {
-        Self::new(vec![epsilon; m])
-    }
-
-    /// Current archive members.
-    pub fn solutions(&self) -> &[Solution] {
-        &self.solutions
-    }
-
-    /// Number of archive members.
-    pub fn len(&self) -> usize {
-        self.solutions.len()
-    }
-
-    /// Whether the archive is empty.
-    pub fn is_empty(&self) -> bool {
-        self.solutions.is_empty()
-    }
-
-    /// ε-progress counter.
-    pub fn improvements(&self) -> u64 {
-        self.improvements
-    }
-
-    /// Total accepted insertions.
-    pub fn accepts(&self) -> u64 {
-        self.accepts
-    }
-
-    /// Total rejected insertions.
-    pub fn rejects(&self) -> u64 {
-        self.rejects
-    }
-
-    /// Attempts to insert a solution (the original O(n)-scan procedure).
-    pub fn add(&mut self, solution: Solution) -> ArchiveInsert {
-        debug_assert_eq!(solution.num_objectives(), self.epsilons.len());
-
-        if !self.solutions.is_empty() {
-            let archive_feasible = self.solutions[0].is_feasible();
-            let sol_feasible = solution.is_feasible();
-            match (archive_feasible, sol_feasible) {
-                (true, false) => {
-                    self.rejects += 1;
-                    return ArchiveInsert::Rejected;
+/// Whether a candidate takes its box from the incumbent: the dominating
+/// solution wins; if nondominated, the one closer to the box's ideal corner
+/// (`key`, the box both share, scaled by ε).
+// borg-lint: hot-path
+fn wins_box(candidate: &Solution, incumbent: &Solution, key: &[f64], epsilons: &[f64]) -> bool {
+    match constrained_dominance(candidate, incumbent) {
+        Dominance::Dominates => true,
+        Dominance::DominatedBy => false,
+        Dominance::NonDominated => {
+            let corner_dist = |objs: &[f64]| {
+                let mut d = 0.0;
+                for (j, &o) in objs.iter().enumerate() {
+                    let corner = key[j] * epsilons[j];
+                    d += (o - corner) * (o - corner);
                 }
-                (false, true) => {
-                    self.solutions.clear();
-                    self.boxes.clear();
-                    self.boxes
-                        .push(epsilon_box(solution.objectives(), &self.epsilons));
-                    self.solutions.push(solution);
-                    self.improvements += 1;
-                    self.accepts += 1;
-                    return ArchiveInsert::AddedNewBox;
-                }
-                (false, false) => {
-                    let cur = self.solutions[0].constraint_violation();
-                    let new = solution.constraint_violation();
-                    if new < cur {
-                        self.boxes[0] = epsilon_box(solution.objectives(), &self.epsilons);
-                        self.solutions[0] = solution;
-                        self.accepts += 1;
-                        return ArchiveInsert::ReplacedInBox;
-                    }
-                    self.rejects += 1;
-                    return ArchiveInsert::Rejected;
-                }
-                (true, true) => {}
-            }
-        } else if !solution.is_feasible() {
-            self.boxes
-                .push(epsilon_box(solution.objectives(), &self.epsilons));
-            self.solutions.push(solution);
-            self.accepts += 1;
-            return ArchiveInsert::AddedNewBox;
-        }
-
-        let sbox = epsilon_box(solution.objectives(), &self.epsilons);
-
-        // Pass 1: determine the solution's fate against every member.
-        let mut same_box: Option<usize> = None;
-        let mut dominated_members: Vec<usize> = Vec::new();
-        for (i, mbox) in self.boxes.iter().enumerate() {
-            let mut s_better = false;
-            let mut m_better = false;
-            for (&sb, &mb) in sbox.iter().zip(mbox) {
-                if sb < mb {
-                    s_better = true;
-                } else if mb < sb {
-                    m_better = true;
-                }
-            }
-            match (s_better, m_better) {
-                (false, false) => {
-                    same_box = Some(i);
-                    break;
-                }
-                (true, false) => dominated_members.push(i),
-                (false, true) => {
-                    self.rejects += 1;
-                    return ArchiveInsert::Rejected;
-                }
-                (true, true) => {}
-            }
-        }
-
-        if let Some(i) = same_box {
-            let incumbent = &self.solutions[i];
-            let better = match constrained_dominance(&solution, incumbent) {
-                Dominance::Dominates => true,
-                Dominance::DominatedBy => false,
-                Dominance::NonDominated => {
-                    let corner: Vec<f64> = sbox
-                        .iter()
-                        .zip(&self.epsilons)
-                        .map(|(&b, &e)| b as f64 * e)
-                        .collect();
-                    let d = |s: &Solution| {
-                        s.objectives()
-                            .iter()
-                            .zip(&corner)
-                            .map(|(o, c)| (o - c) * (o - c))
-                            .sum::<f64>()
-                    };
-                    d(&solution) < d(incumbent)
-                }
+                d
             };
-            if better {
-                self.solutions[i] = solution;
-                self.accepts += 1;
-                ArchiveInsert::ReplacedInBox
-            } else {
-                self.rejects += 1;
-                ArchiveInsert::Rejected
-            }
-        } else {
-            for &i in dominated_members.iter().rev() {
-                self.solutions.swap_remove(i);
-                self.boxes.swap_remove(i);
-            }
-            self.solutions.push(solution);
-            self.boxes.push(sbox);
-            self.improvements += 1;
-            self.accepts += 1;
-            ArchiveInsert::AddedNewBox
+            corner_dist(candidate.objectives()) < corner_dist(incumbent.objectives())
         }
     }
 }
@@ -1005,32 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_archive_matches_linear_scan_on_random_streams() {
-        use rand::{Rng, SeedableRng};
-        for seed in 0..8u64 {
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let m = 2 + (seed as usize % 3);
-            let mut fast = EpsilonArchive::uniform(m, 0.07);
-            let mut slow = LinearScanArchive::uniform(m, 0.07);
-            for step in 0..600 {
-                let objs: Vec<f64> = (0..m).map(|_| rng.gen::<f64>()).collect();
-                let s = Solution::from_parts(vec![], objs, vec![]);
-                let a = fast.offer(&s);
-                let b = slow.add(s);
-                assert_eq!(a, b, "decision diverged at step {step} (seed {seed})");
-            }
-            assert_eq!(fast.len(), slow.len());
-            assert_eq!(fast.improvements(), slow.improvements());
-            assert_eq!(fast.accepts(), slow.accepts());
-            assert_eq!(fast.rejects(), slow.rejects());
-            for (f, s) in fast.solutions().iter().zip(slow.solutions()) {
-                assert_eq!(f.objectives(), s.objectives(), "member order diverged");
-            }
-            fast.check_invariants().unwrap();
-        }
-    }
-
-    #[test]
     fn offer_matches_add_and_clones_only_on_accept() {
         let mut by_add = EpsilonArchive::uniform(2, 0.1);
         let mut by_offer = EpsilonArchive::uniform(2, 0.1);
@@ -1051,20 +790,61 @@ mod tests {
     }
 
     #[test]
-    fn box_probes_stay_sublinear_on_a_spread_front() {
-        // 1 000 candidates along a 2-D front: the index should consult far
-        // fewer keys than the ~n/2 per candidate a linear scan averages.
-        let n = 1_000usize;
-        let mut a = EpsilonArchive::uniform(2, 1e-4);
+    fn box_probes_count_whole_blocks_and_stop_at_the_first_dominator() {
+        // 20 mutually nondominated boxes along a 2-D front, member `i` in
+        // box (2i, 2(n - i)): three blocks.
+        let n = 20usize;
+        let at = |x: usize, y: usize, offset: f64| {
+            sol(&[(x as f64 + offset) / 100.0, (y as f64 + offset) / 100.0])
+        };
+        let mut a = EpsilonArchive::uniform(2, 0.01);
         for i in 0..n {
-            let t = i as f64 / n as f64;
-            a.add(sol(&[t, 1.0 - t]));
+            let before = (a.box_probes(), a.len());
+            assert_eq!(
+                a.add(at(2 * i, 2 * (n - i), 0.5)),
+                ArchiveInsert::AddedNewBox
+            );
+            // A candidate no member decides is compared with every block.
+            let blocks = before.1.div_ceil(BLOCK_LANES) as u64;
+            assert_eq!(a.box_probes() - before.0, blocks * BLOCK_LANES as u64);
         }
-        let per_candidate = a.box_probes() as f64 / n as f64;
-        assert!(
-            per_candidate < 16.0,
-            "expected a handful of probes per candidate, got {per_candidate:.1}"
-        );
+        // Members sit in insertion order, so a candidate in box
+        // (2i + 1, 2(n - i) + 1), which member `i` alone dominates, is
+        // rejected in block `i / 8` and the scan goes no further.
+        for i in [0, 7, 8, 15, 16, 19] {
+            let before = a.box_probes();
+            let dominated = at(2 * i, 2 * (n - i), 1.5);
+            assert_eq!(a.add(dominated), ArchiveInsert::Rejected);
+            let visited = (i / BLOCK_LANES + 1) as u64;
+            assert_eq!(a.box_probes() - before, visited * BLOCK_LANES as u64);
+        }
+        // An empty archive compares nothing.
+        let mut empty = EpsilonArchive::uniform(2, 0.01);
+        empty.add(sol(&[0.5, 0.5]));
+        assert_eq!(empty.box_probes(), 0);
+    }
+
+    #[test]
+    fn check_invariants_sees_stale_lanes_dirty_padding_and_broken_antichains() {
+        let mut a = EpsilonArchive::uniform(2, 0.1);
+        a.add(sol(&[0.05, 0.95]));
+        a.add(sol(&[0.95, 0.05]));
+        a.add(sol(&[0.45, 0.45]));
+        a.check_invariants().unwrap();
+        let mut stale = a.clone();
+        stale.keys.lanes_mut()[1][2] = 5.0; // member 2, objective 1: 4 → 5
+        assert!(stale.check_invariants().unwrap_err().contains("member 2"));
+        let mut dirty = a.clone();
+        dirty.keys.lanes_mut()[0][3] = 0.0;
+        assert!(dirty.check_invariants().unwrap_err().contains("padding"));
+        // Members whose lanes are right but which should not coexist.
+        let mut shared = a.clone();
+        shared.push_member(sol(&[0.47, 0.48]));
+        assert!(shared.check_invariants().unwrap_err().contains("share box"));
+        let mut chain = a.clone();
+        chain.push_member(sol(&[0.55, 0.55]));
+        let err = chain.check_invariants().unwrap_err();
+        assert!(err.contains("not mutually nondominating"), "{err}");
     }
 
     #[test]

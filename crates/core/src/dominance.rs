@@ -137,10 +137,35 @@ pub fn constrained_dominance_rows(
     verdict(lt, gt, a_violation < b_violation, b_violation < a_violation)
 }
 
-/// Members per block of a blocked objective mirror (see
-/// [`crate::population`]): the width of one [`constrained_dominance_block`]
-/// call.
+/// Members per block of a [`BlockedRows`](crate::matrix::BlockedRows)
+/// mirror: the width of one block-kernel call.
 pub const BLOCK_LANES: usize = 8;
+
+/// The compare loop of both block kernels: `lt[l]` / `gt[l]` — `row` is
+/// strictly smaller / larger than the member in lane `l` in at least one
+/// of the columns `lanes` holds. Inlined into each kernel, so the loop and
+/// the reduction that follows it are optimised as one function.
+// borg-lint: hot-path
+#[inline(always)]
+fn compare_lanes(
+    row: &[f64],
+    lanes: &[[f64; BLOCK_LANES]],
+    lt: &mut [bool; BLOCK_LANES],
+    gt: &mut [bool; BLOCK_LANES],
+) {
+    for (&x, ys) in row.iter().zip(lanes) {
+        // Optimisation barrier, not semantics. Without it LLVM vectorises
+        // *this* loop — across columns, gathering one lane from each of
+        // two lane arrays — and the scan runs at half speed; with it the
+        // loop stays scalar and the eight lanes below become packed
+        // compares (41 → 21 µs per 12 288-member scan, DESIGN.md §16).
+        let x = black_box(x);
+        for l in 0..BLOCK_LANES {
+            lt[l] |= x < ys[l];
+            gt[l] |= ys[l] < x;
+        }
+    }
+}
 
 /// Constrained dominance of one row over the [`BLOCK_LANES`] members of a
 /// block, or `None` when it is mutually nondominated with all of them (the
@@ -161,18 +186,7 @@ pub fn constrained_dominance_block(
     let (violations, lanes) = block.split_last()?;
     let mut lt = [false; BLOCK_LANES];
     let mut gt = [false; BLOCK_LANES];
-    for (&x, ys) in objectives.iter().zip(lanes) {
-        // Optimisation barrier, not semantics. Without it LLVM vectorises
-        // *this* loop — across objectives, gathering one lane from each of
-        // two lane arrays — and the scan runs at half speed; with it the
-        // loop stays scalar and the eight lanes below become packed
-        // compares (41 → 21 µs per 12 288-member scan, DESIGN.md §16).
-        let x = black_box(x);
-        for l in 0..BLOCK_LANES {
-            lt[l] |= x < ys[l];
-            gt[l] |= ys[l] < x;
-        }
-    }
+    compare_lanes(objectives, lanes, &mut lt, &mut gt);
     // A lane is decided when the violations differ or exactly one of its
     // two objective bits is set.
     let mut decided = false;
@@ -190,6 +204,41 @@ pub fn constrained_dominance_block(
             violations[l] < violation,
         )
     }))
+}
+
+/// One ε-box key against the [`BLOCK_LANES`] member keys of a block: `None`
+/// when the candidate's box and every lane's are mutually nondominated (the
+/// common case on a large front, resolved with one test), otherwise the
+/// comparison bits `(lt, gt)`, bit `l` for lane `l` — the candidate's key is
+/// strictly smaller / larger than the member's in at least one coordinate.
+/// `lt & !gt` are the members the candidate's box dominates, `!lt & gt` the
+/// members whose boxes dominate the candidate's, `!lt & !gt` the same box.
+///
+/// `block` holds one lane array per objective, keys as exact `f64` values
+/// (see [`crate::archive`]). Unoccupied lanes are NaN, compare false both
+/// ways and therefore read as `!lt & !gt`: the caller masks them off.
+// borg-lint: hot-path
+#[inline]
+pub fn box_key_block(key: &[f64], block: &[[f64; BLOCK_LANES]]) -> Option<(u8, u8)> {
+    debug_assert_eq!(block.len(), key.len());
+    let mut lt = [false; BLOCK_LANES];
+    let mut gt = [false; BLOCK_LANES];
+    compare_lanes(key, block, &mut lt, &mut gt);
+    let mut apart = true;
+    for l in 0..BLOCK_LANES {
+        apart &= lt[l] & gt[l];
+    }
+    if apart {
+        return None;
+    }
+    let bits = |lanes: [bool; BLOCK_LANES]| {
+        let mut bits = 0u8;
+        for (l, &lane) in lanes.iter().enumerate() {
+            bits |= u8::from(lane) << l;
+        }
+        bits
+    };
+    Some((bits(lt), bits(gt)))
 }
 
 /// Computes the ε-box index vector of an objective vector, in place.
@@ -217,6 +266,20 @@ pub fn epsilon_box_into(objectives: &[f64], epsilons: &[f64], out: &mut [i64]) {
 pub fn epsilon_box_coord(objective: f64, epsilon: f64) -> i64 {
     debug_assert!(epsilon > 0.0, "epsilon must be positive");
     (objective / epsilon).floor() as i64
+}
+
+/// An objective vector's ε-box key as the `f64` values the archive's
+/// blocked mirror holds: each [`epsilon_box_coord`] cast back to `f64`,
+/// which is exact and order-preserving on the keys that cast can produce
+/// (the argument is in [`crate::archive`]'s module header).
+#[inline]
+pub fn epsilon_box_lanes<'a>(
+    objectives: &'a [f64],
+    epsilons: &'a [f64],
+) -> impl Iterator<Item = f64> + 'a {
+    debug_assert_eq!(objectives.len(), epsilons.len());
+    let coords = objectives.iter().zip(epsilons);
+    coords.map(|(&o, &e)| epsilon_box_coord(o, e) as f64)
 }
 
 /// Allocating convenience form of [`epsilon_box_into`], kept for tests and
@@ -456,6 +519,50 @@ mod tests {
             constrained_dominance_block(&[0.0, 0.0], 0.0, &padding),
             None
         );
+    }
+
+    #[test]
+    fn box_key_block_reports_one_bit_pair_per_lane() {
+        // Four member keys in an eight-lane block: four lanes of padding.
+        let members = [[3.0, 1.0], [2.0, 3.0], [1.0, 1.0], [2.0, 2.0]];
+        let mut block = [[f64::NAN; BLOCK_LANES]; 2];
+        for (l, key) in members.iter().enumerate() {
+            block[0][l] = key[0];
+            block[1][l] = key[1];
+        }
+        // Against (2, 2): lane 0 apart, lane 1 dominated by the candidate,
+        // lane 2 dominating it, lane 3 the same box; padding reads as
+        // neither smaller nor larger.
+        let (lt, gt) = box_key_block(&[2.0, 2.0], &block).expect("lanes 1-3 are decided");
+        assert_eq!((lt, gt), (0b0011, 0b0101));
+        assert_eq!(lt & !gt, 0b0010, "dominated members");
+        assert_eq!(!lt & gt, 0b0100, "dominating members");
+        assert_eq!(!(lt | gt) & 0b1111, 0b1000, "same box, occupied lanes only");
+        // Eight boxes along a front, the candidate in a gap between them.
+        let front = [
+            std::array::from_fn(|l| 2.0 * l as f64),
+            std::array::from_fn(|l| 2.0 * (BLOCK_LANES - l) as f64),
+        ];
+        assert_eq!(box_key_block(&[5.0, 11.0], &front), None);
+        // One step up, the box in lane 2, (4, 12), dominates it.
+        assert_eq!(
+            box_key_block(&[5.0, 13.0], &front),
+            Some((0b1111_1011, 0b1111_1111))
+        );
+    }
+
+    #[test]
+    fn epsilon_box_lanes_are_the_integer_keys() {
+        let objs = [0.25, -0.05, -0.0, f64::NAN, f64::INFINITY, -1e300];
+        let eps = [0.1, 0.1, 0.1, 0.5, 0.5, 2.0];
+        let lanes: Vec<f64> = epsilon_box_lanes(&objs, &eps).collect();
+        let keys: Vec<f64> = epsilon_box(&objs, &eps).iter().map(|&k| k as f64).collect();
+        assert_eq!(lanes, keys);
+        assert_eq!(
+            lanes,
+            [2.0, -1.0, 0.0, 0.0, 2f64.powi(63), -(2f64.powi(63))]
+        );
+        assert!(lanes[2].is_sign_positive(), "-0.0 lands in box 0, not -0");
     }
 
     #[test]

@@ -1,24 +1,34 @@
-//! Flat row-major matrices for hot-path numeric data.
+//! Flat row-major matrices and the blocked lane mirror for hot-path numeric
+//! data.
 //!
 //! The steady-state hot paths (archive insertion, tournament selection,
 //! batch evaluation) read per-solution numeric rows: objective vectors,
-//! cached ε-box coordinates, decision variables. Storing those rows in a
-//! `Vec<Vec<f64>>` costs one heap allocation and one pointer chase per row;
-//! a [`FlatMatrix`] packs them into a single flat buffer with a fixed
-//! stride, an array of rows: one row is contiguous (for five objectives,
-//! one cache line), and consecutive rows follow each other.
+//! ε-box keys, decision variables. Storing those rows in a `Vec<Vec<f64>>`
+//! costs one heap allocation and one pointer chase per row; a
+//! [`FlatMatrix`] packs them into a single flat buffer with a fixed stride,
+//! an array of rows: one row is contiguous (for five objectives, one cache
+//! line), and consecutive rows follow each other.
 //!
 //! That is the layout for reading *a* row — a random tournament draw, a
 //! metric walking the archive. It is not a structure of arrays: a loop that
 //! compares one vector with *every* row finds each objective `stride`
 //! elements apart, so comparing several rows at once would take a gather
-//! per objective. The population's replacement scan therefore keeps a second,
-//! blocked mirror (eight members a block, one lane array per objective,
-//! NaN-padded; see [`crate::population`]) beside its [`ObjectiveMatrix`].
+//! per objective. The two scans that do compare one vector with every row
+//! read a [`BlockedRows`] mirror instead — eight members a block, one lane
+//! array per column, NaN-padded — with the block kernels of
+//! [`crate::dominance`]:
 //!
-//! [`ObjectiveMatrix`] is the `f64` instantiation used by
-//! [`crate::population::Population`] and [`crate::archive::EpsilonArchive`];
-//! the archive also uses an `i64` instantiation for its cached ε-box keys.
+//! * [`crate::population::Population`] mirrors each member's objectives and
+//!   aggregate constraint violation (`m + 1` columns) for its replacement
+//!   scan, beside the [`ObjectiveMatrix`] its tournaments read;
+//! * [`crate::archive::EpsilonArchive`] mirrors each member's ε-box key as
+//!   exact `f64` values (`m` columns) for its insertion scan, beside the
+//!   [`ObjectiveMatrix`] that metrics read.
+//!
+//! Both hold their mirror to the same shape and padding check,
+//! [`BlockedRows::check`].
+
+use crate::dominance::BLOCK_LANES;
 
 /// A dense row matrix backed by one flat `Vec<T>`.
 ///
@@ -151,6 +161,138 @@ impl<T: Copy> FlatMatrix<T> {
 /// Flat `f64` row matrix holding one objective vector per row.
 pub type ObjectiveMatrix = FlatMatrix<f64>;
 
+/// Rows stored for a scan that compares one vector with all of them: row `i`
+/// lives in lane `i % BLOCK_LANES` of block `i / BLOCK_LANES`, and a block
+/// is `stride` consecutive lane arrays, one per column. Lanes past the last
+/// row are NaN in every array, which no comparison ever decides.
+#[derive(Debug, Clone, Default)]
+pub struct BlockedRows {
+    lanes: Vec<[f64; BLOCK_LANES]>,
+    /// Lane arrays per block, i.e. columns per row. Adopted from the first
+    /// row pushed into an empty mirror, like [`FlatMatrix`]'s stride.
+    stride: usize,
+    rows: usize,
+}
+
+impl BlockedRows {
+    /// Drops all rows, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.lanes.clear();
+        self.rows = 0;
+    }
+
+    /// Appends a row. An empty mirror adopts the row's length as its
+    /// stride.
+    ///
+    /// # Panics
+    /// If a non-empty mirror receives a row of a different length.
+    pub fn push(&mut self, row: impl IntoIterator<Item = f64>) {
+        if self.rows == 0 {
+            let first = |value| {
+                let mut array = [f64::NAN; BLOCK_LANES];
+                array[0] = value;
+                array
+            };
+            self.lanes.extend(row.into_iter().map(first));
+            self.stride = self.lanes.len();
+            self.rows = 1;
+            return;
+        }
+        if self.rows.is_multiple_of(BLOCK_LANES) {
+            let grown = self.lanes.len() + self.stride;
+            self.lanes.resize(grown, [f64::NAN; BLOCK_LANES]);
+        }
+        self.rows += 1;
+        self.set(self.rows - 1, row);
+    }
+
+    /// Overwrites row `i` in place.
+    ///
+    /// # Panics
+    /// If `i` is out of range or the row's length is not the stride.
+    // borg-lint: hot-path
+    pub fn set(&mut self, i: usize, row: impl IntoIterator<Item = f64>) {
+        assert!(i < self.rows, "row index out of range");
+        let lane = i % BLOCK_LANES;
+        let mut row = row.into_iter();
+        let first = i / BLOCK_LANES * self.stride;
+        for array in &mut self.lanes[first..first + self.stride] {
+            let Some(value) = row.next() else {
+                panic!("row length must match stride");
+            };
+            array[lane] = value;
+        }
+        assert!(row.next().is_none(), "row length must match stride");
+    }
+
+    /// Removes row `i` by moving the last row into its lane, mirroring
+    /// `Vec::swap_remove` so parallel containers stay aligned. The vacated
+    /// lane becomes padding; a block left without rows is dropped.
+    // borg-lint: hot-path
+    pub fn swap_remove(&mut self, i: usize) {
+        assert!(i < self.rows, "row index out of range");
+        let last = self.rows - 1;
+        let (from, to) = (
+            last / BLOCK_LANES * self.stride,
+            i / BLOCK_LANES * self.stride,
+        );
+        for c in 0..self.stride {
+            let tail = &mut self.lanes[from + c][last % BLOCK_LANES];
+            let value = std::mem::replace(tail, f64::NAN);
+            if i != last {
+                self.lanes[to + c][i % BLOCK_LANES] = value;
+            }
+        }
+        self.rows = last;
+        self.lanes
+            .truncate(last.div_ceil(BLOCK_LANES) * self.stride);
+    }
+
+    /// The values of row `i`, column by column.
+    pub fn row(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
+        assert!(i < self.rows, "row index out of range");
+        let first = i / BLOCK_LANES * self.stride;
+        self.lanes[first..first + self.stride]
+            .iter()
+            .map(move |array| array[i % BLOCK_LANES])
+    }
+
+    /// The blocks in row order, each `stride` lane arrays.
+    pub fn blocks(&self) -> std::slice::ChunksExact<'_, [f64; BLOCK_LANES]> {
+        // `chunks_exact(0)` panics; an unsized mirror holds no lanes.
+        self.lanes.chunks_exact(self.stride.max(1))
+    }
+
+    /// Every lane array, padding included, for tests that corrupt a mirror.
+    #[cfg(test)]
+    pub(crate) fn lanes_mut(&mut self) -> &mut [[f64; BLOCK_LANES]] {
+        &mut self.lanes
+    }
+
+    /// Verifies the shape — `rows` rows of `stride` columns in exactly the
+    /// blocks they need — and that every lane past the last row is NaN.
+    pub fn check(&self, rows: usize, stride: usize) -> Result<(), String> {
+        if self.rows != rows
+            || (rows > 0 && self.stride != stride)
+            || self.lanes.len() != rows.div_ceil(BLOCK_LANES) * self.stride
+        {
+            return Err(format!(
+                "blocked mirror holds {} rows of stride {} in {} lane arrays, expected {rows} rows of stride {stride}",
+                self.rows,
+                self.stride,
+                self.lanes.len()
+            ));
+        }
+        if let Some(last) = self.blocks().last() {
+            let occupied = rows - (rows - 1) / BLOCK_LANES * BLOCK_LANES;
+            if !last.iter().flat_map(|a| &a[occupied..]).all(|v| v.is_nan()) {
+                return Err("blocked mirror padding lane is not NaN".to_string());
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -232,5 +374,96 @@ mod tests {
         assert_eq!(rows, vec![&[0i64][..], &[1i64][..]]);
         m.truncate_rows(5); // no-op when larger
         assert_eq!(m.rows(), 2);
+    }
+
+    fn blocked(rows: &[Vec<f64>]) -> BlockedRows {
+        let mut b = BlockedRows::default();
+        for row in rows {
+            b.push(row.iter().copied());
+        }
+        b
+    }
+
+    #[test]
+    fn blocked_rows_put_row_i_in_lane_i_of_its_block() {
+        let rows: Vec<Vec<f64>> = (0..9).map(|i| vec![i as f64, -(i as f64)]).collect();
+        let b = blocked(&rows);
+        let blocks: Vec<_> = b.blocks().collect();
+        assert_eq!(blocks.len(), 2);
+        assert_eq!(blocks[0][0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(blocks[0][1][3], -3.0);
+        assert_eq!(blocks[1][0][0], 8.0);
+        assert!(blocks[1].iter().all(|a| a[1..].iter().all(|v| v.is_nan())));
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(&b.row(i).collect::<Vec<_>>(), row);
+        }
+        b.check(9, 2).unwrap();
+    }
+
+    #[test]
+    fn blocked_set_and_swap_remove_mirror_vec_semantics() {
+        // Remove from every position at sizes on both sides of one and two
+        // blocks, against `Vec::swap_remove`; the vacated lane must read as
+        // padding again and an emptied block must go.
+        for n in [1usize, 7, 8, 9, 16, 17] {
+            for i in 0..n {
+                let mut rows: Vec<Vec<f64>> = (0..n).map(|r| vec![r as f64, 0.5, -1.0]).collect();
+                let mut b = blocked(&rows);
+                b.set(i, [9.0, 9.5, -9.0]);
+                rows[i] = vec![9.0, 9.5, -9.0];
+                b.swap_remove(i);
+                rows.swap_remove(i);
+                b.check(n - 1, 3).unwrap();
+                assert_eq!(b.blocks().count(), (n - 1).div_ceil(BLOCK_LANES));
+                for (r, row) in rows.iter().enumerate() {
+                    assert_eq!(&b.row(r).collect::<Vec<_>>(), row, "{n} rows, removed {i}");
+                }
+                // And the mirror keeps growing from where it shrank to.
+                b.push([1.0, 2.0, 3.0]);
+                b.check(n, 3).unwrap();
+                assert_eq!(b.row(n - 1).collect::<Vec<_>>(), [1.0, 2.0, 3.0]);
+            }
+        }
+    }
+
+    #[test]
+    fn blocked_rows_adopt_the_width_of_each_epoch() {
+        let mut b = blocked(&[vec![1.0, 2.0], vec![3.0, 4.0]]);
+        b.clear();
+        b.check(0, 2).unwrap();
+        assert_eq!(b.blocks().count(), 0);
+        b.push([1.0, 2.0, 3.0]);
+        b.check(1, 3).unwrap();
+        // An unsized mirror has no blocks to scan.
+        assert_eq!(BlockedRows::default().blocks().count(), 0);
+        BlockedRows::default().check(0, 5).unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "row length must match stride")]
+    fn blocked_short_row_panics() {
+        let mut b = blocked(&[vec![1.0, 2.0]]);
+        b.push([1.0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "row length must match stride")]
+    fn blocked_long_row_panics() {
+        let mut b = blocked(&[vec![1.0, 2.0]]);
+        b.set(0, [1.0, 2.0, 3.0]);
+    }
+
+    #[test]
+    fn blocked_check_sees_wrong_shapes_and_dirty_padding() {
+        let b = blocked(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        b.check(3, 2).unwrap();
+        assert!(b.check(2, 2).unwrap_err().contains("expected 2 rows"));
+        assert!(b.check(3, 3).unwrap_err().contains("stride 3"));
+        let mut dirty = b.clone();
+        dirty.lanes_mut()[1][7] = 0.0;
+        assert!(dirty.check(3, 2).unwrap_err().contains("padding"));
+        let mut surplus = b.clone();
+        surplus.lanes.push([f64::NAN; BLOCK_LANES]);
+        assert!(surplus.check(3, 2).is_err());
     }
 }

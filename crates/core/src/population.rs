@@ -19,9 +19,10 @@
 //! So the population keeps two mirrors of its members' objective vectors
 //! and aggregate constraint violations, each serving one access pattern:
 //!
-//! * a **blocked** mirror for the scan in [`Population::offer_replacing`]:
-//!   members in blocks of [`BLOCK_LANES`], each block one lane array per
-//!   objective plus one of violations, unoccupied lanes NaN.
+//! * a **blocked** mirror ([`BlockedRows`], the type the archive keeps its
+//!   box keys in) for the scan in [`Population::offer_replacing`]: members
+//!   in blocks of [`BLOCK_LANES`], each block one lane array per objective
+//!   plus one of violations, unoccupied lanes NaN.
 //!   [`constrained_dominance_block`] compares the offspring with a whole
 //!   block without a data-dependent branch and answers "nothing decided"
 //!   with one test, so the scan streams through `m + 1` cache lines per
@@ -39,7 +40,7 @@
 use crate::dominance::{
     constrained_dominance_block, constrained_dominance_rows, Dominance, BLOCK_LANES,
 };
-use crate::matrix::ObjectiveMatrix;
+use crate::matrix::{BlockedRows, ObjectiveMatrix};
 use crate::solution::Solution;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -55,55 +56,6 @@ pub enum PopulationInsert {
     Rejected,
 }
 
-/// The blocked mirror: member `i` lives in lane `i % BLOCK_LANES` of block
-/// `i / BLOCK_LANES`, and a block is `stride` consecutive lane arrays — one
-/// per objective, then one of aggregate violations. Lanes past the last
-/// member are NaN in every array, which no comparison ever decides.
-#[derive(Debug, Clone, Default)]
-struct BlockedRows {
-    lanes: Vec<[f64; BLOCK_LANES]>,
-    /// Lane arrays per block: objectives + 1. Adopted from the first row
-    /// pushed into an empty mirror, like [`ObjectiveMatrix`]'s stride.
-    stride: usize,
-    rows: usize,
-}
-
-impl BlockedRows {
-    fn clear(&mut self) {
-        self.lanes.clear();
-        self.rows = 0;
-    }
-
-    fn push(&mut self, objectives: &[f64], violation: f64) {
-        if self.rows == 0 {
-            self.stride = objectives.len() + 1;
-        }
-        if self.rows.is_multiple_of(BLOCK_LANES) {
-            let grown = self.lanes.len() + self.stride;
-            self.lanes.resize(grown, [f64::NAN; BLOCK_LANES]);
-        }
-        self.rows += 1;
-        self.set(self.rows - 1, objectives, violation);
-    }
-
-    // borg-lint: hot-path
-    fn set(&mut self, i: usize, objectives: &[f64], violation: f64) {
-        assert_eq!(objectives.len() + 1, self.stride, "row length must match");
-        let first = i / BLOCK_LANES * self.stride;
-        let lane = i % BLOCK_LANES;
-        let block = &mut self.lanes[first..first + self.stride];
-        for (array, &value) in block.iter_mut().zip(objectives.iter().chain([&violation])) {
-            array[lane] = value;
-        }
-    }
-
-    /// The blocks in member order, each `stride` lane arrays.
-    fn blocks(&self) -> std::slice::ChunksExact<'_, [f64; BLOCK_LANES]> {
-        // `chunks_exact(0)` panics; an unsized mirror holds no lanes.
-        self.lanes.chunks_exact(self.stride.max(1))
-    }
-}
-
 /// A bounded steady-state population.
 #[derive(Debug, Clone)]
 pub struct Population {
@@ -114,8 +66,8 @@ pub struct Population {
     /// Cached aggregate constraint violation per member, row-parallel with
     /// `members` (computed once at insertion instead of per comparison).
     violations: Vec<f64>,
-    /// Blocked mirror of objectives and violations: the replacement scan's
-    /// view.
+    /// Blocked mirror of objectives followed by the violation: the
+    /// replacement scan's view.
     blocked: BlockedRows,
     capacity: usize,
     /// Reused dominated-member index list for `offer`.
@@ -389,7 +341,8 @@ impl Population {
         let violation = solution.constraint_violation();
         self.violations.push(violation);
         self.objectives.push_row(solution.objectives());
-        self.blocked.push(solution.objectives(), violation);
+        self.blocked
+            .push(blocked_row(solution.objectives(), violation));
         self.members.push(solution);
     }
 
@@ -398,7 +351,8 @@ impl Population {
     fn replace_member(&mut self, i: usize, solution: Solution, violation: f64) -> Solution {
         self.violations[i] = violation;
         self.objectives.set_row(i, solution.objectives());
-        self.blocked.set(i, solution.objectives(), violation);
+        self.blocked
+            .set(i, blocked_row(solution.objectives(), violation));
         std::mem::replace(&mut self.members[i], solution)
     }
 
@@ -416,46 +370,32 @@ impl Population {
     /// that every unoccupied lane of the blocked mirror is NaN (tests).
     pub fn check_mirrors(&self) -> Result<(), String> {
         let n = self.members.len();
-        let stride = self.blocked.stride;
-        let counts = [
-            self.objectives.rows(),
-            self.violations.len(),
-            self.blocked.rows,
-        ];
-        if counts.iter().any(|&rows| rows != n)
-            || self.blocked.lanes.len() != n.div_ceil(BLOCK_LANES) * stride
-        {
+        let mirrored = [self.objectives.rows(), self.violations.len()];
+        if mirrored != [n, n] {
             return Err(format!(
-                "mirror rows {counts:?} / {} lane arrays of stride {stride} disagree with {n} members",
-                self.blocked.lanes.len()
+                "row-major mirrors hold {mirrored:?} rows for {n} members"
             ));
         }
+        let width = self.members.first().map_or(0, Solution::num_objectives);
+        self.blocked.check(n, width + 1)?;
         for (i, m) in self.members.iter().enumerate() {
-            let violation = m.constraint_violation();
-            let truth = || {
-                m.objectives()
-                    .iter()
-                    .chain([&violation])
-                    .map(|v| v.to_bits())
-            };
-            let row = self.objectives.row(i).iter().chain([&self.violations[i]]);
-            if !row.map(|v| v.to_bits()).eq(truth()) {
+            let truth = || blocked_row(m.objectives(), m.constraint_violation()).map(f64::to_bits);
+            let row = blocked_row(self.objectives.row(i), self.violations[i]);
+            if !row.map(f64::to_bits).eq(truth()) {
                 return Err(format!("row-major mirror of member {i} is stale"));
             }
-            let block = &self.blocked.lanes[i / BLOCK_LANES * stride..][..stride];
-            let lane = block.iter().map(|array| array[i % BLOCK_LANES].to_bits());
-            if !lane.eq(truth()) {
+            if !self.blocked.row(i).map(f64::to_bits).eq(truth()) {
                 return Err(format!("blocked mirror lane of member {i} is stale"));
-            }
-        }
-        if let Some(last) = self.blocked.blocks().last() {
-            let occupied = n - (n - 1) / BLOCK_LANES * BLOCK_LANES;
-            if !last.iter().flat_map(|a| &a[occupied..]).all(|v| v.is_nan()) {
-                return Err("blocked mirror padding lane is not NaN".to_string());
             }
         }
         Ok(())
     }
+}
+
+/// A member's row of the blocked mirror: its objectives, then its aggregate
+/// constraint violation.
+fn blocked_row(objectives: &[f64], violation: f64) -> impl Iterator<Item = f64> + '_ {
+    objectives.iter().copied().chain([violation])
 }
 
 /// The scalar scan and tournament the blocked kernels replaced, kept as the
@@ -744,10 +684,10 @@ mod tests {
             p.fill(sol(&[i as f64, -(i as f64)]));
         }
         let mut stale = p.clone();
-        stale.blocked.lanes[1][2] = 7.0;
+        stale.blocked.lanes_mut()[1][2] = 7.0;
         assert!(stale.check_mirrors().unwrap_err().contains("member 2"));
         let mut dirty = p.clone();
-        dirty.blocked.lanes[2][3] = 0.0;
+        dirty.blocked.lanes_mut()[2][3] = 0.0;
         assert!(dirty.check_mirrors().unwrap_err().contains("padding"));
         p.check_mirrors().unwrap();
     }

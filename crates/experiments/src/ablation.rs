@@ -13,8 +13,7 @@ use borg_core::dominance::{pareto_dominance_objectives, Dominance};
 use borg_core::rng::SplitMix64;
 use borg_metrics::relative::RelativeHypervolume;
 use borg_models::analytical::{
-    async_parallel_time, async_parallel_time_saturating, processor_upper_bound, relative_error,
-    TimingParams,
+    async_parallel_time, async_parallel_time_saturating, relative_error, TimingParams,
 };
 use borg_models::dist::Dist;
 use borg_models::perfsim::{simulate_async, simulate_sync, PerfSimConfig, TimingModel};
@@ -322,81 +321,7 @@ pub fn ablation_ta_breakdown(config: &AblationConfig) -> TextTable {
 }
 
 // ---------------------------------------------------------------------
-// 7. Archive-layout ablation
-// ---------------------------------------------------------------------
-
-/// Replays one scrambled, mutually nondominated candidate stream into the
-/// retained linear-scan archive and the ε-grid indexed archive, measuring
-/// per-insert archive cost `T_A` under each layout and its effect on the
-/// paper's processor upper bound `P_UB = T_F / (2 T_C + T_A)`.
-///
-/// Because every candidate is admissible the archive grows to its
-/// ε-bounded capacity, so the linear scan pays a membership-sized probe on
-/// each insert while the grid index touches only the candidate's ε-box
-/// neighbourhood — the layout change is a direct `T_A` reduction, which
-/// raises the master-side scalability ceiling.
-pub fn ablation_layout(config: &AblationConfig) -> TextTable {
-    use borg_core::archive::{EpsilonArchive, LinearScanArchive};
-    use borg_core::solution::Solution;
-
-    let n = config.evaluations.min(20_000) as usize;
-    let candidates: Vec<Solution> = (0..n)
-        .map(|i| {
-            let j = (i.wrapping_mul(0x9E37) ^ (i >> 3)) % n;
-            let t = j as f64 / n as f64;
-            Solution::from_parts(vec![], vec![t, 1.0 - t], vec![])
-        })
-        .collect();
-
-    let t0 = Instant::now();
-    let mut linear = LinearScanArchive::uniform(2, 1e-4);
-    for c in &candidates {
-        linear.add(c.clone());
-    }
-    let linear_ta = t0.elapsed().as_secs_f64() / n as f64;
-
-    let t1 = Instant::now();
-    let mut indexed = EpsilonArchive::uniform(2, 1e-4);
-    for c in &candidates {
-        indexed.add(c.clone());
-    }
-    let indexed_ta = t1.elapsed().as_secs_f64() / n as f64;
-
-    // The fixed timing halves come from the paper's DTLZ2 point (T_F = 1 ms,
-    // T_C = 6 µs); only T_A changes between the two layouts.
-    let p_ub = |ta: f64| processor_upper_bound(TimingParams::new(0.001, 0.000_006, ta));
-    let linear_pub = p_ub(linear_ta);
-    let indexed_pub = p_ub(indexed_ta);
-
-    let mut t = TextTable::new(vec![
-        "archive layout",
-        "final size",
-        "T_A per insert (us)",
-        "P_UB (T_F=1ms)",
-    ]);
-    t.row(vec![
-        "linear scan".to_string(),
-        linear.len().to_string(),
-        format!("{:.2}", linear_ta * 1e6),
-        format!("{linear_pub:.0}"),
-    ]);
-    t.row(vec![
-        "epsilon-grid indexed".to_string(),
-        indexed.len().to_string(),
-        format!("{:.2}", indexed_ta * 1e6),
-        format!("{indexed_pub:.0}"),
-    ]);
-    t.row(vec![
-        "indexed vs linear".to_string(),
-        "-".to_string(),
-        format!("{:.1}x lower", linear_ta / indexed_ta),
-        format!("{:.1}x higher", indexed_pub / linear_pub),
-    ]);
-    t
-}
-
-// ---------------------------------------------------------------------
-// 8. Baseline-algorithm comparison
+// 7. Baseline-algorithm comparison
 // ---------------------------------------------------------------------
 
 /// Serial Borg vs serial NSGA-II (the canonical generational MOEA) at an
@@ -574,27 +499,6 @@ mod tests {
             eps_size < plain_size,
             "ε-archive ({eps_size}) should be smaller than plain ({plain_size})"
         );
-    }
-
-    #[test]
-    fn layout_ablation_layouts_agree_and_pub_is_finite() {
-        let t = ablation_layout(&AblationConfig {
-            evaluations: 2_000,
-            ..cfg()
-        });
-        assert_eq!(t.len(), 3);
-        let csv = t.to_csv();
-        let rows: Vec<&str> = csv.lines().skip(1).collect();
-        let linear_size: usize = rows[0].split(',').nth(1).unwrap().parse().unwrap();
-        let indexed_size: usize = rows[1].split(',').nth(1).unwrap().parse().unwrap();
-        assert_eq!(
-            linear_size, indexed_size,
-            "both layouts must admit the same members"
-        );
-        for row in &rows[..2] {
-            let p_ub: f64 = row.split(',').nth(3).unwrap().parse().unwrap();
-            assert!(p_ub.is_finite() && p_ub > 0.0, "P_UB {p_ub} out of range");
-        }
     }
 
     #[test]

@@ -72,7 +72,7 @@ use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::FaultConfig;
 use borg_experiments::ablation::{
-    ablation_archive, ablation_contention, ablation_layout, ablation_operators, ablation_restarts,
+    ablation_archive, ablation_contention, ablation_operators, ablation_restarts,
     ablation_variance, AblationConfig,
 };
 use borg_experiments::bounds::{paper_bounds, render_bounds};
@@ -662,7 +662,6 @@ fn run_command(cmd: &str, cli: &Cli) {
                     "ablation_baseline",
                     borg_experiments::ablation::ablation_baseline(&cfg),
                 ),
-                ("ablation_layout", ablation_layout(&cfg)),
                 ("ablation_operators", ablation_operators(&cfg)),
                 ("ablation_restarts", ablation_restarts(&cfg)),
                 ("ablation_contention", ablation_contention(&cfg)),

@@ -382,6 +382,7 @@ pub fn render_table2(rows: &[Table2Row]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use borg_core::algorithm::run_serial;
 
     #[test]
     fn smoke_table_has_expected_shape() {
@@ -488,24 +489,27 @@ mod tests {
     }
 
     #[test]
-    fn uf11_ta_exceeds_dtlz2_ta() {
-        // The paper's Table II shows UF11's T_A roughly double DTLZ2's
-        // (rotation matrix multiply + harder archive). Our measured T_A
-        // should reproduce the ordering.
-        let cfg = Table2Config {
-            evaluations: 4_000,
-            replicates: 2,
-            processors: vec![16],
-            tf_means: vec![0.01],
-            problems: vec![PaperProblem::Dtlz2, PaperProblem::Uf11],
-            ..Table2Config::default()
+    fn uf11_archive_outgrows_dtlz2_by_20k_evaluations() {
+        // The paper's Table II shows UF11's T_A roughly double DTLZ2's.
+        // The archive's part of that, as a count that repeats exactly: at
+        // ε = 0.1 UF11's archive starts out the smaller of the two (still
+        // so at 4 000 evaluations) and is the larger by 20 000 (1 313
+        // members against 967 at this seed), so every insertion from there
+        // on scans more member boxes. Wall-clock T_A is EXPERIMENTS.md's
+        // Table II, not a unit test.
+        let archive_len = |problem: PaperProblem| {
+            let config = problem.borg_config(0.1);
+            run_serial(&*problem.build(), config, 7, 20_000, |_| {})
+                .archive()
+                .len()
         };
-        let rows = run_table2(&cfg);
-        let dtlz2_ta = rows.iter().find(|r| r.problem == "DTLZ2").unwrap().t_a;
-        let uf11_ta = rows.iter().find(|r| r.problem == "UF11").unwrap().t_a;
+        let (dtlz2, uf11) = (
+            archive_len(PaperProblem::Dtlz2),
+            archive_len(PaperProblem::Uf11),
+        );
         assert!(
-            uf11_ta > dtlz2_ta * 0.8,
-            "UF11 T_A ({uf11_ta}) unexpectedly far below DTLZ2's ({dtlz2_ta})"
+            uf11 > dtlz2,
+            "UF11 archive ({uf11}) not larger than DTLZ2's ({dtlz2})"
         );
     }
 }

@@ -35,7 +35,8 @@
 //! errors out if no violation surfaces.
 //!
 //! Entry points: `cargo xtask mc [--smoke] [--depth N] [--json]`, the
-//! `mc` criterion group in `cargo xtask bench`, and the unit tests.
+//! `mc` criterion group (`cargo bench -p borg-bench --bench mc`), and the
+//! unit tests.
 
 pub mod explore;
 pub mod mutation;

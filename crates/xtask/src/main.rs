@@ -5,15 +5,13 @@
 //! annotated-fixture self-test as a preflight so a silently broken lint
 //! pass cannot report a clean workspace. `--determinism` additionally runs
 //! a same-seed-twice virtual-time Borg run and demands bit-identical
-//! archives, plus the jobs=1-vs-jobs=4 parallel-runner arm. The `bench`
-//! subcommand records the perf trajectory (see [`bench`]).
+//! archives, plus the jobs=1-vs-jobs=4 parallel-runner arm.
 //!
 //! Exit codes: `0` clean, `1` violations or determinism divergence,
 //! `2` usage / IO / self-test errors.
 
 #![forbid(unsafe_code)]
 
-mod bench;
 mod determinism;
 mod files;
 mod golden;
@@ -42,7 +40,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     match args.first().map(String::as_str) {
         Some("check") => check_command(&args[1..]),
         Some("golden") => golden_command(&args[1..]),
-        Some("bench") => bench_command(&args[1..]),
         Some("mc") => mc_cmd::mc_command(&args[1..]),
         Some("help") | Some("--help") | Some("-h") => {
             print_help();
@@ -63,7 +60,6 @@ fn print_help() {
          USAGE:\n\
          \x20   cargo xtask check [--json] [--determinism] [--self-test] [--list]\n\
          \x20   cargo xtask golden --bless\n\
-         \x20   cargo xtask bench [--bless] [--compare FILE [--max-regress PCT]]\n\
          \x20   cargo xtask mc [--smoke] [--depth N] [--json]\n\
          \n\
          FLAGS:\n\
@@ -78,13 +74,6 @@ fn print_help() {
          \x20   --bless         (golden) regenerate the crates/xtask/golden CSV\n\
          \n\
          SUBCOMMANDS:\n\
-         \x20   bench           run the smoke criterion groups (protocol,\n\
-         \x20                   faults, obs, runner, mc, net) and print median\n\
-         \x20                   ns/op per group; --bless writes them to\n\
-         \x20                   BENCH_runner.json (nothing else does);\n\
-         \x20                   --compare diffs against a blessed trajectory\n\
-         \x20                   file and fails on > --max-regress % slowdowns\n\
-         \x20                   (a suspected regression is re-measured once)\n\
          \x20   mc              explore every event-delivery schedule into the\n\
          \x20                   protocol engine (borg-mc): --smoke runs the CI\n\
          \x20                   subset, --depth caps deliveries per schedule\n\
@@ -93,81 +82,6 @@ fn print_help() {
     );
     for rule in &RULES {
         println!("    {}  {}", rule.id, rule.summary);
-    }
-}
-
-fn bench_command(args: &[String]) -> Result<ExitCode, String> {
-    let usage = "usage: cargo xtask bench [--bless] [--compare FILE [--max-regress PCT]]";
-    let mut bless = false;
-    let mut compare_path: Option<std::path::PathBuf> = None;
-    let mut max_regress = 10.0f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--bless" => bless = true,
-            "--compare" => {
-                compare_path = Some(std::path::PathBuf::from(
-                    it.next().ok_or("--compare needs a baseline file")?,
-                ))
-            }
-            "--max-regress" => {
-                max_regress = it
-                    .next()
-                    .ok_or("--max-regress needs a percent")?
-                    .parse()
-                    .map_err(|e| format!("--max-regress: {e}"))?
-            }
-            other => return Err(format!("{usage} (got `{other}`)")),
-        }
-    }
-    let root = files::workspace_root()?;
-    // Read the baseline up front: the committed trajectory file is the
-    // usual baseline, and `--bless` below overwrites it.
-    let baseline = match &compare_path {
-        Some(path) => Some(
-            std::fs::read_to_string(root.join(path))
-                .map_err(|e| format!("read baseline {}: {e}", path.display()))?,
-        ),
-        None => None,
-    };
-    let report = bench::run(&root)?;
-    for (group, median_ns, benches) in &report.groups {
-        println!("bench trajectory: {group:<10} median {median_ns:>12} ns/op ({benches} benches)");
-    }
-    if bless {
-        println!("wrote {}", report.bless(&root)?.display());
-    }
-    let Some(baseline) = baseline else {
-        return Ok(ExitCode::SUCCESS);
-    };
-    let mut rows = bench::compare(&baseline, &report, max_regress)?;
-    if rows.iter().any(|r| r.regressed) {
-        // A busy machine can skew a single measurement past the bar; a true
-        // regression reproduces. Re-measure once and keep the faster sample.
-        println!("bench compare: regression suspected; re-measuring once to rule out noise");
-        let retry_report = bench::run(&root)?;
-        let retry = bench::compare(&baseline, &retry_report, max_regress)?;
-        bench::keep_faster(&mut rows, &retry);
-    }
-    let mut regressed = false;
-    for r in &rows {
-        let verdict = if r.regressed {
-            regressed = true;
-            "  REGRESSED"
-        } else {
-            ""
-        };
-        println!(
-            "bench compare: {:<10} {:>12} -> {:>12} ns/op ({:+.1}%){verdict}",
-            r.group, r.baseline_ns, r.current_ns, r.delta_pct
-        );
-    }
-    if regressed {
-        println!("bench FAIL: group median slowed more than {max_regress}% vs the baseline");
-        Ok(ExitCode::from(1))
-    } else {
-        println!("bench compare OK: no group slowed more than {max_regress}%");
-        Ok(ExitCode::SUCCESS)
     }
 }
 
