@@ -22,6 +22,9 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --release
 
+echo "==> one-process ratio test: order-key scan vs the exact kernel (>= 2x)"
+cargo test -q --release -p borg-core --test kernel_ratio -- --ignored
+
 echo "==> benchmark/run.sh --smoke (every workload's output checks)"
 benchmark/run.sh --smoke
 

@@ -2,8 +2,10 @@
 //! targets — ε-archive insertion (a 2-D curve at two sizes and the
 //! paper-shaped 5-D case), the steady-state tournament + replacement step,
 //! the population replacement scan and tournament at paper scale (12k
-//! members, 5-D), batch problem evaluation over the flat objective matrix,
-//! and incremental hypervolume insertion.
+//! members, 5-D) and at the other end (100 members, 2-D, every lane
+//! decided: where the order-key filter is pure overhead), batch problem
+//! evaluation over the flat objective matrix, and incremental hypervolume
+//! insertion.
 
 use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::archive::EpsilonArchive;
@@ -98,12 +100,19 @@ fn bench_core(c: &mut Criterion) {
         let sol = engine.make_solution_recycled(cand, &objs, &cons);
         engine.consume(sol);
     }
-    group.bench_function("steady_state_step", |b| {
+    // 100 000 steps a timed call, so divide the printed time by 10⁵. One
+    // step a call (this id's form until PR 17) timed ten draws from a
+    // distribution whose steps differ by the operator drawn and by whether
+    // the archive accepts, on top of two clock reads: the same binary read
+    // 529–929 ns from run to run (DESIGN.md §16).
+    group.bench_function("steady_state_100k_steps", |b| {
         b.iter(|| {
-            let cand = engine.produce();
-            problem.evaluate(&cand.variables, &mut objs, &mut cons);
-            let sol = engine.make_solution_recycled(cand, &objs, &cons);
-            engine.consume(sol);
+            for _ in 0..100_000 {
+                let cand = engine.produce();
+                problem.evaluate(&cand.variables, &mut objs, &mut cons);
+                let sol = engine.make_solution_recycled(cand, &objs, &cons);
+                engine.consume(sol);
+            }
             engine.nfe()
         })
     });
@@ -112,8 +121,8 @@ fn bench_core(c: &mut Criterion) {
     // 12 288 mutually nondominated 5-D rows — points of the positive unit
     // sphere, DTLZ2's front — so every offer scans the whole population and
     // replaces a random member, and every tournament comparison is between
-    // nondominated rows. `steady_state_step` above runs a 100-member
-    // population and cannot see this regime. The displaced member is the
+    // nondominated rows. `steady_state_100k_steps` above starts from a
+    // 100-member population and cannot see this regime. The displaced member is the
     // next offspring, so the loop allocates nothing.
     let mut rng = rng_from_seed(17);
     let mut sphere_point = || {
@@ -134,14 +143,43 @@ fn bench_core(c: &mut Criterion) {
             verdict
         })
     });
-    // Warm the row-major rows into cache first, where the steady-state loop
-    // (a thousand random rows an evaluation) keeps most of them; ten cold
-    // calls would time first touches of a 490 KB matrix instead.
+    // Warm the packed keys into cache first, where the steady-state loop (a
+    // thousand random members an evaluation) keeps most of them; ten cold
+    // calls would time first touches of 197 KB of keys instead.
     for _ in 0..4_096 {
         black_box(population.tournament_select(248, &mut rng));
     }
     group.bench_function("tournament_k248_12k_5d", |b| {
         b.iter(|| population.tournament_select(black_box(248), &mut rng))
+    });
+
+    // The other end of the scale: 100 members in two objectives (13 blocks,
+    // the population `virtual-p1024` and the wire workloads run), every
+    // offspring a little better than the last and so dominating every
+    // member. Each block is decided, the order keys can skip none, and what
+    // they cost there is this id's difference from its parent.
+    let mut rng = rng_from_seed(21);
+    let mut small = Population::new(100);
+    while small.fill(Solution::from_parts(
+        vec![],
+        vec![rng.gen_range(1.0..2.0), rng.gen_range(1.0..2.0)],
+        vec![],
+    )) {}
+    let mut level = 1.0;
+    let mut offspring = Some(Solution::from_parts(vec![], vec![level; 2], vec![]));
+    group.bench_function("population_offer_100_2d", |b| {
+        b.iter(|| {
+            for _ in 0..1_000 {
+                let next = offspring.take().expect("an offer returns a member");
+                let (_, displaced) = small.offer_replacing(next, &mut rng);
+                let (variables, mut objectives, constraints) =
+                    displaced.expect("a full population displaces").into_parts();
+                level -= 1e-9;
+                objectives.fill(level);
+                offspring = Some(Solution::from_parts(variables, objectives, constraints));
+            }
+            small.len()
+        })
     });
 
     // Batch evaluation over the flat matrix: 256 DTLZ2 rows behind a single

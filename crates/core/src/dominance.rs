@@ -20,8 +20,23 @@
 //! [`constrained_dominance_block`] for one row against eight members at
 //! once. Both gather the same four comparison bits and hand them to one
 //! private rule, so constrained dominance is written down once.
+//!
+//! # Order keys: a filter in front of the exact kernels
+//!
+//! "Almost all of the time" is 99.8 % of the blocks and 99.9 % of the pairs
+//! on a converged 5-objective front, and that answer — every lane strictly
+//! better than the row in one column and strictly worse in another, so
+//! nothing is decided — rarely needs 64-bit precision to reach. Every value
+//! a [`BlockedRows`](crate::matrix::BlockedRows) mirror holds therefore has
+//! a 16-bit [`order_key`] beside it, a non-decreasing function of the value:
+//! `order_key(x) < order_key(y)` *proves* `x < y`. [`keys_apart_block`]
+//! compares eight members' keys with one packed compare per column and
+//! direction and answers only "the keys prove that the exact kernel would
+//! decide nothing here"; [`keys_apart_pair`] does the same for two members
+//! of a tournament. Whatever the keys cannot prove goes to the exact kernels
+//! unchanged, which remain the only code that produces a [`Dominance`], a
+//! comparison mask or a tournament win.
 
-use crate::matrix::ObjectiveMatrix;
 use crate::solution::Solution;
 use std::hint::black_box;
 
@@ -74,15 +89,6 @@ pub fn pareto_dominance(a: &Solution, b: &Solution) -> Dominance {
     pareto_dominance_objectives(a.objectives(), b.objectives())
 }
 
-/// Pareto dominance between rows `i` and `j` of a flat objective matrix.
-///
-/// Row slices come straight out of the flat backing store, so the comparison
-/// runs over contiguous memory with no per-call allocation.
-// borg-lint: hot-path
-pub fn pareto_dominance_rows(matrix: &ObjectiveMatrix, i: usize, j: usize) -> Dominance {
-    pareto_dominance_objectives(matrix.row(i), matrix.row(j))
-}
-
 /// Constrained Pareto dominance.
 ///
 /// A solution with a smaller aggregate constraint violation dominates one
@@ -128,9 +134,23 @@ pub fn constrained_dominance_rows(
     b_violation: f64,
 ) -> Dominance {
     debug_assert_eq!(a.len(), b.len());
+    let columns = a.iter().copied().zip(b.iter().copied());
+    constrained_dominance_columns(columns, a_violation, b_violation)
+}
+
+/// [`constrained_dominance_rows`] for rows that are not slices: `columns`
+/// yields the two rows' objectives pair by pair (the population reads two
+/// members out of its blocked mirror this way).
+// borg-lint: hot-path
+#[inline]
+pub fn constrained_dominance_columns(
+    columns: impl Iterator<Item = (f64, f64)>,
+    a_violation: f64,
+    b_violation: f64,
+) -> Dominance {
     let mut lt = false;
     let mut gt = false;
-    for (&x, &y) in a.iter().zip(b) {
+    for (x, y) in columns {
         lt |= x < y;
         gt |= y < x;
     }
@@ -140,6 +160,116 @@ pub fn constrained_dominance_rows(
 /// Members per block of a [`BlockedRows`](crate::matrix::BlockedRows)
 /// mirror: the width of one block-kernel call.
 pub const BLOCK_LANES: usize = 8;
+
+/// The order keys of one column of a block, or of one member's first
+/// [`BLOCK_LANES`] columns: eight `i16`, one 128-bit register.
+pub type KeyLanes = [i16; BLOCK_LANES];
+
+/// The key that carries no order: the key of NaN, of every column of a row
+/// that holds a NaN, and of unoccupied lanes. No non-NaN value maps to it
+/// (only a negative NaN's bit pattern would), and since nothing is below
+/// it, a lane keyed with it can never be proven strictly *better* than
+/// anything — so never proven apart.
+pub const NO_ORDER: i16 = i16::MIN;
+
+/// A 16-bit monotone image of a double: `order_key(x) < order_key(y)`
+/// implies `x < y` for all non-NaN `x`, `y`; NaN maps to [`NO_ORDER`].
+///
+/// The value is rounded to `f32` (monotone, ±∞ beyond its range) and the
+/// top half of its bit pattern kept — sign, exponent, seven mantissa bits:
+/// bfloat16, 128 steps a binade. Read as `i16`, non-negative floats already
+/// sort by that half; negative ones sort backwards, so their low 15 bits are
+/// flipped (−0.0 → −1, −∞ → `0x807F`). Both steps are non-decreasing, hence
+/// so is the key, and a *strict* key inequality can only come from a strict
+/// inequality of the values. `x + 0.0` first turns −0.0 into +0.0: the two
+/// compare equal as doubles, so they must not get different keys. Integers
+/// up to 256 — ε-box coordinates, usually — have distinct keys.
+#[inline]
+pub fn order_key(x: f64) -> i16 {
+    if x.is_nan() {
+        return NO_ORDER;
+    }
+    let top = (((x + 0.0) as f32).to_bits() >> 16) as i16;
+    top ^ ((top >> 15) & i16::MAX)
+}
+
+/// Fewest padding-free blocks a mirror must hold before a scan consults the
+/// keys. Keying the candidate itself ([`splat_order_keys`]) costs about what
+/// one exact block compare costs, and a block the keys settle saves one; so
+/// with fewer than two blocks to ask about they cannot pay even if they
+/// settle every one — the 11-member archives and half-filled populations of
+/// a two-objective run (`virtual-p1024`) stay on the exact kernels alone.
+pub const MIN_KEYED_BLOCKS: usize = 2;
+
+/// Writes each value's [`order_key`], broadcast to all lanes, into `out` —
+/// the form [`keys_apart_block`] wants its row in. Returns `false` when a
+/// value is NaN: such a row has no order and must go to the exact kernels.
+// borg-lint: hot-path
+#[inline]
+pub fn splat_order_keys(row: impl IntoIterator<Item = f64>, out: &mut Vec<KeyLanes>) -> bool {
+    out.clear();
+    let mut ordered = true;
+    for value in row {
+        let key = order_key(value);
+        ordered &= key != NO_ORDER;
+        out.push([key; BLOCK_LANES]);
+    }
+    ordered
+}
+
+/// Whether the keys alone prove that every member of a block is mutually
+/// nondominated with a row: each lane strictly above the row's key in one
+/// column and strictly below it in another. That is exactly the case in
+/// which [`constrained_dominance_block`] (between solutions whose
+/// violations cannot decide) and [`box_key_block`] return `None`, so a
+/// caller may skip the exact kernel for the block; `false` proves nothing.
+///
+/// `row` holds one broadcast key per column ([`splat_order_keys`]), `block`
+/// the same columns' key lanes. A [`NO_ORDER`] lane — padding, a NaN row —
+/// is never apart, so its block always reaches the exact kernel.
+// borg-lint: hot-path
+#[inline]
+pub fn keys_apart_block(row: &[KeyLanes], block: &[KeyLanes]) -> bool {
+    debug_assert_eq!(row.len(), block.len());
+    let mut lt = [false; BLOCK_LANES];
+    let mut gt = [false; BLOCK_LANES];
+    for (xs, ys) in row.iter().zip(block) {
+        // Optimisation barrier, not semantics, as in `compare_lanes`: the
+        // row's keys arrive already broadcast, behind a reference made
+        // opaque once per column, and each column is two loads, two packed
+        // 16-bit compares, a pack and an OR. Broadcasting a scalar key here
+        // instead, LLVM weaves the two directions through shuffles and the
+        // filter gains nothing over the exact kernel; with the barrier
+        // outside this loop, or none, it vectorises the loop *across
+        // columns* with one gather per lane, which at eight or more columns
+        // is slower than the exact kernel (DESIGN.md §16).
+        let xs = black_box(xs);
+        for l in 0..BLOCK_LANES {
+            lt[l] |= xs[l] < ys[l];
+            gt[l] |= ys[l] < xs[l];
+        }
+    }
+    let mut apart = true;
+    for l in 0..BLOCK_LANES {
+        apart &= lt[l] & gt[l];
+    }
+    apart
+}
+
+/// [`keys_apart_block`] for one pair of members, each given by the keys of
+/// its first [`BLOCK_LANES`] columns in one register: `true` proves the two
+/// rows mutually nondominated in those columns, hence in all of them.
+// borg-lint: hot-path
+#[inline]
+pub fn keys_apart_pair(a: &KeyLanes, b: &KeyLanes) -> bool {
+    let mut lt = false;
+    let mut gt = false;
+    for l in 0..BLOCK_LANES {
+        lt |= a[l] < b[l];
+        gt |= b[l] < a[l];
+    }
+    lt & gt
+}
 
 /// The compare loop of both block kernels: `lt[l]` / `gt[l]` — `row` is
 /// strictly smaller / larger than the member in lane `l` in at least one
@@ -551,6 +681,187 @@ mod tests {
         );
     }
 
+    /// Doubles the key has to get right by construction rather than by
+    /// luck: zeros, infinities, the edges of `f32`'s normal, subnormal and
+    /// finite ranges, one key step around 1, and NaNs of either sign.
+    fn key_edge_cases() -> Vec<f64> {
+        let f32_subnormal = f64::from(f32::from_bits(1));
+        let mut values = vec![f64::NAN, -f64::NAN, f64::from_bits(0x7FF0_0000_0000_0001)];
+        for magnitude in [
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            1e-300,
+            f32_subnormal / 2.0,
+            f32_subnormal,
+            1e-42,
+            f64::from(f32::MIN_POSITIVE),
+            1.0 - f64::EPSILON,
+            1.0,
+            1.0 + f64::EPSILON,
+            1.0 + 2f64.powi(-10),
+            1.0 + 2f64.powi(-7),
+            256.0,
+            257.0,
+            f64::from(f32::MAX),
+            f64::from(f32::MAX) * 1.000_000_1,
+            1e300,
+            f64::MAX,
+            f64::INFINITY,
+        ] {
+            values.extend([magnitude, -magnitude]);
+        }
+        values
+    }
+
+    /// The one property the filter rests on, `key(x) < key(y) ⇒ x < y`, and
+    /// the NaN rule, on one pair.
+    fn assert_key_order_is_sound(x: f64, y: f64) {
+        let (kx, ky) = (order_key(x), order_key(y));
+        assert_eq!(
+            kx == NO_ORDER,
+            x.is_nan(),
+            "NO_ORDER is NaN's key alone: {x:e}"
+        );
+        if !x.is_nan() && !y.is_nan() {
+            assert!(kx >= ky || x < y, "{x:e} keyed {kx} below {y:e} keyed {ky}");
+            assert!(ky >= kx || y < x, "{y:e} keyed {ky} below {x:e} keyed {kx}");
+        }
+    }
+
+    #[test]
+    fn order_key_never_orders_what_the_values_do_not() {
+        let edges = key_edge_cases();
+        for &x in &edges {
+            for &y in &edges {
+                assert_key_order_is_sound(x, y);
+            }
+            // Its neighbours one ulp either way, across the sign change too.
+            let bits = x.to_bits();
+            for neighbour in [bits.wrapping_sub(1), bits + 1, bits ^ (1 << 63)] {
+                assert_key_order_is_sound(x, f64::from_bits(neighbour));
+            }
+        }
+        assert_eq!(order_key(-0.0), order_key(0.0));
+        assert_eq!(order_key(0.0), 0);
+        assert_eq!(order_key(-1e-300), -1, "rounds to -0.0f32, below +0.0");
+        // And it does separate what is a key step apart.
+        assert!(order_key(1.0) < order_key(1.0 + 2f64.powi(-7)));
+        assert_eq!(order_key(1.0), order_key(1.0 + 2f64.powi(-10)));
+        assert!(order_key(f64::NEG_INFINITY) > NO_ORDER);
+        assert!(order_key(f64::NEG_INFINITY) < order_key(f64::from(f32::MIN)));
+        assert_eq!(order_key(1e300), order_key(f64::INFINITY));
+    }
+
+    #[test]
+    fn order_key_is_injective_on_box_coordinates_up_to_256() {
+        let keys: Vec<i16> = (-256..=256).map(|k| order_key(f64::from(k))).collect();
+        assert!(keys.windows(2).all(|pair| pair[0] < pair[1]), "{keys:?}");
+        // Beyond that, coarser but still ordered the right way round.
+        assert_eq!(order_key(256.0), order_key(257.0));
+        assert!(order_key(257.0) < order_key(258.0));
+        assert_eq!(order_key(-256.0), order_key(-257.0));
+    }
+
+    mod order_key_properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            /// Pairs drawn as raw bit patterns, so every exponent — hence
+            /// subnormals, values past `f32`'s range, NaN payloads — is as
+            /// likely as any other, plus each value's near neighbours.
+            #[test]
+            fn key_order_is_sound_on_raw_bit_patterns(
+                a in 0u64..=u64::MAX,
+                b in 0u64..=u64::MAX,
+                step in 0u64..1 << 40,
+            ) {
+                let (x, y) = (f64::from_bits(a), f64::from_bits(b));
+                assert_key_order_is_sound(x, y);
+                assert_key_order_is_sound(x, f64::from_bits(a.wrapping_add(step)));
+                assert_key_order_is_sound(x, -x);
+            }
+        }
+    }
+
+    /// Block and pair filters against the exact kernels over a palette that
+    /// mixes values the keys separate, values inside one key step, NaN and
+    /// infinities: whenever the keys say "apart", the exact kernels decide
+    /// nothing; and the keys do say it when the values are far apart.
+    #[test]
+    fn keys_apart_only_where_the_exact_kernels_decide_nothing() {
+        use rand::{Rng, SeedableRng};
+        let palette = [
+            -0.0,
+            0.0,
+            0.25,
+            0.5,
+            1.0,
+            1.0 + 2f64.powi(-10),
+            1.0 + f64::EPSILON,
+            2.0,
+            1e300,
+            1e-42,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let mut row_keys = Vec::new();
+        let (mut skipped, mut skipped_pairs) = (0, 0);
+        for _ in 0..40_000 {
+            let m = rng.gen_range(1..=10);
+            let mut draw = |_| palette[rng.gen_range(0..palette.len())];
+            let row: Vec<f64> = (0..m).map(&mut draw).collect();
+            let members: Vec<Vec<f64>> = (0..BLOCK_LANES)
+                .map(|_| (0..m).map(&mut draw).collect())
+                .collect();
+            let mut rows = crate::matrix::BlockedRows::default();
+            for member in &members {
+                rows.push(member.iter().copied().chain([0.0]));
+            }
+            let (keys, block) = rows.blocks().next().expect("one block");
+            if splat_order_keys(row.iter().copied(), &mut row_keys)
+                && keys_apart_block(&row_keys, &keys[..m])
+            {
+                skipped += 1;
+                assert_eq!(constrained_dominance_block(&row, 0.0, block), None);
+                assert_eq!(box_key_block(&row, &block[..m]), None);
+            }
+            for (i, member) in members.iter().enumerate().skip(1) {
+                if keys_apart_pair(rows.packed_keys(0), rows.packed_keys(i)) {
+                    skipped_pairs += 1;
+                    assert_eq!(
+                        constrained_dominance_rows(&members[0], 0.0, member, 0.0),
+                        Dominance::NonDominated
+                    );
+                }
+            }
+        }
+        assert!(
+            skipped > 100 && skipped_pairs > 10_000,
+            "{skipped} blocks, {skipped_pairs} pairs"
+        );
+        // Far apart along a front: the keys see it.
+        let front = [[0.1, 0.9], [0.9, 0.1]];
+        splat_order_keys([0.5, 0.5], &mut row_keys);
+        let mut rows = crate::matrix::BlockedRows::default();
+        for l in 0..BLOCK_LANES {
+            rows.push(front[l % 2]);
+        }
+        let (keys, _) = rows.blocks().next().expect("one block");
+        assert!(keys_apart_block(&row_keys, keys));
+        assert!(keys_apart_pair(rows.packed_keys(0), rows.packed_keys(1)));
+        assert!(!keys_apart_pair(rows.packed_keys(0), rows.packed_keys(2)));
+        // One lane of padding and the block must be looked at exactly.
+        rows.swap_remove(7);
+        let (keys, _) = rows.blocks().next().expect("one block");
+        assert!(!keys_apart_block(&row_keys, keys));
+    }
+
     #[test]
     fn epsilon_box_lanes_are_the_integer_keys() {
         let objs = [0.25, -0.05, -0.0, f64::NAN, f64::INFINITY, -1e300];
@@ -582,17 +893,6 @@ mod tests {
         for i in 0..objs.len() {
             assert_eq!(out[i], epsilon_box_coord(objs[i], eps[i]));
         }
-    }
-
-    #[test]
-    fn pareto_dominance_rows_matches_slice_form() {
-        let mut m = ObjectiveMatrix::new(2);
-        m.push_row(&[0.0, 0.0]);
-        m.push_row(&[1.0, 1.0]);
-        m.push_row(&[0.0, 2.0]);
-        assert_eq!(pareto_dominance_rows(&m, 0, 1), Dominance::Dominates);
-        assert_eq!(pareto_dominance_rows(&m, 1, 0), Dominance::DominatedBy);
-        assert_eq!(pareto_dominance_rows(&m, 1, 2), Dominance::NonDominated);
     }
 
     #[test]

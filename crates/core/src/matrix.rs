@@ -9,9 +9,9 @@
 //! an array of rows: one row is contiguous (for five objectives, one cache
 //! line), and consecutive rows follow each other.
 //!
-//! That is the layout for reading *a* row — a random tournament draw, a
-//! metric walking the archive. It is not a structure of arrays: a loop that
-//! compares one vector with *every* row finds each objective `stride`
+//! That is the layout for reading *a* row — a metric walking the archive, a
+//! batch of variables to evaluate. It is not a structure of arrays: a loop
+//! that compares one vector with *every* row finds each objective `stride`
 //! elements apart, so comparing several rows at once would take a gather
 //! per objective. The two scans that do compare one vector with every row
 //! read a [`BlockedRows`] mirror instead — eight members a block, one lane
@@ -20,15 +20,24 @@
 //!
 //! * [`crate::population::Population`] mirrors each member's objectives and
 //!   aggregate constraint violation (`m + 1` columns) for its replacement
-//!   scan, beside the [`ObjectiveMatrix`] its tournaments read;
+//!   scan and its tournaments, and keeps no other copy;
 //! * [`crate::archive::EpsilonArchive`] mirrors each member's ε-box key as
 //!   exact `f64` values (`m` columns) for its insertion scan, beside the
 //!   [`ObjectiveMatrix`] that metrics read.
 //!
-//! Both hold their mirror to the same shape and padding check,
-//! [`BlockedRows::check`].
+//! A `BlockedRows` also keys what it holds: beside every `[f64; 8]` lane
+//! array an `[i16; 8]` array of [`order_key`]s — 16-bit monotone images of
+//! the values, which prove "mutually nondominated" for eight members with
+//! two packed compares a column, so that the exact kernels run only where
+//! the keys cannot tell — and each row's keys once more, packed row-major in
+//! 16 bytes, for the tournament's random pairs. 2 + 2 bytes of keys for
+//! every 8 of values: 76 bytes a member of a five-objective population,
+//! where the row-major `f64` mirror the packed keys replaced made it 96.
+//!
+//! Both owners hold their mirror to the same check of shape, padding and
+//! keys, [`BlockedRows::check`].
 
-use crate::dominance::BLOCK_LANES;
+use crate::dominance::{order_key, KeyLanes, BLOCK_LANES, NO_ORDER};
 
 /// A dense row matrix backed by one flat `Vec<T>`.
 ///
@@ -165,9 +174,21 @@ pub type ObjectiveMatrix = FlatMatrix<f64>;
 /// lives in lane `i % BLOCK_LANES` of block `i / BLOCK_LANES`, and a block
 /// is `stride` consecutive lane arrays, one per column. Lanes past the last
 /// row are NaN in every array, which no comparison ever decides.
+///
+/// Beside every exact lane array sits an array of [`order_key`]s, the
+/// filter the scans consult first (see [`crate::dominance`]): the key of the
+/// value in the same lane, or [`NO_ORDER`] throughout a row that holds a
+/// NaN and in padding lanes. Each row's keys are also kept packed, row-major
+/// ([`BlockedRows::packed_keys`]), for code that compares two random rows.
+/// `push`, `set`, `swap_remove` and `clear` are the only writers of all
+/// three, so keys cannot go stale behind a caller's back.
 #[derive(Debug, Clone, Default)]
 pub struct BlockedRows {
     lanes: Vec<[f64; BLOCK_LANES]>,
+    /// `keys[a][l]` is the order key of `lanes[a][l]`.
+    keys: Vec<KeyLanes>,
+    /// Per row, the keys of its first [`BLOCK_LANES`] columns.
+    packed: Vec<KeyLanes>,
     /// Lane arrays per block, i.e. columns per row. Adopted from the first
     /// row pushed into an empty mirror, like [`FlatMatrix`]'s stride.
     stride: usize,
@@ -175,10 +196,31 @@ pub struct BlockedRows {
 }
 
 impl BlockedRows {
+    /// Columns per row; zero until the first row is pushed.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
     /// Drops all rows, keeping the allocation.
     pub fn clear(&mut self) {
         self.lanes.clear();
+        self.keys.clear();
+        self.packed.clear();
         self.rows = 0;
+    }
+
+    /// Makes room for `rows` rows at the current stride, exactly. A restart
+    /// knows the size its population is about to reach; growing there by
+    /// doubling instead leaves a trail of half-sized holes behind each of
+    /// the three buffers (`table2-sweep` `peak_rss_mb` 11.1 → 10.7 MB).
+    pub fn reserve(&mut self, rows: usize) {
+        let arrays = rows.div_ceil(BLOCK_LANES) * self.stride;
+        self.lanes
+            .reserve_exact(arrays.saturating_sub(self.lanes.len()));
+        self.keys
+            .reserve_exact(arrays.saturating_sub(self.keys.len()));
+        self.packed
+            .reserve_exact(rows.saturating_sub(self.packed.len()));
     }
 
     /// Appends a row. An empty mirror adopts the row's length as its
@@ -187,26 +229,27 @@ impl BlockedRows {
     /// # Panics
     /// If a non-empty mirror receives a row of a different length.
     pub fn push(&mut self, row: impl IntoIterator<Item = f64>) {
-        if self.rows == 0 {
-            let first = |value| {
-                let mut array = [f64::NAN; BLOCK_LANES];
-                array[0] = value;
-                array
-            };
-            self.lanes.extend(row.into_iter().map(first));
-            self.stride = self.lanes.len();
-            self.rows = 1;
-            return;
+        let row = row.into_iter();
+        let i = self.rows;
+        if i == 0 {
+            // Taken from the iterator's own count; `set` holds it to that.
+            self.stride = row.size_hint().0;
         }
-        if self.rows.is_multiple_of(BLOCK_LANES) {
+        if i.is_multiple_of(BLOCK_LANES) {
             let grown = self.lanes.len() + self.stride;
             self.lanes.resize(grown, [f64::NAN; BLOCK_LANES]);
+            self.keys.resize(grown, [NO_ORDER; BLOCK_LANES]);
         }
+        self.packed.push([NO_ORDER; BLOCK_LANES]);
         self.rows += 1;
-        self.set(self.rows - 1, row);
+        self.set(i, row);
     }
 
-    /// Overwrites row `i` in place.
+    /// Overwrites row `i` in place and keys it: each value's [`order_key`],
+    /// or [`NO_ORDER`] in every column when one value is NaN — the exact
+    /// kernels decide nothing in a NaN column whatever the others say, and
+    /// only a row that cannot be proven *better* anywhere is sure to reach
+    /// them.
     ///
     /// # Panics
     /// If `i` is out of range or the row's length is not the stride.
@@ -214,15 +257,34 @@ impl BlockedRows {
     pub fn set(&mut self, i: usize, row: impl IntoIterator<Item = f64>) {
         assert!(i < self.rows, "row index out of range");
         let lane = i % BLOCK_LANES;
-        let mut row = row.into_iter();
         let first = i / BLOCK_LANES * self.stride;
-        for array in &mut self.lanes[first..first + self.stride] {
+        let block = first..first + self.stride;
+        let mut row = row.into_iter();
+        let mut packed = [NO_ORDER; BLOCK_LANES];
+        let mut ordered = true;
+        let columns = self.lanes[block.clone()]
+            .iter_mut()
+            .zip(&mut self.keys[block.clone()]);
+        for (c, (values, keys)) in columns.enumerate() {
             let Some(value) = row.next() else {
                 panic!("row length must match stride");
             };
-            array[lane] = value;
+            let key = order_key(value);
+            ordered &= key != NO_ORDER;
+            values[lane] = value;
+            keys[lane] = key;
+            if c < BLOCK_LANES {
+                packed[c] = key;
+            }
         }
         assert!(row.next().is_none(), "row length must match stride");
+        if !ordered {
+            for keys in &mut self.keys[block] {
+                keys[lane] = NO_ORDER;
+            }
+            packed = [NO_ORDER; BLOCK_LANES];
+        }
+        self.packed[i] = packed;
     }
 
     /// Removes row `i` by moving the last row into its lane, mirroring
@@ -239,13 +301,18 @@ impl BlockedRows {
         for c in 0..self.stride {
             let tail = &mut self.lanes[from + c][last % BLOCK_LANES];
             let value = std::mem::replace(tail, f64::NAN);
+            let tail = &mut self.keys[from + c][last % BLOCK_LANES];
+            let key = std::mem::replace(tail, NO_ORDER);
             if i != last {
                 self.lanes[to + c][i % BLOCK_LANES] = value;
+                self.keys[to + c][i % BLOCK_LANES] = key;
             }
         }
+        self.packed.swap_remove(i);
         self.rows = last;
-        self.lanes
-            .truncate(last.div_ceil(BLOCK_LANES) * self.stride);
+        let blocks = last.div_ceil(BLOCK_LANES) * self.stride;
+        self.lanes.truncate(blocks);
+        self.keys.truncate(blocks);
     }
 
     /// The values of row `i`, column by column.
@@ -257,10 +324,26 @@ impl BlockedRows {
             .map(move |array| array[i % BLOCK_LANES])
     }
 
-    /// The blocks in row order, each `stride` lane arrays.
-    pub fn blocks(&self) -> std::slice::ChunksExact<'_, [f64; BLOCK_LANES]> {
+    /// The value of row `i` in one column.
+    pub fn value(&self, i: usize, column: usize) -> f64 {
+        assert!(i < self.rows && column < self.stride, "out of range");
+        self.lanes[i / BLOCK_LANES * self.stride + column][i % BLOCK_LANES]
+    }
+
+    /// The order keys of row `i`'s first [`BLOCK_LANES`] columns, in column
+    /// order; [`NO_ORDER`] where the row has fewer.
+    pub fn packed_keys(&self, i: usize) -> &KeyLanes {
+        &self.packed[i]
+    }
+
+    /// The blocks in row order: each `stride` arrays of key lanes and the
+    /// `stride` arrays of exact lanes they were computed from.
+    pub fn blocks(&self) -> impl Iterator<Item = (&[KeyLanes], &[[f64; BLOCK_LANES]])> {
         // `chunks_exact(0)` panics; an unsized mirror holds no lanes.
-        self.lanes.chunks_exact(self.stride.max(1))
+        let stride = self.stride.max(1);
+        self.keys
+            .chunks_exact(stride)
+            .zip(self.lanes.chunks_exact(stride))
     }
 
     /// Every lane array, padding included, for tests that corrupt a mirror.
@@ -269,24 +352,66 @@ impl BlockedRows {
         &mut self.lanes
     }
 
+    /// Every key lane array, likewise.
+    #[cfg(test)]
+    pub(crate) fn keys_mut(&mut self) -> &mut [KeyLanes] {
+        &mut self.keys
+    }
+
+    /// Every row's packed keys, likewise.
+    #[cfg(test)]
+    pub(crate) fn packed_mut(&mut self) -> &mut [KeyLanes] {
+        &mut self.packed
+    }
+
     /// Verifies the shape — `rows` rows of `stride` columns in exactly the
-    /// blocks they need — and that every lane past the last row is NaN.
+    /// blocks they need — that every lane past the last row is NaN and keyed
+    /// [`NO_ORDER`], and every key against its exact lane: `order_key` of
+    /// the value, or [`NO_ORDER`] across a row that holds a NaN, in the key
+    /// lanes and in the packed copy.
     pub fn check(&self, rows: usize, stride: usize) -> Result<(), String> {
         if self.rows != rows
             || (rows > 0 && self.stride != stride)
             || self.lanes.len() != rows.div_ceil(BLOCK_LANES) * self.stride
+            || self.keys.len() != self.lanes.len()
+            || self.packed.len() != rows
         {
             return Err(format!(
-                "blocked mirror holds {} rows of stride {} in {} lane arrays, expected {rows} rows of stride {stride}",
+                "blocked mirror holds {} rows of stride {} in {} lane arrays, {} key arrays and {} packed keys, expected {rows} rows of stride {stride}",
                 self.rows,
                 self.stride,
-                self.lanes.len()
+                self.lanes.len(),
+                self.keys.len(),
+                self.packed.len()
             ));
         }
-        if let Some(last) = self.blocks().last() {
+        if let Some((keys, lanes)) = self.blocks().last() {
             let occupied = rows - (rows - 1) / BLOCK_LANES * BLOCK_LANES;
-            if !last.iter().flat_map(|a| &a[occupied..]).all(|v| v.is_nan()) {
+            if !lanes
+                .iter()
+                .flat_map(|a| &a[occupied..])
+                .all(|v| v.is_nan())
+            {
                 return Err("blocked mirror padding lane is not NaN".to_string());
+            }
+            let mut padding = keys.iter().flat_map(|a| &a[occupied..]);
+            if !padding.all(|&k| k == NO_ORDER) {
+                return Err("blocked mirror padding key carries an order".to_string());
+            }
+        }
+        for i in 0..rows {
+            let ordered = !self.row(i).any(f64::is_nan);
+            let key_of = |v| if ordered { order_key(v) } else { NO_ORDER };
+            let first = i / BLOCK_LANES * self.stride;
+            let held = self.keys[first..first + self.stride]
+                .iter()
+                .map(|array| array[i % BLOCK_LANES]);
+            if !held.eq(self.row(i).map(key_of)) {
+                return Err(format!("order key lane of row {i} is stale"));
+            }
+            let mut packed = self.row(i).map(key_of).chain(std::iter::repeat(NO_ORDER));
+            if !self.packed[i].iter().all(|&k| Some(k) == packed.next()) {
+                return Err(format!("packed order keys of row {i} are stale"));
             }
         }
         Ok(())
@@ -390,12 +515,22 @@ mod tests {
         let b = blocked(&rows);
         let blocks: Vec<_> = b.blocks().collect();
         assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0][0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
-        assert_eq!(blocks[0][1][3], -3.0);
-        assert_eq!(blocks[1][0][0], 8.0);
-        assert!(blocks[1].iter().all(|a| a[1..].iter().all(|v| v.is_nan())));
+        let (keys, lanes) = blocks[0];
+        assert_eq!(lanes[0], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0]);
+        assert_eq!(lanes[1][3], -3.0);
+        assert_eq!(keys[0], lanes[0].map(order_key));
+        assert_eq!(keys[1], lanes[1].map(order_key));
+        let (keys, lanes) = blocks[1];
+        assert_eq!(lanes[0][0], 8.0);
+        assert!(lanes.iter().all(|a| a[1..].iter().all(|v| v.is_nan())));
+        assert!(keys.iter().all(|a| a[1..].iter().all(|&k| k == NO_ORDER)));
         for (i, row) in rows.iter().enumerate() {
             assert_eq!(&b.row(i).collect::<Vec<_>>(), row);
+            assert_eq!((b.value(i, 0), b.value(i, 1)), (row[0], row[1]));
+            let mut packed = [NO_ORDER; BLOCK_LANES];
+            packed[0] = order_key(row[0]);
+            packed[1] = order_key(row[1]);
+            assert_eq!(b.packed_keys(i), &packed);
         }
         b.check(9, 2).unwrap();
     }
@@ -432,6 +567,10 @@ mod tests {
         b.clear();
         b.check(0, 2).unwrap();
         assert_eq!(b.blocks().count(), 0);
+        // Room reserved at the old width is just capacity: it holds no
+        // rows and does not pin the stride.
+        b.reserve(100);
+        b.check(0, 2).unwrap();
         b.push([1.0, 2.0, 3.0]);
         b.check(1, 3).unwrap();
         // An unsized mirror has no blocks to scan.
@@ -465,5 +604,70 @@ mod tests {
         let mut surplus = b.clone();
         surplus.lanes.push([f64::NAN; BLOCK_LANES]);
         assert!(surplus.check(3, 2).is_err());
+        let mut unkeyed = b.clone();
+        unkeyed.keys.pop();
+        assert!(unkeyed.check(3, 2).is_err());
+        let mut unpacked = b.clone();
+        unpacked.packed.pop();
+        assert!(unpacked.check(3, 2).is_err());
+    }
+
+    /// A key that claims more than its value can back — here 3.0 keyed as
+    /// 4.0, which would "prove" 3.5 < 3.0 — is what would let a scan skip a
+    /// block it must not; `check` sees it in the key lanes, in the packed
+    /// copy and in padding.
+    #[test]
+    fn blocked_check_sees_keys_that_are_too_decisive() {
+        let b = blocked(&[vec![1.0, 2.0], vec![3.0, 4.0], vec![5.0, 6.0]]);
+        let mut lane = b.clone();
+        lane.keys_mut()[0][1] = order_key(4.0);
+        assert!(lane.check(3, 2).unwrap_err().contains("key lane of row 1"));
+        let mut packed = b.clone();
+        packed.packed_mut()[1][0] = order_key(4.0);
+        let err = packed.check(3, 2).unwrap_err();
+        assert!(err.contains("packed order keys of row 1"), "{err}");
+        let mut unused = b.clone();
+        unused.packed_mut()[2][5] = 0;
+        assert!(unused.check(3, 2).unwrap_err().contains("packed"));
+        let mut padding = b.clone();
+        padding.keys_mut()[1][3] = order_key(6.0);
+        assert!(padding.check(3, 2).unwrap_err().contains("padding key"));
+    }
+
+    /// One NaN blanks every key of its row — a key left standing beside it
+    /// could prove the row better somewhere while the NaN column proves it
+    /// "worse" — and the row gets its keys back when the NaN goes.
+    #[test]
+    fn a_row_holding_nan_has_no_order_in_any_column() {
+        let mut b = blocked(&[vec![1.0, 2.0, 3.0], vec![f64::NAN, 2.0, 3.0]]);
+        b.check(2, 3).unwrap();
+        assert_eq!(b.packed_keys(1), &[NO_ORDER; BLOCK_LANES]);
+        for (keys, _) in b.blocks() {
+            assert!(keys.iter().all(|a| a[0] != NO_ORDER && a[1] == NO_ORDER));
+        }
+        let mut kept = b.clone();
+        kept.keys_mut()[1][1] = order_key(2.0);
+        assert!(kept.check(2, 3).unwrap_err().contains("row 1"));
+        b.set(1, [0.5, 2.0, 3.0]);
+        b.check(2, 3).unwrap();
+        assert_eq!(b.packed_keys(1)[..3], [0.5, 2.0, 3.0].map(order_key));
+        b.set(0, [1.0, 2.0, f64::NAN]);
+        b.check(2, 3).unwrap();
+        assert_eq!(b.packed_keys(0), &[NO_ORDER; BLOCK_LANES]);
+    }
+
+    /// Rows wider than a register: the key lanes cover every column, the
+    /// packed copy the first eight.
+    #[test]
+    fn packed_keys_hold_the_first_eight_columns() {
+        let row: Vec<f64> = (0..11).map(|c| c as f64 - 3.0).collect();
+        let mut b = blocked(&[row.clone(), row.iter().map(|v| v * 2.0).collect()]);
+        b.check(2, 11).unwrap();
+        let first: Vec<i16> = row[..BLOCK_LANES].iter().map(|&v| order_key(v)).collect();
+        assert_eq!(b.packed_keys(0)[..], first[..]);
+        b.swap_remove(0);
+        b.check(1, 11).unwrap();
+        assert_eq!(b.packed_keys(0)[3], order_key(0.0));
+        assert_eq!(b.packed_keys(0)[7], order_key(8.0));
     }
 }

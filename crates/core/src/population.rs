@@ -6,41 +6,57 @@
 //! dominated by no member but dominating none replaces a random member; an
 //! offspring dominated by any member is rejected.
 //!
-//! At paper scale the replacement scan is the largest `T_A` term. On the
-//! benchmark's `serial-dtlz2-5` workload (DTLZ2-5, ε = 0.06, 50 000
+//! At paper scale the two loops over the population are most of `T_A`. On
+//! the benchmark's `serial-dtlz2-5` workload (DTLZ2-5, ε = 0.06, 50 000
 //! evaluations: a 3 825-member archive under a 12 372-member population)
-//! the scalar scan cost 29.99 µs of a ~50 µs evaluation, against 12.36 µs
-//! for the archive and 8.50 µs for the tournaments: every offspring that
-//! reaches a full population is compared with every member, and on a
-//! converged 5-D front nearly all of those comparisons are between mutually
-//! nondominated rows, where a comparator that branches per objective
-//! mispredicts most of its branches.
+//! every offspring that reaches a full population is compared with every
+//! member, and each of the ~2.6 parents an evaluation needs is the winner
+//! of a 248-way tournament: 13.7 M blocks of eight and 21.9 M pairs over
+//! the run. On a converged 5-D front nearly all of those comparisons are
+//! between mutually nondominated rows — 99.76 % of the blocks and 99.93 %
+//! of the pairs decide nothing — and 16 bits a value are enough to see it.
 //!
-//! So the population keeps two mirrors of its members' objective vectors
-//! and aggregate constraint violations, each serving one access pattern:
+//! So the population keeps one mirror of its members' objective vectors and
+//! aggregate constraint violations, a [`BlockedRows`] (the type the archive
+//! keeps its box keys in), which holds every value three ways:
 //!
-//! * a **blocked** mirror ([`BlockedRows`], the type the archive keeps its
-//!   box keys in) for the scan in [`Population::offer_replacing`]: members
-//!   in blocks of [`BLOCK_LANES`], each block one lane array per objective
-//!   plus one of violations, unoccupied lanes NaN.
-//!   [`constrained_dominance_block`] compares the offspring with a whole
-//!   block without a data-dependent branch and answers "nothing decided"
-//!   with one test, so the scan streams through `m + 1` cache lines per
-//!   eight members at a few cycles a member;
-//! * a **row-major** [`ObjectiveMatrix`] plus a violation vector for
-//!   [`Population::tournament_select`], which reads random members: one
-//!   row is one cache line, where the same member's lanes in the blocked
-//!   mirror are spread over `m + 1` of them.
+//! * **exact lanes**: members in blocks of [`BLOCK_LANES`], each block one
+//!   `[f64; 8]` lane array per objective plus one of violations, unoccupied
+//!   lanes NaN. [`constrained_dominance_block`] compares the offspring with
+//!   a whole block without a data-dependent branch; this is the only code
+//!   that decides a replacement;
+//! * **key lanes**: the 16-bit [`order_key`](crate::dominance::order_key)
+//!   of each lane, in the same layout. [`keys_apart_block`] reads them
+//!   first and proves most blocks mutually nondominated with the offspring
+//!   at a quarter of the bytes and a quarter of the packed compares, and the
+//!   scan in [`Population::offer_replacing`] skips those blocks;
+//! * **packed keys**: each member's keys again, row-major, 16 bytes a
+//!   member, for [`Population::tournament_select`], which reads random
+//!   members — one load where the member's lanes are spread over `m + 1`
+//!   cache lines. [`keys_apart_pair`] proves most pairs apart; the few it
+//!   cannot are compared exactly, out of the lanes.
 //!
-//! Neither path allocates per offspring (the dominated-index list is a
-//! reused scratch buffer), and neither changes a decision: the scalar scan
-//! they replaced survives under `#[cfg(test)]` as the oracle of a
-//! differential property test.
+//! The keys speak only while no violation can decide anything (no member
+//! and not the offspring has a positive one), never about a row that holds
+//! a NaN, and in the scan only when there are at least two full blocks to
+//! ask about ([`MIN_KEYED_BLOCKS`]); otherwise every block and pair goes
+//! to the exact code, as it did before there were keys. On
+//! `serial-dtlz2-5` the replacement scan went from 4.7 to 1.6 µs an
+//! evaluation and the tournaments from 5.9 to 1.4 µs (DESIGN.md §16); a
+//! population of 100 in two objectives in which every block holds a decided
+//! lane pays about 4 ns for each block the keys looked at in vain, and every
+//! member written pays about 8 ns for its keys.
+//!
+//! Neither path allocates per offspring (the dominated-index list and the
+//! offspring's keys are reused scratch buffers), and neither changes a
+//! decision: the scalar scan and tournament survive under `#[cfg(test)]` as
+//! the oracle of a differential property test.
 
 use crate::dominance::{
-    constrained_dominance_block, constrained_dominance_rows, Dominance, BLOCK_LANES,
+    constrained_dominance_block, constrained_dominance_columns, keys_apart_block, keys_apart_pair,
+    splat_order_keys, Dominance, KeyLanes, BLOCK_LANES, MIN_KEYED_BLOCKS,
 };
-use crate::matrix::{BlockedRows, ObjectiveMatrix};
+use crate::matrix::BlockedRows;
 use crate::solution::Solution;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -60,18 +76,20 @@ pub enum PopulationInsert {
 #[derive(Debug, Clone)]
 pub struct Population {
     members: Vec<Solution>,
-    /// Row-major mirror of member objective vectors, row-parallel with
-    /// `members`: the tournament's view.
-    objectives: ObjectiveMatrix,
-    /// Cached aggregate constraint violation per member, row-parallel with
-    /// `members` (computed once at insertion instead of per comparison).
-    violations: Vec<f64>,
-    /// Blocked mirror of objectives followed by the violation: the
-    /// replacement scan's view.
+    /// Mirror of each member's objectives followed by its aggregate
+    /// constraint violation (computed once at insertion instead of per
+    /// comparison), row-parallel with `members`: exact lanes and key lanes
+    /// for the replacement scan, packed keys for the tournament.
     blocked: BlockedRows,
+    /// Members whose violation is positive. The order keys speak only while
+    /// this is zero: between two members that violate nothing, no violation
+    /// can decide a comparison.
+    violating: usize,
     capacity: usize,
     /// Reused dominated-member index list for `offer`.
     scratch_dominated: Vec<usize>,
+    /// Reused broadcast order keys of the offspring being scanned.
+    scratch_keys: Vec<KeyLanes>,
 }
 
 impl Population {
@@ -83,23 +101,17 @@ impl Population {
         assert!(capacity > 0, "population capacity must be positive");
         Self {
             members: Vec::with_capacity(capacity),
-            objectives: ObjectiveMatrix::new(0),
-            violations: Vec::with_capacity(capacity),
             blocked: BlockedRows::default(),
+            violating: 0,
             capacity,
             scratch_dominated: Vec::new(),
+            scratch_keys: Vec::new(),
         }
     }
 
     /// Current members.
     pub fn members(&self) -> &[Solution] {
         &self.members
-    }
-
-    /// Flat row-major view of member objective vectors: row `i` holds
-    /// member `i`'s objectives.
-    pub fn objective_rows(&self) -> &ObjectiveMatrix {
-        &self.objectives
     }
 
     /// Number of members currently held.
@@ -135,9 +147,8 @@ impl Population {
     /// Empties the population, keeping capacity.
     pub fn clear(&mut self) {
         self.members.clear();
-        self.objectives.clear();
-        self.violations.clear();
         self.blocked.clear();
+        self.violating = 0;
     }
 
     /// Empties the population and gives it a new capacity (a restart): what
@@ -152,6 +163,7 @@ impl Population {
         }
         self.capacity = capacity;
         self.clear();
+        self.blocked.reserve(capacity);
     }
 
     /// Changes the capacity; excess members (if shrinking) are dropped from
@@ -220,10 +232,29 @@ impl Population {
     /// every member, a block at a time. Returns `true` as soon as a block
     /// holds a member that dominates it; otherwise leaves the indices of
     /// the members it dominates, ascending, in `scratch_dominated`.
+    ///
+    /// A block whose order keys prove all eight members mutually
+    /// nondominated with the offspring is skipped — the exact kernel would
+    /// return `None` for it. The keys are asked only while no violation can
+    /// decide (no member and not the offspring has `violation > 0.0`; the
+    /// aggregate is a sum of positive terms, never negative or NaN) and the
+    /// offspring has no NaN objective, and only about blocks without
+    /// padding, which they can never call apart — when there are at least
+    /// [`MIN_KEYED_BLOCKS`] of those.
     // borg-lint: hot-path
     fn scan(&mut self, objectives: &[f64], violation: f64) -> bool {
         self.scratch_dominated.clear();
-        for (b, block) in self.blocked.blocks().enumerate() {
+        let full = self.members.len() / BLOCK_LANES;
+        let none_violates = self.violating + usize::from(violation > 0.0) == 0;
+        let keyed = full >= MIN_KEYED_BLOCKS
+            && none_violates
+            && splat_order_keys(objectives.iter().copied(), &mut self.scratch_keys);
+        let keyed_blocks = if keyed { full } else { 0 };
+        let row_keys = self.scratch_keys.as_slice();
+        for (b, (keys, block)) in self.blocked.blocks().enumerate() {
+            if b < keyed_blocks && keys_apart_block(row_keys, &keys[..objectives.len()]) {
+                continue;
+            }
             let Some(lanes) = constrained_dominance_block(objectives, violation, block) else {
                 continue;
             };
@@ -244,21 +275,29 @@ impl Population {
     /// Draws `k` members uniformly with replacement and returns the index of
     /// the best under constrained Pareto dominance (ties keep the earlier
     /// draw, which is an unbiased choice because draws are random).
+    ///
+    /// A pair whose packed order keys prove the two members mutually
+    /// nondominated is not a win and is not compared further (one 16-byte
+    /// load a member); like the scan, the keys are asked only while no
+    /// member has a positive violation.
     // borg-lint: hot-path
     pub fn tournament_select<R: Rng>(&self, k: usize, rng: &mut R) -> usize {
         assert!(
             !self.members.is_empty(),
             "cannot select from empty population"
         );
+        let keyed = self.violating == 0;
         let mut best = rng.gen_range(0..self.members.len());
         for _ in 1..k.max(1) {
             let challenger = rng.gen_range(0..self.members.len());
-            let wins = constrained_dominance_rows(
-                self.objectives.row(challenger),
-                self.violations[challenger],
-                self.objectives.row(best),
-                self.violations[best],
-            ) == Dominance::Dominates;
+            let (a, b) = (
+                self.blocked.packed_keys(challenger),
+                self.blocked.packed_keys(best),
+            );
+            if keyed && keys_apart_pair(a, b) {
+                continue;
+            }
+            let wins = self.dominance(challenger, best) == Dominance::Dominates;
             // Branchless pick: a win is a coin flip early in a run and rare
             // on a converged front, and the mask costs the same either way.
             // All-ones moves `best` to the challenger.
@@ -267,68 +306,20 @@ impl Population {
         best
     }
 
-    /// Selects `n` distinct member indices uniformly at random (used to build
-    /// multiparent operator inputs around a tournament-selected pivot).
-    ///
-    /// If fewer than `n` members exist, indices repeat (sampling with
-    /// replacement) so multiparent operators still receive full arity.
-    pub fn sample_indices<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<usize> {
-        assert!(!self.members.is_empty(), "cannot sample empty population");
-        if self.members.len() >= n {
-            rand::seq::index::sample(rng, self.members.len(), n).into_vec()
-        } else {
-            (0..n)
-                .map(|_| rng.gen_range(0..self.members.len()))
-                .collect()
-        }
+    /// Exact constrained dominance of member `a` over member `b`, read out
+    /// of the blocked mirror's lanes.
+    // borg-lint: hot-path
+    #[inline]
+    fn dominance(&self, a: usize, b: usize) -> Dominance {
+        let m = self.violation_column();
+        let columns = self.blocked.row(a).zip(self.blocked.row(b)).take(m);
+        constrained_dominance_columns(columns, self.blocked.value(a, m), self.blocked.value(b, m))
     }
 
-    /// As [`sample_indices`](Self::sample_indices), writing into a reused
-    /// buffer so the steady-state loop allocates nothing per candidate.
-    ///
-    /// Draws the **same RNG stream** as the allocating form: it simulates
-    /// `rand::seq::index::sample`'s partial Fisher–Yates over a *virtual*
-    /// `0..len` pool, tracking only the (≤ arity) slots a swap touched in a
-    /// fixed stack array instead of materializing the whole pool.
-    // borg-lint: hot-path
-    pub fn sample_indices_into<R: Rng>(&self, n: usize, rng: &mut R, out: &mut Vec<usize>) {
-        assert!(!self.members.is_empty(), "cannot sample empty population");
-        out.clear();
-        let len = self.members.len();
-        if len < n {
-            for _ in 0..n {
-                out.push(rng.gen_range(0..len));
-            }
-            return;
-        }
-        // One touched slot per draw; operator arities are ≤ 10, so 32 gives
-        // ample headroom. (A larger request falls back to the allocating
-        // sampler, which draws the identical stream.)
-        const MAX_STACK: usize = 32;
-        if n > MAX_STACK {
-            out.extend_from_slice(&rand::seq::index::sample(rng, len, n).into_vec());
-            return;
-        }
-        let mut touched = [(usize::MAX, 0usize); MAX_STACK];
-        let lookup = |touched: &[(usize, usize)], x: usize| -> usize {
-            // Latest write wins; untouched slots hold their identity value.
-            for &(slot, value) in touched.iter().rev() {
-                if slot == x {
-                    return value;
-                }
-            }
-            x
-        };
-        for i in 0..n {
-            let j = rng.gen_range(i..len);
-            let vj = lookup(&touched[..i], j);
-            let vi = lookup(&touched[..i], i);
-            // `pool.swap(i, j)`: slot i is final after iteration i (future
-            // draws satisfy j ≥ i+1), so its value goes straight to `out`;
-            // slot j keeps the displaced value for future lookups.
-            out.push(vj);
-            touched[i] = (j, vi);
-        }
+    /// The mirror column that holds the violation: the one after the
+    /// objectives. Meaningful only while the population has members.
+    fn violation_column(&self) -> usize {
+        self.blocked.stride() - 1
     }
 
     /// Member accessor.
@@ -336,27 +327,27 @@ impl Population {
         &self.members[i]
     }
 
-    /// Appends a member and its mirror rows.
+    /// Appends a member and its mirror row.
     fn push_member(&mut self, solution: Solution) {
         let violation = solution.constraint_violation();
-        self.violations.push(violation);
-        self.objectives.push_row(solution.objectives());
+        self.violating += usize::from(violation > 0.0);
         self.blocked
             .push(blocked_row(solution.objectives(), violation));
         self.members.push(solution);
     }
 
-    /// Replaces member `i`, refreshing its mirror rows; returns the old one.
+    /// Replaces member `i`, refreshing its mirror row; returns the old one.
     // borg-lint: hot-path
     fn replace_member(&mut self, i: usize, solution: Solution, violation: f64) -> Solution {
-        self.violations[i] = violation;
-        self.objectives.set_row(i, solution.objectives());
+        let old = self.blocked.value(i, self.violation_column());
+        self.violating -= usize::from(old > 0.0);
+        self.violating += usize::from(violation > 0.0);
         self.blocked
             .set(i, blocked_row(solution.objectives(), violation));
         std::mem::replace(&mut self.members[i], solution)
     }
 
-    /// Recomputes the mirrors from `members` (after a shuffle/truncate).
+    /// Recomputes the mirror from `members` (after a shuffle/truncate).
     fn rebuild_mirrors(&mut self) {
         let members = std::mem::take(&mut self.members);
         self.clear();
@@ -366,27 +357,27 @@ impl Population {
         }
     }
 
-    /// Verifies that both mirrors agree with the members, bit for bit, and
-    /// that every unoccupied lane of the blocked mirror is NaN (tests).
+    /// Verifies that the mirror agrees with the members, bit for bit, that
+    /// every unoccupied lane is padding, every order key the key of its
+    /// exact lane ([`BlockedRows::check`]), and the count of violating
+    /// members (tests).
     pub fn check_mirrors(&self) -> Result<(), String> {
         let n = self.members.len();
-        let mirrored = [self.objectives.rows(), self.violations.len()];
-        if mirrored != [n, n] {
-            return Err(format!(
-                "row-major mirrors hold {mirrored:?} rows for {n} members"
-            ));
-        }
         let width = self.members.first().map_or(0, Solution::num_objectives);
         self.blocked.check(n, width + 1)?;
         for (i, m) in self.members.iter().enumerate() {
-            let truth = || blocked_row(m.objectives(), m.constraint_violation()).map(f64::to_bits);
-            let row = blocked_row(self.objectives.row(i), self.violations[i]);
-            if !row.map(f64::to_bits).eq(truth()) {
-                return Err(format!("row-major mirror of member {i} is stale"));
-            }
-            if !self.blocked.row(i).map(f64::to_bits).eq(truth()) {
+            let truth = blocked_row(m.objectives(), m.constraint_violation()).map(f64::to_bits);
+            if !self.blocked.row(i).map(f64::to_bits).eq(truth) {
                 return Err(format!("blocked mirror lane of member {i} is stale"));
             }
+        }
+        let violates = |m: &&Solution| m.constraint_violation() > 0.0;
+        let violating = self.members.iter().filter(violates).count();
+        if self.violating != violating {
+            return Err(format!(
+                "{} members counted as violating, {violating} are",
+                self.violating
+            ));
         }
         Ok(())
     }
@@ -403,13 +394,13 @@ fn blocked_row(objectives: &[f64], violation: f64) -> impl Iterator<Item = f64> 
 #[cfg(test)]
 impl Population {
     fn row_dominance_scalar(&self, objectives: &[f64], violation: f64, i: usize) -> Dominance {
-        let vi = self.violations[i];
+        let vi = self.members[i].constraint_violation();
         if violation < vi {
             Dominance::Dominates
         } else if vi < violation {
             Dominance::DominatedBy
         } else {
-            crate::dominance::pareto_dominance_objectives(objectives, self.objectives.row(i))
+            crate::dominance::pareto_dominance_objectives(objectives, self.members[i].objectives())
         }
     }
 
@@ -438,8 +429,8 @@ impl Population {
         let mut best = rng.gen_range(0..self.members.len());
         for _ in 1..k.max(1) {
             let challenger = rng.gen_range(0..self.members.len());
-            let row = self.objectives.row(challenger);
-            if self.row_dominance_scalar(row, self.violations[challenger], best)
+            let c = &self.members[challenger];
+            if self.row_dominance_scalar(c.objectives(), c.constraint_violation(), best)
                 == Dominance::Dominates
             {
                 best = challenger;
@@ -452,6 +443,7 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dominance::order_key;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -544,6 +536,25 @@ mod tests {
         p.check_mirrors().unwrap();
     }
 
+    /// A violating offspring loses to every feasible member even when its
+    /// objectives sit in a gap of the front, where the order keys alone
+    /// would call every block apart: its own violation silences them.
+    #[test]
+    fn violating_offspring_is_rejected_from_a_gap_in_a_feasible_front() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut p = Population::new(16);
+        for i in 0..16 {
+            p.fill(sol(&[f64::from(i), f64::from(16 - i)]));
+        }
+        let in_gap = |constraint| Solution::from_parts(vec![], vec![7.5, 8.75], vec![constraint]);
+        assert_eq!(p.offer(in_gap(0.5), &mut rng), PopulationInsert::Rejected);
+        assert_eq!(
+            p.offer(in_gap(0.0), &mut rng),
+            PopulationInsert::ReplacedRandom
+        );
+        p.check_mirrors().unwrap();
+    }
+
     #[test]
     fn tournament_prefers_dominating_member() {
         let mut rng = StdRng::seed_from_u64(3);
@@ -585,63 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_indices_distinct_when_possible() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut p = Population::new(10);
-        for i in 0..10 {
-            p.fill(sol(&[i as f64, -(i as f64)]));
-        }
-        let idx = p.sample_indices(5, &mut rng);
-        let mut dedup = idx.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), 5);
-    }
-
-    #[test]
-    fn sample_indices_with_replacement_when_small() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let mut p = Population::new(2);
-        p.fill(sol(&[0.0, 1.0]));
-        p.fill(sol(&[1.0, 0.0]));
-        let idx = p.sample_indices(6, &mut rng);
-        assert_eq!(idx.len(), 6);
-        assert!(idx.iter().all(|&i| i < 2));
-    }
-
-    #[test]
-    fn sample_indices_into_matches_allocating_form() {
-        // Same seed → the reused-buffer form must draw the same RNG stream
-        // and produce the same indices as `sample_indices` (this is what
-        // keeps the engine's candidate streams bit-identical).
-        for n in [1usize, 2, 5, 9, 10] {
-            let mut p = Population::new(10);
-            for i in 0..10 {
-                p.fill(sol(&[i as f64, -(i as f64)]));
-            }
-            let mut a = StdRng::seed_from_u64(42);
-            let mut b = StdRng::seed_from_u64(42);
-            let alloc = p.sample_indices(n, &mut a);
-            let mut reused = Vec::new();
-            p.sample_indices_into(n, &mut b, &mut reused);
-            assert_eq!(alloc, reused, "divergence at arity {n}");
-            // And the RNG cursors must agree afterwards.
-            use rand::Rng;
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        }
-        // Small-population with-replacement path.
-        let mut p = Population::new(2);
-        p.fill(sol(&[0.0, 1.0]));
-        p.fill(sol(&[1.0, 0.0]));
-        let mut a = StdRng::seed_from_u64(7);
-        let mut b = StdRng::seed_from_u64(7);
-        let alloc = p.sample_indices(6, &mut a);
-        let mut reused = Vec::new();
-        p.sample_indices_into(6, &mut b, &mut reused);
-        assert_eq!(alloc, reused);
-    }
-
-    #[test]
     fn resize_shrinks_and_grows() {
         let mut rng = StdRng::seed_from_u64(7);
         let mut p = Population::new(4);
@@ -668,13 +622,13 @@ mod tests {
         }
         p.clear();
         p.check_mirrors().unwrap();
-        // Like the row-major matrix, the blocked mirror adopts the width of
-        // the first row of each epoch.
+        // The blocked mirror adopts the width of the first row of each
+        // epoch: three objectives and the violation.
         for i in 0..9 {
             p.fill(sol(&[i as f64, 0.5, -(i as f64)]));
         }
         p.check_mirrors().unwrap();
-        assert_eq!(p.objective_rows().stride(), 3);
+        assert_eq!(p.blocked.stride(), 4);
     }
 
     #[test]
@@ -683,12 +637,36 @@ mod tests {
         for i in 0..3 {
             p.fill(sol(&[i as f64, -(i as f64)]));
         }
+        // Member 2's second objective, -2.0, read as 7.0: first with the
+        // key it had (the lane no longer backs its key), then rekeyed to
+        // match (the lane no longer is the member's).
         let mut stale = p.clone();
         stale.blocked.lanes_mut()[1][2] = 7.0;
+        assert!(stale
+            .check_mirrors()
+            .unwrap_err()
+            .contains("key lane of row 2"));
+        stale.blocked.keys_mut()[1][2] = order_key(7.0);
+        stale.blocked.packed_mut()[2][1] = order_key(7.0);
         assert!(stale.check_mirrors().unwrap_err().contains("member 2"));
         let mut dirty = p.clone();
         dirty.blocked.lanes_mut()[2][3] = 0.0;
         assert!(dirty.check_mirrors().unwrap_err().contains("padding"));
+        // A key that orders what its lane does not: member 1's first
+        // objective, 1.0, keyed as 1.5, would put it strictly above an
+        // offspring at 1.25.
+        let mut decisive = p.clone();
+        decisive.blocked.keys_mut()[0][1] = order_key(1.5);
+        assert!(decisive.check_mirrors().unwrap_err().contains("row 1"));
+        let mut packed = p.clone();
+        packed.blocked.packed_mut()[1][0] = order_key(1.5);
+        assert!(packed.check_mirrors().unwrap_err().contains("packed"));
+        let mut miscounted = p.clone();
+        miscounted.violating = 1;
+        assert!(miscounted
+            .check_mirrors()
+            .unwrap_err()
+            .contains("violating"));
         p.check_mirrors().unwrap();
     }
 
@@ -721,7 +699,7 @@ mod tests {
     }
 
     mod differential {
-        //! The blocked scan and the branch-free tournament against the
+        //! The keyed, blocked scan and the keyed tournament against the
         //! scalar code they replaced: same seeded RNG in, same verdict,
         //! same displaced member, same selection and same next draw out.
 
@@ -729,32 +707,50 @@ mod tests {
         use proptest::prelude::*;
         use rand::Rng;
 
-        /// Coarse values, so rows tie, repeat and dominate each other, plus
+        /// Coarse values, so rows tie, repeat and dominate each other;
         /// everything an objective function can return that is not a
-        /// number to order by.
-        const OBJECTIVES: [f64; 12] = [
+        /// number to order by; and what an order key cannot tell apart, so
+        /// the exact kernels must: 1.0 with its neighbour one ulp up and
+        /// one inside the same key step (2⁻¹⁰ < 2⁻⁷), 0.25 likewise one ulp
+        /// down, and magnitudes `f32` rounds to ∞ and to a subnormal.
+        const OBJECTIVES: [f64; 18] = [
             -0.0,
             0.0,
             0.25,
             0.25,
+            0.25 - f64::EPSILON / 8.0,
             0.5,
             0.5,
             0.75,
             1.0,
+            1.0 + f64::EPSILON,
+            1.0 + 1.0 / 1024.0,
             2.0,
+            1e300,
+            1e-42,
+            -1e-42,
             f64::NAN,
             f64::INFINITY,
             f64::NEG_INFINITY,
         ];
         /// Mostly feasible; NaN and negative constraints count as
         /// satisfied, an infinite one as infinitely violated.
-        const CONSTRAINTS: [f64; 8] = [0.0, 0.0, 0.0, -1.0, 0.25, 1.5, f64::NAN, f64::INFINITY];
+        const CONSTRAINTS: [f64; 8] = [0.0, 0.0, 0.0, -1.0, f64::NAN, 0.25, 1.5, f64::INFINITY];
+        /// The leading entries of `CONSTRAINTS` that violate nothing.
+        const SATISFIED: usize = 5;
 
-        fn random_solution(m: usize, rng: &mut StdRng) -> Solution {
+        /// A random solution; `feasible` restricts its constraint to values
+        /// that violate nothing, the regime in which the order keys speak.
+        fn random_solution(m: usize, feasible: bool, rng: &mut StdRng) -> Solution {
             let objectives = (0..m)
                 .map(|_| OBJECTIVES[rng.gen_range(0..OBJECTIVES.len())])
                 .collect();
-            let constraint = CONSTRAINTS[rng.gen_range(0..CONSTRAINTS.len())];
+            let choices = if feasible {
+                SATISFIED
+            } else {
+                CONSTRAINTS.len()
+            };
+            let constraint = CONSTRAINTS[rng.gen_range(0..choices)];
             Solution::from_parts(vec![], objectives, vec![constraint])
         }
 
@@ -772,67 +768,109 @@ mod tests {
                     .all(|(f, s)| bits(f) == bits(s))
         }
 
+        /// The production population and the scalar oracle in lockstep,
+        /// each with its own copy of one RNG stream.
+        struct Pair {
+            fast: Population,
+            slow: Population,
+            rng_fast: StdRng,
+            rng_slow: StdRng,
+        }
+
+        impl Pair {
+            fn new(fast: Population, seed: u64) -> Self {
+                let rng_fast = StdRng::seed_from_u64(seed ^ 0x5EED);
+                Self {
+                    slow: fast.clone(),
+                    fast,
+                    rng_slow: rng_fast.clone(),
+                    rng_fast,
+                }
+            }
+
+            fn offer(&mut self, offspring: Solution, step: usize) -> Result<(), TestCaseError> {
+                let (verdict_fast, out_fast) = self
+                    .fast
+                    .offer_replacing(offspring.clone(), &mut self.rng_fast);
+                let (verdict_slow, out_slow) = self
+                    .slow
+                    .offer_replacing_scalar(offspring, &mut self.rng_slow);
+                prop_assert_eq!(verdict_fast, verdict_slow, "verdict at step {}", step);
+                prop_assert_eq!(
+                    out_fast.as_ref().map(bits),
+                    out_slow.as_ref().map(bits),
+                    "displaced member at step {}",
+                    step
+                );
+                Ok(())
+            }
+
+            /// Mirrors intact, same members, same tournament winner, same
+            /// next draw.
+            fn agree(&mut self, k: usize, step: usize) -> Result<(), TestCaseError> {
+                self.fast.check_mirrors().map_err(TestCaseError::fail)?;
+                prop_assert!(
+                    same_members(&self.fast, &self.slow),
+                    "members at step {}",
+                    step
+                );
+                if !self.fast.is_empty() {
+                    prop_assert_eq!(
+                        self.fast.tournament_select(k, &mut self.rng_fast),
+                        self.slow.tournament_select_scalar(k, &mut self.rng_slow),
+                        "tournament of {} at step {}",
+                        k,
+                        step
+                    );
+                }
+                prop_assert_eq!(self.rng_fast.gen::<u64>(), self.rng_slow.gen::<u64>());
+                Ok(())
+            }
+        }
+
         fn drive(size: usize, m: usize, seed: u64) -> Result<(), TestCaseError> {
             let mut gen = StdRng::seed_from_u64(seed);
-            let mut fast = Population::new(size);
-            while fast.fill(random_solution(m, &mut gen)) {}
-            let mut slow = fast.clone();
-            let mut rng_fast = StdRng::seed_from_u64(seed ^ 0x5EED);
-            let mut rng_slow = rng_fast.clone();
+            // Phases in which nothing drawn violates a constraint (once the
+            // violating members are displaced the keys are consulted) and
+            // phases in which three draws in eight do (they are not).
+            let mut feasible = seed.is_multiple_of(2);
+            let mut start = Population::new(size);
+            while start.fill(random_solution(m, feasible, &mut gen)) {}
+            let mut pair = Pair::new(start, seed);
             for step in 0..48 {
                 match gen.gen_range(0..16) {
                     // A restart: empty, new capacity, refill part-way.
                     0 => {
                         let capacity = gen.gen_range(1..=size + 9);
-                        fast.reset(capacity, &mut rng_fast);
-                        slow.reset(capacity, &mut rng_slow);
-                        fast.check_mirrors().map_err(TestCaseError::fail)?;
+                        pair.fast.reset(capacity, &mut pair.rng_fast);
+                        pair.slow.reset(capacity, &mut pair.rng_slow);
+                        pair.fast.check_mirrors().map_err(TestCaseError::fail)?;
+                        feasible = gen.gen();
                         for _ in 0..gen.gen_range(0..=capacity) {
-                            let s = random_solution(m, &mut gen);
-                            slow.fill(s.clone());
-                            fast.fill(s);
+                            let s = random_solution(m, feasible, &mut gen);
+                            pair.slow.fill(s.clone());
+                            pair.fast.fill(s);
                         }
                     }
                     // A shrink: shuffle, truncate, rebuild the mirrors.
-                    1 if fast.len() > 1 => {
-                        let capacity = gen.gen_range(1..fast.len());
-                        fast.resize(capacity, &mut rng_fast);
-                        slow.resize(capacity, &mut rng_slow);
+                    1 if pair.fast.len() > 1 => {
+                        let capacity = gen.gen_range(1..pair.fast.len());
+                        pair.fast.resize(capacity, &mut pair.rng_fast);
+                        pair.slow.resize(capacity, &mut pair.rng_slow);
                     }
+                    2 => feasible = !feasible,
                     _ => {
                         // One offspring in eight beats everything finite,
                         // so large populations see long dominated lists.
                         let offspring = if gen.gen_range(0..8) == 0 {
                             Solution::from_parts(vec![], vec![-1.0; m], vec![0.0])
                         } else {
-                            random_solution(m, &mut gen)
+                            random_solution(m, feasible, &mut gen)
                         };
-                        let (verdict_fast, out_fast) =
-                            fast.offer_replacing(offspring.clone(), &mut rng_fast);
-                        let (verdict_slow, out_slow) =
-                            slow.offer_replacing_scalar(offspring, &mut rng_slow);
-                        prop_assert_eq!(verdict_fast, verdict_slow, "verdict at step {}", step);
-                        prop_assert_eq!(
-                            out_fast.as_ref().map(bits),
-                            out_slow.as_ref().map(bits),
-                            "displaced member at step {}",
-                            step
-                        );
+                        pair.offer(offspring, step)?;
                     }
                 }
-                fast.check_mirrors().map_err(TestCaseError::fail)?;
-                prop_assert!(same_members(&fast, &slow), "members at step {}", step);
-                if !fast.is_empty() {
-                    let k = [1, 2, 5, 31][step % 4];
-                    prop_assert_eq!(
-                        fast.tournament_select(k, &mut rng_fast),
-                        slow.tournament_select_scalar(k, &mut rng_slow),
-                        "tournament of {} at step {}",
-                        k,
-                        step
-                    );
-                }
-                prop_assert_eq!(rng_fast.gen::<u64>(), rng_slow.gen::<u64>());
+                pair.agree([1, 2, 5, 31][step % 4], step)?;
             }
             Ok(())
         }
@@ -850,6 +888,53 @@ mod tests {
             ) {
                 drive(size, m, seed)?;
             }
+        }
+
+        /// The count of violating members goes 0 → 3 → 0 under a stream of
+        /// feasible offspring, so the keys are consulted, then not, then
+        /// again — and with rows half a key step apart, where they are of
+        /// no use — without a decision moving.
+        #[test]
+        fn keys_fall_silent_while_any_member_violates_a_constraint() {
+            let mut gen = StdRng::seed_from_u64(77);
+            // A 3-D front on a grid fine enough that neighbours share keys.
+            let front_point = |gen: &mut StdRng| {
+                let (a, b) = (gen.gen_range(0..64), gen.gen_range(0..64));
+                let objectives = [a, b, 128 - a - b].map(|v| 1.0 + f64::from(v) / 256.0);
+                Solution::from_parts(vec![], objectives.to_vec(), vec![0.0])
+            };
+            let mut start = Population::new(40);
+            for _ in 0..37 {
+                start.fill(front_point(&mut gen));
+            }
+            assert_eq!(start.violating, 0);
+            for violation in [0.5, f64::INFINITY, 2.0] {
+                // Objectives that would dominate the whole front.
+                start.fill(Solution::from_parts(
+                    vec![],
+                    vec![0.0; 3],
+                    vec![violation, -1.0],
+                ));
+            }
+            assert_eq!(start.violating, 3);
+            let mut pair = Pair::new(start, 77);
+            let mut counts = vec![pair.fast.violating];
+            for step in 0..400 {
+                // Violating offspring lose to every feasible member; a
+                // feasible one displaces a violating member while any is
+                // left, whatever its objectives.
+                let offspring = if step % 5 == 4 {
+                    Solution::from_parts(vec![], vec![0.0; 3], vec![1.0])
+                } else {
+                    front_point(&mut gen)
+                };
+                pair.offer(offspring, step).unwrap();
+                pair.agree(2 + step % 7, step).unwrap();
+                if counts.last() != Some(&pair.fast.violating) {
+                    counts.push(pair.fast.violating);
+                }
+            }
+            assert_eq!(counts, [3, 2, 1, 0]);
         }
     }
 }

@@ -9,8 +9,9 @@
 //! palette so many candidates share ε-boxes or box coordinates), signed
 //! zeros, the single-objective degenerate case, infeasible candidates
 //! exercising the constraint arms, archives that grow and shrink across
-//! block boundaries, and objectives whose keys saturate or sit where
-//! doubles are sparse.
+//! block boundaries, objectives whose keys saturate or sit where doubles
+//! are sparse, and box coordinates beyond ±256, where the 16-bit order keys
+//! the scan consults first no longer tell neighbouring boxes apart.
 
 mod support;
 
@@ -232,6 +233,48 @@ fn evictions_and_refills_across_block_boundaries_match_linear() {
             }
         }
     }
+}
+
+/// Box coordinates beyond ±256, where an order key covers 2, 4 or 8
+/// neighbouring boxes: a staircase around (1000, 1000[, −1000]) with a few
+/// boxes of jitter, so candidates meet residents that dominate them, that
+/// they dominate and whose box they share while the order keys of the two
+/// tie in every coordinate — the filter must say nothing and the exact
+/// kernel decide — next to residents far enough along the stairs for the
+/// keys to separate.
+#[test]
+fn blocked_verdicts_match_integer_keys_where_order_keys_tie() {
+    let mut verdicts = [0usize; 3];
+    for seed in 0..24u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let m = 2 + (seed as usize % 2);
+        let mut pair = Pair::new(&vec![0.01; m]);
+        for step in 0..400 {
+            let a = rng.gen_range(-60i64..=60);
+            let mut key = vec![1000 + a, 1000 - a];
+            if m == 3 {
+                key[1] = 300 - a / 2;
+                key.push(-1000 - a / 2);
+            }
+            // Somewhere inside the box, so same-box candidates win and lose.
+            let inside = rng.gen_range(0.1..0.9);
+            let objs = key
+                .iter()
+                .map(|&k| ((k + rng.gen_range(-2i64..=2)) as f64 + inside) * 0.01)
+                .collect();
+            let verdict = pair
+                .offer(&Solution::from_parts(vec![], objs, vec![]))
+                .unwrap_or_else(|e| panic!("step {step} (seed {seed}): {e}"));
+            verdicts[match verdict {
+                ArchiveInsert::AddedNewBox => 0,
+                ArchiveInsert::ReplacedInBox => 1,
+                ArchiveInsert::Rejected => 2,
+            }] += 1;
+        }
+        pair.agree().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        assert!(pair.fast.len() > 16, "seed {seed}: {}", pair.fast.len());
+    }
+    assert!(verdicts.iter().all(|&n| n > 100), "{verdicts:?}");
 }
 
 /// A point of the plane `Σ x = scale`: points at one scale are mutually
