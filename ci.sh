@@ -25,6 +25,9 @@ cargo test -q --release
 echo "==> one-process ratio test: order-key scan vs the exact kernel (>= 2x)"
 cargo test -q --release -p borg-core --test kernel_ratio -- --ignored
 
+echo "==> one-process ratio test: run_threaded vs serve over a Unix socket (>= 1.5x)"
+cargo test -q --release -p borg-net --test serve_loopback threads_outrun_sockets -- --ignored
+
 echo "==> benchmark/run.sh --smoke (every workload's output checks)"
 benchmark/run.sh --smoke
 

@@ -11,8 +11,8 @@
 //!   backoff.
 //! - [`worker`] — the remote evaluation loop: register, evaluate
 //!   dispatched candidates, stream results, heartbeat, reconnect.
-//! - [`serve`] — the real-clock master: drives
-//!   `borg_protocol::MasterEngine` over live sockets (deadline reissue,
+//! - [`serve`] — the real-clock master: the one wall-clock master of
+//!   `borg_parallel::wallclock` over live sockets (deadline reissue,
 //!   EOF + heartbeat-staleness death detection, duplicate suppression).
 //! - [`chaos`] — the loopback chaos harness: an interposing proxy maps
 //!   the seeded `borg_desim::fault::FaultPlan` onto real sockets while

@@ -11,7 +11,8 @@ use borg_net::serve::{serve, ServeConfig, ServeReport};
 use borg_net::transport::{connect_with_backoff, Backoff};
 use borg_net::worker::{run_worker, WorkerOptions, WorkerReport};
 use borg_net::{Conn, Msg, NetAddr, NetError};
-use borg_obs::NoopRecorder;
+use borg_obs::{InMemoryRecorder, NoopRecorder, Recorder};
+use borg_parallel::threads::{run_threaded, ThreadedConfig};
 use borg_problems::dtlz::{Dtlz, DtlzVariant};
 use std::time::Duration;
 
@@ -76,6 +77,16 @@ fn run_with(
     real: usize,
     peer: impl FnOnce() + Send,
 ) -> (ServeReport, Vec<WorkerReport>) {
+    run_observed(cfg, real, peer, &NoopRecorder)
+}
+
+/// [`run_with`], the master reporting to `rec`.
+fn run_observed<R: Recorder + Sync>(
+    cfg: &ServeConfig,
+    real: usize,
+    peer: impl FnOnce() + Send,
+    rec: &R,
+) -> (ServeReport, Vec<WorkerReport>) {
     let problem = problem();
     std::thread::scope(|scope| {
         let workers: Vec<_> = (0..real)
@@ -85,8 +96,7 @@ fn run_with(
             })
             .collect();
         scope.spawn(peer);
-        let report =
-            serve(&problem, BorgConfig::new(2, 0.05), cfg, &NoopRecorder).expect("serve failed");
+        let report = serve(&problem, BorgConfig::new(2, 0.05), cfg, rec).expect("serve failed");
         let workers = workers
             .into_iter()
             .map(|w| {
@@ -192,5 +202,57 @@ fn losing_the_last_worker_ends_the_run_with_an_error() {
             })
         ),
         "{err:?}"
+    );
+}
+
+#[test]
+fn master_utilization_is_the_measured_share_of_holds() {
+    // Two workers sleeping 1 ms per evaluation keep the master busy a few
+    // microseconds per millisecond; the gauge must say so, not 1.0.
+    const N: u64 = 400;
+    let cfg = ServeConfig {
+        eval_delay: Duration::from_millis(1),
+        ..config("utilization", 2, N)
+    };
+    let rec = InMemoryRecorder::new();
+    let (report, _) = run_observed(&cfg, 2, || {}, &rec);
+    assert_complete(&report, N);
+    let gauges = rec.snapshot().gauges;
+    let (busy, utilization) = (gauges["master.busy_seconds"], gauges["master.utilization"]);
+    assert!(busy > 0.0 && busy < report.elapsed, "busy = {busy}");
+    assert!(
+        utilization > 0.0 && utilization < 0.5,
+        "utilization = {utilization}"
+    );
+}
+
+/// One-process ratio test (ROADMAP 4(a)), run by `ci.sh` and ignored in
+/// tier-1 because it times: the same master loop on the same input must be
+/// faster over in-memory pipes than over a Unix socket — no frames, no
+/// syscalls.
+#[test]
+#[ignore = "timing; ci.sh runs it"]
+fn threads_outrun_sockets_on_the_same_input() {
+    const N: u64 = 50_000;
+    const P: usize = 2;
+    let best_of_three = |run: &dyn Fn(usize) -> f64| (0..3).map(run).fold(0.0, f64::max);
+    let sockets = best_of_three(&|i| {
+        let (report, _) = run_with(&config(&format!("ratio-{i}"), P, N), P, || {});
+        assert_complete(&report, N);
+        N as f64 / report.elapsed
+    });
+    let threads = best_of_three(&|_| {
+        let cfg = ThreadedConfig::new(P, N, None, 0x5E12_7E57);
+        let run = run_threaded(&problem(), BorgConfig::new(2, 0.05), &cfg).expect("threaded run");
+        assert_eq!(run.engine.nfe(), N);
+        N as f64 / run.elapsed
+    });
+    println!(
+        "run_threaded {threads:.0}/s, serve {sockets:.0}/s, ratio {:.2}",
+        threads / sockets
+    );
+    assert!(
+        threads >= 1.5 * sockets,
+        "threads {threads:.0}/s < 1.5 x sockets {sockets:.0}/s"
     );
 }

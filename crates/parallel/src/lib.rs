@@ -6,9 +6,13 @@
 //!   the real algorithm inside a discrete-event simulation of the
 //!   master-slave topology (the reproduction's experimental arm; scales to
 //!   thousands of simulated processors on one machine);
-//! * [`threads`] — a **real-thread** asynchronous executor over crossbeam
-//!   channels with measured `T_A`/`T_F`/`T_C` (the laptop-scale stand-in
-//!   for the paper's MPI deployment);
+//! * [`wallclock`] — the one **wall-clock** master: the protocol engine
+//!   driven in real time by whichever thread brings a result, generic over
+//!   the link that moves the work (`borg-net`'s `serve` runs it over
+//!   sockets);
+//! * [`threads`] — that master over in-memory pipes to **real threads**,
+//!   with measured `T_A`/`T_F`/`T_C` (the laptop-scale stand-in for the
+//!   paper's MPI deployment);
 //! * [`islands`] — the island-model (multi-master) topology named as the
 //!   paper's future work (§VII), in virtual time;
 //! * [`delayed`] — the paper's controlled-delay evaluation wrapper.
@@ -45,11 +49,11 @@
 #![forbid(unsafe_code)]
 
 pub mod delayed;
-pub mod handshake_model;
 pub mod islands;
 pub mod sync_nsga2;
 pub mod threads;
 pub mod virtual_exec;
+pub mod wallclock;
 
 /// Commonly used items.
 pub mod prelude {

@@ -1,26 +1,30 @@
 //! A real-thread asynchronous master-slave executor.
 //!
-//! This is the wall-clock counterpart of the virtual-time executor: the
-//! master (caller thread) runs the [`BorgEngine`]; worker threads evaluate
-//! candidates shipped over crossbeam channels, optionally with injected
-//! delays (the paper's experimental control). It stands in for the
-//! OpenMPI deployment on TACC Ranger at laptop scale and feeds *measured*
-//! `T_A` / `T_F` / `T_C` samples into the distribution-fitting pipeline —
+//! This is the wall-clock counterpart of the virtual-time executor, and
+//! one of the two links of the one wall-clock master ([`crate::wallclock`];
+//! `borg_net::serve` over sockets is the other). Worker threads evaluate
+//! candidates that reach them over one in-memory pipe each, optionally
+//! with injected delays (the paper's experimental control), and carry
+//! every result into the master themselves, under the master lock; the
+//! calling thread only keeps the clock. It stands in for the OpenMPI
+//! deployment on TACC Ranger at laptop scale and feeds *measured* `T_A` /
+//! `T_F` / `T_C` samples into the distribution-fitting pipeline —
 //! reproducing the paper's measurement methodology end-to-end.
 
-use borg_core::algorithm::{BorgConfig, BorgEngine, Candidate};
+use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
 use borg_desim::trace::{Activity, Actor};
 use borg_models::dist::Dist;
 use borg_obs::{NoopRecorder, Recorder};
-use borg_protocol::{Clock, Command, EngineConfig, Event, MasterEngine, RecoveryPolicy, Transport};
+use borg_protocol::Command;
 use crossbeam::channel;
-use std::collections::HashMap;
+use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 
 use crate::delayed::precise_delay;
+use crate::wallclock::{keep_clock, lock_master, Failure, Link, Master, MasterConfig};
 
 /// Configuration of a real-thread run.
 #[derive(Debug, Clone)]
@@ -44,8 +48,8 @@ pub struct ThreadedConfig {
     /// Master-side deadline (seconds) before an outstanding evaluation is
     /// reissued. `None` derives `4 · E[delay]` (min 250 ms) when faults
     /// are enabled, and disables reissue otherwise. Independently of this
-    /// knob the master *never* blocks unboundedly: all waits are
-    /// `recv_timeout` ticks.
+    /// knob nothing on the master's side blocks unboundedly: the clock
+    /// wakes on `park_timeout` ticks, and a worker that dies reports it.
     pub reissue_timeout: Option<f64>,
     /// Return the [`MasterEngine`]'s [`Command`] trace in
     /// [`ThreadedRunResult::commands`] — the wall-clock executor's
@@ -95,7 +99,8 @@ pub struct ThreadedRunResult {
     pub elapsed: f64,
     /// Final engine state.
     pub engine: BorgEngine,
-    /// Measured master algorithm times (produce + consume per interaction).
+    /// Measured master holds, one per handled result: result in, consume,
+    /// the produce and dispatch that follow, out.
     pub ta_samples: Vec<f64>,
     /// Measured evaluation times (including injected delay), as seen by
     /// the workers. One entry per *consumed* result — suppressed
@@ -121,14 +126,14 @@ pub const PANIC_OBJECTIVE: f64 = 1e30;
 /// worker pool dies anyway — e.g. a panic in the delay sampler.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ThreadedError {
-    /// Every worker disconnected while evaluations were still owed.
+    /// Every worker thread died while evaluations were still owed.
     WorkersDisconnected {
         /// Evaluations the engine had consumed when the pool died.
         nfe_completed: u64,
         /// Dispatched candidates whose results will never arrive.
         in_flight: usize,
     },
-    /// A worker reported a result id the master never dispatched.
+    /// A worker reported a result the master cannot use.
     UnknownResultId(u64),
     /// The echo thread of [`estimate_comm_time`] hung up mid-measurement.
     CommProbeDisconnected,
@@ -166,196 +171,215 @@ impl std::fmt::Display for ThreadedError {
 
 impl std::error::Error for ThreadedError {}
 
+impl From<Failure> for ThreadedError {
+    fn from(failure: Failure) -> Self {
+        match failure {
+            Failure::PoolLost {
+                completed,
+                in_flight,
+            } => Self::WorkersDisconnected {
+                nfe_completed: completed,
+                in_flight,
+            },
+            Failure::ReissueLimit { eval_id } => Self::ReissueLimitExceeded { eval_id },
+            Failure::BadResult { eval_id, .. } => Self::UnknownResultId(eval_id),
+        }
+    }
+}
+
+/// One dispatched evaluation, as it travels down a worker's pipe.
 struct WorkItem {
     id: u64,
     /// Transmission attempt (0 = original, > 0 = reissue); the fault plan
     /// re-rolls the message fate per attempt.
     attempt: u32,
+    /// How many items went down this pipe before this one; the fault plan
+    /// draws the worker's fate per dispatch.
+    seq: u64,
     variables: Vec<f64>,
 }
 
-struct ResultItem {
-    id: u64,
-    worker: usize,
-    objectives: Vec<f64>,
-    constraints: Vec<f64>,
-    eval_seconds: f64,
-}
-
-/// Out-of-band fault notification from a worker to the master — the
-/// thread-level stand-in for the transport layer reporting a dead peer.
-/// Crash/hang notes double as the master's death *detection* signal;
-/// drop/duplicate/straggler notes only feed the ledger (the master still
-/// discovers lost results the honest way, via its reissue deadline).
-struct FaultNote {
-    kind: FaultKind,
-    worker: usize,
-    eval_id: u64,
-    at: f64,
-}
-
-/// Hard cap on reissues per evaluation in the real-thread executor.
-const MAX_REISSUES: u32 = 32;
-
-/// The executor half of the protocol on real threads: performs the
-/// [`MasterEngine`]'s decisions on the crossbeam channels in wall-clock
-/// time, measures `T_A`/`T_F`, and latches pool failures for the master
-/// loop to surface as [`ThreadedError`]s.
-struct ThreadedTransport<'a, R: Recorder + ?Sized> {
-    engine: &'a mut BorgEngine,
+/// The master's [`Link`] to worker threads: one in-memory pipe each. It
+/// also keeps what only this executor measures — `T_F` as the workers
+/// report it, `T_A` as the holds of the master.
+struct Pipes<'a, R: ?Sized> {
+    /// `None` once severed; dropping the sender ends that worker's loop.
+    pipes: Vec<Option<channel::Sender<WorkItem>>>,
+    ta_samples: Vec<f64>,
+    tf_samples: Vec<f64>,
     rec: &'a R,
-    work_tx: &'a channel::Sender<WorkItem>,
-    start: Instant,
-    /// Master-side reissue deadline, if any (`None` disables deadlines).
-    timeout: Option<f64>,
-    /// Candidates in flight by eval id — the resend source for reissues,
-    /// moved into the engine when the result is consumed.
-    candidates: HashMap<u64, Candidate>,
-    /// The result message the current engine event is about.
-    pending: Option<ResultItem>,
-    /// Open `T_A` sample: consume time, extended by the produce the engine
-    /// may order next, so one sample covers one master interaction.
-    pending_ta: Option<f64>,
-    ta_samples: &'a mut Vec<f64>,
-    tf_samples: &'a mut Vec<f64>,
-    /// First pool failure observed while executing a command; the master
-    /// loop checks after every event and aborts the run.
-    error: Option<ThreadedError>,
 }
 
-impl<R: Recorder + ?Sized> ThreadedTransport<'_, R> {
-    /// Close the open `T_A` sample, if any (after each handled event).
-    fn flush_ta(&mut self) {
-        if let Some(ta) = self.pending_ta.take() {
-            self.ta_samples.push(ta);
-        }
-    }
-}
+impl<R: Recorder + ?Sized> Link for Pipes<'_, R> {
+    /// The evaluation's measured seconds.
+    type Receipt = f64;
 
-impl<R: Recorder + ?Sized> Clock for ThreadedTransport<'_, R> {
-    fn now(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-}
-
-impl<R: Recorder + ?Sized> Transport for ThreadedTransport<'_, R> {
-    fn dispatch(
+    fn send_work(
         &mut self,
-        _worker: usize,
+        target: usize,
         eval_id: u64,
         attempt: u32,
-        _seq: u64,
-        _log: &mut FaultLog,
-    ) -> f64 {
-        if self.error.is_some() {
-            return f64::INFINITY;
-        }
-        let variables = if attempt == 0 {
-            let began = self.now();
-            let t0 = Instant::now();
-            let cand = self.engine.produce();
-            let ta = t0.elapsed().as_secs_f64();
-            self.rec
-                .span(Actor::Master, Activity::Algorithm, began, began + ta);
-            // Seed-time produces stand alone; a produce ordered after a
-            // consume extends that interaction's open sample.
-            match self.pending_ta.as_mut() {
-                Some(open) => *open += ta,
-                None => self.ta_samples.push(ta),
-            }
-            let vars = cand.variables.clone();
-            self.candidates.insert(eval_id, cand);
-            vars
-        } else {
-            match self.candidates.get(&eval_id) {
-                Some(cand) => cand.variables.clone(),
-                // Raced away (consumed/abandoned since): nothing to resend.
-                None => return f64::INFINITY,
-            }
+        seq: u64,
+        variables: &[f64],
+        _now: f64,
+    ) -> bool {
+        let item = WorkItem {
+            id: eval_id,
+            attempt,
+            seq,
+            variables: variables.to_vec(),
         };
-        if self
-            .work_tx
-            .send(WorkItem {
-                id: eval_id,
-                attempt,
-                variables,
-            })
-            .is_err()
-        {
-            // Placeholder counts; the master loop fills in the real ones.
-            self.error
-                .get_or_insert(ThreadedError::WorkersDisconnected {
-                    nfe_completed: 0,
-                    in_flight: 0,
-                });
-        }
-        self.timeout
-            .map(|t| self.now() + t)
-            .unwrap_or(f64::INFINITY)
+        self.pipes[target]
+            .as_ref()
+            .is_some_and(|pipe| pipe.send(item).is_ok())
     }
 
-    fn consume(&mut self, _worker: usize, eval_id: u64, _ready_at: f64) -> f64 {
-        let (Some(result), Some(cand)) = (self.pending.take(), self.candidates.remove(&eval_id))
-        else {
-            return self.now();
-        };
-        self.tf_samples.push(result.eval_seconds);
-        let began = self.now();
-        let t0 = Instant::now();
-        let sol = self
-            .engine
-            .make_solution(cand, result.objectives, result.constraints);
-        self.engine.consume(sol);
-        let ta = t0.elapsed().as_secs_f64();
-        self.rec
-            .span(Actor::Master, Activity::Algorithm, began, began + ta);
-        self.pending_ta = Some(ta);
-        self.now()
+    fn is_up(&self, target: usize) -> bool {
+        self.pipes[target].is_some()
     }
 
-    fn absorb_duplicate(&mut self, _worker: usize, _eval_id: u64, _ready_at: f64) -> f64 {
-        self.pending = None;
-        self.now()
+    fn sever(&mut self, target: usize) {
+        self.pipes[target] = None;
     }
 
-    fn ping(&mut self, _worker: usize) -> (f64, f64) {
-        // No liveness probe exists at thread level: deaths are reported
-        // out-of-band by fault notes, so the "ping" is instantaneous.
-        let now = self.now();
-        (now, now)
+    fn consumed(
+        &mut self,
+        _worker: usize,
+        _eval_id: u64,
+        eval_seconds: &f64,
+        _sent: f64,
+        _now: f64,
+    ) {
+        self.tf_samples.push(*eval_seconds);
     }
 
-    fn rearm_heartbeat(&mut self, _at: f64) {
-        // Heartbeat sweep disabled (EngineConfig::shared_pool_async).
-    }
-
-    fn abandon(&mut self, eval_id: u64) {
-        self.candidates.remove(&eval_id);
-        self.error
-            .get_or_insert(ThreadedError::ReissueLimitExceeded { eval_id });
-    }
-
-    fn unknown_result(&mut self, _worker: usize, eval_id: u64) {
-        self.pending = None;
-        self.error
-            .get_or_insert(ThreadedError::UnknownResultId(eval_id));
+    fn held(&mut self, from: f64, to: f64) {
+        self.ta_samples.push(to - from);
+        self.rec.span(Actor::Master, Activity::Algorithm, from, to);
     }
 }
 
-/// Surface a transport-latched failure, filling in the live counts.
-fn surface<R: Recorder + ?Sized>(
-    t: &mut ThreadedTransport<'_, R>,
-    proto: &MasterEngine,
-) -> Result<(), ThreadedError> {
-    match t.error.take() {
-        None => Ok(()),
-        Some(ThreadedError::WorkersDisconnected { .. }) => {
-            Err(ThreadedError::WorkersDisconnected {
-                nfe_completed: t.engine.nfe(),
-                in_flight: proto.outstanding_len(),
-            })
+type ThreadMaster<'a, R> = Mutex<Master<'a, Pipes<'a, R>, R>>;
+
+/// Reports a worker thread's death when it ends for any reason but the end
+/// of the run — a planned crash, a panic outside `Problem::evaluate` — the
+/// in-process stand-in for a connection's EOF. Without it a pool that died
+/// quietly would leave the clock ticking forever.
+struct Obituary<'m, 'a, R: Recorder + ?Sized> {
+    master: &'m ThreadMaster<'a, R>,
+    worker: usize,
+}
+
+impl<R: Recorder + ?Sized> Drop for Obituary<'_, '_, R> {
+    fn drop(&mut self) {
+        // A no-op once the run is over or the death is already known.
+        lock_master(self.master).on_death(self.worker, FaultKind::Crash);
+    }
+}
+
+/// One worker thread: evaluates what comes down its pipe and carries each
+/// result into the master itself, under the master lock, exactly as a
+/// connection thread of `borg_net::serve` does. Enacts its own fates from
+/// the [`FaultPlan`].
+fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
+    w: usize,
+    pipe: &channel::Receiver<WorkItem>,
+    master: &ThreadMaster<'_, R>,
+    problem: &P,
+    config: &ThreadedConfig,
+    plan: Option<&FaultPlan>,
+    rec: &R,
+) {
+    let _obituary = Obituary { master, worker: w };
+    let start = master.lock().epoch();
+    let mut rng = SplitMix64::new(config.seed ^ (w as u64) << 32).derive("threaded-worker");
+    // Faults the master does not get to act on reach only the ledger.
+    let note = |kind, eval_id| {
+        let mut m = lock_master(master);
+        m.ledger()
+            .inject(kind, w, eval_id, start.elapsed().as_secs_f64());
+        if kind == FaultKind::MessageDrop {
+            m.ledger().wasted_nfe += 1;
         }
-        Some(other) => Err(other),
+    };
+    let mut objs = vec![0.0; problem.num_objectives()];
+    let mut cons = vec![0.0; problem.num_constraints()];
+    // Blocking is safe: the master drops this pipe's sender when it
+    // declares the worker dead and at the end of the run.
+    // borg-lint: allow(BORG-L006)
+    while let Ok(item) = pipe.recv() {
+        let fate = plan.map_or(DispatchFate::Normal, |p| p.dispatch_fate(w, item.seq));
+        let t0 = Instant::now();
+        let mut straggle_mult = 1.0;
+        match fate {
+            DispatchFate::CrashDuring { frac } => {
+                // Burn part of the evaluation, then die: the thread ends,
+                // the result is never delivered, the obituary reports it.
+                if let Some(d) = config.delay {
+                    precise_delay(d.sample(&mut rng) * frac);
+                }
+                return;
+            }
+            DispatchFate::HangDuring => {
+                // Never answers again. No liveness probe exists at thread
+                // level, so the worker reports its own silence and the
+                // master retires it on that report.
+                lock_master(master).on_death(w, FaultKind::Hang);
+                return;
+            }
+            DispatchFate::Straggle { factor } => {
+                straggle_mult = factor;
+                note(FaultKind::Straggler, item.id);
+            }
+            DispatchFate::Normal => {}
+        }
+        if let Some(d) = config.delay {
+            precise_delay(d.sample(&mut rng) * straggle_mult);
+        } else if straggle_mult > 1.0 {
+            // No configured delay to scale: straggle on a small fixed
+            // base so the slowdown is observable.
+            precise_delay(0.000_5 * straggle_mult);
+        }
+        // User evaluation code may panic. A panicking evaluation is
+        // reported as a worst-possible result (huge objectives) so the
+        // engine's dominance machinery discards it naturally and the run
+        // — and the worker — keep going.
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            problem.evaluate(&item.variables, &mut objs, &mut cons);
+        }));
+        if outcome.is_err() {
+            objs.fill(PANIC_OBJECTIVE);
+            cons.fill(PANIC_OBJECTIVE);
+        }
+        let eval_seconds = t0.elapsed().as_secs_f64();
+        let eval_end = start.elapsed().as_secs_f64();
+        rec.span(
+            Actor::Worker(w),
+            Activity::Evaluation,
+            eval_end - eval_seconds,
+            eval_end,
+        );
+        let message = plan.map_or(MessageFate::Deliver, |p| {
+            p.message_fate(item.id, item.attempt)
+        });
+        let copies = match message {
+            MessageFate::Deliver => 1,
+            // A real master never sees a lost message: the reissue
+            // deadline discovers it.
+            MessageFate::Drop => {
+                note(FaultKind::MessageDrop, item.id);
+                0
+            }
+            MessageFate::Duplicate => {
+                note(FaultKind::MessageDuplicate, item.id);
+                2
+            }
+        };
+        for _ in 0..copies {
+            if lock_master(master).on_result(w, item.id, &objs, &cons, eval_seconds) {
+                return;
+            }
+        }
     }
 }
 
@@ -365,14 +389,15 @@ fn surface<R: Recorder + ?Sized>(
 /// order) but all engine invariants hold; use the virtual executor for
 /// reproducible experiments.
 ///
-/// The master never blocks unboundedly: every wait is a `recv_timeout`
-/// tick, during which it drains fault notifications and reissues
-/// outstanding evaluations whose deadline passed (when a reissue timeout
-/// is in effect — see [`ThreadedConfig::reissue_timeout`]). With
-/// [`ThreadedConfig::faults`] set, worker threads consult the derived
-/// [`FaultPlan`] and crash, hang, straggle, drop or duplicate results
-/// accordingly; the run still completes on the surviving pool and the
-/// full ledger is returned in [`ThreadedRunResult::fault_log`].
+/// No wait on the master's side is unbounded: results are handled by the
+/// worker threads that computed them, and the calling thread only keeps
+/// the clock, waking every tick to reissue outstanding evaluations whose
+/// deadline passed (when a reissue timeout is in effect — see
+/// [`ThreadedConfig::reissue_timeout`]). With [`ThreadedConfig::faults`]
+/// set, worker threads consult the derived [`FaultPlan`] and crash, hang,
+/// straggle, drop or duplicate results accordingly; the run still
+/// completes on the surviving pool and the full ledger is returned in
+/// [`ThreadedRunResult::fault_log`].
 ///
 /// # Errors
 /// [`ThreadedError`] if the worker pool dies before the evaluation budget
@@ -387,10 +412,10 @@ pub fn run_threaded<P: Problem + ?Sized>(
 }
 
 /// [`run_threaded`] emitting telemetry through `rec`: master `Algorithm`
-/// and worker `Evaluation` spans (wall-clock seconds since run start),
-/// protocol event/command counters, and end-of-run master-occupancy
-/// gauges. The recorder is shared with the worker threads, so it must be
-/// [`Sync`].
+/// spans (one per hold) and worker `Evaluation` spans (wall-clock seconds
+/// since run start), protocol event/command counters, and end-of-run
+/// master-occupancy gauges. The recorder is shared with the worker
+/// threads, so it must be [`Sync`].
 ///
 /// # Errors
 /// As [`run_threaded`].
@@ -400,334 +425,61 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     config: &ThreadedConfig,
     rec: &R,
 ) -> Result<ThreadedRunResult, ThreadedError> {
-    assert!(config.workers >= 1, "need at least one worker");
-    assert!(config.max_nfe >= 1);
-
-    let mut split = SplitMix64::new(config.seed);
-    let engine_seed = split.derive_seed("threaded-engine");
-    let mut engine = BorgEngine::new(problem, borg, engine_seed);
-    let mut ta_samples: Vec<f64> = Vec::new();
-    let mut tf_samples: Vec<f64> = Vec::new();
-
     let plan = config.fault_plan();
-    let reissue_timeout = config.effective_reissue_timeout();
-    // Tick granularity: fine enough to honour the deadline promptly, but
-    // never busier than 1 kHz and never sleepier than 10 Hz.
-    let tick = Duration::from_secs_f64(
-        reissue_timeout
-            .map(|t| (t / 4.0).clamp(0.001, 0.1))
-            .unwrap_or(0.1),
-    );
-
-    let (work_tx, work_rx) = channel::unbounded::<WorkItem>();
-    let (result_tx, result_rx) = channel::unbounded::<ResultItem>();
-    let (fault_tx, fault_rx) = channel::unbounded::<FaultNote>();
-    // Hung workers park on this channel; dropping `stop_tx` when the scope
-    // ends wakes and releases them so the join never deadlocks.
-    let (stop_tx, stop_rx) = channel::bounded::<()>(0);
-
-    let start = Instant::now();
-    // All recovery state — the deadline map, the seen-eval-id set, attempt
-    // counters — lives in the shared protocol engine; this executor only
-    // performs its commands.
-    let mut proto = MasterEngine::new(EngineConfig::shared_pool_async(
-        config.workers,
-        config.max_nfe,
-        RecoveryPolicy {
-            timeout: reissue_timeout.unwrap_or(f64::INFINITY),
-            heartbeat_interval: f64::INFINITY,
-            max_reissues: MAX_REISSUES,
+    let (senders, receivers): (Vec<_>, Vec<_>) = (0..config.workers)
+        .map(|_| {
+            let (tx, rx) = channel::unbounded::<WorkItem>();
+            (Some(tx), rx)
+        })
+        .unzip();
+    let master = Master::new(
+        problem,
+        borg,
+        &MasterConfig {
+            workers: config.workers,
+            max_nfe: config.max_nfe,
+            engine_seed: SplitMix64::new(config.seed).derive_seed("threaded-engine"),
+            reissue_timeout: config.effective_reissue_timeout(),
+            heartbeat_timeout: f64::INFINITY,
+            record_commands: config.record_commands,
         },
-    ));
-    if config.record_commands {
-        proto.record_commands();
-    }
-
-    let elapsed = std::thread::scope(|scope| {
-        // Workers.
-        for w in 0..config.workers {
-            let work_rx = work_rx.clone();
-            let result_tx = result_tx.clone();
-            let fault_tx = fault_tx.clone();
-            let stop_rx = stop_rx.clone();
-            let delay = config.delay;
-            let plan = plan.as_ref();
-            let mut rng = SplitMix64::new(config.seed ^ (w as u64) << 32).derive("threaded-worker");
-            scope.spawn(move || {
-                let mut objs = vec![0.0; problem.num_objectives()];
-                let mut cons = vec![0.0; problem.num_constraints()];
-                let mut seq = 0u64;
-                // Worker-side blocking receive is safe: the master drops
-                // `work_tx` on every exit path, ending this loop.
-                // borg-lint: allow(BORG-L006)
-                while let Ok(item) = work_rx.recv() {
-                    let fate = plan
-                        .map(|p| p.dispatch_fate(w, seq))
-                        .unwrap_or(DispatchFate::Normal);
-                    seq += 1;
-                    let t0 = Instant::now();
-                    let mut straggle_mult = 1.0;
-                    match fate {
-                        DispatchFate::CrashDuring { frac } => {
-                            // Burn part of the evaluation, then die
-                            // silently: the thread exits, the result is
-                            // never sent.
-                            if let Some(d) = delay {
-                                precise_delay(d.sample(&mut rng) * frac);
-                            }
-                            let _ = fault_tx.send(FaultNote {
-                                kind: FaultKind::Crash,
-                                worker: w,
-                                eval_id: item.id,
-                                at: start.elapsed().as_secs_f64(),
-                            });
-                            return;
-                        }
-                        DispatchFate::HangDuring => {
-                            let _ = fault_tx.send(FaultNote {
-                                kind: FaultKind::Hang,
-                                worker: w,
-                                eval_id: item.id,
-                                at: start.elapsed().as_secs_f64(),
-                            });
-                            // Park until the run ends (recv fails once the
-                            // master's scope drops `stop_tx`), then exit
-                            // without ever responding — a true hang from
-                            // the master's point of view, but one the
-                            // thread join can still collect.
-                            // borg-lint: allow(BORG-L006)
-                            let _ = stop_rx.recv();
-                            return;
-                        }
-                        DispatchFate::Straggle { factor } => {
-                            straggle_mult = factor;
-                            let _ = fault_tx.send(FaultNote {
-                                kind: FaultKind::Straggler,
-                                worker: w,
-                                eval_id: item.id,
-                                at: start.elapsed().as_secs_f64(),
-                            });
-                        }
-                        DispatchFate::Normal => {}
-                    }
-                    if let Some(d) = delay {
-                        precise_delay(d.sample(&mut rng) * straggle_mult);
-                    } else if straggle_mult > 1.0 {
-                        // No configured delay to scale: straggle on a
-                        // small fixed base so the slowdown is observable.
-                        precise_delay(0.000_5 * straggle_mult);
-                    }
-                    // Fault tolerance: user evaluation code may panic. A
-                    // panicking evaluation is reported as a worst-possible
-                    // result (huge objectives) so the engine's dominance
-                    // machinery discards it naturally and the run — and
-                    // the worker — keep going instead of deadlocking the
-                    // master on a result that never arrives.
-                    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        problem.evaluate(&item.variables, &mut objs, &mut cons);
-                    }));
-                    if outcome.is_err() {
-                        objs.iter_mut().for_each(|o| *o = PANIC_OBJECTIVE);
-                        cons.iter_mut().for_each(|c| *c = PANIC_OBJECTIVE);
-                    }
-                    let eval_seconds = t0.elapsed().as_secs_f64();
-                    let eval_end = start.elapsed().as_secs_f64();
-                    rec.span(
-                        Actor::Worker(w),
-                        Activity::Evaluation,
-                        eval_end - eval_seconds,
-                        eval_end,
-                    );
-                    let message = plan
-                        .map(|p| p.message_fate(item.id, item.attempt))
-                        .unwrap_or(MessageFate::Deliver);
-                    let copies = match message {
-                        MessageFate::Deliver => 1,
-                        MessageFate::Drop => {
-                            let _ = fault_tx.send(FaultNote {
-                                kind: FaultKind::MessageDrop,
-                                worker: w,
-                                eval_id: item.id,
-                                at: start.elapsed().as_secs_f64(),
-                            });
-                            0
-                        }
-                        MessageFate::Duplicate => {
-                            let _ = fault_tx.send(FaultNote {
-                                kind: FaultKind::MessageDuplicate,
-                                worker: w,
-                                eval_id: item.id,
-                                at: start.elapsed().as_secs_f64(),
-                            });
-                            2
-                        }
-                    };
-                    let mut disconnected = false;
-                    for _ in 0..copies {
-                        if result_tx
-                            .send(ResultItem {
-                                id: item.id,
-                                worker: w,
-                                objectives: objs.clone(),
-                                constraints: cons.clone(),
-                                eval_seconds,
-                            })
-                            .is_err()
-                        {
-                            disconnected = true;
-                            break;
-                        }
-                    }
-                    if disconnected {
-                        break;
-                    }
-                }
-            });
-        }
-        drop(result_tx); // master keeps only the receiver
-        drop(fault_tx);
-        drop(stop_rx);
-
-        // The master body runs in an inner closure so that `?` can
-        // propagate pool failures while `work_tx` is still dropped on
-        // every path — otherwise the scope would join workers blocked on
-        // `recv()` forever.
-        let master = (|| -> Result<f64, ThreadedError> {
-            let mut t = ThreadedTransport {
-                engine: &mut engine,
-                rec,
-                work_tx: &work_tx,
-                start,
-                timeout: reissue_timeout,
-                candidates: HashMap::new(),
-                pending: None,
-                pending_ta: None,
-                ta_samples: &mut ta_samples,
-                tf_samples: &mut tf_samples,
-                error: None,
-            };
-
-            // Seed one candidate per worker.
-            proto.seed(&mut t, rec);
-            surface(&mut t, &proto)?;
-
-            // Main master loop: translate channel traffic into protocol
-            // events; the engine decides what to do about each.
-            while !proto.finished() {
-                // Drain fault notifications first so the ledger is
-                // populated before any detection/recovery bookkeeping.
-                while let Ok(note) = fault_rx.try_recv() {
-                    proto
-                        .log_mut()
-                        .inject(note.kind, note.worker, note.eval_id, note.at);
-                    match note.kind {
-                        FaultKind::Crash | FaultKind::Hang => {
-                            // The transport reported a dead peer: the
-                            // engine detects the death and reissues the
-                            // lost evaluation right away rather than
-                            // waiting for the deadline.
-                            let at = t.now();
-                            proto.handle(
-                                Event::WorkerDied {
-                                    worker: note.worker,
-                                    at,
-                                    will_respawn: false,
-                                    lost_eval: Some(note.eval_id),
-                                },
-                                &mut t,
-                                rec,
-                            );
-                            surface(&mut t, &proto)?;
-                        }
-                        FaultKind::MessageDrop => {
-                            // The master does NOT get to act on this (a
-                            // real master never sees a lost message); the
-                            // reissue deadline discovers it. Ledger only.
-                            proto.log_mut().wasted_nfe += 1;
-                        }
-                        FaultKind::MessageDuplicate | FaultKind::Straggler => {}
-                    }
-                }
-
-                let result = match result_rx.recv_timeout(tick) {
-                    Ok(result) => result,
-                    Err(channel::RecvTimeoutError::Timeout) => {
-                        let now = t.now();
-                        for (eval_id, worker, deadline_bits) in proto.expired_deadlines(now) {
-                            proto.handle(
-                                Event::DeadlineFired {
-                                    eval_id,
-                                    worker,
-                                    deadline_bits,
-                                    at: now,
-                                },
-                                &mut t,
-                                rec,
-                            );
-                            surface(&mut t, &proto)?;
-                        }
-                        continue;
-                    }
-                    Err(channel::RecvTimeoutError::Disconnected) => {
-                        return Err(ThreadedError::WorkersDisconnected {
-                            nfe_completed: t.engine.nfe(),
-                            in_flight: proto.outstanding_len(),
-                        })
-                    }
-                };
-                let (worker, eval_id) = (result.worker, result.id);
-                let at = t.now();
-                t.pending = Some(result);
-                proto.handle(
-                    Event::ResultArrived {
-                        worker,
-                        eval_id,
-                        at,
-                    },
-                    &mut t,
-                    rec,
-                );
-                t.flush_ta();
-                surface(&mut t, &proto)?;
-            }
-            Ok(start.elapsed().as_secs_f64())
-        })();
-        drop(work_tx); // workers drain and exit
-        drop(stop_tx); // hung workers wake up and exit
-        master
-    });
-
-    let elapsed = elapsed?;
-    let master_busy: f64 = ta_samples.iter().sum();
-    rec.gauge("master.busy_seconds", master_busy);
-    rec.gauge(
-        "master.utilization",
-        master_busy / elapsed.max(f64::MIN_POSITIVE),
+        Pipes {
+            pipes: senders,
+            ta_samples: Vec::new(),
+            tf_samples: Vec::new(),
+            rec,
+        },
+        rec,
     );
-    rec.counter("archive.box_probes", engine.archive().box_probes());
-    let commands = proto.take_commands();
-    let mut fault_log = proto.into_log();
-    // Collect any fault notes still in transit (e.g. a straggler note
-    // sent after the budget completed), then close the ledger.
-    while let Ok(note) = fault_rx.try_recv() {
-        fault_log.inject(note.kind, note.worker, note.eval_id, note.at);
-    }
-    fault_log.finalize(elapsed);
-
+    let master = Mutex::new(master);
+    std::thread::scope(|scope| {
+        for (w, pipe) in receivers.into_iter().enumerate() {
+            let (master, plan) = (&master, plan.as_ref());
+            scope.spawn(move || worker_loop(w, &pipe, master, problem, config, plan, rec));
+        }
+        keep_clock(&master);
+        // Whatever the verdict: close every pipe so idle workers leave
+        // their `recv` and the scope's join returns.
+        master.lock().link_mut().pipes.fill(None);
+    });
+    let run = master.into_inner().finish()?;
     Ok(ThreadedRunResult {
-        elapsed,
-        engine,
-        ta_samples,
-        tf_samples,
-        fault_log,
-        commands,
+        elapsed: run.elapsed,
+        engine: run.engine,
+        ta_samples: run.link.ta_samples,
+        tf_samples: run.link.tf_samples,
+        fault_log: run.fault_log,
+        commands: run.commands,
     })
 }
 
 /// Estimates the one-way message time `T_C` between two threads on this
-/// machine by ping-ponging `rounds` messages over crossbeam channels and
-/// halving the mean round trip — the thread-level analogue of the paper's
-/// MPI round-trip measurement (they report 6 µs on TACC Ranger).
+/// machine by ping-ponging `rounds` messages over channels and halving the
+/// mean round trip — the thread-level analogue of the paper's MPI
+/// round-trip measurement (they report 6 µs on TACC Ranger). What it times
+/// is a condvar wake-up from one thread to another, which [`run_threaded`]
+/// no longer pays per message: a worker carries its own result into the
+/// master and finds its next item already in its pipe.
 pub fn estimate_comm_time(rounds: u32) -> Result<f64, ThreadedError> {
     assert!(rounds >= 1);
     let (ping_tx, ping_rx) = channel::bounded::<()>(1);
@@ -756,8 +508,8 @@ pub fn estimate_comm_time(rounds: u32) -> Result<f64, ThreadedError> {
             }
             Ok(())
         };
-        // As in `run_threaded`, measure inside an inner closure so the
-        // echo thread's sender is dropped (ending it) on every path.
+        // Measure inside an inner closure so the echo thread's sender is
+        // dropped (ending it) on every path.
         let measured = (|| {
             ping_pong(16)?; // warm-up
             let start = Instant::now();
@@ -1002,6 +754,37 @@ mod tests {
         assert_eq!(result.engine.nfe(), 400);
         assert!(result.fault_log.injected_of(FaultKind::Hang) >= 1);
         assert!(result.fault_log.all_recovered());
+    }
+
+    #[test]
+    fn a_pool_that_dies_outside_evaluate_ends_the_run() {
+        // A recorder that panics on the worker's evaluation span kills
+        // every worker thread after its first evaluation, outside the
+        // `catch_unwind` around `evaluate`. Each reports its own death on
+        // the way out, so the master runs out of workers and the call
+        // comes back — with the workers' panic, which the scope re-raises
+        // — instead of ticking forever.
+        struct PanicsOnWorkerSpans;
+        impl Recorder for PanicsOnWorkerSpans {
+            fn span(&self, actor: Actor, _: Activity, _: f64, _: f64) {
+                assert!(
+                    !matches!(actor, Actor::Worker(_)),
+                    "injected recorder failure"
+                );
+            }
+        }
+        let problem = Zdt::new(ZdtVariant::Zdt1);
+        let cfg = ThreadedConfig::new(3, 500, None, 5);
+        let outcome = std::panic::catch_unwind(|| {
+            run_threaded_observed(
+                &problem,
+                BorgConfig::new(2, 0.01),
+                &cfg,
+                &PanicsOnWorkerSpans,
+            )
+            .map(|run| run.engine.nfe())
+        });
+        assert!(outcome.is_err(), "{outcome:?}");
     }
 
     #[test]

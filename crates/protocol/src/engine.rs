@@ -97,9 +97,10 @@ pub enum PoolDiscipline {
     /// liveness beliefs (the DES and virtual-time executors): reissues
     /// prefer the pinged worker, then an idle one, else queue.
     Assigned,
-    /// Workers pull from a shared queue (the real-thread executor):
-    /// dispatch targets are notional, any live worker picks the item up,
-    /// so reissues always go out immediately and nothing parks idle.
+    /// Dispatch targets are notional (the wall-clock master, over threads
+    /// or sockets): the adapter routes an item to the named worker while it
+    /// is up and to any live one after, so reissues always go out
+    /// immediately and nothing parks idle.
     Shared,
 }
 
@@ -161,9 +162,9 @@ impl EngineConfig {
         }
     }
 
-    /// The asynchronous protocol on a shared pull queue (the real-thread
-    /// executor): deadline reissue without the heartbeat sweep — thread
-    /// deaths are reported out-of-band by the transport.
+    /// The asynchronous protocol on a shared pool (the wall-clock master):
+    /// deadline reissue without the heartbeat sweep — deaths are reported
+    /// out-of-band by the transport.
     pub fn shared_pool_async(workers: usize, budget: u64, policy: RecoveryPolicy) -> Self {
         EngineConfig {
             workers,
@@ -398,7 +399,7 @@ impl MasterEngine {
     }
 
     /// Outstanding evaluations whose deadline is at or before `now`, as
-    /// `(eval_id, worker, deadline_bits)` — the shared-pool adapter polls
+    /// `(eval_id, worker, deadline_bits)` — the wall-clock master polls
     /// this on its tick and feeds each back as [`Event::DeadlineFired`].
     pub fn expired_deadlines(&self, now: f64) -> Vec<(u64, usize, u64)> {
         self.outstanding
@@ -669,7 +670,7 @@ impl MasterEngine {
         }
         // Whose dispatch slot this result frees: on an assigned pool the
         // delivering worker's, on a shared pool the notional assignee's
-        // (any thread may have picked the item up).
+        // (any live worker may have been handed the item).
         let freed = match self.config.discipline {
             PoolDiscipline::Assigned => worker,
             PoolDiscipline::Shared => o.worker,
@@ -752,8 +753,8 @@ impl MasterEngine {
             return;
         }
         match self.config.discipline {
-            // Shared pool: the reissue goes straight back on the queue —
-            // any live worker will pick it up.
+            // Shared pool: the reissue goes straight back out — the
+            // adapter routes it to a live worker.
             PoolDiscipline::Shared => self.dispatch(t, rec, w, eval_id, o.attempts + 1),
             // Assigned pool: back to the pinged worker when it is believed
             // alive (it lost the message, or is straggling and the retry

@@ -22,8 +22,7 @@
 //! |---|---|---|---|
 //! | queueing DES, async (`run_async`, `run_async_with`) | `borg-models` | event-queue virtual time | simulated latencies + [`FaultPlan`] fates (quiet plan = fault-free); `run_virtual_async*` in `borg-parallel` plugs the real MOEA in as hooks |
 //! | queueing DES, sync (`run_sync`) | `borg-models` | event-queue virtual time | generational barrier |
-//! | real threads (`run_threaded`) | `borg-parallel` | wall clock (seconds since start) | crossbeam channels |
-//! | sockets (`serve`) | `borg-net` | wall clock (seconds since start) | framed TCP / Unix-socket messages |
+//! | wall clock (`wallclock::Master`) | `borg-parallel` | wall clock (seconds since start) | a `Link`: in-memory pipes to worker threads (`run_threaded`), or framed TCP / Unix-socket messages to worker processes (`serve` in `borg-net`) |
 //!
 //! The engine never reads a wall clock, never samples an RNG, and never
 //! allocates on the arrival hot path beyond its bookkeeping maps — same
@@ -48,8 +47,8 @@ pub use policy::RecoveryPolicy;
 /// The engine itself is time-agnostic — times reach it inside events and
 /// as return values of [`Transport`] calls — but adapters implement this
 /// so the deadline sweep and ledger stamps share one notion of "now":
-/// the DES adapters report the event-queue clock, the real-thread
-/// executor reports wall seconds since the run started.
+/// the DES adapters report the event-queue clock, the wall-clock master
+/// reports seconds since the run started.
 pub trait Clock {
     /// Current time in seconds.
     fn now(&self) -> f64;

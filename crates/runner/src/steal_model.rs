@@ -15,8 +15,7 @@
 //! once** (no lost job, no double execution), and the union of the
 //! owner's and thieves' claims covers the whole chunk.
 //!
-//! Two execution modes share the model via the [`sync`] shim, exactly as
-//! in `borg_parallel::handshake_model`:
+//! Two execution modes share the model via the [`sync`] shim:
 //!
 //! * **Normal build** — `cargo test -p borg-runner steal` runs the model
 //!   repeatedly over real `std::thread`s as a scheduling stress test.

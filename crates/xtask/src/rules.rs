@@ -21,11 +21,13 @@
 //!   Objective comparisons must go through the dominance / epsilon-box
 //!   predicates, not raw f64 equality.
 //! * **BORG-L006** — no unbounded `.recv()` in the executor crate
-//!   (`crates/parallel`) outside test regions. A master loop blocked on a
-//!   plain `recv()` deadlocks when a worker crashes or hangs; every wait
-//!   must be a `recv_timeout` / `try_recv` so the fault-recovery deadline
-//!   sweep keeps running. Deliberate unbounded waits (e.g. a hung-worker
-//!   park released by channel disconnect) carry an allowlist comment.
+//!   (`crates/parallel`, home of the wall-clock master) outside test
+//!   regions. A master blocked on a plain `recv()` deadlocks when a worker
+//!   crashes or hangs; every wait must be bounded (`recv_timeout`,
+//!   `try_recv`, a `park_timeout` tick) so the fault-recovery deadline
+//!   sweep keeps running. Deliberate unbounded waits (a worker on its own
+//!   pipe, released when the master drops the sender) carry an allowlist
+//!   comment.
 //! * **BORG-L007** — no direct construction of protocol recovery state
 //!   (deadline maps, in-flight tables, seen-eval-id sets, reissue queues)
 //!   in executor library code (`crates/models`, `crates/parallel`). That
@@ -666,9 +668,11 @@ fn rule_l007(
     in_test: &dyn Fn(u32) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    // Scope: the executor crates' library sources (the homes of the three
-    // master-slave adapters), plus the self-test fixture. `crates/protocol`
-    // deliberately stays out of scope — it is where this state belongs.
+    // Scope: the executor crates' library sources (the homes of the
+    // master-slave adapters: the DES loops in `crates/models`, the
+    // wall-clock master in `crates/parallel`), plus the self-test fixture.
+    // `crates/protocol` deliberately stays out of scope — it is where this
+    // state belongs.
     let executor_scope = rel_path.starts_with("crates/models/src/")
         || rel_path.starts_with("crates/parallel/src/")
         || rel_path == FIXTURE_SCAN_PATH;
