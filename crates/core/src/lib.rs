@@ -46,7 +46,6 @@
 pub mod algorithm;
 pub mod archive;
 pub mod dominance;
-pub mod io;
 pub mod matrix;
 pub mod moead;
 pub mod nsga2;
@@ -61,7 +60,6 @@ pub mod prelude {
     pub use crate::algorithm::{run_serial, BorgConfig, BorgEngine, Candidate, SolutionArena};
     pub use crate::archive::{ArchiveInsert, ArchiveStamp, EpsilonArchive};
     pub use crate::dominance::{constrained_dominance, pareto_dominance, Dominance};
-    pub use crate::io::{solutions_from_csv, solutions_to_csv};
     pub use crate::matrix::{FlatMatrix, ObjectiveMatrix};
     pub use crate::moead::{run_moead_serial, MoeadConfig, MoeadEngine};
     pub use crate::nsga2::{run_nsga2_serial, Nsga2Config, Nsga2Engine};

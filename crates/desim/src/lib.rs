@@ -5,10 +5,6 @@
 //!
 //! * [`queue::EventQueue`] — min-heap event queue with FIFO tie-breaking
 //!   and a simulation clock;
-//! * [`resource::Resource`] — an exclusive FIFO resource mirroring SimPy's
-//!   request/hold/release pattern (the master node);
-//! * [`callback::CallbackSim`] — SimPy-flavoured chained-callback
-//!   processes;
 //! * [`trace::SpanTrace`] — activity-span vocabulary for the paper's
 //!   timeline figures (re-exported from `borg-obs`, the workspace's
 //!   observability layer);
@@ -16,34 +12,35 @@
 //!   injection (worker crashes, hangs, stragglers, message loss and
 //!   duplication) and the recovery ledger shared by both executors.
 //!
-//! ```
-//! use borg_desim::{EventQueue, Resource};
+//! SimPy's request/hold/release on the master is written on the queue
+//! alone, as `borg_models::queueing` does: a result that arrives while the
+//! master is busy waits in the queue until the master's clock reaches it.
 //!
-//! // Two workers returning results compete for one master.
+//! ```
+//! use borg_desim::EventQueue;
+//!
+//! // Two workers returning results compete for one master (hold 1.0 each).
 //! let mut queue = EventQueue::new();
 //! queue.schedule_at(1.0, "worker0");
 //! queue.schedule_at(1.5, "worker1");
-//! let mut master: Resource<&str> = Resource::new();
-//!
-//! let (t0, w0) = queue.pop().unwrap();
-//! assert_eq!((t0, w0), (1.0, "worker0"));
-//! assert!(master.request(w0).is_some()); // idle master: granted
-//! let (_, w1) = queue.pop().unwrap();
-//! assert!(master.request(w1).is_none()); // busy: worker1 queues
-//! assert_eq!(master.release(), Some("worker1")); // FIFO handoff
+//! let mut master_free_at = 0.0_f64;
+//! let mut served = Vec::new();
+//! while let Some((arrived, worker)) = queue.pop() {
+//!     let start = arrived.max(master_free_at); // request: wait if busy
+//!     master_free_at = start + 1.0; // hold, then release
+//!     served.push((worker, start));
+//! }
+//! // worker1 arrived at 1.5 but queued behind worker0 until 2.0.
+//! assert_eq!(served, [("worker0", 1.0), ("worker1", 2.0)]);
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod callback;
 pub mod fault;
 pub mod queue;
-pub mod resource;
 pub mod trace;
 
-pub use callback::CallbackSim;
 pub use fault::{FaultConfig, FaultLog, FaultPlan};
 pub use queue::{EventQueue, Time};
-pub use resource::Resource;
 pub use trace::{Activity, Actor, Span, SpanTrace};

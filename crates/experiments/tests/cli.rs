@@ -131,12 +131,116 @@ fn unknown_subcommand_fails_with_usage() {
     let _ = std::fs::remove_dir_all(&out);
 }
 
+/// Runs the binary with exactly `args` (no `--out` appended).
+fn bare(args: &[&str]) -> (Option<i32>, String, String) {
+    let result = Command::new(env!("CARGO_BIN_EXE_borg-exp"))
+        .args(args)
+        .output()
+        .expect("spawn borg-exp");
+    (
+        result.status.code(),
+        String::from_utf8_lossy(&result.stdout).into_owned(),
+        String::from_utf8_lossy(&result.stderr).into_owned(),
+    )
+}
+
 #[test]
 fn flag_parsing_rejects_bad_values() {
-    let result = Command::new(env!("CARGO_BIN_EXE_borg-exp"))
-        .args(["table2", "--nfe", "not-a-number"])
-        .output()
-        .unwrap();
-    assert!(!result.status.success());
-    assert!(String::from_utf8_lossy(&result.stderr).contains("--nfe"));
+    let (code, _, stderr) = bare(&["table2", "--nfe", "not-a-number"]);
+    assert_eq!(code, Some(2));
+    assert!(stderr.contains("--nfe"));
+    // A value flag given last, with its value missing.
+    for args in [&["table2", "--nfe"][..], &["serve", "--listen"][..]] {
+        let (code, _, stderr) = bare(args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(stderr.contains("needs a value"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn flags_a_subcommand_does_not_read_are_rejected_with_its_usage() {
+    for args in [
+        &["bounds", "--chaos"][..],
+        &["fig5", "--listen", "unix:/tmp/x"][..],
+        &["tail", "--nfe", "5"][..],
+        &["fig1", "stray-positional"][..],
+    ] {
+        let (code, stdout, stderr) = bare(args);
+        assert_eq!(code, Some(2), "{args:?}");
+        assert!(
+            stderr.contains(&format!("usage: borg-exp {}", args[0])),
+            "{args:?}: {stderr}"
+        );
+        assert!(!stdout.contains("==>"), "{args:?} ran before failing");
+    }
+    // `all` reads what its members read, and nothing else.
+    assert_eq!(bare(&["all", "--listen", "unix:/tmp/x"]).0, Some(2));
+    let (code, stdout, _) = bare(&["all", "--help"]);
+    assert_eq!(code, Some(0));
+    for flag in ["--full", "--metrics-out", "--replicates", "--jobs"] {
+        assert!(stdout.contains(flag), "all --help lacks {flag}");
+    }
+    assert!(!stdout.contains("--listen"));
+}
+
+#[test]
+fn every_listed_subcommand_answers_help_with_the_flags_it_reads() {
+    let (code, listing, _) = bare(&["help"]);
+    assert_eq!(code, Some(0));
+    assert_eq!(bare(&["--help"]), (Some(0), listing.clone(), String::new()));
+    // Subcommand rows are indented by exactly two spaces.
+    let names: Vec<&str> = listing
+        .lines()
+        .filter(|l| l.starts_with("  ") && !l.starts_with("   "))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    for expected in [
+        "table2",
+        "fig1",
+        "bounds",
+        "advise",
+        "all",
+        "serve",
+        "trace-merge",
+    ] {
+        assert!(names.contains(&expected), "help does not list {expected}");
+    }
+    for name in names {
+        let (code, text, stderr) = bare(&[name, "--help"]);
+        assert_eq!(code, Some(0), "{name} --help: {stderr}");
+        let usage = text
+            .lines()
+            .find(|l| l.starts_with(&format!("usage: borg-exp {name}")))
+            .unwrap_or_else(|| panic!("{name} --help has no usage line:\n{text}"));
+        // Every flag of the usage line has its own row, with help text.
+        for flag in usage.split(['[', ']', ' ']).filter(|w| w.starts_with("--")) {
+            let row = text
+                .lines()
+                .find(|l| l.trim_start().starts_with(flag) && l.starts_with("  --"))
+                .unwrap_or_else(|| panic!("{name} --help does not describe {flag}"));
+            assert!(
+                row.split_whitespace().count() > 2,
+                "{name}: bare row {row:?}"
+            );
+        }
+        // `--help` wins wherever it stands, and nothing runs.
+        assert!(!text.contains("==>"));
+    }
+    // Spot checks against the table: flags and defaults.
+    let (_, serve, _) = bare(&["serve", "--help"]);
+    for needle in [
+        "--listen ADDR",
+        "--chaos",
+        "--crash-rate F",
+        "(default: 0.25)",
+        "(default: dtlz2-5)",
+    ] {
+        assert!(serve.contains(needle), "serve --help lacks {needle:?}");
+    }
+    let (_, table2, _) = bare(&["table2", "--smoke", "--help"]);
+    for needle in ["--metrics-out FILE", "--full", "(default: results)"] {
+        assert!(table2.contains(needle), "table2 --help lacks {needle:?}");
+    }
+    assert!(bare(&["tail", "--help"]).1.contains("--ticks N"));
+    assert!(bare(&["trace-merge", "--help"]).1.contains("SHARD..."));
 }

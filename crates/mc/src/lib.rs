@@ -34,9 +34,8 @@
 //! duplicates scenario against a deliberately sabotaged engine and
 //! errors out if no violation surfaces.
 //!
-//! Entry points: `cargo xtask mc [--smoke] [--depth N] [--json]`, the
-//! `mc` criterion group (`cargo bench -p borg-bench --bench mc`), and the
-//! unit tests.
+//! Entry points: `cargo xtask mc [--smoke] [--depth N] [--json]` (which
+//! also prints schedules per second) and the unit tests.
 
 pub mod explore;
 pub mod mutation;

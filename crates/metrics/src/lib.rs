@@ -1,10 +1,8 @@
 //! # borg-metrics
 //!
-//! Multiobjective quality indicators for the Borg MOEA scalability
-//! reproduction: exact (WFG) and Monte-Carlo hypervolume, the paper's
-//! reference-set-normalized hypervolume ratio, generational distance,
-//! inverted generational distance, additive ε-indicator, spacing, and
-//! objective normalization helpers.
+//! Hypervolume for the Borg MOEA scalability reproduction: exact (WFG) and
+//! Monte-Carlo hypervolume, the paper's reference-set-normalized
+//! hypervolume ratio, and objective normalization helpers.
 //!
 //! ```
 //! use borg_metrics::prelude::*;
@@ -24,7 +22,6 @@
 
 pub mod hypervolume;
 pub mod incremental;
-pub mod indicators;
 pub mod mc_hypervolume;
 pub mod nds;
 pub mod normalize;
@@ -34,10 +31,6 @@ pub mod relative;
 pub mod prelude {
     pub use crate::hypervolume::{exclusive_hypervolume, hypervolume, hypervolume_contributions};
     pub use crate::incremental::{ArchiveHvTracker, IncrementalHv};
-    pub use crate::indicators::{
-        additive_epsilon, generational_distance, inverted_generational_distance,
-        maximum_front_error, spacing,
-    };
     pub use crate::mc_hypervolume::McHypervolume;
     pub use crate::nds::nondominated_filter;
     pub use crate::normalize::ObjectiveBounds;

@@ -50,7 +50,6 @@
 
 pub mod delayed;
 pub mod islands;
-pub mod sync_nsga2;
 pub mod threads;
 pub mod virtual_exec;
 pub mod wallclock;
@@ -59,7 +58,6 @@ pub mod wallclock;
 pub mod prelude {
     pub use crate::delayed::{precise_delay, DelayedProblem};
     pub use crate::islands::{run_islands, IslandConfig, IslandRunResult};
-    pub use crate::sync_nsga2::{run_virtual_sync_nsga2, SyncNsga2Config, SyncNsga2Result};
     pub use crate::threads::{
         estimate_comm_time, run_threaded, run_threaded_observed, ThreadedConfig, ThreadedError,
         ThreadedRunResult,

@@ -518,12 +518,13 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
 /// within a few microseconds (one engine event and one small send), so a
 /// contending thread polls for about that long before it blocks: going to
 /// sleep and being woken costs more than the wait, and with every carrier
-/// doing so the lock turns into a convoy. Measured over sockets with
-/// in-process workers on two CPUs (`serve_saturated_p*` in
-/// `crates/bench/benches/net.rs`, thousand evaluations per second, plain
-/// `lock()` → polling first): P = 8: 64–65 → 69–82, P = 32: 66–67 →
+/// doing so the lock turns into a convoy. Measured at PR 15 over sockets
+/// with in-process workers on two CPUs (thousand evaluations per second,
+/// plain `lock()` → polling first): P = 8: 64–65 → 69–82, P = 32: 66–67 →
 /// 82–89; pinned to one CPU, where the holder cannot run while another
-/// thread polls, nothing moves (150 → 151).
+/// thread polls, nothing moves (150 → 151). The `wire-saturated` workload
+/// of `benchmark/` and `threads_outrun_sockets_on_the_same_input`
+/// (`crates/net/tests/serve_loopback.rs`) are what exercise this lock now.
 pub fn lock_master<T>(master: &Mutex<T>) -> MutexGuard<'_, T> {
     for _ in 0..200 {
         if let Some(guard) = master.try_lock() {

@@ -28,23 +28,19 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cdtlz;
 pub mod dtlz;
 pub mod misc;
 pub mod refsets;
 pub mod rotation;
 pub mod uf;
-pub mod wfg;
 pub mod zdt;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::cdtlz::{Cdtlz, CdtlzVariant};
     pub use crate::dtlz::{Dtlz, DtlzVariant};
     pub use crate::misc::{BinhKorn, Fonseca, Schaffer};
     pub use crate::refsets::{dtlz1_front, dtlz2_front, uf11_front, zdt_front};
     pub use crate::rotation::{OrthogonalMatrix, RotatedProblem};
     pub use crate::uf::{uf11, uf12, Uf, UfVariant};
-    pub use crate::wfg::{Wfg, WfgVariant};
     pub use crate::zdt::{Zdt, ZdtVariant};
 }

@@ -64,12 +64,6 @@ fn uf_batch_matches_per_row() {
 }
 
 #[test]
-fn wfg_batch_matches_per_row() {
-    check_batch(&Wfg::new(WfgVariant::Wfg1, 3, 4, 6));
-    check_batch(&Wfg::new(WfgVariant::Wfg9, 3, 4, 6));
-}
-
-#[test]
 fn default_batch_on_dyn_problem_matches_per_row() {
     // The trait default (one dynamic dispatch per row) must agree too.
     let p: &dyn Problem = &Zdt::new(ZdtVariant::Zdt1);

@@ -115,7 +115,7 @@ mod tests {
         );
         assert_eq!(classify("tests/proptests.rs"), FileClass::TestOrBench);
         assert_eq!(
-            classify("crates/bench/benches/micro.rs"),
+            classify("crates/core/benches/micro.rs"),
             FileClass::TestOrBench
         );
         assert_eq!(classify("examples/quickstart.rs"), FileClass::TestOrBench);

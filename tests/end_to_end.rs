@@ -152,7 +152,6 @@ fn dtlz34_and_uf_problems_are_solvable_end_to_end() {
     // Broad smoke across the suites: Borg must not crash and must build a
     // non-trivial archive on every problem family.
     use borg_repro::problems::uf::{Uf, UfVariant};
-    use borg_repro::problems::wfg::{Wfg, WfgVariant};
     let problems: Vec<(Box<dyn borg_repro::core::problem::Problem>, usize)> = vec![
         (Box::new(Dtlz::new(DtlzVariant::Dtlz1, 3)), 3),
         (Box::new(Dtlz::new(DtlzVariant::Dtlz3, 3)), 3),
@@ -160,9 +159,6 @@ fn dtlz34_and_uf_problems_are_solvable_end_to_end() {
         (Box::new(Uf::new(UfVariant::Uf1)), 2),
         (Box::new(Uf::new(UfVariant::Uf8)), 3),
         (Box::new(Zdt::new(ZdtVariant::Zdt4)), 2),
-        (Box::new(Wfg::new(WfgVariant::Wfg2, 3, 4, 6)), 3),
-        (Box::new(Wfg::new(WfgVariant::Wfg5, 3, 4, 6)), 3),
-        (Box::new(Wfg::new(WfgVariant::Wfg9, 3, 4, 6)), 3),
     ];
     for (problem, m) in problems {
         let engine = run_serial(

@@ -1,8 +1,7 @@
-//! Integration tests for the extension components: the NSGA-II baseline,
-//! the island topology, and solution-set I/O.
+//! Integration tests for the extension components: the NSGA-II baseline
+//! and the island topology.
 
 use borg_repro::core::algorithm::{run_serial, BorgConfig};
-use borg_repro::core::io::{solutions_from_csv, solutions_to_csv};
 use borg_repro::core::nsga2::{run_nsga2_serial, Nsga2Config};
 use borg_repro::metrics::relative::RelativeHypervolume;
 use borg_repro::models::dist::Dist;
@@ -89,46 +88,4 @@ fn island_topology_scales_throughput_with_master_count() {
         four < one / 2.5,
         "4 masters should give ≳2.5× throughput: {one} vs {four}"
     );
-}
-
-#[test]
-fn island_archives_roundtrip_through_csv() {
-    let problem = Dtlz::dtlz2_5();
-    let cfg = IslandConfig {
-        islands: 2,
-        workers_per_island: 4,
-        max_nfe: 2_000,
-        t_f: Dist::Constant(0.001),
-        t_c: Dist::Constant(0.000_006),
-        t_a: TaMode::Sampled(Dist::Constant(0.000_03)),
-        migration_interval: 500,
-        migration_size: 2,
-        seed: 9,
-    };
-    let result = run_islands(&problem, BorgConfig::new(5, 0.1), &cfg);
-    let solutions = result.engines[0].archive().solutions().to_vec();
-    assert!(!solutions.is_empty());
-    let csv = solutions_to_csv(&solutions);
-    let back = solutions_from_csv(&csv).unwrap();
-    assert_eq!(solutions.len(), back.len());
-    for (a, b) in solutions.iter().zip(&back) {
-        assert_eq!(a.objectives(), b.objectives());
-        assert_eq!(a.variables(), b.variables());
-    }
-}
-
-#[test]
-fn serial_archive_roundtrips_through_csv() {
-    let problem = Zdt::with_variables(ZdtVariant::Zdt1, 8);
-    let engine = run_serial(&problem, BorgConfig::new(2, 0.02), 3, 3_000, |_| {});
-    let csv = solutions_to_csv(engine.archive().solutions());
-    let back = solutions_from_csv(&csv).unwrap();
-    assert_eq!(back.len(), engine.archive().len());
-    // Re-inserting the loaded set into a fresh archive reproduces it.
-    let mut archive = borg_repro::core::archive::EpsilonArchive::uniform(2, 0.02);
-    for s in back {
-        archive.add(s);
-    }
-    assert_eq!(archive.len(), engine.archive().len());
-    archive.check_invariants().unwrap();
 }

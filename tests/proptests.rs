@@ -5,7 +5,6 @@ use borg_repro::core::dominance::{
     epsilon_box_dominance, nondominated_indices, pareto_dominance_objectives, BoxDominance,
     Dominance,
 };
-use borg_repro::core::io::{solutions_from_csv, solutions_to_csv};
 use borg_repro::core::nsga2::{crowding_distances, fast_nondominated_sort};
 use borg_repro::core::operators::standard_borg_operators;
 use borg_repro::core::problem::Bounds;
@@ -428,26 +427,6 @@ proptest! {
         let c = crowding_distances(&sols, &ranks);
         prop_assert_eq!(c.len(), sols.len());
         prop_assert!(c.iter().all(|&x| x >= 0.0));
-    }
-
-    // -----------------------------------------------------------------
-    // Solution-set CSV I/O
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn solution_csv_roundtrips(
-        rows in prop::collection::vec(
-            (prop::collection::vec(-5.0f64..5.0, 3),
-             prop::collection::vec(0.0f64..10.0, 2)),
-            1..20,
-        ),
-    ) {
-        let set: Vec<Solution> = rows
-            .into_iter()
-            .map(|(vars, objs)| Solution::from_parts(vars, objs, vec![]))
-            .collect();
-        let back = solutions_from_csv(&solutions_to_csv(&set)).unwrap();
-        prop_assert_eq!(set, back);
     }
 
     // -----------------------------------------------------------------
