@@ -25,6 +25,9 @@ cargo test -q --release
 echo "==> one-process ratio test: order-key scan vs the exact kernel (>= 2x)"
 cargo test -q --release -p borg-core --test kernel_ratio -- --ignored
 
+echo "==> one-process ratio test: MasterEngine::handle at W = 1023 vs W = 2 (<= 1.3x)"
+cargo test -q --release -p borg-protocol --test handle_ratio -- --ignored
+
 echo "==> one-process ratio test: run_threaded vs serve over a Unix socket (>= 1.5x)"
 cargo test -q --release -p borg-net --test serve_loopback threads_outrun_sockets -- --ignored
 

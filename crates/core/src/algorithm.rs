@@ -23,7 +23,9 @@ use crate::operators::{
 use crate::population::Population;
 use crate::problem::{Bounds, Problem};
 use crate::rng::SplitMix64;
-use crate::solution::Solution;
+use crate::solution::{Role, Solution};
+
+pub use crate::solution::SolutionArena;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -97,62 +99,6 @@ pub struct Candidate {
     pub variables: Vec<f64>,
     /// Producing operator index (None for random/injected candidates).
     pub operator: Option<usize>,
-}
-
-/// Recycling pool for the per-candidate heap buffers that circulate through
-/// the steady-state loop.
-///
-/// Each consumed candidate displaces (or is itself rejected as) exactly one
-/// [`Solution`], whose three buffers (variables, objectives, constraints)
-/// are returned here and handed back out by the next `produce` /
-/// `make_solution_recycled`, so a settled steady-state iteration performs
-/// zero per-candidate heap allocation in the engine.
-#[derive(Debug, Default, Clone)]
-pub struct SolutionArena {
-    buffers: Vec<Vec<f64>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl SolutionArena {
-    /// Pool-size cap; beyond it returned buffers are simply freed (bounds
-    /// memory when many evaluations are in flight).
-    const MAX_POOLED: usize = 256;
-
-    /// Takes an empty buffer from the pool, or allocates a fresh one.
-    pub fn take(&mut self) -> Vec<f64> {
-        match self.buffers.pop() {
-            Some(buf) => {
-                self.hits += 1;
-                buf
-            }
-            None => {
-                self.misses += 1;
-                Vec::new()
-            }
-        }
-    }
-
-    /// Returns a buffer to the pool (cleared, allocation kept).
-    pub fn give(&mut self, mut buf: Vec<f64>) {
-        if self.buffers.len() < Self::MAX_POOLED {
-            buf.clear();
-            self.buffers.push(buf);
-        }
-    }
-
-    /// Recycles all three buffers of a retired solution.
-    pub fn recycle(&mut self, solution: Solution) {
-        let (vars, objs, cons) = solution.into_parts();
-        self.give(vars);
-        self.give(objs);
-        self.give(cons);
-    }
-
-    /// `(pool hits, pool misses)` across all [`take`](Self::take) calls.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
 }
 
 /// Why the engine produced a candidate (exposed for instrumentation).
@@ -333,8 +279,8 @@ impl BorgEngine {
                 Phase::InjectionFill if !self.archive.is_empty() => {
                     // Inject: mutate a random archive member with UM(1/L).
                     let i = self.rng.gen_range(0..self.archive.len());
-                    let mut vars = self.arena.take();
-                    vars.extend_from_slice(self.archive.solutions()[i].variables());
+                    let member = self.archive.solutions()[i].variables();
+                    let mut vars = self.arena.filled(Role::Variables, member);
                     self.restart_mutation
                         .mutate(&mut vars, &self.bounds, &mut self.rng);
                     vars
@@ -386,7 +332,7 @@ impl BorgEngine {
             self.profile.selection += t.elapsed().as_secs_f64();
         }
         let t1 = self.config.profile_ta.then(std::time::Instant::now);
-        let mut variables = self.arena.take();
+        let mut variables = self.arena.take(Role::Variables);
         self.ensemble.operator(op_idx).evolve_into(
             &parent_refs[..arity],
             &self.bounds,
@@ -416,7 +362,7 @@ impl BorgEngine {
             // population and the archive.
             self.fill_in_flight -= 1;
             let t0 = self.config.profile_ta.then(std::time::Instant::now);
-            self.archive.offer(&solution);
+            self.archive.offer(&solution, &mut self.arena);
             if let Some(t) = t0 {
                 self.profile.archive += t.elapsed().as_secs_f64();
             }
@@ -432,7 +378,7 @@ impl BorgEngine {
                 self.fill_in_flight -= 1;
             }
             let t0 = self.config.profile_ta.then(std::time::Instant::now);
-            self.archive.offer(&solution);
+            self.archive.offer(&solution, &mut self.arena);
             if let Some(t) = t0 {
                 self.profile.archive += t.elapsed().as_secs_f64();
             }
@@ -470,7 +416,7 @@ impl BorgEngine {
     /// population without counting a function evaluation.
     pub fn inject(&mut self, solution: Solution) {
         debug_assert_eq!(solution.num_objectives(), self.num_objectives);
-        self.archive.offer(&solution);
+        self.archive.offer(&solution, &mut self.arena);
         if self.population.is_full() {
             let (_, retired) = self.population.offer_replacing(solution, &mut self.rng);
             if let Some(retired) = retired {
@@ -509,10 +455,8 @@ impl BorgEngine {
     ) -> Solution {
         debug_assert_eq!(objectives.len(), self.num_objectives);
         debug_assert_eq!(constraints.len(), self.num_constraints);
-        let mut objs = self.arena.take();
-        objs.extend_from_slice(objectives);
-        let mut cons = self.arena.take();
-        cons.extend_from_slice(constraints);
+        let objs = self.arena.filled(Role::Objectives, objectives);
+        let cons = self.arena.filled(Role::Constraints, constraints);
         let mut s = Solution::from_parts(candidate.variables, objs, cons);
         s.operator = candidate.operator;
         s
@@ -532,7 +476,7 @@ impl BorgEngine {
 
     // borg-lint: hot-path
     fn random_variables(&mut self) -> Vec<f64> {
-        let mut vars = self.arena.take();
+        let mut vars = self.arena.take(Role::Variables);
         for b in &self.bounds {
             vars.push(if b.range() > 0.0 {
                 self.rng.gen_range(b.lower..=b.upper)
@@ -570,13 +514,16 @@ impl BorgEngine {
         self.stats.restarts += 1;
         let target = ((self.config.injection_rate * self.archive.len() as f64).ceil() as usize)
             .max(self.config.initial_population_size);
-        self.population.reset(target, &mut self.rng);
-        for i in 0..self.archive.len() {
+        // The retired population's buffers come back as the refill below
+        // and as the injected candidates that follow it.
+        for retired in self.population.reset(target, &mut self.rng) {
+            self.arena.recycle(retired);
+        }
+        for member in self.archive.solutions() {
             if self.population.is_full() {
                 break;
             }
-            let s = self.archive.solutions()[i].clone();
-            self.population.fill(s);
+            self.population.fill(self.arena.copy_of(member));
         }
         self.tournament_size = tournament_size(self.config.selection_ratio, target);
         self.fill_in_flight = 0;
@@ -659,6 +606,29 @@ mod tests {
 
     fn config() -> BorgConfig {
         BorgConfig::new(2, 0.01)
+    }
+
+    /// A constant-objective problem: no ε-progress after the first box, so
+    /// every stagnation window ends in a restart.
+    struct Flat;
+
+    impl Problem for Flat {
+        fn name(&self) -> &str {
+            "Flat"
+        }
+        fn num_variables(&self) -> usize {
+            3
+        }
+        fn num_objectives(&self) -> usize {
+            2
+        }
+        fn bounds(&self, _i: usize) -> Bounds {
+            Bounds::unit()
+        }
+        fn evaluate(&self, _v: &[f64], objs: &mut [f64], _c: &mut [f64]) {
+            objs[0] = 0.5;
+            objs[1] = 0.5;
+        }
     }
 
     #[test]
@@ -763,6 +733,30 @@ mod tests {
     }
 
     #[test]
+    fn restart_recycles_members() {
+        // `Flat` restarts at every 100-evaluation window, and each restart
+        // retires the whole population. The refill and the injected
+        // candidates that follow must live in what was retired: from the
+        // second restart on (the one steady-state evaluation that closes
+        // the second window is the last to find the pool empty) a run of 60
+        // restarts asks the allocator for nothing.
+        let mut settled = None;
+        let e = run_serial(&Flat, BorgConfig::new(2, 0.1), 5, 6_000, |e| {
+            if e.nfe() == 200 {
+                settled = Some(e.arena_stats().1);
+            }
+        });
+        assert!(
+            e.stats().restarts >= 50,
+            "restarts = {}",
+            e.stats().restarts
+        );
+        let (hits, misses) = e.arena_stats();
+        assert_eq!(Some(misses), settled, "restarts still miss the pool");
+        assert!(hits > 50 * misses, "hits={hits} misses={misses}");
+    }
+
+    #[test]
     fn ta_profile_populates_only_when_enabled() {
         let off = run_serial(&TwoSphere, config(), 5, 2000, |_| {});
         assert_eq!(*off.ta_profile(), crate::algorithm::TaProfile::default());
@@ -803,52 +797,12 @@ mod tests {
 
     #[test]
     fn restarts_fire_on_stagnating_problem() {
-        // A constant-objective problem can never make ε-progress after the
-        // first box, so every window triggers a restart.
-        struct Flat;
-        impl Problem for Flat {
-            fn name(&self) -> &str {
-                "Flat"
-            }
-            fn num_variables(&self) -> usize {
-                3
-            }
-            fn num_objectives(&self) -> usize {
-                2
-            }
-            fn bounds(&self, _i: usize) -> Bounds {
-                Bounds::unit()
-            }
-            fn evaluate(&self, _v: &[f64], objs: &mut [f64], _c: &mut [f64]) {
-                objs[0] = 0.5;
-                objs[1] = 0.5;
-            }
-        }
         let e = run_serial(&Flat, BorgConfig::new(2, 0.1), 5, 2000, |_| {});
         assert!(e.stats().restarts >= 5, "restarts = {}", e.stats().restarts);
     }
 
     #[test]
     fn restarts_can_be_disabled() {
-        struct Flat;
-        impl Problem for Flat {
-            fn name(&self) -> &str {
-                "Flat"
-            }
-            fn num_variables(&self) -> usize {
-                3
-            }
-            fn num_objectives(&self) -> usize {
-                2
-            }
-            fn bounds(&self, _i: usize) -> Bounds {
-                Bounds::unit()
-            }
-            fn evaluate(&self, _v: &[f64], objs: &mut [f64], _c: &mut [f64]) {
-                objs[0] = 0.5;
-                objs[1] = 0.5;
-            }
-        }
         let mut cfg = BorgConfig::new(2, 0.1);
         cfg.restarts_enabled = false;
         let e = run_serial(&Flat, cfg, 5, 2000, |_| {});

@@ -95,7 +95,7 @@ use crate::dominance::{
     Dominance, KeyLanes, BLOCK_LANES, MIN_KEYED_BLOCKS,
 };
 use crate::matrix::{BlockedRows, ObjectiveMatrix};
-use crate::solution::Solution;
+use crate::solution::{Solution, SolutionArena};
 
 /// Outcome of attempting to add a solution to the archive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -385,22 +385,27 @@ impl EpsilonArchive {
     // borg-lint: hot-path
     pub fn add(&mut self, solution: Solution) -> ArchiveInsert {
         let decision = self.decide(&solution);
-        self.commit(decision, solution)
+        self.commit(decision, solution, drop)
     }
 
-    /// Decides a borrowed candidate's fate, cloning it **only on accept**.
+    /// Decides a borrowed candidate's fate, copying it **only on accept**,
+    /// into buffers out of `arena`; the members the copy displaces or
+    /// evicts retire into `arena` in turn.
     ///
     /// Same decision procedure as [`add`](Self::add); the steady-state
     /// consume path offers every evaluated candidate, and most are rejected,
-    /// so the borrow form removes three `Vec` clones per rejected candidate.
+    /// so the borrow form removes three `Vec` copies per rejected candidate.
     // borg-lint: hot-path
-    pub fn offer(&mut self, solution: &Solution) -> ArchiveInsert {
+    pub fn offer(&mut self, solution: &Solution, arena: &mut SolutionArena) -> ArchiveInsert {
         match self.decide(solution) {
             Decision::Reject => {
                 self.rejects += 1;
                 ArchiveInsert::Rejected
             }
-            decision => self.commit(decision, solution.clone()),
+            decision => {
+                let accepted = arena.copy_of(solution);
+                self.commit(decision, accepted, |retired| arena.recycle(retired))
+            }
         }
     }
 
@@ -496,10 +501,16 @@ impl EpsilonArchive {
         Decision::AddNewBox
     }
 
-    /// Applies a [`Decision`], taking ownership of the (possibly cloned)
-    /// accepted solution and keeping both mirrors in sync.
+    /// Applies a [`Decision`], taking ownership of the (possibly copied)
+    /// accepted solution and keeping both mirrors in sync. Every member
+    /// that leaves the archive goes to `retire`.
     // borg-lint: hot-path
-    fn commit(&mut self, decision: Decision, solution: Solution) -> ArchiveInsert {
+    fn commit(
+        &mut self,
+        decision: Decision,
+        solution: Solution,
+        mut retire: impl FnMut(Solution),
+    ) -> ArchiveInsert {
         match decision {
             Decision::Reject => {
                 self.rejects += 1;
@@ -508,7 +519,7 @@ impl EpsilonArchive {
             Decision::FirstFeasibleReset => {
                 // First feasible solution evicts all infeasible content.
                 self.evictions += self.solutions.len() as u64;
-                self.solutions.clear();
+                self.solutions.drain(..).for_each(retire);
                 self.keys.clear();
                 self.objectives.clear();
                 let op = solution.operator;
@@ -530,7 +541,7 @@ impl EpsilonArchive {
                 self.keys
                     .set(0, epsilon_box_lanes(solution.objectives(), &self.epsilons));
                 self.objectives.set_row(0, solution.objectives());
-                self.solutions[0] = solution;
+                retire(std::mem::replace(&mut self.solutions[0], solution));
                 self.accepts += 1;
                 self.replacements += 1;
                 ArchiveInsert::ReplacedInBox
@@ -539,7 +550,7 @@ impl EpsilonArchive {
                 // Same box: the key lanes are already correct.
                 let op = solution.operator;
                 self.objectives.set_row(slot, solution.objectives());
-                self.solutions[slot] = solution;
+                retire(std::mem::replace(&mut self.solutions[slot], solution));
                 self.accepts += 1;
                 self.replacements += 1;
                 self.credit(op);
@@ -551,7 +562,7 @@ impl EpsilonArchive {
                 let dominated = std::mem::take(&mut self.scratch_dominated);
                 self.evictions += dominated.len() as u64;
                 for &slot in &dominated {
-                    self.solutions.swap_remove(slot);
+                    retire(self.solutions.swap_remove(slot));
                     self.keys.swap_remove(slot);
                     self.objectives.swap_remove_row(slot);
                 }
@@ -821,10 +832,14 @@ mod tests {
             [0.95, 0.05],
             [0.96, 0.06],
         ];
+        let mut arena = SolutionArena::default();
         for objs in stream {
             let s = sol(&objs);
-            assert_eq!(by_offer.offer(&s), by_add.add(s.clone()));
+            assert_eq!(by_offer.offer(&s, &mut arena), by_add.add(s.clone()));
         }
+        // Three accepted, each copied into three buffers: the first two
+        // before anything had retired, the third into the evicted member's.
+        assert_eq!(arena.stats(), (3, 6));
         assert_eq!(by_add.len(), by_offer.len());
         assert_eq!(by_add.box_probes(), by_offer.box_probes());
         by_offer.check_invariants().unwrap();

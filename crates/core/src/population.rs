@@ -155,15 +155,19 @@ impl Population {
     /// [`resize`](Self::resize) followed by [`clear`](Self::clear) leaves
     /// behind, without rebuilding mirrors only to empty them. It draws what
     /// `resize` draws — the shuffle of a shrinking population — so callers'
-    /// RNG streams do not depend on which form they use.
-    pub fn reset<R: Rng>(&mut self, capacity: usize, rng: &mut R) {
+    /// RNG streams do not depend on which form they use. The retired
+    /// members are handed back, for their buffers to be recycled; dropping
+    /// the iterator frees whatever it has not yielded.
+    pub fn reset<R: Rng>(&mut self, capacity: usize, rng: &mut R) -> std::vec::Drain<'_, Solution> {
         assert!(capacity > 0, "population capacity must be positive");
         if self.members.len() > capacity {
             self.members.shuffle(rng);
         }
         self.capacity = capacity;
-        self.clear();
+        self.blocked.clear();
+        self.violating = 0;
         self.blocked.reserve(capacity);
+        self.members.drain(..)
     }
 
     /// Changes the capacity; excess members (if shrinking) are dropped from

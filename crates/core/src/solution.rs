@@ -114,9 +114,124 @@ impl Solution {
     }
 }
 
+/// Which of a [`Solution`]'s three buffers a pooled buffer was and will
+/// again be.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// Decision variables.
+    Variables,
+    /// Objective values.
+    Objectives,
+    /// Constraint values.
+    Constraints,
+}
+
+/// Recycling pool for the per-candidate heap buffers that circulate through
+/// the engine.
+///
+/// Every retired [`Solution`] — a displaced or rejected offspring, an
+/// evicted archive member, the whole population at a restart — returns its
+/// three buffers here, and every new candidate, evaluated result and
+/// archive copy draws its buffers from here, so a settled run allocates
+/// nothing per candidate. Buffers are pooled per [`Role`]: a retired
+/// constraints buffer (capacity zero for an unconstrained problem) is never
+/// handed out as the next variables buffer, which would have to grow.
+#[derive(Debug, Default, Clone)]
+pub struct SolutionArena {
+    pools: [Vec<Vec<f64>>; 3],
+    hits: u64,
+    misses: u64,
+}
+
+impl SolutionArena {
+    /// Buffers pooled per role; beyond it returned buffers are simply freed.
+    /// Enough for a minimum-size population retired at once (a restart
+    /// under a small archive, every stagnation window of such a run) and
+    /// small enough that a full pool is a few dozen KiB.
+    const MAX_POOLED: usize = 256;
+
+    /// Takes an empty buffer of `role` from the pool, or a fresh one.
+    pub fn take(&mut self, role: Role) -> Vec<f64> {
+        match self.pools[role as usize].pop() {
+            Some(buf) => {
+                self.hits += 1;
+                buf
+            }
+            None => {
+                self.misses += 1;
+                Vec::new()
+            }
+        }
+    }
+
+    /// Returns a buffer to `role`'s pool (cleared, allocation kept).
+    pub fn give(&mut self, role: Role, mut buf: Vec<f64>) {
+        let pool = &mut self.pools[role as usize];
+        if pool.len() < Self::MAX_POOLED {
+            buf.clear();
+            pool.push(buf);
+        }
+    }
+
+    /// Recycles all three buffers of a retired solution.
+    pub fn recycle(&mut self, solution: Solution) {
+        let (vars, objs, cons) = solution.into_parts();
+        self.give(Role::Variables, vars);
+        self.give(Role::Objectives, objs);
+        self.give(Role::Constraints, cons);
+    }
+
+    /// A buffer of `role` holding a copy of `values`.
+    pub fn filled(&mut self, role: Role, values: &[f64]) -> Vec<f64> {
+        let mut buf = self.take(role);
+        buf.extend_from_slice(values);
+        buf
+    }
+
+    /// A copy of `source` in recycled buffers: what `source.clone()`
+    /// returns, without its three allocations while the pool has buffers.
+    pub fn copy_of(&mut self, source: &Solution) -> Solution {
+        let mut solution = Solution::from_parts(
+            self.filled(Role::Variables, source.variables()),
+            self.filled(Role::Objectives, source.objectives()),
+            self.filled(Role::Constraints, source.constraints()),
+        );
+        solution.operator = source.operator;
+        solution
+    }
+
+    /// `(pool hits, pool misses)` across all [`take`](Self::take) calls.
+    pub fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arena_keeps_roles_apart_and_copies_bit_for_bit() {
+        let mut arena = SolutionArena::default();
+        let mut original = Solution::from_parts(vec![1.0, 2.0, 3.0], vec![f64::NAN, -0.0], vec![]);
+        original.operator = Some(4);
+        arena.recycle(original.clone());
+        // The retired constraints buffer has no capacity; the next
+        // variables buffer must not be it.
+        assert_eq!(arena.take(Role::Variables).capacity(), 3);
+        assert_eq!(arena.take(Role::Constraints).capacity(), 0);
+        arena.recycle(original.clone());
+        let copy = arena.copy_of(&original);
+        let bits = |s: &Solution| -> Vec<u64> {
+            let values = s.variables().iter().chain(s.objectives());
+            values.chain(s.constraints()).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&copy), bits(&original));
+        assert_eq!(copy.operator, Some(4));
+        // Two takes before, three for the copy; only the objectives buffer
+        // of the first recycle was never asked for again.
+        assert_eq!(arena.stats(), (5, 0));
+    }
 
     #[test]
     fn violation_sums_only_positive_constraints() {

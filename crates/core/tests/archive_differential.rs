@@ -17,7 +17,7 @@ mod support;
 
 use borg_core::archive::{ArchiveInsert, EpsilonArchive};
 use borg_core::dominance::epsilon_box_coord;
-use borg_core::solution::Solution;
+use borg_core::solution::{Solution, SolutionArena};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -56,6 +56,9 @@ fn drive_both(
 struct Pair {
     fast: EpsilonArchive,
     slow: LinearScanArchive,
+    /// Accepted copies are built in, and displaced members retire into,
+    /// one pool, as in the engine.
+    arena: SolutionArena,
 }
 
 impl Pair {
@@ -63,12 +66,13 @@ impl Pair {
         Self {
             fast: EpsilonArchive::new(epsilons.to_vec()),
             slow: LinearScanArchive::new(epsilons.to_vec()),
+            arena: SolutionArena::default(),
         }
     }
 
     /// Offers one candidate to both; the verdicts must be equal.
     fn offer(&mut self, s: &Solution) -> Result<ArchiveInsert, String> {
-        let fast = self.fast.offer(s);
+        let fast = self.fast.offer(s, &mut self.arena);
         let slow = self.slow.add(s.clone());
         if fast != slow {
             return Err(format!(

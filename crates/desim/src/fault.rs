@@ -319,11 +319,31 @@ impl FaultRecord {
     }
 }
 
+/// Indices into [`FaultLog::records`] of those not yet recovered,
+/// ascending — what the per-result scans read, so a faulty run costs
+/// O(open records) a result, not O(faults so far). Covers
+/// `records[..tracked]`; whatever was appended since joins at the next
+/// scan. Bookkeeping only: two ledgers with the same records are the same
+/// ledger however far each has scanned, so any two indexes compare equal.
+#[derive(Debug, Clone, Default)]
+struct OpenIndex {
+    indices: Vec<usize>,
+    tracked: usize,
+}
+
+impl PartialEq for OpenIndex {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
 /// The ledger of injected faults and recovery actions for one run.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultLog {
     /// Every injected fault, in injection order.
     pub records: Vec<FaultRecord>,
+    /// Which of `records` the per-result scans still have to read.
+    open: OpenIndex,
     /// Evaluations re-sent after a timeout or detected death.
     pub reissues: u64,
     /// Result messages discarded by duplicate/stale suppression.
@@ -339,6 +359,20 @@ pub struct FaultLog {
 }
 
 impl FaultLog {
+    /// Brings `open` up to date with `records` and lends both: a recovered
+    /// record is also detected, so no scan needs to look outside `open`.
+    fn open_records(&mut self) -> (&mut Vec<usize>, &mut [FaultRecord]) {
+        let OpenIndex { indices, tracked } = &mut self.open;
+        if *tracked > self.records.len() {
+            // `records` is public; if it was cut short, start over.
+            indices.clear();
+            *tracked = 0;
+        }
+        indices.extend(*tracked..self.records.len());
+        *tracked = self.records.len();
+        (indices, &mut self.records)
+    }
+
     /// Starts a new fault record; returns its index for later updates.
     pub fn inject(&mut self, kind: FaultKind, worker: usize, eval_id: u64, now: f64) -> usize {
         self.records.push(FaultRecord {
@@ -354,23 +388,25 @@ impl FaultLog {
 
     /// Marks the first undetected record matching `eval_id` as detected.
     pub fn detect_eval(&mut self, eval_id: u64, now: f64) {
-        if let Some(r) = self
-            .records
-            .iter_mut()
-            .find(|r| r.eval_id == eval_id && r.detected_at.is_none())
-        {
-            r.detected_at = Some(now);
+        let (open, records) = self.open_records();
+        let undetected =
+            |&&i: &&usize| records[i].eval_id == eval_id && records[i].detected_at.is_none();
+        if let Some(&i) = open.iter().find(undetected) {
+            records[i].detected_at = Some(now);
         }
     }
 
     /// Marks undetected crash/hang records for `worker` as detected.
     pub fn detect_worker_death(&mut self, worker: usize, now: f64) {
-        for r in self.records.iter_mut().filter(|r| {
-            r.worker == worker
+        let (open, records) = self.open_records();
+        for &i in open.iter() {
+            let r = &mut records[i];
+            if r.worker == worker
                 && matches!(r.kind, FaultKind::Crash | FaultKind::Hang)
                 && r.detected_at.is_none()
-        }) {
-            r.detected_at = Some(now);
+            {
+                r.detected_at = Some(now);
+            }
         }
         self.deaths_detected += 1;
     }
@@ -378,16 +414,15 @@ impl FaultLog {
     /// Marks every unrecovered record tied to `eval_id` as recovered
     /// (its result was finally consumed or definitively suppressed).
     pub fn recover_eval(&mut self, eval_id: u64, now: f64) {
-        for r in self
-            .records
-            .iter_mut()
-            .filter(|r| r.eval_id == eval_id && r.recovered_at.is_none())
-        {
-            if r.detected_at.is_none() {
-                r.detected_at = Some(now);
+        let (open, records) = self.open_records();
+        open.retain(|&i| {
+            let r = &mut records[i];
+            if r.eval_id == eval_id && r.recovered_at.is_none() {
+                r.detected_at.get_or_insert(now);
+                r.recovered_at = Some(now);
             }
-            r.recovered_at = Some(now);
-        }
+            r.recovered_at.is_none()
+        });
     }
 
     /// Closes the ledger at run end: faults still pending when the
@@ -402,6 +437,8 @@ impl FaultLog {
                 r.recovered_at = Some(end);
             }
         }
+        self.open.indices.clear();
+        self.open.tracked = self.records.len();
     }
 
     /// Number of injected faults.
@@ -601,6 +638,94 @@ mod tests {
         assert_eq!(rec.detection_latency(), Some(0.5));
         assert!(log.mean_detection_latency() > 0.0);
         assert!(log.summary().contains("2 injected"));
+    }
+
+    /// The scans read only the open records; what they find must be what
+    /// a scan of every record finds, however long some stay open.
+    #[test]
+    fn scans_of_the_open_records_match_whole_ledger_scans() {
+        /// The ledger as it was before it skipped anything.
+        #[derive(Default)]
+        struct WholeScan(Vec<FaultRecord>);
+        impl WholeScan {
+            fn detect_eval(&mut self, eval_id: u64, now: f64) {
+                let undetected =
+                    |r: &&mut FaultRecord| r.eval_id == eval_id && r.detected_at.is_none();
+                if let Some(r) = self.0.iter_mut().find(undetected) {
+                    r.detected_at = Some(now);
+                }
+            }
+            fn detect_worker_death(&mut self, worker: usize, now: f64) {
+                for r in self.0.iter_mut().filter(|r| {
+                    r.worker == worker
+                        && matches!(r.kind, FaultKind::Crash | FaultKind::Hang)
+                        && r.detected_at.is_none()
+                }) {
+                    r.detected_at = Some(now);
+                }
+            }
+            fn recover_eval(&mut self, eval_id: u64, now: f64) {
+                let unrecovered =
+                    |r: &&mut FaultRecord| r.eval_id == eval_id && r.recovered_at.is_none();
+                for r in self.0.iter_mut().filter(unrecovered) {
+                    r.detected_at.get_or_insert(now);
+                    r.recovered_at = Some(now);
+                }
+            }
+        }
+
+        const KINDS: [FaultKind; 4] = [
+            FaultKind::Crash,
+            FaultKind::Hang,
+            FaultKind::MessageDrop,
+            FaultKind::MessageDuplicate,
+        ];
+        for seed in 0..64u64 {
+            let (mut log, mut oracle) = (FaultLog::default(), WholeScan::default());
+            let mut next_eval = 0u64;
+            for step in 0..400u64 {
+                let h = mix64(seed ^ (step << 16));
+                let now = step as f64;
+                // Ids near the newest: faults resolve roughly in order, with
+                // the odd one left open for good (eval ids ≡ 0 mod 17).
+                let near = next_eval.saturating_sub((h >> 8) % 6);
+                match h % 8 {
+                    0..=2 => {
+                        let (kind, worker) =
+                            (KINDS[(h >> 20) as usize % 4], (h >> 30) as usize % 5);
+                        log.inject(kind, worker, next_eval, now);
+                        oracle.0.push(log.records[log.records.len() - 1].clone());
+                        next_eval += 1;
+                    }
+                    3 => {
+                        log.detect_eval(near, now);
+                        oracle.detect_eval(near, now);
+                    }
+                    4 => {
+                        let worker = (h >> 30) as usize % 5;
+                        log.detect_worker_death(worker, now);
+                        oracle.detect_worker_death(worker, now);
+                    }
+                    _ if !near.is_multiple_of(17) => {
+                        log.recover_eval(near, now);
+                        oracle.recover_eval(near, now);
+                    }
+                    _ => {}
+                }
+                assert_eq!(log.records, oracle.0, "seed {seed} step {step}");
+            }
+            // After a scan, exactly the unrecovered records are open.
+            log.recover_eval(u64::MAX, 400.0);
+            let unrecovered = log.records.iter().filter(|r| r.recovered_at.is_none());
+            assert_eq!(log.open.indices.len(), unrecovered.count(), "seed {seed}");
+            assert!(log.open.indices.len() < log.records.len(), "seed {seed}");
+            // A ledger that has not scanned yet is the same ledger.
+            let unscanned = FaultLog {
+                open: OpenIndex::default(),
+                ..log.clone()
+            };
+            assert_eq!(log, unscanned);
+        }
     }
 
     #[test]

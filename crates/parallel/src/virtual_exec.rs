@@ -19,9 +19,8 @@ use borg_models::queueing::{
     run_async_with, run_sync, AsyncRun, MasterSlaveHooks, RecoveryPolicy, RunOutcome,
 };
 use borg_obs::Recorder;
-use borg_protocol::{Command, EngineConfig};
+use borg_protocol::{Command, EngineConfig, IdWindow};
 use rand::rngs::StdRng;
-use std::collections::VecDeque;
 use std::time::Instant;
 
 /// How the executor charges master algorithm time `T_A`.
@@ -145,11 +144,8 @@ impl<P: Problem + ?Sized> ObjectiveSource for &P {
 pub struct BorgHooks<S, F> {
     engine: BorgEngine,
     source: S,
-    /// Candidates awaiting their result, indexed by `eval_id −
-    /// window_base`. Ids are issued consecutively, so a fresh production
-    /// is a `push_back` and consumed entries are trimmed off the front.
-    window: VecDeque<Option<Candidate>>,
-    window_base: u64,
+    /// Candidates awaiting their result, by evaluation id.
+    window: IdWindow<Candidate>,
     objs_buf: Vec<f64>,
     cons_buf: Vec<f64>,
     t_f: Dist,
@@ -192,8 +188,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
         Self {
             engine: BorgEngine::new(problem, borg, engine_seed),
             source,
-            window: VecDeque::new(),
-            window_base: 0,
+            window: IdWindow::new(),
             objs_buf: vec![0.0; problem.num_objectives()],
             cons_buf: vec![0.0; problem.num_constraints()],
             t_f: config.t_f,
@@ -236,21 +231,6 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
         self.ta_samples.push(t);
         t
     }
-
-    fn window_index(&self, eval_id: u64) -> Option<usize> {
-        usize::try_from(eval_id.checked_sub(self.window_base)?).ok()
-    }
-
-    /// Removes `eval_id` from the window, trimming the consumed prefix.
-    fn take_pending(&mut self, eval_id: u64) -> Option<Candidate> {
-        let index = self.window_index(eval_id)?;
-        let candidate = self.window.get_mut(index)?.take();
-        while let Some(None) = self.window.front() {
-            self.window.pop_front();
-            self.window_base += 1;
-        }
-        candidate
-    }
 }
 
 /// Wall-clock seconds since [`BorgHooks::stopwatch`] started (0 when it
@@ -263,14 +243,14 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
     fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
         assert_eq!(
             eval_id,
-            self.window_base + self.window.len() as u64,
+            self.window.base() + self.window.span() as u64,
             "evaluation ids are issued consecutively"
         );
         let stopwatch = self.stopwatch();
         let candidate = self.engine.produce();
         let real = seconds_since(stopwatch);
         self.source.send(worker, eval_id, &candidate.variables, now);
-        self.window.push_back(Some(candidate));
+        self.window.insert(eval_id, candidate);
         match self.t_a {
             TaMode::Measured => {
                 if self.merge_next_produce {
@@ -297,8 +277,8 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
         // missing entry means the simulation itself is corrupted and
         // panicking immediately is the correct response.
         let candidate = self
-            .window_index(eval_id)
-            .and_then(|index| self.window.get(index)?.as_ref()) // borg-lint: allow(BORG-L001)
+            .window
+            .get(eval_id) // borg-lint: allow(BORG-L001)
             .expect("reissue without a pending candidate");
         self.source.send(worker, eval_id, &candidate.variables, now);
         0.0
@@ -315,7 +295,8 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
         // (duplicates are suppressed upstream); as above, a missing entry
         // is corruption.
         let candidate = self
-            .take_pending(eval_id) // borg-lint: allow(BORG-L001)
+            .window
+            .remove(eval_id) // borg-lint: allow(BORG-L001)
             .expect("consume without a pending result");
         self.source.receive(
             worker,
@@ -344,7 +325,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
     }
 
     fn abandon(&mut self, eval_id: u64) {
-        self.take_pending(eval_id);
+        self.window.remove(eval_id);
     }
 }
 
@@ -786,14 +767,14 @@ mod tests {
             hooks.produce(id as usize, id, 0.0);
         }
         hooks.consume(1, 1, 0.1);
-        assert_eq!((hooks.window_base, hooks.window.len()), (0, 3));
+        assert_eq!((hooks.window.base(), hooks.window.span()), (0, 3));
         hooks.abandon(0);
-        assert_eq!((hooks.window_base, hooks.window.len()), (2, 1));
+        assert_eq!((hooks.window.base(), hooks.window.span()), (2, 1));
         hooks.reissue(0, 2, 0.2);
         hooks.produce(1, 3, 0.2);
         hooks.consume(0, 2, 0.3);
         hooks.consume(1, 3, 0.4);
-        assert_eq!((hooks.window_base, hooks.window.len()), (4, 0));
+        assert_eq!((hooks.window.base(), hooks.window.span()), (4, 0));
         assert_eq!(hooks.engine.nfe(), 3);
     }
 

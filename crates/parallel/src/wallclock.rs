@@ -20,9 +20,10 @@ use borg_core::algorithm::{BorgConfig, BorgEngine, Candidate};
 use borg_core::problem::Problem;
 use borg_desim::fault::{FaultKind, FaultLog};
 use borg_obs::Recorder;
-use borg_protocol::{Clock, Command, EngineConfig, Event, MasterEngine, RecoveryPolicy, Transport};
+use borg_protocol::{
+    Clock, Command, EngineConfig, Event, IdWindow, MasterEngine, RecoveryPolicy, Transport,
+};
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::BTreeMap;
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
@@ -139,7 +140,7 @@ struct Exec<'a, L, R: ?Sized> {
     /// Every candidate out for evaluation (kept for reissue and for the
     /// consume) with the time it was last sent. Payload only: deadlines
     /// and attempts are the protocol engine's.
-    candidates: BTreeMap<u64, (Candidate, f64)>,
+    candidates: IdWindow<(Candidate, f64)>,
     /// The evaluation last sent down each route, reported lost when the
     /// route's worker dies.
     current_eval: Vec<Option<u64>>,
@@ -193,15 +194,18 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
         _log: &mut FaultLog,
     ) -> f64 {
         let x = &mut *self.exec;
-        let candidate = if attempt == 0 {
-            x.engine.produce()
-        } else {
-            match x.candidates.remove(&eval_id) {
-                Some((candidate, _)) => candidate,
-                // Consumed or abandoned since: nothing to resend.
-                None => return f64::INFINITY,
-            }
+        if attempt == 0 {
+            let candidate = x.engine.produce();
+            x.candidates.insert(eval_id, (candidate, 0.0));
+        }
+        let now = x.now();
+        // Unsent or not, the evaluation stays out: a death report or the
+        // deadline brings it back.
+        let Some((candidate, sent_at)) = x.candidates.get_mut(eval_id) else {
+            // Consumed or abandoned since: nothing to resend.
+            return f64::INFINITY;
         };
+        *sent_at = now;
         // The shared-pool discipline treats dispatch indices as notional
         // (a dead worker's lost evaluation is reissued under the dead
         // worker's own index), so the physical route is ours to choose:
@@ -211,7 +215,6 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
         } else {
             (0..x.current_eval.len()).find(|&w| x.link.is_up(w))
         };
-        let now = x.now();
         if let Some(target) = target {
             let seq = x.dispatch_seq[target];
             x.dispatch_seq[target] += 1;
@@ -226,16 +229,13 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
                 x.link.sever(target);
             }
         }
-        // Unsent or not, the evaluation stays out: a death report or the
-        // deadline brings it back.
-        x.candidates.insert(eval_id, (candidate, now));
         x.cfg.reissue_timeout.map_or(f64::INFINITY, |t| now + t)
     }
 
     fn consume(&mut self, worker: usize, eval_id: u64, _ready_at: f64) -> f64 {
         let x = &mut *self.exec;
         let (Some((objectives, constraints, receipt)), Some((candidate, dispatched_at))) =
-            (self.result.take(), x.candidates.remove(&eval_id))
+            (self.result.take(), x.candidates.remove(eval_id))
         else {
             x.end(Err(Failure::BadResult { eval_id }));
             return x.now();
@@ -265,7 +265,7 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
     fn rearm_heartbeat(&mut self, _at: f64) {}
 
     fn abandon(&mut self, eval_id: u64) {
-        self.exec.candidates.remove(&eval_id);
+        self.exec.candidates.remove(eval_id);
         self.exec.end(Err(Failure::ReissueLimit { eval_id }));
     }
 
@@ -318,7 +318,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
                 engine: BorgEngine::new(problem, borg, cfg.engine_seed),
                 shape: (problem.num_objectives(), problem.num_constraints()),
                 link,
-                candidates: BTreeMap::new(),
+                candidates: IdWindow::new(),
                 current_eval: vec![None; cfg.workers],
                 dispatch_seq: vec![0; cfg.workers],
                 cfg: *cfg,
@@ -704,7 +704,7 @@ mod tests {
         assert_eq!(m.link_mut().sent, [(1, 1, 0)]);
         assert_eq!(m.link_mut().severed, [0]);
         assert_eq!(m.proto.outstanding_len(), 2);
-        assert!(m.exec.candidates.contains_key(&0));
+        assert!(m.exec.candidates.contains(0));
         // The death report names it lost; its reissue takes the live link.
         assert!(!m.on_death(0, FaultKind::Crash));
         assert_eq!(m.link_mut().deaths, [(0, Some(0))]);

@@ -160,21 +160,21 @@ impl Problem for Dtlz {
                 } else {
                     self.g2(xm)
                 };
-                let alpha = if self.variant == DtlzVariant::Dtlz4 {
-                    100.0
-                } else {
-                    1.0
-                };
-                for i in 0..m {
-                    let mut f = 1.0 + g;
-                    for &x in pos.iter().take(m - 1 - i) {
-                        f *= (x.powf(alpha) * FRAC_PI_2).cos();
-                    }
-                    if i > 0 {
-                        f *= (pos[m - 1 - i].powf(alpha) * FRAC_PI_2).sin();
-                    }
-                    objs[i] = f;
+                // DTLZ4 biases the density with x^100; the others use x as it
+                // is (`powf(1.0)` would return its argument).
+                let alpha = (self.variant == DtlzVariant::Dtlz4).then_some(100.0);
+                // f_i = (1 + g) · cos θ_0 ⋯ cos θ_{m−2−i} · sin θ_{m−1−i}: one
+                // running product of cosines, left to right, serves every
+                // objective, so each angle's cos and sin are taken once and
+                // each f_i is the same chain of multiplications as if it
+                // had been built alone.
+                let mut product = 1.0 + g;
+                for (j, &x) in pos.iter().enumerate() {
+                    let theta = alpha.map_or(x, |a| x.powf(a)) * FRAC_PI_2;
+                    objs[m - 1 - j] = product * theta.sin();
+                    product *= theta.cos();
                 }
+                objs[0] = product;
             }
             DtlzVariant::Dtlz5 | DtlzVariant::Dtlz6 => {
                 let g = if self.variant == DtlzVariant::Dtlz6 {
@@ -372,6 +372,93 @@ mod tests {
             - (0.2 / 2.0 * (1.0 + (3.0 * PI * 0.2).sin())
                 + 0.8 / 2.0 * (1.0 + (3.0 * PI * 0.8).sin()));
         assert!((objs[2] - 2.0 * h).abs() < 1e-10);
+    }
+
+    /// DTLZ2/3/4 as they were written before the running product: every
+    /// objective built alone, `powf` and a trigonometric call per term.
+    struct TermByTerm(Dtlz);
+
+    impl Problem for TermByTerm {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn num_variables(&self) -> usize {
+            self.0.num_variables()
+        }
+        fn num_objectives(&self) -> usize {
+            self.0.num_objectives()
+        }
+        fn bounds(&self, i: usize) -> Bounds {
+            self.0.bounds(i)
+        }
+        fn evaluate(&self, vars: &[f64], objs: &mut [f64], _cons: &mut [f64]) {
+            let Dtlz { variant, m, .. } = self.0;
+            let (pos, xm) = vars.split_at(m - 1);
+            let g = if variant == DtlzVariant::Dtlz3 {
+                self.0.g1(xm)
+            } else {
+                self.0.g2(xm)
+            };
+            let alpha = if variant == DtlzVariant::Dtlz4 {
+                100.0
+            } else {
+                1.0
+            };
+            for i in 0..m {
+                let mut f = 1.0 + g;
+                for &x in pos.iter().take(m - 1 - i) {
+                    f *= (x.powf(alpha) * FRAC_PI_2).cos();
+                }
+                if i > 0 {
+                    f *= (pos[m - 1 - i].powf(alpha) * FRAC_PI_2).sin();
+                }
+                objs[i] = f;
+            }
+        }
+    }
+
+    /// `points` random points of `fast`'s domain, one coordinate in eight
+    /// on a bound (where an angle is exactly 0 or π/2): both problems must
+    /// return the same bits.
+    fn assert_same_bits(fast: &dyn Problem, oracle: &dyn Problem, points: usize, seed: u64) {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let m = fast.num_objectives();
+        let (mut got, mut want) = (vec![0.0; m], vec![0.0; m]);
+        for _ in 0..points {
+            let vars: Vec<f64> = (0..fast.num_variables())
+                .map(|i| {
+                    let b = fast.bounds(i);
+                    match rng.gen_range(0..16) {
+                        0 => b.lower,
+                        1 => b.upper,
+                        _ => b.lower + rng.gen::<f64>() * b.range(),
+                    }
+                })
+                .collect();
+            fast.evaluate(&vars, &mut got, &mut []);
+            oracle.evaluate(&vars, &mut want, &mut []);
+            let bits = |objs: &[f64]| objs.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{} at {vars:?}", fast.name());
+        }
+    }
+
+    #[test]
+    fn spherical_objectives_are_bit_identical_to_the_term_by_term_form() {
+        for variant in [DtlzVariant::Dtlz2, DtlzVariant::Dtlz3, DtlzVariant::Dtlz4] {
+            for m in [2, 3, 5] {
+                let p = Dtlz::new(variant, m);
+                assert_same_bits(&p, &TermByTerm(p.clone()), 10_000, 2013 + m as u64);
+            }
+        }
+        // UF11: the same kernel behind a rotation and objective scales.
+        let uf11 = crate::uf::uf11();
+        let oracle = crate::rotation::RotatedProblem::new(
+            TermByTerm(uf11.inner().clone()),
+            crate::uf::UF_ROTATION_SEED,
+        )
+        .with_objective_scales(uf11.objective_scales().to_vec());
+        assert_same_bits(&uf11, &oracle, 10_000, 11);
     }
 
     #[test]

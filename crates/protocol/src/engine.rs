@@ -2,10 +2,11 @@
 
 use crate::command::{Command, Event};
 use crate::policy::RecoveryPolicy;
+use crate::window::IdWindow;
 use crate::Clock;
 use borg_desim::fault::FaultLog;
 use borg_obs::Recorder;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Counter fed once per emitted [`Command`] (the per-command hook).
 fn command_metric(c: &Command) -> &'static str {
@@ -253,11 +254,16 @@ struct Outstanding {
 /// reissue queue, attempt counters, the alive/believed-alive distinction,
 /// and which eval ids were already consumed.
 ///
-/// Memory is O(in flight), not O(evaluations): ids are issued
-/// consecutively from `next_eval`, and an issued id leaves `outstanding`
-/// only by being consumed or abandoned, so "already consumed" is
-/// `id < next_eval`, not outstanding, not abandoned — no set of completed
-/// ids is kept.
+/// Ids are issued consecutively from `next_eval`, and an issued id leaves
+/// `outstanding` only by being consumed or abandoned, so "already
+/// consumed" is `id < next_eval`, not outstanding, not abandoned — no set
+/// of completed ids is kept. `outstanding` is an [`IdWindow`]: memory is
+/// O(newest − oldest outstanding id), not O(evaluations). That equals the
+/// number in flight whenever every evaluation is eventually consumed or
+/// abandoned, which a finite deadline guarantees (a lost evaluation is
+/// reissued under its own id until the cap abandons it). Under an infinite
+/// deadline an evaluation that never resolves pins the window's base, and
+/// each id issued past it costs one 32-byte slot until the run ends.
 ///
 /// `Clone` exists for the model checker (`borg-mc`): exhaustive
 /// schedule exploration forks the engine at every branch point.
@@ -271,7 +277,7 @@ pub struct MasterEngine {
     // is unknown, not a duplicate).
     abandoned: BTreeSet<u64>,
     // Recovery state (the formerly triplicated core).
-    outstanding: BTreeMap<u64, Outstanding>,
+    outstanding: IdWindow<Outstanding>,
     reissue_queue: VecDeque<u64>,
     idle: BTreeSet<usize>,
     // Physical truth vs the master's beliefs.
@@ -309,7 +315,7 @@ impl MasterEngine {
             next_eval: 0,
             completed: 0,
             abandoned: BTreeSet::new(),
-            outstanding: BTreeMap::new(),
+            outstanding: IdWindow::new(),
             reissue_queue: VecDeque::new(),
             idle: BTreeSet::new(),
             alive: vec![true; w],
@@ -405,7 +411,7 @@ impl MasterEngine {
         self.outstanding
             .iter()
             .filter(|(_, o)| o.deadline <= now)
-            .map(|(&id, o)| (id, o.worker, o.deadline.to_bits()))
+            .map(|(id, o)| (id, o.worker, o.deadline.to_bits()))
             .collect()
     }
 
@@ -438,7 +444,7 @@ impl MasterEngine {
         h = fold(h, self.pending_respawns as u64);
         h = fold(h, u64::from(self.suppress_duplicates));
         h = fold(h, self.outstanding.len() as u64);
-        for (&id, o) in &self.outstanding {
+        for (id, o) in self.outstanding.iter() {
             h = fold(h, id);
             h = fold(h, o.worker as u64);
             h = fold(h, o.deadline.to_bits());
@@ -611,7 +617,7 @@ impl MasterEngine {
         }
         if self.config.discipline == PoolDiscipline::Assigned {
             while let Some(id) = self.reissue_queue.pop_front() {
-                if let Some(o) = self.outstanding.get(&id).copied() {
+                if let Some(o) = self.outstanding.get(id).copied() {
                     self.dispatch(t, rec, worker, id, o.attempts + 1);
                     return;
                 }
@@ -641,7 +647,7 @@ impl MasterEngine {
         worker: usize,
         eval_id: u64,
     ) {
-        let Some(o) = self.outstanding.remove(&eval_id) else {
+        let Some(o) = self.outstanding.remove(eval_id) else {
             // Issued, not in flight, not abandoned: it was consumed.
             let consumed = eval_id < self.next_eval && !self.abandoned.contains(&eval_id);
             if self.suppress_duplicates && consumed {
@@ -721,7 +727,7 @@ impl MasterEngine {
         worker: usize,
         deadline_bits: u64,
     ) {
-        let Some(o) = self.outstanding.get(&eval_id).copied() else {
+        let Some(o) = self.outstanding.get(eval_id).copied() else {
             // Evaluation already consumed; if this worker's copy never
             // arrived (its message was dropped after a reissue raced it),
             // stop waiting on it.
@@ -775,7 +781,7 @@ impl MasterEngine {
 
     /// Give up on `eval_id`: it exhausted its reissue budget.
     fn abandon<T: Transport, R: Recorder + ?Sized>(&mut self, t: &mut T, rec: &R, eval_id: u64) {
-        self.outstanding.remove(&eval_id);
+        self.outstanding.remove(eval_id);
         self.abandoned.insert(eval_id);
         self.emit(rec, Command::Abandon { eval_id });
         t.abandon(eval_id);
@@ -784,7 +790,7 @@ impl MasterEngine {
     /// Queue `eval_id` for reissue when a worker frees up, neutralising
     /// its pending deadline so it is not reissued twice.
     fn park_for_reissue(&mut self, eval_id: u64) {
-        if let Some(o) = self.outstanding.get_mut(&eval_id) {
+        if let Some(o) = self.outstanding.get_mut(eval_id) {
             o.deadline = f64::INFINITY;
             self.reissue_queue.push_back(eval_id);
         }
@@ -808,10 +814,9 @@ impl MasterEngine {
             self.emit(rec, Command::RetireWorker { worker: w });
             self.log.detect_worker_death(w, now);
             if let Some(id) = self.current_eval[w].take() {
-                if self.outstanding.contains_key(&id) {
+                if let Some(attempts) = self.outstanding.get(id).map(|o| o.attempts) {
                     if let Some(v) = self.idle.iter().next().copied() {
                         self.idle.remove(&v);
-                        let attempts = self.outstanding[&id].attempts;
                         if attempts >= self.config.policy.max_reissues {
                             self.abandon(t, rec, id);
                         } else {
@@ -860,7 +865,7 @@ impl MasterEngine {
                 self.log.detect_worker_death(worker, at);
             }
             if let Some(id) = lost_eval {
-                if let Some(o) = self.outstanding.get(&id).copied() {
+                if let Some(o) = self.outstanding.get(id).copied() {
                     self.log.wasted_nfe += 1;
                     if o.attempts >= self.config.policy.max_reissues {
                         self.abandon(t, rec, id);
@@ -1253,6 +1258,221 @@ mod tests {
         assert_eq!(e.outstanding_len(), 2);
         let dispatches = t.calls.iter().filter(|c| c.starts_with("dispatch")).count();
         assert_eq!(dispatches, 4);
+    }
+
+    /// A transport that remembers what is out, for a script to deliver,
+    /// duplicate or lose.
+    struct ScriptTransport {
+        now: f64,
+        timeout: f64,
+        /// `(worker, eval_id)` of every copy in flight.
+        sent: Vec<(usize, u64)>,
+    }
+
+    impl Clock for ScriptTransport {
+        fn now(&self) -> f64 {
+            self.now
+        }
+    }
+
+    impl Transport for ScriptTransport {
+        fn dispatch(
+            &mut self,
+            worker: usize,
+            eval_id: u64,
+            _: u32,
+            _: u64,
+            _: &mut FaultLog,
+        ) -> f64 {
+            self.sent.push((worker, eval_id));
+            self.now + self.timeout
+        }
+        fn consume(&mut self, _: usize, _: u64, _: f64) -> f64 {
+            self.now
+        }
+        fn absorb_duplicate(&mut self, _: usize, _: u64, _: f64) -> f64 {
+            self.now
+        }
+        fn ping(&mut self, _: usize) -> (f64, f64) {
+            (self.now, self.now + 0.001)
+        }
+        fn rearm_heartbeat(&mut self, _: f64) {}
+        fn abandon(&mut self, _: u64) {}
+    }
+
+    /// FNV-1a over the bytes of `text`, folded into `h`.
+    fn fold_text(h: u64, text: &str) -> u64 {
+        text.bytes().fold(h, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// A seeded script of deliveries (in any order), duplicates, lost
+    /// messages, deadline sweeps, deaths, respawns and heartbeats against
+    /// the fault-tolerant engine. The digests below were recorded with
+    /// `outstanding` a `BTreeMap<u64, Outstanding>` (PR 21, `a7e3668`): the
+    /// engine must pass through the same states and emit the same commands
+    /// whatever holds its outstanding set.
+    #[test]
+    fn scripted_fault_tolerant_run_reproduces_the_recorded_states_and_transcript() {
+        let policy = RecoveryPolicy {
+            timeout: 1.0,
+            heartbeat_interval: 2.5,
+            max_reissues: 1,
+        };
+        let mut e = MasterEngine::new(EngineConfig::fault_tolerant_async(8, 2_000, policy));
+        e.record_commands();
+        let mut t = ScriptTransport {
+            now: 0.0,
+            timeout: policy.timeout,
+            sent: Vec::new(),
+        };
+        let rec = NoopRecorder;
+        e.seed(&mut t, &rec);
+        let mut lcg = 0x2013u64;
+        let mut draw = move |n: usize| {
+            lcg = lcg
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (lcg >> 33) as usize % n
+        };
+        let mut states = fold_text(0xCBF2_9CE4_8422_2325, &e.state_digest().to_string());
+        let (mut up, mut respawning) = ((0..8).collect::<Vec<usize>>(), Vec::new());
+        // Abandoned evaluations count against the budget, so the script is
+        // what ends: the run is not expected to finish.
+        for _ in 0..6_000 {
+            t.now += 0.01 + draw(100) as f64 * 1e-3;
+            let at = t.now;
+            let mut events = Vec::new();
+            match draw(32) {
+                // A result message is lost.
+                0 | 1 if !t.sent.is_empty() => drop(t.sent.swap_remove(draw(t.sent.len()))),
+                // A result message arrives and stays in flight: its second
+                // copy comes later.
+                2 | 3 if !t.sent.is_empty() => {
+                    let (worker, eval_id) = t.sent[draw(t.sent.len())];
+                    events.push(arrival(worker, eval_id, at));
+                }
+                // A worker dies, taking what it was sent with it; one in
+                // two comes back.
+                4 if up.len() > 2 => {
+                    let worker = up.swap_remove(draw(up.len()));
+                    t.sent.retain(|&(w, _)| w != worker);
+                    let will_respawn = draw(2) == 0;
+                    if will_respawn {
+                        respawning.push(worker);
+                    }
+                    events.push(Event::WorkerDied {
+                        worker,
+                        at,
+                        will_respawn,
+                        lost_eval: None,
+                    });
+                }
+                5 if !respawning.is_empty() => {
+                    let worker = respawning.swap_remove(draw(respawning.len()));
+                    up.push(worker);
+                    events.push(Event::WorkerRespawned { worker, at });
+                }
+                6 => events.push(Event::HeartbeatTick { at }),
+                7..=10 => {
+                    for (eval_id, worker, deadline_bits) in e.expired_deadlines(at) {
+                        events.push(Event::DeadlineFired {
+                            eval_id,
+                            worker,
+                            deadline_bits,
+                            at,
+                        });
+                    }
+                }
+                _ if !t.sent.is_empty() => {
+                    let (worker, eval_id) = t.sent.swap_remove(draw(t.sent.len()));
+                    events.push(arrival(worker, eval_id, at));
+                }
+                _ => {}
+            }
+            for event in events {
+                e.handle(event, &mut t, &rec);
+                states = fold_text(states, &e.state_digest().to_string());
+            }
+        }
+        let commands = e.take_commands();
+        let count = |kind: fn(&Command) -> bool| commands.iter().filter(|c| kind(c)).count();
+        // The script reaches every command the engine can emit.
+        assert!(count(|c| matches!(c, Command::Consume { .. })) > 300);
+        assert!(count(|c| matches!(c, Command::SuppressDuplicate { .. })) > 20);
+        assert!(count(|c| matches!(c, Command::Ping { .. })) > 20);
+        assert!(count(|c| matches!(c, Command::RetireWorker { .. })) > 2);
+        assert!(count(|c| matches!(c, Command::Abandon { .. })) > 0);
+        assert!(count(|c| matches!(c, Command::RearmHeartbeat)) > 2);
+        let transcript = commands.iter().fold(0xCBF2_9CE4_8422_2325, |h, c| {
+            fold_text(h, &format!("{c:?}"))
+        });
+        assert_eq!(
+            (e.state_digest(), states, transcript, commands.len()),
+            (
+                15_963_770_613_603_030_808,
+                1_412_725_971_260_230_817,
+                10_822_431_751_565_759_396,
+                1_762
+            )
+        );
+    }
+
+    /// Worker 0 never answers evaluation 0 while worker 1 keeps cycling:
+    /// what the outstanding window costs under each deadline policy.
+    #[test]
+    fn a_hung_evaluation_grows_the_window_only_while_nothing_resolves_it() {
+        let cycle = |e: &mut MasterEngine, t: &mut NullTransport, rounds: u64| {
+            for _ in 0..rounds {
+                let id = e.current_eval[1].expect("worker 1 is never idle");
+                t.now += 0.01;
+                e.handle(arrival(1, id, t.now), t, &NoopRecorder);
+            }
+        };
+
+        // No deadline: nothing ever resolves evaluation 0, so the window
+        // spans every id issued since — one slot each — while two are held.
+        let mut t = NullTransport::new(f64::INFINITY);
+        let mut e = MasterEngine::new(EngineConfig::fault_free_async(2, 10_000));
+        e.seed(&mut t, &NoopRecorder);
+        cycle(&mut e, &mut t, 500);
+        assert_eq!((e.outstanding.base(), e.outstanding_len()), (0, 2));
+        assert_eq!(e.outstanding.span(), 502);
+
+        // A finite deadline: evaluation 0 is reissued at each expiry and
+        // abandoned at the cap, and the window closes up behind it.
+        let policy = RecoveryPolicy {
+            timeout: 1.0,
+            heartbeat_interval: f64::INFINITY,
+            max_reissues: 2,
+        };
+        let mut t = NullTransport::new(policy.timeout);
+        let mut e = MasterEngine::new(EngineConfig::fault_tolerant_async(2, 10_000, policy));
+        e.seed(&mut t, &NoopRecorder);
+        let mut widest = 0;
+        for _ in 0..=policy.max_reissues {
+            cycle(&mut e, &mut t, 110);
+            widest = widest.max(e.outstanding.span());
+            let hung: Vec<_> = e
+                .expired_deadlines(t.now)
+                .into_iter()
+                .filter(|&(id, ..)| id == 0)
+                .collect();
+            assert_eq!(hung.len(), 1);
+            let (eval_id, worker, deadline_bits) = hung[0];
+            let fired = Event::DeadlineFired {
+                eval_id,
+                worker,
+                deadline_bits,
+                at: t.now,
+            };
+            e.handle(fired, &mut t, &NoopRecorder);
+        }
+        assert_eq!(e.abandoned(), 1);
+        // It held the window open for three deadlines' worth of ids, no more.
+        assert_eq!(widest, 332);
+        assert_eq!((e.outstanding.base(), e.outstanding.span()), (331, 1));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! | wall clock (`wallclock::Master`) | `borg-parallel` | wall clock (seconds since start) | a `Link`: in-memory pipes to worker threads (`run_threaded`), or framed TCP / Unix-socket messages to worker processes (`serve` in `borg-net`) |
 //!
 //! The engine never reads a wall clock, never samples an RNG, and never
-//! allocates on the arrival hot path beyond its bookkeeping maps — same
+//! allocates on the arrival hot path beyond its id-indexed window — same
 //! seed and same event stream give bit-identical decisions on every
 //! machine, which is what the workspace's determinism gate (and the
 //! golden Table II / faults cells under `crates/xtask/golden/`) enforce.
@@ -35,12 +35,14 @@
 mod command;
 mod engine;
 mod policy;
+mod window;
 
 pub use command::{Command, Event};
 pub use engine::{
     DispatchPolicy, EngineConfig, MasterEngine, PoolDiscipline, ProtocolMode, Transport,
 };
 pub use policy::RecoveryPolicy;
+pub use window::IdWindow;
 
 /// A source of protocol time, in seconds.
 ///
