@@ -351,7 +351,7 @@ impl BorgEngine {
     /// Consumes an evaluated candidate.
     ///
     /// `solution.operator` should carry the candidate's operator tag so the
-    /// archive can credit contributions (use [`Self::make_solution`]).
+    /// archive can credit contributions (use [`Self::make_solution_recycled`]).
     // borg-lint: hot-path
     pub fn consume(&mut self, solution: Solution) {
         debug_assert_eq!(solution.num_objectives(), self.num_objectives);
@@ -411,41 +411,10 @@ impl BorgEngine {
         }
     }
 
-    /// Injects an externally evaluated solution (e.g. a migrant from
-    /// another island in an island-model topology) into the archive and
-    /// population without counting a function evaluation.
-    pub fn inject(&mut self, solution: Solution) {
-        debug_assert_eq!(solution.num_objectives(), self.num_objectives);
-        self.archive.offer(&solution, &mut self.arena);
-        if self.population.is_full() {
-            let (_, retired) = self.population.offer_replacing(solution, &mut self.rng);
-            if let Some(retired) = retired {
-                self.arena.recycle(retired);
-            }
-        } else {
-            self.population.fill(solution);
-        }
-    }
-
     /// Builds an evaluated [`Solution`] from a candidate and its objective /
-    /// constraint values, preserving the operator tag.
-    pub fn make_solution(
-        &self,
-        candidate: Candidate,
-        objectives: Vec<f64>,
-        constraints: Vec<f64>,
-    ) -> Solution {
-        debug_assert_eq!(objectives.len(), self.num_objectives);
-        debug_assert_eq!(constraints.len(), self.num_constraints);
-        let mut s = Solution::from_parts(candidate.variables, objectives, constraints);
-        s.operator = candidate.operator;
-        s
-    }
-
-    /// As [`Self::make_solution`], copying the objective / constraint values
-    /// into arena-recycled buffers instead of taking freshly allocated ones
-    /// (pairs with evaluators that reuse their own output buffers, e.g.
-    /// [`run_serial`]).
+    /// constraint values, preserving the operator tag. The values are copied
+    /// into arena-recycled buffers, so evaluators reuse their own output
+    /// buffers (e.g. [`run_serial`]).
     // borg-lint: hot-path
     pub fn make_solution_recycled(
         &mut self,
@@ -709,7 +678,7 @@ mod tests {
         for _ in 0..5000 {
             let cand = queue.pop_front().unwrap();
             problem.evaluate(&cand.variables, &mut objs, &mut cons);
-            let sol = engine.make_solution(cand, objs.clone(), cons.clone());
+            let sol = engine.make_solution_recycled(cand, &objs, &cons);
             engine.consume(sol);
             queue.push_back(engine.produce());
         }
@@ -787,7 +756,7 @@ mod tests {
         for _ in 0..3000 {
             let cand = queue.pop_front().unwrap();
             problem.evaluate(&cand.variables, &mut objs, &mut cons);
-            let sol = engine.make_solution(cand, objs.clone(), cons.clone());
+            let sol = engine.make_solution_recycled(cand, &objs, &cons);
             engine.consume(sol);
             queue.push_back(engine.produce());
         }

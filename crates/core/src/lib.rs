@@ -47,8 +47,6 @@ pub mod algorithm;
 pub mod archive;
 pub mod dominance;
 pub mod matrix;
-pub mod moead;
-pub mod nsga2;
 pub mod operators;
 pub mod population;
 pub mod problem;
@@ -61,8 +59,6 @@ pub mod prelude {
     pub use crate::archive::{ArchiveInsert, ArchiveStamp, EpsilonArchive};
     pub use crate::dominance::{constrained_dominance, pareto_dominance, Dominance};
     pub use crate::matrix::{FlatMatrix, ObjectiveMatrix};
-    pub use crate::moead::{run_moead_serial, MoeadConfig, MoeadEngine};
-    pub use crate::nsga2::{run_nsga2_serial, Nsga2Config, Nsga2Engine};
     pub use crate::population::Population;
     pub use crate::problem::{evaluate_into_solution, Bounds, Problem};
     pub use crate::rng::SplitMix64;

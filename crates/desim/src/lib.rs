@@ -5,9 +5,6 @@
 //!
 //! * [`queue::EventQueue`] — min-heap event queue with FIFO tie-breaking
 //!   and a simulation clock;
-//! * [`trace::SpanTrace`] — activity-span vocabulary for the paper's
-//!   timeline figures (re-exported from `borg-obs`, the workspace's
-//!   observability layer);
 //! * [`fault::FaultPlan`] / [`fault::FaultLog`] — deterministic fault
 //!   injection (worker crashes, hangs, stragglers, message loss and
 //!   duplication) and the recovery ledger shared by both executors.
@@ -39,8 +36,6 @@
 
 pub mod fault;
 pub mod queue;
-pub mod trace;
 
 pub use fault::{FaultConfig, FaultLog, FaultPlan};
 pub use queue::{EventQueue, Time};
-pub use trace::{Activity, Actor, Span, SpanTrace};

@@ -320,125 +320,6 @@ pub fn ablation_ta_breakdown(config: &AblationConfig) -> TextTable {
     t
 }
 
-// ---------------------------------------------------------------------
-// 7. Baseline-algorithm comparison
-// ---------------------------------------------------------------------
-
-/// Serial Borg vs serial NSGA-II (the canonical generational MOEA) at an
-/// equal evaluation budget — the algorithm-level counterpart of the
-/// topology comparison, and the baseline the Borg papers report against.
-///
-/// Includes the bi-objective ZDT1 (where crowding-distance selection works
-/// and both algorithms excel) alongside the paper's 5-objective workloads
-/// (where NSGA-II's Pareto-rank selection famously collapses — the
-/// many-objective failure mode that motivated ε-dominance methods like
-/// Borg in the first place).
-pub fn ablation_baseline(config: &AblationConfig) -> TextTable {
-    use borg_core::moead::{run_moead_serial, MoeadConfig};
-    use borg_core::nsga2::{run_nsga2_serial, Nsga2Config};
-    use borg_problems::refsets::zdt_front;
-    use borg_problems::zdt::{Zdt, ZdtVariant};
-
-    /// A rebuildable case identifier, so every (case, replicate) pair can
-    /// be an independent job that constructs its own problem and metric.
-    #[derive(Clone, Copy)]
-    enum CaseId {
-        Zdt1,
-        Paper(PaperProblem),
-    }
-    let cases = [
-        CaseId::Zdt1,
-        CaseId::Paper(PaperProblem::Dtlz2),
-        CaseId::Paper(PaperProblem::Uf11),
-    ];
-    let build = |id: CaseId| -> (
-        Box<dyn borg_core::problem::Problem>,
-        Vec<Vec<f64>>,
-        borg_core::algorithm::BorgConfig,
-    ) {
-        match id {
-            CaseId::Zdt1 => {
-                let zdt1 = Zdt::with_variables(ZdtVariant::Zdt1, 15);
-                let front = zdt_front(&zdt1, 500);
-                (
-                    Box::new(zdt1),
-                    front,
-                    borg_core::algorithm::BorgConfig::new(2, 0.01),
-                )
-            }
-            CaseId::Paper(p) => (p.build(), p.reference_front(6), p.borg_config(0.1)),
-        }
-    };
-
-    // Each case derives its replicate seeds from a fresh splitter — the
-    // same sequence per case, exactly as the old per-case loop did.
-    let mut jobs = Vec::new();
-    for (index, _) in cases.iter().enumerate() {
-        let mut split = SplitMix64::new(config.seed ^ 0x0B);
-        for _ in 0..config.replicates {
-            jobs.push((index, split.derive_seed("baseline")));
-        }
-    }
-    let outcomes = crate::par::run_jobs(config.jobs, jobs, |_, (index, seed)| {
-        let (problem, reference, borg_cfg) = build(cases[index]);
-        let metric = RelativeHypervolume::monte_carlo(&reference, 5_000, config.seed ^ 0xBA5E);
-        let m = problem.num_objectives();
-        let borg = run_serial(problem.as_ref(), borg_cfg, seed, config.evaluations, |_| {});
-        let borg_hv = metric.ratio_rows(borg.archive().objective_rows().iter_rows());
-        let nsga = run_nsga2_serial(
-            problem.as_ref(),
-            Nsga2Config::default(),
-            seed,
-            config.evaluations,
-            |_| {},
-        );
-        let front: Vec<Vec<f64>> = nsga
-            .front()
-            .iter()
-            .map(|s| s.objectives().to_vec())
-            .collect();
-        let nsga_hv = metric.ratio(&front);
-        // Lattice sized near 100 subproblems regardless of M.
-        let moead_cfg = MoeadConfig {
-            divisions: if m == 2 { 99 } else { 6 },
-            ..MoeadConfig::default()
-        };
-        let moead = run_moead_serial(problem.as_ref(), moead_cfg, seed, config.evaluations);
-        let moead_hv = metric.ratio(&moead.front());
-        (borg_hv, nsga_hv, moead_hv)
-    });
-
-    let mut t = TextTable::new(vec![
-        "problem",
-        "objectives",
-        "Borg hv",
-        "NSGA-II hv",
-        "MOEA/D hv",
-    ]);
-    let replicates = config.replicates as usize;
-    for (index, &id) in cases.iter().enumerate() {
-        let mine = &outcomes[index * replicates..(index + 1) * replicates];
-        let (mut borg_acc, mut nsga_acc, mut moead_acc) = (0.0, 0.0, 0.0);
-        for &(b, n, d) in mine {
-            borg_acc += b;
-            nsga_acc += n;
-            moead_acc += d;
-        }
-        let (name, m) = match id {
-            CaseId::Zdt1 => ("ZDT1", 2),
-            CaseId::Paper(p) => (p.name(), 5),
-        };
-        t.row(vec![
-            name.to_string(),
-            m.to_string(),
-            format!("{:.3}", borg_acc / config.replicates as f64),
-            format!("{:.3}", nsga_acc / config.replicates as f64),
-            format!("{:.3}", moead_acc / config.replicates as f64),
-        ]);
-    }
-    t
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,25 +344,6 @@ mod tests {
                 "percentages sum to {pct_sum}"
             );
         }
-    }
-
-    #[test]
-    fn baseline_ablation_produces_valid_rows() {
-        let t = ablation_baseline(&cfg());
-        assert_eq!(t.len(), 3); // ZDT1 + DTLZ2 + UF11
-        for line in t.to_csv().lines().skip(1) {
-            let borg: f64 = line.split(',').nth(2).unwrap().parse().unwrap();
-            let nsga: f64 = line.split(',').nth(3).unwrap().parse().unwrap();
-            assert!((0.0..=1.2).contains(&borg));
-            assert!((0.0..=1.2).contains(&nsga));
-        }
-        // On the bi-objective problem both algorithms must do well.
-        let zdt1_line = t.to_csv().lines().nth(1).unwrap().to_string();
-        let nsga_zdt1: f64 = zdt1_line.split(',').nth(3).unwrap().parse().unwrap();
-        assert!(
-            nsga_zdt1 > 0.5,
-            "NSGA-II should make progress on ZDT1: {nsga_zdt1}"
-        );
     }
 
     #[test]

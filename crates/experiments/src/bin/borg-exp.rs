@@ -10,8 +10,8 @@ use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::FaultConfig;
 use borg_experiments::ablation::{
-    ablation_archive, ablation_baseline, ablation_contention, ablation_operators,
-    ablation_restarts, ablation_ta_breakdown, ablation_variance, AblationConfig,
+    ablation_archive, ablation_contention, ablation_operators, ablation_restarts,
+    ablation_ta_breakdown, ablation_variance, AblationConfig,
 };
 use borg_experiments::bounds::{paper_bounds, render_bounds};
 use borg_experiments::dynamics::{render_dynamics_summary, run_dynamics, DynamicsConfig};
@@ -19,7 +19,6 @@ use borg_experiments::faults::{render_faults, run_faults, FaultsConfig};
 use borg_experiments::fitdemo::{run_fit_demo, FitDemoConfig};
 use borg_experiments::heatmap::{run_figure5, HeatmapConfig};
 use borg_experiments::hvspeedup::{render_panel, run_figure, HvSpeedupConfig};
-use borg_experiments::islands_exp::{render_islands, run_islands_experiment, IslandsExpConfig};
 use borg_experiments::report::{write_output, TextTable};
 use borg_experiments::suite::PaperProblem;
 use borg_experiments::table2::{render_table2, run_table2_with, Table2Config};
@@ -214,7 +213,7 @@ struct Sub {
 /// Every subcommand, in the order `help` lists them and `all` runs its
 /// members. Laid out by hand so that a subcommand stays one row.
 #[rustfmt::skip]
-static SUBS: [Sub; 18] = [
+static SUBS: [Sub; 17] = [
     Sub { name: "bounds", about: "Eqs. 3-4 processor-count bounds",
           args: "", flags: &[&OUT, &TRACE_OUT], in_all: true, run: Some(bounds) },
     Sub { name: "fig1", about: "Figure 1 (synchronous timeline)",
@@ -243,9 +242,6 @@ static SUBS: [Sub; 18] = [
     Sub { name: "faults", about: "fault-injection sweep (failure rate × P, self-healing master)",
           args: "", in_all: true, run: Some(faults),
           flags: &[&OUT, &NFE, &REPLICATES, &SEED, &JOBS, &SMOKE, &TRACE_OUT] },
-    Sub { name: "islands", about: "§VII island topology (extension)",
-          args: "", flags: &[&OUT, &NFE, &SEED, &SMOKE, &TRACE_OUT], in_all: true,
-          run: Some(islands) },
     Sub { name: "dynamics", about: "§VI/VII algorithm dynamics per processor count (extension)",
           args: "", flags: &[&OUT, &NFE, &SEED, &JOBS, &SMOKE, &TRACE_OUT], in_all: true,
           run: Some(dynamics) },
@@ -729,7 +725,6 @@ fn ablations(cli: &Cli) {
     scale!(cfg, cli: smoke, nfe, replicates, seed, jobs);
     let runs: Vec<(&str, TextTable)> = vec![
         ("ablation_archive", ablation_archive(&cfg)),
-        ("ablation_baseline", ablation_baseline(&cfg)),
         ("ablation_operators", ablation_operators(&cfg)),
         ("ablation_restarts", ablation_restarts(&cfg)),
         ("ablation_contention", ablation_contention(&cfg)),
@@ -805,21 +800,6 @@ fn dynamics(cli: &Cli) {
     for t in &trajs {
         emit(cli, &format!("dynamics_p{}.csv", t.processors), &t.to_csv());
     }
-}
-
-fn islands(cli: &Cli) {
-    let mut cfg = IslandsExpConfig::default();
-    scale!(cfg, cli: smoke, nfe, seed);
-    let rows = run_islands_experiment(&cfg);
-    let table = render_islands(&rows);
-    println!(
-        "island topology on {} ({} total processors, T_F = {}s):",
-        cfg.problem.name(),
-        cfg.total_processors,
-        cfg.t_f
-    );
-    println!("{}", table.render());
-    emit(cli, "islands.csv", &table.to_csv());
 }
 
 fn serve_master(cli: &Cli) {

@@ -15,7 +15,6 @@
 //! | §IV-B fitting | [`fitdemo`] | `borg-exp fit` |
 //! | Fault-tolerance sweep (extension) | [`faults`] | `borg-exp faults` |
 //! | DESIGN.md §5 ablations | [`ablation`] | `borg-exp ablations` |
-//! | §VII island topology (extension) | [`islands_exp`] | `borg-exp islands` |
 //! | §VI/VII algorithm dynamics | [`dynamics`] | `borg-exp dynamics` |
 
 #![warn(missing_docs)]
@@ -29,7 +28,6 @@ pub mod fitdemo;
 pub mod heatmap;
 pub mod hvcache;
 pub mod hvspeedup;
-pub mod islands_exp;
 pub(crate) mod par;
 pub mod report;
 pub mod suite;

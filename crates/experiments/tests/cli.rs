@@ -113,13 +113,24 @@ fn fig5_smoke_writes_both_surfaces() {
 }
 
 #[test]
-fn islands_and_dynamics_smoke() {
+fn dynamics_and_advise_smoke() {
     let out = temp_out("ext");
-    assert!(run(&["islands", "--smoke"], &out).status.success());
-    assert!(out.join("islands.csv").exists());
     assert!(run(&["dynamics", "--smoke"], &out).status.success());
     assert!(out.join("dynamics_summary.csv").exists());
     assert!(out.join("dynamics_p8.csv").exists());
+    let result = run(&["advise", "--nfe", "5000"], &out);
+    assert!(
+        result.status.success(),
+        "{}",
+        String::from_utf8_lossy(&result.stderr)
+    );
+    let csv = std::fs::read_to_string(out.join("advise.csv")).unwrap();
+    let t_f: Vec<&str> = csv
+        .lines()
+        .skip(1)
+        .filter_map(|l| l.split(',').next())
+        .collect();
+    assert_eq!(t_f, ["0.001", "0.01", "0.1"], "{csv}");
     let _ = std::fs::remove_dir_all(&out);
 }
 

@@ -23,8 +23,7 @@
 
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
 use borg_desim::queue::EventQueue;
-use borg_desim::trace::{Activity, Actor};
-use borg_obs::Recorder;
+use borg_obs::{Activity, Actor, Recorder};
 use borg_protocol::{Clock, Command, Event, MasterEngine, PoolDiscipline, ProtocolMode, Transport};
 
 pub use borg_protocol::{EngineConfig, RecoveryPolicy};

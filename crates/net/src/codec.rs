@@ -25,7 +25,6 @@
 //! buffer the caller reuses; a [`FrameReader`] fills `f64` vectors handed
 //! back to it with [`FrameReader::recycle`] instead of fresh ones.
 
-use borg_protocol::{Command, Event};
 use std::fmt;
 
 /// Frame magic: rejects cross-protocol and mid-stream garbage early.
@@ -58,10 +57,9 @@ pub struct TraceCtx {
     pub sent_at: f64,
 }
 
-/// Everything that travels on a connection. `Cmd`/`Evt` carry the
-/// protocol vocabulary verbatim; the remaining variants are the
-/// deployment envelope (registration, work items, results, liveness,
-/// and the read-only metrics tap).
+/// Everything that travels on a connection: the deployment envelope
+/// (registration, work items, results, liveness, and the read-only
+/// metrics tap) around the protocol engine, which stays master-side.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
     /// Worker → master registration. `worker` is [`UNASSIGNED`] on first
@@ -99,10 +97,6 @@ pub enum Msg {
     Heartbeat { worker: u64, ctx: Option<TraceCtx> },
     /// Master → worker: the run is over, exit cleanly.
     Shutdown,
-    /// A protocol [`Command`], verbatim.
-    Cmd(Command),
-    /// A protocol [`Event`], verbatim.
-    Evt(Event),
     /// Master → tap subscriber: one [`borg_obs::MetricsSnapshot`] delta
     /// tick, pre-rendered as metrics JSONL. `seq` counts ticks on this
     /// tap connection; `at` is the master clock.
@@ -138,8 +132,6 @@ pub enum DecodeError {
     BadTag(u8),
     /// An inner length field exceeds the bytes actually present.
     BadLength,
-    /// A boolean field held something other than 0 or 1.
-    BadBool(u8),
     /// A string field was not valid UTF-8.
     BadUtf8,
     /// The payload decoded but left unconsumed bytes behind.
@@ -163,7 +155,6 @@ impl fmt::Display for DecodeError {
             }
             DecodeError::BadTag(t) => write!(f, "unknown message tag {t}"),
             DecodeError::BadLength => write!(f, "inner length exceeds payload"),
-            DecodeError::BadBool(b) => write!(f, "invalid boolean byte {b}"),
             DecodeError::BadUtf8 => write!(f, "string field is not UTF-8"),
             DecodeError::TrailingBytes(n) => write!(f, "{n} trailing payload bytes"),
         }
@@ -216,10 +207,6 @@ fn put_f64s(buf: &mut Vec<u8>, vs: &[f64]) {
 fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_u32(buf, s.len() as u32);
     buf.extend_from_slice(s.as_bytes());
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    put_u8(buf, u8::from(v));
 }
 
 // ---------------------------------------------------------------------------
@@ -298,19 +285,6 @@ impl<'a> Reader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| DecodeError::BadUtf8)
     }
 
-    fn bool(&mut self) -> Result<bool, DecodeError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(DecodeError::BadBool(b)),
-        }
-    }
-
-    fn usize_field(&mut self) -> Result<usize, DecodeError> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| DecodeError::BadLength)
-    }
-
     fn at_end(&self) -> bool {
         self.pos == self.buf.len()
     }
@@ -334,8 +308,7 @@ const TAG_WORK: u8 = 2;
 const TAG_OUTCOME: u8 = 3;
 const TAG_HEARTBEAT: u8 = 4;
 const TAG_SHUTDOWN: u8 = 5;
-const TAG_CMD: u8 = 6;
-const TAG_EVT: u8 = 7;
+// 6 and 7 are retired, not reused: every frame a peer sends keeps its bytes.
 const TAG_TAP: u8 = 8;
 
 /// Marker byte introducing an encoded [`TraceCtx`] trailer.
@@ -362,159 +335,6 @@ fn read_ctx(r: &mut Reader<'_>) -> Result<Option<TraceCtx>, DecodeError> {
             parent_span: r.u64()?,
             sent_at: r.f64()?,
         })),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-fn encode_command(buf: &mut Vec<u8>, cmd: &Command) {
-    match *cmd {
-        Command::Dispatch {
-            worker,
-            eval_id,
-            attempt,
-        } => {
-            put_u8(buf, 0);
-            put_u64(buf, worker as u64);
-            put_u64(buf, eval_id);
-            put_u32(buf, attempt);
-        }
-        Command::Consume { worker, eval_id } => {
-            put_u8(buf, 1);
-            put_u64(buf, worker as u64);
-            put_u64(buf, eval_id);
-        }
-        Command::SuppressDuplicate { worker, eval_id } => {
-            put_u8(buf, 2);
-            put_u64(buf, worker as u64);
-            put_u64(buf, eval_id);
-        }
-        Command::Ping { worker } => {
-            put_u8(buf, 3);
-            put_u64(buf, worker as u64);
-        }
-        Command::RetireWorker { worker } => {
-            put_u8(buf, 4);
-            put_u64(buf, worker as u64);
-        }
-        Command::Abandon { eval_id } => {
-            put_u8(buf, 5);
-            put_u64(buf, eval_id);
-        }
-        Command::RearmHeartbeat => put_u8(buf, 6),
-        Command::Finish => put_u8(buf, 7),
-    }
-}
-
-fn decode_command(r: &mut Reader<'_>) -> Result<Command, DecodeError> {
-    match r.u8()? {
-        0 => Ok(Command::Dispatch {
-            worker: r.usize_field()?,
-            eval_id: r.u64()?,
-            attempt: r.u32()?,
-        }),
-        1 => Ok(Command::Consume {
-            worker: r.usize_field()?,
-            eval_id: r.u64()?,
-        }),
-        2 => Ok(Command::SuppressDuplicate {
-            worker: r.usize_field()?,
-            eval_id: r.u64()?,
-        }),
-        3 => Ok(Command::Ping {
-            worker: r.usize_field()?,
-        }),
-        4 => Ok(Command::RetireWorker {
-            worker: r.usize_field()?,
-        }),
-        5 => Ok(Command::Abandon { eval_id: r.u64()? }),
-        6 => Ok(Command::RearmHeartbeat),
-        7 => Ok(Command::Finish),
-        t => Err(DecodeError::BadTag(t)),
-    }
-}
-
-fn encode_event(buf: &mut Vec<u8>, evt: &Event) {
-    match *evt {
-        Event::ResultArrived {
-            worker,
-            eval_id,
-            at,
-        } => {
-            put_u8(buf, 0);
-            put_u64(buf, worker as u64);
-            put_u64(buf, eval_id);
-            put_f64(buf, at);
-        }
-        Event::DeadlineFired {
-            eval_id,
-            worker,
-            deadline_bits,
-            at,
-        } => {
-            put_u8(buf, 1);
-            put_u64(buf, eval_id);
-            put_u64(buf, worker as u64);
-            put_u64(buf, deadline_bits);
-            put_f64(buf, at);
-        }
-        Event::HeartbeatTick { at } => {
-            put_u8(buf, 2);
-            put_f64(buf, at);
-        }
-        Event::WorkerDied {
-            worker,
-            at,
-            will_respawn,
-            lost_eval,
-        } => {
-            put_u8(buf, 3);
-            put_u64(buf, worker as u64);
-            put_f64(buf, at);
-            put_bool(buf, will_respawn);
-            match lost_eval {
-                None => put_u8(buf, 0),
-                Some(id) => {
-                    put_u8(buf, 1);
-                    put_u64(buf, id);
-                }
-            }
-        }
-        Event::WorkerRespawned { worker, at } => {
-            put_u8(buf, 4);
-            put_u64(buf, worker as u64);
-            put_f64(buf, at);
-        }
-    }
-}
-
-fn decode_event(r: &mut Reader<'_>) -> Result<Event, DecodeError> {
-    match r.u8()? {
-        0 => Ok(Event::ResultArrived {
-            worker: r.usize_field()?,
-            eval_id: r.u64()?,
-            at: r.f64()?,
-        }),
-        1 => Ok(Event::DeadlineFired {
-            eval_id: r.u64()?,
-            worker: r.usize_field()?,
-            deadline_bits: r.u64()?,
-            at: r.f64()?,
-        }),
-        2 => Ok(Event::HeartbeatTick { at: r.f64()? }),
-        3 => Ok(Event::WorkerDied {
-            worker: r.usize_field()?,
-            at: r.f64()?,
-            will_respawn: r.bool()?,
-            lost_eval: match r.u8()? {
-                0 => None,
-                1 => Some(r.u64()?),
-                t => return Err(DecodeError::BadTag(t)),
-            },
-        }),
-        4 => Ok(Event::WorkerRespawned {
-            worker: r.usize_field()?,
-            at: r.f64()?,
-        }),
         t => Err(DecodeError::BadTag(t)),
     }
 }
@@ -580,14 +400,6 @@ fn encode_payload(buf: &mut Vec<u8>, msg: &Msg) {
             put_ctx(buf, ctx);
         }
         Msg::Shutdown => put_u8(buf, TAG_SHUTDOWN),
-        Msg::Cmd(ref cmd) => {
-            put_u8(buf, TAG_CMD);
-            encode_command(buf, cmd);
-        }
-        Msg::Evt(ref evt) => {
-            put_u8(buf, TAG_EVT);
-            encode_event(buf, evt);
-        }
         Msg::Tap { seq, at, ref jsonl } => {
             put_u8(buf, TAG_TAP);
             put_u64(buf, seq);
@@ -626,8 +438,6 @@ fn decode_payload(payload: &[u8], spare: &mut Vec<Vec<f64>>) -> Result<Msg, Deco
             ctx: read_ctx(&mut r)?,
         },
         TAG_SHUTDOWN => Msg::Shutdown,
-        TAG_CMD => Msg::Cmd(decode_command(&mut r)?),
-        TAG_EVT => Msg::Evt(decode_event(&mut r)?),
         TAG_TAP => Msg::Tap {
             seq: r.u64()?,
             at: r.f64()?,
@@ -892,17 +702,6 @@ mod tests {
                 jsonl: "{\"type\":\"counter\",\"name\":\"net.frames_sent\",\"value\":1}\n"
                     .to_string(),
             },
-            Msg::Cmd(Command::Dispatch {
-                worker: 1,
-                eval_id: 10,
-                attempt: 0,
-            }),
-            Msg::Evt(Event::WorkerDied {
-                worker: 4,
-                at: 1.5,
-                will_respawn: true,
-                lost_eval: Some(99),
-            }),
         ]
     }
 
@@ -1056,6 +855,23 @@ mod tests {
             decode_complete(&bad_frame).unwrap_err(),
             DecodeError::BadTag(7)
         );
+    }
+
+    #[test]
+    fn retired_command_and_event_tags_are_bad_tags() {
+        // Checksum-valid frames in the retired tags' old layouts: a
+        // `Dispatch` command under 6, a `HeartbeatTick` event under 7.
+        for (tag, body) in [(6u8, 8 + 8 + 4), (7, 8)] {
+            let mut frame = Vec::new();
+            frame_into(&mut frame, |buf| {
+                buf.extend_from_slice(&[tag, 0]);
+                buf.resize(buf.len() + body, 0x11);
+            });
+            assert_eq!(decode(&frame), Err(DecodeError::BadTag(tag)));
+            let mut reader = FrameReader::new();
+            reader.feed(&frame);
+            assert_eq!(reader.next_msg(), Err(DecodeError::BadTag(tag)));
+        }
     }
 
     #[test]

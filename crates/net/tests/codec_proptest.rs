@@ -15,7 +15,6 @@ use borg_net::codec::{
     decode, decode_complete, encode, encode_into, encode_work_into, DecodeError, FrameReader, Msg,
     TraceCtx, HEADER_LEN, MAGIC, MAX_PAYLOAD, UNASSIGNED, VERSION,
 };
-use borg_protocol::{Command, Event};
 use proptest::prelude::*;
 use proptest::strategy::Union;
 
@@ -33,57 +32,6 @@ fn name_string() -> impl Strategy<Value = String> {
         .prop_map(|cs| cs.into_iter().filter_map(char::from_u32).collect())
 }
 
-fn command_strategy() -> Union<Command> {
-    prop_oneof![
-        (0usize..64, 0u64..1_000_000, 0u32..8).prop_map(|(worker, eval_id, attempt)| {
-            Command::Dispatch {
-                worker,
-                eval_id,
-                attempt,
-            }
-        }),
-        (0usize..64, 0u64..1_000_000)
-            .prop_map(|(worker, eval_id)| Command::Consume { worker, eval_id }),
-        (0usize..64, 0u64..1_000_000)
-            .prop_map(|(worker, eval_id)| Command::SuppressDuplicate { worker, eval_id }),
-        (0usize..64).prop_map(|worker| Command::Ping { worker }),
-        (0usize..64).prop_map(|worker| Command::RetireWorker { worker }),
-        (0u64..1_000_000).prop_map(|eval_id| Command::Abandon { eval_id }),
-        Just(Command::RearmHeartbeat),
-        Just(Command::Finish),
-    ]
-}
-
-fn event_strategy() -> Union<Event> {
-    prop_oneof![
-        (0usize..64, 0u64..1_000_000, finite_f64()).prop_map(|(worker, eval_id, at)| {
-            Event::ResultArrived {
-                worker,
-                eval_id,
-                at,
-            }
-        }),
-        (0u64..1_000_000, 0usize..64, 0u64..u64::MAX, finite_f64()).prop_map(
-            |(eval_id, worker, deadline_bits, at)| Event::DeadlineFired {
-                eval_id,
-                worker,
-                deadline_bits,
-                at,
-            }
-        ),
-        finite_f64().prop_map(|at| Event::HeartbeatTick { at }),
-        (0usize..64, finite_f64(), 0u8..2, 0u8..2, 0u64..1_000_000).prop_map(
-            |(worker, at, respawn, has_lost, lost)| Event::WorkerDied {
-                worker,
-                at,
-                will_respawn: respawn == 1,
-                lost_eval: (has_lost == 1).then_some(lost),
-            }
-        ),
-        (0usize..64, finite_f64()).prop_map(|(worker, at)| Event::WorkerRespawned { worker, at }),
-    ]
-}
-
 /// Optional trace context, absent half the time: absent-context frames
 /// exercise the backward-compatible (legacy wire bytes) form.
 fn ctx_strategy() -> impl Strategy<Value = Option<TraceCtx>> {
@@ -99,7 +47,7 @@ fn ctx_strategy() -> impl Strategy<Value = Option<TraceCtx>> {
     ]
 }
 
-/// Every `Msg` variant, including the full `Command`/`Event` vocabulary.
+/// Every `Msg` variant.
 fn msg_strategy() -> Union<Msg> {
     prop_oneof![
         (0u64..1_000).prop_map(|worker| Msg::Hello { worker }),
@@ -150,8 +98,6 @@ fn msg_strategy() -> Union<Msg> {
             jsonl
         }),
         Just(Msg::Shutdown),
-        command_strategy().prop_map(Msg::Cmd),
-        event_strategy().prop_map(Msg::Evt),
     ]
 }
 

@@ -17,9 +17,9 @@
 //!   by a mutex; snapshots to a [`MetricsSnapshot`] and a [`SpanTrace`].
 //! * [`Histogram`] — log-bucketed (4 sub-buckets per octave, exact
 //!   exponent arithmetic, no float log) with lossless merge.
-//! * [`span`] — the `Actor`/`Activity`/`Span` vocabulary (moved here from
-//!   `borg_desim::trace`, which now re-exports it) plus [`SpanTracker`]
-//!   for well-nested open/close instrumentation.
+//! * [`span`] — the `Actor`/`Activity`/`Span` vocabulary every executor
+//!   and the protocol engine share, plus [`SpanTracker`] for well-nested
+//!   open/close instrumentation.
 //! * [`export`] — renderers: Chrome `chrome://tracing` JSON (open in
 //!   Perfetto) and a JSONL metrics dump.
 //! * [`flight`] — the black-box flight recorder: a fixed-capacity,

@@ -13,8 +13,6 @@
 //! * [`threads`] — that master over in-memory pipes to **real threads**,
 //!   with measured `T_A`/`T_F`/`T_C` (the laptop-scale stand-in for the
 //!   paper's MPI deployment);
-//! * [`islands`] — the island-model (multi-master) topology named as the
-//!   paper's future work (§VII), in virtual time;
 //! * [`delayed`] — the paper's controlled-delay evaluation wrapper.
 //!
 //! ```
@@ -49,7 +47,6 @@
 #![forbid(unsafe_code)]
 
 pub mod delayed;
-pub mod islands;
 pub mod threads;
 pub mod virtual_exec;
 pub mod wallclock;
@@ -57,7 +54,6 @@ pub mod wallclock;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::delayed::{precise_delay, DelayedProblem};
-    pub use crate::islands::{run_islands, IslandConfig, IslandRunResult};
     pub use crate::threads::{
         estimate_comm_time, run_threaded, run_threaded_observed, ThreadedConfig, ThreadedError,
         ThreadedRunResult,

@@ -15,9 +15,8 @@ use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
-use borg_desim::trace::{Activity, Actor};
 use borg_models::dist::Dist;
-use borg_obs::{NoopRecorder, Recorder};
+use borg_obs::{Activity, Actor, NoopRecorder, Recorder};
 use borg_protocol::Command;
 use crossbeam::channel;
 use parking_lot::Mutex;
@@ -738,9 +737,9 @@ mod tests {
 
     #[test]
     fn hung_worker_does_not_deadlock_the_run_or_the_join() {
-        // One worker hangs on its very first item: the master's deadline
-        // reissues the work and the scope join still returns (the hung
-        // thread is released by the stop channel).
+        // One worker hangs on its very first item: it reports its own
+        // silence and its thread ends, the master retires it and reissues
+        // the work, and the scope join still returns.
         let problem = Zdt::new(ZdtVariant::Zdt2);
         let mut cfg = ThreadedConfig::new(3, 400, Some(Dist::Constant(0.000_2)), 31);
         cfg.faults = Some(FaultConfig {

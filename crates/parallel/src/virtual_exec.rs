@@ -491,7 +491,7 @@ where
         let cand = engine.produce();
         let produce_real = t0.elapsed().as_secs_f64();
         problem.evaluate(&cand.variables, &mut objs, &mut cons);
-        let sol = engine.make_solution(cand, objs.clone(), cons.clone());
+        let sol = engine.make_solution_recycled(cand, &objs, &cons);
         let tf = config.t_f.sample(&mut rng);
         tf_samples.push(tf);
         clock += tf;
@@ -625,6 +625,23 @@ mod tests {
         let expect = 3_000.0 * (0.01 + 0.000_05);
         assert!(relative_error(result.outcome.elapsed, expect) < 1e-9);
         assert_eq!(result.engine.nfe(), 3_000);
+    }
+
+    #[test]
+    fn virtual_serial_runs_the_same_search_as_run_serial() {
+        // The Figure 3–4 baseline is serial Borg: the virtual clock only
+        // draws delays from its own stream, never from the engine's.
+        let problem = Dtlz::dtlz2_5();
+        let cfg = sampled_config(2, 3_000, 0.01, 0.000_05);
+        let virt = run_virtual_serial(&problem, borg_cfg(), &cfg, |_, _| {});
+        let seed = SplitMix64::new(cfg.seed).derive_seed("virtual-engine");
+        let serial = borg_core::algorithm::run_serial(&problem, borg_cfg(), seed, 3_000, |_| {});
+        let bits = |e: &BorgEngine| -> Vec<u64> {
+            let rows = e.archive().objective_rows();
+            rows.as_slice().iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&virt.engine), bits(&serial));
+        assert_eq!(virt.engine.stats().restarts, serial.stats().restarts);
     }
 
     #[test]

@@ -5,7 +5,6 @@ use borg_repro::core::dominance::{
     epsilon_box_dominance, nondominated_indices, pareto_dominance_objectives, BoxDominance,
     Dominance,
 };
-use borg_repro::core::nsga2::{crowding_distances, fast_nondominated_sort};
 use borg_repro::core::operators::standard_borg_operators;
 use borg_repro::core::problem::Bounds;
 use borg_repro::core::solution::Solution;
@@ -377,56 +376,6 @@ proptest! {
             s.elapsed,
             a.elapsed
         );
-    }
-
-    // -----------------------------------------------------------------
-    // NSGA-II machinery
-    // -----------------------------------------------------------------
-
-    #[test]
-    fn nondominated_sort_ranks_are_consistent_with_dominance(
-        pts in prop::collection::vec(objective_vec(3), 1..40),
-    ) {
-        let sols: Vec<Solution> = pts
-            .iter()
-            .map(|p| Solution::from_parts(vec![], p.clone(), vec![]))
-            .collect();
-        let ranks = fast_nondominated_sort(&sols);
-        for i in 0..pts.len() {
-            for j in 0..pts.len() {
-                if pareto_dominance_objectives(&pts[i], &pts[j]) == Dominance::Dominates {
-                    prop_assert!(
-                        ranks[i] < ranks[j],
-                        "dominating point must have strictly lower rank"
-                    );
-                }
-            }
-        }
-        // Rank 0 must be exactly the nondominated set.
-        let nd: std::collections::HashSet<usize> =
-            nondominated_indices(&pts).into_iter().collect();
-        for (i, &r) in ranks.iter().enumerate() {
-            // nondominated_indices drops exact duplicates; a duplicate of a
-            // rank-0 point is still rank 0, so only check one direction
-            // plus membership for uniques.
-            if nd.contains(&i) {
-                prop_assert_eq!(r, 0);
-            }
-        }
-    }
-
-    #[test]
-    fn crowding_distances_are_nonnegative(
-        pts in prop::collection::vec(objective_vec(3), 1..40),
-    ) {
-        let sols: Vec<Solution> = pts
-            .iter()
-            .map(|p| Solution::from_parts(vec![], p.clone(), vec![]))
-            .collect();
-        let ranks = fast_nondominated_sort(&sols);
-        let c = crowding_distances(&sols, &ranks);
-        prop_assert_eq!(c.len(), sols.len());
-        prop_assert!(c.iter().all(|&x| x >= 0.0));
     }
 
     // -----------------------------------------------------------------
