@@ -57,17 +57,18 @@
 //! [`order_key`](crate::dominance::order_key) beside every lane — the same
 //! monotone key the population uses on objectives, here applied to box
 //! coordinates, which it tells apart exactly up to ±256 and in steps of 2,
-//! 4, 8 … beyond — and `decide` asks [`keys_apart_block`] first: `true`
-//! proves that [`box_key_block`] would return `None`, so the block is
-//! skipped (and still counted in `box_probes`); anything else — a tie
-//! between coarse keys, a block with padding — goes to the exact lanes as
-//! before. The scan already runs only between feasible solutions and a box
-//! coordinate is never NaN, so the keys need no guard here beyond the one
-//! of size: an archive with fewer than two full blocks
-//! ([`MIN_KEYED_BLOCKS`](crate::dominance::MIN_KEYED_BLOCKS)) does not
-//! ask them. On
-//! `serial-dtlz2-5` they settle 99.1 % of the blocks and an offer to the
-//! 3 825-member archive went from 1.9 to 0.9 µs (DESIGN.md §16).
+//! 4, 8 … beyond — and `decide` asks the filter compiled for the candidate's
+//! column count ([`keys_apart_block`](crate::dominance::keys_apart_block))
+//! first: `true` proves that [`box_key_block`] would return `None`, so the
+//! block is skipped (and still counted in `box_probes`); anything else — a
+//! tie between coarse keys, a block with padding — goes to the exact lanes
+//! as before. The scan already runs only between feasible solutions and a
+//! box coordinate is never NaN, so the keys need no guard here beyond the
+//! one of size: an archive with fewer than two full blocks
+//! ([`MIN_KEYED_BLOCKS`]) does not ask them. On `serial-dtlz2-5` they settle 99.1 % of the blocks and took an
+//! offer to the 3 825-member archive from 1.9 to 0.9 µs; compiling the
+//! filter for each objective count took it from 0.81 to 0.54 µs
+//! (DESIGN.md §16).
 //!
 //! ## Why no index
 //!
@@ -91,8 +92,8 @@
 //! `Vec<Vec<f64>>` re-materialization.
 
 use crate::dominance::{
-    box_key_block, constrained_dominance, epsilon_box_lanes, keys_apart_block, splat_order_keys,
-    Dominance, KeyLanes, BLOCK_LANES, MIN_KEYED_BLOCKS,
+    box_key_block, constrained_dominance, epsilon_box_lanes, filter_by_order_keys, unfiltered,
+    Dominance, KeyLanes, KeyedScan, BLOCK_LANES, MIN_KEYED_BLOCKS,
 };
 use crate::matrix::{BlockedRows, ObjectiveMatrix};
 use crate::solution::{Solution, SolutionArena};
@@ -222,8 +223,6 @@ pub struct EpsilonArchive {
     operator_credits: Vec<u64>,
     /// Reusable candidate box key, as lane values.
     scratch_key: Vec<f64>,
-    /// The candidate key's order keys, broadcast for the block filter.
-    scratch_order: Vec<KeyLanes>,
     /// Reusable eviction slot list.
     scratch_dominated: Vec<usize>,
 }
@@ -254,7 +253,6 @@ impl EpsilonArchive {
             box_probes: 0,
             operator_credits: Vec::new(),
             scratch_key: Vec::with_capacity(m),
-            scratch_order: Vec::with_capacity(m),
             scratch_dominated: Vec::new(),
         }
     }
@@ -442,63 +440,29 @@ impl EpsilonArchive {
             return Decision::AddInfeasiblePlaceholder;
         }
 
-        let Self {
-            epsilons,
-            solutions,
-            keys,
-            box_probes,
-            scratch_key,
-            scratch_order,
-            scratch_dominated,
-            ..
-        } = self;
-        scratch_key.clear();
-        scratch_key.extend(epsilon_box_lanes(solution.objectives(), epsilons));
+        self.scratch_key.clear();
+        self.scratch_key
+            .extend(epsilon_box_lanes(solution.objectives(), &self.epsilons));
+        self.scratch_dominated.clear();
         // A box coordinate is never NaN, so the candidate always has order
         // keys; they can call apart only blocks without padding, and are not
         // worth computing for fewer than `MIN_KEYED_BLOCKS` of those.
-        let mut full = solutions.len() / BLOCK_LANES;
+        let full = self.solutions.len() / BLOCK_LANES;
+        let scan = BoxScan {
+            candidate: solution,
+            key: &self.scratch_key,
+            epsilons: &self.epsilons,
+            solutions: &self.solutions,
+            keys: &self.keys,
+            box_probes: &mut self.box_probes,
+            dominated: &mut self.scratch_dominated,
+            keyed_blocks: full,
+        };
         if full >= MIN_KEYED_BLOCKS {
-            splat_order_keys(scratch_key.iter().copied(), scratch_order);
+            filter_by_order_keys(&self.scratch_key, scan)
         } else {
-            full = 0;
+            unfiltered(scan)
         }
-        let key_order = scratch_order.as_slice();
-        scratch_dominated.clear();
-        for (b, (order, block)) in keys.blocks().enumerate() {
-            // A block the order keys skip still counts as visited.
-            *box_probes += BLOCK_LANES as u64;
-            if b < full && keys_apart_block(key_order, order) {
-                continue;
-            }
-            let Some((lt, gt)) = box_key_block(scratch_key, block) else {
-                continue;
-            };
-            if !lt & gt != 0 {
-                return Decision::Reject;
-            }
-            let first = b * BLOCK_LANES;
-            // Padding lanes compare false both ways, like a shared box.
-            let occupied = u8::MAX >> (BLOCK_LANES - (solutions.len() - first).min(BLOCK_LANES));
-            let same_box = !(lt | gt) & occupied;
-            if same_box != 0 {
-                let slot = first + same_box.trailing_zeros() as usize;
-                return if wins_box(solution, &solutions[slot], scratch_key, epsilons) {
-                    Decision::ReplaceInBox(slot)
-                } else {
-                    Decision::Reject
-                };
-            }
-            let mut dominated = lt & !gt;
-            while dominated != 0 {
-                scratch_dominated.push(first + dominated.trailing_zeros() as usize);
-                dominated &= dominated - 1;
-            }
-        }
-        // Evict in descending slot order so `swap_remove` leaves the same
-        // final member ordering as the member-by-member reference.
-        scratch_dominated.reverse();
-        Decision::AddNewBox
     }
 
     /// Applies a [`Decision`], taking ownership of the (possibly copied)
@@ -646,6 +610,67 @@ impl EpsilonArchive {
             }
         }
         Ok(())
+    }
+}
+
+/// The insertion scan of [`EpsilonArchive::decide`], over the blocks of the
+/// key mirror: stops at the first block holding a dominating or same-box
+/// member, and otherwise leaves the members to evict in `dominated`,
+/// descending.
+struct BoxScan<'a> {
+    candidate: &'a Solution,
+    /// The candidate's box key, as lane values.
+    key: &'a [f64],
+    epsilons: &'a [f64],
+    solutions: &'a [Solution],
+    keys: &'a BlockedRows,
+    box_probes: &'a mut u64,
+    dominated: &'a mut Vec<usize>,
+    /// The blocks the filter is asked about: the full ones.
+    keyed_blocks: usize,
+}
+
+impl KeyedScan for BoxScan<'_> {
+    type Output = Decision;
+
+    // borg-lint: hot-path
+    fn run(self, apart: impl Fn(&[KeyLanes]) -> bool) -> Decision {
+        let (key, solutions) = (self.key, self.solutions);
+        for (b, (order, block)) in self.keys.blocks().enumerate() {
+            // A block the order keys skip still counts as visited.
+            *self.box_probes += BLOCK_LANES as u64;
+            if b < self.keyed_blocks && apart(order) {
+                continue;
+            }
+            let Some((lt, gt)) = box_key_block(key, block) else {
+                continue;
+            };
+            if !lt & gt != 0 {
+                return Decision::Reject;
+            }
+            let first = b * BLOCK_LANES;
+            // Padding lanes compare false both ways, like a shared box.
+            let occupied = u8::MAX >> (BLOCK_LANES - (solutions.len() - first).min(BLOCK_LANES));
+            let same_box = !(lt | gt) & occupied;
+            if same_box != 0 {
+                let slot = first + same_box.trailing_zeros() as usize;
+                return if wins_box(self.candidate, &solutions[slot], key, self.epsilons) {
+                    Decision::ReplaceInBox(slot)
+                } else {
+                    Decision::Reject
+                };
+            }
+            let mut dominated = lt & !gt;
+            while dominated != 0 {
+                self.dominated
+                    .push(first + dominated.trailing_zeros() as usize);
+                dominated &= dominated - 1;
+            }
+        }
+        // Evict in descending slot order so `swap_remove` leaves the same
+        // final member ordering as the member-by-member reference.
+        self.dominated.reverse();
+        Decision::AddNewBox
     }
 }
 

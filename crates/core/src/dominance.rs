@@ -36,6 +36,12 @@
 //! of a tournament. Whatever the keys cannot prove goes to the exact kernels
 //! unchanged, which remain the only code that produces a [`Dominance`], a
 //! comparison mask or a tournament win.
+//!
+//! The block filter is the hot loop of both scans, so it is compiled once
+//! per column count up to [`COMPILED_COLUMNS`]: the two scans implement
+//! [`KeyedScan`], and [`filter_by_order_keys`] picks the instantiation from
+//! the candidate's row length once a scan and hands it the candidate's keys
+//! on the stack. Wider rows get the loop [`keys_apart_block_dyn`].
 
 use crate::solution::Solution;
 use std::hint::black_box;
@@ -201,20 +207,30 @@ pub fn order_key(x: f64) -> i16 {
 /// a two-objective run (`virtual-p1024`) stay on the exact kernels alone.
 pub const MIN_KEYED_BLOCKS: usize = 2;
 
-/// Writes each value's [`order_key`], broadcast to all lanes, into `out` —
-/// the form [`keys_apart_block`] wants its row in. Returns `false` when a
-/// value is NaN: such a row has no order and must go to the exact kernels.
+/// The widest row the order-key filter is compiled for (the arms of
+/// [`filter_by_order_keys`]): a row of `m` ≤ this many columns is filtered
+/// by `keys_apart_block::<m>`, a wider one by the loop
+/// [`keys_apart_block_dyn`]. Every count measured, 2 to 12, runs faster
+/// compiled; past ten, each count would be two more copies of the scan
+/// loops for rows no experiment or benchmark produces (DESIGN.md §16).
+pub const COMPILED_COLUMNS: usize = 10;
+
+/// Columns of a wider row that [`keys_apart_block_dyn`] is given: its
+/// broadcast keys live on the stack too. Fewer columns prove less, never
+/// more — a lane apart in some columns is apart in all of them.
+const DYN_COLUMNS: usize = 16;
+
+/// Writes the [`order_key`] of each of `row`'s first `out.len()` values,
+/// broadcast to all lanes, into `out` — the form the block filters want
+/// their row in. Returns `false` when any value of `row` is NaN: such a row
+/// has no order and must go to the exact kernels.
 // borg-lint: hot-path
 #[inline]
-pub fn splat_order_keys(row: impl IntoIterator<Item = f64>, out: &mut Vec<KeyLanes>) -> bool {
-    out.clear();
-    let mut ordered = true;
-    for value in row {
-        let key = order_key(value);
-        ordered &= key != NO_ORDER;
-        out.push([key; BLOCK_LANES]);
+pub fn splat_order_keys(row: &[f64], out: &mut [KeyLanes]) -> bool {
+    for (keys, &value) in out.iter_mut().zip(row) {
+        *keys = [order_key(value); BLOCK_LANES];
     }
-    ordered
+    !row.iter().any(|value| value.is_nan())
 }
 
 /// Whether the keys alone prove that every member of a block is mutually
@@ -225,12 +241,42 @@ pub fn splat_order_keys(row: impl IntoIterator<Item = f64>, out: &mut Vec<KeyLan
 /// caller may skip the exact kernel for the block; `false` proves nothing.
 ///
 /// `row` holds one broadcast key per column ([`splat_order_keys`]), `block`
-/// the same columns' key lanes. A [`NO_ORDER`] lane — padding, a NaN row —
-/// is never apart, so its block always reaches the exact kernel.
+/// the key lanes of at least those columns (a population block's violation
+/// lanes follow them and are not read). A [`NO_ORDER`] lane — padding, a
+/// NaN row — is never apart, so its block always reaches the exact kernel.
+///
+/// The column count is a constant, so the column loop is unrolled and the
+/// row's keys stay in registers across a scan: per column, one load, two
+/// packed 16-bit compares and two ORs. Scans reach it through
+/// [`filter_by_order_keys`].
+// borg-lint: hot-path
+#[inline(always)]
+pub fn keys_apart_block<const M: usize>(row: &[KeyLanes; M], block: &[KeyLanes]) -> bool {
+    let Some(block) = block.first_chunk::<M>() else {
+        return false;
+    };
+    let mut lt = [false; BLOCK_LANES];
+    let mut gt = [false; BLOCK_LANES];
+    for (xs, ys) in row.iter().zip(block) {
+        for l in 0..BLOCK_LANES {
+            lt[l] |= xs[l] < ys[l];
+            gt[l] |= ys[l] < xs[l];
+        }
+    }
+    let mut apart = true;
+    for l in 0..BLOCK_LANES {
+        apart &= lt[l] & gt[l];
+    }
+    apart
+}
+
+/// [`keys_apart_block`] for a column count known only at run time: the
+/// filter of rows wider than [`COMPILED_COLUMNS`], and the reference the
+/// compiled filter is tested against.
 // borg-lint: hot-path
 #[inline]
-pub fn keys_apart_block(row: &[KeyLanes], block: &[KeyLanes]) -> bool {
-    debug_assert_eq!(row.len(), block.len());
+pub fn keys_apart_block_dyn(row: &[KeyLanes], block: &[KeyLanes]) -> bool {
+    debug_assert!(row.len() <= block.len());
     let mut lt = [false; BLOCK_LANES];
     let mut gt = [false; BLOCK_LANES];
     for (xs, ys) in row.iter().zip(block) {
@@ -254,6 +300,67 @@ pub fn keys_apart_block(row: &[KeyLanes], block: &[KeyLanes]) -> bool {
         apart &= lt[l] & gt[l];
     }
     apart
+}
+
+/// A scan over a [`BlockedRows`](crate::matrix::BlockedRows) mirror that
+/// may skip the blocks an order-key filter settles. The population's
+/// replacement scan and the archive's insertion scan implement it, so that
+/// [`filter_by_order_keys`] can hand each the filter compiled for its
+/// candidate's column count, chosen once a scan.
+pub trait KeyedScan {
+    /// What the scan returns.
+    type Output;
+
+    /// Runs the scan. `apart(keys)` is the candidate's filter applied to a
+    /// block's key lanes: `true` proves the exact kernel would decide
+    /// nothing in that block.
+    fn run(self, apart: impl Fn(&[KeyLanes]) -> bool) -> Self::Output;
+}
+
+/// Runs `scan` with the order-key filter for `row`, the candidate's values
+/// in the mirror's column order: `keys_apart_block::<m>` with the row's
+/// broadcast keys on the stack for `m` up to [`COMPILED_COLUMNS`], the
+/// loop [`keys_apart_block_dyn`] beyond, and a filter that settles nothing
+/// when `row` holds a NaN.
+// borg-lint: hot-path
+pub fn filter_by_order_keys<S: KeyedScan>(row: &[f64], scan: S) -> S::Output {
+    match row.len() {
+        1 => compiled_filter::<1, S>(row, scan),
+        2 => compiled_filter::<2, S>(row, scan),
+        3 => compiled_filter::<3, S>(row, scan),
+        4 => compiled_filter::<4, S>(row, scan),
+        5 => compiled_filter::<5, S>(row, scan),
+        6 => compiled_filter::<6, S>(row, scan),
+        7 => compiled_filter::<7, S>(row, scan),
+        8 => compiled_filter::<8, S>(row, scan),
+        9 => compiled_filter::<9, S>(row, scan),
+        10 => compiled_filter::<10, S>(row, scan),
+        _ => {
+            let mut keys = [[NO_ORDER; BLOCK_LANES]; DYN_COLUMNS];
+            let keys = &mut keys[..row.len().min(DYN_COLUMNS)];
+            if !splat_order_keys(row, keys) {
+                return unfiltered(scan);
+            }
+            scan.run(|block| keys_apart_block_dyn(keys, block))
+        }
+    }
+}
+
+/// Runs `scan` with a filter that settles nothing: every block goes to the
+/// exact kernels.
+pub(crate) fn unfiltered<S: KeyedScan>(scan: S) -> S::Output {
+    scan.run(|_: &[KeyLanes]| false)
+}
+
+/// [`filter_by_order_keys`] for a row of exactly `M` values.
+// borg-lint: hot-path
+fn compiled_filter<const M: usize, S: KeyedScan>(row: &[f64], scan: S) -> S::Output {
+    debug_assert_eq!(row.len(), M);
+    let mut keys = [[NO_ORDER; BLOCK_LANES]; M];
+    if !splat_order_keys(row, &mut keys) {
+        return unfiltered(scan);
+    }
+    scan.run(move |block| keys_apart_block(&keys, block))
 }
 
 /// [`keys_apart_block`] for one pair of members, each given by the keys of
@@ -787,10 +894,30 @@ mod tests {
         }
     }
 
+    /// A scan of one block: what the filter a scan is handed says about it.
+    struct Ask<'a>(&'a [KeyLanes]);
+
+    impl KeyedScan for Ask<'_> {
+        type Output = bool;
+
+        fn run(self, apart: impl Fn(&[KeyLanes]) -> bool) -> bool {
+            apart(self.0)
+        }
+    }
+
+    /// The reference filter: the row keyed into a vector, asked of the
+    /// loop over its columns.
+    fn apart_by_loop(row: &[f64], keys: &[KeyLanes]) -> bool {
+        let mut row_keys = vec![[NO_ORDER; BLOCK_LANES]; row.len()];
+        splat_order_keys(row, &mut row_keys) && keys_apart_block_dyn(&row_keys, keys)
+    }
+
     /// Block and pair filters against the exact kernels over a palette that
     /// mixes values the keys separate, values inside one key step, NaN and
-    /// infinities: whenever the keys say "apart", the exact kernels decide
-    /// nothing; and the keys do say it when the values are far apart.
+    /// infinities, in blocks with and without padding: whenever the keys say
+    /// "apart", the exact kernels decide nothing; the filter a scan is
+    /// handed says what the loop over the columns says; and the keys do say
+    /// it when the values are far apart.
     #[test]
     fn keys_apart_only_where_the_exact_kernels_decide_nothing() {
         use rand::{Rng, SeedableRng};
@@ -810,13 +937,18 @@ mod tests {
             f64::NEG_INFINITY,
         ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let mut row_keys = Vec::new();
-        let (mut skipped, mut skipped_pairs) = (0, 0);
+        let (mut skipped, mut skipped_pairs, mut padded) = (0, 0, 0);
         for _ in 0..40_000 {
             let m = rng.gen_range(1..=10);
+            // One block in eight is short of members: padding lanes.
+            let occupied = if rng.gen_range(0..8) == 0 {
+                rng.gen_range(1..BLOCK_LANES)
+            } else {
+                BLOCK_LANES
+            };
             let mut draw = |_| palette[rng.gen_range(0..palette.len())];
             let row: Vec<f64> = (0..m).map(&mut draw).collect();
-            let members: Vec<Vec<f64>> = (0..BLOCK_LANES)
+            let members: Vec<Vec<f64>> = (0..occupied)
                 .map(|_| (0..m).map(&mut draw).collect())
                 .collect();
             let mut rows = crate::matrix::BlockedRows::default();
@@ -824,9 +956,16 @@ mod tests {
                 rows.push(member.iter().copied().chain([0.0]));
             }
             let (keys, block) = rows.blocks().next().expect("one block");
-            if splat_order_keys(row.iter().copied(), &mut row_keys)
-                && keys_apart_block(&row_keys, &keys[..m])
-            {
+            let apart = apart_by_loop(&row, &keys[..m]);
+            // Handed the population's block, violation lanes and all.
+            assert_eq!(
+                filter_by_order_keys(&row, Ask(keys)),
+                apart,
+                "{row:?} against {members:?}"
+            );
+            padded += usize::from(occupied < BLOCK_LANES);
+            if apart {
+                assert_eq!(occupied, BLOCK_LANES, "padding is never apart");
                 skipped += 1;
                 assert_eq!(constrained_dominance_block(&row, 0.0, block), None);
                 assert_eq!(box_key_block(&row, &block[..m]), None);
@@ -842,24 +981,69 @@ mod tests {
             }
         }
         assert!(
-            skipped > 100 && skipped_pairs > 10_000,
-            "{skipped} blocks, {skipped_pairs} pairs"
+            skipped > 100 && skipped_pairs > 10_000 && padded > 1_000,
+            "{skipped} blocks, {skipped_pairs} pairs, {padded} padded"
         );
         // Far apart along a front: the keys see it.
         let front = [[0.1, 0.9], [0.9, 0.1]];
-        splat_order_keys([0.5, 0.5], &mut row_keys);
+        let mut row_keys = [[NO_ORDER; BLOCK_LANES]; 2];
+        assert!(splat_order_keys(&[0.5, 0.5], &mut row_keys));
         let mut rows = crate::matrix::BlockedRows::default();
         for l in 0..BLOCK_LANES {
             rows.push(front[l % 2]);
         }
         let (keys, _) = rows.blocks().next().expect("one block");
         assert!(keys_apart_block(&row_keys, keys));
+        assert!(keys_apart_block_dyn(&row_keys, keys));
+        assert!(filter_by_order_keys(&[0.5, 0.5], Ask(keys)));
+        assert!(!filter_by_order_keys(&[0.5, f64::NAN], Ask(keys)));
+        assert!(
+            !keys_apart_block::<3>(&[[0; BLOCK_LANES]; 3], keys),
+            "short"
+        );
         assert!(keys_apart_pair(rows.packed_keys(0), rows.packed_keys(1)));
         assert!(!keys_apart_pair(rows.packed_keys(0), rows.packed_keys(2)));
         // One lane of padding and the block must be looked at exactly.
         rows.swap_remove(7);
         let (keys, _) = rows.blocks().next().expect("one block");
         assert!(!keys_apart_block(&row_keys, keys));
+        assert!(!filter_by_order_keys(&[0.5, 0.5], Ask(keys)));
+    }
+
+    /// Rows wider than the filter's stack buffer are filtered on their
+    /// first `DYN_COLUMNS` columns: a block apart there is settled, one
+    /// apart only further right goes to the exact kernels, and a NaN past
+    /// the buffer still silences the keys.
+    #[test]
+    fn wide_rows_are_filtered_on_their_leading_columns() {
+        let width = DYN_COLUMNS + 4;
+        let row = vec![0.5; width];
+        // Members on either side of the row in columns 0 and 1, or only in
+        // the last two columns.
+        let member = |lane: usize, first: usize| {
+            let mut values = vec![0.5; width];
+            values[first] = if lane.is_multiple_of(2) { 0.1 } else { 0.9 };
+            values[first + 1] = if lane.is_multiple_of(2) { 0.9 } else { 0.1 };
+            values
+        };
+        for (first, settled) in [(0, true), (width - 2, false)] {
+            let mut rows = crate::matrix::BlockedRows::default();
+            for l in 0..BLOCK_LANES {
+                rows.push(member(l, first).into_iter().chain([0.0]));
+            }
+            let (keys, block) = rows.blocks().next().expect("one block");
+            assert!(apart_by_loop(&row, keys), "the keys prove it either way");
+            assert_eq!(filter_by_order_keys(&row, Ask(keys)), settled);
+            assert_eq!(constrained_dominance_block(&row, 0.0, block), None);
+        }
+        let mut nan = row.clone();
+        nan[width - 1] = f64::NAN;
+        let mut rows = crate::matrix::BlockedRows::default();
+        for l in 0..BLOCK_LANES {
+            rows.push(member(l, 0));
+        }
+        let (keys, _) = rows.blocks().next().expect("one block");
+        assert!(!filter_by_order_keys(&nan, Ask(keys)));
     }
 
     #[test]

@@ -26,10 +26,13 @@
 //!   a whole block without a data-dependent branch; this is the only code
 //!   that decides a replacement;
 //! * **key lanes**: the 16-bit [`order_key`](crate::dominance::order_key)
-//!   of each lane, in the same layout. [`keys_apart_block`] reads them
-//!   first and proves most blocks mutually nondominated with the offspring
-//!   at a quarter of the bytes and a quarter of the packed compares, and the
-//!   scan in [`Population::offer_replacing`] skips those blocks;
+//!   of each lane, in the same layout. The filter compiled for the
+//!   offspring's objective count
+//!   ([`keys_apart_block`](crate::dominance::keys_apart_block), with the
+//!   offspring's keys in registers) reads them first and proves most
+//!   blocks mutually nondominated with the offspring at a quarter of the
+//!   bytes and a quarter of the packed compares, and the scan in
+//!   [`Population::offer_replacing`] skips those blocks;
 //! * **packed keys**: each member's keys again, row-major, 16 bytes a
 //!   member, for [`Population::tournament_select`], which reads random
 //!   members — one load where the member's lanes are spread over `m + 1`
@@ -41,20 +44,22 @@
 //! a NaN, and in the scan only when there are at least two full blocks to
 //! ask about ([`MIN_KEYED_BLOCKS`]); otherwise every block and pair goes
 //! to the exact code, as it did before there were keys. On
-//! `serial-dtlz2-5` the replacement scan went from 4.7 to 1.6 µs an
-//! evaluation and the tournaments from 5.9 to 1.4 µs (DESIGN.md §16); a
+//! `serial-dtlz2-5` the keys took the replacement scan from 4.7 to 1.6 µs
+//! an evaluation and the tournaments from 5.9 to 1.4 µs, and compiling the
+//! filter for each objective count took the scan from 1.44 to 0.94 µs
+//! (DESIGN.md §16); a
 //! population of 100 in two objectives in which every block holds a decided
 //! lane pays about 4 ns for each block the keys looked at in vain, and every
 //! member written pays about 8 ns for its keys.
 //!
-//! Neither path allocates per offspring (the dominated-index list and the
-//! offspring's keys are reused scratch buffers), and neither changes a
-//! decision: the scalar scan and tournament survive under `#[cfg(test)]` as
-//! the oracle of a differential property test.
+//! Neither path allocates per offspring (the dominated-index list is a
+//! reused scratch buffer, the offspring's keys live on the stack), and
+//! neither changes a decision: the scalar scan and tournament survive under
+//! `#[cfg(test)]` as the oracle of a differential property test.
 
 use crate::dominance::{
-    constrained_dominance_block, constrained_dominance_columns, keys_apart_block, keys_apart_pair,
-    splat_order_keys, Dominance, KeyLanes, BLOCK_LANES, MIN_KEYED_BLOCKS,
+    constrained_dominance_block, constrained_dominance_columns, filter_by_order_keys,
+    keys_apart_pair, unfiltered, Dominance, KeyLanes, KeyedScan, BLOCK_LANES, MIN_KEYED_BLOCKS,
 };
 use crate::matrix::BlockedRows;
 use crate::solution::Solution;
@@ -88,8 +93,6 @@ pub struct Population {
     capacity: usize,
     /// Reused dominated-member index list for `offer`.
     scratch_dominated: Vec<usize>,
-    /// Reused broadcast order keys of the offspring being scanned.
-    scratch_keys: Vec<KeyLanes>,
 }
 
 impl Population {
@@ -105,7 +108,6 @@ impl Population {
             violating: 0,
             capacity,
             scratch_dominated: Vec::new(),
-            scratch_keys: Vec::new(),
         }
     }
 
@@ -250,28 +252,18 @@ impl Population {
         self.scratch_dominated.clear();
         let full = self.members.len() / BLOCK_LANES;
         let none_violates = self.violating + usize::from(violation > 0.0) == 0;
-        let keyed = full >= MIN_KEYED_BLOCKS
-            && none_violates
-            && splat_order_keys(objectives.iter().copied(), &mut self.scratch_keys);
-        let keyed_blocks = if keyed { full } else { 0 };
-        let row_keys = self.scratch_keys.as_slice();
-        for (b, (keys, block)) in self.blocked.blocks().enumerate() {
-            if b < keyed_blocks && keys_apart_block(row_keys, &keys[..objectives.len()]) {
-                continue;
-            }
-            let Some(lanes) = constrained_dominance_block(objectives, violation, block) else {
-                continue;
-            };
-            if lanes.contains(&Dominance::DominatedBy) {
-                return true;
-            }
-            for (l, &lane) in lanes.iter().enumerate() {
-                if lane == Dominance::Dominates {
-                    self.scratch_dominated.push(b * BLOCK_LANES + l);
-                }
-            }
+        let scan = ReplacementScan {
+            blocked: &self.blocked,
+            dominated: &mut self.scratch_dominated,
+            objectives,
+            violation,
+            keyed_blocks: full,
+        };
+        if full >= MIN_KEYED_BLOCKS && none_violates {
+            filter_by_order_keys(objectives, scan)
+        } else {
+            unfiltered(scan)
         }
-        false
     }
 
     /// Tournament selection of one parent with tournament size `k`.
@@ -384,6 +376,44 @@ impl Population {
             ));
         }
         Ok(())
+    }
+}
+
+/// [`Population::scan`]'s loop, over the blocks of the mirror.
+struct ReplacementScan<'a> {
+    blocked: &'a BlockedRows,
+    /// Where the indices of the members the offspring dominates go.
+    dominated: &'a mut Vec<usize>,
+    objectives: &'a [f64],
+    violation: f64,
+    /// The blocks the filter is asked about: the full ones.
+    keyed_blocks: usize,
+}
+
+impl KeyedScan for ReplacementScan<'_> {
+    /// Whether a member dominates the offspring.
+    type Output = bool;
+
+    // borg-lint: hot-path
+    fn run(self, apart: impl Fn(&[KeyLanes]) -> bool) -> bool {
+        let (objectives, violation) = (self.objectives, self.violation);
+        for (b, (keys, block)) in self.blocked.blocks().enumerate() {
+            if b < self.keyed_blocks && apart(keys) {
+                continue;
+            }
+            let Some(lanes) = constrained_dominance_block(objectives, violation, block) else {
+                continue;
+            };
+            if lanes.contains(&Dominance::DominatedBy) {
+                return true;
+            }
+            for (l, &lane) in lanes.iter().enumerate() {
+                if lane == Dominance::Dominates {
+                    self.dominated.push(b * BLOCK_LANES + l);
+                }
+            }
+        }
+        false
     }
 }
 
@@ -883,11 +913,15 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(160))]
 
             /// Sizes on both sides of one block and of eight; widths from
-            /// the single-objective degenerate case to ten.
+            /// the single-objective degenerate case to seventeen: both
+            /// sides of eight columns, past which a tournament's packed
+            /// keys hold a prefix of the row, of `COMPILED_COLUMNS`, past
+            /// which the scan's filter is the loop, and of the sixteen
+            /// columns that loop is given.
             #[test]
             fn blocked_kernels_match_the_scalar_oracle(
                 size in prop::sample::select(vec![1usize, 7, 8, 9, 63, 64, 65, 1_000]),
-                m in prop::sample::select(vec![1usize, 2, 3, 5, 10]),
+                m in prop::sample::select(vec![1usize, 2, 3, 4, 5, 8, 9, 10, 11, 17]),
                 seed in 0u64..u64::MAX,
             ) {
                 drive(size, m, seed)?;

@@ -350,6 +350,18 @@ proptest! {
     }
 }
 
+/// The same streams, at least once at every width around a boundary of
+/// the order-key filter: eight columns, the last count the filter is
+/// compiled for (`COMPILED_COLUMNS` = 10) and the one after it, and past
+/// the sixteen columns the loop beyond it is given. Each archive grows past
+/// 65 members, so the filter is asked about full blocks.
+#[test]
+fn blocked_scan_matches_linear_around_the_compiled_filter() {
+    for m in [4usize, 7, 8, 9, 10, 11, 17] {
+        drive_mixed(m, 0x5EED + m as u64).unwrap_or_else(|e| panic!("m = {m}: {e}"));
+    }
+}
+
 /// Objectives whose keys are where the `f64` lanes could go wrong if the
 /// exactness argument in `archive.rs` did not hold: not a number, infinite,
 /// saturating the `i64` cast on either side, signed zeros, and around 2⁵³

@@ -1,12 +1,13 @@
-//! One-process ratio test (ROADMAP item 4a): the order-key filter against
-//! the exact kernel it stands in front of, over the same blocks, timed in
-//! the same process so the host's speed cancels. Timing needs an optimised
-//! build and a quiet moment, so the test is ignored by default; `ci.sh`
-//! runs it with `cargo test --release -p borg-core --test kernel_ratio --
-//! --ignored`.
+//! One-process ratio test (ROADMAP item 4a): the order-key filter the
+//! scans are handed against the exact kernel it stands in front of, and
+//! against the loop it replaced, over the same blocks, timed in the same
+//! process so the host's speed cancels. Timing needs an optimised build and
+//! a quiet moment, so the test is ignored by default; `ci.sh` runs it with
+//! `cargo test --release -p borg-core --test kernel_ratio -- --ignored`.
 
 use borg_core::dominance::{
-    constrained_dominance_block, keys_apart_block, splat_order_keys, BLOCK_LANES,
+    constrained_dominance_block, filter_by_order_keys, keys_apart_block_dyn, splat_order_keys,
+    KeyLanes, KeyedScan, BLOCK_LANES, COMPILED_COLUMNS,
 };
 use borg_core::matrix::BlockedRows;
 use rand::rngs::StdRng;
@@ -15,67 +16,115 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 const MEMBERS: usize = 12_288;
-const OBJECTIVES: usize = 5;
+const BLOCKS: usize = MEMBERS / BLOCK_LANES;
 
-/// A point of the positive unit sphere, DTLZ2's front: any two are mutually
-/// nondominated, almost always by more than a key step.
-fn sphere_point(rng: &mut StdRng) -> Vec<f64> {
-    let mut objs: Vec<f64> = (0..OBJECTIVES).map(|_| rng.gen_range(0.05..1.0)).collect();
+/// A point of the positive unit sphere in `m` dimensions, DTLZ2's front:
+/// any two are mutually nondominated, almost always by more than a key
+/// step.
+fn sphere_point(m: usize, rng: &mut StdRng) -> Vec<f64> {
+    let mut objs: Vec<f64> = (0..m).map(|_| rng.gen_range(0.05..1.0)).collect();
     let norm = objs.iter().map(|x| x * x).sum::<f64>().sqrt();
     objs.iter_mut().for_each(|x| *x /= norm);
     objs
 }
 
+/// A population's mirror of `MEMBERS` sphere points (objectives, then a
+/// zero violation) and an offspring on the same sphere.
+fn population(m: usize, seed: u64) -> (BlockedRows, Vec<f64>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rows = BlockedRows::default();
+    for _ in 0..MEMBERS {
+        rows.push(sphere_point(m, &mut rng).into_iter().chain([0.0]));
+    }
+    (rows, sphere_point(m, &mut rng))
+}
+
+/// A scan that counts the blocks the filter it is handed settles.
+struct CountApart<'a>(&'a BlockedRows);
+
+impl KeyedScan for CountApart<'_> {
+    type Output = usize;
+
+    fn run(self, apart: impl Fn(&[KeyLanes]) -> bool) -> usize {
+        self.0.blocks().filter(|(keys, _)| apart(keys)).count()
+    }
+}
+
+/// The filter the population's scan is handed for `offspring`: the entry
+/// point, dispatch included.
+fn dispatched(rows: &BlockedRows, offspring: &[f64]) -> usize {
+    filter_by_order_keys(offspring, CountApart(rows))
+}
+
+/// The loop over the columns, on keys broadcast beforehand.
+fn by_loop(rows: &BlockedRows, keys: &[KeyLanes]) -> usize {
+    rows.blocks()
+        .filter(|(order, _)| keys_apart_block_dyn(keys, order))
+        .count()
+}
+
 /// The fastest of five passes of 64 scans each.
 fn best_of_5(mut scan: impl FnMut() -> usize) -> (Duration, usize) {
     let mut best = Duration::MAX;
-    let mut skipped = 0;
+    let mut counted = 0;
     for _ in 0..5 {
         let start = Instant::now();
         for _ in 0..64 {
-            skipped = black_box(scan());
+            counted = black_box(scan());
         }
         best = best.min(start.elapsed());
     }
-    (best, skipped)
+    (best, counted)
+}
+
+fn per_block_ns(scans: Duration) -> f64 {
+    scans.as_secs_f64() * 1e9 / (64 * BLOCKS) as f64
 }
 
 #[test]
 #[ignore = "wall-clock ratio; ci.sh runs it in release"]
-fn keyed_scan_is_at_least_twice_as_fast_as_the_exact_kernel() {
-    let mut rng = StdRng::seed_from_u64(17);
-    // The population's mirror: objectives, then a zero violation.
-    let mut rows = BlockedRows::default();
-    for _ in 0..MEMBERS {
-        rows.push(sphere_point(&mut rng).into_iter().chain([0.0]));
-    }
-    let offspring = sphere_point(&mut rng);
-    let mut keys = Vec::new();
-    assert!(splat_order_keys(offspring.iter().copied(), &mut keys));
-
-    let blocks = MEMBERS / BLOCK_LANES;
+fn keyed_scan_outruns_the_exact_kernel_five_times_and_the_loop_at_every_count() {
+    let (rows, offspring) = population(5, 17);
     let (exact, undecided) = best_of_5(|| {
         rows.blocks()
             .filter(|(_, block)| constrained_dominance_block(&offspring, 0.0, block).is_none())
             .count()
     });
-    let (keyed, apart) = best_of_5(|| {
-        rows.blocks()
-            .filter(|(order, _)| keys_apart_block(&keys, &order[..OBJECTIVES]))
-            .count()
-    });
+    let (keyed, apart) = best_of_5(|| dispatched(&rows, &offspring));
     // The comparison is fair only if the keys settle what the exact kernel
     // would have: nearly every block, and none it would have decided.
-    assert!(apart <= undecided && undecided <= blocks);
+    assert!(apart <= undecided && undecided <= BLOCKS);
     assert!(
-        apart * 100 >= blocks * 99,
-        "{apart} of {blocks} blocks apart"
+        apart * 100 >= BLOCKS * 99,
+        "{apart} of {BLOCKS} blocks apart"
     );
     let ratio = exact.as_secs_f64() / keyed.as_secs_f64();
     println!(
-        "exact {:.2} µs, keyed {:.2} µs a scan of {MEMBERS} members: x{ratio:.2}",
-        exact.as_secs_f64() * 1e6 / 64.0,
-        keyed.as_secs_f64() * 1e6 / 64.0,
+        "exact {:.2} ns, keyed {:.2} ns a block of a {MEMBERS}-member scan: x{ratio:.2}",
+        per_block_ns(exact),
+        per_block_ns(keyed),
     );
-    assert!(ratio >= 2.0, "keyed scan only x{ratio:.2} the exact kernel");
+    assert!(ratio >= 5.0, "keyed scan only x{ratio:.2} the exact kernel");
+
+    // Every column count with a compiled filter, handed to a scan through
+    // the dispatch, against the loop it replaced: a count that silently
+    // fell back to the loop, or whose instantiation LLVM compiled worse
+    // than the loop, reads about x1. One column can never be apart (it
+    // would have to be above and below the row at once), so that filter
+    // is `false` and there is nothing to time.
+    for m in 2..=COMPILED_COLUMNS {
+        let (rows, offspring) = population(m, 17 + m as u64);
+        let mut keys = vec![[0; BLOCK_LANES]; m];
+        assert!(splat_order_keys(&offspring, &mut keys));
+        let (looped, expected) = best_of_5(|| by_loop(&rows, &keys));
+        let (compiled, apart) = best_of_5(|| dispatched(&rows, &offspring));
+        assert_eq!(apart, expected, "m = {m}");
+        let ratio = looped.as_secs_f64() / compiled.as_secs_f64();
+        println!(
+            "m = {m:2}: loop {:.2} ns, compiled {:.2} ns a block: x{ratio:.2}",
+            per_block_ns(looped),
+            per_block_ns(compiled),
+        );
+        assert!(ratio >= 1.25, "m = {m}: compiled filter only x{ratio:.2}");
+    }
 }

@@ -114,15 +114,6 @@ impl<E> EventQueue<E> {
     pub fn next_time(&self) -> Option<Time> {
         self.heap.peek().map(|e| e.time)
     }
-
-    /// Counts pending events with timestamps `<= t` that satisfy `pred`
-    /// (O(n); used for sampled queue-length statistics).
-    pub fn count_at_or_before(&self, t: Time, pred: impl Fn(&E) -> bool) -> usize {
-        self.heap
-            .iter()
-            .filter(|e| e.time <= t && pred(&e.event))
-            .count()
-    }
 }
 
 #[cfg(test)]

@@ -81,8 +81,6 @@ pub struct RunOutcome {
     pub mean_wait: f64,
     /// Worst wait.
     pub max_wait: f64,
-    /// Longest master queue observed (results waiting simultaneously).
-    pub max_queue: usize,
     /// Worker evaluations whose results never advanced the run (lost to
     /// crashes, dropped messages, or duplicate suppression). Always 0
     /// without fault injection; stragglers inflate `elapsed` but are
@@ -274,7 +272,6 @@ pub fn run_sync<H: MasterSlaveHooks, R: Recorder + ?Sized>(
         master_utilization: transport.master_busy / elapsed,
         mean_wait: 0.0,
         max_wait: 0.0,
-        max_queue: 0,
         wasted_nfe: 0,
     }
 }
@@ -331,10 +328,8 @@ struct AsyncDesTransport<'a, H: MasterSlaveHooks, R: Recorder + ?Sized> {
     queue: EventQueue<DesEvent>,
     master_free_at: f64,
     master_busy: f64,
-    consumed: u64,
     wait_sum: f64,
     wait_max: f64,
-    max_queue: usize,
     pending_algo: Option<f64>,
 }
 
@@ -482,19 +477,6 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for AsyncDesTransport<
         let wait = grant - ready_at;
         self.wait_sum += wait;
         self.wait_max = self.wait_max.max(wait);
-
-        // Queue length at grant time: every result ready at or before the
-        // grant is necessarily already in the event heap (time only moves
-        // forward), so counting the pending arrivals is exact. Sampled to
-        // bound the O(W) scan cost on large topologies.
-        if self.consumed.is_multiple_of(32) {
-            let waiting = self
-                .queue
-                .count_at_or_before(grant, |e| matches!(e, DesEvent::Arrival { .. }));
-            self.max_queue = self.max_queue.max(1 + waiting);
-        }
-        self.consumed += 1;
-
         self.rec
             .span(Actor::Worker(worker), Activity::Idle, ready_at, grant);
         let tc_in = self.hooks.comm_time();
@@ -610,10 +592,8 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
         queue: EventQueue::new(),
         master_free_at: 0.0,
         master_busy: 0.0,
-        consumed: 0,
         wait_sum: 0.0,
         wait_max: 0.0,
-        max_queue: 0,
         pending_algo: None,
     };
     let mut engine = MasterEngine::new(config);
@@ -673,7 +653,6 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     let master_busy = transport.master_busy;
     let wait_sum = transport.wait_sum;
     let wait_max = transport.wait_max;
-    let max_queue = transport.max_queue;
     let commands = engine.take_commands();
     let mut log = engine.into_log();
     log.finalize(end);
@@ -688,7 +667,6 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
             master_utilization: master_busy / elapsed,
             mean_wait: wait_sum / completed.max(1) as f64,
             max_wait: wait_max,
-            max_queue,
             wasted_nfe: log.wasted_nfe,
         },
         fault_log: log,
@@ -905,8 +883,8 @@ mod tests {
     use crate::perfsim::{simulate_async_traced, PerfSimConfig, TimingModel};
 
     /// `[elapsed, master_busy, master_utilization, mean_wait, max_wait]`
-    /// bits plus `(completed, max_queue, wasted_nfe)`.
-    fn outcome_bits(o: &RunOutcome) -> ([u64; 5], (u64, usize, u64)) {
+    /// bits plus `(completed, wasted_nfe)`.
+    fn outcome_bits(o: &RunOutcome) -> ([u64; 5], (u64, u64)) {
         (
             [
                 o.elapsed.to_bits(),
@@ -915,7 +893,7 @@ mod tests {
                 o.mean_wait.to_bits(),
                 o.max_wait.to_bits(),
             ],
-            (o.completed, o.max_queue, o.wasted_nfe),
+            (o.completed, o.wasted_nfe),
         )
     }
 
@@ -941,7 +919,6 @@ mod tests {
                     0,
                     0,
                 ],
-                1,
             ),
             (
                 (15, 2_000),
@@ -952,7 +929,6 @@ mod tests {
                     0x3ebf_b57c_f9fb_bb19,
                     0x3f40_83db_c233_15ce,
                 ],
-                1,
             ),
             (
                 (255, 20_000),
@@ -963,12 +939,11 @@ mod tests {
                     0x3f83_ae41_0a50_0f47,
                     0x3f83_ccd0_fe8a_bd20,
                 ],
-                231,
             ),
         ];
-        for ((w, n), floats, max_queue) in pins {
+        for ((w, n), floats) in pins {
             let out = run_async(&mut ConstHooks { t }, w, n, &NoopRecorder);
-            assert_eq!(outcome_bits(&out), (floats, (n, max_queue, 0)), "W={w}");
+            assert_eq!(outcome_bits(&out), (floats, (n, 0)), "W={w}");
         }
     }
 
@@ -984,7 +959,6 @@ mod tests {
                     0,
                     0,
                 ],
-                1,
             ),
             (
                 (15, 2_000),
@@ -995,7 +969,6 @@ mod tests {
                     0x3ef6_1f27_e7e6_c79a,
                     0x3f24_ff89_0770_d400,
                 ],
-                3,
             ),
             (
                 (255, 20_000),
@@ -1006,12 +979,11 @@ mod tests {
                     0x3f83_c747_cbc4_72ad,
                     0x3f84_2e40_364f_bd42,
                 ],
-                234,
             ),
         ];
-        for ((w, n), floats, max_queue) in pins {
+        for ((w, n), floats) in pins {
             let out = simulate_async_traced(&sampling_config(w, n), &NoopRecorder).outcome;
-            assert_eq!(outcome_bits(&out), (floats, (n, max_queue, 0)), "W={w}");
+            assert_eq!(outcome_bits(&out), (floats, (n, 0)), "W={w}");
         }
     }
 
@@ -1077,10 +1049,13 @@ mod tests {
 
     #[test]
     fn saturated_faulty_run_tracks_the_master_queue() {
-        // Tiny T_F, many workers, faults on: results pile up at the master
-        // and the queue statistic sees them (pending arrivals only —
-        // deadline and heartbeat events never count).
+        // Tiny T_F, many workers, faults on: results pile up at the master,
+        // and the waits show it. In master holds of `2 T_C + T_A`, a
+        // result waits behind more than half the pool on average and
+        // behind no more than two results per worker (a duplicate doubles
+        // one).
         let t = TimingParams::new(0.000_1, 0.000_006, 0.000_03);
+        let hold = 2.0 * t.t_c + t.t_a;
         let n = 4_000;
         let cfg = FaultConfig {
             drop_rate: 0.02,
@@ -1091,10 +1066,10 @@ mod tests {
         let out = run_faulty(t, 64, n, &plan);
         assert_eq!(out.outcome.completed, n);
         assert!(out.fault_log.injected() > 0);
+        let (mean, max) = (out.outcome.mean_wait / hold, out.outcome.max_wait / hold);
         assert!(
-            out.outcome.max_queue > 1 && out.outcome.max_queue <= 2 * 64,
-            "max_queue = {}",
-            out.outcome.max_queue
+            mean > 32.0 && max <= 2.0 * 64.0,
+            "mean wait {mean:.1}, worst {max:.1} holds"
         );
     }
 

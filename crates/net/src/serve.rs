@@ -270,6 +270,11 @@ fn await_hello(conn: &mut Conn, deadline: Instant) -> Result<u64, NetError> {
     }
 }
 
+/// First and longest sleep of [`register_pool`] between `accept`s that
+/// find nobody.
+const IDLE_ACCEPT_FIRST: Duration = Duration::from_micros(50);
+const IDLE_ACCEPT_MAX: Duration = Duration::from_millis(2);
+
 /// Accepts and registers the full worker pool. `pub(crate)` so the
 /// chaos harness can register proxy-splice connections itself.
 pub(crate) fn register_pool(
@@ -279,6 +284,10 @@ pub(crate) fn register_pool(
     listener.set_nonblocking(true)?;
     let deadline = Instant::now() + cfg.register_timeout;
     let mut conns: Vec<Conn> = Vec::with_capacity(cfg.workers);
+    // Nobody waiting: sleep, 50 µs first and twice as long each time up to
+    // 2 ms, so a pool that is already dialling registers within
+    // microseconds and a slow one settles at the fixed 2 ms poll.
+    let mut idle = IDLE_ACCEPT_FIRST;
     while conns.len() < cfg.workers {
         if Instant::now() > deadline {
             return Err(NetError::Protocol(format!(
@@ -289,9 +298,11 @@ pub(crate) fn register_pool(
             )));
         }
         let Some(stream) = listener.accept(cfg.read_timeout)? else {
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(idle);
+            idle = (idle * 2).min(IDLE_ACCEPT_MAX);
             continue;
         };
+        idle = IDLE_ACCEPT_FIRST;
         let mut conn = Conn::new(stream);
         await_hello(&mut conn, deadline)?;
         let worker = conns.len() as u64;

@@ -516,7 +516,6 @@ where
             master_utilization: 1.0,
             mean_wait: 0.0,
             max_wait: 0.0,
-            max_queue: 0,
             wasted_nfe: 0,
         },
         engine,
