@@ -57,18 +57,18 @@
 //! [`order_key`](crate::dominance::order_key) beside every lane — the same
 //! monotone key the population uses on objectives, here applied to box
 //! coordinates, which it tells apart exactly up to ±256 and in steps of 2,
-//! 4, 8 … beyond — and `decide` asks the filter compiled for the candidate's
-//! column count ([`keys_apart_block`](crate::dominance::keys_apart_block))
-//! first: `true` proves that [`box_key_block`] would return `None`, so the
-//! block is skipped (and still counted in `box_probes`); anything else — a
-//! tie between coarse keys, a block with padding — goes to the exact lanes
-//! as before. The scan already runs only between feasible solutions and a
-//! box coordinate is never NaN, so the keys need no guard here beyond the
-//! one of size: an archive with fewer than two full blocks
-//! ([`MIN_KEYED_BLOCKS`]) does not ask them. On `serial-dtlz2-5` they settle 99.1 % of the blocks and took an
-//! offer to the 3 825-member archive from 1.9 to 0.9 µs; compiling the
-//! filter for each objective count took it from 0.81 to 0.54 µs
-//! (DESIGN.md §16).
+//! 4, 8 … beyond — and `decide` asks the order-key filter
+//! ([`filter_by_order_keys`], at two and five objectives compiled for the
+//! count with the candidate's keys in registers) first: `true` proves that
+//! [`box_key_block`] would return `None`, so the block is skipped (and
+//! still counted in `box_probes`); anything else — a tie between coarse
+//! keys, a block with padding — goes to the exact lanes as before. The scan
+//! already runs only between feasible solutions and a box coordinate is
+//! never NaN, so the keys need no guard here beyond the one of size: an
+//! archive with fewer than two full blocks ([`MIN_KEYED_BLOCKS`]) does not
+//! ask them. On `serial-dtlz2-5` they settle 99.1 % of the blocks and took
+//! an offer to the 3 825-member archive from 1.9 to 0.9 µs; compiling the
+//! filter for five objectives took it from 0.81 to 0.54 µs (DESIGN.md §16).
 //!
 //! ## Why no index
 //!
@@ -223,6 +223,9 @@ pub struct EpsilonArchive {
     operator_credits: Vec<u64>,
     /// Reusable candidate box key, as lane values.
     scratch_key: Vec<f64>,
+    /// The candidate key's order keys, broadcast for the block filter of an
+    /// objective count it is not compiled for.
+    scratch_order: Vec<KeyLanes>,
     /// Reusable eviction slot list.
     scratch_dominated: Vec<usize>,
 }
@@ -253,6 +256,7 @@ impl EpsilonArchive {
             box_probes: 0,
             operator_credits: Vec::new(),
             scratch_key: Vec::with_capacity(m),
+            scratch_order: Vec::new(),
             scratch_dominated: Vec::new(),
         }
     }
@@ -459,7 +463,7 @@ impl EpsilonArchive {
             keyed_blocks: full,
         };
         if full >= MIN_KEYED_BLOCKS {
-            filter_by_order_keys(&self.scratch_key, scan)
+            filter_by_order_keys(&self.scratch_key, &mut self.scratch_order, scan)
         } else {
             unfiltered(scan)
         }

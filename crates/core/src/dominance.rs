@@ -37,11 +37,12 @@
 //! unchanged, which remain the only code that produces a [`Dominance`], a
 //! comparison mask or a tournament win.
 //!
-//! The block filter is the hot loop of both scans, so it is compiled once
-//! per column count up to [`COMPILED_COLUMNS`]: the two scans implement
-//! [`KeyedScan`], and [`filter_by_order_keys`] picks the instantiation from
-//! the candidate's row length once a scan and hands it the candidate's keys
-//! on the stack. Wider rows get the loop [`keys_apart_block_dyn`].
+//! The block filter is the hot loop of both scans, so it is compiled for
+//! the objective counts the benchmark and the paper's problems have
+//! ([`COMPILED_COLUMNS`]): the two scans implement [`KeyedScan`], and
+//! [`filter_by_order_keys`] picks the instantiation from the candidate's
+//! row length once a scan and hands it the candidate's keys on the stack.
+//! Rows of any other width keep the loop [`keys_apart_block_dyn`].
 
 use crate::solution::Solution;
 use std::hint::black_box;
@@ -207,26 +208,20 @@ pub fn order_key(x: f64) -> i16 {
 /// a two-objective run (`virtual-p1024`) stay on the exact kernels alone.
 pub const MIN_KEYED_BLOCKS: usize = 2;
 
-/// The widest row the order-key filter is compiled for (the arms of
-/// [`filter_by_order_keys`]): a row of `m` ≤ this many columns is filtered
-/// by `keys_apart_block::<m>`, a wider one by the loop
-/// [`keys_apart_block_dyn`]. Every count measured, 2 to 12, runs faster
-/// compiled; past ten, each count would be two more copies of the scan
-/// loops for rows no experiment or benchmark produces (DESIGN.md §16).
-pub const COMPILED_COLUMNS: usize = 10;
+/// The column counts the order-key filter is compiled for, the arms of
+/// [`filter_by_order_keys`]: the objective counts of the benchmark's
+/// workloads and of the paper's two problems. A row of any other width
+/// keeps the loop [`keys_apart_block_dyn`] (DESIGN.md §16).
+pub const COMPILED_COLUMNS: [usize; 2] = [2, 5];
 
-/// Columns of a wider row that [`keys_apart_block_dyn`] is given: its
-/// broadcast keys live on the stack too. Fewer columns prove less, never
-/// more — a lane apart in some columns is apart in all of them.
-const DYN_COLUMNS: usize = 16;
-
-/// Writes the [`order_key`] of each of `row`'s first `out.len()` values,
-/// broadcast to all lanes, into `out` — the form the block filters want
-/// their row in. Returns `false` when any value of `row` is NaN: such a row
-/// has no order and must go to the exact kernels.
+/// Writes each value's [`order_key`], broadcast to all lanes, into the
+/// same position of `out` — the form the block filters want their row in.
+/// Returns `false` when a value is NaN: such a row has no order and must go
+/// to the exact kernels.
 // borg-lint: hot-path
 #[inline]
 pub fn splat_order_keys(row: &[f64], out: &mut [KeyLanes]) -> bool {
+    debug_assert_eq!(row.len(), out.len());
     for (keys, &value) in out.iter_mut().zip(row) {
         *keys = [order_key(value); BLOCK_LANES];
     }
@@ -271,8 +266,8 @@ pub fn keys_apart_block<const M: usize>(row: &[KeyLanes; M], block: &[KeyLanes])
 }
 
 /// [`keys_apart_block`] for a column count known only at run time: the
-/// filter of rows wider than [`COMPILED_COLUMNS`], and the reference the
-/// compiled filter is tested against.
+/// filter of rows whose width is not in [`COMPILED_COLUMNS`], and the
+/// reference the compiled filter is tested and timed against.
 // borg-lint: hot-path
 #[inline]
 pub fn keys_apart_block_dyn(row: &[KeyLanes], block: &[KeyLanes]) -> bool {
@@ -305,8 +300,8 @@ pub fn keys_apart_block_dyn(row: &[KeyLanes], block: &[KeyLanes]) -> bool {
 /// A scan over a [`BlockedRows`](crate::matrix::BlockedRows) mirror that
 /// may skip the blocks an order-key filter settles. The population's
 /// replacement scan and the archive's insertion scan implement it, so that
-/// [`filter_by_order_keys`] can hand each the filter compiled for its
-/// candidate's column count, chosen once a scan.
+/// [`filter_by_order_keys`] can hand each the filter for its candidate's
+/// column count, chosen once a scan.
 pub trait KeyedScan {
     /// What the scan returns.
     type Output;
@@ -318,29 +313,28 @@ pub trait KeyedScan {
 }
 
 /// Runs `scan` with the order-key filter for `row`, the candidate's values
-/// in the mirror's column order: `keys_apart_block::<m>` with the row's
-/// broadcast keys on the stack for `m` up to [`COMPILED_COLUMNS`], the
-/// loop [`keys_apart_block_dyn`] beyond, and a filter that settles nothing
-/// when `row` holds a NaN.
+/// in the mirror's column order: for a width in [`COMPILED_COLUMNS`],
+/// `keys_apart_block::<m>` with the row's broadcast keys on the stack; for
+/// any other width, the loop [`keys_apart_block_dyn`] with them in `spill`,
+/// a buffer the caller reuses. A row holding a NaN gets a filter that
+/// settles nothing, and so does a one-column row, which can never be apart
+/// (it would have to be above and below the row in the same column).
 // borg-lint: hot-path
-pub fn filter_by_order_keys<S: KeyedScan>(row: &[f64], scan: S) -> S::Output {
+pub fn filter_by_order_keys<S: KeyedScan>(
+    row: &[f64],
+    spill: &mut Vec<KeyLanes>,
+    scan: S,
+) -> S::Output {
     match row.len() {
-        1 => compiled_filter::<1, S>(row, scan),
+        0 | 1 => unfiltered(scan),
         2 => compiled_filter::<2, S>(row, scan),
-        3 => compiled_filter::<3, S>(row, scan),
-        4 => compiled_filter::<4, S>(row, scan),
         5 => compiled_filter::<5, S>(row, scan),
-        6 => compiled_filter::<6, S>(row, scan),
-        7 => compiled_filter::<7, S>(row, scan),
-        8 => compiled_filter::<8, S>(row, scan),
-        9 => compiled_filter::<9, S>(row, scan),
-        10 => compiled_filter::<10, S>(row, scan),
-        _ => {
-            let mut keys = [[NO_ORDER; BLOCK_LANES]; DYN_COLUMNS];
-            let keys = &mut keys[..row.len().min(DYN_COLUMNS)];
-            if !splat_order_keys(row, keys) {
+        m => {
+            spill.resize(m, [NO_ORDER; BLOCK_LANES]);
+            if !splat_order_keys(row, spill) {
                 return unfiltered(scan);
             }
+            let keys = spill.as_slice();
             scan.run(|block| keys_apart_block_dyn(keys, block))
         }
     }
@@ -905,19 +899,22 @@ mod tests {
         }
     }
 
-    /// The reference filter: the row keyed into a vector, asked of the
-    /// loop over its columns.
+    /// The reference filter: the row keyed into a fresh vector and asked of
+    /// the loop over its columns; silent if any value of the row is NaN.
     fn apart_by_loop(row: &[f64], keys: &[KeyLanes]) -> bool {
-        let mut row_keys = vec![[NO_ORDER; BLOCK_LANES]; row.len()];
-        splat_order_keys(row, &mut row_keys) && keys_apart_block_dyn(&row_keys, keys)
+        let row_keys: Vec<KeyLanes> = row
+            .iter()
+            .map(|&value| [order_key(value); BLOCK_LANES])
+            .collect();
+        !row.iter().any(|value| value.is_nan()) && keys_apart_block_dyn(&row_keys, keys)
     }
 
     /// Block and pair filters against the exact kernels over a palette that
     /// mixes values the keys separate, values inside one key step, NaN and
     /// infinities, in blocks with and without padding: whenever the keys say
     /// "apart", the exact kernels decide nothing; the filter a scan is
-    /// handed says what the loop over the columns says; and the keys do say
-    /// it when the values are far apart.
+    /// handed, compiled or not, says what the loop over the columns says;
+    /// and the keys do say it when the values are far apart.
     #[test]
     fn keys_apart_only_where_the_exact_kernels_decide_nothing() {
         use rand::{Rng, SeedableRng};
@@ -938,6 +935,8 @@ mod tests {
         ];
         let mut rng = rand::rngs::StdRng::seed_from_u64(5);
         let (mut skipped, mut skipped_pairs, mut padded) = (0, 0, 0);
+        // Reused across widths, as a scan's owner reuses it across offers.
+        let mut spill = Vec::new();
         for _ in 0..40_000 {
             let m = rng.gen_range(1..=10);
             // One block in eight is short of members: padding lanes.
@@ -959,7 +958,7 @@ mod tests {
             let apart = apart_by_loop(&row, &keys[..m]);
             // Handed the population's block, violation lanes and all.
             assert_eq!(
-                filter_by_order_keys(&row, Ask(keys)),
+                filter_by_order_keys(&row, &mut spill, Ask(keys)),
                 apart,
                 "{row:?} against {members:?}"
             );
@@ -995,8 +994,12 @@ mod tests {
         let (keys, _) = rows.blocks().next().expect("one block");
         assert!(keys_apart_block(&row_keys, keys));
         assert!(keys_apart_block_dyn(&row_keys, keys));
-        assert!(filter_by_order_keys(&[0.5, 0.5], Ask(keys)));
-        assert!(!filter_by_order_keys(&[0.5, f64::NAN], Ask(keys)));
+        assert!(filter_by_order_keys(&[0.5, 0.5], &mut spill, Ask(keys)));
+        assert!(!filter_by_order_keys(
+            &[0.5, f64::NAN],
+            &mut spill,
+            Ask(keys)
+        ));
         assert!(
             !keys_apart_block::<3>(&[[0; BLOCK_LANES]; 3], keys),
             "short"
@@ -1007,43 +1010,7 @@ mod tests {
         rows.swap_remove(7);
         let (keys, _) = rows.blocks().next().expect("one block");
         assert!(!keys_apart_block(&row_keys, keys));
-        assert!(!filter_by_order_keys(&[0.5, 0.5], Ask(keys)));
-    }
-
-    /// Rows wider than the filter's stack buffer are filtered on their
-    /// first `DYN_COLUMNS` columns: a block apart there is settled, one
-    /// apart only further right goes to the exact kernels, and a NaN past
-    /// the buffer still silences the keys.
-    #[test]
-    fn wide_rows_are_filtered_on_their_leading_columns() {
-        let width = DYN_COLUMNS + 4;
-        let row = vec![0.5; width];
-        // Members on either side of the row in columns 0 and 1, or only in
-        // the last two columns.
-        let member = |lane: usize, first: usize| {
-            let mut values = vec![0.5; width];
-            values[first] = if lane.is_multiple_of(2) { 0.1 } else { 0.9 };
-            values[first + 1] = if lane.is_multiple_of(2) { 0.9 } else { 0.1 };
-            values
-        };
-        for (first, settled) in [(0, true), (width - 2, false)] {
-            let mut rows = crate::matrix::BlockedRows::default();
-            for l in 0..BLOCK_LANES {
-                rows.push(member(l, first).into_iter().chain([0.0]));
-            }
-            let (keys, block) = rows.blocks().next().expect("one block");
-            assert!(apart_by_loop(&row, keys), "the keys prove it either way");
-            assert_eq!(filter_by_order_keys(&row, Ask(keys)), settled);
-            assert_eq!(constrained_dominance_block(&row, 0.0, block), None);
-        }
-        let mut nan = row.clone();
-        nan[width - 1] = f64::NAN;
-        let mut rows = crate::matrix::BlockedRows::default();
-        for l in 0..BLOCK_LANES {
-            rows.push(member(l, 0));
-        }
-        let (keys, _) = rows.blocks().next().expect("one block");
-        assert!(!filter_by_order_keys(&nan, Ask(keys)));
+        assert!(!filter_by_order_keys(&[0.5, 0.5], &mut spill, Ask(keys)));
     }
 
     #[test]

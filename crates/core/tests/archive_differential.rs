@@ -350,14 +350,14 @@ proptest! {
     }
 }
 
-/// The same streams, at least once at every width around a boundary of
-/// the order-key filter: eight columns, the last count the filter is
-/// compiled for (`COMPILED_COLUMNS` = 10) and the one after it, and past
-/// the sixteen columns the loop beyond it is given. Each archive grows past
-/// 65 members, so the filter is asked about full blocks.
+/// The same streams, once at each of four widths the proptest above does
+/// not draw and the order-key filter reads only a prefix of
+/// (`COMPILED_COLUMNS`): four columns, filtered on three, and six, eight
+/// and nine, filtered on five. Each archive grows past 65 members, so the
+/// filter is asked about full blocks.
 #[test]
 fn blocked_scan_matches_linear_around_the_compiled_filter() {
-    for m in [4usize, 7, 8, 9, 10, 11, 17] {
+    for m in [4usize, 6, 8, 9] {
         drive_mixed(m, 0x5EED + m as u64).unwrap_or_else(|e| panic!("m = {m}: {e}"));
     }
 }
