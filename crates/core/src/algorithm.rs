@@ -18,7 +18,7 @@
 
 use crate::archive::EpsilonArchive;
 use crate::operators::{
-    standard_borg_operators, AdaptiveEnsemble, EnsembleConfig, UniformMutation,
+    standard_borg_operators, AdaptiveEnsemble, EnsembleConfig, UniformMutation, VariationScratch,
 };
 use crate::population::Population;
 use crate::problem::{Bounds, Problem};
@@ -178,10 +178,12 @@ pub struct BorgEngine {
     fill_in_flight: usize,
     phase: Phase,
     profile: TaProfile,
-    /// Buffer pool recycling retired solutions back into new candidates.
+    /// Buffer pool recycling consumed candidates back into new ones.
     arena: SolutionArena,
     /// Reused parent-index buffer for steady-state selection.
     scratch_parents: Vec<usize>,
+    /// Reused temporaries of the multiparent operators.
+    scratch_variation: VariationScratch,
 }
 
 /// Maximum operator arity the engine's stack-allocated parent-slice buffer
@@ -221,6 +223,7 @@ impl BorgEngine {
             profile: TaProfile::default(),
             arena: SolutionArena::default(),
             scratch_parents: Vec::with_capacity(MAX_ARITY),
+            scratch_variation: VariationScratch::default(),
         }
     }
 
@@ -279,7 +282,7 @@ impl BorgEngine {
                 Phase::InjectionFill if !self.archive.is_empty() => {
                     // Inject: mutate a random archive member with UM(1/L).
                     let i = self.rng.gen_range(0..self.archive.len());
-                    let member = self.archive.solutions()[i].variables();
+                    let member = self.archive.member(i).variables();
                     let mut vars = self.arena.filled(Role::Variables, member);
                     self.restart_mutation
                         .mutate(&mut vars, &self.bounds, &mut self.rng);
@@ -326,7 +329,7 @@ impl BorgEngine {
         // stays untouched until the offspring is consumed.
         let mut parent_refs: [&[f64]; MAX_ARITY] = [&[]; MAX_ARITY];
         for (slot, &i) in parent_refs.iter_mut().zip(&self.scratch_parents) {
-            *slot = self.population.get(i).variables();
+            *slot = self.population.variables(i);
         }
         if let Some(t) = t0 {
             self.profile.selection += t.elapsed().as_secs_f64();
@@ -337,6 +340,7 @@ impl BorgEngine {
             &parent_refs[..arity],
             &self.bounds,
             &mut self.rng,
+            &mut self.scratch_variation,
             &mut variables,
         );
         if let Some(t) = t1 {
@@ -348,7 +352,9 @@ impl BorgEngine {
         }
     }
 
-    /// Consumes an evaluated candidate.
+    /// Consumes an evaluated candidate: the archive and the population
+    /// copy in its rows as they accept it, and its buffers go back to the
+    /// arena for the next candidate.
     ///
     /// `solution.operator` should carry the candidate's operator tag so the
     /// archive can credit contributions (use [`Self::make_solution_recycled`]).
@@ -357,42 +363,27 @@ impl BorgEngine {
         debug_assert_eq!(solution.num_objectives(), self.num_objectives);
         self.stats.nfe += 1;
 
+        let t0 = self.config.profile_ta.then(std::time::Instant::now);
+        self.archive.offer(&solution);
+        if let Some(t) = t0 {
+            self.profile.archive += t.elapsed().as_secs_f64();
+        }
+        let t1 = self.config.profile_ta.then(std::time::Instant::now);
         if self.fill_in_flight > 0 && !self.population.is_full() {
             // Initial or injected candidate: goes straight into the
-            // population and the archive.
+            // population.
             self.fill_in_flight -= 1;
-            let t0 = self.config.profile_ta.then(std::time::Instant::now);
-            self.archive.offer(&solution, &mut self.arena);
-            if let Some(t) = t0 {
-                self.profile.archive += t.elapsed().as_secs_f64();
-            }
-            let t1 = self.config.profile_ta.then(std::time::Instant::now);
-            self.population.fill(solution);
-            if let Some(t) = t1 {
-                self.profile.population += t.elapsed().as_secs_f64();
-            }
+            self.population.fill(solution.as_member());
         } else {
-            if self.fill_in_flight > 0 {
-                // A fill candidate arrived after the population filled up
-                // (possible when a restart shrank capacity mid-flight).
-                self.fill_in_flight -= 1;
-            }
-            let t0 = self.config.profile_ta.then(std::time::Instant::now);
-            self.archive.offer(&solution, &mut self.arena);
-            if let Some(t) = t0 {
-                self.profile.archive += t.elapsed().as_secs_f64();
-            }
-            let t1 = self.config.profile_ta.then(std::time::Instant::now);
-            let (_, retired) = self.population.offer_replacing(solution, &mut self.rng);
-            if let Some(t) = t1 {
-                self.profile.population += t.elapsed().as_secs_f64();
-            }
-            // The displaced member (or the rejected offspring) donates its
-            // buffers to the next candidate.
-            if let Some(retired) = retired {
-                self.arena.recycle(retired);
-            }
+            // A fill candidate may arrive after the population filled up
+            // (possible when a restart shrank capacity mid-flight).
+            self.fill_in_flight = self.fill_in_flight.saturating_sub(1);
+            self.population.offer(solution.as_member(), &mut self.rng);
         }
+        if let Some(t) = t1 {
+            self.profile.population += t.elapsed().as_secs_f64();
+        }
+        self.arena.recycle(solution);
 
         if self.config.adaptation_enabled {
             let t0 = self.config.profile_ta.then(std::time::Instant::now);
@@ -429,13 +420,6 @@ impl BorgEngine {
         let mut s = Solution::from_parts(candidate.variables, objs, cons);
         s.operator = candidate.operator;
         s
-    }
-
-    /// Hands a retired externally held solution's buffers back to the
-    /// engine's arena (asynchronous executors drop evaluated results they
-    /// no longer need; recycling them keeps the pool primed).
-    pub fn recycle(&mut self, solution: Solution) {
-        self.arena.recycle(solution);
     }
 
     /// `(pool hits, pool misses)` of the candidate-buffer arena.
@@ -483,16 +467,12 @@ impl BorgEngine {
         self.stats.restarts += 1;
         let target = ((self.config.injection_rate * self.archive.len() as f64).ceil() as usize)
             .max(self.config.initial_population_size);
-        // The retired population's buffers come back as the refill below
-        // and as the injected candidates that follow it.
-        for retired in self.population.reset(target, &mut self.rng) {
-            self.arena.recycle(retired);
-        }
-        for member in self.archive.solutions() {
-            if self.population.is_full() {
+        // The archive's rows are copied over the retired population's.
+        self.population.reset(target, &mut self.rng);
+        for member in self.archive.members() {
+            if !self.population.fill(member) {
                 break;
             }
-            self.population.fill(self.arena.copy_of(member));
         }
         self.tournament_size = tournament_size(self.config.selection_ratio, target);
         self.fill_in_flight = 0;
@@ -641,8 +621,7 @@ mod tests {
         );
         let worst_sum = e
             .archive()
-            .solutions()
-            .iter()
+            .members()
             .map(|s| {
                 let f1 = s.objectives()[0];
                 let f2 = s.objectives()[1];
@@ -689,26 +668,23 @@ mod tests {
 
     #[test]
     fn steady_state_recycles_candidate_buffers() {
-        // Once the population is full, every iteration's three buffer takes
-        // (variables, objectives, constraints) are fed by the three buffers
-        // the previous iteration retired, so pool hits dominate misses
-        // (which mostly stem from the initial fill phase).
+        // Every iteration's three buffer takes (variables, objectives,
+        // constraints) are fed by the three buffers the previous candidate
+        // returned once its rows were copied in: a serial run misses the
+        // pool only for its first candidate, filling included.
         let e = run_serial(&TwoSphere, config(), 13, 3000, |_| {});
         let (hits, misses) = e.arena_stats();
-        assert!(
-            hits > 3 * misses,
-            "arena not recycling: hits={hits} misses={misses}"
-        );
+        assert_eq!((hits, misses), (3 * 3000 - 3, 3), "arena not recycling");
     }
 
     #[test]
     fn restart_recycles_members() {
         // `Flat` restarts at every 100-evaluation window, and each restart
-        // retires the whole population. The refill and the injected
-        // candidates that follow must live in what was retired: from the
-        // second restart on (the one steady-state evaluation that closes
-        // the second window is the last to find the pool empty) a run of 60
-        // restarts asks the allocator for nothing.
+        // empties the population and refills it from the archive's rows.
+        // The refill copies rows over the retired ones, and the injected
+        // candidates that follow draw their buffers from the pool: from the
+        // second restart on a run of 60 restarts asks the pool for nothing
+        // it does not have.
         let mut settled = None;
         let e = run_serial(&Flat, BorgConfig::new(2, 0.1), 5, 6_000, |e| {
             if e.nfe() == 200 {

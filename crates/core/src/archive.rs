@@ -87,16 +87,23 @@
 //! the tree also dropped a heap-allocated key per accepted member and one
 //! of four copies of the archive's state (DESIGN.md §16 has the tables).
 //!
-//! Member objectives additionally mirror into a flat row-major
-//! [`ObjectiveMatrix`] so metrics consume contiguous rows without per-call
-//! `Vec<Vec<f64>>` re-materialization.
+//! # One store: rows, not solutions
+//!
+//! A member is three rows — variables, objectives, constraints — of three
+//! flat row-major matrices, row `i` of each being member `i`, beside the key
+//! mirror row-parallel with them. That is the only copy: no member is a
+//! [`Solution`]. A candidate is copied in row by row on accept, a displaced
+//! or evicted member is overwritten or swap-removed in place, metrics borrow
+//! the [`ObjectiveMatrix`] as it is, and every other reader gets a
+//! [`Member`] view of three slices. Nothing reads a member's operator tag
+//! (credits are taken from the incoming candidate), so none is kept.
 
 use crate::dominance::{
-    box_key_block, constrained_dominance, epsilon_box_lanes, filter_by_order_keys, unfiltered,
+    box_key_block, constrained_dominance_rows, epsilon_box_lanes, filter_by_order_keys, unfiltered,
     Dominance, KeyLanes, KeyedScan, BLOCK_LANES, MIN_KEYED_BLOCKS,
 };
-use crate::matrix::{BlockedRows, ObjectiveMatrix};
-use crate::solution::{Solution, SolutionArena};
+use crate::matrix::{BlockedRows, FlatMatrix, ObjectiveMatrix};
+use crate::solution::{violation, Member, Solution};
 
 /// Outcome of attempting to add a solution to the archive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +130,7 @@ impl ArchiveInsert {
     }
 }
 
-/// What `decide` concluded about a candidate; `commit` applies it. Split so
-/// [`EpsilonArchive::offer`] can reject borrowed candidates without cloning.
+/// What `decide` concluded about a candidate; `commit` applies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
     /// Rejected (feasibility, domination, or same-box loss).
@@ -197,13 +203,16 @@ impl ArchiveStamp {
 #[derive(Debug, Clone)]
 pub struct EpsilonArchive {
     epsilons: Vec<f64>,
-    solutions: Vec<Solution>,
-    /// ε-box key per member as exact `f64` lanes, row-parallel with
-    /// `solutions`: the insertion scan's view.
-    keys: BlockedRows,
-    /// Flat row-major mirror of member objective vectors, row-parallel with
-    /// `solutions` (borrowed by metrics instead of cloning `Vec<Vec<f64>>`).
+    /// Member objective vectors, one row each: the store, and what metrics
+    /// borrow. Its row count is the archive's length.
     objectives: ObjectiveMatrix,
+    /// Member decision variables, row-parallel with `objectives`.
+    variables: FlatMatrix<f64>,
+    /// Member constraint values, row-parallel with `objectives`.
+    constraints: FlatMatrix<f64>,
+    /// ε-box key per member as exact `f64` lanes, row-parallel with
+    /// `objectives`: the insertion scan's view.
+    keys: BlockedRows,
     /// Number of insertions that opened a new ε-box (ε-progress counter).
     improvements: u64,
     /// Total accepted insertions (new box + same-box replacements).
@@ -244,9 +253,10 @@ impl EpsilonArchive {
         let m = epsilons.len();
         Self {
             epsilons,
-            solutions: Vec::new(),
-            keys: BlockedRows::default(),
             objectives: ObjectiveMatrix::new(m),
+            variables: FlatMatrix::new(0),
+            constraints: FlatMatrix::new(0),
+            keys: BlockedRows::default(),
             improvements: 0,
             accepts: 0,
             rejects: 0,
@@ -271,19 +281,31 @@ impl EpsilonArchive {
         &self.epsilons
     }
 
-    /// Current archive members.
-    pub fn solutions(&self) -> &[Solution] {
-        &self.solutions
+    /// Member `i`: its three rows.
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub fn member(&self, i: usize) -> Member<'_> {
+        Member::new(
+            self.variables.row(i),
+            self.objectives.row(i),
+            self.constraints.row(i),
+        )
+    }
+
+    /// The members in storage order.
+    pub fn members(&self) -> impl ExactSizeIterator<Item = Member<'_>> + '_ {
+        (0..self.len()).map(|i| self.member(i))
     }
 
     /// Number of archive members.
     pub fn len(&self) -> usize {
-        self.solutions.len()
+        self.objectives.rows()
     }
 
     /// Whether the archive is empty.
     pub fn is_empty(&self) -> bool {
-        self.solutions.is_empty()
+        self.objectives.is_empty()
     }
 
     /// ε-progress counter: insertions that opened a new ε-box.
@@ -335,7 +357,7 @@ impl EpsilonArchive {
     /// [`ArchiveStamp::pure_append_to`]).
     pub fn stamp(&self) -> ArchiveStamp {
         ArchiveStamp {
-            len: self.solutions.len(),
+            len: self.len(),
             accepts: self.accepts,
             improvements: self.improvements,
             evictions: self.evictions,
@@ -379,58 +401,44 @@ impl EpsilonArchive {
         }
     }
 
-    /// Attempts to insert a solution.
+    /// Attempts to insert a solution: [`offer`](Self::offer) for a
+    /// candidate the caller no longer needs.
+    pub fn add(&mut self, solution: Solution) -> ArchiveInsert {
+        self.offer(&solution)
+    }
+
+    /// Attempts to insert a borrowed candidate, copying its rows in **only
+    /// on accept** and crediting its operator tag.
     ///
     /// Constrained solutions: an infeasible solution is accepted only while
     /// the archive holds no feasible solution, mirroring Borg's behaviour
     /// (the archive switches to feasible-only as soon as one exists).
     // borg-lint: hot-path
-    pub fn add(&mut self, solution: Solution) -> ArchiveInsert {
-        let decision = self.decide(&solution);
-        self.commit(decision, solution, drop)
+    pub fn offer(&mut self, solution: &Solution) -> ArchiveInsert {
+        let candidate = solution.as_member();
+        let decision = self.decide(candidate);
+        self.commit(decision, candidate, solution.operator)
     }
 
-    /// Decides a borrowed candidate's fate, copying it **only on accept**,
-    /// into buffers out of `arena`; the members the copy displaces or
-    /// evicts retire into `arena` in turn.
-    ///
-    /// Same decision procedure as [`add`](Self::add); the steady-state
-    /// consume path offers every evaluated candidate, and most are rejected,
-    /// so the borrow form removes three `Vec` copies per rejected candidate.
-    // borg-lint: hot-path
-    pub fn offer(&mut self, solution: &Solution, arena: &mut SolutionArena) -> ArchiveInsert {
-        match self.decide(solution) {
-            Decision::Reject => {
-                self.rejects += 1;
-                ArchiveInsert::Rejected
-            }
-            decision => {
-                let accepted = arena.copy_of(solution);
-                self.commit(decision, accepted, |retired| arena.recycle(retired))
-            }
-        }
-    }
-
-    /// Classifies `solution` against the archive without mutating members.
+    /// Classifies `candidate` against the archive without mutating members.
     /// Mutates only scratch buffers and the probe counter; `commit` must
     /// follow immediately (it consumes `scratch_dominated` for `AddNewBox`).
     // borg-lint: hot-path
-    fn decide(&mut self, solution: &Solution) -> Decision {
-        debug_assert_eq!(solution.num_objectives(), self.epsilons.len());
+    fn decide(&mut self, candidate: Member<'_>) -> Decision {
+        debug_assert_eq!(candidate.objectives().len(), self.epsilons.len());
 
         // Constraint handling: compare feasibility against the archive state.
-        if !self.solutions.is_empty() {
-            let archive_feasible = self.solutions[0].is_feasible();
-            let sol_feasible = solution.is_feasible();
-            match (archive_feasible, sol_feasible) {
+        if !self.is_empty() {
+            let incumbent = self.member(0);
+            match (incumbent.is_feasible(), candidate.is_feasible()) {
                 (true, false) => return Decision::Reject,
                 (false, true) => return Decision::FirstFeasibleReset,
                 (false, false) => {
                     // Among infeasible solutions keep the single least
                     // violating one (Borg keeps a best-infeasible
                     // placeholder).
-                    let cur = self.solutions[0].constraint_violation();
-                    let new = solution.constraint_violation();
+                    let cur = incumbent.constraint_violation();
+                    let new = candidate.constraint_violation();
                     return if new < cur {
                         Decision::ReplaceInfeasiblePlaceholder
                     } else {
@@ -439,24 +447,25 @@ impl EpsilonArchive {
                 }
                 (true, true) => {}
             }
-        } else if !solution.is_feasible() {
+        } else if !candidate.is_feasible() {
             // Empty archive accepts a best-so-far infeasible placeholder.
             return Decision::AddInfeasiblePlaceholder;
         }
 
         self.scratch_key.clear();
         self.scratch_key
-            .extend(epsilon_box_lanes(solution.objectives(), &self.epsilons));
+            .extend(epsilon_box_lanes(candidate.objectives(), &self.epsilons));
         self.scratch_dominated.clear();
         // A box coordinate is never NaN, so the candidate always has order
         // keys; they can call apart only blocks without padding, and are not
         // worth computing for fewer than `MIN_KEYED_BLOCKS` of those.
-        let full = self.solutions.len() / BLOCK_LANES;
+        let full = self.len() / BLOCK_LANES;
         let scan = BoxScan {
-            candidate: solution,
+            candidate,
             key: &self.scratch_key,
             epsilons: &self.epsilons,
-            solutions: &self.solutions,
+            objectives: &self.objectives,
+            constraints: &self.constraints,
             keys: &self.keys,
             box_probes: &mut self.box_probes,
             dominated: &mut self.scratch_dominated,
@@ -469,15 +478,15 @@ impl EpsilonArchive {
         }
     }
 
-    /// Applies a [`Decision`], taking ownership of the (possibly copied)
-    /// accepted solution and keeping both mirrors in sync. Every member
-    /// that leaves the archive goes to `retire`.
+    /// Applies a [`Decision`]: copies the accepted candidate's rows into
+    /// the store, over the member it displaces or after the ones it evicts,
+    /// and keeps the key mirror in step.
     // borg-lint: hot-path
     fn commit(
         &mut self,
         decision: Decision,
-        solution: Solution,
-        mut retire: impl FnMut(Solution),
+        candidate: Member<'_>,
+        op: Option<usize>,
     ) -> ArchiveInsert {
         match decision {
             Decision::Reject => {
@@ -486,20 +495,16 @@ impl EpsilonArchive {
             }
             Decision::FirstFeasibleReset => {
                 // First feasible solution evicts all infeasible content.
-                self.evictions += self.solutions.len() as u64;
-                self.solutions.drain(..).for_each(retire);
-                self.keys.clear();
-                self.objectives.clear();
-                let op = solution.operator;
-                self.push_member(solution);
+                self.evictions += self.len() as u64;
+                self.clear_rows();
+                self.push_member(candidate);
                 self.improvements += 1;
                 self.accepts += 1;
                 self.credit(op);
                 ArchiveInsert::AddedNewBox
             }
             Decision::AddInfeasiblePlaceholder => {
-                let op = solution.operator;
-                self.push_member(solution);
+                self.push_member(candidate);
                 self.accepts += 1;
                 self.credit(op);
                 ArchiveInsert::AddedNewBox
@@ -507,18 +512,15 @@ impl EpsilonArchive {
             Decision::ReplaceInfeasiblePlaceholder => {
                 // Slot 0 is the only member; its box key may move.
                 self.keys
-                    .set(0, epsilon_box_lanes(solution.objectives(), &self.epsilons));
-                self.objectives.set_row(0, solution.objectives());
-                retire(std::mem::replace(&mut self.solutions[0], solution));
+                    .set(0, epsilon_box_lanes(candidate.objectives(), &self.epsilons));
+                self.set_rows(0, candidate);
                 self.accepts += 1;
                 self.replacements += 1;
                 ArchiveInsert::ReplacedInBox
             }
             Decision::ReplaceInBox(slot) => {
                 // Same box: the key lanes are already correct.
-                let op = solution.operator;
-                self.objectives.set_row(slot, solution.objectives());
-                retire(std::mem::replace(&mut self.solutions[slot], solution));
+                self.set_rows(slot, candidate);
                 self.accepts += 1;
                 self.replacements += 1;
                 self.credit(op);
@@ -527,17 +529,15 @@ impl EpsilonArchive {
             Decision::AddNewBox => {
                 // Evict members in dominated boxes (slots pre-sorted
                 // descending by `decide`), then insert.
-                let dominated = std::mem::take(&mut self.scratch_dominated);
-                self.evictions += dominated.len() as u64;
-                for &slot in &dominated {
-                    retire(self.solutions.swap_remove(slot));
-                    self.keys.swap_remove(slot);
+                self.evictions += self.scratch_dominated.len() as u64;
+                for &slot in &self.scratch_dominated {
                     self.objectives.swap_remove_row(slot);
+                    self.variables.swap_remove_row(slot);
+                    self.constraints.swap_remove_row(slot);
+                    self.keys.swap_remove(slot);
                 }
-                self.scratch_dominated = dominated;
                 self.scratch_dominated.clear();
-                let op = solution.operator;
-                self.push_member(solution);
+                self.push_member(candidate);
                 self.improvements += 1;
                 self.accepts += 1;
                 self.credit(op);
@@ -546,39 +546,56 @@ impl EpsilonArchive {
         }
     }
 
-    /// Appends a member and its mirror rows.
+    /// Appends a member's rows and its box key.
     // borg-lint: hot-path
-    fn push_member(&mut self, solution: Solution) {
+    fn push_member(&mut self, member: Member<'_>) {
         self.keys
-            .push(epsilon_box_lanes(solution.objectives(), &self.epsilons));
-        self.objectives.push_row(solution.objectives());
-        self.solutions.push(solution);
+            .push(epsilon_box_lanes(member.objectives(), &self.epsilons));
+        self.objectives.push_row(member.objectives());
+        self.variables.push_row(member.variables());
+        self.constraints.push_row(member.constraints());
+    }
+
+    /// Overwrites slot `i`'s rows (its box key is the caller's).
+    // borg-lint: hot-path
+    fn set_rows(&mut self, i: usize, member: Member<'_>) {
+        self.objectives.set_row(i, member.objectives());
+        self.variables.set_row(i, member.variables());
+        self.constraints.set_row(i, member.constraints());
+    }
+
+    /// Drops every member's rows and key, keeping the allocations.
+    fn clear_rows(&mut self) {
+        self.objectives.clear();
+        self.variables.clear();
+        self.constraints.clear();
+        self.keys.clear();
     }
 
     /// Empties the archive content but keeps statistics and credits.
     pub fn clear_solutions(&mut self) {
-        self.solutions.clear();
-        self.keys.clear();
-        self.objectives.clear();
+        self.clear_rows();
         self.clears += 1;
     }
 
-    /// Verifies the archive invariants and that both mirrors agree with the
-    /// members: every key lane against the key recomputed from the member's
-    /// objectives, bit for bit, every padding lane NaN, every order key the
-    /// key of its lane. Invariants 1–2 are then read off the verified lanes
-    /// pair by pair.
+    /// Verifies the archive invariants: the store's matrices hold one row
+    /// per member, the key mirror's shape, padding and order keys are sound
+    /// ([`BlockedRows::check`]), and every key lane is the box of the
+    /// member's objectives, bit for bit. Invariants 1–2 are then read off
+    /// the verified lanes pair by pair.
     pub fn check_invariants(&self) -> Result<(), String> {
-        let n = self.solutions.len();
+        let n = self.len();
         self.keys.check(n, self.epsilons.len())?;
-        let mirrored = self.objectives.rows();
-        if mirrored != n {
-            return Err(format!(
-                "objective mirror holds {mirrored} rows for {n} members"
-            ));
+        for (name, rows) in [
+            ("variable", &self.variables),
+            ("constraint", &self.constraints),
+        ] {
+            if rows.rows() != n {
+                return Err(format!("{} {name} rows for {n} members", rows.rows()));
+            }
         }
-        for (i, s) in self.solutions.iter().enumerate() {
-            let expect = epsilon_box_lanes(s.objectives(), &self.epsilons);
+        for i in 0..n {
+            let expect = epsilon_box_lanes(self.objectives.row(i), &self.epsilons);
             if !self
                 .keys
                 .row(i)
@@ -586,10 +603,6 @@ impl EpsilonArchive {
                 .eq(expect.map(f64::to_bits))
             {
                 return Err(format!("key lanes of member {i} are stale"));
-            }
-            let mirrored = self.objectives.row(i).iter().map(|v| v.to_bits());
-            if !mirrored.eq(s.objectives().iter().map(|v| v.to_bits())) {
-                return Err(format!("objective mirror row {i} is stale"));
             }
         }
         let mut a = Vec::with_capacity(self.epsilons.len());
@@ -622,11 +635,13 @@ impl EpsilonArchive {
 /// member, and otherwise leaves the members to evict in `dominated`,
 /// descending.
 struct BoxScan<'a> {
-    candidate: &'a Solution,
+    candidate: Member<'a>,
     /// The candidate's box key, as lane values.
     key: &'a [f64],
     epsilons: &'a [f64],
-    solutions: &'a [Solution],
+    /// The members' objective and constraint rows, for a same-box contest.
+    objectives: &'a ObjectiveMatrix,
+    constraints: &'a FlatMatrix<f64>,
     keys: &'a BlockedRows,
     box_probes: &'a mut u64,
     dominated: &'a mut Vec<usize>,
@@ -639,7 +654,7 @@ impl KeyedScan for BoxScan<'_> {
 
     // borg-lint: hot-path
     fn run(self, apart: impl Fn(&[KeyLanes]) -> bool) -> Decision {
-        let (key, solutions) = (self.key, self.solutions);
+        let (key, len) = (self.key, self.objectives.rows());
         for (b, (order, block)) in self.keys.blocks().enumerate() {
             // A block the order keys skip still counts as visited.
             *self.box_probes += BLOCK_LANES as u64;
@@ -654,11 +669,12 @@ impl KeyedScan for BoxScan<'_> {
             }
             let first = b * BLOCK_LANES;
             // Padding lanes compare false both ways, like a shared box.
-            let occupied = u8::MAX >> (BLOCK_LANES - (solutions.len() - first).min(BLOCK_LANES));
+            let occupied = u8::MAX >> (BLOCK_LANES - (len - first).min(BLOCK_LANES));
             let same_box = !(lt | gt) & occupied;
             if same_box != 0 {
                 let slot = first + same_box.trailing_zeros() as usize;
-                return if wins_box(self.candidate, &solutions[slot], key, self.epsilons) {
+                let incumbent = (self.objectives.row(slot), self.constraints.row(slot));
+                return if wins_box(self.candidate, incumbent, key, self.epsilons) {
                     Decision::ReplaceInBox(slot)
                 } else {
                     Decision::Reject
@@ -678,12 +694,24 @@ impl KeyedScan for BoxScan<'_> {
     }
 }
 
-/// Whether a candidate takes its box from the incumbent: the dominating
-/// solution wins; if nondominated, the one closer to the box's ideal corner
-/// (`key`, the box both share, scaled by ε).
+/// Whether a candidate takes its box from the incumbent, given as its
+/// `(objectives, constraints)` rows: the constrained-dominating solution
+/// wins; if nondominated, the one closer to the box's ideal corner (`key`,
+/// the box both share, scaled by ε).
 // borg-lint: hot-path
-fn wins_box(candidate: &Solution, incumbent: &Solution, key: &[f64], epsilons: &[f64]) -> bool {
-    match constrained_dominance(candidate, incumbent) {
+fn wins_box(
+    candidate: Member<'_>,
+    (objectives, constraints): (&[f64], &[f64]),
+    key: &[f64],
+    epsilons: &[f64],
+) -> bool {
+    let verdict = constrained_dominance_rows(
+        candidate.objectives(),
+        candidate.constraint_violation(),
+        objectives,
+        violation(constraints),
+    );
+    match verdict {
         Dominance::Dominates => true,
         Dominance::DominatedBy => false,
         Dominance::NonDominated => {
@@ -695,7 +723,7 @@ fn wins_box(candidate: &Solution, incumbent: &Solution, key: &[f64], epsilons: &
                 }
                 d
             };
-            corner_dist(candidate.objectives()) < corner_dist(incumbent.objectives())
+            corner_dist(candidate.objectives()) < corner_dist(objectives)
         }
     }
 }
@@ -733,7 +761,7 @@ mod tests {
         a.add(sol(&[0.55, 0.55]));
         assert_eq!(a.add(sol(&[0.15, 0.15])), ArchiveInsert::AddedNewBox);
         assert_eq!(a.len(), 1);
-        assert_eq!(a.solutions()[0].objectives(), &[0.15, 0.15]);
+        assert_eq!(a.member(0).objectives(), &[0.15, 0.15]);
         assert_eq!(a.evictions(), 1);
         a.check_invariants().unwrap();
     }
@@ -754,7 +782,7 @@ mod tests {
         // Same box (0,0); Pareto-nondominated with incumbent; closer to corner.
         assert_eq!(a.add(sol(&[0.3, 0.4])), ArchiveInsert::ReplacedInBox);
         assert_eq!(a.len(), 1);
-        assert_eq!(a.solutions()[0].objectives(), &[0.3, 0.4]);
+        assert_eq!(a.member(0).objectives(), &[0.3, 0.4]);
         // Same box, farther from corner: rejected.
         assert_eq!(a.add(sol(&[0.6, 0.7])), ArchiveInsert::Rejected);
         // ε-progress only counted once (the initial insertion).
@@ -767,7 +795,7 @@ mod tests {
         let mut a = EpsilonArchive::uniform(2, 1.0);
         a.add(sol(&[0.5, 0.5]));
         assert_eq!(a.add(sol(&[0.4, 0.4])), ArchiveInsert::ReplacedInBox);
-        assert_eq!(a.solutions()[0].objectives(), &[0.4, 0.4]);
+        assert_eq!(a.member(0).objectives(), &[0.4, 0.4]);
     }
 
     #[test]
@@ -807,7 +835,7 @@ mod tests {
         // Feasible solution evicts the placeholder even if Pareto-worse.
         assert_eq!(a.add(csol(&[1.5, 1.5], &[0.0])), ArchiveInsert::AddedNewBox);
         assert_eq!(a.len(), 1);
-        assert!(a.solutions()[0].is_feasible());
+        assert!(a.member(0).is_feasible());
         // Infeasible solutions now rejected outright.
         assert_eq!(a.add(csol(&[0.0, 0.0], &[0.1])), ArchiveInsert::Rejected);
         a.check_invariants().unwrap();
@@ -861,15 +889,16 @@ mod tests {
             [0.95, 0.05],
             [0.96, 0.06],
         ];
-        let mut arena = SolutionArena::default();
-        for objs in stream {
-            let s = sol(&objs);
-            assert_eq!(by_offer.offer(&s, &mut arena), by_add.add(s.clone()));
+        for (i, objs) in stream.into_iter().enumerate() {
+            let s = Solution::from_parts(vec![i as f64, -1.0], objs.to_vec(), vec![-0.5]);
+            let generation = by_offer.generation();
+            let verdict = by_offer.offer(&s);
+            assert_eq!(verdict, by_add.add(s.clone()));
+            // A rejected candidate leaves the store untouched.
+            assert_eq!(verdict.accepted(), by_offer.generation() != generation);
         }
-        // Three accepted, each copied into three buffers: the first two
-        // before anything had retired, the third into the evicted member's.
-        assert_eq!(arena.stats(), (3, 6));
         assert_eq!(by_add.len(), by_offer.len());
+        assert!(by_add.members().eq(by_offer.members()));
         assert_eq!(by_add.box_probes(), by_offer.box_probes());
         by_offer.check_invariants().unwrap();
     }
@@ -936,10 +965,10 @@ mod tests {
         assert!(decisive.check_invariants().unwrap_err().contains("row 0"));
         // Members whose lanes are right but which should not coexist.
         let mut shared = a.clone();
-        shared.push_member(sol(&[0.47, 0.48]));
+        shared.push_member(sol(&[0.47, 0.48]).as_member());
         assert!(shared.check_invariants().unwrap_err().contains("share box"));
         let mut chain = a.clone();
-        chain.push_member(sol(&[0.55, 0.55]));
+        chain.push_member(sol(&[0.55, 0.55]).as_member());
         let err = chain.check_invariants().unwrap_err();
         assert!(err.contains("not mutually nondominating"), "{err}");
     }
@@ -971,13 +1000,20 @@ mod tests {
     #[test]
     fn objective_rows_mirror_solutions() {
         let mut a = EpsilonArchive::uniform(2, 0.1);
-        a.add(sol(&[0.05, 0.95]));
-        a.add(sol(&[0.95, 0.05]));
+        a.add(Solution::from_parts(
+            vec![3.0],
+            vec![0.05, 0.95],
+            vec![-1.0],
+        ));
+        a.add(Solution::from_parts(vec![7.0], vec![0.95, 0.05], vec![0.0]));
         let rows = a.objective_rows();
         assert_eq!(rows.rows(), 2);
-        for (i, s) in a.solutions().iter().enumerate() {
-            assert_eq!(rows.row(i), s.objectives());
+        for (i, m) in a.members().enumerate() {
+            assert_eq!(rows.row(i), m.objectives());
         }
+        assert_eq!(a.member(1).variables(), &[7.0]);
+        assert_eq!(a.member(0).constraints(), &[-1.0]);
+        assert_eq!(a.member(1).to_solution().objectives(), &[0.95, 0.05]);
         assert_eq!(a.objective_vectors().len(), 2);
     }
 }

@@ -62,5 +62,5 @@ pub mod prelude {
     pub use crate::population::Population;
     pub use crate::problem::{evaluate_into_solution, Bounds, Problem};
     pub use crate::rng::SplitMix64;
-    pub use crate::solution::Solution;
+    pub use crate::solution::{Member, Solution};
 }

@@ -1,29 +1,31 @@
 //! Flat row-major matrices and the blocked lane mirror for hot-path numeric
 //! data.
 //!
-//! The steady-state hot paths (archive insertion, tournament selection,
-//! batch evaluation) read per-solution numeric rows: objective vectors,
-//! ε-box keys, decision variables. Storing those rows in a `Vec<Vec<f64>>`
-//! costs one heap allocation and one pointer chase per row; a
-//! [`FlatMatrix`] packs them into a single flat buffer with a fixed stride,
-//! an array of rows: one row is contiguous (for five objectives, one cache
-//! line), and consecutive rows follow each other.
+//! The archive and the population store their members as rows: objective
+//! vectors, ε-box keys, decision variables, constraints. Storing those rows
+//! as `Vec`s — one per row, or three per member as a `Solution` — costs one
+//! heap allocation and one pointer chase per row; a [`FlatMatrix`] packs
+//! them into a single flat buffer with a fixed stride, an array of rows:
+//! one row is contiguous (for five objectives, one cache line), and
+//! consecutive rows follow each other.
 //!
 //! That is the layout for reading *a* row — a metric walking the archive, a
-//! batch of variables to evaluate. It is not a structure of arrays: a loop
-//! that compares one vector with *every* row finds each objective `stride`
-//! elements apart, so comparing several rows at once would take a gather
-//! per objective. The two scans that do compare one vector with every row
-//! read a [`BlockedRows`] mirror instead — eight members a block, one lane
-//! array per column, NaN-padded — with the block kernels of
-//! [`crate::dominance`]:
+//! parent's variables, a batch of variables to evaluate. It is not a
+//! structure of arrays: a loop that compares one vector with *every* row
+//! finds each objective `stride` elements apart, so comparing several rows
+//! at once would take a gather per objective. The two scans that do compare
+//! one vector with every row read a [`BlockedRows`] instead — eight members
+//! a block, one lane array per column, NaN-padded — with the block kernels
+//! of [`crate::dominance`]:
 //!
-//! * [`crate::population::Population`] mirrors each member's objectives and
-//!   aggregate constraint violation (`m + 1` columns) for its replacement
-//!   scan and its tournaments, and keeps no other copy;
+//! * [`crate::population::Population`] keeps each member's objectives and
+//!   aggregate constraint violation (`m + 1` columns) only there, for its
+//!   replacement scan and its tournaments, beside a `FlatMatrix` of its
+//!   variables;
 //! * [`crate::archive::EpsilonArchive`] mirrors each member's ε-box key as
 //!   exact `f64` values (`m` columns) for its insertion scan, beside the
-//!   [`ObjectiveMatrix`] that metrics read.
+//!   [`ObjectiveMatrix`] that metrics read and the `FlatMatrix`es of
+//!   variables and constraints.
 //!
 //! A `BlockedRows` also keys what it holds: beside every `[f64; 8]` lane
 //! array an `[i16; 8]` array of [`order_key`]s — 16-bit monotone images of
@@ -98,6 +100,14 @@ impl<T: Copy> FlatMatrix<T> {
     pub fn row_mut(&mut self, i: usize) -> &mut [T] {
         let start = i * self.stride;
         &mut self.data[start..start + self.stride]
+    }
+
+    /// Makes room for `rows` rows at the current stride, exactly (see
+    /// [`BlockedRows::reserve`]).
+    pub fn reserve_rows(&mut self, rows: usize) {
+        let values = rows * self.stride;
+        self.data
+            .reserve_exact(values.saturating_sub(self.data.len()));
     }
 
     /// Appends a row. An empty matrix adopts `row.len()` as its stride.

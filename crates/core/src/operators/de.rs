@@ -6,7 +6,7 @@
 //! defaults are `CR = 0.1`, `F = 0.5`, with polynomial mutation applied
 //! afterwards (the compound "DE+PM").
 
-use super::{clamp_to_bounds, PolynomialMutation, Variation};
+use super::{clamp_to_bounds, PolynomialMutation, Variation, VariationScratch};
 use crate::problem::Bounds;
 use rand::{Rng, RngCore};
 
@@ -54,18 +54,13 @@ impl Variation for DifferentialEvolution {
         4
     }
 
-    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut child = Vec::with_capacity(parents[0].len());
-        self.evolve_into(parents, bounds, rng, &mut child);
-        child
-    }
-
     // borg-lint: hot-path
     fn evolve_into(
         &self,
         parents: &[&[f64]],
         bounds: &[Bounds],
         rng: &mut dyn RngCore,
+        _scratch: &mut VariationScratch,
         out: &mut Vec<f64>,
     ) {
         debug_assert_eq!(parents.len(), 4);

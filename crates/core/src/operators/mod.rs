@@ -45,26 +45,47 @@ pub trait Variation: Send + Sync {
     /// Number of parents required.
     fn arity(&self) -> usize;
 
-    /// Produces one offspring variable vector. Implementations must return a
-    /// vector of the same length as each parent, with every component inside
-    /// its [`Bounds`].
-    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64>;
-
-    /// As [`evolve`](Variation::evolve), writing the offspring into `out`
-    /// (cleared first) so the steady-state loop can reuse one buffer per
-    /// candidate. Implementations must draw the identical RNG stream and
-    /// produce the identical child as `evolve`; the default delegates.
+    /// Produces one offspring variable vector into `out` (cleared first),
+    /// taking its temporaries from `scratch`, so the steady-state loop
+    /// reuses one buffer per candidate and one scratch per engine.
+    /// Implementations must return a vector of the same length as each
+    /// parent, with every component inside its [`Bounds`], and must draw
+    /// the same RNG stream and produce the same child whatever an earlier
+    /// call left in `scratch`.
     fn evolve_into(
         &self,
         parents: &[&[f64]],
         bounds: &[Bounds],
         rng: &mut dyn RngCore,
+        scratch: &mut VariationScratch,
         out: &mut Vec<f64>,
-    ) {
-        let child = self.evolve(parents, bounds, rng);
-        out.clear();
-        out.extend_from_slice(&child);
+    );
+
+    /// [`evolve_into`](Variation::evolve_into) with a fresh scratch, into a
+    /// new vector.
+    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64> {
+        let mut child = Vec::with_capacity(parents[0].len());
+        let scratch = &mut VariationScratch::default();
+        self.evolve_into(parents, bounds, rng, scratch, &mut child);
+        child
     }
+}
+
+/// Work buffers of the multiparent operators (SPX, PCX, UNDX), owned by the
+/// caller: a centroid, two difference vectors, and an orthonormal basis
+/// kept flat, one row of the child's width per direction. They grow to the
+/// widest call and are overwritten by every later one, so a
+/// [`BorgEngine`](crate::algorithm::BorgEngine), which keeps one, pays no
+/// allocation per offspring; [`Variation::evolve`] builds a fresh one per
+/// call.
+#[derive(Debug, Default, Clone)]
+pub struct VariationScratch {
+    centroid: Vec<f64>,
+    direction: Vec<f64>,
+    offset: Vec<f64>,
+    basis: Vec<f64>,
+    /// UNDX: the length of each primary difference the basis holds.
+    magnitudes: Vec<f64>,
 }
 
 /// Clamps every component of `vars` into its bounds (shared helper).
@@ -120,7 +141,25 @@ pub(crate) mod test_support {
     use rand::{Rng, SeedableRng};
 
     /// Exercises an operator on random parents and checks offspring sanity.
+    ///
+    /// Every trial also runs `evolve_into` twice through one scratch that
+    /// first served children three variables wider, and holds both to
+    /// `evolve`, which uses a fresh scratch: the engine's single scratch
+    /// must never change a child or an RNG draw.
     pub fn check_operator(op: &dyn Variation, l: usize, trials: usize, seed: u64) {
+        let mut shared = VariationScratch::default();
+        for width in [l + 3, l] {
+            check_width(op, width, trials, seed, &mut shared);
+        }
+    }
+
+    fn check_width(
+        op: &dyn Variation,
+        l: usize,
+        trials: usize,
+        seed: u64,
+        shared: &mut VariationScratch,
+    ) {
         let bounds: Vec<Bounds> = (0..l).map(|_| Bounds::new(-2.0, 3.0)).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..trials {
@@ -132,20 +171,26 @@ pub(crate) mod test_support {
                 })
                 .collect();
             let refs: Vec<&[f64]> = parents.iter().map(|p| p.as_slice()).collect();
-            // `evolve_into` must draw the same stream and produce the same
-            // child as `evolve` (the engine relies on this for bit-identical
-            // determinism), so run both from a cloned RNG and compare.
-            let mut rng_into = rng.clone();
+            // Through the shared scratch `evolve_into` must draw the same
+            // stream and produce the same child as through a fresh one (the
+            // engine relies on this for bit-identical determinism), so run
+            // each from a cloned RNG and compare.
+            let rng_into = rng.clone();
             let child = op.evolve(&refs, &bounds, &mut rng);
-            let mut reused = vec![42.0; 3]; // stale content must be discarded
-            op.evolve_into(&refs, &bounds, &mut rng_into, &mut reused);
-            assert_eq!(
-                child,
-                reused,
-                "{} evolve_into diverged from evolve",
-                op.name()
-            );
-            assert_eq!(rng.gen::<u64>(), rng_into.gen::<u64>());
+            let next = rng.gen::<u64>();
+            for pass in 0..2 {
+                let mut rng_into = rng_into.clone();
+                let mut reused = vec![42.0; 3]; // stale content must be discarded
+                op.evolve_into(&refs, &bounds, &mut rng_into, shared, &mut reused);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(&child),
+                    bits(&reused),
+                    "{} evolve_into diverged from evolve (pass {pass}, width {l})",
+                    op.name()
+                );
+                assert_eq!(next, rng_into.gen::<u64>());
+            }
             assert_eq!(child.len(), l, "{} produced wrong arity", op.name());
             for (j, (&c, b)) in child.iter().zip(&bounds).enumerate() {
                 assert!(

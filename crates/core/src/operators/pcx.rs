@@ -7,8 +7,8 @@
 //! by the mean perpendicular spread of the other parents (`η`). Borg uses
 //! 10 parents with `η = ζ = 0.1`.
 
-use super::vecmath::{centroid, dot, norm, orthogonalize, sub, try_extend_basis, EPS};
-use super::{clamp_to_bounds, standard_normal, Variation};
+use super::vecmath::{basis_rows, centroid_into, dot, norm, sub_into, try_extend_basis, EPS};
+use super::{clamp_to_bounds, standard_normal, Variation, VariationScratch};
 use crate::problem::Bounds;
 use rand::RngCore;
 
@@ -40,52 +40,55 @@ impl Variation for ParentCentricCrossover {
         self.parents
     }
 
-    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut child = Vec::with_capacity(parents[0].len());
-        self.evolve_into(parents, bounds, rng, &mut child);
-        child
-    }
-
-    // The child buffer is reused via `out`; the O(k·L) basis temporaries are
-    // inherent to the Gram-Schmidt construction and still allocate.
+    // borg-lint: hot-path
     fn evolve_into(
         &self,
         parents: &[&[f64]],
         bounds: &[Bounds],
         rng: &mut dyn RngCore,
+        scratch: &mut VariationScratch,
         out: &mut Vec<f64>,
     ) {
         let k = parents.len();
         // The last parent is the index parent the offspring centers on (the
         // caller places the tournament-selected parent last).
         let index_parent = parents[k - 1];
-        let g = centroid(parents);
-        let d = sub(index_parent, &g);
-        let d_norm = norm(&d);
+        let l = index_parent.len();
+        let VariationScratch {
+            centroid: g,
+            direction: d,
+            offset: v,
+            basis,
+            ..
+        } = scratch;
+        centroid_into(parents, g);
+        sub_into(index_parent, g, d);
+        let d_norm = norm(d);
 
         out.clear();
         out.extend_from_slice(index_parent);
         let child = out;
 
         if d_norm > EPS {
-            // Unit principal direction.
-            let d_hat: Vec<f64> = d.iter().map(|x| x / d_norm).collect();
+            // Unit principal direction, the basis's first row.
+            basis.clear();
+            basis.extend(d.iter().map(|x| x / d_norm));
 
             // Mean perpendicular distance of the other parents to the
             // principal axis, and an orthonormal basis of their span minus
             // the principal direction.
-            let mut basis = vec![d_hat.clone()];
             let mut perp_sum = 0.0;
             let mut perp_count = 0usize;
             for p in &parents[..k - 1] {
-                let v = sub(p, &g);
-                let along = dot(&v, &d_hat);
-                let perp_sq = dot(&v, &v) - along * along;
+                sub_into(p, g, v);
+                let along = dot(v, &basis[..l]);
+                let perp_sq = dot(v, v) - along * along;
                 if perp_sq > 0.0 {
                     perp_sum += perp_sq.sqrt();
                     perp_count += 1;
                 }
-                try_extend_basis(v, &mut basis);
+                basis.extend_from_slice(v);
+                try_extend_basis(basis, l);
             }
             let d_bar = if perp_count > 0 {
                 perp_sum / perp_count as f64
@@ -96,13 +99,13 @@ impl Variation for ParentCentricCrossover {
             // Step along the principal direction: w_ζ d (d unnormalized, as
             // in Deb's formulation: the step scales with |x_p − g|).
             let w_zeta = self.zeta * standard_normal(rng);
-            for (c, &dx) in child.iter_mut().zip(&d) {
+            for (c, &dx) in child.iter_mut().zip(d.iter()) {
                 *c += w_zeta * dx;
             }
 
             // Steps along the orthonormal complement directions (basis
-            // entries after the principal one), scaled by the mean spread.
-            for e in &basis[1..] {
+            // rows after the principal one), scaled by the mean spread.
+            for e in basis_rows(&basis[l..], l) {
                 let w_eta = self.eta * d_bar * standard_normal(rng);
                 for (c, &ex) in child.iter_mut().zip(e) {
                     *c += w_eta * ex;
@@ -113,8 +116,8 @@ impl Variation for ParentCentricCrossover {
             // equal): perturb isotropically using the parent spread.
             let mut spread = 0.0;
             for p in &parents[..k - 1] {
-                let mut v = sub(p, &g);
-                spread += orthogonalize(&mut v, &[]);
+                sub_into(p, g, v);
+                spread += norm(v);
             }
             spread /= (k - 1).max(1) as f64;
             for c in child.iter_mut() {

@@ -5,7 +5,7 @@
 //! polynomially-distributed offset whose spread is controlled by the
 //! distribution index `η_m` (larger = more local).
 
-use super::{clamp_to_bounds, Variation};
+use super::{clamp_to_bounds, Variation, VariationScratch};
 use crate::problem::Bounds;
 use rand::{Rng, RngCore};
 
@@ -71,10 +71,17 @@ impl Variation for PolynomialMutation {
         1
     }
 
-    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut child = parents[0].to_vec();
-        self.mutate(&mut child, bounds, rng);
-        child
+    fn evolve_into(
+        &self,
+        parents: &[&[f64]],
+        bounds: &[Bounds],
+        rng: &mut dyn RngCore,
+        _scratch: &mut VariationScratch,
+        out: &mut Vec<f64>,
+    ) {
+        out.clear();
+        out.extend_from_slice(parents[0]);
+        self.mutate(out, bounds, rng);
     }
 }
 

@@ -5,7 +5,7 @@
 //! distribution index `η_c`. Borg uses SBX with rate 1.0 and `η_c = 15`,
 //! followed by polynomial mutation (the compound operator "SBX+PM").
 
-use super::{clamp_to_bounds, PolynomialMutation, Variation};
+use super::{clamp_to_bounds, PolynomialMutation, Variation, VariationScratch};
 use crate::problem::Bounds;
 use rand::{Rng, RngCore};
 
@@ -76,18 +76,13 @@ impl Variation for SimulatedBinaryCrossover {
         2
     }
 
-    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut child = Vec::with_capacity(parents[0].len());
-        self.evolve_into(parents, bounds, rng, &mut child);
-        child
-    }
-
     // borg-lint: hot-path
     fn evolve_into(
         &self,
         parents: &[&[f64]],
         bounds: &[Bounds],
         rng: &mut dyn RngCore,
+        _scratch: &mut VariationScratch,
         out: &mut Vec<f64>,
     ) {
         debug_assert_eq!(parents.len(), 2);

@@ -6,7 +6,7 @@
 //! 10 parents). It is a mean-centric multiparent operator: offspring are
 //! distributed around the parent centroid.
 
-use super::{clamp_to_bounds, Variation};
+use super::{clamp_to_bounds, Variation, VariationScratch};
 use crate::problem::Bounds;
 use rand::{Rng, RngCore};
 
@@ -36,32 +36,30 @@ impl Variation for SimplexCrossover {
         self.parents
     }
 
-    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut child = Vec::with_capacity(parents[0].len());
-        self.evolve_into(parents, bounds, rng, &mut child);
-        child
-    }
-
-    // The child buffer is reused via `out`; the recursive construction's
-    // centroid/offset temporaries are inherent and still allocate.
+    // borg-lint: hot-path
     fn evolve_into(
         &self,
         parents: &[&[f64]],
         bounds: &[Bounds],
         rng: &mut dyn RngCore,
+        scratch: &mut VariationScratch,
         out: &mut Vec<f64>,
     ) {
         let n = parents.len();
         let l = parents[0].len();
+        let VariationScratch {
+            centroid, offset, ..
+        } = scratch;
 
         // Centroid of the parent simplex.
-        let mut centroid = vec![0.0; l];
+        centroid.clear();
+        centroid.resize(l, 0.0);
         for p in parents {
             for (g, &x) in centroid.iter_mut().zip(*p) {
                 *g += x;
             }
         }
-        for g in &mut centroid {
+        for g in centroid.iter_mut() {
             *g /= n as f64;
         }
 
@@ -70,7 +68,10 @@ impl Variation for SimplexCrossover {
         // samples uniformly from the expanded simplex.
         let z = |k: usize, j: usize| centroid[j] + self.expansion * (parents[k][j] - centroid[j]);
 
-        let mut c_prev = vec![0.0; l]; // C_0 = 0
+        // C_k, overwritten in place: its component `j` reads only C_{k−1}'s.
+        let c = offset;
+        c.clear();
+        c.resize(l, 0.0); // C_0 = 0
         for k in 1..n {
             // r_k = u^(1/k) makes the barycentric weights Dirichlet(1,…,1),
             // i.e. uniform over the expanded simplex (stick-breaking: the sum
@@ -78,15 +79,13 @@ impl Variation for SimplexCrossover {
             // Beta(k, 1)-distributed, whose inverse CDF is u^(1/k)).
             let u: f64 = rng.gen();
             let r = u.powf(1.0 / k as f64);
-            let mut c_k = vec![0.0; l];
-            for j in 0..l {
-                c_k[j] = r * (z(k - 1, j) - z(k, j) + c_prev[j]);
+            for (j, c_j) in c.iter_mut().enumerate() {
+                *c_j = r * (z(k - 1, j) - z(k, j) + *c_j);
             }
-            c_prev = c_k;
         }
 
         out.clear();
-        out.extend((0..l).map(|j| z(n - 1, j) + c_prev[j]));
+        out.extend((0..l).map(|j| z(n - 1, j) + c[j]));
         clamp_to_bounds(out, bounds);
     }
 }

@@ -4,7 +4,7 @@
 //! uniformly from its bounds. Borg uses UM both as a member of the operator
 //! ensemble and to inject diversity during restarts.
 
-use super::Variation;
+use super::{Variation, VariationScratch};
 use crate::problem::Bounds;
 use rand::{Rng, RngCore};
 
@@ -47,18 +47,13 @@ impl Variation for UniformMutation {
         1
     }
 
-    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut child = Vec::with_capacity(parents[0].len());
-        self.evolve_into(parents, bounds, rng, &mut child);
-        child
-    }
-
     // borg-lint: hot-path
     fn evolve_into(
         &self,
         parents: &[&[f64]],
         bounds: &[Bounds],
         rng: &mut dyn RngCore,
+        _scratch: &mut VariationScratch,
         out: &mut Vec<f64>,
     ) {
         out.clear();

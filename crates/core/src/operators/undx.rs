@@ -8,8 +8,8 @@
 //! final parent to the centroid (scaled by `η/√L`). Borg uses 10 parents
 //! with `ζ = 0.5`, `η = 0.35`.
 
-use super::vecmath::{centroid, norm, sub, try_extend_basis, EPS};
-use super::{clamp_to_bounds, standard_normal, Variation};
+use super::vecmath::{basis_rows, centroid_into, norm, sub_into, try_extend_basis, EPS};
+use super::{clamp_to_bounds, standard_normal, Variation, VariationScratch};
 use crate::problem::Bounds;
 use rand::RngCore;
 
@@ -40,54 +40,54 @@ impl Variation for UnimodalNormalDistributionCrossover {
         self.parents
     }
 
-    fn evolve(&self, parents: &[&[f64]], bounds: &[Bounds], rng: &mut dyn RngCore) -> Vec<f64> {
-        let mut child = Vec::with_capacity(parents[0].len());
-        self.evolve_into(parents, bounds, rng, &mut child);
-        child
-    }
-
-    // The child buffer is reused via `out`; the orthonormal-basis
-    // temporaries are inherent to the construction and still allocate.
+    // borg-lint: hot-path
     fn evolve_into(
         &self,
         parents: &[&[f64]],
         bounds: &[Bounds],
         rng: &mut dyn RngCore,
+        scratch: &mut VariationScratch,
         out: &mut Vec<f64>,
     ) {
         let k = parents.len();
         let l = parents[0].len();
+        let VariationScratch {
+            centroid: g,
+            direction: d_vec,
+            offset: v,
+            basis,
+            magnitudes,
+        } = scratch;
 
         // Centroid of the first k−1 parents defines the offspring center.
-        let g = centroid(&parents[..k - 1]);
+        centroid_into(&parents[..k - 1], g);
 
         // Primary directions: orthogonalized parent differences, each
         // remembered with its original magnitude so steps scale with the
         // parent spread.
-        let mut basis: Vec<Vec<f64>> = Vec::new();
-        let mut magnitudes: Vec<f64> = Vec::new();
+        basis.clear();
+        magnitudes.clear();
         for p in &parents[..k - 1] {
-            let v = sub(p, &g);
-            let m = norm(&v);
+            sub_into(p, g, v);
+            let m = norm(v);
             if m > EPS {
-                let before = basis.len();
-                if try_extend_basis(v, &mut basis) {
-                    debug_assert_eq!(basis.len(), before + 1);
+                basis.extend_from_slice(v);
+                if try_extend_basis(basis, l) {
                     magnitudes.push(m);
                 }
             }
         }
 
         // Secondary scale: distance of the final parent to the centroid.
-        let d_vec = sub(parents[k - 1], &g);
-        let dd = norm(&d_vec);
+        sub_into(parents[k - 1], g, d_vec);
+        let dd = norm(d_vec);
 
         out.clear();
-        out.extend_from_slice(&g);
+        out.extend_from_slice(g);
         let child = out;
 
         // Primary steps along parent-spanned directions.
-        for (e, &m) in basis.iter().zip(&magnitudes) {
+        for (e, &m) in basis_rows(basis, l).zip(magnitudes.iter()) {
             let w = self.zeta * m * standard_normal(rng);
             for (c, &ex) in child.iter_mut().zip(e) {
                 *c += w * ex;
@@ -97,17 +97,16 @@ impl Variation for UnimodalNormalDistributionCrossover {
         // Secondary steps along random directions orthogonal to the parent
         // span, filling the remaining L − |basis| dimensions.
         if dd > EPS {
-            let primary = basis.len();
+            let primary = magnitudes.len();
             let sigma = self.eta * dd / (l as f64).sqrt();
             let mut remaining = l.saturating_sub(primary);
             let mut attempts = 0;
             while remaining > 0 && attempts < 2 * l + 10 {
                 attempts += 1;
-                let v: Vec<f64> = (0..l).map(|_| standard_normal(rng)).collect();
-                let before = basis.len();
-                if try_extend_basis(v, &mut basis) {
+                basis.extend((0..l).map(|_| standard_normal(rng)));
+                if try_extend_basis(basis, l) {
                     let w = sigma * standard_normal(rng);
-                    let e = &basis[before];
+                    let e = &basis[basis.len() - l..];
                     for (c, &ex) in child.iter_mut().zip(e) {
                         *c += w * ex;
                     }

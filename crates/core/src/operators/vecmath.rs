@@ -2,8 +2,11 @@
 //!
 //! PCX and UNDX need centroids, projections, and incremental Gram-Schmidt
 //! orthogonalization over at most `min(parents, L)` directions; for the
-//! decision-space sizes used by MOEA test suites (L ≲ 100) plain `Vec<f64>`
-//! arithmetic is both the fastest and the clearest choice.
+//! decision-space sizes used by MOEA test suites (L ≲ 100) plain slice
+//! arithmetic is both the fastest and the clearest choice. Every result
+//! goes into a buffer of the caller's [`VariationScratch`](super::VariationScratch),
+//! and a basis is one flat buffer, a row per direction, so an operator call
+//! allocates nothing once the scratch has grown to its width.
 
 /// Dot product.
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
@@ -16,10 +19,11 @@ pub fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
-/// `a - b` into a new vector.
-pub fn sub(a: &[f64], b: &[f64]) -> Vec<f64> {
+/// `a - b` into `out` (cleared first).
+pub fn sub_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
     debug_assert_eq!(a.len(), b.len());
-    a.iter().zip(b).map(|(x, y)| x - y).collect()
+    out.clear();
+    out.extend(a.iter().zip(b).map(|(x, y)| x - y));
 }
 
 /// `a += s * b` in place.
@@ -30,25 +34,30 @@ pub fn axpy(a: &mut [f64], s: f64, b: &[f64]) {
     }
 }
 
-/// Centroid of a set of equal-length vectors.
-pub fn centroid(points: &[&[f64]]) -> Vec<f64> {
+/// Centroid of a set of equal-length vectors, into `out` (cleared first).
+pub fn centroid_into(points: &[&[f64]], out: &mut Vec<f64>) {
     assert!(!points.is_empty());
-    let l = points[0].len();
-    let mut g = vec![0.0; l];
+    out.clear();
+    out.resize(points[0].len(), 0.0);
     for p in points {
-        axpy(&mut g, 1.0, p);
+        axpy(out, 1.0, p);
     }
     let inv = 1.0 / points.len() as f64;
-    for x in &mut g {
+    for x in out.iter_mut() {
         *x *= inv;
     }
-    g
 }
 
-/// Removes from `v` (in place) its components along each unit vector in
-/// `basis`, then returns the residual norm.
-pub fn orthogonalize(v: &mut [f64], basis: &[Vec<f64>]) -> f64 {
-    for e in basis {
+/// The vectors of a basis kept flat, `l` values a row.
+pub fn basis_rows(basis: &[f64], l: usize) -> std::slice::ChunksExact<'_, f64> {
+    // `chunks_exact(0)` panics; a basis of zero-length vectors is empty.
+    basis.chunks_exact(l.max(1))
+}
+
+/// Removes from `v` (in place) its components along each unit vector of the
+/// flat `basis`, then returns the residual norm.
+pub fn orthogonalize(v: &mut [f64], basis: &[f64]) -> f64 {
+    for e in basis_rows(basis, v.len()) {
         let c = dot(v, e);
         axpy(v, -c, e);
     }
@@ -58,17 +67,21 @@ pub fn orthogonalize(v: &mut [f64], basis: &[Vec<f64>]) -> f64 {
 /// Tolerance below which a residual is treated as numerically zero.
 pub const EPS: f64 = 1e-10;
 
-/// Attempts to extend an orthonormal `basis` with the direction of `v`.
-/// Returns `true` if `v` contributed a new direction.
-pub fn try_extend_basis(mut v: Vec<f64>, basis: &mut Vec<Vec<f64>>) -> bool {
-    let n = orthogonalize(&mut v, basis);
+/// Attempts to extend the orthonormal flat `basis` (rows of `l` values)
+/// with the direction of its last row, a candidate the caller appended:
+/// normalizes and keeps it, returning `true`, if it contributed a new
+/// direction, and removes it otherwise.
+pub fn try_extend_basis(basis: &mut Vec<f64>, l: usize) -> bool {
+    let start = basis.len() - l;
+    let (head, v) = basis.split_at_mut(start);
+    let n = orthogonalize(v, head);
     if n > EPS {
-        for x in &mut v {
+        for x in v {
             *x /= n;
         }
-        basis.push(v);
         true
     } else {
+        basis.truncate(start);
         false
     }
 }
@@ -81,7 +94,9 @@ mod tests {
     fn dot_norm_sub_axpy() {
         assert_eq!(dot(&[1.0, 2.0], &[3.0, 4.0]), 11.0);
         assert_eq!(norm(&[3.0, 4.0]), 5.0);
-        assert_eq!(sub(&[3.0, 4.0], &[1.0, 1.0]), vec![2.0, 3.0]);
+        let mut d = vec![9.0; 5];
+        sub_into(&[3.0, 4.0], &[1.0, 1.0], &mut d);
+        assert_eq!(d, vec![2.0, 3.0]);
         let mut a = vec![1.0, 1.0];
         axpy(&mut a, 2.0, &[1.0, -1.0]);
         assert_eq!(a, vec![3.0, -1.0]);
@@ -92,29 +107,34 @@ mod tests {
         let p1 = [0.0, 0.0];
         let p2 = [3.0, 0.0];
         let p3 = [0.0, 3.0];
-        assert_eq!(centroid(&[&p1, &p2, &p3]), vec![1.0, 1.0]);
+        let mut g = vec![7.0];
+        centroid_into(&[&p1, &p2, &p3], &mut g);
+        assert_eq!(g, vec![1.0, 1.0]);
     }
 
     #[test]
     fn gram_schmidt_builds_orthonormal_basis() {
         let mut basis = Vec::new();
-        assert!(try_extend_basis(vec![2.0, 0.0, 0.0], &mut basis));
-        assert!(try_extend_basis(vec![1.0, 1.0, 0.0], &mut basis));
-        assert!(try_extend_basis(vec![1.0, 1.0, 1.0], &mut basis));
+        for v in [[2.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 1.0, 1.0]] {
+            basis.extend(v);
+            assert!(try_extend_basis(&mut basis, 3));
+        }
         // Fourth vector in 3-space must be dependent.
-        assert!(!try_extend_basis(vec![0.3, -0.2, 0.9], &mut basis));
-        assert_eq!(basis.len(), 3);
+        basis.extend([0.3, -0.2, 0.9]);
+        assert!(!try_extend_basis(&mut basis, 3));
+        assert_eq!(basis.len(), 9);
+        let rows: Vec<&[f64]> = basis_rows(&basis, 3).collect();
         for i in 0..3 {
-            assert!((norm(&basis[i]) - 1.0).abs() < 1e-12);
+            assert!((norm(rows[i]) - 1.0).abs() < 1e-12);
             for j in (i + 1)..3 {
-                assert!(dot(&basis[i], &basis[j]).abs() < 1e-12);
+                assert!(dot(rows[i], rows[j]).abs() < 1e-12);
             }
         }
     }
 
     #[test]
     fn orthogonalize_removes_projection() {
-        let basis = vec![vec![1.0, 0.0]];
+        let basis = [1.0, 0.0];
         let mut v = vec![3.0, 4.0];
         let r = orthogonalize(&mut v, &basis);
         assert!((r - 4.0).abs() < 1e-12);
@@ -123,8 +143,8 @@ mod tests {
 
     #[test]
     fn zero_vector_does_not_extend_basis() {
-        let mut basis = vec![vec![1.0, 0.0]];
-        assert!(!try_extend_basis(vec![0.0, 0.0], &mut basis));
-        assert_eq!(basis.len(), 1);
+        let mut basis = vec![1.0, 0.0, 0.0, 0.0];
+        assert!(!try_extend_basis(&mut basis, 2));
+        assert_eq!(basis, [1.0, 0.0]);
     }
 }

@@ -16,8 +16,11 @@
 //! between mutually nondominated rows — 99.76 % of the blocks and 99.93 %
 //! of the pairs decide nothing — and 16 bits a value are enough to see it.
 //!
-//! So the population keeps one mirror of its members' objective vectors and
-//! aggregate constraint violations, a [`BlockedRows`] (the type the archive
+//! So the population keeps its members as rows of two stores and nowhere
+//! else:
+//! each member's decision variables as a row of a [`FlatMatrix`], which
+//! variation reads parents out of, and its objective vector and aggregate
+//! constraint violation as a row of a [`BlockedRows`] (the type the archive
 //! keeps its box keys in), which holds every value three ways:
 //!
 //! * **exact lanes**: members in blocks of [`BLOCK_LANES`], each block one
@@ -31,12 +34,18 @@
 //!   the count with the offspring's keys in registers) reads them first
 //!   and proves most blocks mutually nondominated with the offspring at a
 //!   quarter of the bytes and a quarter of the packed compares, and the
-//!   scan in [`Population::offer_replacing`] skips those blocks;
+//!   scan in [`Population::offer`] skips those blocks;
 //! * **packed keys**: each member's keys again, row-major, 16 bytes a
 //!   member, for [`Population::tournament_select`], which reads random
 //!   members — one load where the member's lanes are spread over `m + 1`
 //!   cache lines. [`keys_apart_pair`] proves most pairs apart; the few it
 //!   cannot are compared exactly, out of the lanes.
+//!
+//! No member is a [`Solution`](crate::solution::Solution): an offspring's
+//! rows are copied in over the member it displaces, and its constraints are
+//! kept only as the aggregate the comparisons read. A member's objectives
+//! are transposed across its block's lanes, so
+//! [`Population::objectives`] yields them rather than lending a slice.
 //!
 //! The keys speak only while no violation can decide anything (no member
 //! and not the offspring has a positive one), never about a row that holds
@@ -54,15 +63,16 @@
 //! Neither path allocates per offspring (the dominated-index list and, at
 //! a count without a compiled filter, the offspring's keys are reused
 //! scratch buffers; a compiled filter keeps them on the stack), and neither
-//! changes a decision: the scalar scan and tournament survive under
-//! `#[cfg(test)]` as the oracle of a differential property test.
+//! changes a decision: a `Vec<Solution>` population with the scalar scan
+//! and tournament survives under `#[cfg(test)]` as the oracle of a
+//! differential property test.
 
 use crate::dominance::{
     constrained_dominance_block, constrained_dominance_columns, filter_by_order_keys,
     keys_apart_pair, unfiltered, Dominance, KeyLanes, KeyedScan, BLOCK_LANES, MIN_KEYED_BLOCKS,
 };
-use crate::matrix::BlockedRows;
-use crate::solution::Solution;
+use crate::matrix::{BlockedRows, FlatMatrix};
+use crate::solution::Member;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
@@ -80,11 +90,13 @@ pub enum PopulationInsert {
 /// A bounded steady-state population.
 #[derive(Debug, Clone)]
 pub struct Population {
-    members: Vec<Solution>,
-    /// Mirror of each member's objectives followed by its aggregate
-    /// constraint violation (computed once at insertion instead of per
-    /// comparison), row-parallel with `members`: exact lanes and key lanes
-    /// for the replacement scan, packed keys for the tournament.
+    /// Member `i`'s decision variables, row `i`. Its row count is the
+    /// population's length.
+    variables: FlatMatrix<f64>,
+    /// Each member's objectives followed by its aggregate constraint
+    /// violation (computed once at insertion instead of per comparison),
+    /// row-parallel with `variables`: exact lanes and key lanes for the
+    /// replacement scan, packed keys for the tournament.
     blocked: BlockedRows,
     /// Members whose violation is positive. The order keys speak only while
     /// this is zero: between two members that violate nothing, no violation
@@ -106,7 +118,7 @@ impl Population {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "population capacity must be positive");
         Self {
-            members: Vec::with_capacity(capacity),
+            variables: FlatMatrix::new(0),
             blocked: BlockedRows::default(),
             violating: 0,
             capacity,
@@ -115,19 +127,39 @@ impl Population {
         }
     }
 
-    /// Current members.
-    pub fn members(&self) -> &[Solution] {
-        &self.members
+    /// Member `i`'s decision variables.
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub fn variables(&self, i: usize) -> &[f64] {
+        self.variables.row(i)
+    }
+
+    /// Member `i`'s objectives, read out of its block's lanes.
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub fn objectives(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
+        self.blocked.row(i).take(self.violation_column())
+    }
+
+    /// Member `i`'s aggregate constraint violation (0.0 when it violates
+    /// nothing).
+    ///
+    /// # Panics
+    /// If `i` is out of range.
+    pub fn violation(&self, i: usize) -> f64 {
+        self.blocked.value(i, self.violation_column())
     }
 
     /// Number of members currently held.
     pub fn len(&self) -> usize {
-        self.members.len()
+        self.variables.rows()
     }
 
     /// Whether the population holds no members.
     pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
+        self.variables.is_empty()
     }
 
     /// Capacity (target size).
@@ -137,43 +169,42 @@ impl Population {
 
     /// Whether the population is at capacity.
     pub fn is_full(&self) -> bool {
-        self.members.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     /// Adds a member unconditionally while below capacity (initialization /
-    /// restart refill). Returns `false` (and drops the solution) when full.
-    pub fn fill(&mut self, solution: Solution) -> bool {
+    /// restart refill). Returns `false` (and copies nothing) when full.
+    pub fn fill(&mut self, member: Member<'_>) -> bool {
         if self.is_full() {
             return false;
         }
-        self.push_member(solution);
+        self.push_member(member, member.constraint_violation());
         true
     }
 
     /// Empties the population, keeping capacity.
     pub fn clear(&mut self) {
-        self.members.clear();
+        self.variables.clear();
         self.blocked.clear();
         self.violating = 0;
     }
 
     /// Empties the population and gives it a new capacity (a restart): what
     /// [`resize`](Self::resize) followed by [`clear`](Self::clear) leaves
-    /// behind, without rebuilding mirrors only to empty them. It draws what
+    /// behind, without permuting rows only to drop them. It draws what
     /// `resize` draws — the shuffle of a shrinking population — so callers'
-    /// RNG streams do not depend on which form they use. The retired
-    /// members are handed back, for their buffers to be recycled; dropping
-    /// the iterator frees whatever it has not yielded.
-    pub fn reset<R: Rng>(&mut self, capacity: usize, rng: &mut R) -> std::vec::Drain<'_, Solution> {
+    /// RNG streams do not depend on which form they use.
+    pub fn reset<R: Rng>(&mut self, capacity: usize, rng: &mut R) {
         assert!(capacity > 0, "population capacity must be positive");
-        if self.members.len() > capacity {
-            self.members.shuffle(rng);
+        if self.len() > capacity {
+            // A shuffle draws as many values, from as wide ranges, whatever
+            // the slice holds; a slice of `()` is one without storage.
+            vec![(); self.len()].shuffle(rng);
         }
         self.capacity = capacity;
-        self.blocked.clear();
-        self.violating = 0;
+        self.clear();
+        self.variables.reserve_rows(capacity);
         self.blocked.reserve(capacity);
-        self.members.drain(..)
     }
 
     /// Changes the capacity; excess members (if shrinking) are dropped from
@@ -181,36 +212,36 @@ impl Population {
     pub fn resize<R: Rng>(&mut self, capacity: usize, rng: &mut R) {
         assert!(capacity > 0, "population capacity must be positive");
         self.capacity = capacity;
-        if self.members.len() > capacity {
-            self.members.shuffle(rng);
-            self.members.truncate(capacity);
-            self.rebuild_mirrors();
+        let n = self.len();
+        if n > capacity {
+            // Row `k` of the result is the member the shuffle of a
+            // `Vec` of members would have moved to slot `k`.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(rng);
+            let variables = std::mem::replace(&mut self.variables, FlatMatrix::new(0));
+            let blocked = std::mem::take(&mut self.blocked);
+            let violations = blocked.stride() - 1;
+            self.violating = 0;
+            for &i in &order[..capacity] {
+                self.variables.push_row(variables.row(i));
+                self.violating += usize::from(blocked.value(i, violations) > 0.0);
+                self.blocked.push(blocked.row(i));
+            }
         }
     }
 
     /// Offers an offspring to a full population using Borg's steady-state
-    /// replacement rule.
+    /// replacement rule; below capacity it is added. The offspring's rows
+    /// are copied in over the member it replaces.
     // borg-lint: hot-path
-    pub fn offer<R: Rng>(&mut self, offspring: Solution, rng: &mut R) -> PopulationInsert {
-        self.offer_replacing(offspring, rng).0
-    }
-
-    /// [`offer`](Self::offer), additionally returning the member the
-    /// offspring displaced (if any) so callers can recycle its buffers
-    /// through a solution arena instead of freeing them.
-    // borg-lint: hot-path
-    pub fn offer_replacing<R: Rng>(
-        &mut self,
-        offspring: Solution,
-        rng: &mut R,
-    ) -> (PopulationInsert, Option<Solution>) {
-        if !self.is_full() {
-            self.push_member(offspring);
-            return (PopulationInsert::ReplacedRandom, None);
-        }
+    pub fn offer<R: Rng>(&mut self, offspring: Member<'_>, rng: &mut R) -> PopulationInsert {
         let violation = offspring.constraint_violation();
+        if !self.is_full() {
+            self.push_member(offspring, violation);
+            return PopulationInsert::ReplacedRandom;
+        }
         if self.scan(offspring.objectives(), violation) {
-            return (PopulationInsert::Rejected, Some(offspring));
+            return PopulationInsert::Rejected;
         }
         self.replace_after_scan(offspring, violation, rng)
     }
@@ -221,12 +252,12 @@ impl Population {
     // borg-lint: hot-path
     fn replace_after_scan<R: Rng>(
         &mut self,
-        offspring: Solution,
+        offspring: Member<'_>,
         violation: f64,
         rng: &mut R,
-    ) -> (PopulationInsert, Option<Solution>) {
+    ) -> PopulationInsert {
         let (verdict, i) = if self.scratch_dominated.is_empty() {
-            let i = rng.gen_range(0..self.members.len());
+            let i = rng.gen_range(0..self.len());
             (PopulationInsert::ReplacedRandom, i)
         } else {
             let pick = rng.gen_range(0..self.scratch_dominated.len());
@@ -235,7 +266,8 @@ impl Population {
                 self.scratch_dominated[pick],
             )
         };
-        (verdict, Some(self.replace_member(i, offspring, violation)))
+        self.replace_member(i, offspring, violation);
+        verdict
     }
 
     /// The replacement scan: compares an offspring (given as a row) with
@@ -254,7 +286,7 @@ impl Population {
     // borg-lint: hot-path
     fn scan(&mut self, objectives: &[f64], violation: f64) -> bool {
         self.scratch_dominated.clear();
-        let full = self.members.len() / BLOCK_LANES;
+        let full = self.len() / BLOCK_LANES;
         let none_violates = self.violating + usize::from(violation > 0.0) == 0;
         let scan = ReplacementScan {
             blocked: &self.blocked,
@@ -282,14 +314,11 @@ impl Population {
     /// member has a positive violation.
     // borg-lint: hot-path
     pub fn tournament_select<R: Rng>(&self, k: usize, rng: &mut R) -> usize {
-        assert!(
-            !self.members.is_empty(),
-            "cannot select from empty population"
-        );
+        assert!(!self.is_empty(), "cannot select from empty population");
         let keyed = self.violating == 0;
-        let mut best = rng.gen_range(0..self.members.len());
+        let mut best = rng.gen_range(0..self.len());
         for _ in 1..k.max(1) {
-            let challenger = rng.gen_range(0..self.members.len());
+            let challenger = rng.gen_range(0..self.len());
             let (a, b) = (
                 self.blocked.packed_keys(challenger),
                 self.blocked.packed_keys(best),
@@ -307,7 +336,7 @@ impl Population {
     }
 
     /// Exact constrained dominance of member `a` over member `b`, read out
-    /// of the blocked mirror's lanes.
+    /// of the blocked lanes.
     // borg-lint: hot-path
     #[inline]
     fn dominance(&self, a: usize, b: usize) -> Dominance {
@@ -316,63 +345,41 @@ impl Population {
         constrained_dominance_columns(columns, self.blocked.value(a, m), self.blocked.value(b, m))
     }
 
-    /// The mirror column that holds the violation: the one after the
+    /// The blocked column that holds the violation: the one after the
     /// objectives. Meaningful only while the population has members.
     fn violation_column(&self) -> usize {
         self.blocked.stride() - 1
     }
 
-    /// Member accessor.
-    pub fn get(&self, i: usize) -> &Solution {
-        &self.members[i]
-    }
-
-    /// Appends a member and its mirror row.
-    fn push_member(&mut self, solution: Solution) {
-        let violation = solution.constraint_violation();
+    /// Appends a member's rows.
+    fn push_member(&mut self, member: Member<'_>, violation: f64) {
         self.violating += usize::from(violation > 0.0);
         self.blocked
-            .push(blocked_row(solution.objectives(), violation));
-        self.members.push(solution);
+            .push(blocked_row(member.objectives(), violation));
+        self.variables.push_row(member.variables());
     }
 
-    /// Replaces member `i`, refreshing its mirror row; returns the old one.
+    /// Overwrites member `i`'s rows.
     // borg-lint: hot-path
-    fn replace_member(&mut self, i: usize, solution: Solution, violation: f64) -> Solution {
-        let old = self.blocked.value(i, self.violation_column());
+    fn replace_member(&mut self, i: usize, member: Member<'_>, violation: f64) {
+        let old = self.violation(i);
         self.violating -= usize::from(old > 0.0);
         self.violating += usize::from(violation > 0.0);
         self.blocked
-            .set(i, blocked_row(solution.objectives(), violation));
-        std::mem::replace(&mut self.members[i], solution)
+            .set(i, blocked_row(member.objectives(), violation));
+        self.variables.set_row(i, member.variables());
     }
 
-    /// Recomputes the mirror from `members` (after a shuffle/truncate).
-    fn rebuild_mirrors(&mut self) {
-        let members = std::mem::take(&mut self.members);
-        self.clear();
-        self.members.reserve(self.capacity);
-        for m in members {
-            self.push_member(m);
-        }
-    }
-
-    /// Verifies that the mirror agrees with the members, bit for bit, that
-    /// every unoccupied lane is padding, every order key the key of its
-    /// exact lane ([`BlockedRows::check`]), and the count of violating
-    /// members (tests).
-    pub fn check_mirrors(&self) -> Result<(), String> {
-        let n = self.members.len();
-        let width = self.members.first().map_or(0, Solution::num_objectives);
-        self.blocked.check(n, width + 1)?;
-        for (i, m) in self.members.iter().enumerate() {
-            let truth = blocked_row(m.objectives(), m.constraint_violation()).map(f64::to_bits);
-            if !self.blocked.row(i).map(f64::to_bits).eq(truth) {
-                return Err(format!("blocked mirror lane of member {i} is stale"));
-            }
-        }
-        let violates = |m: &&Solution| m.constraint_violation() > 0.0;
-        let violating = self.members.iter().filter(violates).count();
+    /// Verifies that both stores hold one row per member, that every
+    /// unoccupied lane is padding and every order key the key of its exact
+    /// lane ([`BlockedRows::check`]), and the count of violating members
+    /// (tests).
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let n = self.len();
+        // Without members the blocked rows may keep the width of an earlier
+        // epoch; with them, the first row's width is the stride.
+        self.blocked.check(n, self.blocked.stride())?;
+        let violating = (0..n).filter(|&i| self.violation(i) > 0.0).count();
         if self.violating != violating {
             return Err(format!(
                 "{} members counted as violating, {violating} are",
@@ -427,61 +434,11 @@ fn blocked_row(objectives: &[f64], violation: f64) -> impl Iterator<Item = f64> 
     objectives.iter().copied().chain([violation])
 }
 
-/// The scalar scan and tournament the blocked kernels replaced, kept as the
-/// oracle the differential property test below holds them to.
-#[cfg(test)]
-impl Population {
-    fn row_dominance_scalar(&self, objectives: &[f64], violation: f64, i: usize) -> Dominance {
-        let vi = self.members[i].constraint_violation();
-        if violation < vi {
-            Dominance::Dominates
-        } else if vi < violation {
-            Dominance::DominatedBy
-        } else {
-            crate::dominance::pareto_dominance_objectives(objectives, self.members[i].objectives())
-        }
-    }
-
-    fn offer_replacing_scalar<R: Rng>(
-        &mut self,
-        offspring: Solution,
-        rng: &mut R,
-    ) -> (PopulationInsert, Option<Solution>) {
-        if !self.is_full() {
-            self.push_member(offspring);
-            return (PopulationInsert::ReplacedRandom, None);
-        }
-        let violation = offspring.constraint_violation();
-        self.scratch_dominated.clear();
-        for i in 0..self.members.len() {
-            match self.row_dominance_scalar(offspring.objectives(), violation, i) {
-                Dominance::Dominates => self.scratch_dominated.push(i),
-                Dominance::DominatedBy => return (PopulationInsert::Rejected, Some(offspring)),
-                Dominance::NonDominated => {}
-            }
-        }
-        self.replace_after_scan(offspring, violation, rng)
-    }
-
-    fn tournament_select_scalar<R: Rng>(&self, k: usize, rng: &mut R) -> usize {
-        let mut best = rng.gen_range(0..self.members.len());
-        for _ in 1..k.max(1) {
-            let challenger = rng.gen_range(0..self.members.len());
-            let c = &self.members[challenger];
-            if self.row_dominance_scalar(c.objectives(), c.constraint_violation(), best)
-                == Dominance::Dominates
-            {
-                best = challenger;
-            }
-        }
-        best
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dominance::order_key;
+    use crate::solution::Solution;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -489,89 +446,104 @@ mod tests {
         Solution::from_parts(vec![], objs.to_vec(), vec![])
     }
 
+    fn objectives(p: &Population, i: usize) -> Vec<f64> {
+        p.objectives(i).collect()
+    }
+
     #[test]
     fn fill_until_capacity() {
         let mut p = Population::new(2);
-        assert!(p.fill(sol(&[1.0, 1.0])));
+        assert!(p.fill(sol(&[1.0, 1.0]).as_member()));
         assert!(!p.is_full());
-        assert!(p.fill(sol(&[2.0, 2.0])));
+        assert!(p.fill(sol(&[2.0, 2.0]).as_member()));
         assert!(p.is_full());
-        assert!(!p.fill(sol(&[3.0, 3.0])));
+        assert!(!p.fill(sol(&[3.0, 3.0]).as_member()));
         assert_eq!(p.len(), 2);
-        p.check_mirrors().unwrap();
+        p.check_invariants().unwrap();
     }
 
     #[test]
     fn offer_replaces_dominated_member() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = Population::new(2);
-        p.fill(sol(&[5.0, 5.0]));
-        p.fill(sol(&[0.0, 9.0]));
-        let r = p.offer(sol(&[1.0, 1.0]), &mut rng);
+        p.fill(sol(&[5.0, 5.0]).as_member());
+        p.fill(sol(&[0.0, 9.0]).as_member());
+        let r = p.offer(sol(&[1.0, 1.0]).as_member(), &mut rng);
         assert_eq!(r, PopulationInsert::ReplacedDominated);
-        assert!(p.members().iter().any(|m| m.objectives() == [1.0, 1.0]));
-        assert!(p.members().iter().any(|m| m.objectives() == [0.0, 9.0]));
-        p.check_mirrors().unwrap();
+        assert!((0..2).any(|i| objectives(&p, i) == [1.0, 1.0]));
+        assert!((0..2).any(|i| objectives(&p, i) == [0.0, 9.0]));
+        p.check_invariants().unwrap();
     }
 
     #[test]
     fn offer_rejects_dominated_offspring() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = Population::new(1);
-        p.fill(sol(&[0.0, 0.0]));
+        p.fill(sol(&[0.0, 0.0]).as_member());
         assert_eq!(
-            p.offer(sol(&[1.0, 1.0]), &mut rng),
+            p.offer(sol(&[1.0, 1.0]).as_member(), &mut rng),
             PopulationInsert::Rejected
         );
-        assert_eq!(p.members()[0].objectives(), &[0.0, 0.0]);
-        p.check_mirrors().unwrap();
+        assert_eq!(objectives(&p, 0), [0.0, 0.0]);
+        p.check_invariants().unwrap();
     }
 
     #[test]
     fn offer_nondominated_replaces_random() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = Population::new(2);
-        p.fill(sol(&[0.0, 1.0]));
-        p.fill(sol(&[1.0, 0.0]));
-        let r = p.offer(sol(&[0.5, 0.5]), &mut rng);
+        p.fill(sol(&[0.0, 1.0]).as_member());
+        p.fill(sol(&[1.0, 0.0]).as_member());
+        let r = p.offer(sol(&[0.5, 0.5]).as_member(), &mut rng);
         assert_eq!(r, PopulationInsert::ReplacedRandom);
         assert_eq!(p.len(), 2);
-        p.check_mirrors().unwrap();
+        p.check_invariants().unwrap();
     }
 
+    /// The offspring's variables, objectives and violation land in the
+    /// displaced member's slot; a rejected offspring writes nothing.
     #[test]
-    fn offer_replacing_returns_the_displaced_member() {
+    fn offer_overwrites_the_displaced_members_rows() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut p = Population::new(2);
-        p.fill(sol(&[5.0, 5.0]));
-        p.fill(sol(&[0.0, 9.0]));
-        let (r, old) = p.offer_replacing(sol(&[1.0, 1.0]), &mut rng);
+        let member = |x: f64, objs: &[f64], c: f64| {
+            Solution::from_parts(vec![x, -x], objs.to_vec(), vec![c])
+        };
+        p.fill(member(1.0, &[5.0, 5.0], 0.0).as_member());
+        p.fill(member(2.0, &[0.0, 9.0], 0.0).as_member());
+        let offspring = member(3.0, &[1.0, 1.0], -4.0);
+        let r = p.offer(offspring.as_member(), &mut rng);
         assert_eq!(r, PopulationInsert::ReplacedDominated);
-        assert_eq!(old.expect("displaced").objectives(), &[5.0, 5.0]);
-        // A rejected offspring comes back to the caller for recycling.
-        let (r, back) = p.offer_replacing(sol(&[9.0, 9.0]), &mut rng);
+        assert_eq!(p.variables(0), &[3.0, -3.0]);
+        assert_eq!(objectives(&p, 0), [1.0, 1.0]);
+        assert_eq!(p.variables(1), &[2.0, -2.0]);
+        let r = p.offer(member(4.0, &[9.0, 9.0], 0.0).as_member(), &mut rng);
         assert_eq!(r, PopulationInsert::Rejected);
-        assert_eq!(back.expect("rejected offspring").objectives(), &[9.0, 9.0]);
-        // Filling below capacity keeps the offspring: nothing to recycle.
+        assert_eq!(
+            (p.variables(0), p.variables(1)),
+            (&[3.0, -3.0][..], &[2.0, -2.0][..])
+        );
+        // Below capacity the offspring is added.
         let mut q = Population::new(2);
-        let (r, none) = q.offer_replacing(sol(&[1.0, 2.0]), &mut rng);
+        let r = q.offer(member(5.0, &[1.0, 2.0], 0.5).as_member(), &mut rng);
         assert_eq!(r, PopulationInsert::ReplacedRandom);
-        assert!(none.is_none());
+        assert_eq!((q.len(), q.violation(0)), (1, 0.5));
+        q.check_invariants().unwrap();
     }
 
     #[test]
     fn constrained_offspring_uses_cached_violations() {
         let mut rng = StdRng::seed_from_u64(2);
         let mut p = Population::new(2);
-        p.fill(Solution::from_parts(vec![], vec![0.0, 0.0], vec![2.0]));
-        p.fill(Solution::from_parts(vec![], vec![1.0, 9.0], vec![0.0]));
+        p.fill(Solution::from_parts(vec![], vec![0.0, 0.0], vec![2.0]).as_member());
+        p.fill(Solution::from_parts(vec![], vec![1.0, 9.0], vec![0.0]).as_member());
         // Feasible offspring dominates the violating member regardless of
         // objectives.
         let off = Solution::from_parts(vec![], vec![5.0, 5.0], vec![0.0]);
-        let r = p.offer(off, &mut rng);
+        let r = p.offer(off.as_member(), &mut rng);
         assert_eq!(r, PopulationInsert::ReplacedDominated);
-        assert!(p.members().iter().all(|m| m.is_feasible()));
-        p.check_mirrors().unwrap();
+        assert!((0..p.len()).all(|i| p.violation(i) <= 0.0));
+        p.check_invariants().unwrap();
     }
 
     /// A violating offspring loses to every feasible member even when its
@@ -582,15 +554,18 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let mut p = Population::new(16);
         for i in 0..16 {
-            p.fill(sol(&[f64::from(i), f64::from(16 - i)]));
+            p.fill(sol(&[f64::from(i), f64::from(16 - i)]).as_member());
         }
         let in_gap = |constraint| Solution::from_parts(vec![], vec![7.5, 8.75], vec![constraint]);
-        assert_eq!(p.offer(in_gap(0.5), &mut rng), PopulationInsert::Rejected);
         assert_eq!(
-            p.offer(in_gap(0.0), &mut rng),
+            p.offer(in_gap(0.5).as_member(), &mut rng),
+            PopulationInsert::Rejected
+        );
+        assert_eq!(
+            p.offer(in_gap(0.0).as_member(), &mut rng),
             PopulationInsert::ReplacedRandom
         );
-        p.check_mirrors().unwrap();
+        p.check_invariants().unwrap();
     }
 
     #[test]
@@ -598,9 +573,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut p = Population::new(10);
         for _ in 0..9 {
-            p.fill(sol(&[9.0, 9.0]));
+            p.fill(sol(&[9.0, 9.0]).as_member());
         }
-        p.fill(sol(&[0.0, 0.0]));
+        p.fill(sol(&[0.0, 0.0]).as_member());
         // With replacement, the dominant member enters a 10-way tournament
         // with probability 1 − 0.9^10 ≈ 0.65 and then always wins. Uniform
         // (broken) selection would win ~10% of the time; demand well above
@@ -622,7 +597,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut p = Population::new(4);
         for i in 0..4 {
-            p.fill(sol(&[i as f64, 4.0 - i as f64]));
+            p.fill(sol(&[i as f64, 4.0 - i as f64]).as_member());
         }
         let mut counts = [0usize; 4];
         for _ in 0..4000 {
@@ -638,34 +613,34 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let mut p = Population::new(4);
         for i in 0..4 {
-            p.fill(sol(&[i as f64, -(i as f64)]));
+            p.fill(sol(&[i as f64, -(i as f64)]).as_member());
         }
         p.resize(2, &mut rng);
         assert_eq!(p.len(), 2);
         assert_eq!(p.capacity(), 2);
-        p.check_mirrors().unwrap();
+        p.check_invariants().unwrap();
         p.resize(8, &mut rng);
         assert_eq!(p.len(), 2);
         assert!(!p.is_full());
-        p.check_mirrors().unwrap();
+        p.check_invariants().unwrap();
     }
 
     #[test]
     fn mirrors_survive_clear_and_refill_at_another_width() {
         let mut p = Population::new(20);
-        p.check_mirrors().unwrap();
+        p.check_invariants().unwrap();
         for i in 0..11 {
-            p.fill(sol(&[i as f64, -(i as f64)]));
-            p.check_mirrors().unwrap();
+            p.fill(sol(&[i as f64, -(i as f64)]).as_member());
+            p.check_invariants().unwrap();
         }
         p.clear();
-        p.check_mirrors().unwrap();
-        // The blocked mirror adopts the width of the first row of each
-        // epoch: three objectives and the violation.
+        p.check_invariants().unwrap();
+        // The blocked rows adopt the width of the first row of each epoch:
+        // three objectives and the violation.
         for i in 0..9 {
-            p.fill(sol(&[i as f64, 0.5, -(i as f64)]));
+            p.fill(sol(&[i as f64, 0.5, -(i as f64)]).as_member());
         }
-        p.check_mirrors().unwrap();
+        p.check_invariants().unwrap();
         assert_eq!(p.blocked.stride(), 4);
     }
 
@@ -673,39 +648,42 @@ mod tests {
     fn check_mirrors_sees_a_stale_lane_and_dirty_padding() {
         let mut p = Population::new(4);
         for i in 0..3 {
-            p.fill(sol(&[i as f64, -(i as f64)]));
+            p.fill(sol(&[i as f64, -(i as f64)]).as_member());
         }
-        // Member 2's second objective, -2.0, read as 7.0: first with the
-        // key it had (the lane no longer backs its key), then rekeyed to
-        // match (the lane no longer is the member's).
+        // Member 2's second objective, -2.0, read as 7.0 with the key it
+        // had: the lane no longer backs its key.
         let mut stale = p.clone();
         stale.blocked.lanes_mut()[1][2] = 7.0;
         assert!(stale
-            .check_mirrors()
+            .check_invariants()
             .unwrap_err()
             .contains("key lane of row 2"));
-        stale.blocked.keys_mut()[1][2] = order_key(7.0);
-        stale.blocked.packed_mut()[2][1] = order_key(7.0);
-        assert!(stale.check_mirrors().unwrap_err().contains("member 2"));
         let mut dirty = p.clone();
         dirty.blocked.lanes_mut()[2][3] = 0.0;
-        assert!(dirty.check_mirrors().unwrap_err().contains("padding"));
+        assert!(dirty.check_invariants().unwrap_err().contains("padding"));
         // A key that orders what its lane does not: member 1's first
         // objective, 1.0, keyed as 1.5, would put it strictly above an
         // offspring at 1.25.
         let mut decisive = p.clone();
         decisive.blocked.keys_mut()[0][1] = order_key(1.5);
-        assert!(decisive.check_mirrors().unwrap_err().contains("row 1"));
+        assert!(decisive.check_invariants().unwrap_err().contains("row 1"));
         let mut packed = p.clone();
         packed.blocked.packed_mut()[1][0] = order_key(1.5);
-        assert!(packed.check_mirrors().unwrap_err().contains("packed"));
+        assert!(packed.check_invariants().unwrap_err().contains("packed"));
         let mut miscounted = p.clone();
         miscounted.violating = 1;
         assert!(miscounted
-            .check_mirrors()
+            .check_invariants()
             .unwrap_err()
             .contains("violating"));
-        p.check_mirrors().unwrap();
+        // The two stores hold one row per member.
+        let mut short = p.clone();
+        short.variables.truncate_rows(2);
+        assert!(short
+            .check_invariants()
+            .unwrap_err()
+            .contains("expected 2 rows"));
+        p.check_invariants().unwrap();
     }
 
     #[test]
@@ -714,7 +692,7 @@ mod tests {
         for (len, capacity) in [(6usize, 3usize), (6, 6), (6, 9), (0, 4)] {
             let mut a = Population::new(8);
             for i in 0..len {
-                a.fill(sol(&[i as f64, -(i as f64)]));
+                a.fill(sol(&[i as f64, -(i as f64)]).as_member());
             }
             let mut b = a.clone();
             let mut rng_a = StdRng::seed_from_u64(11);
@@ -729,21 +707,100 @@ mod tests {
             );
             assert_eq!((b.len(), b.capacity()), (0, capacity));
             assert_eq!((a.len(), a.capacity()), (0, capacity));
-            b.check_mirrors().unwrap();
+            b.check_invariants().unwrap();
             // And the emptied population refills like a new one.
-            b.fill(sol(&[1.0, 2.0]));
-            b.check_mirrors().unwrap();
+            b.fill(sol(&[1.0, 2.0]).as_member());
+            b.check_invariants().unwrap();
         }
     }
 
     mod differential {
-        //! The keyed, blocked scan and the keyed tournament against the
-        //! scalar code they replaced: same seeded RNG in, same verdict,
-        //! same displaced member, same selection and same next draw out.
+        //! The row stores, the keyed blocked scan and the keyed tournament
+        //! against the `Vec<Solution>` population with the scalar code they
+        //! replaced: same seeded RNG in, same verdict, same rows in the same
+        //! slots, same selection and same next draw out.
 
         use super::*;
+        use crate::dominance::pareto_dominance_objectives;
         use proptest::prelude::*;
         use rand::Rng;
+
+        /// The population as it was: whole solutions, a member-by-member
+        /// scan, a scalar tournament, and shuffles of the members.
+        #[derive(Debug, Clone)]
+        struct ScalarPopulation {
+            members: Vec<Solution>,
+            capacity: usize,
+        }
+
+        impl ScalarPopulation {
+            fn dominance(objectives: &[f64], violation: f64, member: &Solution) -> Dominance {
+                let vi = member.constraint_violation();
+                if violation < vi {
+                    Dominance::Dominates
+                } else if vi < violation {
+                    Dominance::DominatedBy
+                } else {
+                    pareto_dominance_objectives(objectives, member.objectives())
+                }
+            }
+
+            fn fill(&mut self, solution: Solution) -> bool {
+                let room = self.members.len() < self.capacity;
+                if room {
+                    self.members.push(solution);
+                }
+                room
+            }
+
+            fn offer<R: Rng>(&mut self, offspring: Solution, rng: &mut R) -> PopulationInsert {
+                if self.members.len() < self.capacity {
+                    self.members.push(offspring);
+                    return PopulationInsert::ReplacedRandom;
+                }
+                let violation = offspring.constraint_violation();
+                let mut dominated = Vec::new();
+                for (i, member) in self.members.iter().enumerate() {
+                    match Self::dominance(offspring.objectives(), violation, member) {
+                        Dominance::Dominates => dominated.push(i),
+                        Dominance::DominatedBy => return PopulationInsert::Rejected,
+                        Dominance::NonDominated => {}
+                    }
+                }
+                let (verdict, i) = if dominated.is_empty() {
+                    let i = rng.gen_range(0..self.members.len());
+                    (PopulationInsert::ReplacedRandom, i)
+                } else {
+                    let pick = rng.gen_range(0..dominated.len());
+                    (PopulationInsert::ReplacedDominated, dominated[pick])
+                };
+                self.members[i] = offspring;
+                verdict
+            }
+
+            fn tournament_select<R: Rng>(&self, k: usize, rng: &mut R) -> usize {
+                let mut best = rng.gen_range(0..self.members.len());
+                for _ in 1..k.max(1) {
+                    let challenger = rng.gen_range(0..self.members.len());
+                    let c = &self.members[challenger];
+                    let v = c.constraint_violation();
+                    if Self::dominance(c.objectives(), v, &self.members[best])
+                        == Dominance::Dominates
+                    {
+                        best = challenger;
+                    }
+                }
+                best
+            }
+
+            fn resize<R: Rng>(&mut self, capacity: usize, rng: &mut R) {
+                self.capacity = capacity;
+                if self.members.len() > capacity {
+                    self.members.shuffle(rng);
+                    self.members.truncate(capacity);
+                }
+            }
+        }
 
         /// Coarse values, so rows tie, repeat and dominate each other;
         /// everything an objective function can return that is not a
@@ -777,9 +834,11 @@ mod tests {
         /// The leading entries of `CONSTRAINTS` that violate nothing.
         const SATISFIED: usize = 5;
 
-        /// A random solution; `feasible` restricts its constraint to values
-        /// that violate nothing, the regime in which the order keys speak.
+        /// A random solution with two variables; `feasible` restricts its
+        /// constraint to values that violate nothing, the regime in which
+        /// the order keys speak.
         fn random_solution(m: usize, feasible: bool, rng: &mut StdRng) -> Solution {
+            let variables = vec![rng.gen(), rng.gen()];
             let objectives = (0..m)
                 .map(|_| OBJECTIVES[rng.gen_range(0..OBJECTIVES.len())])
                 .collect();
@@ -789,73 +848,90 @@ mod tests {
                 CONSTRAINTS.len()
             };
             let constraint = CONSTRAINTS[rng.gen_range(0..choices)];
-            Solution::from_parts(vec![], objectives, vec![constraint])
+            Solution::from_parts(variables, objectives, vec![constraint])
         }
 
-        fn bits(s: &Solution) -> Vec<u64> {
-            let values = s.objectives().iter().chain(s.constraints());
-            values.map(|v| v.to_bits()).collect()
+        fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+            values.into_iter().map(f64::to_bits).collect()
         }
 
-        fn same_members(fast: &Population, slow: &Population) -> bool {
-            fast.len() == slow.len()
-                && fast
-                    .members()
-                    .iter()
-                    .zip(slow.members())
-                    .all(|(f, s)| bits(f) == bits(s))
-        }
-
-        /// The production population and the scalar oracle in lockstep,
-        /// each with its own copy of one RNG stream.
+        /// The production population and the oracle in lockstep, each with
+        /// its own copy of one RNG stream.
         struct Pair {
             fast: Population,
-            slow: Population,
+            slow: ScalarPopulation,
             rng_fast: StdRng,
             rng_slow: StdRng,
         }
 
         impl Pair {
-            fn new(fast: Population, seed: u64) -> Self {
+            fn new(capacity: usize, seed: u64) -> Self {
                 let rng_fast = StdRng::seed_from_u64(seed ^ 0x5EED);
                 Self {
-                    slow: fast.clone(),
-                    fast,
+                    fast: Population::new(capacity),
+                    slow: ScalarPopulation {
+                        members: Vec::new(),
+                        capacity,
+                    },
                     rng_slow: rng_fast.clone(),
                     rng_fast,
                 }
             }
 
+            fn fill(&mut self, solution: Solution) -> bool {
+                let seated = self.fast.fill(solution.as_member());
+                assert_eq!(seated, self.slow.fill(solution));
+                seated
+            }
+
             fn offer(&mut self, offspring: Solution, step: usize) -> Result<(), TestCaseError> {
-                let (verdict_fast, out_fast) = self
-                    .fast
-                    .offer_replacing(offspring.clone(), &mut self.rng_fast);
-                let (verdict_slow, out_slow) = self
-                    .slow
-                    .offer_replacing_scalar(offspring, &mut self.rng_slow);
-                prop_assert_eq!(verdict_fast, verdict_slow, "verdict at step {}", step);
-                prop_assert_eq!(
-                    out_fast.as_ref().map(bits),
-                    out_slow.as_ref().map(bits),
-                    "displaced member at step {}",
-                    step
-                );
+                let fast = self.fast.offer(offspring.as_member(), &mut self.rng_fast);
+                let slow = self.slow.offer(offspring, &mut self.rng_slow);
+                prop_assert_eq!(fast, slow, "verdict at step {}", step);
                 Ok(())
             }
 
-            /// Mirrors intact, same members, same tournament winner, same
-            /// next draw.
+            fn reset(&mut self, capacity: usize) {
+                self.fast.reset(capacity, &mut self.rng_fast);
+                self.slow.resize(capacity, &mut self.rng_slow);
+                self.slow.members.clear();
+            }
+
+            fn resize(&mut self, capacity: usize) {
+                self.fast.resize(capacity, &mut self.rng_fast);
+                self.slow.resize(capacity, &mut self.rng_slow);
+            }
+
+            /// Stores intact; each member's variables, objectives and
+            /// violation in the oracle's slot, bit for bit; same tournament
+            /// winner, same next draw.
             fn agree(&mut self, k: usize, step: usize) -> Result<(), TestCaseError> {
-                self.fast.check_mirrors().map_err(TestCaseError::fail)?;
-                prop_assert!(
-                    same_members(&self.fast, &self.slow),
-                    "members at step {}",
-                    step
-                );
-                if !self.fast.is_empty() {
+                let (fast, slow) = (&self.fast, &self.slow);
+                fast.check_invariants().map_err(TestCaseError::fail)?;
+                prop_assert_eq!(fast.len(), slow.members.len(), "length at step {}", step);
+                prop_assert_eq!(fast.capacity(), slow.capacity);
+                for (i, s) in slow.members.iter().enumerate() {
+                    prop_assert_eq!(
+                        bits(fast.variables(i).iter().copied()),
+                        bits(s.variables().iter().copied()),
+                        "variables of member {} at step {}",
+                        i,
+                        step
+                    );
+                    let rows = fast.objectives(i).chain([fast.violation(i)]);
+                    let truth = s.objectives().iter().copied();
+                    prop_assert_eq!(
+                        bits(rows),
+                        bits(truth.chain([s.constraint_violation()])),
+                        "lane row of member {} at step {}",
+                        i,
+                        step
+                    );
+                }
+                if !fast.is_empty() {
                     prop_assert_eq!(
                         self.fast.tournament_select(k, &mut self.rng_fast),
-                        self.slow.tournament_select_scalar(k, &mut self.rng_slow),
+                        self.slow.tournament_select(k, &mut self.rng_slow),
                         "tournament of {} at step {}",
                         k,
                         step
@@ -872,36 +948,30 @@ mod tests {
             // violating members are displaced the keys are consulted) and
             // phases in which three draws in eight do (they are not).
             let mut feasible = seed.is_multiple_of(2);
-            let mut start = Population::new(size);
-            while start.fill(random_solution(m, feasible, &mut gen)) {}
-            let mut pair = Pair::new(start, seed);
+            let mut pair = Pair::new(size, seed);
+            while pair.fill(random_solution(m, feasible, &mut gen)) {}
             for step in 0..48 {
                 match gen.gen_range(0..16) {
                     // A restart: empty, new capacity, refill part-way.
                     0 => {
                         let capacity = gen.gen_range(1..=size + 9);
-                        pair.fast.reset(capacity, &mut pair.rng_fast);
-                        pair.slow.reset(capacity, &mut pair.rng_slow);
-                        pair.fast.check_mirrors().map_err(TestCaseError::fail)?;
+                        pair.reset(capacity);
                         feasible = gen.gen();
                         for _ in 0..gen.gen_range(0..=capacity) {
-                            let s = random_solution(m, feasible, &mut gen);
-                            pair.slow.fill(s.clone());
-                            pair.fast.fill(s);
+                            pair.fill(random_solution(m, feasible, &mut gen));
                         }
                     }
-                    // A shrink: shuffle, truncate, rebuild the mirrors.
+                    // A shrink: shuffle, truncate, rebuild the rows.
                     1 if pair.fast.len() > 1 => {
                         let capacity = gen.gen_range(1..pair.fast.len());
-                        pair.fast.resize(capacity, &mut pair.rng_fast);
-                        pair.slow.resize(capacity, &mut pair.rng_slow);
+                        pair.resize(capacity);
                     }
                     2 => feasible = !feasible,
                     _ => {
                         // One offspring in eight beats everything finite,
                         // so large populations see long dominated lists.
                         let offspring = if gen.gen_range(0..8) == 0 {
-                            Solution::from_parts(vec![], vec![-1.0; m], vec![0.0])
+                            Solution::from_parts(vec![-1.0, 2.0], vec![-1.0; m], vec![0.0])
                         } else {
                             random_solution(m, feasible, &mut gen)
                         };
@@ -943,30 +1013,29 @@ mod tests {
             let front_point = |gen: &mut StdRng| {
                 let (a, b) = (gen.gen_range(0..64), gen.gen_range(0..64));
                 let objectives = [a, b, 128 - a - b].map(|v| 1.0 + f64::from(v) / 256.0);
-                Solution::from_parts(vec![], objectives.to_vec(), vec![0.0])
+                Solution::from_parts(vec![f64::from(a)], objectives.to_vec(), vec![0.0])
             };
-            let mut start = Population::new(40);
+            let mut pair = Pair::new(40, 77);
             for _ in 0..37 {
-                start.fill(front_point(&mut gen));
+                pair.fill(front_point(&mut gen));
             }
-            assert_eq!(start.violating, 0);
+            assert_eq!(pair.fast.violating, 0);
             for violation in [0.5, f64::INFINITY, 2.0] {
                 // Objectives that would dominate the whole front.
-                start.fill(Solution::from_parts(
-                    vec![],
+                pair.fill(Solution::from_parts(
+                    vec![-1.0],
                     vec![0.0; 3],
                     vec![violation, -1.0],
                 ));
             }
-            assert_eq!(start.violating, 3);
-            let mut pair = Pair::new(start, 77);
+            assert_eq!(pair.fast.violating, 3);
             let mut counts = vec![pair.fast.violating];
             for step in 0..400 {
                 // Violating offspring lose to every feasible member; a
                 // feasible one displaces a violating member while any is
                 // left, whatever its objectives.
                 let offspring = if step % 5 == 4 {
-                    Solution::from_parts(vec![], vec![0.0; 3], vec![1.0])
+                    Solution::from_parts(vec![-2.0], vec![0.0; 3], vec![1.0])
                 } else {
                     front_point(&mut gen)
                 };

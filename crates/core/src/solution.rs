@@ -5,7 +5,9 @@
 /// Variables are always present; objectives/constraints are filled in by an
 /// evaluator. The `operator` tag records which variation operator produced
 /// the solution so the Borg MOEA can credit archive contributions back to
-/// operators (the core of its auto-adaptive ensemble).
+/// operators (the core of its auto-adaptive ensemble). The archive and the
+/// population copy a candidate's rows into their own matrices ([`Member`]
+/// reads them back); they keep neither the `Solution` nor its tag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Solution {
     variables: Vec<f64>,
@@ -77,12 +79,17 @@ impl Solution {
     /// any solution with smaller total violation is preferred, and objectives
     /// are only compared between two feasible solutions.
     pub fn constraint_violation(&self) -> f64 {
-        self.constraints.iter().filter(|&&c| c > 0.0).sum()
+        self.as_member().constraint_violation()
     }
 
     /// Whether all constraints are satisfied.
     pub fn is_feasible(&self) -> bool {
-        self.constraints.iter().all(|&c| c <= 0.0)
+        self.as_member().is_feasible()
+    }
+
+    /// The solution's three rows, as the stores take them.
+    pub fn as_member(&self) -> Member<'_> {
+        Member::new(&self.variables, &self.objectives, &self.constraints)
     }
 
     /// Number of decision variables.
@@ -114,6 +121,72 @@ impl Solution {
     }
 }
 
+/// A borrowed member: its variables, objectives and constraints as slices.
+///
+/// The archive and the population keep their members as rows of matrices,
+/// not as [`Solution`]s; this is how a member is read out of the archive
+/// ([`EpsilonArchive::member`](crate::archive::EpsilonArchive::member)) and
+/// how a candidate is handed to either store. [`to_solution`](Self::to_solution)
+/// makes an owned copy where one is wanted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Member<'a> {
+    variables: &'a [f64],
+    objectives: &'a [f64],
+    constraints: &'a [f64],
+}
+
+impl<'a> Member<'a> {
+    /// A member made of three rows.
+    pub fn new(variables: &'a [f64], objectives: &'a [f64], constraints: &'a [f64]) -> Self {
+        Self {
+            variables,
+            objectives,
+            constraints,
+        }
+    }
+
+    /// Decision variables.
+    pub fn variables(&self) -> &'a [f64] {
+        self.variables
+    }
+
+    /// Objective values (minimization).
+    pub fn objectives(&self) -> &'a [f64] {
+        self.objectives
+    }
+
+    /// Constraint values (`<= 0` is feasible).
+    pub fn constraints(&self) -> &'a [f64] {
+        self.constraints
+    }
+
+    /// Sum of positive constraint values, as
+    /// [`Solution::constraint_violation`].
+    pub fn constraint_violation(&self) -> f64 {
+        violation(self.constraints)
+    }
+
+    /// Whether all constraints are satisfied.
+    pub fn is_feasible(&self) -> bool {
+        self.constraints.iter().all(|&c| c <= 0.0)
+    }
+
+    /// An owned copy, with no operator tag (the stores keep none).
+    pub fn to_solution(&self) -> Solution {
+        Solution::from_parts(
+            self.variables.to_vec(),
+            self.objectives.to_vec(),
+            self.constraints.to_vec(),
+        )
+    }
+}
+
+/// The aggregate constraint violation of a constraint row: the sum of its
+/// positive values (a NaN is not one).
+pub(crate) fn violation(constraints: &[f64]) -> f64 {
+    constraints.iter().filter(|&&c| c > 0.0).sum()
+}
+
 /// Which of a [`Solution`]'s three buffers a pooled buffer was and will
 /// again be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,13 +202,13 @@ pub enum Role {
 /// Recycling pool for the per-candidate heap buffers that circulate through
 /// the engine.
 ///
-/// Every retired [`Solution`] — a displaced or rejected offspring, an
-/// evicted archive member, the whole population at a restart — returns its
-/// three buffers here, and every new candidate, evaluated result and
-/// archive copy draws its buffers from here, so a settled run allocates
-/// nothing per candidate. Buffers are pooled per [`Role`]: a retired
-/// constraints buffer (capacity zero for an unconstrained problem) is never
-/// handed out as the next variables buffer, which would have to grow.
+/// A [`Solution`] lives only between `produce` and `consume`: once the
+/// archive and the population have copied its rows into their matrices, its
+/// three buffers return here, and every new candidate and evaluated result
+/// draws its buffers from here, so a settled run allocates nothing per
+/// candidate. Buffers are pooled per [`Role`]: a retired constraints buffer
+/// (capacity zero for an unconstrained problem) is never handed out as the
+/// next variables buffer, which would have to grow.
 #[derive(Debug, Default, Clone)]
 pub struct SolutionArena {
     pools: [Vec<Vec<f64>>; 3],
@@ -145,9 +218,9 @@ pub struct SolutionArena {
 
 impl SolutionArena {
     /// Buffers pooled per role; beyond it returned buffers are simply freed.
-    /// Enough for a minimum-size population retired at once (a restart
-    /// under a small archive, every stagnation window of such a run) and
-    /// small enough that a full pool is a few dozen KiB.
+    /// Every candidate takes its buffers before it returns them, so the
+    /// pool holds about as many as the caller has candidates in flight;
+    /// the cap keeps a full pool to a few dozen KiB.
     const MAX_POOLED: usize = 256;
 
     /// Takes an empty buffer of `role` from the pool, or a fresh one.
@@ -188,18 +261,6 @@ impl SolutionArena {
         buf
     }
 
-    /// A copy of `source` in recycled buffers: what `source.clone()`
-    /// returns, without its three allocations while the pool has buffers.
-    pub fn copy_of(&mut self, source: &Solution) -> Solution {
-        let mut solution = Solution::from_parts(
-            self.filled(Role::Variables, source.variables()),
-            self.filled(Role::Objectives, source.objectives()),
-            self.filled(Role::Constraints, source.constraints()),
-        );
-        solution.operator = source.operator;
-        solution
-    }
-
     /// `(pool hits, pool misses)` across all [`take`](Self::take) calls.
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
@@ -213,21 +274,27 @@ mod tests {
     #[test]
     fn arena_keeps_roles_apart_and_copies_bit_for_bit() {
         let mut arena = SolutionArena::default();
-        let mut original = Solution::from_parts(vec![1.0, 2.0, 3.0], vec![f64::NAN, -0.0], vec![]);
-        original.operator = Some(4);
+        let original = Solution::from_parts(vec![1.0, 2.0, 3.0], vec![f64::NAN, -0.0], vec![]);
         arena.recycle(original.clone());
         // The retired constraints buffer has no capacity; the next
         // variables buffer must not be it.
         assert_eq!(arena.take(Role::Variables).capacity(), 3);
         assert_eq!(arena.take(Role::Constraints).capacity(), 0);
         arena.recycle(original.clone());
-        let copy = arena.copy_of(&original);
-        let bits = |s: &Solution| -> Vec<u64> {
+        let copy = Solution::from_parts(
+            arena.filled(Role::Variables, original.variables()),
+            arena.filled(Role::Objectives, original.objectives()),
+            arena.filled(Role::Constraints, original.constraints()),
+        );
+        let bits = |s: Member<'_>| -> Vec<u64> {
             let values = s.variables().iter().chain(s.objectives());
             values.chain(s.constraints()).map(|v| v.to_bits()).collect()
         };
-        assert_eq!(bits(&copy), bits(&original));
-        assert_eq!(copy.operator, Some(4));
+        assert_eq!(bits(copy.as_member()), bits(original.as_member()));
+        assert_eq!(
+            bits(original.as_member().to_solution().as_member()),
+            bits(original.as_member())
+        );
         // Two takes before, three for the copy; only the objectives buffer
         // of the first recycle was never asked for again.
         assert_eq!(arena.stats(), (5, 0));

@@ -2,7 +2,9 @@
 //! lanes must make *bit-identical* decisions to the [`LinearScanArchive`]
 //! oracle (`support/`), which compares integer keys one member at a time,
 //! on arbitrary insertion streams — same per-candidate verdicts, same
-//! counters, same final member ordering.
+//! counters, same final member ordering — and its row matrices must hold
+//! what the oracle's `Solution`s hold: every member's variables, objectives
+//! and constraints, bit for bit.
 //!
 //! The generators stress what the scan could get wrong: random
 //! per-objective ε values, heavy ties (objectives drawn from a small
@@ -17,7 +19,7 @@ mod support;
 
 use borg_core::archive::{ArchiveInsert, EpsilonArchive};
 use borg_core::dominance::epsilon_box_coord;
-use borg_core::solution::{Solution, SolutionArena};
+use borg_core::solution::Solution;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -44,7 +46,8 @@ fn drive_both(
     let mut pair = Pair::new(epsilons);
     for (step, (objs, cons)) in stream.iter().enumerate() {
         prop_assert_eq!(objs.len(), m);
-        let s = Solution::from_parts(vec![], objs.clone(), cons.clone());
+        let variables = vec![step as f64, -(step as f64)];
+        let s = Solution::from_parts(variables, objs.clone(), cons.clone());
         pair.offer(&s)
             .map_err(|e| TestCaseError::fail(format!("step {step} of {stream:?}: {e}")))?;
     }
@@ -56,9 +59,6 @@ fn drive_both(
 struct Pair {
     fast: EpsilonArchive,
     slow: LinearScanArchive,
-    /// Accepted copies are built in, and displaced members retire into,
-    /// one pool, as in the engine.
-    arena: SolutionArena,
 }
 
 impl Pair {
@@ -66,13 +66,12 @@ impl Pair {
         Self {
             fast: EpsilonArchive::new(epsilons.to_vec()),
             slow: LinearScanArchive::new(epsilons.to_vec()),
-            arena: SolutionArena::default(),
         }
     }
 
     /// Offers one candidate to both; the verdicts must be equal.
     fn offer(&mut self, s: &Solution) -> Result<ArchiveInsert, String> {
-        let fast = self.fast.offer(s, &mut self.arena);
+        let fast = self.fast.offer(s);
         let slow = self.slow.add(s.clone());
         if fast != slow {
             return Err(format!(
@@ -88,8 +87,8 @@ impl Pair {
         self.slow.clear_solutions();
     }
 
-    /// Same counters, same members in the same order (bit for bit), and the
-    /// archive's own invariants.
+    /// Same counters, same members in the same order with the same three
+    /// rows (bit for bit), and the archive's own invariants.
     fn agree(&self) -> Result<(), String> {
         let (fast, slow) = (&self.fast, &self.slow);
         let f = [
@@ -109,13 +108,16 @@ impl Pair {
                 "len/improvements/accepts/rejects {f:?} vs oracle {s:?}"
             ));
         }
-        let bits = |s: &Solution| -> Vec<u64> {
-            let values = s.objectives().iter().chain(s.constraints());
-            values.map(|v| v.to_bits()).collect()
-        };
-        for (i, (f, s)) in fast.solutions().iter().zip(slow.solutions()).enumerate() {
-            if bits(f) != bits(s) {
-                return Err(format!("member order diverged at slot {i}"));
+        let bits = |row: &[f64]| -> Vec<u64> { row.iter().map(|v| v.to_bits()).collect() };
+        for (i, (f, s)) in fast.members().zip(slow.solutions()).enumerate() {
+            for (name, row, truth) in [
+                ("variables", f.variables(), s.variables()),
+                ("objectives", f.objectives(), s.objectives()),
+                ("constraints", f.constraints(), s.constraints()),
+            ] {
+                if bits(row) != bits(truth) {
+                    return Err(format!("{name} diverged at slot {i}"));
+                }
             }
         }
         fast.check_invariants()
@@ -190,7 +192,7 @@ fn indexed_archive_matches_linear_scan_on_random_streams() {
         let mut pair = Pair::new(&vec![0.07; m]);
         for step in 0..600 {
             let objs: Vec<f64> = (0..m).map(|_| rng.gen::<f64>()).collect();
-            let s = Solution::from_parts(vec![], objs, vec![]);
+            let s = Solution::from_parts(vec![step as f64], objs, vec![]);
             pair.offer(&s)
                 .unwrap_or_else(|e| panic!("step {step} (seed {seed}): {e}"));
         }
@@ -198,10 +200,11 @@ fn indexed_archive_matches_linear_scan_on_random_streams() {
     }
 }
 
-/// A solution in the middle of ε-box `key` at ε = 0.01.
+/// A solution in the middle of ε-box `key` at ε = 0.01, its key as its
+/// variables.
 fn in_box(key: &[i64]) -> Solution {
     let objs = key.iter().map(|&k| (k as f64 + 0.5) * 0.01).collect();
-    Solution::from_parts(vec![], objs, vec![])
+    Solution::from_parts(key.iter().map(|&k| k as f64).collect(), objs, vec![])
 }
 
 /// Archives of exactly 7, 8, 9, 63, 64 and 65 members — a 2-D staircase,
@@ -267,7 +270,11 @@ fn blocked_verdicts_match_integer_keys_where_order_keys_tie() {
                 .map(|&k| ((k + rng.gen_range(-2i64..=2)) as f64 + inside) * 0.01)
                 .collect();
             let verdict = pair
-                .offer(&Solution::from_parts(vec![], objs, vec![]))
+                .offer(&Solution::from_parts(
+                    vec![step as f64, inside],
+                    objs,
+                    vec![],
+                ))
                 .unwrap_or_else(|e| panic!("step {step} (seed {seed}): {e}"));
             verdicts[match verdict {
                 ArchiveInsert::AddedNewBox => 0,
@@ -284,11 +291,12 @@ fn blocked_verdicts_match_integer_keys_where_order_keys_tie() {
 /// A point of the plane `Σ x = scale`: points at one scale are mutually
 /// nondominated, so the archive grows; a point at a smaller scale dominates
 /// the neighbourhood it shrinks into, one at a larger scale is dominated.
+/// Its weights are its variables.
 fn plane_point(m: usize, scale: f64, constraint: f64, rng: &mut StdRng) -> Solution {
     let weights: Vec<f64> = (0..m).map(|_| rng.gen::<f64>() + 0.01).collect();
     let sum: f64 = weights.iter().sum();
     let objs = weights.iter().map(|w| w / sum * scale).collect();
-    Solution::from_parts(vec![], objs, vec![constraint])
+    Solution::from_parts(weights, objs, vec![constraint])
 }
 
 /// Long mixed streams: growth well past 65 members, then a front that
@@ -414,7 +422,7 @@ fn blocked_verdicts_match_integer_keys_on_extreme_objectives() {
             let objs = (0..m)
                 .map(|_| palette[rng.gen_range(0..palette.len())])
                 .collect();
-            pair.offer(&Solution::from_parts(vec![], objs, vec![]))
+            pair.offer(&Solution::from_parts(vec![f64::from(step)], objs, vec![]))
                 .unwrap_or_else(|e| panic!("step {step} (seed {seed}, ε {epsilons:?}): {e}"));
         }
         pair.agree()

@@ -861,7 +861,7 @@ fn serve_master(cli: &Cli) {
              deaths_detected={} reissues={} wasted_nfe={} wire_results={} \
              wire_duplicates={} wire_faults={} worker_reconnects={}",
             result.engine.nfe(),
-            result.engine.archive().solutions().len(),
+            result.engine.archive().len(),
             result.outcome.elapsed,
             result.fault_log.detected(),
             result.fault_log.reissues,
@@ -891,7 +891,7 @@ fn serve_master(cli: &Cli) {
              deaths_detected={} reissues={} wire_results={} wire_duplicates={} \
              wire_heartbeats={}",
             report.engine.nfe(),
-            report.engine.archive().solutions().len(),
+            report.engine.archive().len(),
             report.elapsed,
             report.fault_log.injected(),
             report.fault_log.reissues,

@@ -204,9 +204,9 @@ where
 }
 
 /// The sweep core: pre-derives every replicate seed in (cell, replicate)
-/// order, fans the replicates out over `config.jobs` workers, then folds
-/// results per cell in replicate order — the same float accumulation
-/// order as the serial nested loops this replaced.
+/// order, fans the replicates out over `config.jobs` workers, then fans
+/// the cells out to fold their results in replicate order — the same float
+/// accumulation order as the serial nested loops this replaced.
 fn run_table2_inner(
     config: &Table2Config,
     observe: bool,
@@ -234,24 +234,26 @@ fn run_table2_inner(
     let outcomes = crate::par::run_jobs(config.jobs, jobs, |_, (cell, seed)| {
         run_replicate(config, &cells[cell], seed, observe)
     });
+    // The model arm (fit + simulation) of one cell reads only that cell's
+    // replicates, so the cells fold in parallel too, each in replicate
+    // order.
+    let mut outcomes = outcomes.into_iter();
     let replicates = config.replicates as usize;
-    cells
-        .iter()
-        .enumerate()
-        .map(|(index, cell)| {
-            let mine = &outcomes[index * replicates..(index + 1) * replicates];
-            let metrics = observe.then(|| {
-                let mut merged = MetricsSnapshot::default();
-                for outcome in mine {
-                    if let Some(snapshot) = &outcome.metrics {
-                        merged.merge(snapshot);
-                    }
+    let folds: Vec<(usize, Vec<ReplicateOutcome>)> = (0..cells.len())
+        .map(|index| (index, outcomes.by_ref().take(replicates).collect()))
+        .collect();
+    crate::par::run_jobs(config.jobs, folds, |_, (index, mine)| {
+        let metrics = observe.then(|| {
+            let mut merged = MetricsSnapshot::default();
+            for outcome in &mine {
+                if let Some(snapshot) = &outcome.metrics {
+                    merged.merge(snapshot);
                 }
-                merged
-            });
-            (finalize_cell(config, cell, mine), metrics)
-        })
-        .collect()
+            }
+            merged
+        });
+        (finalize_cell(config, &cells[index], &mine), metrics)
+    })
 }
 
 /// Runs one replicate: builds the workload fresh (jobs share nothing),

@@ -89,10 +89,10 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
         oracle.outcome.elapsed
     );
     assert_eq!(net.engine.nfe(), oracle.engine.nfe(), "NFE diverged");
-    let arch_net = net.engine.archive().solutions();
-    let arch_oracle = oracle.engine.archive().solutions();
+    let arch_net = net.engine.archive();
+    let arch_oracle = oracle.engine.archive();
     assert_eq!(arch_net.len(), arch_oracle.len(), "archive size diverged");
-    for (i, (a, b)) in arch_net.iter().zip(arch_oracle.iter()).enumerate() {
+    for (i, (a, b)) in arch_net.members().zip(arch_oracle.members()).enumerate() {
         assert!(
             bits_eq(a.objectives(), b.objectives()),
             "archive member {i} objectives diverged: {:?} vs {:?}",
@@ -174,10 +174,7 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
         net.outcome.elapsed.to_bits(),
         oracle.outcome.elapsed.to_bits()
     );
-    assert_eq!(
-        net.engine.archive().solutions().len(),
-        oracle.engine.archive().solutions().len()
-    );
+    assert_eq!(net.engine.archive().len(), oracle.engine.archive().len());
     assert_eq!(
         net.wire_results,
         net.engine.nfe(),

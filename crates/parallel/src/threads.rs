@@ -563,8 +563,7 @@ mod tests {
         let worst = result
             .engine
             .archive()
-            .solutions()
-            .iter()
+            .members()
             .map(|s| s.objectives()[1] - (1.0 - s.objectives()[0].max(0.0).sqrt()))
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(worst < 0.4, "archive far from front: {worst}");
@@ -674,7 +673,7 @@ mod tests {
         std::panic::set_hook(prev_hook);
         assert_eq!(result.engine.nfe(), 1_500);
         assert!(!result.engine.archive().is_empty());
-        for s in result.engine.archive().solutions() {
+        for s in result.engine.archive().members() {
             assert!(
                 s.objectives()
                     .iter()

@@ -151,7 +151,7 @@ mod tests {
     fn borg_solves_schaffer() {
         let engine = run_serial(&Schaffer, BorgConfig::new(2, 0.05), 1, 3000, |_| {});
         // Archive solutions should have x in [0, 2] (the Pareto set).
-        for s in engine.archive().solutions() {
+        for s in engine.archive().members() {
             let x = s.variables()[0];
             assert!((-0.15..=2.15).contains(&x), "x = {x} off the Pareto set");
         }
@@ -162,7 +162,7 @@ mod tests {
     fn borg_finds_feasible_solutions_on_binh_korn() {
         let engine = run_serial(&BinhKorn, BorgConfig::new(2, 1.0), 2, 3000, |_| {});
         assert!(!engine.archive().is_empty());
-        for s in engine.archive().solutions() {
+        for s in engine.archive().members() {
             assert!(s.is_feasible(), "archive kept infeasible solution");
         }
     }

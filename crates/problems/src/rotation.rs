@@ -116,6 +116,10 @@ impl OrthogonalMatrix {
     }
 }
 
+/// Variables up to which [`RotatedProblem::evaluate`] stages its rows on the
+/// stack.
+const STACK_VARIABLES: usize = 32;
+
 /// A problem whose decision space is rotated about the center of the inner
 /// problem's (assumed uniform) bounds.
 ///
@@ -220,17 +224,27 @@ impl<P: Problem> Problem for RotatedProblem<P> {
 
     fn evaluate(&self, vars: &[f64], objs: &mut [f64], cons: &mut [f64]) {
         let n = vars.len();
+        // The two staging rows live on the stack for every problem the
+        // experiments rotate (UF11/UF12: 14 variables), so an evaluation
+        // allocates nothing.
+        let mut stack = [0.0; 2 * STACK_VARIABLES];
+        let mut heap = Vec::new();
+        let staging: &mut [f64] = if n <= STACK_VARIABLES {
+            &mut stack[..2 * n]
+        } else {
+            heap.resize(2 * n, 0.0);
+            &mut heap
+        };
+        let (centered, rotated) = staging.split_at_mut(n);
         // Center on the inner domain midpoint, rotate, restore, clamp.
-        let mut centered = vec![0.0; n];
         for (c, (&x, b)) in centered.iter_mut().zip(vars.iter().zip(&self.inner_bounds)) {
             *c = x - 0.5 * (b.lower + b.upper);
         }
-        let mut rotated = vec![0.0; n];
-        self.rotation.apply(&centered, &mut rotated);
+        self.rotation.apply(centered, rotated);
         for (r, b) in rotated.iter_mut().zip(&self.inner_bounds) {
             *r = b.clamp(*r + 0.5 * (b.lower + b.upper));
         }
-        self.inner.evaluate(&rotated, objs, cons);
+        self.inner.evaluate(rotated, objs, cons);
         for (o, &s) in objs.iter_mut().zip(&self.objective_scales) {
             *o *= s;
         }
@@ -286,6 +300,27 @@ mod tests {
         rotated.evaluate(&vars, &mut b, &mut []);
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-12);
+        }
+    }
+
+    /// Below and above the stack staging width, an evaluation is the inner
+    /// problem at the clamped rotated point, bit for bit.
+    #[test]
+    fn evaluation_is_the_inner_problem_at_the_rotated_point() {
+        use crate::dtlz::DtlzVariant;
+        for n in [STACK_VARIABLES - 1, STACK_VARIABLES, STACK_VARIABLES + 9] {
+            let inner = Dtlz::with_k(DtlzVariant::Dtlz2, 3, n - 2);
+            let p = RotatedProblem::new(inner.clone(), 5);
+            let vars: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.4 - 0.9).collect();
+            let centered: Vec<f64> = vars.iter().map(|x| x - 0.5).collect();
+            let mut rotated = vec![0.0; n];
+            p.rotation().apply(&centered, &mut rotated);
+            let clamped: Vec<f64> = rotated.iter().map(|r| (r + 0.5).clamp(0.0, 1.0)).collect();
+            let (mut want, mut got) = (vec![0.0; 3], vec![0.0; 3]);
+            inner.evaluate(&clamped, &mut want, &mut []);
+            p.evaluate(&vars, &mut got, &mut []);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "n = {n}");
         }
     }
 

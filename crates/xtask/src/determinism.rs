@@ -2,8 +2,9 @@
 //!
 //! Runs a small DTLZ2 instance through the virtual-time asynchronous
 //! master-slave executor twice with the same seed and demands bit-identical
-//! results: elapsed virtual time, NFE, and every archive member's variables
-//! and objectives. A second arm repeats the check **with fault injection
+//! results: elapsed virtual time, NFE, every archive member's variables,
+//! objectives and constraints, and the final population's variable and
+//! objective rows. A second arm repeats the check **with fault injection
 //! live** (25% worker crashes + 5% message loss) and additionally demands
 //! identical fault ledgers — recovery is part of the reproducibility
 //! contract, not an excuse to break it. This is the executable form of the
@@ -41,7 +42,7 @@
 //! bit-identity it demands doubles as proof that none of it perturbs
 //! the algorithm.
 
-use borg_core::algorithm::BorgConfig;
+use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_desim::fault::{FaultConfig, FaultKind};
 use borg_experiments::faults::{render_faults, run_faults, FaultsConfig};
@@ -160,8 +161,22 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
             b.engine.nfe()
         ));
     }
-    let arch_a = a.engine.archive().solutions();
-    let arch_b = b.engine.archive().solutions();
+    diff_engines(label, &a.engine, &b.engine)?;
+    if a.fault_log != b.fault_log {
+        return Err(format!(
+            "{label}: fault ledgers diverged: {} vs {}",
+            a.fault_log.summary(),
+            b.fault_log.summary()
+        ));
+    }
+    Ok(())
+}
+
+/// Compares what two engines end with, bit for bit: every archive member's
+/// objectives, variables and constraints, and the population's variable and
+/// objective rows.
+fn diff_engines(label: &str, a: &BorgEngine, b: &BorgEngine) -> Result<(), String> {
+    let (arch_a, arch_b) = (a.archive(), b.archive());
     if arch_a.len() != arch_b.len() {
         return Err(format!(
             "{label}: archive size diverged: {} vs {}",
@@ -169,7 +184,7 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
             arch_b.len()
         ));
     }
-    for (i, (sa, sb)) in arch_a.iter().zip(arch_b.iter()).enumerate() {
+    for (i, (sa, sb)) in arch_a.members().zip(arch_b.members()).enumerate() {
         if !bits_eq(sa.objectives(), sb.objectives()) {
             return Err(format!(
                 "{label}: archive member {i} objectives diverged: {:?} vs {:?}",
@@ -180,13 +195,32 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
         if !bits_eq(sa.variables(), sb.variables()) {
             return Err(format!("{label}: archive member {i} variables diverged"));
         }
+        if !bits_eq(sa.constraints(), sb.constraints()) {
+            return Err(format!("{label}: archive member {i} constraints diverged"));
+        }
     }
-    if a.fault_log != b.fault_log {
+    let (pop_a, pop_b) = (a.population(), b.population());
+    if pop_a.len() != pop_b.len() {
         return Err(format!(
-            "{label}: fault ledgers diverged: {} vs {}",
-            a.fault_log.summary(),
-            b.fault_log.summary()
+            "{label}: population size diverged: {} vs {}",
+            pop_a.len(),
+            pop_b.len()
         ));
+    }
+    for i in 0..pop_a.len() {
+        if !bits_eq(pop_a.variables(i), pop_b.variables(i)) {
+            return Err(format!("{label}: population member {i} variables diverged"));
+        }
+        let bits = |o: f64| o.to_bits();
+        if !pop_a
+            .objectives(i)
+            .map(bits)
+            .eq(pop_b.objectives(i).map(bits))
+        {
+            return Err(format!(
+                "{label}: population member {i} objectives diverged"
+            ));
+        }
     }
     Ok(())
 }
@@ -263,7 +297,7 @@ pub fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
 
     Ok(DeterminismReport {
         nfe: a.engine.nfe(),
-        archive_size: a.engine.archive().solutions().len(),
+        archive_size: a.engine.archive().len(),
         elapsed: a.outcome.elapsed,
         faults_injected: fa.fault_log.injected(),
         fault_reissues: fa.fault_log.reissues,
@@ -430,29 +464,7 @@ fn networked_chaos_arm(seed: u64, oracle: &VirtualRunResult) -> Result<(u64, usi
             oracle.engine.nfe()
         ));
     }
-    let arch_net = net.engine.archive().solutions();
-    let arch_oracle = oracle.engine.archive().solutions();
-    if arch_net.len() != arch_oracle.len() {
-        return Err(format!(
-            "networked arm: archive size diverged: {} vs {}",
-            arch_net.len(),
-            arch_oracle.len()
-        ));
-    }
-    for (i, (sa, sb)) in arch_net.iter().zip(arch_oracle.iter()).enumerate() {
-        if !bits_eq(sa.objectives(), sb.objectives()) {
-            return Err(format!(
-                "networked arm: archive member {i} objectives diverged: {:?} vs {:?}",
-                sa.objectives(),
-                sb.objectives()
-            ));
-        }
-        if !bits_eq(sa.variables(), sb.variables()) {
-            return Err(format!(
-                "networked arm: archive member {i} variables diverged"
-            ));
-        }
-    }
+    diff_engines("networked arm", &net.engine, &oracle.engine)?;
     // The proxy's wire-side ledger enacted the same faults kind for kind
     // (its timestamps are wall-clock, so only the counts are comparable).
     for kind in [

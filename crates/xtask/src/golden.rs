@@ -66,7 +66,7 @@ fn archive_fingerprint(result: &VirtualRunResult) -> u64 {
             h = h.wrapping_mul(PRIME);
         }
     };
-    for s in result.engine.archive().solutions() {
+    for s in result.engine.archive().members() {
         for v in s.variables() {
             mix(v.to_bits());
         }
@@ -89,7 +89,7 @@ fn push_row(out: &mut String, arm: &str, f: f64, replicate: u32, seed: u64, r: &
         TF_MEAN.to_bits(),
         r.outcome.elapsed.to_bits(),
         r.engine.nfe(),
-        r.engine.archive().solutions().len(),
+        r.engine.archive().len(),
         archive_fingerprint(r),
         log.injected(),
         log.detected(),

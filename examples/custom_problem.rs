@@ -68,7 +68,7 @@ fn main() {
         "{:>10}  {:>10}  {:>8}  {:>8}  {:>8}",
         "volume", "deflect", "a1(cm2)", "a2(cm2)", "y(m)"
     );
-    let mut solutions: Vec<_> = engine.archive().solutions().to_vec();
+    let mut solutions: Vec<_> = engine.archive().members().collect();
     solutions.sort_by(|a, b| a.objectives()[0].partial_cmp(&b.objectives()[0]).unwrap());
     for s in solutions.iter().step_by((solutions.len() / 10).max(1)) {
         assert!(s.is_feasible());

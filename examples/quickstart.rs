@@ -45,7 +45,7 @@ fn main() {
     }
 
     println!("\nfirst five archive members (objectives):");
-    for s in engine.archive().solutions().iter().take(5) {
+    for s in engine.archive().members().take(5) {
         let objs: Vec<String> = s.objectives().iter().map(|o| format!("{o:.3}")).collect();
         println!("  [{}]", objs.join(", "));
     }

@@ -131,13 +131,23 @@ fn dtlz2_5_trajectory_fingerprint_is_pinned() {
     assert_eq!(engine.stats().restarts, 9);
     assert_eq!(engine.population().capacity(), 3_820);
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let members = engine.archive().solutions().iter();
-    for s in members.chain(engine.population().members()) {
-        for value in s.variables().iter().chain(s.objectives()) {
+    let mut mix = |values: &mut dyn Iterator<Item = f64>| {
+        for value in values {
             for byte in value.to_bits().to_le_bytes() {
                 h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }
         }
+    };
+    for s in engine.archive().members() {
+        mix(&mut s.variables().iter().chain(s.objectives()).copied());
+    }
+    let population = engine.population();
+    for i in 0..population.len() {
+        mix(&mut population
+            .variables(i)
+            .iter()
+            .copied()
+            .chain(population.objectives(i)));
     }
     assert_eq!(h, PINNED, "trajectory fingerprint is {h:#018x}");
     // The archive's work on that trajectory, as a count: member boxes

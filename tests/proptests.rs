@@ -193,7 +193,8 @@ proptest! {
                     for e in &mut epsilons {
                         *e = (*e * factor).max(1e-3);
                     }
-                    let survivors = archive.solutions().to_vec();
+                    let survivors: Vec<Solution> =
+                        archive.members().map(|m| m.to_solution()).collect();
                     archive = EpsilonArchive::new(epsilons.clone());
                     for s in survivors {
                         archive.add(s);
