@@ -215,8 +215,8 @@ fn run_replicate(config: &FaultsConfig, f: f64, p: u32, seed: u64) -> ReplicateO
     };
     ReplicateOutcome {
         elapsed: result.outcome.elapsed,
-        ta_sum: result.ta_samples.iter().sum::<f64>(),
-        ta_count: result.ta_samples.len(),
+        ta_sum: result.ta.sum(),
+        ta_count: result.ta.count(),
         completed: result.engine.nfe(),
         injected: result.fault_log.injected(),
         detected: result.fault_log.detected(),

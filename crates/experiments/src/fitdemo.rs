@@ -82,11 +82,11 @@ pub fn run_fit_demo(config: &FitDemoConfig) -> Result<FitDemo, ThreadedError> {
     )?;
     let t_c = estimate_comm_time(500)?;
     Ok(FitDemo {
-        ta_stats: SampleStats::of(&result.ta_samples),
-        tf_stats: SampleStats::of(&result.tf_samples),
+        ta_stats: SampleStats::of(result.ta.retained()),
+        tf_stats: SampleStats::of(result.tf.retained()),
         t_c,
-        ta_table: rank_table(&result.ta_samples),
-        tf_table: rank_table(&result.tf_samples),
+        ta_table: rank_table(result.ta.retained()),
+        tf_table: rank_table(result.tf.retained()),
     })
 }
 

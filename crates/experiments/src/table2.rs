@@ -287,11 +287,12 @@ fn run_replicate(
         (result, None)
     };
     // Thin the samples to bound fitting cost at paper scale.
-    let stride = (result.ta_samples.len() / 20_000).max(1);
+    let retained = result.ta.retained();
+    let stride = (retained.len() / 20_000).max(1);
     ReplicateOutcome {
         elapsed: result.outcome.elapsed,
         utilization: result.outcome.master_utilization,
-        ta_samples: result.ta_samples.iter().step_by(stride).copied().collect(),
+        ta_samples: retained.iter().step_by(stride).copied().collect(),
         metrics,
     }
 }

@@ -89,6 +89,107 @@ impl SampleStats {
     }
 }
 
+/// A stream of timing samples kept in bounded memory: an exact count and
+/// sum, and every [`stride`](Self::stride)-th value in push order.
+///
+/// Every value is kept until [`SampleLog::CAP`] are retained. The next
+/// value that falls on the stride first drops every second retained value
+/// and doubles the stride, so a long stream holds between `CAP / 2` and
+/// `CAP` values and `retained()` is always `stream.step_by(stride())`.
+/// Executors log `T_A` and `T_F` here once per master interaction; a run
+/// at the paper's scale (N + P − 1 ≤ `CAP` samples) keeps them all.
+#[derive(Debug, Clone)]
+pub struct SampleLog {
+    count: usize,
+    sum: f64,
+    stride: usize,
+    retained: Vec<f64>,
+}
+
+impl SampleLog {
+    /// The most values a log retains: 2¹⁷.
+    pub const CAP: usize = 1 << 17;
+
+    /// An empty log.
+    pub fn new() -> Self {
+        Self {
+            count: 0,
+            // `Iterator::sum` over floats starts from −0.0, so the two
+            // agree bit for bit on every stream, an empty one included.
+            sum: -0.0,
+            stride: 1,
+            retained: Vec::new(),
+        }
+    }
+
+    /// Appends one value. It is never edited afterwards.
+    pub fn push(&mut self, value: f64) {
+        // `stride` is a power of two.
+        if self.count & (self.stride - 1) == 0 {
+            if self.retained.len() == Self::CAP {
+                // `count` is `CAP · stride` here, a multiple of the doubled
+                // stride, so the value that prompted the halving is kept.
+                let mut keep = false;
+                self.retained.retain(|_| {
+                    keep = !keep;
+                    keep
+                });
+                self.stride *= 2;
+            }
+            self.retained.push(value);
+        }
+        self.count += 1;
+        self.sum += value;
+    }
+
+    /// Values pushed.
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Sum of every value pushed, added in push order.
+    pub fn sum(&self) -> f64 {
+        self.sum
+    }
+
+    /// Exact mean of every value pushed (NaN when empty).
+    pub fn mean(&self) -> f64 {
+        self.sum / self.count as f64
+    }
+
+    /// Pushes between two retained values: 1 until `CAP` are retained,
+    /// then doubling.
+    pub fn stride(&self) -> usize {
+        self.stride
+    }
+
+    /// Every `stride()`-th value pushed, in push order, starting with the
+    /// first.
+    pub fn retained(&self) -> &[f64] {
+        &self.retained
+    }
+
+    /// Whether `other` logged the same stream: count, sum, stride and every
+    /// retained value equal bit for bit.
+    pub fn bit_identical(&self, other: &Self) -> bool {
+        let bits = |x: &f64| x.to_bits();
+        self.count == other.count
+            && self.sum.to_bits() == other.sum.to_bits()
+            && self.stride == other.stride
+            && self
+                .retained
+                .iter()
+                .map(bits)
+                .eq(other.retained.iter().map(bits))
+    }
+}
+
+impl Default for SampleLog {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 /// MLE fit of one family. Returns `None` when the family's support cannot
 /// hold the sample (e.g. log-normal with non-positive values) or the MLE
 /// degenerates.
@@ -346,6 +447,76 @@ mod tests {
         assert_eq!(s.min, 1.0);
         assert_eq!(s.max, 4.0);
         assert!(s.cv() > 0.0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn sample_log_matches_a_vec_oracle(
+            len in proptest::prop_oneof![
+                0usize..=SampleLog::CAP + 2,
+                SampleLog::CAP - 2..=3 * SampleLog::CAP,
+            ],
+            seed in 0u64..1_000,
+        ) {
+            let oracle = draw(Dist::LogNormal { mu: -11.0, sigma: 1.5 }, len, seed);
+            let mut log = SampleLog::new();
+            for &x in &oracle {
+                log.push(x);
+            }
+            proptest::prop_assert_eq!(log.count(), len);
+            proptest::prop_assert_eq!(
+                log.sum().to_bits(),
+                oracle.iter().sum::<f64>().to_bits()
+            );
+            let strided: Vec<u64> = oracle
+                .iter()
+                .step_by(log.stride())
+                .map(|x| x.to_bits())
+                .collect();
+            let retained: Vec<u64> = log.retained().iter().map(|x| x.to_bits()).collect();
+            proptest::prop_assert!(retained == strided, "stride {}", log.stride());
+            proptest::prop_assert!(log.retained().len() <= SampleLog::CAP);
+            if len <= SampleLog::CAP {
+                proptest::prop_assert_eq!(log.stride(), 1);
+            } else {
+                proptest::prop_assert!(log.retained().len() > SampleLog::CAP / 2);
+            }
+        }
+    }
+
+    #[test]
+    fn sample_log_memory_does_not_grow_with_the_stream() {
+        let n = (1 << 18) + 12_345;
+        let mut log = SampleLog::new();
+        let mut sum = -0.0;
+        for i in 0..n {
+            let x = 1e-6 * (1 + i % 7) as f64;
+            log.push(x);
+            sum += x;
+        }
+        assert_eq!(log.count(), n);
+        assert_eq!(log.sum().to_bits(), sum.to_bits());
+        assert_eq!(log.stride(), 4);
+        assert!(log.retained().len() <= SampleLog::CAP);
+        assert!(log.retained.capacity() <= SampleLog::CAP);
+        assert_eq!(log.retained().len(), n.div_ceil(4));
+    }
+
+    #[test]
+    fn sample_log_compares_bit_for_bit() {
+        let mut a = SampleLog::new();
+        let mut b = SampleLog::default();
+        assert!(a.bit_identical(&b));
+        a.push(0.5);
+        assert!(!a.bit_identical(&b));
+        b.push(0.5);
+        assert!(a.bit_identical(&b));
+        a.push(0.0);
+        b.push(-0.0);
+        assert!(!a.bit_identical(&b), "signed zeros differ in the bits");
+        assert_eq!(a.mean(), 0.25);
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::dist::Dist;
     pub use crate::distfit::{
         best_fit, fit_all, fit_family, fit_ranked, goodness_of_fit, Family, GoodnessOfFit,
-        SampleStats, SelectionCriterion,
+        SampleLog, SampleStats, SelectionCriterion,
     };
     pub use crate::perfsim::{
         simulate_async, simulate_async_mean, simulate_sync, PerfPrediction, PerfSimConfig,

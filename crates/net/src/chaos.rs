@@ -39,6 +39,7 @@ use crate::worker::{run_worker, WorkerOptions};
 use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
+use borg_models::distfit::SampleLog;
 use borg_models::queueing::{run_async_with, RunOutcome};
 use borg_obs::{Recorder, TraceEdge, TraceEdgeKind};
 use borg_parallel::virtual_exec::{
@@ -104,9 +105,12 @@ pub struct ChaosRunResult {
     /// sockets. Record times are wall-clock, so it is compared to the
     /// oracle per fault kind, not per record.
     pub wire_log: FaultLog,
-    /// Sampled `T_A`/`T_F` draws (parity with `VirtualRunResult`).
-    pub ta_samples: Vec<f64>,
-    pub tf_samples: Vec<f64>,
+    /// Sampled `T_A` draws, logged as [`VirtualRunResult::ta`] logs them:
+    /// `(P − 1) + N` on a quiet plan. Must equal the oracle's bit for bit.
+    pub ta: SampleLog,
+    /// Sampled `T_F` draws, one per dispatch: `N` on a quiet plan, plus
+    /// one per reissue under faults. Must equal the oracle's bit for bit.
+    pub tf: SampleLog,
     /// Results consumed off the wire (0 would mean the wire was not
     /// load-bearing — asserted against by callers).
     pub wire_results: u64,
@@ -822,8 +826,8 @@ where
         engine: bundle.result.engine,
         fault_log: bundle.result.fault_log,
         wire_log: shared.wire_log.into_inner(),
-        ta_samples: bundle.result.ta_samples,
-        tf_samples: bundle.result.tf_samples,
+        ta: bundle.result.ta,
+        tf: bundle.result.tf,
         wire_results: bundle.wire_results,
         wire_duplicates: bundle.wire_duplicates,
         worker_reconnects: bundle.worker_reconnects,

@@ -106,14 +106,8 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
     }
 
     // The sampled timing streams consumed in the same order.
-    assert!(
-        bits_eq(&net.ta_samples, &oracle.ta_samples),
-        "T_A stream diverged"
-    );
-    assert!(
-        bits_eq(&net.tf_samples, &oracle.tf_samples),
-        "T_F stream diverged"
-    );
+    assert!(net.ta.bit_identical(&oracle.ta), "T_A stream diverged");
+    assert!(net.tf.bit_identical(&oracle.tf), "T_F stream diverged");
 
     // The proxy's wire-side ledger physically enacted the same faults,
     // kind for kind (its timestamps are wall-clock, so the full records
@@ -175,6 +169,11 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
         oracle.outcome.elapsed.to_bits()
     );
     assert_eq!(net.engine.archive().len(), oracle.engine.archive().len());
+    assert!(net.ta.bit_identical(&oracle.ta), "T_A stream diverged");
+    assert!(net.tf.bit_identical(&oracle.tf), "T_F stream diverged");
+    let p = u64::from(config.processors);
+    assert_eq!(net.ta.count() as u64, p - 1 + net.engine.nfe());
+    assert_eq!(net.tf.count() as u64, net.engine.nfe());
     assert_eq!(
         net.wire_results,
         net.engine.nfe(),

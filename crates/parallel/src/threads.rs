@@ -16,6 +16,7 @@ use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
 use borg_models::dist::Dist;
+use borg_models::distfit::SampleLog;
 use borg_obs::{Activity, Actor, NoopRecorder, Recorder};
 use borg_protocol::Command;
 use crossbeam::channel;
@@ -98,14 +99,15 @@ pub struct ThreadedRunResult {
     pub elapsed: f64,
     /// Final engine state.
     pub engine: BorgEngine,
-    /// Measured master holds, one per handled result: result in, consume,
-    /// the produce and dispatch that follow, out.
-    pub ta_samples: Vec<f64>,
-    /// Measured evaluation times (including injected delay), as seen by
-    /// the workers. One entry per *consumed* result — suppressed
+    /// Measured master holds (seconds), one per result the master
+    /// handles: result in, consume, the produce and dispatch that follow,
+    /// out. Suppressed duplicates count too; a fault-free run logs `N`.
+    pub ta: SampleLog,
+    /// Measured evaluation times (seconds, including injected delay), as
+    /// seen by the workers. One per *consumed* result, `N` — suppressed
     /// duplicates and lost messages are excluded, so efficiency
     /// accounting downstream stays uncorrupted.
-    pub tf_samples: Vec<f64>,
+    pub tf: SampleLog,
     /// Fault-injection/recovery ledger (empty without fault injection).
     pub fault_log: FaultLog,
     /// The protocol transcript; empty unless
@@ -204,8 +206,8 @@ struct WorkItem {
 struct Pipes<'a, R: ?Sized> {
     /// `None` once severed; dropping the sender ends that worker's loop.
     pipes: Vec<Option<channel::Sender<WorkItem>>>,
-    ta_samples: Vec<f64>,
-    tf_samples: Vec<f64>,
+    ta: SampleLog,
+    tf: SampleLog,
     rec: &'a R,
 }
 
@@ -249,11 +251,11 @@ impl<R: Recorder + ?Sized> Link for Pipes<'_, R> {
         _sent: f64,
         _now: f64,
     ) {
-        self.tf_samples.push(*eval_seconds);
+        self.tf.push(*eval_seconds);
     }
 
     fn held(&mut self, from: f64, to: f64) {
-        self.ta_samples.push(to - from);
+        self.ta.push(to - from);
         self.rec.span(Actor::Master, Activity::Algorithm, from, to);
     }
 }
@@ -444,8 +446,8 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
         },
         Pipes {
             pipes: senders,
-            ta_samples: Vec::new(),
-            tf_samples: Vec::new(),
+            ta: SampleLog::new(),
+            tf: SampleLog::new(),
             rec,
         },
         rec,
@@ -465,8 +467,8 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     Ok(ThreadedRunResult {
         elapsed: run.elapsed,
         engine: run.engine,
-        ta_samples: run.link.ta_samples,
-        tf_samples: run.link.tf_samples,
+        ta: run.link.ta,
+        tf: run.link.tf,
         fault_log: run.fault_log,
         commands: run.commands,
     })
@@ -542,7 +544,7 @@ mod tests {
         assert_eq!(result.engine.nfe(), 2_000);
         assert!(result.engine.archive().len() > 5);
         result.engine.archive().check_invariants().unwrap();
-        assert_eq!(result.tf_samples.len(), 2_000);
+        assert_eq!(result.tf.count(), 2_000);
         assert!(result.elapsed > 0.0);
     }
 
@@ -628,7 +630,7 @@ mod tests {
         }
         assert_eq!(consumed, nfe);
         // Measured T_F must reflect the injected delay.
-        let mean_tf = result.tf_samples.iter().sum::<f64>() / result.tf_samples.len() as f64;
+        let mean_tf = result.tf.mean();
         assert!((mean_tf - t_f).abs() < t_f, "mean T_F {mean_tf}");
     }
 
@@ -703,7 +705,7 @@ mod tests {
         cfg.reissue_timeout = Some(0.05);
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         assert_eq!(result.engine.nfe(), 1_200);
-        assert_eq!(result.tf_samples.len(), 1_200);
+        assert_eq!(result.tf.count(), 1_200);
         assert_eq!(result.fault_log.injected_of(FaultKind::Crash), 3);
         assert!(result.fault_log.deaths_detected >= 3);
         assert!(result.fault_log.reissues >= 3);
@@ -730,7 +732,7 @@ mod tests {
         assert!(result.fault_log.all_recovered());
         // Suppression bookkeeping: consumed results == budget exactly, so
         // nothing was double-counted.
-        assert_eq!(result.tf_samples.len(), 1_000);
+        assert_eq!(result.tf.count(), 1_000);
         result.engine.archive().check_invariants().unwrap();
     }
 
@@ -815,7 +817,13 @@ mod tests {
             record_commands: false,
         };
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
-        assert!(result.ta_samples.len() as u64 >= 500);
-        assert!(result.ta_samples.iter().all(|&t| (0.0..1.0).contains(&t)));
+        // Fault-free: every result is handled once and consumed.
+        assert_eq!(result.ta.count(), 500);
+        assert_eq!(result.tf.count(), 500);
+        assert!(result
+            .ta
+            .retained()
+            .iter()
+            .all(|&t| (0.0..1.0).contains(&t)));
     }
 }

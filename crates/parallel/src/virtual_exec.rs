@@ -15,6 +15,7 @@ use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
 use borg_desim::fault::{FaultConfig, FaultLog, FaultPlan};
 use borg_models::dist::Dist;
+use borg_models::distfit::SampleLog;
 use borg_models::queueing::{
     run_async_with, run_sync, AsyncRun, MasterSlaveHooks, RecoveryPolicy, RunOutcome,
 };
@@ -81,10 +82,22 @@ pub struct VirtualRunResult {
     pub outcome: RunOutcome,
     /// Final engine state (archive, statistics).
     pub engine: BorgEngine,
-    /// Measured/sampled `T_A` values (seconds), one per master interaction.
-    pub ta_samples: Vec<f64>,
-    /// Sampled `T_F` values.
-    pub tf_samples: Vec<f64>,
+    /// Measured or sampled `T_A` (seconds). `Sampled` mode logs one per
+    /// initial production (`P − 1` asynchronous, `P` synchronous) and one
+    /// per consumed result. `Measured` mode logs one per produce or
+    /// consume, except that a produce directly after a consume (the same
+    /// master hold) is added to that consume's sample. Either way a
+    /// fault-free asynchronous run logs `(P − 1) + N`, and
+    /// [`run_virtual_serial`] logs one per evaluation, `N`.
+    pub ta: SampleLog,
+    /// Sampled `T_F` (seconds), one per evaluation started (a
+    /// synchronous master's own included). [`run_virtual_async`]
+    /// logs `N + P − 2`: every consume but the last refills its worker, so
+    /// `P − 2` evaluations are still out when the run ends.
+    /// [`run_virtual_async_with`] issues no evaluation past the budget and
+    /// logs `N` on a quiet plan, plus one per reissue under faults.
+    /// [`run_virtual_serial`] logs `N`.
+    pub tf: SampleLog,
     /// Fault-injection/recovery ledger. Empty (default) without fault
     /// injection.
     pub fault_log: FaultLog,
@@ -152,8 +165,8 @@ pub struct BorgHooks<S, F> {
     t_c: Dist,
     t_a: TaMode,
     rng: StdRng,
-    ta_samples: Vec<f64>,
-    tf_samples: Vec<f64>,
+    ta: SampleLog,
+    tf: SampleLog,
     observer: F,
     /// In `Sampled` mode the per-interaction `T_A` is charged once, on
     /// consume (matching the paper's `hold(T_C + T_A + T_C)` and the
@@ -162,11 +175,12 @@ pub struct BorgHooks<S, F> {
     /// `Measured` mode charges each call's real cost (reissues are free:
     /// the candidate already exists).
     width: u64,
-    /// `Measured` mode: the consume that just pushed a sample expects the
-    /// immediately-following produce (same master hold) to merge into it,
-    /// so `ta_samples` holds *per-interaction* sums — the quantity the
-    /// paper's models call `T_A`.
-    merge_next_produce: bool,
+    /// `Measured` mode: the last consume's sample, held back from `ta` so
+    /// the immediately-following produce (same master hold) can add to it
+    /// and `ta` logs *per-interaction* sums — the quantity the paper's
+    /// models call `T_A`. Logged at the next sample or at the end of the
+    /// run.
+    open_ta: Option<f64>,
 }
 
 impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
@@ -195,22 +209,25 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
             t_c: config.t_c,
             t_a: config.t_a,
             rng,
-            ta_samples: Vec::new(),
-            tf_samples: Vec::new(),
+            ta: SampleLog::new(),
+            tf: SampleLog::new(),
             observer,
             width: width as u64,
-            merge_next_produce: false,
+            open_ta: None,
         }
     }
 
     /// Packages the finished `run` with the engine and samples these
     /// hooks accumulated, handing the objective source back.
-    pub fn finish(self, run: AsyncRun) -> (VirtualRunResult, S) {
+    pub fn finish(mut self, run: AsyncRun) -> (VirtualRunResult, S) {
+        if let Some(t) = self.open_ta.take() {
+            self.ta.push(t);
+        }
         let result = VirtualRunResult {
             outcome: run.outcome,
             engine: self.engine,
-            ta_samples: self.ta_samples,
-            tf_samples: self.tf_samples,
+            ta: self.ta,
+            tf: self.tf,
             fault_log: run.fault_log,
             commands: run.commands,
         };
@@ -223,12 +240,9 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
         matches!(self.t_a, TaMode::Measured).then(Instant::now)
     }
 
-    fn charge_ta(&mut self, real: f64) -> f64 {
-        let t = match self.t_a {
-            TaMode::Measured => real,
-            TaMode::Sampled(d) => d.sample(&mut self.rng),
-        };
-        self.ta_samples.push(t);
+    fn draw_ta(&mut self, d: Dist) -> f64 {
+        let t = d.sample(&mut self.rng);
+        self.ta.push(t);
         t
     }
 }
@@ -253,21 +267,15 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
         self.window.insert(eval_id, candidate);
         match self.t_a {
             TaMode::Measured => {
-                if self.merge_next_produce {
-                    // Same master hold as the preceding consume: fold into
-                    // that interaction's sample.
-                    self.merge_next_produce = false;
-                    if let Some(last) = self.ta_samples.last_mut() {
-                        *last += real;
-                    }
-                } else {
-                    self.ta_samples.push(real);
-                }
+                // Same master hold as a preceding consume: fold into that
+                // interaction's sample.
+                let sample = self.open_ta.take().map_or(real, |open| open + real);
+                self.ta.push(sample);
                 real
             }
             // Sampled T_A is per *interaction* and charged on consume;
             // only the initial seeding productions draw their own sample.
-            TaMode::Sampled(_) if eval_id < self.width => self.charge_ta(real),
+            TaMode::Sampled(d) if eval_id < self.width => self.draw_ta(d),
             TaMode::Sampled(_) => 0.0,
         }
     }
@@ -286,7 +294,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
 
     fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
         let t = self.t_f.sample(&mut self.rng);
-        self.tf_samples.push(t);
+        self.tf.push(t);
         t
     }
 
@@ -313,11 +321,15 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
         self.engine.consume(solution);
         let real = seconds_since(stopwatch);
         (self.observer)(now, &self.engine);
-        let charged = self.charge_ta(real);
-        if matches!(self.t_a, TaMode::Measured) {
-            self.merge_next_produce = true;
+        match self.t_a {
+            TaMode::Measured => {
+                if let Some(t) = self.open_ta.replace(real) {
+                    self.ta.push(t);
+                }
+                real
+            }
+            TaMode::Sampled(d) => self.draw_ta(d),
         }
-        charged
     }
 
     fn comm_time(&mut self) -> f64 {
@@ -481,8 +493,8 @@ where
     let mut rng = split.derive("virtual-delays");
     let mut engine = BorgEngine::new(problem, borg, engine_seed);
     let mut clock = 0.0f64;
-    let mut ta_samples = Vec::new();
-    let mut tf_samples = Vec::new();
+    let mut ta = SampleLog::new();
+    let mut tf = SampleLog::new();
     let mut objs = vec![0.0; problem.num_objectives()];
     let mut cons = vec![0.0; problem.num_constraints()];
 
@@ -492,18 +504,18 @@ where
         let produce_real = t0.elapsed().as_secs_f64();
         problem.evaluate(&cand.variables, &mut objs, &mut cons);
         let sol = engine.make_solution_recycled(cand, &objs, &cons);
-        let tf = config.t_f.sample(&mut rng);
-        tf_samples.push(tf);
-        clock += tf;
+        let t_f = config.t_f.sample(&mut rng);
+        tf.push(t_f);
+        clock += t_f;
         let t1 = Instant::now();
         engine.consume(sol);
         let consume_real = t1.elapsed().as_secs_f64();
-        let ta = match config.t_a {
+        let t_a = match config.t_a {
             TaMode::Measured => produce_real + consume_real,
             TaMode::Sampled(d) => d.sample(&mut rng),
         };
-        ta_samples.push(ta);
-        clock += ta;
+        ta.push(t_a);
+        clock += t_a;
         observer(clock, &engine);
     }
 
@@ -519,8 +531,8 @@ where
             wasted_nfe: 0,
         },
         engine,
-        ta_samples,
-        tf_samples,
+        ta,
+        tf,
         fault_log: FaultLog::default(),
         commands: Vec::new(),
     }
@@ -562,7 +574,27 @@ mod tests {
         assert!(result.engine.archive().len() > 10);
         result.engine.archive().check_invariants().unwrap();
         // ta: one per interaction + seeding; tf: one per dispatched work.
-        assert!(result.ta_samples.len() as u64 >= 5_000);
+        assert_eq!(result.ta.count(), 15 + 5_000);
+        assert_eq!(result.tf.count(), 5_000 + 14);
+    }
+
+    #[test]
+    fn timing_logs_count_what_each_executor_claims() {
+        let problem = Dtlz::dtlz2_5();
+        let (p, n) = (9u32, 1_500u64);
+        for t_a in [TaMode::Sampled(Dist::Constant(0.000_03)), TaMode::Measured] {
+            let cfg = VirtualConfig {
+                t_a,
+                ..sampled_config(p, n, 0.001, 0.0)
+            };
+            let run = run_virtual_async(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {});
+            assert_eq!(run.ta.count() as u64, u64::from(p - 1) + n, "{t_a:?}");
+            assert_eq!(run.tf.count() as u64, n + u64::from(p - 2), "{t_a:?}");
+            assert_eq!(run.ta.retained().len(), run.ta.count(), "nothing decimated");
+            let serial = run_virtual_serial(&problem, borg_cfg(), &cfg, |_, _| {});
+            assert_eq!(serial.ta.count() as u64, n, "{t_a:?}");
+            assert_eq!(serial.tf.count() as u64, n, "{t_a:?}");
+        }
     }
 
     #[test]
@@ -607,13 +639,14 @@ mod tests {
             seed: 5,
         };
         let result = run_virtual_async(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {});
-        let n = result.ta_samples.len();
-        let early: f64 = result.ta_samples[..n / 4].iter().sum::<f64>() / (n / 4) as f64;
-        let late: f64 = result.ta_samples[3 * n / 4..].iter().sum::<f64>() / (n - 3 * n / 4) as f64;
+        let samples = result.ta.retained();
+        let n = samples.len();
+        let early: f64 = samples[..n / 4].iter().sum::<f64>() / (n / 4) as f64;
+        let late: f64 = samples[3 * n / 4..].iter().sum::<f64>() / (n - 3 * n / 4) as f64;
         assert!(early > 0.0 && late > 0.0);
         // Not asserting a strict ordering (wall clock is noisy) but the
         // samples must be in a sane microsecond-ish range.
-        assert!(result.ta_samples.iter().all(|&t| t < 0.1));
+        assert!(samples.iter().all(|&t| t < 0.1));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! Runs a small DTLZ2 instance through the virtual-time asynchronous
 //! master-slave executor twice with the same seed and demands bit-identical
 //! results: elapsed virtual time, NFE, every archive member's variables,
-//! objectives and constraints, and the final population's variable and
-//! objective rows. A second arm repeats the check **with fault injection
+//! objectives and constraints, the final population's variable and
+//! objective rows, and both timing logs (`T_A`, `T_F`: count, sum, stride
+//! and retained values). A second arm repeats the check **with fault injection
 //! live** (25% worker crashes + 5% message loss) and additionally demands
 //! identical fault ledgers — recovery is part of the reproducibility
 //! contract, not an excuse to break it. This is the executable form of the
@@ -49,6 +50,7 @@ use borg_experiments::faults::{render_faults, run_faults, FaultsConfig};
 use borg_experiments::suite::PaperProblem;
 use borg_experiments::table2::{render_table2, run_table2_with, Table2Config};
 use borg_models::dist::Dist;
+use borg_models::distfit::SampleLog;
 use borg_net::chaos::{run_chaos_loopback, ChaosConfig};
 use borg_net::tap::{tap_loop, TapConfig};
 use borg_net::{connect_with_backoff, Backoff, Conn, Msg, NetAddr, NetListener};
@@ -162,6 +164,8 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
         ));
     }
     diff_engines(label, &a.engine, &b.engine)?;
+    diff_log(label, "T_A", &a.ta, &b.ta)?;
+    diff_log(label, "T_F", &a.tf, &b.tf)?;
     if a.fault_log != b.fault_log {
         return Err(format!(
             "{label}: fault ledgers diverged: {} vs {}",
@@ -170,6 +174,23 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
         ));
     }
     Ok(())
+}
+
+/// Compares two timing logs bit for bit: count, sum, stride and every
+/// retained value.
+fn diff_log(label: &str, stream: &str, a: &SampleLog, b: &SampleLog) -> Result<(), String> {
+    if a.bit_identical(b) {
+        return Ok(());
+    }
+    Err(format!(
+        "{label}: {stream} log diverged: count {} vs {}, sum {} vs {}, stride {} vs {}",
+        a.count(),
+        b.count(),
+        a.sum(),
+        b.sum(),
+        a.stride(),
+        b.stride()
+    ))
 }
 
 /// Compares what two engines end with, bit for bit: every archive member's
@@ -465,6 +486,8 @@ fn networked_chaos_arm(seed: u64, oracle: &VirtualRunResult) -> Result<(u64, usi
         ));
     }
     diff_engines("networked arm", &net.engine, &oracle.engine)?;
+    diff_log("networked arm", "T_A", &net.ta, &oracle.ta)?;
+    diff_log("networked arm", "T_F", &net.tf, &oracle.tf)?;
     // The proxy's wire-side ledger enacted the same faults kind for kind
     // (its timestamps are wall-clock, so only the counts are comparable).
     for kind in [

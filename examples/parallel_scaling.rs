@@ -38,8 +38,7 @@ fn main() {
             seed: 7 + u64::from(p),
         };
         let result = run_virtual_async(&problem, borg.clone(), &vcfg, &NoopRecorder, |_, _| {});
-        let mean_ta = result.ta_samples.iter().sum::<f64>() / result.ta_samples.len() as f64;
-        let t = TimingParams::new(t_f, t_c, mean_ta);
+        let t = TimingParams::new(t_f, t_c, result.ta.mean());
         let eq2 = async_parallel_time(nfe, p, t);
         let t_s = serial_time(nfe, t);
         let elapsed = result.outcome.elapsed;

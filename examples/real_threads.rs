@@ -46,8 +46,8 @@ fn main() {
     );
 
     // The measurement pipeline.
-    let ta = SampleStats::of(&result.ta_samples);
-    let tf = SampleStats::of(&result.tf_samples);
+    let ta = SampleStats::of(result.ta.retained());
+    let tf = SampleStats::of(result.tf.retained());
     let tc = estimate_comm_time(500).expect("echo thread stays alive");
     println!("\nmeasured timing on this machine:");
     println!("  T_A: mean {:.1}us, cv {:.2}", ta.mean * 1e6, ta.cv());
@@ -55,7 +55,7 @@ fn main() {
     println!("  T_C: ~{:.1}us (thread ping-pong / 2)", tc * 1e6);
 
     println!("\nT_F distribution fits ranked by log-likelihood (the R step of §IV-B):");
-    for fit in fit_all(&result.tf_samples, &Family::all())
+    for fit in fit_all(result.tf.retained(), &Family::all())
         .into_iter()
         .take(4)
     {

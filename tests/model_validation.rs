@@ -8,7 +8,7 @@ use borg_repro::models::analytical::{
     async_parallel_time, processor_upper_bound, relative_error, TimingParams,
 };
 use borg_repro::models::dist::Dist;
-use borg_repro::models::distfit::best_fit;
+use borg_repro::models::distfit::{best_fit, SampleLog};
 use borg_repro::models::perfsim::{simulate_async, PerfSimConfig, TimingModel};
 use borg_repro::parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
 use borg_repro::problems::dtlz::Dtlz;
@@ -16,7 +16,7 @@ use borg_repro::problems::dtlz::Dtlz;
 struct Cell {
     elapsed: f64,
     mean_ta: f64,
-    ta_samples: Vec<f64>,
+    ta: SampleLog,
 }
 
 fn run_cell(p: u32, nfe: u64, tf: f64) -> Cell {
@@ -36,11 +36,10 @@ fn run_cell(p: u32, nfe: u64, tf: f64) -> Cell {
         &NoopRecorder,
         |_, _| {},
     );
-    let mean_ta = result.ta_samples.iter().sum::<f64>() / result.ta_samples.len() as f64;
     Cell {
         elapsed: result.outcome.elapsed,
-        mean_ta,
-        ta_samples: result.ta_samples,
+        mean_ta: result.ta.mean(),
+        ta: result.ta,
     }
 }
 
@@ -80,7 +79,7 @@ fn analytical_model_fails_and_simulation_model_holds_past_saturation() {
         "expected large analytical error, got {analytic_err}"
     );
 
-    let ta_fit = best_fit(&cell.ta_samples);
+    let ta_fit = best_fit(cell.ta.retained());
     let sim = simulate_async(&PerfSimConfig {
         processors: p,
         evaluations: nfe,
@@ -132,7 +131,7 @@ fn measured_ta_is_microseconds_and_grows_with_problem_complexity() {
             seed: 7,
         };
         let r = run_virtual_async(problem, borg, &cfg, &NoopRecorder, |_, _| {});
-        r.ta_samples.iter().sum::<f64>() / r.ta_samples.len() as f64
+        r.ta.mean()
     };
     let dtlz2 = Dtlz::dtlz2_5();
     let ta_dtlz2 = run_ta(&dtlz2, vec![0.1; 5]);
