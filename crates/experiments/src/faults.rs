@@ -140,9 +140,9 @@ struct ReplicateOutcome {
 
 /// Runs the sweep: replicate seeds are pre-derived in (cell, replicate)
 /// order, the replicates fan out over `config.jobs` workers, and each
-/// cell folds its outcomes in replicate order — so the rows (and the
-/// fault ledgers they summarise) are bit-identical for every `jobs`
-/// setting.
+/// cell folds its outcomes in replicate order as soon as its last
+/// replicate finishes — so the rows (and the fault ledgers they
+/// summarise) are bit-identical for every `jobs` setting.
 pub fn run_faults(config: &FaultsConfig) -> Vec<FaultsRow> {
     let mut cells = Vec::new();
     for &f in &config.failure_rates {
@@ -150,31 +150,30 @@ pub fn run_faults(config: &FaultsConfig) -> Vec<FaultsRow> {
             cells.push((f, p));
         }
     }
-    let mut jobs = Vec::new();
-    for (index, &(_, p)) in cells.iter().enumerate() {
-        for seed in replicate_seeds(
-            config.seed,
-            config.problem,
-            config.tf_mean,
-            p,
-            config.replicates,
-        ) {
-            jobs.push((index, seed));
-        }
-    }
-    let outcomes = crate::par::run_jobs(config.jobs, jobs, |_, (cell, seed)| {
-        let (f, p) = cells[cell];
-        run_replicate(config, f, p, seed)
-    });
-    let replicates = config.replicates as usize;
-    cells
+    let seeds = cells
         .iter()
-        .enumerate()
-        .map(|(index, &(f, p))| {
-            let mine = &outcomes[index * replicates..(index + 1) * replicates];
-            finalize_cell(config, f, p, mine)
+        .map(|&(_, p)| {
+            replicate_seeds(
+                config.seed,
+                config.problem,
+                config.tf_mean,
+                p,
+                config.replicates,
+            )
         })
-        .collect()
+        .collect();
+    crate::par::run_groups(
+        config.jobs,
+        seeds,
+        |cell, seed| {
+            let (f, p) = cells[cell];
+            run_replicate(config, f, p, seed)
+        },
+        |cell, outcomes| {
+            let (f, p) = cells[cell];
+            finalize_cell(config, f, p, &outcomes)
+        },
+    )
 }
 
 /// Runs one replicate (workload built fresh; jobs share nothing).

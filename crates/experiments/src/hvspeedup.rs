@@ -136,9 +136,10 @@ fn mean_times(trajs: &[Trajectory], thresholds: &[f64]) -> Vec<Option<f64>> {
 /// Every run (the serial baseline replicates and each processor count's
 /// replicates) is an independent job: seeds are pre-derived from the
 /// panel's SplitMix64 stream in the exact order the old nested loops drew
-/// them, the runs fan out over `config.jobs` workers, and trajectories
-/// are folded back in derivation order — so the panel is bit-identical
-/// for every `jobs` setting.
+/// them, the runs fan out over `config.jobs` workers, and each arm's
+/// trajectories fold into its mean times in derivation order as soon as
+/// its last replicate finishes — so the panel is bit-identical for every
+/// `jobs` setting.
 pub fn run_panel(config: &HvSpeedupConfig, t_f: f64) -> HvSpeedupPanel {
     let reference = config.problem.reference_front(config.ref_divisions);
     let metric =
@@ -147,28 +148,32 @@ pub fn run_panel(config: &HvSpeedupConfig, t_f: f64) -> HvSpeedupPanel {
     let mut split = SplitMix64::new(config.seed ^ t_f.to_bits());
 
     // Pre-derive every run's seed in the historical order: all serial
-    // replicates first, then each processor count's replicates. `None`
-    // marks a serial-baseline run.
-    let mut jobs: Vec<(Option<u32>, u64)> = Vec::new();
-    for _ in 0..config.replicates {
-        jobs.push((None, split.derive_seed("hv-serial")));
-    }
+    // replicates first, then each processor count's replicates. Arm 0 is
+    // the serial baseline, arm `i + 1` runs on `config.processors[i]`.
+    let mut seeds: Vec<Vec<u64>> = vec![(0..config.replicates)
+        .map(|_| split.derive_seed("hv-serial"))
+        .collect()];
     for &p in &config.processors {
-        for _ in 0..config.replicates {
-            jobs.push((Some(p), split.derive_seed("hv-parallel") ^ u64::from(p)));
-        }
+        seeds.push(
+            (0..config.replicates)
+                .map(|_| split.derive_seed("hv-parallel") ^ u64::from(p))
+                .collect(),
+        );
     }
-    let trajs = crate::par::run_jobs(config.jobs, jobs, |_, (processors, seed)| {
-        run_trajectory(config, t_f, &metric, processors, seed)
-    });
-
-    let replicates = config.replicates as usize;
-    let serial_times = mean_times(&trajs[..replicates], &config.thresholds);
+    let mut arm_times = crate::par::run_groups(
+        config.jobs,
+        seeds,
+        |arm, seed| {
+            let processors = arm.checked_sub(1).map(|i| config.processors[i]);
+            run_trajectory(config, t_f, &metric, processors, seed)
+        },
+        |_, trajs| mean_times(&trajs, &config.thresholds),
+    )
+    .into_iter();
+    let serial_times = arm_times.next().unwrap_or_default();
 
     let mut series = Vec::new();
-    for (pi, &p) in config.processors.iter().enumerate() {
-        let start = replicates + pi * replicates;
-        let times = mean_times(&trajs[start..start + replicates], &config.thresholds);
+    for (&p, times) in config.processors.iter().zip(arm_times) {
         let speedups = serial_times
             .iter()
             .zip(&times)

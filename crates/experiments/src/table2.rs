@@ -67,7 +67,15 @@ impl Default for Table2Config {
 }
 
 impl Table2Config {
-    /// Paper-scale settings (N = 100k, 50 replicates). Expect hours.
+    /// Paper-scale settings (N = 100k, 50 replicates).
+    ///
+    /// Measured on a 2-vCPU Xeon host: `borg-exp table2 --full
+    /// --replicates 2` (two sweep threads, measured `T_A`) runs in 21–22 s
+    /// with a VmHWM of 22–23 MB. Extrapolated, not run: 50 replicates take
+    /// about 25 times as long (≈ 9 minutes), and memory stays bounded by
+    /// the cells in flight — at most `3 × jobs` cells hold replicates (see
+    /// `borg-runner`), where collecting every replicate first would hold
+    /// all 2 100 runs' thinned `T_A` samples (≈ 0.34 GB).
     pub fn paper_scale(mut self) -> Self {
         self.evaluations = 100_000;
         self.replicates = 50;
@@ -204,9 +212,11 @@ where
 }
 
 /// The sweep core: pre-derives every replicate seed in (cell, replicate)
-/// order, fans the replicates out over `config.jobs` workers, then fans
-/// the cells out to fold their results in replicate order — the same float
-/// accumulation order as the serial nested loops this replaced.
+/// order and fans the replicates out over `config.jobs` workers. The
+/// worker that finishes a cell's last replicate folds the cell, model arm
+/// included, in replicate order (the float accumulation order of the
+/// serial nested loops this replaced) and drops its replicates, so only
+/// cells in flight hold `T_A` samples.
 fn run_table2_inner(
     config: &Table2Config,
     observe: bool,
@@ -219,41 +229,35 @@ fn run_table2_inner(
             }
         }
     }
-    let mut jobs = Vec::new();
-    for (index, cell) in cells.iter().enumerate() {
-        for seed in replicate_seeds(
-            config.seed,
-            cell.problem,
-            cell.tf,
-            cell.p,
-            config.replicates,
-        ) {
-            jobs.push((index, seed));
-        }
-    }
-    let outcomes = crate::par::run_jobs(config.jobs, jobs, |_, (cell, seed)| {
-        run_replicate(config, &cells[cell], seed, observe)
-    });
-    // The model arm (fit + simulation) of one cell reads only that cell's
-    // replicates, so the cells fold in parallel too, each in replicate
-    // order.
-    let mut outcomes = outcomes.into_iter();
-    let replicates = config.replicates as usize;
-    let folds: Vec<(usize, Vec<ReplicateOutcome>)> = (0..cells.len())
-        .map(|index| (index, outcomes.by_ref().take(replicates).collect()))
+    let seeds = cells
+        .iter()
+        .map(|cell| {
+            replicate_seeds(
+                config.seed,
+                cell.problem,
+                cell.tf,
+                cell.p,
+                config.replicates,
+            )
+        })
         .collect();
-    crate::par::run_jobs(config.jobs, folds, |_, (index, mine)| {
-        let metrics = observe.then(|| {
-            let mut merged = MetricsSnapshot::default();
-            for outcome in &mine {
-                if let Some(snapshot) = &outcome.metrics {
-                    merged.merge(snapshot);
+    crate::par::run_groups(
+        config.jobs,
+        seeds,
+        |cell, seed| run_replicate(config, &cells[cell], seed, observe),
+        |cell, outcomes| {
+            let metrics = observe.then(|| {
+                let mut merged = MetricsSnapshot::default();
+                for outcome in &outcomes {
+                    if let Some(snapshot) = &outcome.metrics {
+                        merged.merge(snapshot);
+                    }
                 }
-            }
-            merged
-        });
-        (finalize_cell(config, &cells[index], &mine), metrics)
-    })
+                merged
+            });
+            (finalize_cell(config, &cells[cell], &outcomes), metrics)
+        },
+    )
 }
 
 /// Runs one replicate: builds the workload fresh (jobs share nothing),
@@ -459,35 +463,64 @@ mod tests {
         assert_eq!(total, 2100);
     }
 
+    /// Every float column of each row, as bits.
+    fn row_bits(rows: &[Table2Row]) -> Vec<[u64; 10]> {
+        rows.iter()
+            .map(|r| {
+                [
+                    r.t_a,
+                    r.t_c,
+                    r.t_f,
+                    r.experimental_time,
+                    r.efficiency,
+                    r.analytical_time,
+                    r.analytical_error,
+                    r.simulation_time,
+                    r.simulation_error,
+                    r.master_utilization,
+                ]
+                .map(f64::to_bits)
+            })
+            .collect()
+    }
+
     #[test]
     fn jobs_setting_does_not_change_rows() {
-        // The tentpole contract at the driver level: a parallel sweep is
-        // bit-identical to the serial one. Sampled T_A keeps the run
-        // independent of host timing so the comparison is exact.
+        // The runner's contract at the driver level: a parallel sweep,
+        // whose cells fold as their replicates finish, is bit-identical to
+        // the serial one, rows and merged per-cell snapshots alike. Sampled
+        // T_A keeps the run independent of host timing so the comparison
+        // is exact. (A snapshot's `Debug` text prints every float in its
+        // shortest round-trip form, so equal text is equal bits.)
         let cfg = Table2Config {
             evaluations: 1_000,
-            replicates: 2,
-            processors: vec![8],
+            replicates: 3,
+            processors: vec![8, 16, 32],
             tf_means: vec![0.001],
             problems: vec![PaperProblem::Dtlz2],
             sampled_ta: Some(0.000_03),
             ..Table2Config::default()
         };
-        let serial = run_table2(&Table2Config {
-            jobs: 1,
-            ..cfg.clone()
-        });
-        let parallel = run_table2(&Table2Config { jobs: 4, ..cfg });
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.experimental_time.to_bits(), p.experimental_time.to_bits());
-            assert_eq!(s.t_a.to_bits(), p.t_a.to_bits());
-            assert_eq!(s.efficiency.to_bits(), p.efficiency.to_bits());
-            assert_eq!(s.simulation_time.to_bits(), p.simulation_time.to_bits());
-            assert_eq!(
-                s.master_utilization.to_bits(),
-                p.master_utilization.to_bits()
-            );
+        let sweep = |jobs| {
+            let config = Table2Config {
+                jobs,
+                ..cfg.clone()
+            };
+            let mut snapshots = Vec::new();
+            let observed = run_table2_with(&config, |_, snapshot| {
+                snapshots.push(format!("{snapshot:?}"));
+            });
+            (
+                row_bits(&run_table2(&config)),
+                row_bits(&observed),
+                snapshots,
+            )
+        };
+        let serial = sweep(1);
+        assert_eq!(serial.0.len(), 3);
+        assert_eq!(serial.0, serial.1, "observing changed the rows");
+        for jobs in [2, 4] {
+            assert!(sweep(jobs) == serial, "jobs = {jobs} changed the sweep");
         }
     }
 

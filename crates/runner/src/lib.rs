@@ -8,21 +8,24 @@
 //! [`map_jobs`] fans such jobs out over a pool of scoped threads while
 //! keeping the workspace's reproducibility contract:
 //!
-//! **The output of `map_jobs(workers, items, job)` is bit-identical for
-//! every worker count**, including `workers = 1`. Three rules make that
-//! hold, and every caller must respect them:
+//! **The output of `map_jobs(workers, items, job)` (and of
+//! [`map_groups`]) is bit-identical for every worker count**, including
+//! `workers = 1`. Three rules make that hold, and every caller must
+//! respect them:
 //!
 //! 1. *Inputs are pre-derived.* Jobs receive their seeds and parameters up
 //!    front; nothing is drawn from a shared RNG stream at execution time,
 //!    so scheduling order cannot perturb seed derivation.
 //! 2. *Results are index-ordered.* Workers finish in nondeterministic
 //!    order; results are slotted into an index-addressed buffer and
-//!    returned in submission order, so downstream float accumulation
-//!    (means, histogram merges) folds in the same order every run.
+//!    returned in submission order, and a group's fold (below) sees its
+//!    results in item order, so downstream float accumulation (means,
+//!    histogram merges) folds in the same order every run.
 //! 3. *Jobs are pure up to their return value.* A job must not mutate
 //!    state shared with other jobs; per-job telemetry goes into a per-job
 //!    `InMemoryRecorder` whose snapshot is returned and merged in index
-//!    order by the caller (see `borg_obs::MetricsSnapshot::merge`).
+//!    order by the caller or the group's fold (see
+//!    `borg_obs::MetricsSnapshot::merge`).
 //!
 //! Scheduling is chunked work-stealing: the items are split into one
 //! contiguous chunk per worker (good locality, zero coordination while a
@@ -31,11 +34,37 @@
 //! the head). Stealing only changes *who* runs a job and *when* — never
 //! what the job computes or where its result lands.
 //!
-//! A panicking job does not poison the pool: the panic is caught at the
-//! job boundary, surfaced as [`JobPanicked`] (lowest job index wins, so
+//! **Grouped folds.** [`map_groups`] takes the items in groups — one Table
+//! II cell's replicates, say — with a fold per group. Each item is still
+//! one job; the worker that stores a group's last result folds the group
+//! in item order and drops its results, so a sweep holds only the results
+//! of groups in flight, not all of them until the end. [`map_jobs`] is
+//! `map_groups` with one-item groups.
+//!
+//! *The bound.* With `W` workers (after clamping to the item count), at
+//! most `3·W` groups hold results at any instant, so with groups of at
+//! most `s` items at most `W·(3s − 2)` results are alive, however many
+//! groups there are; serially (`W = 1`) it is one group. Lay the items out
+//! in group order and call an item *unfinished* while it is queued or
+//! running. Each worker accounts for at most one maximal run of unfinished
+//! items: its deque's remainder is contiguous (it shrinks from both ends),
+//! the item its owner runs came off the front and so adjoins it, and a
+//! worker running a stolen item has an empty deque for good, so that item
+//! is its one run. A group holding results and an unfinished item is
+//! contiguous, so it contains an end of such a run: at most `2·W` groups,
+//! each with at most `s − 1` stored results. A group whose results are
+//! all stored is being folded, or about to be, by a worker that stored
+//! one of them and is running no item: at most one such group per worker.
+//! Per worker that is at most `2(s − 1)` stored results plus either its
+//! running item's `1` or a folding group's `s`, hence `3s − 2`. The bound
+//! needs the chunks contiguous; a round-robin deal would let every group
+//! be open at once.
+//!
+//! A panicking job or fold does not poison the pool: the panic is caught
+//! at its boundary, surfaced as [`JobPanicked`] (lowest index wins, so
 //! the error itself is deterministic), and the remaining jobs keep
-//! running; subsequent `map_jobs` calls are unaffected because the pool
-//! is scoped per call and owns no long-lived state.
+//! running; subsequent calls are unaffected because the pool is scoped
+//! per call and owns no long-lived state.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -46,14 +75,17 @@ use crossbeam::channel;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A job panicked; the pool survived and every other job still ran.
+/// A job or fold panicked; the pool survived and every other job still
+/// ran.
 ///
-/// `index` is the smallest job index that panicked (deterministic even
-/// when several jobs fail in racing worker threads).
+/// `index` is the smallest failing index (deterministic even when several
+/// jobs fail in racing worker threads): the job's item index in
+/// [`map_jobs`], the group's index in [`map_groups`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobPanicked {
-    /// Index of the panicking job in the submitted item order.
+    /// Index of the failing job (or group) in submission order.
     pub index: usize,
     /// The panic payload, when it was a string; a placeholder otherwise.
     pub message: String,
@@ -91,66 +123,134 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 /// The pool never outlives the call (scoped threads), so a panicking job
 /// cannot poison later calls; the first panic by *job index* is returned
 /// as [`JobPanicked`] after every surviving job has finished.
+///
+/// This is [`map_groups`] with one-item groups, so `job` receives the
+/// item's index.
 pub fn map_jobs<T, R, F>(workers: usize, items: Vec<T>, job: F) -> Result<Vec<R>, JobPanicked>
 where
     T: Send,
     R: Send,
     F: Fn(usize, T) -> R + Sync,
 {
-    let n = items.len();
-    if n == 0 {
-        return Ok(Vec::new());
+    let groups: Vec<[T; 1]> = items.into_iter().map(|item| [item]).collect();
+    let folded = map_groups(workers, groups, job, |_, results| results)?;
+    Ok(folded.into_iter().flatten().collect())
+}
+
+/// Runs `job(group, item)` over the items of every group on `workers`
+/// threads, folds each group's results **in item order** as soon as its
+/// last item finishes, and returns the folded values **in group order** —
+/// bit-identical for every worker count.
+///
+/// Morally `groups.enumerate().map(|(g, items)| fold(g, items.map(|x|
+/// job(g, x)).collect()))`. Each item is still one job, scheduled like any
+/// other, so one group's items spread over every worker; the worker that
+/// stores a group's last result runs `fold` on it and drops the results.
+/// Only groups still in flight hold results: at most `3 · workers` groups
+/// at once (derived in the crate docs), one at `workers = 1`. An empty
+/// group folds an empty vector.
+///
+/// Panics in jobs and folds are both caught. The error's `index` is the
+/// lowest *group* that failed; its message is the group's first panicking
+/// job in item order, or its fold's when every job returned (a group with
+/// a failed job is not folded). Every other job and fold still runs.
+pub fn map_groups<T, I, R, G, F, Fold>(
+    workers: usize,
+    groups: Vec<I>,
+    job: F,
+    fold: Fold,
+) -> Result<Vec<G>, JobPanicked>
+where
+    I: IntoIterator<Item = T>,
+    T: Send,
+    R: Send,
+    G: Send,
+    F: Fn(usize, T) -> R + Sync,
+    Fold: Fn(usize, Vec<R>) -> G + Sync,
+{
+    // Every item in group order, tagged with its group; `spans[g]` is the
+    // range of group g's items in that order.
+    let mut pending: VecDeque<(usize, T)> = VecDeque::new();
+    let mut spans = Vec::with_capacity(groups.len());
+    for (group, items) in groups.into_iter().enumerate() {
+        let start = pending.len();
+        pending.extend(items.into_iter().map(|item| (group, item)));
+        spans.push(start..pending.len());
     }
+    let n = pending.len();
     let workers = resolve_jobs(workers).min(n);
     if workers <= 1 {
-        let mut slots = Vec::with_capacity(n);
-        for (index, item) in items.into_iter().enumerate() {
-            slots.push(run_job(&job, index, item));
+        let mut folded = Vec::with_capacity(spans.len());
+        for (group, span) in spans.iter().enumerate() {
+            let outcomes = pending
+                .drain(..span.len())
+                .map(|(_, item)| guarded(|| job(group, item)))
+                .collect();
+            folded.push(Some(fold_group(&fold, group, outcomes)));
         }
-        return collect(slots.into_iter().map(Some).collect());
+        return collect(folded);
     }
 
-    // One contiguous chunk of (index, item) jobs per worker deque.
+    // One contiguous chunk of (slot, (group, item)) jobs per worker deque;
+    // the memory bound in the crate docs rests on the chunks being
+    // contiguous in group order.
     let chunk = n.div_ceil(workers);
-    let mut queues: Vec<Mutex<VecDeque<(usize, T)>>> = Vec::with_capacity(workers);
-    let mut pending: VecDeque<(usize, T)> = items.into_iter().enumerate().collect();
-    for _ in 0..workers {
-        let take = chunk.min(pending.len());
-        queues.push(Mutex::new(pending.drain(..take).collect()));
-    }
-    debug_assert!(pending.is_empty());
+    let mut flat = pending.into_iter().enumerate();
+    let queues: Vec<_> = (0..workers)
+        .map(|_| Mutex::new(flat.by_ref().take(chunk).collect::<VecDeque<_>>()))
+        .collect();
+    let results: Vec<Mutex<Option<Result<R, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let remaining: Vec<AtomicUsize> = spans.iter().map(|s| AtomicUsize::new(s.len())).collect();
 
-    let mut slots: Vec<Option<Result<R, String>>> = (0..n).map(|_| None).collect();
-    let (tx, rx) = channel::unbounded::<(usize, Result<R, String>)>();
+    let mut folded: Vec<Option<Result<G, String>>> = (0..spans.len()).map(|_| None).collect();
+    let (tx, rx) = channel::unbounded::<(usize, Result<G, String>)>();
     std::thread::scope(|scope| {
-        let queues = &queues;
-        let job = &job;
+        let (queues, results, remaining, spans) = (&queues, &results, &remaining, &spans);
+        let (job, fold) = (&job, &fold);
         for me in 0..workers {
             let tx = tx.clone();
             scope.spawn(move || {
-                while let Some((index, item)) = take_job(me, queues) {
+                while let Some((slot, (group, item))) = take_job(me, queues) {
+                    *results[slot].lock() = Some(guarded(|| job(group, item)));
+                    // AcqRel: each decrement releases its slot's store, and
+                    // the last one acquires them all, so the worker that
+                    // folds sees every result of the group.
+                    if remaining[group].fetch_sub(1, Ordering::AcqRel) != 1 {
+                        continue;
+                    }
+                    let outcomes = spans[group]
+                        .clone()
+                        .map(|s| results[s].lock().take().unwrap_or_else(missing))
+                        .collect();
                     // A send can only fail if the collector hung up, and
-                    // it drains exactly `n` messages; nothing to salvage.
-                    if tx.send((index, run_job(job, index, item))).is_err() {
+                    // it drains every group; nothing to salvage.
+                    if tx.send((group, fold_group(fold, group, outcomes))).is_err() {
                         return;
                     }
                 }
             });
         }
         drop(tx);
-        // Collect into the index-ordered buffer; arrival order is
+        // No item finishes an empty group, so the calling thread folds
+        // those while it waits.
+        for (group, span) in spans.iter().enumerate() {
+            if span.is_empty() {
+                folded[group] = Some(fold_group(fold, group, Vec::new()));
+            }
+        }
+        // Collect into the group-ordered buffer; arrival order is
         // irrelevant from here on.
-        while let Ok((index, outcome)) = rx.recv() {
-            slots[index] = Some(outcome);
+        while let Ok((group, outcome)) = rx.recv() {
+            folded[group] = Some(outcome);
         }
     });
-    collect(slots)
+    collect(folded)
 }
 
 /// Pops the next job: own chunk head first, then steal another deque's
 /// tail. `None` only once every deque is empty — jobs never spawn jobs,
 /// so queues strictly drain and the emptiness check cannot race new work.
-fn take_job<T>(me: usize, queues: &[Mutex<VecDeque<(usize, T)>>]) -> Option<(usize, T)> {
+fn take_job<Q>(me: usize, queues: &[Mutex<VecDeque<Q>>]) -> Option<Q> {
     if let Some(job) = queues[me].lock().pop_front() {
         return Some(job);
     }
@@ -163,17 +263,14 @@ fn take_job<T>(me: usize, queues: &[Mutex<VecDeque<(usize, T)>>]) -> Option<(usi
     None
 }
 
-/// Runs one job behind a panic boundary.
+/// Runs one job or fold behind a panic boundary.
 ///
-/// `AssertUnwindSafe` is sound here: on panic the job's entire state
-/// (item, partial result) is dropped and the failure is surfaced as an
+/// `AssertUnwindSafe` is sound here: on panic the call's entire state
+/// (inputs, partial result) is dropped and the failure is surfaced as an
 /// error; callers only share immutable references with jobs (rule 3 of
 /// the module contract), so no cross-job state can be left torn.
-fn run_job<T, R, F>(job: &F, index: usize, item: T) -> Result<R, String>
-where
-    F: Fn(usize, T) -> R + Sync,
-{
-    catch_unwind(AssertUnwindSafe(|| job(index, item))).map_err(|payload| {
+fn guarded<X>(call: impl FnOnce() -> X) -> Result<X, String> {
+    catch_unwind(AssertUnwindSafe(call)).map_err(|payload| {
         if let Some(s) = payload.downcast_ref::<&str>() {
             (*s).to_string()
         } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -184,22 +281,35 @@ where
     })
 }
 
-/// Folds the index-ordered slot buffer into the final result, surfacing
-/// the lowest-index panic if any job failed.
-fn collect<R>(slots: Vec<Option<Result<R, String>>>) -> Result<Vec<R>, JobPanicked> {
+/// Folds one group's job outcomes, given in item order: the first failed
+/// job's message if any failed (the results are dropped unfolded), else
+/// the fold's value behind its own panic boundary.
+fn fold_group<R, G, Fold>(
+    fold: &Fold,
+    group: usize,
+    outcomes: Vec<Result<R, String>>,
+) -> Result<G, String>
+where
+    Fold: Fn(usize, Vec<R>) -> G,
+{
+    let results = outcomes.into_iter().collect::<Result<Vec<R>, String>>()?;
+    guarded(|| fold(group, results))
+}
+
+/// The outcome of a result slot found empty. Unreachable with caught
+/// panics, but a lost result must be an error, not a silently short fold.
+fn missing<R>() -> Result<R, String> {
+    Err("job result missing (worker terminated unexpectedly)".to_string())
+}
+
+/// Turns the group-ordered outcome buffer into the final result,
+/// surfacing the lowest-index failure if any group failed.
+fn collect<G>(slots: Vec<Option<Result<G, String>>>) -> Result<Vec<G>, JobPanicked> {
     let mut results = Vec::with_capacity(slots.len());
     for (index, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(Ok(r)) => results.push(r),
-            Some(Err(message)) => return Err(JobPanicked { index, message }),
-            // Unreachable with caught panics, but a lost worker must be
-            // an error, not a silently truncated result vector.
-            None => {
-                return Err(JobPanicked {
-                    index,
-                    message: "job result missing (worker terminated unexpectedly)".to_string(),
-                })
-            }
+        match slot.unwrap_or_else(missing) {
+            Ok(r) => results.push(r),
+            Err(message) => return Err(JobPanicked { index, message }),
         }
     }
     Ok(results)

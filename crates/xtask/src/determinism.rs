@@ -522,11 +522,13 @@ struct SweepOutputs {
 fn sweep_outputs(jobs: usize) -> SweepOutputs {
     // Sampled T_A keeps the runs independent of host timing, so equality
     // across jobs settings is exact, not approximate.
+    // Several cells of several replicates each, so at jobs = 4 cells
+    // finish, and fold, out of order.
     let t2 = Table2Config {
         evaluations: 1_000,
-        replicates: 2,
-        processors: vec![8],
-        tf_means: vec![0.001],
+        replicates: 3,
+        processors: vec![8, 16],
+        tf_means: vec![0.001, 0.01],
         problems: vec![PaperProblem::Dtlz2],
         sampled_ta: Some(0.000_03),
         jobs,
@@ -555,8 +557,8 @@ fn sweep_outputs(jobs: usize) -> SweepOutputs {
 
     let fcfg = FaultsConfig {
         evaluations: 1_000,
-        replicates: 2,
-        processors: vec![8],
+        replicates: 3,
+        processors: vec![8, 16],
         failure_rates: vec![0.0, 0.25],
         tf_mean: 0.001,
         sampled_ta: Some(0.000_03),
