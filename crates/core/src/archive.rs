@@ -148,48 +148,6 @@ enum Decision {
     AddNewBox,
 }
 
-/// Snapshot of the archive's content-mutation counters.
-///
-/// Two stamps tell an incremental consumer (e.g. an incremental hypervolume
-/// tracker) whether the interval between them consisted *only* of appended
-/// new-box members — the case where an O(new members) update is exact — or
-/// whether evictions/replacements/clears force a full recompute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArchiveStamp {
-    /// Member count at snapshot time.
-    pub len: usize,
-    /// Accepted insertions so far.
-    pub accepts: u64,
-    /// ε-progress (new-box) insertions so far.
-    pub improvements: u64,
-    /// Members evicted by dominating insertions (and feasibility resets).
-    pub evictions: u64,
-    /// Same-box (and placeholder) replacements so far.
-    pub replacements: u64,
-    /// Archive clears so far.
-    pub clears: u64,
-}
-
-impl ArchiveStamp {
-    /// If every mutation between `self` and `newer` appended a new member to
-    /// the end of the archive (new boxes, no evictions / replacements /
-    /// clears), returns how many rows were appended. `None` means the
-    /// interval included removals or in-place edits.
-    pub fn pure_append_to(&self, newer: &ArchiveStamp) -> Option<usize> {
-        let untouched = newer.evictions == self.evictions
-            && newer.replacements == self.replacements
-            && newer.clears == self.clears
-            && newer.len >= self.len;
-        if !untouched {
-            return None;
-        }
-        let appended = newer.len - self.len;
-        (newer.improvements - self.improvements == appended as u64
-            && newer.accepts - self.accepts == appended as u64)
-            .then_some(appended)
-    }
-}
-
 /// An ε-box dominance archive.
 ///
 /// Invariants (checked by [`EpsilonArchive::check_invariants`] and the
@@ -351,19 +309,6 @@ impl EpsilonArchive {
     /// the archive is unchanged.
     pub fn generation(&self) -> u64 {
         self.accepts + self.clears
-    }
-
-    /// Snapshot of the mutation counters, for incremental consumers (see
-    /// [`ArchiveStamp::pure_append_to`]).
-    pub fn stamp(&self) -> ArchiveStamp {
-        ArchiveStamp {
-            len: self.len(),
-            accepts: self.accepts,
-            improvements: self.improvements,
-            evictions: self.evictions,
-            replacements: self.replacements,
-            clears: self.clears,
-        }
     }
 
     /// Archive contributions per operator (index = operator id).
@@ -971,30 +916,6 @@ mod tests {
         chain.push_member(sol(&[0.55, 0.55]).as_member());
         let err = chain.check_invariants().unwrap_err();
         assert!(err.contains("not mutually nondominating"), "{err}");
-    }
-
-    #[test]
-    fn stamp_detects_pure_appends() {
-        let mut a = EpsilonArchive::uniform(2, 0.1);
-        a.add(sol(&[0.05, 0.95]));
-        let s0 = a.stamp();
-        a.add(sol(&[0.95, 0.05]));
-        a.add(sol(&[0.45, 0.45]));
-        assert_eq!(s0.pure_append_to(&a.stamp()), Some(2));
-        // A same-box replacement breaks pure-append.
-        let s1 = a.stamp();
-        assert_eq!(a.add(sol(&[0.44, 0.44])), ArchiveInsert::ReplacedInBox);
-        assert_eq!(s1.pure_append_to(&a.stamp()), None);
-        // An eviction breaks pure-append.
-        let s2 = a.stamp();
-        assert_eq!(a.add(sol(&[0.01, 0.01])), ArchiveInsert::AddedNewBox);
-        assert!(a.evictions() > 0);
-        assert_eq!(s2.pure_append_to(&a.stamp()), None);
-        // A clear breaks pure-append even though len could line up.
-        let s3 = a.stamp();
-        a.clear_solutions();
-        a.add(sol(&[0.5, 0.5]));
-        assert_eq!(s3.pure_append_to(&a.stamp()), None);
     }
 
     #[test]

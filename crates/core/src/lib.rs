@@ -56,7 +56,7 @@ pub mod solution;
 /// Commonly used items.
 pub mod prelude {
     pub use crate::algorithm::{run_serial, BorgConfig, BorgEngine, Candidate, SolutionArena};
-    pub use crate::archive::{ArchiveInsert, ArchiveStamp, EpsilonArchive};
+    pub use crate::archive::{ArchiveInsert, EpsilonArchive};
     pub use crate::dominance::{constrained_dominance, pareto_dominance, Dominance};
     pub use crate::matrix::{FlatMatrix, ObjectiveMatrix};
     pub use crate::population::Population;

@@ -657,8 +657,7 @@ fn hv_speedup(cmd: &str, problem: PaperProblem, cli: &Cli) {
     let mut cfg = HvSpeedupConfig::new(problem);
     scale!(cfg, cli: smoke);
     if cli.full {
-        cfg.evaluations = 100_000;
-        cfg.replicates = 50;
+        cfg = cfg.paper_scale();
     }
     scale!(cfg, cli: nfe, replicates, seed, jobs);
     for panel in run_figure(&cfg) {

@@ -13,7 +13,6 @@
 //! adaptation, and quality — making the paper's "dynamics" argument
 //! quantitative.
 
-use crate::hvcache::HvCache;
 use crate::report::TextTable;
 use crate::suite::PaperProblem;
 use borg_core::rng::SplitMix64;
@@ -134,9 +133,10 @@ pub fn normalized_entropy(probs: &[f64]) -> f64 {
 /// Each processor count is one job: its seed is pre-derived from the
 /// shared SplitMix64 stream in `config.processors` order, the runs fan
 /// out over `config.jobs` workers, and the trajectories come back in
-/// that same order — bit-identical for every `jobs` setting. Hypervolume
-/// checkpoints go through an [`HvCache`] so the metric only re-runs when
-/// the archive changed since the previous checkpoint.
+/// that same order — bit-identical for every `jobs` setting. Each run syncs
+/// one [`HvTracker`](borg_metrics::mc_hypervolume::HvTracker) at its
+/// checkpoints, which counts only the archive rows that changed since the
+/// previous one.
 pub fn run_dynamics(config: &DynamicsConfig) -> Vec<DynamicsTrajectory> {
     let metric =
         RelativeHypervolume::monte_carlo(&config.problem.reference_front(6), 10_000, config.seed);
@@ -159,7 +159,7 @@ pub fn run_dynamics(config: &DynamicsConfig) -> Vec<DynamicsTrajectory> {
         };
         let mut points = Vec::new();
         let check = config.check_every.max(1);
-        let mut cache = HvCache::new();
+        let mut hv = metric.tracker();
         run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, |t, engine| {
             if engine.nfe() % check == 0 || engine.nfe() == config.evaluations {
                 points.push(DynamicsPoint {
@@ -167,7 +167,7 @@ pub fn run_dynamics(config: &DynamicsConfig) -> Vec<DynamicsTrajectory> {
                     nfe: engine.nfe(),
                     archive: engine.archive().len(),
                     restarts: engine.stats().restarts,
-                    hypervolume: cache.ratio(&metric, engine.archive()),
+                    hypervolume: hv.sync(engine.archive().objective_rows()),
                     operator_entropy: normalized_entropy(engine.operator_probabilities()),
                 });
             }

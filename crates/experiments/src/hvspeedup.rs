@@ -8,7 +8,6 @@
 //! runs inefficiently (large `P`, small `T_F`) — more strongly on the
 //! non-separable UF11 than on DTLZ2.
 
-use crate::hvcache::HvCache;
 use crate::report::TextTable;
 use crate::suite::PaperProblem;
 use borg_core::rng::SplitMix64;
@@ -69,6 +68,20 @@ impl HvSpeedupConfig {
         }
     }
 
+    /// Paper-scale settings (N = 100k, 50 replicates).
+    ///
+    /// Measured on a 2-vCPU Xeon host: `borg-exp fig3 --full --replicates 2
+    /// --jobs 2` (measured `T_A`) runs in 17.9 s, `fig4` in 18.7 s.
+    /// Extrapolated, not run: 50 replicates take about 25 times as long,
+    /// ≈ 7.5 minutes a figure. Each run syncs one hypervolume tracker at
+    /// its checkpoints, so the cost grows with the archive rows that
+    /// change, not with checkpoints × archive size.
+    pub fn paper_scale(mut self) -> Self {
+        self.evaluations = 100_000;
+        self.replicates = 50;
+        self
+    }
+
     /// Smoke-test settings for CI and benches.
     pub fn smoke(mut self) -> Self {
         self.evaluations = 3_000;
@@ -114,9 +127,11 @@ fn time_to_threshold(traj: &Trajectory, h: f64) -> Option<f64> {
     traj.iter().find(|(_, hv)| *hv >= h).map(|(t, _)| *t)
 }
 
-/// Averages times-to-threshold across replicates; a threshold counts as
-/// attained only if every replicate attained it (the conservative choice —
-/// with the paper's 50 replicates the distinction washes out).
+/// Averages times-to-threshold across replicates. A threshold counts as
+/// attained only if every replicate attained it; otherwise its cell is
+/// `None` (rendered blank). The more replicates, the likelier one misses a
+/// high `h`, so at 50 replicates a blank cell becomes the common case
+/// there — see ROADMAP.md item 8 for counting censored replicates instead.
 fn mean_times(trajs: &[Trajectory], thresholds: &[f64]) -> Vec<Option<f64>> {
     thresholds
         .iter()
@@ -198,10 +213,10 @@ pub fn run_panel(config: &HvSpeedupConfig, t_f: f64) -> HvSpeedupPanel {
     }
 }
 
-/// Runs one trajectory (serial when `processors` is `None`), sampling the
-/// relative hypervolume at every checkpoint through an [`HvCache`] so the
-/// objective matrix is rebuilt — and the metric re-run — only when the
-/// archive actually changed since the previous checkpoint.
+/// Runs one trajectory (serial when `processors` is `None`), syncing one
+/// [`HvTracker`](borg_metrics::mc_hypervolume::HvTracker) at every
+/// checkpoint: it counts only the archive rows that changed since the
+/// previous checkpoint, and its value is bit-equal to a recompute.
 fn run_trajectory(
     config: &HvSpeedupConfig,
     t_f: f64,
@@ -222,19 +237,19 @@ fn run_trajectory(
     };
     let mut traj: Trajectory = Vec::new();
     let check = config.check_every.max(1);
-    let mut cache = HvCache::new();
+    let mut hv = metric.tracker();
     match processors {
         None => {
             run_virtual_serial(problem.as_ref(), borg, &vcfg, |t, engine| {
                 if engine.nfe() % check == 0 || engine.nfe() == config.evaluations {
-                    traj.push((t, cache.ratio(metric, engine.archive())));
+                    traj.push((t, hv.sync(engine.archive().objective_rows())));
                 }
             });
         }
         Some(_) => {
             run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, |t, engine| {
                 if engine.nfe() % check == 0 || engine.nfe() == config.evaluations {
-                    traj.push((t, cache.ratio(metric, engine.archive())));
+                    traj.push((t, hv.sync(engine.archive().objective_rows())));
                 }
             });
         }
@@ -287,6 +302,42 @@ mod tests {
         let t2 = vec![(3.0, 0.4)];
         let m = mean_times(&[t1, t2], &[0.5]);
         assert_eq!(m, vec![None]); // second replicate never crossed 0.5
+    }
+
+    #[test]
+    fn tracker_series_is_bit_equal_to_recompute() {
+        // Sampled `T_A` makes the run, and so every checkpoint's archive,
+        // a function of the seed alone.
+        let problem = PaperProblem::Dtlz2;
+        let metric = RelativeHypervolume::monte_carlo(&problem.reference_front(6), 2_000, 17);
+        let vcfg = VirtualConfig {
+            processors: 64,
+            max_nfe: 10_000,
+            t_f: Dist::normal_cv(0.01, 0.1),
+            t_c: Dist::Constant(0.000_006),
+            t_a: TaMode::Sampled(Dist::Constant(0.000_03)),
+            seed: 31,
+        };
+        let mut hv = metric.tracker();
+        let (mut tracked, mut recomputed) = (Vec::new(), Vec::new());
+        let borg = problem.borg_config(0.1);
+        run_virtual_async(
+            problem.build().as_ref(),
+            borg,
+            &vcfg,
+            &NoopRecorder,
+            |_, engine| {
+                if engine.nfe() % 500 == 0 {
+                    let rows = engine.archive().objective_rows();
+                    tracked.push(hv.sync(rows).to_bits());
+                    recomputed.push(metric.ratio_rows(rows.iter_rows()).to_bits());
+                }
+            },
+        );
+        assert_eq!(tracked.len(), 20);
+        assert_eq!(tracked, recomputed);
+        let (first, last) = (f64::from_bits(tracked[0]), f64::from_bits(tracked[19]));
+        assert!(last > first && last > 0.5, "series {first} → {last}");
     }
 
     #[test]

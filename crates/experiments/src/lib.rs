@@ -26,7 +26,6 @@ pub mod dynamics;
 pub mod faults;
 pub mod fitdemo;
 pub mod heatmap;
-pub mod hvcache;
 pub mod hvspeedup;
 pub(crate) mod par;
 pub mod report;

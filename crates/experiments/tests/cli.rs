@@ -84,15 +84,22 @@ fn faults_smoke_writes_csv_and_completes_every_cell() {
 
 #[test]
 fn hv_speedup_smoke_writes_panels() {
-    let out = temp_out("fig3");
-    let result = run(&["fig3", "--smoke"], &out);
-    assert!(
-        result.status.success(),
-        "{}",
-        String::from_utf8_lossy(&result.stderr)
-    );
-    assert!(out.join("fig3_dtlz2_tf0.01.csv").exists());
-    let _ = std::fs::remove_dir_all(&out);
+    // UF11's reference bounds are not the unit box, so fig4 also exercises
+    // the normalization in front of the hypervolume tracker.
+    for (cmd, csv) in [
+        ("fig3", "fig3_dtlz2_tf0.01.csv"),
+        ("fig4", "fig4_uf11_tf0.01.csv"),
+    ] {
+        let out = temp_out(cmd);
+        let result = run(&[cmd, "--smoke"], &out);
+        assert!(
+            result.status.success(),
+            "{cmd}: {}",
+            String::from_utf8_lossy(&result.stderr)
+        );
+        assert!(out.join(csv).exists(), "{cmd}: no {csv}");
+        let _ = std::fs::remove_dir_all(&out);
+    }
 }
 
 #[test]

@@ -72,54 +72,6 @@ fn exclusive_hv(p: &[f64], rest: &[Vec<f64>], reference: &[f64]) -> f64 {
     incl - wfg(&limited, reference)
 }
 
-/// Exclusive hypervolume contribution of one extra point against an
-/// existing set: `hypervolume(set ∪ {point}) − hypervolume(set)`.
-///
-/// This is the update step of incremental hypervolume maintenance
-/// ([`crate::incremental::IncrementalHv`]): inserting into a set of size
-/// `n` costs one exclusive-contribution evaluation instead of a full
-/// recompute over `n + 1` points. Points at or beyond the reference point
-/// contribute zero, exactly as [`hypervolume`] drops them.
-pub fn exclusive_hypervolume(point: &[f64], set: &[Vec<f64>], reference: &[f64]) -> f64 {
-    let m = reference.len();
-    assert_eq!(point.len(), m, "dimension mismatch");
-    if !point.iter().zip(reference).all(|(a, r)| a < r) {
-        return 0.0;
-    }
-    let rest: Vec<Vec<f64>> = set
-        .iter()
-        .filter(|q| {
-            assert_eq!(q.len(), m, "dimension mismatch");
-            q.iter().zip(reference).all(|(a, r)| a < r)
-        })
-        .cloned()
-        .collect();
-    exclusive_hv(point, &rest, reference)
-}
-
-/// Exclusive hypervolume contribution of each point: how much volume
-/// would be lost if that point were removed from the set.
-///
-/// Dominated (and duplicate) points contribute exactly 0. The vector is
-/// aligned with the input order. Used for archive truncation policies and
-/// for diagnosing which archive members carry the front.
-pub fn hypervolume_contributions(points: &[Vec<f64>], reference: &[f64]) -> Vec<f64> {
-    let total = hypervolume(points, reference);
-    points
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            let without: Vec<Vec<f64>> = points
-                .iter()
-                .enumerate()
-                .filter(|&(j, _p)| j != i)
-                .map(|(_j, p)| p.clone())
-                .collect();
-            (total - hypervolume(&without, reference)).max(0.0)
-        })
-        .collect()
-}
-
 /// O(n log n) sweep for the 2-D base case.
 fn hv2d(set: &[Vec<f64>], reference: &[f64]) -> f64 {
     let mut pts: Vec<(f64, f64)> = set.iter().map(|p| (p[0], p[1])).collect();
@@ -194,40 +146,6 @@ mod tests {
     fn five_d_single_point() {
         let hv = hypervolume(&[vec![0.5; 5]], &[1.0; 5]);
         assert!((hv - 0.5f64.powi(5)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn contributions_sum_to_at_most_total_and_zero_for_dominated() {
-        let pts = vec![
-            vec![0.2, 0.6],
-            vec![0.6, 0.2],
-            vec![0.7, 0.7], // dominated
-            vec![0.2, 0.6], // duplicate
-        ];
-        let r = [1.0, 1.0];
-        let contrib = hypervolume_contributions(&pts, &r);
-        assert_eq!(contrib.len(), 4);
-        assert_eq!(contrib[2], 0.0, "dominated point must contribute 0");
-        // One of the duplicates contributes 0 (removing either leaves the
-        // other covering the same region) — in fact both report 0.
-        assert_eq!(contrib[3], 0.0);
-        assert_eq!(contrib[0], 0.0);
-        // The unique point's contribution is its exclusive corner.
-        assert!((contrib[1] - 0.4 * 0.4).abs() < 1e-12, "{contrib:?}");
-        let total = hypervolume(&pts, &r);
-        assert!(contrib.iter().sum::<f64>() <= total + 1e-12);
-    }
-
-    #[test]
-    fn contributions_identify_the_knee_point() {
-        // A strongly protruding point contributes more than its shoulder
-        // neighbours.
-        let pts = vec![vec![0.0, 0.9], vec![0.3, 0.3], vec![0.9, 0.0]];
-        let contrib = hypervolume_contributions(&pts, &[1.0, 1.0]);
-        assert!(
-            contrib[1] > contrib[0] && contrib[1] > contrib[2],
-            "{contrib:?}"
-        );
     }
 
     #[test]

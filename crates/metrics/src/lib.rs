@@ -21,7 +21,6 @@
 #![forbid(unsafe_code)]
 
 pub mod hypervolume;
-pub mod incremental;
 pub mod mc_hypervolume;
 pub mod nds;
 pub mod normalize;
@@ -29,9 +28,8 @@ pub mod relative;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::hypervolume::{exclusive_hypervolume, hypervolume, hypervolume_contributions};
-    pub use crate::incremental::{ArchiveHvTracker, IncrementalHv};
-    pub use crate::mc_hypervolume::McHypervolume;
+    pub use crate::hypervolume::hypervolume;
+    pub use crate::mc_hypervolume::{HvTracker, McHypervolume};
     pub use crate::nds::nondominated_filter;
     pub use crate::normalize::ObjectiveBounds;
     pub use crate::relative::RelativeHypervolume;

@@ -43,20 +43,30 @@ impl ObjectiveBounds {
     /// (`0` = ideal, `1` = nadir). Values outside the reference range map
     /// outside `[0, 1]`; callers decide whether to clip or discard.
     pub fn normalize_point(&self, p: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.dim());
+        self.normalize_into(p, &mut out);
+        out
+    }
+
+    /// Appends the coordinates [`normalize_point`](Self::normalize_point)
+    /// returns for `p` to `out`.
+    // borg-lint: hot-path
+    pub fn normalize_into(&self, p: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(p.len(), self.dim());
-        p.iter()
-            .zip(self.ideal.iter().zip(&self.nadir))
-            .map(|(&x, (&lo, &hi))| {
-                let range = hi - lo;
-                if range > 0.0 {
-                    (x - lo) / range
-                } else {
-                    // Degenerate objective (constant across the front):
-                    // deviation from it is pure excess.
-                    x - lo
-                }
-            })
-            .collect()
+        out.extend(
+            p.iter()
+                .zip(self.ideal.iter().zip(&self.nadir))
+                .map(|(&x, (&lo, &hi))| {
+                    let range = hi - lo;
+                    if range > 0.0 {
+                        (x - lo) / range
+                    } else {
+                        // Degenerate objective (constant across the front):
+                        // deviation from it is pure excess.
+                        x - lo
+                    }
+                }),
+        );
     }
 
     /// Normalizes a whole set.

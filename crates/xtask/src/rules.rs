@@ -85,12 +85,13 @@
 //!   `&'static str` by type — a leaked formatted name would be a memory
 //!   leak per call).
 //! * **BORG-L015** — no per-call heap allocation (`.to_vec()`, `.collect()`,
-//!   `Vec::new()`) inside algorithm-core functions marked
-//!   `// borg-lint: hot-path` (`crates/core` library code). Those functions
-//!   sit on the produce/consume path the paper's `T_A` measures; the speed
-//!   campaign removed their allocations (arena buffers, in-place outputs,
-//!   flat rows), and this rule keeps them out. A justified allocation
-//!   carries the usual `// borg-lint: allow(BORG-L015)` escape.
+//!   `Vec::new()`) inside functions marked `// borg-lint: hot-path` in
+//!   `crates/core` and `crates/metrics` library code. The core's sit on the
+//!   produce/consume path the paper's `T_A` measures; the metrics' run once
+//!   per archive row a hypervolume tracker counts. The speed campaign
+//!   removed their allocations (arena buffers, in-place outputs, flat rows),
+//!   and this rule keeps them out. A justified allocation carries the usual
+//!   `// borg-lint: allow(BORG-L015)` escape.
 //!
 //! A violation is suppressed by a `// borg-lint: allow(BORG-Lxxx)` comment
 //! on the same line or the line directly above — or, item-wide, by one on
@@ -178,8 +179,9 @@ pub const RULES: [Rule; 15] = [
     },
     Rule {
         id: "BORG-L015",
-        summary: "no .to_vec()/.collect()/Vec::new() in borg-core functions marked \
-                  `// borg-lint: hot-path`; use arena buffers / in-place outputs",
+        summary: "no .to_vec()/.collect()/Vec::new() in borg-core or borg-metrics \
+                  functions marked `// borg-lint: hot-path`; use arena buffers / in-place \
+                  outputs",
     },
 ];
 
@@ -1259,9 +1261,12 @@ fn rule_l015(
     in_test: &dyn Fn(u32) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    // Scope: algorithm-core library code (plus the fixture).
-    let core_scope = rel_path.starts_with("crates/core/src/") || rel_path == FIXTURE_SCAN_PATH;
-    if class != FileClass::Library || !core_scope || lexed.hot_paths.is_empty() {
+    // Scope: algorithm-core and metrics library code (plus the fixture).
+    let in_scope = ["crates/core/src/", "crates/metrics/src/"]
+        .iter()
+        .any(|dir| rel_path.starts_with(dir))
+        || rel_path == FIXTURE_SCAN_PATH;
+    if class != FileClass::Library || !in_scope || lexed.hot_paths.is_empty() {
         return;
     }
     let tokens = &lexed.tokens;
@@ -1742,8 +1747,17 @@ mod tests {
             rules_at(&check_lib(src)),
             [("BORG-L015", 3), ("BORG-L015", 4), ("BORG-L015", 5)]
         );
-        // Out of scope: the same source outside crates/core.
-        let elsewhere = check_source("crates/metrics/src/hypervolume.rs", FileClass::Library, src);
+        // Metrics code is in scope too; the same source elsewhere is not.
+        let metrics = check_source("crates/metrics/src/hypervolume.rs", FileClass::Library, src);
+        assert_eq!(
+            rules_at(&metrics),
+            [("BORG-L015", 3), ("BORG-L015", 4), ("BORG-L015", 5)]
+        );
+        let elsewhere = check_source(
+            "crates/experiments/src/hvspeedup.rs",
+            FileClass::Library,
+            src,
+        );
         assert!(elsewhere.is_empty());
     }
 
