@@ -211,19 +211,31 @@ fn only_groups_in_flight_hold_results() {
 #[test]
 fn one_group_spreads_over_workers() {
     // One group of four items on two workers: the chunks are items [0, 1]
-    // and [2, 3]. Item 0, worker 0's first, waits for item 2, worker 1's
-    // first, so the two run at once on two threads. A scheduler that ran a
-    // group's items on one worker would time out here instead.
-    let (tx, rx) = crossbeam::channel::unbounded();
+    // and [2, 3]. Item 0, worker 0's first, and item 2, worker 1's first,
+    // each wait for the other, so the two run at once on two threads: a
+    // worker blocked in one cannot steal the other. (A one-way wait let
+    // worker 1 run item 2, then steal item 0 before worker 0 started.) A
+    // scheduler that ran a group's items on one worker would time out here
+    // instead.
+    let (to_0, at_0) = crossbeam::channel::unbounded();
+    let (to_2, at_2) = crossbeam::channel::unbounded();
     let folded = map_groups(
         2,
         vec![vec![0u32, 1, 2, 3]],
         |_, x| {
-            if x == 2 {
-                tx.send(())
-                    .expect("the receiver lives until the call returns");
-            }
-            let met = x != 0 || rx.recv_timeout(Duration::from_secs(30)).is_ok();
+            let met = match x {
+                0 | 2 => {
+                    let (tell, wait) = if x == 0 {
+                        (&to_2, &at_0)
+                    } else {
+                        (&to_0, &at_2)
+                    };
+                    tell.send(())
+                        .expect("the receiver lives until the call returns");
+                    wait.recv_timeout(Duration::from_secs(30)).is_ok()
+                }
+                _ => true,
+            };
             (x, met, thread::current().id())
         },
         |_, results| results,
@@ -235,6 +247,7 @@ fn one_group_spreads_over_workers() {
         [0, 1, 2, 3]
     );
     assert!(results[0].1, "item 0 never saw item 2 run");
+    assert!(results[2].1, "item 2 never saw item 0 run");
     let threads: Vec<ThreadId> = results.iter().map(|&(_, _, id)| id).collect();
     assert_ne!(threads[0], threads[2]);
 }
