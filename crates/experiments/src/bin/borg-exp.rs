@@ -859,12 +859,12 @@ fn serve_master(cli: &Cli) {
             "serve summary: mode=chaos nfe={} archive={} elapsed={:.6} \
              deaths_detected={} reissues={} wasted_nfe={} wire_results={} \
              wire_duplicates={} wire_faults={} worker_reconnects={}",
-            result.engine.nfe(),
-            result.engine.archive().len(),
-            result.outcome.elapsed,
-            result.fault_log.detected(),
-            result.fault_log.reissues,
-            result.fault_log.wasted_nfe,
+            result.run.engine.nfe(),
+            result.run.engine.archive().len(),
+            result.run.outcome.elapsed,
+            result.run.fault_log.detected(),
+            result.run.fault_log.reissues,
+            result.run.fault_log.wasted_nfe,
             result.wire_results,
             result.wire_duplicates,
             result.wire_log.injected(),

@@ -36,21 +36,19 @@ use crate::transport::{
     connect_with_backoff, Backoff, Conn, NetAddr, NetError, NetListener, NetStream,
 };
 use crate::worker::{run_worker, WorkerOptions};
-use borg_core::algorithm::{BorgConfig, BorgEngine};
+use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
-use borg_models::distfit::SampleLog;
-use borg_models::queueing::{run_async_with, RunOutcome};
+use borg_models::queueing::run_async_with;
 use borg_obs::{Recorder, TraceEdge, TraceEdgeKind};
 use borg_parallel::virtual_exec::{
     BorgHooks, FaultyRun, ObjectiveSource, TaMode, VirtualConfig, VirtualRunResult,
 };
-use crossbeam::channel;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
@@ -93,24 +91,14 @@ impl ChaosConfig {
 
 /// What a chaos-mode networked run produced.
 pub struct ChaosRunResult {
-    /// Timing/throughput aggregates in *virtual* seconds (the DES
-    /// clock), bit-comparable to the oracle's.
-    pub outcome: RunOutcome,
-    /// Final engine state (archive, NFE).
-    pub engine: BorgEngine,
-    /// The authoritative recovery ledger (DES-side) — must equal the
-    /// oracle's bit for bit.
-    pub fault_log: FaultLog,
+    /// The pinned master's run as the DES fault oracle records it: virtual
+    /// outcome, engine, the authoritative (DES-side) ledger and the sampled
+    /// `T_A`/`T_F` logs. Every field must equal the oracle's bit for bit.
+    pub run: VirtualRunResult,
     /// The proxy's wire-side ledger: faults it physically enacted on the
     /// sockets. Record times are wall-clock, so it is compared to the
     /// oracle per fault kind, not per record.
     pub wire_log: FaultLog,
-    /// Sampled `T_A` draws, logged as [`VirtualRunResult::ta`] logs them:
-    /// `(P − 1) + N` on a quiet plan. Must equal the oracle's bit for bit.
-    pub ta: SampleLog,
-    /// Sampled `T_F` draws, one per dispatch: `N` on a quiet plan, plus
-    /// one per reissue under faults. Must equal the oracle's bit for bit.
-    pub tf: SampleLog,
     /// Results consumed off the wire (0 would mean the wire was not
     /// load-bearing — asserted against by callers).
     pub wire_results: u64,
@@ -158,7 +146,7 @@ struct WireSource<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
     writers: Vec<NetStream>,
     /// The outgoing frame, re-encoded in place by every `send`.
     frame: Vec<u8>,
-    rx: channel::Receiver<MasterNote>,
+    rx: mpsc::Receiver<MasterNote>,
     buffered: BTreeMap<u64, Vec<WireOutcome>>,
     result_wait: Duration,
     error: Option<NetError>,
@@ -206,7 +194,7 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> WireSource<'_, '_, P, R> {
                         .push(outcome);
                 }
                 Ok(MasterNote::Dead) => {} // a master-side conn died; keep draining the rest
-                Err(channel::RecvTimeoutError::Timeout) => {
+                Err(mpsc::RecvTimeoutError::Timeout) => {
                     if started.elapsed() > self.result_wait {
                         return Err(NetError::ResultTimeout {
                             eval_id,
@@ -214,7 +202,7 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> WireSource<'_, '_, P, R> {
                         });
                     }
                 }
-                Err(channel::RecvTimeoutError::Disconnected) => {
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
                     return Err(NetError::Disconnected {
                         context: "chaos result channel",
                     });
@@ -614,7 +602,7 @@ fn proxy_accept_loop<'s, R: Recorder + Sync + ?Sized>(
 /// Master-side reader: decodes result frames into the hooks' channel.
 fn master_reader<R: Recorder + Sync + ?Sized>(
     mut conn: Conn,
-    tx: &channel::Sender<MasterNote>,
+    tx: &mpsc::Sender<MasterNote>,
     stop: &AtomicBool,
     rec: &R,
 ) {
@@ -727,7 +715,7 @@ where
     };
     let reader_stop = AtomicBool::new(false);
 
-    let bundle = std::thread::scope(|scope| -> Result<RunBundle, NetError> {
+    let result = std::thread::scope(|scope| -> Result<ChaosRunResult, NetError> {
         scope.spawn(|| proxy_accept_loop(scope, &shared, &public_listener, &master_addr));
 
         let mut worker_handles = Vec::new();
@@ -748,7 +736,7 @@ where
         for conn in &conns {
             writers.push(conn.stream().try_clone()?);
         }
-        let (tx, rx) = channel::unbounded::<MasterNote>();
+        let (tx, rx) = mpsc::channel::<MasterNote>();
         for conn in conns {
             let tx = tx.clone();
             let reader_stop = &reader_stop;
@@ -772,7 +760,7 @@ where
         };
         let mut hooks = BorgHooks::new(problem, source, config, borg, workers, |_, _| {});
         let outcome = run_async_with(&mut hooks, run.engine_config(), &plan, false, rec);
-        let (result, mut wire) = hooks.finish(outcome);
+        let (run, mut wire) = hooks.finish(outcome);
 
         // Teardown: tell workers the run is over, then sever everything
         // so every blocked thread unblocks and the scope join is prompt.
@@ -804,15 +792,18 @@ where
             }
         }
 
-        Ok(RunBundle {
-            result,
+        Ok(ChaosRunResult {
+            run,
+            // Filled in below, once the proxy threads have let go of it.
+            wire_log: FaultLog::default(),
             wire_results: wire.wire_results,
             wire_duplicates: wire.wire_duplicates,
             worker_reconnects,
             degraded: wire.error.map(|e| e.to_string()),
         })
     });
-    let bundle = bundle?;
+    let mut result = result?;
+    result.wire_log = shared.wire_log.into_inner();
 
     // Remove Unix socket files; harmless if already gone.
     for addr in [&chaos.listen, &chaos.master_listen] {
@@ -821,25 +812,5 @@ where
         }
     }
 
-    Ok(ChaosRunResult {
-        outcome: bundle.result.outcome,
-        engine: bundle.result.engine,
-        fault_log: bundle.result.fault_log,
-        wire_log: shared.wire_log.into_inner(),
-        ta: bundle.result.ta,
-        tf: bundle.result.tf,
-        wire_results: bundle.wire_results,
-        wire_duplicates: bundle.wire_duplicates,
-        worker_reconnects: bundle.worker_reconnects,
-        degraded: bundle.degraded,
-    })
-}
-
-/// Intermediate carrier across the scope boundary.
-struct RunBundle {
-    result: VirtualRunResult,
-    wire_results: u64,
-    wire_duplicates: u64,
-    worker_reconnects: u64,
-    degraded: Option<String>,
+    Ok(result)
 }

@@ -76,20 +76,20 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
     // The recovery ledger: injected faults, detection/recovery stamps,
     // reissues, suppressed duplicates, wasted NFE — all bit-identical.
     assert_eq!(
-        net.fault_log, oracle.fault_log,
+        net.run.fault_log, oracle.fault_log,
         "networked fault ledger diverged from the DES oracle"
     );
 
     // The run outcome: elapsed virtual time to the bit, NFE, archive.
     assert_eq!(
-        net.outcome.elapsed.to_bits(),
+        net.run.outcome.elapsed.to_bits(),
         oracle.outcome.elapsed.to_bits(),
         "elapsed virtual time diverged: {} vs {}",
-        net.outcome.elapsed,
+        net.run.outcome.elapsed,
         oracle.outcome.elapsed
     );
-    assert_eq!(net.engine.nfe(), oracle.engine.nfe(), "NFE diverged");
-    let arch_net = net.engine.archive();
+    assert_eq!(net.run.engine.nfe(), oracle.engine.nfe(), "NFE diverged");
+    let arch_net = net.run.engine.archive();
     let arch_oracle = oracle.engine.archive();
     assert_eq!(arch_net.len(), arch_oracle.len(), "archive size diverged");
     for (i, (a, b)) in arch_net.members().zip(arch_oracle.members()).enumerate() {
@@ -106,8 +106,8 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
     }
 
     // The sampled timing streams consumed in the same order.
-    assert!(net.ta.bit_identical(&oracle.ta), "T_A stream diverged");
-    assert!(net.tf.bit_identical(&oracle.tf), "T_F stream diverged");
+    assert!(net.run.ta.bit_identical(&oracle.ta), "T_A stream diverged");
+    assert!(net.run.tf.bit_identical(&oracle.tf), "T_F stream diverged");
 
     // The proxy's wire-side ledger physically enacted the same faults,
     // kind for kind (its timestamps are wall-clock, so the full records
@@ -162,21 +162,24 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
 
     assert_eq!(net.degraded, None);
     assert_eq!(net.wire_log.injected(), 0, "quiet plan must inject nothing");
-    assert_eq!(net.fault_log, oracle.fault_log);
-    assert_eq!(net.engine.nfe(), oracle.engine.nfe());
+    assert_eq!(net.run.fault_log, oracle.fault_log);
+    assert_eq!(net.run.engine.nfe(), oracle.engine.nfe());
     assert_eq!(
-        net.outcome.elapsed.to_bits(),
+        net.run.outcome.elapsed.to_bits(),
         oracle.outcome.elapsed.to_bits()
     );
-    assert_eq!(net.engine.archive().len(), oracle.engine.archive().len());
-    assert!(net.ta.bit_identical(&oracle.ta), "T_A stream diverged");
-    assert!(net.tf.bit_identical(&oracle.tf), "T_F stream diverged");
+    assert_eq!(
+        net.run.engine.archive().len(),
+        oracle.engine.archive().len()
+    );
+    assert!(net.run.ta.bit_identical(&oracle.ta), "T_A stream diverged");
+    assert!(net.run.tf.bit_identical(&oracle.tf), "T_F stream diverged");
     let p = u64::from(config.processors);
-    assert_eq!(net.ta.count() as u64, p - 1 + net.engine.nfe());
-    assert_eq!(net.tf.count() as u64, net.engine.nfe());
+    assert_eq!(net.run.ta.count() as u64, p - 1 + net.run.engine.nfe());
+    assert_eq!(net.run.tf.count() as u64, net.run.engine.nfe());
     assert_eq!(
         net.wire_results,
-        net.engine.nfe(),
+        net.run.engine.nfe(),
         "every NFE came off the wire"
     );
 }

@@ -4,8 +4,9 @@
 //! worker dead) and the tick path (the calling thread reissues a missed
 //! deadline and retires a silent peer).
 
-use borg_core::algorithm::BorgConfig;
+use borg_core::algorithm::{run_serial, BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
+use borg_core::rng::SplitMix64;
 use borg_desim::fault::FaultKind;
 use borg_net::serve::{serve, ServeConfig, ServeReport};
 use borg_net::transport::{connect_with_backoff, Backoff};
@@ -132,6 +133,40 @@ fn saturated_run_consumes_every_result_exactly_once() {
         assert!(report.fault_log.records.is_empty(), "P = {p}");
         assert_eq!(report.fault_log.reissues, 0, "P = {p}");
     }
+}
+
+/// Every bit a search ends with: NFE, restarts, each archive member's
+/// variables, objectives and constraints, and the population's variable
+/// and objective rows.
+fn fingerprint(engine: &BorgEngine) -> Vec<u64> {
+    let mut bits = vec![engine.nfe(), engine.stats().restarts];
+    for m in engine.archive().members() {
+        let rows = m
+            .variables()
+            .iter()
+            .chain(m.objectives())
+            .chain(m.constraints());
+        bits.extend(rows.map(|x| x.to_bits()));
+    }
+    let population = engine.population();
+    for i in 0..population.len() {
+        bits.extend(population.variables(i).iter().map(|x| x.to_bits()));
+        bits.extend(population.objectives(i).map(f64::to_bits));
+    }
+    bits
+}
+
+#[test]
+fn one_worker_runs_the_serial_search() {
+    // With one worker the wall-clock loop is strictly produce → evaluate
+    // → consume, over the socket: the run is `run_serial`'s for the same
+    // engine seed.
+    const N: u64 = 3_000;
+    let cfg = config("one-worker-serial", 1, N);
+    let (report, _) = run_with(&cfg, 1, || {});
+    let seed = SplitMix64::new(cfg.seed).derive_seed("net-serve-engine");
+    let serial = run_serial(&problem(), BorgConfig::new(2, 0.05), seed, N, |_| {});
+    assert_eq!(fingerprint(&report.engine), fingerprint(&serial));
 }
 
 #[test]

@@ -47,6 +47,7 @@
 #![forbid(unsafe_code)]
 
 pub mod delayed;
+mod master_core;
 pub mod threads;
 pub mod virtual_exec;
 pub mod wallclock;

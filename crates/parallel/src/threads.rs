@@ -19,8 +19,8 @@ use borg_models::dist::Dist;
 use borg_models::distfit::SampleLog;
 use borg_obs::{Activity, Actor, NoopRecorder, Recorder};
 use borg_protocol::Command;
-use crossbeam::channel;
 use parking_lot::Mutex;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use crate::delayed::precise_delay;
@@ -205,7 +205,7 @@ struct WorkItem {
 /// report it, `T_A` as the holds of the master.
 struct Pipes<'a, R: ?Sized> {
     /// `None` once severed; dropping the sender ends that worker's loop.
-    pipes: Vec<Option<channel::Sender<WorkItem>>>,
+    pipes: Vec<Option<mpsc::Sender<WorkItem>>>,
     ta: SampleLog,
     tf: SampleLog,
     rec: &'a R,
@@ -284,7 +284,7 @@ impl<R: Recorder + ?Sized> Drop for Obituary<'_, '_, R> {
 /// the [`FaultPlan`].
 fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
     w: usize,
-    pipe: &channel::Receiver<WorkItem>,
+    pipe: &mpsc::Receiver<WorkItem>,
     master: &ThreadMaster<'_, R>,
     problem: &P,
     config: &ThreadedConfig,
@@ -429,7 +429,7 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     let plan = config.fault_plan();
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..config.workers)
         .map(|_| {
-            let (tx, rx) = channel::unbounded::<WorkItem>();
+            let (tx, rx) = mpsc::channel::<WorkItem>();
             (Some(tx), rx)
         })
         .unzip();
@@ -478,13 +478,13 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
 /// machine by ping-ponging `rounds` messages over channels and halving the
 /// mean round trip — the thread-level analogue of the paper's MPI
 /// round-trip measurement (they report 6 µs on TACC Ranger). What it times
-/// is a condvar wake-up from one thread to another, which [`run_threaded`]
+/// is a channel wake-up from one thread to another, which [`run_threaded`]
 /// no longer pays per message: a worker carries its own result into the
 /// master and finds its next item already in its pipe.
 pub fn estimate_comm_time(rounds: u32) -> Result<f64, ThreadedError> {
     assert!(rounds >= 1);
-    let (ping_tx, ping_rx) = channel::bounded::<()>(1);
-    let (pong_tx, pong_rx) = channel::bounded::<()>(1);
+    let (ping_tx, ping_rx) = mpsc::sync_channel::<()>(1);
+    let (pong_tx, pong_rx) = mpsc::sync_channel::<()>(1);
     std::thread::scope(|scope| {
         scope.spawn(move || {
             // Echo side: blocking receive is safe — the measuring side
@@ -546,6 +546,40 @@ mod tests {
         result.engine.archive().check_invariants().unwrap();
         assert_eq!(result.tf.count(), 2_000);
         assert!(result.elapsed > 0.0);
+    }
+
+    /// Every bit a search ends with: NFE, restarts, each archive member's
+    /// variables, objectives and constraints, and the population's
+    /// variable and objective rows.
+    fn fingerprint(engine: &BorgEngine) -> Vec<u64> {
+        let mut bits = vec![engine.nfe(), engine.stats().restarts];
+        for m in engine.archive().members() {
+            let rows = m
+                .variables()
+                .iter()
+                .chain(m.objectives())
+                .chain(m.constraints());
+            bits.extend(rows.map(|x| x.to_bits()));
+        }
+        let population = engine.population();
+        for i in 0..population.len() {
+            bits.extend(population.variables(i).iter().map(|x| x.to_bits()));
+            bits.extend(population.objectives(i).map(f64::to_bits));
+        }
+        bits
+    }
+
+    #[test]
+    fn one_worker_runs_the_serial_search() {
+        // With one worker the loop is strictly produce → evaluate →
+        // consume: the run is `run_serial`'s for the same engine seed.
+        let problem = Zdt::new(ZdtVariant::Zdt1);
+        let borg = BorgConfig::new(2, 0.01);
+        let cfg = ThreadedConfig::new(1, 3_000, None, 41);
+        let run = run_threaded(&problem, borg.clone(), &cfg).expect("run");
+        let seed = SplitMix64::new(cfg.seed).derive_seed("threaded-engine");
+        let serial = borg_core::algorithm::run_serial(&problem, borg, seed, cfg.max_nfe, |_| {});
+        assert_eq!(fingerprint(&run.engine), fingerprint(&serial));
     }
 
     #[test]

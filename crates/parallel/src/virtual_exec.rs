@@ -10,7 +10,8 @@
 //! produce/consume calls, which reproduces the paper's observation that
 //! `T_A` grows with processor count and problem complexity.
 
-use borg_core::algorithm::{BorgConfig, BorgEngine, Candidate};
+use crate::master_core::MasterCore;
+use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
 use borg_desim::fault::{FaultConfig, FaultLog, FaultPlan};
@@ -20,7 +21,7 @@ use borg_models::queueing::{
     run_async_with, run_sync, AsyncRun, MasterSlaveHooks, RecoveryPolicy, RunOutcome,
 };
 use borg_obs::Recorder;
-use borg_protocol::{Command, EngineConfig, IdWindow};
+use borg_protocol::{Command, EngineConfig};
 use rand::rngs::StdRng;
 use std::time::Instant;
 
@@ -155,10 +156,8 @@ impl<P: Problem + ?Sized> ObjectiveSource for &P {
 /// so a reissued evaluation re-sends the same candidate and the
 /// first-arriving copy wins.
 pub struct BorgHooks<S, F> {
-    engine: BorgEngine,
+    core: MasterCore,
     source: S,
-    /// Candidates awaiting their result, by evaluation id.
-    window: IdWindow<Candidate>,
     objs_buf: Vec<f64>,
     cons_buf: Vec<f64>,
     t_f: Dist,
@@ -200,9 +199,8 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
         let engine_seed = split.derive_seed("virtual-engine");
         let rng = split.derive("virtual-delays");
         Self {
-            engine: BorgEngine::new(problem, borg, engine_seed),
+            core: MasterCore::new(problem, borg, engine_seed),
             source,
-            window: IdWindow::new(),
             objs_buf: vec![0.0; problem.num_objectives()],
             cons_buf: vec![0.0; problem.num_constraints()],
             t_f: config.t_f,
@@ -225,7 +223,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
         }
         let result = VirtualRunResult {
             outcome: run.outcome,
-            engine: self.engine,
+            engine: self.core.into_engine(),
             ta: self.ta,
             tf: self.tf,
             fault_log: run.fault_log,
@@ -255,16 +253,10 @@ fn seconds_since(stopwatch: Option<Instant>) -> f64 {
 
 impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHooks<S, F> {
     fn produce(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
-        assert_eq!(
-            eval_id,
-            self.window.base() + self.window.span() as u64,
-            "evaluation ids are issued consecutively"
-        );
         let stopwatch = self.stopwatch();
-        let candidate = self.engine.produce();
+        let variables = self.core.produce(eval_id, now);
         let real = seconds_since(stopwatch);
-        self.source.send(worker, eval_id, &candidate.variables, now);
-        self.window.insert(eval_id, candidate);
+        self.source.send(worker, eval_id, variables, now);
         match self.t_a {
             TaMode::Measured => {
                 // Same master hold as a preceding consume: fold into that
@@ -284,11 +276,11 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
         // The protocol engine only reissues outstanding evaluations; a
         // missing entry means the simulation itself is corrupted and
         // panicking immediately is the correct response.
-        let candidate = self
-            .window
-            .get(eval_id) // borg-lint: allow(BORG-L001)
+        let variables = self
+            .core
+            .resend(eval_id, now) // borg-lint: allow(BORG-L001)
             .expect("reissue without a pending candidate");
-        self.source.send(worker, eval_id, &candidate.variables, now);
+        self.source.send(worker, eval_id, variables, now);
         0.0
     }
 
@@ -302,25 +294,22 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
         // Each evaluation id is consumed exactly once, after its produce
         // (duplicates are suppressed upstream); as above, a missing entry
         // is corruption.
-        let candidate = self
-            .window
-            .remove(eval_id) // borg-lint: allow(BORG-L001)
+        let variables = self
+            .core
+            .variables(eval_id) // borg-lint: allow(BORG-L001)
             .expect("consume without a pending result");
         self.source.receive(
             worker,
             eval_id,
-            &candidate.variables,
+            variables,
             now,
             &mut self.objs_buf,
             &mut self.cons_buf,
         );
         let stopwatch = self.stopwatch();
-        let solution =
-            self.engine
-                .make_solution_recycled(candidate, &self.objs_buf, &self.cons_buf);
-        self.engine.consume(solution);
+        self.core.consume(eval_id, &self.objs_buf, &self.cons_buf);
         let real = seconds_since(stopwatch);
-        (self.observer)(now, &self.engine);
+        (self.observer)(now, self.core.engine());
         match self.t_a {
             TaMode::Measured => {
                 if let Some(t) = self.open_ta.replace(real) {
@@ -337,7 +326,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
     }
 
     fn abandon(&mut self, eval_id: u64) {
-        self.window.remove(eval_id);
+        self.core.abandon(eval_id);
     }
 }
 
@@ -482,60 +471,49 @@ pub fn run_virtual_serial<P, F>(
     problem: &P,
     borg: BorgConfig,
     config: &VirtualConfig,
-    mut observer: F,
+    observer: F,
 ) -> VirtualRunResult
 where
     P: Problem + ?Sized,
     F: FnMut(f64, &BorgEngine),
 {
-    let mut split = SplitMix64::new(config.seed);
-    let engine_seed = split.derive_seed("virtual-engine");
-    let mut rng = split.derive("virtual-delays");
-    let mut engine = BorgEngine::new(problem, borg, engine_seed);
+    // The hooks' seeds, draws, logs and buffers, driven one candidate at a
+    // time: `T_A` is one sample per evaluation, produce and consume.
+    let mut h = BorgHooks::new(problem, problem, config, borg, 0, observer);
     let mut clock = 0.0f64;
-    let mut ta = SampleLog::new();
-    let mut tf = SampleLog::new();
-    let mut objs = vec![0.0; problem.num_objectives()];
-    let mut cons = vec![0.0; problem.num_constraints()];
-
-    while engine.nfe() < config.max_nfe {
-        let t0 = Instant::now();
-        let cand = engine.produce();
-        let produce_real = t0.elapsed().as_secs_f64();
-        problem.evaluate(&cand.variables, &mut objs, &mut cons);
-        let sol = engine.make_solution_recycled(cand, &objs, &cons);
-        let t_f = config.t_f.sample(&mut rng);
-        tf.push(t_f);
-        clock += t_f;
-        let t1 = Instant::now();
-        engine.consume(sol);
-        let consume_real = t1.elapsed().as_secs_f64();
-        let t_a = match config.t_a {
-            TaMode::Measured => produce_real + consume_real,
-            TaMode::Sampled(d) => d.sample(&mut rng),
+    while h.core.engine().nfe() < config.max_nfe {
+        // One candidate out at a time: its id is the count consumed.
+        let eval_id = h.core.engine().nfe();
+        let stopwatch = h.stopwatch();
+        let variables = h.core.produce(eval_id, clock);
+        let produce_real = seconds_since(stopwatch);
+        problem.evaluate(variables, &mut h.objs_buf, &mut h.cons_buf);
+        clock += h.evaluation_time(0, eval_id);
+        let stopwatch = h.stopwatch();
+        h.core.consume(eval_id, &h.objs_buf, &h.cons_buf);
+        let t_a = match h.t_a {
+            TaMode::Measured => produce_real + seconds_since(stopwatch),
+            TaMode::Sampled(d) => d.sample(&mut h.rng),
         };
-        ta.push(t_a);
+        h.ta.push(t_a);
         clock += t_a;
-        observer(clock, &engine);
+        (h.observer)(clock, h.core.engine());
     }
-
-    let completed = engine.nfe();
-    VirtualRunResult {
-        outcome: RunOutcome {
-            elapsed: clock,
-            completed,
-            master_busy: clock,
-            master_utilization: 1.0,
-            mean_wait: 0.0,
-            max_wait: 0.0,
-            wasted_nfe: 0,
-        },
-        engine,
-        ta,
-        tf,
+    let outcome = RunOutcome {
+        elapsed: clock,
+        completed: h.core.engine().nfe(),
+        master_busy: clock,
+        master_utilization: 1.0,
+        mean_wait: 0.0,
+        max_wait: 0.0,
+        wasted_nfe: 0,
+    };
+    let run = AsyncRun {
+        outcome,
         fault_log: FaultLog::default(),
         commands: Vec::new(),
-    }
+    };
+    h.finish(run).0
 }
 
 #[cfg(test)]
@@ -803,28 +781,6 @@ mod tests {
             quiet.outcome.elapsed,
             base.outcome.elapsed
         );
-    }
-
-    #[test]
-    fn pending_window_trims_consumed_and_abandoned_ids() {
-        // Results come back out of order and one evaluation is given up:
-        // the window keeps exactly the ids still owed a result.
-        let problem = Dtlz::dtlz2_5();
-        let cfg = sampled_config(4, 10, 0.01, 0.000_03);
-        let mut hooks = BorgHooks::new(&problem, &problem, &cfg, borg_cfg(), 3, |_, _| {});
-        for id in 0..3 {
-            hooks.produce(id as usize, id, 0.0);
-        }
-        hooks.consume(1, 1, 0.1);
-        assert_eq!((hooks.window.base(), hooks.window.span()), (0, 3));
-        hooks.abandon(0);
-        assert_eq!((hooks.window.base(), hooks.window.span()), (2, 1));
-        hooks.reissue(0, 2, 0.2);
-        hooks.produce(1, 3, 0.2);
-        hooks.consume(0, 2, 0.3);
-        hooks.consume(1, 3, 0.4);
-        assert_eq!((hooks.window.base(), hooks.window.span()), (4, 0));
-        assert_eq!(hooks.engine.nfe(), 3);
     }
 
     #[test]

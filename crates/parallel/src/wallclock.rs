@@ -16,13 +16,12 @@
 //! behind [`Link`]: how a work item reaches a worker, what arrives with a
 //! result besides its numbers, which counters and trace edges record it.
 
-use borg_core::algorithm::{BorgConfig, BorgEngine, Candidate};
+use crate::master_core::MasterCore;
+use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_desim::fault::{FaultKind, FaultLog};
 use borg_obs::Recorder;
-use borg_protocol::{
-    Clock, Command, EngineConfig, Event, IdWindow, MasterEngine, RecoveryPolicy, Transport,
-};
+use borg_protocol::{Clock, Command, EngineConfig, Event, MasterEngine, RecoveryPolicy, Transport};
 use parking_lot::{Mutex, MutexGuard};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -133,14 +132,8 @@ pub struct Outcome<L> {
 /// What the protocol engine's commands act on.
 struct Exec<'a, L, R: ?Sized> {
     start: Instant,
-    engine: BorgEngine,
-    /// Objective and constraint counts every result must match.
-    shape: (usize, usize),
+    core: MasterCore,
     link: L,
-    /// Every candidate out for evaluation (kept for reissue and for the
-    /// consume) with the time it was last sent. Payload only: deadlines
-    /// and attempts are the protocol engine's.
-    candidates: IdWindow<(Candidate, f64)>,
     /// The evaluation last sent down each route, reported lost when the
     /// route's worker dies.
     current_eval: Vec<Option<u64>>,
@@ -194,18 +187,17 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
         _log: &mut FaultLog,
     ) -> f64 {
         let x = &mut *self.exec;
-        if attempt == 0 {
-            let candidate = x.engine.produce();
-            x.candidates.insert(eval_id, (candidate, 0.0));
-        }
         let now = x.now();
         // Unsent or not, the evaluation stays out: a death report or the
         // deadline brings it back.
-        let Some((candidate, sent_at)) = x.candidates.get_mut(eval_id) else {
+        let variables = if attempt == 0 {
+            x.core.produce(eval_id, now)
+        } else if let Some(variables) = x.core.resend(eval_id, now) {
+            variables
+        } else {
             // Consumed or abandoned since: nothing to resend.
             return f64::INFINITY;
         };
-        *sent_at = now;
         // The shared-pool discipline treats dispatch indices as notional
         // (a dead worker's lost evaluation is reissued under the dead
         // worker's own index), so the physical route is ours to choose:
@@ -224,7 +216,7 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
             x.current_eval[target] = Some(eval_id);
             if !x
                 .link
-                .send_work(target, eval_id, attempt, seq, &candidate.variables, now)
+                .send_work(target, eval_id, attempt, seq, variables, now)
             {
                 x.link.sever(target);
             }
@@ -234,16 +226,14 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
 
     fn consume(&mut self, worker: usize, eval_id: u64, _ready_at: f64) -> f64 {
         let x = &mut *self.exec;
-        let (Some((objectives, constraints, receipt)), Some((candidate, dispatched_at))) =
-            (self.result.take(), x.candidates.remove(eval_id))
-        else {
+        let result = self.result.take();
+        let consumed = result.and_then(|(objectives, constraints, receipt)| {
+            Some((x.core.consume(eval_id, objectives, constraints)?, receipt))
+        });
+        let Some((dispatched_at, receipt)) = consumed else {
             x.end(Err(Failure::BadResult { eval_id }));
             return x.now();
         };
-        let solution = x
-            .engine
-            .make_solution_recycled(candidate, objectives, constraints);
-        x.engine.consume(solution);
         x.current_eval[worker] = None;
         let now = x.now();
         x.link
@@ -265,7 +255,7 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
     fn rearm_heartbeat(&mut self, _at: f64) {}
 
     fn abandon(&mut self, eval_id: u64) {
-        self.exec.candidates.remove(eval_id);
+        self.exec.core.abandon(eval_id);
         self.exec.end(Err(Failure::ReissueLimit { eval_id }));
     }
 
@@ -315,10 +305,8 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
             proto,
             exec: Exec {
                 start: Instant::now(),
-                engine: BorgEngine::new(problem, borg, cfg.engine_seed),
-                shape: (problem.num_objectives(), problem.num_constraints()),
+                core: MasterCore::new(problem, borg, cfg.engine_seed),
                 link,
-                candidates: IdWindow::new(),
                 current_eval: vec![None; cfg.workers],
                 dispatch_seq: vec![0; cfg.workers],
                 cfg: *cfg,
@@ -374,7 +362,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
 
     fn pool_lost(&self) -> Failure {
         Failure::PoolLost {
-            completed: self.exec.engine.nfe(),
+            completed: self.exec.core.engine().nfe(),
             in_flight: self.proto.outstanding_len(),
         }
     }
@@ -396,7 +384,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
         }
         // It may come from outside the process: its shape is checked
         // before a value is used.
-        if (objectives.len(), constraints.len()) != self.exec.shape {
+        if !self.exec.core.fits(objectives, constraints) {
             return self.exec.end(Err(Failure::BadResult { eval_id }));
         }
         let at = self.exec.now();
@@ -499,7 +487,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
         let (rec, busy) = (self.exec.rec, self.busy);
         rec.gauge("master.busy_seconds", busy);
         rec.gauge("master.utilization", busy / elapsed.max(f64::MIN_POSITIVE));
-        let engine = self.exec.engine;
+        let engine = self.exec.core.into_engine();
         rec.counter("archive.box_probes", engine.archive().box_probes());
         let commands = self.proto.take_commands();
         let mut fault_log = self.proto.into_log();
@@ -663,7 +651,7 @@ mod tests {
         // Worker 0's answer to the evaluation it was holding arrives after
         // all: the reissue already covers it, the engine must not hear.
         assert!(!m.on_result(0, 0, GOOD.0, GOOD.1, ()));
-        assert_eq!(m.exec.engine.nfe(), 0);
+        assert_eq!(m.exec.core.engine().nfe(), 0);
         assert_eq!(m.link_mut().consumed + m.link_mut().duplicates, 0);
         assert_eq!(m.link_mut().sent.len(), sends);
     }
@@ -686,7 +674,7 @@ mod tests {
         let mut m = master(1, 10, FakeLink::default());
         // Three objectives for a two-objective problem.
         assert!(m.on_result(0, 0, &[0.1, 0.2, 0.3], &[], ()));
-        assert_eq!(m.exec.engine.nfe(), 0);
+        assert_eq!(m.exec.core.engine().nfe(), 0);
         assert!(matches!(
             m.finish().err(),
             Some(Failure::BadResult { eval_id: 0 })
@@ -704,7 +692,7 @@ mod tests {
         assert_eq!(m.link_mut().sent, [(1, 1, 0)]);
         assert_eq!(m.link_mut().severed, [0]);
         assert_eq!(m.proto.outstanding_len(), 2);
-        assert!(m.exec.candidates.contains(0));
+        assert!(m.exec.core.variables(0).is_some());
         // The death report names it lost; its reissue takes the live link.
         assert!(!m.on_death(0, FaultKind::Crash));
         assert_eq!(m.link_mut().deaths, [(0, Some(0))]);

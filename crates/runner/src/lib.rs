@@ -71,11 +71,11 @@
 
 pub mod steal_model;
 
-use crossbeam::channel;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// A job or fold panicked; the pool survived and every other job still
 /// ran.
@@ -203,7 +203,7 @@ where
     let remaining: Vec<AtomicUsize> = spans.iter().map(|s| AtomicUsize::new(s.len())).collect();
 
     let mut folded: Vec<Option<Result<G, String>>> = (0..spans.len()).map(|_| None).collect();
-    let (tx, rx) = channel::unbounded::<(usize, Result<G, String>)>();
+    let (tx, rx) = mpsc::channel::<(usize, Result<G, String>)>();
     std::thread::scope(|scope| {
         let (queues, results, remaining, spans) = (&queues, &results, &remaining, &spans);
         let (job, fold) = (&job, &fold);

@@ -6,8 +6,10 @@
 //! memory bound, and that one group's items spread over workers.
 
 use borg_runner::{map_groups, map_jobs};
+use parking_lot::Mutex;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::thread::{self, ThreadId};
 use std::time::Duration;
 
@@ -216,9 +218,11 @@ fn one_group_spreads_over_workers() {
     // worker blocked in one cannot steal the other. (A one-way wait let
     // worker 1 run item 2, then steal item 0 before worker 0 started.) A
     // scheduler that ran a group's items on one worker would time out here
-    // instead.
-    let (to_0, at_0) = crossbeam::channel::unbounded();
-    let (to_2, at_2) = crossbeam::channel::unbounded();
+    // instead. A receiver cannot be shared between threads, so each sits
+    // behind a lock only the one job that waits on it takes.
+    let (to_0, at_0) = mpsc::channel();
+    let (to_2, at_2) = mpsc::channel();
+    let (at_0, at_2) = (Mutex::new(at_0), Mutex::new(at_2));
     let folded = map_groups(
         2,
         vec![vec![0u32, 1, 2, 3]],
@@ -232,7 +236,7 @@ fn one_group_spreads_over_workers() {
                     };
                     tell.send(())
                         .expect("the receiver lives until the call returns");
-                    wait.recv_timeout(Duration::from_secs(30)).is_ok()
+                    wait.lock().recv_timeout(Duration::from_secs(30)).is_ok()
                 }
                 _ => true,
             };

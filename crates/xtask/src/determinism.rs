@@ -43,7 +43,7 @@
 //! bit-identity it demands doubles as proof that none of it perturbs
 //! the algorithm.
 
-use borg_core::algorithm::{BorgConfig, BorgEngine};
+use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::{FaultConfig, FaultKind};
 use borg_experiments::faults::{render_faults, run_faults, FaultsConfig};
@@ -147,8 +147,9 @@ fn run_once_faulty_observed(seed: u64, rec: &dyn Recorder) -> VirtualRunResult {
     )
 }
 
-/// Compares two same-seed runs bit-for-bit; `Err` carries a readable diff
-/// prefixed with `label`.
+/// Compares two same-seed runs bit-for-bit — elapsed virtual time, NFE,
+/// the final archive and population, both timing logs and the fault
+/// ledger; `Err` carries a readable diff prefixed with `label`.
 fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<(), String> {
     if a.outcome.elapsed.to_bits() != b.outcome.elapsed.to_bits() {
         return Err(format!(
@@ -163,7 +164,52 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
             b.engine.nfe()
         ));
     }
-    diff_engines(label, &a.engine, &b.engine)?;
+    // Every archive member's objectives, variables and constraints, and
+    // the population's variable and objective rows.
+    let (arch_a, arch_b) = (a.engine.archive(), b.engine.archive());
+    if arch_a.len() != arch_b.len() {
+        return Err(format!(
+            "{label}: archive size diverged: {} vs {}",
+            arch_a.len(),
+            arch_b.len()
+        ));
+    }
+    for (i, (sa, sb)) in arch_a.members().zip(arch_b.members()).enumerate() {
+        for (rows, x, y) in [
+            ("objectives", sa.objectives(), sb.objectives()),
+            ("variables", sa.variables(), sb.variables()),
+            ("constraints", sa.constraints(), sb.constraints()),
+        ] {
+            if !bits_eq(x, y) {
+                return Err(format!(
+                    "{label}: archive member {i} {rows} diverged: {x:?} vs {y:?}"
+                ));
+            }
+        }
+    }
+    let (pop_a, pop_b) = (a.engine.population(), b.engine.population());
+    if pop_a.len() != pop_b.len() {
+        return Err(format!(
+            "{label}: population size diverged: {} vs {}",
+            pop_a.len(),
+            pop_b.len()
+        ));
+    }
+    for i in 0..pop_a.len() {
+        if !bits_eq(pop_a.variables(i), pop_b.variables(i)) {
+            return Err(format!("{label}: population member {i} variables diverged"));
+        }
+        let bits = |o: f64| o.to_bits();
+        if !pop_a
+            .objectives(i)
+            .map(bits)
+            .eq(pop_b.objectives(i).map(bits))
+        {
+            return Err(format!(
+                "{label}: population member {i} objectives diverged"
+            ));
+        }
+    }
     diff_log(label, "T_A", &a.ta, &b.ta)?;
     diff_log(label, "T_F", &a.tf, &b.tf)?;
     if a.fault_log != b.fault_log {
@@ -191,59 +237,6 @@ fn diff_log(label: &str, stream: &str, a: &SampleLog, b: &SampleLog) -> Result<(
         a.stride(),
         b.stride()
     ))
-}
-
-/// Compares what two engines end with, bit for bit: every archive member's
-/// objectives, variables and constraints, and the population's variable and
-/// objective rows.
-fn diff_engines(label: &str, a: &BorgEngine, b: &BorgEngine) -> Result<(), String> {
-    let (arch_a, arch_b) = (a.archive(), b.archive());
-    if arch_a.len() != arch_b.len() {
-        return Err(format!(
-            "{label}: archive size diverged: {} vs {}",
-            arch_a.len(),
-            arch_b.len()
-        ));
-    }
-    for (i, (sa, sb)) in arch_a.members().zip(arch_b.members()).enumerate() {
-        if !bits_eq(sa.objectives(), sb.objectives()) {
-            return Err(format!(
-                "{label}: archive member {i} objectives diverged: {:?} vs {:?}",
-                sa.objectives(),
-                sb.objectives()
-            ));
-        }
-        if !bits_eq(sa.variables(), sb.variables()) {
-            return Err(format!("{label}: archive member {i} variables diverged"));
-        }
-        if !bits_eq(sa.constraints(), sb.constraints()) {
-            return Err(format!("{label}: archive member {i} constraints diverged"));
-        }
-    }
-    let (pop_a, pop_b) = (a.population(), b.population());
-    if pop_a.len() != pop_b.len() {
-        return Err(format!(
-            "{label}: population size diverged: {} vs {}",
-            pop_a.len(),
-            pop_b.len()
-        ));
-    }
-    for i in 0..pop_a.len() {
-        if !bits_eq(pop_a.variables(i), pop_b.variables(i)) {
-            return Err(format!("{label}: population member {i} variables diverged"));
-        }
-        let bits = |o: f64| o.to_bits();
-        if !pop_a
-            .objectives(i)
-            .map(bits)
-            .eq(pop_b.objectives(i).map(bits))
-        {
-            return Err(format!(
-                "{label}: population member {i} objectives diverged"
-            ));
-        }
-    }
-    Ok(())
 }
 
 /// Runs the same-seed-twice check — a fault-free arm and a fault-replay arm
@@ -465,29 +458,7 @@ fn networked_chaos_arm(seed: u64, oracle: &VirtualRunResult) -> Result<(u64, usi
                     the check is vacuous"
             .to_string());
     }
-    if net.fault_log != oracle.fault_log {
-        return Err(format!(
-            "networked arm: fault ledger diverged from the DES oracle: {} vs {}",
-            net.fault_log.summary(),
-            oracle.fault_log.summary()
-        ));
-    }
-    if net.outcome.elapsed.to_bits() != oracle.outcome.elapsed.to_bits() {
-        return Err(format!(
-            "networked arm: elapsed virtual time diverged: {} vs {}",
-            net.outcome.elapsed, oracle.outcome.elapsed
-        ));
-    }
-    if net.engine.nfe() != oracle.engine.nfe() {
-        return Err(format!(
-            "networked arm: NFE diverged: {} vs {}",
-            net.engine.nfe(),
-            oracle.engine.nfe()
-        ));
-    }
-    diff_engines("networked arm", &net.engine, &oracle.engine)?;
-    diff_log("networked arm", "T_A", &net.ta, &oracle.ta)?;
-    diff_log("networked arm", "T_F", &net.tf, &oracle.tf)?;
+    diff_runs("networked arm", &net.run, oracle)?;
     // The proxy's wire-side ledger enacted the same faults kind for kind
     // (its timestamps are wall-clock, so only the counts are comparable).
     for kind in [
