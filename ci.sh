@@ -28,6 +28,9 @@ cargo test -q --release -p borg-core --test kernel_ratio -- --ignored
 echo "==> one-process ratio test: MasterEngine::handle at W = 1023 vs W = 2 (<= 1.3x)"
 cargo test -q --release -p borg-protocol --test handle_ratio -- --ignored
 
+echo "==> one-process ratio test: precise_delay vs thread::sleep median overshoot at 1 ms (<= 1/3)"
+cargo test -q --release -p borg-parallel --test delay_ratio -- --ignored
+
 echo "==> one-process ratio test: run_threaded vs serve over a Unix socket (>= 1.5x)"
 cargo test -q --release -p borg-net --test serve_loopback threads_outrun_sockets -- --ignored
 

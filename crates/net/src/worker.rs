@@ -7,6 +7,7 @@ use crate::metrics;
 use crate::transport::{connect_with_backoff, Backoff, Conn, NetAddr, NetError};
 use borg_core::problem::Problem;
 use borg_obs::{Activity, Actor, Recorder, TraceEdge, TraceEdgeKind};
+use borg_parallel::delayed::precise_delay;
 use std::time::{Duration, Instant};
 
 /// How a worker connects and paces itself.
@@ -101,7 +102,7 @@ pub fn run_worker<R: Recorder + ?Sized>(
     report.worker = worker;
     let problem = resolve(&problem_name)
         .ok_or_else(|| NetError::Protocol(format!("cannot resolve problem {problem_name:?}")))?;
-    let eval_delay = Duration::from_micros(eval_delay_us);
+    let eval_delay = Duration::from_micros(eval_delay_us).as_secs_f64();
     // The worker's own trace clock: seconds on its private epoch. The
     // merge aligns it to the master clock from heartbeat-probe samples.
     let epoch = Instant::now();
@@ -182,9 +183,6 @@ pub fn run_worker<R: Recorder + ?Sized>(
                     remote_t: ctx.map_or(0.0, |c| c.sent_at),
                 });
                 rec.flight("net.work_received", received_at, eval_id, worker, 0.0);
-                if eval_delay > Duration::ZERO {
-                    std::thread::sleep(eval_delay);
-                }
                 if variables.len() != problem.num_variables() {
                     return Err(NetError::Protocol(format!(
                         "work item has {} variables, problem {problem_name:?} wants {}",
@@ -192,6 +190,7 @@ pub fn run_worker<R: Recorder + ?Sized>(
                         problem.num_variables()
                     )));
                 }
+                precise_delay(eval_delay);
                 let mut done_at = received_at;
                 if let Msg::Outcome {
                     eval_id: sent_id,

@@ -2,7 +2,8 @@
 //! the saturated loop where every result is handled on the connection
 //! thread that read it, the EOF path (a connection thread declares its
 //! worker dead) and the tick path (the calling thread reissues a missed
-//! deadline and retires a silent peer).
+//! deadline and retires a silent peer), the injected delay as a floor on
+//! elapsed time, and one worker against a hand-rolled master.
 
 use borg_core::algorithm::{run_serial, BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
@@ -11,11 +12,11 @@ use borg_desim::fault::FaultKind;
 use borg_net::serve::{serve, ServeConfig, ServeReport};
 use borg_net::transport::{connect_with_backoff, Backoff};
 use borg_net::worker::{run_worker, WorkerOptions, WorkerReport};
-use borg_net::{Conn, Msg, NetAddr, NetError};
+use borg_net::{Conn, Msg, NetAddr, NetError, NetListener};
 use borg_obs::{InMemoryRecorder, NoopRecorder, Recorder};
 use borg_parallel::threads::{run_threaded, ThreadedConfig};
 use borg_problems::dtlz::{Dtlz, DtlzVariant};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const PROBLEM: &str = "dtlz2-2";
 
@@ -259,6 +260,70 @@ fn master_utilization_is_the_measured_share_of_holds() {
         utilization > 0.0 && utilization < 0.5,
         "utilization = {utilization}"
     );
+}
+
+#[test]
+fn the_injected_delay_is_never_cut_short() {
+    // Two workers each spend at least 2 ms on every evaluation they hold,
+    // so N of them cannot finish in less than the busier worker's share.
+    // A lower bound only: a slow host can make the run longer, never
+    // shorter.
+    const N: u64 = 100;
+    const T_F: Duration = Duration::from_millis(2);
+    let cfg = ServeConfig {
+        eval_delay: T_F,
+        ..config("lower-bound", 2, N)
+    };
+    let (report, workers) = run_with(&cfg, 2, || {});
+    assert_complete(&report, N);
+    assert_eq!(workers.iter().map(|w| w.evaluated).sum::<u64>(), N);
+    let floor = (N / 2 - 1) as f64 * T_F.as_secs_f64();
+    assert!(
+        report.elapsed >= floor,
+        "elapsed {:.4} s < {floor:.4} s",
+        report.elapsed
+    );
+}
+
+#[test]
+fn a_misshapen_work_item_fails_before_the_delay() {
+    // A hand-rolled master: it announces a 5 s evaluation delay, then
+    // sends a work item one variable too long. The worker must reject it
+    // without first spending the delay.
+    let cfg = config("misshapen", 1, 1);
+    let listener = NetListener::bind(&cfg.listen).expect("bind");
+    let opts = worker_options(&cfg);
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| run_worker(&opts, &resolve, &NoopRecorder));
+        let stream = listener
+            .accept(Duration::from_millis(50))
+            .expect("accept")
+            .expect("a blocking accept returns a connection");
+        let mut conn = Conn::new(stream);
+        while !matches!(conn.recv().expect("hello"), Some(Msg::Hello { .. })) {}
+        conn.send(&Msg::Welcome {
+            worker: 0,
+            problem: PROBLEM.to_string(),
+            eval_delay_us: 5_000_000,
+        })
+        .expect("welcome");
+        let sent = Instant::now();
+        conn.send(&Msg::Work {
+            eval_id: 0,
+            attempt: 0,
+            seq: 0,
+            variables: vec![0.5; problem().num_variables() + 1],
+            ctx: None,
+        })
+        .expect("work");
+        let result = worker.join().expect("worker thread panicked");
+        let waited = sent.elapsed();
+        assert!(
+            matches!(result, Err(NetError::Protocol(_))),
+            "got {result:?}"
+        );
+        assert!(waited < Duration::from_secs(1), "rejected after {waited:?}");
+    });
 }
 
 /// One-process ratio test (ROADMAP 4(a)), run by `ci.sh` and ignored in

@@ -3,9 +3,9 @@
 //! The paper's experimental control: the analytical problems evaluate in
 //! under a microsecond, so delays of 0.001–0.1 s (CV 0.1) were injected to
 //! emulate expensive engineering evaluations. [`DelayedProblem`] applies a
-//! real wall-clock delay per evaluation (for the real-thread executor and
-//! the examples); the virtual-time executors charge the same distributions
-//! on the simulated clock instead.
+//! real wall-clock delay per evaluation through [`precise_delay`], the one
+//! wall-clock delay of every executor; the virtual-time executors charge
+//! the same distributions on the simulated clock instead.
 
 use borg_core::problem::{Bounds, Problem};
 use borg_core::rng::SplitMix64;
@@ -14,24 +14,41 @@ use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use std::time::{Duration, Instant};
 
-/// Delays the calling thread for `seconds`.
+/// How much of a delay [`precise_delay`] spends yielding instead of
+/// asleep: the tail that absorbs the OS timer's wake-up overshoot.
+const YIELD_TAIL: Duration = Duration::from_micros(200);
+
+/// Delays the calling thread for `seconds`, never less and rarely more
+/// than a few microseconds over. Every wall-clock evaluation delay goes
+/// through here: `DelayedProblem`, the real-thread executor's workers and
+/// the socket worker of `borg-net`.
 ///
-/// Delays of ≥ 200 µs sleep, so concurrent evaluations genuinely overlap
-/// even on machines with fewer cores than workers (a spinning delay would
-/// serialize them — the whole point of the injected delay is to emulate an
-/// evaluation that *waits* on external work, not one that burns a core).
-/// Sub-200 µs delays spin for precision.
+/// It fixes the deadline once, sleeps until 200 µs before it, then calls
+/// `thread::yield_now` until the deadline passes. A plain `thread::sleep`
+/// wakes late by the timer slack plus the wake-up latency (p50 80–100 µs
+/// at 1 ms on a 2-vCPU host), which inflates every injected `T_F`; the
+/// tail hides that overshoot as long as it is below 200 µs. Delays
+/// shorter than the tail are all tail.
+///
+/// The sleep is what lets concurrent evaluations overlap on fewer cores
+/// than workers: the injected delay emulates an evaluation that *waits*
+/// on external work, not one that burns a core. The tail yields rather
+/// than spins for the same reason, so the master and the other workers
+/// sharing a CPU still run during it. Its cost is at most 200 µs of
+/// yielding CPU per evaluation: at most 2 % of one core at `T_F` ≥ 10 ms.
 pub fn precise_delay(seconds: f64) {
     if seconds <= 0.0 {
         return;
     }
-    if seconds >= 0.000_2 {
-        std::thread::sleep(Duration::from_secs_f64(seconds));
-    } else {
-        let deadline = Instant::now() + Duration::from_secs_f64(seconds);
-        while Instant::now() < deadline {
-            std::hint::spin_loop();
-        }
+    let deadline = Instant::now() + Duration::from_secs_f64(seconds);
+    let nap = deadline
+        .saturating_duration_since(Instant::now())
+        .saturating_sub(YIELD_TAIL);
+    if !nap.is_zero() {
+        std::thread::sleep(nap);
+    }
+    while Instant::now() < deadline {
+        std::thread::yield_now();
     }
 }
 
