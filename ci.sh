@@ -25,7 +25,7 @@ cargo test -q --release
 echo "==> one-process ratio test: compiled order-key filter vs the exact kernel (>= 5x) and the loop (>= 1.25x)"
 cargo test -q --release -p borg-core --test kernel_ratio -- --ignored
 
-echo "==> one-process ratio test: MasterEngine::handle at W = 1023 vs W = 2 (<= 1.3x)"
+echo "==> one-process ratio tests: MasterEngine::handle at W = 1023 vs W = 2 (<= 1.3x), quiet recovery vs fault-free (<= 1.1x)"
 cargo test -q --release -p borg-protocol --test handle_ratio -- --ignored
 
 echo "==> one-process ratio test: precise_delay vs thread::sleep median overshoot at 1 ms (<= 1/3)"

@@ -19,6 +19,15 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+// Test regions may spawn raw threads (BORG-L009); the library target's own pass still
+// checks every line outside them.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod ablation;
 pub mod bounds;

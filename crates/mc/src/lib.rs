@@ -37,6 +37,13 @@
 //! Entry points: `cargo xtask mc [--smoke] [--depth N] [--json]` (which
 //! also prints schedules per second) and the unit tests.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod explore;
 pub mod mutation;
 pub mod overlay;

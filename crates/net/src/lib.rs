@@ -27,6 +27,13 @@
 //! reads must carry a timeout — enforced by `cargo xtask check` rule
 //! BORG-L013 on top of the workspace-wide rules.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 pub mod chaos;
 pub mod codec;
 pub mod metrics;

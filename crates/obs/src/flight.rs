@@ -43,7 +43,10 @@ struct Ring {
 /// guard is `std::sync::Mutex` to keep `borg-obs` zero-dependency, with
 /// poisoning neutralised the same way [`crate::InMemoryRecorder`] does.
 pub struct FlightRecorder {
-    // borg-lint: allow(BORG-L004)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "borg-obs stays zero-dependency, so no parking_lot; a poisoned lock is taken as is"
+    )]
     inner: std::sync::Mutex<Ring>,
     capacity: usize,
 }
@@ -54,7 +57,10 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Self {
         let capacity = capacity.max(1);
         FlightRecorder {
-            // borg-lint: allow(BORG-L004)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "borg-obs stays zero-dependency, so no parking_lot; a poisoned lock is taken as is"
+            )]
             inner: std::sync::Mutex::new(Ring {
                 events: Vec::with_capacity(capacity),
                 next_seq: 0,

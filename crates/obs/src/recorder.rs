@@ -231,7 +231,10 @@ struct Store {
 /// taking the data from a poisoned lock — all stored state is valid at
 /// every instruction boundary).
 pub struct InMemoryRecorder {
-    // borg-lint: allow(BORG-L004)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "borg-obs stays zero-dependency, so no parking_lot; a poisoned lock is taken as is"
+    )]
     inner: std::sync::Mutex<Store>,
     span_limit: usize,
 }
@@ -260,7 +263,10 @@ impl InMemoryRecorder {
     /// the duration histograms and are counted as dropped.
     pub fn with_span_limit(limit: usize) -> Self {
         InMemoryRecorder {
-            // borg-lint: allow(BORG-L004)
+            #[expect(
+                clippy::disallowed_types,
+                reason = "borg-obs stays zero-dependency, so no parking_lot; a poisoned lock is taken as is"
+            )]
             inner: std::sync::Mutex::new(Store::default()),
             span_limit: limit,
         }

@@ -45,6 +45,15 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+// Test regions may block on a channel (BORG-L006); the library target's own pass still
+// checks every line outside them.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 pub mod delayed;
 mod master_core;

@@ -52,6 +52,7 @@ impl MasterCore {
     /// Produces the candidate for `eval_id`, sent at `now`, and lends its
     /// variables. Ids are issued consecutively.
     #[inline]
+    #[expect(clippy::expect_used, reason = "the candidate was just stored")]
     pub(crate) fn produce(&mut self, eval_id: u64, now: f64) -> &[f64] {
         assert_eq!(
             eval_id,
@@ -61,7 +62,7 @@ impl MasterCore {
         let candidate = self.engine.produce();
         self.candidates.insert(eval_id, (candidate, now));
         self.variables(eval_id)
-            .expect("the candidate was just stored") // borg-lint: allow(BORG-L001)
+            .expect("the candidate was just stored")
     }
 
     /// Sends `eval_id`'s candidate again at `now`; `None` if it was

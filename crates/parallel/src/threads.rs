@@ -305,9 +305,11 @@ fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
     };
     let mut objs = vec![0.0; problem.num_objectives()];
     let mut cons = vec![0.0; problem.num_constraints()];
-    // Blocking is safe: the master drops this pipe's sender when it
-    // declares the worker dead and at the end of the run.
-    // borg-lint: allow(BORG-L006)
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "blocking is safe: the master drops this pipe's sender when it declares \
+                  the worker dead and at the end of the run"
+    )]
     while let Ok(item) = pipe.recv() {
         let fate = plan.map_or(DispatchFate::Normal, |p| p.dispatch_fate(w, item.seq));
         let t0 = Instant::now();
@@ -487,9 +489,11 @@ pub fn estimate_comm_time(rounds: u32) -> Result<f64, ThreadedError> {
     let (pong_tx, pong_rx) = mpsc::sync_channel::<()>(1);
     std::thread::scope(|scope| {
         scope.spawn(move || {
-            // Echo side: blocking receive is safe — the measuring side
-            // drops `ping_tx` on every path, ending this loop.
-            // borg-lint: allow(BORG-L006)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "echo side: blocking receive is safe, the measuring side drops \
+                          `ping_tx` on every path, ending this loop"
+            )]
             while ping_rx.recv().is_ok() {
                 if pong_tx.send(()).is_err() {
                     break;

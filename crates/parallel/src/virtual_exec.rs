@@ -273,12 +273,14 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
     }
 
     fn reissue(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
-        // The protocol engine only reissues outstanding evaluations; a
-        // missing entry means the simulation itself is corrupted and
-        // panicking immediately is the correct response.
+        #[expect(
+            clippy::expect_used,
+            reason = "the protocol engine only reissues outstanding evaluations; a missing \
+                      entry means the simulation itself is corrupted"
+        )]
         let variables = self
             .core
-            .resend(eval_id, now) // borg-lint: allow(BORG-L001)
+            .resend(eval_id, now)
             .expect("reissue without a pending candidate");
         self.source.send(worker, eval_id, variables, now);
         0.0
@@ -291,12 +293,14 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
     }
 
     fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
-        // Each evaluation id is consumed exactly once, after its produce
-        // (duplicates are suppressed upstream); as above, a missing entry
-        // is corruption.
+        #[expect(
+            clippy::expect_used,
+            reason = "each evaluation id is consumed exactly once, after its produce \
+                      (duplicates are suppressed upstream); a missing entry is corruption"
+        )]
         let variables = self
             .core
-            .variables(eval_id) // borg-lint: allow(BORG-L001)
+            .variables(eval_id)
             .expect("consume without a pending result");
         self.source.receive(
             worker,

@@ -68,7 +68,8 @@ pub trait Link {
     /// A duplicate or stale result was absorbed.
     fn duplicate(&mut self) {}
 
-    /// `worker` was declared dead at `at` while carrying `lost_eval`.
+    /// `worker` was declared dead at `at`; `lost_eval` is the last
+    /// evaluation sent its way that was still owed a result.
     fn died(&mut self, _worker: usize, _lost_eval: Option<u64>, _kind: FaultKind, _at: f64) {}
 
     /// One result held the master from `from` to `to`.
@@ -134,9 +135,11 @@ struct Exec<'a, L, R: ?Sized> {
     start: Instant,
     core: MasterCore,
     link: L,
-    /// The evaluation last sent down each route, reported lost when the
-    /// route's worker dies.
-    current_eval: Vec<Option<u64>>,
+    /// The evaluations sent down each route, oldest first, each reported
+    /// lost when the route's worker dies unless consumed or abandoned by
+    /// then. A reissue can join one a route already carries; an answer
+    /// down a route, consumed or not, takes its id off that route.
+    carried: Vec<Vec<u64>>,
     dispatch_seq: Vec<u64>,
     cfg: MasterConfig,
     /// How the run ended — its end time or what stopped it. Set once;
@@ -205,15 +208,17 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
         let target = if x.link.is_up(worker) {
             Some(worker)
         } else {
-            (0..x.current_eval.len()).find(|&w| x.link.is_up(w))
+            (0..x.carried.len()).find(|&w| x.link.is_up(w))
         };
         if let Some(target) = target {
             let seq = x.dispatch_seq[target];
             x.dispatch_seq[target] += 1;
             // Tracked on the route that physically carries it, so a death
-            // there reports the right evaluation lost — also when the send
-            // is refused, which only says the death is yet to be reported.
-            x.current_eval[target] = Some(eval_id);
+            // there reports it lost — also when the send is refused, which
+            // only says the death is yet to be reported.
+            if !x.carried[target].contains(&eval_id) {
+                x.carried[target].push(eval_id);
+            }
             if !x
                 .link
                 .send_work(target, eval_id, attempt, seq, variables, now)
@@ -234,14 +239,15 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
             x.end(Err(Failure::BadResult { eval_id }));
             return x.now();
         };
-        x.current_eval[worker] = None;
+        x.carried[worker].retain(|&id| id != eval_id);
         let now = x.now();
         x.link
             .consumed(worker, eval_id, &receipt, dispatched_at, now);
         now
     }
 
-    fn absorb_duplicate(&mut self, _worker: usize, _eval_id: u64, _ready_at: f64) -> f64 {
+    fn absorb_duplicate(&mut self, worker: usize, eval_id: u64, _ready_at: f64) -> f64 {
+        self.exec.carried[worker].retain(|&id| id != eval_id);
         self.exec.link.duplicate();
         self.exec.now()
     }
@@ -259,9 +265,10 @@ impl<L: Link, R: ?Sized> Transport for Interaction<'_, '_, L, R> {
         self.exec.end(Err(Failure::ReissueLimit { eval_id }));
     }
 
-    fn unknown_result(&mut self, _worker: usize, _eval_id: u64) {
+    fn unknown_result(&mut self, worker: usize, eval_id: u64) {
         // A result for an id the engine no longer tracks (a late copy
         // after abandonment): absorb and count, don't fail the run.
+        self.exec.carried[worker].retain(|&id| id != eval_id);
         self.exec.link.duplicate();
     }
 }
@@ -307,7 +314,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
                 start: Instant::now(),
                 core: MasterCore::new(problem, borg, cfg.engine_seed),
                 link,
-                current_eval: vec![None; cfg.workers],
+                carried: vec![Vec::new(); cfg.workers],
                 dispatch_seq: vec![0; cfg.workers],
                 cfg: *cfg,
                 verdict: None,
@@ -412,8 +419,9 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
     }
 
     /// Records a physically observed death in the ledger and lets the
-    /// engine's recovery machinery (retire + immediate reissue of the
-    /// lost evaluation) act on it. Returns whether the run is over.
+    /// engine's recovery machinery act on it: one `WorkerDied` per
+    /// evaluation the route still owed, so the engine retires the worker
+    /// once and reissues each at once. Returns whether the run is over.
     pub fn on_death(&mut self, worker: usize, kind: FaultKind) -> bool {
         if self.exec.verdict.is_some() {
             return true;
@@ -423,20 +431,29 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
         }
         self.alive[worker] = false;
         let at = self.exec.now();
-        let lost_eval = self.exec.current_eval[worker];
+        let mut lost = std::mem::take(&mut self.exec.carried[worker]);
+        lost.retain(|&id| self.exec.core.variables(id).is_some());
+        let last = lost.last().copied();
         self.proto
             .log_mut()
-            .inject(kind, worker, lost_eval.unwrap_or(0), at);
+            .inject(kind, worker, last.unwrap_or(0), at);
         self.exec.link.sever(worker);
-        self.exec.link.died(worker, lost_eval, kind, at);
-        let event = Event::WorkerDied {
-            worker,
-            at,
-            will_respawn: false,
-            lost_eval,
+        self.exec.link.died(worker, last, kind, at);
+        let lost_evals: Vec<Option<u64>> = if lost.is_empty() {
+            vec![None]
+        } else {
+            lost.into_iter().map(Some).collect()
         };
-        if self.handle(event, None) {
-            return true;
+        for lost_eval in lost_evals {
+            let event = Event::WorkerDied {
+                worker,
+                at,
+                will_respawn: false,
+                lost_eval,
+            };
+            if self.handle(event, None) {
+                return true;
+            }
         }
         if self.alive.iter().any(|a| *a) {
             return false;
@@ -712,6 +729,34 @@ mod tests {
         assert_eq!(m.link_mut().sent.len(), 2);
         assert_eq!(m.proto.log().reissues, 0);
         assert_eq!(m.proto.log().deaths_detected, 1);
+    }
+
+    #[test]
+    fn a_death_reissues_every_evaluation_its_route_still_owes() {
+        // No deadline: a loss the death report misses is never re-sent.
+        let mut m = master(3, 5, FakeLink::default());
+        assert!(!m.on_death(0, FaultKind::Crash));
+        // Evaluation 0's reissue joins evaluation 1 on route 1.
+        assert_eq!(m.link_mut().sent[3], (1, 0, 1));
+        // Route 1 delivers its own evaluation and takes a follow-up.
+        assert!(!m.on_result(1, 1, GOOD.0, GOOD.1, ()));
+        assert_eq!(m.link_mut().sent[4], (1, 3, 0));
+        // Route 1 dies owing evaluations 0 and 3: both go to route 2.
+        assert!(!m.on_death(1, FaultKind::Crash));
+        assert_eq!(m.link_mut().sent[5..], [(2, 0, 2), (2, 3, 1)]);
+        assert_eq!(m.proto.log().reissues, 3);
+        assert_eq!(m.proto.log().deaths_detected, 2);
+        // Route 2 answers everything it was sent; the budget completes.
+        let mut delivered = 0;
+        while delivered < m.link_mut().sent.len() {
+            let (target, eval_id, _) = m.link_mut().sent[delivered];
+            delivered += 1;
+            if target == 2 && m.on_result(2, eval_id, GOOD.0, GOOD.1, ()) {
+                break;
+            }
+        }
+        let outcome = m.finish().expect("budget completed");
+        assert_eq!(outcome.engine.nfe(), 5);
     }
 
     #[test]

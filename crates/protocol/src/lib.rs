@@ -32,6 +32,13 @@
 //!
 //! [`FaultPlan`]: borg_desim::fault::FaultPlan
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
+
 mod command;
 mod engine;
 mod policy;

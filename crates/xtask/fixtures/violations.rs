@@ -1,35 +1,9 @@
 //! Lint self-test fixture: every `//~ BORG-Lxxx` marker names a violation
 //! `cargo xtask check --self-test` must report on that line, and every
-//! unmarked escape hatch below must stay silent. The file is never compiled
-//! or scanned by a normal `check` run (fixtures are excluded from
-//! discovery); it is linted under a spoofed `crates/desim/src/` path so the
-//! path-scoped BORG-L003 rule is live too.
-
-use std::sync::Mutex; //~ BORG-L004
-use std::sync::{Arc, Mutex as StdMutex}; //~ BORG-L004
-use std::time::Instant; //~ BORG-L003
-
-fn library_code(opt: Option<u32>, res: Result<u32, String>) -> u32 {
-    let a = opt.unwrap(); //~ BORG-L001
-    let b = res.expect("fixture"); //~ BORG-L001
-    // Non-consuming lookalikes must not be flagged:
-    let c = opt.unwrap_or(0);
-    a + b + c
-}
-
-fn entropy_sources() -> f64 {
-    let mut rng = rand::thread_rng(); //~ BORG-L002
-    let x: f64 = rand::random(); //~ BORG-L002
-    let seeded = StdRng::from_entropy(); //~ BORG-L002
-    let os = OsRng; //~ BORG-L002
-    x
-}
-
-fn wall_clock_in_virtual_time() {
-    // In-scope because the fixture is scanned under crates/desim/src/.
-    let t0 = Instant::now(); //~ BORG-L003
-    let wall = std::time::SystemTime::now(); //~ BORG-L003
-}
+//! unmarked escape hatch below must stay silent. Every rule `check` runs
+//! has at least one marker. The file is never compiled or scanned by a
+//! normal `check` run (fixtures are excluded from discovery); every
+//! path-scoped rule admits its path, so all of them are live here.
 
 fn objective_equality_marked(sol: &Solution, best: f64) -> bool {
     sol.objectives()[0] == best //~ BORG-L005
@@ -39,14 +13,7 @@ fn objective_inequality_marked(sol: &Solution, best: f64) -> bool {
     best != sol.objectives()[1] //~ BORG-L005
 }
 
-// The fixture's spoofed path is also in BORG-L006 scope (executor rule),
-// so unbounded channel waits are flagged here too.
-fn master_loop_blocks_forever(rx: &Receiver<u64>) -> u64 {
-    let first = rx.recv().unwrap_or(0); //~ BORG-L006
-    first
-}
-
-// The fixture's spoofed path is also in BORG-L007 scope (executor rule):
+// The fixture's path is in BORG-L007 scope (executor rule):
 // recovery bookkeeping belongs to borg_protocol::MasterEngine, not here.
 struct ShadowMaster {
     in_flight: HashMap<u64, ReissueRecord>, //~ BORG-L007
@@ -58,22 +25,7 @@ fn shadow_recovery_state() {
     let mut reissue_queue: VecDeque<u64> = VecDeque::new(); //~ BORG-L007
 }
 
-// Library code must not write to the terminal: report through the
-// borg_obs::Recorder facade or return a renderable value.
-fn chatty_library(progress: f64) {
-    println!("progress: {progress:.1}%"); //~ BORG-L008
-    eprintln!("warning: master saturated"); //~ BORG-L008
-    print!("partial"); //~ BORG-L008
-}
-
-// The fixture's spoofed path is also in BORG-L009 scope (experiments-crate
-// rule): sweeps fan out through borg-runner, never raw threads.
-fn raw_threads_in_experiments() {
-    let handle = std::thread::spawn(worker); //~ BORG-L009
-    let other = thread::spawn(|| evaluate()); //~ BORG-L009
-}
-
-// The fixture's spoofed path is in BORG-L010 scope (determinism rule):
+// The fixture's path is in BORG-L010 scope (determinism rule):
 // hash-order iteration can leak into reported results.
 fn order_sensitive_fold() -> u64 {
     let weights: HashMap<u64, u64> = HashMap::new();
@@ -94,7 +46,7 @@ fn empty_reason_does_not_count(flag: &AtomicBool) -> bool {
     flag.load(Ordering::Relaxed) // borg-lint: relaxed-ok() //~ BORG-L011
 }
 
-// The fixture's spoofed path is also in BORG-L012 scope (protocol rule):
+// The fixture's path is in BORG-L012 scope (protocol rule):
 // a public engine entry point must reject adversarial input, not panic.
 pub fn dispatch_nth(events: &[Event], idx: usize) -> Event {
     if idx >= events.len() {
@@ -103,15 +55,8 @@ pub fn dispatch_nth(events: &[Event], idx: usize) -> Event {
     events[idx] //~ BORG-L012
 }
 
-// The fixture's spoofed path is also in BORG-L013 scope (wire rule):
-// socket I/O propagates its errors and every blocking read keeps a
-// deadline. A consuming unwrap on a socket path is both a generic
-// library unwrap (L001) and a wire-contract violation (L013).
-fn swallow_wire_errors(stream: &mut TcpStream, buf: &mut [u8]) {
-    stream.read_exact(buf).unwrap(); //~ BORG-L001 BORG-L013
-    stream.write_all(buf).expect("wire"); //~ BORG-L001 BORG-L013
-}
-
+// The fixture's path is in BORG-L013 scope (wire rule): every blocking
+// acquisition keeps a read and a write deadline.
 fn dial_without_deadline(addr: &str) -> std::io::Result<TcpStream> {
     TcpStream::connect(addr) //~ BORG-L013
 }
@@ -183,41 +128,16 @@ fn well_formed_metric_names(rec: &dyn Recorder, hist: &mut Histogram, e: &Event)
     hist.observe(0.25);
 }
 
-fn allowlisted() -> u32 {
-    let fine = Some(1).unwrap(); // borg-lint: allow(BORG-L001)
-    // borg-lint: allow(BORG-L001)
-    let also_fine = Some(2).unwrap();
-    fine + also_fine
+fn allowlisted(sol: &Solution, best: f64) -> bool {
+    let same_line = sol.objectives()[0] == best; // borg-lint: allow(BORG-L005)
+    // borg-lint: allow(BORG-L005)
+    let line_above = sol.objectives()[1] == best;
+    same_line && line_above
 }
 
 fn unrelated_comma_argument(sol: &Solution, a: u32, b: u32) {
     // `==` in a different argument than the objectives() call.
     record(sol.objectives(), a == b);
-}
-
-fn bounded_waits_are_fine(rx: &Receiver<u64>, stop_rx: &Receiver<()>) {
-    // Different identifiers — not unbounded recv().
-    let _ = rx.recv_timeout(Duration::from_millis(10));
-    let _ = rx.try_recv();
-    // A deliberate disconnect-released park carries the allowlist escape.
-    let _ = stop_rx.recv(); // borg-lint: allow(BORG-L006)
-}
-
-fn quiet_library(w: &mut impl Write, log: &InMemoryRecorder) {
-    // Writing to a caller-supplied sink is not terminal output.
-    writeln!(w, "row").ok();
-    // The facade is the sanctioned reporting channel.
-    log.counter("engine.reissues", 1);
-    // A deliberate terminal write carries the allowlist escape.
-    println!("blessed"); // borg-lint: allow(BORG-L008)
-}
-
-fn structured_scopes_are_fine(scope: &Scope) {
-    // `scope.spawn` is a structured pool handle (borg-runner's internals),
-    // not a raw thread spawn.
-    scope.spawn(|| work());
-    // A deliberate raw spawn carries the allowlist escape.
-    let h = std::thread::spawn(run); // borg-lint: allow(BORG-L009)
 }
 
 fn benign_collections_and_counts(proto: &MasterEngine) {
@@ -299,9 +219,9 @@ fn deliberate_unguarded_probe(addr: &str) -> bool {
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_is_fine_in_tests() {
-        let v = Some(5).unwrap();
-        assert!(v == 5);
+    fn tests_may_compare_objectives_exactly() {
+        // Test regions are exempt from BORG-L005.
+        assert!(sol.objectives()[0] == 0.5);
     }
 
     #[test]
@@ -309,19 +229,6 @@ mod tests {
         // Test regions are exempt from BORG-L007.
         let deadlines: HashSet<u64> = HashSet::new();
         assert!(deadlines.is_empty());
-    }
-
-    #[test]
-    fn tests_may_print_debug_output() {
-        // Test regions are exempt from BORG-L008.
-        println!("debugging a failure");
-    }
-
-    #[test]
-    fn tests_may_spawn_raw_threads() {
-        // Test regions are exempt from BORG-L009.
-        let handle = std::thread::spawn(|| 42);
-        assert!(handle.join().is_ok());
     }
 
     #[test]
@@ -336,6 +243,5 @@ mod tests {
 
 #[test]
 fn bare_test_fn_is_also_exempt() {
-    let v: Result<u32, ()> = Ok(1);
-    v.unwrap();
+    assert!(!FLAG.load(Ordering::Relaxed));
 }

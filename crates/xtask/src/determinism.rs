@@ -9,8 +9,9 @@
 //! live** (25% worker crashes + 5% message loss) and additionally demands
 //! identical fault ledgers — recovery is part of the reproducibility
 //! contract, not an excuse to break it. This is the executable form of the
-//! workspace's guarantee (which BORG-L002/L003 guard statically): same
-//! seed, same archive — across runs and across machines.
+//! workspace's guarantee (which BORG-L003's clippy entry and the
+//! entropy-free vendored `rand` guard statically): same seed, same archive
+//! — across runs and across machines.
 //!
 //! `T_A` is *sampled*, not measured: `TaMode::Measured` charges real
 //! wall-clock costs into the virtual event ordering, which is exactly the

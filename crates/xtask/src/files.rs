@@ -3,7 +3,7 @@
 use std::path::{Path, PathBuf};
 
 /// How a source file participates in the lint pass; rules scope themselves
-/// by class (e.g. BORG-L001 applies to library code, not tests).
+/// by class (e.g. BORG-L014 applies to library code, not tests).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileClass {
     /// Library source under `crates/*/src` or the root `src/`.

@@ -11,6 +11,7 @@
 //! `2` usage / IO / self-test errors.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod determinism;
 mod files;
@@ -20,10 +21,8 @@ mod lexer;
 mod mc_cmd;
 mod rules;
 
-use rules::{Violation, RULES};
+use rules::{Violation, MOVED, RULES};
 use std::process::ExitCode;
-
-const FIXTURE_REL: &str = "crates/xtask/fixtures/violations.rs";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -70,7 +69,8 @@ fn print_help() {
          \x20                   oracle arm) and diff golden Table II / faults\n\
          \x20                   cells\n\
          \x20   --self-test     run only the annotated-fixture self-test\n\
-         \x20   --list          print the rule catalog and exit\n\
+         \x20   --list          print the rule catalog (and where each moved\n\
+         \x20                   rule is enforced now) and exit\n\
          \x20   --bless         (golden) regenerate the crates/xtask/golden CSV\n\
          \n\
          SUBCOMMANDS:\n\
@@ -81,6 +81,10 @@ fn print_help() {
          RULES:"
     );
     for rule in &RULES {
+        println!("    {}  {}", rule.id, rule.summary);
+    }
+    println!("\nMOVED OUT OF THIS PASS:");
+    for rule in &MOVED {
         println!("    {}  {}", rule.id, rule.summary);
     }
 }
@@ -128,11 +132,14 @@ fn check_command(args: &[String]) -> Result<ExitCode, String> {
         for rule in &RULES {
             println!("{}  {}", rule.id, rule.summary);
         }
+        for rule in &MOVED {
+            println!("{}  {}", rule.id, rule.summary);
+        }
         return Ok(ExitCode::SUCCESS);
     }
 
     let root = files::workspace_root()?;
-    let fixture = root.join(FIXTURE_REL);
+    let fixture = root.join(rules::FIXTURE_PATH);
 
     // Preflight: prove the lint pass still catches every seeded violation
     // (and keeps honoring the test-region / allowlist escapes) before

@@ -1,55 +1,26 @@
 //! The BORG-Lxxx rule engine.
 //!
-//! Fifteen workspace-specific correctness rules run over the token stream
+//! Eight workspace-specific correctness rules run over the token stream
 //! from [`crate::lexer`] and the brace-matched item tree from
 //! [`crate::itemtree`]:
 //!
-//! * **BORG-L001** — no `.unwrap()` / `.expect()` in library code outside
-//!   `#[cfg(test)]` / `#[test]` regions. Library failures must surface as
-//!   `Result`/`Option` so the engine can report structured errors.
-//! * **BORG-L002** — no entropy-seeded randomness (`thread_rng`,
-//!   `rand::random`, `from_entropy`, `OsRng`) anywhere. All randomness flows
-//!   through the seeded `SplitMix64` / `StdRng` plumbing in `borg-core::rng`
-//!   so every run is reproducible from its seed.
-//! * **BORG-L003** — no wall-clock types (`Instant`, `SystemTime`) inside
-//!   the discrete-event simulator (`crates/desim`) or the performance model
-//!   (`crates/models/src/perfsim*`). Those components operate on virtual
-//!   time; wall-clock reads would make simulated schedules nondeterministic.
-//! * **BORG-L004** — no `std::sync::Mutex`; `parking_lot` is the workspace
-//!   standard (no poisoning, smaller guards).
 //! * **BORG-L005** — no direct `==` / `!=` involving objective values.
 //!   Objective comparisons must go through the dominance / epsilon-box
 //!   predicates, not raw f64 equality.
-//! * **BORG-L006** — no unbounded `.recv()` in the executor crate
-//!   (`crates/parallel`, home of the wall-clock master) outside test
-//!   regions. A master blocked on a plain `recv()` deadlocks when a worker
-//!   crashes or hangs; every wait must be bounded (`recv_timeout`,
-//!   `try_recv`, a `park_timeout` tick) so the fault-recovery deadline
-//!   sweep keeps running. Deliberate unbounded waits (a worker on its own
-//!   pipe, released when the master drops the sender) carry an allowlist
-//!   comment.
 //! * **BORG-L007** — no direct construction of protocol recovery state
 //!   (deadline maps, in-flight tables, seen-eval-id sets, reissue queues)
 //!   in executor library code (`crates/models`, `crates/parallel`). That
 //!   bookkeeping lives in `borg_protocol::MasterEngine`; a local copy in an
 //!   executor re-creates the triplicated reissue/suppression logic the
 //!   protocol crate exists to centralise.
-//! * **BORG-L008** — no `println!` / `eprintln!` (or `print!` / `eprint!`)
-//!   in library code outside test regions. Libraries report through the
-//!   `borg_obs::Recorder` facade or return renderable values; terminal
-//!   output belongs to bin code, the xtask console tool, and the borg-obs
-//!   exporters (both carved out).
-//! * **BORG-L009** — no direct `std::thread::spawn` in the experiments
-//!   crate (`crates/experiments`) outside test regions. Experiment sweeps
-//!   fan out through `borg-runner` (`crate::par::run_jobs`), whose
-//!   index-ordered collection is what keeps parallel sweeps bit-identical
-//!   to serial ones; a raw spawned thread bypasses that contract.
 //! * **BORG-L010** — no iteration over `HashMap` / `HashSet` bindings in
 //!   result-affecting library code. Hash iteration order varies with the
 //!   hasher seed and insertion history; anything folded out of it (sums
 //!   are safe only by luck, selection and tie-breaking are not) threatens
 //!   the same-seed determinism gate. Use `BTreeMap` / `BTreeSet`, or
-//!   allowlist a proven order-insensitive fold.
+//!   allowlist a proven order-insensitive fold. (Clippy's
+//!   `iter_over_hash_type` sees only `for` loops, not `.iter()` /
+//!   `.keys()` chains.)
 //! * **BORG-L011** — every `Ordering::Relaxed` carries a
 //!   `// borg-lint: relaxed-ok(reason)` comment on the same or previous
 //!   line, with a non-empty reason. Relaxed atomics are legal exactly
@@ -61,20 +32,17 @@
 //!   protocol crate (`crates/protocol`). The engine is driven by
 //!   adversarial event schedules (the model checker delivers them in
 //!   every order); a public entry point must reject bad input, not panic
-//!   on it. Private helpers may index behind validated invariants.
-//! * **BORG-L013** — socket I/O in the wire transport (`crates/net`)
-//!   must not `.unwrap()` / `.expect()`: wire errors (peer death,
-//!   connection resets, read timeouts) are routine there and must reach
-//!   the reconnect/reissue machinery as values. Additionally, every
-//!   blocking `connect` / `accept` acquisition installs a read and a
-//!   write deadline (`set_read_timeout(Some(..))`,
-//!   `set_write_timeout(Some(..))`) in the same function body before the
-//!   stream escapes, and neither setter is ever called with `None` — an
-//!   unguarded read blocks forever when the peer hangs, which is exactly
-//!   the fault the chaos proxy injects, and an unguarded write blocks
-//!   forever on a peer that stops draining, while the networked master
-//!   holds its state lock. Extends BORG-L006's no-unbounded-wait
-//!   contract to the wire.
+//!   on it. Private helpers may index behind validated invariants, which
+//!   is why clippy's crate-wide `indexing_slicing` does not replace it.
+//! * **BORG-L013** — every blocking `connect` / `accept` acquisition in
+//!   the wire transport (`crates/net`) installs a read and a write
+//!   deadline (`set_read_timeout(Some(..))`, `set_write_timeout(Some(..))`)
+//!   in the same function body before the stream escapes, and neither
+//!   setter is ever called with `None` — an unguarded read blocks forever
+//!   when the peer hangs, which is exactly the fault the chaos proxy
+//!   injects, and an unguarded write blocks forever on a peer that stops
+//!   draining, while the networked master holds its state lock. (That
+//!   socket I/O never unwraps is clippy's `unwrap_used` on `borg-net`.)
 //! * **BORG-L014** — metric names fed to the `borg_obs::Recorder` hooks
 //!   (`.counter(..)`, `.gauge(..)`, `.observe(..)`, `.flight(..)`) in
 //!   library code must be `'static` lowercase dotted literals (or
@@ -93,9 +61,20 @@
 //!   and this rule keeps them out. A justified allocation carries the usual
 //!   `// borg-lint: allow(BORG-L015)` escape.
 //!
+//! The other seven ids ([`MOVED`]) are compiler lints: `cargo clippy --
+//! -D warnings` enforces them through the root `clippy.toml`, four
+//! crate-local ones (clippy reads only the nearest, so each repeats the
+//! root's entries) and a `#![deny(..)]` line at each library crate root.
+//! Their escape is `#[expect(clippy::…, reason = "…")]`, which fails the
+//! build once nothing under it trips the lint. BORG-L002 needs no lint:
+//! the vendored `rand` defines no entropy-seeded source, so a call to one
+//! cannot compile.
+//!
 //! A violation is suppressed by a `// borg-lint: allow(BORG-Lxxx)` comment
 //! on the same line or the line directly above — or, item-wide, by one on
 //! the item's header (or the line above it), which covers the whole item.
+//! An allow naming an id this pass does not run is itself reported
+//! ([`STALE_ALLOW`]).
 
 use crate::files::{discover, FileClass, SourceFile};
 use crate::itemtree::{self, Item, ItemKind};
@@ -109,46 +88,16 @@ pub struct Rule {
     pub summary: &'static str,
 }
 
-/// All rules, in id order.
-pub const RULES: [Rule; 15] = [
-    Rule {
-        id: "BORG-L001",
-        summary: "no unwrap()/expect() in library code outside test regions",
-    },
-    Rule {
-        id: "BORG-L002",
-        summary: "no entropy-seeded RNG; randomness must flow through seeded borg-core::rng",
-    },
-    Rule {
-        id: "BORG-L003",
-        summary: "no wall-clock (Instant/SystemTime) in borg-desim or the perfsim model",
-    },
-    Rule {
-        id: "BORG-L004",
-        summary: "no std::sync::Mutex; parking_lot is the workspace standard",
-    },
+/// All rules this pass runs, in id order.
+pub const RULES: [Rule; 8] = [
     Rule {
         id: "BORG-L005",
         summary: "no direct f64 ==/!= on objective values; use dominance/epsilon predicates",
     },
     Rule {
-        id: "BORG-L006",
-        summary: "no unbounded .recv() in executor library code; use recv_timeout/try_recv",
-    },
-    Rule {
         id: "BORG-L007",
         summary: "no executor-local recovery state (deadline maps, seen-id sets); \
                   use borg_protocol::MasterEngine",
-    },
-    Rule {
-        id: "BORG-L008",
-        summary: "no println!/eprintln! in library code; report through borg_obs::Recorder \
-                  or return renderable values",
-    },
-    Rule {
-        id: "BORG-L009",
-        summary: "no std::thread::spawn in crates/experiments; fan sweeps out through \
-                  borg-runner (crate::par::run_jobs)",
     },
     Rule {
         id: "BORG-L010",
@@ -167,10 +116,9 @@ pub const RULES: [Rule; 15] = [
     },
     Rule {
         id: "BORG-L013",
-        summary: "socket I/O in borg-net must not unwrap()/expect(); blocking \
-                  connect/accept installs set_read_timeout(Some(..)) and \
-                  set_write_timeout(Some(..)) before the stream escapes, and neither is \
-                  ever set to None",
+        summary: "blocking connect/accept in borg-net installs set_read_timeout(Some(..)) \
+                  and set_write_timeout(Some(..)) before the stream escapes, and neither \
+                  is ever set to None",
     },
     Rule {
         id: "BORG-L014",
@@ -184,6 +132,48 @@ pub const RULES: [Rule; 15] = [
                   outputs",
     },
 ];
+
+/// The rules that left this pass, each with what enforces it now.
+pub const MOVED: [Rule; 7] = [
+    Rule {
+        id: "BORG-L001",
+        summary: "clippy::unwrap_used + expect_used, denied at each library crate root \
+                  (allow-unwrap-in-tests, allow-expect-in-tests)",
+    },
+    Rule {
+        id: "BORG-L002",
+        summary: "retired: the vendored rand defines no entropy-seeded source, so a call \
+                  to one cannot compile (tests/inventory.rs checks)",
+    },
+    Rule {
+        id: "BORG-L003",
+        summary: "clippy::disallowed_types std::time::{Instant, SystemTime} in \
+                  crates/{desim,models}/clippy.toml",
+    },
+    Rule {
+        id: "BORG-L004",
+        summary: "clippy::disallowed_types std::sync::Mutex in every clippy.toml",
+    },
+    Rule {
+        id: "BORG-L006",
+        summary: "clippy::disallowed_methods std::sync::mpsc::Receiver::recv in \
+                  crates/parallel/clippy.toml",
+    },
+    Rule {
+        id: "BORG-L008",
+        summary: "clippy::print_stdout + print_stderr, denied at each library crate root \
+                  (allow-print-in-tests)",
+    },
+    Rule {
+        id: "BORG-L009",
+        summary: "clippy::disallowed_methods std::thread::spawn in \
+                  crates/experiments/clippy.toml",
+    },
+];
+
+/// The rule field of a report that a `// borg-lint: allow(..)` names an
+/// id this pass does not run.
+pub const STALE_ALLOW: &str = "stale-allow";
 
 /// One reported lint violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -204,15 +194,8 @@ pub fn check_source(rel_path: &str, class: FileClass, source: &str) -> Vec<Viola
     let in_test = |line: u32| regions.iter().any(|&(a, b)| a <= line && line <= b);
 
     let mut found = Vec::new();
-    rule_l001(rel_path, class, &lexed.tokens, &in_test, &mut found);
-    rule_l002(rel_path, &lexed.tokens, &mut found);
-    rule_l003(rel_path, &lexed.tokens, &mut found);
-    rule_l004(rel_path, &lexed.tokens, &mut found);
     rule_l005(rel_path, class, &lexed.tokens, &in_test, &mut found);
-    rule_l006(rel_path, class, &lexed.tokens, &in_test, &mut found);
     rule_l007(rel_path, class, &lexed.tokens, &in_test, &mut found);
-    rule_l008(rel_path, class, &lexed.tokens, &in_test, &mut found);
-    rule_l009(rel_path, class, &lexed.tokens, &in_test, &mut found);
     rule_l010(rel_path, class, &lexed.tokens, &in_test, &mut found);
     rule_l011(rel_path, class, &lexed, &in_test, &mut found);
     rule_l012(rel_path, class, &lexed.tokens, &items, &in_test, &mut found);
@@ -229,6 +212,28 @@ pub fn check_source(rel_path: &str, class: FileClass, source: &str) -> Vec<Viola
             .any(|(rule, a, b)| *rule == v.rule && *a <= v.line && v.line <= *b);
         !(allowed_at(v.line) || (v.line > 1 && allowed_at(v.line - 1)) || item_allowed)
     });
+    for allow in &lexed.allows {
+        for id in allow
+            .rules
+            .iter()
+            .filter(|id| !RULES.iter().any(|r| r.id == *id))
+        {
+            let message = match MOVED.iter().find(|r| r.id == *id) {
+                Some(moved) => format!(
+                    "`borg-lint: allow({id})`: {id} is no longer an xtask rule ({}); a \
+                     clippy lint's escape is `#[expect(clippy::…, reason = \"…\")]`",
+                    moved.summary
+                ),
+                None => format!("`borg-lint: allow({id})` names no rule"),
+            };
+            found.push(Violation {
+                rule: STALE_ALLOW,
+                file: rel_path.to_string(),
+                line: allow.line,
+                message,
+            });
+        }
+    }
     found.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     found
 }
@@ -406,142 +411,6 @@ fn item_end_line(tokens: &[Token], mut i: usize) -> Option<u32> {
 // Rules
 // ---------------------------------------------------------------------------
 
-fn rule_l001(
-    rel_path: &str,
-    class: FileClass,
-    tokens: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    if class != FileClass::Library {
-        return;
-    }
-    for i in 1..tokens.len() {
-        let t = &tokens[i];
-        if t.kind == TokenKind::Ident
-            && (t.text == "unwrap" || t.text == "expect")
-            && is_punct(tokens, i - 1, ".")
-            && is_punct(tokens, i + 1, "(")
-            && !in_test(t.line)
-        {
-            out.push(Violation {
-                rule: "BORG-L001",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: format!(
-                    "`.{}()` in library code; propagate the error (or move the call into a \
-                     test region)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_l002(rel_path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let what = match t.text.as_str() {
-            "thread_rng" => Some("`thread_rng()` draws an entropy-seeded generator"),
-            "from_entropy" => Some("`from_entropy()` seeds from the OS entropy pool"),
-            "OsRng" => Some("`OsRng` reads OS entropy directly"),
-            "random"
-                if is_ident(tokens, i.wrapping_sub(1), "::") && path_head_is(tokens, i, "rand") =>
-            {
-                Some("`rand::random()` uses the entropy-seeded thread-local generator")
-            }
-            _ => None,
-        };
-        if let Some(what) = what {
-            out.push(Violation {
-                rule: "BORG-L002",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: format!(
-                    "{what}; derive a seeded StdRng via borg-core::rng (SplitMix64) instead"
-                ),
-            });
-        }
-    }
-}
-
-/// Whether the token at `i` is the tail of a `rand::` path (`rand :: random`).
-fn path_head_is(tokens: &[Token], i: usize, head: &str) -> bool {
-    i >= 2 && is_punct(tokens, i - 1, "::") && is_ident(tokens, i - 2, head)
-}
-
-fn rule_l003(rel_path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    let virtual_time_scope = rel_path.starts_with("crates/desim/src/")
-        || rel_path.starts_with("crates/models/src/perfsim");
-    if !virtual_time_scope {
-        return;
-    }
-    for t in tokens {
-        if t.kind == TokenKind::Ident && (t.text == "Instant" || t.text == "SystemTime") {
-            out.push(Violation {
-                rule: "BORG-L003",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{}` is wall-clock time inside a virtual-time component; use simulated \
-                     clocks (desim event time) instead",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_l004(rel_path: &str, tokens: &[Token], out: &mut Vec<Violation>) {
-    let mut i = 0;
-    while i + 4 < tokens.len() {
-        if is_ident(tokens, i, "std")
-            && is_punct(tokens, i + 1, "::")
-            && is_ident(tokens, i + 2, "sync")
-            && is_punct(tokens, i + 3, "::")
-        {
-            let after = i + 4;
-            if is_ident(tokens, after, "Mutex") {
-                push_l004(rel_path, tokens[after].line, out);
-            } else if is_punct(tokens, after, "{") {
-                // `use std::sync::{Arc, Mutex};` — scan the brace group.
-                let mut depth = 0usize;
-                let mut j = after;
-                while j < tokens.len() {
-                    match tokens[j].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        "Mutex" if tokens[j].kind == TokenKind::Ident => {
-                            push_l004(rel_path, tokens[j].line, out);
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-            }
-        }
-        i += 1;
-    }
-}
-
-fn push_l004(rel_path: &str, line: u32, out: &mut Vec<Violation>) {
-    out.push(Violation {
-        rule: "BORG-L004",
-        file: rel_path.to_string(),
-        line,
-        message: "`std::sync::Mutex` is forbidden; use `parking_lot::Mutex` (workspace standard)"
-            .to_string(),
-    });
-}
-
 /// Tokens that bound the L005 search window: an `==` on one side of these
 /// cannot syntactically involve an expression on the other side.
 const L005_WINDOW_STOPS: &[&str] = &[",", ";", "{", "}"];
@@ -602,43 +471,6 @@ fn window_has_objectives(tokens: &[Token], i: usize, backward: bool) -> bool {
     false
 }
 
-fn rule_l006(
-    rel_path: &str,
-    class: FileClass,
-    tokens: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    // Scope: the executor crate's library sources (where a blocked master
-    // loop means a deadlocked run), plus the self-test fixture.
-    let executor_scope =
-        rel_path.starts_with("crates/parallel/src/") || rel_path == FIXTURE_SCAN_PATH;
-    if !executor_scope || class != FileClass::Library {
-        return;
-    }
-    for i in 1..tokens.len() {
-        let t = &tokens[i];
-        // `.recv(` exactly — `recv_timeout` / `try_recv` are different
-        // identifiers and stay silent.
-        if t.kind == TokenKind::Ident
-            && t.text == "recv"
-            && is_punct(tokens, i - 1, ".")
-            && is_punct(tokens, i + 1, "(")
-            && !in_test(t.line)
-        {
-            out.push(Violation {
-                rule: "BORG-L006",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: "unbounded `.recv()` in executor code can deadlock on a crashed or \
-                          hung worker; use `recv_timeout`/`try_recv` (or allowlist a deliberate \
-                          disconnect-released park)"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 /// Identifiers that name protocol recovery state. A declaration binding one
 /// of these to a collection type outside `borg-protocol` is an executor
 /// growing its own reissue/suppression bookkeeping.
@@ -677,7 +509,7 @@ fn rule_l007(
     // state belongs.
     let executor_scope = rel_path.starts_with("crates/models/src/")
         || rel_path.starts_with("crates/parallel/src/")
-        || rel_path == FIXTURE_SCAN_PATH;
+        || rel_path == FIXTURE_PATH;
     if !executor_scope || class != FileClass::Library {
         return;
     }
@@ -721,85 +553,6 @@ fn l007_state_name_behind(tokens: &[Token], i: usize) -> Option<String> {
     None
 }
 
-/// Print macros caught by L008. `write!`/`writeln!` to a caller-supplied
-/// sink stay legal — the rule targets ambient stdout/stderr only.
-const L008_PRINT_MACROS: &[&str] = &["println", "eprintln", "print", "eprint"];
-
-fn rule_l008(
-    rel_path: &str,
-    class: FileClass,
-    tokens: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    // Carve-outs: the xtask console tool (its whole interface is terminal
-    // output) and the borg-obs exporters (the designated rendering sink).
-    let exempt =
-        rel_path.starts_with("crates/xtask/src/") || rel_path.starts_with("crates/obs/src/export");
-    if class != FileClass::Library || exempt {
-        return;
-    }
-    for i in 0..tokens.len() {
-        let t = &tokens[i];
-        if t.kind == TokenKind::Ident
-            && L008_PRINT_MACROS.contains(&t.text.as_str())
-            && is_punct(tokens, i + 1, "!")
-            && !in_test(t.line)
-        {
-            out.push(Violation {
-                rule: "BORG-L008",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: format!(
-                    "`{}!` writes to the terminal from library code; record through \
-                     borg_obs::Recorder or return a renderable value (terminal output \
-                     belongs to bin code)",
-                    t.text
-                ),
-            });
-        }
-    }
-}
-
-fn rule_l009(
-    rel_path: &str,
-    class: FileClass,
-    tokens: &[Token],
-    in_test: &dyn Fn(u32) -> bool,
-    out: &mut Vec<Violation>,
-) {
-    // Scope: the experiments crate (library and bin sources — the sweep
-    // drivers and the CLI both belong to the deterministic-runner
-    // contract), plus the self-test fixture.
-    let experiments_scope =
-        rel_path.starts_with("crates/experiments/src/") || rel_path == FIXTURE_SCAN_PATH;
-    if !experiments_scope || class == FileClass::TestOrBench {
-        return;
-    }
-    for i in 2..tokens.len() {
-        let t = &tokens[i];
-        // `thread::spawn` exactly (covers `std::thread::spawn` too);
-        // `scope.spawn` — a structured pool handle — is preceded by `.`
-        // and stays silent.
-        if t.kind == TokenKind::Ident
-            && t.text == "spawn"
-            && is_punct(tokens, i - 1, "::")
-            && is_ident(tokens, i - 2, "thread")
-            && !in_test(t.line)
-        {
-            out.push(Violation {
-                rule: "BORG-L009",
-                file: rel_path.to_string(),
-                line: t.line,
-                message: "`std::thread::spawn` in the experiments crate bypasses the \
-                          deterministic work-stealing runner; fan the sweep out through \
-                          `crate::par::run_jobs` (borg-runner) instead"
-                    .to_string(),
-            });
-        }
-    }
-}
-
 /// Crates whose library code feeds archives, metrics, or experiment
 /// results — where hash-order iteration can leak into a reported value
 /// and break the same-seed determinism gate.
@@ -840,8 +593,7 @@ fn rule_l010(
     in_test: &dyn Fn(u32) -> bool,
     out: &mut Vec<Violation>,
 ) {
-    let in_scope =
-        L010_SCOPE.iter().any(|p| rel_path.starts_with(p)) || rel_path == FIXTURE_SCAN_PATH;
+    let in_scope = L010_SCOPE.iter().any(|p| rel_path.starts_with(p)) || rel_path == FIXTURE_PATH;
     if !in_scope || class != FileClass::Library {
         return;
     }
@@ -969,8 +721,7 @@ fn rule_l012(
 ) {
     // Scope: the protocol crate's library sources (the engine is driven by
     // adversarial schedules — see crates/mc), plus the self-test fixture.
-    let protocol_scope =
-        rel_path.starts_with("crates/protocol/src/") || rel_path == FIXTURE_SCAN_PATH;
+    let protocol_scope = rel_path.starts_with("crates/protocol/src/") || rel_path == FIXTURE_PATH;
     if !protocol_scope || class != FileClass::Library {
         return;
     }
@@ -1027,25 +778,6 @@ fn rule_l012(
     }
 }
 
-/// Identifier texts whose presence in a `fn` body marks it as socket I/O
-/// (the wire scope of BORG-L013). `connect` / `accept` acquisitions are
-/// matched structurally instead (see below), so a field or wrapper named
-/// `connect` does not put a function in scope by itself.
-const L013_SOCKET_TOKENS: &[&str] = &[
-    "TcpStream",
-    "TcpListener",
-    "UnixStream",
-    "UnixListener",
-    "NetStream",
-    "NetListener",
-    "read_exact",
-    "write_all",
-    "set_read_timeout",
-    "set_write_timeout",
-    "set_nonblocking",
-    "shutdown",
-];
-
 fn rule_l013(
     rel_path: &str,
     class: FileClass,
@@ -1055,7 +787,7 @@ fn rule_l013(
     out: &mut Vec<Violation>,
 ) {
     // Scope: the wire transport crate's library sources, plus the fixture.
-    let net_scope = rel_path.starts_with("crates/net/src/") || rel_path == FIXTURE_SCAN_PATH;
+    let net_scope = rel_path.starts_with("crates/net/src/") || rel_path == FIXTURE_PATH;
     if !net_scope || class != FileClass::Library {
         return;
     }
@@ -1068,11 +800,8 @@ fn rule_l013(
             let close = close.min(tokens.len() - 1);
             let name = it.name.as_deref().unwrap_or("?");
 
-            // One scan of the body collects everything the three checks
-            // need: socket evidence, consuming unwraps, blocking
-            // acquisitions, and the two timeout guards.
-            let mut socket_fn = false;
-            let mut unwraps: Vec<(u32, String)> = Vec::new();
+            // One scan of the body collects the blocking acquisitions and
+            // the two timeout guards.
             let mut acquires: Vec<(u32, String)> = Vec::new();
             let mut has_read_guard = false;
             let mut has_write_guard = false;
@@ -1082,12 +811,11 @@ fn rule_l013(
                     continue;
                 }
                 match t.text.as_str() {
-                    s if L013_SOCKET_TOKENS.contains(&s) => {
-                        socket_fn = true;
-                        let (guard, verb) = match s {
-                            "set_read_timeout" => (&mut has_read_guard, "read"),
-                            "set_write_timeout" => (&mut has_write_guard, "write"),
-                            _ => continue,
+                    s @ ("set_read_timeout" | "set_write_timeout") => {
+                        let (guard, verb) = if s == "set_read_timeout" {
+                            (&mut has_read_guard, "read")
+                        } else {
+                            (&mut has_write_guard, "write")
                         };
                         if !is_punct(tokens, i + 1, "(") {
                             continue;
@@ -1113,7 +841,6 @@ fn rule_l013(
                         if (is_punct(tokens, i - 1, "::") || is_punct(tokens, i - 1, "."))
                             && is_punct(tokens, i + 1, "(") =>
                     {
-                        socket_fn = true;
                         acquires.push((t.line, "connect".to_string()));
                     }
                     // Raw zero-arg `.accept()` (the std form). The
@@ -1125,34 +852,12 @@ fn rule_l013(
                             && is_punct(tokens, i + 1, "(")
                             && is_punct(tokens, i + 2, ")") =>
                     {
-                        socket_fn = true;
                         acquires.push((t.line, "accept".to_string()));
-                    }
-                    u @ ("unwrap" | "expect")
-                        if is_punct(tokens, i - 1, ".") && is_punct(tokens, i + 1, "(") =>
-                    {
-                        unwraps.push((t.line, u.to_string()));
                     }
                     _ => {}
                 }
             }
 
-            if socket_fn {
-                for (line, which) in &unwraps {
-                    if !in_test(*line) {
-                        out.push(Violation {
-                            rule: "BORG-L013",
-                            file: rel_path.to_string(),
-                            line: *line,
-                            message: format!(
-                                "`.{which}()` on a socket I/O path in `{name}`; wire errors \
-                                 (peer death, resets, read timeouts) are routine — propagate \
-                                 them so the reconnect/reissue machinery can act"
-                            ),
-                        });
-                    }
-                }
-            }
             if !(has_read_guard && has_write_guard) {
                 for (line, which) in &acquires {
                     if !in_test(*line) {
@@ -1265,7 +970,7 @@ fn rule_l015(
     let in_scope = ["crates/core/src/", "crates/metrics/src/"]
         .iter()
         .any(|dir| rel_path.starts_with(dir))
-        || rel_path == FIXTURE_SCAN_PATH;
+        || rel_path == FIXTURE_PATH;
     if class != FileClass::Library || !in_scope || lexed.hot_paths.is_empty() {
         return;
     }
@@ -1348,31 +1053,39 @@ fn is_ident(tokens: &[Token], i: usize, text: &str) -> bool {
 // Self-test against the annotated fixture
 // ---------------------------------------------------------------------------
 
-/// Path (workspace-relative) the fixture is checked under. The spoofed
-/// `crates/desim/src/` prefix puts BORG-L003 in scope so one fixture file
-/// can exercise every rule.
-pub const FIXTURE_SCAN_PATH: &str = "crates/desim/src/__lint_fixture__.rs";
+/// The annotated fixture (workspace-relative). Every path-scoped rule also
+/// admits this path, so one file exercises every rule.
+pub const FIXTURE_PATH: &str = "crates/xtask/fixtures/violations.rs";
 
 /// Runs the lint pass over the annotated fixture and diffs the reported
 /// violations against the `//~ BORG-Lxxx` expectations embedded in it.
 ///
 /// This proves both directions: every seeded violation is caught, and the
-/// test-region / allowlist escapes genuinely suppress reports.
+/// test-region / allowlist escapes genuinely suppress reports. A rule the
+/// fixture seeds no violation of fails it too: its silence proves nothing.
 pub fn self_test(fixture: &Path) -> Result<usize, String> {
     let source = std::fs::read_to_string(fixture)
         .map_err(|e| format!("read fixture {}: {e}", fixture.display()))?;
-    let expected = parse_expectations(&source);
-    if expected.is_empty() {
+    self_test_source(&source)
+}
+
+fn self_test_source(source: &str) -> Result<usize, String> {
+    let expected = parse_expectations(source);
+    let unseeded: Vec<&str> = RULES
+        .iter()
+        .map(|r| r.id)
+        .filter(|id| !expected.iter().any(|(_, rule)| rule == id))
+        .collect();
+    if !unseeded.is_empty() {
         return Err(format!(
-            "fixture {} contains no //~ expectations",
-            fixture.display()
+            "lint self-test failed: the fixture seeds no violation of {}",
+            unseeded.join(", ")
         ));
     }
-    let found: BTreeSet<(u32, String)> =
-        check_source(FIXTURE_SCAN_PATH, FileClass::Library, &source)
-            .into_iter()
-            .map(|v| (v.line, v.rule.to_string()))
-            .collect();
+    let found: BTreeSet<(u32, String)> = check_source(FIXTURE_PATH, FileClass::Library, source)
+        .into_iter()
+        .map(|v| (v.line, v.rule.to_string()))
+        .collect();
 
     let missing: Vec<_> = expected.difference(&found).collect();
     let unexpected: Vec<_> = found.difference(&expected).collect();
@@ -1424,72 +1137,9 @@ mod tests {
     }
 
     #[test]
-    fn l001_flags_unwrap_and_expect_in_library_code() {
-        let v = check_lib("fn f() { x.unwrap(); }\nfn g() { y.expect(\"msg\"); }");
-        assert_eq!(rules_at(&v), [("BORG-L001", 1), ("BORG-L001", 2)]);
-    }
-
-    #[test]
-    fn l001_ignores_unwrap_or_and_bins_and_tests() {
-        assert!(check_lib("fn f() { x.unwrap_or(0); }").is_empty());
-        let bin = check_source(
-            "crates/experiments/src/bin/borg-exp.rs",
-            FileClass::Bin,
-            "fn main() { x.unwrap(); }",
-        );
-        assert!(bin.is_empty());
-        let tst = check_source(
-            "tests/e2e.rs",
-            FileClass::TestOrBench,
-            "fn f() { x.unwrap(); }",
-        );
-        assert!(tst.is_empty());
-    }
-
-    #[test]
-    fn l001_exempts_cfg_test_modules_and_test_fns() {
-        let src = "fn lib() -> u32 { 1 }\n\
-                   #[cfg(test)]\n\
-                   mod tests {\n\
-                       #[test]\n\
-                       fn t() { x.unwrap(); }\n\
-                   }\n";
-        assert!(check_lib(src).is_empty());
-        let src2 = "#[test]\nfn t() { x.unwrap(); }\nfn lib() { y.unwrap(); }";
-        assert_eq!(rules_at(&check_lib(src2)), [("BORG-L001", 3)]);
-    }
-
-    #[test]
     fn cfg_not_test_is_not_a_test_region() {
-        let src = "#[cfg(not(test))]\nfn lib() { x.unwrap(); }";
-        assert_eq!(rules_at(&check_lib(src)), [("BORG-L001", 2)]);
-    }
-
-    #[test]
-    fn l002_flags_entropy_sources_everywhere_including_tests() {
-        let src = "#[cfg(test)]\nmod tests {\n fn t() { let mut r = rand::thread_rng(); }\n}";
-        assert_eq!(rules_at(&check_lib(src)), [("BORG-L002", 3)]);
-        let v = check_lib("let x: f64 = rand::random();\nlet r = StdRng::from_entropy();");
-        assert_eq!(rules_at(&v), [("BORG-L002", 1), ("BORG-L002", 2)]);
-    }
-
-    #[test]
-    fn l003_only_applies_to_virtual_time_components() {
-        let src = "use std::time::Instant;";
-        assert!(check_lib(src).is_empty());
-        let v = check_source("crates/desim/src/sim.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L003", 1)]);
-        let v = check_source("crates/models/src/perfsim.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L003", 1)]);
-    }
-
-    #[test]
-    fn l004_flags_std_mutex_including_brace_imports() {
-        let v = check_lib("use std::sync::Mutex;");
-        assert_eq!(rules_at(&v), [("BORG-L004", 1)]);
-        let v = check_lib("use std::sync::{Arc,\n    Mutex};");
-        assert_eq!(rules_at(&v), [("BORG-L004", 2)]);
-        assert!(check_lib("use std::sync::Arc;\nuse parking_lot::Mutex;").is_empty());
+        let src = "#[cfg(not(test))]\nfn lib(a: &S) -> bool { a.objectives()[0] == 1.0 }";
+        assert_eq!(rules_at(&check_lib(src)), [("BORG-L005", 2)]);
     }
 
     #[test]
@@ -1501,35 +1151,6 @@ mod tests {
         // Tests may compare exact values they constructed.
         let src = "#[cfg(test)]\nmod tests {\n fn t() { assert!(s.objectives()[0] == 1.0); }\n}";
         assert!(check_lib(src).is_empty());
-    }
-
-    #[test]
-    fn l006_flags_unbounded_recv_only_in_executor_library_code() {
-        let src = "fn master() { let item = result_rx.recv(); }";
-        // Out of scope: a non-executor crate.
-        assert!(check_lib(src).is_empty());
-        // In scope: crates/parallel library sources.
-        let v = check_source("crates/parallel/src/threads.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L006", 1)]);
-        // Bounded waits are fine.
-        let bounded = "fn master() { let a = rx.recv_timeout(t); let b = rx.try_recv(); }";
-        assert!(check_source(
-            "crates/parallel/src/threads.rs",
-            FileClass::Library,
-            bounded
-        )
-        .is_empty());
-        // Test regions are exempt (a test may block on a known-finite send).
-        let tst = "#[cfg(test)]\nmod tests {\n fn t() { rx.recv(); }\n}";
-        assert!(check_source("crates/parallel/src/threads.rs", FileClass::Library, tst).is_empty());
-        // The allowlist escape works for deliberate parks.
-        let allowed = "fn park() { let _ = stop_rx.recv(); } // borg-lint: allow(BORG-L006)";
-        assert!(check_source(
-            "crates/parallel/src/threads.rs",
-            FileClass::Library,
-            allowed
-        )
-        .is_empty());
     }
 
     #[test]
@@ -1568,94 +1189,6 @@ mod tests {
         let allowed =
             "let in_flight: HashMap<u64, F> = HashMap::new(); // borg-lint: allow(BORG-L007)";
         assert!(in_parallel(allowed).is_empty());
-    }
-
-    #[test]
-    fn l008_flags_print_macros_in_library_code() {
-        let v = check_lib("fn f() { println!(\"x = {x}\"); }\nfn g() { eprintln!(\"oops\"); }");
-        assert_eq!(rules_at(&v), [("BORG-L008", 1), ("BORG-L008", 2)]);
-        // `writeln!` to a caller-supplied sink is fine, as is a plain
-        // identifier named `println` without the macro bang.
-        assert!(check_lib("fn f(w: &mut W) { writeln!(w, \"x\").ok(); }").is_empty());
-        assert!(check_lib("fn f() { let println = 3; }").is_empty());
-    }
-
-    #[test]
-    fn l008_exempts_bins_tests_and_carved_out_paths() {
-        let src = "fn f() { println!(\"progress\"); }";
-        let bin = check_source(
-            "crates/experiments/src/bin/borg-exp.rs",
-            FileClass::Bin,
-            src,
-        );
-        assert!(bin.is_empty());
-        let tst = check_source("tests/e2e.rs", FileClass::TestOrBench, src);
-        assert!(tst.is_empty());
-        // The console tool and the obs exporters are carved out by path.
-        assert!(check_source("crates/xtask/src/golden.rs", FileClass::Library, src).is_empty());
-        assert!(check_source("crates/obs/src/export.rs", FileClass::Library, src).is_empty());
-        // Test regions inside a library file are exempt.
-        let region = "#[cfg(test)]\nmod tests {\n fn t() { println!(\"dbg\"); }\n}";
-        assert!(check_lib(region).is_empty());
-        // The allowlist escape works.
-        let allowed = "fn f() { println!(\"x\"); } // borg-lint: allow(BORG-L008)";
-        assert!(check_lib(allowed).is_empty());
-    }
-
-    #[test]
-    fn l009_flags_raw_thread_spawn_in_experiments() {
-        let src = "fn sweep() { let h = std::thread::spawn(worker); }";
-        // Out of scope: any other crate may spawn (borg-runner itself must).
-        assert!(check_lib(src).is_empty());
-        assert!(check_source("crates/runner/src/lib.rs", FileClass::Library, src).is_empty());
-        // In scope: experiments library and bin sources.
-        let v = check_source("crates/experiments/src/table2.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L009", 1)]);
-        let v = check_source(
-            "crates/experiments/src/bin/borg-exp.rs",
-            FileClass::Bin,
-            src,
-        );
-        assert_eq!(rules_at(&v), [("BORG-L009", 1)]);
-        // The bare `thread::spawn` path form is the same call.
-        let bare = "fn sweep() { thread::spawn(|| work()); }";
-        let v = check_source("crates/experiments/src/faults.rs", FileClass::Library, bare);
-        assert_eq!(rules_at(&v), [("BORG-L009", 1)]);
-    }
-
-    #[test]
-    fn l009_ignores_scoped_pools_tests_and_allowlist() {
-        let in_exp =
-            |src| check_source("crates/experiments/src/table2.rs", FileClass::Library, src);
-        // A structured scope handle is not a raw spawn.
-        assert!(in_exp("fn pool(scope: &Scope) { scope.spawn(|| work()); }").is_empty());
-        // An unrelated `spawn` identifier without the `thread::` path is silent.
-        assert!(in_exp("fn f() { spawn(); }").is_empty());
-        // Test regions are exempt (a test may exercise raw threads).
-        let tst = "#[cfg(test)]\nmod tests {\n fn t() { std::thread::spawn(|| 1); }\n}";
-        assert!(in_exp(tst).is_empty());
-        // The allowlist escape works.
-        let allowed = "fn f() { std::thread::spawn(run); } // borg-lint: allow(BORG-L009)";
-        assert!(in_exp(allowed).is_empty());
-    }
-
-    #[test]
-    fn l013_flags_socket_unwraps_only_in_net_library_code() {
-        let src = "fn pump(s: &mut TcpStream) { s.read_exact(&mut buf).unwrap(); }";
-        // Out of scope: other crates get the generic L001 but not L013.
-        assert_eq!(rules_at(&check_lib(src)), [("BORG-L001", 1)]);
-        // In scope: the same unwrap is also a wire-contract violation.
-        let v = check_source("crates/net/src/transport.rs", FileClass::Library, src);
-        assert_eq!(rules_at(&v), [("BORG-L001", 1), ("BORG-L013", 1)]);
-        // An unwrap in a fn with no socket evidence stays L001-only even
-        // inside the net crate.
-        let plain = "fn parse(x: Option<u32>) -> u32 { x.unwrap() }";
-        let v = check_source("crates/net/src/codec.rs", FileClass::Library, plain);
-        assert_eq!(rules_at(&v), [("BORG-L001", 1)]);
-        // Test regions are exempt.
-        let tst = "#[cfg(test)]\nmod tests {\n fn t(s: &mut TcpStream) \
-                   { s.read_exact(&mut b).unwrap(); }\n}";
-        assert!(check_source("crates/net/src/transport.rs", FileClass::Library, tst).is_empty());
     }
 
     #[test]
@@ -1786,14 +1319,57 @@ mod tests {
 
     #[test]
     fn allowlist_suppresses_on_same_or_preceding_line() {
-        let same = "fn f() { x.unwrap(); } // borg-lint: allow(BORG-L001)";
-        assert!(check_lib(same).is_empty());
-        let above = "// borg-lint: allow(BORG-L001)\nfn f() { x.unwrap(); }";
-        assert!(check_lib(above).is_empty());
-        let wrong_rule = "// borg-lint: allow(BORG-L002)\nfn f() { x.unwrap(); }";
-        assert_eq!(rules_at(&check_lib(wrong_rule)), [("BORG-L001", 2)]);
-        let too_far = "// borg-lint: allow(BORG-L001)\n\nfn f() { x.unwrap(); }";
-        assert_eq!(rules_at(&check_lib(too_far)), [("BORG-L001", 3)]);
+        let eq = "fn f(a: &S) -> bool { a.objectives()[0] == 1.0 }";
+        let same = format!("{eq} // borg-lint: allow(BORG-L005)");
+        assert!(check_lib(&same).is_empty());
+        let above = format!("// borg-lint: allow(BORG-L005)\n{eq}");
+        assert!(check_lib(&above).is_empty());
+        let wrong_rule = format!("// borg-lint: allow(BORG-L007)\n{eq}");
+        assert_eq!(rules_at(&check_lib(&wrong_rule)), [("BORG-L005", 2)]);
+        let too_far = format!("// borg-lint: allow(BORG-L005)\n\n{eq}");
+        assert_eq!(rules_at(&check_lib(&too_far)), [("BORG-L005", 3)]);
+    }
+
+    #[test]
+    fn an_allow_naming_a_rule_this_pass_does_not_run_is_reported() {
+        // A rule that moved to clippy: the report names its lint.
+        let moved = check_lib("fn f() { x.unwrap(); } // borg-lint: allow(BORG-L001)");
+        assert_eq!(rules_at(&moved), [(STALE_ALLOW, 1)]);
+        assert!(
+            moved[0].message.contains("clippy::unwrap_used"),
+            "{moved:?}"
+        );
+        // An id no rule ever had, next to a live one that still suppresses.
+        let src = "// borg-lint: allow(BORG-L005, BORG-L099)\n\
+                   fn f(a: &S) -> bool { a.objectives()[0] == 1.0 }";
+        let v = check_lib(src);
+        assert_eq!(rules_at(&v), [(STALE_ALLOW, 1)]);
+        assert!(v[0].message.contains("BORG-L099"), "{v:?}");
+        // Every live id is silent.
+        for rule in &RULES {
+            let src = format!("fn f() {{}} // borg-lint: allow({})", rule.id);
+            assert!(check_lib(&src).is_empty(), "{}", rule.id);
+        }
+    }
+
+    #[test]
+    fn self_test_fails_on_a_rule_the_fixture_does_not_seed() {
+        let fixture = std::fs::read_to_string(
+            crate::files::workspace_root()
+                .expect("workspace root")
+                .join(FIXTURE_PATH),
+        )
+        .expect("read the fixture");
+        assert!(self_test_source(&fixture).is_ok());
+        // Drop every BORG-L011 marker (and the relaxed atomics they mark):
+        // the rule still runs, but nothing shows that it can fire.
+        let unseeded: String = fixture
+            .lines()
+            .filter(|line| !line.contains("//~ BORG-L011"))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        let err = self_test_source(&unseeded).expect_err("an unseeded rule");
+        assert!(err.contains("seeds no violation of BORG-L011"), "{err}");
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! examples can write `use borg_repro::prelude::*;`.
 
 #![forbid(unsafe_code)]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 pub use borg_core as core;
 pub use borg_desim as desim;
 pub use borg_experiments as experiments;
