@@ -31,6 +31,9 @@ cargo test -q --release -p borg-protocol --test handle_ratio -- --ignored
 echo "==> one-process ratio test: precise_delay vs thread::sleep median overshoot at 1 ms (<= 1/3)"
 cargo test -q --release -p borg-parallel --test delay_ratio -- --ignored
 
+echo "==> one-process ratio test: encode_into a reused frame vs a fresh Vec (<= 0.6x)"
+cargo test -q --release -p borg-net --test encode_ratio -- --ignored
+
 echo "==> one-process ratio test: run_threaded vs serve over a Unix socket (>= 1.5x)"
 cargo test -q --release -p borg-net --test serve_loopback threads_outrun_sockets -- --ignored
 
@@ -40,7 +43,7 @@ benchmark/run.sh --smoke
 echo "==> borg-exp faults --smoke"
 ./target/release/borg-exp faults --smoke --out target/ci-results
 
-echo "==> borg-exp table2 --smoke --jobs 2 (work-stealing runner)"
+echo "==> borg-exp table2 --smoke --jobs 2 (parallel runner)"
 ./target/release/borg-exp table2 --smoke --jobs 2 --out target/ci-results-jobs2
 
 echo "==> borg-exp table2 --smoke with trace + metrics export"

@@ -73,7 +73,7 @@ impl Table2Config {
     /// --replicates 2` (two sweep threads, measured `T_A`) runs in 21–22 s
     /// with a VmHWM of 22–23 MB. Extrapolated, not run: 50 replicates take
     /// about 25 times as long (≈ 9 minutes), and memory stays bounded by
-    /// the cells in flight — at most `3 × jobs` cells hold replicates (see
+    /// the cells in flight — at most `jobs + 1` cells hold replicates (see
     /// `borg-runner`), where collecting every replicate first would hold
     /// all 2 100 runs' thinned `T_A` samples (≈ 0.34 GB).
     pub fn paper_scale(mut self) -> Self {

@@ -18,10 +18,7 @@
 
 use crate::codec::{self, Msg};
 use crate::metrics;
-use crate::serve::{serve, ServeConfig, ServeReport};
-use crate::transport::{NetAddr, NetError, NetListener, NetStream};
-use borg_core::algorithm::BorgConfig;
-use borg_core::problem::Problem;
+use crate::transport::{NetAddr, NetListener, NetStream};
 use borg_obs::{MetricsSnapshot, Recorder};
 use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,8 +46,8 @@ impl TapConfig {
 }
 
 /// The tap broadcast loop: accepts subscribers, ticks deltas. Runs until
-/// `stop` rises; owned by [`serve_with_tap`] but public for harnesses
-/// that drive [`serve`](crate::serve::serve) themselves.
+/// `stop` rises; callers run it on a thread beside
+/// [`serve`](crate::serve::serve).
 pub fn tap_loop<R: Recorder + ?Sized>(
     listener: &NetListener,
     cfg: &TapConfig,
@@ -97,38 +94,6 @@ pub fn tap_loop<R: Recorder + ?Sized>(
     for s in &subs {
         s.shutdown();
     }
-}
-
-/// [`serve`] with a live metrics tap alongside: binds `tap.listen`,
-/// runs the broadcast loop on a scoped thread for the duration of the
-/// serve call, and tears it down with the run. `snap` converts the
-/// shared recorder into a [`MetricsSnapshot`] (the [`Recorder`] facade
-/// itself has no snapshot method — only concrete sinks do).
-pub fn serve_with_tap<P, R>(
-    problem: &P,
-    borg: BorgConfig,
-    cfg: &ServeConfig,
-    tap: &TapConfig,
-    snap: &(dyn Fn() -> MetricsSnapshot + Sync),
-    rec: &R,
-) -> Result<ServeReport, NetError>
-where
-    P: Problem + ?Sized,
-    R: Recorder + Sync + ?Sized,
-{
-    let listener = NetListener::bind(&tap.listen)?;
-    let stop = AtomicBool::new(false);
-    let result = std::thread::scope(|scope| {
-        let handle = scope.spawn(|| tap_loop(&listener, tap, snap, &stop, rec));
-        let result = serve(problem, borg, cfg, rec);
-        stop.store(true, Ordering::SeqCst);
-        let _ = handle.join();
-        result
-    });
-    if let NetAddr::Unix(path) = &tap.listen {
-        let _ = std::fs::remove_file(path);
-    }
-    result
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! # borg-runner
 //!
-//! A deterministic work-stealing job pool for the experiment drivers.
+//! A deterministic job pool, fed from one shared queue, for the experiment
+//! drivers.
 //!
 //! The paper's replicate sweeps (Table II is 2 problems × 3 `T_F` × 7
 //! processor counts × 50 replicates) are embarrassingly parallel: every
@@ -27,12 +28,11 @@
 //!    order by the caller or the group's fold (see
 //!    `borg_obs::MetricsSnapshot::merge`).
 //!
-//! Scheduling is chunked work-stealing: the items are split into one
-//! contiguous chunk per worker (good locality, zero coordination while a
-//! worker drains its own chunk) and an idle worker steals from the *tail*
-//! of another worker's deque (minimal contention with the owner popping
-//! the head). Stealing only changes *who* runs a job and *when* — never
-//! what the job computes or where its result lands.
+//! Scheduling is one shared queue: the items wait in group order behind
+//! one lock, and every worker — the calling thread is one of them —
+//! takes the next item, runs it, and goes back for another. The queue
+//! only changes *who* runs a job and *when* — never what the job
+//! computes or where its result lands.
 //!
 //! **Grouped folds.** [`map_groups`] takes the items in groups — one Table
 //! II cell's replicates, say — with a fold per group. Each item is still
@@ -42,23 +42,17 @@
 //! `map_groups` with one-item groups.
 //!
 //! *The bound.* With `W` workers (after clamping to the item count), at
-//! most `3·W` groups hold results at any instant, so with groups of at
-//! most `s` items at most `W·(3s − 2)` results are alive, however many
-//! groups there are; serially (`W = 1`) it is one group. Lay the items out
-//! in group order and call an item *unfinished* while it is queued or
-//! running. Each worker accounts for at most one maximal run of unfinished
-//! items: its deque's remainder is contiguous (it shrinks from both ends),
-//! the item its owner runs came off the front and so adjoins it, and a
-//! worker running a stolen item has an empty deque for good, so that item
-//! is its one run. A group holding results and an unfinished item is
-//! contiguous, so it contains an end of such a run: at most `2·W` groups,
-//! each with at most `s − 1` stored results. A group whose results are
-//! all stored is being folded, or about to be, by a worker that stored
-//! one of them and is running no item: at most one such group per worker.
-//! Per worker that is at most `2(s − 1)` stored results plus either its
-//! running item's `1` or a folding group's `s`, hence `3s − 2`. The bound
-//! needs the chunks contiguous; a round-robin deal would let every group
-//! be open at once.
+//! most `W + 1` groups hold results at any instant, so with groups of at
+//! most `s` items at most `(W + 1)·s − 1` results are alive, however many
+//! groups there are; serially (`W = 1`) it is one group. The queue hands
+//! items out in group order, so every item before its head has been
+//! taken, and an item taken but unfinished is running. A group holding
+//! results therefore straddles the head (at most one group), holds a
+//! running item, or has stored every result and is being folded by the
+//! worker that stored the last one: one group per worker, besides the
+//! straddling one. Each of those holds at most `s` results, counting the
+//! one its running item is about to store; the straddling group has an
+//! item still queued, so it holds at most `s − 1`.
 //!
 //! A panicking job or fold does not poison the pool: the panic is caught
 //! at its boundary, surfaced as [`JobPanicked`] (lowest index wins, so
@@ -75,13 +69,9 @@
     clippy::print_stderr
 )]
 
-pub mod steal_model;
-
 use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// A job or fold panicked; the pool survived and every other job still
 /// ran.
@@ -125,10 +115,11 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 /// results **in item order** — bit-identical for every worker count.
 ///
 /// `workers = 0` means auto ([`available_jobs`]); `workers = 1` runs the
-/// jobs serially on the calling thread (today's nested-loop behaviour).
-/// The pool never outlives the call (scoped threads), so a panicking job
-/// cannot poison later calls; the first panic by *job index* is returned
-/// as [`JobPanicked`] after every surviving job has finished.
+/// jobs serially on the calling thread, which is always one of the
+/// workers. The pool never outlives the call (scoped threads), so a
+/// panicking job cannot poison later calls; the first panic by *job
+/// index* is returned as [`JobPanicked`] after every surviving job has
+/// finished.
 ///
 /// This is [`map_groups`] with one-item groups, so `job` receives the
 /// item's index.
@@ -152,7 +143,7 @@ where
 /// job(g, x)).collect()))`. Each item is still one job, scheduled like any
 /// other, so one group's items spread over every worker; the worker that
 /// stores a group's last result runs `fold` on it and drops the results.
-/// Only groups still in flight hold results: at most `3 · workers` groups
+/// Only groups still in flight hold results: at most `workers + 1` groups
 /// at once (derived in the crate docs), one at `workers = 1`. An empty
 /// group folds an empty vector.
 ///
@@ -175,98 +166,53 @@ where
     Fold: Fn(usize, Vec<R>) -> G + Sync,
 {
     // Every item in group order, tagged with its group; `spans[g]` is the
-    // range of group g's items in that order.
-    let mut pending: VecDeque<(usize, T)> = VecDeque::new();
+    // range of group g's slots. No item finishes an empty group, so those
+    // fold here.
+    let mut items = Vec::new();
     let mut spans = Vec::with_capacity(groups.len());
-    for (group, items) in groups.into_iter().enumerate() {
-        let start = pending.len();
-        pending.extend(items.into_iter().map(|item| (group, item)));
-        spans.push(start..pending.len());
+    let mut folded = Vec::with_capacity(groups.len());
+    for (group, members) in groups.into_iter().enumerate() {
+        let start = items.len();
+        items.extend(members.into_iter().map(|item| (group, item)));
+        let span = start..items.len();
+        folded.push(Mutex::new(
+            span.is_empty()
+                .then(|| fold_group(&fold, group, Vec::new())),
+        ));
+        spans.push(span);
     }
-    let n = pending.len();
+    let n = items.len();
     let workers = resolve_jobs(workers).min(n);
-    if workers <= 1 {
-        let mut folded = Vec::with_capacity(spans.len());
-        for (group, span) in spans.iter().enumerate() {
-            let outcomes = pending
-                .drain(..span.len())
-                .map(|(_, item)| guarded(|| job(group, item)))
-                .collect();
-            folded.push(Some(fold_group(&fold, group, outcomes)));
-        }
-        return collect(folded);
-    }
-
-    // One contiguous chunk of (slot, (group, item)) jobs per worker deque;
-    // the memory bound in the crate docs rests on the chunks being
-    // contiguous in group order.
-    let chunk = n.div_ceil(workers);
-    let mut flat = pending.into_iter().enumerate();
-    let queues: Vec<_> = (0..workers)
-        .map(|_| Mutex::new(flat.by_ref().take(chunk).collect::<VecDeque<_>>()))
-        .collect();
+    let queue = Mutex::new(items.into_iter().enumerate());
     let results: Vec<Mutex<Option<Result<R, String>>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let remaining: Vec<AtomicUsize> = spans.iter().map(|s| AtomicUsize::new(s.len())).collect();
 
-    let mut folded: Vec<Option<Result<G, String>>> = (0..spans.len()).map(|_| None).collect();
-    let (tx, rx) = mpsc::channel::<(usize, Result<G, String>)>();
+    let work = || loop {
+        // The guard drops at the end of this statement: held across the
+        // job, it would run every job one at a time.
+        let next = queue.lock().next();
+        let Some((slot, (group, item))) = next else {
+            break;
+        };
+        *results[slot].lock() = Some(guarded(|| job(group, item)));
+        // AcqRel: each decrement releases its slot's store, and the last
+        // one acquires them all, so the worker that folds sees every
+        // result of the group.
+        if remaining[group].fetch_sub(1, Ordering::AcqRel) == 1 {
+            let outcomes = spans[group]
+                .clone()
+                .map(|s| results[s].lock().take().unwrap_or_else(missing))
+                .collect();
+            *folded[group].lock() = Some(fold_group(&fold, group, outcomes));
+        }
+    };
     std::thread::scope(|scope| {
-        let (queues, results, remaining, spans) = (&queues, &results, &remaining, &spans);
-        let (job, fold) = (&job, &fold);
-        for me in 0..workers {
-            let tx = tx.clone();
-            scope.spawn(move || {
-                while let Some((slot, (group, item))) = take_job(me, queues) {
-                    *results[slot].lock() = Some(guarded(|| job(group, item)));
-                    // AcqRel: each decrement releases its slot's store, and
-                    // the last one acquires them all, so the worker that
-                    // folds sees every result of the group.
-                    if remaining[group].fetch_sub(1, Ordering::AcqRel) != 1 {
-                        continue;
-                    }
-                    let outcomes = spans[group]
-                        .clone()
-                        .map(|s| results[s].lock().take().unwrap_or_else(missing))
-                        .collect();
-                    // A send can only fail if the collector hung up, and
-                    // it drains every group; nothing to salvage.
-                    if tx.send((group, fold_group(fold, group, outcomes))).is_err() {
-                        return;
-                    }
-                }
-            });
+        for _ in 1..workers {
+            scope.spawn(work);
         }
-        drop(tx);
-        // No item finishes an empty group, so the calling thread folds
-        // those while it waits.
-        for (group, span) in spans.iter().enumerate() {
-            if span.is_empty() {
-                folded[group] = Some(fold_group(fold, group, Vec::new()));
-            }
-        }
-        // Collect into the group-ordered buffer; arrival order is
-        // irrelevant from here on.
-        while let Ok((group, outcome)) = rx.recv() {
-            folded[group] = Some(outcome);
-        }
+        work();
     });
-    collect(folded)
-}
-
-/// Pops the next job: own chunk head first, then steal another deque's
-/// tail. `None` only once every deque is empty — jobs never spawn jobs,
-/// so queues strictly drain and the emptiness check cannot race new work.
-fn take_job<Q>(me: usize, queues: &[Mutex<VecDeque<Q>>]) -> Option<Q> {
-    if let Some(job) = queues[me].lock().pop_front() {
-        return Some(job);
-    }
-    let n = queues.len();
-    for step in 1..n {
-        if let Some(job) = queues[(me + step) % n].lock().pop_back() {
-            return Some(job);
-        }
-    }
-    None
+    collect(folded.into_iter().map(Mutex::into_inner))
 }
 
 /// Runs one job or fold behind a panic boundary.
@@ -310,9 +256,11 @@ fn missing<R>() -> Result<R, String> {
 
 /// Turns the group-ordered outcome buffer into the final result,
 /// surfacing the lowest-index failure if any group failed.
-fn collect<G>(slots: Vec<Option<Result<G, String>>>) -> Result<Vec<G>, JobPanicked> {
+fn collect<G>(
+    slots: impl ExactSizeIterator<Item = Option<Result<G, String>>>,
+) -> Result<Vec<G>, JobPanicked> {
     let mut results = Vec::with_capacity(slots.len());
-    for (index, slot) in slots.into_iter().enumerate() {
+    for (index, slot) in slots.enumerate() {
         match slot.unwrap_or_else(missing) {
             Ok(r) => results.push(r),
             Err(message) => return Err(JobPanicked { index, message }),
@@ -400,9 +348,9 @@ mod tests {
 
     #[test]
     fn stealing_actually_spreads_work() {
-        // Deliberately skewed job costs leave worker 0's chunk still busy
-        // long after the other chunks drain, exercising the steal path;
-        // the assertion is only that the contract holds — order
+        // Deliberately skewed job costs keep the first workers busy on
+        // the slow early items while the others drain the rest of the
+        // queue; the assertion is only that the contract holds — order
         // preserved, every job run exactly once.
         let items: Vec<u64> = (0..101).collect();
         let got = map_jobs(4, items.clone(), |_, x| {

@@ -1,7 +1,7 @@
 //! The runner's core contract as a property: for arbitrary item vectors
 //! and worker counts, `map_jobs` returns exactly what the serial loop
 //! returns, in the same order, and `map_groups` exactly what a serial
-//! nested map followed by the fold returns — work-stealing changes
+//! nested map followed by the fold returns — the shared queue changes
 //! scheduling, never results. Beside the properties: the grouped map's
 //! memory bound, and that one group's items spread over workers.
 
@@ -169,8 +169,9 @@ impl Drop for Counted<'_> {
 #[test]
 fn only_groups_in_flight_hold_results() {
     // 48 groups of 4: collect-then-fold would hold all 192 results. The
-    // crate docs bound the grouped map at `W·(3s − 2)` (one group, `s`,
-    // serially). Uneven job costs make workers steal.
+    // crate docs bound the grouped map at `(W + 1)·s − 1` (one group, `s`,
+    // serially). Uneven job costs make workers finish out of order, so
+    // groups overlap.
     const GROUPS: usize = 48;
     const SIZE: usize = 4;
     let groups: Vec<Vec<u64>> = (0..GROUPS)
@@ -200,7 +201,7 @@ fn only_groups_in_flight_hold_results() {
         let bound = if workers == 1 {
             SIZE
         } else {
-            workers * (3 * SIZE - 2)
+            (workers + 1) * SIZE - 1
         };
         assert!(bound < GROUPS * SIZE);
         assert!(
@@ -212,14 +213,13 @@ fn only_groups_in_flight_hold_results() {
 
 #[test]
 fn one_group_spreads_over_workers() {
-    // One group of four items on two workers: the chunks are items [0, 1]
-    // and [2, 3]. Item 0, worker 0's first, and item 2, worker 1's first,
-    // each wait for the other, so the two run at once on two threads: a
-    // worker blocked in one cannot steal the other. (A one-way wait let
-    // worker 1 run item 2, then steal item 0 before worker 0 started.) A
-    // scheduler that ran a group's items on one worker would time out here
-    // instead. A receiver cannot be shared between threads, so each sits
-    // behind a lock only the one job that waits on it takes.
+    // One group of four items on two workers. Items 0 and 2 each wait for
+    // the other, so they must run at once on two threads: a worker blocked
+    // in item 0 cannot take item 2 itself, so the other worker must. A
+    // scheduler that ran a group's items on one worker, or that held the
+    // queue's lock while a job runs, would time out here instead. A
+    // receiver cannot be shared between threads, so each sits behind a
+    // lock only the one job that waits on it takes.
     let (to_0, at_0) = mpsc::channel();
     let (to_2, at_2) = mpsc::channel();
     let (at_0, at_2) = (Mutex::new(at_0), Mutex::new(at_2));

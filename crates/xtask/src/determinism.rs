@@ -29,7 +29,7 @@
 //! A fourth arm checks the parallel-runner contract: the same smoke-scale
 //! Table II and fault sweeps run with `jobs = 1` and `jobs = 4` must
 //! produce byte-identical rows, fault ledgers, and metrics JSONL — the
-//! work-stealing pool in `borg-runner` may change *when* a replicate runs,
+//! shared-queue pool in `borg-runner` may change *when* a replicate runs,
 //! never *what* it produces or the order results are folded in.
 //!
 //! A fifth arm takes the contract onto real sockets: a chaos-mode
@@ -298,7 +298,7 @@ pub fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
     // byte-identical JSONL.
     let flight_events = flight_arm(seed, &fa)?;
 
-    // Parallel-runner arm: the work-stealing sweep contract. `--jobs 1`
+    // Parallel-runner arm: the runner's sweep contract. `--jobs 1`
     // and `--jobs 4` must yield byte-identical experiment outputs.
     let (parallel_rows, parallel_jsonl_lines) = parallel_runner_arm()?;
 
