@@ -10,8 +10,8 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
-echo "==> cargo xtask check --determinism"
-cargo xtask check --determinism
+echo "==> cargo xtask determinism"
+cargo xtask determinism
 
 echo "==> cargo xtask mc --smoke (schedule-space model checker)"
 cargo xtask mc --smoke

@@ -77,7 +77,6 @@ pub fn run_fit_demo(config: &FitDemoConfig) -> Result<FitDemo, ThreadedError> {
             seed: config.seed,
             faults: None,
             reissue_timeout: None,
-            record_commands: false,
         },
     )?;
     let t_c = estimate_comm_time(500)?;

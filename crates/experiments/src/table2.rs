@@ -446,7 +446,7 @@ mod tests {
         // full paper-scale Table II grid — every problem, T_F, P, and all
         // 50 replicates — must be distinct.
         let cfg = Table2Config::default().paper_scale();
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         let mut total = 0usize;
         for &problem in &cfg.problems {
             for &tf in &cfg.tf_means {

@@ -24,7 +24,7 @@ use crate::overlay::Overlay;
 use crate::transport::ModelTransport;
 use borg_obs::NoopRecorder;
 use borg_protocol::{EngineConfig, Event, MasterEngine, PoolDiscipline, ProtocolMode};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// How strictly terminal outcomes must agree across schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,7 +112,7 @@ pub const MAX_VIOLATIONS: usize = 4;
 
 struct Explorer<'a> {
     scenario: &'a Scenario,
-    memo: HashMap<u64, u64>,
+    memo: BTreeMap<u64, u64>,
     pruned: u64,
     truncated: u64,
     outcomes: std::collections::BTreeSet<u64>,
@@ -142,7 +142,7 @@ pub fn run_scenario(scenario: &Scenario) -> ScenarioReport {
 
     let mut ex = Explorer {
         scenario,
-        memo: HashMap::new(),
+        memo: BTreeMap::new(),
         pruned: 0,
         truncated: 0,
         outcomes: std::collections::BTreeSet::new(),

@@ -4,11 +4,14 @@
 /// removing exact duplicates. O(n²); metrics-path only.
 pub fn nondominated_filter(points: Vec<Vec<f64>>) -> Vec<Vec<f64>> {
     let idx = borg_core::dominance::nondominated_indices(&points);
-    let keep: std::collections::HashSet<usize> = idx.into_iter().collect();
+    let mut keep = vec![false; points.len()];
+    for i in idx {
+        keep[i] = true;
+    }
     points
         .into_iter()
-        .enumerate()
-        .filter_map(|(i, p)| keep.contains(&i).then_some(p))
+        .zip(keep)
+        .filter_map(|(p, k)| k.then_some(p))
         .collect()
 }
 

@@ -240,6 +240,10 @@ impl Dist {
     /// Log-density at `x` (−∞ outside the support; `Constant` has no
     /// density and returns −∞ except exactly at its atom, where it returns
     /// +∞ — constants are excluded from likelihood-based model selection).
+    #[expect(
+        clippy::float_cmp,
+        reason = "a point mass has density only at its exact atom"
+    )]
     pub fn ln_pdf(&self, x: f64) -> f64 {
         match *self {
             Dist::Constant(c) => {

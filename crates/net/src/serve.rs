@@ -237,8 +237,8 @@ impl<R: Recorder + ?Sized> Link for NetLink<'_, R> {
         self.rec.flight(
             "net.worker_death",
             at,
-            worker as u64,
             lost_eval.unwrap_or(u64::MAX),
+            worker as u64,
             match kind {
                 FaultKind::Hang => 1.0,
                 _ => 0.0,
@@ -409,7 +409,6 @@ where
             engine_seed: SplitMix64::new(cfg.seed).derive_seed("net-serve-engine"),
             reissue_timeout: cfg.reissue_timeout,
             heartbeat_timeout: cfg.heartbeat_timeout,
-            record_commands: false,
         },
         NetLink {
             writers,

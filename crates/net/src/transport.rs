@@ -192,6 +192,10 @@ impl NetListener {
     /// Accepts one connection and installs `read_timeout` (and the write
     /// timeout) on it before returning. In non-blocking mode `Ok(None)`
     /// means "nobody there".
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "BORG-L013: the one raw accept; both deadlines go on before the stream escapes"
+    )]
     pub fn accept(&self, read_timeout: Duration) -> Result<Option<NetStream>, NetError> {
         let stream = match self {
             NetListener::Tcp(l) => match l.accept() {
@@ -347,6 +351,10 @@ impl Backoff {
 /// One connect attempt with the read and write deadlines installed before
 /// the stream is handed anywhere (the BORG-L013 contract: acquisition and
 /// timeout guards live in the same place).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "BORG-L013: the one raw connect; both deadlines go on before the stream escapes"
+)]
 fn connect_once(addr: &NetAddr, read_timeout: Duration) -> std::io::Result<NetStream> {
     let stream = match addr {
         NetAddr::Tcp(hp) => TcpStream::connect(hp.as_str()).map(NetStream::Tcp)?,

@@ -13,7 +13,7 @@ use borg_net::serve::{serve, ServeConfig, ServeReport};
 use borg_net::transport::{connect_with_backoff, Backoff};
 use borg_net::worker::{run_worker, WorkerOptions, WorkerReport};
 use borg_net::{Conn, Msg, NetAddr, NetError, NetListener};
-use borg_obs::{InMemoryRecorder, NoopRecorder, Recorder};
+use borg_obs::{FlightRecorder, InMemoryRecorder, NoopRecorder, Recorder, WithFlight};
 use borg_parallel::threads::{run_threaded, ThreadedConfig};
 use borg_problems::dtlz::{Dtlz, DtlzVariant};
 use std::time::{Duration, Instant};
@@ -260,6 +260,37 @@ fn master_utilization_is_the_measured_share_of_holds() {
         utilization > 0.0 && utilization < 0.5,
         "utilization = {utilization}"
     );
+}
+
+#[test]
+fn engine_and_wire_flight_records_agree_on_eval_and_worker() {
+    // `Recorder::flight` puts the eval id in `a` and the worker in `b`: the
+    // engine's dispatch record and the wire's send record of one
+    // evaluation must carry the same pair.
+    const N: u64 = 200;
+    let ring = FlightRecorder::new(8_192);
+    let rec = WithFlight::new(&NoopRecorder, &ring);
+    let (report, _) = run_observed(&config("flight", 2, N), 2, || {}, &rec);
+    assert_complete(&report, N);
+    let events = ring.events();
+    let coords = |code: &str| -> Vec<(u64, u64)> {
+        events
+            .iter()
+            .filter(|e| e.code == code)
+            .map(|e| (e.a, e.b))
+            .collect()
+    };
+    let dispatched = coords("engine.commands.dispatch");
+    assert!(
+        dispatched.len() as u64 >= N,
+        "{} dispatches",
+        dispatched.len()
+    );
+    assert!(
+        dispatched.iter().all(|&(_, worker)| worker < 2),
+        "{dispatched:?}"
+    );
+    assert_eq!(dispatched, coords("net.work_sent"));
 }
 
 #[test]

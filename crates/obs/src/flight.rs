@@ -22,12 +22,12 @@ pub struct FlightEvent {
     pub seq: u64,
     /// Recording process's clock, seconds (virtual or wall).
     pub t: f64,
-    /// What happened: an `evt.*`/`cmd.*` engine code or a `net.*` frame
-    /// code from the metric catalogue.
+    /// What happened: an `engine.events.*`/`engine.commands.*` engine code
+    /// or a `net.*` frame code from the metric catalogue.
     pub code: &'static str,
-    /// First payload (typically the eval id; `u64::MAX` when unused).
+    /// The eval id (`u64::MAX` when the code names none).
     pub a: u64,
-    /// Second payload (typically the worker slot; `u64::MAX` when unused).
+    /// The worker slot (`u64::MAX` when the code names none).
     pub b: u64,
     /// Float detail (latency, deadline, offset — code-specific).
     pub x: f64,
@@ -199,7 +199,7 @@ mod tests {
     fn ring_overwrites_oldest_and_dumps_in_order() {
         let ring = FlightRecorder::new(3);
         for i in 0..5u64 {
-            ring.record("evt.result_arrived", i as f64, i, 0, 0.0);
+            ring.record("engine.events.result_arrived", i as f64, i, 0, 0.0);
         }
         let evs = ring.events();
         assert_eq!(evs.len(), 3);
@@ -221,7 +221,7 @@ mod tests {
         let b = FlightRecorder::new(8);
         for ring in [&a, &b] {
             for i in 0..20u64 {
-                ring.record("cmd.dispatch", i as f64 * 0.5, i, i % 3, 0.125);
+                ring.record("engine.commands.dispatch", i as f64 * 0.5, i, i % 3, 0.125);
             }
         }
         assert_eq!(a.dump_jsonl("sever"), b.dump_jsonl("sever"));
@@ -233,7 +233,7 @@ mod tests {
         let ring = FlightRecorder::new(4);
         let rec = WithFlight::new(&inner, &ring);
         rec.counter("engine.reissues", 1);
-        rec.flight("evt.worker_died", 1.5, u64::MAX, 2, 0.0);
+        rec.flight("engine.events.worker_died", 1.5, u64::MAX, 2, 0.0);
         assert_eq!(inner.snapshot().counters["engine.reissues"], 1);
         assert_eq!(ring.events().len(), 1);
         assert_eq!(ring.events()[0].b, 2);
@@ -241,7 +241,7 @@ mod tests {
 
         // Over the noop sink the ring still collects.
         let rec2 = WithFlight::new(&NoopRecorder, &ring);
-        rec2.flight("evt.worker_died", 2.0, u64::MAX, 1, 0.0);
+        rec2.flight("engine.events.worker_died", 2.0, u64::MAX, 1, 0.0);
         assert_eq!(ring.recorded(), 2);
         assert!(!rec2.enabled());
     }

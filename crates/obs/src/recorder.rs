@@ -9,9 +9,9 @@
 //!
 //! The facade is deliberately *read-only with respect to the experiment*:
 //! recorders receive values, never influence control flow, RNG draws or
-//! event ordering — the determinism gate (`cargo xtask check
-//! --determinism`) verifies a run with the in-memory sink attached is
-//! bit-identical to one with the no-op sink.
+//! event ordering — the determinism gate (`cargo xtask determinism`)
+//! verifies a run with the in-memory sink attached is bit-identical to one
+//! with the no-op sink.
 
 use crate::hist::Histogram;
 use crate::span::{Activity, Actor, Span, SpanTrace};
@@ -129,9 +129,10 @@ pub trait Recorder {
     }
 
     /// Records one black-box flight event: `code` names what happened
-    /// (an `evt.*`/`cmd.*` engine code or a `net.*` frame code), `t` is
-    /// the recording process's clock, and `a`/`b`/`x` are code-specific
-    /// payloads (typically eval id, worker slot, and a float detail).
+    /// (an `engine.events.*`/`engine.commands.*` engine code or a `net.*`
+    /// frame code), `t` is the recording process's clock, `a` is the eval
+    /// id and `b` the worker slot (`u64::MAX` where a code has none), and
+    /// `x` is a code-specific float detail.
     /// Default is a no-op; [`crate::flight::WithFlight`] routes it into a
     /// fixed-capacity ring for postmortem dumps.
     fn flight(&self, code: &'static str, t: f64, a: u64, b: u64, x: f64) {
@@ -559,7 +560,7 @@ mod tests {
         assert!(rec.trace_edges().is_empty());
         // The noop sink ignores edges and flight events silently.
         NoopRecorder.trace_edge(drained[0]);
-        NoopRecorder.flight("evt.result_arrived", 1.0, 7, 1, 0.0);
+        NoopRecorder.flight("engine.events.result_arrived", 1.0, 7, 1, 0.0);
     }
 
     #[test]

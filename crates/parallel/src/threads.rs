@@ -18,7 +18,6 @@ use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPla
 use borg_models::dist::Dist;
 use borg_models::distfit::SampleLog;
 use borg_obs::{Activity, Actor, NoopRecorder, Recorder};
-use borg_protocol::Command;
 use parking_lot::Mutex;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -51,11 +50,6 @@ pub struct ThreadedConfig {
     /// knob nothing on the master's side blocks unboundedly: the clock
     /// wakes on `park_timeout` ticks, and a worker that dies reports it.
     pub reissue_timeout: Option<f64>,
-    /// Return the [`MasterEngine`]'s [`Command`] trace in
-    /// [`ThreadedRunResult::commands`] — the wall-clock executor's
-    /// protocol transcript, for event-ordering assertions that do not
-    /// depend on machine load.
-    pub record_commands: bool,
 }
 
 impl ThreadedConfig {
@@ -68,7 +62,6 @@ impl ThreadedConfig {
             seed,
             faults: None,
             reissue_timeout: None,
-            record_commands: false,
         }
     }
 
@@ -110,9 +103,6 @@ pub struct ThreadedRunResult {
     pub tf: SampleLog,
     /// Fault-injection/recovery ledger (empty without fault injection).
     pub fault_log: FaultLog,
-    /// The protocol transcript; empty unless
-    /// [`ThreadedConfig::record_commands`] asked for it.
-    pub commands: Vec<Command>,
 }
 
 /// Objective value substituted for evaluations that panicked: finite (so
@@ -444,7 +434,6 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
             engine_seed: SplitMix64::new(config.seed).derive_seed("threaded-engine"),
             reissue_timeout: config.effective_reissue_timeout(),
             heartbeat_timeout: f64::INFINITY,
-            record_commands: config.record_commands,
         },
         Pipes {
             pipes: senders,
@@ -472,7 +461,6 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
         ta: run.link.ta,
         tf: run.link.tf,
         fault_log: run.fault_log,
-        commands: run.commands,
     })
 }
 
@@ -529,6 +517,7 @@ pub fn estimate_comm_time(rounds: u32) -> Result<f64, ThreadedError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use borg_obs::{FlightRecorder, WithFlight};
     use borg_problems::dtlz::Dtlz;
     use borg_problems::zdt::{Zdt, ZdtVariant};
 
@@ -542,7 +531,6 @@ mod tests {
             seed: 1,
             faults: None,
             reissue_timeout: None,
-            record_commands: false,
         };
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         assert_eq!(result.engine.nfe(), 2_000);
@@ -596,7 +584,6 @@ mod tests {
             seed: 2,
             faults: None,
             reissue_timeout: None,
-            record_commands: false,
         };
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         // Archive close to the true front f2 = 1 − √f1.
@@ -622,10 +609,18 @@ mod tests {
             seed: 3,
             faults: None,
             reissue_timeout: None,
-            record_commands: true,
         };
-        let result = run_threaded(&problem, BorgConfig::new(5, 0.06), &cfg).expect("run");
-        let commands = &result.commands;
+        let ring = FlightRecorder::new(4_096);
+        let rec = WithFlight::new(&NoopRecorder, &ring);
+        let result =
+            run_threaded_observed(&problem, BorgConfig::new(5, 0.06), &cfg, &rec).expect("run");
+        // The engine's commands, in order, from the flight ring: the code
+        // and (for a dispatch) the attempt in `x`.
+        let commands: Vec<(&str, f64)> = ring
+            .events()
+            .iter()
+            .filter_map(|e| Some((e.code.strip_prefix("engine.commands.")?, e.x)))
+            .collect();
         let ideal = nfe as f64 * t_f / workers as f64;
         assert!(
             result.elapsed >= ideal * 0.9,
@@ -640,30 +635,30 @@ mod tests {
         // left, and refill the slot immediately after every consume.
         let mut outstanding = 0usize;
         let mut consumed = 0u64;
-        for (i, c) in commands.iter().enumerate() {
+        for (i, &(code, attempt)) in commands.iter().enumerate() {
             if i < workers {
-                assert!(
-                    matches!(c, Command::Dispatch { .. }),
-                    "master consumed before the pool was seeded: {c:?} at {i}"
+                assert_eq!(
+                    code, "dispatch",
+                    "master consumed before the pool was seeded at {i}"
                 );
             }
-            match c {
-                Command::Dispatch { attempt: 0, .. } => {
+            match code {
+                "dispatch" if attempt == 0.0 => {
                     outstanding += 1;
                     assert!(outstanding <= workers, "overdispatched at command {i}");
                 }
-                Command::Consume { .. } => {
+                "consume" => {
                     outstanding -= 1;
                     consumed += 1;
                     if consumed + (workers as u64) <= nfe {
                         assert!(
-                            matches!(commands.get(i + 1), Some(Command::Dispatch { .. })),
+                            matches!(commands.get(i + 1), Some(("dispatch", _))),
                             "consume at command {i} was not followed by a refill"
                         );
                     }
                 }
-                Command::Finish => assert_eq!(i, commands.len() - 1),
-                other => panic!("fault-free run emitted {other:?}"),
+                "finish" => assert_eq!(i, commands.len() - 1),
+                other => panic!("fault-free run emitted {other} (x = {attempt})"),
             }
         }
         assert_eq!(consumed, nfe);
@@ -707,7 +702,6 @@ mod tests {
             seed: 11,
             faults: None,
             reissue_timeout: None,
-            record_commands: false,
         };
         let result = run_threaded(&Flaky, BorgConfig::new(2, 0.01), &cfg).expect("run");
         std::panic::set_hook(prev_hook);
@@ -852,7 +846,6 @@ mod tests {
             seed: 4,
             faults: None,
             reissue_timeout: None,
-            record_commands: false,
         };
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         // Fault-free: every result is handled once and consumed.

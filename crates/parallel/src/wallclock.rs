@@ -21,7 +21,7 @@ use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_desim::fault::{FaultKind, FaultLog};
 use borg_obs::Recorder;
-use borg_protocol::{Clock, Command, EngineConfig, Event, MasterEngine, RecoveryPolicy, Transport};
+use borg_protocol::{Clock, EngineConfig, Event, MasterEngine, RecoveryPolicy, Transport};
 use parking_lot::{Mutex, MutexGuard};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -112,8 +112,6 @@ pub struct MasterConfig {
     pub reissue_timeout: Option<f64>,
     /// Seconds of silence before a worker is declared hung (`INFINITY`: never).
     pub heartbeat_timeout: f64,
-    /// Keep the engine's [`Command`] transcript.
-    pub record_commands: bool,
 }
 
 /// What a completed run hands back.
@@ -124,8 +122,6 @@ pub struct Outcome<L> {
     pub elapsed: f64,
     /// The recovery ledger, closed at `elapsed`.
     pub fault_log: FaultLog,
-    /// The protocol transcript (empty unless asked for).
-    pub commands: Vec<Command>,
     /// The link, with whatever it collected.
     pub link: L,
 }
@@ -296,7 +292,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
     ) -> Self {
         assert!(cfg.workers >= 1, "need at least one worker");
         assert!(cfg.max_nfe >= 1, "need at least one evaluation");
-        let mut proto = MasterEngine::new(EngineConfig::shared_pool_async(
+        let proto = MasterEngine::new(EngineConfig::shared_pool_async(
             cfg.workers,
             cfg.max_nfe,
             RecoveryPolicy {
@@ -305,9 +301,6 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
                 max_reissues: MAX_REISSUES,
             },
         ));
-        if cfg.record_commands {
-            proto.record_commands();
-        }
         let mut master = Master {
             proto,
             exec: Exec {
@@ -506,14 +499,12 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
         rec.gauge("master.utilization", busy / elapsed.max(f64::MIN_POSITIVE));
         let engine = self.exec.core.into_engine();
         rec.counter("archive.box_probes", engine.archive().box_probes());
-        let commands = self.proto.take_commands();
         let mut fault_log = self.proto.into_log();
         fault_log.finalize(elapsed);
         Ok(Outcome {
             engine,
             elapsed,
             fault_log,
-            commands,
             link: self.exec.link,
         })
     }
@@ -634,7 +625,6 @@ mod tests {
             engine_seed: 7,
             reissue_timeout: None,
             heartbeat_timeout: f64::INFINITY,
-            record_commands: false,
         };
         Master::new(
             &Dtlz::new(DtlzVariant::Dtlz2, 2),

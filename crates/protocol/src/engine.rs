@@ -33,48 +33,49 @@ fn event_metric(e: &Event) -> &'static str {
     }
 }
 
-/// Flight-recorder coordinates of a [`Command`]: `(worker, eval_id, x)`
-/// with `u64::MAX` for "not applicable" and the dispatch attempt in `x`.
+/// Flight-recorder coordinates of a [`Command`]: `(eval_id, worker, x)`,
+/// the order [`Recorder::flight`] documents, with `u64::MAX` for "not
+/// applicable" and the dispatch attempt in `x`.
 fn command_coords(c: &Command) -> (u64, u64, f64) {
     match c {
         Command::Dispatch {
             worker,
             eval_id,
             attempt,
-        } => (*worker as u64, *eval_id, f64::from(*attempt)),
+        } => (*eval_id, *worker as u64, f64::from(*attempt)),
         Command::Consume { worker, eval_id } | Command::SuppressDuplicate { worker, eval_id } => {
-            (*worker as u64, *eval_id, 0.0)
+            (*eval_id, *worker as u64, 0.0)
         }
         Command::Ping { worker } | Command::RetireWorker { worker } => {
-            (*worker as u64, u64::MAX, 0.0)
+            (u64::MAX, *worker as u64, 0.0)
         }
-        Command::Abandon { eval_id } => (u64::MAX, *eval_id, 0.0),
+        Command::Abandon { eval_id } => (*eval_id, u64::MAX, 0.0),
         Command::RearmHeartbeat | Command::Finish => (u64::MAX, u64::MAX, 0.0),
     }
 }
 
-/// Flight-recorder coordinates of an [`Event`]: `(at, worker, eval_id)`.
+/// Flight-recorder coordinates of an [`Event`]: `(at, eval_id, worker)`.
 fn event_coords(e: &Event) -> (f64, u64, u64) {
     match e {
         Event::ResultArrived {
             worker,
             eval_id,
             at,
-        } => (*at, *worker as u64, *eval_id),
+        } => (*at, *eval_id, *worker as u64),
         Event::DeadlineFired {
             eval_id,
             worker,
             at,
             ..
-        } => (*at, *worker as u64, *eval_id),
+        } => (*at, *eval_id, *worker as u64),
         Event::HeartbeatTick { at } => (*at, u64::MAX, u64::MAX),
         Event::WorkerDied {
             worker,
             at,
             lost_eval,
             ..
-        } => (*at, *worker as u64, lost_eval.unwrap_or(u64::MAX)),
-        Event::WorkerRespawned { worker, at } => (*at, *worker as u64, u64::MAX),
+        } => (*at, lost_eval.unwrap_or(u64::MAX), *worker as u64),
+        Event::WorkerRespawned { worker, at } => (*at, u64::MAX, *worker as u64),
     }
 }
 
@@ -360,8 +361,8 @@ impl MasterEngine {
 
     fn emit<R: Recorder + ?Sized>(&mut self, rec: &R, c: Command) {
         rec.counter(command_metric(&c), 1);
-        let (worker, eval_id, x) = command_coords(&c);
-        rec.flight(command_metric(&c), self.flight_now, worker, eval_id, x);
+        let (eval_id, worker, x) = command_coords(&c);
+        rec.flight(command_metric(&c), self.flight_now, eval_id, worker, x);
         if let Some(cs) = self.commands.as_mut() {
             cs.push(c);
         }
@@ -537,8 +538,8 @@ impl MasterEngine {
             return;
         }
         rec.counter(event_metric(&event), 1);
-        let (at, fw, fe) = event_coords(&event);
-        rec.flight(event_metric(&event), at, fw, fe, 0.0);
+        let (at, eval_id, worker) = event_coords(&event);
+        rec.flight(event_metric(&event), at, eval_id, worker, 0.0);
         self.flight_now = at;
         match event {
             Event::ResultArrived {
@@ -566,6 +567,10 @@ impl MasterEngine {
     }
 
     /// Produce (or re-send) `eval_id` to `worker`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every caller passes a slot `handle` checked against `workers`, one from `0..workers`, or one an earlier dispatch stored; per-worker vectors hold `workers` entries"
+    )]
     fn dispatch<T: Transport, R: Recorder + ?Sized>(
         &mut self,
         t: &mut T,
@@ -605,6 +610,10 @@ impl MasterEngine {
 
     /// Give a freed worker its next assignment: queued reissues first,
     /// then fresh work, otherwise park it idle.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`worker` is a slot `handle` checked against `workers` or one an earlier dispatch stored; per-worker vectors hold `workers` entries"
+    )]
     fn assign_next<T: Transport, R: Recorder + ?Sized>(
         &mut self,
         t: &mut T,
@@ -639,6 +648,10 @@ impl MasterEngine {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`handle` rejected any `worker` >= `workers`, and `o.worker` was stored by `dispatch`; per-worker vectors hold `workers` entries"
+    )]
     fn handle_arrival<T: Transport, R: Recorder + ?Sized>(
         &mut self,
         t: &mut T,
@@ -719,6 +732,10 @@ impl MasterEngine {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`handle` rejected any `worker` >= `workers`, and `o.worker` was stored by `dispatch`; per-worker vectors hold `workers` entries"
+    )]
     fn handle_deadline<T: Transport, R: Recorder + ?Sized>(
         &mut self,
         t: &mut T,
@@ -796,6 +813,10 @@ impl MasterEngine {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`w` runs over `0..workers`; per-worker vectors hold `workers` entries"
+    )]
     fn handle_heartbeat<T: Transport, R: Recorder + ?Sized>(
         &mut self,
         t: &mut T,
@@ -840,6 +861,10 @@ impl MasterEngine {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`handle` rejected any `worker` >= `workers`; per-worker vectors hold `workers` entries"
+    )]
     fn handle_death<T: Transport, R: Recorder + ?Sized>(
         &mut self,
         t: &mut T,
@@ -877,6 +902,10 @@ impl MasterEngine {
         }
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`handle` rejected any `worker` >= `workers`; per-worker vectors hold `workers` entries"
+    )]
     fn handle_respawn<T: Transport, R: Recorder + ?Sized>(
         &mut self,
         t: &mut T,

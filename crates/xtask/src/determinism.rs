@@ -1,4 +1,4 @@
-//! The `xtask check --determinism` gate.
+//! The `cargo xtask determinism` gate.
 //!
 //! Runs a small DTLZ2 instance through the virtual-time asynchronous
 //! master-slave executor twice with the same seed and demands bit-identical
@@ -614,7 +614,8 @@ fn parallel_runner_arm() -> Result<(usize, usize), String> {
 }
 
 /// Bit-exact slice comparison (plain f64 `==` on objectives is exactly what
-/// BORG-L005 exists to prevent; bit comparison is the honest test here).
+/// BORG-L005's `clippy::float_cmp` rejects; bit comparison is the honest
+/// test here).
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len()
         && a.iter()
@@ -628,7 +629,7 @@ mod tests {
 
     #[test]
     fn determinism_gate_passes() {
-        let root = crate::files::workspace_root().expect("workspace root");
+        let root = crate::workspace_root().expect("workspace root");
         let report = run(&root).expect("same-seed runs must be identical");
         assert_eq!(report.nfe, 2_000);
         assert!(report.archive_size > 5);

@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn checked_in_golden_matches_current_engine() {
-        let root = crate::files::workspace_root().expect("workspace root");
+        let root = crate::workspace_root().expect("workspace root");
         let report = check(&root).expect("golden CSV must match the current engine");
         assert_eq!(report.rows, 2 * REPLICATES as usize);
     }

@@ -1,13 +1,12 @@
 //! The `cargo xtask mc` front end for the `borg-mc` schedule-space
 //! model checker.
 //!
-//! Mirrors the `check` subcommand's shape: a mutation self-test runs
-//! first as a preflight (a checker that cannot catch a sabotaged engine
-//! must not report a clean one), then the scenario catalogue — the
-//! smoke subset with `--smoke`, the full set otherwise. `--json` emits
-//! a stable machine-readable report in the same style as
-//! `check --json`; exit codes are `0` clean, `1` violations or
-//! truncation, `2` usage / self-test errors.
+//! A mutation self-test runs first as a preflight (a checker that cannot
+//! catch a sabotaged engine must not report a clean one), then the
+//! scenario catalogue — the smoke subset with `--smoke`, the full set
+//! otherwise. `--json` emits a stable machine-readable report; exit codes
+//! are `0` clean, `1` violations or truncation, `2` usage / self-test
+//! errors.
 
 use std::process::ExitCode;
 use std::time::Instant;
