@@ -123,11 +123,6 @@ impl ArchiveInsert {
     pub fn accepted(self) -> bool {
         !matches!(self, ArchiveInsert::Rejected)
     }
-
-    /// Whether the insertion counts as ε-progress.
-    pub fn is_progress(self) -> bool {
-        matches!(self, ArchiveInsert::AddedNewBox)
-    }
 }
 
 /// What `decide` concluded about a candidate; `commit` applies it.

@@ -43,34 +43,14 @@ impl Solution {
         &self.variables
     }
 
-    /// Mutable decision-variable vector.
-    pub fn variables_mut(&mut self) -> &mut [f64] {
-        &mut self.variables
-    }
-
     /// Objective vector (minimization).
     pub fn objectives(&self) -> &[f64] {
         &self.objectives
     }
 
-    /// Mutable objective vector.
-    pub fn objectives_mut(&mut self) -> &mut [f64] {
-        &mut self.objectives
-    }
-
     /// Constraint vector (`<= 0` is feasible).
     pub fn constraints(&self) -> &[f64] {
         &self.constraints
-    }
-
-    /// Mutable constraint vector.
-    pub fn constraints_mut(&mut self) -> &mut [f64] {
-        &mut self.constraints
-    }
-
-    /// Simultaneous mutable access to objectives and constraints.
-    pub fn objectives_constraints_mut(&mut self) -> (&mut [f64], &mut [f64]) {
-        (&mut self.objectives, &mut self.constraints)
     }
 
     /// Sum of positive constraint values: 0.0 iff feasible.

@@ -70,14 +70,12 @@ pub fn run_fit_demo(config: &FitDemoConfig) -> Result<FitDemo, ThreadedError> {
     let result = run_threaded(
         problem.as_ref(),
         borg,
-        &ThreadedConfig {
-            workers: config.workers,
-            max_nfe: config.evaluations,
-            delay: Some(Dist::normal_cv(config.t_f, 0.1)),
-            seed: config.seed,
-            faults: None,
-            reissue_timeout: None,
-        },
+        &ThreadedConfig::new(
+            config.workers,
+            config.evaluations,
+            Some(Dist::normal_cv(config.t_f, 0.1)),
+            config.seed,
+        ),
     )?;
     let t_c = estimate_comm_time(500)?;
     Ok(FitDemo {

@@ -73,11 +73,6 @@ impl McHypervolume {
         Self::new(&vec![0.0; m], &vec![1.0; m], n, seed)
     }
 
-    /// Number of samples.
-    pub fn num_samples(&self) -> usize {
-        self.n
-    }
-
     /// Estimates the hypervolume of `points` w.r.t. the configured
     /// reference point: `box_volume × (fraction of samples dominated)`.
     pub fn estimate(&self, points: &[Vec<f64>]) -> f64 {

@@ -24,7 +24,7 @@
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
 use borg_desim::queue::EventQueue;
 use borg_obs::{Activity, Actor, Recorder};
-use borg_protocol::{Clock, Command, Event, MasterEngine, PoolDiscipline, ProtocolMode, Transport};
+use borg_protocol::{Clock, Event, MasterEngine, PoolDiscipline, ProtocolMode, Transport};
 
 pub use borg_protocol::{EngineConfig, RecoveryPolicy};
 
@@ -276,19 +276,15 @@ pub fn run_sync<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     }
 }
 
-/// Everything one asynchronous run produced: the timing aggregates, the
-/// recovery ledger (empty under a quiet plan) and, when asked for, the
-/// protocol transcript.
+/// Everything one asynchronous run produced: the timing aggregates and the
+/// recovery ledger (empty under a quiet plan). The engine's decisions
+/// reach `rec` as flight records (`engine.commands.*`), one per command.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AsyncRun {
     /// Timing/throughput aggregates (with `wasted_nfe` populated).
     pub outcome: RunOutcome,
     /// Injected vs detected vs recovered faults.
     pub fault_log: FaultLog,
-    /// Every protocol [`Command`] in decision order — the
-    /// executor-independent transcript the differential equivalence tests
-    /// compare across adapters. Empty unless recording was requested.
-    pub commands: Vec<Command>,
 }
 
 /// What the asynchronous adapter keeps in the event heap. Worker indices
@@ -535,7 +531,7 @@ pub fn run_async<H: MasterSlaveHooks, R: Recorder + ?Sized>(
 ) -> RunOutcome {
     let quiet = FaultPlan::new(FaultConfig::default(), workers, n, 0);
     let config = EngineConfig::fault_free_async(workers, n);
-    let outcome = run_async_with(hooks, config, &quiet, false, rec).outcome;
+    let outcome = run_async_with(hooks, config, &quiet, rec).outcome;
     assert_eq!(
         outcome.completed, n,
         "event queue drained before N results were consumed"
@@ -553,13 +549,12 @@ pub fn run_async<H: MasterSlaveHooks, R: Recorder + ?Sized>(
 /// re-admits respawned workers — all decided by the shared
 /// [`MasterEngine`]. An infinite `config.policy.timeout` watches no
 /// deadline and schedules no deadline event, so under a quiet plan the
-/// heap holds exactly the result arrivals. `record_commands` additionally
-/// returns the engine's command transcript in [`AsyncRun::commands`].
+/// heap holds exactly the result arrivals. Every event the engine handles
+/// and every command it emits reaches `rec` as a flight record.
 pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     hooks: &mut H,
     config: EngineConfig,
     plan: &FaultPlan,
-    record_commands: bool,
     rec: &R,
 ) -> AsyncRun {
     assert!(
@@ -597,9 +592,6 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
         pending_algo: None,
     };
     let mut engine = MasterEngine::new(config);
-    if record_commands {
-        engine.record_commands();
-    }
     engine.seed(&mut transport, rec);
 
     while let Some((at, ev)) = transport.queue.pop() {
@@ -653,7 +645,6 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
     let master_busy = transport.master_busy;
     let wait_sum = transport.wait_sum;
     let wait_max = transport.wait_max;
-    let commands = engine.take_commands();
     let mut log = engine.into_log();
     log.finalize(end);
     let elapsed = if end > 0.0 { end } else { f64::MIN_POSITIVE };
@@ -670,7 +661,6 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
             wasted_nfe: log.wasted_nfe,
         },
         fault_log: log,
-        commands,
     }
 }
 
@@ -678,7 +668,7 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
 mod tests {
     use super::*;
     use crate::analytical::{async_parallel_time, TimingParams};
-    use borg_obs::{InMemoryRecorder, NoopRecorder};
+    use borg_obs::{FlightRecorder, InMemoryRecorder, NoopRecorder, WithFlight};
 
     /// Constant-time hooks matching the analytical model's assumptions.
     struct ConstHooks {
@@ -1017,7 +1007,7 @@ mod tests {
     /// The fault-tolerant protocol on `plan` with constant timings.
     fn run_faulty(t: TimingParams, workers: usize, n: u64, plan: &FaultPlan) -> AsyncRun {
         let config = EngineConfig::fault_tolerant_async(workers, n, ft_policy(t));
-        run_async_with(&mut ConstHooks { t }, config, plan, false, &NoopRecorder)
+        run_async_with(&mut ConstHooks { t }, config, plan, &NoopRecorder)
     }
 
     #[test]
@@ -1028,7 +1018,7 @@ mod tests {
         let n = 5_000;
         let quiet = FaultPlan::new(FaultConfig::default(), 16, n, 77);
         let run = |config| {
-            let run = run_async_with(&mut ConstHooks { t }, config, &quiet, false, &NoopRecorder);
+            let run = run_async_with(&mut ConstHooks { t }, config, &quiet, &NoopRecorder);
             assert_eq!(run.fault_log, FaultLog::default());
             assert_eq!(run.outcome.completed, n);
             run.outcome
@@ -1191,34 +1181,31 @@ mod tests {
         };
         let plan = FaultPlan::new(cfg, 8, n, 4242);
         let config = EngineConfig::fault_tolerant_async(8, n, ft_policy(t));
-        let out = run_async_with(&mut ConstHooks { t }, config, &plan, true, &NoopRecorder);
-        let commands = &out.commands;
-        assert!(!commands.is_empty());
-        // The command trace and the ledger agree on every counter.
-        let reissues = commands
-            .iter()
-            .filter(|c| matches!(c, Command::Dispatch { attempt, .. } if *attempt > 0))
-            .count() as u64;
-        let consumes = commands
-            .iter()
-            .filter(|c| matches!(c, Command::Consume { .. }))
-            .count() as u64;
-        let dups = commands
-            .iter()
-            .filter(|c| matches!(c, Command::SuppressDuplicate { .. }))
-            .count() as u64;
-        let retired = commands
-            .iter()
-            .filter(|c| matches!(c, Command::RetireWorker { .. }))
-            .count() as u64;
-        assert_eq!(reissues, out.fault_log.reissues);
-        assert_eq!(consumes, out.outcome.completed);
-        assert_eq!(dups, out.fault_log.duplicates_suppressed);
-        assert_eq!(retired, out.fault_log.deaths_detected);
-        // And an untraced run is bit-identical.
-        let untraced = run_faulty(t, 8, n, &plan);
-        assert!(untraced.commands.is_empty());
-        assert_eq!(untraced.outcome, out.outcome);
-        assert_eq!(untraced.fault_log, out.fault_log);
+        let ring = FlightRecorder::new(1 << 14);
+        let rec = WithFlight::new(&NoopRecorder, &ring);
+        let out = run_async_with(&mut ConstHooks { t }, config, &plan, &rec);
+        let events = ring.events();
+        assert_eq!(ring.recorded(), events.len() as u64, "the ring wrapped");
+        let count = |code: &str, x_above: f64| {
+            let hits = events.iter().filter(|e| e.code == code && e.x > x_above);
+            hits.count() as u64
+        };
+        // The commands, read off the flight records, and the ledger agree
+        // on every counter; a dispatch's `x` is its attempt.
+        let log = &out.fault_log;
+        assert_eq!(count("engine.commands.dispatch", 0.0), log.reissues);
+        assert_eq!(
+            count("engine.commands.consume", -1.0),
+            out.outcome.completed
+        );
+        let dups = count("engine.commands.suppress_duplicate", -1.0);
+        assert_eq!(dups, log.duplicates_suppressed);
+        assert_eq!(
+            count("engine.commands.retire_worker", -1.0),
+            log.deaths_detected
+        );
+        // And a run the ring does not observe is bit-identical.
+        let unobserved = run_faulty(t, 8, n, &plan);
+        assert_eq!(unobserved, out);
     }
 }

@@ -759,7 +759,7 @@ where
             rec,
         };
         let mut hooks = BorgHooks::new(problem, source, config, borg, workers, |_, _| {});
-        let outcome = run_async_with(&mut hooks, run.engine_config(), &plan, false, rec);
+        let outcome = run_async_with(&mut hooks, run.engine_config(), &plan, rec);
         let (run, mut wire) = hooks.finish(outcome);
 
         // Teardown: tell workers the run is over, then sever everything

@@ -9,8 +9,6 @@ pub const FRAMES_SENT: &str = "net.frames_sent";
 pub const FRAMES_RECEIVED: &str = "net.frames_received";
 /// Bytes written (frame-complete).
 pub const BYTES_SENT: &str = "net.bytes_sent";
-/// Bytes received in decoded frames.
-pub const BYTES_RECEIVED: &str = "net.bytes_received";
 /// Work items dispatched over the wire.
 pub const DISPATCHES: &str = "net.dispatches";
 /// Result frames consumed by the master.

@@ -18,8 +18,7 @@
 //! * [`Histogram`] — log-bucketed (4 sub-buckets per octave, exact
 //!   exponent arithmetic, no float log) with lossless merge.
 //! * [`span`] — the `Actor`/`Activity`/`Span` vocabulary every executor
-//!   and the protocol engine share, plus [`SpanTracker`] for well-nested
-//!   open/close instrumentation.
+//!   and the protocol engine share.
 //! * [`export`] — renderers: Chrome `chrome://tracing` JSON (open in
 //!   Perfetto) and a JSONL metrics dump.
 //! * [`flight`] — the black-box flight recorder: a fixed-capacity,
@@ -65,4 +64,4 @@ pub use recorder::{
     InMemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder, TraceEdge, TraceEdgeKind,
 };
 pub use shard::{merge_shards, EvalChain, MergedTrace, TraceShard};
-pub use span::{Activity, Actor, Span, SpanTrace, SpanTracker};
+pub use span::{Activity, Actor, Span, SpanTrace};

@@ -294,11 +294,6 @@ impl InMemoryRecorder {
         SpanTrace::from_spans(self.store().spans.clone())
     }
 
-    /// Moves the stored spans out (the recorder keeps collecting after).
-    pub fn take_spans(&self) -> Vec<Span> {
-        std::mem::take(&mut self.store().spans)
-    }
-
     /// Spans discarded because of the span limit.
     pub fn dropped_spans(&self) -> u64 {
         self.store().dropped_spans
@@ -386,6 +381,8 @@ mod tests {
         rec.gauge("master.utilization", 0.9);
         rec.observe("engine.deadline_slack_seconds", 0.25);
         rec.span(Actor::Worker(1), Activity::Evaluation, 1.0, 1.5);
+        // A zero-length span carries no time: neither stored nor counted.
+        rec.span(Actor::Master, Activity::Algorithm, 2.0, 2.0);
         let snap = rec.snapshot();
         assert_eq!(snap.counters["engine.reissues"], 5);
         assert_eq!(snap.gauges["master.utilization"], 0.9);
@@ -393,6 +390,7 @@ mod tests {
         // The span fed both the span list and the t_f histogram.
         assert_eq!(snap.histograms["t_f_seconds"].count(), 1);
         assert_eq!(rec.span_trace().spans().len(), 1);
+        assert!(!snap.histograms.contains_key("t_a_seconds"));
     }
 
     #[test]

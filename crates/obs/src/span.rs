@@ -198,62 +198,6 @@ impl SpanTrace {
     }
 }
 
-/// Per-actor open/close span stacks for instrumenting code that does not
-/// know span end times up front. `open` pushes a frame; `close` pops the
-/// innermost frame and emits it to a [`crate::Recorder`]. Frames close
-/// LIFO per actor, so emitted spans are always well-nested: two spans of
-/// one actor are either disjoint or one contains the other.
-#[derive(Debug, Default)]
-pub struct SpanTracker {
-    stacks: std::collections::BTreeMap<Actor, Vec<(Activity, f64)>>,
-}
-
-impl SpanTracker {
-    /// A tracker with no open frames.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Opens a frame for `actor` at time `at`.
-    pub fn open(&mut self, actor: Actor, activity: Activity, at: f64) {
-        self.stacks.entry(actor).or_default().push((activity, at));
-    }
-
-    /// Closes `actor`'s innermost frame at time `at`, emitting the span to
-    /// `rec`; returns the span, or `None` when no frame is open. A close
-    /// time earlier than the open time is clamped to the open time.
-    pub fn close<R: crate::Recorder + ?Sized>(
-        &mut self,
-        actor: Actor,
-        at: f64,
-        rec: &R,
-    ) -> Option<Span> {
-        let (activity, start) = self.stacks.get_mut(&actor)?.pop()?;
-        let end = at.max(start);
-        rec.span(actor, activity, start, end);
-        Some(Span {
-            actor,
-            activity,
-            start,
-            end,
-        })
-    }
-
-    /// Closes every open frame of every actor at time `at`, innermost
-    /// first, emitting each to `rec`.
-    pub fn close_all<R: crate::Recorder + ?Sized>(&mut self, at: f64, rec: &R) {
-        let actors: Vec<Actor> = self.stacks.keys().copied().collect();
-        for actor in actors {
-            while self.close(actor, at, rec).is_some() {}
-        }
-    }
-
-    /// Open-frame depth for `actor`.
-    pub fn depth(&self, actor: Actor) -> usize {
-        self.stacks.get(&actor).map_or(0, Vec::len)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -318,21 +262,5 @@ mod tests {
         assert!(lines[0].starts_with("master"));
         assert!(lines[1].starts_with("worker0"));
         assert!(lines[2].starts_with("worker1"));
-    }
-
-    #[test]
-    fn tracker_closes_lifo_and_clamps() {
-        let rec = crate::InMemoryRecorder::new();
-        let mut tk = SpanTracker::new();
-        tk.open(Actor::Master, Activity::Algorithm, 0.0);
-        tk.open(Actor::Master, Activity::Communication, 1.0);
-        let inner = tk.close(Actor::Master, 2.0, &rec).unwrap();
-        assert_eq!(inner.activity, Activity::Communication);
-        // Closing before the open time clamps instead of going negative.
-        let outer = tk.close(Actor::Master, -1.0, &rec).unwrap();
-        assert_eq!(outer.activity, Activity::Algorithm);
-        assert_eq!(outer.end, outer.start);
-        assert!(tk.close(Actor::Master, 3.0, &rec).is_none());
-        assert_eq!(rec.span_trace().spans().len(), 1); // zero-length dropped
     }
 }

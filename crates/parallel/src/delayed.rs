@@ -1,17 +1,12 @@
-//! Controlled-delay problem wrapper.
+//! The one wall-clock evaluation delay.
 //!
 //! The paper's experimental control: the analytical problems evaluate in
 //! under a microsecond, so delays of 0.001–0.1 s (CV 0.1) were injected to
-//! emulate expensive engineering evaluations. [`DelayedProblem`] applies a
-//! real wall-clock delay per evaluation through [`precise_delay`], the one
-//! wall-clock delay of every executor; the virtual-time executors charge
-//! the same distributions on the simulated clock instead.
+//! emulate expensive engineering evaluations. [`precise_delay`] applies
+//! such a delay in real time for every wall-clock executor; the
+//! virtual-time executors charge the same distributions on the simulated
+//! clock instead.
 
-use borg_core::problem::{Bounds, Problem};
-use borg_core::rng::SplitMix64;
-use borg_models::dist::Dist;
-use parking_lot::Mutex;
-use rand::rngs::StdRng;
 use std::time::{Duration, Instant};
 
 /// How much of a delay [`precise_delay`] spends yielding instead of
@@ -20,8 +15,8 @@ const YIELD_TAIL: Duration = Duration::from_micros(200);
 
 /// Delays the calling thread for `seconds`, never less and rarely more
 /// than a few microseconds over. Every wall-clock evaluation delay goes
-/// through here: `DelayedProblem`, the real-thread executor's workers and
-/// the socket worker of `borg-net`.
+/// through here: the real-thread executor's workers and the socket worker
+/// of `borg-net`.
 ///
 /// It fixes the deadline once, sleeps until 200 µs before it, then calls
 /// `thread::yield_now` until the deadline passes. A plain `thread::sleep`
@@ -52,91 +47,9 @@ pub fn precise_delay(seconds: f64) {
     }
 }
 
-/// A problem wrapper injecting a sampled wall-clock delay per evaluation.
-pub struct DelayedProblem<P> {
-    inner: P,
-    delay: Dist,
-    rng: Mutex<StdRng>,
-    name: String,
-}
-
-impl<P: Problem> DelayedProblem<P> {
-    /// Wraps `inner`, delaying each evaluation by a draw from `delay`.
-    pub fn new(inner: P, delay: Dist, seed: u64) -> Self {
-        let name = format!("{}+delay", inner.name());
-        Self {
-            inner,
-            delay,
-            rng: Mutex::new(SplitMix64::new(seed).derive("delayed-problem")),
-            name,
-        }
-    }
-
-    /// The paper's specification: mean `t_f` seconds with CV 0.1.
-    pub fn paper_delay(inner: P, t_f: f64, seed: u64) -> Self {
-        Self::new(inner, Dist::normal_cv(t_f, 0.1), seed)
-    }
-
-    /// The wrapped problem.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-}
-
-impl<P: Problem> Problem for DelayedProblem<P> {
-    fn name(&self) -> &str {
-        &self.name
-    }
-    fn num_variables(&self) -> usize {
-        self.inner.num_variables()
-    }
-    fn num_objectives(&self) -> usize {
-        self.inner.num_objectives()
-    }
-    fn num_constraints(&self) -> usize {
-        self.inner.num_constraints()
-    }
-    fn bounds(&self, i: usize) -> Bounds {
-        self.inner.bounds(i)
-    }
-    fn evaluate(&self, vars: &[f64], objs: &mut [f64], cons: &mut [f64]) {
-        let delay = {
-            let mut rng = self.rng.lock();
-            self.delay.sample(&mut *rng)
-        };
-        precise_delay(delay);
-        self.inner.evaluate(vars, objs, cons);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borg_problems::misc::Schaffer;
-
-    #[test]
-    fn delay_wrapper_preserves_semantics() {
-        let p = DelayedProblem::new(Schaffer, Dist::Constant(0.0), 1);
-        assert_eq!(p.num_variables(), 1);
-        assert_eq!(p.num_objectives(), 2);
-        assert_eq!(p.name(), "Schaffer+delay");
-        let mut objs = [0.0; 2];
-        p.evaluate(&[1.0], &mut objs, &mut []);
-        assert_eq!(objs, [1.0, 1.0]);
-    }
-
-    #[test]
-    fn evaluation_takes_at_least_the_delay() {
-        let p = DelayedProblem::new(Schaffer, Dist::Constant(0.003), 2);
-        let mut objs = [0.0; 2];
-        let start = Instant::now();
-        p.evaluate(&[0.5], &mut objs, &mut []);
-        let elapsed = start.elapsed().as_secs_f64();
-        // Lower bound only: the delay must be honoured. Overshoot is the
-        // OS scheduler's business — asserting an upper bound on wall-clock
-        // sleep makes the test flake on loaded runners.
-        assert!(elapsed >= 0.003, "elapsed {elapsed}");
-    }
 
     #[test]
     fn precise_delay_hits_sub_millisecond_targets() {
@@ -144,8 +57,10 @@ mod tests {
             let start = Instant::now();
             precise_delay(target);
             let elapsed = start.elapsed().as_secs_f64();
-            // Lower bound only (see above): precision here means "never
-            // early", which is what callers charging simulated time need.
+            // Lower bound only: precision here means "never early", which
+            // is what callers charging simulated time need. Overshoot is
+            // the OS scheduler's business — an upper bound on a wall-clock
+            // sleep makes the test flake on loaded runners.
             assert!(elapsed >= target);
         }
     }

@@ -13,7 +13,8 @@
 //! * [`threads`] — that master over in-memory pipes to **real threads**,
 //!   with measured `T_A`/`T_F`/`T_C` (the laptop-scale stand-in for the
 //!   paper's MPI deployment);
-//! * [`delayed`] — the paper's controlled-delay evaluation wrapper.
+//! * [`delayed`] — [`delayed::precise_delay`], the one wall-clock
+//!   evaluation delay (the paper's experimental control).
 //!
 //! ```
 //! use borg_core::algorithm::BorgConfig;
@@ -64,7 +65,7 @@ pub mod wallclock;
 
 /// Commonly used items.
 pub mod prelude {
-    pub use crate::delayed::{precise_delay, DelayedProblem};
+    pub use crate::delayed::precise_delay;
     pub use crate::threads::{
         estimate_comm_time, run_threaded, run_threaded_observed, ThreadedConfig, ThreadedError,
         ThreadedRunResult,

@@ -14,7 +14,7 @@
 use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
-use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
+use borg_desim::fault::{FaultKind, FaultLog};
 use borg_models::dist::Dist;
 use borg_models::distfit::SampleLog;
 use borg_obs::{Activity, Actor, NoopRecorder, Recorder};
@@ -34,54 +34,20 @@ pub struct ThreadedConfig {
     pub max_nfe: u64,
     /// Optional injected wall-clock delay per evaluation.
     pub delay: Option<Dist>,
-    /// Seed (engine + per-worker delay streams + fault plan).
+    /// Seed (engine + per-worker delay streams).
     pub seed: u64,
-    /// Optional fault injection: worker threads consult the derived
-    /// [`FaultPlan`] as they dequeue work and crash / hang / straggle /
-    /// drop / duplicate accordingly. `None` injects nothing.
-    ///
-    /// Thread workers never respawn: `respawn_after` is a virtual-time
-    /// concept and is ignored here (a crashed thread is gone for good;
-    /// the master finishes with the surviving pool).
-    pub faults: Option<FaultConfig>,
-    /// Master-side deadline (seconds) before an outstanding evaluation is
-    /// reissued. `None` derives `4 · E[delay]` (min 250 ms) when faults
-    /// are enabled, and disables reissue otherwise. Independently of this
-    /// knob nothing on the master's side blocks unboundedly: the clock
-    /// wakes on `park_timeout` ticks, and a worker that dies reports it.
-    pub reissue_timeout: Option<f64>,
 }
 
 impl ThreadedConfig {
-    /// A fault-free configuration (the pre-fault-framework behaviour).
+    /// `workers` threads, `max_nfe` evaluations, each delayed by a draw
+    /// from `delay` if given.
     pub fn new(workers: usize, max_nfe: u64, delay: Option<Dist>, seed: u64) -> Self {
         Self {
             workers,
             max_nfe,
             delay,
             seed,
-            faults: None,
-            reissue_timeout: None,
         }
-    }
-
-    /// The [`FaultPlan`] a faulty run with this configuration will use
-    /// (exposed for replay/inspection; `None` when faults are disabled).
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.faults.as_ref().map(|f| {
-            let plan_seed = SplitMix64::new(self.seed).derive_seed("fault-plan");
-            FaultPlan::new(f.clone(), self.workers, self.max_nfe, plan_seed)
-        })
-    }
-
-    /// The effective reissue deadline in seconds, if any.
-    fn effective_reissue_timeout(&self) -> Option<f64> {
-        self.reissue_timeout.or_else(|| {
-            self.faults.as_ref().map(|_| {
-                let base = self.delay.as_ref().map(|d| d.mean()).unwrap_or(0.0);
-                (4.0 * base).max(0.25)
-            })
-        })
     }
 }
 
@@ -94,14 +60,13 @@ pub struct ThreadedRunResult {
     pub engine: BorgEngine,
     /// Measured master holds (seconds), one per result the master
     /// handles: result in, consume, the produce and dispatch that follow,
-    /// out. Suppressed duplicates count too; a fault-free run logs `N`.
+    /// out. A healthy pool logs `N`.
     pub ta: SampleLog,
     /// Measured evaluation times (seconds, including injected delay), as
-    /// seen by the workers. One per *consumed* result, `N` — suppressed
-    /// duplicates and lost messages are excluded, so efficiency
-    /// accounting downstream stays uncorrupted.
+    /// seen by the workers. One per *consumed* result, `N`.
     pub tf: SampleLog,
-    /// Fault-injection/recovery ledger (empty without fault injection).
+    /// Recovery ledger: the deaths of worker threads that ended outside
+    /// `Problem::evaluate`, and their reissues (empty on a healthy run).
     pub fault_log: FaultLog,
 }
 
@@ -181,12 +146,6 @@ impl From<Failure> for ThreadedError {
 /// One dispatched evaluation, as it travels down a worker's pipe.
 struct WorkItem {
     id: u64,
-    /// Transmission attempt (0 = original, > 0 = reissue); the fault plan
-    /// re-rolls the message fate per attempt.
-    attempt: u32,
-    /// How many items went down this pipe before this one; the fault plan
-    /// draws the worker's fate per dispatch.
-    seq: u64,
     variables: Vec<f64>,
 }
 
@@ -209,15 +168,13 @@ impl<R: Recorder + ?Sized> Link for Pipes<'_, R> {
         &mut self,
         target: usize,
         eval_id: u64,
-        attempt: u32,
-        seq: u64,
+        _attempt: u32,
+        _seq: u64,
         variables: &[f64],
         _now: f64,
     ) -> bool {
         let item = WorkItem {
             id: eval_id,
-            attempt,
-            seq,
             variables: variables.to_vec(),
         };
         self.pipes[target]
@@ -253,7 +210,7 @@ impl<R: Recorder + ?Sized> Link for Pipes<'_, R> {
 type ThreadMaster<'a, R> = Mutex<Master<'a, Pipes<'a, R>, R>>;
 
 /// Reports a worker thread's death when it ends for any reason but the end
-/// of the run — a planned crash, a panic outside `Problem::evaluate` — the
+/// of the run — a panic outside `Problem::evaluate` — the
 /// in-process stand-in for a connection's EOF. Without it a pool that died
 /// quietly would leave the clock ticking forever.
 struct Obituary<'m, 'a, R: Recorder + ?Sized> {
@@ -270,29 +227,18 @@ impl<R: Recorder + ?Sized> Drop for Obituary<'_, '_, R> {
 
 /// One worker thread: evaluates what comes down its pipe and carries each
 /// result into the master itself, under the master lock, exactly as a
-/// connection thread of `borg_net::serve` does. Enacts its own fates from
-/// the [`FaultPlan`].
+/// connection thread of `borg_net::serve` does.
 fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
     w: usize,
     pipe: &mpsc::Receiver<WorkItem>,
     master: &ThreadMaster<'_, R>,
     problem: &P,
     config: &ThreadedConfig,
-    plan: Option<&FaultPlan>,
     rec: &R,
 ) {
     let _obituary = Obituary { master, worker: w };
     let start = master.lock().epoch();
     let mut rng = SplitMix64::new(config.seed ^ (w as u64) << 32).derive("threaded-worker");
-    // Faults the master does not get to act on reach only the ledger.
-    let note = |kind, eval_id| {
-        let mut m = lock_master(master);
-        m.ledger()
-            .inject(kind, w, eval_id, start.elapsed().as_secs_f64());
-        if kind == FaultKind::MessageDrop {
-            m.ledger().wasted_nfe += 1;
-        }
-    };
     let mut objs = vec![0.0; problem.num_objectives()];
     let mut cons = vec![0.0; problem.num_constraints()];
     #[expect(
@@ -301,37 +247,9 @@ fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
                   the worker dead and at the end of the run"
     )]
     while let Ok(item) = pipe.recv() {
-        let fate = plan.map_or(DispatchFate::Normal, |p| p.dispatch_fate(w, item.seq));
         let t0 = Instant::now();
-        let mut straggle_mult = 1.0;
-        match fate {
-            DispatchFate::CrashDuring { frac } => {
-                // Burn part of the evaluation, then die: the thread ends,
-                // the result is never delivered, the obituary reports it.
-                if let Some(d) = config.delay {
-                    precise_delay(d.sample(&mut rng) * frac);
-                }
-                return;
-            }
-            DispatchFate::HangDuring => {
-                // Never answers again. No liveness probe exists at thread
-                // level, so the worker reports its own silence and the
-                // master retires it on that report.
-                lock_master(master).on_death(w, FaultKind::Hang);
-                return;
-            }
-            DispatchFate::Straggle { factor } => {
-                straggle_mult = factor;
-                note(FaultKind::Straggler, item.id);
-            }
-            DispatchFate::Normal => {}
-        }
         if let Some(d) = config.delay {
-            precise_delay(d.sample(&mut rng) * straggle_mult);
-        } else if straggle_mult > 1.0 {
-            // No configured delay to scale: straggle on a small fixed
-            // base so the slowdown is observable.
-            precise_delay(0.000_5 * straggle_mult);
+            precise_delay(d.sample(&mut rng));
         }
         // User evaluation code may panic. A panicking evaluation is
         // reported as a worst-possible result (huge objectives) so the
@@ -352,26 +270,8 @@ fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
             eval_end - eval_seconds,
             eval_end,
         );
-        let message = plan.map_or(MessageFate::Deliver, |p| {
-            p.message_fate(item.id, item.attempt)
-        });
-        let copies = match message {
-            MessageFate::Deliver => 1,
-            // A real master never sees a lost message: the reissue
-            // deadline discovers it.
-            MessageFate::Drop => {
-                note(FaultKind::MessageDrop, item.id);
-                0
-            }
-            MessageFate::Duplicate => {
-                note(FaultKind::MessageDuplicate, item.id);
-                2
-            }
-        };
-        for _ in 0..copies {
-            if lock_master(master).on_result(w, item.id, &objs, &cons, eval_seconds) {
-                return;
-            }
+        if lock_master(master).on_result(w, item.id, &objs, &cons, eval_seconds) {
+            return;
         }
     }
 }
@@ -384,13 +284,12 @@ fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
 ///
 /// No wait on the master's side is unbounded: results are handled by the
 /// worker threads that computed them, and the calling thread only keeps
-/// the clock, waking every tick to reissue outstanding evaluations whose
-/// deadline passed (when a reissue timeout is in effect — see
-/// [`ThreadedConfig::reissue_timeout`]). With [`ThreadedConfig::faults`]
-/// set, worker threads consult the derived [`FaultPlan`] and crash, hang,
-/// straggle, drop or duplicate results accordingly; the run still
-/// completes on the surviving pool and the full ledger is returned in
-/// [`ThreadedRunResult::fault_log`].
+/// the clock, waking every tick until the run ends. A worker thread that
+/// dies outside `Problem::evaluate` reports its own death; its evaluations
+/// go to the survivors, and the ledger in [`ThreadedRunResult::fault_log`]
+/// records it. Fault injection lives in the virtual executor
+/// ([`crate::virtual_exec::run_virtual_async_with`]) and on the wire
+/// (`borg_net`'s chaos proxy).
 ///
 /// # Errors
 /// [`ThreadedError`] if the worker pool dies before the evaluation budget
@@ -418,7 +317,6 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     config: &ThreadedConfig,
     rec: &R,
 ) -> Result<ThreadedRunResult, ThreadedError> {
-    let plan = config.fault_plan();
     let (senders, receivers): (Vec<_>, Vec<_>) = (0..config.workers)
         .map(|_| {
             let (tx, rx) = mpsc::channel::<WorkItem>();
@@ -432,7 +330,7 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
             workers: config.workers,
             max_nfe: config.max_nfe,
             engine_seed: SplitMix64::new(config.seed).derive_seed("threaded-engine"),
-            reissue_timeout: config.effective_reissue_timeout(),
+            reissue_timeout: None,
             heartbeat_timeout: f64::INFINITY,
         },
         Pipes {
@@ -446,8 +344,8 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
     let master = Mutex::new(master);
     std::thread::scope(|scope| {
         for (w, pipe) in receivers.into_iter().enumerate() {
-            let (master, plan) = (&master, plan.as_ref());
-            scope.spawn(move || worker_loop(w, &pipe, master, problem, config, plan, rec));
+            let master = &master;
+            scope.spawn(move || worker_loop(w, &pipe, master, problem, config, rec));
         }
         keep_clock(&master);
         // Whatever the verdict: close every pipe so idle workers leave
@@ -524,14 +422,7 @@ mod tests {
     #[test]
     fn threaded_run_completes_exact_nfe() {
         let problem = Zdt::new(ZdtVariant::Zdt1);
-        let cfg = ThreadedConfig {
-            workers: 4,
-            max_nfe: 2_000,
-            delay: None,
-            seed: 1,
-            faults: None,
-            reissue_timeout: None,
-        };
+        let cfg = ThreadedConfig::new(4, 2_000, None, 1);
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         assert_eq!(result.engine.nfe(), 2_000);
         assert!(result.engine.archive().len() > 5);
@@ -577,14 +468,7 @@ mod tests {
     #[test]
     fn threaded_run_converges_like_serial() {
         let problem = Zdt::with_variables(ZdtVariant::Zdt1, 10);
-        let cfg = ThreadedConfig {
-            workers: 8,
-            max_nfe: 6_000,
-            delay: None,
-            seed: 2,
-            faults: None,
-            reissue_timeout: None,
-        };
+        let cfg = ThreadedConfig::new(8, 6_000, None, 2);
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         // Archive close to the true front f2 = 1 − √f1.
         let worst = result
@@ -602,14 +486,7 @@ mod tests {
         let t_f = 0.002;
         let nfe = 400u64;
         let workers = 8usize;
-        let cfg = ThreadedConfig {
-            workers,
-            max_nfe: nfe,
-            delay: Some(Dist::Constant(t_f)),
-            seed: 3,
-            faults: None,
-            reissue_timeout: None,
-        };
+        let cfg = ThreadedConfig::new(workers, nfe, Some(Dist::Constant(t_f)), 3);
         let ring = FlightRecorder::new(4_096);
         let rec = WithFlight::new(&NoopRecorder, &ring);
         let result =
@@ -695,14 +572,7 @@ mod tests {
         // Silence the expected panic backtraces from worker threads.
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let cfg = ThreadedConfig {
-            workers: 3,
-            max_nfe: 1_500,
-            delay: None,
-            seed: 11,
-            faults: None,
-            reissue_timeout: None,
-        };
+        let cfg = ThreadedConfig::new(3, 1_500, None, 11);
         let result = run_threaded(&Flaky, BorgConfig::new(2, 0.01), &cfg).expect("run");
         std::panic::set_hook(prev_hook);
         assert_eq!(result.engine.nfe(), 1_500);
@@ -717,75 +587,6 @@ mod tests {
             );
             assert!(s.variables()[0] <= 0.9);
         }
-    }
-
-    #[test]
-    fn kill_half_the_worker_threads_mid_run_still_completes() {
-        // Half the pool crashes early; the master must reissue their
-        // in-flight work and finish the exact budget on the survivors.
-        let problem = Zdt::new(ZdtVariant::Zdt1);
-        let mut cfg = ThreadedConfig::new(6, 1_200, Some(Dist::Constant(0.000_2)), 17);
-        cfg.faults = Some(FaultConfig {
-            forced_crashes: (0..3)
-                .map(|w| borg_desim::fault::ForcedCrash {
-                    worker: w,
-                    after_dispatches: 5 + w as u64,
-                })
-                .collect(),
-            ..FaultConfig::default()
-        });
-        cfg.reissue_timeout = Some(0.05);
-        let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
-        assert_eq!(result.engine.nfe(), 1_200);
-        assert_eq!(result.tf.count(), 1_200);
-        assert_eq!(result.fault_log.injected_of(FaultKind::Crash), 3);
-        assert!(result.fault_log.deaths_detected >= 3);
-        assert!(result.fault_log.reissues >= 3);
-        assert!(result.fault_log.all_recovered());
-        result.engine.archive().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn threaded_crashes_hangs_and_message_faults_complete_the_budget() {
-        // The acceptance scenario on real threads: crash rate 0.1 plus 1%
-        // message loss (and some duplication) — no deadlock, no panic,
-        // full budget on the surviving pool.
-        let problem = Zdt::new(ZdtVariant::Zdt1);
-        let mut cfg = ThreadedConfig::new(6, 1_000, Some(Dist::Constant(0.000_2)), 23);
-        cfg.faults = Some(FaultConfig {
-            crash_rate: 0.34, // ~2 of 6 workers doomed at this seed
-            drop_rate: 0.01,
-            duplicate_rate: 0.01,
-            ..FaultConfig::default()
-        });
-        cfg.reissue_timeout = Some(0.05);
-        let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
-        assert_eq!(result.engine.nfe(), 1_000);
-        assert!(result.fault_log.all_recovered());
-        // Suppression bookkeeping: consumed results == budget exactly, so
-        // nothing was double-counted.
-        assert_eq!(result.tf.count(), 1_000);
-        result.engine.archive().check_invariants().unwrap();
-    }
-
-    #[test]
-    fn hung_worker_does_not_deadlock_the_run_or_the_join() {
-        // One worker hangs on its very first item: it reports its own
-        // silence and its thread ends, the master retires it and reissues
-        // the work, and the scope join still returns.
-        let problem = Zdt::new(ZdtVariant::Zdt2);
-        let mut cfg = ThreadedConfig::new(3, 400, Some(Dist::Constant(0.000_2)), 31);
-        cfg.faults = Some(FaultConfig {
-            hang_rate: 0.4, // doom at least one worker at this seed
-            ..FaultConfig::default()
-        });
-        cfg.reissue_timeout = Some(0.05);
-        let plan = cfg.fault_plan().expect("plan");
-        assert!(plan.doomed_workers() >= 1, "seed should doom a worker");
-        let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
-        assert_eq!(result.engine.nfe(), 400);
-        assert!(result.fault_log.injected_of(FaultKind::Hang) >= 1);
-        assert!(result.fault_log.all_recovered());
     }
 
     #[test]
@@ -839,14 +640,7 @@ mod tests {
     #[test]
     fn ta_samples_are_recorded_per_interaction() {
         let problem = Zdt::new(ZdtVariant::Zdt2);
-        let cfg = ThreadedConfig {
-            workers: 2,
-            max_nfe: 500,
-            delay: None,
-            seed: 4,
-            faults: None,
-            reissue_timeout: None,
-        };
+        let cfg = ThreadedConfig::new(2, 500, None, 4);
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         // Fault-free: every result is handled once and consumed.
         assert_eq!(result.ta.count(), 500);

@@ -21,7 +21,7 @@ use borg_models::queueing::{
     run_async_with, run_sync, AsyncRun, MasterSlaveHooks, RecoveryPolicy, RunOutcome,
 };
 use borg_obs::Recorder;
-use borg_protocol::{Command, EngineConfig};
+use borg_protocol::EngineConfig;
 use rand::rngs::StdRng;
 use std::time::Instant;
 
@@ -102,9 +102,6 @@ pub struct VirtualRunResult {
     /// Fault-injection/recovery ledger. Empty (default) without fault
     /// injection.
     pub fault_log: FaultLog,
-    /// The protocol engine's command transcript in decision order; empty
-    /// unless [`FaultyRun::record_commands`] asked for it.
-    pub commands: Vec<Command>,
 }
 
 /// Where a produced candidate's objectives come from — the one thing that
@@ -227,7 +224,6 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
             ta: self.ta,
             tf: self.tf,
             fault_log: run.fault_log,
-            commands: run.commands,
         };
         (result, self.source)
     }
@@ -355,13 +351,12 @@ where
     let quiet = FaultPlan::new(FaultConfig::default(), workers, config.max_nfe, 0);
     let engine = EngineConfig::fault_free_async(workers, config.max_nfe);
     let mut hooks = BorgHooks::new(problem, problem, config, borg, workers, observer);
-    let run = run_async_with(&mut hooks, engine, &quiet, false, rec);
+    let run = run_async_with(&mut hooks, engine, &quiet, rec);
     hooks.finish(run).0
 }
 
 /// A fault-injected asynchronous virtual-time run in full: what
-/// [`run_virtual_async`] fixes (no faults, no deadlines, no transcript)
-/// made explicit.
+/// [`run_virtual_async`] fixes (no faults, no deadlines) made explicit.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultyRun<'a> {
     /// Topology, budget, timing and seed.
@@ -370,21 +365,17 @@ pub struct FaultyRun<'a> {
     pub faults: &'a FaultConfig,
     /// Master-side deadline / heartbeat / reissue-cap policy.
     pub policy: RecoveryPolicy,
-    /// Return the protocol engine's command transcript in
-    /// [`VirtualRunResult::commands`].
-    pub record_commands: bool,
 }
 
 impl<'a> FaultyRun<'a> {
     /// `config` under `faults` with the default recovery policy — timeout
     /// `k · E[T_F]` with `k = 4` (a `straggler_factor` above that needs a
-    /// larger `k`: set [`FaultyRun::policy`]) — and no transcript.
+    /// larger `k`: set [`FaultyRun::policy`]).
     pub fn new(config: &'a VirtualConfig, faults: &'a FaultConfig) -> Self {
         Self {
             config,
             faults,
             policy: RecoveryPolicy::from_expected_eval_time(config.t_f.mean(), 4.0),
-            record_commands: false,
         }
     }
 
@@ -413,9 +404,9 @@ impl<'a> FaultyRun<'a> {
 /// drop/duplication per `run.faults`: timed-out evaluations are reissued
 /// to live workers, dead workers are quarantined (and optionally
 /// respawned), duplicate results are suppressed by evaluation id. The full
-/// ledger is returned in [`VirtualRunResult::fault_log`]; with
-/// [`FaultyRun::record_commands`] the differential equivalence tests
-/// compare [`VirtualRunResult::commands`] against the performance-model
+/// ledger is returned in [`VirtualRunResult::fault_log`]. Every engine
+/// event and command reaches `rec` as a flight record; the differential
+/// equivalence tests compare those records against the performance-model
 /// adapter's under identical timing to prove both executors run the same
 /// protocol.
 pub fn run_virtual_async_with<P, F, R>(
@@ -432,13 +423,7 @@ where
 {
     let workers = run.config.workers();
     let mut hooks = BorgHooks::new(problem, problem, run.config, borg, workers, observer);
-    let outcome = run_async_with(
-        &mut hooks,
-        run.engine_config(),
-        &run.plan(),
-        run.record_commands,
-        rec,
-    );
+    let outcome = run_async_with(&mut hooks, run.engine_config(), &run.plan(), rec);
     hooks.finish(outcome).0
 }
 
@@ -463,7 +448,6 @@ where
     let run = AsyncRun {
         outcome,
         fault_log: FaultLog::default(),
-        commands: Vec::new(),
     };
     hooks.finish(run).0
 }
@@ -515,7 +499,6 @@ where
     let run = AsyncRun {
         outcome,
         fault_log: FaultLog::default(),
-        commands: Vec::new(),
     };
     h.finish(run).0
 }

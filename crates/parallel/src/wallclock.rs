@@ -338,11 +338,6 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
         &mut self.exec.link
     }
 
-    /// The recovery ledger, for injections only their enactor knows of.
-    pub fn ledger(&mut self) -> &mut FaultLog {
-        self.proto.log_mut()
-    }
-
     /// Whether the run is over. Called after every engine event: a
     /// failure met while performing it or a completed budget ends it.
     fn settle(&mut self) -> bool {
@@ -674,6 +669,36 @@ mod tests {
         let outcome = m.finish().expect("budget completed");
         assert_eq!((outcome.link.consumed, outcome.link.duplicates), (1, 0));
         assert!(outcome.link.deaths.is_empty());
+    }
+
+    #[test]
+    fn a_result_delivered_twice_is_consumed_once() {
+        let mut m = master(2, 10, FakeLink::default());
+        assert!(!m.on_result(0, 0, GOOD.0, GOOD.1, ()));
+        let sends = m.link_mut().sent.len();
+        // The same answer again, down the same route: absorbed, not consumed.
+        assert!(!m.on_result(0, 0, GOOD.0, GOOD.1, ()));
+        assert_eq!(m.exec.core.engine().nfe(), 1);
+        assert_eq!((m.link_mut().consumed, m.link_mut().duplicates), (1, 1));
+        assert_eq!(m.link_mut().sent.len(), sends);
+        assert_eq!(m.proto.log().duplicates_suppressed, 1);
+        assert_eq!(m.proto.log().wasted_nfe, 1);
+    }
+
+    #[test]
+    fn a_result_for_an_id_never_dispatched_is_absorbed() {
+        let mut m = master(2, 3, FakeLink::default());
+        assert!(!m.on_result(1, 99, GOOD.0, GOOD.1, ()));
+        assert_eq!(m.exec.core.engine().nfe(), 0);
+        assert_eq!((m.link_mut().consumed, m.link_mut().duplicates), (0, 1));
+        assert_eq!(m.proto.log().duplicates_suppressed, 0);
+        // The run goes on and completes its budget.
+        assert!(!m.on_result(0, 0, GOOD.0, GOOD.1, ()));
+        assert!(!m.on_result(1, 1, GOOD.0, GOOD.1, ()));
+        assert!(m.on_result(0, 2, GOOD.0, GOOD.1, ()));
+        let outcome = m.finish().expect("budget completed");
+        assert_eq!(outcome.engine.nfe(), 3);
+        assert_eq!((outcome.link.consumed, outcome.link.duplicates), (3, 1));
     }
 
     #[test]

@@ -3,19 +3,20 @@
 //! The same seeded timing/fault scenario runs twice through the
 //! [`MasterEngine`]: once via the bare DES adapter with constant-time
 //! hooks, once via the virtual-time executor carrying the real Borg
-//! algorithm. The recorded [`Command`] traces, recovery ledgers, and
-//! queueing outcomes must be identical to the bit — the protocol's
-//! decisions depend only on the event stream (timing values and the fault
-//! plan), never on which executor hosts it or what payload rides on it.
+//! algorithm. Each arm records into its own flight ring; the two rings'
+//! complete event sequences (every engine event and command with its
+//! timestamp and coordinates), the recovery ledgers, and the queueing
+//! outcomes must be identical to the bit — the protocol's decisions
+//! depend only on the event stream (timing values and the fault plan),
+//! never on which executor hosts it or what payload rides on it.
 //!
 //! [`MasterEngine`]: borg_protocol::MasterEngine
-//! [`Command`]: borg_protocol::Command
 
 use borg_core::algorithm::BorgConfig;
 use borg_desim::fault::FaultConfig;
 use borg_models::dist::Dist;
 use borg_models::queueing::{run_async_with, MasterSlaveHooks};
-use borg_obs::NoopRecorder;
+use borg_obs::{FlightEvent, FlightRecorder, NoopRecorder, WithFlight};
 use borg_parallel::prelude::*;
 use borg_parallel::virtual_exec::VirtualConfig;
 use borg_problems::zdt::{Zdt, ZdtVariant};
@@ -53,6 +54,16 @@ impl MasterSlaveHooks for ConstHooks {
     fn comm_time(&mut self) -> f64 {
         self.tc
     }
+}
+
+/// Records longer than any run below: the ring never wraps.
+const RING: usize = 1 << 16;
+
+/// The ring's complete history, asserting that nothing was overwritten.
+fn history(ring: &FlightRecorder) -> Vec<FlightEvent> {
+    let events = ring.events();
+    assert_eq!(ring.recorded(), events.len() as u64, "the ring wrapped");
+    events
 }
 
 proptest! {
@@ -95,17 +106,15 @@ proptest! {
             t_a: TaMode::Sampled(Dist::Constant(ta)),
             seed,
         };
-        let run = FaultyRun {
-            record_commands: true,
-            ..FaultyRun::new(&vcfg, &faults)
-        };
+        let run = FaultyRun::new(&vcfg, &faults);
 
         // Arm 1: the virtual-time executor (real Borg algorithm payload).
+        let virt_ring = FlightRecorder::new(RING);
         let virt = run_virtual_async_with(
             &Zdt::new(ZdtVariant::Zdt1),
             BorgConfig::new(2, 0.01),
             &run,
-            &NoopRecorder,
+            &WithFlight::new(&NoopRecorder, &virt_ring),
             |_, _| {},
         );
 
@@ -117,17 +126,19 @@ proptest! {
             tc,
             workers: workers as u64,
         };
+        let des_ring = FlightRecorder::new(RING);
         let des = run_async_with(
             &mut hooks,
             run.engine_config(),
             &run.plan(),
-            true,
-            &NoopRecorder,
+            &WithFlight::new(&NoopRecorder, &des_ring),
         );
 
-        // The protocol transcript is executor-independent.
-        prop_assert!(!virt.commands.is_empty());
-        prop_assert_eq!(&virt.commands, &des.commands);
+        // The protocol's record — every event and command, with its time
+        // and coordinates — is executor-independent.
+        let (virt_events, des_events) = (history(&virt_ring), history(&des_ring));
+        prop_assert!(virt_events.iter().any(|e| e.code == "engine.commands.dispatch"));
+        prop_assert_eq!(virt_events, des_events);
         // So is the recovery ledger, record for record...
         prop_assert_eq!(&virt.fault_log, &des.fault_log);
         // ...and the queueing outcome, to the bit.

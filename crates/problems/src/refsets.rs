@@ -85,16 +85,6 @@ pub fn uf11_front(divisions: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// The front of the bi-objective UF1/UF2/UF3 family: `f2 = 1 − √f1`.
-pub fn uf1_front(points: usize) -> Vec<Vec<f64>> {
-    (0..points)
-        .map(|i| {
-            let f1 = i as f64 / (points - 1) as f64;
-            vec![f1, 1.0 - f1.sqrt()]
-        })
-        .collect()
-}
-
 /// Binomial coefficient (used to size Das–Dennis lattices in tests/docs).
 pub fn binomial(n: usize, k: usize) -> usize {
     if k > n {

@@ -44,9 +44,10 @@ pub enum Event {
 }
 
 /// A decision the [`MasterEngine`] made. Every [`Transport`] call the
-/// engine performs is mirrored by exactly one command, so a recorded
-/// command trace is a complete, executor-independent transcript of the
-/// protocol — the object the differential equivalence tests compare.
+/// engine performs is mirrored by exactly one command, reported as one
+/// flight record, so the flight records are a complete, executor-independent
+/// transcript of the protocol — the object the differential equivalence
+/// tests compare.
 ///
 /// [`MasterEngine`]: crate::MasterEngine
 /// [`Transport`]: crate::Transport

@@ -292,7 +292,6 @@ pub struct MasterEngine {
     gen_remaining: usize,
     finished: bool,
     log: FaultLog,
-    commands: Option<Vec<Command>>,
     // Timestamp of the event being handled, stamped onto the flight
     // record of every command it causes. Observability-only: excluded
     // from `state_digest` (it is derived from the event stream, never
@@ -328,7 +327,6 @@ impl MasterEngine {
             gen_remaining: 0,
             finished: false,
             log: FaultLog::default(),
-            commands: None,
             flight_now: 0.0,
             suppress_duplicates: true,
         }
@@ -346,26 +344,12 @@ impl MasterEngine {
         self.suppress_duplicates = false;
     }
 
-    /// Record every [`Command`] for later inspection (differential tests,
-    /// event-ordering assertions). Off by default — the hot path stays
-    /// allocation-free.
-    pub fn record_commands(&mut self) {
-        self.commands = Some(Vec::new());
-    }
-
-    /// The commands recorded so far (empty unless
-    /// [`MasterEngine::record_commands`] was called).
-    pub fn take_commands(&mut self) -> Vec<Command> {
-        self.commands.take().unwrap_or_default()
-    }
-
-    fn emit<R: Recorder + ?Sized>(&mut self, rec: &R, c: Command) {
+    /// Reports one decision: a counter, and a flight record that holds
+    /// the whole [`Command`] (see [`command_coords`]).
+    fn emit<R: Recorder + ?Sized>(&self, rec: &R, c: Command) {
         rec.counter(command_metric(&c), 1);
         let (eval_id, worker, x) = command_coords(&c);
         rec.flight(command_metric(&c), self.flight_now, eval_id, worker, x);
-        if let Some(cs) = self.commands.as_mut() {
-            cs.push(c);
-        }
     }
 
     /// Results consumed so far.
@@ -923,7 +907,36 @@ impl MasterEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borg_obs::{InMemoryRecorder, NoopRecorder};
+    use borg_obs::{FlightEvent, FlightRecorder, InMemoryRecorder, NoopRecorder, WithFlight};
+
+    /// The command a flight record reports, rebuilt from its coordinates:
+    /// `None` for an event record. The inverse of [`command_coords`].
+    fn command_of(e: &FlightEvent) -> Option<Command> {
+        let (eval_id, worker) = (e.a, e.b as usize);
+        Some(match e.code.strip_prefix("engine.commands.")? {
+            "dispatch" => Command::Dispatch {
+                worker,
+                eval_id,
+                attempt: e.x as u32,
+            },
+            "consume" => Command::Consume { worker, eval_id },
+            "suppress_duplicate" => Command::SuppressDuplicate { worker, eval_id },
+            "ping" => Command::Ping { worker },
+            "retire_worker" => Command::RetireWorker { worker },
+            "abandon" => Command::Abandon { eval_id },
+            "rearm_heartbeat" => Command::RearmHeartbeat,
+            "finish" => Command::Finish,
+            other => panic!("unknown command code {other}"),
+        })
+    }
+
+    /// Every command `ring` holds, in decision order; the ring must not
+    /// have wrapped.
+    fn commands(ring: &FlightRecorder) -> Vec<Command> {
+        let events = ring.events();
+        assert_eq!(ring.recorded(), events.len() as u64, "the ring wrapped");
+        events.iter().filter_map(command_of).collect()
+    }
 
     /// A transport that just records calls and hands out fixed deadlines.
     struct NullTransport {
@@ -996,19 +1009,20 @@ mod tests {
     fn fault_free_pipeline_runs_to_budget() {
         let mut t = NullTransport::new(f64::INFINITY);
         let mut e = MasterEngine::new(EngineConfig::fault_free_async(2, 4));
-        e.record_commands();
-        e.seed(&mut t, &NoopRecorder);
+        let ring = FlightRecorder::new(64);
+        let rec = WithFlight::new(&NoopRecorder, &ring);
+        e.seed(&mut t, &rec);
         assert_eq!(e.outstanding_len(), 2);
         // Workers alternate; eager dispatch keeps the pipeline full even
         // on the last consume.
-        e.handle(arrival(0, 0, 1.0), &mut t, &NoopRecorder);
-        e.handle(arrival(1, 1, 1.1), &mut t, &NoopRecorder);
-        e.handle(arrival(0, 2, 2.0), &mut t, &NoopRecorder);
+        e.handle(arrival(0, 0, 1.0), &mut t, &rec);
+        e.handle(arrival(1, 1, 1.1), &mut t, &rec);
+        e.handle(arrival(0, 2, 2.0), &mut t, &rec);
         assert!(!e.finished());
-        e.handle(arrival(1, 3, 2.1), &mut t, &NoopRecorder);
+        e.handle(arrival(1, 3, 2.1), &mut t, &rec);
         assert!(e.finished());
         assert_eq!(e.completed(), 4);
-        let cmds = e.take_commands();
+        let cmds = commands(&ring);
         // Every consume of a non-final result is followed by a dispatch.
         assert_eq!(
             cmds.iter()
@@ -1218,7 +1232,6 @@ mod tests {
     fn sync_mode_dispatches_generations_at_the_barrier() {
         let mut t = NullTransport::new(f64::INFINITY);
         let mut e = MasterEngine::new(EngineConfig::sync_generational(3, 5));
-        e.record_commands();
         e.seed(&mut t, &NoopRecorder);
         // Mid-generation consumes do not dispatch.
         e.handle(arrival(0, 0, 1.0), &mut t, &NoopRecorder);
@@ -1350,13 +1363,13 @@ mod tests {
             max_reissues: 1,
         };
         let mut e = MasterEngine::new(EngineConfig::fault_tolerant_async(8, 2_000, policy));
-        e.record_commands();
         let mut t = ScriptTransport {
             now: 0.0,
             timeout: policy.timeout,
             sent: Vec::new(),
         };
-        let rec = NoopRecorder;
+        let ring = FlightRecorder::new(1 << 14);
+        let rec = WithFlight::new(&NoopRecorder, &ring);
         e.seed(&mut t, &rec);
         let mut lcg = 0x2013u64;
         let mut draw = move |n: usize| {
@@ -1425,7 +1438,7 @@ mod tests {
                 states = fold_text(states, &e.state_digest().to_string());
             }
         }
-        let commands = e.take_commands();
+        let commands = commands(&ring);
         let count = |kind: fn(&Command) -> bool| commands.iter().filter(|c| kind(c)).count();
         // The script reaches every command the engine can emit.
         assert!(count(|c| matches!(c, Command::Consume { .. })) > 300);

@@ -14,7 +14,10 @@
 //! interaction — lives in the adapter; everything the executors must
 //! *agree* on — dispatch bookkeeping, deadline reissue, duplicate
 //! suppression by eval id, liveness beliefs, wasted-NFE accounting —
-//! lives here.
+//! lives here. The engine reports every event it handles and every
+//! command it emits to its `Recorder` as a counter and a flight record
+//! (`engine.events.*`, `engine.commands.*`) that holds the whole command,
+//! so a flight ring that never wraps is the run's complete decision record.
 //!
 //! Adapters in this workspace:
 //!

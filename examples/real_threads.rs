@@ -10,21 +10,23 @@ use borg_repro::models::dist::Dist;
 use borg_repro::models::distfit::{fit_all, Family, SampleStats};
 use borg_repro::parallel::threads::{estimate_comm_time, run_threaded, ThreadedConfig};
 use borg_repro::prelude::*;
-use std::time::Instant;
 
 fn main() {
     let problem = Dtlz::new(DtlzVariant::Dtlz2, 3);
     let t_f = 0.002; // 2 ms injected evaluation delay (CV 0.1)
     let nfe = 1_500;
 
-    // Serial wall-clock baseline.
-    let delayed = DelayedProblem::paper_delay(Dtlz::new(DtlzVariant::Dtlz2, 3), t_f, 99);
-    let t0 = Instant::now();
-    let serial = run_serial(&delayed, BorgConfig::new(3, 0.05), 1, nfe, |_| {});
-    let serial_elapsed = t0.elapsed().as_secs_f64();
+    // Serial wall-clock baseline: one worker runs `run_serial`'s search.
+    let serial = run_threaded(
+        &problem,
+        BorgConfig::new(3, 0.05),
+        &ThreadedConfig::new(1, nfe, Some(Dist::normal_cv(t_f, 0.1)), 99),
+    )
+    .expect("the worker stays alive");
+    let serial_elapsed = serial.elapsed;
     println!(
         "serial:   {nfe} evaluations in {serial_elapsed:.2}s  (archive {})",
-        serial.archive().len()
+        serial.engine.archive().len()
     );
 
     // Parallel run with 4 workers.

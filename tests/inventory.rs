@@ -535,6 +535,109 @@ fn assert_clean(crates: &[&str], check: fn(&str) -> Findings) -> Vec<String> {
     sources
 }
 
+/// Every `pub fn`/`pub const` under a `crates/*/src/` path in `files` whose
+/// name occurs as a word nowhere in `files` but at such definitions:
+/// `(path, line, name)`. Definitions are read from [`live_code`], so one in
+/// a comment, a literal or a test region does not count; any other
+/// occurrence, a doc comment's included, is a reference.
+fn unreferenced_public_items(files: &[(String, String)]) -> Vec<(String, u32, String)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut words: BTreeMap<&str, usize> = BTreeMap::new();
+    for (_, text) in files {
+        for word in text.split(|c: char| !ident(c)).filter(|w| !w.is_empty()) {
+            *words.entry(word).or_default() += 1;
+        }
+    }
+    let mut defs = Vec::new();
+    for (path, text) in files {
+        if !path.starts_with("crates/") || path.split('/').nth(2) != Some("src") {
+            continue;
+        }
+        let code = live_code(text);
+        for at in word_at(&code, "pub") {
+            let rest = code[at + 3..].trim_start();
+            let konst = rest.strip_prefix("const ").map(str::trim_start);
+            let rest = konst.unwrap_or(rest);
+            let fun = rest.strip_prefix("fn ").map(str::trim_start);
+            let rest = fun.unwrap_or(rest);
+            let len = rest.find(|c| !ident(c)).unwrap_or(rest.len());
+            if len > 0 && (konst.is_some() || fun.is_some()) {
+                let from = code.len() - rest.len();
+                defs.push((
+                    path,
+                    hit(text, from, String::new()).0,
+                    &text[from..from + len],
+                ));
+            }
+        }
+    }
+    let defined = |name: &str| defs.iter().filter(|d| d.2 == name).count();
+    defs.iter()
+        .filter(|d| words.get(d.2).copied().unwrap_or(0) <= defined(d.2))
+        .map(|&(path, line, name)| (path.clone(), line, name.to_string()))
+        .collect()
+}
+
+#[test]
+fn no_public_item_is_unreferenced() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
+        source_files(&root.join(dir), &mut paths);
+    }
+    let files: Vec<(String, String)> = paths
+        .iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root).expect("under the root");
+            let text = fs::read_to_string(p).expect("read a source file");
+            (rel.to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    assert!(files.len() > 100, "only {} files", files.len());
+    let found = unreferenced_public_items(&files);
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+#[test]
+fn unreferenced_item_check_has_teeth() {
+    let file = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let seeded = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn used() {}\n/// `lonely` is documented here\npub fn lonely() {}\n\
+             pub const fn gone() {}\npub const LIMIT: u32 = 3;\n",
+        ),
+        file(
+            "crates/a/src/b.rs",
+            "pub fn lonely_too() {}\n// pub fn in_a_comment()\n",
+        ),
+        file("tests/t.rs", "fn t() { used(); unused_elsewhere(); }\n"),
+    ];
+    let names: Vec<(String, u32, String)> = unreferenced_public_items(&seeded);
+    let want = [
+        ("crates/a/src/lib.rs", 4, "gone"),
+        ("crates/a/src/lib.rs", 5, "LIMIT"),
+        ("crates/a/src/b.rs", 1, "lonely_too"),
+    ];
+    let want: Vec<(String, u32, String)> = want
+        .iter()
+        .map(|&(p, l, n)| (p.to_string(), l, n.to_string()))
+        .collect();
+    assert_eq!(names, want);
+    let clean = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn used() {}\npub const LIMIT: u32 = 3;\npub(crate) fn private() {}\n\
+             #[cfg(test)]\nmod t { pub fn helper() {} }\n",
+        ),
+        file(
+            "benchmark/src/main.rs",
+            "fn main() { used(); let _ = LIMIT; }\n",
+        ),
+    ];
+    assert_eq!(unreferenced_public_items(&clean), []);
+}
+
 #[test]
 fn library_code_passes_every_text_check() {
     assert_clean(&[], objective_equality);

@@ -332,7 +332,6 @@ proptest! {
             &mut ConstHooks { t_f, t_c, t_a },
             EngineConfig::fault_tolerant_async(workers, n, policy),
             &plan,
-            false,
             &borg_obs::NoopRecorder,
         );
         prop_assert_eq!(run.outcome.completed, n, "budget not exactly met");
