@@ -28,6 +28,9 @@ cargo test -q --release -p borg-core --test kernel_ratio -- --ignored
 echo "==> one-process ratio tests: MasterEngine::handle at W = 1023 vs W = 2 (<= 1.3x), quiet recovery vs fault-free (<= 1.1x)"
 cargo test -q --release -p borg-protocol --test handle_ratio -- --ignored
 
+echo "==> one-process ratio test: EventQueue vs the float-ordered BinaryHeap at 1023 pending (>= 1.5x)"
+cargo test -q --release -p borg-desim --test queue_ratio -- --ignored
+
 echo "==> one-process ratio test: precise_delay vs thread::sleep median overshoot at 1 ms (<= 1/3)"
 cargo test -q --release -p borg-parallel --test delay_ratio -- --ignored
 

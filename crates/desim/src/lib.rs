@@ -4,7 +4,11 @@
 //! the SimPy 2.3 library the paper used for its simulation model:
 //!
 //! * [`queue::EventQueue`] — min-heap event queue with FIFO tie-breaking
-//!   and a simulation clock;
+//!   and a simulation clock. Its order key is integer: the bits of the
+//!   time (`at + 0.0`, which folds `-0.0` onto `+0.0`; every accepted time
+//!   is non-negative, so its bits sort as its value) and the insertion
+//!   number, two integer compares where a float `partial_cmp` and a
+//!   tie-break ran before. Payloads are `Copy`;
 //! * [`fault::FaultPlan`] / [`fault::FaultLog`] — deterministic fault
 //!   injection (worker crashes, hangs, stragglers, message loss and
 //!   duplication) and the recovery ledger shared by both executors.

@@ -3,59 +3,66 @@
 //! Events are `(time, payload)` pairs; ties are broken by insertion order
 //! (FIFO), which makes every simulation in this workspace bit-reproducible
 //! regardless of floating-point time collisions.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//!
+//! The queue is a binary min-heap ordered by two integers, `(key, seq)`:
+//!
+//! * `key` is the bit pattern of `at + 0.0`. [`EventQueue::schedule_at`]
+//!   rejects NaN, infinities and times before `now`, so every accepted time
+//!   is `≥ 0`, and the bits of a non-negative `f64` sort as its value does.
+//!   Adding `+ 0.0` folds `-0.0` onto `+0.0`, so the two tie as they do
+//!   under `partial_cmp`.
+//! * `seq` is the insertion number, shifted left one bit; the freed low bit
+//!   keeps the sign of the scheduled time, so a `-0.0` pops as `-0.0`.
+//!   Insertion numbers are unique, so the low bit never decides an order.
+//!
+//! `(key, seq) < (key', seq')` is therefore exactly the (time, FIFO) order,
+//! as two integer compares the CPU predicts instead of a float
+//! `partial_cmp` and a tie-break at every level. Every key is unique, so
+//! the pop sequence is fully determined by the order alone, not by the heap
+//! layout. Payloads are `Copy`: a pop moves entries up the heap by plain
+//! copies, with no hole to guard against a panic mid-sift.
 
 /// Simulated time in seconds.
 pub type Time = f64;
 
+#[derive(Clone, Copy)]
 struct Entry<E> {
-    time: Time,
+    key: u64,
     seq: u64,
     event: E,
 }
 
-impl<E> PartialEq for Entry<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl<E> Entry<E> {
+    /// Strictly earlier in (time, insertion) order.
+    #[inline]
+    fn before(&self, other: &Self) -> bool {
+        (self.key, self.seq) < (other.key, other.seq)
     }
-}
-impl<E> Eq for Entry<E> {}
-impl<E> PartialOrd for Entry<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<E> Ord for Entry<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .time
-            .partial_cmp(&self.time)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.seq.cmp(&self.seq))
+
+    /// The time this entry was scheduled at, sign of zero included.
+    fn time(&self) -> Time {
+        Time::from_bits(self.key | (self.seq << 63))
     }
 }
 
 /// A min-heap event queue with a simulation clock.
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Entry<E>>,
+    heap: Vec<Entry<E>>,
     now: Time,
     seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     /// Creates an empty queue at time 0.
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
+            heap: Vec::new(),
             now: 0.0,
             seq: 0,
         }
@@ -77,12 +84,14 @@ impl<E> EventQueue<E> {
             "cannot schedule into the past: {at} < {}",
             self.now
         );
-        self.heap.push(Entry {
-            time: at,
-            seq: self.seq,
+        let entry = Entry {
+            key: (at + 0.0).to_bits(),
+            seq: self.seq << 1 | at.to_bits() >> 63,
             event,
-        });
+        };
         self.seq += 1;
+        self.heap.push(entry);
+        self.sift_up(self.heap.len() - 1, entry);
     }
 
     /// Schedules `event` after `delay` seconds.
@@ -92,12 +101,52 @@ impl<E> EventQueue<E> {
     }
 
     /// Pops the earliest event, advancing the clock to its timestamp.
+    ///
+    /// Bottom-up: the root's hole walks to a leaf behind the smaller child
+    /// at every level, then the old last entry sifts up from there. That is
+    /// one compare per level on the way down (between siblings, picked
+    /// without a branch) and, as the last entry is usually a late event,
+    /// few on the way up.
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        self.heap.pop().map(|e| {
-            debug_assert!(e.time >= self.now);
-            self.now = e.time;
-            (e.time, e.event)
-        })
+        let last = self.heap.pop()?;
+        let top = match self.heap.first().copied() {
+            None => last,
+            Some(top) => {
+                let n = self.heap.len();
+                let (mut hole, mut child) = (0, 1);
+                while child + 1 < n {
+                    child += usize::from(self.heap[child + 1].before(&self.heap[child]));
+                    self.heap[hole] = self.heap[child];
+                    hole = child;
+                    child = 2 * hole + 1;
+                }
+                if child < n {
+                    self.heap[hole] = self.heap[child];
+                    hole = child;
+                }
+                self.sift_up(hole, last);
+                top
+            }
+        };
+        let time = top.time();
+        debug_assert!(time >= self.now);
+        self.now = time;
+        Some((time, top.event))
+    }
+
+    /// Moves `entry` from the hole at `hole` towards the root past every
+    /// later parent, and stores it where it stops.
+    #[inline]
+    fn sift_up(&mut self, mut hole: usize, entry: Entry<E>) {
+        while hole > 0 {
+            let parent = (hole - 1) / 2;
+            if !entry.before(&self.heap[parent]) {
+                break;
+            }
+            self.heap[hole] = self.heap[parent];
+            hole = parent;
+        }
+        self.heap[hole] = entry;
     }
 
     /// Number of pending events.
@@ -108,11 +157,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Peeks at the next event time without advancing the clock.
-    pub fn next_time(&self) -> Option<Time> {
-        self.heap.peek().map(|e| e.time)
     }
 }
 
@@ -150,7 +194,8 @@ mod tests {
         q.schedule_in(2.0, "x");
         q.pop();
         q.schedule_in(3.0, "y");
-        assert_eq!(q.next_time(), Some(5.0));
+        assert_eq!(q.pop(), Some((5.0, "y")));
+        assert_eq!(q.now(), 5.0);
     }
 
     #[test]

@@ -682,6 +682,53 @@ mod tests {
     }
 
     #[test]
+    fn a_run_that_loses_every_result_ends_with_all_abandoned() {
+        // Every result message is dropped (or nearly every one): each
+        // evaluation times out, is reissued up to the cap and abandoned,
+        // and its worker moves on, so the run drains with
+        // completed + abandoned == N instead of stalling.
+        use borg_obs::InMemoryRecorder;
+        use std::sync::mpsc::{self, RecvTimeoutError};
+        use std::time::Duration;
+        for drop_rate in [1.0, 0.999] {
+            let (tx, rx) = mpsc::channel();
+            let run = std::thread::spawn(move || {
+                let cfg = sampled_config(3, 10, 0.01, 0.000_03);
+                let faults = FaultConfig {
+                    drop_rate,
+                    ..FaultConfig::default()
+                };
+                let rec = InMemoryRecorder::metrics_only();
+                let result = run_virtual_async_with(
+                    &Dtlz::dtlz2_5(),
+                    borg_cfg(),
+                    &FaultyRun::new(&cfg, &faults),
+                    &rec,
+                    |_, _| {},
+                );
+                let abandoned = rec
+                    .snapshot()
+                    .counters
+                    .get("engine.commands.abandon")
+                    .copied()
+                    .unwrap_or(0);
+                let _ = tx.send((result.outcome.completed, abandoned));
+            });
+            let outcome = rx.recv_timeout(Duration::from_secs(30));
+            assert!(
+                !matches!(outcome, Err(RecvTimeoutError::Timeout)),
+                "drop rate {drop_rate}: the run never ended"
+            );
+            run.join().expect("the run thread panicked");
+            let (completed, abandoned) = outcome.expect("the run sent its counts");
+            assert_eq!(completed + abandoned, 10, "drop rate {drop_rate}");
+            if drop_rate == 1.0 {
+                assert_eq!((completed, abandoned), (0, 10));
+            }
+        }
+    }
+
+    #[test]
     fn fault_plan_replay_is_bit_identical() {
         // Same seed ⇒ identical FaultLog and final archive, bit for bit.
         let problem = Dtlz::dtlz2_5();

@@ -757,6 +757,13 @@ impl MasterEngine {
         }
         if o.attempts >= self.config.policy.max_reissues {
             self.abandon(t, rec, eval_id);
+            // A live worker still pinned on the abandoned evaluation is
+            // free again (a shared pool's adapter ends the run instead).
+            if self.config.discipline == PoolDiscipline::Assigned
+                && self.current_eval[w] == Some(eval_id)
+            {
+                self.assign_next(t, rec, w);
+            }
             return;
         }
         match self.config.discipline {
@@ -820,13 +827,13 @@ impl MasterEngine {
             self.log.detect_worker_death(w, now);
             if let Some(id) = self.current_eval[w].take() {
                 if let Some(attempts) = self.outstanding.get(id).map(|o| o.attempts) {
-                    if let Some(v) = self.idle.iter().next().copied() {
-                        self.idle.remove(&v);
-                        if attempts >= self.config.policy.max_reissues {
-                            self.abandon(t, rec, id);
-                        } else {
-                            self.dispatch(t, rec, v, id, attempts + 1);
-                        }
+                    // At the cap, abandon whether or not a worker is idle;
+                    // otherwise `dispatch` takes the idle worker out of the
+                    // pool.
+                    if attempts >= self.config.policy.max_reissues {
+                        self.abandon(t, rec, id);
+                    } else if let Some(v) = self.idle.first().copied() {
+                        self.dispatch(t, rec, v, id, attempts + 1);
                     } else {
                         self.park_for_reissue(id);
                     }
@@ -1164,6 +1171,63 @@ mod tests {
     }
 
     #[test]
+    fn an_abandoned_evaluation_frees_its_live_worker() {
+        let mut t = NullTransport::new(10.0);
+        let policy = RecoveryPolicy {
+            timeout: 10.0,
+            heartbeat_interval: f64::INFINITY,
+            max_reissues: 0,
+        };
+        let mut e = MasterEngine::new(EngineConfig::fault_tolerant_async(1, 2, policy));
+        e.seed(&mut t, &NoopRecorder);
+        t.now += 10.0;
+        let (id, w, bits) = e.expired_deadlines(t.now)[0];
+        e.handle(
+            Event::DeadlineFired {
+                eval_id: id,
+                worker: w,
+                deadline_bits: bits,
+                at: t.now,
+            },
+            &mut t,
+            &NoopRecorder,
+        );
+        assert_eq!(e.abandoned(), 1);
+        assert_eq!(
+            t.calls[t.calls.len() - 2..],
+            ["abandon 0".to_string(), "dispatch 0 1 0".to_string()]
+        );
+        assert_eq!(e.outstanding_len(), 1);
+    }
+
+    #[test]
+    fn a_heartbeat_abandons_at_the_cap_even_with_no_idle_worker() {
+        // Worker 0 dies holding evaluation 0 while worker 1 is busy: the
+        // sweep must abandon it at cap 0, not park it for a reissue
+        // that would go out past the cap once worker 1 frees up.
+        let mut t = NullTransport::new(10.0);
+        let policy = RecoveryPolicy {
+            timeout: 10.0,
+            heartbeat_interval: 1.0,
+            max_reissues: 0,
+        };
+        let mut e = MasterEngine::new(EngineConfig::fault_tolerant_async(2, 10, policy));
+        e.seed(&mut t, &NoopRecorder);
+        let died = Event::WorkerDied {
+            worker: 0,
+            at: 0.5,
+            will_respawn: false,
+            lost_eval: None,
+        };
+        e.handle(died, &mut t, &NoopRecorder);
+        e.handle(Event::HeartbeatTick { at: 2.0 }, &mut t, &NoopRecorder);
+        e.handle(arrival(1, 1, 2.5), &mut t, &NoopRecorder);
+        assert_eq!(e.abandoned(), 1);
+        assert_eq!(e.log().reissues, 0);
+        assert_eq!(t.calls.last().map(String::as_str), Some("dispatch 1 2 0"));
+    }
+
+    #[test]
     fn stale_deadline_is_a_no_op() {
         let mut t = NullTransport::new(10.0);
         let policy = RecoveryPolicy {
@@ -1351,10 +1415,12 @@ mod tests {
 
     /// A seeded script of deliveries (in any order), duplicates, lost
     /// messages, deadline sweeps, deaths, respawns and heartbeats against
-    /// the fault-tolerant engine. The digests below were recorded with
-    /// `outstanding` a `BTreeMap<u64, Outstanding>` (PR 21, `a7e3668`): the
-    /// engine must pass through the same states and emit the same commands
-    /// whatever holds its outstanding set.
+    /// the fault-tolerant engine. The digests below were first recorded with
+    /// `outstanding` a `BTreeMap<u64, Outstanding>` (`a7e3668`): the engine
+    /// must pass through the same states and emit the same commands whatever
+    /// holds its outstanding set. They were re-recorded when an abandon at the
+    /// cap began handing its live worker the next id: the transcript up to
+    /// the first `Abandon` (command 1 496) is unchanged.
     #[test]
     fn scripted_fault_tolerant_run_reproduces_the_recorded_states_and_transcript() {
         let policy = RecoveryPolicy {
@@ -1453,10 +1519,10 @@ mod tests {
         assert_eq!(
             (e.state_digest(), states, transcript, commands.len()),
             (
-                15_963_770_613_603_030_808,
-                1_412_725_971_260_230_817,
-                10_822_431_751_565_759_396,
-                1_762
+                11_000_909_820_587_457_281,
+                6_360_708_392_227_537_983,
+                2_300_129_592_428_792_842,
+                4_605
             )
         );
     }
@@ -1512,9 +1578,11 @@ mod tests {
             e.handle(fired, &mut t, &NoopRecorder);
         }
         assert_eq!(e.abandoned(), 1);
-        // It held the window open for three deadlines' worth of ids, no more.
+        // It held the window open for three deadlines' worth of ids, no
+        // more; worker 0, freed by the abandon, holds the next id.
         assert_eq!(widest, 332);
-        assert_eq!((e.outstanding.base(), e.outstanding.span()), (331, 1));
+        assert_eq!((e.outstanding.base(), e.outstanding.span()), (331, 2));
+        assert_eq!(e.current_eval[0], Some(332));
     }
 
     #[test]

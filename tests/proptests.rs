@@ -64,6 +64,58 @@ fn archive_op(m: usize) -> impl Strategy<Value = ArchiveOp> {
     ]
 }
 
+/// Times the event-queue oracle draws from: ties, both zeros, subnormals
+/// and the top of the finite range.
+const QUEUE_TIMES: [f64; 9] = [
+    0.0,
+    -0.0,
+    5e-324,
+    1e-310,
+    1.0,
+    2.0,
+    f64::MAX / 2.0,
+    f64::MAX * 0.75,
+    f64::MAX,
+];
+
+/// Delays for `schedule_in`, small enough never to overflow past f64::MAX.
+const QUEUE_DELAYS: [f64; 5] = [0.0, -0.0, 5e-324, 1.0, 1.5];
+
+/// The event queue's specification: a vector scanned for the least
+/// `(time, insertion)` pair by `partial_cmp`.
+#[derive(Default)]
+struct ReferenceQueue {
+    pending: Vec<(f64, u64, usize)>,
+    now: f64,
+    seq: u64,
+}
+
+impl ReferenceQueue {
+    fn schedule_at(&mut self, at: f64, payload: usize) {
+        self.pending.push((at, self.seq, payload));
+        self.seq += 1;
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize, u64)> {
+        let least = (0..self.pending.len()).min_by(|&a, &b| {
+            let (ta, sa, _) = self.pending[a];
+            let (tb, sb, _) = self.pending[b];
+            ta.partial_cmp(&tb)
+                .expect("no NaN is scheduled")
+                .then(sa.cmp(&sb))
+        })?;
+        let (time, _, payload) = self.pending.remove(least);
+        self.now = time;
+        Some((time.to_bits(), payload, time.to_bits()))
+    }
+}
+
+/// One pop of `q` as `(time bits, payload, clock bits)`.
+fn popped(q: &mut EventQueue<usize>) -> Option<(u64, usize, u64)> {
+    q.pop()
+        .map(|(time, payload)| (time.to_bits(), payload, q.now().to_bits()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -383,16 +435,36 @@ proptest! {
     // -----------------------------------------------------------------
 
     #[test]
-    fn event_queue_pops_sorted(times in prop::collection::vec(0.0f64..1e6, 1..100)) {
+    fn event_queue_pops_sorted(ops in prop::collection::vec((0u8..5, 0usize..QUEUE_TIMES.len()), 1..300)) {
+        // Random interleavings of schedule_at / schedule_in / pop, driven
+        // against the queue and a reference that scans a vector for the
+        // least (time, insertion) pair. Times come from a small set, so
+        // ties are common, and include ±0, subnormals and values near
+        // f64::MAX; every pop must agree on the time's bits, the payload
+        // and the clock.
         let mut q = EventQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule_at(t, i);
+        let mut reference = ReferenceQueue::default();
+        for (payload, &(kind, i)) in ops.iter().enumerate() {
+            match kind {
+                0 | 1 => {
+                    let t = QUEUE_TIMES[i];
+                    let at = if t >= q.now() { t } else { q.now() };
+                    q.schedule_at(at, payload);
+                    reference.schedule_at(at, payload);
+                }
+                2 => {
+                    let delay = QUEUE_DELAYS[i % QUEUE_DELAYS.len()];
+                    q.schedule_in(delay, payload);
+                    reference.schedule_at(reference.now + delay, payload);
+                }
+                _ => prop_assert_eq!(popped(&mut q), reference.pop()),
+            }
+            prop_assert_eq!(q.len(), reference.pending.len());
         }
-        let mut last = f64::NEG_INFINITY;
-        while let Some((t, _)) = q.pop() {
-            prop_assert!(t >= last);
-            last = t;
+        while !reference.pending.is_empty() {
+            prop_assert_eq!(popped(&mut q), reference.pop());
         }
+        prop_assert_eq!(popped(&mut q), None);
     }
 
     #[test]
