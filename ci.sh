@@ -10,7 +10,7 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
-echo "==> cargo xtask determinism"
+echo "==> cargo xtask determinism (jobs=1 ≡ jobs=4 arm: 4 Table II rows)"
 cargo xtask determinism
 
 echo "==> cargo xtask mc --smoke (schedule-space model checker)"
@@ -40,11 +40,11 @@ cargo test -q --release -p borg-net --test encode_ratio -- --ignored
 echo "==> one-process ratio test: run_threaded vs serve over a Unix socket (>= 1.5x)"
 cargo test -q --release -p borg-net --test serve_loopback threads_outrun_sockets -- --ignored
 
+echo "==> one-process wall-clock bands: fit pipeline T_F/T_A/T_C, Table II T_A and sim error, saturation point, run_threaded T_F"
+cargo test -q --release -p borg-experiments --test fit_bands -- --ignored
+
 echo "==> benchmark/run.sh --smoke (every workload's output checks)"
 benchmark/run.sh --smoke
-
-echo "==> borg-exp faults --smoke"
-./target/release/borg-exp faults --smoke --out target/ci-results
 
 echo "==> borg-exp table2 --smoke --jobs 2 (parallel runner)"
 ./target/release/borg-exp table2 --smoke --jobs 2 --out target/ci-results-jobs2

@@ -94,18 +94,8 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Whether this configuration can inject any fault at all.
-    pub fn is_quiet(&self) -> bool {
-        self.crash_rate <= 0.0
-            && self.hang_rate <= 0.0
-            && self.straggler_rate <= 0.0
-            && self.drop_rate <= 0.0
-            && self.duplicate_rate <= 0.0
-            && self.forced_crashes.is_empty()
-    }
-
-    /// The acceptance scenario of the fault experiments: crash rate `f`,
-    /// 1% message loss, everything else quiet.
+    /// Crash rate `f`, 1% message loss, everything else quiet: the
+    /// scenario of the golden fault-path cell (`f = 0.25`).
     pub fn degraded(f: f64) -> Self {
         Self {
             crash_rate: f,
@@ -571,8 +561,6 @@ mod tests {
         for id in 0..1_000 {
             assert_eq!(plan.message_fate(id, 0), MessageFate::Deliver);
         }
-        assert!(FaultConfig::default().is_quiet());
-        assert!(!FaultConfig::degraded(0.1).is_quiet());
     }
 
     #[test]

@@ -17,6 +17,7 @@ use borg_models::analytical::{
 };
 use borg_models::dist::Dist;
 use borg_models::perfsim::{simulate_async, simulate_sync, PerfSimConfig, TimingModel};
+use borg_obs::NoopRecorder;
 use rand::Rng;
 use std::time::Instant;
 
@@ -263,7 +264,7 @@ pub fn ablation_variance(config: &AblationConfig) -> TextTable {
             seed,
         };
         let a = simulate_async(&mk(config.seed));
-        let s = simulate_sync(&mk(config.seed ^ 1));
+        let s = simulate_sync(&mk(config.seed ^ 1), &NoopRecorder);
         t.row(vec![
             format!("{cv:.1}"),
             format!("{:.3}", a.parallel_time),

@@ -17,7 +17,6 @@ use borg_experiments::ablation::{
 };
 use borg_experiments::bounds::{paper_bounds, render_bounds};
 use borg_experiments::dynamics::{render_dynamics_summary, run_dynamics, DynamicsConfig};
-use borg_experiments::faults::{render_faults, run_faults, FaultsConfig};
 use borg_experiments::fitdemo::{run_fit_demo, FitDemoConfig};
 use borg_experiments::heatmap::{run_figure5, HeatmapConfig};
 use borg_experiments::hvspeedup::{render_panel, run_figure, HvSpeedupConfig};
@@ -215,7 +214,7 @@ struct Sub {
 /// Every subcommand, in the order `help` lists them and `all` runs its
 /// members. Laid out by hand so that a subcommand stays one row.
 #[rustfmt::skip]
-static SUBS: [Sub; 17] = [
+static SUBS: [Sub; 16] = [
     Sub { name: "bounds", about: "Eqs. 3-4 processor-count bounds",
           args: "", flags: &[&OUT, &TRACE_OUT], in_all: true, run: Some(bounds) },
     Sub { name: "fig1", about: "Figure 1 (synchronous timeline)",
@@ -240,9 +239,6 @@ static SUBS: [Sub; 17] = [
           args: "", flags: &[&OUT, &NFE, &SEED, &TRACE_OUT], in_all: true, run: Some(fit) },
     Sub { name: "ablations", about: "DESIGN.md §5 ablation studies",
           args: "", in_all: true, run: Some(ablations),
-          flags: &[&OUT, &NFE, &REPLICATES, &SEED, &JOBS, &SMOKE, &TRACE_OUT] },
-    Sub { name: "faults", about: "fault-injection sweep (failure rate × P, self-healing master)",
-          args: "", in_all: true, run: Some(faults),
           flags: &[&OUT, &NFE, &REPLICATES, &SEED, &JOBS, &SMOKE, &TRACE_OUT] },
     Sub { name: "dynamics", about: "§VI/VII algorithm dynamics per processor count (extension)",
           args: "", flags: &[&OUT, &NFE, &SEED, &JOBS, &SMOKE, &TRACE_OUT], in_all: true,
@@ -737,22 +733,6 @@ fn ablations(cli: &Cli) {
         println!("{}", table.render());
         emit(cli, &format!("{name}.csv"), &table.to_csv());
     }
-}
-
-fn faults(cli: &Cli) {
-    let mut cfg = FaultsConfig::default();
-    scale!(cfg, cli: smoke, nfe, replicates, seed, jobs);
-    let rows = run_faults(&cfg);
-    let table = render_faults(&rows);
-    println!(
-        "fault-injection sweep on {} (T_F = {}s, N = {}; f = crash rate + 1% msg loss):",
-        cfg.problem.name(),
-        cfg.tf_mean,
-        cfg.evaluations
-    );
-    println!("{}", table.render());
-    emit(cli, "faults.csv", &table.to_csv());
-    println!("wrote {}", cli.out.join("faults.csv").display());
 }
 
 fn advise(cli: &Cli) {

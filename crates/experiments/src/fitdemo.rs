@@ -100,17 +100,14 @@ mod tests {
             seed: 9,
         };
         let demo = run_fit_demo(&cfg).expect("fit demo run");
-        // Measured T_F mean must sit near the injected 2 ms (sleep overshoot
-        // allows some upward bias).
+        // The delay is never early, so the measured mean is at least the
+        // injected 2 ms under any load; the upper bands are in
+        // `tests/fit_bands.rs`, run by `ci.sh`.
         assert!(
-            demo.tf_stats.mean >= 0.002 && demo.tf_stats.mean < 0.004,
+            demo.tf_stats.mean >= 0.002,
             "mean T_F {}",
             demo.tf_stats.mean
         );
-        // T_A on this machine is microseconds, far below T_F.
-        assert!(demo.ta_stats.mean < demo.tf_stats.mean / 10.0);
-        // T_C thread ping is sub-millisecond.
-        assert!(demo.t_c < 0.001, "T_C = {}", demo.t_c);
         assert!(!demo.tf_table.is_empty());
         assert!(!demo.ta_table.is_empty());
     }

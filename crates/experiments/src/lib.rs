@@ -13,7 +13,6 @@
 //! | Figure 5 | [`heatmap`] | `borg-exp fig5` |
 //! | Eqs. 3–4 | [`bounds`] | `borg-exp bounds` |
 //! | §IV-B fitting | [`fitdemo`] | `borg-exp fit` |
-//! | Fault-tolerance sweep (extension) | [`faults`] | `borg-exp faults` |
 //! | DESIGN.md §5 ablations | [`ablation`] | `borg-exp ablations` |
 //! | §VI/VII algorithm dynamics | [`dynamics`] | `borg-exp dynamics` |
 
@@ -33,7 +32,6 @@
 pub mod ablation;
 pub mod bounds;
 pub mod dynamics;
-pub mod faults;
 pub mod fitdemo;
 pub mod heatmap;
 pub mod hvspeedup;

@@ -123,8 +123,8 @@ pub struct Table2Row {
 
 /// Per-replicate engine seeds for one (problem, `T_F`, `P`) Table II cell.
 ///
-/// Exported so the faults experiment's `f = 0` arm reproduces the Table II
-/// experimental arm bit-for-bit (same seeds → same runs → same elapsed).
+/// Exported so the golden cells in `xtask` pin the replicate streams the
+/// Table II experimental arm runs (same seeds → same runs → same elapsed).
 pub fn replicate_seeds(
     root: u64,
     problem: PaperProblem,
@@ -399,7 +399,9 @@ mod tests {
         assert_eq!(rows.len(), 8);
         for r in &rows {
             assert!(r.experimental_time > 0.0);
-            assert!(r.t_a > 0.0 && r.t_a < 0.01, "implausible T_A {}", r.t_a);
+            // Measured on the wall clock: the upper band is in
+            // `tests/fit_bands.rs`, run by `ci.sh`.
+            assert!(r.t_a > 0.0, "implausible T_A {}", r.t_a);
             assert!(r.efficiency > 0.0 && r.efficiency <= 1.05);
             assert!(r.simulation_time > 0.0);
         }
@@ -410,28 +412,28 @@ mod tests {
     #[test]
     fn simulation_model_beats_analytical_under_saturation() {
         // The paper's central quantitative claim, at reduced scale: with
-        // T_F = 1 ms and P = 64 the master saturates (measured T_A is tens
-        // of µs on this machine), the analytical error blows up, and the
-        // simulation model stays close.
+        // T_F = 1 ms and P = 64 the master saturates, the analytical error
+        // blows up, and the simulation model stays close. `T_A` is sampled
+        // (30 µs, the order this host measures) so the claim holds under
+        // any load; `tests/fit_bands.rs`, run by `ci.sh`, repeats it on
+        // measured `T_A`.
         let cfg = Table2Config {
             evaluations: 4_000,
             replicates: 2,
             processors: vec![64],
             tf_means: vec![0.001],
             problems: vec![PaperProblem::Uf11],
+            sampled_ta: Some(0.000_03),
             ..Table2Config::default()
         };
-        let rows = run_table2(&cfg);
-        let r = &rows[0];
-        if r.master_utilization > 0.95 {
-            assert!(
-                r.simulation_error < r.analytical_error,
-                "sim err {} should beat analytic err {}",
-                r.simulation_error,
-                r.analytical_error
-            );
-        }
-        // In all cases the simulation model must stay within a sane band.
+        let r = &run_table2(&cfg)[0];
+        assert!(r.master_utilization > 0.95, "{}", r.master_utilization);
+        assert!(
+            r.simulation_error < r.analytical_error,
+            "sim err {} should beat analytic err {}",
+            r.simulation_error,
+            r.analytical_error
+        );
         assert!(
             r.simulation_error < 0.5,
             "sim error too large: {}",

@@ -8,9 +8,7 @@
 //! the reduced idle time the paper highlights.
 
 use borg_models::analytical::TimingParams;
-use borg_models::perfsim::{
-    simulate_async_traced, simulate_sync_traced, PerfSimConfig, TimingModel,
-};
+use borg_models::perfsim::{simulate_async_traced, simulate_sync, PerfSimConfig, TimingModel};
 use borg_obs::InMemoryRecorder;
 
 /// Configuration for the timeline figures.
@@ -60,7 +58,7 @@ fn config_to_perfsim(config: &TimelineConfig) -> PerfSimConfig {
 /// Figure 1: the synchronous, generational timeline.
 pub fn figure1(config: &TimelineConfig) -> Timeline {
     let rec = InMemoryRecorder::new();
-    let pred = simulate_sync_traced(&config_to_perfsim(config), &rec);
+    let pred = simulate_sync(&config_to_perfsim(config), &rec);
     let trace = rec.span_trace();
     Timeline {
         csv: trace.to_csv(),

@@ -64,25 +64,6 @@ fn table2_smoke_writes_csv_with_all_cells() {
 }
 
 #[test]
-fn faults_smoke_writes_csv_and_completes_every_cell() {
-    let out = temp_out("faults");
-    let result = run(&["faults", "--smoke"], &out);
-    assert!(
-        result.status.success(),
-        "{}",
-        String::from_utf8_lossy(&result.stderr)
-    );
-    let csv = std::fs::read_to_string(out.join("faults.csv")).unwrap();
-    // Smoke config: 2 failure rates × 2 P + header.
-    assert_eq!(csv.lines().count(), 5);
-    // Every cell must report the full smoke budget (2000 NFE) completed.
-    for line in csv.lines().skip(1) {
-        assert!(line.contains(",2000,"), "cell did not complete: {line}");
-    }
-    let _ = std::fs::remove_dir_all(&out);
-}
-
-#[test]
 fn hv_speedup_smoke_writes_panels() {
     // UF11's reference bounds are not the unit box, so fig4 also exercises
     // the normalization in front of the hypervolume tracker.

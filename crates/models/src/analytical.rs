@@ -106,30 +106,6 @@ pub fn relative_error(actual: f64, predicted: f64) -> f64 {
     (actual - predicted).abs() / actual.abs()
 }
 
-// ---------------------------------------------------------------------------
-// Degraded (fault-aware) model
-// ---------------------------------------------------------------------------
-
-/// Effective worker-equivalent processor count under a worker failure
-/// rate `f`: `P_eff = P · (1 − f)`, floored at one master plus one worker.
-///
-/// The correction treats each crashed worker as lost for (on average)
-/// the whole run — the pessimistic end of the paper's §VII discussion —
-/// so `P_eff` interpolates linearly between the healthy pool and a bare
-/// master-worker pair.
-fn effective_processors(p: u32, f: f64) -> f64 {
-    assert!((0.0..=1.0).contains(&f), "failure rate must be in [0, 1]");
-    (p as f64 * (1.0 - f)).max(2.0)
-}
-
-/// Degraded Eq. (2): asynchronous runtime with `P` replaced by `P_eff`,
-/// `T_P(f) = N/(P_eff − 1) (T_F + 2 T_C + T_A)`.
-pub fn async_parallel_time_degraded(n: u64, p: u32, t: TimingParams, f: f64) -> f64 {
-    assert!(p >= 2, "need a master and at least one worker");
-    let p_eff = effective_processors(p, f);
-    n as f64 / (p_eff - 1.0) * (t.t_f + 2.0 * t.t_c + t.t_a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,47 +246,5 @@ mod tests {
         assert!((relative_error(10.0, 8.0) - 0.2).abs() < 1e-12);
         assert!((relative_error(8.0, 10.0) - 0.25).abs() < 1e-12);
         assert_eq!(relative_error(5.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn degraded_model_reduces_to_eq2_at_f0() {
-        let t = dtlz2_p128();
-        let n = 100_000;
-        for p in [16u32, 128, 1024] {
-            assert_eq!(
-                async_parallel_time_degraded(n, p, t, 0.0),
-                async_parallel_time(n, p, t)
-            );
-        }
-    }
-
-    #[test]
-    fn degraded_model_bends_the_speedup_curve() {
-        // Harada & Alba's observation: a degraded pool bends the speedup
-        // curve down roughly in proportion to the fraction lost.
-        let t = dtlz2_p128();
-        let n = 100_000;
-        let t0 = async_parallel_time_degraded(n, 128, t, 0.0);
-        let t10 = async_parallel_time_degraded(n, 128, t, 0.1);
-        let t50 = async_parallel_time_degraded(n, 128, t, 0.5);
-        assert!(t0 < t10 && t10 < t50);
-        let ratio = t0 / t10;
-        assert!(
-            (0.85..0.95).contains(&ratio),
-            "10% failures should cost ~10%: {ratio}"
-        );
-        // Efficiency is charged against provisioned P (crashed nodes are
-        // paid for too) over the fault-free serial baseline, so it
-        // degrades as well.
-        let degraded_efficiency = serial_time(n, t) / (128.0 * t10);
-        assert!(degraded_efficiency < async_efficiency(n, 128, t));
-    }
-
-    #[test]
-    fn effective_processors_floors_at_master_plus_worker() {
-        assert_eq!(effective_processors(128, 0.0), 128.0);
-        assert!((effective_processors(128, 0.25) - 96.0).abs() < 1e-12);
-        assert_eq!(effective_processors(4, 1.0), 2.0);
-        assert_eq!(effective_processors(2, 0.9), 2.0);
     }
 }

@@ -142,37 +142,23 @@ pub fn simulate_async_traced<R: Recorder + ?Sized>(
     let workers = (config.processors - 1) as usize;
     let mut hooks = SamplingHooks::new(config.timing, workers, config.seed);
     let outcome = run_async(&mut hooks, workers, config.evaluations, rec);
-    let means = config.timing.means();
-    let serial = crate::analytical::serial_time(config.evaluations, means);
-    let speedup = serial / outcome.elapsed;
-    PerfPrediction {
-        parallel_time: outcome.elapsed,
-        serial_time: serial,
-        speedup,
-        efficiency: speedup / config.processors as f64,
-        outcome,
-    }
+    predict(config, outcome)
 }
 
-/// Runs the synchronous (generational) simulation model (for Figure 5's
-/// comparison and the straggler ablation).
-pub fn simulate_sync(config: &PerfSimConfig) -> PerfPrediction {
-    simulate_sync_traced(config, &NoopRecorder)
-}
-
-/// As [`simulate_sync`], emitting activity spans and metrics through
-/// `rec` (for Figure 1 and the telemetry exports).
-pub fn simulate_sync_traced<R: Recorder + ?Sized>(
-    config: &PerfSimConfig,
-    rec: &R,
-) -> PerfPrediction {
+/// Runs the synchronous (generational) simulation model, emitting activity
+/// spans and metrics through `rec` (Figure 1's timeline).
+pub fn simulate_sync<R: Recorder + ?Sized>(config: &PerfSimConfig, rec: &R) -> PerfPrediction {
     assert!(config.processors >= 2);
     let workers = (config.processors - 1) as usize;
     // Generation width: the workers plus the self-evaluating master.
     let mut hooks = SamplingHooks::new(config.timing, workers + 1, config.seed);
     let outcome = run_sync(&mut hooks, workers, config.evaluations, rec);
-    let means = config.timing.means();
-    let serial = crate::analytical::serial_time(config.evaluations, means);
+    predict(config, outcome)
+}
+
+/// Speedup and efficiency of a simulated run against Eq. 1's serial time.
+fn predict(config: &PerfSimConfig, outcome: RunOutcome) -> PerfPrediction {
+    let serial = crate::analytical::serial_time(config.evaluations, config.timing.means());
     let speedup = serial / outcome.elapsed;
     PerfPrediction {
         parallel_time: outcome.elapsed,
@@ -303,7 +289,7 @@ mod tests {
     #[test]
     fn sync_model_runs_and_reports() {
         let cfg = paper_config(16, 0.01, 0.000_006, 4_800);
-        let pred = simulate_sync(&cfg);
+        let pred = simulate_sync(&cfg, &NoopRecorder);
         assert!(pred.parallel_time > 0.0);
         assert!(pred.efficiency > 0.3 && pred.efficiency <= 1.0);
     }
@@ -315,7 +301,7 @@ mod tests {
             let cfg = paper_config(p, 0.05, 0.000_02, 20_000);
             (
                 simulate_async(&cfg).efficiency,
-                simulate_sync(&cfg).efficiency,
+                simulate_sync(&cfg, &NoopRecorder).efficiency,
             )
         };
         let (ea_big, es_big) = at_scale(1024);
@@ -325,7 +311,7 @@ mod tests {
         );
         let small = paper_config(3, 0.0005, 0.000_006, 3_000);
         let ea_small = simulate_async(&small).efficiency;
-        let es_small = simulate_sync(&small).efficiency;
+        let es_small = simulate_sync(&small, &NoopRecorder).efficiency;
         assert!(
             es_small > ea_small,
             "sync {es_small} should beat async {ea_small} at P=3, tiny T_F"

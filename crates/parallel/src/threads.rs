@@ -539,9 +539,10 @@ mod tests {
             }
         }
         assert_eq!(consumed, nfe);
-        // Measured T_F must reflect the injected delay.
+        // Measured T_F includes the whole delay, which is never early; its
+        // upper band is in `borg-experiments`' `tests/fit_bands.rs`.
         let mean_tf = result.tf.mean();
-        assert!((mean_tf - t_f).abs() < t_f, "mean T_F {mean_tf}");
+        assert!(mean_tf >= t_f, "mean T_F {mean_tf}");
     }
 
     #[test]

@@ -796,6 +796,62 @@ mod tests {
     }
 
     #[test]
+    fn degraded_pool_completes_budget_with_every_fault_recovered() {
+        // `FaultConfig::degraded` (crash rate f, 1% message loss) across pool
+        // sizes: every cell finishes its budget and recovers what it injects.
+        let problem = Dtlz::dtlz2_5();
+        for f in [0.0, 0.1] {
+            for p in [8, 64] {
+                let cfg = sampled_config(p, 2_000, 0.001, 0.000_03);
+                let faults = if f == 0.0 {
+                    FaultConfig::default()
+                } else {
+                    FaultConfig::degraded(f)
+                };
+                let result = run_virtual_async_with(
+                    &problem,
+                    borg_cfg(),
+                    &FaultyRun::new(&cfg, &faults),
+                    &NoopRecorder,
+                    |_, _| {},
+                );
+                assert_eq!(result.outcome.completed, 2_000, "P={p} f={f}");
+                assert!(result.outcome.elapsed > 0.0);
+                if f == 0.0 {
+                    assert_eq!(result.fault_log.injected(), 0, "P={p}");
+                    assert_eq!(result.fault_log.reissues, 0, "P={p}");
+                } else {
+                    assert!(result.fault_log.injected() > 0, "P={p} injected nothing");
+                    assert!(result.fault_log.all_recovered(), "P={p} f={f}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn crashes_cost_elapsed_time_not_evaluations() {
+        // Losing a quarter of the pool: the same-seed fault-free run finishes
+        // the same budget sooner.
+        let problem = Dtlz::dtlz2_5();
+        let cfg = sampled_config(16, 4_000, 0.001, 0.000_03);
+        let healthy = run_virtual_async(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {});
+        let faulty = run_virtual_async_with(
+            &problem,
+            borg_cfg(),
+            &FaultyRun::new(&cfg, &FaultConfig::degraded(0.25)),
+            &NoopRecorder,
+            |_, _| {},
+        );
+        assert_eq!(faulty.outcome.completed, healthy.outcome.completed);
+        assert!(
+            faulty.outcome.elapsed > healthy.outcome.elapsed,
+            "crashes should cost time: {} vs {}",
+            faulty.outcome.elapsed,
+            healthy.outcome.elapsed
+        );
+    }
+
+    #[test]
     fn quiet_faulty_run_matches_fault_free_elapsed_closely() {
         let problem = Dtlz::dtlz2_5();
         let cfg = sampled_config(8, 2_000, 0.01, 0.000_03);

@@ -27,10 +27,10 @@
 //! pure function of the seed, so the black box is itself deterministic.
 //!
 //! A fourth arm checks the parallel-runner contract: the same smoke-scale
-//! Table II and fault sweeps run with `jobs = 1` and `jobs = 4` must
-//! produce byte-identical rows, fault ledgers, and metrics JSONL — the
-//! shared-queue pool in `borg-runner` may change *when* a replicate runs,
-//! never *what* it produces or the order results are folded in.
+//! Table II sweep run with `jobs = 1` and `jobs = 4` must produce
+//! byte-identical rows and metrics JSONL — the shared-queue pool in
+//! `borg-runner` may change *when* a replicate runs, never *what* it
+//! produces or the order results are folded in.
 //!
 //! A fifth arm takes the contract onto real sockets: a chaos-mode
 //! networked loopback run (`borg_net::chaos`) — in-process workers over
@@ -47,7 +47,6 @@
 use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::{FaultConfig, FaultKind};
-use borg_experiments::faults::{render_faults, run_faults, FaultsConfig};
 use borg_experiments::suite::PaperProblem;
 use borg_experiments::table2::{render_table2, run_table2_with, Table2Config};
 use borg_models::dist::Dist;
@@ -74,14 +73,14 @@ pub struct DeterminismReport {
     pub faults_injected: usize,
     /// Reissues performed by the fault-replay arm.
     pub fault_reissues: u64,
-    /// Golden Table II / faults cells compared bit-for-bit against the
+    /// Golden Table II / fault-path cells compared bit-for-bit against the
     /// checked-in CSV (see [`crate::golden`]).
     pub golden_rows: usize,
     /// Evaluations observed by the recorder arm (an in-memory recorder
     /// attached to a run must observe everything and change nothing).
     pub recorder_evals: u64,
-    /// Table II + fault-sweep rows compared byte-for-byte between the
-    /// `jobs = 1` and `jobs = 4` sweeps by the parallel-runner arm.
+    /// Table II rows compared byte-for-byte between the `jobs = 1` and
+    /// `jobs = 4` sweeps by the parallel-runner arm.
     pub parallel_rows: usize,
     /// Metrics-JSONL lines compared byte-for-byte by the same arm.
     pub parallel_jsonl_lines: usize,
@@ -486,8 +485,6 @@ fn networked_chaos_arm(seed: u64, oracle: &VirtualRunResult) -> Result<(u64, usi
 struct SweepOutputs {
     table_csv: String,
     table_bits: Vec<u64>,
-    faults_csv: String,
-    faults_bits: Vec<u64>,
     metrics_jsonl: String,
 }
 
@@ -527,40 +524,14 @@ fn sweep_outputs(jobs: usize) -> SweepOutputs {
         ]);
     }
 
-    let fcfg = FaultsConfig {
-        evaluations: 1_000,
-        replicates: 3,
-        processors: vec![8, 16],
-        failure_rates: vec![0.0, 0.25],
-        tf_mean: 0.001,
-        sampled_ta: Some(0.000_03),
-        jobs,
-        ..FaultsConfig::default()
-    };
-    let frows = run_faults(&fcfg);
-    let mut faults_bits = Vec::new();
-    for r in &frows {
-        faults_bits.extend([
-            r.experimental_time.to_bits(),
-            r.completed_nfe,
-            r.injected.to_bits(),
-            r.detected.to_bits(),
-            r.recovered.to_bits(),
-            r.reissues.to_bits(),
-            r.wasted_nfe.to_bits(),
-        ]);
-    }
-
     SweepOutputs {
         table_csv: render_table2(&rows).to_csv(),
         table_bits,
-        faults_csv: render_faults(&frows).to_csv(),
-        faults_bits,
         metrics_jsonl: jsonl,
     }
 }
 
-/// Runs the smoke sweeps at `jobs = 1` and `jobs = 4` and demands
+/// Runs the smoke sweep at `jobs = 1` and `jobs = 4` and demands
 /// byte-identical outputs; returns (rows compared, JSONL lines compared).
 fn parallel_runner_arm() -> Result<(usize, usize), String> {
     let serial = sweep_outputs(1);
@@ -570,13 +541,6 @@ fn parallel_runner_arm() -> Result<(usize, usize), String> {
             "parallel-runner arm: Table II rows diverged between jobs=1 and jobs=4:\n\
              --- jobs=1 ---\n{}--- jobs=4 ---\n{}",
             serial.table_csv, parallel.table_csv
-        ));
-    }
-    if serial.faults_bits != parallel.faults_bits || serial.faults_csv != parallel.faults_csv {
-        return Err(format!(
-            "parallel-runner arm: fault-sweep rows/ledgers diverged between jobs=1 and jobs=4:\n\
-             --- jobs=1 ---\n{}--- jobs=4 ---\n{}",
-            serial.faults_csv, parallel.faults_csv
         ));
     }
     if serial.metrics_jsonl != parallel.metrics_jsonl {
@@ -608,8 +572,7 @@ fn parallel_runner_arm() -> Result<(usize, usize), String> {
                 .to_string(),
         );
     }
-    let rows = serial.table_csv.lines().count().saturating_sub(1)
-        + serial.faults_csv.lines().count().saturating_sub(1);
+    let rows = serial.table_csv.lines().count().saturating_sub(1);
     Ok((rows, jsonl_lines))
 }
 

@@ -1,5 +1,6 @@
-//! Golden-cell regression gate: one Table II cell and one faults-sweep
-//! cell, pinned to a checked-in CSV under `crates/xtask/golden/`.
+//! Golden-cell regression gate: one Table II cell and one fault-path cell
+//! (`run_virtual_async_with` under `FaultConfig::degraded`), pinned to a
+//! checked-in CSV under `crates/xtask/golden/`.
 //!
 //! The same-seed-twice arm in [`crate::determinism`] proves a build agrees
 //! with *itself*; this gate proves it agrees with the build that generated
@@ -8,8 +9,8 @@
 //! Both cells run the real Borg MOEA in the virtual-time executor with
 //! **sampled** `T_A` (`TaMode::Measured` charges wall-clock noise into the
 //! virtual schedule, which would make a cross-build golden meaningless) and
-//! the exact replicate-seed derivation Table II and the faults sweep use,
-//! so a drift here is a drift in the published experiment tables.
+//! the exact replicate-seed derivation Table II uses, so a drift here is a
+//! drift in the published experiment tables or in the DES fault path.
 //!
 //! Regenerate deliberately with `cargo xtask golden --bless` — never to
 //! silence a diff you cannot explain.
@@ -27,14 +28,14 @@ use std::path::Path;
 /// Golden CSV location, relative to the workspace root.
 pub const GOLDEN_REL: &str = "crates/xtask/golden/protocol_cells.csv";
 
-/// Root seed shared with `Table2Config::default` / `FaultsConfig::default`,
-/// so these cells pin the same replicate streams the experiments consume.
+/// Root seed shared with `Table2Config::default`, so these cells pin the
+/// same replicate streams the experiment consumes.
 const ROOT_SEED: u64 = 20130520;
 const TF_MEAN: f64 = 0.001;
 const PROCESSORS: u32 = 8;
 const REPLICATES: u32 = 2;
 const MAX_NFE: u64 = 2_000;
-/// Failure rate for the faults-sweep cell (ties to the sweep's worst column).
+/// Failure rate of the fault-path cell: a quarter of the workers crash.
 const FAILURE_RATE: f64 = 0.25;
 
 /// Summary of a passing golden comparison.

@@ -64,7 +64,7 @@ fn print_help() {
          \x20   determinism     the same-seed-twice gate: seed, fault-replay,\n\
          \x20                   recorder-attached, jobs=1-vs-jobs=4 and\n\
          \x20                   chaos-loopback-vs-DES-oracle arms, then the\n\
-         \x20                   golden Table II / faults cells\n\
+         \x20                   golden Table II / fault-path cells\n\
          \x20   golden --bless  regenerate the crates/xtask/golden CSV\n\
          \x20   mc              explore every event-delivery schedule into the\n\
          \x20                   protocol engine (borg-mc): --smoke runs the CI\n\
@@ -104,7 +104,7 @@ fn determinism_command() -> Result<ExitCode, String> {
                  fault replay identical ({} injected, {} reissues); \
                  recorder-attached run identical ({} evals observed); \
                  flight dumps byte-identical ({} events); \
-                 jobs=1 ≡ jobs=4 sweeps ({} rows, {} metrics lines byte-identical); \
+                 jobs=1 ≡ jobs=4 Table II sweep ({} rows, {} metrics lines byte-identical); \
                  networked chaos loopback ≡ DES oracle ({} wire results, {} wire faults, \
                  {} live-tap frames); \
                  golden cells match ({} rows)",

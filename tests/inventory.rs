@@ -95,6 +95,58 @@ fn every_vendored_stand_in_is_a_used_dependency_named_in_design_section_6() {
     assert!(stale.is_empty(), "stale vendored stand-ins: {stale:#?}");
 }
 
+/// The members of `borg-exp all` (rows of the `SUBS` table in `bin_src`
+/// with `in_all: true`) that no `Command:` line of `experiments` names. A
+/// line names each code span before its `Output:`, so `` Command: `borg-exp
+/// fig1` / `fig2` `` names both.
+fn unreported_subcommands(bin_src: &str, experiments: &str) -> Vec<String> {
+    let named: Vec<&str> = experiments
+        .lines()
+        .filter_map(|line| line.strip_prefix("Command:"))
+        .filter_map(|line| line.split("Output:").next())
+        .flat_map(|line| line.split('`').skip(1).step_by(2))
+        .filter_map(|code| code.trim_start_matches("borg-exp ").split(' ').next())
+        .collect();
+    let table = bin_src.split("static SUBS").nth(1).expect("a SUBS table");
+    let table = table.split("\n];").next().unwrap_or(table);
+    table
+        .split("Sub { name: \"")
+        .skip(1)
+        .filter(|row| row.contains("in_all: true"))
+        .filter_map(|row| row.split('"').next())
+        .filter(|name| !named.contains(name))
+        .map(str::to_string)
+        .collect()
+}
+
+#[test]
+fn every_subcommand_all_runs_has_a_command_line_in_experiments_md() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |rel: &str| fs::read_to_string(root.join(rel)).expect("read a file");
+    let bin = read("crates/experiments/src/bin/borg-exp.rs");
+    assert!(
+        bin.matches("in_all: true").count() > 5,
+        "SUBS table not found"
+    );
+    let missing = unreported_subcommands(&bin, &read("EXPERIMENTS.md"));
+    assert!(
+        missing.is_empty(),
+        "run by `all`, reported nowhere: {missing:?}"
+    );
+}
+
+#[test]
+fn unreported_subcommand_check_has_teeth() {
+    let bin = "static SUBS: [Sub; 4] = [\n    Sub { name: \"fig1\", in_all: true },\n    \
+               Sub { name: \"fig2\", args: \"\",\n          in_all: true },\n    \
+               Sub { name: \"faults\", in_all: true },\n    Sub { name: \"serve\", in_all: false },\n\
+               ];\nfn f() { Sub { name: \"late\", in_all: true }; }\n";
+    let seeded = "Command: `borg-exp fig1` / `fig2`. Output: `faults`.\nThe `faults` sweep.\n";
+    assert_eq!(unreported_subcommands(bin, seeded), ["faults"]);
+    let clean = format!("{seeded}Command: `borg-exp faults --smoke`.\n");
+    assert!(unreported_subcommands(bin, &clean).is_empty());
+}
+
 /// A `clippy.toml` as key → values: a scalar's text, or the `path` of
 /// each `{ path = "…", reason = "…" }` entry of an array.
 fn clippy_config(path: &Path) -> BTreeMap<String, Vec<String>> {

@@ -19,14 +19,14 @@ struct Cell {
     ta: SampleLog,
 }
 
-fn run_cell(p: u32, nfe: u64, tf: f64) -> Cell {
+fn run_cell(p: u32, nfe: u64, tf: f64, t_a: TaMode) -> Cell {
     let problem = Dtlz::dtlz2_5();
     let cfg = VirtualConfig {
         processors: p,
         max_nfe: nfe,
         t_f: Dist::normal_cv(tf, 0.1),
         t_c: Dist::Constant(0.000_006),
-        t_a: TaMode::Measured,
+        t_a,
         seed: 1234,
     };
     let result = run_virtual_async(
@@ -48,7 +48,7 @@ fn analytical_model_is_accurate_below_saturation() {
     // Large T_F, small P: Eq. (2) should be within a few percent of the
     // full-algorithm execution — the paper's low-error cells.
     let (p, nfe, tf) = (16, 5_000, 0.1);
-    let cell = run_cell(p, nfe, tf);
+    let cell = run_cell(p, nfe, tf, TaMode::Measured);
     let eq2 = async_parallel_time(nfe, p, TimingParams::new(tf, 0.000_006, cell.mean_ta));
     let err = relative_error(cell.elapsed, eq2);
     assert!(
@@ -63,7 +63,7 @@ fn analytical_model_fails_and_simulation_model_holds_past_saturation() {
     // model — parameterized by distributions *fitted from the measured
     // samples* (the §IV-B pipeline) — must stay far closer than Eq. (2).
     let (p, nfe, tf) = (512, 10_000, 0.001);
-    let cell = run_cell(p, nfe, tf);
+    let cell = run_cell(p, nfe, tf, TaMode::Measured);
     let timing = TimingParams::new(tf, 0.000_006, cell.mean_ta);
 
     // Confirm this configuration is genuinely past the saturation bound.
@@ -102,11 +102,15 @@ fn analytical_model_fails_and_simulation_model_holds_past_saturation() {
 fn elapsed_time_bottoms_out_at_saturation() {
     // Table II, T_F = 1 ms: elapsed time falls with P pre-saturation, then
     // flattens at the master-throughput floor `N (2 T_C + T_A)` — adding
-    // processors past P_UB buys nothing.
+    // processors past P_UB buys nothing. `T_A` is sampled at 30 µs (P_UB ≈
+    // 24), so where P_UB falls does not depend on the host's load;
+    // `borg-experiments`' `tests/fit_bands.rs`, run by `ci.sh`, repeats
+    // the claim on measured `T_A`.
     let nfe = 6_000;
+    let t_a = TaMode::Sampled(Dist::Constant(0.000_03));
     let times: Vec<f64> = [16u32, 256, 1024]
         .iter()
-        .map(|&p| run_cell(p, nfe, 0.001).elapsed)
+        .map(|&p| run_cell(p, nfe, 0.001, t_a).elapsed)
         .collect();
     assert!(times[1] < times[0], "more workers must help pre-saturation");
     assert!(
