@@ -137,4 +137,24 @@ mod tests {
             idle_frac(&f1)
         );
     }
+
+    #[test]
+    fn figure1_recorded_stream_is_pinned() {
+        // Figure 1's run with its recorder: the span stream and the
+        // paper's timing histograms derived from it keep their bits.
+        let cfg = TimelineConfig::default();
+        let rec = InMemoryRecorder::new();
+        let pred = simulate_sync(&config_to_perfsim(&cfg), &rec);
+        assert_eq!(pred.parallel_time.to_bits(), 0x3fb2_f1a9_fbe7_6c8e);
+        assert_eq!(figure1(&cfg).elapsed.to_bits(), 0x3fb2_f1a9_fbe7_6c8e);
+        assert_eq!(rec.span_trace().spans().len(), 55);
+        let snap = rec.snapshot();
+        let hist = |name: &str| {
+            let h = &snap.histograms[name];
+            (h.count(), h.sum().to_bits())
+        };
+        assert_eq!(hist("t_a_seconds"), (16, 0x3fa0_624d_d2f1_a9ff));
+        assert_eq!(hist("t_c_seconds"), (18, 0x3f92_6e97_8d4f_df40));
+        assert_eq!(hist("idle_seconds"), (9, 0x3f9e_b851_eb85_1ebe));
+    }
 }
