@@ -31,7 +31,7 @@ cargo test -q --release -p borg-protocol --test handle_ratio -- --ignored
 echo "==> one-process ratio test: EventQueue vs the float-ordered BinaryHeap at 1023 pending (>= 1.5x)"
 cargo test -q --release -p borg-desim --test queue_ratio -- --ignored
 
-echo "==> one-process ratio test: precise_delay vs thread::sleep median overshoot at 1 ms (<= 1/3)"
+echo "==> one-process delay tests: precise_delay vs thread::sleep median overshoot at 1 ms (<= 1/3), zero and negative delays return in < 1 ms"
 cargo test -q --release -p borg-parallel --test delay_ratio -- --ignored
 
 echo "==> one-process ratio test: encode_into a reused frame vs a fresh Vec (<= 0.6x)"
@@ -40,7 +40,7 @@ cargo test -q --release -p borg-net --test encode_ratio -- --ignored
 echo "==> one-process ratio test: run_threaded vs serve over a Unix socket (>= 1.5x)"
 cargo test -q --release -p borg-net --test serve_loopback threads_outrun_sockets -- --ignored
 
-echo "==> one-process wall-clock bands: fit pipeline T_F/T_A/T_C, Table II T_A and sim error, saturation point, run_threaded T_F"
+echo "==> one-process wall-clock bands: fit pipeline T_F/T_A/T_C, Table II T_A and sim error, fitted sim error at P = 512 (< 0.35, < Eq. 2 error / 3), saturation point, run_threaded T_F"
 cargo test -q --release -p borg-experiments --test fit_bands -- --ignored
 
 echo "==> benchmark/run.sh --smoke (every workload's output checks)"

@@ -1,7 +1,8 @@
 //! Claims on what the wall clock measures: the `T_F` of a run with an
 //! injected delay, the thread `T_C` probe, and the `T_A` the virtual
 //! executor charges in `TaMode::Measured`, with what that `T_A` leads to
-//! (Table II's simulation error, the P where elapsed time stops falling).
+//! (Table II's simulation error, the fitted model's error past saturation,
+//! the P where elapsed time stops falling).
 //! A loaded host stretches each of them without bound (a 2 ms injection
 //! beside a running test suite on two vCPUs reads 4.1–5.5 ms), so they are
 //! ignored by default and `ci.sh` runs them in one process with `cargo test
@@ -14,7 +15,12 @@ use borg_core::algorithm::BorgConfig;
 use borg_experiments::fitdemo::{run_fit_demo, FitDemoConfig};
 use borg_experiments::suite::PaperProblem;
 use borg_experiments::table2::{run_table2, Table2Config};
+use borg_models::analytical::{
+    async_parallel_time, processor_upper_bound, relative_error, TimingParams,
+};
 use borg_models::dist::Dist;
+use borg_models::distfit::best_fit;
+use borg_models::perfsim::{simulate_async, PerfSimConfig, TimingModel};
 use borg_obs::NoopRecorder;
 use borg_parallel::threads::{run_threaded, ThreadedConfig};
 use borg_parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
@@ -114,6 +120,53 @@ fn measured_elapsed_time_bottoms_out_at_saturation() {
         times[2] > times[1] * 0.7,
         "saturated time should flatten, not keep dropping: {times:?}"
     );
+}
+
+#[test]
+#[ignore = "wall-clock band; ci.sh runs it in release"]
+fn measured_analytical_model_fails_and_simulation_model_holds_past_saturation() {
+    // DTLZ2, T_F = 1 ms, P = 512, measured T_A: Eq. 2 misses by more than
+    // half, and the simulation model fed a fit of the measured T_A stays
+    // within 35 % and under a third of Eq. 2's error. Load stretches T_A's
+    // tail past what the fitted family carries.
+    let (p, nfe, tf) = (512, 10_000, 0.001);
+    let cfg = VirtualConfig {
+        processors: p,
+        max_nfe: nfe,
+        t_f: Dist::normal_cv(tf, 0.1),
+        t_c: Dist::Constant(0.000_006),
+        t_a: TaMode::Measured,
+        seed: 1234,
+    };
+    let borg = BorgConfig::new(5, 0.1);
+    let run = run_virtual_async(&Dtlz::dtlz2_5(), borg, &cfg, &NoopRecorder, |_, _| {});
+    let elapsed = run.outcome.elapsed;
+    let timing = TimingParams::new(tf, 0.000_006, run.ta.mean());
+    assert!(
+        f64::from(p) > processor_upper_bound(timing),
+        "test premise broken: P not past P_UB"
+    );
+    let analytic_err = relative_error(elapsed, async_parallel_time(nfe, p, timing));
+    assert!(
+        analytic_err > 0.5,
+        "expected large analytical error, got {analytic_err}"
+    );
+    let sim = simulate_async(&PerfSimConfig {
+        processors: p,
+        evaluations: nfe,
+        timing: TimingModel {
+            t_f: Dist::normal_cv(tf, 0.1),
+            t_c: Dist::Constant(0.000_006),
+            t_a: best_fit(run.ta.retained()),
+        },
+        seed: 99,
+    });
+    let sim_err = relative_error(elapsed, sim.parallel_time);
+    assert!(
+        sim_err < analytic_err / 3.0,
+        "simulation error {sim_err} not clearly better than analytical {analytic_err}"
+    );
+    assert!(sim_err < 0.35, "simulation error {sim_err} too large");
 }
 
 #[test]

@@ -23,7 +23,7 @@
 use crate::overlay::Overlay;
 use crate::transport::ModelTransport;
 use borg_obs::NoopRecorder;
-use borg_protocol::{EngineConfig, Event, MasterEngine, PoolDiscipline, ProtocolMode};
+use borg_protocol::{EngineConfig, Event, MasterEngine, PoolDiscipline};
 use std::collections::BTreeMap;
 
 /// How strictly terminal outcomes must agree across schedules.
@@ -35,8 +35,8 @@ pub enum Strictness {
     /// on arrival order.
     CompletedCount,
     /// All schedules must consume exactly the same set of eval ids and
-    /// abandon exactly the same set. The bar for `Budgeted` and `Sync`
-    /// protocols, whose work identity is schedule-independent.
+    /// abandon exactly the same set. The bar for `Budgeted` protocols,
+    /// whose work identity is schedule-independent.
     ConsumedSet,
     /// All schedules must account for the same set of eval ids, but the
     /// consumed/abandoned *partition* may differ. The bar for scenarios
@@ -313,17 +313,10 @@ impl Explorer<'_> {
     fn check_terminal(&mut self, engine: &MasterEngine, t: &ModelTransport) {
         self.check_step(engine, t);
         let budget = self.scenario.config.budget;
-        let workers = self.scenario.config.workers as u64;
         if engine.finished() {
-            // I4: the finish line is exactly the budget (async consumes
-            // one result at a time) or within one generation of it.
-            let ok = match self.scenario.config.mode {
-                ProtocolMode::Async => engine.completed() == budget,
-                ProtocolMode::Sync => {
-                    engine.completed() >= budget && engine.completed() < budget + workers
-                }
-            };
-            if !ok {
+            // I4: the finish line is exactly the budget (the engine
+            // consumes one result at a time).
+            if engine.completed() != budget {
                 self.violation(
                     "budget-conservation",
                     format!(
@@ -458,27 +451,6 @@ mod tests {
         assert_eq!(report.outcomes, 1);
         assert!(report.schedules >= 8, "schedules {}", report.schedules);
         assert_eq!(report.truncated, 0);
-    }
-
-    #[test]
-    fn memoization_prunes_commuting_interleavings() {
-        // Eager arrivals never commute at state level (order decides the
-        // eval→worker binding), but generational arrivals commute
-        // perfectly within a generation: all 3! orders converge.
-        let scenario = Scenario {
-            name: "test_sync",
-            config: EngineConfig::sync_generational(3, 5),
-            overlay: Overlay::quiet(),
-            strictness: Strictness::ConsumedSet,
-            delay_window: None,
-            rearm_cap: 0,
-            max_depth: 32,
-            sabotage: false,
-        };
-        let report = run_scenario(&scenario);
-        assert!(report.pruned > 0, "no states pruned: {report:?}");
-        assert!(report.violations.is_empty(), "{:?}", report.violations);
-        assert_eq!(report.outcomes, 1);
     }
 
     #[test]

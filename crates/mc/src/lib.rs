@@ -22,8 +22,7 @@
 //!   (`ledger-*`);
 //! - all schedules of a scenario agree on the outcome
 //!   (`outcome-divergence`): completion counts under eager dispatch,
-//!   exact consumed/abandoned sets under budgeted and generational
-//!   protocols.
+//!   exact consumed/abandoned sets under budgeted dispatch.
 //!
 //! Commuting interleavings are folded by state-digest memoization (the
 //! stateful analogue of DPOR sleep sets) without losing schedule

@@ -758,7 +758,7 @@ where
             wire_duplicates: 0,
             rec,
         };
-        let mut hooks = BorgHooks::new(problem, source, config, borg, workers, |_, _| {});
+        let mut hooks = BorgHooks::new(problem, source, config, borg, |_, _| {});
         let outcome = run_async_with(&mut hooks, run.engine_config(), &plan, rec);
         let (run, mut wire) = hooks.finish(outcome);
 

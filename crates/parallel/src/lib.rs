@@ -71,7 +71,7 @@ pub mod prelude {
         ThreadedRunResult,
     };
     pub use crate::virtual_exec::{
-        run_virtual_async, run_virtual_async_with, run_virtual_serial, run_virtual_sync, FaultyRun,
-        TaMode, VirtualConfig, VirtualRunResult,
+        run_virtual_async, run_virtual_async_with, run_virtual_serial, FaultyRun, TaMode,
+        VirtualConfig, VirtualRunResult,
     };
 }

@@ -18,7 +18,7 @@ use borg_desim::fault::{FaultConfig, FaultLog, FaultPlan};
 use borg_models::dist::Dist;
 use borg_models::distfit::SampleLog;
 use borg_models::queueing::{
-    run_async_with, run_sync, AsyncRun, MasterSlaveHooks, RecoveryPolicy, RunOutcome,
+    run_async_with, AsyncRun, MasterSlaveHooks, RecoveryPolicy, RunOutcome,
 };
 use borg_obs::Recorder;
 use borg_protocol::EngineConfig;
@@ -84,17 +84,17 @@ pub struct VirtualRunResult {
     /// Final engine state (archive, statistics).
     pub engine: BorgEngine,
     /// Measured or sampled `T_A` (seconds). `Sampled` mode logs one per
-    /// initial production (`P − 1` asynchronous, `P` synchronous) and one
-    /// per consumed result. `Measured` mode logs one per produce or
-    /// consume, except that a produce directly after a consume (the same
-    /// master hold) is added to that consume's sample. Either way a
-    /// fault-free asynchronous run logs `(P − 1) + N`, and
-    /// [`run_virtual_serial`] logs one per evaluation, `N`.
+    /// initial production (`P − 1`) and one per consumed result.
+    /// `Measured` mode logs one per produce or consume, except that a
+    /// produce directly after a consume (the same master hold) is added to
+    /// that consume's sample. Either way a fault-free asynchronous run logs
+    /// `(P − 1) + N`, and [`run_virtual_serial`] logs one per evaluation,
+    /// `N`.
     pub ta: SampleLog,
-    /// Sampled `T_F` (seconds), one per evaluation started (a
-    /// synchronous master's own included). [`run_virtual_async`]
-    /// logs `N + P − 2`: every consume but the last refills its worker, so
-    /// `P − 2` evaluations are still out when the run ends.
+    /// Sampled `T_F` (seconds), one per evaluation started.
+    /// [`run_virtual_async`] logs `N + P − 2`: every consume but the last
+    /// refills its worker, so `P − 2` evaluations are still out when the
+    /// run ends.
     /// [`run_virtual_async_with`] issues no evaluation past the budget and
     /// logs `N` on a quiet plan, plus one per reissue under faults.
     /// [`run_virtual_serial`] logs `N`.
@@ -167,7 +167,8 @@ pub struct BorgHooks<S, F> {
     /// In `Sampled` mode the per-interaction `T_A` is charged once, on
     /// consume (matching the paper's `hold(T_C + T_A + T_C)` and the
     /// performance model); only the first `width` productions — the
-    /// initial seeding, evaluation ids `0..width` — draw their own sample.
+    /// initial seeding of the `P − 1` workers, evaluation ids `0..width` —
+    /// draw their own sample.
     /// `Measured` mode charges each call's real cost (reissues are free:
     /// the candidate already exists).
     width: u64,
@@ -180,16 +181,12 @@ pub struct BorgHooks<S, F> {
 }
 
 impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
-    /// Hooks for `problem` under `config`'s timing and seed. `width` is
-    /// the number of initial productions: the worker pool for the
-    /// asynchronous topology, one more (the self-evaluating master) for
-    /// the synchronous one.
+    /// Hooks for `problem` under `config`'s timing and seed.
     pub fn new<P: Problem + ?Sized>(
         problem: &P,
         source: S,
         config: &VirtualConfig,
         borg: BorgConfig,
-        width: usize,
         observer: F,
     ) -> Self {
         let mut split = SplitMix64::new(config.seed);
@@ -207,7 +204,9 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
             ta: SampleLog::new(),
             tf: SampleLog::new(),
             observer,
-            width: width as u64,
+            // The serial loop never produces through the hooks, so a
+            // one-processor config needs no worker here.
+            width: u64::from(config.processors.saturating_sub(1)),
             open_ta: None,
         }
     }
@@ -350,7 +349,7 @@ where
     let workers = config.workers();
     let quiet = FaultPlan::new(FaultConfig::default(), workers, config.max_nfe, 0);
     let engine = EngineConfig::fault_free_async(workers, config.max_nfe);
-    let mut hooks = BorgHooks::new(problem, problem, config, borg, workers, observer);
+    let mut hooks = BorgHooks::new(problem, problem, config, borg, observer);
     let run = run_async_with(&mut hooks, engine, &quiet, rec);
     hooks.finish(run).0
 }
@@ -421,35 +420,9 @@ where
     F: FnMut(f64, &BorgEngine),
     R: Recorder + ?Sized,
 {
-    let workers = run.config.workers();
-    let mut hooks = BorgHooks::new(problem, problem, run.config, borg, workers, observer);
+    let mut hooks = BorgHooks::new(problem, problem, run.config, borg, observer);
     let outcome = run_async_with(&mut hooks, run.engine_config(), &run.plan(), rec);
     hooks.finish(outcome).0
-}
-
-/// Runs a *generational synchronous* master-slave Borg MOEA in virtual
-/// time (the Cantú-Paz topology used for comparison in §VI-B).
-pub fn run_virtual_sync<P, F, R>(
-    problem: &P,
-    borg: BorgConfig,
-    config: &VirtualConfig,
-    rec: &R,
-    observer: F,
-) -> VirtualRunResult
-where
-    P: Problem + ?Sized,
-    F: FnMut(f64, &BorgEngine),
-    R: Recorder + ?Sized,
-{
-    let workers = config.workers();
-    // Generation width: the workers plus the self-evaluating master.
-    let mut hooks = BorgHooks::new(problem, problem, config, borg, workers + 1, observer);
-    let outcome = run_sync(&mut hooks, workers, config.max_nfe, rec);
-    let run = AsyncRun {
-        outcome,
-        fault_log: FaultLog::default(),
-    };
-    hooks.finish(run).0
 }
 
 /// Runs the Borg MOEA *serially* while charging the same virtual clock
@@ -467,7 +440,7 @@ where
 {
     // The hooks' seeds, draws, logs and buffers, driven one candidate at a
     // time: `T_A` is one sample per evaluation, produce and consume.
-    let mut h = BorgHooks::new(problem, problem, config, borg, 0, observer);
+    let mut h = BorgHooks::new(problem, problem, config, borg, observer);
     let mut clock = 0.0f64;
     while h.core.engine().nfe() < config.max_nfe {
         // One candidate out at a time: its id is the count consumed.
@@ -649,15 +622,6 @@ mod tests {
         let ser = run_virtual_serial(&problem, borg_cfg(), &cfg, |_, _| {});
         let speedup = ser.outcome.elapsed / par.outcome.elapsed;
         assert!(speedup > 10.0, "speedup = {speedup}");
-    }
-
-    #[test]
-    fn sync_executor_runs_generationally() {
-        let problem = Dtlz::dtlz2_5();
-        let cfg = sampled_config(8, 2_000, 0.01, 0.000_03);
-        let result = run_virtual_sync(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {});
-        assert!(result.outcome.completed >= 2_000);
-        assert!(result.engine.archive().len() > 5);
     }
 
     #[test]

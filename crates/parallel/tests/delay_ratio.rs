@@ -3,9 +3,10 @@
 //! alternation so the host's timer and load cancel. The sleep overshoots by
 //! the timer slack plus the wake-up latency; `precise_delay` sleeps short
 //! and yields the rest, so its median overshoot must be at most a third of
-//! the sleep's, and neither may ever return early. Timing needs an
-//! optimised build and a quiet moment, so the test is ignored by default;
-//! `ci.sh` runs it with `cargo test --release -p borg-parallel --test
+//! the sleep's, and neither may ever return early. A second test holds
+//! that a zero or negative delay returns at once. Timing needs an
+//! optimised build and a quiet moment, so both are ignored by default;
+//! `ci.sh` runs them with `cargo test --release -p borg-parallel --test
 //! delay_ratio -- --ignored`.
 
 use borg_parallel::delayed::precise_delay;
@@ -72,4 +73,13 @@ fn precise_delay_overshoots_a_third_of_sleep_or_less() {
         3.0 * precise <= sleep,
         "precise_delay overshoots {precise:.1} us, more than a third of thread::sleep's {sleep:.1} us"
     );
+}
+
+#[test]
+#[ignore = "wall-clock band; ci.sh runs it in release"]
+fn zero_and_negative_delays_return_within_a_millisecond() {
+    let start = Instant::now();
+    precise_delay(0.0);
+    precise_delay(-1.0);
+    assert!(start.elapsed().as_secs_f64() < 0.001);
 }

@@ -79,19 +79,6 @@ fn event_coords(e: &Event) -> (f64, u64, u64) {
     }
 }
 
-/// Asynchronous pipeline vs generational barrier — the protocol-level
-/// distinction the paper studies (its Fig. 1 topologies), expressed as a
-/// mode of one engine rather than separate implementations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProtocolMode {
-    /// Steady-state pipeline: every consumed result immediately funds the
-    /// next dispatch.
-    Async,
-    /// Generational barrier (Cantú-Paz's topology): the master consumes a
-    /// whole generation, then dispatches the next one en bloc.
-    Sync,
-}
-
 /// How dispatch targets relate to physical workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolDiscipline {
@@ -123,15 +110,12 @@ pub enum DispatchPolicy {
 /// Static shape of a protocol run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Dispatch slots. `Async`: the worker pool (`P − 1`). `Sync`: the
-    /// generation width — workers *plus* the self-evaluating master.
+    /// Dispatch slots: the worker pool (`P − 1`).
     pub workers: usize,
     /// Results to consume before the protocol finishes.
     pub budget: u64,
     /// Deadline / heartbeat / reissue-cap policy.
     pub policy: RecoveryPolicy,
-    /// Pipeline vs generational.
-    pub mode: ProtocolMode,
     /// Assigned vs shared worker pool.
     pub discipline: PoolDiscipline,
     /// Eager vs budgeted dispatch.
@@ -145,7 +129,6 @@ impl EngineConfig {
             workers,
             budget,
             policy: RecoveryPolicy::disabled(),
-            mode: ProtocolMode::Async,
             discipline: PoolDiscipline::Assigned,
             dispatch_policy: DispatchPolicy::Eager,
         }
@@ -158,7 +141,6 @@ impl EngineConfig {
             workers,
             budget,
             policy,
-            mode: ProtocolMode::Async,
             discipline: PoolDiscipline::Assigned,
             dispatch_policy: DispatchPolicy::Budgeted,
         }
@@ -175,22 +157,8 @@ impl EngineConfig {
                 heartbeat_interval: f64::INFINITY,
                 ..policy
             },
-            mode: ProtocolMode::Async,
             discipline: PoolDiscipline::Shared,
             dispatch_policy: DispatchPolicy::Budgeted,
-        }
-    }
-
-    /// The generational synchronous protocol (`slots` = workers + the
-    /// self-evaluating master).
-    pub fn sync_generational(slots: usize, budget: u64) -> Self {
-        EngineConfig {
-            workers: slots,
-            budget,
-            policy: RecoveryPolicy::disabled(),
-            mode: ProtocolMode::Sync,
-            discipline: PoolDiscipline::Assigned,
-            dispatch_policy: DispatchPolicy::Eager,
         }
     }
 }
@@ -288,8 +256,6 @@ pub struct MasterEngine {
     current_eval: Vec<Option<u64>>,
     dispatch_count: Vec<u64>,
     pending_respawns: usize,
-    // Sync mode: results still owed by the running generation.
-    gen_remaining: usize,
     finished: bool,
     log: FaultLog,
     // Timestamp of the event being handled, stamped onto the flight
@@ -324,7 +290,6 @@ impl MasterEngine {
             current_eval: vec![None; w],
             dispatch_count: vec![0; w],
             pending_respawns: 0,
-            gen_remaining: 0,
             finished: false,
             log: FaultLog::default(),
             flight_now: 0.0,
@@ -425,7 +390,8 @@ impl MasterEngine {
         h = fold(h, self.next_eval);
         h = fold(h, self.completed);
         h = fold(h, u64::from(self.finished));
-        h = fold(h, self.gen_remaining as u64);
+        // Once a generational barrier count; kept so recorded digests hold.
+        h = fold(h, 0);
         h = fold(h, self.pending_respawns as u64);
         h = fold(h, u64::from(self.suppress_duplicates));
         h = fold(h, self.outstanding.len() as u64);
@@ -492,9 +458,6 @@ impl MasterEngine {
             let id = self.next_eval;
             self.next_eval += 1;
             self.dispatch(t, rec, w, id, 0);
-        }
-        if self.config.mode == ProtocolMode::Sync {
-            self.gen_remaining = self.config.workers;
         }
         if self.config.policy.heartbeat_interval.is_finite() {
             self.emit(rec, Command::RearmHeartbeat);
@@ -686,25 +649,6 @@ impl MasterEngine {
         // Results prove liveness: a quarantined worker that speaks again
         // (e.g. a straggler mistaken for dead) rejoins the pool.
         self.view_alive[worker] = self.alive[worker] || self.view_alive[worker];
-
-        if self.config.mode == ProtocolMode::Sync {
-            self.gen_remaining -= 1;
-            if self.gen_remaining == 0 {
-                if self.completed >= self.config.budget {
-                    self.finished = true;
-                    self.emit(rec, Command::Finish);
-                } else {
-                    // Barrier passed: dispatch the next generation en bloc.
-                    for w in 0..self.config.workers {
-                        let id = self.next_eval;
-                        self.next_eval += 1;
-                        self.dispatch(t, rec, w, id, 0);
-                    }
-                    self.gen_remaining = self.config.workers;
-                }
-            }
-            return;
-        }
 
         if self.completed >= self.config.budget {
             self.finished = true;
@@ -1290,33 +1234,6 @@ mod tests {
         // The reissued eval can still be consumed (any worker delivers).
         e.handle(arrival(1, 0, 2.0), &mut t, &NoopRecorder);
         assert_eq!(e.completed(), 1);
-    }
-
-    #[test]
-    fn sync_mode_dispatches_generations_at_the_barrier() {
-        let mut t = NullTransport::new(f64::INFINITY);
-        let mut e = MasterEngine::new(EngineConfig::sync_generational(3, 5));
-        e.seed(&mut t, &NoopRecorder);
-        // Mid-generation consumes do not dispatch.
-        e.handle(arrival(0, 0, 1.0), &mut t, &NoopRecorder);
-        e.handle(arrival(1, 1, 1.0), &mut t, &NoopRecorder);
-        assert_eq!(e.outstanding_len(), 1);
-        assert_eq!(
-            t.calls.iter().filter(|c| c.starts_with("dispatch")).count(),
-            3
-        );
-        // Barrier: the whole next generation goes out at once.
-        e.handle(arrival(2, 2, 1.0), &mut t, &NoopRecorder);
-        assert_eq!(
-            t.calls.iter().filter(|c| c.starts_with("dispatch")).count(),
-            6
-        );
-        // Second generation overshoots the budget of 5 and finishes.
-        e.handle(arrival(0, 3, 2.0), &mut t, &NoopRecorder);
-        e.handle(arrival(1, 4, 2.0), &mut t, &NoopRecorder);
-        e.handle(arrival(2, 5, 2.0), &mut t, &NoopRecorder);
-        assert!(e.finished());
-        assert_eq!(e.completed(), 6);
     }
 
     #[test]

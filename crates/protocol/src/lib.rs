@@ -24,8 +24,11 @@
 //! | executor | crate | clock | transport |
 //! |---|---|---|---|
 //! | queueing DES, async (`run_async`, `run_async_with`) | `borg-models` | event-queue virtual time | simulated latencies + [`FaultPlan`] fates (quiet plan = fault-free); `run_virtual_async*` in `borg-parallel` plugs the real MOEA in as hooks |
-//! | queueing DES, sync (`run_sync`) | `borg-models` | event-queue virtual time | generational barrier |
 //! | wall clock (`wallclock::Master`) | `borg-parallel` | wall clock (seconds since start) | a `Link`: in-memory pipes to worker threads (`run_threaded`), or framed TCP / Unix-socket messages to worker processes (`serve` in `borg-net`) |
+//!
+//! The generational synchronous DES (`run_sync` in `borg-models`, Fig. 1)
+//! is not an adapter: its master loses, retries and duplicates nothing, so
+//! it is a plain event loop that drives no engine.
 //!
 //! The engine never reads a wall clock, never samples an RNG, and never
 //! allocates on the arrival hot path beyond its id-indexed window — same
@@ -62,9 +65,7 @@ mod policy;
 mod window;
 
 pub use command::{Command, Event};
-pub use engine::{
-    DispatchPolicy, EngineConfig, MasterEngine, PoolDiscipline, ProtocolMode, Transport,
-};
+pub use engine::{DispatchPolicy, EngineConfig, MasterEngine, PoolDiscipline, Transport};
 pub use policy::RecoveryPolicy;
 pub use window::IdWindow;
 
