@@ -22,6 +22,9 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --release
 
+echo "==> borg-mc full catalogue: every non-smoke scenario's (schedules, states, pruned) pinned"
+cargo test -q --release -p borg-mc --lib scenarios::tests::full_catalogue_counts_are_pinned -- --ignored --exact
+
 echo "==> one-process ratio test: compiled order-key filter vs the exact kernel (>= 5x) and the loop (>= 1.25x)"
 cargo test -q --release -p borg-core --test kernel_ratio -- --ignored
 

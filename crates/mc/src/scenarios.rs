@@ -240,6 +240,34 @@ mod tests {
     }
 
     #[test]
+    #[ignore = "explores the full catalogue; ci.sh runs it in release"]
+    fn full_catalogue_counts_are_pinned() {
+        // `(schedules, unique_states, pruned)` for every full-catalogue
+        // scenario the smoke pins do not cover, looked up by name.
+        let pins = [
+            ("drops_reissue", (168_377_213, 276_980, 452_441)),
+            ("worker_death", (525_179_393, 517_726, 685_677)),
+            ("shared_pool_death", (79_915_531, 258_369, 393_133)),
+            ("seeded_faults", (3_500_268_644, 246_746, 406_065)),
+            ("abandonment_cap", (1_672, 107, 146)),
+        ];
+        let catalogue = full();
+        for (name, counts) in pins {
+            let Some(scenario) = catalogue.iter().find(|s| s.name == name) else {
+                panic!("{name} not in full()");
+            };
+            let r = crate::run_scenario(scenario);
+            assert!(r.violations.is_empty(), "{}: {:?}", r.name, r.violations);
+            assert_eq!(
+                (r.schedules, r.unique_states, r.pruned),
+                counts,
+                "{}",
+                r.name
+            );
+        }
+    }
+
+    #[test]
     fn no_catalogue_scenario_ships_sabotaged() {
         assert!(full().iter().all(|s| !s.sabotage));
     }
