@@ -40,6 +40,9 @@ cargo test -q --release -p borg-parallel --test delay_ratio -- --ignored
 echo "==> one-process ratio test: encode_into a reused frame vs a fresh Vec (<= 0.6x)"
 cargo test -q --release -p borg-net --test encode_ratio -- --ignored
 
+echo "==> one-process wall-clock band: a worker rejects a misshapen work item in < 1 s despite a 5 s announced delay"
+cargo test -q --release -p borg-net --test reject_bound -- --ignored
+
 echo "==> one-process ratio test: run_threaded vs serve over a Unix socket (>= 1.5x)"
 cargo test -q --release -p borg-net --test serve_loopback threads_outrun_sockets -- --ignored
 

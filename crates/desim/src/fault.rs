@@ -4,19 +4,19 @@
 //! cluster: every worker survives the run and every message is delivered
 //! exactly once. This module supplies the machinery to *break* that
 //! assumption reproducibly: a seeded [`FaultPlan`] decides, purely as a
-//! function of `(seed, worker, dispatch index)`, which evaluations crash
-//! their worker, hang, straggle, or lose/duplicate their result message.
-//! Because every decision is a stateless hash of its coordinates, the same
-//! plan drives both the virtual-time executor (where faults become
-//! first-class DES events) and the real-thread executor (where workers
-//! consult the plan as they dequeue work) — and a same-seed replay is
-//! bit-identical.
+//! function of `(seed, worker, dispatch index)` or `(seed, eval id,
+//! attempt)`, which evaluations crash their worker for good and which
+//! result messages are lost or duplicated. Because every decision is a
+//! stateless hash of its coordinates, the same plan drives the
+//! virtual-time executor (where faults become first-class DES events) and
+//! the socket chaos proxy (which enacts each fate on the wire) — and a
+//! same-seed replay is bit-identical.
 //!
-//! The [`FaultLog`] is the common ledger both executors fill in: every
+//! The [`FaultLog`] is the common ledger every executor fills in: each
 //! injected fault is recorded with its injection, detection and recovery
 //! timestamps, alongside the aggregate recovery counters (reissues,
-//! suppressed duplicates, wasted NFE) that the `borg-exp faults`
-//! experiment turns into effective-speedup curves.
+//! suppressed duplicates, wasted NFE, detected deaths). The wall-clock
+//! master, which injects nothing, records the deaths it finds there.
 
 /// SplitMix64 finalizer: a high-quality 64-bit mixing function used to
 /// derive all fault decisions statelessly. (Re-implemented here rather
@@ -37,60 +37,20 @@ fn unit(h: u64) -> f64 {
 const TAG_CRASH: u64 = 0x11;
 const TAG_CRASH_WHEN: u64 = 0x12;
 const TAG_CRASH_FRAC: u64 = 0x13;
-const TAG_STRAGGLE: u64 = 0x21;
 const TAG_MESSAGE: u64 = 0x31;
-
-/// A worker crash forced at a specific point, regardless of the sampled
-/// rates (used by kill-the-workers tests and targeted experiments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ForcedCrash {
-    /// Worker index (0-based).
-    pub worker: usize,
-    /// The crash strikes during this worker's `after_dispatches`-th
-    /// dispatched evaluation (0-based dispatch index on that worker).
-    pub after_dispatches: u64,
-}
 
 /// Configurable fault rates. All probabilities are per the unit named in
 /// their doc comment; `0.0` everywhere yields a fault-free plan.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultConfig {
     /// Probability that a given worker *crashes* at some point during the
     /// run (the paper-facing failure rate `f`). A crashed worker dies
-    /// silently mid-evaluation and, if [`respawn_after`](Self::respawn_after)
-    /// is set, rejoins after that downtime.
+    /// silently mid-evaluation and never returns.
     pub crash_rate: f64,
-    /// Probability that a given worker *hangs* during the run: it stops
-    /// responding mid-evaluation and never returns. Hung workers are
-    /// quarantined on detection and never respawn.
-    pub hang_rate: f64,
-    /// Per-dispatch probability that an evaluation straggles.
-    pub straggler_rate: f64,
-    /// Evaluation-time multiplier applied to straggling evaluations.
-    pub straggler_factor: f64,
     /// Per-result probability that the result message is dropped.
     pub drop_rate: f64,
     /// Per-result probability that the result message is duplicated.
     pub duplicate_rate: f64,
-    /// Downtime before a *crashed* worker rejoins (`None` = permanent).
-    pub respawn_after: Option<f64>,
-    /// Crashes injected unconditionally, on top of the sampled ones.
-    pub forced_crashes: Vec<ForcedCrash>,
-}
-
-impl Default for FaultConfig {
-    fn default() -> Self {
-        Self {
-            crash_rate: 0.0,
-            hang_rate: 0.0,
-            straggler_rate: 0.0,
-            straggler_factor: 10.0,
-            drop_rate: 0.0,
-            duplicate_rate: 0.0,
-            respawn_after: None,
-            forced_crashes: Vec::new(),
-        }
-    }
 }
 
 impl FaultConfig {
@@ -110,19 +70,12 @@ impl FaultConfig {
 pub enum DispatchFate {
     /// Evaluate normally.
     Normal,
-    /// Evaluate, but take `factor` times as long.
-    Straggle {
-        /// Evaluation-time multiplier (> 1).
-        factor: f64,
-    },
-    /// The worker dies after completing fraction `frac` of this
-    /// evaluation. Respawns if the plan allows.
+    /// The worker dies for good after completing fraction `frac` of this
+    /// evaluation.
     CrashDuring {
         /// Fraction of the evaluation completed before death, in `(0, 1)`.
         frac: f64,
     },
-    /// The worker hangs mid-evaluation and never responds again.
-    HangDuring,
 }
 
 /// What the plan decrees for one result message.
@@ -138,19 +91,16 @@ pub enum MessageFate {
 
 /// A deterministic schedule of faults for one run.
 ///
-/// Per-worker crash/hang points are pre-drawn at construction (so the
-/// failure rate reads as "fraction of workers lost during the run");
-/// per-dispatch and per-message decisions are stateless hashes, so the
-/// plan can be consulted concurrently from real worker threads without
-/// any shared RNG state.
+/// Per-worker crash points are pre-drawn at construction (so the failure
+/// rate reads as "fraction of workers lost during the run"); per-message
+/// decisions are stateless hashes, so the plan can be consulted
+/// concurrently from several threads without any shared RNG state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     config: FaultConfig,
     seed: u64,
     /// Per worker: the dispatch index during which it crashes.
     crash_at: Vec<Option<u64>>,
-    /// Per worker: the dispatch index during which it hangs.
-    hang_at: Vec<Option<u64>>,
 }
 
 impl FaultPlan {
@@ -159,29 +109,19 @@ impl FaultPlan {
     pub fn new(config: FaultConfig, workers: usize, expected_evals: u64, seed: u64) -> Self {
         assert!(workers >= 1, "need at least one worker");
         let per_worker = (expected_evals / workers as u64).max(1);
-        let mut crash_at = vec![None; workers];
-        let mut hang_at = vec![None; workers];
-        for w in 0..workers {
-            let r = unit(mix64(seed ^ TAG_CRASH ^ ((w as u64) << 8)));
-            let when = 1
-                + (unit(mix64(seed ^ TAG_CRASH_WHEN ^ ((w as u64) << 8))) * (per_worker - 1) as f64)
-                    as u64;
-            if r < config.crash_rate {
-                crash_at[w] = Some(when);
-            } else if r < config.crash_rate + config.hang_rate {
-                hang_at[w] = Some(when);
-            }
-        }
-        for forced in &config.forced_crashes {
-            assert!(forced.worker < workers, "forced crash on unknown worker");
-            crash_at[forced.worker] = Some(forced.after_dispatches);
-            hang_at[forced.worker] = None;
-        }
+        let crash_at = (0..workers as u64)
+            .map(|w| {
+                let r = unit(mix64(seed ^ TAG_CRASH ^ (w << 8)));
+                let when = 1
+                    + (unit(mix64(seed ^ TAG_CRASH_WHEN ^ (w << 8))) * (per_worker - 1) as f64)
+                        as u64;
+                (r < config.crash_rate).then_some(when)
+            })
+            .collect();
         Self {
             config,
             seed,
             crash_at,
-            hang_at,
         }
     }
 
@@ -195,13 +135,9 @@ impl FaultPlan {
         self.crash_at.len()
     }
 
-    /// Workers scheduled to crash or hang at some point.
+    /// Workers scheduled to crash at some point.
     pub fn doomed_workers(&self) -> usize {
-        self.crash_at
-            .iter()
-            .zip(&self.hang_at)
-            .filter(|(c, h)| c.is_some() || h.is_some())
-            .count()
+        self.crash_at.iter().filter(|c| c.is_some()).count()
     }
 
     /// The fate of the `dispatch`-th evaluation dispatched to `worker`
@@ -213,19 +149,6 @@ impl FaultPlan {
                 unit(mix64(self.seed ^ TAG_CRASH_FRAC ^ ((worker as u64) << 8))).clamp(0.05, 0.95);
             return DispatchFate::CrashDuring { frac };
         }
-        if self.hang_at.get(worker).copied().flatten() == Some(dispatch) {
-            return DispatchFate::HangDuring;
-        }
-        // A zero rate decides without the hash (`unit(h) < 0` never holds).
-        if self.config.straggler_rate <= 0.0 {
-            return DispatchFate::Normal;
-        }
-        let h = mix64(self.seed ^ TAG_STRAGGLE ^ ((worker as u64) << 40) ^ dispatch);
-        if unit(h) < self.config.straggler_rate {
-            return DispatchFate::Straggle {
-                factor: self.config.straggler_factor.max(1.0),
-            };
-        }
         DispatchFate::Normal
     }
 
@@ -233,7 +156,7 @@ impl FaultPlan {
     /// `attempt`-th transmission (reissues are re-rolled independently).
     #[inline]
     pub fn message_fate(&self, eval_id: u64, attempt: u32) -> MessageFate {
-        // Zero rates decide without the hash, as above.
+        // Zero rates decide without the hash (`unit(h) < 0` never holds).
         if self.config.drop_rate <= 0.0 && self.config.drop_rate + self.config.duplicate_rate <= 0.0
         {
             return MessageFate::Deliver;
@@ -248,11 +171,6 @@ impl FaultPlan {
             MessageFate::Deliver
         }
     }
-
-    /// Downtime before a crashed worker rejoins (`None` = permanent).
-    pub fn respawn_after(&self) -> Option<f64> {
-        self.config.respawn_after
-    }
 }
 
 /// The kind of an injected fault.
@@ -260,10 +178,9 @@ impl FaultPlan {
 pub enum FaultKind {
     /// Worker died silently mid-evaluation.
     Crash,
-    /// Worker hung mid-evaluation and never responded again.
+    /// Worker stopped answering and was declared dead by heartbeat
+    /// timeout (recorded by the wall-clock master, never injected).
     Hang,
-    /// Evaluation took `straggler_factor` times its sampled duration.
-    Straggler,
     /// Result message lost in transit.
     MessageDrop,
     /// Result message delivered twice.
@@ -276,7 +193,6 @@ impl FaultKind {
         match self {
             Self::Crash => "crash",
             Self::Hang => "hang",
-            Self::Straggler => "straggler",
             Self::MessageDrop => "drop",
             Self::MessageDuplicate => "duplicate",
         }
@@ -341,8 +257,6 @@ pub struct FaultLog {
     /// Worker-side evaluations whose results never advanced the run:
     /// dropped messages, suppressed duplicates, and work lost mid-crash.
     pub wasted_nfe: u64,
-    /// Crashed workers that rejoined after their downtime.
-    pub respawns: u64,
     /// Dead workers the master detected (ping failure or missed
     /// heartbeats).
     pub deaths_detected: u64,
@@ -481,13 +395,12 @@ impl FaultLog {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} injected ({} crash, {} hang, {} straggler, {} drop, {} dup), \
+            "{} injected ({} crash, {} hang, {} drop, {} dup), \
              {} detected, {} recovered, {} reissues, {} dups suppressed, \
-             {} wasted NFE, {} respawns",
+             {} wasted NFE",
             self.injected(),
             self.injected_of(FaultKind::Crash),
             self.injected_of(FaultKind::Hang),
-            self.injected_of(FaultKind::Straggler),
             self.injected_of(FaultKind::MessageDrop),
             self.injected_of(FaultKind::MessageDuplicate),
             self.detected(),
@@ -495,7 +408,6 @@ impl FaultLog {
             self.reissues,
             self.duplicates_suppressed,
             self.wasted_nfe,
-            self.respawns,
         )
     }
 }
@@ -506,12 +418,9 @@ mod tests {
 
     fn lossy() -> FaultConfig {
         FaultConfig {
-            crash_rate: 0.3,
-            hang_rate: 0.1,
-            straggler_rate: 0.05,
+            crash_rate: 0.4,
             drop_rate: 0.02,
             duplicate_rate: 0.02,
-            ..FaultConfig::default()
         }
     }
 
@@ -541,7 +450,7 @@ mod tests {
     fn rates_are_roughly_honored() {
         let plan = FaultPlan::new(lossy(), 1000, 100_000, 7);
         let doomed = plan.doomed_workers();
-        // crash 0.3 + hang 0.1 ⇒ about 400/1000 doomed.
+        // crash 0.4 ⇒ about 400/1000 doomed.
         assert!((300..500).contains(&doomed), "doomed = {doomed}");
         let drops = (0..100_000u64)
             .filter(|&id| plan.message_fate(id, 0) == MessageFate::Drop)
@@ -561,34 +470,6 @@ mod tests {
         for id in 0..1_000 {
             assert_eq!(plan.message_fate(id, 0), MessageFate::Deliver);
         }
-    }
-
-    #[test]
-    fn forced_crashes_override_sampling() {
-        let cfg = FaultConfig {
-            forced_crashes: vec![
-                ForcedCrash {
-                    worker: 0,
-                    after_dispatches: 3,
-                },
-                ForcedCrash {
-                    worker: 2,
-                    after_dispatches: 5,
-                },
-            ],
-            ..FaultConfig::default()
-        };
-        let plan = FaultPlan::new(cfg, 4, 1_000, 9);
-        assert!(matches!(
-            plan.dispatch_fate(0, 3),
-            DispatchFate::CrashDuring { .. }
-        ));
-        assert!(matches!(
-            plan.dispatch_fate(2, 5),
-            DispatchFate::CrashDuring { .. }
-        ));
-        assert_eq!(plan.dispatch_fate(1, 3), DispatchFate::Normal);
-        assert_eq!(plan.doomed_workers(), 2);
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   number, two integer compares where a float `partial_cmp` and a
 //!   tie-break ran before. Payloads are `Copy`;
 //! * [`fault::FaultPlan`] / [`fault::FaultLog`] — deterministic fault
-//!   injection (worker crashes, hangs, stragglers, message loss and
-//!   duplication) and the recovery ledger shared by both executors.
+//!   injection (permanent worker crashes, message loss and duplication)
+//!   and the recovery ledger every executor shares.
 //!
 //! SimPy's request/hold/release on the master is written on the queue
 //! alone, as `borg_models::queueing` does: a result that arrives while the

@@ -814,7 +814,6 @@ fn serve_master(cli: &Cli) {
             crash_rate: cli.crash_rate,
             drop_rate: cli.drop_rate,
             duplicate_rate: cli.duplicate_rate,
-            ..FaultConfig::default()
         };
         let chaos = ChaosConfig {
             master_listen: derive_master_addr(&listen),

@@ -422,7 +422,6 @@ fn describe(event: &Event) -> String {
         } => format!("deadline e{eval_id} w{worker}"),
         Event::HeartbeatTick { .. } => "heartbeat".to_string(),
         Event::WorkerDied { worker, .. } => format!("death w{worker}"),
-        Event::WorkerRespawned { worker, .. } => format!("respawn w{worker}"),
     }
 }
 

@@ -37,9 +37,9 @@ pub struct Overlay {
     pub drop_on: Vec<(u64, u32)>,
     /// Transmissions `(eval_id, attempt)` to duplicate.
     pub duplicate_on: Vec<(u64, u32)>,
-    /// Scripted deaths `(worker, dispatch_seq, will_respawn)`: the
-    /// worker dies while running its `dispatch_seq`-th assignment.
-    pub deaths: Vec<(usize, u64, bool)>,
+    /// Scripted deaths `(worker, dispatch_seq)`: the worker dies for good
+    /// while running its `dispatch_seq`-th assignment.
+    pub deaths: Vec<(usize, u64)>,
     /// Seeded background fault rates, if any.
     pub seeded: Option<SeededFaults>,
     /// Shared-pool semantics: death notes carry the lost eval id...
@@ -79,9 +79,9 @@ impl Overlay {
     }
 
     /// One scripted death.
-    pub fn death(worker: usize, seq: u64, will_respawn: bool) -> Self {
+    pub fn death(worker: usize, seq: u64) -> Self {
         Overlay {
-            deaths: vec![(worker, seq, will_respawn)],
+            deaths: vec![(worker, seq)],
             ..Overlay::quiet()
         }
     }
@@ -98,12 +98,9 @@ impl Overlay {
         }
     }
 
-    /// Whether `worker`'s `seq`-th dispatch kills it; `Some(respawn)`.
-    pub fn death_for(&self, worker: usize, seq: u64) -> Option<bool> {
-        self.deaths
-            .iter()
-            .find(|&&(w, s, _)| w == worker && s == seq)
-            .map(|&(_, _, r)| r)
+    /// Whether `worker`'s `seq`-th dispatch kills it.
+    pub fn death_for(&self, worker: usize, seq: u64) -> bool {
+        self.deaths.contains(&(worker, seq))
     }
 
     /// Fate of the result message for `eval_id`'s `attempt`-th send.
@@ -166,9 +163,9 @@ mod tests {
 
     #[test]
     fn death_lookup_matches_worker_and_seq() {
-        let o = Overlay::death(1, 2, true);
-        assert_eq!(o.death_for(1, 2), Some(true));
-        assert_eq!(o.death_for(1, 1), None);
-        assert_eq!(o.death_for(0, 2), None);
+        let o = Overlay::death(1, 2);
+        assert!(o.death_for(1, 2));
+        assert!(!o.death_for(1, 1));
+        assert!(!o.death_for(0, 2));
     }
 }

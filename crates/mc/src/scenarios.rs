@@ -51,7 +51,6 @@ pub fn full() -> Vec<Scenario> {
         duplicates(),
         drops_reissue(),
         worker_death(),
-        worker_respawn(),
         shared_pool_death(),
         seeded_faults(),
         abandonment_cap(),
@@ -114,22 +113,7 @@ pub fn worker_death() -> Scenario {
     Scenario {
         name: "worker_death",
         config: EngineConfig::fault_tolerant_async(2, 3, sweep_policy()),
-        overlay: Overlay::death(1, 0, false),
-        strictness: Strictness::ConsumedSet,
-        delay_window: Some(3),
-        rearm_cap: 3,
-        max_depth: 64,
-        sabotage: false,
-    }
-}
-
-/// Same death, but the worker respawns: the rejoining worker must fold
-/// back into the pool without double-dispatching or losing work.
-pub fn worker_respawn() -> Scenario {
-    Scenario {
-        name: "worker_respawn",
-        config: EngineConfig::fault_tolerant_async(2, 3, sweep_policy()),
-        overlay: Overlay::death(1, 0, true),
+        overlay: Overlay::death(1, 0),
         strictness: Strictness::ConsumedSet,
         delay_window: Some(3),
         rearm_cap: 3,
@@ -144,7 +128,7 @@ pub fn shared_pool_death() -> Scenario {
     Scenario {
         name: "shared_pool_death",
         config: EngineConfig::shared_pool_async(2, 3, deadline_policy()),
-        overlay: Overlay::death(1, 0, false),
+        overlay: Overlay::death(1, 0),
         strictness: Strictness::ConsumedSet,
         delay_window: Some(3),
         rearm_cap: 0,

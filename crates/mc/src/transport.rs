@@ -36,21 +36,13 @@ pub enum Pending {
     },
     /// The liveness sweep timer.
     Heartbeat,
-    /// The out-of-band notification that `worker` died.
+    /// The out-of-band notification that `worker` died for good.
     Death {
         /// Dead worker.
         worker: usize,
-        /// Whether a respawn notification will follow.
-        will_respawn: bool,
         /// Shared-pool death notes name the evaluation that died with
         /// the worker; assigned pools let the deadline machinery find it.
         lost_eval: Option<u64>,
-    },
-    /// The notification that `worker` rejoined (generated when its
-    /// death is delivered, so respawns never precede their death).
-    Respawn {
-        /// Respawned worker.
-        worker: usize,
     },
 }
 
@@ -159,9 +151,7 @@ impl ModelTransport {
     }
 
     /// Deliver the pending event at `index`: advance logical time and
-    /// return the [`borg_protocol::Event`] to feed the engine. Respawn
-    /// notifications for a delivered death are created here, so they can
-    /// never overtake the death itself.
+    /// return the [`borg_protocol::Event`] to feed the engine.
     pub fn deliver(&mut self, index: usize) -> borg_protocol::Event {
         let p = self.pending.swap_remove(index);
         self.now += 1.0;
@@ -183,25 +173,11 @@ impl ModelTransport {
                 at,
             },
             Pending::Heartbeat => borg_protocol::Event::HeartbeatTick { at },
-            Pending::Death {
+            Pending::Death { worker, lost_eval } => borg_protocol::Event::WorkerDied {
                 worker,
-                will_respawn,
+                at,
                 lost_eval,
-            } => {
-                if will_respawn {
-                    self.push(Pending::Respawn { worker });
-                }
-                borg_protocol::Event::WorkerDied {
-                    worker,
-                    at,
-                    will_respawn,
-                    lost_eval,
-                }
-            }
-            Pending::Respawn { worker } => {
-                self.worker_alive[worker] = true;
-                borg_protocol::Event::WorkerRespawned { worker, at }
-            }
+            },
         }
     }
 
@@ -225,16 +201,9 @@ impl ModelTransport {
                         bits,
                     } => (2, worker as u64 ^ (eval_id << 8), bits),
                     Pending::Heartbeat => (3, 0, 0),
-                    Pending::Death {
-                        worker,
-                        will_respawn,
-                        lost_eval,
-                    } => (
-                        4,
-                        worker as u64 | (u64::from(will_respawn) << 32),
-                        lost_eval.map_or(u64::MAX, |id| id),
-                    ),
-                    Pending::Respawn { worker } => (5, worker as u64, 0),
+                    Pending::Death { worker, lost_eval } => {
+                        (4, worker as u64, lost_eval.map_or(u64::MAX, |id| id))
+                    }
                 };
                 let age = if include_births {
                     p.birth - min_birth
@@ -325,7 +294,7 @@ impl Transport for ModelTransport {
         // Scripted death: this dispatch strikes the worker down before
         // it can reply. The master only learns of it when the Death
         // event is eventually delivered.
-        if let Some(will_respawn) = self.overlay.death_for(worker, seq) {
+        if self.overlay.death_for(worker, seq) {
             self.worker_alive[worker] = false;
             self.deaths_injected += 1;
             log.inject(FaultKind::Crash, worker, eval_id, self.now);
@@ -334,11 +303,7 @@ impl Transport for ModelTransport {
             } else {
                 None
             };
-            self.push(Pending::Death {
-                worker,
-                will_respawn,
-                lost_eval,
-            });
+            self.push(Pending::Death { worker, lost_eval });
             return deadline;
         }
         // A dead assigned worker silently swallows new work; the
@@ -442,28 +407,5 @@ mod tests {
             t.digest(false)
         };
         assert_eq!(mk(false), mk(true));
-    }
-
-    #[test]
-    fn respawn_is_created_only_when_death_is_delivered() {
-        let mut t = ModelTransport::new(1, false, 0, Overlay::death(0, 0, true));
-        let mut log = FaultLog::default();
-        t.dispatch(0, 0, 0, 0, &mut log);
-        assert!(matches!(
-            t.pending.as_slice(),
-            [PendingAt {
-                event: Pending::Death { .. },
-                ..
-            }]
-        ));
-        let ev = t.deliver(0);
-        assert!(matches!(ev, borg_protocol::Event::WorkerDied { .. }));
-        assert!(matches!(
-            t.pending.as_slice(),
-            [PendingAt {
-                event: Pending::Respawn { worker: 0 },
-                ..
-            }]
-        ));
     }
 }

@@ -84,8 +84,7 @@ pub struct RunOutcome {
     pub max_wait: f64,
     /// Worker evaluations whose results never advanced the run (lost to
     /// crashes, dropped messages, or duplicate suppression). Always 0
-    /// without fault injection; stragglers inflate `elapsed` but are
-    /// *not* wasted — their results are still consumed.
+    /// without fault injection.
     pub wasted_nfe: u64,
 }
 
@@ -189,24 +188,22 @@ pub struct AsyncRun {
 enum DesEvent {
     /// A result message reaches the master.
     Arrival { worker: u32, eval_id: u64 },
-    /// A worker physically dies (crash or hang strike).
-    Death { worker: u32, respawn: bool },
+    /// A worker physically dies, for good.
+    Death { worker: u32 },
     /// Deadline check for an outstanding evaluation. The event's own time
     /// fingerprints the deadline it was scheduled for; a reissue moves the
     /// deadline, turning the old event into a stale no-op.
     Timeout { worker: u32, eval_id: u64 },
     /// Background liveness sweep.
     Heartbeat,
-    /// A crashed worker rejoins the pool.
-    Respawn { worker: u32 },
 }
 
 // The heap entry of a fault-free run must not outgrow a bare arrival.
 const _: () = assert!(std::mem::size_of::<DesEvent>() == 16);
 
 /// DES adapter for the asynchronous topology: the engine's dispatches
-/// consult the [`FaultPlan`] for the evaluation's fate (crash, hang,
-/// straggle) and the result message's fate (deliver, drop, duplicate),
+/// consult the [`FaultPlan`] for the evaluation's fate (crash or not)
+/// and the result message's fate (deliver, drop, duplicate),
 /// turning each into first-class DES events; finite deadlines become
 /// [`DesEvent::Timeout`] entries. The master's consume and the follow-up
 /// produce form one contiguous hold, so the open `Algorithm` span started
@@ -328,35 +325,14 @@ impl<H: MasterSlaveHooks, R: Recorder + ?Sized> Transport for AsyncDesTransport<
             DispatchFate::Normal => {
                 self.finish_evaluation(worker, eval_id, start_eval, tf, attempt, log);
             }
-            DispatchFate::Straggle { factor } => {
-                log.inject(FaultKind::Straggler, worker, eval_id, start_eval);
-                self.finish_evaluation(worker, eval_id, start_eval, tf * factor, attempt, log);
-            }
             DispatchFate::CrashDuring { frac } => {
                 let at = start_eval + tf * frac;
                 log.inject(FaultKind::Crash, worker, eval_id, at);
                 log.wasted_nfe += 1;
-                let respawn = self.plan.respawn_after().is_some();
                 self.queue.schedule_at(
                     at,
                     DesEvent::Death {
                         worker: worker as u32,
-                        respawn,
-                    },
-                );
-            }
-            DispatchFate::HangDuring => {
-                // A hang looks like a crash that never recovers: the
-                // worker stops mid-evaluation and never speaks again, so
-                // the master quarantines it once detected.
-                let at = start_eval + tf * 0.5;
-                log.inject(FaultKind::Hang, worker, eval_id, at);
-                log.wasted_nfe += 1;
-                self.queue.schedule_at(
-                    at,
-                    DesEvent::Death {
-                        worker: worker as u32,
-                        respawn: false,
                     },
                 );
             }
@@ -438,12 +414,11 @@ pub fn run_async<H: MasterSlaveHooks, R: Recorder + ?Sized>(
 /// Runs the asynchronous master-slave simulation described by `config`
 /// under `plan` until the budget is consumed (or every worker is lost).
 ///
-/// The master survives worker crashes, hangs, stragglers, and message
-/// drop/duplication per `plan`: it tracks a deadline per outstanding
-/// evaluation, pings and reissues on timeout, quarantines dead workers
-/// (heartbeat sweep), suppresses duplicate results by evaluation id, and
-/// re-admits respawned workers — all decided by the shared
-/// [`MasterEngine`]. An infinite `config.policy.timeout` watches no
+/// The master survives worker crashes and message drop/duplication per
+/// `plan`: it tracks a deadline per outstanding evaluation, pings and
+/// reissues on timeout, quarantines dead workers (heartbeat sweep), and
+/// suppresses duplicate results by evaluation id — all decided by the
+/// shared [`MasterEngine`]. An infinite `config.policy.timeout` watches no
 /// deadline and schedules no deadline event, so under a quiet plan the
 /// heap holds exactly the result arrivals. Every event the engine handles
 /// and every command it emits reaches `rec` as a flight record.
@@ -497,20 +472,11 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
                 eval_id,
                 at,
             },
-            DesEvent::Death { worker, respawn } => {
-                if respawn {
-                    let downtime = transport.plan.respawn_after().unwrap_or(0.0);
-                    transport
-                        .queue
-                        .schedule_at(at + downtime, DesEvent::Respawn { worker });
-                }
-                Event::WorkerDied {
-                    worker: worker as usize,
-                    at,
-                    will_respawn: respawn,
-                    lost_eval: None,
-                }
-            }
+            DesEvent::Death { worker } => Event::WorkerDied {
+                worker: worker as usize,
+                at,
+                lost_eval: None,
+            },
             DesEvent::Timeout { worker, eval_id } => Event::DeadlineFired {
                 eval_id,
                 worker: worker as usize,
@@ -518,10 +484,6 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
                 at,
             },
             DesEvent::Heartbeat => Event::HeartbeatTick { at },
-            DesEvent::Respawn { worker } => Event::WorkerRespawned {
-                worker: worker as usize,
-                at,
-            },
         };
         engine.handle(event, &mut transport, rec);
         transport.flush_algorithm_span();
@@ -530,8 +492,7 @@ pub fn run_async_with<H: MasterSlaveHooks, R: Recorder + ?Sized>(
         }
     }
 
-    // If the queue drained first (every worker dead, no respawns) the
-    // run ends early with however many results were consumed.
+    // If the queue drained first (every worker dead) the run ends early with however many results were consumed.
     let end = if engine.finished() {
         transport.master_free_at
     } else {
@@ -955,8 +916,6 @@ mod tests {
 
     // --- fault injection and recovery ---
 
-    use borg_desim::fault::ForcedCrash;
-
     fn ft_policy(t: TimingParams) -> RecoveryPolicy {
         RecoveryPolicy::from_expected_eval_time(t.t_f, 4.0)
     }
@@ -1028,8 +987,6 @@ mod tests {
             crash_rate: 0.25,
             drop_rate: 0.02,
             duplicate_rate: 0.02,
-            straggler_rate: 0.01,
-            ..FaultConfig::default()
         };
         let plan = FaultPlan::new(cfg, 16, n, 1234);
         assert!(plan.doomed_workers() > 0, "seed should doom someone");
@@ -1045,41 +1002,18 @@ mod tests {
     fn kill_every_worker_without_respawn_ends_partial() {
         let t = TimingParams::new(0.01, 0.000_006, 0.000_03);
         let n = 10_000;
+        // Every worker is doomed, each at a dispatch drawn below n / 4, so
+        // the pool is gone before the budget can complete.
         let cfg = FaultConfig {
-            forced_crashes: (0..4)
-                .map(|w| ForcedCrash {
-                    worker: w,
-                    after_dispatches: 2,
-                })
-                .collect(),
+            crash_rate: 1.0,
             ..FaultConfig::default()
         };
         let plan = FaultPlan::new(cfg, 4, n, 5);
+        assert_eq!(plan.doomed_workers(), 4);
         let out = run_faulty(t, 4, n, &plan);
         // No deadlock, no panic: the run ends early with what it had.
         assert!(out.outcome.completed < n);
         assert_eq!(out.fault_log.injected_of(FaultKind::Crash), 4);
-        assert!(out.fault_log.all_recovered());
-    }
-
-    #[test]
-    fn respawned_workers_rejoin_and_finish_the_run() {
-        let t = TimingParams::new(0.01, 0.000_006, 0.000_03);
-        let n = 3_000;
-        let cfg = FaultConfig {
-            forced_crashes: (0..4)
-                .map(|w| ForcedCrash {
-                    worker: w,
-                    after_dispatches: 2 + w as u64,
-                })
-                .collect(),
-            respawn_after: Some(0.5),
-            ..FaultConfig::default()
-        };
-        let plan = FaultPlan::new(cfg, 4, n, 5);
-        let out = run_faulty(t, 4, n, &plan);
-        assert_eq!(out.outcome.completed, n);
-        assert_eq!(out.fault_log.respawns, 4);
         assert!(out.fault_log.all_recovered());
     }
 
@@ -1089,12 +1023,8 @@ mod tests {
         let n = 1_500;
         let cfg = FaultConfig {
             crash_rate: 0.2,
-            hang_rate: 0.1,
-            straggler_rate: 0.05,
             drop_rate: 0.03,
             duplicate_rate: 0.03,
-            respawn_after: Some(1.0),
-            ..FaultConfig::default()
         };
         let run = || {
             let plan = FaultPlan::new(cfg.clone(), 12, n, 99);
@@ -1107,25 +1037,6 @@ mod tests {
     }
 
     #[test]
-    fn hang_quarantines_worker_permanently() {
-        let t = TimingParams::new(0.01, 0.000_006, 0.000_03);
-        let n = 800;
-        let cfg = FaultConfig {
-            hang_rate: 1.0, // every worker hangs exactly once
-            respawn_after: Some(0.1),
-            ..FaultConfig::default()
-        };
-        let plan = FaultPlan::new(cfg, 6, 100_000, 21);
-        assert_eq!(plan.doomed_workers(), 6);
-        let out = run_faulty(t, 6, n, &plan);
-        // Hang points are drawn over ~100k/6 dispatches; with n = 800 most
-        // workers hang late enough that the budget completes first — the
-        // point is that hung workers never respawn and never deadlock us.
-        assert_eq!(out.fault_log.respawns, 0);
-        assert!(out.fault_log.all_recovered());
-    }
-
-    #[test]
     fn command_trace_mirrors_the_ledger() {
         let t = TimingParams::new(0.01, 0.000_006, 0.000_03);
         let n = 500;
@@ -1133,8 +1044,6 @@ mod tests {
             crash_rate: 0.3,
             drop_rate: 0.02,
             duplicate_rate: 0.02,
-            respawn_after: Some(0.5),
-            ..FaultConfig::default()
         };
         let plan = FaultPlan::new(cfg, 8, n, 4242);
         let config = EngineConfig::fault_tolerant_async(8, n, ft_policy(t));

@@ -24,8 +24,8 @@
 //! `Outcome.attempt` echoes the dispatch) and physically enacts each
 //! fate: crash ⇒ the work item is not forwarded and the worker's
 //! connection is reset (exercising reconnect backoff + re-registration),
-//! hang ⇒ the work item is silently discarded, drop ⇒ the result frame
-//! is swallowed, duplicate ⇒ the result frame is forwarded twice. Its
+//! drop ⇒ the result frame is swallowed, duplicate ⇒ the result frame
+//! is forwarded twice. Its
 //! wire-side ledger must agree with the oracle's per fault kind.
 
 use crate::codec::{self, Msg, TraceCtx, UNASSIGNED};
@@ -387,10 +387,6 @@ fn relay_master_to_worker<R: Recorder + Sync + ?Sized>(
                 };
                 match shared.plan.dispatch_fate(pw.idx, *seq) {
                     DispatchFate::Normal => pw.to_worker(codec::encode(&msg)),
-                    DispatchFate::Straggle { .. } => {
-                        shared.inject(FaultKind::Straggler, pw.idx, *eval_id);
-                        pw.to_worker(codec::encode(&msg));
-                    }
                     DispatchFate::CrashDuring { .. } => {
                         // The worker "dies" mid-evaluation: the work item
                         // never completes. Physically: don't forward it,
@@ -403,11 +399,6 @@ fn relay_master_to_worker<R: Recorder + Sync + ?Sized>(
                                 dead.shutdown();
                             }
                         }
-                    }
-                    DispatchFate::HangDuring => {
-                        // A hang never completes and never recovers:
-                        // swallow the work item, leave the socket up.
-                        shared.inject(FaultKind::Hang, pw.idx, *eval_id);
                     }
                 }
             }

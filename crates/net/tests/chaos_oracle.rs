@@ -43,7 +43,6 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
         crash_rate: 0.25,
         drop_rate: 0.05,
         duplicate_rate: 0.02,
-        ..FaultConfig::default()
     };
     let problem = Dtlz::dtlz2_5();
     let borg = BorgConfig::new(5, 0.06);
@@ -114,8 +113,6 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
     // are not comparable — the counts per kind are).
     for kind in [
         FaultKind::Crash,
-        FaultKind::Hang,
-        FaultKind::Straggler,
         FaultKind::MessageDrop,
         FaultKind::MessageDuplicate,
     ] {

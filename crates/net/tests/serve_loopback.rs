@@ -16,7 +16,7 @@ use borg_net::{Conn, Msg, NetAddr, NetError, NetListener};
 use borg_obs::{FlightRecorder, InMemoryRecorder, NoopRecorder, Recorder, WithFlight};
 use borg_parallel::threads::{run_threaded, ThreadedConfig};
 use borg_problems::dtlz::{Dtlz, DtlzVariant};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const PROBLEM: &str = "dtlz2-2";
 
@@ -319,8 +319,9 @@ fn the_injected_delay_is_never_cut_short() {
 #[test]
 fn a_misshapen_work_item_fails_before_the_delay() {
     // A hand-rolled master: it announces a 5 s evaluation delay, then
-    // sends a work item one variable too long. The worker must reject it
-    // without first spending the delay.
+    // sends a work item one variable too long. The worker must reject it;
+    // that it does so without first spending the delay is a wall-clock
+    // band, checked by `reject_bound.rs` in `ci.sh`.
     let cfg = config("misshapen", 1, 1);
     let listener = NetListener::bind(&cfg.listen).expect("bind");
     let opts = worker_options(&cfg);
@@ -338,7 +339,6 @@ fn a_misshapen_work_item_fails_before_the_delay() {
             eval_delay_us: 5_000_000,
         })
         .expect("welcome");
-        let sent = Instant::now();
         conn.send(&Msg::Work {
             eval_id: 0,
             attempt: 0,
@@ -348,12 +348,10 @@ fn a_misshapen_work_item_fails_before_the_delay() {
         })
         .expect("work");
         let result = worker.join().expect("worker thread panicked");
-        let waited = sent.elapsed();
         assert!(
             matches!(result, Err(NetError::Protocol(_))),
             "got {result:?}"
         );
-        assert!(waited < Duration::from_secs(1), "rejected after {waited:?}");
     });
 }
 

@@ -36,7 +36,6 @@ fn merged_trace_has_one_chain_per_completed_eval_under_chaos() {
         crash_rate: 0.2,
         drop_rate: 0.05,
         duplicate_rate: 0.05,
-        ..FaultConfig::default()
     };
     let problem = Dtlz::dtlz2_5();
     let borg = BorgConfig::new(5, 0.06);

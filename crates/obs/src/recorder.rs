@@ -220,7 +220,6 @@ struct Store {
     gauges: BTreeMap<&'static str, f64>,
     histograms: BTreeMap<&'static str, Histogram>,
     spans: Vec<Span>,
-    dropped_spans: u64,
     trace_edges: Vec<TraceEdge>,
 }
 
@@ -237,7 +236,7 @@ pub struct InMemoryRecorder {
         reason = "borg-obs stays zero-dependency, so no parking_lot; a poisoned lock is taken as is"
     )]
     inner: std::sync::Mutex<Store>,
-    span_limit: usize,
+    keep_spans: bool,
 }
 
 impl Default for InMemoryRecorder {
@@ -249,7 +248,7 @@ impl Default for InMemoryRecorder {
 impl InMemoryRecorder {
     /// A recorder keeping everything, including every span.
     pub fn new() -> Self {
-        Self::with_span_limit(usize::MAX)
+        Self::keeping_spans(true)
     }
 
     /// A recorder that keeps metrics (counters, gauges, histograms —
@@ -257,19 +256,17 @@ impl InMemoryRecorder {
     /// but stores no span list. Use for long sweeps where a full timeline
     /// would be unbounded memory.
     pub fn metrics_only() -> Self {
-        Self::with_span_limit(0)
+        Self::keeping_spans(false)
     }
 
-    /// A recorder storing at most `limit` spans; further spans still feed
-    /// the duration histograms and are counted as dropped.
-    pub fn with_span_limit(limit: usize) -> Self {
+    fn keeping_spans(keep_spans: bool) -> Self {
         InMemoryRecorder {
             #[expect(
                 clippy::disallowed_types,
                 reason = "borg-obs stays zero-dependency, so no parking_lot; a poisoned lock is taken as is"
             )]
             inner: std::sync::Mutex::new(Store::default()),
-            span_limit: limit,
+            keep_spans,
         }
     }
 
@@ -292,11 +289,6 @@ impl InMemoryRecorder {
     /// Copies the stored spans into a renderable [`SpanTrace`].
     pub fn span_trace(&self) -> SpanTrace {
         SpanTrace::from_spans(self.store().spans.clone())
-    }
-
-    /// Spans discarded because of the span limit.
-    pub fn dropped_spans(&self) -> u64 {
-        self.store().dropped_spans
     }
 
     /// Copies out the distributed-trace edges recorded so far.
@@ -341,15 +333,13 @@ impl Recorder for InMemoryRecorder {
             .entry(activity.metric_name())
             .or_default()
             .record(end - start);
-        if s.spans.len() < self.span_limit {
+        if self.keep_spans {
             s.spans.push(Span {
                 actor,
                 activity,
                 start,
                 end,
             });
-        } else {
-            s.dropped_spans += 1;
         }
     }
 
@@ -399,8 +389,8 @@ mod tests {
         for i in 0..10 {
             rec.span(Actor::Master, Activity::Algorithm, i as f64, i as f64 + 0.5);
         }
+        // `metrics_only` stores no span, yet each one feeds its histogram.
         assert_eq!(rec.span_trace().spans().len(), 0);
-        assert_eq!(rec.dropped_spans(), 10);
         assert_eq!(rec.snapshot().histograms["t_a_seconds"].count(), 10);
     }
 

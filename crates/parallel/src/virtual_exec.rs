@@ -362,20 +362,12 @@ pub struct FaultyRun<'a> {
     pub config: &'a VirtualConfig,
     /// Fault rates the [`FaultPlan`] is drawn from.
     pub faults: &'a FaultConfig,
-    /// Master-side deadline / heartbeat / reissue-cap policy.
-    pub policy: RecoveryPolicy,
 }
 
 impl<'a> FaultyRun<'a> {
-    /// `config` under `faults` with the default recovery policy — timeout
-    /// `k · E[T_F]` with `k = 4` (a `straggler_factor` above that needs a
-    /// larger `k`: set [`FaultyRun::policy`]).
+    /// `config` under `faults`.
     pub fn new(config: &'a VirtualConfig, faults: &'a FaultConfig) -> Self {
-        Self {
-            config,
-            faults,
-            policy: RecoveryPolicy::from_expected_eval_time(config.t_f.mean(), 4.0),
-        }
+        Self { config, faults }
     }
 
     /// The [`FaultPlan`] this run uses (exposed so replay checks can
@@ -390,19 +382,21 @@ impl<'a> FaultyRun<'a> {
         )
     }
 
-    /// The fault-tolerant protocol this run's master follows.
+    /// The fault-tolerant protocol this run's master follows: deadlines at
+    /// `k · E[T_F]` with `k = 4` (see [`RecoveryPolicy::from_expected_eval_time`]).
     pub fn engine_config(&self) -> EngineConfig {
-        EngineConfig::fault_tolerant_async(self.config.workers(), self.config.max_nfe, self.policy)
+        let policy = RecoveryPolicy::from_expected_eval_time(self.config.t_f.mean(), 4.0);
+        EngineConfig::fault_tolerant_async(self.config.workers(), self.config.max_nfe, policy)
     }
 }
 
 /// Runs the asynchronous master-slave Borg MOEA in virtual time under
 /// fault injection.
 ///
-/// The master survives worker crashes, hangs, stragglers and message
-/// drop/duplication per `run.faults`: timed-out evaluations are reissued
-/// to live workers, dead workers are quarantined (and optionally
-/// respawned), duplicate results are suppressed by evaluation id. The full
+/// The master survives worker crashes and message drop/duplication per
+/// `run.faults`: timed-out evaluations are reissued to live workers, dead
+/// workers are quarantined, duplicate results are suppressed by
+/// evaluation id. The full
 /// ledger is returned in [`VirtualRunResult::fault_log`]. Every engine
 /// event and command reaches `rec` as a flight record; the differential
 /// equivalence tests compare those records against the performance-model
@@ -699,11 +693,8 @@ mod tests {
         let cfg = sampled_config(12, 2_000, 0.008, 0.000_03);
         let faults = FaultConfig {
             crash_rate: 0.25,
-            straggler_rate: 0.02,
             drop_rate: 0.02,
             duplicate_rate: 0.02,
-            respawn_after: Some(0.5),
-            ..FaultConfig::default()
         };
         let run = || {
             run_virtual_async_with(
@@ -727,19 +718,16 @@ mod tests {
 
     #[test]
     fn kill_half_the_workers_mid_run_still_completes() {
-        // Forced crashes on half the pool, early in the run, no respawn:
-        // the surviving workers absorb the reissues and finish the budget.
+        // Seeded crashes on half the pool, for good: the surviving workers
+        // absorb the reissues and finish the budget.
         let problem = Dtlz::dtlz2_5();
         let cfg = sampled_config(9, 2_000, 0.01, 0.000_03);
         let faults = FaultConfig {
-            forced_crashes: (0..4)
-                .map(|w| borg_desim::fault::ForcedCrash {
-                    worker: w,
-                    after_dispatches: 10 + w as u64,
-                })
-                .collect(),
+            crash_rate: 0.6,
             ..FaultConfig::default()
         };
+        let doomed = FaultyRun::new(&cfg, &faults).plan().doomed_workers();
+        assert_eq!(doomed, 4, "this seed dooms four of the eight workers");
         let result = run_virtual_async_with(
             &problem,
             borg_cfg(),
@@ -753,10 +741,10 @@ mod tests {
             result
                 .fault_log
                 .injected_of(borg_desim::fault::FaultKind::Crash),
-            4
+            doomed
         );
         assert!(result.fault_log.all_recovered());
-        assert!(result.fault_log.deaths_detected >= 4);
+        assert!(result.fault_log.deaths_detected >= doomed as u64);
     }
 
     #[test]

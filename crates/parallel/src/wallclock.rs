@@ -436,7 +436,6 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
             let event = Event::WorkerDied {
                 worker,
                 at,
-                will_respawn: false,
                 lost_eval,
             };
             if self.handle(event, None) {

@@ -77,26 +77,14 @@ proptest! {
         tc in 0.000_1f64..0.01,
         ta in 0.000_1f64..0.05,
         crash_rate in 0.0f64..0.5,
-        hang_rate in 0.0f64..0.3,
-        straggler_rate in 0.0f64..0.3,
-        straggler_factor in 1.0f64..6.0,
         drop_rate in 0.0f64..0.15,
         duplicate_rate in 0.0f64..0.15,
-        respawn_after in prop_oneof![
-            Just(None),
-            (0.5f64..5.0).prop_map(Some),
-        ],
         seed in 0u64..u64::MAX,
     ) {
         let faults = FaultConfig {
             crash_rate,
-            hang_rate,
-            straggler_rate,
-            straggler_factor,
             drop_rate,
             duplicate_rate,
-            respawn_after,
-            forced_crashes: Vec::new(),
         };
         let vcfg = VirtualConfig {
             processors: workers as u32 + 1,

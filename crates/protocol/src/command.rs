@@ -27,20 +27,17 @@ pub enum Event {
     },
     /// The background liveness sweep ticked.
     HeartbeatTick { at: f64 },
-    /// The transport learned that `worker` physically died. `will_respawn`
-    /// announces a future [`Event::WorkerRespawned`]; `lost_eval` carries
-    /// the evaluation the worker was holding *when the transport already
-    /// knows it* (real executors' out-of-band death notes) — simulated
-    /// adapters pass `None` and let the deadline/heartbeat machinery
-    /// discover the loss, like a real master would.
+    /// The transport learned that `worker` physically died, for good.
+    /// `lost_eval` carries the evaluation the worker was holding *when the
+    /// transport already knows it* (real executors' out-of-band death
+    /// notes) — simulated adapters pass `None` and let the
+    /// deadline/heartbeat machinery discover the loss, like a real master
+    /// would.
     WorkerDied {
         worker: usize,
         at: f64,
-        will_respawn: bool,
         lost_eval: Option<u64>,
     },
-    /// A previously dead worker rejoined the pool.
-    WorkerRespawned { worker: usize, at: f64 },
 }
 
 /// A decision the [`MasterEngine`] made. Every [`Transport`] call the

@@ -29,7 +29,6 @@ fn event_metric(e: &Event) -> &'static str {
         Event::DeadlineFired { .. } => "engine.events.deadline_fired",
         Event::HeartbeatTick { .. } => "engine.events.heartbeat_tick",
         Event::WorkerDied { .. } => "engine.events.worker_died",
-        Event::WorkerRespawned { .. } => "engine.events.worker_respawned",
     }
 }
 
@@ -75,7 +74,6 @@ fn event_coords(e: &Event) -> (f64, u64, u64) {
             lost_eval,
             ..
         } => (*at, lost_eval.unwrap_or(u64::MAX), *worker as u64),
-        Event::WorkerRespawned { worker, at } => (*at, u64::MAX, *worker as u64),
     }
 }
 
@@ -255,7 +253,6 @@ pub struct MasterEngine {
     view_alive: Vec<bool>,
     current_eval: Vec<Option<u64>>,
     dispatch_count: Vec<u64>,
-    pending_respawns: usize,
     finished: bool,
     log: FaultLog,
     // Timestamp of the event being handled, stamped onto the flight
@@ -289,7 +286,6 @@ impl MasterEngine {
             view_alive: vec![true; w],
             current_eval: vec![None; w],
             dispatch_count: vec![0; w],
-            pending_respawns: 0,
             finished: false,
             log: FaultLog::default(),
             flight_now: 0.0,
@@ -390,9 +386,11 @@ impl MasterEngine {
         h = fold(h, self.next_eval);
         h = fold(h, self.completed);
         h = fold(h, u64::from(self.finished));
-        // Once a generational barrier count; kept so recorded digests hold.
+        // Once a generational barrier count and a count of workers due to
+        // respawn (here) and the ledger's respawn count (below); constants
+        // now, kept so recorded digests hold.
         h = fold(h, 0);
-        h = fold(h, self.pending_respawns as u64);
+        h = fold(h, 0);
         h = fold(h, u64::from(self.suppress_duplicates));
         h = fold(h, self.outstanding.len() as u64);
         for (id, o) in self.outstanding.iter() {
@@ -443,7 +441,7 @@ impl MasterEngine {
         h = fold(h, self.log.reissues);
         h = fold(h, self.log.duplicates_suppressed);
         h = fold(h, self.log.wasted_nfe);
-        h = fold(h, self.log.respawns);
+        h = fold(h, 0);
         h = fold(h, self.log.deaths_detected);
         h
     }
@@ -476,8 +474,7 @@ impl MasterEngine {
         let named_worker = match event {
             Event::ResultArrived { worker, .. }
             | Event::DeadlineFired { worker, .. }
-            | Event::WorkerDied { worker, .. }
-            | Event::WorkerRespawned { worker, .. } => Some(worker),
+            | Event::WorkerDied { worker, .. } => Some(worker),
             Event::HeartbeatTick { .. } => None,
         };
         if named_worker.is_some_and(|w| w >= self.config.workers) {
@@ -504,10 +501,8 @@ impl MasterEngine {
             Event::WorkerDied {
                 worker,
                 at,
-                will_respawn,
                 lost_eval,
-            } => self.handle_death(t, rec, worker, at, will_respawn, lost_eval),
-            Event::WorkerRespawned { worker, .. } => self.handle_respawn(t, rec, worker),
+            } => self.handle_death(t, rec, worker, at, lost_eval),
         }
         rec.gauge("engine.outstanding", self.outstanding.len() as f64);
         rec.gauge("engine.idle_workers", self.idle.len() as f64);
@@ -785,11 +780,11 @@ impl MasterEngine {
             }
         }
         // Keep sweeping only while the run can still make progress: some
-        // worker is (or will be) alive and the target is still reachable
-        // despite abandoned evaluations.
+        // worker is alive and the target is still reachable despite
+        // abandoned evaluations.
         if !self.finished
             && self.completed + self.abandoned() < self.config.budget
-            && (self.alive.iter().any(|&a| a) || self.pending_respawns > 0)
+            && self.alive.iter().any(|&a| a)
         {
             self.emit(rec, Command::RearmHeartbeat);
             t.rearm_heartbeat(now + self.config.policy.heartbeat_interval);
@@ -806,14 +801,10 @@ impl MasterEngine {
         rec: &R,
         worker: usize,
         at: f64,
-        will_respawn: bool,
         lost_eval: Option<u64>,
     ) {
         self.alive[worker] = false;
         self.dead_since[worker] = at;
-        if will_respawn {
-            self.pending_respawns += 1;
-        }
         // Out-of-band death report (real transports): detect immediately
         // and reissue the lost evaluation rather than waiting for its
         // deadline. Simulated transports pass `lost_eval: None` and the
@@ -835,23 +826,6 @@ impl MasterEngine {
                 }
             }
         }
-    }
-
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "`handle` rejected any `worker` >= `workers`; per-worker vectors hold `workers` entries"
-    )]
-    fn handle_respawn<T: Transport, R: Recorder + ?Sized>(
-        &mut self,
-        t: &mut T,
-        rec: &R,
-        worker: usize,
-    ) {
-        self.pending_respawns = self.pending_respawns.saturating_sub(1);
-        self.alive[worker] = true;
-        self.view_alive[worker] = true;
-        self.log.respawns += 1;
-        self.assign_next(t, rec, worker);
     }
 }
 
@@ -1160,7 +1134,6 @@ mod tests {
         let died = Event::WorkerDied {
             worker: 0,
             at: 0.5,
-            will_respawn: false,
             lost_eval: None,
         };
         e.handle(died, &mut t, &NoopRecorder);
@@ -1222,7 +1195,6 @@ mod tests {
             Event::WorkerDied {
                 worker: 0,
                 at: 1.0,
-                will_respawn: false,
                 lost_eval: Some(0),
             },
             &mut t,
@@ -1331,13 +1303,16 @@ mod tests {
     }
 
     /// A seeded script of deliveries (in any order), duplicates, lost
-    /// messages, deadline sweeps, deaths, respawns and heartbeats against
-    /// the fault-tolerant engine. The digests below were first recorded with
+    /// messages, deadline sweeps, deaths and heartbeats against the
+    /// fault-tolerant engine. The digests below were first recorded with
     /// `outstanding` a `BTreeMap<u64, Outstanding>` (`a7e3668`): the engine
     /// must pass through the same states and emit the same commands whatever
     /// holds its outstanding set. They were re-recorded when an abandon at the
     /// cap began handing its live worker the next id: the transcript up to
-    /// the first `Abandon` (command 1 496) is unchanged.
+    /// the first `Abandon` (command 1 496) is unchanged. They were re-recorded
+    /// again when dead workers stopped coming back: events 0–82 and commands
+    /// 0–150 are unchanged; event 83 and command 151 are where a dead worker
+    /// used to rejoin.
     #[test]
     fn scripted_fault_tolerant_run_reproduces_the_recorded_states_and_transcript() {
         let policy = RecoveryPolicy {
@@ -1362,7 +1337,7 @@ mod tests {
             (lcg >> 33) as usize % n
         };
         let mut states = fold_text(0xCBF2_9CE4_8422_2325, &e.state_digest().to_string());
-        let (mut up, mut respawning) = ((0..8).collect::<Vec<usize>>(), Vec::new());
+        let mut up = (0..8).collect::<Vec<usize>>();
         // Abandoned evaluations count against the budget, so the script is
         // what ends: the run is not expected to finish.
         for _ in 0..6_000 {
@@ -1378,26 +1353,18 @@ mod tests {
                     let (worker, eval_id) = t.sent[draw(t.sent.len())];
                     events.push(arrival(worker, eval_id, at));
                 }
-                // A worker dies, taking what it was sent with it; one in
-                // two comes back.
+                // A worker dies for good, taking what it was sent with it.
                 4 if up.len() > 2 => {
                     let worker = up.swap_remove(draw(up.len()));
                     t.sent.retain(|&(w, _)| w != worker);
-                    let will_respawn = draw(2) == 0;
-                    if will_respawn {
-                        respawning.push(worker);
-                    }
+                    // A coin whose side no longer matters, drawn so the
+                    // script's stream stays the one first recorded.
+                    draw(2);
                     events.push(Event::WorkerDied {
                         worker,
                         at,
-                        will_respawn,
                         lost_eval: None,
                     });
-                }
-                5 if !respawning.is_empty() => {
-                    let worker = respawning.swap_remove(draw(respawning.len()));
-                    up.push(worker);
-                    events.push(Event::WorkerRespawned { worker, at });
                 }
                 6 => events.push(Event::HeartbeatTick { at }),
                 7..=10 => {
@@ -1436,10 +1403,10 @@ mod tests {
         assert_eq!(
             (e.state_digest(), states, transcript, commands.len()),
             (
-                11_000_909_820_587_457_281,
-                6_360_708_392_227_537_983,
-                2_300_129_592_428_792_842,
-                4_605
+                16_334_386_276_406_256_541,
+                11_084_779_480_034_411_921,
+                10_902_917_210_564_062_825,
+                4_606
             )
         );
     }

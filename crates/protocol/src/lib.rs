@@ -7,7 +7,7 @@
 //! identical control logic, so this crate carries the single source of
 //! truth: a pure, deterministic [`MasterEngine`] state machine that
 //! consumes [`Event`]s (result arrived, deadline fired, heartbeat tick,
-//! worker died/respawned) and drives a small [`Transport`] trait with the
+//! worker died) and drives a small [`Transport`] trait with the
 //! resulting actions (dispatch, consume, suppress duplicate, ping,
 //! abandon). Everything an executor disagrees about — how time passes
 //! ([`Clock`]), how messages move, how long the master holds per

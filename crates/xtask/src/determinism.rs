@@ -463,8 +463,6 @@ fn networked_chaos_arm(seed: u64, oracle: &VirtualRunResult) -> Result<(u64, usi
     // (its timestamps are wall-clock, so only the counts are comparable).
     for kind in [
         FaultKind::Crash,
-        FaultKind::Hang,
-        FaultKind::Straggler,
         FaultKind::MessageDrop,
         FaultKind::MessageDuplicate,
     ] {

@@ -105,8 +105,7 @@ fn determinism_command() -> Result<ExitCode, String> {
                  recorder-attached run identical ({} evals observed); \
                  flight dumps byte-identical ({} events); \
                  jobs=1 ≡ jobs=4 Table II sweep ({} rows, {} metrics lines byte-identical); \
-                 networked chaos loopback ≡ DES oracle ({} wire results, {} wire faults, \
-                 {} live-tap frames); \
+                 networked chaos loopback ≡ DES oracle ({} wire results, {} wire faults); \
                  golden cells match ({} rows)",
                 d.archive_size,
                 d.nfe,
@@ -119,8 +118,13 @@ fn determinism_command() -> Result<ExitCode, String> {
                 d.parallel_jsonl_lines,
                 d.net_wire_results,
                 d.net_wire_faults,
-                d.tap_frames,
                 d.golden_rows
+            );
+            // Paced by the wall clock, so it varies run to run; kept off the
+            // line above so that one compares byte for byte across commits.
+            println!(
+                "live tap (wall-clock, varies): {} delta frames drained",
+                d.tap_frames
             );
             Ok(ExitCode::SUCCESS)
         }

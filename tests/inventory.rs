@@ -9,8 +9,8 @@
 //! `clippy.toml`, the crate-local ones that repeat it, the deny lines at
 //! each crate root), and text checks for the rest, each a pure
 //! `fn(&str) -> Vec<(line, message)>` with a seeded violation and a clean
-//! twin below. The checks read [`live_code`] and find item bodies by
-//! brace matching.
+//! twin below. The checks read [`live_code`] (the one that reads tests,
+//! [`code_text`]) and find item bodies by brace matching.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -372,15 +372,17 @@ fn vendored_rand_defines_no_entropy_source() {
 /// A text check's findings: `(line, "BORG-Lxxx: what")`.
 type Findings = Vec<(u32, String)>;
 
-/// `src` with comments and literals, then `#[cfg(test)]`/`#[test]` items, blanked to spaces;
-/// line breaks and byte offsets are kept, so an offset here is one into `src`.
-fn live_code(src: &str) -> String {
+/// Blanks `bytes` to spaces, keeping line breaks.
+fn blank(bytes: &mut [u8]) {
+    for c in bytes.iter_mut().filter(|c| **c != b'\n') {
+        *c = b' ';
+    }
+}
+
+/// `src` with comments and literals blanked to spaces; line breaks and byte
+/// offsets are kept, so an offset here is one into `src`.
+fn code_text(src: &str) -> String {
     let (b, mut out, mut i) = (src.as_bytes(), src.as_bytes().to_vec(), 0);
-    let blank = |bytes: &mut [u8]| {
-        for c in bytes.iter_mut().filter(|c| **c != b'\n') {
-            *c = b' ';
-        }
-    };
     while i < b.len() {
         let (from, to) = match (b[i], b.get(i + 1)) {
             (b'/', Some(b'/')) => (i, src[i..].find('\n').map_or(b.len(), |n| i + n)),
@@ -402,6 +404,12 @@ fn live_code(src: &str) -> String {
         blank(&mut out[from..to]);
         i = if b[i] == b'"' { to + 1 } else { to.max(i + 1) };
     }
+    String::from_utf8(out).expect("blanking keeps UTF-8")
+}
+
+/// [`code_text`] with `#[cfg(test)]`/`#[test]` items blanked too.
+fn live_code(src: &str) -> String {
+    let mut out = code_text(src).into_bytes();
     for attr in ["#[cfg(test)]", "#[test]"].map(str::as_bytes) {
         while let Some(at) = out.windows(attr.len()).position(|w| w == attr) {
             let end = item_end(&out, at + attr.len());
@@ -543,6 +551,87 @@ fn hot_path_allocations(src: &str) -> Findings {
         for needle in [".to_vec()", ".collect", "Vec::new()"] {
             for (at, _) in code[start..end].match_indices(needle) {
                 found.push(hit(&code, start + at, format!("BORG-L015: `{needle}`")));
+            }
+        }
+    }
+    found
+}
+
+/// BORG-L016: no `#[test]` compares a wall-clock reading against an upper
+/// bound unless every test of its file is `#[ignore]`d — such a band fails
+/// on a busy host whatever the code does, so it runs in `ci.sh`, in one
+/// process, not in tier-1. A reading is an `.elapsed()` call or a name a
+/// `let` of the same test binds to an expression holding one; an upper
+/// bound puts it left of ` < `/` <= ` or right of ` > `/` >= `, within one
+/// `&&`/`||` operand.
+fn elapsed_upper_bounds(src: &str) -> Findings {
+    let code = code_text(src);
+    let mut tests = Vec::new();
+    for (at, _) in code.match_indices("#[test]") {
+        let Some(name) = word_at(&code[at..], "fn").first().map(|i| at + i) else {
+            continue;
+        };
+        // The attribute block: the lines above `#[test]` that open with
+        // `#[`, down to the `fn`.
+        let mut head = code[..at].rfind('\n').map_or(0, |i| i + 1);
+        while let Some(prev) = code[..head.saturating_sub(1)].rfind('\n') {
+            if !code[prev + 1..head].trim_start().starts_with("#[") {
+                break;
+            }
+            head = prev + 1;
+        }
+        let ignored = code[head..name].contains("#[ignore");
+        tests.push((ignored, name, item_end(code.as_bytes(), name)));
+    }
+    if tests.iter().all(|&(ignored, ..)| ignored) {
+        return Vec::new();
+    }
+    let stops = [',', ';', '{', '}'];
+    let mut found = Vec::new();
+    for (_, start, end) in tests {
+        let body = &code[start..end];
+        let mut readings = vec![".elapsed()"];
+        for at in word_at(body, "let") {
+            let statement = &body[at..item_end(body.as_bytes(), at)];
+            let name = statement[3..].trim_start();
+            let name = name.strip_prefix("mut ").unwrap_or(name);
+            let len = name
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(0);
+            if len > 0 && statement.contains(".elapsed()") {
+                readings.push(&name[..len]);
+            }
+        }
+        for op in [" < ", " <= ", " > ", " >= "] {
+            for (at, _) in body.match_indices(op) {
+                let side = if op.contains('<') {
+                    let from = body[..at].rfind(stops).map_or(0, |i| i + 1);
+                    let left = &body[from..at];
+                    let cut = [left.rfind("&&"), left.rfind("||")]
+                        .into_iter()
+                        .flatten()
+                        .max();
+                    &left[cut.map_or(0, |i| i + 2)..]
+                } else {
+                    let rest = &body[at + op.len()..];
+                    let right = &rest[..rest.find(stops).unwrap_or(rest.len())];
+                    let cut = [right.find("&&"), right.find("||")]
+                        .into_iter()
+                        .flatten()
+                        .min();
+                    &right[..cut.unwrap_or(right.len())]
+                };
+                let reads = |r: &&str| {
+                    if r.starts_with('.') {
+                        side.contains(*r)
+                    } else {
+                        !word_at(side, r).is_empty()
+                    }
+                };
+                if readings.iter().any(reads) {
+                    let what = format!("BORG-L016: a wall-clock reading under `{}`", op.trim());
+                    found.push(hit(&code, start + at, what));
+                }
             }
         }
     }
@@ -702,6 +791,31 @@ fn library_code_passes_every_text_check() {
     assert!(marked >= 43, "only {marked} hot-path functions marked");
 }
 
+#[test]
+fn no_tier_one_test_bounds_a_wall_clock_reading() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "examples"] {
+        source_files(&root.join(dir), &mut files);
+    }
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        let krate = entry.expect("crate dir").path();
+        for dir in ["src", "tests"].map(|d| krate.join(d)) {
+            if dir.is_dir() {
+                source_files(&dir, &mut files);
+            }
+        }
+    }
+    let mut found = Vec::new();
+    for path in &files {
+        let text = fs::read_to_string(path).expect("read a source file");
+        let at = |(line, what)| format!("{}:{line}: {what}", path.display());
+        found.extend(elapsed_upper_bounds(&text).into_iter().map(at));
+    }
+    assert!(files.len() > 100, "only {} files", files.len());
+    assert!(found.is_empty(), "{found:#?}");
+}
+
 /// Asserts `check` finds the lines `want` in `seeded`, nothing in `clean`.
 fn assert_teeth(check: fn(&str) -> Findings, seeded: &str, want: &[u32], clean: &str) {
     let mut lines: Vec<u32> = check(seeded).into_iter().map(|(line, _)| line).collect();
@@ -767,4 +881,21 @@ fn hot_path_check_has_teeth() {
                  out.push('}'); // not .to_vec()\n    let s = \"}\";\n}\n\
                  fn cold(&self) -> Vec<f64> { xs.to_vec() }\n";
     assert_teeth(hot_path_allocations, seeded, &[4, 5, 8, 11], clean);
+}
+
+#[test]
+fn elapsed_bound_check_has_teeth() {
+    let seeded = "#[test]\nfn t() {\n    assert!(t.elapsed() < d);\n    \
+                  let waited = sent.elapsed();\n    assert!(n > 0 && waited <= d, \"{waited:?}\");\n    \
+                  assert!(d.as_secs_f64() > t0.elapsed().as_secs_f64());\n}\n\
+                  #[ignore = \"a mixed file is not exempt\"]\n#[test]\n\
+                  fn u() { assert!(t.elapsed() < d); }\n";
+    let clean = "#[test]\nfn t() {\n    let e = t.elapsed();\n    assert!(e >= d && n < 5);\n    \
+                 assert!(report.elapsed < d); // t.elapsed() < d\n    \
+                 assert!(d < t.elapsed(), \"t.elapsed() < d\");\n}\n\
+                 fn helper() -> bool { t.elapsed() < d }\n";
+    assert_teeth(elapsed_upper_bounds, seeded, &[3, 5, 6, 10], clean);
+    let exempt = "#[test]\n#[ignore = \"wall-clock band\"]\nfn t() { assert!(t.elapsed() < d); }\n\
+                  #[ignore]\n#[test]\nfn u() { assert!(t.elapsed() < d); }\n";
+    assert_eq!(elapsed_upper_bounds(exempt), []);
 }
