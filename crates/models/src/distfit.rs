@@ -96,8 +96,8 @@ impl SampleStats {
 /// value that falls on the stride first drops every second retained value
 /// and doubles the stride, so a long stream holds between `CAP / 2` and
 /// `CAP` values and `retained()` is always `stream.step_by(stride())`.
-/// Executors log `T_A` and `T_F` here once per master interaction; a run
-/// at the paper's scale (N + P − 1 ≤ `CAP` samples) keeps them all.
+/// Executors log `T_A` here once per master interaction (`run_threaded` its
+/// measured `T_F` too); a paper-scale run (N + P − 1 ≤ `CAP`) keeps them all.
 #[derive(Debug, Clone)]
 pub struct SampleLog {
     count: usize,

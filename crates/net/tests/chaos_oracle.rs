@@ -3,14 +3,15 @@
 //! worker threads, a chaos proxy physically enacting the seeded
 //! `FaultPlan` — produces a fault ledger, recovery actions, and final
 //! archive **bit-for-bit identical** to the DES fault oracle fed the
-//! same plan.
+//! same plan, and draws the same virtual `T_F` stream (its
+//! `t_f_seconds` histogram).
 
 use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::{FaultConfig, FaultKind};
 use borg_models::dist::Dist;
 use borg_net::chaos::{run_chaos_loopback, ChaosConfig};
-use borg_obs::NoopRecorder;
+use borg_obs::{Activity, Actor, Histogram, InMemoryRecorder, Recorder};
 use borg_parallel::virtual_exec::{run_virtual_async_with, FaultyRun, TaMode, VirtualConfig};
 use borg_problems::dtlz::Dtlz;
 
@@ -19,6 +20,56 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
         && a.iter()
             .zip(b.iter())
             .all(|(x, y)| x.to_bits() == y.to_bits())
+}
+
+/// A metrics-only recorder that keeps the spans of the thread that made
+/// it and drops the rest. The loopback's master runs its DES loop on the
+/// calling thread and draws the virtual `T_F` there; its in-process
+/// socket workers record wall-clock `Evaluation` spans from their own
+/// threads into the same recorder.
+struct MasterThreadOnly {
+    inner: InMemoryRecorder,
+    master: std::thread::ThreadId,
+}
+
+impl MasterThreadOnly {
+    fn new() -> Self {
+        Self {
+            inner: InMemoryRecorder::metrics_only(),
+            master: std::thread::current().id(),
+        }
+    }
+}
+
+impl Recorder for MasterThreadOnly {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn span(&self, actor: Actor, activity: Activity, start: f64, end: f64) {
+        if std::thread::current().id() == self.master {
+            self.inner.span(actor, activity, start, end);
+        }
+    }
+}
+
+fn tf_histogram(rec: &InMemoryRecorder) -> Histogram {
+    rec.snapshot()
+        .histograms
+        .remove("t_f_seconds")
+        .expect("the run drew T_F")
+}
+
+/// The same `T_F` draws in the same order: equal counts and sum bits.
+fn assert_same_tf(net: &Histogram, oracle: &Histogram) {
+    assert_eq!(net.count(), oracle.count(), "T_F draw count diverged");
+    assert_eq!(
+        net.sum().to_bits(),
+        oracle.sum().to_bits(),
+        "T_F stream diverged: sum {} vs {}",
+        net.sum(),
+        oracle.sum()
+    );
 }
 
 fn resolve(name: &str) -> Option<Box<dyn Problem>> {
@@ -46,13 +97,14 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
     };
     let problem = Dtlz::dtlz2_5();
     let borg = BorgConfig::new(5, 0.06);
-    let rec = NoopRecorder;
+    let oracle_rec = InMemoryRecorder::metrics_only();
+    let net_rec = MasterThreadOnly::new();
 
     let oracle = run_virtual_async_with(
         &problem,
         borg.clone(),
         &FaultyRun::new(&config, &faults),
-        &rec,
+        &oracle_rec,
         |_, _| {},
     );
     assert!(
@@ -62,7 +114,7 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
 
     let chaos = ChaosConfig::loopback(&std::env::temp_dir(), "oracle-test", 7);
     let net = run_chaos_loopback(
-        &problem, borg, &config, &faults, &chaos, "dtlz2-5", &resolve, &rec,
+        &problem, borg, &config, &faults, &chaos, "dtlz2-5", &resolve, &net_rec,
     )
     .expect("chaos loopback run failed");
 
@@ -106,7 +158,7 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
 
     // The sampled timing streams consumed in the same order.
     assert!(net.run.ta.bit_identical(&oracle.ta), "T_A stream diverged");
-    assert!(net.run.tf.bit_identical(&oracle.tf), "T_F stream diverged");
+    assert_same_tf(&tf_histogram(&net_rec.inner), &tf_histogram(&oracle_rec));
 
     // The proxy's wire-side ledger physically enacted the same faults,
     // kind for kind (its timestamps are wall-clock, so the full records
@@ -140,20 +192,21 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
     let faults = FaultConfig::default();
     let problem = Dtlz::dtlz2_5();
     let borg = BorgConfig::new(5, 0.06);
-    let rec = NoopRecorder;
+    let oracle_rec = InMemoryRecorder::metrics_only();
+    let net_rec = MasterThreadOnly::new();
 
     let oracle = run_virtual_async_with(
         &problem,
         borg.clone(),
         &FaultyRun::new(&config, &faults),
-        &rec,
+        &oracle_rec,
         |_, _| {},
     );
     assert_eq!(oracle.fault_log.injected(), 0);
 
     let chaos = ChaosConfig::loopback(&std::env::temp_dir(), "quiet-test", 7);
     let net = run_chaos_loopback(
-        &problem, borg, &config, &faults, &chaos, "dtlz2-5", &resolve, &rec,
+        &problem, borg, &config, &faults, &chaos, "dtlz2-5", &resolve, &net_rec,
     )
     .expect("fault-free loopback run failed");
 
@@ -170,10 +223,11 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
         oracle.engine.archive().len()
     );
     assert!(net.run.ta.bit_identical(&oracle.ta), "T_A stream diverged");
-    assert!(net.run.tf.bit_identical(&oracle.tf), "T_F stream diverged");
+    let net_tf = tf_histogram(&net_rec.inner);
+    assert_same_tf(&net_tf, &tf_histogram(&oracle_rec));
     let p = u64::from(config.processors);
     assert_eq!(net.run.ta.count() as u64, p - 1 + net.run.engine.nfe());
-    assert_eq!(net.run.tf.count() as u64, net.run.engine.nfe());
+    assert_eq!(net_tf.count(), net.run.engine.nfe());
     assert_eq!(
         net.wire_results,
         net.run.engine.nfe(),

@@ -76,7 +76,9 @@ impl VirtualConfig {
     }
 }
 
-/// Result of a virtual-time parallel run.
+/// Result of a virtual-time parallel run. `T_F`, drawn per dispatch, is
+/// not kept: the recorder's `t_f_seconds` counts `N + P − 2` draws for
+/// [`run_virtual_async`], `N` for a quiet [`run_virtual_async_with`].
 #[derive(Debug)]
 pub struct VirtualRunResult {
     /// Queueing outcome (elapsed virtual time, utilization, waits).
@@ -91,14 +93,6 @@ pub struct VirtualRunResult {
     /// `(P − 1) + N`, and [`run_virtual_serial`] logs one per evaluation,
     /// `N`.
     pub ta: SampleLog,
-    /// Sampled `T_F` (seconds), one per evaluation started.
-    /// [`run_virtual_async`] logs `N + P − 2`: every consume but the last
-    /// refills its worker, so `P − 2` evaluations are still out when the
-    /// run ends.
-    /// [`run_virtual_async_with`] issues no evaluation past the budget and
-    /// logs `N` on a quiet plan, plus one per reissue under faults.
-    /// [`run_virtual_serial`] logs `N`.
-    pub tf: SampleLog,
     /// Fault-injection/recovery ledger. Empty (default) without fault
     /// injection.
     pub fault_log: FaultLog,
@@ -162,7 +156,6 @@ pub struct BorgHooks<S, F> {
     t_a: TaMode,
     rng: StdRng,
     ta: SampleLog,
-    tf: SampleLog,
     observer: F,
     /// In `Sampled` mode the per-interaction `T_A` is charged once, on
     /// consume (matching the paper's `hold(T_C + T_A + T_C)` and the
@@ -202,7 +195,6 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
             t_a: config.t_a,
             rng,
             ta: SampleLog::new(),
-            tf: SampleLog::new(),
             observer,
             // The serial loop never produces through the hooks, so a
             // one-processor config needs no worker here.
@@ -221,7 +213,6 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
             outcome: run.outcome,
             engine: self.core.into_engine(),
             ta: self.ta,
-            tf: self.tf,
             fault_log: run.fault_log,
         };
         (result, self.source)
@@ -282,9 +273,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
     }
 
     fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
-        let t = self.t_f.sample(&mut self.rng);
-        self.tf.push(t);
-        t
+        self.t_f.sample(&mut self.rng)
     }
 
     fn consume(&mut self, worker: usize, eval_id: u64, now: f64) -> f64 {
@@ -474,11 +463,16 @@ where
 mod tests {
     use super::*;
     use borg_models::analytical::{async_parallel_time, relative_error, TimingParams};
-    use borg_obs::NoopRecorder;
+    use borg_obs::{InMemoryRecorder, NoopRecorder};
     use borg_problems::dtlz::Dtlz;
 
     fn borg_cfg() -> BorgConfig {
         BorgConfig::new(5, 0.06)
+    }
+
+    /// `T_F` draws a run handed `rec`: one `Evaluation` span each.
+    fn tf_count(rec: &InMemoryRecorder) -> u64 {
+        rec.snapshot().histograms["t_f_seconds"].count()
     }
 
     fn sampled_config(p: u32, nfe: u64, tf: f64, ta: f64) -> VirtualConfig {
@@ -497,7 +491,8 @@ mod tests {
         let problem = Dtlz::dtlz2_5();
         let cfg = sampled_config(16, 5_000, 0.01, 0.000_03);
         let mut count = 0u64;
-        let result = run_virtual_async(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {
+        let rec = InMemoryRecorder::metrics_only();
+        let result = run_virtual_async(&problem, borg_cfg(), &cfg, &rec, |_, _| {
             count += 1;
         });
         assert_eq!(result.outcome.completed, 5_000);
@@ -505,9 +500,9 @@ mod tests {
         assert_eq!(result.engine.nfe(), 5_000);
         assert!(result.engine.archive().len() > 10);
         result.engine.archive().check_invariants().unwrap();
-        // ta: one per interaction + seeding; tf: one per dispatched work.
+        // ta: one per interaction + seeding; T_F: one per dispatched work.
         assert_eq!(result.ta.count(), 15 + 5_000);
-        assert_eq!(result.tf.count(), 5_000 + 14);
+        assert_eq!(tf_count(&rec), 5_000 + 14);
     }
 
     #[test]
@@ -519,13 +514,18 @@ mod tests {
                 t_a,
                 ..sampled_config(p, n, 0.001, 0.0)
             };
-            let run = run_virtual_async(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {});
+            let eager = InMemoryRecorder::metrics_only();
+            let run = run_virtual_async(&problem, borg_cfg(), &cfg, &eager, |_, _| {});
             assert_eq!(run.ta.count() as u64, u64::from(p - 1) + n, "{t_a:?}");
-            assert_eq!(run.tf.count() as u64, n + u64::from(p - 2), "{t_a:?}");
+            assert_eq!(tf_count(&eager), n + u64::from(p - 2), "{t_a:?}");
             assert_eq!(run.ta.retained().len(), run.ta.count(), "nothing decimated");
+            let budgeted = InMemoryRecorder::metrics_only();
+            let quiet = FaultConfig::default();
+            let faulty = FaultyRun::new(&cfg, &quiet);
+            run_virtual_async_with(&problem, borg_cfg(), &faulty, &budgeted, |_, _| {});
+            assert_eq!(tf_count(&budgeted), n, "{t_a:?}");
             let serial = run_virtual_serial(&problem, borg_cfg(), &cfg, |_, _| {});
             assert_eq!(serial.ta.count() as u64, n, "{t_a:?}");
-            assert_eq!(serial.tf.count() as u64, n, "{t_a:?}");
         }
     }
 
@@ -645,7 +645,6 @@ mod tests {
         // evaluation times out, is reissued up to the cap and abandoned,
         // and its worker moves on, so the run drains with
         // completed + abandoned == N instead of stalling.
-        use borg_obs::InMemoryRecorder;
         use std::sync::mpsc::{self, RecvTimeoutError};
         use std::time::Duration;
         for drop_rate in [1.0, 0.999] {

@@ -2,10 +2,10 @@
 //!
 //! Runs a small DTLZ2 instance through the virtual-time asynchronous
 //! master-slave executor twice with the same seed and demands bit-identical
-//! results: elapsed virtual time, NFE, every archive member's variables,
-//! objectives and constraints, the final population's variable and
-//! objective rows, and both timing logs (`T_A`, `T_F`: count, sum, stride
-//! and retained values). A second arm repeats the check **with fault injection
+//! results: every queueing-outcome field, NFE, every archive member's
+//! variables, objectives and constraints, the final population's variable
+//! and objective rows, and the `T_A` log (count, sum, stride and retained
+//! values). A second arm repeats the check **with fault injection
 //! live** (25% worker crashes + 5% message loss) and additionally demands
 //! identical fault ledgers — recovery is part of the reproducibility
 //! contract, not an excuse to break it. This is the executable form of the
@@ -23,8 +23,9 @@
 //! receive values and never influence control flow; this arm is what makes
 //! that a tested guarantee instead of a comment. The arm also straps the
 //! black-box [`FlightRecorder`] onto two same-seed fault-replay runs and
-//! demands byte-identical dumps: under virtual time the ring content is a
-//! pure function of the seed, so the black box is itself deterministic.
+//! demands byte-identical dumps and equal `t_f_seconds` histograms (the
+//! drawn `T_F`): under virtual time both are a pure function of the seed,
+//! so the black box is itself deterministic.
 //!
 //! A fourth arm checks the parallel-runner contract: the same smoke-scale
 //! Table II sweep run with `jobs = 1` and `jobs = 4` must produce
@@ -50,12 +51,11 @@ use borg_desim::fault::{FaultConfig, FaultKind};
 use borg_experiments::suite::PaperProblem;
 use borg_experiments::table2::{render_table2, run_table2_with, Table2Config};
 use borg_models::dist::Dist;
-use borg_models::distfit::SampleLog;
 use borg_net::chaos::{run_chaos_loopback, ChaosConfig};
 use borg_net::tap::{tap_loop, TapConfig};
 use borg_net::{connect_with_backoff, Backoff, Conn, Msg, NetAddr, NetListener};
 use borg_obs::export::metrics_jsonl;
-use borg_obs::{FlightRecorder, InMemoryRecorder, NoopRecorder, Recorder, WithFlight};
+use borg_obs::{FlightRecorder, Histogram, InMemoryRecorder, NoopRecorder, Recorder, WithFlight};
 use borg_parallel::virtual_exec::{
     run_virtual_async, run_virtual_async_with, FaultyRun, TaMode, VirtualConfig, VirtualRunResult,
 };
@@ -98,11 +98,7 @@ pub struct DeterminismReport {
     pub tap_frames: u64,
 }
 
-fn run_once(seed: u64) -> VirtualRunResult {
-    run_once_observed(seed, &NoopRecorder)
-}
-
-fn run_once_observed(seed: u64, rec: &dyn Recorder) -> VirtualRunResult {
+fn run_once(seed: u64, rec: &dyn Recorder) -> VirtualRunResult {
     let problem = Dtlz::dtlz2_5();
     run_virtual_async(
         &problem,
@@ -132,11 +128,7 @@ fn gate_faults() -> FaultConfig {
     }
 }
 
-fn run_once_faulty(seed: u64) -> VirtualRunResult {
-    run_once_faulty_observed(seed, &NoopRecorder)
-}
-
-fn run_once_faulty_observed(seed: u64, rec: &dyn Recorder) -> VirtualRunResult {
+fn run_once_faulty(seed: u64, rec: &dyn Recorder) -> VirtualRunResult {
     let problem = Dtlz::dtlz2_5();
     run_virtual_async_with(
         &problem,
@@ -147,14 +139,16 @@ fn run_once_faulty_observed(seed: u64, rec: &dyn Recorder) -> VirtualRunResult {
     )
 }
 
-/// Compares two same-seed runs bit-for-bit — elapsed virtual time, NFE,
-/// the final archive and population, both timing logs and the fault
+/// Compares two same-seed runs bit-for-bit — every queueing-outcome field,
+/// NFE, the final archive and population, the `T_A` log and the fault
 /// ledger; `Err` carries a readable diff prefixed with `label`.
 fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<(), String> {
-    if a.outcome.elapsed.to_bits() != b.outcome.elapsed.to_bits() {
+    // `{:?}` prints each f64 as its shortest round-trip decimal, so two
+    // renderings are equal exactly when every field's bits are (NaN aside).
+    let (outcome_a, outcome_b) = (format!("{:?}", a.outcome), format!("{:?}", b.outcome));
+    if outcome_a != outcome_b {
         return Err(format!(
-            "{label}: elapsed virtual time diverged: {} vs {}",
-            a.outcome.elapsed, b.outcome.elapsed
+            "{label}: outcome diverged: {outcome_a} vs {outcome_b}"
         ));
     }
     if a.engine.nfe() != b.engine.nfe() {
@@ -210,8 +204,18 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
             ));
         }
     }
-    diff_log(label, "T_A", &a.ta, &b.ta)?;
-    diff_log(label, "T_F", &a.tf, &b.tf)?;
+    // The T_A log: count, sum, stride and every retained value.
+    if !a.ta.bit_identical(&b.ta) {
+        return Err(format!(
+            "{label}: T_A log diverged: count {} vs {}, sum {} vs {}, stride {} vs {}",
+            a.ta.count(),
+            b.ta.count(),
+            a.ta.sum(),
+            b.ta.sum(),
+            a.ta.stride(),
+            b.ta.stride()
+        ));
+    }
     if a.fault_log != b.fault_log {
         return Err(format!(
             "{label}: fault ledgers diverged: {} vs {}",
@@ -222,23 +226,6 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
     Ok(())
 }
 
-/// Compares two timing logs bit for bit: count, sum, stride and every
-/// retained value.
-fn diff_log(label: &str, stream: &str, a: &SampleLog, b: &SampleLog) -> Result<(), String> {
-    if a.bit_identical(b) {
-        return Ok(());
-    }
-    Err(format!(
-        "{label}: {stream} log diverged: count {} vs {}, sum {} vs {}, stride {} vs {}",
-        a.count(),
-        b.count(),
-        a.sum(),
-        b.sum(),
-        a.stride(),
-        b.stride()
-    ))
-}
-
 /// Runs the same-seed-twice check — a fault-free arm and a fault-replay arm
 /// (crashes + message loss) — demanding bit-identical archives, virtual
 /// clocks, and fault ledgers, then diffs the golden Table II / faults cells
@@ -246,12 +233,12 @@ fn diff_log(label: &str, stream: &str, a: &SampleLog, b: &SampleLog) -> Result<(
 /// human-readable diff.
 pub fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
     let seed = 0xB0C4_2026u64;
-    let a = run_once(seed);
-    let b = run_once(seed);
+    let a = run_once(seed, &NoopRecorder);
+    let b = run_once(seed, &NoopRecorder);
     diff_runs("fault-free", &a, &b)?;
 
-    let fa = run_once_faulty(seed);
-    let fb = run_once_faulty(seed);
+    let fa = run_once_faulty(seed, &NoopRecorder);
+    let fb = run_once_faulty(seed, &NoopRecorder);
     diff_runs("fault-replay", &fa, &fb)?;
     if fa.fault_log.injected() == 0 {
         return Err(
@@ -272,10 +259,10 @@ pub fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
     // the run — archive, virtual clock, and fault ledger stay bit-identical
     // to the no-op-recorder runs above.
     let rec = InMemoryRecorder::metrics_only();
-    let observed = run_once_observed(seed, &rec);
+    let observed = run_once(seed, &rec);
     diff_runs("recorder-attach", &a, &observed)?;
     let frec = InMemoryRecorder::metrics_only();
-    let fobserved = run_once_faulty_observed(seed, &frec);
+    let fobserved = run_once_faulty(seed, &frec);
     diff_runs("recorder-attach (fault replay)", &fa, &fobserved)?;
     let recorder_evals = rec
         .snapshot()
@@ -328,18 +315,30 @@ pub fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
 
 /// Runs the fault-replay configuration twice with a [`FlightRecorder`]
 /// ring layered over a tracing recorder; demands both runs bit-identical
-/// to `oracle` and the two black-box dumps byte-identical. Returns the
-/// events recorded per run.
+/// to `oracle`, their `t_f_seconds` histograms identical and the two
+/// black-box dumps byte-identical. Returns the events recorded per run.
 fn flight_arm(seed: u64, oracle: &VirtualRunResult) -> Result<u64, String> {
-    let fly = |label: &str| -> Result<(u64, String), String> {
+    let fly = |label: &str| -> Result<(u64, String, Histogram), String> {
         let rec = InMemoryRecorder::new();
         let ring = FlightRecorder::new(4096);
-        let run = run_once_faulty_observed(seed, &WithFlight::new(&rec, &ring));
+        let run = run_once_faulty(seed, &WithFlight::new(&rec, &ring));
         diff_runs(label, oracle, &run)?;
-        Ok((ring.recorded(), ring.dump_jsonl("shutdown")))
+        let mut snap = rec.snapshot();
+        let tf = snap.histograms.remove("t_f_seconds").unwrap_or_default();
+        Ok((ring.recorded(), ring.dump_jsonl("shutdown"), tf))
     };
-    let (events, dump_a) = fly("flight-attach")?;
-    let (_, dump_b) = fly("flight-attach (second run)")?;
+    let (events, dump_a, tf_a) = fly("flight-attach")?;
+    let (_, dump_b, tf_b) = fly("flight-attach (second run)")?;
+    // Count, every bucket, min, max and the sum's bits of the drawn T_F.
+    if tf_a.count() == 0 || tf_a != tf_b || tf_a.sum().to_bits() != tf_b.sum().to_bits() {
+        return Err(format!(
+            "flight arm: t_f_seconds histograms empty or diverged: count {} vs {}, sum {} vs {}",
+            tf_a.count(),
+            tf_b.count(),
+            tf_a.sum(),
+            tf_b.sum()
+        ));
+    }
     if events == 0 {
         return Err(
             "flight arm recorded zero events; the engine's flight hooks are lost".to_string(),
@@ -631,8 +630,8 @@ mod tests {
     fn different_seeds_actually_differ() {
         // Guards against the gate vacuously passing because the config is
         // ignored: two different seeds must not produce identical archives.
-        let a = run_once(1);
-        let b = run_once(2);
+        let a = run_once(1, &NoopRecorder);
+        let b = run_once(2, &NoopRecorder);
         assert_ne!(
             a.engine.archive().objective_vectors(),
             b.engine.archive().objective_vectors()

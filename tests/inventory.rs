@@ -566,23 +566,7 @@ fn hot_path_allocations(src: &str) -> Findings {
 /// `&&`/`||` operand.
 fn elapsed_upper_bounds(src: &str) -> Findings {
     let code = code_text(src);
-    let mut tests = Vec::new();
-    for (at, _) in code.match_indices("#[test]") {
-        let Some(name) = word_at(&code[at..], "fn").first().map(|i| at + i) else {
-            continue;
-        };
-        // The attribute block: the lines above `#[test]` that open with
-        // `#[`, down to the `fn`.
-        let mut head = code[..at].rfind('\n').map_or(0, |i| i + 1);
-        while let Some(prev) = code[..head.saturating_sub(1)].rfind('\n') {
-            if !code[prev + 1..head].trim_start().starts_with("#[") {
-                break;
-            }
-            head = prev + 1;
-        }
-        let ignored = code[head..name].contains("#[ignore");
-        tests.push((ignored, name, item_end(code.as_bytes(), name)));
-    }
+    let tests = test_items(&code);
     if tests.iter().all(|&(ignored, ..)| ignored) {
         return Vec::new();
     }
@@ -636,6 +620,86 @@ fn elapsed_upper_bounds(src: &str) -> Findings {
         }
     }
     found
+}
+
+/// The `#[test]` items of `code` (a [`code_text`]): whether each is
+/// `#[ignore]`d, the offset of its `fn` and the end of its body.
+fn test_items(code: &str) -> Vec<(bool, usize, usize)> {
+    let mut tests = Vec::new();
+    for (at, _) in code.match_indices("#[test]") {
+        let Some(name) = word_at(&code[at..], "fn").first().map(|i| at + i) else {
+            continue;
+        };
+        // The attribute block: the lines above `#[test]` that open with
+        // `#[`, down to the `fn`.
+        let mut head = code[..at].rfind('\n').map_or(0, |i| i + 1);
+        while let Some(prev) = code[..head.saturating_sub(1)].rfind('\n') {
+            if !code[prev + 1..head].trim_start().starts_with("#[") {
+                break;
+            }
+            head = prev + 1;
+        }
+        let ignored = code[head..name].contains("#[ignore");
+        tests.push((ignored, name, item_end(code.as_bytes(), name)));
+    }
+    tests
+}
+
+/// The names of the `#[ignore]`d tests in `src`.
+fn ignored_tests(src: &str) -> Vec<String> {
+    let code = code_text(src);
+    test_items(&code)
+        .into_iter()
+        .filter(|&(ignored, ..)| ignored)
+        .map(|(_, at, _)| {
+            let name = code[at + 2..].trim_start();
+            let len = name
+                .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+                .unwrap_or(name.len());
+            name[..len].to_string()
+        })
+        .collect()
+}
+
+/// The `#[ignore]`d tests of `files` (path, text) that no `cargo test …
+/// --ignored` line of `ci` runs, as `path::name`. A line runs a test if it
+/// names it, or if it has `--test <stem>` for the test's file and its
+/// filter, if it has one, is part of the test's name (cargo's substring
+/// match).
+fn unrun_ignored_tests(ci: &str, files: &[(String, String)]) -> Vec<String> {
+    let steps: Vec<&str> = ci
+        .lines()
+        .map(str::trim_start)
+        .filter(|line| line.starts_with("cargo test") && line.contains(" --ignored"))
+        .collect();
+    let mut unrun = Vec::new();
+    for (path, text) in files {
+        let stem = Path::new(path).file_stem().and_then(|s| s.to_str());
+        for name in ignored_tests(text) {
+            let runs = |step: &&str| {
+                if !word_at(step, &name).is_empty() {
+                    return true;
+                }
+                let args = step.split(" -- ").next().unwrap_or(step);
+                let words: Vec<&str> = args.split_whitespace().collect();
+                let target = words.windows(2).find(|w| w[0] == "--test").map(|w| w[1]);
+                // The filter is a last word that is no flag and no flag's value.
+                let filter = match words[..] {
+                    [.., flag, last]
+                        if !last.starts_with('-') && flag != "-p" && flag != "--test" =>
+                    {
+                        Some(last)
+                    }
+                    _ => None,
+                };
+                target.is_some() && target == stem && filter.is_none_or(|f| name.contains(f))
+            };
+            if !steps.iter().any(runs) {
+                unrun.push(format!("{path}::{name}"));
+            }
+        }
+    }
+    unrun
 }
 
 /// Every `.rs` file under `dir`, binaries included, recursively.
@@ -814,6 +878,88 @@ fn no_tier_one_test_bounds_a_wall_clock_reading() {
     }
     assert!(files.len() > 100, "only {} files", files.len());
     assert!(found.is_empty(), "{found:#?}");
+}
+
+#[test]
+fn every_ignored_test_runs_in_ci_sh() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths = Vec::new();
+    for dir in ["src", "tests", "examples"] {
+        source_files(&root.join(dir), &mut paths);
+    }
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        let krate = entry.expect("crate dir").path();
+        for dir in ["src", "tests"].map(|d| krate.join(d)) {
+            if dir.is_dir() {
+                source_files(&dir, &mut paths);
+            }
+        }
+    }
+    let files: Vec<(String, String)> = paths
+        .iter()
+        .map(|p| {
+            let rel = p.strip_prefix(root).expect("under the root");
+            let text = fs::read_to_string(p).expect("read a source file");
+            (rel.to_string_lossy().into_owned(), text)
+        })
+        .collect();
+    let ignored: usize = files.iter().map(|(_, t)| ignored_tests(t).len()).sum();
+    assert!(ignored > 10, "found only {ignored} ignored tests");
+    let ci = fs::read_to_string(root.join("ci.sh")).expect("read ci.sh");
+    let unrun = unrun_ignored_tests(&ci, &files);
+    assert!(
+        unrun.is_empty(),
+        "ignored, and no ci.sh step runs them: {unrun:#?}"
+    );
+}
+
+#[test]
+fn unrun_ignored_test_check_has_teeth() {
+    let file = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let files = [
+        file(
+            "crates/a/tests/ratio.rs",
+            "#[test]\n#[ignore = \"ratio\"]\nfn one() {}\n#[ignore]\n#[test]\nfn two() {}\n",
+        ),
+        file(
+            "crates/b/tests/loopback.rs",
+            "#[test]\nfn plain() {}\n#[test]\n#[ignore]\nfn fast_path() {}\n\
+             #[test]\n#[ignore]\nfn slow_path() {}\n",
+        ),
+        file(
+            "crates/c/tests/bands.rs",
+            "#[test]\n#[ignore]\nfn band() {}\n",
+        ),
+        file(
+            "crates/d/src/scen.rs",
+            "mod tests {\n    #[test]\n    #[ignore = \"x\"]\n    fn pinned() {}\n    \
+             #[test]\n    #[ignore]\n    fn other() {}\n}\n",
+        ),
+        file(
+            "crates/e/tests/quiet.rs",
+            "// #[test]\n// #[ignore]\n// fn commented() {}\n\
+             #[test]\nfn t() { let s = \"#[ignore]\"; }\n",
+        ),
+    ];
+    let seeded = "set -e\necho \"==> cargo test -p c --test bands -- --ignored\"\n\
+                  cargo test -q --release -p a --test ratio -- --ignored\n\
+                  cargo test -q --release -p b --test loopback fast_ -- --ignored\n\
+                  cargo test -q --release -p c --test bands\n\
+                  cargo test -q -p d --lib scen::tests::pinned -- --ignored --exact\n";
+    assert_eq!(
+        unrun_ignored_tests(seeded, &files),
+        [
+            "crates/b/tests/loopback.rs::slow_path",
+            "crates/c/tests/bands.rs::band",
+            "crates/d/src/scen.rs::other",
+        ]
+    );
+    let clean = format!(
+        "{seeded}cargo test -q -p b --test loopback slow_path -- --ignored\n\
+         cargo test -q -p c --test bands -- --ignored\n\
+         cargo test -q -p d --lib scen::tests::other -- --ignored --exact\n"
+    );
+    assert!(unrun_ignored_tests(&clean, &files).is_empty());
 }
 
 /// Asserts `check` finds the lines `want` in `seeded`, nothing in `clean`.
