@@ -820,8 +820,6 @@ fn serve_master(cli: &Cli) {
             listen,
             in_process_workers: 0,
             read_timeout: Duration::from_millis(25),
-            result_wait: Duration::from_secs(30),
-            reset_on_crash: true,
         };
         let run = with_optional_tap(cli.live.as_deref(), &rec, || {
             run_chaos_loopback(

@@ -302,7 +302,8 @@ impl Dist {
         samples.iter().map(|&x| self.ln_pdf(x)).sum()
     }
 
-    /// Cumulative distribution function `F(x)`.
+    /// Cumulative distribution function `F(x)`: the reference
+    /// `cdf_matches_empirical_distribution` checks every sampler against.
     pub fn cdf(&self, x: f64) -> f64 {
         use crate::special::{normal_cdf, regularized_gamma_p};
         match *self {
@@ -358,14 +359,6 @@ impl Dist {
                     1.0 - (-(x / scale).powf(shape)).exp()
                 }
             }
-        }
-    }
-
-    /// Number of free parameters (for AIC/BIC).
-    pub fn num_parameters(&self) -> usize {
-        match self {
-            Dist::Constant(_) | Dist::Exponential { .. } => 1,
-            _ => 2,
         }
     }
 }
@@ -577,21 +570,6 @@ mod tests {
             0.0
         );
         assert_eq!(Dist::Uniform { lo: 0.0, hi: 1.0 }.cdf(2.0), 1.0);
-    }
-
-    #[test]
-    fn parameter_counts() {
-        assert_eq!(Dist::Constant(1.0).num_parameters(), 1);
-        assert_eq!(Dist::Exponential { rate: 1.0 }.num_parameters(), 1);
-        assert_eq!(Dist::Normal { mean: 0.0, sd: 1.0 }.num_parameters(), 2);
-        assert_eq!(
-            Dist::Weibull {
-                shape: 1.0,
-                scale: 1.0
-            }
-            .num_parameters(),
-            2
-        );
     }
 
     #[test]

@@ -340,79 +340,6 @@ pub fn fit_all(samples: &[f64], families: &[Family]) -> Vec<FitResult> {
     out
 }
 
-/// Goodness-of-fit report for one fitted distribution.
-#[derive(Debug, Clone)]
-pub struct GoodnessOfFit {
-    /// Akaike information criterion `2k − 2 ln L` (lower is better).
-    pub aic: f64,
-    /// Bayesian information criterion `k ln n − 2 ln L` (lower is better).
-    pub bic: f64,
-    /// Kolmogorov–Smirnov statistic `sup |F_n(x) − F(x)|`.
-    pub ks_statistic: f64,
-}
-
-/// Computes AIC, BIC and the Kolmogorov–Smirnov statistic of `dist`
-/// against `samples`.
-pub fn goodness_of_fit(dist: &Dist, samples: &[f64]) -> GoodnessOfFit {
-    assert!(!samples.is_empty());
-    let n = samples.len() as f64;
-    let k = dist.num_parameters() as f64;
-    let ll = dist.log_likelihood(samples);
-    let mut sorted = samples.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    // KS: compare F against the empirical CDF on both sides of each jump.
-    let mut ks: f64 = 0.0;
-    for (i, &x) in sorted.iter().enumerate() {
-        let f = dist.cdf(x);
-        let lo = i as f64 / n;
-        let hi = (i + 1) as f64 / n;
-        ks = ks.max((f - lo).abs()).max((hi - f).abs());
-    }
-    GoodnessOfFit {
-        aic: 2.0 * k - 2.0 * ll,
-        bic: k * n.ln() - 2.0 * ll,
-        ks_statistic: ks,
-    }
-}
-
-/// As [`fit_all`] but ranked by a chosen criterion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SelectionCriterion {
-    /// Raw log-likelihood (the paper's criterion).
-    LogLikelihood,
-    /// AIC (penalizes parameter count).
-    Aic,
-    /// BIC (stronger parameter penalty).
-    Bic,
-    /// Kolmogorov–Smirnov distance.
-    KolmogorovSmirnov,
-}
-
-/// Fits every family and ranks by `criterion` (best first).
-pub fn fit_ranked(
-    samples: &[f64],
-    families: &[Family],
-    criterion: SelectionCriterion,
-) -> Vec<(FitResult, GoodnessOfFit)> {
-    let mut out: Vec<(FitResult, GoodnessOfFit)> = fit_all(samples, families)
-        .into_iter()
-        .map(|f| {
-            let gof = goodness_of_fit(&f.dist, samples);
-            (f, gof)
-        })
-        .collect();
-    out.sort_by(|a, b| {
-        let key = |f: &FitResult, g: &GoodnessOfFit| match criterion {
-            SelectionCriterion::LogLikelihood => -f.log_likelihood,
-            SelectionCriterion::Aic => g.aic,
-            SelectionCriterion::Bic => g.bic,
-            SelectionCriterion::KolmogorovSmirnov => g.ks_statistic,
-        };
-        key(&a.0, &a.1).total_cmp(&key(&b.0, &b.1))
-    });
-    out
-}
-
 /// Fits all families and returns the best. A (numerically) constant sample
 /// short-circuits to a point mass — no continuous density models it and
 /// likelihoods degenerate.
@@ -651,70 +578,6 @@ mod tests {
         match best_fit(&xs) {
             Dist::Constant(c) => assert!((c - 0.01).abs() < 1e-12),
             other => panic!("expected a point mass, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn ks_statistic_is_small_for_the_true_model() {
-        let truth = Dist::Normal { mean: 3.0, sd: 0.5 };
-        let xs = draw(truth, 5_000, 21);
-        let gof = goodness_of_fit(&truth, &xs);
-        // KS critical value at α = 0.01 is ≈ 1.63/√n ≈ 0.023.
-        assert!(gof.ks_statistic < 0.025, "KS = {}", gof.ks_statistic);
-        let wrong = Dist::Exponential { rate: 1.0 / 3.0 };
-        let gof_wrong = goodness_of_fit(&wrong, &xs);
-        assert!(
-            gof_wrong.ks_statistic > 0.2,
-            "KS = {}",
-            gof_wrong.ks_statistic
-        );
-    }
-
-    #[test]
-    fn aic_and_bic_penalize_parameters() {
-        let xs = draw(Dist::Exponential { rate: 2.0 }, 2_000, 22);
-        let exp = fit_family(Family::Exponential, &xs).unwrap();
-        let gof = goodness_of_fit(&exp, &xs);
-        // AIC = 2k − 2 ln L with k = 1; BIC uses ln n ≈ 7.6 > 2.
-        let ll = exp.log_likelihood(&xs);
-        assert!((gof.aic - (2.0 - 2.0 * ll)).abs() < 1e-9);
-        assert!(gof.bic > gof.aic);
-    }
-
-    #[test]
-    fn ranked_fit_orders_by_criterion() {
-        let xs = draw(
-            Dist::Gamma {
-                shape: 3.0,
-                scale: 0.2,
-            },
-            4_000,
-            23,
-        );
-        for criterion in [
-            SelectionCriterion::LogLikelihood,
-            SelectionCriterion::Aic,
-            SelectionCriterion::Bic,
-            SelectionCriterion::KolmogorovSmirnov,
-        ] {
-            let ranked = fit_ranked(&xs, &Family::all(), criterion);
-            assert!(!ranked.is_empty());
-            // Winner's KS must be sane under every criterion.
-            assert!(ranked[0].1.ks_statistic < 0.1, "{criterion:?}");
-            // Ordering must actually be sorted.
-            let keys: Vec<f64> = ranked
-                .iter()
-                .map(|(f, g)| match criterion {
-                    SelectionCriterion::LogLikelihood => -f.log_likelihood,
-                    SelectionCriterion::Aic => g.aic,
-                    SelectionCriterion::Bic => g.bic,
-                    SelectionCriterion::KolmogorovSmirnov => g.ks_statistic,
-                })
-                .collect();
-            assert!(
-                keys.windows(2).all(|w| w[0] <= w[1]),
-                "{criterion:?}: {keys:?}"
-            );
         }
     }
 

@@ -63,10 +63,7 @@ pub mod prelude {
         sync_parallel_time, sync_speedup, TimingParams,
     };
     pub use crate::dist::Dist;
-    pub use crate::distfit::{
-        best_fit, fit_all, fit_family, fit_ranked, goodness_of_fit, Family, GoodnessOfFit,
-        SampleLog, SampleStats, SelectionCriterion,
-    };
+    pub use crate::distfit::{best_fit, fit_all, fit_family, Family, SampleLog, SampleStats};
     pub use crate::perfsim::{
         simulate_async, simulate_async_mean, simulate_sync, PerfPrediction, PerfSimConfig,
         TimingModel,

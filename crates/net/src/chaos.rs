@@ -40,7 +40,7 @@ use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
 use borg_models::queueing::run_async_with;
-use borg_obs::{Recorder, TraceEdge, TraceEdgeKind};
+use borg_obs::{NoopRecorder, Recorder, TraceEdge, TraceEdgeKind};
 use borg_parallel::virtual_exec::{
     BorgHooks, FaultyRun, ObjectiveSource, TaMode, VirtualConfig, VirtualRunResult,
 };
@@ -65,13 +65,11 @@ pub struct ChaosConfig {
     pub in_process_workers: usize,
     /// Per-connection read timeout.
     pub read_timeout: Duration,
-    /// Longest the pinned master will block for one wire result before
-    /// latching an error and falling back to local evaluation.
-    pub result_wait: Duration,
-    /// Whether a crash fate physically resets the worker's connection
-    /// (exercises reconnect backoff + re-registration).
-    pub reset_on_crash: bool,
 }
+
+/// Longest the pinned master blocks for one wire result before latching
+/// an error and falling back to local evaluation.
+const RESULT_WAIT: Duration = Duration::from_secs(30);
 
 impl ChaosConfig {
     /// Loopback defaults over Unix sockets under `dir`; `tag`
@@ -83,8 +81,6 @@ impl ChaosConfig {
             master_listen: NetAddr::Unix(base.with_extension("master.sock")),
             in_process_workers,
             read_timeout: Duration::from_millis(25),
-            result_wait: Duration::from_secs(30),
-            reset_on_crash: true,
         }
     }
 }
@@ -93,7 +89,7 @@ impl ChaosConfig {
 pub struct ChaosRunResult {
     /// The pinned master's run as the DES fault oracle records it: virtual
     /// outcome, engine, the authoritative (DES-side) ledger and the sampled
-    /// `T_A`/`T_F` logs. Every field must equal the oracle's bit for bit.
+    /// `T_A` log. Every field must equal the oracle's bit for bit.
     pub run: VirtualRunResult,
     /// The proxy's wire-side ledger: faults it physically enacted on the
     /// sockets. Record times are wall-clock, so it is compared to the
@@ -148,7 +144,6 @@ struct WireSource<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
     frame: Vec<u8>,
     rx: mpsc::Receiver<MasterNote>,
     buffered: BTreeMap<u64, Vec<WireOutcome>>,
-    result_wait: Duration,
     error: Option<NetError>,
     wire_results: u64,
     wire_duplicates: u64,
@@ -195,7 +190,7 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> WireSource<'_, '_, P, R> {
                 }
                 Ok(MasterNote::Dead) => {} // a master-side conn died; keep draining the rest
                 Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if started.elapsed() > self.result_wait {
+                    if started.elapsed() > RESULT_WAIT {
                         return Err(NetError::ResultTimeout {
                             eval_id,
                             waited: started.elapsed(),
@@ -346,7 +341,6 @@ struct ProxyShared<'a, R: Recorder + Sync + ?Sized> {
     wire_log: Mutex<FaultLog>,
     start: Instant,
     stop: AtomicBool,
-    reset_on_crash: bool,
     read_timeout: Duration,
     workers: Mutex<Vec<Arc<ProxyWorker>>>,
     rec: &'a R,
@@ -390,14 +384,11 @@ fn relay_master_to_worker<R: Recorder + Sync + ?Sized>(
                     DispatchFate::CrashDuring { .. } => {
                         // The worker "dies" mid-evaluation: the work item
                         // never completes. Physically: don't forward it,
-                        // and (optionally) reset the connection so the
-                        // worker exercises reconnect backoff.
+                        // and reset the connection so the worker exercises
+                        // reconnect backoff and re-registration.
                         shared.inject(FaultKind::Crash, pw.idx, *eval_id);
-                        if shared.reset_on_crash {
-                            let mut link = pw.link.lock();
-                            if let Some(dead) = link.conn.take() {
-                                dead.shutdown();
-                            }
+                        if let Some(dead) = pw.link.lock().conn.take() {
+                            dead.shutdown();
                         }
                     }
                 }
@@ -687,7 +678,6 @@ where
         wire_log: Mutex::new(FaultLog::default()),
         start: Instant::now(),
         stop: AtomicBool::new(false),
-        reset_on_crash: chaos.reset_on_crash,
         read_timeout: chaos.read_timeout,
         workers: Mutex::new(Vec::new()),
         rec,
@@ -714,10 +704,11 @@ where
             let opts = WorkerOptions {
                 connect: public_addr.clone(),
                 read_timeout: chaos.read_timeout,
-                heartbeat_every: Duration::from_millis(100),
-                backoff: Backoff::default_schedule(),
             };
-            worker_handles.push(scope.spawn(move || run_worker(&opts, resolve, rec)));
+            // A worker is its own process role: its wall-clock spans and
+            // counters stay out of the master's recorder, which then holds
+            // each evaluation's virtual `T_F` once.
+            worker_handles.push(scope.spawn(move || run_worker(&opts, resolve, &NoopRecorder)));
         }
 
         // The pool registers through the proxy; the master sees ordinary
@@ -743,7 +734,6 @@ where
             frame: Vec::new(),
             rx,
             buffered: BTreeMap::new(),
-            result_wait: chaos.result_wait,
             error: None,
             wire_results: 0,
             wire_duplicates: 0,

@@ -17,10 +17,6 @@ pub struct WorkerOptions {
     pub connect: NetAddr,
     /// Per-read socket timeout; also the idle-loop tick.
     pub read_timeout: Duration,
-    /// Send a heartbeat frame after this much idle time.
-    pub heartbeat_every: Duration,
-    /// Reconnect schedule (applies to the initial connect too).
-    pub backoff: Backoff,
 }
 
 impl Default for WorkerOptions {
@@ -28,11 +24,12 @@ impl Default for WorkerOptions {
         WorkerOptions {
             connect: NetAddr::Tcp("127.0.0.1:0".to_string()),
             read_timeout: Duration::from_millis(50),
-            heartbeat_every: Duration::from_millis(100),
-            backoff: Backoff::default_schedule(),
         }
     }
 }
+
+/// Idle time after which a worker sends a heartbeat frame.
+const HEARTBEAT_EVERY: Duration = Duration::from_millis(100);
 
 /// What a worker did over its lifetime.
 #[derive(Debug, Clone, Default)]
@@ -76,7 +73,7 @@ fn connect_and_register(
     opts: &WorkerOptions,
     announce: u64,
 ) -> Result<(Conn, u64, String, u64), NetError> {
-    let mut backoff = opts.backoff;
+    let mut backoff = Backoff::default_schedule();
     let stream = connect_with_backoff(&opts.connect, &mut backoff, opts.read_timeout)?;
     let mut conn = Conn::new(stream);
     conn.send(&Msg::Hello { worker: announce })?;
@@ -251,7 +248,7 @@ pub fn run_worker<R: Recorder + ?Sized>(
             Ok(None) => {
                 // Idle tick: heartbeat if due. Every idle heartbeat
                 // doubles as a clock probe.
-                if last_beat.elapsed() >= opts.heartbeat_every {
+                if last_beat.elapsed() >= HEARTBEAT_EVERY {
                     last_beat = Instant::now();
                     probe_seq += 1;
                     let beat = Msg::Heartbeat {

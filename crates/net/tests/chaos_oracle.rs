@@ -11,7 +11,7 @@ use borg_core::problem::Problem;
 use borg_desim::fault::{FaultConfig, FaultKind};
 use borg_models::dist::Dist;
 use borg_net::chaos::{run_chaos_loopback, ChaosConfig};
-use borg_obs::{Activity, Actor, Histogram, InMemoryRecorder, Recorder};
+use borg_obs::{Histogram, InMemoryRecorder};
 use borg_parallel::virtual_exec::{run_virtual_async_with, FaultyRun, TaMode, VirtualConfig};
 use borg_problems::dtlz::Dtlz;
 
@@ -20,37 +20,6 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
         && a.iter()
             .zip(b.iter())
             .all(|(x, y)| x.to_bits() == y.to_bits())
-}
-
-/// A metrics-only recorder that keeps the spans of the thread that made
-/// it and drops the rest. The loopback's master runs its DES loop on the
-/// calling thread and draws the virtual `T_F` there; its in-process
-/// socket workers record wall-clock `Evaluation` spans from their own
-/// threads into the same recorder.
-struct MasterThreadOnly {
-    inner: InMemoryRecorder,
-    master: std::thread::ThreadId,
-}
-
-impl MasterThreadOnly {
-    fn new() -> Self {
-        Self {
-            inner: InMemoryRecorder::metrics_only(),
-            master: std::thread::current().id(),
-        }
-    }
-}
-
-impl Recorder for MasterThreadOnly {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn span(&self, actor: Actor, activity: Activity, start: f64, end: f64) {
-        if std::thread::current().id() == self.master {
-            self.inner.span(actor, activity, start, end);
-        }
-    }
 }
 
 fn tf_histogram(rec: &InMemoryRecorder) -> Histogram {
@@ -98,7 +67,7 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
     let problem = Dtlz::dtlz2_5();
     let borg = BorgConfig::new(5, 0.06);
     let oracle_rec = InMemoryRecorder::metrics_only();
-    let net_rec = MasterThreadOnly::new();
+    let net_rec = InMemoryRecorder::metrics_only();
 
     let oracle = run_virtual_async_with(
         &problem,
@@ -158,7 +127,7 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
 
     // The sampled timing streams consumed in the same order.
     assert!(net.run.ta.bit_identical(&oracle.ta), "T_A stream diverged");
-    assert_same_tf(&tf_histogram(&net_rec.inner), &tf_histogram(&oracle_rec));
+    assert_same_tf(&tf_histogram(&net_rec), &tf_histogram(&oracle_rec));
 
     // The proxy's wire-side ledger physically enacted the same faults,
     // kind for kind (its timestamps are wall-clock, so the full records
@@ -193,7 +162,7 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
     let problem = Dtlz::dtlz2_5();
     let borg = BorgConfig::new(5, 0.06);
     let oracle_rec = InMemoryRecorder::metrics_only();
-    let net_rec = MasterThreadOnly::new();
+    let net_rec = InMemoryRecorder::metrics_only();
 
     let oracle = run_virtual_async_with(
         &problem,
@@ -223,7 +192,7 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
         oracle.engine.archive().len()
     );
     assert!(net.run.ta.bit_identical(&oracle.ta), "T_A stream diverged");
-    let net_tf = tf_histogram(&net_rec.inner);
+    let net_tf = tf_histogram(&net_rec);
     assert_same_tf(&net_tf, &tf_histogram(&oracle_rec));
     let p = u64::from(config.processors);
     assert_eq!(net.run.ta.count() as u64, p - 1 + net.run.engine.nfe());

@@ -10,7 +10,6 @@ use borg_core::problem::Problem;
 use borg_desim::fault::FaultConfig;
 use borg_models::dist::Dist;
 use borg_net::chaos::{run_chaos_loopback, ChaosConfig};
-use borg_net::transport::Backoff;
 use borg_net::worker::{run_worker, WorkerOptions};
 use borg_obs::{merge_shards, InMemoryRecorder, TraceShard};
 use borg_parallel::virtual_exec::{TaMode, VirtualConfig};
@@ -53,8 +52,6 @@ fn merged_trace_has_one_chain_per_completed_eval_under_chaos() {
             let opts = WorkerOptions {
                 connect: chaos.listen.clone(),
                 read_timeout: Duration::from_millis(25),
-                heartbeat_every: Duration::from_millis(100),
-                backoff: Backoff::default_schedule(),
             };
             handles.push(scope.spawn(move || run_worker(&opts, &resolve, rec)));
         }

@@ -416,12 +416,11 @@ pub fn estimate_comm_time(rounds: u32) -> Result<f64, ThreadedError> {
 mod tests {
     use super::*;
     use borg_obs::{FlightRecorder, WithFlight};
-    use borg_problems::dtlz::Dtlz;
-    use borg_problems::zdt::{Zdt, ZdtVariant};
+    use borg_problems::dtlz::{Dtlz, DtlzVariant};
 
     #[test]
     fn threaded_run_completes_exact_nfe() {
-        let problem = Zdt::new(ZdtVariant::Zdt1);
+        let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let cfg = ThreadedConfig::new(4, 2_000, None, 1);
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         assert_eq!(result.engine.nfe(), 2_000);
@@ -456,7 +455,7 @@ mod tests {
     fn one_worker_runs_the_serial_search() {
         // With one worker the loop is strictly produce → evaluate →
         // consume: the run is `run_serial`'s for the same engine seed.
-        let problem = Zdt::new(ZdtVariant::Zdt1);
+        let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let borg = BorgConfig::new(2, 0.01);
         let cfg = ThreadedConfig::new(1, 3_000, None, 41);
         let run = run_threaded(&problem, borg.clone(), &cfg).expect("run");
@@ -467,15 +466,15 @@ mod tests {
 
     #[test]
     fn threaded_run_converges_like_serial() {
-        let problem = Zdt::with_variables(ZdtVariant::Zdt1, 10);
+        let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let cfg = ThreadedConfig::new(8, 6_000, None, 2);
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
-        // Archive close to the true front f2 = 1 − √f1.
+        // Archive close to the true front, the unit circle: ‖f‖ = 1.
         let worst = result
             .engine
             .archive()
             .members()
-            .map(|s| s.objectives()[1] - (1.0 - s.objectives()[0].max(0.0).sqrt()))
+            .map(|s| (s.objectives().iter().map(|f| f * f).sum::<f64>().sqrt() - 1.0).abs())
             .fold(f64::NEG_INFINITY, f64::max);
         assert!(worst < 0.4, "archive far from front: {worst}");
     }
@@ -607,7 +606,7 @@ mod tests {
                 );
             }
         }
-        let problem = Zdt::new(ZdtVariant::Zdt1);
+        let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let cfg = ThreadedConfig::new(3, 500, None, 5);
         let outcome = std::panic::catch_unwind(|| {
             run_threaded_observed(
@@ -623,7 +622,7 @@ mod tests {
 
     #[test]
     fn fault_free_run_has_empty_ledger() {
-        let problem = Zdt::new(ZdtVariant::Zdt1);
+        let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let cfg = ThreadedConfig::new(4, 500, None, 3);
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         assert_eq!(result.fault_log.injected(), 0);
@@ -640,7 +639,7 @@ mod tests {
 
     #[test]
     fn ta_samples_are_recorded_per_interaction() {
-        let problem = Zdt::new(ZdtVariant::Zdt2);
+        let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let cfg = ThreadedConfig::new(2, 500, None, 4);
         let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
         // Fault-free: every result is handled once and consumed.

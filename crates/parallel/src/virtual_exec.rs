@@ -53,19 +53,6 @@ pub struct VirtualConfig {
 }
 
 impl VirtualConfig {
-    /// The paper's experimental configuration: `T_F ~ Normal(t_f, 0.1 t_f)`,
-    /// `T_C = 6 µs` constant, measured `T_A`.
-    pub fn paper(processors: u32, max_nfe: u64, t_f_mean: f64, seed: u64) -> Self {
-        Self {
-            processors,
-            max_nfe,
-            t_f: Dist::normal_cv(t_f_mean, 0.1),
-            t_c: Dist::Constant(0.000_006),
-            t_a: TaMode::Measured,
-            seed,
-        }
-    }
-
     /// The worker pool `P − 1`.
     fn workers(&self) -> usize {
         assert!(

@@ -19,7 +19,7 @@ use borg_models::queueing::{run_async_with, MasterSlaveHooks};
 use borg_obs::{FlightEvent, FlightRecorder, NoopRecorder, WithFlight};
 use borg_parallel::prelude::*;
 use borg_parallel::virtual_exec::VirtualConfig;
-use borg_problems::zdt::{Zdt, ZdtVariant};
+use borg_problems::dtlz::{Dtlz, DtlzVariant};
 use proptest::prelude::*;
 
 /// Constant-time hooks mirroring the virtual adapter's
@@ -99,7 +99,7 @@ proptest! {
         // Arm 1: the virtual-time executor (real Borg algorithm payload).
         let virt_ring = FlightRecorder::new(RING);
         let virt = run_virtual_async_with(
-            &Zdt::new(ZdtVariant::Zdt1),
+            &Dtlz::new(DtlzVariant::Dtlz2, 2),
             BorgConfig::new(2, 0.01),
             &run,
             &WithFlight::new(&NoopRecorder, &virt_ring),

@@ -1,10 +1,10 @@
 //! # borg-problems
 //!
-//! Benchmark problems for the Borg MOEA scalability reproduction: the DTLZ
-//! suite, the ZDT suite, the CEC 2009 UF suite (including the paper's UF11
-//! as a rotated, scaled 5-objective DTLZ2), decision-space rotation
-//! utilities, analytic reference fronts, and small classic problems for
-//! examples.
+//! The paper's two test problems: DTLZ2 (at any number of objectives; the
+//! paper runs five) and UF11, the CEC 2009 problem that rotates and scales
+//! 5-objective DTLZ2. Also the decision-space rotation UF11 is built from,
+//! the analytic reference fronts of both, and one small constrained
+//! problem that runs Borg's constraint handling end to end.
 //!
 //! ```
 //! use borg_problems::prelude::*;
@@ -40,14 +40,12 @@ pub mod misc;
 pub mod refsets;
 pub mod rotation;
 pub mod uf;
-pub mod zdt;
 
 /// Commonly used items.
 pub mod prelude {
     pub use crate::dtlz::{Dtlz, DtlzVariant};
-    pub use crate::misc::{BinhKorn, Fonseca, Schaffer};
-    pub use crate::refsets::{dtlz1_front, dtlz2_front, uf11_front, zdt_front};
+    pub use crate::misc::BinhKorn;
+    pub use crate::refsets::{dtlz2_front, uf11_front};
     pub use crate::rotation::{OrthogonalMatrix, RotatedProblem};
-    pub use crate::uf::{uf11, uf12, Uf, UfVariant};
-    pub use crate::zdt::{Zdt, ZdtVariant};
+    pub use crate::uf::uf11;
 }

@@ -5,8 +5,6 @@
 //! hypervolume 1.0 means matching the true front. This module generates
 //! uniformly-spread samples of those fronts.
 
-use crate::zdt::Zdt;
-
 /// Generates the Das–Dennis simplex-lattice weight vectors: all `m`-vectors
 /// of non-negative multiples of `1/h` summing to 1. Produces
 /// `C(h + m − 1, m − 1)` points.
@@ -36,9 +34,8 @@ pub fn das_dennis_weights(m: usize, h: usize) -> Vec<Vec<f64>> {
     out
 }
 
-/// True front of DTLZ2/DTLZ3/DTLZ4 with `m` objectives: the positive
-/// orthant of the unit sphere, sampled by radially projecting Das–Dennis
-/// lattice points.
+/// True front of DTLZ2 with `m` objectives: the positive orthant of the
+/// unit sphere, sampled by radially projecting Das–Dennis lattice points.
 pub fn dtlz2_front(m: usize, divisions: usize) -> Vec<Vec<f64>> {
     das_dennis_weights(m, divisions)
         .into_iter()
@@ -53,28 +50,6 @@ pub fn dtlz2_front(m: usize, divisions: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// True front of DTLZ1 with `m` objectives: the simplex `Σ f_i = 0.5`.
-pub fn dtlz1_front(m: usize, divisions: usize) -> Vec<Vec<f64>> {
-    das_dennis_weights(m, divisions)
-        .into_iter()
-        .map(|w| w.into_iter().map(|x| 0.5 * x).collect())
-        .collect()
-}
-
-/// True front of a ZDT problem sampled at `points` uniformly spaced `f1`
-/// values (ZDT3's dominated sine segments are filtered out).
-pub fn zdt_front(problem: &Zdt, points: usize) -> Vec<Vec<f64>> {
-    assert!(points >= 2);
-    let raw: Vec<Vec<f64>> = (0..points)
-        .map(|i| {
-            let f1 = i as f64 / (points - 1) as f64;
-            vec![f1, problem.front_f2(f1)]
-        })
-        .collect();
-    let keep = borg_core::dominance::nondominated_indices(&raw);
-    keep.into_iter().map(|i| raw[i].clone()).collect()
-}
-
 /// True front of UF11: the DTLZ2 sphere with UF11's per-objective scales
 /// applied (the rotation acts on decision space only).
 pub fn uf11_front(divisions: usize) -> Vec<Vec<f64>> {
@@ -85,23 +60,22 @@ pub fn uf11_front(divisions: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
-/// Binomial coefficient (used to size Das–Dennis lattices in tests/docs).
-pub fn binomial(n: usize, k: usize) -> usize {
-    if k > n {
-        return 0;
-    }
-    let k = k.min(n - k);
-    let mut acc: u128 = 1;
-    for i in 0..k {
-        acc = acc * (n - i) as u128 / (i + 1) as u128;
-    }
-    acc as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zdt::ZdtVariant;
+
+    /// Binomial coefficient: the size of a Das–Dennis lattice.
+    fn binomial(n: usize, k: usize) -> usize {
+        if k > n {
+            return 0;
+        }
+        let k = k.min(n - k);
+        let mut acc: u128 = 1;
+        for i in 0..k {
+            acc = acc * (n - i) as u128 / (i + 1) as u128;
+        }
+        acc as usize
+    }
 
     #[test]
     fn das_dennis_counts_match_binomial() {
@@ -126,22 +100,6 @@ mod tests {
             let r2: f64 = p.iter().map(|x| x * x).sum();
             assert!((r2 - 1.0).abs() < 1e-12);
         }
-    }
-
-    #[test]
-    fn dtlz1_front_sums_to_half() {
-        for p in dtlz1_front(3, 12) {
-            let s: f64 = p.iter().sum();
-            assert!((s - 0.5).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn zdt3_front_is_mutually_nondominated() {
-        let front = zdt_front(&Zdt::new(ZdtVariant::Zdt3), 500);
-        assert!(front.len() > 100, "too much filtered: {}", front.len());
-        let idx = borg_core::dominance::nondominated_indices(&front);
-        assert_eq!(idx.len(), front.len());
     }
 
     #[test]

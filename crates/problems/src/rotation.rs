@@ -1,8 +1,8 @@
 //! Decision-space rotation: turns separable problems into non-separable
 //! ones.
 //!
-//! The CEC 2009 competition built UF11/UF12 by rotating (and scaling) the
-//! decision space of DTLZ2/DTLZ3. The official rotation matrices were
+//! The CEC 2009 competition built UF11 by rotating (and scaling) the
+//! decision space of DTLZ2. The official rotation matrices were
 //! distributed as data files; we generate a deterministic random orthogonal
 //! matrix instead (QR-style Gram-Schmidt of a seeded Gaussian matrix),
 //! which produces the same qualitative effect — every variable interacts
@@ -123,10 +123,10 @@ const STACK_VARIABLES: usize = 32;
 /// A problem whose decision space is rotated about the center of the inner
 /// problem's (assumed uniform) bounds.
 ///
-/// The outer bounds are extended by `extension` on each side so that every
-/// point of the inner domain remains reachable after the inverse rotation;
-/// rotated coordinates falling outside the inner bounds are clamped (the
-/// CEC'09 convention).
+/// The outer bounds are extended by one full range on each side so that
+/// every point of the inner domain remains reachable after the inverse
+/// rotation; rotated coordinates falling outside the inner bounds are
+/// clamped (the CEC'09 convention).
 pub struct RotatedProblem<P> {
     inner: P,
     rotation: OrthogonalMatrix,
@@ -140,22 +140,12 @@ pub struct RotatedProblem<P> {
 impl<P: Problem> RotatedProblem<P> {
     /// Wraps `inner` with a random rotation derived from `seed`.
     pub fn new(inner: P, seed: u64) -> Self {
-        Self::with_extension(inner, seed, 1.0)
-    }
-
-    /// Wraps `inner`, extending each variable's range by `extension ×
-    /// range` on both sides.
-    pub fn with_extension(inner: P, seed: u64, extension: f64) -> Self {
-        assert!(extension >= 0.0);
         let n = inner.num_variables();
         let rotation = OrthogonalMatrix::random(n, seed);
         let inner_bounds = inner.all_bounds();
         let outer_bounds = inner_bounds
             .iter()
-            .map(|b| {
-                let pad = extension * b.range();
-                Bounds::new(b.lower - pad, b.upper + pad)
-            })
+            .map(|b| Bounds::new(b.lower - b.range(), b.upper + b.range()))
             .collect();
         let name = format!("R({})", inner.name());
         let m = inner.num_objectives();
@@ -225,7 +215,7 @@ impl<P: Problem> Problem for RotatedProblem<P> {
     fn evaluate(&self, vars: &[f64], objs: &mut [f64], cons: &mut [f64]) {
         let n = vars.len();
         // The two staging rows live on the stack for every problem the
-        // experiments rotate (UF11/UF12: 14 variables), so an evaluation
+        // experiments rotate (UF11: 14 variables), so an evaluation
         // allocates nothing.
         let mut stack = [0.0; 2 * STACK_VARIABLES];
         let mut heap = Vec::new();
@@ -307,9 +297,8 @@ mod tests {
     /// problem at the clamped rotated point, bit for bit.
     #[test]
     fn evaluation_is_the_inner_problem_at_the_rotated_point() {
-        use crate::dtlz::DtlzVariant;
         for n in [STACK_VARIABLES - 1, STACK_VARIABLES, STACK_VARIABLES + 9] {
-            let inner = Dtlz::with_k(DtlzVariant::Dtlz2, 3, n - 2);
+            let inner = Dtlz::with_k(3, n - 2);
             let p = RotatedProblem::new(inner.clone(), 5);
             let vars: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.4 - 0.9).collect();
             let centered: Vec<f64> = vars.iter().map(|x| x - 0.5).collect();

@@ -1,293 +1,13 @@
-//! The CEC 2009 unconstrained (UF) test suite (Zhang et al., tech. report
-//! CES-487).
-//!
-//! UF1–UF7 are bi-objective, UF8–UF10 tri-objective, all with non-separable
-//! variable linkage along a nonlinear Pareto-set curve. UF11 — the paper's
-//! "hard" problem — is a rotated, scaled 5-objective DTLZ2 (the official
-//! name is `R2_DTLZ2_M5`); UF12 is the analogous rotated DTLZ3. We build
-//! UF11/UF12 from [`RotatedProblem`] with a fixed seed; see DESIGN.md §2
-//! for why this substitution preserves the relevant behaviour.
+//! UF11 of the CEC 2009 test suite (Zhang et al., tech. report CES-487):
+//! the paper's "hard" problem, a rotated, scaled 5-objective DTLZ2 (the
+//! official name is `R2_DTLZ2_M5`). We build it from [`RotatedProblem`]
+//! with a fixed seed; see DESIGN.md §2 for why this substitution
+//! preserves the relevant behaviour.
 
 use crate::dtlz::{Dtlz, DtlzVariant};
 use crate::rotation::RotatedProblem;
-use borg_core::matrix::ObjectiveMatrix;
-use borg_core::problem::{batch_eval_loop, Bounds, Problem};
-use std::f64::consts::PI;
 
-/// Which bi-/tri-objective UF instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UfVariant {
-    /// Bi-objective, convex front.
-    Uf1,
-    /// Bi-objective, convex front, harder linkage.
-    Uf2,
-    /// Bi-objective, all variables in `[0, 1]`.
-    Uf3,
-    /// Bi-objective, concave front.
-    Uf4,
-    /// Bi-objective, discrete front (21 points).
-    Uf5,
-    /// Bi-objective, disconnected front.
-    Uf6,
-    /// Bi-objective, linear front.
-    Uf7,
-    /// Tri-objective, spherical front.
-    Uf8,
-    /// Tri-objective, disconnected planar front.
-    Uf9,
-    /// Tri-objective, multimodal spherical front.
-    Uf10,
-}
-
-/// A UF1–UF10 instance.
-#[derive(Debug, Clone)]
-pub struct Uf {
-    variant: UfVariant,
-    n: usize,
-    name: &'static str,
-}
-
-impl Uf {
-    /// Creates a UF instance with the standard 30 decision variables.
-    pub fn new(variant: UfVariant) -> Self {
-        Self::with_variables(variant, 30)
-    }
-
-    /// Creates a UF instance with a custom variable count (`n >= 3` for
-    /// bi-objective, `n >= 5` recommended for tri-objective instances).
-    pub fn with_variables(variant: UfVariant, n: usize) -> Self {
-        assert!(n >= 4, "UF needs at least four variables");
-        let name = match variant {
-            UfVariant::Uf1 => "UF1",
-            UfVariant::Uf2 => "UF2",
-            UfVariant::Uf3 => "UF3",
-            UfVariant::Uf4 => "UF4",
-            UfVariant::Uf5 => "UF5",
-            UfVariant::Uf6 => "UF6",
-            UfVariant::Uf7 => "UF7",
-            UfVariant::Uf8 => "UF8",
-            UfVariant::Uf9 => "UF9",
-            UfVariant::Uf10 => "UF10",
-        };
-        Self { variant, n, name }
-    }
-
-    fn is_triobjective(&self) -> bool {
-        matches!(
-            self.variant,
-            UfVariant::Uf8 | UfVariant::Uf9 | UfVariant::Uf10
-        )
-    }
-
-    /// Σ and count over J1/J2 for the bi-objective family, where each term
-    /// is `f(y_j, j)` of the linkage residual.
-    fn sums2<F: Fn(f64, usize) -> f64, Y: Fn(f64, usize) -> f64>(
-        &self,
-        vars: &[f64],
-        y: Y,
-        term: F,
-    ) -> ([f64; 2], [usize; 2]) {
-        let n = self.n;
-        let mut sums = [0.0; 2];
-        let mut counts = [0usize; 2];
-        for j in 2..=n {
-            let yj = y(vars[j - 1], j);
-            let group = if j % 2 == 1 { 0 } else { 1 };
-            sums[group] += term(yj, j);
-            counts[group] += 1;
-        }
-        (sums, counts)
-    }
-
-    /// Product over J1/J2 of `f(y_j, j)` for UF3/UF6.
-    fn prods2<F: Fn(f64, usize) -> f64, Y: Fn(f64, usize) -> f64>(
-        &self,
-        vars: &[f64],
-        y: Y,
-        term: F,
-    ) -> [f64; 2] {
-        let n = self.n;
-        let mut prods = [1.0; 2];
-        for j in 2..=n {
-            let yj = y(vars[j - 1], j);
-            let group = if j % 2 == 1 { 0 } else { 1 };
-            prods[group] *= term(yj, j);
-        }
-        prods
-    }
-
-    /// Σ and count over J1/J2/J3 for the tri-objective family.
-    fn sums3<F: Fn(f64) -> f64>(&self, vars: &[f64], term: F) -> ([f64; 3], [usize; 3]) {
-        let n = self.n;
-        let x1 = vars[0];
-        let x2 = vars[1];
-        let mut sums = [0.0; 3];
-        let mut counts = [0usize; 3];
-        for j in 3..=n {
-            let yj = vars[j - 1] - 2.0 * x2 * (2.0 * PI * x1 + j as f64 * PI / n as f64).sin();
-            let group = match j % 3 {
-                1 => 0,
-                2 => 1,
-                _ => 2,
-            };
-            sums[group] += term(yj);
-            counts[group] += 1;
-        }
-        (sums, counts)
-    }
-}
-
-impl Problem for Uf {
-    fn name(&self) -> &str {
-        self.name
-    }
-
-    fn num_variables(&self) -> usize {
-        self.n
-    }
-
-    fn num_objectives(&self) -> usize {
-        if self.is_triobjective() {
-            3
-        } else {
-            2
-        }
-    }
-
-    fn bounds(&self, i: usize) -> Bounds {
-        match self.variant {
-            UfVariant::Uf3 => Bounds::unit(),
-            UfVariant::Uf4 => {
-                if i == 0 {
-                    Bounds::unit()
-                } else {
-                    Bounds::new(-2.0, 2.0)
-                }
-            }
-            UfVariant::Uf8 | UfVariant::Uf9 | UfVariant::Uf10 => {
-                if i < 2 {
-                    Bounds::unit()
-                } else {
-                    Bounds::new(-2.0, 2.0)
-                }
-            }
-            _ => {
-                if i == 0 {
-                    Bounds::unit()
-                } else {
-                    Bounds::new(-1.0, 1.0)
-                }
-            }
-        }
-    }
-
-    fn evaluate_batch(
-        &self,
-        vars: &ObjectiveMatrix,
-        objs: &mut ObjectiveMatrix,
-        cons: &mut ObjectiveMatrix,
-    ) {
-        // One virtual call per batch instead of per row: the concrete
-        // kernel monomorphizes and inlines into the row loop.
-        batch_eval_loop(self, vars, objs, cons, Self::evaluate);
-    }
-
-    fn evaluate(&self, vars: &[f64], objs: &mut [f64], _cons: &mut [f64]) {
-        let n = self.n as f64;
-        let x1 = vars[0];
-        match self.variant {
-            UfVariant::Uf1 => {
-                let y = |xj: f64, j: usize| xj - (6.0 * PI * x1 + j as f64 * PI / n).sin();
-                let (s, c) = self.sums2(vars, y, |yj, _| yj * yj);
-                objs[0] = x1 + 2.0 * s[0] / c[0] as f64;
-                objs[1] = 1.0 - x1.sqrt() + 2.0 * s[1] / c[1] as f64;
-            }
-            UfVariant::Uf2 => {
-                let y = |xj: f64, j: usize| {
-                    let a =
-                        0.3 * x1 * x1 * (24.0 * PI * x1 + 4.0 * j as f64 * PI / n).cos() + 0.6 * x1;
-                    let phase = 6.0 * PI * x1 + j as f64 * PI / n;
-                    if j % 2 == 1 {
-                        xj - a * phase.cos()
-                    } else {
-                        xj - a * phase.sin()
-                    }
-                };
-                let (s, c) = self.sums2(vars, y, |yj, _| yj * yj);
-                objs[0] = x1 + 2.0 * s[0] / c[0] as f64;
-                objs[1] = 1.0 - x1.sqrt() + 2.0 * s[1] / c[1] as f64;
-            }
-            UfVariant::Uf3 => {
-                let y = |xj: f64, j: usize| {
-                    xj - x1.powf(0.5 * (1.0 + 3.0 * (j as f64 - 2.0) / (n - 2.0)))
-                };
-                let (s, c) = self.sums2(vars, y, |yj, _| yj * yj);
-                let p = self.prods2(vars, y, |yj, j| (20.0 * yj * PI / (j as f64).sqrt()).cos());
-                objs[0] = x1 + 2.0 / c[0] as f64 * (4.0 * s[0] - 2.0 * p[0] + 2.0);
-                objs[1] = 1.0 - x1.sqrt() + 2.0 / c[1] as f64 * (4.0 * s[1] - 2.0 * p[1] + 2.0);
-            }
-            UfVariant::Uf4 => {
-                let y = |xj: f64, j: usize| xj - (6.0 * PI * x1 + j as f64 * PI / n).sin();
-                let h = |t: f64| t.abs() / (1.0 + (2.0 * t.abs()).exp());
-                let (s, c) = self.sums2(vars, y, |yj, _| h(yj));
-                objs[0] = x1 + 2.0 * s[0] / c[0] as f64;
-                objs[1] = 1.0 - x1 * x1 + 2.0 * s[1] / c[1] as f64;
-            }
-            UfVariant::Uf5 => {
-                let y = |xj: f64, j: usize| xj - (6.0 * PI * x1 + j as f64 * PI / n).sin();
-                let h = |t: f64| 2.0 * t * t - (4.0 * PI * t).cos() + 1.0;
-                let (s, c) = self.sums2(vars, y, |yj, _| h(yj));
-                let (big_n, eps) = (10.0, 0.1);
-                let bump = (1.0 / (2.0 * big_n) + eps) * (2.0 * big_n * PI * x1).sin().abs();
-                objs[0] = x1 + bump + 2.0 * s[0] / c[0] as f64;
-                objs[1] = 1.0 - x1 + bump + 2.0 * s[1] / c[1] as f64;
-            }
-            UfVariant::Uf6 => {
-                let y = |xj: f64, j: usize| xj - (6.0 * PI * x1 + j as f64 * PI / n).sin();
-                let (s, c) = self.sums2(vars, y, |yj, _| yj * yj);
-                let p = self.prods2(vars, y, |yj, j| (20.0 * yj * PI / (j as f64).sqrt()).cos());
-                let (big_n, eps) = (2.0, 0.1);
-                let bump =
-                    (2.0 * (1.0 / (2.0 * big_n) + eps) * (2.0 * big_n * PI * x1).sin()).max(0.0);
-                objs[0] = x1 + bump + 2.0 / c[0] as f64 * (4.0 * s[0] - 2.0 * p[0] + 2.0);
-                objs[1] = 1.0 - x1 + bump + 2.0 / c[1] as f64 * (4.0 * s[1] - 2.0 * p[1] + 2.0);
-            }
-            UfVariant::Uf7 => {
-                let y = |xj: f64, j: usize| xj - (6.0 * PI * x1 + j as f64 * PI / n).sin();
-                let (s, c) = self.sums2(vars, y, |yj, _| yj * yj);
-                let root = x1.powf(0.2);
-                objs[0] = root + 2.0 * s[0] / c[0] as f64;
-                objs[1] = 1.0 - root + 2.0 * s[1] / c[1] as f64;
-            }
-            UfVariant::Uf8 => {
-                let x2 = vars[1];
-                let (s, c) = self.sums3(vars, |y| y * y);
-                objs[0] = (0.5 * x1 * PI).cos() * (0.5 * x2 * PI).cos() + 2.0 * s[0] / c[0] as f64;
-                objs[1] = (0.5 * x1 * PI).cos() * (0.5 * x2 * PI).sin() + 2.0 * s[1] / c[1] as f64;
-                objs[2] = (0.5 * x1 * PI).sin() + 2.0 * s[2] / c[2] as f64;
-            }
-            UfVariant::Uf9 => {
-                let x2 = vars[1];
-                let eps = 0.1;
-                let (s, c) = self.sums3(vars, |y| y * y);
-                let t = ((1.0 + eps) * (1.0 - 4.0 * (2.0 * x1 - 1.0) * (2.0 * x1 - 1.0))).max(0.0);
-                objs[0] = 0.5 * (t + 2.0 * x1) * x2 + 2.0 * s[0] / c[0] as f64;
-                objs[1] = 0.5 * (t - 2.0 * x1 + 2.0) * x2 + 2.0 * s[1] / c[1] as f64;
-                objs[2] = 1.0 - x2 + 2.0 * s[2] / c[2] as f64;
-            }
-            UfVariant::Uf10 => {
-                let x2 = vars[1];
-                let h = |y: f64| 4.0 * y * y - (8.0 * PI * y).cos() + 1.0;
-                let (s, c) = self.sums3(vars, h);
-                objs[0] = (0.5 * x1 * PI).cos() * (0.5 * x2 * PI).cos() + 2.0 * s[0] / c[0] as f64;
-                objs[1] = (0.5 * x1 * PI).cos() * (0.5 * x2 * PI).sin() + 2.0 * s[1] / c[1] as f64;
-                objs[2] = (0.5 * x1 * PI).sin() + 2.0 * s[2] / c[2] as f64;
-            }
-        }
-    }
-}
-
-/// The seed fixing the UF11/UF12 rotation matrices (stands in for the CEC'09
+/// The seed fixing the UF11 rotation matrix (stands in for the CEC'09
 /// data files; any fixed dense rotation works — see DESIGN.md §2).
 pub const UF_ROTATION_SEED: u64 = 0x2009_CEC0;
 
@@ -304,143 +24,10 @@ pub fn uf11() -> RotatedProblem<Dtlz> {
         .named("UF11")
 }
 
-/// UF12: the rotated 5-objective DTLZ3 (`R3_DTLZ3_M5`).
-pub fn uf12() -> RotatedProblem<Dtlz> {
-    RotatedProblem::new(Dtlz::new(DtlzVariant::Dtlz3, 5), UF_ROTATION_SEED ^ 0xDEAD)
-        .with_objective_scales(vec![1.0, 2.0, 3.0, 4.0, 5.0])
-        .named("UF12")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn eval(p: &Uf, vars: &[f64]) -> Vec<f64> {
-        let mut objs = vec![0.0; p.num_objectives()];
-        p.evaluate(vars, &mut objs, &mut []);
-        objs
-    }
-
-    /// Decision vector on the known Pareto set of UF1/UF2-style problems:
-    /// x_j = sin(6πx1 + jπ/n).
-    fn uf1_optimal(n: usize, x1: f64) -> Vec<f64> {
-        let mut v = vec![x1];
-        for j in 2..=n {
-            v.push((6.0 * PI * x1 + j as f64 * PI / n as f64).sin());
-        }
-        v
-    }
-
-    #[test]
-    fn uf1_front_is_one_minus_sqrt() {
-        let p = Uf::new(UfVariant::Uf1);
-        for x1 in [0.0, 0.3, 0.77, 1.0] {
-            let o = eval(&p, &uf1_optimal(30, x1));
-            assert!((o[0] - x1).abs() < 1e-10);
-            assert!((o[1] - (1.0 - x1.sqrt())).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn uf1_off_set_points_are_dominated() {
-        let p = Uf::new(UfVariant::Uf1);
-        let mut v = uf1_optimal(30, 0.5);
-        v[10] += 0.5;
-        let off = eval(&p, &v);
-        let on = eval(&p, &uf1_optimal(30, 0.5));
-        assert!(off[0] >= on[0] && off[1] >= on[1]);
-        assert!(off[0] > on[0] || off[1] > on[1]);
-    }
-
-    #[test]
-    fn uf4_front_is_concave() {
-        let p = Uf::new(UfVariant::Uf4);
-        // On the optimal set y_j = 0 ⇒ f2 = 1 − f1².
-        let v = uf1_optimal(30, 0.6);
-        let o = eval(&p, &v);
-        assert!((o[0] - 0.6).abs() < 1e-10);
-        assert!((o[1] - (1.0 - 0.36)).abs() < 1e-10);
-    }
-
-    #[test]
-    fn uf7_front_is_linear() {
-        let p = Uf::new(UfVariant::Uf7);
-        let v = uf1_optimal(30, 0.4);
-        let o = eval(&p, &v);
-        let r = 0.4f64.powf(0.2);
-        assert!((o[0] - r).abs() < 1e-10);
-        assert!((o[1] - (1.0 - r)).abs() < 1e-10);
-        assert!((o[0] + o[1] - 1.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn uf5_bump_vanishes_at_grid_points() {
-        // sin(2Nπ x1) = 0 at x1 = k/(2N); the front is 21 isolated points.
-        let p = Uf::new(UfVariant::Uf5);
-        let x1 = 5.0 / 20.0;
-        let v = uf1_optimal(30, x1);
-        let o = eval(&p, &v);
-        assert!((o[0] - x1).abs() < 1e-9);
-        assert!((o[1] - (1.0 - x1)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uf8_front_is_unit_sphere() {
-        let p = Uf::new(UfVariant::Uf8);
-        let n = 30;
-        for (x1, x2) in [(0.3, 0.7), (0.0, 0.0), (1.0, 1.0), (0.5, 0.25)] {
-            let mut v = vec![x1, x2];
-            for j in 3..=n {
-                v.push(2.0 * x2 * (2.0 * PI * x1 + j as f64 * PI / n as f64).sin());
-            }
-            // Some linkage targets fall outside [-2, 2]; they are still
-            // valid inputs mathematically, but clamp check: all within.
-            let o = eval(&p, &v);
-            let r2: f64 = o.iter().map(|f| f * f).sum();
-            assert!((r2 - 1.0).abs() < 1e-9, "r² = {r2} at ({x1},{x2})");
-        }
-    }
-
-    #[test]
-    fn uf9_third_objective_depends_on_x2() {
-        let p = Uf::new(UfVariant::Uf9);
-        let n = 30;
-        let build = |x1: f64, x2: f64| {
-            let mut v = vec![x1, x2];
-            for j in 3..=n {
-                v.push(2.0 * x2 * (2.0 * PI * x1 + j as f64 * PI / n as f64).sin());
-            }
-            v
-        };
-        let o = eval(&p, &build(0.5, 0.8));
-        assert!((o[2] - 0.2).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uf10_equals_uf8_shape_with_harder_distance() {
-        let p8 = Uf::new(UfVariant::Uf8);
-        let p10 = Uf::new(UfVariant::Uf10);
-        let n = 30;
-        // On the optimal set (y = 0) both reduce to the same sphere point.
-        let (x1, x2) = (0.4, 0.6);
-        let mut v = vec![x1, x2];
-        for j in 3..=n {
-            v.push(2.0 * x2 * (2.0 * PI * x1 + j as f64 * PI / n as f64).sin());
-        }
-        let a = eval(&p8, &v);
-        let b = eval(&p10, &v);
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9);
-        }
-        // Off the optimal set UF10's h() penalizes much harder.
-        let mut v_off = v.clone();
-        v_off[10] += 0.25;
-        let a_off = eval(&p8, &v_off);
-        let b_off = eval(&p10, &v_off);
-        let pen8: f64 = a_off.iter().zip(&a).map(|(x, y)| x - y).sum();
-        let pen10: f64 = b_off.iter().zip(&b).map(|(x, y)| x - y).sum();
-        assert!(pen10 > pen8);
-    }
+    use borg_core::problem::Problem;
 
     #[test]
     fn uf11_is_five_objective_nonseparable() {
@@ -449,13 +36,6 @@ mod tests {
         assert_eq!(p.num_objectives(), 5);
         assert_eq!(p.num_variables(), 14);
         assert_eq!(p.objective_scales(), &[1.0, 2.0, 3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn uf12_uses_dtlz3() {
-        let p = uf12();
-        assert_eq!(p.name(), "UF12");
-        assert_eq!(p.inner().variant(), DtlzVariant::Dtlz3);
     }
 
     #[test]
@@ -468,44 +48,5 @@ mod tests {
         a.evaluate(&vars, &mut oa, &mut []);
         b.evaluate(&vars, &mut ob, &mut []);
         assert_eq!(oa, ob);
-    }
-
-    #[test]
-    fn all_uf_finite_on_random_inputs() {
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        for v in [
-            UfVariant::Uf1,
-            UfVariant::Uf2,
-            UfVariant::Uf3,
-            UfVariant::Uf4,
-            UfVariant::Uf5,
-            UfVariant::Uf6,
-            UfVariant::Uf7,
-            UfVariant::Uf8,
-            UfVariant::Uf9,
-            UfVariant::Uf10,
-        ] {
-            let p = Uf::new(v);
-            for _ in 0..100 {
-                let vars: Vec<f64> = (0..p.num_variables())
-                    .map(|i| {
-                        let b = p.bounds(i);
-                        rng.gen_range(b.lower..=b.upper)
-                    })
-                    .collect();
-                let o = eval(&p, &vars);
-                assert!(o.iter().all(|f| f.is_finite()), "{v:?} produced NaN");
-            }
-        }
-    }
-
-    #[test]
-    fn group_sizes_are_balanced() {
-        let p = Uf::new(UfVariant::Uf1);
-        let (_, c) = p.sums2(&vec![0.5; 30], |x, _| x, |y, _| y);
-        assert_eq!(c[0] + c[1], 29);
-        assert_eq!(c[0], 14); // odd j in 2..=30: 3,5,…,29
-        assert_eq!(c[1], 15); // even j: 2,4,…,30
     }
 }

@@ -53,19 +53,19 @@ fn check_batch<P: Problem>(p: &P) {
 #[test]
 fn dtlz_batch_matches_per_row() {
     check_batch(&Dtlz::dtlz2_5());
-    check_batch(&Dtlz::new(DtlzVariant::Dtlz1, 3));
-    check_batch(&Dtlz::new(DtlzVariant::Dtlz7, 4));
+    check_batch(&Dtlz::new(DtlzVariant::Dtlz2, 2));
 }
 
 #[test]
 fn uf_batch_matches_per_row() {
-    check_batch(&Uf::new(UfVariant::Uf1));
-    check_batch(&Uf::new(UfVariant::Uf8));
+    check_batch(&uf11());
 }
 
 #[test]
 fn default_batch_on_dyn_problem_matches_per_row() {
-    // The trait default (one dynamic dispatch per row) must agree too.
-    let p: &dyn Problem = &Zdt::new(ZdtVariant::Zdt1);
+    // The trait default (one dynamic dispatch per row) must agree too,
+    // constraint rows included.
+    let p: &dyn Problem = &BinhKorn;
+    assert_eq!(p.num_constraints(), 2);
     check_batch(&p);
 }

@@ -7,18 +7,16 @@ use borg_repro::metrics::relative::RelativeHypervolume;
 use borg_repro::models::dist::Dist;
 use borg_repro::parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
 use borg_repro::problems::dtlz::{Dtlz, DtlzVariant};
-use borg_repro::problems::refsets::{dtlz2_front, zdt_front};
+use borg_repro::problems::refsets::dtlz2_front;
 use borg_repro::problems::uf::uf11;
-use borg_repro::problems::zdt::{Zdt, ZdtVariant};
 
 #[test]
-fn serial_borg_solves_zdt1_to_high_quality() {
-    let problem = Zdt::with_variables(ZdtVariant::Zdt1, 15);
+fn serial_borg_solves_dtlz2_2_to_high_quality() {
+    let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
     let engine = run_serial(&problem, BorgConfig::new(2, 0.01), 3, 15_000, |_| {});
-    let reference = zdt_front(&problem, 500);
-    let metric = RelativeHypervolume::exact(&reference);
+    let metric = RelativeHypervolume::exact(&dtlz2_front(2, 499));
     let hv = metric.ratio(&engine.archive().objective_vectors());
-    assert!(hv > 0.9, "ZDT1 hypervolume ratio only {hv}");
+    assert!(hv > 0.9, "DTLZ2-2 hypervolume ratio only {hv}");
 }
 
 #[test]
@@ -155,35 +153,4 @@ fn dtlz2_5_trajectory_fingerprint_is_pinned() {
     // visited. It moves when the scan visits blocks in another order or
     // stops at another one, even if every decision stays the same.
     assert_eq!(engine.archive().box_probes(), 2_853_984);
-}
-
-#[test]
-fn dtlz34_and_uf_problems_are_solvable_end_to_end() {
-    // Broad smoke across the suites: Borg must not crash and must build a
-    // non-trivial archive on every problem family.
-    use borg_repro::problems::uf::{Uf, UfVariant};
-    let problems: Vec<(Box<dyn borg_repro::core::problem::Problem>, usize)> = vec![
-        (Box::new(Dtlz::new(DtlzVariant::Dtlz1, 3)), 3),
-        (Box::new(Dtlz::new(DtlzVariant::Dtlz3, 3)), 3),
-        (Box::new(Dtlz::new(DtlzVariant::Dtlz7, 3)), 3),
-        (Box::new(Uf::new(UfVariant::Uf1)), 2),
-        (Box::new(Uf::new(UfVariant::Uf8)), 3),
-        (Box::new(Zdt::new(ZdtVariant::Zdt4)), 2),
-    ];
-    for (problem, m) in problems {
-        let engine = run_serial(
-            problem.as_ref(),
-            BorgConfig::new(m, 0.05),
-            13,
-            3_000,
-            |_| {},
-        );
-        assert!(
-            engine.archive().len() >= 3,
-            "{}: archive only {}",
-            problem.name(),
-            engine.archive().len()
-        );
-        engine.archive().check_invariants().unwrap();
-    }
 }

@@ -740,19 +740,11 @@ fn assert_clean(crates: &[&str], check: fn(&str) -> Findings) -> Vec<String> {
     sources
 }
 
-/// Every `pub fn`/`pub const` under a `crates/*/src/` path in `files` whose
-/// name occurs as a word nowhere in `files` but at such definitions:
-/// `(path, line, name)`. Definitions are read from [`live_code`], so one in
-/// a comment, a literal or a test region does not count; any other
-/// occurrence, a doc comment's included, is a reference.
-fn unreferenced_public_items(files: &[(String, String)]) -> Vec<(String, u32, String)> {
+/// Every `pub fn`/`pub const` defined under a `crates/*/src/` path in
+/// `files`: `(path, line, name)`. Definitions are read from [`live_code`],
+/// so one in a comment, a literal or a test region does not count.
+fn public_items(files: &[(String, String)]) -> Vec<(String, u32, String)> {
     let ident = |c: char| c.is_alphanumeric() || c == '_';
-    let mut words: BTreeMap<&str, usize> = BTreeMap::new();
-    for (_, text) in files {
-        for word in text.split(|c: char| !ident(c)).filter(|w| !w.is_empty()) {
-            *words.entry(word).or_default() += 1;
-        }
-    }
     let mut defs = Vec::new();
     for (path, text) in files {
         if !path.starts_with("crates/") || path.split('/').nth(2) != Some("src") {
@@ -769,22 +761,60 @@ fn unreferenced_public_items(files: &[(String, String)]) -> Vec<(String, u32, St
             if len > 0 && (konst.is_some() || fun.is_some()) {
                 let from = code.len() - rest.len();
                 defs.push((
-                    path,
+                    path.clone(),
                     hit(text, from, String::new()).0,
-                    &text[from..from + len],
+                    text[from..from + len].to_string(),
                 ));
             }
         }
     }
+    defs
+}
+
+/// The items of [`public_items`] whose name occurs as a word in `texts`
+/// no more often than it is defined.
+fn used_only_at_definitions(
+    files: &[(String, String)],
+    texts: impl Iterator<Item = impl AsRef<str>>,
+) -> Vec<(String, u32, String)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut words: BTreeMap<String, usize> = BTreeMap::new();
+    for text in texts {
+        let words_of = text.as_ref().split(|c: char| !ident(c));
+        for word in words_of.filter(|w| !w.is_empty()) {
+            *words.entry(word.to_string()).or_default() += 1;
+        }
+    }
+    let defs = public_items(files);
     let defined = |name: &str| defs.iter().filter(|d| d.2 == name).count();
     defs.iter()
-        .filter(|d| words.get(d.2).copied().unwrap_or(0) <= defined(d.2))
-        .map(|&(path, line, name)| (path.clone(), line, name.to_string()))
+        .filter(|d| words.get(&d.2).copied().unwrap_or(0) <= defined(&d.2))
+        .cloned()
         .collect()
 }
 
-#[test]
-fn no_public_item_is_unreferenced() {
+/// The [`public_items`] of `files` whose name occurs as a word nowhere in
+/// `files` but at such definitions. Any other occurrence, a doc comment's
+/// included, is a reference.
+fn unreferenced_public_items(files: &[(String, String)]) -> Vec<(String, u32, String)> {
+    used_only_at_definitions(files, files.iter().map(|(_, text)| text))
+}
+
+/// The [`public_items`] of `files` that only tests use: every occurrence of
+/// the name outside its definitions lies in a test region (what
+/// [`live_code`] blanks), a comment or a literal, or in a file under a
+/// `tests/` directory.
+fn test_only_public_items(files: &[(String, String)]) -> Vec<(String, u32, String)> {
+    let live = files
+        .iter()
+        .filter(|(path, _)| !path.split('/').any(|dir| dir == "tests"))
+        .map(|(_, text)| live_code(text));
+    used_only_at_definitions(files, live)
+}
+
+/// Every `.rs` file of the workspace and the benchmark, as `(path relative
+/// to the root, text)`.
+fn workspace_sources() -> Vec<(String, String)> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut paths = Vec::new();
     for dir in ["crates", "src", "tests", "examples", "benchmark/src"] {
@@ -799,8 +829,103 @@ fn no_public_item_is_unreferenced() {
         })
         .collect();
     assert!(files.len() > 100, "only {} files", files.len());
-    let found = unreferenced_public_items(&files);
+    files
+}
+
+#[test]
+fn no_public_item_is_unreferenced() {
+    let found = unreferenced_public_items(&workspace_sources());
     assert!(found.is_empty(), "{found:#?}");
+}
+
+/// Public items that only tests use, one a line: the defining file, the
+/// item's name and a test that needs it. [`no_public_item_is_test_only`]
+/// fails on one missing here and on an entry that live code now uses.
+const TEST_ONLY: &str = "
+crates/core/src/archive.rs accepted offer_matches_add_and_clones_only_on_accept
+crates/core/src/archive.rs clear_solutions tracker_equals_estimate_after_every_step
+crates/core/src/archive.rs generation generation_changes_iff_content_may_have_changed
+crates/core/src/archive.rs reset_operator_credits operator_credit_tracking
+crates/core/src/dominance.rs COMPILED_COLUMNS \
+    keyed_scan_outruns_the_exact_kernel_five_times_and_the_loop_at_every_count
+crates/core/src/dominance.rs epsilon_box epsilon_box_lanes_are_the_integer_keys
+crates/core/src/dominance.rs epsilon_box_dominance epsilon_box_dominance_cases
+crates/core/src/dominance.rs flip flip_is_involutive
+crates/core/src/matrix.rs truncate_rows check_mirrors_sees_a_stale_lane_and_dirty_padding
+crates/core/src/operators/adaptive.rs selection_counts selection_tracks_probabilities
+crates/core/src/rng.rs rng_from_seed rng_from_seed_is_reproducible
+crates/core/src/solution.rs objective_distance objective_distance_is_euclidean
+crates/core/src/solution.rs to_solution archive_invariants_hold_under_op_sequences
+crates/desim/src/fault.rs all_recovered degraded_pool_completes_budget_with_every_fault_recovered
+crates/desim/src/fault.rs doomed_workers kill_half_the_workers_mid_run_still_completes
+crates/desim/src/fault.rs mean_detection_latency fault_log_lifecycle
+crates/experiments/src/report.rs fmt_pct fmt_helpers
+crates/experiments/src/report.rs fmt_secs fmt_helpers
+crates/models/src/dist.rs cdf cdf_matches_empirical_distribution
+crates/models/src/special.rs erfc erf_known_values
+crates/obs/src/shard.rs chains_per_eval merged_trace_has_one_chain_per_completed_eval_under_chaos
+crates/obs/src/span.rs is_enabled disabled_trace_records_nothing
+crates/problems/src/rotation.rs apply_transpose optimum_is_reachable_after_rotation
+crates/problems/src/rotation.rs identity identity_rotation_preserves_evaluation
+crates/problems/src/rotation.rs orthogonality_error random_matrix_is_orthogonal
+";
+
+#[test]
+fn no_public_item_is_test_only() {
+    let found: Vec<(String, String)> = test_only_public_items(&workspace_sources())
+        .into_iter()
+        .map(|(path, _, name)| (path, name))
+        .collect();
+    let listed: Vec<(String, String)> = TEST_ONLY
+        .lines()
+        .filter(|line| !line.is_empty())
+        .map(|line| {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(words.len(), 3, "{line:?}: want file, name, test");
+            (words[0].to_string(), words[1].to_string())
+        })
+        .collect();
+    let unlisted: Vec<_> = found.iter().filter(|f| !listed.contains(f)).collect();
+    let stale: Vec<_> = listed.iter().filter(|l| !found.contains(l)).collect();
+    assert!(
+        unlisted.is_empty() && stale.is_empty(),
+        "used only by tests, not on TEST_ONLY: {unlisted:#?}\n\
+         on TEST_ONLY, but not (or no longer) test-only: {stale:#?}"
+    );
+}
+
+#[test]
+fn test_only_item_check_has_teeth() {
+    let file = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let seeded = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn live() {}\npub fn oracle() {}\npub const SEED: u64 = 1;\n\
+             fn f() { let _ = \"quoted()\"; } // quoted()\npub fn quoted() {}\n\
+             #[cfg(test)]\nmod t { fn g() { oracle(); } }\n\
+             #[test]\nfn h() { let _ = SEED; }\n",
+        ),
+        file("crates/a/tests/t.rs", "fn t() { live(); oracle(); }\n"),
+        file("src/lib.rs", "pub fn root() { live(); }\n"),
+    ];
+    let want: Vec<(String, u32, String)> = [(2, "oracle"), (3, "SEED"), (5, "quoted")]
+        .iter()
+        .map(|&(l, n)| ("crates/a/src/lib.rs".to_string(), l, n.to_string()))
+        .collect();
+    assert_eq!(test_only_public_items(&seeded), want);
+    let clean = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn live() {}\npub const LIMIT: u32 = 3;\n\
+             #[cfg(test)]\nmod t { pub fn helper() { super::live(); } }\n",
+        ),
+        file("crates/b/src/lib.rs", "pub fn user() { a::live(); }\n"),
+        file(
+            "benchmark/src/main.rs",
+            "fn main() { let _ = LIMIT; user(); }\n",
+        ),
+    ];
+    assert_eq!(test_only_public_items(&clean), []);
 }
 
 #[test]
