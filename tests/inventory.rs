@@ -812,6 +812,42 @@ fn test_only_public_items(files: &[(String, String)]) -> Vec<(String, u32, Strin
     used_only_at_definitions(files, live)
 }
 
+/// The [`public_items`] of `files`, outside `src/bin/` and not `exempt`,
+/// whose name occurs in the code of no file outside the defining crate's
+/// `src/`. A binary under `src/bin/` and a file under `tests/` compile as
+/// units of their own, so they count as outside, test regions included.
+fn crate_local_public_items(
+    files: &[(String, String)],
+    exempt: &[(String, String)],
+) -> Vec<(String, u32, String)> {
+    let ident = |c: char| c.is_alphanumeric() || c == '_';
+    let src_of = |path: &str| {
+        let dirs: Vec<&str> = path.split('/').collect();
+        (dirs.len() > 3 && dirs[0] == "crates" && dirs[2] == "src" && dirs[3] != "bin")
+            .then(|| dirs[..3].join("/") + "/")
+    };
+    let words: Vec<(Option<String>, std::collections::BTreeSet<String>)> = files
+        .iter()
+        .map(|(path, text)| {
+            let code = code_text(text);
+            let words = code.split(|c: char| !ident(c)).filter(|w| !w.is_empty());
+            (src_of(path), words.map(str::to_string).collect())
+        })
+        .collect();
+    public_items(files)
+        .into_iter()
+        .filter(|(path, _, name)| {
+            let Some(src) = src_of(path) else {
+                return false;
+            };
+            !exempt.contains(&(path.clone(), name.clone()))
+                && !words
+                    .iter()
+                    .any(|(unit, words)| unit.as_ref() != Some(&src) && words.contains(name))
+        })
+        .collect()
+}
+
 /// Every `.rs` file of the workspace and the benchmark, as `(path relative
 /// to the root, text)`.
 fn workspace_sources() -> Vec<(String, String)> {
@@ -870,13 +906,9 @@ crates/problems/src/rotation.rs identity identity_rotation_preserves_evaluation
 crates/problems/src/rotation.rs orthogonality_error random_matrix_is_orthogonal
 ";
 
-#[test]
-fn no_public_item_is_test_only() {
-    let found: Vec<(String, String)> = test_only_public_items(&workspace_sources())
-        .into_iter()
-        .map(|(path, _, name)| (path, name))
-        .collect();
-    let listed: Vec<(String, String)> = TEST_ONLY
+/// The `(file, name)` of each [`TEST_ONLY`] line.
+fn test_only_listed() -> Vec<(String, String)> {
+    TEST_ONLY
         .lines()
         .filter(|line| !line.is_empty())
         .map(|line| {
@@ -884,7 +916,16 @@ fn no_public_item_is_test_only() {
             assert_eq!(words.len(), 3, "{line:?}: want file, name, test");
             (words[0].to_string(), words[1].to_string())
         })
+        .collect()
+}
+
+#[test]
+fn no_public_item_is_test_only() {
+    let found: Vec<(String, String)> = test_only_public_items(&workspace_sources())
+        .into_iter()
+        .map(|(path, _, name)| (path, name))
         .collect();
+    let listed = test_only_listed();
     let unlisted: Vec<_> = found.iter().filter(|f| !listed.contains(f)).collect();
     let stale: Vec<_> = listed.iter().filter(|l| !found.contains(l)).collect();
     assert!(
@@ -892,6 +933,50 @@ fn no_public_item_is_test_only() {
         "used only by tests, not on TEST_ONLY: {unlisted:#?}\n\
          on TEST_ONLY, but not (or no longer) test-only: {stale:#?}"
     );
+}
+
+/// A `pub` item that no other compilation unit names is `pub(crate)` or
+/// private, so rustc's `dead_code` lint sees it. The [`TEST_ONLY`] oracles
+/// are exempt: their own crate's tests are their users.
+#[test]
+fn no_public_item_is_crate_local() {
+    let found = crate_local_public_items(&workspace_sources(), &test_only_listed());
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+#[test]
+fn crate_local_item_check_has_teeth() {
+    let file = |path: &str, text: &str| (path.to_string(), text.to_string());
+    let seeded = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn shared() {}\npub fn local() { shared(); }\npub const OWN: u32 = 1;\n\
+             pub fn oracle() {}\npub fn quoted() {}\n",
+        ),
+        file("crates/a/src/b.rs", "fn f() { local(); let _ = OWN; }\n"),
+        file("crates/a/src/bin/tool.rs", "pub fn in_bin() {}\n"),
+        file(
+            "crates/b/src/lib.rs",
+            "fn g() { a::shared(); let _ = \"quoted\"; } // quoted\n",
+        ),
+    ];
+    let exempt = [("crates/a/src/lib.rs".to_string(), "oracle".to_string())];
+    let want: Vec<(String, u32, String)> = [(2, "local"), (3, "OWN"), (5, "quoted")]
+        .iter()
+        .map(|&(l, n)| ("crates/a/src/lib.rs".to_string(), l, n.to_string()))
+        .collect();
+    assert_eq!(crate_local_public_items(&seeded, &exempt), want);
+    let clean = [
+        file(
+            "crates/a/src/lib.rs",
+            "pub fn by_bin() {}\npub fn by_test() {}\npub const BY_ROOT: u32 = 1;\n\
+             pub(crate) fn private() {}\n",
+        ),
+        file("crates/a/src/bin/tool.rs", "fn main() { a::by_bin(); }\n"),
+        file("crates/a/tests/t.rs", "#[test]\nfn t() { a::by_test(); }\n"),
+        file("tests/t.rs", "fn t() { let _ = a::BY_ROOT; }\n"),
+    ];
+    assert_eq!(crate_local_public_items(&clean, &[]), []);
 }
 
 #[test]
