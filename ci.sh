@@ -10,6 +10,10 @@ cargo fmt --all --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --release -- -D warnings
 
+echo "==> cargo doc (deny warnings; the workspace's crates, not the vendored stand-ins)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+  --exclude rand --exclude parking_lot --exclude proptest
+
 echo "==> cargo xtask determinism (jobs=1 ≡ jobs=4 arm: 4 Table II rows)"
 cargo xtask determinism
 

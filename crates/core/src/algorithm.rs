@@ -18,40 +18,42 @@
 
 use crate::archive::EpsilonArchive;
 use crate::operators::{
-    standard_borg_operators, AdaptiveEnsemble, EnsembleConfig, UniformMutation, VariationScratch,
+    standard_borg_operators, AdaptiveEnsemble, UniformMutation, VariationScratch,
 };
 use crate::population::Population;
 use crate::problem::{Bounds, Problem};
 use crate::rng::SplitMix64;
 use crate::solution::{Role, Solution};
 
-pub use crate::solution::SolutionArena;
+use crate::solution::SolutionArena;
 use rand::rngs::StdRng;
 use rand::Rng;
 
-/// Borg MOEA configuration.
-///
-/// Defaults follow Hadka & Reed (2012) and the Borg C implementation.
+/// Initial (and minimum) population size (Hadka & Reed 2012).
+const INITIAL_POPULATION_SIZE: usize = 100;
+
+/// Injection rate γ: target population size = γ × archive size after a
+/// restart.
+const INJECTION_RATE: f64 = 4.0;
+
+/// Selection ratio τ: tournament size = max(2, ⌈τ × population size⌉).
+const SELECTION_RATIO: f64 = 0.02;
+
+/// Stagnation window: ε-progress is checked every this many consumed
+/// evaluations (the ensemble's update cadence too).
+const WINDOW_SIZE: u64 = 100;
+
+/// Tolerated relative deviation of the population/archive ratio from γ
+/// before a restart is forced.
+const INJECTION_TOLERANCE: f64 = 0.25;
+
+/// Borg MOEA configuration: the ε vector and the switches the experiments
+/// turn. Every other parameter is a constant at the Hadka & Reed (2012)
+/// default, as in the paper's runs.
 #[derive(Debug, Clone)]
 pub struct BorgConfig {
-    /// Initial (and minimum) population size. Default 100.
-    pub initial_population_size: usize,
     /// Per-objective ε values for the ε-dominance archive.
     pub epsilons: Vec<f64>,
-    /// Injection rate γ: target population size = γ × archive size after a
-    /// restart. Default 4.
-    pub injection_rate: f64,
-    /// Selection ratio τ: tournament size = max(2, ⌈τ × population size⌉).
-    /// Default 0.02.
-    pub selection_ratio: f64,
-    /// Stagnation window: ε-progress is checked every this many consumed
-    /// evaluations. Default 100 (matching the ensemble update cadence).
-    pub window_size: u64,
-    /// Tolerated relative deviation of the population/archive ratio from γ
-    /// before a restart is forced. Default 0.25.
-    pub injection_tolerance: f64,
-    /// Operator-probability adaptation settings.
-    pub ensemble: EnsembleConfig,
     /// Enable restart machinery (ablation switch; default true).
     pub restarts_enabled: bool,
     /// Enable operator auto-adaptation (ablation switch; default true).
@@ -67,13 +69,7 @@ impl BorgConfig {
     /// uniform ε.
     pub fn new(m: usize, epsilon: f64) -> Self {
         Self {
-            initial_population_size: 100,
             epsilons: vec![epsilon; m],
-            injection_rate: 4.0,
-            selection_ratio: 0.02,
-            window_size: 100,
-            injection_tolerance: 0.25,
-            ensemble: EnsembleConfig::default(),
             restarts_enabled: true,
             adaptation_enabled: true,
             profile_ta: false,
@@ -81,14 +77,7 @@ impl BorgConfig {
     }
 
     fn validate(&self) {
-        assert!(self.initial_population_size >= 2, "population too small");
         assert!(!self.epsilons.is_empty(), "missing epsilons");
-        assert!(self.injection_rate >= 1.0, "injection rate must be >= 1");
-        assert!(
-            self.selection_ratio > 0.0 && self.selection_ratio <= 1.0,
-            "selection ratio must be in (0, 1]"
-        );
-        assert!(self.window_size > 0, "window size must be positive");
     }
 }
 
@@ -203,14 +192,13 @@ impl BorgEngine {
         let l = bounds.len();
         let mut split = SplitMix64::new(seed);
         let rng = split.derive("borg-engine");
-        let ensemble = AdaptiveEnsemble::new(standard_borg_operators(l), config.ensemble);
-        let tournament_size =
-            tournament_size(config.selection_ratio, config.initial_population_size);
+        let ensemble = AdaptiveEnsemble::new(standard_borg_operators(l));
+        let tournament_size = tournament_size(SELECTION_RATIO, INITIAL_POPULATION_SIZE);
         Self {
             bounds,
             num_objectives: problem.num_objectives(),
             num_constraints: problem.num_constraints(),
-            population: Population::new(config.initial_population_size),
+            population: Population::new(INITIAL_POPULATION_SIZE),
             archive: EpsilonArchive::new(config.epsilons.clone()),
             ensemble,
             restart_mutation: UniformMutation::new(1.0 / l.max(1) as f64),
@@ -255,11 +243,6 @@ impl BorgEngine {
     /// Operator names, aligned with [`Self::operator_probabilities`].
     pub fn operator_names(&self) -> Vec<&str> {
         self.ensemble.names()
-    }
-
-    /// Current tournament size (selection pressure).
-    pub fn tournament_size(&self) -> usize {
-        self.tournament_size
     }
 
     /// The `T_A` component breakdown (all zeros unless
@@ -393,7 +376,7 @@ impl BorgEngine {
             }
         }
 
-        if self.config.restarts_enabled && self.stats.nfe.is_multiple_of(self.config.window_size) {
+        if self.config.restarts_enabled && self.stats.nfe.is_multiple_of(WINDOW_SIZE) {
             let t0 = self.config.profile_ta.then(std::time::Instant::now);
             self.check_restart();
             if let Some(t) = t0 {
@@ -447,15 +430,15 @@ impl BorgEngine {
 
         let archive_len = self.archive.len().max(1);
         let ratio = self.population.capacity() as f64 / archive_len as f64;
-        let gamma = self.config.injection_rate;
-        let ratio_bad = ratio > gamma * (1.0 + self.config.injection_tolerance)
-            || ratio < gamma * (1.0 - self.config.injection_tolerance);
+        let gamma = INJECTION_RATE;
+        let ratio_bad = ratio > gamma * (1.0 + INJECTION_TOLERANCE)
+            || ratio < gamma * (1.0 - INJECTION_TOLERANCE);
 
         // Only the ratio being too *small* (archive outgrew the population)
         // or stagnation forces a restart; a too-large ratio right after
         // initialization is normal while the archive is still tiny, so Borg
         // additionally requires stagnation in that direction.
-        let too_small = ratio < gamma * (1.0 - self.config.injection_tolerance);
+        let too_small = ratio < gamma * (1.0 - INJECTION_TOLERANCE);
         if !progressed || (ratio_bad && too_small) {
             self.restart();
         }
@@ -465,8 +448,8 @@ impl BorgEngine {
     /// archive, and stream mutated-archive injections via `produce`.
     fn restart(&mut self) {
         self.stats.restarts += 1;
-        let target = ((self.config.injection_rate * self.archive.len() as f64).ceil() as usize)
-            .max(self.config.initial_population_size);
+        let target = ((INJECTION_RATE * self.archive.len() as f64).ceil() as usize)
+            .max(INITIAL_POPULATION_SIZE);
         // The archive's rows are copied over the retired population's.
         self.population.reset(target, &mut self.rng);
         for member in self.archive.members() {
@@ -474,7 +457,7 @@ impl BorgEngine {
                 break;
             }
         }
-        self.tournament_size = tournament_size(self.config.selection_ratio, target);
+        self.tournament_size = tournament_size(SELECTION_RATIO, target);
         self.fill_in_flight = 0;
         self.phase = Phase::InjectionFill;
     }

@@ -16,7 +16,7 @@
 //! keeps each member's key in a [`BlockedRows`] mirror — eight members a
 //! block, one `[f64; 8]` lane array per objective, NaN padding — and
 //! [`EpsilonArchive::offer`] makes a single forward pass over the blocks
-//! with the branch-free kernel [`box_key_block`], which answers "all eight
+//! with the branch-free kernel `box_key_block`, which answers "all eight
 //! boxes are mutually nondominated with the candidate's" with one test and
 //! otherwise hands back the eight lanes' comparison bits as two masks. The
 //! pass stops at the first block holding a dominating or same-box resident.
@@ -54,18 +54,18 @@
 //! On a large front the answer for nearly every block is "all eight boxes
 //! mutually nondominated with the candidate's", and that rarely takes 64
 //! bits a coordinate to see. The mirror keeps a 16-bit
-//! [`order_key`](crate::dominance::order_key) beside every lane — the same
+//! `order_key` beside every lane — the same
 //! monotone key the population uses on objectives, here applied to box
 //! coordinates, which it tells apart exactly up to ±256 and in steps of 2,
 //! 4, 8 … beyond — and `decide` asks the order-key filter
 //! ([`filter_by_order_keys`], at two and five objectives compiled for the
 //! count with the candidate's keys in registers) first: `true` proves that
-//! [`box_key_block`] would return `None`, so the block is skipped (and
+//! `box_key_block` would return `None`, so the block is skipped (and
 //! still counted in `box_probes`); anything else — a tie between coarse
 //! keys, a block with padding — goes to the exact lanes as before. The scan
 //! already runs only between feasible solutions and a box coordinate is
 //! never NaN, so the keys need no guard here beyond the one of size: an
-//! archive with fewer than two full blocks ([`MIN_KEYED_BLOCKS`]) does not
+//! archive with fewer than two full blocks (`MIN_KEYED_BLOCKS`) does not
 //! ask them. On `serial-dtlz2-5` they settle 99.1 % of the blocks and took
 //! an offer to the 3 825-member archive from 1.9 to 0.9 µs; compiling the
 //! filter for five objectives took it from 0.81 to 0.54 µs (DESIGN.md §16).
@@ -118,13 +118,6 @@ pub enum ArchiveInsert {
     Rejected,
 }
 
-impl ArchiveInsert {
-    /// Whether the archive accepted the solution in any form.
-    pub fn accepted(self) -> bool {
-        !matches!(self, ArchiveInsert::Rejected)
-    }
-}
-
 /// What `decide` concluded about a candidate; `commit` applies it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Decision {
@@ -172,12 +165,6 @@ pub struct EpsilonArchive {
     accepts: u64,
     /// Total rejected insertions.
     rejects: u64,
-    /// Times the archive content was cleared (restart truncation).
-    clears: u64,
-    /// Members evicted by dominating insertions or feasibility resets.
-    evictions: u64,
-    /// In-place replacements (same-box wins and placeholder upgrades).
-    replacements: u64,
     /// Member boxes compared while deciding insertions
     /// (`archive.box_probes`).
     box_probes: u64,
@@ -213,9 +200,6 @@ impl EpsilonArchive {
             improvements: 0,
             accepts: 0,
             rejects: 0,
-            clears: 0,
-            evictions: 0,
-            replacements: 0,
             box_probes: 0,
             operator_credits: Vec::new(),
             scratch_key: Vec::with_capacity(m),
@@ -238,7 +222,7 @@ impl EpsilonArchive {
     ///
     /// # Panics
     /// If `i` is out of range.
-    pub fn member(&self, i: usize) -> Member<'_> {
+    pub(crate) fn member(&self, i: usize) -> Member<'_> {
         Member::new(
             self.variables.row(i),
             self.objectives.row(i),
@@ -276,16 +260,6 @@ impl EpsilonArchive {
         self.rejects
     }
 
-    /// Members evicted by dominating insertions or feasibility resets.
-    pub fn evictions(&self) -> u64 {
-        self.evictions
-    }
-
-    /// In-place member replacements (same-box wins, placeholder upgrades).
-    pub fn replacements(&self) -> u64 {
-        self.replacements
-    }
-
     /// Member boxes compared while deciding insertions: eight per block of
     /// the key mirror visited, so at most `len()` rounded up to a block per
     /// candidate and less when a dominating or same-box resident ends the
@@ -296,25 +270,9 @@ impl EpsilonArchive {
         self.box_probes
     }
 
-    /// Content generation counter: changes every time the archive's member
-    /// set *may* have changed (any accepted insertion or a clear), and
-    /// never changes otherwise. Callers computing expensive functions of
-    /// the archive content (e.g. the hypervolume ratio in the experiment
-    /// drivers) can cache keyed on this value and skip recomputation while
-    /// the archive is unchanged.
-    pub fn generation(&self) -> u64 {
-        self.accepts + self.clears
-    }
-
     /// Archive contributions per operator (index = operator id).
-    pub fn operator_credits(&self) -> &[u64] {
+    pub(crate) fn operator_credits(&self) -> &[u64] {
         &self.operator_credits
-    }
-
-    /// Clears credit counters (Borg does this when recomputing operator
-    /// probabilities from scratch after a restart, if configured).
-    pub fn reset_operator_credits(&mut self) {
-        self.operator_credits.iter_mut().for_each(|c| *c = 0);
     }
 
     /// Flat row-major view of member objective vectors: row `i` holds
@@ -435,7 +393,6 @@ impl EpsilonArchive {
             }
             Decision::FirstFeasibleReset => {
                 // First feasible solution evicts all infeasible content.
-                self.evictions += self.len() as u64;
                 self.clear_rows();
                 self.push_member(candidate);
                 self.improvements += 1;
@@ -455,21 +412,18 @@ impl EpsilonArchive {
                     .set(0, epsilon_box_lanes(candidate.objectives(), &self.epsilons));
                 self.set_rows(0, candidate);
                 self.accepts += 1;
-                self.replacements += 1;
                 ArchiveInsert::ReplacedInBox
             }
             Decision::ReplaceInBox(slot) => {
                 // Same box: the key lanes are already correct.
                 self.set_rows(slot, candidate);
                 self.accepts += 1;
-                self.replacements += 1;
                 self.credit(op);
                 ArchiveInsert::ReplacedInBox
             }
             Decision::AddNewBox => {
                 // Evict members in dominated boxes (slots pre-sorted
                 // descending by `decide`), then insert.
-                self.evictions += self.scratch_dominated.len() as u64;
                 for &slot in &self.scratch_dominated {
                     self.objectives.swap_remove_row(slot);
                     self.variables.swap_remove_row(slot);
@@ -510,12 +464,6 @@ impl EpsilonArchive {
         self.variables.clear();
         self.constraints.clear();
         self.keys.clear();
-    }
-
-    /// Empties the archive content but keeps statistics and credits.
-    pub fn clear_solutions(&mut self) {
-        self.clear_rows();
-        self.clears += 1;
     }
 
     /// Verifies the archive invariants: the store's matrices hold one row
@@ -702,7 +650,6 @@ mod tests {
         assert_eq!(a.add(sol(&[0.15, 0.15])), ArchiveInsert::AddedNewBox);
         assert_eq!(a.len(), 1);
         assert_eq!(a.member(0).objectives(), &[0.15, 0.15]);
-        assert_eq!(a.evictions(), 1);
         a.check_invariants().unwrap();
     }
 
@@ -727,7 +674,6 @@ mod tests {
         assert_eq!(a.add(sol(&[0.6, 0.7])), ArchiveInsert::Rejected);
         // ε-progress only counted once (the initial insertion).
         assert_eq!(a.improvements(), 1);
-        assert_eq!(a.replacements(), 1);
     }
 
     #[test]
@@ -756,14 +702,12 @@ mod tests {
         a.add(op_sol(&[0.95, 0.05], 0));
         a.add(op_sol(&[0.96, 0.06], 0)); // rejected, no credit
         assert_eq!(a.operator_credits(), &[1, 0, 1]);
-        a.reset_operator_credits();
-        assert_eq!(a.operator_credits(), &[0, 0, 0]);
     }
 
     #[test]
     fn infeasible_placeholder_until_feasible_arrives() {
         let mut a = EpsilonArchive::uniform(2, 0.1);
-        assert!(a.add(csol(&[0.1, 0.1], &[5.0])).accepted());
+        assert_eq!(a.add(csol(&[0.1, 0.1], &[5.0])), ArchiveInsert::AddedNewBox);
         // Less-violating infeasible replaces.
         assert_eq!(
             a.add(csol(&[0.9, 0.9], &[2.0])),
@@ -796,23 +740,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_changes_iff_content_may_have_changed() {
-        let mut a = EpsilonArchive::uniform(2, 0.1);
-        let g0 = a.generation();
-        a.add(sol(&[0.05, 0.95]));
-        let g1 = a.generation();
-        assert_ne!(g0, g1, "accepted insertion must bump the generation");
-        // A rejected insertion leaves the content — and the generation —
-        // untouched.
-        a.add(sol(&[0.55, 0.95]));
-        assert_eq!(a.generation(), g1);
-        // Clearing empties the content, so the generation must move even
-        // though nothing was accepted.
-        a.clear_solutions();
-        assert_ne!(a.generation(), g1);
-    }
-
-    #[test]
     #[should_panic(expected = "epsilons must be positive")]
     fn zero_epsilon_panics() {
         EpsilonArchive::new(vec![0.0]);
@@ -831,14 +758,11 @@ mod tests {
         ];
         for (i, objs) in stream.into_iter().enumerate() {
             let s = Solution::from_parts(vec![i as f64, -1.0], objs.to_vec(), vec![-0.5]);
-            let generation = by_offer.generation();
             let verdict = by_offer.offer(&s);
             assert_eq!(verdict, by_add.add(s.clone()));
-            // A rejected candidate leaves the store untouched.
-            assert_eq!(verdict.accepted(), by_offer.generation() != generation);
+            assert!(by_add.members().eq(by_offer.members()));
         }
         assert_eq!(by_add.len(), by_offer.len());
-        assert!(by_add.members().eq(by_offer.members()));
         assert_eq!(by_add.box_probes(), by_offer.box_probes());
         by_offer.check_invariants().unwrap();
     }
@@ -929,7 +853,7 @@ mod tests {
         }
         assert_eq!(a.member(1).variables(), &[7.0]);
         assert_eq!(a.member(0).constraints(), &[-1.0]);
-        assert_eq!(a.member(1).to_solution().objectives(), &[0.95, 0.05]);
+        assert_eq!(a.member(1).objectives(), &[0.95, 0.05]);
         assert_eq!(a.objective_vectors().len(), 2);
     }
 }

@@ -16,7 +16,7 @@
 //! — compare mutually nondominated rows almost all of the time, where a
 //! comparator that branches on every objective mispredicts most of its
 //! branches. They use the branch-free forms here instead:
-//! [`constrained_dominance_rows`] for one pair of rows and
+//! `constrained_dominance_rows` for one pair of rows and
 //! [`constrained_dominance_block`] for one row against eight members at
 //! once. Both gather the same four comparison bits and hand them to one
 //! private rule, so constrained dominance is written down once.
@@ -28,11 +28,11 @@
 //! better than the row in one column and strictly worse in another, so
 //! nothing is decided — rarely needs 64-bit precision to reach. Every value
 //! a [`BlockedRows`](crate::matrix::BlockedRows) mirror holds therefore has
-//! a 16-bit [`order_key`] beside it, a non-decreasing function of the value:
-//! `order_key(x) < order_key(y)` *proves* `x < y`. [`keys_apart_block`]
+//! a 16-bit `order_key` beside it, a non-decreasing function of the value:
+//! `order_key(x) < order_key(y)` *proves* `x < y`. `keys_apart_block`
 //! compares eight members' keys with one packed compare per column and
 //! direction and answers only "the keys prove that the exact kernel would
-//! decide nothing here"; [`keys_apart_pair`] does the same for two members
+//! decide nothing here"; `keys_apart_pair` does the same for two members
 //! of a tournament. Whatever the keys cannot prove goes to the exact kernels
 //! unchanged, which remain the only code that produces a [`Dominance`], a
 //! comparison mask or a tournament win.
@@ -58,17 +58,6 @@ pub enum Dominance {
     NonDominated,
 }
 
-impl Dominance {
-    /// Flips the relation (what `b` vs `a` would report).
-    pub fn flip(self) -> Self {
-        match self {
-            Dominance::Dominates => Dominance::DominatedBy,
-            Dominance::DominatedBy => Dominance::Dominates,
-            Dominance::NonDominated => Dominance::NonDominated,
-        }
-    }
-}
-
 /// Standard Pareto dominance on raw objective vectors (minimization).
 pub fn pareto_dominance_objectives(a: &[f64], b: &[f64]) -> Dominance {
     debug_assert_eq!(a.len(), b.len());
@@ -89,11 +78,6 @@ pub fn pareto_dominance_objectives(a: &[f64], b: &[f64]) -> Dominance {
         (false, true) => Dominance::DominatedBy,
         _ => Dominance::NonDominated,
     }
-}
-
-/// Pareto dominance between two solutions, ignoring constraints.
-pub fn pareto_dominance(a: &Solution, b: &Solution) -> Dominance {
-    pareto_dominance_objectives(a.objectives(), b.objectives())
 }
 
 /// Constrained Pareto dominance.
@@ -134,7 +118,7 @@ fn verdict(lt: bool, gt: bool, vlt: bool, vgt: bool) -> Dominance {
 /// against one variant compiles to the corresponding bit expression.
 // borg-lint: hot-path
 #[inline]
-pub fn constrained_dominance_rows(
+pub(crate) fn constrained_dominance_rows(
     a: &[f64],
     a_violation: f64,
     b: &[f64],
@@ -150,7 +134,7 @@ pub fn constrained_dominance_rows(
 /// members out of its blocked mirror this way).
 // borg-lint: hot-path
 #[inline]
-pub fn constrained_dominance_columns(
+pub(crate) fn constrained_dominance_columns(
     columns: impl Iterator<Item = (f64, f64)>,
     a_violation: f64,
     b_violation: f64,
@@ -177,7 +161,7 @@ pub type KeyLanes = [i16; BLOCK_LANES];
 /// (only a negative NaN's bit pattern would), and since nothing is below
 /// it, a lane keyed with it can never be proven strictly *better* than
 /// anything — so never proven apart.
-pub const NO_ORDER: i16 = i16::MIN;
+pub(crate) const NO_ORDER: i16 = i16::MIN;
 
 /// A 16-bit monotone image of a double: `order_key(x) < order_key(y)`
 /// implies `x < y` for all non-NaN `x`, `y`; NaN maps to [`NO_ORDER`].
@@ -192,7 +176,7 @@ pub const NO_ORDER: i16 = i16::MIN;
 /// compare equal as doubles, so they must not get different keys. Integers
 /// up to 256 — ε-box coordinates, usually — have distinct keys.
 #[inline]
-pub fn order_key(x: f64) -> i16 {
+pub(crate) fn order_key(x: f64) -> i16 {
     if x.is_nan() {
         return NO_ORDER;
     }
@@ -206,7 +190,7 @@ pub fn order_key(x: f64) -> i16 {
 /// with fewer than two blocks to ask about they cannot pay even if they
 /// settle every one — the 11-member archives and half-filled populations of
 /// a two-objective run (`virtual-p1024`) stay on the exact kernels alone.
-pub const MIN_KEYED_BLOCKS: usize = 2;
+pub(crate) const MIN_KEYED_BLOCKS: usize = 2;
 
 /// The column counts the order-key filter is compiled for, the arms of
 /// [`filter_by_order_keys`]: the objective counts of the benchmark's
@@ -214,7 +198,7 @@ pub const MIN_KEYED_BLOCKS: usize = 2;
 /// keeps the loop [`keys_apart_block_dyn`] (DESIGN.md §16).
 pub const COMPILED_COLUMNS: [usize; 2] = [2, 5];
 
-/// Writes each value's [`order_key`], broadcast to all lanes, into the
+/// Writes each value's `order_key`, broadcast to all lanes, into the
 /// same position of `out` — the form the block filters want their row in.
 /// Returns `false` when a value is NaN: such a row has no order and must go
 /// to the exact kernels.
@@ -246,7 +230,7 @@ pub fn splat_order_keys(row: &[f64], out: &mut [KeyLanes]) -> bool {
 /// [`filter_by_order_keys`].
 // borg-lint: hot-path
 #[inline(always)]
-pub fn keys_apart_block<const M: usize>(row: &[KeyLanes; M], block: &[KeyLanes]) -> bool {
+pub(crate) fn keys_apart_block<const M: usize>(row: &[KeyLanes; M], block: &[KeyLanes]) -> bool {
     let Some(block) = block.first_chunk::<M>() else {
         return false;
     };
@@ -265,7 +249,7 @@ pub fn keys_apart_block<const M: usize>(row: &[KeyLanes; M], block: &[KeyLanes])
     apart
 }
 
-/// [`keys_apart_block`] for a column count known only at run time: the
+/// `keys_apart_block` for a column count known only at run time: the
 /// filter of rows whose width is not in [`COMPILED_COLUMNS`], and the
 /// reference the compiled filter is tested and timed against.
 // borg-lint: hot-path
@@ -362,7 +346,7 @@ fn compiled_filter<const M: usize, S: KeyedScan>(row: &[f64], scan: S) -> S::Out
 /// rows mutually nondominated in those columns, hence in all of them.
 // borg-lint: hot-path
 #[inline]
-pub fn keys_apart_pair(a: &KeyLanes, b: &KeyLanes) -> bool {
+pub(crate) fn keys_apart_pair(a: &KeyLanes, b: &KeyLanes) -> bool {
     let mut lt = false;
     let mut gt = false;
     for l in 0..BLOCK_LANES {
@@ -450,7 +434,7 @@ pub fn constrained_dominance_block(
 /// ways and therefore read as `!lt & !gt`: the caller masks them off.
 // borg-lint: hot-path
 #[inline]
-pub fn box_key_block(key: &[f64], block: &[[f64; BLOCK_LANES]]) -> Option<(u8, u8)> {
+pub(crate) fn box_key_block(key: &[f64], block: &[[f64; BLOCK_LANES]]) -> Option<(u8, u8)> {
     debug_assert_eq!(block.len(), key.len());
     let mut lt = [false; BLOCK_LANES];
     let mut gt = [false; BLOCK_LANES];
@@ -480,7 +464,7 @@ pub fn box_key_block(key: &[f64], block: &[[f64; BLOCK_LANES]]) -> Option<(u8, u
 /// form: callers reuse `out` across insertions so no `Vec<i64>` is born
 /// per dominance comparison.
 // borg-lint: hot-path
-pub fn epsilon_box_into(objectives: &[f64], epsilons: &[f64], out: &mut [i64]) {
+pub(crate) fn epsilon_box_into(objectives: &[f64], epsilons: &[f64], out: &mut [i64]) {
     debug_assert_eq!(objectives.len(), epsilons.len());
     debug_assert_eq!(objectives.len(), out.len());
     for ((&o, &e), b) in objectives.iter().zip(epsilons).zip(out) {
@@ -492,7 +476,7 @@ pub fn epsilon_box_into(objectives: &[f64], epsilons: &[f64], out: &mut [i64]) {
 /// The single-coordinate ε-box index: `floor(o / ε)`.
 ///
 /// The allocation-free comparators below fold over this so their arithmetic
-/// is bit-identical to [`epsilon_box_into`].
+/// is bit-identical to `epsilon_box_into`.
 #[inline]
 pub fn epsilon_box_coord(objective: f64, epsilon: f64) -> i64 {
     debug_assert!(epsilon > 0.0, "epsilon must be positive");
@@ -504,7 +488,7 @@ pub fn epsilon_box_coord(objective: f64, epsilon: f64) -> i64 {
 /// which is exact and order-preserving on the keys that cast can produce
 /// (the argument is in [`crate::archive`]'s module header).
 #[inline]
-pub fn epsilon_box_lanes<'a>(
+pub(crate) fn epsilon_box_lanes<'a>(
     objectives: &'a [f64],
     epsilons: &'a [f64],
 ) -> impl Iterator<Item = f64> + 'a {
@@ -513,67 +497,12 @@ pub fn epsilon_box_lanes<'a>(
     coords.map(|(&o, &e)| epsilon_box_coord(o, e) as f64)
 }
 
-/// Allocating convenience form of [`epsilon_box_into`], kept for tests and
+/// Allocating convenience form of `epsilon_box_into`, kept for tests and
 /// one-off diagnostics; library hot paths go through the in-place variant.
 pub fn epsilon_box(objectives: &[f64], epsilons: &[f64]) -> Vec<i64> {
     let mut out = vec![0i64; objectives.len()];
     epsilon_box_into(objectives, epsilons, &mut out);
     out
-}
-
-/// Result of an ε-box comparison, distinguishing the same-box case.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BoxDominance {
-    /// `a`'s box dominates `b`'s box.
-    Dominates,
-    /// `b`'s box dominates `a`'s box.
-    DominatedBy,
-    /// Different, mutually non-dominating boxes.
-    NonDominated,
-    /// Same box: `a` is closer to the box's ideal corner.
-    SameBoxABetter,
-    /// Same box: `b` is closer (or exactly as close) to the ideal corner.
-    SameBoxBBetter,
-}
-
-/// ε-box dominance between two objective vectors.
-///
-/// First compares box indices with Pareto dominance; if the boxes coincide,
-/// the solution nearer (in Euclidean distance) to the lower-left box corner
-/// is preferred, which keeps exactly one representative per box.
-// borg-lint: hot-path
-pub fn epsilon_box_dominance(a: &[f64], b: &[f64], epsilons: &[f64]) -> BoxDominance {
-    let mut a_better = false;
-    let mut b_better = false;
-    for i in 0..a.len() {
-        let x = epsilon_box_coord(a[i], epsilons[i]);
-        let y = epsilon_box_coord(b[i], epsilons[i]);
-        if x < y {
-            a_better = true;
-        } else if y < x {
-            b_better = true;
-        }
-    }
-    match (a_better, b_better) {
-        (true, false) => BoxDominance::Dominates,
-        (false, true) => BoxDominance::DominatedBy,
-        (true, true) => BoxDominance::NonDominated,
-        (false, false) => {
-            // Same box: compare distance to the ideal corner of the box.
-            let mut da = 0.0;
-            let mut db = 0.0;
-            for i in 0..a.len() {
-                let corner = epsilon_box_coord(a[i], epsilons[i]) as f64 * epsilons[i];
-                da += (a[i] - corner) * (a[i] - corner);
-                db += (b[i] - corner) * (b[i] - corner);
-            }
-            if da < db {
-                BoxDominance::SameBoxABetter
-            } else {
-                BoxDominance::SameBoxBBetter
-            }
-        }
-    }
 }
 
 /// Returns the non-dominated subset (indices) of a set of objective vectors.
@@ -638,17 +567,6 @@ mod tests {
             pareto_dominance_objectives(&[0.0, 1.0], &[0.5, 1.0]),
             Dominance::Dominates
         );
-    }
-
-    #[test]
-    fn flip_is_involutive() {
-        for d in [
-            Dominance::Dominates,
-            Dominance::DominatedBy,
-            Dominance::NonDominated,
-        ] {
-            assert_eq!(d.flip().flip(), d);
-        }
     }
 
     #[test]
@@ -1044,41 +962,6 @@ mod tests {
         for i in 0..objs.len() {
             assert_eq!(out[i], epsilon_box_coord(objs[i], eps[i]));
         }
-    }
-
-    #[test]
-    fn epsilon_box_dominance_cases() {
-        let e = [0.1, 0.1];
-        // Box (0,0) dominates box (1,1).
-        assert_eq!(
-            epsilon_box_dominance(&[0.05, 0.05], &[0.15, 0.15], &e),
-            BoxDominance::Dominates
-        );
-        // Non-dominating boxes.
-        assert_eq!(
-            epsilon_box_dominance(&[0.05, 0.15], &[0.15, 0.05], &e),
-            BoxDominance::NonDominated
-        );
-        // Same box: closer to corner wins.
-        assert_eq!(
-            epsilon_box_dominance(&[0.01, 0.01], &[0.09, 0.09], &e),
-            BoxDominance::SameBoxABetter
-        );
-        assert_eq!(
-            epsilon_box_dominance(&[0.09, 0.09], &[0.01, 0.01], &e),
-            BoxDominance::SameBoxBBetter
-        );
-    }
-
-    #[test]
-    fn epsilon_box_dominance_is_coarser_than_pareto() {
-        // Pareto-nondominated points can share a box => one is discarded.
-        let e = [1.0, 1.0];
-        let r = epsilon_box_dominance(&[0.2, 0.8], &[0.8, 0.2], &e);
-        assert!(matches!(
-            r,
-            BoxDominance::SameBoxABetter | BoxDominance::SameBoxBBetter
-        ));
     }
 
     #[test]

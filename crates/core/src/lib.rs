@@ -22,7 +22,8 @@
 //! ## Quick start
 //!
 //! ```
-//! use borg_core::prelude::*;
+//! use borg_core::algorithm::{run_serial, BorgConfig};
+//! use borg_core::problem::{Bounds, Problem};
 //!
 //! struct Schaffer;
 //! impl Problem for Schaffer {
@@ -59,15 +60,3 @@ pub mod population;
 pub mod problem;
 pub mod rng;
 pub mod solution;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::algorithm::{run_serial, BorgConfig, BorgEngine, Candidate, SolutionArena};
-    pub use crate::archive::{ArchiveInsert, EpsilonArchive};
-    pub use crate::dominance::{constrained_dominance, pareto_dominance, Dominance};
-    pub use crate::matrix::{FlatMatrix, ObjectiveMatrix};
-    pub use crate::population::Population;
-    pub use crate::problem::{evaluate_into_solution, Bounds, Problem};
-    pub use crate::rng::SplitMix64;
-    pub use crate::solution::{Member, Solution};
-}

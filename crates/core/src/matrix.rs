@@ -28,7 +28,7 @@
 //!   variables and constraints.
 //!
 //! A `BlockedRows` also keys what it holds: beside every `[f64; 8]` lane
-//! array an `[i16; 8]` array of [`order_key`]s — 16-bit monotone images of
+//! array an `[i16; 8]` array of `order_key`s — 16-bit monotone images of
 //! the values, which prove "mutually nondominated" for eight members with
 //! two packed compares a column, so that the exact kernels run only where
 //! the keys cannot tell — and each row's keys once more, packed row-major in
@@ -97,14 +97,14 @@ impl<T: Copy> FlatMatrix<T> {
     }
 
     /// Mutably borrows row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [T] {
         let start = i * self.stride;
         &mut self.data[start..start + self.stride]
     }
 
     /// Makes room for `rows` rows at the current stride, exactly (see
     /// [`BlockedRows::reserve`]).
-    pub fn reserve_rows(&mut self, rows: usize) {
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
         let values = rows * self.stride;
         self.data
             .reserve_exact(values.saturating_sub(self.data.len()));
@@ -125,7 +125,7 @@ impl<T: Copy> FlatMatrix<T> {
 
     /// Appends `n` rows filled with `value` and returns the index of the
     /// first new row (batch-evaluation output staging).
-    pub fn push_rows_filled(&mut self, n: usize, value: T) -> usize {
+    pub(crate) fn push_rows_filled(&mut self, n: usize, value: T) -> usize {
         let first = self.rows;
         self.data.resize(self.data.len() + n * self.stride, value);
         self.rows += n;
@@ -148,14 +148,6 @@ impl<T: Copy> FlatMatrix<T> {
         }
         self.data.truncate(last * self.stride);
         self.rows = last;
-    }
-
-    /// Keeps the first `n` rows.
-    pub fn truncate_rows(&mut self, n: usize) {
-        if n < self.rows {
-            self.data.truncate(n * self.stride);
-            self.rows = n;
-        }
     }
 
     /// Drops all rows, keeping the stride and allocation.
@@ -185,11 +177,11 @@ pub type ObjectiveMatrix = FlatMatrix<f64>;
 /// is `stride` consecutive lane arrays, one per column. Lanes past the last
 /// row are NaN in every array, which no comparison ever decides.
 ///
-/// Beside every exact lane array sits an array of [`order_key`]s, the
+/// Beside every exact lane array sits an array of `order_key`s, the
 /// filter the scans consult first (see [`crate::dominance`]): the key of the
-/// value in the same lane, or [`NO_ORDER`] throughout a row that holds a
+/// value in the same lane, or `NO_ORDER` throughout a row that holds a
 /// NaN and in padding lanes. Each row's keys are also kept packed, row-major
-/// ([`BlockedRows::packed_keys`]), for code that compares two random rows.
+/// (`BlockedRows::packed_keys`), for code that compares two random rows.
 /// `push`, `set`, `swap_remove` and `clear` are the only writers of all
 /// three, so keys cannot go stale behind a caller's back.
 #[derive(Debug, Clone, Default)]
@@ -255,8 +247,8 @@ impl BlockedRows {
         self.set(i, row);
     }
 
-    /// Overwrites row `i` in place and keys it: each value's [`order_key`],
-    /// or [`NO_ORDER`] in every column when one value is NaN — the exact
+    /// Overwrites row `i` in place and keys it: each value's `order_key`,
+    /// or `NO_ORDER` in every column when one value is NaN — the exact
     /// kernels decide nothing in a NaN column whatever the others say, and
     /// only a row that cannot be proven *better* anywhere is sure to reach
     /// them.
@@ -342,7 +334,7 @@ impl BlockedRows {
 
     /// The order keys of row `i`'s first [`BLOCK_LANES`] columns, in column
     /// order; [`NO_ORDER`] where the row has fewer.
-    pub fn packed_keys(&self, i: usize) -> &KeyLanes {
+    pub(crate) fn packed_keys(&self, i: usize) -> &KeyLanes {
         &self.packed[i]
     }
 
@@ -376,8 +368,8 @@ impl BlockedRows {
 
     /// Verifies the shape — `rows` rows of `stride` columns in exactly the
     /// blocks they need — that every lane past the last row is NaN and keyed
-    /// [`NO_ORDER`], and every key against its exact lane: `order_key` of
-    /// the value, or [`NO_ORDER`] across a row that holds a NaN, in the key
+    /// `NO_ORDER`, and every key against its exact lane: `order_key` of
+    /// the value, or `NO_ORDER` across a row that holds a NaN, in the key
     /// lanes and in the packed copy.
     pub fn check(&self, rows: usize, stride: usize) -> Result<(), String> {
         if self.rows != rows
@@ -496,19 +488,6 @@ mod tests {
         assert_eq!(m.row(2), &[0.0, 0.0]);
         m.row_mut(1)[0] = 7.0;
         assert_eq!(m.row(1), &[7.0, 0.0]);
-    }
-
-    #[test]
-    fn truncate_and_iter() {
-        let mut m = FlatMatrix::<i64>::new(1);
-        for i in 0..4 {
-            m.push_row(&[i]);
-        }
-        m.truncate_rows(2);
-        let rows: Vec<&[i64]> = m.iter_rows().collect();
-        assert_eq!(rows, vec![&[0i64][..], &[1i64][..]]);
-        m.truncate_rows(5); // no-op when larger
-        assert_eq!(m.rows(), 2);
     }
 
     fn blocked(rows: &[Vec<f64>]) -> BlockedRows {

@@ -11,113 +11,78 @@
 //! where `c_i` counts archive members produced by operator `i` and `ζ = 1`
 //! guarantees every operator keeps a nonzero chance of selection (so a
 //! currently-unproductive operator can recover when the search landscape
-//! changes). Probabilities are recomputed every `update_frequency` accepted
+//! changes). Probabilities are recomputed every [`UPDATE_FREQUENCY`]
 //! evaluations.
 
 use super::Variation;
 use rand::{Rng, RngCore};
 
-/// Configuration for the adaptive ensemble.
-#[derive(Debug, Clone, Copy)]
-pub struct EnsembleConfig {
-    /// Smoothing constant ζ in the probability update (Borg default 1.0).
-    pub zeta: f64,
-    /// Recompute probabilities every this many evaluations (default 100).
-    pub update_frequency: u64,
-}
+/// Smoothing constant ζ in the probability update (Borg's 1.0).
+const ZETA: f64 = 1.0;
 
-impl Default for EnsembleConfig {
-    fn default() -> Self {
-        Self {
-            zeta: 1.0,
-            update_frequency: 100,
-        }
-    }
-}
+/// Probabilities are recomputed every this many evaluations (Borg's 100).
+const UPDATE_FREQUENCY: u64 = 100;
 
 /// The operator ensemble with adaptive selection probabilities.
-pub struct AdaptiveEnsemble {
+pub(crate) struct AdaptiveEnsemble {
     operators: Vec<Box<dyn Variation>>,
     probabilities: Vec<f64>,
-    config: EnsembleConfig,
     evaluations_since_update: u64,
-    selections: Vec<u64>,
 }
 
 impl AdaptiveEnsemble {
     /// Creates an ensemble with uniform initial probabilities.
     ///
     /// # Panics
-    /// If `operators` is empty or ζ is not positive.
-    pub fn new(operators: Vec<Box<dyn Variation>>, config: EnsembleConfig) -> Self {
+    /// If `operators` is empty.
+    pub(crate) fn new(operators: Vec<Box<dyn Variation>>) -> Self {
         assert!(
             !operators.is_empty(),
             "ensemble needs at least one operator"
         );
-        assert!(config.zeta > 0.0, "zeta must be positive");
         let k = operators.len();
         Self {
             operators,
             probabilities: vec![1.0 / k as f64; k],
-            config,
             evaluations_since_update: 0,
-            selections: vec![0; k],
         }
     }
 
-    /// Number of operators.
-    pub fn len(&self) -> usize {
-        self.operators.len()
-    }
-
-    /// Whether the ensemble is empty (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.operators.is_empty()
-    }
-
     /// Current selection probabilities (sums to 1).
-    pub fn probabilities(&self) -> &[f64] {
+    pub(crate) fn probabilities(&self) -> &[f64] {
         &self.probabilities
     }
 
     /// Operator accessor.
-    pub fn operator(&self, i: usize) -> &dyn Variation {
+    pub(crate) fn operator(&self, i: usize) -> &dyn Variation {
         self.operators[i].as_ref()
     }
 
     /// Operator names in ensemble order.
-    pub fn names(&self) -> Vec<&str> {
+    pub(crate) fn names(&self) -> Vec<&str> {
         self.operators.iter().map(|o| o.name()).collect()
     }
 
-    /// How many times each operator has been selected.
-    pub fn selection_counts(&self) -> &[u64] {
-        &self.selections
-    }
-
     /// Roulette-wheel selects an operator index.
-    pub fn select(&mut self, rng: &mut dyn RngCore) -> usize {
+    pub(crate) fn select(&mut self, rng: &mut dyn RngCore) -> usize {
         let u: f64 = rng.gen();
         let mut acc = 0.0;
         for (i, &p) in self.probabilities.iter().enumerate() {
             acc += p;
             if u < acc {
-                self.selections[i] += 1;
                 return i;
             }
         }
         // Floating-point slack: fall back to the last operator.
-        let last = self.probabilities.len() - 1;
-        self.selections[last] += 1;
-        last
+        self.probabilities.len() - 1
     }
 
     /// Notifies the ensemble that one evaluation completed; recomputes
     /// probabilities from `credits` (archive contributions per operator)
-    /// every `update_frequency` calls. Returns `true` when an update ran.
-    pub fn on_evaluation(&mut self, credits: &[u64]) -> bool {
+    /// every [`UPDATE_FREQUENCY`] calls. Returns `true` when an update ran.
+    pub(crate) fn on_evaluation(&mut self, credits: &[u64]) -> bool {
         self.evaluations_since_update += 1;
-        if self.evaluations_since_update >= self.config.update_frequency {
+        if self.evaluations_since_update >= UPDATE_FREQUENCY {
             self.evaluations_since_update = 0;
             self.update_probabilities(credits);
             true
@@ -127,15 +92,15 @@ impl AdaptiveEnsemble {
     }
 
     /// Recomputes `p_i = (c_i + ζ) / (Σ c_j + K ζ)` immediately.
-    pub fn update_probabilities(&mut self, credits: &[u64]) {
+    pub(crate) fn update_probabilities(&mut self, credits: &[u64]) {
         let k = self.operators.len();
         let total: f64 = (0..k)
             .map(|i| credits.get(i).copied().unwrap_or(0) as f64)
             .sum::<f64>()
-            + k as f64 * self.config.zeta;
+            + k as f64 * ZETA;
         for (i, p) in self.probabilities.iter_mut().enumerate() {
             let c = credits.get(i).copied().unwrap_or(0) as f64;
-            *p = (c + self.config.zeta) / total;
+            *p = (c + ZETA) / total;
         }
     }
 }
@@ -157,7 +122,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn ensemble() -> AdaptiveEnsemble {
-        AdaptiveEnsemble::new(standard_borg_operators(10), EnsembleConfig::default())
+        AdaptiveEnsemble::new(standard_borg_operators(10))
     }
 
     #[test]
@@ -190,15 +155,10 @@ mod tests {
 
     #[test]
     fn update_fires_at_configured_frequency() {
-        let mut e = AdaptiveEnsemble::new(
-            standard_borg_operators(10),
-            EnsembleConfig {
-                zeta: 1.0,
-                update_frequency: 3,
-            },
-        );
-        assert!(!e.on_evaluation(&[5, 0, 0, 0, 0, 0]));
-        assert!(!e.on_evaluation(&[5, 0, 0, 0, 0, 0]));
+        let mut e = ensemble();
+        for _ in 1..UPDATE_FREQUENCY {
+            assert!(!e.on_evaluation(&[5, 0, 0, 0, 0, 0]));
+        }
         assert!(e.on_evaluation(&[5, 0, 0, 0, 0, 0]));
         assert!(e.probabilities()[0] > e.probabilities()[1]);
     }
@@ -215,7 +175,6 @@ mod tests {
             }
         }
         assert!(count0 > 900, "operator 0 selected {count0}/1000");
-        assert_eq!(e.selection_counts().iter().sum::<u64>(), 1000);
     }
 
     #[test]

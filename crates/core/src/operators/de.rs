@@ -12,7 +12,7 @@ use rand::{Rng, RngCore};
 
 /// DE `rand/1/bin` variation, optionally chained with polynomial mutation.
 #[derive(Debug, Clone)]
-pub struct DifferentialEvolution {
+pub(crate) struct DifferentialEvolution {
     crossover_rate: f64,
     step_size: f64,
     mutation: Option<PolynomialMutation>,
@@ -21,7 +21,7 @@ pub struct DifferentialEvolution {
 impl DifferentialEvolution {
     /// Creates DE with binomial crossover rate `CR` and differential weight
     /// `F` (Borg default: 0.1, 0.5).
-    pub fn new(crossover_rate: f64, step_size: f64) -> Self {
+    pub(crate) fn new(crossover_rate: f64, step_size: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&crossover_rate),
             "crossover rate must be in [0,1]"
@@ -35,7 +35,7 @@ impl DifferentialEvolution {
     }
 
     /// Chains polynomial mutation after variation (forming DE+PM).
-    pub fn with_mutation(mut self, pm: PolynomialMutation) -> Self {
+    pub(crate) fn with_mutation(mut self, pm: PolynomialMutation) -> Self {
         self.mutation = Some(pm);
         self
     }

@@ -25,14 +25,14 @@ mod um;
 mod undx;
 mod vecmath;
 
-pub use adaptive::{AdaptiveEnsemble, EnsembleConfig};
-pub use de::DifferentialEvolution;
-pub use pcx::ParentCentricCrossover;
-pub use pm::PolynomialMutation;
-pub use sbx::SimulatedBinaryCrossover;
-pub use spx::SimplexCrossover;
-pub use um::UniformMutation;
-pub use undx::UnimodalNormalDistributionCrossover;
+pub(crate) use adaptive::AdaptiveEnsemble;
+pub(crate) use de::DifferentialEvolution;
+pub(crate) use pcx::ParentCentricCrossover;
+pub(crate) use pm::PolynomialMutation;
+pub(crate) use sbx::SimulatedBinaryCrossover;
+pub(crate) use spx::SimplexCrossover;
+pub(crate) use um::UniformMutation;
+pub(crate) use undx::UnimodalNormalDistributionCrossover;
 
 use crate::problem::Bounds;
 use rand::RngCore;
@@ -146,7 +146,7 @@ pub(crate) mod test_support {
     /// first served children three variables wider, and holds both to
     /// `evolve`, which uses a fresh scratch: the engine's single scratch
     /// must never change a child or an RNG draw.
-    pub fn check_operator(op: &dyn Variation, l: usize, trials: usize, seed: u64) {
+    pub(crate) fn check_operator(op: &dyn Variation, l: usize, trials: usize, seed: u64) {
         let mut shared = VariationScratch::default();
         for width in [l + 3, l] {
             check_width(op, width, trials, seed, &mut shared);
@@ -205,7 +205,7 @@ pub(crate) mod test_support {
     }
 
     /// Measures how often the offspring differs from the first parent.
-    pub fn change_rate(op: &dyn Variation, l: usize, trials: usize, seed: u64) -> f64 {
+    pub(crate) fn change_rate(op: &dyn Variation, l: usize, trials: usize, seed: u64) -> f64 {
         let bounds: Vec<Bounds> = (0..l).map(|_| Bounds::unit()).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut changed = 0usize;

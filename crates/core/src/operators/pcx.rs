@@ -14,7 +14,7 @@ use rand::RngCore;
 
 /// PCX operator.
 #[derive(Debug, Clone)]
-pub struct ParentCentricCrossover {
+pub(crate) struct ParentCentricCrossover {
     parents: usize,
     eta: f64,
     zeta: f64,
@@ -24,7 +24,7 @@ impl ParentCentricCrossover {
     /// Creates PCX with `parents` parents and spread parameters `η`
     /// (orthogonal) and `ζ` (along the principal direction). Borg default:
     /// 10 parents, η = ζ = 0.1.
-    pub fn new(parents: usize, eta: f64, zeta: f64) -> Self {
+    pub(crate) fn new(parents: usize, eta: f64, zeta: f64) -> Self {
         assert!(parents >= 2, "PCX needs at least two parents");
         assert!(eta >= 0.0 && zeta >= 0.0, "spreads must be non-negative");
         Self { parents, eta, zeta }

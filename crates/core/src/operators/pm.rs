@@ -11,7 +11,7 @@ use rand::{Rng, RngCore};
 
 /// Polynomial mutation operator.
 #[derive(Debug, Clone)]
-pub struct PolynomialMutation {
+pub(crate) struct PolynomialMutation {
     rate: f64,
     distribution_index: f64,
 }
@@ -19,7 +19,7 @@ pub struct PolynomialMutation {
 impl PolynomialMutation {
     /// Creates PM with per-variable mutation probability `rate` and
     /// distribution index `η_m` (Borg default: `1/L`, 20).
-    pub fn new(rate: f64, distribution_index: f64) -> Self {
+    pub(crate) fn new(rate: f64, distribution_index: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&rate),
             "mutation rate must be in [0,1]"
@@ -32,7 +32,7 @@ impl PolynomialMutation {
     }
 
     /// Mutates a variable vector in place.
-    pub fn mutate(&self, vars: &mut [f64], bounds: &[Bounds], rng: &mut dyn RngCore) {
+    pub(crate) fn mutate(&self, vars: &mut [f64], bounds: &[Bounds], rng: &mut dyn RngCore) {
         for (x, b) in vars.iter_mut().zip(bounds) {
             if rng.gen::<f64>() >= self.rate {
                 continue;

@@ -11,7 +11,7 @@ use rand::{Rng, RngCore};
 
 /// SBX operator, optionally chained with polynomial mutation.
 #[derive(Debug, Clone)]
-pub struct SimulatedBinaryCrossover {
+pub(crate) struct SimulatedBinaryCrossover {
     rate: f64,
     distribution_index: f64,
     mutation: Option<PolynomialMutation>,
@@ -20,7 +20,7 @@ pub struct SimulatedBinaryCrossover {
 impl SimulatedBinaryCrossover {
     /// Creates SBX with per-variable crossover probability `rate` and
     /// distribution index `η_c` (Borg default: 1.0, 15).
-    pub fn new(rate: f64, distribution_index: f64) -> Self {
+    pub(crate) fn new(rate: f64, distribution_index: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&rate),
             "crossover rate must be in [0,1]"
@@ -34,7 +34,7 @@ impl SimulatedBinaryCrossover {
     }
 
     /// Chains polynomial mutation after crossover (forming SBX+PM).
-    pub fn with_mutation(mut self, pm: PolynomialMutation) -> Self {
+    pub(crate) fn with_mutation(mut self, pm: PolynomialMutation) -> Self {
         self.mutation = Some(pm);
         self
     }

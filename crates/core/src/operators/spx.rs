@@ -12,7 +12,7 @@ use rand::{Rng, RngCore};
 
 /// SPX operator.
 #[derive(Debug, Clone)]
-pub struct SimplexCrossover {
+pub(crate) struct SimplexCrossover {
     parents: usize,
     expansion: f64,
 }
@@ -20,7 +20,7 @@ pub struct SimplexCrossover {
 impl SimplexCrossover {
     /// Creates SPX with `parents` parents and expansion rate `ε` (Borg
     /// default: 10, 3.0).
-    pub fn new(parents: usize, expansion: f64) -> Self {
+    pub(crate) fn new(parents: usize, expansion: f64) -> Self {
         assert!(parents >= 2, "SPX needs at least two parents");
         assert!(expansion > 0.0, "expansion rate must be positive");
         Self { parents, expansion }

@@ -10,13 +10,13 @@ use rand::{Rng, RngCore};
 
 /// Uniform mutation operator.
 #[derive(Debug, Clone)]
-pub struct UniformMutation {
+pub(crate) struct UniformMutation {
     rate: f64,
 }
 
 impl UniformMutation {
     /// Creates UM with per-variable resampling probability `rate`.
-    pub fn new(rate: f64) -> Self {
+    pub(crate) fn new(rate: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&rate),
             "mutation rate must be in [0,1]"
@@ -25,7 +25,7 @@ impl UniformMutation {
     }
 
     /// Mutates a variable vector in place.
-    pub fn mutate(&self, vars: &mut [f64], bounds: &[Bounds], rng: &mut dyn RngCore) {
+    pub(crate) fn mutate(&self, vars: &mut [f64], bounds: &[Bounds], rng: &mut dyn RngCore) {
         for (x, b) in vars.iter_mut().zip(bounds) {
             if rng.gen::<f64>() <= self.rate {
                 *x = if b.range() > 0.0 {

@@ -15,7 +15,7 @@ use rand::RngCore;
 
 /// UNDX operator.
 #[derive(Debug, Clone)]
-pub struct UnimodalNormalDistributionCrossover {
+pub(crate) struct UnimodalNormalDistributionCrossover {
     parents: usize,
     zeta: f64,
     eta: f64,
@@ -24,7 +24,7 @@ pub struct UnimodalNormalDistributionCrossover {
 impl UnimodalNormalDistributionCrossover {
     /// Creates UNDX with `parents` parents and spread parameters `ζ`
     /// (primary) and `η` (secondary). Borg default: 10 parents, 0.5, 0.35.
-    pub fn new(parents: usize, zeta: f64, eta: f64) -> Self {
+    pub(crate) fn new(parents: usize, zeta: f64, eta: f64) -> Self {
         assert!(parents >= 3, "UNDX needs at least three parents");
         assert!(zeta >= 0.0 && eta >= 0.0, "spreads must be non-negative");
         Self { parents, zeta, eta }

@@ -9,25 +9,25 @@
 //! allocates nothing once the scratch has grown to its width.
 
 /// Dot product.
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
+pub(super) fn dot(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
 /// Euclidean norm.
-pub fn norm(a: &[f64]) -> f64 {
+pub(super) fn norm(a: &[f64]) -> f64 {
     dot(a, a).sqrt()
 }
 
 /// `a - b` into `out` (cleared first).
-pub fn sub_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
+pub(crate) fn sub_into(a: &[f64], b: &[f64], out: &mut Vec<f64>) {
     debug_assert_eq!(a.len(), b.len());
     out.clear();
     out.extend(a.iter().zip(b).map(|(x, y)| x - y));
 }
 
 /// `a += s * b` in place.
-pub fn axpy(a: &mut [f64], s: f64, b: &[f64]) {
+pub(crate) fn axpy(a: &mut [f64], s: f64, b: &[f64]) {
     debug_assert_eq!(a.len(), b.len());
     for (x, y) in a.iter_mut().zip(b) {
         *x += s * y;
@@ -35,7 +35,7 @@ pub fn axpy(a: &mut [f64], s: f64, b: &[f64]) {
 }
 
 /// Centroid of a set of equal-length vectors, into `out` (cleared first).
-pub fn centroid_into(points: &[&[f64]], out: &mut Vec<f64>) {
+pub(crate) fn centroid_into(points: &[&[f64]], out: &mut Vec<f64>) {
     assert!(!points.is_empty());
     out.clear();
     out.resize(points[0].len(), 0.0);
@@ -49,14 +49,14 @@ pub fn centroid_into(points: &[&[f64]], out: &mut Vec<f64>) {
 }
 
 /// The vectors of a basis kept flat, `l` values a row.
-pub fn basis_rows(basis: &[f64], l: usize) -> std::slice::ChunksExact<'_, f64> {
+pub(crate) fn basis_rows(basis: &[f64], l: usize) -> std::slice::ChunksExact<'_, f64> {
     // `chunks_exact(0)` panics; a basis of zero-length vectors is empty.
     basis.chunks_exact(l.max(1))
 }
 
 /// Removes from `v` (in place) its components along each unit vector of the
 /// flat `basis`, then returns the residual norm.
-pub fn orthogonalize(v: &mut [f64], basis: &[f64]) -> f64 {
+pub(crate) fn orthogonalize(v: &mut [f64], basis: &[f64]) -> f64 {
     for e in basis_rows(basis, v.len()) {
         let c = dot(v, e);
         axpy(v, -c, e);
@@ -65,13 +65,13 @@ pub fn orthogonalize(v: &mut [f64], basis: &[f64]) -> f64 {
 }
 
 /// Tolerance below which a residual is treated as numerically zero.
-pub const EPS: f64 = 1e-10;
+pub(crate) const EPS: f64 = 1e-10;
 
 /// Attempts to extend the orthonormal flat `basis` (rows of `l` values)
 /// with the direction of its last row, a candidate the caller appended:
 /// normalizes and keeps it, returning `true`, if it contributed a new
 /// direction, and removes it otherwise.
-pub fn try_extend_basis(basis: &mut Vec<f64>, l: usize) -> bool {
+pub(crate) fn try_extend_basis(basis: &mut Vec<f64>, l: usize) -> bool {
     let start = basis.len() - l;
     let (head, v) = basis.split_at_mut(start);
     let n = orthogonalize(v, head);

@@ -28,17 +28,17 @@
 //!   lanes NaN. [`constrained_dominance_block`] compares the offspring with
 //!   a whole block without a data-dependent branch; this is the only code
 //!   that decides a replacement;
-//! * **key lanes**: the 16-bit [`order_key`](crate::dominance::order_key)
+//! * **key lanes**: the 16-bit `order_key`
 //!   of each lane, in the same layout. The order-key filter
 //!   ([`filter_by_order_keys`], at two and five objectives compiled for
 //!   the count with the offspring's keys in registers) reads them first
 //!   and proves most blocks mutually nondominated with the offspring at a
 //!   quarter of the bytes and a quarter of the packed compares, and the
-//!   scan in [`Population::offer`] skips those blocks;
+//!   scan in `Population::offer` skips those blocks;
 //! * **packed keys**: each member's keys again, row-major, 16 bytes a
-//!   member, for [`Population::tournament_select`], which reads random
+//!   member, for `Population::tournament_select`, which reads random
 //!   members — one load where the member's lanes are spread over `m + 1`
-//!   cache lines. [`keys_apart_pair`] proves most pairs apart; the few it
+//!   cache lines. `keys_apart_pair` proves most pairs apart; the few it
 //!   cannot are compared exactly, out of the lanes.
 //!
 //! No member is a [`Solution`](crate::solution::Solution): an offspring's
@@ -50,7 +50,7 @@
 //! The keys speak only while no violation can decide anything (no member
 //! and not the offspring has a positive one), never about a row that holds
 //! a NaN, and in the scan only when there are at least two full blocks to
-//! ask about ([`MIN_KEYED_BLOCKS`]); otherwise every block and pair goes
+//! ask about (`MIN_KEYED_BLOCKS`); otherwise every block and pair goes
 //! to the exact code, as it did before there were keys. On
 //! `serial-dtlz2-5` the keys took the replacement scan from 4.7 to 1.6 µs
 //! an evaluation and the tournaments from 5.9 to 1.4 µs, and compiling the
@@ -78,7 +78,7 @@ use rand::Rng;
 
 /// Outcome of offering an offspring to the population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PopulationInsert {
+pub(crate) enum PopulationInsert {
     /// Replaced a member it dominated.
     ReplacedDominated,
     /// Nondominated with the whole population; replaced a random member.
@@ -168,7 +168,7 @@ impl Population {
     }
 
     /// Whether the population is at capacity.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.len() >= self.capacity
     }
 
@@ -234,7 +234,7 @@ impl Population {
     /// replacement rule; below capacity it is added. The offspring's rows
     /// are copied in over the member it replaces.
     // borg-lint: hot-path
-    pub fn offer<R: Rng>(&mut self, offspring: Member<'_>, rng: &mut R) -> PopulationInsert {
+    pub(crate) fn offer<R: Rng>(&mut self, offspring: Member<'_>, rng: &mut R) -> PopulationInsert {
         let violation = offspring.constraint_violation();
         if !self.is_full() {
             self.push_member(offspring, violation);
@@ -313,7 +313,7 @@ impl Population {
     /// load a member); like the scan, the keys are asked only while no
     /// member has a positive violation.
     // borg-lint: hot-path
-    pub fn tournament_select<R: Rng>(&self, k: usize, rng: &mut R) -> usize {
+    pub(crate) fn tournament_select<R: Rng>(&self, k: usize, rng: &mut R) -> usize {
         assert!(!self.is_empty(), "cannot select from empty population");
         let keyed = self.violating == 0;
         let mut best = rng.gen_range(0..self.len());
@@ -678,7 +678,7 @@ mod tests {
             .contains("violating"));
         // The two stores hold one row per member.
         let mut short = p.clone();
-        short.variables.truncate_rows(2);
+        short.variables.swap_remove_row(2);
         assert!(short
             .check_invariants()
             .unwrap_err()

@@ -6,7 +6,6 @@
 //! `<= 0` (the MOEA framework convention used by Borg).
 
 use crate::matrix::ObjectiveMatrix;
-use crate::solution::Solution;
 
 /// Inclusive lower/upper bounds of one decision variable.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -167,23 +166,6 @@ pub fn batch_eval_loop<P: Problem + ?Sized>(
     }
 }
 
-/// Evaluates `vars` on `problem` into a fresh [`Solution`].
-///
-/// This is the allocation-friendly path used outside hot loops; executors
-/// reuse buffers directly via [`Problem::evaluate`].
-pub fn evaluate_into_solution<P: Problem + ?Sized>(problem: &P, vars: Vec<f64>) -> Solution {
-    assert_eq!(
-        vars.len(),
-        problem.num_variables(),
-        "variable count mismatch for problem {}",
-        problem.name()
-    );
-    let mut objs = vec![0.0; problem.num_objectives()];
-    let mut cons = vec![0.0; problem.num_constraints()];
-    problem.evaluate(&vars, &mut objs, &mut cons);
-    Solution::from_parts(vars, objs, cons)
-}
-
 /// Blanket impl so `&P`, `Box<P>`, `Arc<P>` are problems too.
 impl<P: Problem + ?Sized> Problem for &P {
     fn name(&self) -> &str {
@@ -291,14 +273,6 @@ mod tests {
     }
 
     #[test]
-    fn evaluate_into_solution_works() {
-        let p = Sphere { n: 3 };
-        let s = evaluate_into_solution(&p, vec![1.0, 2.0, 3.0]);
-        assert_eq!(s.objectives()[0], 14.0);
-        assert_eq!(s.variables(), &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
     fn blanket_impls_delegate() {
         let p = Sphere { n: 2 };
         let by_ref: &dyn Problem = &p;
@@ -308,12 +282,5 @@ mod tests {
         assert_eq!(boxed.all_bounds().len(), 4);
         let arc = std::sync::Arc::new(Sphere { n: 5 });
         assert_eq!(arc.num_variables(), 5);
-    }
-
-    #[test]
-    #[should_panic(expected = "variable count mismatch")]
-    fn wrong_arity_panics() {
-        let p = Sphere { n: 3 };
-        evaluate_into_solution(&p, vec![0.0]);
     }
 }

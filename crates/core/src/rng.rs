@@ -28,7 +28,7 @@ impl SplitMix64 {
     }
 
     /// Returns the next 64-bit value in the stream.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -64,11 +64,6 @@ impl SplitMix64 {
         }
         self.next_u64() ^ h
     }
-}
-
-/// Constructs a [`StdRng`] directly from a 64-bit seed.
-pub fn rng_from_seed(seed: u64) -> StdRng {
-    SplitMix64::new(seed).derive("root")
 }
 
 #[cfg(test)]
@@ -114,15 +109,6 @@ mod tests {
         let mut b = s2.derive("operators");
         let va: Vec<u64> = (0..8).map(|_| a.gen()).collect();
         let vb: Vec<u64> = (0..8).map(|_| b.gen()).collect();
-        assert_eq!(va, vb);
-    }
-
-    #[test]
-    fn rng_from_seed_is_reproducible() {
-        let mut a = rng_from_seed(123);
-        let mut b = rng_from_seed(123);
-        let va: Vec<f64> = (0..16).map(|_| a.gen()).collect();
-        let vb: Vec<f64> = (0..16).map(|_| b.gen()).collect();
         assert_eq!(va, vb);
     }
 }

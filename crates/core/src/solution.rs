@@ -68,7 +68,7 @@ impl Solution {
     }
 
     /// The solution's three rows, as the stores take them.
-    pub fn as_member(&self) -> Member<'_> {
+    pub(crate) fn as_member(&self) -> Member<'_> {
         Member::new(&self.variables, &self.objectives, &self.constraints)
     }
 
@@ -85,19 +85,8 @@ impl Solution {
     /// Decomposes the solution into its three owned buffers
     /// `(variables, objectives, constraints)` so a retired solution's
     /// allocations can be recycled through an arena instead of freed.
-    pub fn into_parts(self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
+    pub(crate) fn into_parts(self) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
         (self.variables, self.objectives, self.constraints)
-    }
-
-    /// Euclidean distance between the objective vectors of two solutions.
-    pub fn objective_distance(&self, other: &Self) -> f64 {
-        debug_assert_eq!(self.objectives.len(), other.objectives.len());
-        self.objectives
-            .iter()
-            .zip(&other.objectives)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
     }
 }
 
@@ -105,9 +94,8 @@ impl Solution {
 ///
 /// The archive and the population keep their members as rows of matrices,
 /// not as [`Solution`]s; this is how a member is read out of the archive
-/// ([`EpsilonArchive::member`](crate::archive::EpsilonArchive::member)) and
-/// how a candidate is handed to either store. [`to_solution`](Self::to_solution)
-/// makes an owned copy where one is wanted.
+/// (`EpsilonArchive::member`) and
+/// how a candidate is handed to either store.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Member<'a> {
     variables: &'a [f64],
@@ -150,15 +138,6 @@ impl<'a> Member<'a> {
     pub fn is_feasible(&self) -> bool {
         self.constraints.iter().all(|&c| c <= 0.0)
     }
-
-    /// An owned copy, with no operator tag (the stores keep none).
-    pub fn to_solution(&self) -> Solution {
-        Solution::from_parts(
-            self.variables.to_vec(),
-            self.objectives.to_vec(),
-            self.constraints.to_vec(),
-        )
-    }
 }
 
 /// The aggregate constraint violation of a constraint row: the sum of its
@@ -170,7 +149,7 @@ pub(crate) fn violation(constraints: &[f64]) -> f64 {
 /// Which of a [`Solution`]'s three buffers a pooled buffer was and will
 /// again be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Role {
+pub(crate) enum Role {
     /// Decision variables.
     Variables,
     /// Objective values.
@@ -190,7 +169,7 @@ pub enum Role {
 /// (capacity zero for an unconstrained problem) is never handed out as the
 /// next variables buffer, which would have to grow.
 #[derive(Debug, Default, Clone)]
-pub struct SolutionArena {
+pub(crate) struct SolutionArena {
     pools: [Vec<Vec<f64>>; 3],
     hits: u64,
     misses: u64,
@@ -204,7 +183,7 @@ impl SolutionArena {
     const MAX_POOLED: usize = 256;
 
     /// Takes an empty buffer of `role` from the pool, or a fresh one.
-    pub fn take(&mut self, role: Role) -> Vec<f64> {
+    pub(crate) fn take(&mut self, role: Role) -> Vec<f64> {
         match self.pools[role as usize].pop() {
             Some(buf) => {
                 self.hits += 1;
@@ -218,7 +197,7 @@ impl SolutionArena {
     }
 
     /// Returns a buffer to `role`'s pool (cleared, allocation kept).
-    pub fn give(&mut self, role: Role, mut buf: Vec<f64>) {
+    pub(crate) fn give(&mut self, role: Role, mut buf: Vec<f64>) {
         let pool = &mut self.pools[role as usize];
         if pool.len() < Self::MAX_POOLED {
             buf.clear();
@@ -227,7 +206,7 @@ impl SolutionArena {
     }
 
     /// Recycles all three buffers of a retired solution.
-    pub fn recycle(&mut self, solution: Solution) {
+    pub(crate) fn recycle(&mut self, solution: Solution) {
         let (vars, objs, cons) = solution.into_parts();
         self.give(Role::Variables, vars);
         self.give(Role::Objectives, objs);
@@ -235,14 +214,14 @@ impl SolutionArena {
     }
 
     /// A buffer of `role` holding a copy of `values`.
-    pub fn filled(&mut self, role: Role, values: &[f64]) -> Vec<f64> {
+    pub(crate) fn filled(&mut self, role: Role, values: &[f64]) -> Vec<f64> {
         let mut buf = self.take(role);
         buf.extend_from_slice(values);
         buf
     }
 
     /// `(pool hits, pool misses)` across all [`take`](Self::take) calls.
-    pub fn stats(&self) -> (u64, u64) {
+    pub(crate) fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
 }
@@ -271,10 +250,6 @@ mod tests {
             values.chain(s.constraints()).map(|v| v.to_bits()).collect()
         };
         assert_eq!(bits(copy.as_member()), bits(original.as_member()));
-        assert_eq!(
-            bits(original.as_member().to_solution().as_member()),
-            bits(original.as_member())
-        );
         // Two takes before, three for the copy; only the objectives buffer
         // of the first recycle was never asked for again.
         assert_eq!(arena.stats(), (5, 0));
@@ -300,13 +275,6 @@ mod tests {
         assert!(s.is_feasible());
         assert_eq!(s.num_variables(), 2);
         assert_eq!(s.num_objectives(), 2);
-    }
-
-    #[test]
-    fn objective_distance_is_euclidean() {
-        let a = Solution::from_parts(vec![], vec![0.0, 0.0], vec![]);
-        let b = Solution::from_parts(vec![], vec![3.0, 4.0], vec![]);
-        assert!((a.objective_distance(&b) - 5.0).abs() < 1e-12);
     }
 
     #[test]

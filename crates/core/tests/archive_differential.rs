@@ -82,9 +82,9 @@ impl Pair {
         Ok(fast)
     }
 
+    /// Starts both over empty, as a restart that dropped the archive would.
     fn clear(&mut self) {
-        self.fast.clear_solutions();
-        self.slow.clear_solutions();
+        *self = Self::new(self.fast.epsilons());
     }
 
     /// Same counters, same members in the same order with the same three
@@ -301,7 +301,7 @@ fn plane_point(m: usize, scale: f64, constraint: f64, rng: &mut StdRng) -> Solut
 
 /// Long mixed streams: growth well past 65 members, then a front that
 /// keeps moving inwards so new members evict old ones a few at a time,
-/// rejections, and `clear_solutions` followed by the infeasible-placeholder
+/// rejections, and a fresh pair followed by the infeasible-placeholder
 /// arms and a refill.
 fn drive_mixed(m: usize, seed: u64) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);

@@ -11,7 +11,7 @@ use borg_core::solution::Solution;
 /// differential tests drive both with the same insertion streams and
 /// require identical decisions, counters, and final member ordering.
 #[derive(Debug, Clone)]
-pub struct LinearScanArchive {
+pub(crate) struct LinearScanArchive {
     epsilons: Vec<f64>,
     solutions: Vec<Solution>,
     boxes: Vec<Vec<i64>>,
@@ -22,7 +22,7 @@ pub struct LinearScanArchive {
 
 impl LinearScanArchive {
     /// Creates an empty linear-scan archive with per-objective ε values.
-    pub fn new(epsilons: Vec<f64>) -> Self {
+    pub(crate) fn new(epsilons: Vec<f64>) -> Self {
         assert!(!epsilons.is_empty(), "need at least one epsilon");
         assert!(
             epsilons.iter().all(|&e| e > 0.0 && e.is_finite()),
@@ -39,38 +39,32 @@ impl LinearScanArchive {
     }
 
     /// Current archive members.
-    pub fn solutions(&self) -> &[Solution] {
+    pub(crate) fn solutions(&self) -> &[Solution] {
         &self.solutions
     }
 
     /// Number of archive members.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.solutions.len()
     }
 
     /// ε-progress counter.
-    pub fn improvements(&self) -> u64 {
+    pub(crate) fn improvements(&self) -> u64 {
         self.improvements
     }
 
     /// Total accepted insertions.
-    pub fn accepts(&self) -> u64 {
+    pub(crate) fn accepts(&self) -> u64 {
         self.accepts
     }
 
     /// Total rejected insertions.
-    pub fn rejects(&self) -> u64 {
+    pub(crate) fn rejects(&self) -> u64 {
         self.rejects
     }
 
-    /// Empties the archive content but keeps the counters.
-    pub fn clear_solutions(&mut self) {
-        self.solutions.clear();
-        self.boxes.clear();
-    }
-
     /// Attempts to insert a solution (the original O(n)-scan procedure).
-    pub fn add(&mut self, solution: Solution) -> ArchiveInsert {
+    pub(crate) fn add(&mut self, solution: Solution) -> ArchiveInsert {
         debug_assert_eq!(solution.num_objectives(), self.epsilons.len());
 
         if !self.solutions.is_empty() {

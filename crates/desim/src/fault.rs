@@ -218,13 +218,6 @@ pub struct FaultRecord {
     pub recovered_at: Option<f64>,
 }
 
-impl FaultRecord {
-    /// Detection latency (detection − injection), if detected.
-    pub fn detection_latency(&self) -> Option<f64> {
-        self.detected_at.map(|d| d - self.injected_at)
-    }
-}
-
 /// Indices into [`FaultLog::records`] of those not yet recovered,
 /// ascending — what the per-result scans read, so a faulty run costs
 /// O(open records) a result, not O(faults so far). Covers
@@ -378,20 +371,6 @@ impl FaultLog {
             .all(|r| r.detected_at.is_some() && r.recovered_at.is_some())
     }
 
-    /// Mean detection latency across detected faults (0 if none).
-    pub fn mean_detection_latency(&self) -> f64 {
-        let lat: Vec<f64> = self
-            .records
-            .iter()
-            .filter_map(FaultRecord::detection_latency)
-            .collect();
-        if lat.is_empty() {
-            0.0
-        } else {
-            lat.iter().sum::<f64>() / lat.len() as f64
-        }
-    }
-
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
@@ -504,8 +483,7 @@ mod tests {
         log.recover_eval(20, 3.0);
         assert!(log.all_recovered());
         let rec = &log.records[1];
-        assert_eq!(rec.detection_latency(), Some(0.5));
-        assert!(log.mean_detection_latency() > 0.0);
+        assert_eq!(rec.detected_at.map(|d| d - rec.injected_at), Some(0.5));
         assert!(log.summary().contains("2 injected"));
     }
 

@@ -49,4 +49,4 @@ pub mod fault;
 pub mod queue;
 
 pub use fault::{FaultConfig, FaultLog, FaultPlan};
-pub use queue::{EventQueue, Time};
+pub use queue::EventQueue;

@@ -23,7 +23,7 @@
 //! copies, with no hole to guard against a panic mid-sift.
 
 /// Simulated time in seconds.
-pub type Time = f64;
+pub(crate) type Time = f64;
 
 #[derive(Clone, Copy)]
 struct Entry<E> {

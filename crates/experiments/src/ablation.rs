@@ -7,7 +7,7 @@
 //! 5. evaluation-time variance: sync degrades, async does not.
 
 use crate::report::TextTable;
-use crate::suite::PaperProblem;
+use crate::suite::{PaperProblem, REF_DIVISIONS};
 use borg_core::algorithm::run_serial;
 use borg_core::dominance::{pareto_dominance_objectives, Dominance};
 use borg_core::rng::SplitMix64;
@@ -151,7 +151,7 @@ fn mean_final_hv(
     config: &AblationConfig,
     tweak: impl Fn(&mut borg_core::algorithm::BorgConfig) + Sync,
 ) -> f64 {
-    let reference = problem_choice.reference_front(6);
+    let reference = problem_choice.reference_front(REF_DIVISIONS);
     let metric = RelativeHypervolume::monte_carlo(&reference, 5_000, config.seed ^ 0xF0);
     let mut split = SplitMix64::new(config.seed);
     let seeds: Vec<u64> = (0..config.replicates)

@@ -125,74 +125,74 @@ where
 #[rustfmt::skip]
 mod flags {
     use super::{flag, parsed, Flag};
-    pub static OUT: Flag = flag("--out", "DIR", "results", |c, v| parsed(v).map(|x| c.out = x),
+    pub(crate) static OUT: Flag = flag("--out", "DIR", "results", |c, v| parsed(v).map(|x| c.out = x),
         "output directory (trace-merge: the merged trace, FILE.json or a directory)");
-    pub static NFE: Flag = flag("--nfe", "N", "", |c, v| parsed(v).map(|x| c.nfe = Some(x)),
+    pub(crate) static NFE: Flag = flag("--nfe", "N", "", |c, v| parsed(v).map(|x| c.nfe = Some(x)),
         "evaluations per run (default: the subcommand's own)");
-    pub static REPLICATES: Flag = flag("--replicates", "R", "",
+    pub(crate) static REPLICATES: Flag = flag("--replicates", "R", "",
         |c, v| parsed(v).map(|x| c.replicates = Some(x)),
         "replicates per configuration (default: the experiment's own)");
-    pub static SEED: Flag = flag("--seed", "S", "", |c, v| parsed(v).map(|x| c.seed = Some(x)),
+    pub(crate) static SEED: Flag = flag("--seed", "S", "", |c, v| parsed(v).map(|x| c.seed = Some(x)),
         "root seed (default: the subcommand's own)");
-    pub static JOBS: Flag = flag("--jobs", "N", "0", |c, v| parsed(v).map(|x| c.jobs = x),
+    pub(crate) static JOBS: Flag = flag("--jobs", "N", "0", |c, v| parsed(v).map(|x| c.jobs = x),
         "worker threads for replicate sweeps (0 = all cores, 1 = serial; the\n\
          fan-out is deterministic, see README \"Parallel experiment runner\")");
-    pub static SMOKE: Flag = flag("--smoke", "", "", |c, v| parsed(v).map(|x| c.smoke = x),
+    pub(crate) static SMOKE: Flag = flag("--smoke", "", "", |c, v| parsed(v).map(|x| c.smoke = x),
         "tiny scale (CI)");
-    pub static FULL: Flag = flag("--full", "", "", |c, v| parsed(v).map(|x| c.full = x),
+    pub(crate) static FULL: Flag = flag("--full", "", "", |c, v| parsed(v).map(|x| c.full = x),
         "paper scale (hours)");
-    pub static TRACE_OUT: Flag = flag("--trace-out", "FILE", "",
+    pub(crate) static TRACE_OUT: Flag = flag("--trace-out", "FILE", "",
         |c, v| parsed(v).map(|x| c.trace_out = Some(x)),
         "afterwards run the three-executor trace bundle (sized by --smoke,\n\
          seeded by --seed) and write Chrome-trace JSON (open in\n\
          chrome://tracing or https://ui.perfetto.dev)");
-    pub static METRICS_OUT: Flag = flag("--metrics-out", "FILE", "",
+    pub(crate) static METRICS_OUT: Flag = flag("--metrics-out", "FILE", "",
         |c, v| parsed(v).map(|x| c.metrics_out = Some(x)),
         "write metrics as JSON Lines (table2: per-cell empirical T_F/T_C/T_A\n\
          histograms, engine counters, master occupancy; serve/worker: net.*\n\
          counters)");
-    pub static LISTEN: Flag = flag("--listen", "ADDR", "",
+    pub(crate) static LISTEN: Flag = flag("--listen", "ADDR", "",
         |c, v| parsed(v).map(|x| c.listen = Some(x)),
         "endpoint to serve on, tcp:HOST:PORT or unix:PATH (required; see\n\
          README \"Networked deployment\")");
-    pub static CONNECT: Flag = flag("--connect", "ADDR", "",
+    pub(crate) static CONNECT: Flag = flag("--connect", "ADDR", "",
         |c, v| parsed(v).map(|x| c.connect = Some(x)),
         "endpoint to connect to (required): for worker the master or chaos\n\
          proxy, for tail the master's --live endpoint");
-    pub static WORKERS: Flag = flag("--workers", "N", "2", |c, v| parsed(v).map(|x| c.workers = x),
+    pub(crate) static WORKERS: Flag = flag("--workers", "N", "2", |c, v| parsed(v).map(|x| c.workers = x),
         "registrations to wait for");
-    pub static PROBLEM: Flag = flag("--problem", "NAME", "dtlz2-5",
+    pub(crate) static PROBLEM: Flag = flag("--problem", "NAME", "dtlz2-5",
         |c, v| parsed(v).map(|x| c.problem = x),
         "problem announced to workers (dtlz2-5 or dtlz2-2)");
-    pub static EVAL_DELAY_US: Flag = flag("--eval-delay-us", "N", "0",
+    pub(crate) static EVAL_DELAY_US: Flag = flag("--eval-delay-us", "N", "0",
         |c, v| parsed(v).map(|x| c.eval_delay_us = x),
         "artificial per-evaluation delay (keeps smoke runs killable mid-flight)");
-    pub static REISSUE_TIMEOUT: Flag = flag("--reissue-timeout", "S", "",
+    pub(crate) static REISSUE_TIMEOUT: Flag = flag("--reissue-timeout", "S", "",
         |c, v| parsed(v).map(|x| c.reissue_timeout = Some(x)),
         "wall-clock reissue deadline in seconds (default: none)");
-    pub static CHAOS: Flag = flag("--chaos", "", "", |c, v| parsed(v).map(|x| c.chaos = x),
+    pub(crate) static CHAOS: Flag = flag("--chaos", "", "", |c, v| parsed(v).map(|x| c.chaos = x),
         "loopback chaos mode: pinned virtual timing, a seeded fault plan\n\
          enacted on the wire");
-    pub static CRASH_RATE: Flag = flag("--crash-rate", "F", "0.25",
+    pub(crate) static CRASH_RATE: Flag = flag("--crash-rate", "F", "0.25",
         |c, v| parsed(v).map(|x| c.crash_rate = x),
         "chaos: per-worker crash probability");
-    pub static DROP_RATE: Flag = flag("--drop-rate", "F", "0.05",
+    pub(crate) static DROP_RATE: Flag = flag("--drop-rate", "F", "0.05",
         |c, v| parsed(v).map(|x| c.drop_rate = x),
         "chaos: per-result drop probability");
-    pub static DUPLICATE_RATE: Flag = flag("--duplicate-rate", "F", "0.02",
+    pub(crate) static DUPLICATE_RATE: Flag = flag("--duplicate-rate", "F", "0.02",
         |c, v| parsed(v).map(|x| c.duplicate_rate = x),
         "chaos: per-result duplication probability");
-    pub static LIVE: Flag = flag("--live", "ADDR", "", |c, v| parsed(v).map(|x| c.live = Some(x)),
+    pub(crate) static LIVE: Flag = flag("--live", "ADDR", "", |c, v| parsed(v).map(|x| c.live = Some(x)),
         "stream live MetricsSnapshot deltas to subscribers on this endpoint\n\
          (`borg-exp tail`; see README \"Distributed tracing & flight recorder\")");
-    pub static FLIGHT_OUT: Flag = flag("--flight-out", "FILE", "",
+    pub(crate) static FLIGHT_OUT: Flag = flag("--flight-out", "FILE", "",
         |c, v| parsed(v).map(|x| c.flight_out = Some(x)),
         "dump the black-box flight recorder (deterministic JSONL) when the run\n\
          ends, a worker dies, or the process panics");
-    pub static TRACE_SHARD: Flag = flag("--trace-shard", "FILE", "",
+    pub(crate) static TRACE_SHARD: Flag = flag("--trace-shard", "FILE", "",
         |c, v| parsed(v).map(|x| c.trace_shard = Some(x)),
         "write this process's trace-edge shard (JSONL) for `borg-exp trace-merge`");
-    pub static TICKS: Flag = flag("--ticks", "N", "8", |c, v| parsed(v).map(|x| c.ticks = x),
+    pub(crate) static TICKS: Flag = flag("--ticks", "N", "8", |c, v| parsed(v).map(|x| c.ticks = x),
         "tap frames to render before exiting");
 }
 use flags::*;

@@ -14,7 +14,7 @@
 //! quantitative.
 
 use crate::report::TextTable;
-use crate::suite::PaperProblem;
+use crate::suite::{PaperProblem, REF_DIVISIONS};
 use borg_core::rng::SplitMix64;
 use borg_metrics::relative::RelativeHypervolume;
 use borg_models::dist::Dist;
@@ -97,7 +97,7 @@ pub struct DynamicsTrajectory {
 impl DynamicsTrajectory {
     /// The last checkpoint at or before `t` (None if the run hadn't
     /// produced a checkpoint yet).
-    pub fn at_time(&self, t: f64) -> Option<&DynamicsPoint> {
+    pub(crate) fn at_time(&self, t: f64) -> Option<&DynamicsPoint> {
         self.points.iter().rev().find(|p| p.time <= t)
     }
 
@@ -115,7 +115,7 @@ impl DynamicsTrajectory {
 }
 
 /// Normalized Shannon entropy of a probability vector.
-pub fn normalized_entropy(probs: &[f64]) -> f64 {
+pub(crate) fn normalized_entropy(probs: &[f64]) -> f64 {
     let k = probs.len() as f64;
     if probs.len() <= 1 {
         return 0.0;
@@ -138,8 +138,11 @@ pub fn normalized_entropy(probs: &[f64]) -> f64 {
 /// checkpoints, which counts only the archive rows that changed since the
 /// previous one.
 pub fn run_dynamics(config: &DynamicsConfig) -> Vec<DynamicsTrajectory> {
-    let metric =
-        RelativeHypervolume::monte_carlo(&config.problem.reference_front(6), 10_000, config.seed);
+    let metric = RelativeHypervolume::monte_carlo(
+        &config.problem.reference_front(REF_DIVISIONS),
+        10_000,
+        config.seed,
+    );
     let mut split = SplitMix64::new(config.seed);
     let jobs: Vec<(u32, u64)> = config
         .processors

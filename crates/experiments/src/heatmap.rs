@@ -73,7 +73,7 @@ impl HeatmapConfig {
 }
 
 /// Log-spaced grid of `n` points from `lo` to `hi` inclusive.
-pub fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+pub(crate) fn log_grid(lo: f64, hi: f64, n: usize) -> Vec<f64> {
     assert!(n >= 2 && lo > 0.0 && hi > lo);
     let (llo, lhi) = (lo.ln(), hi.ln());
     (0..n)

@@ -9,7 +9,7 @@
 //! non-separable UF11 than on DTLZ2.
 
 use crate::report::TextTable;
-use crate::suite::PaperProblem;
+use crate::suite::{PaperProblem, REF_DIVISIONS};
 use borg_core::rng::SplitMix64;
 use borg_metrics::relative::RelativeHypervolume;
 use borg_models::dist::Dist;
@@ -37,8 +37,6 @@ pub struct HvSpeedupConfig {
     pub epsilon: f64,
     /// Monte-Carlo hypervolume samples (common random numbers).
     pub mc_samples: usize,
-    /// Das–Dennis lattice divisions for the reference front.
-    pub ref_divisions: usize,
     /// Root seed.
     pub seed: u64,
     /// Worker threads for the replicate sweep (`0` auto, `1` serial). The
@@ -62,7 +60,6 @@ impl HvSpeedupConfig {
             check_every: 500,
             epsilon: 0.1,
             mc_samples: 5_000,
-            ref_divisions: 6,
             seed: 4242,
             jobs: 0,
         }
@@ -155,8 +152,8 @@ fn mean_times(trajs: &[Trajectory], thresholds: &[f64]) -> Vec<Option<f64>> {
 /// trajectories fold into its mean times in derivation order as soon as
 /// its last replicate finishes — so the panel is bit-identical for every
 /// `jobs` setting.
-pub fn run_panel(config: &HvSpeedupConfig, t_f: f64) -> HvSpeedupPanel {
-    let reference = config.problem.reference_front(config.ref_divisions);
+pub(crate) fn run_panel(config: &HvSpeedupConfig, t_f: f64) -> HvSpeedupPanel {
+    let reference = config.problem.reference_front(REF_DIVISIONS);
     let metric =
         RelativeHypervolume::monte_carlo(&reference, config.mc_samples, config.seed ^ 0xAB);
 

@@ -101,27 +101,9 @@ pub fn write_output(dir: &Path, name: &str, content: &str) -> std::io::Result<()
     f.write_all(content.as_bytes())
 }
 
-/// Formats a duration in seconds with sensible precision.
-pub fn fmt_secs(s: f64) -> String {
-    if s == 0.0 {
-        "0".into()
-    } else if s.abs() < 0.001 {
-        format!("{:.1}us", s * 1e6)
-    } else if s.abs() < 1.0 {
-        format!("{:.2}ms", s * 1e3)
-    } else {
-        format!("{s:.2}s")
-    }
-}
-
-/// Formats a ratio as a percentage.
-pub fn fmt_pct(x: f64) -> String {
-    format!("{:.0}%", x * 100.0)
-}
-
 /// Renders an ASCII heatmap: rows × cols of values in `[0, 1]` mapped onto
 /// a density ramp (dark = low, bright = high).
-pub fn ascii_heatmap(values: &[Vec<f64>], row_labels: &[String], col_title: &str) -> String {
+pub(crate) fn ascii_heatmap(values: &[Vec<f64>], row_labels: &[String], col_title: &str) -> String {
     const RAMP: &[u8] = b" .:-=+*#%@";
     let mut out = String::new();
     let label_w = row_labels.iter().map(|l| l.len()).max().unwrap_or(0);
@@ -169,14 +151,6 @@ mod tests {
         t.row(vec!["a,b", "1"]);
         let csv = t.to_csv();
         assert!(csv.contains("\"a,b\",1"));
-    }
-
-    #[test]
-    fn fmt_helpers() {
-        assert_eq!(fmt_secs(0.000_006), "6.0us");
-        assert_eq!(fmt_secs(0.01), "10.00ms");
-        assert_eq!(fmt_secs(9.2), "9.20s");
-        assert_eq!(fmt_pct(0.69), "69%");
     }
 
     #[test]

@@ -55,7 +55,8 @@ impl PaperProblem {
         cfg
     }
 
-    /// Analytic reference front sampled from a Das–Dennis lattice.
+    /// Analytic reference front sampled from a Das–Dennis lattice
+    /// (`REF_DIVISIONS` for every hypervolume the experiments report).
     pub fn reference_front(self, divisions: usize) -> Vec<Vec<f64>> {
         match self {
             PaperProblem::Dtlz2 => dtlz2_front(5, divisions),
@@ -63,6 +64,10 @@ impl PaperProblem {
         }
     }
 }
+
+/// Das–Dennis lattice divisions of the reference front behind every
+/// hypervolume ratio the experiments report.
+pub(crate) const REF_DIVISIONS: usize = 6;
 
 #[cfg(test)]
 mod tests {

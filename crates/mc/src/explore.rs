@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 /// How strictly terminal outcomes must agree across schedules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Strictness {
+pub(crate) enum Strictness {
     /// All schedules must complete the same number of evaluations and
     /// abandon the same number. The right bar for `Eager` dispatch,
     /// where the *identity* of the in-flight tail legitimately depends
@@ -50,7 +50,7 @@ pub enum Strictness {
 /// One scenario: an engine configuration plus a fault overlay and the
 /// exploration bounds under which its invariants must hold.
 #[derive(Debug, Clone)]
-pub struct Scenario {
+pub(crate) struct Scenario {
     /// Stable scenario name (reported, and used by `--json`).
     pub name: &'static str,
     /// Engine shape under test.
@@ -102,13 +102,13 @@ pub struct ScenarioReport {
     /// Distinct terminal outcome digests (1 for a schedule-independent
     /// protocol; more is an outcome-divergence violation).
     pub outcomes: u64,
-    /// Invariant violations found (capped at [`MAX_VIOLATIONS`]).
+    /// Invariant violations found (capped at `MAX_VIOLATIONS`).
     pub violations: Vec<Violation>,
 }
 
 /// Per-scenario cap on collected violations; exploration stops early
 /// once reached (the report is already damning).
-pub const MAX_VIOLATIONS: usize = 4;
+pub(crate) const MAX_VIOLATIONS: usize = 4;
 
 struct Explorer<'a> {
     scenario: &'a Scenario,
@@ -122,7 +122,7 @@ struct Explorer<'a> {
 }
 
 /// Explore `scenario` exhaustively and report.
-pub fn run_scenario(scenario: &Scenario) -> ScenarioReport {
+pub(crate) fn run_scenario(scenario: &Scenario) -> ScenarioReport {
     let mut engine = MasterEngine::new(scenario.config);
     if scenario.sabotage {
         engine.sabotage_duplicate_suppression();

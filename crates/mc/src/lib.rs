@@ -6,9 +6,9 @@
 //! correctness gates (the determinism arms, the differential proptests)
 //! replay exactly one schedule per seed. This crate closes that gap: it
 //! materialises every in-flight message and timer as an explicit
-//! pending event ([`ModelTransport`]), then exhaustively explores every
+//! pending event (`ModelTransport`), then exhaustively explores every
 //! delivery order a bounded adversary could produce
-//! ([`explore::run_scenario`]), asserting at each step and each
+//! (`explore::run_scenario`), asserting at each step and each
 //! terminal state that:
 //!
 //! - no evaluation id is ever consumed twice (`unique-consume`) or
@@ -29,7 +29,7 @@
 //! counts, and scenarios with death notifications bound how far an
 //! event may be overtaken (`delay_window`) so that only realistic
 //! reorderings count against outcome agreement. The checker proves its
-//! own teeth before every run: [`mutation::self_test`] re-explores the
+//! own teeth before every run: `mutation::self_test` re-explores the
 //! duplicates scenario against a deliberately sabotaged engine and
 //! errors out if no violation surfaces.
 //!
@@ -44,15 +44,14 @@
 )]
 #![cfg_attr(not(test), deny(clippy::float_cmp, clippy::float_cmp_const))]
 
-pub mod explore;
-pub mod mutation;
-pub mod overlay;
-pub mod scenarios;
-pub mod transport;
+pub(crate) mod explore;
+pub(crate) mod mutation;
+pub(crate) mod overlay;
+pub(crate) mod scenarios;
+pub(crate) mod transport;
 
-pub use explore::{run_scenario, Scenario, ScenarioReport, Strictness, Violation};
-pub use overlay::{Fate, Overlay, SeededFaults};
-pub use transport::{ModelTransport, Pending, PendingAt};
+use explore::run_scenario;
+pub use explore::{ScenarioReport, Violation};
 
 /// Aggregate result of a checker run.
 #[derive(Debug, Clone)]
@@ -109,7 +108,7 @@ pub fn run(smoke: bool, depth: Option<usize>) -> Result<McReport, String> {
             s.max_depth = d;
         }
     }
-    let reports = scenarios.iter().map(explore::run_scenario).collect();
+    let reports = scenarios.iter().map(run_scenario).collect();
     Ok(McReport {
         scenarios: reports,
         mutation,

@@ -14,7 +14,7 @@ use crate::explore::{run_scenario, Scenario, ScenarioReport};
 use crate::scenarios;
 
 /// The sabotaged scenario: duplicates with suppression disabled.
-pub fn sabotaged_scenario() -> Scenario {
+pub(crate) fn sabotaged_scenario() -> Scenario {
     Scenario {
         name: "mutation_duplicate_suppression",
         sabotage: true,
@@ -24,7 +24,7 @@ pub fn sabotaged_scenario() -> Scenario {
 
 /// Run the self-test. `Ok` carries the (violating) report; `Err` means
 /// the sabotage went undetected.
-pub fn self_test() -> Result<ScenarioReport, String> {
+pub(crate) fn self_test() -> Result<ScenarioReport, String> {
     let report = run_scenario(&sabotaged_scenario());
     if report.violations.is_empty() {
         return Err(

@@ -8,7 +8,7 @@
 
 /// Fate of one result-message transmission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fate {
+pub(crate) enum Fate {
     /// Delivered exactly once.
     Deliver,
     /// Lost in transit.
@@ -20,7 +20,7 @@ pub enum Fate {
 /// Seeded per-message fault rates, hashed statelessly per
 /// `(eval_id, attempt)` like `FaultPlan::message_fate`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeededFaults {
+pub(crate) struct SeededFaults {
     /// Hash seed (domain-separated internally).
     pub seed: u64,
     /// Drop probability in thousandths.
@@ -32,7 +32,7 @@ pub struct SeededFaults {
 /// The full overlay: scripted faults take precedence, then the seeded
 /// rates, else clean delivery.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Overlay {
+pub(crate) struct Overlay {
     /// Transmissions `(eval_id, attempt)` to drop.
     pub drop_on: Vec<(u64, u32)>,
     /// Transmissions `(eval_id, attempt)` to duplicate.
@@ -51,7 +51,7 @@ pub struct Overlay {
 
 impl Overlay {
     /// No faults at all.
-    pub fn quiet() -> Self {
+    pub(crate) fn quiet() -> Self {
         Overlay {
             drop_on: Vec::new(),
             duplicate_on: Vec::new(),
@@ -63,7 +63,7 @@ impl Overlay {
     }
 
     /// Duplicate the listed transmissions.
-    pub fn duplicates(on: &[(u64, u32)]) -> Self {
+    pub(crate) fn duplicates(on: &[(u64, u32)]) -> Self {
         Overlay {
             duplicate_on: on.to_vec(),
             ..Overlay::quiet()
@@ -71,7 +71,7 @@ impl Overlay {
     }
 
     /// Drop the listed transmissions.
-    pub fn drops(on: &[(u64, u32)]) -> Self {
+    pub(crate) fn drops(on: &[(u64, u32)]) -> Self {
         Overlay {
             drop_on: on.to_vec(),
             ..Overlay::quiet()
@@ -79,7 +79,7 @@ impl Overlay {
     }
 
     /// One scripted death.
-    pub fn death(worker: usize, seq: u64) -> Self {
+    pub(crate) fn death(worker: usize, seq: u64) -> Self {
         Overlay {
             deaths: vec![(worker, seq)],
             ..Overlay::quiet()
@@ -87,7 +87,7 @@ impl Overlay {
     }
 
     /// Seeded background drop/duplicate rates.
-    pub fn seeded(seed: u64, drop_per_mille: u64, dup_per_mille: u64) -> Self {
+    pub(crate) fn seeded(seed: u64, drop_per_mille: u64, dup_per_mille: u64) -> Self {
         Overlay {
             seeded: Some(SeededFaults {
                 seed,
@@ -99,12 +99,12 @@ impl Overlay {
     }
 
     /// Whether `worker`'s `seq`-th dispatch kills it.
-    pub fn death_for(&self, worker: usize, seq: u64) -> bool {
+    pub(crate) fn death_for(&self, worker: usize, seq: u64) -> bool {
         self.deaths.contains(&(worker, seq))
     }
 
     /// Fate of the result message for `eval_id`'s `attempt`-th send.
-    pub fn message_fate(&self, eval_id: u64, attempt: u32) -> Fate {
+    pub(crate) fn message_fate(&self, eval_id: u64, attempt: u32) -> Fate {
         if self.drop_on.contains(&(eval_id, attempt)) {
             return Fate::Drop;
         }

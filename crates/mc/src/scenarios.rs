@@ -40,12 +40,12 @@ fn sweep_policy() -> RecoveryPolicy {
 
 /// The quick subset run by `cargo xtask mc --smoke` and CI: fault-free
 /// pipeline and duplicate absorption.
-pub fn smoke() -> Vec<Scenario> {
+pub(crate) fn smoke() -> Vec<Scenario> {
     vec![fault_free_async(), duplicates()]
 }
 
 /// The full catalogue.
-pub fn full() -> Vec<Scenario> {
+pub(crate) fn full() -> Vec<Scenario> {
     vec![
         fault_free_async(),
         duplicates(),
@@ -61,7 +61,7 @@ pub fn full() -> Vec<Scenario> {
 /// their results; completion count must be order-independent (the
 /// identity of the in-flight tail is legitimately order-dependent under
 /// eager dispatch, hence the count-level bar).
-pub fn fault_free_async() -> Scenario {
+pub(crate) fn fault_free_async() -> Scenario {
     Scenario {
         name: "fault_free_async",
         config: EngineConfig::fault_free_async(3, 8),
@@ -76,7 +76,7 @@ pub fn fault_free_async() -> Scenario {
 
 /// Duplicated result messages racing their originals: both orders of
 /// (original, duplicate) must converge to the same consumed set.
-pub fn duplicates() -> Scenario {
+pub(crate) fn duplicates() -> Scenario {
     Scenario {
         name: "duplicates",
         config: EngineConfig::fault_tolerant_async(2, 5, RecoveryPolicy::disabled()),
@@ -92,7 +92,7 @@ pub fn duplicates() -> Scenario {
 /// A dropped result message: the deadline must rescue the evaluation on
 /// every schedule, including those where other deadlines fire spuriously
 /// while their results are still in flight (reissue races the original).
-pub fn drops_reissue() -> Scenario {
+pub(crate) fn drops_reissue() -> Scenario {
     Scenario {
         name: "drops_reissue",
         config: EngineConfig::fault_tolerant_async(2, 4, deadline_policy()),
@@ -109,7 +109,7 @@ pub fn drops_reissue() -> Scenario {
 /// ping and heartbeat must converge on quarantining it and the lost
 /// evaluation must be reissued elsewhere, whichever order the death
 /// note, deadlines, and sweeps are delivered in.
-pub fn worker_death() -> Scenario {
+pub(crate) fn worker_death() -> Scenario {
     Scenario {
         name: "worker_death",
         config: EngineConfig::fault_tolerant_async(2, 3, sweep_policy()),
@@ -124,7 +124,7 @@ pub fn worker_death() -> Scenario {
 
 /// Death on a shared pull queue: the out-of-band death note names the
 /// lost evaluation and any live thread picks up the reissue.
-pub fn shared_pool_death() -> Scenario {
+pub(crate) fn shared_pool_death() -> Scenario {
     Scenario {
         name: "shared_pool_death",
         config: EngineConfig::shared_pool_async(2, 3, deadline_policy()),
@@ -140,7 +140,7 @@ pub fn shared_pool_death() -> Scenario {
 /// Seeded background drop/duplicate rates (the overlay analogue of
 /// `FaultConfig::degraded`): fates hash off `(eval_id, attempt)` so
 /// every schedule sees the same faults in a different order.
-pub fn seeded_faults() -> Scenario {
+pub(crate) fn seeded_faults() -> Scenario {
     Scenario {
         name: "seeded_faults",
         config: EngineConfig::fault_tolerant_async(2, 4, deadline_policy()),
@@ -159,7 +159,7 @@ pub fn seeded_faults() -> Scenario {
 /// schedule-dependent. The bar drops to work conservation — every id
 /// accounted for on exactly one ledger, none lost, none counted twice —
 /// which this scenario proves holds even at the cap.
-pub fn abandonment_cap() -> Scenario {
+pub(crate) fn abandonment_cap() -> Scenario {
     Scenario {
         name: "abandonment_cap",
         config: EngineConfig::fault_tolerant_async(

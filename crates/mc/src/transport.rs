@@ -15,7 +15,7 @@ use borg_protocol::{Clock, Transport};
 
 /// An undelivered event the scheduler may hand to the engine next.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Pending {
+pub(crate) enum Pending {
     /// A result message in flight from `worker` (one entry per copy; a
     /// duplicated message contributes two entries).
     Result {
@@ -48,7 +48,7 @@ pub enum Pending {
 
 /// A [`Pending`] event plus the logical time it entered the network.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PendingAt {
+pub(crate) struct PendingAt {
     /// The event itself.
     pub event: Pending,
     /// Logical time (delivered-event count) at which it was created —
@@ -60,7 +60,7 @@ pub struct PendingAt {
 /// Mirror of the ground truth the engine cannot see, plus the
 /// bookkeeping the invariants are checked against.
 #[derive(Debug, Clone)]
-pub struct ModelTransport {
+pub(crate) struct ModelTransport {
     /// Logical clock: number of events delivered so far.
     pub now: f64,
     /// Undelivered events, in creation order.
@@ -107,7 +107,12 @@ pub struct ModelTransport {
 
 impl ModelTransport {
     /// A fresh transport for `workers` slots under `overlay`.
-    pub fn new(workers: usize, finite_deadlines: bool, rearm_cap: u32, overlay: Overlay) -> Self {
+    pub(crate) fn new(
+        workers: usize,
+        finite_deadlines: bool,
+        rearm_cap: u32,
+        overlay: Overlay,
+    ) -> Self {
         ModelTransport {
             now: 0.0,
             pending: Vec::new(),
@@ -131,12 +136,12 @@ impl ModelTransport {
     }
 
     /// Total consume calls (counting repeats of the same id).
-    pub fn total_consumes(&self) -> u64 {
+    pub(crate) fn total_consumes(&self) -> u64 {
         self.consumed.values().map(|&c| u64::from(c)).sum()
     }
 
     /// Whether any eval id was consumed more than once.
-    pub fn double_consumed(&self) -> Option<u64> {
+    pub(crate) fn double_consumed(&self) -> Option<u64> {
         self.consumed
             .iter()
             .find(|(_, &c)| c > 1)
@@ -152,7 +157,7 @@ impl ModelTransport {
 
     /// Deliver the pending event at `index`: advance logical time and
     /// return the [`borg_protocol::Event`] to feed the engine.
-    pub fn deliver(&mut self, index: usize) -> borg_protocol::Event {
+    pub(crate) fn deliver(&mut self, index: usize) -> borg_protocol::Event {
         let p = self.pending.swap_remove(index);
         self.now += 1.0;
         let at = self.now;
@@ -187,7 +192,7 @@ impl ModelTransport {
     /// the scheduler erases anyway — does not split equivalent states.
     /// `include_births` must be true under a bounded-delay scheduler,
     /// where relative ages change which events are enabled.
-    pub fn digest(&self, include_births: bool) -> u64 {
+    pub(crate) fn digest(&self, include_births: bool) -> u64 {
         let min_birth = self.pending.iter().map(|p| p.birth).min().unwrap_or(0);
         let mut encoded: Vec<(u64, u64, u64, u64)> = self
             .pending

@@ -5,7 +5,8 @@
 //! hypervolume ratio, and objective normalization helpers.
 //!
 //! ```
-//! use borg_metrics::prelude::*;
+//! use borg_metrics::hypervolume::hypervolume;
+//! use borg_metrics::relative::RelativeHypervolume;
 //!
 //! // Exact hypervolume of two nondominated boxes.
 //! let hv = hypervolume(&[vec![0.2, 0.6], vec![0.6, 0.2]], &[1.0, 1.0]);
@@ -30,14 +31,5 @@
 pub mod hypervolume;
 pub mod mc_hypervolume;
 pub mod nds;
-pub mod normalize;
+pub(crate) mod normalize;
 pub mod relative;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::hypervolume::hypervolume;
-    pub use crate::mc_hypervolume::{HvTracker, McHypervolume};
-    pub use crate::nds::nondominated_filter;
-    pub use crate::normalize::ObjectiveBounds;
-    pub use crate::relative::RelativeHypervolume;
-}

@@ -7,7 +7,7 @@
 
 /// Ideal/nadir bounds of a reference set.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ObjectiveBounds {
+pub(crate) struct ObjectiveBounds {
     /// Component-wise minimum of the reference set.
     pub ideal: Vec<f64>,
     /// Component-wise maximum of the reference set.
@@ -19,7 +19,7 @@ impl ObjectiveBounds {
     ///
     /// # Panics
     /// If `reference` is empty or rows have inconsistent lengths.
-    pub fn from_set(reference: &[Vec<f64>]) -> Self {
+    pub(crate) fn from_set(reference: &[Vec<f64>]) -> Self {
         assert!(!reference.is_empty(), "empty reference set");
         let m = reference[0].len();
         let mut ideal = vec![f64::INFINITY; m];
@@ -35,14 +35,14 @@ impl ObjectiveBounds {
     }
 
     /// Number of objectives.
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.ideal.len()
     }
 
     /// Normalizes one objective vector into reference coordinates
     /// (`0` = ideal, `1` = nadir). Values outside the reference range map
     /// outside `[0, 1]`; callers decide whether to clip or discard.
-    pub fn normalize_point(&self, p: &[f64]) -> Vec<f64> {
+    pub(crate) fn normalize_point(&self, p: &[f64]) -> Vec<f64> {
         let mut out = Vec::with_capacity(self.dim());
         self.normalize_into(p, &mut out);
         out
@@ -51,7 +51,7 @@ impl ObjectiveBounds {
     /// Appends the coordinates [`normalize_point`](Self::normalize_point)
     /// returns for `p` to `out`.
     // borg-lint: hot-path
-    pub fn normalize_into(&self, p: &[f64], out: &mut Vec<f64>) {
+    pub(crate) fn normalize_into(&self, p: &[f64], out: &mut Vec<f64>) {
         debug_assert_eq!(p.len(), self.dim());
         out.extend(
             p.iter()
@@ -70,7 +70,7 @@ impl ObjectiveBounds {
     }
 
     /// Normalizes a whole set.
-    pub fn normalize_set(&self, set: &[Vec<f64>]) -> Vec<Vec<f64>> {
+    pub(crate) fn normalize_set(&self, set: &[Vec<f64>]) -> Vec<Vec<f64>> {
         set.iter().map(|p| self.normalize_point(p)).collect()
     }
 }

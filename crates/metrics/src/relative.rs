@@ -59,11 +59,6 @@ impl RelativeHypervolume {
         }
     }
 
-    /// The normalization bounds in use.
-    pub fn bounds(&self) -> &ObjectiveBounds {
-        &self.bounds
-    }
-
     /// Hypervolume ratio of an approximation set: ~0 for far-away sets,
     /// ~1 for sets matching the reference front. Slightly above 1 is
     /// possible for ε-archives whose representatives sit inside the lattice

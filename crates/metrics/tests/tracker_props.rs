@@ -1,6 +1,6 @@
 //! The dominator-count tracker against a recompute: after every step of a
 //! random ε-archive history — accepts, same-box replacements, evictions and
-//! clears — [`HvTracker::sync`] must return, bit for bit, what
+//! fresh starts — [`HvTracker::sync`] must return, bit for bit, what
 //! [`McHypervolume::estimate`] gives for the archive's rows over the same
 //! samples.
 //!
@@ -24,7 +24,7 @@ proptest! {
     fn tracker_equals_estimate_after_every_step(
         m in prop::sample::select(vec![2usize, 3, 5]),
         epsilon in prop::sample::select(vec![0.05, 0.1, 0.2, 0.3]),
-        // Op 0 clears the archive (a restart); every other op offers the point.
+        // Op 0 starts the archive over empty; every other op offers the point.
         stream in prop::collection::vec(
             (prop::collection::vec(objective_value(), 5), 0u8..24),
             1..80,
@@ -36,7 +36,7 @@ proptest! {
         let mut archive = EpsilonArchive::uniform(m, epsilon);
         for (step, (point, op)) in stream.iter().enumerate() {
             if *op == 0 {
-                archive.clear_solutions();
+                archive = EpsilonArchive::uniform(m, epsilon);
             } else {
                 archive.add(Solution::from_parts(vec![], point[..m].to_vec(), vec![]));
             }

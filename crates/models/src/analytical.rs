@@ -70,28 +70,18 @@ pub fn async_parallel_time_saturating(n: u64, p: u32, t: TimingParams) -> f64 {
     eq2.max(floor)
 }
 
-/// Speedup `S_P = T_S / T_P` of the asynchronous analytical model.
-pub fn async_speedup(n: u64, p: u32, t: TimingParams) -> f64 {
-    serial_time(n, t) / async_parallel_time(n, p, t)
-}
-
-/// Efficiency `E_P = T_S / (P · T_P)` of the asynchronous analytical model.
-pub fn async_efficiency(n: u64, p: u32, t: TimingParams) -> f64 {
-    async_speedup(n, p, t) / p as f64
-}
-
 /// Eq. (6): Cantú-Paz's synchronous master-slave runtime
 /// `T_P^sync = N/P (T_F + P T_C + T_A^sync)` with `T_A^sync = P T_A`
 /// (each node evaluates one solution per generation; the master processes
 /// all `P` offspring serially).
-pub fn sync_parallel_time(n: u64, p: u32, t: TimingParams) -> f64 {
+pub(crate) fn sync_parallel_time(n: u64, p: u32, t: TimingParams) -> f64 {
     assert!(p >= 1);
     let pf = p as f64;
     n as f64 / pf * (t.t_f + pf * t.t_c + pf * t.t_a)
 }
 
 /// Speedup of the synchronous model against the same serial baseline.
-pub fn sync_speedup(n: u64, p: u32, t: TimingParams) -> f64 {
+pub(crate) fn sync_speedup(n: u64, p: u32, t: TimingParams) -> f64 {
     serial_time(n, t) / sync_parallel_time(n, p, t)
 }
 
@@ -113,6 +103,11 @@ mod tests {
     /// Table II's DTLZ2 row at P = 128, T_F = 0.01: T_A = 29 µs, T_C = 6 µs.
     fn dtlz2_p128() -> TimingParams {
         TimingParams::new(0.01, 0.000_006, 0.000_029)
+    }
+
+    /// Efficiency `E_P = T_S / (P · T_P)` of Eq. 2.
+    fn async_efficiency(n: u64, p: u32, t: TimingParams) -> f64 {
+        serial_time(n, t) / async_parallel_time(n, p, t) / p as f64
     }
 
     #[test]

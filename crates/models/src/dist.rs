@@ -11,7 +11,7 @@ use rand::Rng;
 use rand::RngCore;
 
 /// Natural log of the gamma function (Lanczos approximation, |err| < 1e-13).
-pub fn ln_gamma(x: f64) -> f64 {
+pub(crate) fn ln_gamma(x: f64) -> f64 {
     assert!(x > 0.0, "ln_gamma needs positive argument, got {x}");
     // Lanczos g = 7, n = 9 coefficients.
     const COEF: [f64; 9] = [
@@ -40,7 +40,7 @@ pub fn ln_gamma(x: f64) -> f64 {
 }
 
 /// Digamma function ψ(x) = d/dx ln Γ(x) (recurrence + asymptotic series).
-pub fn digamma(mut x: f64) -> f64 {
+pub(crate) fn digamma(mut x: f64) -> f64 {
     assert!(x > 0.0, "digamma needs positive argument");
     let mut result = 0.0;
     while x < 10.0 {
@@ -55,7 +55,7 @@ pub fn digamma(mut x: f64) -> f64 {
 }
 
 /// Trigamma function ψ'(x) (recurrence + asymptotic series).
-pub fn trigamma(mut x: f64) -> f64 {
+pub(crate) fn trigamma(mut x: f64) -> f64 {
     assert!(x > 0.0, "trigamma needs positive argument");
     let mut result = 0.0;
     while x < 10.0 {
@@ -217,26 +217,6 @@ impl Dist {
         }
     }
 
-    /// Theoretical variance.
-    pub fn variance(&self) -> f64 {
-        match *self {
-            Dist::Constant(_) => 0.0,
-            Dist::Uniform { lo, hi } => (hi - lo) * (hi - lo) / 12.0,
-            Dist::Exponential { rate } => 1.0 / (rate * rate),
-            Dist::Normal { sd, .. } => sd * sd,
-            Dist::LogNormal { mu, sigma } => {
-                let s2 = sigma * sigma;
-                (s2.exp() - 1.0) * (2.0 * mu + s2).exp()
-            }
-            Dist::Gamma { shape, scale } => shape * scale * scale,
-            Dist::Weibull { shape, scale } => {
-                let g1 = (ln_gamma(1.0 + 1.0 / shape)).exp();
-                let g2 = (ln_gamma(1.0 + 2.0 / shape)).exp();
-                scale * scale * (g2 - g1 * g1)
-            }
-        }
-    }
-
     /// Log-density at `x` (−∞ outside the support; `Constant` has no
     /// density and returns −∞ except exactly at its atom, where it returns
     /// +∞ — constants are excluded from likelihood-based model selection).
@@ -244,7 +224,7 @@ impl Dist {
         clippy::float_cmp,
         reason = "a point mass has density only at its exact atom"
     )]
-    pub fn ln_pdf(&self, x: f64) -> f64 {
+    pub(crate) fn ln_pdf(&self, x: f64) -> f64 {
         match *self {
             Dist::Constant(c) => {
                 if x == c {
@@ -372,6 +352,27 @@ mod tests {
         SplitMix64::new(7).derive("dist-tests")
     }
 
+    /// The theoretical variance: the reference `sample_moments_match_theory` checks
+    /// each sampler's sample variance against.
+    fn variance(d: Dist) -> f64 {
+        match d {
+            Dist::Constant(_) => 0.0,
+            Dist::Uniform { lo, hi } => (hi - lo) * (hi - lo) / 12.0,
+            Dist::Exponential { rate } => 1.0 / (rate * rate),
+            Dist::Normal { sd, .. } => sd * sd,
+            Dist::LogNormal { mu, sigma } => {
+                let s2 = sigma * sigma;
+                (s2.exp() - 1.0) * (2.0 * mu + s2).exp()
+            }
+            Dist::Gamma { shape, scale } => shape * scale * scale,
+            Dist::Weibull { shape, scale } => {
+                let g1 = (ln_gamma(1.0 + 1.0 / shape)).exp();
+                let g2 = (ln_gamma(1.0 + 2.0 / shape)).exp();
+                scale * scale * (g2 - g1 * g1)
+            }
+        }
+    }
+
     fn moments(d: Dist, n: usize) -> (f64, f64) {
         let mut r = rng();
         let xs: Vec<f64> = (0..n).map(|_| d.sample(&mut r)).collect();
@@ -436,7 +437,7 @@ mod tests {
         ];
         for d in cases {
             let (m, v) = moments(d, 100_000);
-            let (tm, tv) = (d.mean(), d.variance());
+            let (tm, tv) = (d.mean(), variance(d));
             assert!(
                 (m - tm).abs() < 0.03 * tm.abs().max(0.3),
                 "{d:?}: mean {m} vs {tm}"
@@ -454,7 +455,7 @@ mod tests {
         assert_eq!(d, Dist::Constant(0.01));
         let mut r = rng();
         assert_eq!(d.sample(&mut r), 0.01);
-        assert_eq!(d.variance(), 0.0);
+        assert_eq!(variance(d), 0.0);
     }
 
     #[test]

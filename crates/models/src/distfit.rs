@@ -75,7 +75,7 @@ impl SampleStats {
     }
 
     /// Standard deviation.
-    pub fn sd(&self) -> f64 {
+    pub(crate) fn sd(&self) -> f64 {
         self.variance.sqrt()
     }
 
@@ -92,7 +92,7 @@ impl SampleStats {
 /// A stream of timing samples kept in bounded memory: an exact count and
 /// sum, and every [`stride`](Self::stride)-th value in push order.
 ///
-/// Every value is kept until [`SampleLog::CAP`] are retained. The next
+/// Every value is kept until `SampleLog::CAP` are retained. The next
 /// value that falls on the stride first drops every second retained value
 /// and doubles the stride, so a long stream holds between `CAP / 2` and
 /// `CAP` values and `retained()` is always `stream.step_by(stride())`.
@@ -108,7 +108,7 @@ pub struct SampleLog {
 
 impl SampleLog {
     /// The most values a log retains: 2¹⁷.
-    pub const CAP: usize = 1 << 17;
+    pub(crate) const CAP: usize = 1 << 17;
 
     /// An empty log.
     pub fn new() -> Self {
@@ -193,7 +193,7 @@ impl Default for SampleLog {
 /// MLE fit of one family. Returns `None` when the family's support cannot
 /// hold the sample (e.g. log-normal with non-positive values) or the MLE
 /// degenerates.
-pub fn fit_family(family: Family, samples: &[f64]) -> Option<Dist> {
+pub(crate) fn fit_family(family: Family, samples: &[f64]) -> Option<Dist> {
     let stats = SampleStats::of(samples);
     match family {
         Family::Uniform => (stats.max > stats.min).then_some(Dist::Uniform {

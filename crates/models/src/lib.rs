@@ -13,7 +13,10 @@
 //!   sampled timing distributions.
 //!
 //! ```
-//! use borg_models::prelude::*;
+//! use borg_models::analytical::{
+//!     async_parallel_time, processor_upper_bound, relative_error, TimingParams,
+//! };
+//! use borg_models::perfsim::{simulate_async, PerfSimConfig, TimingModel};
 //!
 //! // Eq. 3: the paper's worked example — master saturation at P ≈ 244.
 //! let t = TimingParams::new(0.01, 0.000_006, 0.000_029);
@@ -49,26 +52,4 @@ pub mod dist;
 pub mod distfit;
 pub mod perfsim;
 pub mod queueing;
-pub mod special;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::advisor::{
-        recommend_partition, recommend_processor_count, PartitionRecommendation,
-        ProcessorRecommendation,
-    };
-    pub use crate::analytical::{
-        async_efficiency, async_parallel_time, async_parallel_time_saturating, async_speedup,
-        processor_lower_bound, processor_upper_bound, relative_error, serial_time, sync_efficiency,
-        sync_parallel_time, sync_speedup, TimingParams,
-    };
-    pub use crate::dist::Dist;
-    pub use crate::distfit::{best_fit, fit_all, fit_family, Family, SampleLog, SampleStats};
-    pub use crate::perfsim::{
-        simulate_async, simulate_async_mean, simulate_sync, PerfPrediction, PerfSimConfig,
-        TimingModel,
-    };
-    pub use crate::queueing::{
-        run_async, run_async_with, run_sync, AsyncRun, MasterSlaveHooks, RunOutcome,
-    };
-}
+pub(crate) mod special;

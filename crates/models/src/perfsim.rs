@@ -46,7 +46,7 @@ impl TimingModel {
     }
 
     /// Mean-value [`TimingParams`] (what the analytical model sees).
-    pub fn means(&self) -> TimingParams {
+    pub(crate) fn means(&self) -> TimingParams {
         TimingParams::new(self.t_f.mean(), self.t_c.mean(), self.t_a.mean())
     }
 }

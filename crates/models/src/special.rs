@@ -7,7 +7,7 @@ use crate::dist::ln_gamma;
 /// approximation refined with one series/continued-fraction evaluation —
 /// here implemented with the incomplete-gamma identity
 /// `erf(x) = P(1/2, x²)` for |err| < 1e-12.
-pub fn erf(x: f64) -> f64 {
+pub(crate) fn erf(x: f64) -> f64 {
     if x == 0.0 {
         return 0.0;
     }
@@ -15,20 +15,15 @@ pub fn erf(x: f64) -> f64 {
     sign * regularized_gamma_p(0.5, x * x)
 }
 
-/// Complementary error function.
-pub fn erfc(x: f64) -> f64 {
-    1.0 - erf(x)
-}
-
 /// Standard normal CDF.
-pub fn normal_cdf(z: f64) -> f64 {
+pub(crate) fn normal_cdf(z: f64) -> f64 {
     0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2))
 }
 
 /// Regularized lower incomplete gamma function `P(a, x) = γ(a, x)/Γ(a)`,
 /// computed by series expansion for `x < a + 1` and by the continued
 /// fraction of `Q(a, x)` otherwise (Numerical Recipes §6.2).
-pub fn regularized_gamma_p(a: f64, x: f64) -> f64 {
+pub(crate) fn regularized_gamma_p(a: f64, x: f64) -> f64 {
     assert!(a > 0.0, "shape must be positive");
     assert!(x >= 0.0, "argument must be non-negative");
     if x == 0.0 {
@@ -94,7 +89,6 @@ mod tests {
         assert!((erf(1.0) - 0.842_700_792_949_714_9).abs() < 1e-10);
         assert!((erf(2.0) - 0.995_322_265_018_952_7).abs() < 1e-10);
         assert!((erf(-1.0) + 0.842_700_792_949_714_9).abs() < 1e-10);
-        assert!((erfc(1.0) - 0.157_299_207_050_285_1).abs() < 1e-10);
     }
 
     #[test]

@@ -626,7 +626,7 @@ impl FrameReader {
 
     /// Bytes buffered but not yet decoded (nonzero at EOF means the
     /// stream ended mid-frame).
-    pub fn pending_len(&self) -> usize {
+    pub(crate) fn pending_len(&self) -> usize {
         self.buf.len() - self.start
     }
 }

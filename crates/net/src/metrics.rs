@@ -8,40 +8,40 @@ pub const FRAMES_SENT: &str = "net.frames_sent";
 /// Frames successfully decoded off a socket.
 pub const FRAMES_RECEIVED: &str = "net.frames_received";
 /// Bytes written (frame-complete).
-pub const BYTES_SENT: &str = "net.bytes_sent";
+pub(crate) const BYTES_SENT: &str = "net.bytes_sent";
 /// Work items dispatched over the wire.
-pub const DISPATCHES: &str = "net.dispatches";
+pub(crate) const DISPATCHES: &str = "net.dispatches";
 /// Result frames consumed by the master.
 pub const RESULTS: &str = "net.results";
 /// Duplicate result frames absorbed (chaos duplication, reissue races).
-pub const DUPLICATES: &str = "net.duplicates";
+pub(crate) const DUPLICATES: &str = "net.duplicates";
 /// Heartbeat frames received by the master.
-pub const HEARTBEATS: &str = "net.heartbeats";
+pub(crate) const HEARTBEATS: &str = "net.heartbeats";
 /// Successful (re)connections, worker side.
-pub const RECONNECTS: &str = "net.reconnects";
+pub(crate) const RECONNECTS: &str = "net.reconnects";
 /// Frames that failed to decode (connection subsequently dropped).
-pub const DECODE_ERRORS: &str = "net.decode_errors";
+pub(crate) const DECODE_ERRORS: &str = "net.decode_errors";
 /// Worker deaths detected by the master (EOF or stale heartbeat).
-pub const WORKER_DEATHS: &str = "net.worker_deaths";
+pub(crate) const WORKER_DEATHS: &str = "net.worker_deaths";
 /// Faults the chaos proxy physically injected on the wire.
-pub const CHAOS_INJECTIONS: &str = "net.chaos_injections";
+pub(crate) const CHAOS_INJECTIONS: &str = "net.chaos_injections";
 /// Histogram: wall-clock seconds from dispatch write to result decode.
 pub const RTT_SECONDS: &str = "net.rtt_seconds";
 /// Histogram: wall-clock seconds the master blocked waiting for a
 /// pinned-mode wire result.
-pub const RESULT_WAIT_SECONDS: &str = "net.result_wait_seconds";
+pub(crate) const RESULT_WAIT_SECONDS: &str = "net.result_wait_seconds";
 /// Trace contexts stamped onto outgoing frames (either role).
-pub const TRACE_CTX_SENT: &str = "net.trace.ctx_sent";
+pub(crate) const TRACE_CTX_SENT: &str = "net.trace.ctx_sent";
 /// Trace contexts observed on incoming frames (either role).
-pub const TRACE_CTX_RECEIVED: &str = "net.trace.ctx_received";
+pub(crate) const TRACE_CTX_RECEIVED: &str = "net.trace.ctx_received";
 /// Heartbeat clock-probe echoes the master sent back.
-pub const TRACE_PROBE_ECHOES: &str = "net.trace.probe_echoes";
+pub(crate) const TRACE_PROBE_ECHOES: &str = "net.trace.probe_echoes";
 /// Histogram: heartbeat probe round-trip seconds (worker side).
-pub const TRACE_PROBE_RTT_SECONDS: &str = "net.trace.probe_rtt_seconds";
+pub(crate) const TRACE_PROBE_RTT_SECONDS: &str = "net.trace.probe_rtt_seconds";
 /// Tap frames streamed to live metrics subscribers.
-pub const TAP_FRAMES: &str = "net.tap.frames";
+pub(crate) const TAP_FRAMES: &str = "net.tap.frames";
 /// Tap subscriber connections accepted.
-pub const TAP_SUBSCRIBERS: &str = "net.tap.subscribers";
+pub(crate) const TAP_SUBSCRIBERS: &str = "net.tap.subscribers";
 /// Flight-recorder events captured into the ring (any process).
 pub const FLIGHT_EVENTS: &str = "flight.events";
 /// Flight-recorder dumps written (worker death, sever, panic, shutdown).

@@ -5,7 +5,7 @@
 //! archive update, next dispatch out) runs on the connection thread that
 //! read the result, under the one master lock; the thread that called
 //! [`serve`] keeps the clock and tears the connections down. This module
-//! is the socket half: configuration, registration, the [`NetLink`] that
+//! is the socket half: configuration, registration, the `NetLink` that
 //! frames work items onto each connection's write half and records the
 //! `net.*` counters, trace edges and flight events, the connection
 //! threads that read and decode frames outside any lock, and the

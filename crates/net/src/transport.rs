@@ -181,7 +181,7 @@ impl NetListener {
 
     /// Puts the listener in non-blocking mode (the accept loops poll a
     /// shutdown flag between attempts instead of blocking forever).
-    pub fn set_nonblocking(&self, nonblocking: bool) -> Result<(), NetError> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> Result<(), NetError> {
         match self {
             NetListener::Tcp(l) => l.set_nonblocking(nonblocking),
             NetListener::Unix(l) => l.set_nonblocking(nonblocking),
@@ -232,7 +232,7 @@ impl NetStream {
         .map_err(|e| NetError::io("set_read_timeout", &e))
     }
 
-    pub fn set_write_timeout(&self, timeout: Option<Duration>) -> Result<(), NetError> {
+    pub(crate) fn set_write_timeout(&self, timeout: Option<Duration>) -> Result<(), NetError> {
         match self {
             NetStream::Tcp(s) => s.set_write_timeout(timeout),
             NetStream::Unix(s) => s.set_write_timeout(timeout),
@@ -240,7 +240,7 @@ impl NetStream {
         .map_err(|e| NetError::io("set_write_timeout", &e))
     }
 
-    pub fn set_nonblocking(&self, nonblocking: bool) -> Result<(), NetError> {
+    pub(crate) fn set_nonblocking(&self, nonblocking: bool) -> Result<(), NetError> {
         match self {
             NetStream::Tcp(s) => s.set_nonblocking(nonblocking),
             NetStream::Unix(s) => s.set_nonblocking(nonblocking),
@@ -250,7 +250,7 @@ impl NetStream {
 
     /// Clones the OS handle (reader and writer halves can then live on
     /// different threads).
-    pub fn try_clone(&self) -> Result<NetStream, NetError> {
+    pub(crate) fn try_clone(&self) -> Result<NetStream, NetError> {
         match self {
             NetStream::Tcp(s) => s.try_clone().map(NetStream::Tcp),
             NetStream::Unix(s) => s.try_clone().map(NetStream::Unix),
@@ -324,7 +324,7 @@ impl Backoff {
 
     /// The delay to sleep before the next attempt, or `None` when the
     /// schedule is exhausted.
-    pub fn next_delay(&mut self) -> Option<Duration> {
+    pub(crate) fn next_delay(&mut self) -> Option<Duration> {
         if self.attempt >= self.max_attempts {
             return None;
         }

@@ -163,7 +163,7 @@ mod tests {
     use crate::span::Activity;
 
     fn sample_trace() -> SpanTrace {
-        let mut t = SpanTrace::new();
+        let mut t = SpanTrace::default();
         t.record(Actor::Master, Activity::Algorithm, 0.0, 0.001);
         t.record(Actor::Master, Activity::Communication, 0.001, 0.0015);
         t.record(Actor::Worker(0), Activity::Evaluation, 0.0015, 0.01);

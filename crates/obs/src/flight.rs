@@ -77,7 +77,7 @@ impl FlightRecorder {
 
     /// Records one event, overwriting the oldest once the ring is full.
     /// Allocation-free after construction.
-    pub fn record(&self, code: &'static str, t: f64, a: u64, b: u64, x: f64) {
+    pub(crate) fn record(&self, code: &'static str, t: f64, a: u64, b: u64, x: f64) {
         let mut r = self.ring();
         let seq = r.next_seq;
         r.next_seq += 1;

@@ -58,19 +58,19 @@ impl Histogram {
     }
 
     /// Inclusive lower bound of the bucket with the given key.
-    pub fn bucket_lower(key: u16) -> f64 {
+    pub(crate) fn bucket_lower(key: u16) -> f64 {
         let exp = i32::from(key / SUBBUCKETS) - 1023;
         let sub = f64::from(key % SUBBUCKETS);
         (1.0 + sub / f64::from(SUBBUCKETS)) * (2.0f64).powi(exp)
     }
 
     /// Exclusive upper bound of the bucket with the given key.
-    pub fn bucket_upper(key: u16) -> f64 {
+    pub(crate) fn bucket_upper(key: u16) -> f64 {
         Self::bucket_lower(key + 1)
     }
 
     /// Records one observation.
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         self.count += 1;
         if value.is_finite() {
             self.sum += value;
@@ -124,12 +124,12 @@ impl Histogram {
     }
 
     /// Observations that were zero, negative or non-finite.
-    pub fn nonpositive(&self) -> u64 {
+    pub(crate) fn nonpositive(&self) -> u64 {
         self.nonpositive
     }
 
     /// Occupied buckets as `(lower, upper, count)`, ascending.
-    pub fn buckets(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
+    pub(crate) fn buckets(&self) -> impl Iterator<Item = (f64, f64, u64)> + '_ {
         self.buckets
             .iter()
             .map(|(&k, &n)| (Self::bucket_lower(k), Self::bucket_upper(k), n))
@@ -176,7 +176,7 @@ impl Histogram {
     /// `min`/`max` stay *cumulative* — a log-bucketed histogram cannot
     /// recover the extrema of just the new samples — which the live
     /// metrics tap documents on its wire format.
-    pub fn diff(&self, prev: &Histogram) -> Histogram {
+    pub(crate) fn diff(&self, prev: &Histogram) -> Histogram {
         let mut out = Histogram::new();
         for (&k, &n) in &self.buckets {
             let before = prev.buckets.get(&k).copied().unwrap_or(0);

@@ -54,7 +54,7 @@
 pub mod export;
 pub mod flight;
 pub mod hist;
-pub mod recorder;
+pub(crate) mod recorder;
 pub mod shard;
 pub mod span;
 

@@ -51,7 +51,7 @@ impl TraceEdgeKind {
     }
 
     /// Inverse of [`TraceEdgeKind::label`].
-    pub fn from_label(s: &str) -> Option<Self> {
+    pub(crate) fn from_label(s: &str) -> Option<Self> {
         Some(match s {
             "dispatch_sent" => TraceEdgeKind::DispatchSent,
             "work_received" => TraceEdgeKind::WorkReceived,
@@ -115,7 +115,7 @@ pub trait Recorder {
 
     /// Records one activity span. Implementations also feed the span's
     /// duration into the activity's histogram (see
-    /// [`Activity::metric_name`]) so `T_F`/`T_C`/`T_A` distributions fall
+    /// `Activity::metric_name`) so `T_F`/`T_C`/`T_A` distributions fall
     /// out of tracing for free.
     fn span(&self, actor: Actor, activity: Activity, start: f64, end: f64) {
         let _ = (actor, activity, start, end);
@@ -187,7 +187,7 @@ impl MetricsSnapshot {
 
     /// The change from `prev` (an earlier snapshot of the same recorder)
     /// to `self`: counters subtract, histograms bucket-diff (see
-    /// [`Histogram::diff`]), gauges report their current value.
+    /// `Histogram::diff`), gauges report their current value.
     ///
     /// Every key of `self` is present in the delta even when nothing
     /// changed — the live metrics tap relies on a stable per-tick schema,
@@ -289,11 +289,6 @@ impl InMemoryRecorder {
     /// Copies the stored spans into a renderable [`SpanTrace`].
     pub fn span_trace(&self) -> SpanTrace {
         SpanTrace::from_spans(self.store().spans.clone())
-    }
-
-    /// Copies out the distributed-trace edges recorded so far.
-    pub fn trace_edges(&self) -> Vec<TraceEdge> {
-        self.store().trace_edges.clone()
     }
 
     /// Moves the recorded trace edges out (collection continues after).
@@ -541,11 +536,10 @@ mod tests {
             local_t: 0.5,
             remote_t: 0.0,
         });
-        assert_eq!(rec.trace_edges().len(), 1);
         let drained = rec.take_trace_edges();
         assert_eq!(drained.len(), 1);
         assert_eq!(drained[0].kind, TraceEdgeKind::DispatchSent);
-        assert!(rec.trace_edges().is_empty());
+        assert!(rec.take_trace_edges().is_empty());
         // The noop sink ignores edges and flight events silently.
         NoopRecorder.trace_edge(drained[0]);
         NoopRecorder.flight("engine.events.result_arrived", 1.0, 7, 1, 0.0);

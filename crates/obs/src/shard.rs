@@ -27,7 +27,7 @@ use crate::recorder::{TraceEdge, TraceEdgeKind};
 use std::collections::BTreeMap;
 
 /// Shard format version tag (the JSONL header's `shard` field).
-pub const SHARD_SCHEMA: &str = "borg-trace-shard/v1";
+pub(crate) const SHARD_SCHEMA: &str = "borg-trace-shard/v1";
 
 /// The trace edges one process observed, plus its identity.
 #[derive(Debug, Clone, PartialEq)]
@@ -184,7 +184,7 @@ pub struct EvalChain {
 
 impl EvalChain {
     /// Outbound communication time `t1 − t0`.
-    pub fn t_c_out(&self) -> f64 {
+    pub(crate) fn t_c_out(&self) -> f64 {
         self.t1 - self.t0
     }
 
@@ -195,7 +195,7 @@ impl EvalChain {
     }
 
     /// Return communication time `t3 − t2`.
-    pub fn t_c_back(&self) -> f64 {
+    pub(crate) fn t_c_back(&self) -> f64 {
         self.t3 - self.t2
     }
 }

@@ -43,7 +43,7 @@ pub enum Activity {
 
 impl Activity {
     /// One-character glyph for the ASCII Gantt rendering.
-    pub fn glyph(self) -> char {
+    pub(crate) fn glyph(self) -> char {
         match self {
             Activity::Communication => 'C',
             Activity::Algorithm => 'A',
@@ -54,7 +54,7 @@ impl Activity {
 
     /// The empirical-distribution histogram this activity's durations feed
     /// (the paper's `T_C` / `T_A` / `T_F` plus explicit idle time).
-    pub fn metric_name(self) -> &'static str {
+    pub(crate) fn metric_name(self) -> &'static str {
         match self {
             Activity::Communication => "t_c_seconds",
             Activity::Algorithm => "t_a_seconds",
@@ -64,7 +64,7 @@ impl Activity {
     }
 
     /// Lowercase label used for Chrome-trace event names/categories.
-    pub fn trace_name(self) -> &'static str {
+    pub(crate) fn trace_name(self) -> &'static str {
         match self {
             Activity::Communication => "communication",
             Activity::Algorithm => "algorithm",
@@ -91,40 +91,21 @@ pub struct Span {
 #[derive(Debug, Clone, Default)]
 pub struct SpanTrace {
     spans: Vec<Span>,
-    enabled: bool,
 }
 
 impl SpanTrace {
-    /// Creates an enabled trace.
-    pub fn new() -> Self {
-        Self {
-            spans: Vec::new(),
-            enabled: true,
-        }
-    }
-
-    /// Creates a disabled trace (recording is a no-op; prefer passing
-    /// [`crate::NoopRecorder`] to executors instead).
-    pub fn disabled() -> Self {
-        Self {
-            spans: Vec::new(),
-            enabled: false,
-        }
-    }
-
-    /// An enabled trace over pre-collected spans (e.g. drained from an
+    /// A trace over pre-collected spans (e.g. drained from an
     /// [`crate::InMemoryRecorder`]).
-    pub fn from_spans(spans: Vec<Span>) -> Self {
-        Self {
-            spans,
-            enabled: true,
-        }
+    pub(crate) fn from_spans(spans: Vec<Span>) -> Self {
+        Self { spans }
     }
 
-    /// Records a span (no-op when disabled; zero-length spans are dropped).
-    pub fn record(&mut self, actor: Actor, activity: Activity, start: f64, end: f64) {
+    /// Records a span, dropping a zero-length one: how the tests build a
+    /// trace span by span.
+    #[cfg(test)]
+    pub(crate) fn record(&mut self, actor: Actor, activity: Activity, start: f64, end: f64) {
         debug_assert!(end >= start, "span ends before it starts");
-        if self.enabled && end > start {
+        if end > start {
             self.spans.push(Span {
                 actor,
                 activity,
@@ -139,13 +120,8 @@ impl SpanTrace {
         &self.spans
     }
 
-    /// Whether recording is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// End time of the latest span (0 when empty).
-    pub fn horizon(&self) -> f64 {
+    pub(crate) fn horizon(&self) -> f64 {
         self.spans.iter().map(|s| s.end).fold(0.0, f64::max)
     }
 
@@ -204,7 +180,7 @@ mod tests {
 
     #[test]
     fn records_and_reports_horizon() {
-        let mut t = SpanTrace::new();
+        let mut t = SpanTrace::default();
         t.record(Actor::Master, Activity::Algorithm, 0.0, 1.0);
         t.record(Actor::Worker(0), Activity::Evaluation, 1.0, 4.0);
         assert_eq!(t.spans().len(), 2);
@@ -212,23 +188,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_trace_records_nothing() {
-        let mut t = SpanTrace::disabled();
-        t.record(Actor::Master, Activity::Algorithm, 0.0, 1.0);
-        assert!(t.spans().is_empty());
-        assert!(!t.is_enabled());
-    }
-
-    #[test]
     fn zero_length_spans_dropped() {
-        let mut t = SpanTrace::new();
+        let mut t = SpanTrace::default();
         t.record(Actor::Master, Activity::Communication, 1.0, 1.0);
         assert!(t.spans().is_empty());
     }
 
     #[test]
     fn csv_has_header_and_rows() {
-        let mut t = SpanTrace::new();
+        let mut t = SpanTrace::default();
         t.record(Actor::Worker(3), Activity::Evaluation, 0.5, 2.5);
         let csv = t.to_csv();
         let lines: Vec<&str> = csv.lines().collect();
@@ -238,7 +206,7 @@ mod tests {
 
     #[test]
     fn ascii_chart_shows_glyphs_per_actor() {
-        let mut t = SpanTrace::new();
+        let mut t = SpanTrace::default();
         t.record(Actor::Master, Activity::Algorithm, 0.0, 5.0);
         t.record(Actor::Master, Activity::Communication, 5.0, 10.0);
         t.record(Actor::Worker(0), Activity::Evaluation, 0.0, 10.0);
@@ -253,7 +221,7 @@ mod tests {
 
     #[test]
     fn actors_sort_master_first() {
-        let mut t = SpanTrace::new();
+        let mut t = SpanTrace::default();
         t.record(Actor::Worker(1), Activity::Evaluation, 0.0, 1.0);
         t.record(Actor::Master, Activity::Algorithm, 0.0, 1.0);
         t.record(Actor::Worker(0), Activity::Evaluation, 0.0, 1.0);

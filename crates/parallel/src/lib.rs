@@ -20,7 +20,7 @@
 //! use borg_core::algorithm::BorgConfig;
 //! use borg_models::dist::Dist;
 //! use borg_obs::NoopRecorder;
-//! use borg_parallel::prelude::*;
+//! use borg_parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
 //! use borg_problems::dtlz::{Dtlz, DtlzVariant};
 //!
 //! // Run the real Borg MOEA on 63 simulated workers, deterministically.
@@ -62,16 +62,3 @@ mod master_core;
 pub mod threads;
 pub mod virtual_exec;
 pub mod wallclock;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::delayed::precise_delay;
-    pub use crate::threads::{
-        estimate_comm_time, run_threaded, run_threaded_observed, ThreadedConfig, ThreadedError,
-        ThreadedRunResult,
-    };
-    pub use crate::virtual_exec::{
-        run_virtual_async, run_virtual_async_with, run_virtual_serial, FaultyRun, TaMode,
-        VirtualConfig, VirtualRunResult,
-    };
-}

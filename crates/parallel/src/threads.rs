@@ -72,7 +72,7 @@ pub struct ThreadedRunResult {
 
 /// Objective value substituted for evaluations that panicked: finite (so
 /// ε-box arithmetic stays well-defined) but worse than any real objective.
-pub const PANIC_OBJECTIVE: f64 = 1e30;
+pub(crate) const PANIC_OBJECTIVE: f64 = 1e30;
 
 /// Failures of the real-thread executor.
 ///
@@ -294,7 +294,7 @@ fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
 /// # Errors
 /// [`ThreadedError`] if the worker pool dies before the evaluation budget
 /// completes (panicking *evaluations* are tolerated and do not cause this;
-/// see [`PANIC_OBJECTIVE`]) or an evaluation exhausts its reissue budget.
+/// see `PANIC_OBJECTIVE`) or an evaluation exhausts its reissue budget.
 pub fn run_threaded<P: Problem + ?Sized>(
     problem: &P,
     borg: BorgConfig,

@@ -450,7 +450,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
     }
 
     /// The clock duties: expired deadlines, then silent peers.
-    pub fn on_tick(&mut self) -> bool {
+    pub(crate) fn on_tick(&mut self) -> bool {
         if self.exec.verdict.is_some() {
             return true;
         }

@@ -17,8 +17,7 @@ use borg_desim::fault::FaultConfig;
 use borg_models::dist::Dist;
 use borg_models::queueing::{run_async_with, MasterSlaveHooks};
 use borg_obs::{FlightEvent, FlightRecorder, NoopRecorder, WithFlight};
-use borg_parallel::prelude::*;
-use borg_parallel::virtual_exec::VirtualConfig;
+use borg_parallel::virtual_exec::{run_virtual_async_with, FaultyRun, TaMode, VirtualConfig};
 use borg_problems::dtlz::{Dtlz, DtlzVariant};
 use proptest::prelude::*;
 

@@ -36,7 +36,7 @@ impl Dtlz {
     }
 
     /// Creates a DTLZ2 instance with an explicit distance-variable count.
-    pub fn with_k(m: usize, k: usize) -> Self {
+    pub(crate) fn with_k(m: usize, k: usize) -> Self {
         assert!(m >= 2, "DTLZ needs at least two objectives");
         assert!(k >= 1, "DTLZ needs at least one distance variable");
         Self {

@@ -7,8 +7,9 @@
 //! problem that runs Borg's constraint handling end to end.
 //!
 //! ```
-//! use borg_problems::prelude::*;
 //! use borg_core::problem::Problem;
+//! use borg_problems::dtlz::Dtlz;
+//! use borg_problems::uf::uf11;
 //!
 //! // The paper's "easy" workload: 5-objective DTLZ2.
 //! let p = Dtlz::dtlz2_5();
@@ -38,14 +39,5 @@
 pub mod dtlz;
 pub mod misc;
 pub mod refsets;
-pub mod rotation;
+pub(crate) mod rotation;
 pub mod uf;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::dtlz::{Dtlz, DtlzVariant};
-    pub use crate::misc::BinhKorn;
-    pub use crate::refsets::{dtlz2_front, uf11_front};
-    pub use crate::rotation::{OrthogonalMatrix, RotatedProblem};
-    pub use crate::uf::uf11;
-}

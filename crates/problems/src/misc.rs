@@ -43,7 +43,7 @@ impl Problem for BinhKorn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borg_core::prelude::*;
+    use borg_core::algorithm::{run_serial, BorgConfig};
 
     #[test]
     fn binh_korn_constraint_signs() {

@@ -8,7 +8,7 @@
 /// Generates the Das–Dennis simplex-lattice weight vectors: all `m`-vectors
 /// of non-negative multiples of `1/h` summing to 1. Produces
 /// `C(h + m − 1, m − 1)` points.
-pub fn das_dennis_weights(m: usize, h: usize) -> Vec<Vec<f64>> {
+pub(crate) fn das_dennis_weights(m: usize, h: usize) -> Vec<Vec<f64>> {
     assert!(m >= 1);
     let mut out = Vec::new();
     let mut current = vec![0usize; m];

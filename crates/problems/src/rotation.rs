@@ -14,25 +14,17 @@ use rand::Rng;
 
 /// A dense orthogonal matrix with `R Rᵀ = I`.
 #[derive(Debug, Clone)]
-pub struct OrthogonalMatrix {
+pub(crate) struct OrthogonalMatrix {
     n: usize,
     /// Row-major entries.
     rows: Vec<Vec<f64>>,
 }
 
 impl OrthogonalMatrix {
-    /// Identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let rows = (0..n)
-            .map(|i| (0..n).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
-            .collect();
-        Self { n, rows }
-    }
-
     /// Deterministic random orthogonal matrix via Gram-Schmidt on a seeded
     /// Gaussian matrix (Haar-like; exact Haar would require sign fixing from
     /// the R diagonal, which is irrelevant here).
-    pub fn random(n: usize, seed: u64) -> Self {
+    pub(crate) fn random(n: usize, seed: u64) -> Self {
         assert!(n >= 1);
         let mut rng = SplitMix64::new(seed).derive("rotation");
         loop {
@@ -72,47 +64,13 @@ impl OrthogonalMatrix {
         }
     }
 
-    /// Matrix dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Computes `y = R x`.
-    pub fn apply(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn apply(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(y.len(), self.n);
         for (yi, row) in y.iter_mut().zip(&self.rows) {
             *yi = row.iter().zip(x).map(|(a, b)| a * b).sum();
         }
-    }
-
-    /// Computes `y = Rᵀ x` (the inverse transform, since R is orthogonal).
-    pub fn apply_transpose(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.n);
-        debug_assert_eq!(y.len(), self.n);
-        y.iter_mut().for_each(|v| *v = 0.0);
-        for (xi, row) in x.iter().zip(&self.rows) {
-            for (yj, rij) in y.iter_mut().zip(row) {
-                *yj += xi * rij;
-            }
-        }
-    }
-
-    /// Maximum absolute deviation of `R Rᵀ` from the identity (test hook).
-    pub fn orthogonality_error(&self) -> f64 {
-        let mut err: f64 = 0.0;
-        for i in 0..self.n {
-            for j in 0..self.n {
-                let dot: f64 = self.rows[i]
-                    .iter()
-                    .zip(&self.rows[j])
-                    .map(|(a, b)| a * b)
-                    .sum();
-                let expect = if i == j { 1.0 } else { 0.0 };
-                err = err.max((dot - expect).abs());
-            }
-        }
-        err
     }
 }
 
@@ -162,7 +120,7 @@ impl<P: Problem> RotatedProblem<P> {
     /// Applies per-objective multiplicative scaling (UF11 scales its five
     /// objectives; scaling changes hypervolume bookkeeping but not the
     /// dominance structure).
-    pub fn with_objective_scales(mut self, scales: Vec<f64>) -> Self {
+    pub(crate) fn with_objective_scales(mut self, scales: Vec<f64>) -> Self {
         assert_eq!(scales.len(), self.inner.num_objectives());
         assert!(scales.iter().all(|&s| s > 0.0));
         self.objective_scales = scales;
@@ -175,13 +133,8 @@ impl<P: Problem> RotatedProblem<P> {
         self
     }
 
-    /// The rotation matrix in use.
-    pub fn rotation(&self) -> &OrthogonalMatrix {
-        &self.rotation
-    }
-
     /// Objective scales in use.
-    pub fn objective_scales(&self) -> &[f64] {
+    pub(crate) fn objective_scales(&self) -> &[f64] {
         &self.objective_scales
     }
 
@@ -246,6 +199,46 @@ mod tests {
     use super::*;
     use crate::dtlz::Dtlz;
 
+    /// The checks the rotation tests hold a matrix to.
+    impl OrthogonalMatrix {
+        /// Identity matrix.
+        fn identity(n: usize) -> Self {
+            let rows = (0..n)
+                .map(|i| (0..n).map(|j| if i == j { 1.0 } else { 0.0 }).collect())
+                .collect();
+            Self { n, rows }
+        }
+
+        /// Computes `y = Rᵀ x` (the inverse transform, since R is orthogonal).
+        fn apply_transpose(&self, x: &[f64], y: &mut [f64]) {
+            debug_assert_eq!(x.len(), self.n);
+            debug_assert_eq!(y.len(), self.n);
+            y.iter_mut().for_each(|v| *v = 0.0);
+            for (xi, row) in x.iter().zip(&self.rows) {
+                for (yj, rij) in y.iter_mut().zip(row) {
+                    *yj += xi * rij;
+                }
+            }
+        }
+
+        /// Maximum absolute deviation of `R Rᵀ` from the identity.
+        fn orthogonality_error(&self) -> f64 {
+            let mut err: f64 = 0.0;
+            for i in 0..self.n {
+                for j in 0..self.n {
+                    let dot: f64 = self.rows[i]
+                        .iter()
+                        .zip(&self.rows[j])
+                        .map(|(a, b)| a * b)
+                        .sum();
+                    let expect = if i == j { 1.0 } else { 0.0 };
+                    err = err.max((dot - expect).abs());
+                }
+            }
+            err
+        }
+    }
+
     #[test]
     fn random_matrix_is_orthogonal() {
         for n in [1, 2, 5, 14, 30] {
@@ -303,7 +296,7 @@ mod tests {
             let vars: Vec<f64> = (0..n).map(|i| (i % 7) as f64 * 0.4 - 0.9).collect();
             let centered: Vec<f64> = vars.iter().map(|x| x - 0.5).collect();
             let mut rotated = vec![0.0; n];
-            p.rotation().apply(&centered, &mut rotated);
+            p.rotation.apply(&centered, &mut rotated);
             let clamped: Vec<f64> = rotated.iter().map(|r| (r + 0.5).clamp(0.0, 1.0)).collect();
             let (mut want, mut got) = (vec![0.0; 3], vec![0.0; 3]);
             inner.evaluate(&clamped, &mut want, &mut []);
@@ -332,7 +325,7 @@ mod tests {
         let target = vec![0.5; n];
         let centered: Vec<f64> = target.iter().map(|&x| x - 0.5).collect();
         let mut pre = vec![0.0; n];
-        p.rotation().apply_transpose(&centered, &mut pre);
+        p.rotation.apply_transpose(&centered, &mut pre);
         let vars: Vec<f64> = pre.iter().map(|&x| x + 0.5).collect();
         for (i, &v) in vars.iter().enumerate() {
             assert!(p.bounds(i).contains(v));

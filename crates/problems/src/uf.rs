@@ -1,6 +1,6 @@
 //! UF11 of the CEC 2009 test suite (Zhang et al., tech. report CES-487):
 //! the paper's "hard" problem, a rotated, scaled 5-objective DTLZ2 (the
-//! official name is `R2_DTLZ2_M5`). We build it from [`RotatedProblem`]
+//! official name is `R2_DTLZ2_M5`). We build it from `RotatedProblem`
 //! with a fixed seed; see DESIGN.md §2 for why this substitution
 //! preserves the relevant behaviour.
 
@@ -9,7 +9,7 @@ use crate::rotation::RotatedProblem;
 
 /// The seed fixing the UF11 rotation matrix (stands in for the CEC'09
 /// data files; any fixed dense rotation works — see DESIGN.md §2).
-pub const UF_ROTATION_SEED: u64 = 0x2009_CEC0;
+pub(crate) const UF_ROTATION_SEED: u64 = 0x2009_CEC0;
 
 /// UF11: the rotated, scaled 5-objective DTLZ2 (`R2_DTLZ2_M5`) used as the
 /// paper's non-separable hard problem.

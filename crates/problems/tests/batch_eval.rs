@@ -4,7 +4,9 @@
 
 use borg_core::matrix::ObjectiveMatrix;
 use borg_core::problem::Problem;
-use borg_problems::prelude::*;
+use borg_problems::dtlz::{Dtlz, DtlzVariant};
+use borg_problems::misc::BinhKorn;
+use borg_problems::uf::uf11;
 
 /// Tiny deterministic generator so the test needs no RNG dependency.
 fn next_unit(state: &mut u64) -> f64 {

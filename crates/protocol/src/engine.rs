@@ -94,7 +94,7 @@ pub enum PoolDiscipline {
 /// Whether the master keeps dispatching past the point where outstanding
 /// work covers the budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchPolicy {
+pub(crate) enum DispatchPolicy {
     /// Dispatch after every consume unconditionally (the fault-free
     /// asynchronous master: a few tail evaluations are still in flight
     /// when the budget completes — exactly the paper's topology).
@@ -117,7 +117,7 @@ pub struct EngineConfig {
     /// Assigned vs shared worker pool.
     pub discipline: PoolDiscipline,
     /// Eager vs budgeted dispatch.
-    pub dispatch_policy: DispatchPolicy,
+    pub(crate) dispatch_policy: DispatchPolicy,
 }
 
 impl EngineConfig {

@@ -65,7 +65,7 @@ mod policy;
 mod window;
 
 pub use command::{Command, Event};
-pub use engine::{DispatchPolicy, EngineConfig, MasterEngine, PoolDiscipline, Transport};
+pub use engine::{EngineConfig, MasterEngine, PoolDiscipline, Transport};
 pub use policy::RecoveryPolicy;
 pub use window::IdWindow;
 

@@ -98,13 +98,13 @@ impl std::error::Error for JobPanicked {}
 
 /// Worker threads this machine can usefully run (`available_parallelism`,
 /// falling back to 1 when the OS refuses to say).
-pub fn available_jobs() -> usize {
+pub(crate) fn available_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Resolves a `--jobs`-style knob: `0` means "auto" ([`available_jobs`]),
 /// anything else is taken literally.
-pub fn resolve_jobs(jobs: usize) -> usize {
+pub(crate) fn resolve_jobs(jobs: usize) -> usize {
     if jobs == 0 {
         available_jobs()
     } else {
@@ -115,7 +115,7 @@ pub fn resolve_jobs(jobs: usize) -> usize {
 /// Runs `job` over every item on `workers` threads and returns the
 /// results **in item order** — bit-identical for every worker count.
 ///
-/// `workers = 0` means auto ([`available_jobs`]); `workers = 1` runs the
+/// `workers = 0` means auto (`available_jobs`); `workers = 1` runs the
 /// jobs serially on the calling thread, which is always one of the
 /// workers. The pool never outlives the call (scoped threads), so a
 /// panicking job cannot poison later calls; the first panic by *job

@@ -64,7 +64,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Summary of a passing determinism check.
-pub struct DeterminismReport {
+pub(crate) struct DeterminismReport {
     pub nfe: u64,
     pub archive_size: usize,
     pub elapsed: f64,
@@ -231,7 +231,7 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
 /// clocks, and fault ledgers, then diffs the golden Table II / faults cells
 /// under `crates/xtask/golden/` against the current engine. `Err` carries a
 /// human-readable diff.
-pub fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
+pub(crate) fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
     let seed = 0xB0C4_2026u64;
     let a = run_once(seed, &NoopRecorder);
     let b = run_once(seed, &NoopRecorder);

@@ -26,7 +26,7 @@ use borg_parallel::virtual_exec::{
 use std::path::Path;
 
 /// Golden CSV location, relative to the workspace root.
-pub const GOLDEN_REL: &str = "crates/xtask/golden/protocol_cells.csv";
+pub(crate) const GOLDEN_REL: &str = "crates/xtask/golden/protocol_cells.csv";
 
 /// Root seed shared with `Table2Config::default`, so these cells pin the
 /// same replicate streams the experiment consumes.
@@ -39,7 +39,7 @@ const MAX_NFE: u64 = 2_000;
 const FAILURE_RATE: f64 = 0.25;
 
 /// Summary of a passing golden comparison.
-pub struct GoldenReport {
+pub(crate) struct GoldenReport {
     /// Data rows compared (excludes the header).
     pub rows: usize,
 }
@@ -102,7 +102,7 @@ fn push_row(out: &mut String, arm: &str, f: f64, replicate: u32, seed: u64, r: &
 }
 
 /// Recomputes both golden cells with the current engine and renders the CSV.
-pub fn compute() -> String {
+pub(crate) fn compute() -> String {
     let mut out = String::from(
         "arm,problem,P,tf_bits,f,replicate,seed,elapsed_bits,nfe,archive_len,\
          archive_fnv,injected,detected,recovered,reissues,dups_suppressed,wasted_nfe\n",
@@ -143,7 +143,7 @@ pub fn compute() -> String {
 }
 
 /// Compares the current engine's cells against the checked-in golden CSV.
-pub fn check(root: &Path) -> Result<GoldenReport, String> {
+pub(crate) fn check(root: &Path) -> Result<GoldenReport, String> {
     let path = root.join(GOLDEN_REL);
     let golden = std::fs::read_to_string(&path).map_err(|e| {
         format!(
@@ -174,7 +174,7 @@ pub fn check(root: &Path) -> Result<GoldenReport, String> {
 }
 
 /// Regenerates the golden CSV from the current engine.
-pub fn bless(root: &Path) -> Result<(), String> {
+pub(crate) fn bless(root: &Path) -> Result<(), String> {
     let path = root.join(GOLDEN_REL);
     if let Some(dir) = path.parent() {
         std::fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;

@@ -49,7 +49,7 @@ fn parse_flags(args: &[String]) -> Result<McFlags, String> {
 }
 
 /// Entry point for `cargo xtask mc`.
-pub fn mc_command(args: &[String]) -> Result<ExitCode, String> {
+pub(crate) fn mc_command(args: &[String]) -> Result<ExitCode, String> {
     let flags = parse_flags(args)?;
     let started = Instant::now();
     let report = borg_mc::run(flags.smoke, flags.depth)?;

@@ -6,7 +6,8 @@
 //! cargo run --release --example custom_problem
 //! ```
 
-use borg_repro::prelude::*;
+use borg_repro::core::algorithm::{run_serial, BorgConfig};
+use borg_repro::core::problem::{Bounds, Problem};
 
 /// Two-bar truss design: choose cross-sectional areas `a1`, `a2` (cm²) and
 /// the joint height `y` (m) to simultaneously minimize structural volume

@@ -10,10 +10,11 @@
 //! ```
 
 use borg_obs::NoopRecorder;
+use borg_repro::core::algorithm::BorgConfig;
 use borg_repro::models::analytical::{async_parallel_time, serial_time, TimingParams};
 use borg_repro::models::dist::Dist;
 use borg_repro::parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
-use borg_repro::prelude::*;
+use borg_repro::problems::dtlz::Dtlz;
 
 fn main() {
     let problem = Dtlz::dtlz2_5();

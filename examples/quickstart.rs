@@ -4,7 +4,10 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use borg_repro::prelude::*;
+use borg_repro::core::algorithm::{run_serial, BorgConfig};
+use borg_repro::metrics::relative::RelativeHypervolume;
+use borg_repro::problems::dtlz::{Dtlz, DtlzVariant};
+use borg_repro::problems::refsets::dtlz2_front;
 
 fn main() {
     // The 3-objective DTLZ2 benchmark: minimize three conflicting

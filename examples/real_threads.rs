@@ -6,10 +6,11 @@
 //! cargo run --release --example real_threads
 //! ```
 
+use borg_repro::core::algorithm::BorgConfig;
 use borg_repro::models::dist::Dist;
 use borg_repro::models::distfit::{fit_all, Family, SampleStats};
 use borg_repro::parallel::threads::{estimate_comm_time, run_threaded, ThreadedConfig};
-use borg_repro::prelude::*;
+use borg_repro::problems::dtlz::{Dtlz, DtlzVariant};
 
 fn main() {
     let problem = Dtlz::new(DtlzVariant::Dtlz2, 3);

@@ -2,8 +2,8 @@
 //!
 //! This crate exists to host the runnable examples in `examples/` and the
 //! cross-crate integration tests in `tests/`. All functionality lives in the
-//! member crates; this crate simply re-exports them under one roof so the
-//! examples can write `use borg_repro::prelude::*;`.
+//! member crates; this crate re-exports them under one roof, so the
+//! examples import by module path (`use borg_repro::core::algorithm::run_serial;`).
 
 #![forbid(unsafe_code)]
 #![deny(
@@ -21,12 +21,3 @@ pub use borg_models as models;
 pub use borg_obs as obs;
 pub use borg_parallel as parallel;
 pub use borg_problems as problems;
-
-/// Convenience re-exports used by the examples.
-pub mod prelude {
-    pub use borg_core::prelude::*;
-    pub use borg_metrics::prelude::*;
-    pub use borg_models::prelude::*;
-    pub use borg_parallel::prelude::*;
-    pub use borg_problems::prelude::*;
-}
