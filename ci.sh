@@ -26,6 +26,12 @@ cargo build --release
 echo "==> cargo test"
 cargo test -q --release
 
+echo "==> examples: each runs once (tests/inventory.rs checks every one has a line here)"
+cargo run -q --release --example quickstart > /dev/null
+cargo run -q --release --example custom_problem > /dev/null
+cargo run -q --release --example parallel_scaling > /dev/null
+cargo run -q --release --example real_threads > /dev/null
+
 echo "==> borg-mc full catalogue: every non-smoke scenario's (schedules, states, pruned) pinned"
 cargo test -q --release -p borg-mc --lib scenarios::tests::full_catalogue_counts_are_pinned -- --ignored --exact
 

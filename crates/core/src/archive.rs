@@ -468,7 +468,7 @@ impl EpsilonArchive {
 
     /// Verifies the archive invariants: the store's matrices hold one row
     /// per member, the key mirror's shape, padding and order keys are sound
-    /// ([`BlockedRows::check`]), and every key lane is the box of the
+    /// (`BlockedRows::check`), and every key lane is the box of the
     /// member's objectives, bit for bit. Invariants 1–2 are then read off
     /// the verified lanes pair by pair.
     pub fn check_invariants(&self) -> Result<(), String> {

@@ -37,7 +37,7 @@
 //! where the row-major `f64` mirror the packed keys replaced made it 96.
 //!
 //! Both owners hold their mirror to the same check of shape, padding and
-//! keys, [`BlockedRows::check`].
+//! keys, `BlockedRows::check`.
 
 use crate::dominance::{order_key, KeyLanes, BLOCK_LANES, NO_ORDER};
 
@@ -58,15 +58,6 @@ impl<T: Copy> FlatMatrix<T> {
     pub fn new(stride: usize) -> Self {
         Self {
             data: Vec::new(),
-            stride,
-            rows: 0,
-        }
-    }
-
-    /// Creates an empty matrix with capacity reserved for `rows` rows.
-    pub fn with_capacity(stride: usize, rows: usize) -> Self {
-        Self {
-            data: Vec::with_capacity(stride * rows),
             stride,
             rows: 0,
         }
@@ -199,12 +190,12 @@ pub struct BlockedRows {
 
 impl BlockedRows {
     /// Columns per row; zero until the first row is pushed.
-    pub fn stride(&self) -> usize {
+    pub(crate) fn stride(&self) -> usize {
         self.stride
     }
 
     /// Drops all rows, keeping the allocation.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.lanes.clear();
         self.keys.clear();
         self.packed.clear();
@@ -215,7 +206,7 @@ impl BlockedRows {
     /// knows the size its population is about to reach; growing there by
     /// doubling instead leaves a trail of half-sized holes behind each of
     /// the three buffers (`table2-sweep` `peak_rss_mb` 11.1 → 10.7 MB).
-    pub fn reserve(&mut self, rows: usize) {
+    pub(crate) fn reserve(&mut self, rows: usize) {
         let arrays = rows.div_ceil(BLOCK_LANES) * self.stride;
         self.lanes
             .reserve_exact(arrays.saturating_sub(self.lanes.len()));
@@ -256,7 +247,7 @@ impl BlockedRows {
     /// # Panics
     /// If `i` is out of range or the row's length is not the stride.
     // borg-lint: hot-path
-    pub fn set(&mut self, i: usize, row: impl IntoIterator<Item = f64>) {
+    pub(crate) fn set(&mut self, i: usize, row: impl IntoIterator<Item = f64>) {
         assert!(i < self.rows, "row index out of range");
         let lane = i % BLOCK_LANES;
         let first = i / BLOCK_LANES * self.stride;
@@ -293,7 +284,7 @@ impl BlockedRows {
     /// `Vec::swap_remove` so parallel containers stay aligned. The vacated
     /// lane becomes padding; a block left without rows is dropped.
     // borg-lint: hot-path
-    pub fn swap_remove(&mut self, i: usize) {
+    pub(crate) fn swap_remove(&mut self, i: usize) {
         assert!(i < self.rows, "row index out of range");
         let last = self.rows - 1;
         let (from, to) = (
@@ -318,7 +309,7 @@ impl BlockedRows {
     }
 
     /// The values of row `i`, column by column.
-    pub fn row(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
+    pub(crate) fn row(&self, i: usize) -> impl Iterator<Item = f64> + '_ {
         assert!(i < self.rows, "row index out of range");
         let first = i / BLOCK_LANES * self.stride;
         self.lanes[first..first + self.stride]
@@ -327,7 +318,7 @@ impl BlockedRows {
     }
 
     /// The value of row `i` in one column.
-    pub fn value(&self, i: usize, column: usize) -> f64 {
+    pub(crate) fn value(&self, i: usize, column: usize) -> f64 {
         assert!(i < self.rows && column < self.stride, "out of range");
         self.lanes[i / BLOCK_LANES * self.stride + column][i % BLOCK_LANES]
     }
@@ -371,7 +362,7 @@ impl BlockedRows {
     /// `NO_ORDER`, and every key against its exact lane: `order_key` of
     /// the value, or `NO_ORDER` across a row that holds a NaN, in the key
     /// lanes and in the packed copy.
-    pub fn check(&self, rows: usize, stride: usize) -> Result<(), String> {
+    pub(crate) fn check(&self, rows: usize, stride: usize) -> Result<(), String> {
         if self.rows != rows
             || (rows > 0 && self.stride != stride)
             || self.lanes.len() != rows.div_ceil(BLOCK_LANES) * self.stride

@@ -115,7 +115,7 @@ impl Population {
     ///
     /// # Panics
     /// If `capacity == 0`.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "population capacity must be positive");
         Self {
             variables: FlatMatrix::new(0),
@@ -148,7 +148,7 @@ impl Population {
     ///
     /// # Panics
     /// If `i` is out of range.
-    pub fn violation(&self, i: usize) -> f64 {
+    pub(crate) fn violation(&self, i: usize) -> f64 {
         self.blocked.value(i, self.violation_column())
     }
 
@@ -174,7 +174,7 @@ impl Population {
 
     /// Adds a member unconditionally while below capacity (initialization /
     /// restart refill). Returns `false` (and copies nothing) when full.
-    pub fn fill(&mut self, member: Member<'_>) -> bool {
+    pub(crate) fn fill(&mut self, member: Member<'_>) -> bool {
         if self.is_full() {
             return false;
         }
@@ -183,18 +183,17 @@ impl Population {
     }
 
     /// Empties the population, keeping capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.variables.clear();
         self.blocked.clear();
         self.violating = 0;
     }
 
-    /// Empties the population and gives it a new capacity (a restart): what
-    /// [`resize`](Self::resize) followed by [`clear`](Self::clear) leaves
-    /// behind, without permuting rows only to drop them. It draws what
-    /// `resize` draws — the shuffle of a shrinking population — so callers'
-    /// RNG streams do not depend on which form they use.
-    pub fn reset<R: Rng>(&mut self, capacity: usize, rng: &mut R) {
+    /// Empties the population and gives it a new capacity (a restart),
+    /// without permuting rows only to drop them. A shrinking population
+    /// still draws the shuffle that picking the members to keep would draw,
+    /// so the RNG stream is that of shuffling, truncating and clearing.
+    pub(crate) fn reset<R: Rng>(&mut self, capacity: usize, rng: &mut R) {
         assert!(capacity > 0, "population capacity must be positive");
         if self.len() > capacity {
             // A shuffle draws as many values, from as wide ranges, whatever
@@ -208,8 +207,10 @@ impl Population {
     }
 
     /// Changes the capacity; excess members (if shrinking) are dropped from
-    /// the tail after a shuffle so no positional bias survives.
-    pub fn resize<R: Rng>(&mut self, capacity: usize, rng: &mut R) {
+    /// the tail after a shuffle so no positional bias survives (tests: the
+    /// oracle of [`reset`](Self::reset)'s draws).
+    #[cfg(test)]
+    pub(crate) fn resize<R: Rng>(&mut self, capacity: usize, rng: &mut R) {
         assert!(capacity > 0, "population capacity must be positive");
         self.capacity = capacity;
         let n = self.len();
@@ -374,7 +375,8 @@ impl Population {
     /// unoccupied lane is padding and every order key the key of its exact
     /// lane ([`BlockedRows::check`]), and the count of violating members
     /// (tests).
-    pub fn check_invariants(&self) -> Result<(), String> {
+    #[cfg(test)]
+    pub(crate) fn check_invariants(&self) -> Result<(), String> {
         let n = self.len();
         // Without members the blocked rows may keep the width of an earlier
         // epoch; with them, the first row's width is the stride.

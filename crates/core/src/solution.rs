@@ -18,16 +18,6 @@ pub struct Solution {
 }
 
 impl Solution {
-    /// Creates an unevaluated solution with zeroed objectives/constraints.
-    pub fn new(variables: Vec<f64>, num_objectives: usize, num_constraints: usize) -> Self {
-        Self {
-            variables,
-            objectives: vec![0.0; num_objectives],
-            constraints: vec![0.0; num_constraints],
-            operator: None,
-        }
-    }
-
     /// Assembles a solution from already-evaluated parts.
     pub fn from_parts(variables: Vec<f64>, objectives: Vec<f64>, constraints: Vec<f64>) -> Self {
         Self {
@@ -72,11 +62,6 @@ impl Solution {
         Member::new(&self.variables, &self.objectives, &self.constraints)
     }
 
-    /// Number of decision variables.
-    pub fn num_variables(&self) -> usize {
-        self.variables.len()
-    }
-
     /// Number of objectives.
     pub fn num_objectives(&self) -> usize {
         self.objectives.len()
@@ -105,7 +90,7 @@ pub struct Member<'a> {
 
 impl<'a> Member<'a> {
     /// A member made of three rows.
-    pub fn new(variables: &'a [f64], objectives: &'a [f64], constraints: &'a [f64]) -> Self {
+    pub(crate) fn new(variables: &'a [f64], objectives: &'a [f64], constraints: &'a [f64]) -> Self {
         Self {
             variables,
             objectives,
@@ -130,7 +115,7 @@ impl<'a> Member<'a> {
 
     /// Sum of positive constraint values, as
     /// [`Solution::constraint_violation`].
-    pub fn constraint_violation(&self) -> f64 {
+    pub(crate) fn constraint_violation(&self) -> f64 {
         violation(self.constraints)
     }
 
@@ -271,15 +256,15 @@ mod tests {
 
     #[test]
     fn no_constraints_is_feasible() {
-        let s = Solution::new(vec![1.0, 2.0], 2, 0);
+        let s = Solution::from_parts(vec![1.0, 2.0], vec![0.0; 2], Vec::new());
         assert!(s.is_feasible());
-        assert_eq!(s.num_variables(), 2);
+        assert_eq!(s.variables().len(), 2);
         assert_eq!(s.num_objectives(), 2);
     }
 
     #[test]
     fn operator_tag_roundtrip() {
-        let mut s = Solution::new(vec![0.0], 1, 0);
+        let mut s = Solution::from_parts(vec![0.0], vec![0.0], Vec::new());
         assert_eq!(s.operator, None);
         s.operator = Some(3);
         let t = s.clone();

@@ -125,11 +125,6 @@ impl FaultPlan {
         }
     }
 
-    /// The configuration this plan was drawn from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// Number of workers covered by the plan.
     pub fn workers(&self) -> usize {
         self.crash_at.len()
@@ -185,18 +180,6 @@ pub enum FaultKind {
     MessageDrop,
     /// Result message delivered twice.
     MessageDuplicate,
-}
-
-impl FaultKind {
-    /// Short human-readable label.
-    pub fn label(self) -> &'static str {
-        match self {
-            Self::Crash => "crash",
-            Self::Hang => "hang",
-            Self::MessageDrop => "drop",
-            Self::MessageDuplicate => "duplicate",
-        }
-    }
 }
 
 /// One injected fault and the master's response to it.

@@ -28,14 +28,10 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
+    /// Number of data rows (tests).
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
     }
 
     /// Renders with aligned columns.

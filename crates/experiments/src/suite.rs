@@ -18,7 +18,7 @@ pub enum PaperProblem {
 
 impl PaperProblem {
     /// Both workloads, in the paper's order.
-    pub fn all() -> [PaperProblem; 2] {
+    pub(crate) fn all() -> [PaperProblem; 2] {
         [PaperProblem::Dtlz2, PaperProblem::Uf11]
     }
 
@@ -43,7 +43,7 @@ impl PaperProblem {
     /// resolves its front more finely, giving UF11 a larger archive and a
     /// larger `T_A` than DTLZ2 — reproducing the paper's Table II ordering
     /// (UF11 `T_A` ≈ 2× DTLZ2's).
-    pub fn epsilons(self, base: f64) -> Vec<f64> {
+    pub(crate) fn epsilons(self, base: f64) -> Vec<f64> {
         let _ = self;
         vec![base; 5]
     }
@@ -57,7 +57,7 @@ impl PaperProblem {
 
     /// Analytic reference front sampled from a Das–Dennis lattice
     /// (`REF_DIVISIONS` for every hypervolume the experiments report).
-    pub fn reference_front(self, divisions: usize) -> Vec<Vec<f64>> {
+    pub(crate) fn reference_front(self, divisions: usize) -> Vec<Vec<f64>> {
         match self {
             PaperProblem::Dtlz2 => dtlz2_front(5, divisions),
             PaperProblem::Uf11 => uf11_front(divisions),

@@ -12,7 +12,7 @@ use crate::suite::PaperProblem;
 use borg_core::rng::SplitMix64;
 use borg_models::analytical::{async_parallel_time, relative_error, serial_time, TimingParams};
 use borg_models::dist::Dist;
-use borg_models::distfit::best_fit;
+use borg_models::distfit::{best_fit, SampleLog};
 use borg_models::perfsim::{simulate_async_mean, PerfSimConfig, TimingModel};
 use borg_obs::{InMemoryRecorder, MetricsSnapshot, NoopRecorder};
 use borg_parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
@@ -43,8 +43,10 @@ pub struct Table2Config {
     pub jobs: usize,
     /// `Some(v)`: replace measured `T_A` with a sampled constant `v`
     /// seconds (`TaMode::Sampled`), making runs independent of host
-    /// timing — used by the determinism gate. `None` (default): measure
-    /// `T_A`, the paper's methodology.
+    /// timing — used by the determinism gate. `v` is then an input: the
+    /// row's `T_A`, the serial baseline, Eq. 2 and the simulation model
+    /// (`Dist::Constant(v)`) use it as given, and nothing is fitted.
+    /// `None` (default): measure `T_A`, the paper's methodology.
     pub sampled_ta: Option<f64>,
 }
 
@@ -99,7 +101,8 @@ pub struct Table2Row {
     pub problem: &'static str,
     /// Processor count `P`.
     pub processors: u32,
-    /// Mean measured `T_A` (seconds).
+    /// `T_A` (seconds): the exact mean of every measured sample, over all
+    /// replicates, or [`Table2Config::sampled_ta`] as given.
     pub t_a: f64,
     /// `T_C` (seconds).
     pub t_c: f64,
@@ -174,8 +177,30 @@ struct CellSpec {
 struct ReplicateOutcome {
     elapsed: f64,
     utilization: f64,
-    ta_samples: Vec<f64>,
+    /// `None` under [`Table2Config::sampled_ta`].
+    ta: Option<MeasuredTa>,
     metrics: Option<MetricsSnapshot>,
+}
+
+/// One replicate's measured `T_A`: the log's exact count and sum, and at
+/// most about 20 000 of its values, thinned to bound the fit's cost at
+/// paper scale.
+struct MeasuredTa {
+    count: usize,
+    sum: f64,
+    thinned: Vec<f64>,
+}
+
+impl MeasuredTa {
+    fn of(log: &SampleLog) -> Self {
+        let retained = log.retained();
+        let stride = (retained.len() / 20_000).max(1);
+        Self {
+            count: log.count(),
+            sum: log.sum(),
+            thinned: retained.iter().step_by(stride).copied().collect(),
+        }
+    }
 }
 
 /// Runs the full Table II experiment (no observation; see
@@ -290,13 +315,10 @@ fn run_replicate(
         let result = run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, |_, _| {});
         (result, None)
     };
-    // Thin the samples to bound fitting cost at paper scale.
-    let retained = result.ta.retained();
-    let stride = (retained.len() / 20_000).max(1);
     ReplicateOutcome {
         elapsed: result.outcome.elapsed,
         utilization: result.outcome.master_utilization,
-        ta_samples: retained.iter().step_by(stride).copied().collect(),
+        ta: result.ta.as_ref().map(MeasuredTa::of),
         metrics,
     }
 }
@@ -311,26 +333,36 @@ fn finalize_cell(
     let t_c = T_C;
     let mut elapsed_sum = 0.0;
     let mut util_sum = 0.0;
-    let mut ta_samples: Vec<f64> = Vec::new();
     for outcome in outcomes {
         elapsed_sum += outcome.elapsed;
         util_sum += outcome.utilization;
-        ta_samples.extend_from_slice(&outcome.ta_samples);
     }
     let experimental_time = elapsed_sum / config.replicates as f64;
-    let mean_ta = ta_samples.iter().sum::<f64>() / ta_samples.len() as f64;
+    // A sampled T_A is used as given. A measured one's mean is exact over
+    // every sample; the fit reads the thinned ones, in replicate order.
+    let (mean_ta, ta_dist) = match config.sampled_ta {
+        Some(v) => (v, Dist::Constant(v)),
+        None => {
+            let measured = || outcomes.iter().filter_map(|o| o.ta.as_ref());
+            let count: usize = measured().map(|ta| ta.count).sum();
+            let sum: f64 = measured().map(|ta| ta.sum).sum();
+            let thinned: Vec<f64> = measured()
+                .flat_map(|ta| ta.thinned.iter().copied())
+                .collect();
+            (sum / count as f64, best_fit(&thinned))
+        }
+    };
     let timing = TimingParams::new(tf, t_c, mean_ta);
 
     // Experimental efficiency against the serial baseline implied by the
-    // same measured T_A (the paper's Eq. 1).
+    // same T_A (the paper's Eq. 1).
     let t_s = serial_time(config.evaluations, timing);
     let efficiency = t_s / (p as f64 * experimental_time);
 
     // Analytical model, Eq. 2.
     let analytical_time = async_parallel_time(config.evaluations, p, timing);
 
-    // Simulation model with fitted T_A distribution.
-    let ta_dist = best_fit(&ta_samples);
+    // Simulation model with the fitted (or given) T_A distribution.
     let sim = simulate_async_mean(
         &PerfSimConfig {
             processors: p,
@@ -438,6 +470,46 @@ mod tests {
             r.simulation_error < 0.5,
             "sim error too large: {}",
             r.simulation_error
+        );
+    }
+
+    #[test]
+    fn measured_ta_mean_is_exact_not_thinned() {
+        // 40 000 pushes alternating 1 and 3 µs thin at stride 2 to the
+        // 1 µs values alone: the fit reads those, the row's T_A every value.
+        let replicate = |n: usize| {
+            let mut log = SampleLog::new();
+            for i in 0..n {
+                log.push(if i % 2 == 0 { 1e-6 } else { 3e-6 });
+            }
+            ReplicateOutcome {
+                elapsed: 1.0,
+                utilization: 0.5,
+                ta: Some(MeasuredTa::of(&log)),
+                metrics: None,
+            }
+        };
+        let outcomes = [replicate(40_000), replicate(40_001)];
+        let thinned = outcomes
+            .iter()
+            .flat_map(|o| &o.ta.as_ref().unwrap().thinned);
+        assert!(thinned.clone().all(|&x| x == 1e-6) && thinned.count() == 40_001);
+        let config = Table2Config {
+            evaluations: 200,
+            replicates: 2,
+            ..Table2Config::default()
+        };
+        let cell = CellSpec {
+            problem: PaperProblem::Dtlz2,
+            tf: 0.001,
+            p: 8,
+        };
+        let row = finalize_cell(&config, &cell, &outcomes);
+        let exact = 160_001e-6 / 80_001.0;
+        assert!(
+            (row.t_a / exact - 1.0).abs() < 1e-12,
+            "T_A {}, exact {exact}",
+            row.t_a
         );
     }
 

@@ -141,7 +141,8 @@ fn measured_analytical_model_fails_and_simulation_model_holds_past_saturation() 
     let borg = BorgConfig::new(5, 0.1);
     let run = run_virtual_async(&Dtlz::dtlz2_5(), borg, &cfg, &NoopRecorder, |_, _| {});
     let elapsed = run.outcome.elapsed;
-    let timing = TimingParams::new(tf, 0.000_006, run.ta.mean());
+    let ta = run.ta.expect("a measured run logs T_A");
+    let timing = TimingParams::new(tf, 0.000_006, ta.mean());
     assert!(
         f64::from(p) > processor_upper_bound(timing),
         "test premise broken: P not past P_UB"
@@ -157,7 +158,7 @@ fn measured_analytical_model_fails_and_simulation_model_holds_past_saturation() 
         timing: TimingModel {
             t_f: Dist::normal_cv(tf, 0.1),
             t_c: Dist::Constant(0.000_006),
-            t_a: best_fit(run.ta.retained()),
+            t_a: best_fit(ta.retained()),
         },
         seed: 99,
     });

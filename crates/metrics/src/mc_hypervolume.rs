@@ -69,7 +69,7 @@ impl McHypervolume {
     }
 
     /// Unit-box estimator (`[0,1]^m`), the common case after normalization.
-    pub fn unit(m: usize, n: usize, seed: u64) -> Self {
+    pub(crate) fn unit(m: usize, n: usize, seed: u64) -> Self {
         Self::new(&vec![0.0; m], &vec![1.0; m], n, seed)
     }
 
@@ -80,11 +80,6 @@ impl McHypervolume {
             return 0.0;
         }
         self.volume(self.covered(points.iter().map(Vec::as_slice)))
-    }
-
-    /// The reference point in use.
-    pub fn reference(&self) -> &[f64] {
-        &self.reference
     }
 
     /// A tracker of rows taken as they are (no normalization): its value

@@ -278,7 +278,7 @@ impl Dist {
     }
 
     /// Sum of log-densities over a sample (the fit criterion of §IV-B).
-    pub fn log_likelihood(&self, samples: &[f64]) -> f64 {
+    pub(crate) fn log_likelihood(&self, samples: &[f64]) -> f64 {
         samples.iter().map(|&x| self.ln_pdf(x)).sum()
     }
 

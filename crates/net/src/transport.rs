@@ -161,7 +161,7 @@ impl NetListener {
 
     /// The actual bound address (resolves `tcp:127.0.0.1:0` to the real
     /// ephemeral port so tests can connect to it).
-    pub fn local_addr(&self) -> Result<NetAddr, NetError> {
+    pub(crate) fn local_addr(&self) -> Result<NetAddr, NetError> {
         match self {
             NetListener::Tcp(l) => l
                 .local_addr()
@@ -306,7 +306,7 @@ pub struct Backoff {
 }
 
 impl Backoff {
-    pub fn new(base: Duration, cap: Duration, max_attempts: u32) -> Self {
+    pub(crate) fn new(base: Duration, cap: Duration, max_attempts: u32) -> Self {
         Backoff {
             base,
             cap,
@@ -337,13 +337,8 @@ impl Backoff {
         Some(delay)
     }
 
-    /// Restarts the schedule (after a successful connection).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
-
     /// Attempts consumed so far.
-    pub fn attempts(&self) -> u32 {
+    pub(crate) fn attempts(&self) -> u32 {
         self.attempt
     }
 }
@@ -436,7 +431,7 @@ impl Conn {
     /// Hands back the `f64` vector of a received message the caller is
     /// done with, so the next `recv` refills it instead of allocating (see
     /// [`FrameReader::recycle`]).
-    pub fn recycle(&mut self, retired: Vec<f64>) {
+    pub(crate) fn recycle(&mut self, retired: Vec<f64>) {
         self.reader.recycle(retired);
     }
 
@@ -494,8 +489,6 @@ mod tests {
         assert_eq!(delays[1], Duration::from_millis(4));
         assert!(delays.iter().all(|d| *d <= Duration::from_millis(16)));
         assert_eq!(b.next_delay(), None);
-        b.reset();
-        assert_eq!(b.next_delay(), Some(Duration::from_millis(2)));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! worker threads, a chaos proxy physically enacting the seeded
 //! `FaultPlan` — produces a fault ledger, recovery actions, and final
 //! archive **bit-for-bit identical** to the DES fault oracle fed the
-//! same plan, and draws the same virtual `T_F` stream (its
-//! `t_f_seconds` histogram).
+//! same plan, and draws the same virtual `T_F` and `T_A` streams (their
+//! `t_f_seconds` and `t_a_seconds` histograms).
 
 use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
@@ -22,20 +22,21 @@ fn bits_eq(a: &[f64], b: &[f64]) -> bool {
             .all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
-fn tf_histogram(rec: &InMemoryRecorder) -> Histogram {
+fn histogram(rec: &InMemoryRecorder, name: &str) -> Histogram {
     rec.snapshot()
         .histograms
-        .remove("t_f_seconds")
-        .expect("the run drew T_F")
+        .remove(name)
+        .unwrap_or_else(|| panic!("the run recorded no {name}"))
 }
 
-/// The same `T_F` draws in the same order: equal counts and sum bits.
-fn assert_same_tf(net: &Histogram, oracle: &Histogram) {
-    assert_eq!(net.count(), oracle.count(), "T_F draw count diverged");
+/// The same draws of `name` in the same order: equal counts and sum bits.
+fn assert_same_draws(name: &str, net: &InMemoryRecorder, oracle: &InMemoryRecorder) {
+    let (net, oracle) = (histogram(net, name), histogram(oracle, name));
+    assert_eq!(net.count(), oracle.count(), "{name} count diverged");
     assert_eq!(
         net.sum().to_bits(),
         oracle.sum().to_bits(),
-        "T_F stream diverged: sum {} vs {}",
+        "{name} stream diverged: sum {} vs {}",
         net.sum(),
         oracle.sum()
     );
@@ -126,8 +127,8 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
     }
 
     // The sampled timing streams consumed in the same order.
-    assert!(net.run.ta.bit_identical(&oracle.ta), "T_A stream diverged");
-    assert_same_tf(&tf_histogram(&net_rec), &tf_histogram(&oracle_rec));
+    assert_same_draws("t_a_seconds", &net_rec, &oracle_rec);
+    assert_same_draws("t_f_seconds", &net_rec, &oracle_rec);
 
     // The proxy's wire-side ledger physically enacted the same faults,
     // kind for kind (its timestamps are wall-clock, so the full records
@@ -191,12 +192,12 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
         net.run.engine.archive().len(),
         oracle.engine.archive().len()
     );
-    assert!(net.run.ta.bit_identical(&oracle.ta), "T_A stream diverged");
-    let net_tf = tf_histogram(&net_rec);
-    assert_same_tf(&net_tf, &tf_histogram(&oracle_rec));
+    assert_same_draws("t_a_seconds", &net_rec, &oracle_rec);
+    assert_same_draws("t_f_seconds", &net_rec, &oracle_rec);
     let p = u64::from(config.processors);
-    assert_eq!(net.run.ta.count() as u64, p - 1 + net.run.engine.nfe());
-    assert_eq!(net_tf.count(), net.run.engine.nfe());
+    let nfe = net.run.engine.nfe();
+    assert_eq!(histogram(&net_rec, "t_a_seconds").count(), p - 1 + nfe);
+    assert_eq!(histogram(&net_rec, "t_f_seconds").count(), nfe);
     assert_eq!(
         net.wire_results,
         net.run.engine.nfe(),

@@ -153,11 +153,6 @@ impl<'a, R: Recorder + ?Sized> WithFlight<'a, R> {
     pub fn new(inner: &'a R, ring: &'a FlightRecorder) -> Self {
         WithFlight { inner, ring }
     }
-
-    /// The wrapped ring (for dumping at trigger points).
-    pub fn ring(&self) -> &FlightRecorder {
-        self.ring
-    }
 }
 
 impl<R: Recorder + ?Sized> Recorder for WithFlight<'_, R> {

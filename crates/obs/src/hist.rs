@@ -6,7 +6,7 @@
 //! sub-buckets per power of two, derived from the IEEE-754 exponent and
 //! top mantissa bits with pure integer arithmetic — giving ~9% relative
 //! bucket width over the full f64 range with no float `log` calls, exact
-//! determinism, and lossless [`Histogram::merge`].
+//! determinism, and lossless `Histogram::merge`.
 
 use std::collections::BTreeMap;
 
@@ -36,7 +36,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Histogram {
             buckets: BTreeMap::new(),
             nonpositive: 0,
@@ -87,7 +87,7 @@ impl Histogram {
     /// Folds another histogram into this one. Lossless: bucket counts add,
     /// so merging per-shard histograms equals one histogram of the
     /// concatenated samples.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (&k, &n) in &other.buckets {
             *self.buckets.entry(k).or_insert(0) += n;
         }
@@ -109,12 +109,12 @@ impl Histogram {
     }
 
     /// Mean of observations (`NaN` when empty).
-    pub fn mean(&self) -> f64 {
+    pub(crate) fn mean(&self) -> f64 {
         self.sum / self.count as f64
     }
 
     /// Smallest finite observation (`+inf` when none).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 

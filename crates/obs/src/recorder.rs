@@ -40,7 +40,7 @@ pub enum TraceEdgeKind {
 
 impl TraceEdgeKind {
     /// Stable lowercase label used by the shard JSONL format.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             TraceEdgeKind::DispatchSent => "dispatch_sent",
             TraceEdgeKind::WorkReceived => "work_received",

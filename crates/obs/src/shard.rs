@@ -190,7 +190,7 @@ impl EvalChain {
 
     /// Evaluation time `t2 − t1` (offset-invariant: both endpoints moved
     /// by the same alignment).
-    pub fn t_f(&self) -> f64 {
+    pub(crate) fn t_f(&self) -> f64 {
         self.t2 - self.t1
     }
 

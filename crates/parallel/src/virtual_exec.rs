@@ -28,10 +28,13 @@ use std::time::Instant;
 /// How the executor charges master algorithm time `T_A`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TaMode {
-    /// Sample from a distribution (like the performance model).
+    /// Sample from a distribution (like the performance model). The draws
+    /// are an input, like `T_F`: the run keeps no log of them, and they
+    /// reach the recorder only as `Algorithm` spans (`t_a_seconds`).
     Sampled(Dist),
     /// Measure the real wall-clock time of the engine's produce/consume
-    /// calls and use it as simulated seconds (the "experimental" mode).
+    /// calls and use it as simulated seconds (the "experimental" mode);
+    /// the samples come back in [`VirtualRunResult::ta`].
     Measured,
 }
 
@@ -72,14 +75,14 @@ pub struct VirtualRunResult {
     pub outcome: RunOutcome,
     /// Final engine state (archive, statistics).
     pub engine: BorgEngine,
-    /// Measured or sampled `T_A` (seconds). `Sampled` mode logs one per
-    /// initial production (`P − 1`) and one per consumed result.
-    /// `Measured` mode logs one per produce or consume, except that a
-    /// produce directly after a consume (the same master hold) is added to
-    /// that consume's sample. Either way a fault-free asynchronous run logs
-    /// `(P − 1) + N`, and [`run_virtual_serial`] logs one per evaluation,
-    /// `N`.
-    pub ta: SampleLog,
+    /// Measured `T_A` (seconds), `Some` exactly under [`TaMode::Measured`]:
+    /// one sample per produce or consume, except that a produce directly
+    /// after a consume (the same master hold) is added to that consume's
+    /// sample, so a fault-free asynchronous run logs `(P − 1) + N` and
+    /// [`run_virtual_serial`] logs one per evaluation, `N`. A sampled `T_A`
+    /// is an input, like `T_F`: it is not kept here, and reaches the
+    /// recorder's `t_a_seconds` as one `Algorithm` span per master hold.
+    pub ta: Option<SampleLog>,
     /// Fault-injection/recovery ledger. Empty (default) without fault
     /// injection.
     pub fault_log: FaultLog,
@@ -142,6 +145,8 @@ pub struct BorgHooks<S, F> {
     t_c: Dist,
     t_a: TaMode,
     rng: StdRng,
+    /// `Measured` mode's samples; stays empty (and unallocated) in
+    /// `Sampled` mode.
     ta: SampleLog,
     observer: F,
     /// In `Sampled` mode the per-interaction `T_A` is charged once, on
@@ -199,7 +204,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
         let result = VirtualRunResult {
             outcome: run.outcome,
             engine: self.core.into_engine(),
-            ta: self.ta,
+            ta: matches!(self.t_a, TaMode::Measured).then_some(self.ta),
             fault_log: run.fault_log,
         };
         (result, self.source)
@@ -209,12 +214,6 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
     /// `Sampled` mode charges a drawn `T_A` and never reads the clock.
     fn stopwatch(&self) -> Option<Instant> {
         matches!(self.t_a, TaMode::Measured).then(Instant::now)
-    }
-
-    fn draw_ta(&mut self, d: Dist) -> f64 {
-        let t = d.sample(&mut self.rng);
-        self.ta.push(t);
-        t
     }
 }
 
@@ -240,7 +239,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
             }
             // Sampled T_A is per *interaction* and charged on consume;
             // only the initial seeding productions draw their own sample.
-            TaMode::Sampled(d) if eval_id < self.width => self.draw_ta(d),
+            TaMode::Sampled(d) if eval_id < self.width => d.sample(&mut self.rng),
             TaMode::Sampled(_) => 0.0,
         }
     }
@@ -292,7 +291,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
                 }
                 real
             }
-            TaMode::Sampled(d) => self.draw_ta(d),
+            TaMode::Sampled(d) => d.sample(&mut self.rng),
         }
     }
 
@@ -408,7 +407,7 @@ where
     P: Problem + ?Sized,
     F: FnMut(f64, &BorgEngine),
 {
-    // The hooks' seeds, draws, logs and buffers, driven one candidate at a
+    // The hooks' seeds, draws, log and buffers, driven one candidate at a
     // time: `T_A` is one sample per evaluation, produce and consume.
     let mut h = BorgHooks::new(problem, problem, config, borg, observer);
     let mut clock = 0.0f64;
@@ -423,10 +422,13 @@ where
         let stopwatch = h.stopwatch();
         h.core.consume(eval_id, &h.objs_buf, &h.cons_buf);
         let t_a = match h.t_a {
-            TaMode::Measured => produce_real + seconds_since(stopwatch),
+            TaMode::Measured => {
+                let t = produce_real + seconds_since(stopwatch);
+                h.ta.push(t);
+                t
+            }
             TaMode::Sampled(d) => d.sample(&mut h.rng),
         };
-        h.ta.push(t_a);
         clock += t_a;
         (h.observer)(clock, h.core.engine());
     }
@@ -457,9 +459,12 @@ mod tests {
         BorgConfig::new(5, 0.06)
     }
 
-    /// `T_F` draws a run handed `rec`: one `Evaluation` span each.
-    fn tf_count(rec: &InMemoryRecorder) -> u64 {
-        rec.snapshot().histograms["t_f_seconds"].count()
+    /// `T_F` draws a run handed `rec` (one `Evaluation` span each), and its
+    /// master holds (one `Algorithm` span each, a sampled `T_A`'s charges).
+    fn tf_ta_counts(rec: &InMemoryRecorder) -> (u64, u64) {
+        let snapshot = rec.snapshot();
+        let count = |name: &str| snapshot.histograms[name].count();
+        (count("t_f_seconds"), count("t_a_seconds"))
     }
 
     fn sampled_config(p: u32, nfe: u64, tf: f64, ta: f64) -> VirtualConfig {
@@ -487,9 +492,9 @@ mod tests {
         assert_eq!(result.engine.nfe(), 5_000);
         assert!(result.engine.archive().len() > 10);
         result.engine.archive().check_invariants().unwrap();
-        // ta: one per interaction + seeding; T_F: one per dispatched work.
-        assert_eq!(result.ta.count(), 15 + 5_000);
-        assert_eq!(tf_count(&rec), 5_000 + 14);
+        // T_A: one per interaction + seeding; T_F: one per dispatched work.
+        assert!(result.ta.is_none(), "a sampled T_A is not logged");
+        assert_eq!(tf_ta_counts(&rec), (5_000 + 14, 15 + 5_000));
     }
 
     #[test]
@@ -503,16 +508,21 @@ mod tests {
             };
             let eager = InMemoryRecorder::metrics_only();
             let run = run_virtual_async(&problem, borg_cfg(), &cfg, &eager, |_, _| {});
-            assert_eq!(run.ta.count() as u64, u64::from(p - 1) + n, "{t_a:?}");
-            assert_eq!(tf_count(&eager), n + u64::from(p - 2), "{t_a:?}");
-            assert_eq!(run.ta.retained().len(), run.ta.count(), "nothing decimated");
+            let counts = (n + u64::from(p - 2), u64::from(p - 1) + n);
+            assert_eq!(tf_ta_counts(&eager), counts, "{t_a:?}");
             let budgeted = InMemoryRecorder::metrics_only();
             let quiet = FaultConfig::default();
             let faulty = FaultyRun::new(&cfg, &quiet);
             run_virtual_async_with(&problem, borg_cfg(), &faulty, &budgeted, |_, _| {});
-            assert_eq!(tf_count(&budgeted), n, "{t_a:?}");
+            assert_eq!(tf_ta_counts(&budgeted).0, n, "{t_a:?}");
             let serial = run_virtual_serial(&problem, borg_cfg(), &cfg, |_, _| {});
-            assert_eq!(serial.ta.count() as u64, n, "{t_a:?}");
+            let logged = t_a == TaMode::Measured;
+            assert_eq!((run.ta.is_some(), serial.ta.is_some()), (logged, logged));
+            if let (Some(log), Some(serial)) = (run.ta, serial.ta) {
+                assert_eq!(log.count() as u64, u64::from(p - 1) + n);
+                assert_eq!(log.retained().len(), log.count(), "nothing decimated");
+                assert_eq!(serial.count() as u64, n);
+            }
         }
     }
 
@@ -558,7 +568,8 @@ mod tests {
             seed: 5,
         };
         let result = run_virtual_async(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {});
-        let samples = result.ta.retained();
+        let log = result.ta.expect("a measured run logs T_A");
+        let samples = log.retained();
         let n = samples.len();
         let early: f64 = samples[..n / 4].iter().sum::<f64>() / (n / 4) as f64;
         let late: f64 = samples[3 * n / 4..].iter().sum::<f64>() / (n - 3 * n / 4) as f64;

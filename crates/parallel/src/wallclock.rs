@@ -328,7 +328,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
     }
 
     /// The instant the run's clock counts seconds from.
-    pub fn epoch(&self) -> Instant {
+    pub(crate) fn epoch(&self) -> Instant {
         self.exec.start
     }
 

@@ -97,7 +97,7 @@ pub struct RotatedProblem<P> {
 
 impl<P: Problem> RotatedProblem<P> {
     /// Wraps `inner` with a random rotation derived from `seed`.
-    pub fn new(inner: P, seed: u64) -> Self {
+    pub(crate) fn new(inner: P, seed: u64) -> Self {
         let n = inner.num_variables();
         let rotation = OrthogonalMatrix::random(n, seed);
         let inner_bounds = inner.all_bounds();
@@ -128,7 +128,7 @@ impl<P: Problem> RotatedProblem<P> {
     }
 
     /// Overrides the display name.
-    pub fn named(mut self, name: impl Into<String>) -> Self {
+    pub(crate) fn named(mut self, name: impl Into<String>) -> Self {
         self.name = name.into();
         self
     }
@@ -138,8 +138,9 @@ impl<P: Problem> RotatedProblem<P> {
         &self.objective_scales
     }
 
-    /// Access to the wrapped problem.
-    pub fn inner(&self) -> &P {
+    /// Access to the wrapped problem (tests).
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &P {
         &self.inner
     }
 }

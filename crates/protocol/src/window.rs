@@ -49,22 +49,12 @@ impl<T> IdWindow<T> {
     }
 
     /// Values held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// Whether no value is held.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
     }
 
     fn slot(&self, id: u64) -> Option<usize> {
         usize::try_from(id.checked_sub(self.base)?).ok()
-    }
-
-    /// Whether `id` holds a value.
-    pub fn contains(&self, id: u64) -> bool {
-        self.get(id).is_some()
     }
 
     /// The value of `id`.
@@ -115,7 +105,7 @@ impl<T> IdWindow<T> {
     }
 
     /// The held `(id, value)` pairs in ascending id order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
         (self.base..)
             .zip(&self.slots)
             .filter_map(|(id, slot)| Some((id, slot.as_ref()?)))
@@ -186,14 +176,14 @@ mod tests {
         fn agree(&self) -> Result<(), TestCaseError> {
             let (window, model) = (&self.window, &self.model);
             prop_assert_eq!(window.len(), model.len());
-            prop_assert_eq!(window.is_empty(), model.is_empty());
+            prop_assert_eq!(window.len() == 0, model.is_empty());
             prop_assert!(window
                 .iter()
                 .map(|(id, v)| (id, *v))
                 .eq(model.iter().map(|(id, v)| (*id, *v))));
             for id in 0..self.next + 2 {
                 prop_assert_eq!(window.get(id), model.get(&id), "get({})", id);
-                prop_assert_eq!(window.contains(id), model.contains_key(&id));
+                prop_assert_eq!(window.get(id).is_some(), model.contains_key(&id));
             }
             // The emptied prefix is trimmed: the window starts at its oldest
             // entry and spans to its newest issued slot, or holds nothing.
@@ -234,12 +224,12 @@ mod tests {
         assert_eq!((w.base(), w.span(), w.len()), (0, 4, 3));
         assert_eq!(w.remove(0), Some(0));
         assert_eq!((w.base(), w.span(), w.len()), (2, 2, 2));
-        assert_eq!((w.get(1), w.contains(1)), (None, false));
+        assert_eq!(w.get(1), None);
         assert_eq!(w.remove(0), None);
         *w.get_mut(3).expect("3 is held") += 1;
         assert_eq!(w.iter().collect::<Vec<_>>(), [(2, &20), (3, &31)]);
         // Emptied, the window remembers where the ids had got to.
         assert_eq!((w.remove(3), w.remove(2)), (Some(31), Some(20)));
-        assert_eq!((w.base(), w.span(), w.is_empty()), (4, 0, true));
+        assert_eq!((w.base(), w.span(), w.len()), (4, 0, 0));
     }
 }

@@ -4,14 +4,15 @@
 //! master-slave executor twice with the same seed and demands bit-identical
 //! results: every queueing-outcome field, NFE, every archive member's
 //! variables, objectives and constraints, the final population's variable
-//! and objective rows, and the `T_A` log (count, sum, stride and retained
-//! values). A second arm repeats the check **with fault injection
-//! live** (25% worker crashes + 5% message loss) and additionally demands
-//! identical fault ledgers — recovery is part of the reproducibility
-//! contract, not an excuse to break it. This is the executable form of the
-//! workspace's guarantee (which BORG-L003's clippy entry and the
-//! entropy-free vendored `rand` guard statically): same seed, same archive
-//! — across runs and across machines.
+//! and objective rows, and the sampled `T_A` the two runs charged (their
+//! metrics-only recorders' `t_a_seconds` histograms: count, every bucket,
+//! min, max and the sum's bits). A second arm repeats the check **with
+//! fault injection live** (25% worker crashes + 5% message loss) and
+//! additionally demands identical fault ledgers — recovery is part of the
+//! reproducibility contract, not an excuse to break it. This is the
+//! executable form of the workspace's guarantee (which BORG-L003's clippy
+//! entry and the entropy-free vendored `rand` guard statically): same
+//! seed, same archive — across runs and across machines.
 //!
 //! `T_A` is *sampled*, not measured: `TaMode::Measured` charges real
 //! wall-clock costs into the virtual event ordering, which is exactly the
@@ -55,7 +56,7 @@ use borg_net::chaos::{run_chaos_loopback, ChaosConfig};
 use borg_net::tap::{tap_loop, TapConfig};
 use borg_net::{connect_with_backoff, Backoff, Conn, Msg, NetAddr, NetListener};
 use borg_obs::export::metrics_jsonl;
-use borg_obs::{FlightRecorder, Histogram, InMemoryRecorder, NoopRecorder, Recorder, WithFlight};
+use borg_obs::{FlightRecorder, InMemoryRecorder, NoopRecorder, Recorder, WithFlight};
 use borg_parallel::virtual_exec::{
     run_virtual_async, run_virtual_async_with, FaultyRun, TaMode, VirtualConfig, VirtualRunResult,
 };
@@ -140,8 +141,9 @@ fn run_once_faulty(seed: u64, rec: &dyn Recorder) -> VirtualRunResult {
 }
 
 /// Compares two same-seed runs bit-for-bit — every queueing-outcome field,
-/// NFE, the final archive and population, the `T_A` log and the fault
-/// ledger; `Err` carries a readable diff prefixed with `label`.
+/// NFE, the final archive and population and the fault ledger; `Err`
+/// carries a readable diff prefixed with `label`. The sampled `T_A` is not
+/// in the result: [`diff_histograms`] compares it on the runs' recorders.
 fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<(), String> {
     // `{:?}` prints each f64 as its shortest round-trip decimal, so two
     // renderings are equal exactly when every field's bits are (NaN aside).
@@ -204,23 +206,34 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
             ));
         }
     }
-    // The T_A log: count, sum, stride and every retained value.
-    if !a.ta.bit_identical(&b.ta) {
-        return Err(format!(
-            "{label}: T_A log diverged: count {} vs {}, sum {} vs {}, stride {} vs {}",
-            a.ta.count(),
-            b.ta.count(),
-            a.ta.sum(),
-            b.ta.sum(),
-            a.ta.stride(),
-            b.ta.stride()
-        ));
-    }
     if a.fault_log != b.fault_log {
         return Err(format!(
             "{label}: fault ledgers diverged: {} vs {}",
             a.fault_log.summary(),
             b.fault_log.summary()
+        ));
+    }
+    Ok(())
+}
+
+/// Compares the `name` duration histograms two same-seed runs left on
+/// their recorders: count, every bucket, min, max and the sum's bits. An
+/// empty histogram fails, so a lost instrumentation hook cannot pass.
+fn diff_histograms(
+    label: &str,
+    name: &str,
+    a: &InMemoryRecorder,
+    b: &InMemoryRecorder,
+) -> Result<(), String> {
+    let hist = |rec: &InMemoryRecorder| rec.snapshot().histograms.remove(name).unwrap_or_default();
+    let (a, b) = (hist(a), hist(b));
+    if a.count() == 0 || a != b || a.sum().to_bits() != b.sum().to_bits() {
+        return Err(format!(
+            "{label}: {name} histograms empty or diverged: count {} vs {}, sum {} vs {}",
+            a.count(),
+            b.count(),
+            a.sum(),
+            b.sum()
         ));
     }
     Ok(())
@@ -233,13 +246,18 @@ fn diff_runs(label: &str, a: &VirtualRunResult, b: &VirtualRunResult) -> Result<
 /// human-readable diff.
 pub(crate) fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
     let seed = 0xB0C4_2026u64;
-    let a = run_once(seed, &NoopRecorder);
-    let b = run_once(seed, &NoopRecorder);
+    let metrics = InMemoryRecorder::metrics_only;
+    let (rec_a, rec_b) = (metrics(), metrics());
+    let a = run_once(seed, &rec_a);
+    let b = run_once(seed, &rec_b);
     diff_runs("fault-free", &a, &b)?;
+    diff_histograms("fault-free", "t_a_seconds", &rec_a, &rec_b)?;
 
-    let fa = run_once_faulty(seed, &NoopRecorder);
-    let fb = run_once_faulty(seed, &NoopRecorder);
+    let (frec_a, frec_b) = (metrics(), metrics());
+    let fa = run_once_faulty(seed, &frec_a);
+    let fb = run_once_faulty(seed, &frec_b);
     diff_runs("fault-replay", &fa, &fb)?;
+    diff_histograms("fault-replay", "t_a_seconds", &frec_a, &frec_b)?;
     if fa.fault_log.injected() == 0 {
         return Err(
             "fault-replay arm injected nothing; the replay check is vacuous \
@@ -256,15 +274,13 @@ pub(crate) fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
     }
 
     // Observability arm: attaching the collecting sink must not perturb
-    // the run — archive, virtual clock, and fault ledger stay bit-identical
-    // to the no-op-recorder runs above.
-    let rec = InMemoryRecorder::metrics_only();
-    let observed = run_once(seed, &rec);
-    diff_runs("recorder-attach", &a, &observed)?;
-    let frec = InMemoryRecorder::metrics_only();
-    let fobserved = run_once_faulty(seed, &frec);
-    diff_runs("recorder-attach (fault replay)", &fa, &fobserved)?;
-    let recorder_evals = rec
+    // the run — archive, virtual clock, and fault ledger of the observed
+    // runs above stay bit-identical to no-op-recorder runs.
+    let quiet = run_once(seed, &NoopRecorder);
+    diff_runs("recorder-attach", &quiet, &a)?;
+    let fquiet = run_once_faulty(seed, &NoopRecorder);
+    diff_runs("recorder-attach (fault replay)", &fquiet, &fa)?;
+    let recorder_evals = rec_a
         .snapshot()
         .histograms
         .get("t_f_seconds")
@@ -292,7 +308,7 @@ pub(crate) fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
     // with the chaos proxy enacting the plan must match the DES oracle
     // (the fault-replay run above) bit for bit — with the full
     // observability stack (tracing + flight ring + live tap) attached.
-    let (net_wire_results, net_wire_faults, tap_frames) = networked_chaos_arm(seed, &fa)?;
+    let (net_wire_results, net_wire_faults, tap_frames) = networked_chaos_arm(seed, &fa, &frec_a)?;
 
     let golden = crate::golden::check(root)?;
 
@@ -318,27 +334,17 @@ pub(crate) fn run(root: &std::path::Path) -> Result<DeterminismReport, String> {
 /// to `oracle`, their `t_f_seconds` histograms identical and the two
 /// black-box dumps byte-identical. Returns the events recorded per run.
 fn flight_arm(seed: u64, oracle: &VirtualRunResult) -> Result<u64, String> {
-    let fly = |label: &str| -> Result<(u64, String, Histogram), String> {
+    let fly = |label: &str| -> Result<(u64, String, InMemoryRecorder), String> {
         let rec = InMemoryRecorder::new();
         let ring = FlightRecorder::new(4096);
         let run = run_once_faulty(seed, &WithFlight::new(&rec, &ring));
         diff_runs(label, oracle, &run)?;
-        let mut snap = rec.snapshot();
-        let tf = snap.histograms.remove("t_f_seconds").unwrap_or_default();
-        Ok((ring.recorded(), ring.dump_jsonl("shutdown"), tf))
+        Ok((ring.recorded(), ring.dump_jsonl("shutdown"), rec))
     };
-    let (events, dump_a, tf_a) = fly("flight-attach")?;
-    let (_, dump_b, tf_b) = fly("flight-attach (second run)")?;
-    // Count, every bucket, min, max and the sum's bits of the drawn T_F.
-    if tf_a.count() == 0 || tf_a != tf_b || tf_a.sum().to_bits() != tf_b.sum().to_bits() {
-        return Err(format!(
-            "flight arm: t_f_seconds histograms empty or diverged: count {} vs {}, sum {} vs {}",
-            tf_a.count(),
-            tf_b.count(),
-            tf_a.sum(),
-            tf_b.sum()
-        ));
-    }
+    let (events, dump_a, rec_a) = fly("flight-attach")?;
+    let (_, dump_b, rec_b) = fly("flight-attach (second run)")?;
+    // The drawn T_F.
+    diff_histograms("flight arm", "t_f_seconds", &rec_a, &rec_b)?;
     if events == 0 {
         return Err(
             "flight arm recorded zero events; the engine's flight hooks are lost".to_string(),
@@ -370,9 +376,14 @@ fn flight_arm(seed: u64, oracle: &VirtualRunResult) -> Result<u64, String> {
 /// observability stack — tracing [`InMemoryRecorder`], black-box
 /// [`FlightRecorder`] ring, and a live metrics tap with a real
 /// subscriber draining delta frames — and demands bit-identity with the
-/// DES fault oracle; returns (result frames consumed off the wire,
+/// DES fault oracle, the sampled `T_A` charged included (`oracle_rec`'s
+/// `t_a_seconds`); returns (result frames consumed off the wire,
 /// faults enacted on the wire, tap frames the subscriber drained).
-fn networked_chaos_arm(seed: u64, oracle: &VirtualRunResult) -> Result<(u64, usize, u64), String> {
+fn networked_chaos_arm(
+    seed: u64,
+    oracle: &VirtualRunResult,
+    oracle_rec: &InMemoryRecorder,
+) -> Result<(u64, usize, u64), String> {
     let problem = Dtlz::dtlz2_5();
     let config = gate_config(seed);
     let workers = (config.processors - 1) as usize;
@@ -458,6 +469,7 @@ fn networked_chaos_arm(seed: u64, oracle: &VirtualRunResult) -> Result<(u64, usi
             .to_string());
     }
     diff_runs("networked arm", &net.run, oracle)?;
+    diff_histograms("networked arm", "t_a_seconds", &rec, oracle_rec)?;
     // The proxy's wire-side ledger enacted the same faults kind for kind
     // (its timestamps are wall-clock, so only the counts are comparable).
     for kind in [

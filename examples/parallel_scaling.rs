@@ -39,7 +39,8 @@ fn main() {
             seed: 7 + u64::from(p),
         };
         let result = run_virtual_async(&problem, borg.clone(), &vcfg, &NoopRecorder, |_, _| {});
-        let t = TimingParams::new(t_f, t_c, result.ta.mean());
+        let ta = result.ta.expect("a measured run logs T_A");
+        let t = TimingParams::new(t_f, t_c, ta.mean());
         let eq2 = async_parallel_time(nfe, p, t);
         let t_s = serial_time(nfe, t);
         let elapsed = result.outcome.elapsed;

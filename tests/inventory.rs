@@ -1119,6 +1119,62 @@ fn every_ignored_test_runs_in_ci_sh() {
     );
 }
 
+/// The `examples` (file stems) that no `cargo run … --example <stem>` line
+/// of `ci` runs. An `echo`ed or commented command runs nothing.
+fn unrun_examples(ci: &str, examples: &[String]) -> Vec<String> {
+    let runs: Vec<Vec<&str>> = ci
+        .lines()
+        .map(str::trim_start)
+        .filter(|line| line.starts_with("cargo run"))
+        .map(|line| line.split_whitespace().collect())
+        .collect();
+    examples
+        .iter()
+        .filter(|name| {
+            !runs.iter().any(|words| {
+                words
+                    .windows(2)
+                    .any(|w| w[0] == "--example" && w[1] == name.as_str())
+            })
+        })
+        .cloned()
+        .collect()
+}
+
+#[test]
+fn every_example_runs_in_ci_sh() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut paths = Vec::new();
+    source_files(&root.join("examples"), &mut paths);
+    let examples: Vec<String> = paths
+        .iter()
+        .filter_map(|p| p.file_stem()?.to_str().map(str::to_string))
+        .collect();
+    assert!(examples.len() >= 4, "found only {examples:?}");
+    let ci = fs::read_to_string(root.join("ci.sh")).expect("read ci.sh");
+    let unrun = unrun_examples(&ci, &examples);
+    assert!(unrun.is_empty(), "no ci.sh step runs: {unrun:#?}");
+}
+
+#[test]
+fn unrun_example_check_has_teeth() {
+    let examples = ["quickstart", "real_threads", "custom"].map(String::from);
+    let seeded = "set -e\necho \"==> cargo run --example custom\"\n\
+                  # cargo run --release --example real_threads\n\
+                  cargo build --release --example real_threads\n\
+                  cargo run -q --release --example quickstart > /dev/null\n\
+                  cargo run --release --example custom_problem\n";
+    assert_eq!(
+        unrun_examples(seeded, &examples),
+        ["real_threads", "custom"]
+    );
+    let clean = format!(
+        "{seeded}cargo run -q --release --example real_threads\n\
+         cargo run --example custom > /dev/null\n"
+    );
+    assert!(unrun_examples(&clean, &examples).is_empty());
+}
+
 #[test]
 fn unrun_ignored_test_check_has_teeth() {
     let file = |path: &str, text: &str| (path.to_string(), text.to_string());

@@ -4,22 +4,19 @@
 
 use borg_obs::NoopRecorder;
 use borg_repro::core::algorithm::BorgConfig;
+use borg_repro::core::rng::SplitMix64;
 use borg_repro::models::analytical::{
     async_parallel_time, processor_upper_bound, relative_error, TimingParams,
 };
 use borg_repro::models::dist::Dist;
-use borg_repro::models::distfit::{best_fit, SampleLog};
+use borg_repro::models::distfit::best_fit;
 use borg_repro::models::perfsim::{simulate_async, PerfSimConfig, TimingModel};
-use borg_repro::parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
+use borg_repro::parallel::virtual_exec::{
+    run_virtual_async, TaMode, VirtualConfig, VirtualRunResult,
+};
 use borg_repro::problems::dtlz::Dtlz;
 
-struct Cell {
-    elapsed: f64,
-    mean_ta: f64,
-    ta: SampleLog,
-}
-
-fn run_cell(p: u32, nfe: u64, tf: f64, t_a: TaMode) -> Cell {
+fn run_cell(p: u32, nfe: u64, tf: f64, t_a: TaMode) -> VirtualRunResult {
     let problem = Dtlz::dtlz2_5();
     let cfg = VirtualConfig {
         processors: p,
@@ -29,18 +26,13 @@ fn run_cell(p: u32, nfe: u64, tf: f64, t_a: TaMode) -> Cell {
         t_a,
         seed: 1234,
     };
-    let result = run_virtual_async(
+    run_virtual_async(
         &problem,
         BorgConfig::new(5, 0.1),
         &cfg,
         &NoopRecorder,
         |_, _| {},
-    );
-    Cell {
-        elapsed: result.outcome.elapsed,
-        mean_ta: result.ta.mean(),
-        ta: result.ta,
-    }
+    )
 }
 
 #[test]
@@ -49,8 +41,9 @@ fn analytical_model_is_accurate_below_saturation() {
     // full-algorithm execution — the paper's low-error cells.
     let (p, nfe, tf) = (16, 5_000, 0.1);
     let cell = run_cell(p, nfe, tf, TaMode::Measured);
-    let eq2 = async_parallel_time(nfe, p, TimingParams::new(tf, 0.000_006, cell.mean_ta));
-    let err = relative_error(cell.elapsed, eq2);
+    let mean_ta = cell.ta.expect("a measured run logs T_A").mean();
+    let eq2 = async_parallel_time(nfe, p, TimingParams::new(tf, 0.000_006, mean_ta));
+    let err = relative_error(cell.outcome.elapsed, eq2);
     assert!(
         err < 0.05,
         "analytical error {err} too large below saturation"
@@ -60,19 +53,26 @@ fn analytical_model_is_accurate_below_saturation() {
 #[test]
 fn analytical_model_fails_and_simulation_model_holds_past_saturation() {
     // Small T_F, large P: the paper's high-error cells. The simulation
-    // model — parameterized by distributions *fitted from the executor's
-    // samples* (the §IV-B pipeline) — must stay far closer than Eq. (2).
-    // `T_A` is sampled from a skewed Gamma (mean 30 µs, CV 0.5) so the fit
-    // has a spread to recover and P_UB does not depend on the host's load;
+    // model — parameterized by distributions *fitted from samples* (the
+    // §IV-B pipeline) — must stay far closer than Eq. (2). `T_A` is
+    // sampled from a skewed Gamma (mean 30 µs, CV 0.5) so the fit has a
+    // spread to recover and P_UB does not depend on the host's load; the
+    // executor keeps no log of an input, so the fit reads a seeded draw of
+    // the same size, `(P − 1) + N` values, from the same Gamma.
     // `borg-experiments`' `tests/fit_bands.rs`, run by `ci.sh`, repeats the
     // claim on measured `T_A`.
     let (p, nfe, tf) = (512, 10_000, 0.001);
-    let t_a = TaMode::Sampled(Dist::Gamma {
+    let gamma = Dist::Gamma {
         shape: 4.0,
         scale: 0.000_007_5,
-    });
-    let cell = run_cell(p, nfe, tf, t_a);
-    let timing = TimingParams::new(tf, 0.000_006, cell.mean_ta);
+    };
+    let cell = run_cell(p, nfe, tf, TaMode::Sampled(gamma));
+    let mut rng = SplitMix64::new(1234).derive("t_a-sample");
+    let ta_sample: Vec<f64> = (0..u64::from(p - 1) + nfe)
+        .map(|_| gamma.sample(&mut rng))
+        .collect();
+    let mean_ta = ta_sample.iter().sum::<f64>() / ta_sample.len() as f64;
+    let timing = TimingParams::new(tf, 0.000_006, mean_ta);
 
     // Confirm this configuration is genuinely past the saturation bound.
     assert!(
@@ -81,13 +81,13 @@ fn analytical_model_fails_and_simulation_model_holds_past_saturation() {
     );
 
     let eq2 = async_parallel_time(nfe, p, timing);
-    let analytic_err = relative_error(cell.elapsed, eq2);
+    let analytic_err = relative_error(cell.outcome.elapsed, eq2);
     assert!(
         analytic_err > 0.5,
         "expected large analytical error, got {analytic_err}"
     );
 
-    let ta_fit = best_fit(cell.ta.retained());
+    let ta_fit = best_fit(&ta_sample);
     let sim = simulate_async(&PerfSimConfig {
         processors: p,
         evaluations: nfe,
@@ -98,7 +98,7 @@ fn analytical_model_fails_and_simulation_model_holds_past_saturation() {
         },
         seed: 99,
     });
-    let sim_err = relative_error(cell.elapsed, sim.parallel_time);
+    let sim_err = relative_error(cell.outcome.elapsed, sim.parallel_time);
     assert!(
         sim_err < analytic_err / 3.0,
         "simulation error {sim_err} not clearly better than analytical {analytic_err}"
@@ -118,7 +118,7 @@ fn elapsed_time_bottoms_out_at_saturation() {
     let t_a = TaMode::Sampled(Dist::Constant(0.000_03));
     let times: Vec<f64> = [16u32, 256, 1024]
         .iter()
-        .map(|&p| run_cell(p, nfe, 0.001, t_a).elapsed)
+        .map(|&p| run_cell(p, nfe, 0.001, t_a).outcome.elapsed)
         .collect();
     assert!(times[1] < times[0], "more workers must help pre-saturation");
     assert!(
@@ -143,7 +143,7 @@ fn measured_ta_is_microseconds_and_grows_with_problem_complexity() {
             seed: 7,
         };
         let r = run_virtual_async(problem, borg, &cfg, &NoopRecorder, |_, _| {});
-        r.ta.mean()
+        r.ta.expect("a measured run logs T_A").mean()
     };
     let dtlz2 = Dtlz::dtlz2_5();
     let ta_dtlz2 = run_ta(&dtlz2, vec![0.1; 5]);
