@@ -6,8 +6,11 @@
 use crate::report::TextTable;
 use crate::suite::PaperProblem;
 use borg_models::dist::Dist;
-use borg_models::distfit::{fit_all, Family, SampleStats};
-use borg_parallel::threads::{estimate_comm_time, run_threaded, ThreadedConfig, ThreadedError};
+use borg_models::distfit::{fit_all, Family, SampleStats, WithSampleLog};
+use borg_obs::{Activity, NoopRecorder};
+use borg_parallel::threads::{
+    estimate_comm_time, run_threaded_observed, ThreadedConfig, ThreadedError,
+};
 
 /// Configuration for the fitting demonstration.
 #[derive(Debug, Clone, Copy)]
@@ -67,7 +70,9 @@ fn rank_table(samples: &[f64]) -> TextTable {
 pub fn run_fit_demo(config: &FitDemoConfig) -> Result<FitDemo, ThreadedError> {
     let problem = PaperProblem::Dtlz2.build();
     let borg = PaperProblem::Dtlz2.borg_config(0.1);
-    let result = run_threaded(
+    let ta = WithSampleLog::new(&NoopRecorder, Activity::Algorithm);
+    let tf = WithSampleLog::new(&ta, Activity::Evaluation);
+    run_threaded_observed(
         problem.as_ref(),
         borg,
         &ThreadedConfig::new(
@@ -76,14 +81,16 @@ pub fn run_fit_demo(config: &FitDemoConfig) -> Result<FitDemo, ThreadedError> {
             Some(Dist::normal_cv(config.t_f, 0.1)),
             config.seed,
         ),
+        &tf,
     )?;
+    let (tf, ta) = (tf.into_log(), ta.into_log());
     let t_c = estimate_comm_time(500)?;
     Ok(FitDemo {
-        ta_stats: SampleStats::of(result.ta.retained()),
-        tf_stats: SampleStats::of(result.tf.retained()),
+        ta_stats: SampleStats::of(ta.retained()),
+        tf_stats: SampleStats::of(tf.retained()),
         t_c,
-        ta_table: rank_table(result.ta.retained()),
-        tf_table: rank_table(result.tf.retained()),
+        ta_table: rank_table(ta.retained()),
+        tf_table: rank_table(tf.retained()),
     })
 }
 

@@ -15,6 +15,9 @@ use borg_models::analytical::{sync_efficiency, TimingParams};
 use borg_models::dist::Dist;
 use borg_models::perfsim::{simulate_async, PerfSimConfig, TimingModel};
 
+/// Coefficient of variation of `T_F` in the asynchronous simulation.
+const T_F_CV: f64 = 0.1;
+
 /// Configuration for the efficiency heatmaps.
 #[derive(Debug, Clone)]
 pub struct HeatmapConfig {
@@ -26,8 +29,6 @@ pub struct HeatmapConfig {
     pub t_a: f64,
     /// One-way communication time.
     pub t_c: f64,
-    /// Coefficient of variation of `T_F` in the asynchronous simulation.
-    pub cv: f64,
     /// Evaluations per asynchronous simulation (scaled with `P` so every
     /// worker cycles several times).
     pub min_evaluations: u64,
@@ -47,7 +48,6 @@ impl Default for HeatmapConfig {
             // 0.000060 seconds".
             t_a: 0.000_006,
             t_c: 0.000_060,
-            cv: 0.1,
             min_evaluations: 4_000,
             seed: 5150,
             jobs: 0,
@@ -119,7 +119,7 @@ pub fn run_figure5(config: &HeatmapConfig) -> EfficiencySurfaces {
             processors: p.max(2),
             evaluations: n,
             timing: TimingModel {
-                t_f: Dist::normal_cv(tf, config.cv),
+                t_f: Dist::normal_cv(tf, T_F_CV),
                 t_c: Dist::Constant(config.t_c),
                 t_a: Dist::Constant(config.t_a),
             },

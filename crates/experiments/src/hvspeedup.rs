@@ -10,11 +10,18 @@
 
 use crate::report::TextTable;
 use crate::suite::{PaperProblem, REF_DIVISIONS};
+use borg_core::algorithm::BorgEngine;
 use borg_core::rng::SplitMix64;
 use borg_metrics::relative::RelativeHypervolume;
 use borg_models::dist::Dist;
 use borg_obs::NoopRecorder;
 use borg_parallel::virtual_exec::{run_virtual_async, run_virtual_serial, TaMode, VirtualConfig};
+
+/// Hypervolume thresholds `h` (the x-axis): 0.1, 0.2, …, 1.0.
+const THRESHOLDS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
+
+/// Base archive ε of every run.
+const EPSILON: f64 = 0.1;
 
 /// Configuration for the hypervolume-speedup experiment.
 #[derive(Debug, Clone)]
@@ -29,12 +36,8 @@ pub struct HvSpeedupConfig {
     pub processors: Vec<u32>,
     /// Mean `T_F` values (panels).
     pub tf_means: Vec<f64>,
-    /// Hypervolume thresholds (x-axis).
-    pub thresholds: Vec<f64>,
     /// Hypervolume sampling cadence in evaluations.
     pub check_every: u64,
-    /// Base archive ε.
-    pub epsilon: f64,
     /// Monte-Carlo hypervolume samples (common random numbers).
     pub mc_samples: usize,
     /// Root seed.
@@ -56,9 +59,7 @@ impl HvSpeedupConfig {
             replicates: 2,
             processors: vec![16, 32, 64, 128, 256, 512, 1024],
             tf_means: vec![0.001, 0.01, 0.1],
-            thresholds: (1..=10).map(|i| i as f64 / 10.0).collect(),
             check_every: 500,
-            epsilon: 0.1,
             mc_samples: 5_000,
             seed: 4242,
             jobs: 0,
@@ -98,8 +99,6 @@ pub struct HvSpeedupPanel {
     pub problem: &'static str,
     /// Panel `T_F`.
     pub t_f: f64,
-    /// Threshold grid.
-    pub thresholds: Vec<f64>,
     /// Mean serial time-to-threshold (None = never attained).
     pub serial_times: Vec<Option<f64>>,
     /// Per processor count: mean parallel time-to-threshold and speedups.
@@ -179,7 +178,7 @@ pub(crate) fn run_panel(config: &HvSpeedupConfig, t_f: f64) -> HvSpeedupPanel {
             let processors = arm.checked_sub(1).map(|i| config.processors[i]);
             run_trajectory(config, t_f, &metric, processors, seed)
         },
-        |_, trajs| mean_times(&trajs, &config.thresholds),
+        |_, trajs| mean_times(&trajs, &THRESHOLDS),
     )
     .into_iter();
     let serial_times = arm_times.next().unwrap_or_default();
@@ -204,7 +203,6 @@ pub(crate) fn run_panel(config: &HvSpeedupConfig, t_f: f64) -> HvSpeedupPanel {
     HvSpeedupPanel {
         problem: config.problem.name(),
         t_f,
-        thresholds: config.thresholds.clone(),
         serial_times,
         series,
     }
@@ -222,7 +220,7 @@ fn run_trajectory(
     seed: u64,
 ) -> Trajectory {
     let problem = config.problem.build();
-    let borg = config.problem.borg_config(config.epsilon);
+    let borg = config.problem.borg_config(EPSILON);
     let vcfg = VirtualConfig {
         // The serial runner ignores the processor count beyond validation.
         processors: processors.unwrap_or(2),
@@ -235,22 +233,15 @@ fn run_trajectory(
     let mut traj: Trajectory = Vec::new();
     let check = config.check_every.max(1);
     let mut hv = metric.tracker();
+    let observe = |t, engine: &BorgEngine| {
+        if engine.nfe().is_multiple_of(check) || engine.nfe() == config.evaluations {
+            traj.push((t, hv.sync(engine.archive().objective_rows())));
+        }
+    };
     match processors {
-        None => {
-            run_virtual_serial(problem.as_ref(), borg, &vcfg, |t, engine| {
-                if engine.nfe() % check == 0 || engine.nfe() == config.evaluations {
-                    traj.push((t, hv.sync(engine.archive().objective_rows())));
-                }
-            });
-        }
-        Some(_) => {
-            run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, |t, engine| {
-                if engine.nfe() % check == 0 || engine.nfe() == config.evaluations {
-                    traj.push((t, hv.sync(engine.archive().objective_rows())));
-                }
-            });
-        }
-    }
+        None => run_virtual_serial(problem.as_ref(), borg, &vcfg, observe),
+        Some(_) => run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, observe),
+    };
     traj
 }
 
@@ -268,7 +259,7 @@ pub fn render_panel(panel: &HvSpeedupPanel) -> TextTable {
     let mut header = vec!["h".to_string()];
     header.extend(panel.series.iter().map(|s| format!("P={}", s.processors)));
     let mut t = TextTable::new(header);
-    for (i, &h) in panel.thresholds.iter().enumerate() {
+    for (i, &h) in THRESHOLDS.iter().enumerate() {
         let mut row = vec![format!("{h:.2}")];
         for s in &panel.series {
             row.push(match s.speedups[i] {
@@ -351,7 +342,7 @@ mod tests {
         );
         assert!(low.unwrap() > 1.0, "expected parallel speedup, got {low:?}");
         let rendered = render_panel(&panel);
-        assert_eq!(rendered.len(), panel.thresholds.len());
+        assert_eq!(rendered.len(), THRESHOLDS.len());
     }
 
     #[test]

@@ -12,10 +12,10 @@ use crate::suite::PaperProblem;
 use borg_core::rng::SplitMix64;
 use borg_models::analytical::{async_parallel_time, relative_error, serial_time, TimingParams};
 use borg_models::dist::Dist;
-use borg_models::distfit::{best_fit, SampleLog};
+use borg_models::distfit::{best_fit, SampleLog, WithSampleLog};
 use borg_models::perfsim::{simulate_async_mean, PerfSimConfig, TimingModel};
-use borg_obs::{InMemoryRecorder, MetricsSnapshot, NoopRecorder};
-use borg_parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
+use borg_obs::{Activity, InMemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder};
+use borg_parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig, VirtualRunResult};
 
 /// Configuration for regenerating Table II.
 #[derive(Debug, Clone)]
@@ -294,6 +294,27 @@ fn run_replicate(
     seed: u64,
     observe: bool,
 ) -> ReplicateOutcome {
+    let rec = observe.then(InMemoryRecorder::metrics_only);
+    let (result, ta) = match &rec {
+        Some(rec) => run_virtual(config, cell, seed, rec),
+        None => run_virtual(config, cell, seed, &NoopRecorder),
+    };
+    ReplicateOutcome {
+        elapsed: result.outcome.elapsed,
+        utilization: result.outcome.master_utilization,
+        ta,
+        metrics: rec.map(|rec| rec.snapshot()),
+    }
+}
+
+/// One replicate's run into `rec`. Under a measured `T_A` a
+/// [`WithSampleLog`] between the run and `rec` keeps the master holds.
+fn run_virtual<R: Recorder + ?Sized>(
+    config: &Table2Config,
+    cell: &CellSpec,
+    seed: u64,
+    rec: &R,
+) -> (VirtualRunResult, Option<MeasuredTa>) {
     let problem = cell.problem.build();
     let borg = cell.problem.borg_config(config.epsilon);
     let vcfg = VirtualConfig {
@@ -307,20 +328,13 @@ fn run_replicate(
         },
         seed,
     };
-    let (result, metrics) = if observe {
-        let rec = InMemoryRecorder::metrics_only();
-        let result = run_virtual_async(problem.as_ref(), borg, &vcfg, &rec, |_, _| {});
-        (result, Some(rec.snapshot()))
-    } else {
-        let result = run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, |_, _| {});
-        (result, None)
-    };
-    ReplicateOutcome {
-        elapsed: result.outcome.elapsed,
-        utilization: result.outcome.master_utilization,
-        ta: result.ta.as_ref().map(MeasuredTa::of),
-        metrics,
+    if config.sampled_ta.is_some() {
+        let result = run_virtual_async(problem.as_ref(), borg, &vcfg, rec, |_, _| {});
+        return (result, None);
     }
+    let holds = WithSampleLog::new(rec, Activity::Algorithm);
+    let result = run_virtual_async(problem.as_ref(), borg, &vcfg, &holds, |_, _| {});
+    (result, Some(MeasuredTa::of(&holds.into_log())))
 }
 
 /// Folds one cell's replicate outcomes (in replicate order) into its row.

@@ -19,10 +19,10 @@ use borg_models::analytical::{
     async_parallel_time, processor_upper_bound, relative_error, TimingParams,
 };
 use borg_models::dist::Dist;
-use borg_models::distfit::best_fit;
+use borg_models::distfit::{best_fit, WithSampleLog};
 use borg_models::perfsim::{simulate_async, PerfSimConfig, TimingModel};
-use borg_obs::NoopRecorder;
-use borg_parallel::threads::{run_threaded, ThreadedConfig};
+use borg_obs::{Activity, NoopRecorder};
+use borg_parallel::threads::{run_threaded_observed, ThreadedConfig};
 use borg_parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
 use borg_problems::dtlz::Dtlz;
 
@@ -139,9 +139,10 @@ fn measured_analytical_model_fails_and_simulation_model_holds_past_saturation() 
         seed: 1234,
     };
     let borg = BorgConfig::new(5, 0.1);
-    let run = run_virtual_async(&Dtlz::dtlz2_5(), borg, &cfg, &NoopRecorder, |_, _| {});
+    let holds = WithSampleLog::new(&NoopRecorder, Activity::Algorithm);
+    let run = run_virtual_async(&Dtlz::dtlz2_5(), borg, &cfg, &holds, |_, _| {});
     let elapsed = run.outcome.elapsed;
-    let ta = run.ta.expect("a measured run logs T_A");
+    let ta = holds.into_log();
     let timing = TimingParams::new(tf, 0.000_006, ta.mean());
     assert!(
         f64::from(p) > processor_upper_bound(timing),
@@ -175,7 +176,8 @@ fn measured_analytical_model_fails_and_simulation_model_holds_past_saturation() 
 fn threaded_run_measures_t_f_within_t_f_of_the_injection() {
     let t_f = 0.002;
     let cfg = ThreadedConfig::new(8, 400, Some(Dist::Constant(t_f)), 3);
-    let result = run_threaded(&Dtlz::dtlz2_5(), BorgConfig::new(5, 0.06), &cfg).expect("run");
-    let mean_tf = result.tf.mean();
+    let tf = WithSampleLog::new(&NoopRecorder, Activity::Evaluation);
+    run_threaded_observed(&Dtlz::dtlz2_5(), BorgConfig::new(5, 0.06), &cfg, &tf).expect("run");
+    let mean_tf = tf.into_log().mean();
     assert!((mean_tf - t_f).abs() < t_f, "mean T_F {mean_tf}");
 }

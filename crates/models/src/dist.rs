@@ -68,7 +68,7 @@ pub(crate) fn trigamma(mut x: f64) -> f64 {
 }
 
 /// Samples a standard normal deviate (Marsaglia polar method).
-pub fn standard_normal(rng: &mut dyn RngCore) -> f64 {
+pub fn standard_normal<R: RngCore + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u: f64 = rng.gen_range(-1.0..1.0);
         let v: f64 = rng.gen_range(-1.0..1.0);
@@ -80,7 +80,7 @@ pub fn standard_normal(rng: &mut dyn RngCore) -> f64 {
 }
 
 /// Samples Gamma(shape, 1) via Marsaglia & Tsang (2000).
-fn standard_gamma(shape: f64, rng: &mut dyn RngCore) -> f64 {
+fn standard_gamma<R: RngCore + ?Sized>(shape: f64, rng: &mut R) -> f64 {
     debug_assert!(shape > 0.0);
     if shape < 1.0 {
         // Boost: Gamma(a) = Gamma(a + 1) · U^{1/a}.
@@ -169,8 +169,8 @@ impl Dist {
         }
     }
 
-    /// Draws one sample.
-    pub fn sample(&self, rng: &mut dyn RngCore) -> f64 {
+    /// Draws one sample (generic, so no draw goes through a vtable).
+    pub fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> f64 {
         match *self {
             Dist::Constant(c) => c,
             Dist::Uniform { lo, hi } => {

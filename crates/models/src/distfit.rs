@@ -5,6 +5,8 @@
 //! determine which best fits the sampled data."*
 
 use crate::dist::{digamma, trigamma, Dist};
+use borg_obs::{Activity, Actor, Recorder, TraceEdge};
+use parking_lot::Mutex;
 
 /// Families the fitter can try.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -96,10 +98,9 @@ impl SampleStats {
 /// value that falls on the stride first drops every second retained value
 /// and doubles the stride, so a long stream holds between `CAP / 2` and
 /// `CAP` values and `retained()` is always `stream.step_by(stride)`.
-/// Executors log a *measured* `T_A` here once per master interaction
-/// (`run_threaded` its measured `T_F` too); a paper-scale run
-/// (N + P − 1 ≤ `CAP`) keeps them all. A sampled `T_A` or an injected `T_F`
-/// is an input and is not logged.
+/// Executors keep none: a reader that fits or averages measured `T_A` or
+/// `T_F` attaches a [`WithSampleLog`] to the run's recorder, and a
+/// paper-scale run (N + P − 1 ≤ `CAP`) keeps every sample.
 #[derive(Debug, Clone)]
 pub struct SampleLog {
     count: usize,
@@ -171,6 +172,70 @@ impl SampleLog {
 impl Default for SampleLog {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// Forwards every call to the recorder it wraps and logs the durations
+/// (`end − start`) of one [`Activity`]'s spans: `Algorithm` gives one `T_A`
+/// per master hold, `Evaluation` one `T_F` per finished evaluation. Like
+/// `InMemoryRecorder` it logs no zero-length span, and a span reaches
+/// `inner` under the log's lock, so a histogram `inner` builds from the
+/// same spans agrees with the log on count and sum bits.
+pub struct WithSampleLog<'a, R: Recorder + ?Sized> {
+    inner: &'a R,
+    activity: Activity,
+    log: Mutex<SampleLog>,
+}
+
+impl<'a, R: Recorder + ?Sized> WithSampleLog<'a, R> {
+    /// Wraps `inner`, logging the durations of `activity`'s spans.
+    pub fn new(inner: &'a R, activity: Activity) -> Self {
+        Self {
+            inner,
+            activity,
+            log: Mutex::new(SampleLog::new()),
+        }
+    }
+
+    /// The durations logged so far.
+    pub fn into_log(self) -> SampleLog {
+        self.log.into_inner()
+    }
+}
+
+impl<R: Recorder + ?Sized> Recorder for WithSampleLog<'_, R> {
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
+    }
+
+    fn counter(&self, name: &'static str, delta: u64) {
+        self.inner.counter(name, delta);
+    }
+
+    fn gauge(&self, name: &'static str, value: f64) {
+        self.inner.gauge(name, value);
+    }
+
+    fn observe(&self, name: &'static str, value: f64) {
+        self.inner.observe(name, value);
+    }
+
+    fn span(&self, actor: Actor, activity: Activity, start: f64, end: f64) {
+        if activity == self.activity && end > start {
+            let mut log = self.log.lock();
+            self.inner.span(actor, activity, start, end);
+            log.push(end - start);
+        } else {
+            self.inner.span(actor, activity, start, end);
+        }
+    }
+
+    fn trace_edge(&self, edge: TraceEdge) {
+        self.inner.trace_edge(edge);
+    }
+
+    fn flight(&self, code: &'static str, t: f64, a: u64, b: u64, x: f64) {
+        self.inner.flight(code, t, a, b, x);
     }
 }
 
@@ -413,6 +478,23 @@ mod tests {
         assert!(log.retained().len() <= SampleLog::CAP);
         assert!(log.retained.capacity() <= SampleLog::CAP);
         assert_eq!(log.retained().len(), n.div_ceil(4));
+    }
+
+    #[test]
+    fn with_sample_log_keeps_one_activity_and_forwards_everything() {
+        let inner = borg_obs::InMemoryRecorder::new();
+        let rec = WithSampleLog::new(&inner, Activity::Algorithm);
+        rec.span(Actor::Master, Activity::Algorithm, 1.0, 1.5);
+        // A zero-length span carries no time: neither sink counts it.
+        rec.span(Actor::Master, Activity::Algorithm, 2.0, 2.0);
+        rec.span(Actor::Worker(0), Activity::Evaluation, 0.0, 3.0);
+        rec.counter("engine.reissues", 2);
+        let log = rec.into_log();
+        assert_eq!((log.count(), log.sum()), (1, 0.5));
+        let snapshot = inner.snapshot();
+        assert_eq!(snapshot.histograms["t_a_seconds"].count(), 1);
+        assert_eq!(snapshot.histograms["t_f_seconds"].count(), 1);
+        assert_eq!(snapshot.counters["engine.reissues"], 2);
     }
 
     #[test]

@@ -88,9 +88,8 @@ impl ChaosConfig {
 /// What a chaos-mode networked run produced.
 pub struct ChaosRunResult {
     /// The pinned master's run as the DES fault oracle records it: virtual
-    /// outcome, engine and the authoritative (DES-side) ledger; no `T_A`
-    /// log (`ta` is `None`: the timing is sampled). Every field must equal
-    /// the oracle's bit for bit.
+    /// outcome, engine and the authoritative (DES-side) ledger. Every field
+    /// must equal the oracle's bit for bit.
     pub run: VirtualRunResult,
     /// The proxy's wire-side ledger: faults it physically enacted on the
     /// sockets. Record times are wall-clock, so it is compared to the

@@ -263,6 +263,20 @@ fn master_utilization_is_the_measured_share_of_holds() {
 }
 
 #[test]
+fn every_consumed_result_records_one_master_hold() {
+    // The wall-clock master records each hold as an `Algorithm` span, the
+    // measured `T_A`, on every link: over sockets too, one per consumed
+    // result on a fault-free run.
+    const N: u64 = 300;
+    let rec = InMemoryRecorder::metrics_only();
+    let (report, _) = run_observed(&config("holds", 2, N), 2, || {}, &rec);
+    assert_complete(&report, N);
+    let holds = &rec.snapshot().histograms["t_a_seconds"];
+    assert_eq!(holds.count(), report.wire_results);
+    assert!(holds.sum() > 0.0, "holds sum {}", holds.sum());
+}
+
+#[test]
 fn engine_and_wire_flight_records_agree_on_eval_and_worker() {
     // `Recorder::flight` puts the eval id in `a` and the worker in `b`: the
     // engine's dispatch record and the wire's send record of one

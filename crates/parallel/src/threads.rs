@@ -16,7 +16,6 @@ use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
 use borg_desim::fault::{FaultKind, FaultLog};
 use borg_models::dist::Dist;
-use borg_models::distfit::SampleLog;
 use borg_obs::{Activity, Actor, NoopRecorder, Recorder};
 use parking_lot::Mutex;
 use std::sync::mpsc;
@@ -58,13 +57,6 @@ pub struct ThreadedRunResult {
     pub elapsed: f64,
     /// Final engine state.
     pub engine: BorgEngine,
-    /// Measured master holds (seconds), one per result the master
-    /// handles: result in, consume, the produce and dispatch that follow,
-    /// out. A healthy pool logs `N`.
-    pub ta: SampleLog,
-    /// Measured evaluation times (seconds, including injected delay), as
-    /// seen by the workers. One per *consumed* result, `N`.
-    pub tf: SampleLog,
     /// Recovery ledger: the deaths of worker threads that ended outside
     /// `Problem::evaluate`, and their reissues (empty on a healthy run).
     pub fault_log: FaultLog,
@@ -149,20 +141,13 @@ struct WorkItem {
     variables: Vec<f64>,
 }
 
-/// The master's [`Link`] to worker threads: one in-memory pipe each. It
-/// also keeps what only this executor measures — `T_F` as the workers
-/// report it, `T_A` as the holds of the master.
-struct Pipes<'a, R: ?Sized> {
-    /// `None` once severed; dropping the sender ends that worker's loop.
-    pipes: Vec<Option<mpsc::Sender<WorkItem>>>,
-    ta: SampleLog,
-    tf: SampleLog,
-    rec: &'a R,
-}
+/// The master's [`Link`] to worker threads: one in-memory pipe each,
+/// `None` once severed (dropping the sender ends that worker's loop).
+struct Pipes(Vec<Option<mpsc::Sender<WorkItem>>>);
 
-impl<R: Recorder + ?Sized> Link for Pipes<'_, R> {
-    /// The evaluation's measured seconds.
-    type Receipt = f64;
+impl Link for Pipes {
+    /// Nothing: the worker recorded its evaluation's span itself.
+    type Receipt = ();
 
     fn send_work(
         &mut self,
@@ -177,37 +162,21 @@ impl<R: Recorder + ?Sized> Link for Pipes<'_, R> {
             id: eval_id,
             variables: variables.to_vec(),
         };
-        self.pipes[target]
+        self.0[target]
             .as_ref()
             .is_some_and(|pipe| pipe.send(item).is_ok())
     }
 
     fn is_up(&self, target: usize) -> bool {
-        self.pipes[target].is_some()
+        self.0[target].is_some()
     }
 
     fn sever(&mut self, target: usize) {
-        self.pipes[target] = None;
-    }
-
-    fn consumed(
-        &mut self,
-        _worker: usize,
-        _eval_id: u64,
-        eval_seconds: &f64,
-        _sent: f64,
-        _now: f64,
-    ) {
-        self.tf.push(*eval_seconds);
-    }
-
-    fn held(&mut self, from: f64, to: f64) {
-        self.ta.push(to - from);
-        self.rec.span(Actor::Master, Activity::Algorithm, from, to);
+        self.0[target] = None;
     }
 }
 
-type ThreadMaster<'a, R> = Mutex<Master<'a, Pipes<'a, R>, R>>;
+type ThreadMaster<'a, R> = Mutex<Master<'a, Pipes, R>>;
 
 /// Reports a worker thread's death when it ends for any reason but the end
 /// of the run — a panic outside `Problem::evaluate` — the
@@ -247,7 +216,7 @@ fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
                   the worker dead and at the end of the run"
     )]
     while let Ok(item) = pipe.recv() {
-        let t0 = Instant::now();
+        let eval_start = start.elapsed().as_secs_f64();
         if let Some(d) = config.delay {
             precise_delay(d.sample(&mut rng));
         }
@@ -262,15 +231,9 @@ fn worker_loop<P: Problem + ?Sized, R: Recorder + ?Sized>(
             objs.fill(PANIC_OBJECTIVE);
             cons.fill(PANIC_OBJECTIVE);
         }
-        let eval_seconds = t0.elapsed().as_secs_f64();
         let eval_end = start.elapsed().as_secs_f64();
-        rec.span(
-            Actor::Worker(w),
-            Activity::Evaluation,
-            eval_end - eval_seconds,
-            eval_end,
-        );
-        if lock_master(master).on_result(w, item.id, &objs, &cons, eval_seconds) {
+        rec.span(Actor::Worker(w), Activity::Evaluation, eval_start, eval_end);
+        if lock_master(master).on_result(w, item.id, &objs, &cons, ()) {
             return;
         }
     }
@@ -304,10 +267,11 @@ pub fn run_threaded<P: Problem + ?Sized>(
 }
 
 /// [`run_threaded`] emitting telemetry through `rec`: master `Algorithm`
-/// spans (one per hold) and worker `Evaluation` spans (wall-clock seconds
-/// since run start), protocol event/command counters, and end-of-run
-/// master-occupancy gauges. The recorder is shared with the worker
-/// threads, so it must be [`Sync`].
+/// spans (one per hold, the measured `T_A`) and worker `Evaluation` spans
+/// (one per finished evaluation, the measured `T_F`, injected delay
+/// included; wall-clock seconds since run start), protocol event/command
+/// counters, and end-of-run master-occupancy gauges. The recorder is
+/// shared with the worker threads, so it must be [`Sync`].
 ///
 /// # Errors
 /// As [`run_threaded`].
@@ -333,12 +297,7 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
             reissue_timeout: None,
             heartbeat_timeout: f64::INFINITY,
         },
-        Pipes {
-            pipes: senders,
-            ta: SampleLog::new(),
-            tf: SampleLog::new(),
-            rec,
-        },
+        Pipes(senders),
         rec,
     );
     let master = Mutex::new(master);
@@ -350,14 +309,12 @@ pub fn run_threaded_observed<P: Problem + ?Sized, R: Recorder + Sync + ?Sized>(
         keep_clock(&master);
         // Whatever the verdict: close every pipe so idle workers leave
         // their `recv` and the scope's join returns.
-        master.lock().link_mut().pipes.fill(None);
+        master.lock().link_mut().0.fill(None);
     });
     let run = master.into_inner().finish()?;
     Ok(ThreadedRunResult {
         elapsed: run.elapsed,
         engine: run.engine,
-        ta: run.link.ta,
-        tf: run.link.tf,
         fault_log: run.fault_log,
     })
 }
@@ -415,18 +372,21 @@ pub fn estimate_comm_time(rounds: u32) -> Result<f64, ThreadedError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use borg_obs::{FlightRecorder, WithFlight};
+    use borg_models::distfit::WithSampleLog;
+    use borg_obs::{FlightRecorder, InMemoryRecorder, WithFlight};
     use borg_problems::dtlz::{Dtlz, DtlzVariant};
 
     #[test]
     fn threaded_run_completes_exact_nfe() {
         let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let cfg = ThreadedConfig::new(4, 2_000, None, 1);
-        let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
+        let rec = InMemoryRecorder::metrics_only();
+        let result =
+            run_threaded_observed(&problem, BorgConfig::new(2, 0.01), &cfg, &rec).expect("run");
         assert_eq!(result.engine.nfe(), 2_000);
         assert!(result.engine.archive().len() > 5);
         result.engine.archive().check_invariants().unwrap();
-        assert_eq!(result.tf.count(), 2_000);
+        assert_eq!(rec.snapshot().histograms["t_f_seconds"].count(), 2_000);
         assert!(result.elapsed > 0.0);
     }
 
@@ -487,7 +447,8 @@ mod tests {
         let workers = 8usize;
         let cfg = ThreadedConfig::new(workers, nfe, Some(Dist::Constant(t_f)), 3);
         let ring = FlightRecorder::new(4_096);
-        let rec = WithFlight::new(&NoopRecorder, &ring);
+        let tf = WithSampleLog::new(&NoopRecorder, Activity::Evaluation);
+        let rec = WithFlight::new(&tf, &ring);
         let result =
             run_threaded_observed(&problem, BorgConfig::new(5, 0.06), &cfg, &rec).expect("run");
         // The engine's commands, in order, from the flight ring: the code
@@ -540,7 +501,7 @@ mod tests {
         assert_eq!(consumed, nfe);
         // Measured T_F includes the whole delay, which is never early; its
         // upper band is in `borg-experiments`' `tests/fit_bands.rs`.
-        let mean_tf = result.tf.mean();
+        let mean_tf = tf.into_log().mean();
         assert!(mean_tf >= t_f, "mean T_F {mean_tf}");
     }
 
@@ -641,14 +602,13 @@ mod tests {
     fn ta_samples_are_recorded_per_interaction() {
         let problem = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let cfg = ThreadedConfig::new(2, 500, None, 4);
-        let result = run_threaded(&problem, BorgConfig::new(2, 0.01), &cfg).expect("run");
+        let ta = WithSampleLog::new(&NoopRecorder, Activity::Algorithm);
+        let tf = WithSampleLog::new(&ta, Activity::Evaluation);
+        run_threaded_observed(&problem, BorgConfig::new(2, 0.01), &cfg, &tf).expect("run");
+        let (tf, ta) = (tf.into_log(), ta.into_log());
         // Fault-free: every result is handled once and consumed.
-        assert_eq!(result.ta.count(), 500);
-        assert_eq!(result.tf.count(), 500);
-        assert!(result
-            .ta
-            .retained()
-            .iter()
-            .all(|&t| (0.0..1.0).contains(&t)));
+        assert_eq!(ta.count(), 500);
+        assert_eq!(tf.count(), 500);
+        assert!(ta.retained().iter().all(|&t| (0.0..1.0).contains(&t)));
     }
 }

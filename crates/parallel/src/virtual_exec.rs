@@ -16,7 +16,6 @@ use borg_core::problem::Problem;
 use borg_core::rng::SplitMix64;
 use borg_desim::fault::{FaultConfig, FaultLog, FaultPlan};
 use borg_models::dist::Dist;
-use borg_models::distfit::SampleLog;
 use borg_models::queueing::{
     run_async_with, AsyncRun, MasterSlaveHooks, RecoveryPolicy, RunOutcome,
 };
@@ -33,8 +32,8 @@ pub enum TaMode {
     /// reach the recorder only as `Algorithm` spans (`t_a_seconds`).
     Sampled(Dist),
     /// Measure the real wall-clock time of the engine's produce/consume
-    /// calls and use it as simulated seconds (the "experimental" mode);
-    /// the samples come back in [`VirtualRunResult::ta`].
+    /// calls and use it as simulated seconds (the "experimental" mode).
+    /// Each hold reaches the recorder as one `Algorithm` span, like a draw.
     Measured,
 }
 
@@ -66,23 +65,16 @@ impl VirtualConfig {
     }
 }
 
-/// Result of a virtual-time parallel run. `T_F`, drawn per dispatch, is
-/// not kept: the recorder's `t_f_seconds` counts `N + P − 2` draws for
-/// [`run_virtual_async`], `N` for a quiet [`run_virtual_async_with`].
+/// Result of a virtual-time parallel run, without timing samples: each
+/// `T_F` reaches the recorder as an `Evaluation` span (`N + P − 2` for
+/// [`run_virtual_async`], `N` for a quiet [`run_virtual_async_with`]), each
+/// master hold's `T_A` as an `Algorithm` span (`(P − 1) + N`).
 #[derive(Debug)]
 pub struct VirtualRunResult {
     /// Queueing outcome (elapsed virtual time, utilization, waits).
     pub outcome: RunOutcome,
     /// Final engine state (archive, statistics).
     pub engine: BorgEngine,
-    /// Measured `T_A` (seconds), `Some` exactly under [`TaMode::Measured`]:
-    /// one sample per produce or consume, except that a produce directly
-    /// after a consume (the same master hold) is added to that consume's
-    /// sample, so a fault-free asynchronous run logs `(P − 1) + N` and
-    /// [`run_virtual_serial`] logs one per evaluation, `N`. A sampled `T_A`
-    /// is an input, like `T_F`: it is not kept here, and reaches the
-    /// recorder's `t_a_seconds` as one `Algorithm` span per master hold.
-    pub ta: Option<SampleLog>,
     /// Fault-injection/recovery ledger. Empty (default) without fault
     /// injection.
     pub fault_log: FaultLog,
@@ -145,9 +137,6 @@ pub struct BorgHooks<S, F> {
     t_c: Dist,
     t_a: TaMode,
     rng: StdRng,
-    /// `Measured` mode's samples; stays empty (and unallocated) in
-    /// `Sampled` mode.
-    ta: SampleLog,
     observer: F,
     /// In `Sampled` mode the per-interaction `T_A` is charged once, on
     /// consume (matching the paper's `hold(T_C + T_A + T_C)` and the
@@ -157,12 +146,6 @@ pub struct BorgHooks<S, F> {
     /// `Measured` mode charges each call's real cost (reissues are free:
     /// the candidate already exists).
     width: u64,
-    /// `Measured` mode: the last consume's sample, held back from `ta` so
-    /// the immediately-following produce (same master hold) can add to it
-    /// and `ta` logs *per-interaction* sums — the quantity the paper's
-    /// models call `T_A`. Logged at the next sample or at the end of the
-    /// run.
-    open_ta: Option<f64>,
 }
 
 impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
@@ -186,25 +169,19 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
             t_c: config.t_c,
             t_a: config.t_a,
             rng,
-            ta: SampleLog::new(),
             observer,
             // The serial loop never produces through the hooks, so a
             // one-processor config needs no worker here.
             width: u64::from(config.processors.saturating_sub(1)),
-            open_ta: None,
         }
     }
 
-    /// Packages the finished `run` with the engine and samples these
-    /// hooks accumulated, handing the objective source back.
-    pub fn finish(mut self, run: AsyncRun) -> (VirtualRunResult, S) {
-        if let Some(t) = self.open_ta.take() {
-            self.ta.push(t);
-        }
+    /// Packages the finished `run` with the engine, handing the objective
+    /// source back.
+    pub fn finish(self, run: AsyncRun) -> (VirtualRunResult, S) {
         let result = VirtualRunResult {
             outcome: run.outcome,
             engine: self.core.into_engine(),
-            ta: matches!(self.t_a, TaMode::Measured).then_some(self.ta),
             fault_log: run.fault_log,
         };
         (result, self.source)
@@ -230,13 +207,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
         let real = seconds_since(stopwatch);
         self.source.send(worker, eval_id, variables, now);
         match self.t_a {
-            TaMode::Measured => {
-                // Same master hold as a preceding consume: fold into that
-                // interaction's sample.
-                let sample = self.open_ta.take().map_or(real, |open| open + real);
-                self.ta.push(sample);
-                real
-            }
+            TaMode::Measured => real,
             // Sampled T_A is per *interaction* and charged on consume;
             // only the initial seeding productions draw their own sample.
             TaMode::Sampled(d) if eval_id < self.width => d.sample(&mut self.rng),
@@ -285,12 +256,7 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> MasterSlaveHooks for BorgHo
         let real = seconds_since(stopwatch);
         (self.observer)(now, self.core.engine());
         match self.t_a {
-            TaMode::Measured => {
-                if let Some(t) = self.open_ta.replace(real) {
-                    self.ta.push(t);
-                }
-                real
-            }
+            TaMode::Measured => real,
             TaMode::Sampled(d) => d.sample(&mut self.rng),
         }
     }
@@ -396,7 +362,8 @@ where
 
 /// Runs the Borg MOEA *serially* while charging the same virtual clock
 /// (`T_S = Σ (T_F + T_A)`), providing the baseline for hypervolume-based
-/// speedup (`S_P^h`, §VI-A).
+/// speedup (`S_P^h`, §VI-A). It takes no recorder: its `T_F` and `T_A`,
+/// drawn or measured, only advance the clock.
 pub fn run_virtual_serial<P, F>(
     problem: &P,
     borg: BorgConfig,
@@ -407,8 +374,8 @@ where
     P: Problem + ?Sized,
     F: FnMut(f64, &BorgEngine),
 {
-    // The hooks' seeds, draws, log and buffers, driven one candidate at a
-    // time: `T_A` is one sample per evaluation, produce and consume.
+    // The hooks' seeds, draws and buffers, driven one candidate at a
+    // time: `T_A` is one charge per evaluation, produce and consume.
     let mut h = BorgHooks::new(problem, problem, config, borg, observer);
     let mut clock = 0.0f64;
     while h.core.engine().nfe() < config.max_nfe {
@@ -422,11 +389,7 @@ where
         let stopwatch = h.stopwatch();
         h.core.consume(eval_id, &h.objs_buf, &h.cons_buf);
         let t_a = match h.t_a {
-            TaMode::Measured => {
-                let t = produce_real + seconds_since(stopwatch);
-                h.ta.push(t);
-                t
-            }
+            TaMode::Measured => produce_real + seconds_since(stopwatch),
             TaMode::Sampled(d) => d.sample(&mut h.rng),
         };
         clock += t_a;
@@ -441,19 +404,20 @@ where
         max_wait: 0.0,
         wasted_nfe: 0,
     };
-    let run = AsyncRun {
+    VirtualRunResult {
         outcome,
+        engine: h.core.into_engine(),
         fault_log: FaultLog::default(),
-    };
-    h.finish(run).0
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use borg_models::analytical::{async_parallel_time, relative_error, TimingParams};
-    use borg_obs::{InMemoryRecorder, NoopRecorder};
-    use borg_problems::dtlz::Dtlz;
+    use borg_models::distfit::{SampleLog, WithSampleLog};
+    use borg_obs::{Activity, InMemoryRecorder, NoopRecorder};
+    use borg_problems::dtlz::{Dtlz, DtlzVariant};
 
     fn borg_cfg() -> BorgConfig {
         BorgConfig::new(5, 0.06)
@@ -493,7 +457,6 @@ mod tests {
         assert!(result.engine.archive().len() > 10);
         result.engine.archive().check_invariants().unwrap();
         // T_A: one per interaction + seeding; T_F: one per dispatched work.
-        assert!(result.ta.is_none(), "a sampled T_A is not logged");
         assert_eq!(tf_ta_counts(&rec), (5_000 + 14, 15 + 5_000));
     }
 
@@ -515,15 +478,50 @@ mod tests {
             let faulty = FaultyRun::new(&cfg, &quiet);
             run_virtual_async_with(&problem, borg_cfg(), &faulty, &budgeted, |_, _| {});
             assert_eq!(tf_ta_counts(&budgeted).0, n, "{t_a:?}");
-            let serial = run_virtual_serial(&problem, borg_cfg(), &cfg, |_, _| {});
-            let logged = t_a == TaMode::Measured;
-            assert_eq!((run.ta.is_some(), serial.ta.is_some()), (logged, logged));
-            if let (Some(log), Some(serial)) = (run.ta, serial.ta) {
-                assert_eq!(log.count() as u64, u64::from(p - 1) + n);
-                assert_eq!(log.retained().len(), log.count(), "nothing decimated");
-                assert_eq!(serial.count() as u64, n);
-            }
+            assert_eq!(run.engine.nfe(), n, "{t_a:?}");
         }
+    }
+
+    /// `(count, sum bits)` of a log and of a histogram.
+    fn log_bits(log: &SampleLog) -> (u64, u64) {
+        (log.count() as u64, log.sum().to_bits())
+    }
+
+    fn hist_bits(rec: &InMemoryRecorder, name: &str) -> (u64, u64) {
+        let hist = &rec.snapshot().histograms[name];
+        (hist.count(), hist.sum().to_bits())
+    }
+
+    #[test]
+    fn sample_logs_agree_with_the_span_histograms() {
+        // Measured virtual `T_A`: one per master hold, `(P − 1) + N`.
+        let problem = Dtlz::dtlz2_5();
+        let (p, n) = (9u32, 1_500u64);
+        let cfg = VirtualConfig {
+            t_a: TaMode::Measured,
+            ..sampled_config(p, n, 0.001, 0.0)
+        };
+        let rec = InMemoryRecorder::metrics_only();
+        let ta = WithSampleLog::new(&rec, Activity::Algorithm);
+        run_virtual_async(&problem, borg_cfg(), &cfg, &ta, |_, _| {});
+        let ta = ta.into_log();
+        assert_eq!(ta.count() as u64, u64::from(p - 1) + n);
+        assert_eq!(ta.retained().len(), ta.count(), "nothing decimated");
+        assert_eq!(log_bits(&ta), hist_bits(&rec, "t_a_seconds"));
+
+        // Threaded, fault-free: one `T_A` per handled result and one `T_F`
+        // per finished evaluation, `N` each, recorded by three threads.
+        let threaded = crate::threads::ThreadedConfig::new(2, 500, None, 4);
+        let rec = InMemoryRecorder::metrics_only();
+        let ta = WithSampleLog::new(&rec, Activity::Algorithm);
+        let tf = WithSampleLog::new(&ta, Activity::Evaluation);
+        let borg = BorgConfig::new(2, 0.01);
+        let two = Dtlz::new(DtlzVariant::Dtlz2, 2);
+        crate::threads::run_threaded_observed(&two, borg, &threaded, &tf).expect("run");
+        let (tf, ta) = (tf.into_log(), ta.into_log());
+        assert_eq!((ta.count(), tf.count()), (500, 500));
+        assert_eq!(log_bits(&ta), hist_bits(&rec, "t_a_seconds"));
+        assert_eq!(log_bits(&tf), hist_bits(&rec, "t_f_seconds"));
     }
 
     #[test]
@@ -567,8 +565,9 @@ mod tests {
             t_a: TaMode::Measured,
             seed: 5,
         };
-        let result = run_virtual_async(&problem, borg_cfg(), &cfg, &NoopRecorder, |_, _| {});
-        let log = result.ta.expect("a measured run logs T_A");
+        let rec = WithSampleLog::new(&NoopRecorder, Activity::Algorithm);
+        run_virtual_async(&problem, borg_cfg(), &cfg, &rec, |_, _| {});
+        let log = rec.into_log();
         let samples = log.retained();
         let n = samples.len();
         let early: f64 = samples[..n / 4].iter().sum::<f64>() / (n / 4) as f64;

@@ -20,7 +20,7 @@ use crate::master_core::MasterCore;
 use borg_core::algorithm::{BorgConfig, BorgEngine};
 use borg_core::problem::Problem;
 use borg_desim::fault::{FaultKind, FaultLog};
-use borg_obs::Recorder;
+use borg_obs::{Activity, Actor, Recorder};
 use borg_protocol::{Clock, EngineConfig, Event, MasterEngine, RecoveryPolicy, Transport};
 use parking_lot::{Mutex, MutexGuard};
 use std::thread::Thread;
@@ -58,12 +58,13 @@ pub trait Link {
     /// `dispatched_at`) was consumed at `now`.
     fn consumed(
         &mut self,
-        worker: usize,
-        eval_id: u64,
-        receipt: &Self::Receipt,
-        dispatched_at: f64,
-        now: f64,
-    );
+        _worker: usize,
+        _eval_id: u64,
+        _receipt: &Self::Receipt,
+        _dispatched_at: f64,
+        _now: f64,
+    ) {
+    }
 
     /// A duplicate or stale result was absorbed.
     fn duplicate(&mut self) {}
@@ -71,9 +72,6 @@ pub trait Link {
     /// `worker` was declared dead at `at`; `lost_eval` is the last
     /// evaluation sent its way that was still owed a result.
     fn died(&mut self, _worker: usize, _lost_eval: Option<u64>, _kind: FaultKind, _at: f64) {}
-
-    /// One result held the master from `from` to `to`.
-    fn held(&mut self, _from: f64, _to: f64) {}
 }
 
 /// Why a run ended without completing its budget.
@@ -363,6 +361,7 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
     }
 
     /// One master interaction: `worker` delivered a result for `eval_id`.
+    /// The hold is one `Algorithm` span, the measured `T_A`, on every link.
     /// Returns whether the run is over.
     pub fn on_result(
         &mut self,
@@ -394,7 +393,9 @@ impl<'a, L: Link, R: Recorder + ?Sized> Master<'a, L, R> {
         );
         let released = self.exec.now();
         self.busy += released - at;
-        self.exec.link.held(at, released);
+        self.exec
+            .rec
+            .span(Actor::Master, Activity::Algorithm, at, released);
         over
     }
 

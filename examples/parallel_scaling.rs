@@ -9,10 +9,11 @@
 //! cargo run --release --example parallel_scaling
 //! ```
 
-use borg_obs::NoopRecorder;
+use borg_obs::{Activity, NoopRecorder};
 use borg_repro::core::algorithm::BorgConfig;
 use borg_repro::models::analytical::{async_parallel_time, serial_time, TimingParams};
 use borg_repro::models::dist::Dist;
+use borg_repro::models::distfit::WithSampleLog;
 use borg_repro::parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
 use borg_repro::problems::dtlz::Dtlz;
 
@@ -38,9 +39,9 @@ fn main() {
             t_a: TaMode::Measured,
             seed: 7 + u64::from(p),
         };
-        let result = run_virtual_async(&problem, borg.clone(), &vcfg, &NoopRecorder, |_, _| {});
-        let ta = result.ta.expect("a measured run logs T_A");
-        let t = TimingParams::new(t_f, t_c, ta.mean());
+        let holds = WithSampleLog::new(&NoopRecorder, Activity::Algorithm);
+        let result = run_virtual_async(&problem, borg.clone(), &vcfg, &holds, |_, _| {});
+        let t = TimingParams::new(t_f, t_c, holds.into_log().mean());
         let eq2 = async_parallel_time(nfe, p, t);
         let t_s = serial_time(nfe, t);
         let elapsed = result.outcome.elapsed;

@@ -6,10 +6,13 @@
 //! cargo run --release --example real_threads
 //! ```
 
+use borg_obs::{Activity, NoopRecorder};
 use borg_repro::core::algorithm::BorgConfig;
 use borg_repro::models::dist::Dist;
-use borg_repro::models::distfit::{fit_all, Family, SampleStats};
-use borg_repro::parallel::threads::{estimate_comm_time, run_threaded, ThreadedConfig};
+use borg_repro::models::distfit::{fit_all, Family, SampleStats, WithSampleLog};
+use borg_repro::parallel::threads::{
+    estimate_comm_time, run_threaded, run_threaded_observed, ThreadedConfig,
+};
 use borg_repro::problems::dtlz::{Dtlz, DtlzVariant};
 
 fn main() {
@@ -30,14 +33,19 @@ fn main() {
         serial.engine.archive().len()
     );
 
-    // Parallel run with 4 workers.
+    // Parallel run with 4 workers, keeping the master holds (`T_A`) and
+    // the evaluations (`T_F`) its recorder is sent.
     let workers = 4;
-    let result = run_threaded(
+    let holds = WithSampleLog::new(&NoopRecorder, Activity::Algorithm);
+    let evals = WithSampleLog::new(&holds, Activity::Evaluation);
+    let result = run_threaded_observed(
         &problem,
         BorgConfig::new(3, 0.05),
         &ThreadedConfig::new(workers, nfe, Some(Dist::normal_cv(t_f, 0.1)), 2),
+        &evals,
     )
     .expect("worker pool stays alive");
+    let (evals, holds) = (evals.into_log(), holds.into_log());
     println!(
         "parallel: {nfe} evaluations in {:.2}s with {workers} workers  (archive {})",
         result.elapsed,
@@ -49,8 +57,8 @@ fn main() {
     );
 
     // The measurement pipeline.
-    let ta = SampleStats::of(result.ta.retained());
-    let tf = SampleStats::of(result.tf.retained());
+    let ta = SampleStats::of(holds.retained());
+    let tf = SampleStats::of(evals.retained());
     let tc = estimate_comm_time(500).expect("echo thread stays alive");
     println!("\nmeasured timing on this machine:");
     println!("  T_A: mean {:.1}us, cv {:.2}", ta.mean * 1e6, ta.cv());
@@ -58,7 +66,7 @@ fn main() {
     println!("  T_C: ~{:.1}us (thread ping-pong / 2)", tc * 1e6);
 
     println!("\nT_F distribution fits ranked by log-likelihood (the R step of §IV-B):");
-    for fit in fit_all(result.tf.retained(), &Family::all())
+    for fit in fit_all(evals.retained(), &Family::all())
         .into_iter()
         .take(4)
     {

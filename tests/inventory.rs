@@ -557,6 +557,24 @@ fn hot_path_allocations(src: &str) -> Findings {
     found
 }
 
+/// No struct has a `SampleLog` field: an executor keeps no timing log of
+/// its own, and a reader that wants one attaches `WithSampleLog`, which
+/// `distfit.rs` defines beside `SampleLog` (the one file not checked).
+fn sample_log_fields(src: &str) -> Findings {
+    let (code, mut found) = (live_code(src), Vec::new());
+    for at in word_at(&code, "struct") {
+        let end = item_end(code.as_bytes(), at);
+        for field in word_at(&code[at..end], "SampleLog") {
+            found.push(hit(
+                &code,
+                at + field,
+                "a struct keeps a `SampleLog`".into(),
+            ));
+        }
+    }
+    found
+}
+
 /// BORG-L016: no `#[test]` compares a wall-clock reading against an upper
 /// bound unless every test of its file is `#[ignore]`d — such a band fails
 /// on a busy host whatever the code does, so it runs in `ci.sh`, in one
@@ -1306,4 +1324,38 @@ fn elapsed_bound_check_has_teeth() {
     let exempt = "#[test]\n#[ignore = \"wall-clock band\"]\nfn t() { assert!(t.elapsed() < d); }\n\
                   #[ignore]\n#[test]\nfn u() { assert!(t.elapsed() < d); }\n";
     assert_eq!(elapsed_upper_bounds(exempt), []);
+}
+
+#[test]
+fn no_struct_outside_distfit_keeps_a_sample_log() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    for entry in fs::read_dir(root.join("crates")).expect("read crates/") {
+        source_files(&entry.expect("crate dir").path().join("src"), &mut files);
+    }
+    let (mut found, mut exempt) = (Vec::new(), 0);
+    for path in &files {
+        if path.ends_with("crates/models/src/distfit.rs") {
+            exempt += 1;
+            continue;
+        }
+        let text = fs::read_to_string(path).expect("read a source file");
+        let at = |(line, what)| format!("{}:{line}: {what}", path.display());
+        found.extend(sample_log_fields(&text).into_iter().map(at));
+    }
+    assert_eq!(exempt, 1, "distfit.rs moved");
+    assert!(files.len() > 50, "only {} files", files.len());
+    assert!(found.is_empty(), "{found:#?}");
+}
+
+#[test]
+fn sample_log_field_check_has_teeth() {
+    let seeded = "struct Hooks {\n    core: C,\n    ta: SampleLog,\n}\n\
+                  pub struct R {\n    pub tf: Option<borg_models::distfit::SampleLog>,\n}\n\
+                  struct L(Mutex<SampleLog>);\n";
+    let clean =
+        "fn fit(log: &SampleLog) -> f64 {\n    let s = SampleLog::new();\n    log.mean()\n}\n\
+                 struct M {\n    count: usize, // ta: SampleLog\n}\n\
+                 #[cfg(test)]\nmod t {\n    struct T {\n        log: SampleLog,\n    }\n}\n";
+    assert_teeth(sample_log_fields, seeded, &[3, 6, 8], clean);
 }

@@ -2,21 +2,21 @@
 //! virtual executor — the reproduction-scale analogue of Table II's
 //! model-vs-experiment comparison.
 
-use borg_obs::NoopRecorder;
+use borg_obs::{Activity, NoopRecorder, Recorder};
 use borg_repro::core::algorithm::BorgConfig;
 use borg_repro::core::rng::SplitMix64;
 use borg_repro::models::analytical::{
     async_parallel_time, processor_upper_bound, relative_error, TimingParams,
 };
 use borg_repro::models::dist::Dist;
-use borg_repro::models::distfit::best_fit;
+use borg_repro::models::distfit::{best_fit, WithSampleLog};
 use borg_repro::models::perfsim::{simulate_async, PerfSimConfig, TimingModel};
 use borg_repro::parallel::virtual_exec::{
     run_virtual_async, TaMode, VirtualConfig, VirtualRunResult,
 };
 use borg_repro::problems::dtlz::Dtlz;
 
-fn run_cell(p: u32, nfe: u64, tf: f64, t_a: TaMode) -> VirtualRunResult {
+fn run_cell(p: u32, nfe: u64, tf: f64, t_a: TaMode, rec: &dyn Recorder) -> VirtualRunResult {
     let problem = Dtlz::dtlz2_5();
     let cfg = VirtualConfig {
         processors: p,
@@ -26,13 +26,7 @@ fn run_cell(p: u32, nfe: u64, tf: f64, t_a: TaMode) -> VirtualRunResult {
         t_a,
         seed: 1234,
     };
-    run_virtual_async(
-        &problem,
-        BorgConfig::new(5, 0.1),
-        &cfg,
-        &NoopRecorder,
-        |_, _| {},
-    )
+    run_virtual_async(&problem, BorgConfig::new(5, 0.1), &cfg, rec, |_, _| {})
 }
 
 #[test]
@@ -40,8 +34,9 @@ fn analytical_model_is_accurate_below_saturation() {
     // Large T_F, small P: Eq. (2) should be within a few percent of the
     // full-algorithm execution — the paper's low-error cells.
     let (p, nfe, tf) = (16, 5_000, 0.1);
-    let cell = run_cell(p, nfe, tf, TaMode::Measured);
-    let mean_ta = cell.ta.expect("a measured run logs T_A").mean();
+    let holds = WithSampleLog::new(&NoopRecorder, Activity::Algorithm);
+    let cell = run_cell(p, nfe, tf, TaMode::Measured, &holds);
+    let mean_ta = holds.into_log().mean();
     let eq2 = async_parallel_time(nfe, p, TimingParams::new(tf, 0.000_006, mean_ta));
     let err = relative_error(cell.outcome.elapsed, eq2);
     assert!(
@@ -66,7 +61,7 @@ fn analytical_model_fails_and_simulation_model_holds_past_saturation() {
         shape: 4.0,
         scale: 0.000_007_5,
     };
-    let cell = run_cell(p, nfe, tf, TaMode::Sampled(gamma));
+    let cell = run_cell(p, nfe, tf, TaMode::Sampled(gamma), &NoopRecorder);
     let mut rng = SplitMix64::new(1234).derive("t_a-sample");
     let ta_sample: Vec<f64> = (0..u64::from(p - 1) + nfe)
         .map(|_| gamma.sample(&mut rng))
@@ -118,7 +113,7 @@ fn elapsed_time_bottoms_out_at_saturation() {
     let t_a = TaMode::Sampled(Dist::Constant(0.000_03));
     let times: Vec<f64> = [16u32, 256, 1024]
         .iter()
-        .map(|&p| run_cell(p, nfe, 0.001, t_a).outcome.elapsed)
+        .map(|&p| run_cell(p, nfe, 0.001, t_a, &NoopRecorder).outcome.elapsed)
         .collect();
     assert!(times[1] < times[0], "more workers must help pre-saturation");
     assert!(
@@ -142,8 +137,9 @@ fn measured_ta_is_microseconds_and_grows_with_problem_complexity() {
             t_a: TaMode::Measured,
             seed: 7,
         };
-        let r = run_virtual_async(problem, borg, &cfg, &NoopRecorder, |_, _| {});
-        r.ta.expect("a measured run logs T_A").mean()
+        let holds = WithSampleLog::new(&NoopRecorder, Activity::Algorithm);
+        run_virtual_async(problem, borg, &cfg, &holds, |_, _| {});
+        holds.into_log().mean()
     };
     let dtlz2 = Dtlz::dtlz2_5();
     let ta_dtlz2 = run_ta(&dtlz2, vec![0.1; 5]);
