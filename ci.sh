@@ -47,6 +47,9 @@ cargo test -q --release -p borg-desim --test queue_ratio -- --ignored
 echo "==> one-process delay tests: precise_delay vs thread::sleep median overshoot at 1 ms (<= 1/3), zero and negative delays return in < 1 ms"
 cargo test -q --release -p borg-parallel --test delay_ratio -- --ignored
 
+echo "==> one-process wall-clock band: run_threaded at P = 3, elapsed at T_F = 4 ms over 2 ms within [1.9, 2.05]"
+cargo test -q --release -p borg-parallel --test time_scale_ratio -- --ignored
+
 echo "==> one-process ratio test: encode_into a reused frame vs a fresh Vec (<= 0.6x)"
 cargo test -q --release -p borg-net --test encode_ratio -- --ignored
 

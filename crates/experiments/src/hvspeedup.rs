@@ -15,7 +15,7 @@ use borg_core::rng::SplitMix64;
 use borg_metrics::relative::RelativeHypervolume;
 use borg_models::dist::Dist;
 use borg_obs::NoopRecorder;
-use borg_parallel::virtual_exec::{run_virtual_async, run_virtual_serial, TaMode, VirtualConfig};
+use borg_parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig};
 
 /// Hypervolume thresholds `h` (the x-axis): 0.1, 0.2, …, 1.0.
 const THRESHOLDS: [f64; 10] = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
@@ -221,12 +221,14 @@ fn run_trajectory(
 ) -> Trajectory {
     let problem = config.problem.build();
     let borg = config.problem.borg_config(EPSILON);
+    // The serial baseline is the asynchronous master with one worker and
+    // free messages: per evaluation it charges the produce, one `T_F` and
+    // the consume, Eq. 1's `T_F + T_A`.
     let vcfg = VirtualConfig {
-        // The serial runner ignores the processor count beyond validation.
         processors: processors.unwrap_or(2),
         max_nfe: config.evaluations,
         t_f: Dist::normal_cv(t_f, 0.1),
-        t_c: Dist::Constant(0.000_006),
+        t_c: Dist::Constant(if processors.is_some() { 0.000_006 } else { 0.0 }),
         t_a: TaMode::Measured,
         seed,
     };
@@ -238,10 +240,7 @@ fn run_trajectory(
             traj.push((t, hv.sync(engine.archive().objective_rows())));
         }
     };
-    match processors {
-        None => run_virtual_serial(problem.as_ref(), borg, &vcfg, observe),
-        Some(_) => run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, observe),
-    };
+    run_virtual_async(problem.as_ref(), borg, &vcfg, &NoopRecorder, observe);
     traj
 }
 

@@ -9,10 +9,9 @@
 
 use crate::analytical::TimingParams;
 use crate::dist::Dist;
-use crate::queueing::{run_async, run_sync, MasterSlaveHooks, RunOutcome};
+use crate::queueing::{run_async, run_sync, RunOutcome, SampledTiming};
 use borg_core::rng::SplitMix64;
 use borg_obs::{NoopRecorder, Recorder};
-use rand::rngs::StdRng;
 
 /// Distributional timing model for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,51 +63,6 @@ pub struct PerfSimConfig {
     pub seed: u64,
 }
 
-/// Sampling hooks implementing the paper's SimPy structure: one `T_A` per
-/// master interaction (charged on consume), `T_C` per message, `T_F` per
-/// evaluation.
-struct SamplingHooks {
-    timing: TimingModel,
-    rng: StdRng,
-    /// Production cost is folded into `consume` except for the first
-    /// `width` productions (the initial seeding, evaluation ids
-    /// `0..width`), mirroring `hold(T_C + T_A + T_C)` in the paper's
-    /// snippet.
-    width: u64,
-}
-
-impl SamplingHooks {
-    fn new(timing: TimingModel, width: usize, seed: u64) -> Self {
-        Self {
-            timing,
-            rng: SplitMix64::new(seed).derive("perfsim"),
-            width: width as u64,
-        }
-    }
-}
-
-impl MasterSlaveHooks for SamplingHooks {
-    fn produce(&mut self, _worker: usize, eval_id: u64, _now: f64) -> f64 {
-        if eval_id < self.width {
-            self.timing.t_a.sample(&mut self.rng)
-        } else {
-            0.0
-        }
-    }
-
-    fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
-        self.timing.t_f.sample(&mut self.rng)
-    }
-
-    fn consume(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
-        self.timing.t_a.sample(&mut self.rng)
-    }
-
-    fn comm_time(&mut self) -> f64 {
-        self.timing.t_c.sample(&mut self.rng)
-    }
-}
-
 /// Prediction of the simulation model for one configuration.
 #[derive(Debug, Clone)]
 pub struct PerfPrediction {
@@ -140,7 +94,8 @@ pub fn simulate_async_traced<R: Recorder + ?Sized>(
         "need a master and at least one worker"
     );
     let workers = (config.processors - 1) as usize;
-    let mut hooks = SamplingHooks::new(config.timing, workers, config.seed);
+    let rng = SplitMix64::new(config.seed).derive("perfsim");
+    let mut hooks = SampledTiming::new(config.timing, rng, workers);
     let outcome = run_async(&mut hooks, workers, config.evaluations, rec);
     predict(config, outcome)
 }
@@ -151,7 +106,8 @@ pub fn simulate_sync<R: Recorder + ?Sized>(config: &PerfSimConfig, rec: &R) -> P
     assert!(config.processors >= 2);
     let workers = (config.processors - 1) as usize;
     // Generation width: the workers plus the self-evaluating master.
-    let mut hooks = SamplingHooks::new(config.timing, workers + 1, config.seed);
+    let rng = SplitMix64::new(config.seed).derive("perfsim");
+    let mut hooks = SampledTiming::new(config.timing, rng, workers + 1);
     let outcome = run_sync(&mut hooks, workers, config.evaluations, rec);
     predict(config, outcome)
 }

@@ -7,8 +7,9 @@
 //! is an exclusive FIFO resource *held* for `T_C + T_A + T_C` per
 //! interaction (receive, process + produce, send), after which the worker
 //! is *activated* again. What happens inside `T_A`/`T_F` is delegated to a
-//! [`MasterSlaveHooks`] implementation: the performance model just samples
-//! durations, the executors in `borg-parallel` run the real Borg MOEA.
+//! [`MasterSlaveHooks`] implementation: [`SampledTiming`] draws the
+//! durations (the performance model runs it bare), and the executors in
+//! `borg-parallel` run the real Borg MOEA beside the same draws.
 //!
 //! The *protocol* itself — dispatch bookkeeping, deadline reissue,
 //! duplicate suppression, liveness beliefs — is not implemented here: it
@@ -22,10 +23,12 @@
 //! loses, retries and duplicates nothing, so it is one plain event loop
 //! over the same queue and hooks, with no engine.
 
+use crate::perfsim::TimingModel;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
 use borg_desim::queue::EventQueue;
 use borg_obs::{Activity, Actor, Recorder};
 use borg_protocol::{Clock, Event, MasterEngine, PoolDiscipline, Transport};
+use rand::rngs::StdRng;
 
 pub use borg_protocol::{EngineConfig, RecoveryPolicy};
 
@@ -65,6 +68,58 @@ pub trait MasterSlaveHooks {
     /// `eval_id` exhausted its reissue budget: it will never be consumed,
     /// so whatever was kept for it can go.
     fn abandon(&mut self, _eval_id: u64) {}
+}
+
+/// The simulation model's delay draws (§IV-B), the one place `T_F`, `T_C`
+/// and a sampled `T_A` are drawn: `T_A` for each of the first `width`
+/// productions (the initial seeding, evaluation ids `0..width`), `T_F` per
+/// evaluation, `T_C` per message and `T_A` per consume, mirroring
+/// `hold(T_C + T_A + T_C)` in the paper's snippet. `perfsim` runs it bare;
+/// the virtual executor runs the search beside it.
+pub struct SampledTiming {
+    timing: TimingModel,
+    rng: StdRng,
+    width: u64,
+}
+
+impl SampledTiming {
+    /// Draws from `timing` on `rng` (already derived for its run), seeding
+    /// `width` workers.
+    pub fn new(timing: TimingModel, rng: StdRng, width: usize) -> Self {
+        Self {
+            timing,
+            rng,
+            width: width as u64,
+        }
+    }
+}
+
+// `#[inline]` on the per-call draws: the event loops that make them are
+// generic, so they are compiled in the crate that runs them.
+impl MasterSlaveHooks for SampledTiming {
+    #[inline]
+    fn produce(&mut self, _worker: usize, eval_id: u64, _now: f64) -> f64 {
+        if eval_id < self.width {
+            self.timing.t_a.sample(&mut self.rng)
+        } else {
+            0.0
+        }
+    }
+
+    #[inline]
+    fn evaluation_time(&mut self, _worker: usize, _eval_id: u64) -> f64 {
+        self.timing.t_f.sample(&mut self.rng)
+    }
+
+    #[inline]
+    fn consume(&mut self, _worker: usize, _eval_id: u64, _now: f64) -> f64 {
+        self.timing.t_a.sample(&mut self.rng)
+    }
+
+    #[inline]
+    fn comm_time(&mut self) -> f64 {
+        self.timing.t_c.sample(&mut self.rng)
+    }
 }
 
 /// Aggregate outcome of one simulated run.
@@ -649,36 +704,13 @@ mod tests {
     fn sync_suffers_from_stragglers_async_does_not() {
         // High-variance T_F: the synchronous generation waits for the
         // slowest worker each round; the asynchronous pipeline does not.
-        use crate::dist::Dist;
         use borg_core::rng::SplitMix64;
 
-        struct NoisyHooks {
-            tf: Dist,
-            t: TimingParams,
-            rng: rand::rngs::StdRng,
-        }
-        impl MasterSlaveHooks for NoisyHooks {
-            fn produce(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
-                0.0
-            }
-            fn evaluation_time(&mut self, _w: usize, _id: u64) -> f64 {
-                self.tf.sample(&mut self.rng)
-            }
-            fn consume(&mut self, _w: usize, _id: u64, _now: f64) -> f64 {
-                self.t.t_a
-            }
-            fn comm_time(&mut self) -> f64 {
-                self.t.t_c
-            }
-        }
-
-        let t = TimingParams::new(0.01, 0.000_006, 0.000_006);
         let n = 3_200;
         let workers = 15;
-        let make = |seed: u64, cv: f64| NoisyHooks {
-            tf: Dist::normal_cv(0.01, cv),
-            t,
-            rng: SplitMix64::new(seed).derive("noisy"),
+        let make = |seed: u64, cv: f64| {
+            let timing = TimingModel::controlled_delay(0.01, cv, 0.000_006, 0.000_006);
+            SampledTiming::new(timing, SplitMix64::new(seed).derive("noisy"), workers)
         };
         let sync_low = run_sync(&mut make(1, 0.05), workers, n, &NoopRecorder).elapsed;
         let sync_high = run_sync(&mut make(1, 1.0), workers, n, &NoopRecorder).elapsed;
