@@ -1,11 +1,13 @@
 //! Table II: experimental elapsed time and efficiency vs the analytical
 //! model (Eq. 2) and the simulation model, with per-cell relative errors.
 //!
-//! The experimental arm runs the *real* Borg MOEA inside the virtual-time
-//! executor with measured `T_A` (see DESIGN.md §2); the simulation model
-//! is then parameterized exactly like the paper's: `T_A` fitted from the
-//! measured samples via log-likelihood model selection, `T_F` from the
-//! controlled-delay specification, `T_C` constant.
+//! Under measured `T_A` (the default) the experimental arm runs the *real*
+//! Borg MOEA inside the virtual-time executor (see DESIGN.md §2), and the
+//! simulation model is parameterized like the paper's: `T_A` fitted from
+//! the measured samples by log-likelihood model selection, `T_F` from the
+//! controlled delays, `T_C` constant. Under [`Table2Config::sampled_ta`]
+//! the experimental column is the simulation model on the executor's delay
+//! stream, which the search cannot move, so no search runs.
 
 use crate::report::TextTable;
 use crate::suite::PaperProblem;
@@ -14,8 +16,9 @@ use borg_models::analytical::{async_parallel_time, relative_error, serial_time, 
 use borg_models::dist::Dist;
 use borg_models::distfit::{best_fit, SampleLog, WithSampleLog};
 use borg_models::perfsim::{simulate_async_mean, PerfSimConfig, TimingModel};
+use borg_models::queueing::RunOutcome;
 use borg_obs::{Activity, InMemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder};
-use borg_parallel::virtual_exec::{run_virtual_async, TaMode, VirtualConfig, VirtualRunResult};
+use borg_parallel::virtual_exec::{run_virtual_async, sampled_schedule, TaMode, VirtualConfig};
 
 /// Configuration for regenerating Table II.
 #[derive(Debug, Clone)]
@@ -45,7 +48,8 @@ pub struct Table2Config {
     /// seconds (`TaMode::Sampled`), making runs independent of host
     /// timing — used by the determinism gate. `v` is then an input: the
     /// row's `T_A`, the serial baseline, Eq. 2 and the simulation model
-    /// (`Dist::Constant(v)`) use it as given, and nothing is fitted.
+    /// (`Dist::Constant(v)`) use it as given, nothing is fitted, and the
+    /// experimental arm is the executor's schedule without the search.
     /// `None` (default): measure `T_A`, the paper's methodology.
     pub sampled_ta: Option<f64>,
 }
@@ -108,7 +112,7 @@ pub struct Table2Row {
     pub t_c: f64,
     /// Mean `T_F` (seconds).
     pub t_f: f64,
-    /// Mean experimental elapsed time (virtual seconds).
+    /// Mean experimental elapsed time (virtual seconds; see [`Table2Config::sampled_ta`]).
     pub experimental_time: f64,
     /// Experimental efficiency `T_S / (P · T_P)`.
     pub efficiency: f64,
@@ -120,7 +124,7 @@ pub struct Table2Row {
     pub simulation_time: f64,
     /// Simulation-model relative error (Eq. 5).
     pub simulation_error: f64,
-    /// Master utilization observed in the experimental arm.
+    /// Master utilization in the experimental arm (see [`Table2Config::sampled_ta`]).
     pub master_utilization: f64,
 }
 
@@ -285,9 +289,8 @@ fn run_table2_inner(
     )
 }
 
-/// Runs one replicate: builds the workload fresh (jobs share nothing),
-/// runs the virtual-time executor, and returns the per-replicate summary
-/// plus (when observing) the replicate's own metrics snapshot.
+/// Runs one replicate (jobs share nothing) and returns the per-replicate
+/// summary plus (when observing) the replicate's own metrics snapshot.
 fn run_replicate(
     config: &Table2Config,
     cell: &CellSpec,
@@ -295,46 +298,42 @@ fn run_replicate(
     observe: bool,
 ) -> ReplicateOutcome {
     let rec = observe.then(InMemoryRecorder::metrics_only);
-    let (result, ta) = match &rec {
+    let (run, ta) = match &rec {
         Some(rec) => run_virtual(config, cell, seed, rec),
         None => run_virtual(config, cell, seed, &NoopRecorder),
     };
     ReplicateOutcome {
-        elapsed: result.outcome.elapsed,
-        utilization: result.outcome.master_utilization,
+        elapsed: run.elapsed,
+        utilization: run.master_utilization,
         ta,
         metrics: rec.map(|rec| rec.snapshot()),
     }
 }
 
-/// One replicate's run into `rec`. Under a measured `T_A` a
-/// [`WithSampleLog`] between the run and `rec` keeps the master holds.
+/// One replicate's run into `rec`: under a sampled `T_A` the executor's schedule alone,
+/// else the search, with a [`WithSampleLog`] between it and `rec` keeping the holds.
 fn run_virtual<R: Recorder + ?Sized>(
     config: &Table2Config,
     cell: &CellSpec,
     seed: u64,
     rec: &R,
-) -> (VirtualRunResult, Option<MeasuredTa>) {
-    let problem = cell.problem.build();
-    let borg = cell.problem.borg_config(config.epsilon);
+) -> (RunOutcome, Option<MeasuredTa>) {
+    let sampled_ta = config.sampled_ta.map(Dist::Constant);
     let vcfg = VirtualConfig {
         processors: cell.p,
         max_nfe: config.evaluations,
         t_f: Dist::normal_cv(cell.tf, 0.1),
         t_c: Dist::Constant(T_C),
-        t_a: match config.sampled_ta {
-            Some(v) => TaMode::Sampled(Dist::Constant(v)),
-            None => TaMode::Measured,
-        },
+        t_a: sampled_ta.map_or(TaMode::Measured, TaMode::Sampled),
         seed,
     };
-    if config.sampled_ta.is_some() {
-        let result = run_virtual_async(problem.as_ref(), borg, &vcfg, rec, |_, _| {});
-        return (result, None);
+    if sampled_ta.is_some() {
+        return (sampled_schedule(&vcfg, rec), None);
     }
+    let borg = cell.problem.borg_config(config.epsilon);
     let holds = WithSampleLog::new(rec, Activity::Algorithm);
-    let result = run_virtual_async(problem.as_ref(), borg, &vcfg, &holds, |_, _| {});
-    (result, Some(MeasuredTa::of(&holds.into_log())))
+    let result = run_virtual_async(&*cell.problem.build(), borg, &vcfg, &holds, |_, _| {});
+    (result.outcome, Some(MeasuredTa::of(&holds.into_log())))
 }
 
 /// Folds one cell's replicate outcomes (in replicate order) into its row.
@@ -436,6 +435,7 @@ pub fn render_table2(rows: &[Table2Row]) -> TextTable {
 mod tests {
     use super::*;
     use borg_core::algorithm::run_serial;
+    use borg_models::queueing::{run_async, SampledTiming};
 
     #[test]
     fn smoke_table_has_expected_shape() {
@@ -610,6 +610,83 @@ mod tests {
         for jobs in [2, 4] {
             assert!(sweep(jobs) == serial, "jobs = {jobs} changed the sweep");
         }
+    }
+
+    #[test]
+    fn sampled_rows_are_the_search_carrying_runs() {
+        // Under a sampled `T_A` each cell's experimental columns and merged
+        // snapshot are the executor's with the search running, at the same
+        // replicate seeds, though the sweep runs no search.
+        let config = Table2Config {
+            evaluations: 2_000,
+            replicates: 2,
+            processors: vec![2, 16, 128],
+            tf_means: vec![0.001, 0.01],
+            problems: vec![PaperProblem::Dtlz2, PaperProblem::Uf11],
+            jobs: 2,
+            sampled_ta: Some(0.000_03),
+            ..Table2Config::default()
+        };
+        let mut sampled = Vec::new();
+        run_table2_with(&config, |row, snapshot| {
+            let bits = [row.experimental_time, row.master_utilization].map(f64::to_bits);
+            sampled.push((bits, format!("{snapshot:?}")));
+        });
+        // Every cell's runs under `run`, folded as `finalize_cell` and
+        // `run_table2_inner` fold them.
+        let cells =
+            |run: &dyn Fn(PaperProblem, &VirtualConfig, &InMemoryRecorder) -> RunOutcome| {
+                let mut folded = Vec::new();
+                for &problem in &config.problems {
+                    for &tf in &config.tf_means {
+                        for &p in &config.processors {
+                            let (mut elapsed, mut util) = (0.0, 0.0);
+                            let mut merged = MetricsSnapshot::default();
+                            for seed in replicate_seeds(config.seed, problem, tf, p, 2) {
+                                let vcfg = VirtualConfig {
+                                    processors: p,
+                                    max_nfe: 2_000,
+                                    t_f: Dist::normal_cv(tf, 0.1),
+                                    t_c: Dist::Constant(T_C),
+                                    t_a: TaMode::Sampled(Dist::Constant(0.000_03)),
+                                    seed,
+                                };
+                                let rec = InMemoryRecorder::metrics_only();
+                                let outcome = run(problem, &vcfg, &rec);
+                                elapsed += outcome.elapsed;
+                                util += outcome.master_utilization;
+                                merged.merge(&rec.snapshot());
+                            }
+                            let bits = [elapsed / 2.0, util / 2.0].map(f64::to_bits);
+                            folded.push((bits, format!("{merged:?}")));
+                        }
+                    }
+                }
+                folded
+            };
+        let searched = cells(&|problem, vcfg, rec| {
+            let borg = problem.borg_config(0.1);
+            run_virtual_async(&*problem.build(), borg, vcfg, rec, |_, _| {}).outcome
+        });
+        assert_eq!(sampled.len(), 12);
+        assert!(
+            sampled == searched,
+            "a sampled cell is not its search's run"
+        );
+        // Seeded twin: the schedule on a delay stream split without the
+        // engine's seed first.
+        let twin = cells(&|_, vcfg, rec| {
+            let model = TimingModel {
+                t_f: vcfg.t_f,
+                t_c: vcfg.t_c,
+                t_a: Dist::Constant(0.000_03),
+            };
+            let rng = SplitMix64::new(vcfg.seed).derive("virtual-delays");
+            let workers = vcfg.processors as usize - 1;
+            let mut timing = SampledTiming::new(model, rng, workers);
+            run_async(&mut timing, workers, vcfg.max_nfe, rec)
+        });
+        assert!(twin != searched, "a drifted delay stream went unseen");
     }
 
     #[test]

@@ -151,27 +151,15 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
         borg: BorgConfig,
         observer: F,
     ) -> Self {
-        let mut split = SplitMix64::new(config.seed);
-        let engine_seed = split.derive_seed("virtual-engine");
-        let rng = split.derive("virtual-delays");
-        // A measured `T_A` is never drawn, so its distribution is moot.
-        let (t_a, measured) = match config.t_a {
-            TaMode::Sampled(d) => (d, false),
-            TaMode::Measured => (Dist::Constant(0.0), true),
-        };
-        let timing = TimingModel {
-            t_f: config.t_f,
-            t_c: config.t_c,
-            t_a,
-        };
+        let (engine_seed, timing) = seeded_timing(config);
         Self {
             core: MasterCore::new(problem, borg, engine_seed),
             source,
             objs_buf: vec![0.0; problem.num_objectives()],
             cons_buf: vec![0.0; problem.num_constraints()],
             observer,
-            timing: SampledTiming::new(timing, rng, config.workers()),
-            measured,
+            timing,
+            measured: matches!(config.t_a, TaMode::Measured),
         }
     }
 
@@ -191,6 +179,19 @@ impl<S: ObjectiveSource, F: FnMut(f64, &BorgEngine)> BorgHooks<S, F> {
     fn stopwatch(&self) -> Option<Instant> {
         self.measured.then(Instant::now)
     }
+}
+
+/// The one seed split of a virtual run: engine seed, then delays (a measured `T_A` draws 0).
+fn seeded_timing(config: &VirtualConfig) -> (u64, SampledTiming) {
+    let mut split = SplitMix64::new(config.seed);
+    let engine_seed = split.derive_seed("virtual-engine");
+    let t_a = match config.t_a {
+        TaMode::Sampled(d) => d,
+        TaMode::Measured => Dist::Constant(0.0),
+    };
+    let (t_f, t_c, rng) = (config.t_f, config.t_c, split.derive("virtual-delays"));
+    let timing = SampledTiming::new(TimingModel { t_f, t_c, t_a }, rng, config.workers());
+    (engine_seed, timing)
 }
 
 /// Wall-clock seconds since [`BorgHooks::stopwatch`] started, if it did.
@@ -282,6 +283,12 @@ where
     let mut hooks = BorgHooks::new(problem, problem, config, borg, observer);
     let run = run_async_with(&mut hooks, engine, &quiet, rec);
     hooks.finish(run).0
+}
+
+/// [`run_virtual_async`]'s outcome and spans under a sampled `T_A`, bit for bit, without the search.
+pub fn sampled_schedule<R: Recorder + ?Sized>(config: &VirtualConfig, rec: &R) -> RunOutcome {
+    let (_, mut timing) = seeded_timing(config);
+    borg_models::queueing::run_async(&mut timing, config.workers(), config.max_nfe, rec)
 }
 
 /// A fault-injected asynchronous virtual-time run in full: what
@@ -536,21 +543,6 @@ mod tests {
         rows.as_slice().iter().map(|x| x.to_bits()).collect()
     }
 
-    /// The simulation model alone on `config`'s delay stream: the
-    /// executor's seed split with the search left out.
-    fn bare_model(config: &VirtualConfig, t_a: Dist) -> RunOutcome {
-        let mut split = SplitMix64::new(config.seed);
-        split.derive_seed("virtual-engine");
-        let timing = TimingModel {
-            t_f: config.t_f,
-            t_c: config.t_c,
-            t_a,
-        };
-        let mut model =
-            SampledTiming::new(timing, split.derive("virtual-delays"), config.workers());
-        run_async(&mut model, config.workers(), config.max_nfe, &NoopRecorder)
-    }
-
     /// Seeded violation of schedule independence: `T_F` stretched by the
     /// candidate's first variable.
     struct CandidateTimed<S, F>(BorgHooks<S, F>);
@@ -575,7 +567,7 @@ mod tests {
     fn sampled_schedule_is_independent_of_the_search() {
         // Under a sampled `T_A` the executor is the simulation model with
         // the search riding along: two different searches share every
-        // outcome bit, and so does the bare model on the same stream.
+        // outcome bit, and so does `sampled_schedule`, which leaves it out.
         let two = Dtlz::new(DtlzVariant::Dtlz2, 2);
         let five = Dtlz::dtlz2_5();
         let searches: [(&dyn Problem, BorgConfig); 2] = [
@@ -605,7 +597,7 @@ mod tests {
                     outcome_bits(&run.outcome)
                 });
                 assert_eq!(a, b, "P={p} {t_a:?}: the search moved the schedule");
-                let model = outcome_bits(&bare_model(&cfg, t_a));
+                let model = outcome_bits(&sampled_schedule(&cfg, &NoopRecorder));
                 assert_eq!(a, model, "P={p} {t_a:?}: executor and model differ");
             }
         }

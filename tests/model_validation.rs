@@ -123,7 +123,10 @@ fn elapsed_time_bottoms_out_at_saturation() {
 }
 
 #[test]
-fn measured_ta_is_microseconds_and_grows_with_problem_complexity() {
+fn measured_ta_is_microseconds_on_both_problems() {
+    // Only the scale: which problem's wall-clock `T_A` is larger varies
+    // with the host. The problem-complexity relation is checked as an
+    // exact count by `table2::tests::uf11_archive_outgrows_dtlz2_by_20k_evaluations`.
     use borg_repro::problems::uf::uf11;
     let nfe = 4_000;
     let run_ta = |problem: &dyn borg_repro::core::problem::Problem, eps: Vec<f64>| {
