@@ -837,7 +837,7 @@ fn serve_master(cli: &Cli) {
         println!(
             "serve summary: mode=chaos nfe={} archive={} elapsed={:.6} \
              deaths_detected={} reissues={} wasted_nfe={} wire_results={} \
-             wire_duplicates={} wire_faults={} worker_reconnects={}",
+             wire_duplicates={} wire_faults={}",
             result.run.engine.nfe(),
             result.run.engine.archive().len(),
             result.run.outcome.elapsed,
@@ -847,7 +847,6 @@ fn serve_master(cli: &Cli) {
             result.wire_results,
             result.wire_duplicates,
             result.wire_log.injected(),
-            result.worker_reconnects,
         );
         finish_observability(cli, &rec, &ring, "master", None);
         write_net_metrics(cli, &rec, "serve-chaos");
@@ -896,8 +895,8 @@ fn worker(cli: &Cli) {
     let frec = WithFlight::new(&rec, &ring);
     let report = or_exit(run_worker(&opts, &resolve_problem, &frec), "worker failed");
     println!(
-        "worker summary: worker={} evaluated={} reconnects={} heartbeats={}",
-        report.worker, report.evaluated, report.reconnects, report.heartbeats_sent,
+        "worker summary: worker={} evaluated={} heartbeats={}",
+        report.worker, report.evaluated, report.heartbeats_sent,
     );
     finish_observability(
         cli,

@@ -22,16 +22,17 @@
 //! The proxy consults the *same* `FaultPlan` from the frame coordinates
 //! (`Work.seq` mirrors the engine's per-worker dispatch counter,
 //! `Outcome.attempt` echoes the dispatch) and physically enacts each
-//! fate: crash ⇒ the work item is not forwarded and the worker's
-//! connection is reset (exercising reconnect backoff + re-registration),
+//! fate: crash ⇒ the work item is not forwarded and the worker's socket
+//! is closed for good (the worker reads EOF and exits, the death `serve`
+//! detects; the pinned master never dispatches to that worker again),
 //! drop ⇒ the result frame is swallowed, duplicate ⇒ the result frame
-//! is forwarded twice. Its
-//! wire-side ledger must agree with the oracle's per fault kind.
+//! is forwarded twice. A worker registers once: a `Hello` after the
+//! whole pool has registered is refused. Its wire-side ledger must agree
+//! with the oracle's per fault kind.
 
-use crate::codec::{self, Msg, TraceCtx, UNASSIGNED};
+use crate::codec::{self, Msg, TraceCtx};
 use crate::metrics;
-use crate::serve::register_pool;
-use crate::serve::ServeConfig;
+use crate::serve::{await_hello, register_pool, ServeConfig};
 use crate::transport::{
     connect_with_backoff, Backoff, Conn, NetAddr, NetError, NetListener, NetStream,
 };
@@ -100,8 +101,6 @@ pub struct ChaosRunResult {
     pub wire_results: u64,
     /// Extra result frames received (chaos duplication).
     pub wire_duplicates: u64,
-    /// Re-registrations performed by in-process workers (crash resets).
-    pub worker_reconnects: u64,
     /// Error latched during the run, if any: the run result is then
     /// *not* oracle-comparable (some objectives were evaluated locally
     /// to keep the engine alive).
@@ -300,39 +299,20 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> ObjectiveSource for WireSource<'
 // The interposing chaos proxy
 // ---------------------------------------------------------------------------
 
-struct Link {
-    conn: Option<NetStream>,
-    /// Encoded frames dispatched while the worker was reconnecting.
-    queue: Vec<Vec<u8>>,
-}
-
+/// The proxy's end of one worker's connection. A crash closes it for
+/// good: the worker reads EOF and exits, as it does when `serve` drops it.
 struct ProxyWorker {
-    idx: usize,
-    link: Mutex<Link>,
-    master_writer: Mutex<NetStream>,
-    welcome: Msg,
+    writer: Mutex<NetStream>,
 }
 
 impl ProxyWorker {
-    /// Writes an encoded frame toward the worker, queueing it if the
-    /// worker is mid-reconnect.
-    fn to_worker(&self, frame: Vec<u8>) {
-        let mut link = self.link.lock();
-        let delivered = match link.conn.as_mut() {
-            Some(conn) => conn.write_all(&frame).is_ok(),
-            None => false,
-        };
-        if !delivered {
-            if let Some(dead) = link.conn.take() {
-                dead.shutdown();
-            }
-            link.queue.push(frame);
-        }
+    fn to_worker(&self, frame: &[u8]) {
+        // Best-effort: a closed socket stays closed.
+        let _ = self.writer.lock().write_all(frame);
     }
 
-    fn to_master(&self, frame: &[u8]) {
-        // Best-effort: if the master is gone the run is ending.
-        let _ = self.master_writer.lock().write_all(frame);
+    fn close(&self) {
+        self.writer.lock().shutdown();
     }
 }
 
@@ -341,7 +321,8 @@ struct ProxyShared<'a, R: Recorder + Sync + ?Sized> {
     wire_log: Mutex<FaultLog>,
     start: Instant,
     stop: AtomicBool,
-    read_timeout: Duration,
+    /// The pinned master's registration settings: pool size, timeouts.
+    serve: &'a ServeConfig,
     workers: Mutex<Vec<Arc<ProxyWorker>>>,
     rec: &'a R,
 }
@@ -358,9 +339,10 @@ impl<R: Recorder + Sync + ?Sized> ProxyShared<'_, R> {
     }
 }
 
-/// Relays master→worker traffic for one worker, enacting dispatch fates.
+/// Relays master→worker traffic for worker `idx`, enacting dispatch fates.
 fn relay_master_to_worker<R: Recorder + Sync + ?Sized>(
     mut conn: Conn,
+    idx: usize,
     pw: &ProxyWorker,
     shared: &ProxyShared<'_, R>,
 ) {
@@ -370,49 +352,42 @@ fn relay_master_to_worker<R: Recorder + Sync + ?Sized>(
         }
         match conn.recv() {
             Ok(Some(msg @ Msg::Work { .. })) => {
-                let Msg::Work {
-                    eval_id,
-                    attempt: _,
-                    seq,
-                    ..
-                } = &msg
-                else {
+                let Msg::Work { eval_id, seq, .. } = &msg else {
                     continue;
                 };
-                match shared.plan.dispatch_fate(pw.idx, *seq) {
-                    DispatchFate::Normal => pw.to_worker(codec::encode(&msg)),
+                match shared.plan.dispatch_fate(idx, *seq) {
+                    DispatchFate::Normal => pw.to_worker(&codec::encode(&msg)),
                     DispatchFate::CrashDuring { .. } => {
-                        // The worker "dies" mid-evaluation: the work item
-                        // never completes. Physically: don't forward it,
-                        // and reset the connection so the worker exercises
-                        // reconnect backoff and re-registration.
-                        shared.inject(FaultKind::Crash, pw.idx, *eval_id);
-                        if let Some(dead) = pw.link.lock().conn.take() {
-                            dead.shutdown();
-                        }
+                        // The worker dies mid-evaluation and stays dead:
+                        // the work item is never forwarded and the
+                        // worker's socket is closed for good.
+                        shared.inject(FaultKind::Crash, idx, *eval_id);
+                        pw.close();
                     }
                 }
             }
-            Ok(Some(other)) => pw.to_worker(codec::encode(&other)),
+            Ok(Some(other)) => pw.to_worker(&codec::encode(&other)),
             Ok(None) => {}
             Err(_) => break,
         }
     }
     // Master side is gone (teardown or failure): sever the worker so its
     // loop unblocks and exits.
-    let mut link = pw.link.lock();
-    if let Some(conn) = link.conn.take() {
-        conn.shutdown();
-    }
+    pw.close();
 }
 
-/// Relays worker→master traffic for one worker socket generation,
-/// enacting result-message fates.
+/// Relays worker→master traffic for worker `idx`, enacting result-message
+/// fates, until the worker's socket closes.
 fn relay_worker_to_master<R: Recorder + Sync + ?Sized>(
     mut conn: Conn,
-    pw: &ProxyWorker,
+    idx: usize,
+    mut master: NetStream,
     shared: &ProxyShared<'_, R>,
 ) {
+    // Best-effort: if the master is gone the run is ending.
+    let mut to_master = |frame: &[u8]| {
+        let _ = master.write_all(frame);
+    };
     loop {
         if shared.stop.load(Ordering::SeqCst) {
             return;
@@ -427,44 +402,26 @@ fn relay_worker_to_master<R: Recorder + Sync + ?Sized>(
                 };
                 let frame = codec::encode(&msg);
                 match shared.plan.message_fate(*eval_id, *attempt) {
-                    MessageFate::Deliver => pw.to_master(&frame),
+                    MessageFate::Deliver => to_master(&frame),
                     MessageFate::Drop => {
-                        shared.inject(FaultKind::MessageDrop, pw.idx, *eval_id);
+                        shared.inject(FaultKind::MessageDrop, idx, *eval_id);
                     }
                     MessageFate::Duplicate => {
-                        shared.inject(FaultKind::MessageDuplicate, pw.idx, *eval_id);
-                        pw.to_master(&frame);
-                        pw.to_master(&frame);
+                        shared.inject(FaultKind::MessageDuplicate, idx, *eval_id);
+                        to_master(&frame);
+                        to_master(&frame);
                     }
                 }
             }
-            Ok(Some(other)) => pw.to_master(&codec::encode(&other)),
+            Ok(Some(other)) => to_master(&codec::encode(&other)),
             Ok(None) => {}
-            Err(_) => return, // worker reconnecting or gone
+            Err(_) => return, // the worker is gone
         }
     }
 }
 
-/// Waits for `Hello` on a fresh proxy-side connection.
-fn proxy_await_hello(conn: &mut Conn, shared_stop: &AtomicBool) -> Result<u64, NetError> {
-    for _ in 0..200 {
-        if shared_stop.load(Ordering::SeqCst) {
-            break;
-        }
-        match conn.recv()? {
-            Some(Msg::Hello { worker }) => return Ok(worker),
-            Some(other) => {
-                return Err(NetError::Protocol(format!(
-                    "proxy expected Hello, got {other:?}"
-                )))
-            }
-            None => {}
-        }
-    }
-    Err(NetError::Protocol("proxy handshake timed out".to_string()))
-}
-
-/// One accepted worker-side socket: registration or re-registration.
+/// One accepted worker-side socket: the worker's first and only
+/// registration, spliced through a master-side connection of its own.
 fn proxy_admit<'s, R: Recorder + Sync + ?Sized>(
     scope: &'s Scope<'s, '_>,
     shared: &'s ProxyShared<'s, R>,
@@ -473,83 +430,48 @@ fn proxy_admit<'s, R: Recorder + Sync + ?Sized>(
 ) -> Result<(), NetError> {
     let writer = stream.try_clone()?;
     let mut conn = Conn::new(stream);
-    let hello = proxy_await_hello(&mut conn, &shared.stop)?;
-    if hello == UNASSIGNED {
-        // Fresh registration: splice a master-side connection through.
-        let idx = shared.workers.lock().len();
-        let mut backoff = Backoff::default_schedule();
-        let mstream = connect_with_backoff(master_addr, &mut backoff, shared.read_timeout)?;
-        let mut mconn = Conn::new(mstream);
-        mconn.send(&Msg::Hello { worker: UNASSIGNED })?;
-        let welcome = loop {
-            match mconn.recv()? {
-                Some(msg @ Msg::Welcome { .. }) => break msg,
-                Some(other) => {
-                    return Err(NetError::Protocol(format!(
-                        "master sent {other:?} instead of Welcome"
-                    )))
-                }
-                None => {
-                    if shared.stop.load(Ordering::SeqCst) {
-                        return Err(NetError::Protocol("proxy stopping".to_string()));
-                    }
-                }
-            }
-        };
-        if let Msg::Welcome { worker, .. } = &welcome {
-            if *worker != idx as u64 {
-                return Err(NetError::Protocol(format!(
-                    "master assigned index {worker}, proxy expected {idx}"
-                )));
-            }
-        }
-        let master_writer = mconn.stream().try_clone()?;
-        let pw = Arc::new(ProxyWorker {
-            idx,
-            link: Mutex::new(Link {
-                conn: Some(writer),
-                queue: Vec::new(),
-            }),
-            master_writer: Mutex::new(master_writer),
-            welcome: welcome.clone(),
-        });
-        pw.to_worker(codec::encode(&welcome));
-        shared.workers.lock().push(Arc::clone(&pw));
-        {
-            let pw = Arc::clone(&pw);
-            scope.spawn(move || relay_master_to_worker(mconn, &pw, shared));
-        }
-        scope.spawn(move || relay_worker_to_master(conn, &pw, shared));
-        Ok(())
-    } else {
-        // Re-registration after a chaos reset: swap the socket, absorb
-        // the handshake (the master never sees reconnect churn), flush
-        // anything dispatched while the worker was away.
-        let pw = {
-            let workers = shared.workers.lock();
-            let idx = usize::try_from(hello)
-                .ok()
-                .filter(|i| *i < workers.len())
-                .ok_or_else(|| {
-                    NetError::Protocol(format!("reconnect for unknown worker {hello}"))
-                })?;
-            Arc::clone(&workers[idx])
-        };
-        let queued = {
-            let mut link = pw.link.lock();
-            if let Some(old) = link.conn.take() {
-                old.shutdown();
-            }
-            link.conn = Some(writer);
-            std::mem::take(&mut link.queue)
-        };
-        pw.to_worker(codec::encode(&pw.welcome));
-        for frame in queued {
-            pw.to_worker(frame);
-        }
-        scope.spawn(move || relay_worker_to_master(conn, &pw, shared));
-        Ok(())
+    await_hello(&mut conn, Instant::now() + shared.serve.register_timeout)?;
+    let idx = shared.workers.lock().len();
+    if idx == shared.serve.workers {
+        return Err(NetError::Protocol(format!(
+            "Hello after all {idx} workers registered"
+        )));
     }
+    let mut backoff = Backoff::default_schedule();
+    let mstream = connect_with_backoff(master_addr, &mut backoff, shared.serve.read_timeout)?;
+    let mut mconn = Conn::new(mstream);
+    mconn.send(&Msg::Hello)?;
+    let welcome = loop {
+        match mconn.recv()? {
+            Some(msg @ Msg::Welcome { .. }) => break msg,
+            Some(other) => {
+                return Err(NetError::Protocol(format!(
+                    "master sent {other:?} instead of Welcome"
+                )))
+            }
+            None => {
+                if shared.stop.load(Ordering::SeqCst) {
+                    return Err(NetError::Protocol("proxy stopping".to_string()));
+                }
+            }
+        }
+    };
+    if let Msg::Welcome { worker, .. } = &welcome {
+        if *worker != idx as u64 {
+            return Err(NetError::Protocol(format!(
+                "master assigned index {worker}, proxy expected {idx}"
+            )));
+        }
+    }
+    let master_writer = mconn.stream().try_clone()?;
+    let pw = Arc::new(ProxyWorker {
+        writer: Mutex::new(writer),
+    });
+    pw.to_worker(&codec::encode(&welcome));
+    shared.workers.lock().push(Arc::clone(&pw));
+    scope.spawn(move || relay_master_to_worker(mconn, idx, &pw, shared));
+    scope.spawn(move || relay_worker_to_master(conn, idx, master_writer, shared));
+    Ok(())
 }
 
 /// The proxy's accept loop: admits workers until the stop flag rises.
@@ -563,7 +485,7 @@ fn proxy_accept_loop<'s, R: Recorder + Sync + ?Sized>(
         return;
     }
     while !shared.stop.load(Ordering::SeqCst) {
-        match listener.accept(shared.read_timeout) {
+        match listener.accept(shared.serve.read_timeout) {
             Ok(Some(stream)) => {
                 // A failed handshake abandons that socket, not the proxy.
                 let _ = proxy_admit(scope, shared, master_addr, stream);
@@ -572,12 +494,9 @@ fn proxy_accept_loop<'s, R: Recorder + Sync + ?Sized>(
             Err(_) => break,
         }
     }
-    // Sever every live worker link so their loops unblock.
+    // Sever every worker link so their loops unblock.
     for pw in shared.workers.lock().iter() {
-        let mut link = pw.link.lock();
-        if let Some(conn) = link.conn.take() {
-            conn.shutdown();
-        }
+        pw.close();
     }
 }
 
@@ -673,33 +592,31 @@ where
     let public_listener = NetListener::bind(&chaos.listen)?;
     let public_addr = public_listener.local_addr()?;
 
+    let serve_cfg = ServeConfig {
+        problem_name: problem_name.to_string(),
+        register_timeout: Duration::from_secs(30),
+        read_timeout: chaos.read_timeout,
+        ..ServeConfig::new(
+            chaos.master_listen.clone(),
+            workers,
+            config.max_nfe,
+            config.seed,
+        )
+    };
     let shared = ProxyShared {
         plan: &plan,
         wire_log: Mutex::new(FaultLog::default()),
         start: Instant::now(),
         stop: AtomicBool::new(false),
-        read_timeout: chaos.read_timeout,
+        serve: &serve_cfg,
         workers: Mutex::new(Vec::new()),
         rec,
-    };
-    let serve_cfg = ServeConfig {
-        listen: chaos.master_listen.clone(),
-        workers,
-        max_nfe: config.max_nfe,
-        seed: config.seed,
-        problem_name: problem_name.to_string(),
-        eval_delay: Duration::ZERO,
-        reissue_timeout: None,
-        heartbeat_timeout: f64::INFINITY,
-        register_timeout: Duration::from_secs(30),
-        read_timeout: chaos.read_timeout,
     };
     let reader_stop = AtomicBool::new(false);
 
     let result = std::thread::scope(|scope| -> Result<ChaosRunResult, NetError> {
         scope.spawn(|| proxy_accept_loop(scope, &shared, &public_listener, &master_addr));
 
-        let mut worker_handles = Vec::new();
         for _ in 0..chaos.in_process_workers {
             let opts = WorkerOptions {
                 connect: public_addr.clone(),
@@ -708,7 +625,7 @@ where
             // A worker is its own process role: its wall-clock spans and
             // counters stay out of the master's recorder, which then holds
             // each evaluation's virtual `T_F` once.
-            worker_handles.push(scope.spawn(move || run_worker(&opts, resolve, &NoopRecorder)));
+            scope.spawn(move || run_worker(&opts, resolve, &NoopRecorder));
         }
 
         // The pool registers through the proxy; the master sees ordinary
@@ -747,7 +664,7 @@ where
         // so every blocked thread unblocks and the scope join is prompt.
         let shutdown_frame = codec::encode(&Msg::Shutdown);
         for pw in shared.workers.lock().iter() {
-            pw.to_worker(shutdown_frame.clone());
+            pw.to_worker(&shutdown_frame);
         }
         shared.stop.store(true, Ordering::SeqCst);
         reader_stop.store(true, Ordering::SeqCst);
@@ -765,21 +682,12 @@ where
             wire.wire_duplicates += list.len() as u64;
         }
 
-        let mut worker_reconnects = 0u64;
-        for handle in worker_handles {
-            if let Ok(Ok(report)) = handle.join() {
-                worker_reconnects += report.reconnects;
-                rec.counter(metrics::RECONNECTS, report.reconnects);
-            }
-        }
-
         Ok(ChaosRunResult {
             run,
             // Filled in below, once the proxy threads have let go of it.
             wire_log: FaultLog::default(),
             wire_results: wire.wire_results,
             wire_duplicates: wire.wire_duplicates,
-            worker_reconnects,
             degraded: wire.error.map(|e| e.to_string()),
         })
     });

@@ -30,7 +30,7 @@ use std::fmt;
 /// Frame magic: rejects cross-protocol and mid-stream garbage early.
 pub const MAGIC: u32 = 0xB0C6_F7A1;
 /// Wire format version; bumped on any incompatible layout change.
-pub const VERSION: u8 = 1;
+pub const VERSION: u8 = 2;
 /// Hard cap on a frame's payload. A `Work` frame for a 1000-variable
 /// problem is ~8 KiB; 1 MiB leaves two orders of magnitude of headroom
 /// while bounding what a corrupt length field can make us buffer.
@@ -62,9 +62,9 @@ pub struct TraceCtx {
 /// metrics tap) around the protocol engine, which stays master-side.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Msg {
-    /// Worker → master registration. `worker` is [`UNASSIGNED`] on first
-    /// contact and the previously assigned index on reconnect.
-    Hello { worker: u64 },
+    /// Worker → master registration, sent once on first contact: a
+    /// worker whose connection drops never registers again.
+    Hello,
     /// Master → worker registration reply: assigned index, the problem
     /// the worker must resolve, and an artificial per-evaluation delay
     /// (microseconds; used by tests to keep runs killable mid-flight).
@@ -102,9 +102,6 @@ pub enum Msg {
     /// tap connection; `at` is the master clock.
     Tap { seq: u64, at: f64, jsonl: String },
 }
-
-/// `Hello.worker` value meaning "no index assigned yet".
-pub const UNASSIGNED: u64 = u64::MAX;
 
 /// Packs a deterministic span id from the trace coordinates both roles
 /// agree on: `(eval_id << 16) | (attempt << 2) | role`. Roles: 0 =
@@ -357,10 +354,7 @@ fn put_work(
 
 fn encode_payload(buf: &mut Vec<u8>, msg: &Msg) {
     match *msg {
-        Msg::Hello { worker } => {
-            put_u8(buf, TAG_HELLO);
-            put_u64(buf, worker);
-        }
+        Msg::Hello => put_u8(buf, TAG_HELLO),
         Msg::Welcome {
             worker,
             ref problem,
@@ -412,7 +406,7 @@ fn encode_payload(buf: &mut Vec<u8>, msg: &Msg) {
 fn decode_payload(payload: &[u8], spare: &mut Vec<Vec<f64>>) -> Result<Msg, DecodeError> {
     let mut r = Reader::new(payload, spare);
     let msg = match r.u8()? {
-        TAG_HELLO => Msg::Hello { worker: r.u64()? },
+        TAG_HELLO => Msg::Hello,
         TAG_WELCOME => Msg::Welcome {
             worker: r.u64()?,
             problem: r.string()?,
@@ -637,7 +631,7 @@ mod tests {
 
     fn sample_msgs() -> Vec<Msg> {
         vec![
-            Msg::Hello { worker: UNASSIGNED },
+            Msg::Hello,
             Msg::Welcome {
                 worker: 3,
                 problem: "dtlz2-5".to_string(),

@@ -7,18 +7,20 @@
 //!   checksum; total decode: malformed input is an error, never a panic,
 //!   never an over-allocation).
 //! - [`transport`] — TCP and Unix-domain-socket streams with mandatory
-//!   per-connection read timeouts and bounded exponential reconnect
-//!   backoff.
-//! - [`worker`] — the remote evaluation loop: register, evaluate
-//!   dispatched candidates, stream results, heartbeat, reconnect.
+//!   per-connection read timeouts and a bounded exponential backoff for
+//!   a worker's first dial.
+//! - [`worker`] — the remote evaluation loop: register once, evaluate
+//!   dispatched candidates, stream results, heartbeat; a dropped
+//!   connection ends the worker.
 //! - [`serve`] — the real-clock master: the one wall-clock master of
 //!   `borg_parallel::wallclock` over live sockets (deadline reissue,
 //!   EOF + heartbeat-staleness death detection, duplicate suppression).
 //! - [`chaos`] — the loopback chaos harness: an interposing proxy maps
-//!   the seeded `borg_desim::fault::FaultPlan` onto real sockets while
-//!   the master replays the *same* plan through the DES fault engine in
-//!   virtual time (`sampled_ta`), making the networked run's fault
-//!   ledger and final archive bit-identical to the DES oracle.
+//!   the seeded `borg_desim::fault::FaultPlan` onto real sockets (a
+//!   crash closes the worker's socket for good) while the master
+//!   replays the *same* plan through the DES fault engine in virtual
+//!   time (`sampled_ta`), making the networked run's fault ledger and
+//!   final archive bit-identical to the DES oracle.
 //! - [`tap`] — the live metrics tap: a read-only side-channel streaming
 //!   periodic `MetricsSnapshot` deltas (stable-schema JSONL inside
 //!   [`codec::Msg::Tap`] frames) to any number of subscribers.

@@ -17,8 +17,6 @@ pub const RESULTS: &str = "net.results";
 pub(crate) const DUPLICATES: &str = "net.duplicates";
 /// Heartbeat frames received by the master.
 pub(crate) const HEARTBEATS: &str = "net.heartbeats";
-/// Successful (re)connections, worker side.
-pub(crate) const RECONNECTS: &str = "net.reconnects";
 /// Frames that failed to decode (connection subsequently dropped).
 pub(crate) const DECODE_ERRORS: &str = "net.decode_errors";
 /// Worker deaths detected by the master (EOF or stale heartbeat).

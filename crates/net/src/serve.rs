@@ -249,11 +249,12 @@ impl<R: Recorder + ?Sized> Link for NetLink<'_, R> {
 
 type NetMaster<'a, R> = Mutex<Master<'a, NetLink<'a, R>, R>>;
 
-/// Waits for `Hello` on a fresh connection (bounded by read timeouts).
-fn await_hello(conn: &mut Conn, deadline: Instant) -> Result<u64, NetError> {
+/// Waits for `Hello` on a fresh connection until `deadline` (checked
+/// at each read timeout). The chaos proxy admits workers through it too.
+pub(crate) fn await_hello(conn: &mut Conn, deadline: Instant) -> Result<(), NetError> {
     loop {
         match conn.recv()? {
-            Some(Msg::Hello { worker }) => return Ok(worker),
+            Some(Msg::Hello) => return Ok(()),
             Some(other) => {
                 return Err(NetError::Protocol(format!(
                     "expected Hello during registration, got {other:?}"

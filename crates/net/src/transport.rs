@@ -1,5 +1,6 @@
 //! Socket plumbing: address parsing, TCP/Unix listeners and streams,
-//! bounded-exponential reconnect backoff, and the framed [`Conn`].
+//! the bounded-exponential backoff of a worker's first dial, and the
+//! framed [`Conn`].
 //!
 //! This module is the only place in the crate that opens raw sockets —
 //! every connection acquired here has a read timeout and a write timeout
@@ -29,7 +30,7 @@ pub enum NetError {
     /// The peer sent a well-formed frame the protocol does not allow
     /// here (e.g. a `Work` frame before registration).
     Protocol(String),
-    /// Reconnect gave up after exhausting its bounded backoff schedule.
+    /// The dial gave up after exhausting its bounded backoff schedule.
     ConnectFailed { attempts: u32, last: String },
     /// An address string did not parse (`tcp:HOST:PORT` / `unix:PATH`).
     BadAddr(String),
@@ -293,9 +294,9 @@ impl Write for NetStream {
     }
 }
 
-/// Bounded exponential reconnect backoff: `base · 2^attempt`, capped at
-/// `cap`, for at most `max_attempts` attempts — then gives up. Bounding
-/// both the delay and the attempt count guarantees every reconnect loop
+/// Bounded exponential backoff for a first dial: `base · 2^attempt`,
+/// capped at `cap`, for at most `max_attempts` attempts — then gives up.
+/// Bounding both the delay and the attempt count guarantees every dial
 /// in the crate terminates.
 #[derive(Debug, Clone, Copy)]
 pub struct Backoff {
@@ -316,8 +317,8 @@ impl Backoff {
     }
 
     /// Default schedule: 2 ms, 4 ms, … capped at 250 ms, 12 attempts
-    /// (≈2.5 s total) — long enough to ride out a chaos-proxy connection
-    /// reset, short enough that orphaned workers exit promptly.
+    /// (≈2.5 s total) — long enough for a worker started just before its
+    /// master binds, short enough that orphaned workers exit promptly.
     pub fn default_schedule() -> Self {
         Backoff::new(Duration::from_millis(2), Duration::from_millis(250), 12)
     }

@@ -1,8 +1,9 @@
 //! The worker side of the deployment pair: connect, register, evaluate
-//! dispatched candidates, stream results back, heartbeat while idle,
-//! and reconnect (bounded backoff) when the connection drops.
+//! dispatched candidates, stream results back, heartbeat while idle.
+//! Only the first dial backs off (a worker may start before its master
+//! binds); a dropped connection ends the worker, which never dials again.
 
-use crate::codec::{self, Msg, TraceCtx, UNASSIGNED};
+use crate::codec::{self, Msg, TraceCtx};
 use crate::metrics;
 use crate::transport::{connect_with_backoff, Backoff, Conn, NetAddr, NetError};
 use borg_core::problem::Problem;
@@ -38,8 +39,6 @@ pub struct WorkerReport {
     pub worker: u64,
     /// Evaluations completed (results sent, delivered or not).
     pub evaluated: u64,
-    /// Successful re-registrations after a connection drop.
-    pub reconnects: u64,
     /// Heartbeat frames sent.
     pub heartbeats_sent: u64,
 }
@@ -69,14 +68,11 @@ fn await_welcome(conn: &mut Conn) -> Result<(u64, String, u64), NetError> {
     ))
 }
 
-fn connect_and_register(
-    opts: &WorkerOptions,
-    announce: u64,
-) -> Result<(Conn, u64, String, u64), NetError> {
+fn connect_and_register(opts: &WorkerOptions) -> Result<(Conn, u64, String, u64), NetError> {
     let mut backoff = Backoff::default_schedule();
     let stream = connect_with_backoff(&opts.connect, &mut backoff, opts.read_timeout)?;
     let mut conn = Conn::new(stream);
-    conn.send(&Msg::Hello { worker: announce })?;
+    conn.send(&Msg::Hello)?;
     let (worker, problem, eval_delay_us) = await_welcome(&mut conn)?;
     Ok((conn, worker, problem, eval_delay_us))
 }
@@ -88,14 +84,15 @@ fn connect_and_register(
 /// problem suite). A master that disappears *after* registration ends
 /// the run cleanly with the report so far — operationally the master
 /// finishing and closing sockets is a normal way for a worker to learn
-/// the run is over; failing to register at all is an error.
+/// the run is over; failing to register at all is an error. A lost
+/// connection is never redialled: a master never takes a worker back.
 pub fn run_worker<R: Recorder + ?Sized>(
     opts: &WorkerOptions,
     resolve: &dyn Fn(&str) -> Option<Box<dyn Problem>>,
     rec: &R,
 ) -> Result<WorkerReport, NetError> {
     let mut report = WorkerReport::default();
-    let (mut conn, worker, problem_name, eval_delay_us) = connect_and_register(opts, UNASSIGNED)?;
+    let (mut conn, worker, problem_name, eval_delay_us) = connect_and_register(opts)?;
     report.worker = worker;
     let problem = resolve(&problem_name)
         .ok_or_else(|| NetError::Protocol(format!("cannot resolve problem {problem_name:?}")))?;
@@ -106,10 +103,7 @@ pub fn run_worker<R: Recorder + ?Sized>(
     let mut last_beat = Instant::now();
     let mut probe_seq = 0u64;
     // The one result message of this worker: every evaluation writes its
-    // objectives straight into it. `unsent` marks a result that has not
-    // been written yet, or could not be before the connection dropped;
-    // it is re-sent after re-registration (the master suppresses
-    // duplicates by eval id, so re-sending is always safe).
+    // objectives straight into it and sends it at once.
     let mut outcome = Msg::Outcome {
         worker,
         eval_id: 0,
@@ -118,45 +112,8 @@ pub fn run_worker<R: Recorder + ?Sized>(
         constraints: vec![0.0; problem.num_constraints()],
         ctx: None,
     };
-    let mut unsent = false;
 
-    'session: loop {
-        if unsent {
-            // Stamp the context at the moment the frame actually goes to
-            // the wire (resends after a reconnect get a fresh stamp).
-            let send_at = epoch.elapsed().as_secs_f64();
-            if let Msg::Outcome { ctx: Some(c), .. } = &mut outcome {
-                c.sent_at = send_at;
-            }
-            if conn.send(&outcome).is_err() {
-                match reconnect(opts, worker, &mut report) {
-                    Some(c) => {
-                        conn = c;
-                        rec.counter(metrics::RECONNECTS, 1);
-                        continue 'session;
-                    }
-                    None => return Ok(report),
-                }
-            }
-            unsent = false;
-            rec.counter(metrics::FRAMES_SENT, 1);
-            if let Msg::Outcome {
-                eval_id, attempt, ..
-            } = &outcome
-            {
-                rec.counter(metrics::TRACE_CTX_SENT, 1);
-                rec.trace_edge(TraceEdge {
-                    kind: TraceEdgeKind::ResultSent,
-                    trace_id: *eval_id,
-                    eval_id: *eval_id,
-                    attempt: *attempt,
-                    worker,
-                    local_t: send_at,
-                    remote_t: 0.0,
-                });
-                rec.flight("net.result_sent", send_at, *eval_id, worker, 0.0);
-            }
-        }
+    loop {
         match conn.recv() {
             Ok(Some(Msg::Work {
                 eval_id,
@@ -208,7 +165,6 @@ pub fn run_worker<R: Recorder + ?Sized>(
                     });
                 }
                 conn.recycle(variables);
-                unsent = true;
                 report.evaluated += 1;
                 rec.span(
                     Actor::Worker(worker as usize),
@@ -216,6 +172,21 @@ pub fn run_worker<R: Recorder + ?Sized>(
                     received_at,
                     done_at,
                 );
+                if conn.send(&outcome).is_err() {
+                    return Ok(report);
+                }
+                rec.counter(metrics::FRAMES_SENT, 1);
+                rec.counter(metrics::TRACE_CTX_SENT, 1);
+                rec.trace_edge(TraceEdge {
+                    kind: TraceEdgeKind::ResultSent,
+                    trace_id: eval_id,
+                    eval_id,
+                    attempt,
+                    worker,
+                    local_t: done_at,
+                    remote_t: 0.0,
+                });
+                rec.flight("net.result_sent", done_at, eval_id, worker, 0.0);
             }
             Ok(Some(Msg::Shutdown)) => {
                 rec.counter(metrics::FRAMES_RECEIVED, 1);
@@ -268,26 +239,9 @@ pub fn run_worker<R: Recorder + ?Sized>(
                     // recv returning an error.
                 }
             }
-            Err(_) => match reconnect(opts, worker, &mut report) {
-                Some(c) => {
-                    conn = c;
-                    rec.counter(metrics::RECONNECTS, 1);
-                }
-                None => return Ok(report),
-            },
+            // The master is gone: it finished, or it declared this worker
+            // dead. Either way the run is over for us.
+            Err(_) => return Ok(report),
         }
-    }
-}
-
-/// One bounded reconnect + re-registration round. `None` means the
-/// master is gone for good (schedule exhausted or registration refused)
-/// — the worker should exit with its report.
-fn reconnect(opts: &WorkerOptions, worker: u64, report: &mut WorkerReport) -> Option<Conn> {
-    match connect_and_register(opts, worker) {
-        Ok((conn, assigned, _, _)) if assigned == worker => {
-            report.reconnects += 1;
-            Some(conn)
-        }
-        _ => None,
     }
 }

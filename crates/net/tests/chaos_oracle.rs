@@ -144,16 +144,6 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
             "wire ledger count for {kind:?} diverged from the oracle"
         );
     }
-
-    // Crash resets must have pushed at least one worker through the
-    // reconnect/backoff/re-registration path.
-    let crashes = oracle.fault_log.injected_of(FaultKind::Crash);
-    if crashes > 0 {
-        assert!(
-            net.worker_reconnects >= 1,
-            "{crashes} crash(es) enacted but no worker ever re-registered"
-        );
-    }
 }
 
 #[test]

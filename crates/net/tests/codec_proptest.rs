@@ -13,7 +13,7 @@
 
 use borg_net::codec::{
     decode, decode_complete, encode, encode_into, encode_work_into, DecodeError, FrameReader, Msg,
-    TraceCtx, HEADER_LEN, MAGIC, MAX_PAYLOAD, UNASSIGNED, VERSION,
+    TraceCtx, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION,
 };
 use proptest::prelude::*;
 use proptest::strategy::Union;
@@ -50,8 +50,7 @@ fn ctx_strategy() -> impl Strategy<Value = Option<TraceCtx>> {
 /// Every `Msg` variant.
 fn msg_strategy() -> Union<Msg> {
     prop_oneof![
-        (0u64..1_000).prop_map(|worker| Msg::Hello { worker }),
-        Just(Msg::Hello { worker: UNASSIGNED }),
+        Just(Msg::Hello),
         (0u64..1_000, name_string(), 0u64..1_000_000).prop_map(
             |(worker, problem, eval_delay_us)| Msg::Welcome {
                 worker,

@@ -38,7 +38,7 @@ fn a_misshapen_work_item_is_rejected_within_a_second() {
             .expect("accept")
             .expect("a blocking accept returns a connection");
         let mut conn = Conn::new(stream);
-        while !matches!(conn.recv().expect("hello"), Some(Msg::Hello { .. })) {}
+        while !matches!(conn.recv().expect("hello"), Some(Msg::Hello)) {}
         conn.send(&Msg::Welcome {
             worker: 0,
             problem: PROBLEM.to_string(),

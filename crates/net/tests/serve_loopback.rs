@@ -53,7 +53,7 @@ fn register_raw(cfg: &ServeConfig) -> Result<Conn, NetError> {
     let mut backoff = Backoff::default_schedule();
     let stream = connect_with_backoff(&cfg.listen, &mut backoff, Duration::from_millis(50))?;
     let mut conn = Conn::new(stream);
-    conn.send(&Msg::Hello { worker: u64::MAX })?;
+    conn.send(&Msg::Hello)?;
     loop {
         match conn.recv()? {
             Some(Msg::Welcome { .. }) => return Ok(conn),
@@ -346,7 +346,7 @@ fn a_misshapen_work_item_fails_before_the_delay() {
             .expect("accept")
             .expect("a blocking accept returns a connection");
         let mut conn = Conn::new(stream);
-        while !matches!(conn.recv().expect("hello"), Some(Msg::Hello { .. })) {}
+        while !matches!(conn.recv().expect("hello"), Some(Msg::Hello)) {}
         conn.send(&Msg::Welcome {
             worker: 0,
             problem: PROBLEM.to_string(),
@@ -366,6 +366,71 @@ fn a_misshapen_work_item_fails_before_the_delay() {
             matches!(result, Err(NetError::Protocol(_))),
             "got {result:?}"
         );
+    });
+}
+
+#[test]
+fn a_worker_whose_master_hangs_up_never_dials_again() {
+    // A hand-rolled master: it registers the worker, has it evaluate one
+    // item, then hangs up. No master takes a worker back, so the worker
+    // must end with its report and never dial again.
+    let cfg = config("hang-up", 1, 1);
+    let listener = NetListener::bind(&cfg.listen).expect("bind");
+    let opts = WorkerOptions {
+        read_timeout: Duration::from_millis(5),
+        ..worker_options(&cfg)
+    };
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| run_worker(&opts, &resolve, &NoopRecorder));
+        let stream = listener
+            .accept(Duration::from_millis(50))
+            .expect("accept")
+            .expect("a blocking accept returns a connection");
+        let mut conn = Conn::new(stream);
+        while !matches!(conn.recv().expect("hello"), Some(Msg::Hello)) {}
+        conn.send(&Msg::Welcome {
+            worker: 0,
+            problem: PROBLEM.to_string(),
+            eval_delay_us: 0,
+        })
+        .expect("welcome");
+        conn.send(&Msg::Work {
+            eval_id: 7,
+            attempt: 0,
+            seq: 0,
+            variables: vec![0.5; problem().num_variables()],
+            ctx: None,
+        })
+        .expect("work");
+        loop {
+            if let Some(Msg::Outcome { eval_id, .. }) = conn.recv().expect("outcome") {
+                assert_eq!(eval_id, 7);
+                break;
+            }
+        }
+        conn.stream().shutdown();
+        let report = worker
+            .join()
+            .expect("worker thread panicked")
+            .expect("a worker whose master hangs up ends with its report");
+        assert_eq!(report.evaluated, 1);
+        // The worker has returned, so a second dial of its would already
+        // wait in the listener's backlog, ahead of this marker connection.
+        let mut backoff = Backoff::default_schedule();
+        let stream = connect_with_backoff(&cfg.listen, &mut backoff, Duration::from_millis(50))
+            .expect("marker dial");
+        Conn::new(stream).send(&Msg::Shutdown).expect("marker");
+        let stream = listener
+            .accept(Duration::from_millis(50))
+            .expect("accept")
+            .expect("a blocking accept returns a connection");
+        let mut next = Conn::new(stream);
+        let first = loop {
+            if let Some(msg) = next.recv().expect("first frame") {
+                break msg;
+            }
+        };
+        assert_eq!(first, Msg::Shutdown, "the worker dialled its master again");
     });
 }
 

@@ -2,8 +2,9 @@
 //! only the trace edges it observed (master shard + one shard per
 //! external worker thread with its own recorder), and the deterministic
 //! merge must reconstruct **exactly one** connected dispatch → evaluate →
-//! consume chain per completed evaluation — despite crashes, reconnects,
-//! dropped results, and duplicated frames on the wire.
+//! consume chain per completed evaluation — despite crashes (a crashed
+//! worker's socket is closed for good), dropped results, and duplicated
+//! frames on the wire.
 
 use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
