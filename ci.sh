@@ -122,8 +122,13 @@ NET_W4=$!
 NET_W5=$!
 ./target/release/borg-exp serve --chaos --listen "unix:$NET_CHAOS_SOCK" --workers 3 \
   --nfe 400 --seed 7 --metrics-out target/ci-results/net_chaos_metrics.jsonl \
-  --flight-out target/ci-results/net_chaos_flight.jsonl
+  --flight-out target/ci-results/net_chaos_flight.jsonl > target/ci-results/net_chaos_summary.txt
 wait "$NET_W3" "$NET_W4" "$NET_W5"
+cat target/ci-results/net_chaos_summary.txt
+# Every consume of the pinned master reads the wire: wire_results= is nfe=.
+NET_CHAOS_NFE=$(grep -o ' nfe=[0-9]*' target/ci-results/net_chaos_summary.txt | cut -d= -f2)
+NET_CHAOS_WIRE=$(grep -o ' wire_results=[0-9]*' target/ci-results/net_chaos_summary.txt | cut -d= -f2)
+test -n "$NET_CHAOS_NFE" && test "$NET_CHAOS_WIRE" = "$NET_CHAOS_NFE"
 test -s target/ci-results/net_chaos_metrics.jsonl
 grep -q 'net\.chaos_injections' target/ci-results/net_chaos_metrics.jsonl
 grep -q '"flight":"borg-flight/v1"' target/ci-results/net_chaos_flight.jsonl

@@ -494,19 +494,6 @@ fn required_addr(given: Option<&str>, flag: &Flag) -> NetAddr {
     }))
 }
 
-/// For chaos mode the proxy needs a second, master-facing endpoint
-/// derived from the public one.
-fn derive_master_addr(public: &NetAddr) -> NetAddr {
-    match public {
-        NetAddr::Unix(path) => {
-            let mut os = path.as_os_str().to_os_string();
-            os.push(".master");
-            NetAddr::Unix(PathBuf::from(os))
-        }
-        NetAddr::Tcp(_) => NetAddr::Tcp("127.0.0.1:0".to_string()),
-    }
-}
-
 /// Maps a wire problem name to an instance (the `Welcome` vocabulary).
 fn resolve_problem(name: &str) -> Option<Box<dyn Problem>> {
     match name {
@@ -816,14 +803,11 @@ fn serve_master(cli: &Cli) {
             duplicate_rate: cli.duplicate_rate,
         };
         let chaos = ChaosConfig {
-            master_listen: derive_master_addr(&listen),
             listen,
             in_process_workers: 0,
-            read_timeout: Duration::from_millis(25),
         };
         let run = with_optional_tap(cli.live.as_deref(), &rec, || {
             run_chaos_loopback(
-                &*problem,
                 borg,
                 &config,
                 &faults,

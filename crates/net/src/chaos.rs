@@ -19,6 +19,13 @@
 //! the wire stays load-bearing: every consumed objective travelled
 //! through two real sockets and an interposing proxy.
 //!
+//! The master's wire half is `serve`'s: it registers the pool with
+//! `register_pool` and sends, consumes, counts and traces through the
+//! same `NetLink`, stamped with the DES clock. Only the reading differs:
+//! there are no connection threads; each consume reads the connection of
+//! the worker the DES names, on the master's own thread, skipping
+//! heartbeats and copies of results the run no longer wants.
+//!
 //! The proxy consults the *same* `FaultPlan` from the frame coordinates
 //! (`Work.seq` mirrors the engine's per-worker dispatch counter,
 //! `Outcome.attempt` echoes the dispatch) and physically enacts each
@@ -32,7 +39,7 @@
 
 use crate::codec::{self, Msg, TraceCtx};
 use crate::metrics;
-use crate::serve::{await_hello, register_pool, ServeConfig};
+use crate::serve::{await_hello, register_pool, NetLink, ServeConfig};
 use crate::transport::{
     connect_with_backoff, Backoff, Conn, NetAddr, NetError, NetListener, NetStream,
 };
@@ -41,36 +48,50 @@ use borg_core::algorithm::BorgConfig;
 use borg_core::problem::Problem;
 use borg_desim::fault::{DispatchFate, FaultConfig, FaultKind, FaultLog, FaultPlan, MessageFate};
 use borg_models::queueing::run_async_with;
-use borg_obs::{NoopRecorder, Recorder, TraceEdge, TraceEdgeKind};
+use borg_obs::{NoopRecorder, Recorder};
 use borg_parallel::virtual_exec::{
     BorgHooks, FaultyRun, ObjectiveSource, TaMode, VirtualConfig, VirtualRunResult,
 };
+use borg_parallel::wallclock::Link as _;
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io::Write as _;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
 use std::thread::Scope;
 use std::time::{Duration, Instant};
 
 /// Socket-level knobs for the chaos harness.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// Public (worker-facing) endpoint the proxy listens on.
+    /// Public (worker-facing) endpoint the proxy listens on. The
+    /// master-facing endpoint the proxy dials is derived from it.
     pub listen: NetAddr,
-    /// Master-facing endpoint (the proxy dials this). For Unix sockets
-    /// derive it from `listen`; for TCP use an ephemeral port.
-    pub master_listen: NetAddr,
     /// Worker threads to spawn in-process (`0` = external worker
     /// processes are expected to connect to `listen`).
     pub in_process_workers: usize,
-    /// Per-connection read timeout.
-    pub read_timeout: Duration,
 }
 
 /// Longest the pinned master blocks for one wire result before latching
 /// an error and falling back to local evaluation.
 const RESULT_WAIT: Duration = Duration::from_secs(30);
+
+/// Read timeout of every harness socket: the master's, the proxy's and
+/// the in-process workers'.
+const READ_TIMEOUT: Duration = Duration::from_millis(25);
+
+/// The master-facing endpoint behind `listen`: `<listen path>.master` for
+/// a Unix socket, an ephemeral loopback port for TCP.
+fn master_endpoint(listen: &NetAddr) -> NetAddr {
+    match listen {
+        NetAddr::Unix(path) => {
+            let mut os = path.as_os_str().to_os_string();
+            os.push(".master");
+            NetAddr::Unix(PathBuf::from(os))
+        }
+        NetAddr::Tcp(_) => NetAddr::Tcp("127.0.0.1:0".to_string()),
+    }
+}
 
 impl ChaosConfig {
     /// Loopback defaults over Unix sockets under `dir`; `tag`
@@ -79,9 +100,7 @@ impl ChaosConfig {
         let base = dir.join(format!("borg-net-{}-{tag}", std::process::id()));
         ChaosConfig {
             listen: NetAddr::Unix(base.with_extension("pub.sock")),
-            master_listen: NetAddr::Unix(base.with_extension("master.sock")),
             in_process_workers,
-            read_timeout: Duration::from_millis(25),
         }
     }
 }
@@ -96,10 +115,13 @@ pub struct ChaosRunResult {
     /// sockets. Record times are wall-clock, so it is compared to the
     /// oracle per fault kind, not per record.
     pub wire_log: FaultLog,
-    /// Results consumed off the wire (0 would mean the wire was not
-    /// load-bearing — asserted against by callers).
+    /// Results consumed off the wire: every consume of a run that did
+    /// not degrade.
     pub wire_results: u64,
-    /// Extra result frames received (chaos duplication).
+    /// Result frames read and absorbed ahead of an awaited one: copies of
+    /// results already consumed or abandoned (chaos duplication, a
+    /// reissue's second answer). Copies still unread when the run ends
+    /// are not counted.
     pub wire_duplicates: u64,
     /// Error latched during the run, if any: the run result is then
     /// *not* oracle-comparable (some objectives were evaluated locally
@@ -111,138 +133,130 @@ pub struct ChaosRunResult {
 // Pinned mode: the virtual executor's hooks with the evaluation on the wire
 // ---------------------------------------------------------------------------
 
-/// A decoded result frame waiting for its `consume`.
-struct WireOutcome {
-    eval_id: u64,
-    attempt: u32,
-    objectives: Vec<f64>,
-    constraints: Vec<f64>,
-    ctx: Option<TraceCtx>,
-}
-
-enum MasterNote {
-    Outcome(WireOutcome),
-    Dead,
-}
-
 /// The [`ObjectiveSource`] of the pinned master: `send` ships the
-/// candidate over a real socket, `receive` blocks until the result frame
-/// returns. It draws nothing from the run's RNG streams — timing and
-/// `T_A` charging stay in the shared `BorgHooks`.
-struct WireSource<'p, 'w, P: Problem + ?Sized, R: Recorder + ?Sized> {
+/// candidate through `serve`'s [`NetLink`], `receive` reads the named
+/// worker's connection until that eval's result frame arrives. It draws
+/// nothing from the run's RNG streams — timing and `T_A` charging stay in
+/// the shared `BorgHooks`.
+struct WireSource<'a, R: Recorder + ?Sized> {
     /// Local fallback once an error is latched, so the run terminates.
-    problem: &'p P,
-    /// Mirror of the engine's per-eval attempt counter (carried in
-    /// `Work.attempt` so the proxy can key `message_fate`).
-    attempts: BTreeMap<u64, u32>,
+    problem: &'a dyn Problem,
+    /// Per sent eval: its last attempt (carried in `Work.attempt` so the
+    /// proxy can key `message_fate`) and the DES time it went out.
+    sent: BTreeMap<u64, (u32, f64)>,
     /// Mirror of the engine's per-worker dispatch counter (carried in
     /// `Work.seq` so the proxy can key `dispatch_fate`).
     dispatch_seq: Vec<u64>,
-    writers: Vec<NetStream>,
-    /// The outgoing frame, re-encoded in place by every `send`.
-    frame: Vec<u8>,
-    rx: mpsc::Receiver<MasterNote>,
-    buffered: BTreeMap<u64, Vec<WireOutcome>>,
+    /// Each worker's registered connection, read only by `receive`.
+    conns: Vec<Conn>,
+    link: NetLink<'a, R>,
     error: Option<NetError>,
-    wire_results: u64,
-    wire_duplicates: u64,
-    rec: &'w R,
+    rec: &'a R,
 }
 
-impl<P: Problem + ?Sized, R: Recorder + ?Sized> WireSource<'_, '_, P, R> {
-    /// Blocks until the result frame for `eval_id` arrives (buffering
-    /// out-of-order arrivals for their own consumes). Once an error is
-    /// latched the wait is skipped entirely: the caller falls back to
-    /// local evaluation so the run still terminates.
-    fn await_outcome(&mut self, eval_id: u64) -> Result<WireOutcome, NetError> {
-        if let Some(list) = self.buffered.get_mut(&eval_id) {
-            if !list.is_empty() {
-                let outcome = list.remove(0);
-                if list.is_empty() {
-                    self.buffered.remove(&eval_id);
-                }
-                return Ok(outcome);
-            }
-        }
+impl<R: Recorder + ?Sized> WireSource<'_, R> {
+    /// Reads `worker`'s connection up to the result frame of `eval_id`,
+    /// writes its values into `objectives` and `constraints` and returns
+    /// its receipt. Each connection is FIFO, and the DES hands a worker a
+    /// new eval only once its last one is consumed or abandoned (reissues
+    /// go back to the same worker), so every frame ahead of the awaited
+    /// one is a heartbeat or a copy of a result the run no longer wants: a
+    /// duplicated frame, a reissue's second answer, a late answer to an
+    /// abandoned eval. Once an error is latched the read is skipped: the
+    /// caller falls back to local evaluation so the run still terminates.
+    fn await_outcome(
+        &mut self,
+        worker: usize,
+        eval_id: u64,
+        objectives: &mut [f64],
+        constraints: &mut [f64],
+    ) -> Result<(u32, Option<TraceCtx>), NetError> {
         if self.error.is_some() {
             return Err(NetError::ResultTimeout {
                 eval_id,
                 waited: Duration::ZERO,
             });
         }
-        let started = Instant::now();
+        let same_len = |got: &[f64], want: &[f64]| got.len() == want.len();
+        let conn = &mut self.conns[worker];
+        let deadline = Instant::now() + RESULT_WAIT;
         loop {
-            match self.rx.recv_timeout(Duration::from_millis(25)) {
-                Ok(MasterNote::Outcome(outcome)) => {
-                    self.rec.counter(metrics::RESULTS, 1);
-                    if outcome.eval_id == eval_id {
-                        self.rec.observe(
-                            metrics::RESULT_WAIT_SECONDS,
-                            started.elapsed().as_secs_f64(),
-                        );
-                        return Ok(outcome);
+            match conn.recv() {
+                Ok(Some(Msg::Outcome {
+                    eval_id: id,
+                    attempt,
+                    objectives: got_objectives,
+                    constraints: got_constraints,
+                    ctx,
+                    ..
+                })) => {
+                    self.rec.counter(metrics::FRAMES_RECEIVED, 1);
+                    if ctx.is_some() {
+                        self.rec.counter(metrics::TRACE_CTX_RECEIVED, 1);
                     }
-                    self.buffered
-                        .entry(outcome.eval_id)
-                        .or_default()
-                        .push(outcome);
+                    // The frame came from outside the process: its lengths
+                    // are checked before a single value is used.
+                    let fits = same_len(&got_objectives, objectives)
+                        && same_len(&got_constraints, constraints);
+                    if id == eval_id && fits {
+                        objectives.copy_from_slice(&got_objectives);
+                        constraints.copy_from_slice(&got_constraints);
+                    }
+                    conn.recycle(got_objectives);
+                    conn.recycle(got_constraints);
+                    if id == eval_id {
+                        return if fits {
+                            Ok((attempt, ctx))
+                        } else {
+                            Err(NetError::Protocol(format!(
+                                "result of eval {eval_id} has the wrong shape"
+                            )))
+                        };
+                    }
+                    self.link.duplicate();
                 }
-                Ok(MasterNote::Dead) => {} // a master-side conn died; keep draining the rest
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if started.elapsed() > RESULT_WAIT {
+                Ok(Some(Msg::Heartbeat { .. })) => self.rec.counter(metrics::HEARTBEATS, 1),
+                Ok(Some(_)) => self.rec.counter(metrics::FRAMES_RECEIVED, 1),
+                Ok(None) => {
+                    if Instant::now() > deadline {
                         return Err(NetError::ResultTimeout {
                             eval_id,
-                            waited: started.elapsed(),
+                            waited: RESULT_WAIT,
                         });
                     }
                 }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    return Err(NetError::Disconnected {
-                        context: "chaos result channel",
-                    });
+                Err(e) => {
+                    if matches!(e, NetError::Decode(_)) {
+                        self.rec.counter(metrics::DECODE_ERRORS, 1);
+                    }
+                    return Err(e);
                 }
             }
         }
     }
 }
 
-impl<P: Problem + ?Sized, R: Recorder + ?Sized> ObjectiveSource for WireSource<'_, '_, P, R> {
-    /// `now` is the DES virtual clock: trace stamps and flight events on
-    /// the pinned master stay deterministic for a fixed seed.
+impl<R: Recorder + ?Sized> ObjectiveSource for WireSource<'_, R> {
+    /// `now` is the DES virtual clock: trace stamps, flight events and
+    /// `net.rtt_seconds` on the pinned master stay deterministic for a
+    /// fixed seed.
     fn send(&mut self, worker: usize, eval_id: u64, variables: &[f64], now: f64) {
         // First send of an id is attempt 0, every resend one more.
-        let attempt = *self
-            .attempts
+        let sent = self
+            .sent
             .entry(eval_id)
-            .and_modify(|a| *a += 1)
-            .or_insert(0);
+            .and_modify(|(attempt, _)| *attempt += 1)
+            .or_insert((0, now));
+        sent.1 = now;
+        let attempt = sent.0;
         let seq = self.dispatch_seq[worker];
         self.dispatch_seq[worker] += 1;
-        let ctx = TraceCtx {
-            trace_id: eval_id,
-            parent_span: codec::span_id(eval_id, attempt, 0),
-            sent_at: now,
-        };
-        codec::encode_work_into(&mut self.frame, eval_id, attempt, seq, variables, Some(ctx));
-        if self.writers[worker].write_all(&self.frame).is_ok() {
-            self.rec.counter(metrics::DISPATCHES, 1);
-            self.rec.counter(metrics::FRAMES_SENT, 1);
-            self.rec
-                .counter(metrics::BYTES_SENT, self.frame.len() as u64);
-            self.rec.counter(metrics::TRACE_CTX_SENT, 1);
-            self.rec.trace_edge(TraceEdge {
-                kind: TraceEdgeKind::DispatchSent,
-                trace_id: eval_id,
-                eval_id,
-                attempt,
-                worker: worker as u64,
-                local_t: now,
-                remote_t: 0.0,
-            });
-            self.rec
-                .flight("net.work_sent", now, eval_id, worker as u64, attempt.into());
-        } else if self.error.is_none() {
-            self.error = Some(NetError::Disconnected {
+        if !self
+            .link
+            .send_work(worker, eval_id, attempt, seq, variables, now)
+        {
+            self.link.sever(worker);
+            self.error.get_or_insert(NetError::Disconnected {
                 context: "chaos dispatch write",
             });
         }
@@ -257,64 +271,25 @@ impl<P: Problem + ?Sized, R: Recorder + ?Sized> ObjectiveSource for WireSource<'
         objectives: &mut [f64],
         constraints: &mut [f64],
     ) {
-        self.attempts.remove(&eval_id);
-        // The frame came from outside the process: its lengths are checked
-        // before a single value is used.
-        let fits = |got: &[f64], want: &[f64]| got.len() == want.len();
-        let err = match self.await_outcome(eval_id) {
-            Ok(outcome)
-                if fits(&outcome.objectives, objectives)
-                    && fits(&outcome.constraints, constraints) =>
-            {
-                self.wire_results += 1;
-                // Only consumed wire results close a trace chain (the
-                // local-fallback path below is a degraded run, not a
-                // cross-process evaluation).
-                self.rec.trace_edge(TraceEdge {
-                    kind: TraceEdgeKind::ResultReceived,
-                    trace_id: eval_id,
-                    eval_id,
-                    attempt: outcome.attempt,
-                    worker: worker as u64,
-                    local_t: now,
-                    remote_t: outcome.ctx.map_or(0.0, |c| c.sent_at),
-                });
-                self.rec
-                    .flight("net.result_received", now, eval_id, worker as u64, 0.0);
-                objectives.copy_from_slice(&outcome.objectives);
-                constraints.copy_from_slice(&outcome.constraints);
-                return;
+        let sent_at = self.sent.remove(&eval_id).map_or(now, |(_, at)| at);
+        match self.await_outcome(worker, eval_id, objectives, constraints) {
+            // Only consumed wire results close a trace chain (the
+            // local fallback is a degraded run, not a cross-process
+            // evaluation).
+            Ok(receipt) => self.link.consumed(worker, eval_id, &receipt, sent_at, now),
+            Err(err) => {
+                // Keep the run alive on a local evaluation; the latched
+                // error marks the result non-oracle-comparable.
+                self.error.get_or_insert(err);
+                self.problem.evaluate(variables, objectives, constraints);
             }
-            Ok(_) => NetError::Protocol(format!("result of eval {eval_id} has the wrong shape")),
-            Err(err) => err,
-        };
-        // Keep the run alive on a local evaluation; the latched error
-        // marks the result non-oracle-comparable.
-        self.error.get_or_insert(err);
-        self.problem.evaluate(variables, objectives, constraints);
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
 // The interposing chaos proxy
 // ---------------------------------------------------------------------------
-
-/// The proxy's end of one worker's connection. A crash closes it for
-/// good: the worker reads EOF and exits, as it does when `serve` drops it.
-struct ProxyWorker {
-    writer: Mutex<NetStream>,
-}
-
-impl ProxyWorker {
-    fn to_worker(&self, frame: &[u8]) {
-        // Best-effort: a closed socket stays closed.
-        let _ = self.writer.lock().write_all(frame);
-    }
-
-    fn close(&self) {
-        self.writer.lock().shutdown();
-    }
-}
 
 struct ProxyShared<'a, R: Recorder + Sync + ?Sized> {
     plan: &'a FaultPlan,
@@ -323,7 +298,6 @@ struct ProxyShared<'a, R: Recorder + Sync + ?Sized> {
     stop: AtomicBool,
     /// The pinned master's registration settings: pool size, timeouts.
     serve: &'a ServeConfig,
-    workers: Mutex<Vec<Arc<ProxyWorker>>>,
     rec: &'a R,
 }
 
@@ -339,11 +313,13 @@ impl<R: Recorder + Sync + ?Sized> ProxyShared<'_, R> {
     }
 }
 
-/// Relays master→worker traffic for worker `idx`, enacting dispatch fates.
+/// Relays master→worker traffic for worker `idx` onto the worker's socket,
+/// enacting dispatch fates. A crash closes that socket for good: the
+/// worker reads EOF and exits, as it does when `serve` drops it.
 fn relay_master_to_worker<R: Recorder + Sync + ?Sized>(
     mut conn: Conn,
     idx: usize,
-    pw: &ProxyWorker,
+    mut worker: NetStream,
     shared: &ProxyShared<'_, R>,
 ) {
     loop {
@@ -356,24 +332,30 @@ fn relay_master_to_worker<R: Recorder + Sync + ?Sized>(
                     continue;
                 };
                 match shared.plan.dispatch_fate(idx, *seq) {
-                    DispatchFate::Normal => pw.to_worker(&codec::encode(&msg)),
+                    // Best-effort, here and below: a closed socket stays
+                    // closed.
+                    DispatchFate::Normal => {
+                        let _ = worker.write_all(&codec::encode(&msg));
+                    }
                     DispatchFate::CrashDuring { .. } => {
                         // The worker dies mid-evaluation and stays dead:
                         // the work item is never forwarded and the
                         // worker's socket is closed for good.
                         shared.inject(FaultKind::Crash, idx, *eval_id);
-                        pw.close();
+                        worker.shutdown();
                     }
                 }
             }
-            Ok(Some(other)) => pw.to_worker(&codec::encode(&other)),
+            Ok(Some(other)) => {
+                let _ = worker.write_all(&codec::encode(&other));
+            }
             Ok(None) => {}
             Err(_) => break,
         }
     }
-    // Master side is gone (teardown or failure): sever the worker so its
-    // loop unblocks and exits.
-    pw.close();
+    // Master side is gone (teardown or failure), or the proxy is stopping:
+    // sever the worker so its loop unblocks and exits.
+    worker.shutdown();
 }
 
 /// Relays worker→master traffic for worker `idx`, enacting result-message
@@ -427,11 +409,11 @@ fn proxy_admit<'s, R: Recorder + Sync + ?Sized>(
     shared: &'s ProxyShared<'s, R>,
     master_addr: &NetAddr,
     stream: NetStream,
+    idx: usize,
 ) -> Result<(), NetError> {
-    let writer = stream.try_clone()?;
+    let mut writer = stream.try_clone()?;
     let mut conn = Conn::new(stream);
     await_hello(&mut conn, Instant::now() + shared.serve.register_timeout)?;
-    let idx = shared.workers.lock().len();
     if idx == shared.serve.workers {
         return Err(NetError::Protocol(format!(
             "Hello after all {idx} workers registered"
@@ -464,12 +446,9 @@ fn proxy_admit<'s, R: Recorder + Sync + ?Sized>(
         }
     }
     let master_writer = mconn.stream().try_clone()?;
-    let pw = Arc::new(ProxyWorker {
-        writer: Mutex::new(writer),
-    });
-    pw.to_worker(&codec::encode(&welcome));
-    shared.workers.lock().push(Arc::clone(&pw));
-    scope.spawn(move || relay_master_to_worker(mconn, idx, &pw, shared));
+    // Best-effort: a worker gone already reads as a dead one.
+    let _ = writer.write_all(&codec::encode(&welcome));
+    scope.spawn(move || relay_master_to_worker(mconn, idx, writer, shared));
     scope.spawn(move || relay_worker_to_master(conn, idx, master_writer, shared));
     Ok(())
 }
@@ -484,67 +463,17 @@ fn proxy_accept_loop<'s, R: Recorder + Sync + ?Sized>(
     if listener.set_nonblocking(true).is_err() {
         return;
     }
+    let mut admitted = 0;
     while !shared.stop.load(Ordering::SeqCst) {
         match listener.accept(shared.serve.read_timeout) {
             Ok(Some(stream)) => {
                 // A failed handshake abandons that socket, not the proxy.
-                let _ = proxy_admit(scope, shared, master_addr, stream);
+                if proxy_admit(scope, shared, master_addr, stream, admitted).is_ok() {
+                    admitted += 1;
+                }
             }
             Ok(None) => std::thread::sleep(Duration::from_millis(2)),
             Err(_) => break,
-        }
-    }
-    // Sever every worker link so their loops unblock.
-    for pw in shared.workers.lock().iter() {
-        pw.close();
-    }
-}
-
-/// Master-side reader: decodes result frames into the hooks' channel.
-fn master_reader<R: Recorder + Sync + ?Sized>(
-    mut conn: Conn,
-    tx: &mpsc::Sender<MasterNote>,
-    stop: &AtomicBool,
-    rec: &R,
-) {
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            return;
-        }
-        match conn.recv() {
-            Ok(Some(Msg::Outcome {
-                eval_id,
-                attempt,
-                objectives,
-                constraints,
-                ctx,
-                ..
-            })) => {
-                rec.counter(metrics::FRAMES_RECEIVED, 1);
-                if ctx.is_some() {
-                    rec.counter(metrics::TRACE_CTX_RECEIVED, 1);
-                }
-                let note = MasterNote::Outcome(WireOutcome {
-                    eval_id,
-                    attempt,
-                    objectives,
-                    constraints,
-                    ctx,
-                });
-                if tx.send(note).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(Msg::Heartbeat { .. })) => rec.counter(metrics::HEARTBEATS, 1),
-            Ok(Some(_)) => rec.counter(metrics::FRAMES_RECEIVED, 1),
-            Ok(None) => {}
-            Err(e) => {
-                if matches!(e, NetError::Decode(_)) {
-                    rec.counter(metrics::DECODE_ERRORS, 1);
-                }
-                let _ = tx.send(MasterNote::Dead);
-                return;
-            }
         }
     }
 }
@@ -553,16 +482,24 @@ fn master_reader<R: Recorder + Sync + ?Sized>(
 // The harness
 // ---------------------------------------------------------------------------
 
+/// Raises the proxy's stop flag when the harness leaves its scope, on
+/// every path: an early error must not leave the accept loop running.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
 /// Runs a pinned-timing networked chaos run and returns its result.
 ///
-/// `resolve` maps the announced problem name to instances for the
-/// in-process worker threads (and must resolve `problem_name`).
+/// `resolve` maps the announced problem name to instances for the pinned
+/// master and the in-process worker threads; `problem_name` must resolve.
 /// Requires `config.t_a` to be `TaMode::Sampled` — wall-clock must not
 /// leak into the virtual timeline, or bit-identity with the oracle is
 /// impossible by construction.
-#[allow(clippy::too_many_arguments)]
-pub fn run_chaos_loopback<P, R>(
-    problem: &P,
+pub fn run_chaos_loopback<R>(
     borg: BorgConfig,
     config: &VirtualConfig,
     faults: &FaultConfig,
@@ -572,7 +509,6 @@ pub fn run_chaos_loopback<P, R>(
     rec: &R,
 ) -> Result<ChaosRunResult, NetError>
 where
-    P: Problem + ?Sized,
     R: Recorder + Sync + ?Sized,
 {
     assert!(
@@ -583,11 +519,14 @@ where
         matches!(config.t_a, TaMode::Sampled(_)),
         "chaos loopback requires pinned timing (TaMode::Sampled)"
     );
+    let problem = resolve(problem_name)
+        .ok_or_else(|| NetError::Protocol(format!("cannot resolve problem {problem_name:?}")))?;
     let workers = (config.processors - 1) as usize;
     let run = FaultyRun::new(config, faults);
     let plan = run.plan();
 
-    let master_listener = NetListener::bind(&chaos.master_listen)?;
+    let master_listen = master_endpoint(&chaos.listen);
+    let master_listener = NetListener::bind(&master_listen)?;
     let master_addr = master_listener.local_addr()?;
     let public_listener = NetListener::bind(&chaos.listen)?;
     let public_addr = public_listener.local_addr()?;
@@ -595,13 +534,8 @@ where
     let serve_cfg = ServeConfig {
         problem_name: problem_name.to_string(),
         register_timeout: Duration::from_secs(30),
-        read_timeout: chaos.read_timeout,
-        ..ServeConfig::new(
-            chaos.master_listen.clone(),
-            workers,
-            config.max_nfe,
-            config.seed,
-        )
+        read_timeout: READ_TIMEOUT,
+        ..ServeConfig::new(master_listen.clone(), workers, config.max_nfe, config.seed)
     };
     let shared = ProxyShared {
         plan: &plan,
@@ -609,18 +543,17 @@ where
         start: Instant::now(),
         stop: AtomicBool::new(false),
         serve: &serve_cfg,
-        workers: Mutex::new(Vec::new()),
         rec,
     };
-    let reader_stop = AtomicBool::new(false);
 
     let result = std::thread::scope(|scope| -> Result<ChaosRunResult, NetError> {
+        let _stop = StopOnDrop(&shared.stop);
         scope.spawn(|| proxy_accept_loop(scope, &shared, &public_listener, &master_addr));
 
         for _ in 0..chaos.in_process_workers {
             let opts = WorkerOptions {
                 connect: public_addr.clone(),
-                read_timeout: chaos.read_timeout,
+                read_timeout: READ_TIMEOUT,
             };
             // A worker is its own process role: its wall-clock spans and
             // counters stay out of the master's recorder, which then holds
@@ -631,75 +564,36 @@ where
         // The pool registers through the proxy; the master sees ordinary
         // registrations on its own listener.
         let conns = register_pool(&master_listener, &serve_cfg)?;
-        let mut writers = Vec::with_capacity(conns.len());
-        for conn in &conns {
-            writers.push(conn.stream().try_clone()?);
-        }
-        let (tx, rx) = mpsc::channel::<MasterNote>();
-        for conn in conns {
-            let tx = tx.clone();
-            let reader_stop = &reader_stop;
-            scope.spawn(move || master_reader(conn, &tx, reader_stop, rec));
-        }
-        drop(tx);
-
         let source = WireSource {
-            problem,
-            attempts: BTreeMap::new(),
+            problem: &*problem,
+            sent: BTreeMap::new(),
             dispatch_seq: vec![0; workers],
-            writers,
-            frame: Vec::new(),
-            rx,
-            buffered: BTreeMap::new(),
+            link: NetLink::new(&conns, rec)?,
+            conns,
             error: None,
-            wire_results: 0,
-            wire_duplicates: 0,
             rec,
         };
-        let mut hooks = BorgHooks::new(problem, source, config, borg, |_, _| {});
+        let mut hooks = BorgHooks::new(&*problem, source, config, borg, |_, _| {});
         let outcome = run_async_with(&mut hooks, run.engine_config(), &plan, rec);
         let (run, mut wire) = hooks.finish(outcome);
-
-        // Teardown: tell workers the run is over, then sever everything
-        // so every blocked thread unblocks and the scope join is prompt.
-        let shutdown_frame = codec::encode(&Msg::Shutdown);
-        for pw in shared.workers.lock().iter() {
-            pw.to_worker(&shutdown_frame);
-        }
-        shared.stop.store(true, Ordering::SeqCst);
-        reader_stop.store(true, Ordering::SeqCst);
-        for writer in &wire.writers {
-            writer.shutdown();
-        }
-
-        // Drain late frames (second copies of duplicated results).
-        while let Ok(note) = wire.rx.try_recv() {
-            if let MasterNote::Outcome(_) = note {
-                wire.wire_duplicates += 1;
-            }
-        }
-        for list in wire.buffered.values() {
-            wire.wire_duplicates += list.len() as u64;
-        }
+        wire.link.hang_up();
 
         Ok(ChaosRunResult {
             run,
             // Filled in below, once the proxy threads have let go of it.
             wire_log: FaultLog::default(),
-            wire_results: wire.wire_results,
-            wire_duplicates: wire.wire_duplicates,
+            wire_results: wire.link.results,
+            wire_duplicates: wire.link.duplicates,
             degraded: wire.error.map(|e| e.to_string()),
         })
     });
-    let mut result = result?;
-    result.wire_log = shared.wire_log.into_inner();
-
     // Remove Unix socket files; harmless if already gone.
-    for addr in [&chaos.listen, &chaos.master_listen] {
+    for addr in [&chaos.listen, &master_listen] {
         if let NetAddr::Unix(path) = addr {
             let _ = std::fs::remove_file(path);
         }
     }
-
+    let mut result = result?;
+    result.wire_log = shared.wire_log.into_inner();
     Ok(result)
 }

@@ -11,7 +11,7 @@ pub const FRAMES_RECEIVED: &str = "net.frames_received";
 pub(crate) const BYTES_SENT: &str = "net.bytes_sent";
 /// Work items dispatched over the wire.
 pub(crate) const DISPATCHES: &str = "net.dispatches";
-/// Result frames consumed by the master.
+/// Results the master consumed (each once, whichever copy came first).
 pub const RESULTS: &str = "net.results";
 /// Duplicate result frames absorbed (chaos duplication, reissue races).
 pub(crate) const DUPLICATES: &str = "net.duplicates";
@@ -23,11 +23,10 @@ pub(crate) const DECODE_ERRORS: &str = "net.decode_errors";
 pub(crate) const WORKER_DEATHS: &str = "net.worker_deaths";
 /// Faults the chaos proxy physically injected on the wire.
 pub(crate) const CHAOS_INJECTIONS: &str = "net.chaos_injections";
-/// Histogram: wall-clock seconds from dispatch write to result decode.
+/// Histogram: seconds from a result's last dispatch to its consume, on
+/// the master's clock (wall clock under `serve`, the DES clock under the
+/// chaos harness's pinned master).
 pub const RTT_SECONDS: &str = "net.rtt_seconds";
-/// Histogram: wall-clock seconds the master blocked waiting for a
-/// pinned-mode wire result.
-pub(crate) const RESULT_WAIT_SECONDS: &str = "net.result_wait_seconds";
 /// Trace contexts stamped onto outgoing frames (either role).
 pub(crate) const TRACE_CTX_SENT: &str = "net.trace.ctx_sent";
 /// Trace contexts observed on incoming frames (either role).

@@ -7,7 +7,8 @@
 //! [`serve`] keeps the clock and tears the connections down. This module
 //! is the socket half: configuration, registration, the `NetLink` that
 //! frames work items onto each connection's write half and records the
-//! `net.*` counters, trace edges and flight events, the connection
+//! `net.*` counters, trace edges and flight events (the chaos harness's
+//! pinned master registers and sends through the same two), the connection
 //! threads that read and decode frames outside any lock, and the
 //! heartbeat echo. Worker death is detected two ways — connection EOF (a
 //! `SIGKILL`ed process closes its socket), seen by the connection thread,
@@ -100,19 +101,51 @@ pub struct ServeReport {
 }
 
 /// The master's [`Link`] to worker processes: every connection's write
-/// half and the one frame they are all encoded into.
-struct NetLink<'a, R: ?Sized> {
+/// half and the one frame they are all encoded into. Both socket masters
+/// send, consume and count through it: [`serve`] and the chaos harness's
+/// pinned master.
+pub(crate) struct NetLink<'a, R: ?Sized> {
     /// `None` once severed (failed write, declared death).
     writers: Vec<Option<NetStream>>,
     /// The outgoing frame, re-encoded in place by every write.
     frame: Vec<u8>,
-    results: u64,
-    duplicates: u64,
+    /// Results consumed.
+    pub(crate) results: u64,
+    /// Duplicate or stale result frames absorbed.
+    pub(crate) duplicates: u64,
     heartbeats: u64,
     rec: &'a R,
 }
 
-impl<R: Recorder + ?Sized> NetLink<'_, R> {
+impl<'a, R: Recorder + ?Sized> NetLink<'a, R> {
+    /// A link over the write halves of the registered `conns`.
+    pub(crate) fn new(conns: &[Conn], rec: &'a R) -> Result<Self, NetError> {
+        let writers = conns
+            .iter()
+            .map(|conn| conn.stream().try_clone().map(Some))
+            .collect::<Result<_, _>>()?;
+        Ok(NetLink {
+            writers,
+            frame: Vec::new(),
+            results: 0,
+            duplicates: 0,
+            heartbeats: 0,
+            rec,
+        })
+    }
+
+    /// Tells every live worker the run is over, then severs every
+    /// connection so blocked reads on either end return at once.
+    pub(crate) fn hang_up(&mut self) {
+        codec::encode_into(&mut self.frame, &Msg::Shutdown);
+        for writer in self.writers.iter_mut().flatten() {
+            let _ = writer.write_all(&self.frame);
+        }
+        for writer in self.writers.iter().flatten() {
+            writer.shutdown();
+        }
+    }
+
     /// Writes the frame in `self.frame` to `target`'s socket. After a
     /// failed (or timed-out) write the caller severs the route: the
     /// connection thread will report the death, and until then the
@@ -397,10 +430,6 @@ where
 {
     let listener = NetListener::bind(&cfg.listen)?;
     let conns = register_pool(&listener, cfg)?;
-    let mut writers = Vec::with_capacity(conns.len());
-    for conn in &conns {
-        writers.push(Some(conn.stream().try_clone()?));
-    }
     let master = Mutex::new(Master::new(
         problem,
         borg,
@@ -411,14 +440,7 @@ where
             reissue_timeout: cfg.reissue_timeout,
             heartbeat_timeout: cfg.heartbeat_timeout,
         },
-        NetLink {
-            writers,
-            frame: Vec::new(),
-            results: 0,
-            duplicates: 0,
-            heartbeats: 0,
-            rec,
-        },
+        NetLink::new(&conns, rec)?,
         rec,
     ));
     let stop = AtomicBool::new(false);
@@ -429,19 +451,10 @@ where
             scope.spawn(move || connection_loop(conn, worker, master, stop, rec));
         }
         keep_clock(&master);
-        // Orderly teardown regardless of outcome: tell live workers the
-        // run is over, then sever every connection so blocked reads
-        // return immediately and the scope join cannot hang.
-        let mut m = master.lock();
-        let link = m.link_mut();
-        codec::encode_into(&mut link.frame, &Msg::Shutdown);
-        for writer in link.writers.iter_mut().flatten() {
-            let _ = writer.write_all(&link.frame);
-        }
+        // Orderly teardown regardless of outcome, so the scope join
+        // cannot hang.
         stop.store(true, Ordering::SeqCst);
-        for writer in link.writers.iter().flatten() {
-            writer.shutdown();
-        }
+        master.lock().link_mut().hang_up();
     });
     let run = master
         .into_inner()

@@ -11,9 +11,12 @@ use borg_core::problem::Problem;
 use borg_desim::fault::{FaultConfig, FaultKind};
 use borg_models::dist::Dist;
 use borg_net::chaos::{run_chaos_loopback, ChaosConfig};
+use borg_net::{connect_with_backoff, Backoff, Conn, Msg, NetAddr};
 use borg_obs::{Histogram, InMemoryRecorder};
 use borg_parallel::virtual_exec::{run_virtual_async_with, FaultyRun, TaMode, VirtualConfig};
 use borg_problems::dtlz::Dtlz;
+use std::sync::mpsc;
+use std::time::Duration;
 
 fn bits_eq(a: &[f64], b: &[f64]) -> bool {
     a.len() == b.len()
@@ -84,14 +87,15 @@ fn chaos_loopback_matches_des_oracle_bit_for_bit() {
 
     let chaos = ChaosConfig::loopback(&std::env::temp_dir(), "oracle-test", 7);
     let net = run_chaos_loopback(
-        &problem, borg, &config, &faults, &chaos, "dtlz2-5", &resolve, &net_rec,
+        borg, &config, &faults, &chaos, "dtlz2-5", &resolve, &net_rec,
     )
     .expect("chaos loopback run failed");
 
     assert_eq!(net.degraded, None, "run fell back to local evaluation");
-    assert!(
-        net.wire_results > 0,
-        "wire must be load-bearing: no result frame was ever consumed"
+    assert_eq!(
+        net.wire_results,
+        net.run.engine.nfe(),
+        "wire must be load-bearing: every consume reads a result frame"
     );
 
     // The recovery ledger: injected faults, detection/recovery stamps,
@@ -166,7 +170,7 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
 
     let chaos = ChaosConfig::loopback(&std::env::temp_dir(), "quiet-test", 7);
     let net = run_chaos_loopback(
-        &problem, borg, &config, &faults, &chaos, "dtlz2-5", &resolve, &net_rec,
+        borg, &config, &faults, &chaos, "dtlz2-5", &resolve, &net_rec,
     )
     .expect("fault-free loopback run failed");
 
@@ -192,5 +196,55 @@ fn chaos_loopback_fault_free_matches_oracle_too() {
         net.wire_results,
         net.run.engine.nfe(),
         "every NFE came off the wire"
+    );
+}
+
+/// A registration that fails (here: the master's listener is sent a
+/// `Shutdown` where a `Hello` belongs) ends the harness with an error that
+/// names it, instead of leaving the proxy's accept loop running for ever.
+#[test]
+fn failed_registration_ends_the_harness() {
+    let config = gate_config(0xDEAD_0001);
+    let chaos = ChaosConfig::loopback(&std::env::temp_dir(), "failed-registration", 0);
+    // The master-facing endpoint the harness derives from a Unix `listen`.
+    let NetAddr::Unix(public) = &chaos.listen else {
+        panic!("loopback listens on a Unix socket")
+    };
+    let mut master = public.clone().into_os_string();
+    master.push(".master");
+    let master = NetAddr::Unix(master.into());
+
+    let (tx, rx) = mpsc::channel();
+    let harness = chaos.clone();
+    std::thread::spawn(move || {
+        let run = run_chaos_loopback(
+            BorgConfig::new(5, 0.06),
+            &config,
+            &FaultConfig::default(),
+            &harness,
+            "dtlz2-5",
+            &resolve,
+            &InMemoryRecorder::metrics_only(),
+        );
+        let _ = tx.send(run.map(|r| r.wire_results));
+    });
+
+    let stream = connect_with_backoff(
+        &master,
+        &mut Backoff::default_schedule(),
+        Duration::from_millis(25),
+    )
+    .expect("dial the master endpoint");
+    Conn::new(stream)
+        .send(&Msg::Shutdown)
+        .expect("send a frame that is not Hello");
+
+    let err = rx
+        .recv_timeout(Duration::from_secs(20))
+        .expect("the harness still runs after its registration failed")
+        .expect_err("a failed registration must be an error");
+    assert!(
+        err.to_string().contains("registration"),
+        "the error names something else: {err}"
     );
 }

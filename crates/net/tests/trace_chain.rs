@@ -37,7 +37,6 @@ fn merged_trace_has_one_chain_per_completed_eval_under_chaos() {
         drop_rate: 0.05,
         duplicate_rate: 0.05,
     };
-    let problem = Dtlz::dtlz2_5();
     let borg = BorgConfig::new(5, 0.06);
 
     // External workers with private recorders: each process (thread,
@@ -57,7 +56,6 @@ fn merged_trace_has_one_chain_per_completed_eval_under_chaos() {
             handles.push(scope.spawn(move || run_worker(&opts, &resolve, rec)));
         }
         let net = run_chaos_loopback(
-            &problem,
             borg,
             &config,
             &faults,

@@ -384,7 +384,6 @@ fn networked_chaos_arm(
     oracle: &VirtualRunResult,
     oracle_rec: &InMemoryRecorder,
 ) -> Result<(u64, usize, u64), String> {
-    let problem = Dtlz::dtlz2_5();
     let config = gate_config(seed);
     let workers = (config.processors - 1) as usize;
     let chaos = ChaosConfig::loopback(&std::env::temp_dir(), "determinism-gate", workers);
@@ -429,7 +428,6 @@ fn networked_chaos_arm(
             frames
         });
         let net = run_chaos_loopback(
-            &problem,
             BorgConfig::new(5, 0.06),
             &config,
             &gate_faults(),
